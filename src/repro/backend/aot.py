@@ -282,7 +282,7 @@ def _plan_to_json(plan):
                 "key": b.key, "shape": list(b.shape), "dtype": b.dtype,
                 "nbytes": b.nbytes, "offset": b.offset,
                 "def_pos": b.def_pos, "last_pos": b.last_pos,
-                "guards": list(b.guards), "nodes": list(b.nodes),
+                "nodes": list(b.nodes),
             }
             for b in plan.buffers
         ],
@@ -299,7 +299,7 @@ def _plan_from_json(data):
                 key=_tuple_deep(b["key"]), shape=tuple(b["shape"]),
                 dtype=b["dtype"], nbytes=b["nbytes"], offset=b["offset"],
                 def_pos=b["def_pos"], last_pos=b["last_pos"],
-                guards=tuple(b["guards"]), nodes=tuple(b["nodes"]),
+                nodes=tuple(b["nodes"]),
             )
             for b in data["buffers"]
         ),

@@ -20,12 +20,10 @@ it:
    kernel that reads any value aliasing it (graph outputs live to the
    end — they are copied out after the last kernel);
 3. :func:`plan_arena` packs the buffers into one contiguous arena with
-   a best-fit offset assigner.  Two buffers may share bytes only when
-   their live intervals are disjoint **and** the later buffer's
-   defining kernel transitively depends on every neighbor-lane (N)
-   reader of the earlier one — so an overlap schedule that runs a
-   search on a worker while the feature lane advances can never write
-   into a buffer the search is still reading.
+   a best-fit offset assigner.  Two buffers may share bytes exactly
+   when their live intervals are disjoint: a program runs its kernels
+   strictly front to back on the calling thread out of a thread-local
+   arena, so a dead buffer has no reader left.
 
 Buffers are written whole (every kernel output goes through ``out=``),
 so recycling dead bytes is invisible to the computation: the arena run
@@ -86,9 +84,7 @@ class GraphLiveness:
     ``kernel_nodes`` lists, per kernel position, the graph node ids
     that kernel covers (a folded matmul chain covers every link; the
     first id is the node whose readiness starts the kernel).  Liveness
-    of a value is then an interval over kernel positions; the extra
-    ``ancestors`` sets answer the lane-safety question "can this
-    kernel start before that search has finished?".
+    of a value is then an interval over kernel positions.
     """
 
     def __init__(self, graph, kernel_nodes):
@@ -115,15 +111,6 @@ class GraphLiveness:
                 last[nid] = max(uses, default=position[nid])
         #: node id -> last kernel position that reads the value.
         self.last_use = last
-        ancestors = {}
-        for node in graph.nodes:
-            deps = set()
-            for parent in node.inputs:
-                deps.add(parent)
-                deps |= ancestors[parent]
-            ancestors[node.id] = deps
-        #: node id -> every transitive dependency (node ids).
-        self.ancestors = ancestors
 
     def phase_of(self, graph):
         """Kernel position -> execution phase (the lead node's)."""
@@ -131,23 +118,17 @@ class GraphLiveness:
         return {pos: phases[nid] for pos, nid in self.lead_node.items()}
 
     def extent(self, record):
-        """(last_pos, guards) of one measuring-run buffer record.
+        """Last kernel position of one measuring-run buffer record.
 
         The buffer dies after the last kernel reading any value that
         aliases it; values with no aliasing graph value (chain
         ping-pong intermediates, fused-aggregate scratch) die at their
-        own kernel.  ``guards`` are the N-lane readers of any aliased
-        value — the searches that may still hold the buffer on the
-        other lane of an overlap schedule.
+        own kernel.
         """
-        last = record.def_pos
-        guards = set()
-        for nid in record.nodes:
-            last = max(last, self.last_use.get(nid, record.def_pos))
-            value = self.values.get(nid)
-            if value is not None:
-                guards.update(value.n_lane_consumers)
-        return last, tuple(sorted(guards))
+        return max(
+            (self.last_use.get(nid, record.def_pos) for nid in record.nodes),
+            default=record.def_pos,
+        )
 
 
 @dataclass(frozen=True)
@@ -161,7 +142,6 @@ class ArenaBuffer:
     offset: int
     def_pos: int
     last_pos: int
-    guards: tuple = ()
     nodes: tuple = ()
 
     @property
@@ -239,11 +219,10 @@ class ArenaPlan:
             f"{self.peak_live_bytes} bytes)"
         ]
         for b in sorted(self.buffers, key=lambda b: (b.offset, b.def_pos)):
-            guard = f" guards={list(b.guards)}" if b.guards else ""
             lines.append(
                 f"  @{b.offset:<10d} {b.nbytes:>10d} B  "
                 f"live [{b.def_pos:>3d}, {b.last_pos:>3d}]  "
-                f"{_format_key(b.key)}{guard}"
+                f"{_format_key(b.key)}"
             )
         return "\n".join(lines)
 
@@ -254,25 +233,14 @@ def _format_key(key):
     return str(key)
 
 
-def _conflicts(earlier, later, liveness):
-    """May ``earlier`` and ``later`` share arena bytes?  (False = may.)
+def _conflicts(a, b):
+    """May ``a`` and ``b`` share arena bytes?  (False = may.)
 
     Inclusive-interval overlap conflicts — two buffers touched by the
     same kernel never alias, so a chain's ping-pong buffers stay
-    distinct.  Disjoint intervals still conflict unless every N-lane
-    reader of the earlier buffer is an ancestor of the later buffer's
-    defining kernel: only then is the search guaranteed finished before
-    the bytes are rewritten, whatever lane it ran on.
+    distinct.
     """
-    if earlier.def_pos > later.def_pos:
-        earlier, later = later, earlier
-    if later.def_pos <= earlier.last_pos:
-        return True
-    if not earlier.guards:
-        return False
-    lead = liveness.lead_node[later.def_pos]
-    ancestors = liveness.ancestors.get(lead, ())
-    return any(g not in ancestors for g in earlier.guards)
+    return not (a.last_pos < b.def_pos or b.last_pos < a.def_pos)
 
 
 def plan_arena(records, liveness, alignment=ALIGNMENT):
@@ -283,13 +251,10 @@ def plan_arena(records, liveness, alignment=ALIGNMENT):
     gap among the offsets of its conflicting neighbors, or extends the
     arena when no gap fits.
     """
-    sized = []
-    for seq, record in enumerate(records):
-        last_pos, guards = liveness.extent(record)
-        sized.append((seq, record, last_pos, guards))
-    order = sorted(sized, key=lambda item: (-item[1].nbytes, item[0]))
+    order = sorted(enumerate(records),
+                   key=lambda item: (-item[1].nbytes, item[0]))
     placed = []
-    for _, record, last_pos, guards in order:
+    for _, record in order:
         candidate = ArenaBuffer(
             key=record.key,
             shape=tuple(record.shape),
@@ -297,12 +262,11 @@ def plan_arena(records, liveness, alignment=ALIGNMENT):
             nbytes=int(record.nbytes),
             offset=0,
             def_pos=record.def_pos,
-            last_pos=last_pos,
-            guards=guards,
+            last_pos=liveness.extent(record),
             nodes=tuple(sorted(record.nodes)),
         )
         conflicts = sorted(
-            (b for b in placed if _conflicts(b, candidate, liveness)),
+            (b for b in placed if _conflicts(b, candidate)),
             key=lambda b: b.offset,
         )
         best_offset, best_gap, cursor = None, None, 0
@@ -340,9 +304,7 @@ def validate_plan(plan, liveness=None):
         for b in buffers[i + 1:]:
             if b.offset >= a.end:
                 break
-            overlap_live = not (a.last_pos < b.def_pos
-                                or b.last_pos < a.def_pos)
-            if overlap_live:
+            if _conflicts(a, b):
                 raise ValueError(
                     f"live buffers {a.key!r} and {b.key!r} overlap "
                     f"([{a.def_pos},{a.last_pos}] vs "

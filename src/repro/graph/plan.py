@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from .ir import format_graph, shape_env
 from .passes import module_graph
-from .schedule import node_lane
 
 __all__ = [
     "ModulePlan",
@@ -32,19 +31,13 @@ class ValueLiveness:
     so ``def_index`` is where the value is produced and
     ``last_use_index`` the last position that reads it
     (``len(graph.nodes)`` for graph outputs, which outlive every node).
-    ``n_lane_consumers`` names the neighbor-lane readers
-    (:func:`~repro.graph.schedule.node_lane`); a memory planner must
-    not recycle the value's storage into a buffer that can be written
-    while one of those searches is still in flight on the other lane.
     """
 
     node: int
     kind: str
-    lane: str
     def_index: int
     last_use_index: int
     consumers: tuple
-    n_lane_consumers: tuple
 
 
 def value_liveness(graph):
@@ -74,13 +67,9 @@ def value_liveness(graph):
         values[node.id] = ValueLiveness(
             node=node.id,
             kind=node.kind,
-            lane=node_lane(node),
             def_index=positions[node.id],
             last_use_index=last,
             consumers=tuple(c.id for c in used_by),
-            n_lane_consumers=tuple(
-                c.id for c in used_by if node_lane(c) == "N"
-            ),
         )
     return values
 

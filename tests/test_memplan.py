@@ -1,7 +1,7 @@
 """Tests for the memory planner + AOT program cache (:mod:`repro.backend`).
 
 Covers buffer liveness over the whole-network graph, arena planning
-(best-fit offsets, N/F-lane guards, validation), planner-on
+(best-fit offsets, validation), planner-on
 bit-exactness across all seven networks and three strategies for
 serial, batched and async execution, an adversarial test that corrupts
 dead arena regions mid-run, parameter-table dedup and zero-copy
@@ -119,17 +119,8 @@ class TestArenaPlanning:
                 overlap_bytes = not (a.end <= b.offset or b.end <= a.offset)
                 overlap_live = (a.def_pos <= b.last_pos
                                 and b.def_pos <= a.last_pos)
-                if overlap_live and not (a.guards or b.guards):
+                if overlap_live:
                     assert not overlap_bytes, (a, b)
-
-    def test_feature_space_network_carries_lane_guards(self):
-        # DGCNN searches in feature space, so aggregation outputs feed
-        # the next module's N-lane search: their records must carry
-        # guards that keep overlap execution from racing a reuse.
-        net = toy("DGCNN (c)")
-        program = compile_kernel_program(net, "delayed", backend="float64")
-        plan = program.plan_for(cloud_for(net))
-        assert any(b.guards for b in plan.buffers)
 
     def test_reduction_at_least_30pct_everywhere(self):
         for name in ALL_NETWORKS:
