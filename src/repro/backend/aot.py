@@ -171,8 +171,8 @@ def share_table(table):
     return SharedTable(shm, manifest)
 
 
-def parameter_descriptor(network, strategy, backend, fusion=(),
-                         batched=False, program_cache=None):
+def parameter_descriptor(network, strategy, backend, batched=False,
+                         program_cache=None):
     """One packed parameter source for N zero-copy consumers.
 
     Returns ``(descriptor, handle)``: the descriptor feeds
@@ -193,7 +193,7 @@ def parameter_descriptor(network, strategy, backend, fusion=(),
         if not hasattr(program_cache, "descriptor_for"):
             program_cache = ProgramCache(program_cache)
         descriptor = program_cache.descriptor_for(
-            network, strategy, backend, batched=batched, fusion=fusion
+            network, strategy, backend, batched=batched
         )
         return descriptor, None
     ngraph = network.network_graph(strategy)
@@ -264,6 +264,12 @@ def attach_table(descriptor):
 
 
 # -- the on-disk program cache -----------------------------------------------
+
+#: Stamp of everything a stored manifest's readers depend on beyond the
+#: kernel labels: scratch-buffer keys, the plan JSON, the config key and
+#: the tuned-table JSON.  Entries carrying any other value are stale —
+#: programs recompile, tuned tables re-tune.
+FORMAT = 2
 
 
 def _tuple_deep(value):
@@ -353,17 +359,16 @@ class ProgramCache:
 
     @staticmethod
     def config_key(network_name, strategy, backend_name, batched,
-                   fingerprint, fusion=()):
+                   fingerprint):
         arity = "batched" if batched else "single"
-        fused = "+".join(fusion) if fusion else "nofuse"
         return f"{network_name}|{strategy}|{backend_name}|{arity}|" \
-               f"{fused}|{fingerprint}"
+               f"{fingerprint}"
 
     def digest_for(self, network_name, strategy, backend_name, batched,
-                   fingerprint, fusion=()):
+                   fingerprint):
         """The stored digest for a configuration, or ``None``."""
         key = self.config_key(network_name, strategy, backend_name, batched,
-                              fingerprint, fusion=fusion)
+                              fingerprint)
         return self._read_index().get(key)
 
     # -- store / load --------------------------------------------------------
@@ -382,14 +387,13 @@ class ProgramCache:
         with program._plans_lock:
             plans = dict(program._plans)
         manifest = {
-            "format": 1,
+            "format": FORMAT,
             "kind": "kernel-program",
             "network": program.ngraph.network,
             "strategy": program.ngraph.strategy,
             "backend": program.backend.name,
             "dtype": str(np.dtype(program.backend.dtype)),
             "batched": program.batched,
-            "fusion": list(program.fusion),
             "fingerprint": fingerprint,
             "kernels": list(program.kernel_labels),
             "plans": {
@@ -412,7 +416,7 @@ class ProgramCache:
         index = self._read_index()
         key = self.config_key(manifest["network"], manifest["strategy"],
                               manifest["backend"], manifest["batched"],
-                              fingerprint, fusion=program.fusion)
+                              fingerprint)
         if index.get(key) != digest:
             index[key] = digest
             self._write_index(index)
@@ -437,17 +441,22 @@ class ProgramCache:
         The kernel closures recompile against ``ngraph`` (cheap — a
         few ms); the parameters map zero-copy and the arena plans seed
         directly, so no measuring run and no weight export happen.
-        Raises :class:`ValueError` when the stored kernel list no
-        longer matches what this code compiles — the stale-cache
-        signal ``program_for`` recovers from by recompiling.
+        Raises :class:`ValueError` when the entry was written under
+        another :data:`FORMAT` or its kernel list no longer matches
+        what this code compiles — the stale-cache signal
+        ``program_for`` recovers from by recompiling.
         """
         manifest = self.manifest(digest)
+        if manifest.get("format") != FORMAT:
+            raise ValueError(
+                f"stored program {digest[:12]} has format "
+                f"{manifest.get('format')!r}, expected {FORMAT}"
+            )
         table = self.table(digest, manifest)
         backend = get_backend(manifest["backend"])
         program = KernelProgram(ngraph, network, backend,
                                 manifest["batched"], params=table,
-                                plan_memory=plan_memory,
-                                fusion=tuple(manifest.get("fusion", ())))
+                                plan_memory=plan_memory)
         if list(program.kernel_labels) != manifest["kernels"]:
             raise ValueError(
                 f"stored program {digest[:12]} kernel list is stale for "
@@ -462,7 +471,7 @@ class ProgramCache:
         return program
 
     def program_for(self, ngraph, network, backend, batched, params=None,
-                    plan_memory=True, fusion=()):
+                    plan_memory=True):
         """Load-or-compile: the executor's entry point.
 
         A cache hit rebuilds from disk (zero-copy parameters, seeded
@@ -470,20 +479,15 @@ class ProgramCache:
         the next process — or the next CI step — hits.  ``params``
         short-circuits the disk path entirely: the caller already
         holds an attached table, and a skeleton network could not
-        re-export one anyway.  ``fusion`` flags key separate cache
-        entries — a fused and an unfused program of the same config
-        never collide (and the stored kernel-label check would catch a
-        mismatch anyway).
+        re-export one anyway.
         """
         backend = get_backend(backend)
         if params is not None:
             return KernelProgram(ngraph, network, backend, batched,
-                                 params=params, plan_memory=plan_memory,
-                                 fusion=fusion)
+                                 params=params, plan_memory=plan_memory)
         fingerprint = network_fingerprint(network)
         digest = self.digest_for(ngraph.network, ngraph.strategy,
-                                 backend.name, batched, fingerprint,
-                                 fusion=fusion)
+                                 backend.name, batched, fingerprint)
         if digest is not None:
             try:
                 return self.load(digest, ngraph, network,
@@ -491,7 +495,7 @@ class ProgramCache:
             except (OSError, ValueError, KeyError, json.JSONDecodeError):
                 pass  # stale or damaged entry: recompile below
         program = KernelProgram(ngraph, network, backend, batched,
-                                plan_memory=plan_memory, fusion=fusion)
+                                plan_memory=plan_memory)
         self.store(program, fingerprint)
         return program
 
@@ -505,7 +509,7 @@ class ProgramCache:
         as manifest-only entries (no parameter blob).
         """
         manifest = {
-            "format": 1,
+            "format": FORMAT,
             "kind": "tuned-table",
             "network": network_name,
             "fingerprint": fingerprint,
@@ -536,12 +540,12 @@ class ProgramCache:
             manifest = self.manifest(digest)
         except (OSError, json.JSONDecodeError):
             return None
-        if manifest.get("kind") != "tuned-table":
+        if manifest.get("kind") != "tuned-table" \
+                or manifest.get("format") != FORMAT:
             return None
         return manifest["table"]
 
-    def descriptor_for(self, network, strategy, backend, batched=False,
-                       fusion=()):
+    def descriptor_for(self, network, strategy, backend, batched=False):
         """A picklable ``{"kind": "file"}`` token for pool workers.
 
         Compiles-and-stores on first use, so the parent pays the
@@ -549,8 +553,7 @@ class ProgramCache:
         """
         backend = get_backend(backend)
         ngraph = network.network_graph(strategy)
-        program = self.program_for(ngraph, network, backend, batched,
-                                   fusion=fusion)
+        program = self.program_for(ngraph, network, backend, batched)
         digest = self.store(program)
         return {"kind": "file", "directory": self.directory,
                 "digest": digest}

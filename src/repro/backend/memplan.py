@@ -125,10 +125,10 @@ class GraphLiveness:
         ping-pong intermediates, fused-aggregate scratch) die at their
         own kernel.
         """
-        return max(
-            (self.last_use.get(nid, record.def_pos) for nid in record.nodes),
-            default=record.def_pos,
-        )
+        last = record.def_pos
+        for nid in record.nodes:
+            last = max(last, self.last_use.get(nid, record.def_pos))
+        return last
 
 
 @dataclass(frozen=True)
@@ -251,10 +251,9 @@ def plan_arena(records, liveness, alignment=ALIGNMENT):
     gap among the offsets of its conflicting neighbors, or extends the
     arena when no gap fits.
     """
-    order = sorted(enumerate(records),
-                   key=lambda item: (-item[1].nbytes, item[0]))
     placed = []
-    for _, record in order:
+    # Stable sort: first-defined breaks ties.
+    for record in sorted(records, key=lambda record: -record.nbytes):
         candidate = ArenaBuffer(
             key=record.key,
             shape=tuple(record.shape),

@@ -57,7 +57,6 @@ import threading
 import numpy as np
 
 from ..graph.network import MODULE_KINDS
-from ..graph.passes import apply_fusion, normalize_fusion
 from ..neighbors import active_search_options, neighbor_search
 from .array import get_backend
 from .memplan import (
@@ -147,19 +146,12 @@ class KernelProgram:
     """
 
     def __init__(self, ngraph, network, backend, batched, params=None,
-                 plan_memory=True, fusion=()):
+                 plan_memory=True):
         self.ngraph = ngraph
         self.network = network
         self.backend = get_backend(backend)
         self.batched = bool(batched)
         self.plan_memory = bool(plan_memory)
-        #: Kernel-compiler fusion flags (canonical order).  The fused
-        #: graph exists only inside this program — the executors, trace
-        #: lowering and scheduler keep consuming ``ngraph.graph``; node
-        #: id reuse in the fusion passes keeps ``ngraph.outputs`` valid.
-        self.fusion = normalize_fusion(fusion)
-        self.graph = apply_fusion(ngraph.graph, self.fusion) \
-            if self.fusion else ngraph.graph
         if params is None:
             params = ParameterTable.for_graph(ngraph, self.backend,
                                               network=network)
@@ -176,7 +168,7 @@ class KernelProgram:
         self._plans = {}
         self._plans_lock = threading.Lock()
         self._compile()
-        self._liveness = GraphLiveness(self.graph, self._kernel_nodes)
+        self._liveness = GraphLiveness(ngraph.graph, self._kernel_nodes)
 
     # -- compile-time helpers ------------------------------------------------
 
@@ -234,13 +226,13 @@ class KernelProgram:
     # -- compilation ---------------------------------------------------------
 
     def _compile(self):
-        graph = self.graph
+        graph = self.ngraph.graph
         consumed = set()
         for position, node in enumerate(graph.nodes):
             if node.id in consumed:
                 continue
             before = set(consumed)
-            if node.kind in MODULE_KINDS or node.kind == "gemm_aggregate":
+            if node.kind in MODULE_KINDS:
                 kernel = self._compile_module_node(graph, position, node,
                                                    consumed)
             else:
@@ -263,8 +255,6 @@ class KernelProgram:
             return self._k_matmul_chain(graph, position, node, midx, consumed)
         if kind == "aggregate":
             return self._k_aggregate(node, midx)
-        if kind == "gemm_aggregate":
-            return self._k_gemm_aggregate(node, midx)
         if kind == "gather":
             return self._k_gather(node, midx)
         if kind == "subtract":
@@ -392,122 +382,27 @@ class KernelProgram:
 
         return kernel
 
-    def _epilogue_ops(self, node, midx):
-        """The (ops, site) of a fused ``epilogue_layer``, or ``None``."""
-        layer = node.attrs.get("epilogue_layer")
-        if layer is None:
-            return None
-        ops = self.table.module_segment(midx, layer, epilogue=True)
-        return ops, ("module", midx, layer, "epilogue")
-
     def _k_aggregate(self, node, midx):
-        if node.attrs.get("concat_parts"):
-            return self._k_concat_aggregate(node, midx)
+        """Gather → [reduce-max →] subtract, one NIT-driven pass.
+
+        Reduced (delayed-form) aggregation streams over centroid
+        chunks the way the paper's Aggregation Unit streams NIT entries
+        (§V-B), so the ``(n_out, k, dim)`` neighborhood tensor is never
+        materialized.  Chunking is over centroids only — each
+        neighborhood still reduces over ``k`` in one call — so the
+        result is bit-identical to the unchunked form.
+        """
         reduce = bool(node.attrs["reduce"])
         k, dim = node.attrs["k"], node.attrs["dim"]
         source = node.inputs[0]
         nid = node.id
         backend = self.backend
-        epilogue = self._epilogue_ops(node, midx)
 
         def kernel(env, ctx):
             src = env[source]
             rows = ctx["rows"][midx]
             crows = self._centroid_rows(ctx, midx)
             n_rows = rows.shape[0]
-            gathered = np.take(
-                src, rows, axis=0,
-                out=self._buffer(ctx, ("agg-g", nid), (n_rows, k, dim)),
-            )
-            if reduce:
-                reduced = backend.reduce_max(
-                    gathered, axis=1,
-                    out=self._buffer(ctx, ("agg-r", nid), (n_rows, dim)),
-                )
-                env[nid] = backend.subtract(
-                    reduced, src[crows],
-                    out=self._buffer(ctx, ("agg-o", nid), (n_rows, dim)),
-                )
-            else:
-                centroids = src[crows].reshape(n_rows, 1, dim)
-                backend.subtract(gathered, centroids, out=gathered)
-                x = gathered.reshape(n_rows * k, dim)
-                if epilogue is not None:
-                    # Fused limited-variant epilogue: bias + activation
-                    # replay in place on the freshly aggregated buffer —
-                    # the exact ops the standalone epilogue kernel runs.
-                    x = self._apply_ops(epilogue[0], x, ctx, ("epi", nid),
-                                        epilogue[1])
-                env[nid] = x
-
-        return kernel
-
-    def _k_concat_aggregate(self, node, midx):
-        """Skip-concat folded into gather offsets (``fuse_gather``).
-
-        Each concatenated part is gathered and centroid-subtracted
-        straight into its column slice of the neighborhood buffer; the
-        concatenated feature table itself is never materialized.
-        """
-        n_parts = node.attrs["concat_parts"]
-        parts = node.inputs[:n_parts]
-        k, dim = node.attrs["k"], node.attrs["dim"]
-        nid = node.id
-        backend = self.backend
-        epilogue = self._epilogue_ops(node, midx)
-
-        def kernel(env, ctx):
-            rows = ctx["rows"][midx]
-            crows = self._centroid_rows(ctx, midx)
-            n_rows = rows.shape[0]
-            out = self._buffer(ctx, ("agg-g", nid), (n_rows, k, dim))
-            offset = 0
-            for part in parts:
-                src = env[part]
-                d = src.shape[1]
-                block = np.take(src, rows, axis=0,
-                                out=out[:, :, offset:offset + d])
-                centroids = src[crows].reshape(n_rows, 1, d)
-                backend.subtract(block, centroids, out=block)
-                offset += d
-            x = out.reshape(n_rows * k, dim)
-            if epilogue is not None:
-                x = self._apply_ops(epilogue[0], x, ctx, ("epi", nid),
-                                    epilogue[1])
-            env[nid] = x
-
-        return kernel
-
-    def _k_gemm_aggregate(self, node, midx):
-        """A region's final GEMM fused with the downstream gather.
-
-        The GEMM stays a *full-shape* call into scratch — BLAS
-        summation order depends on the call shape, and the fused path
-        is gated bit-exact against the unfused kernels (the calibration
-        ``observe`` hook fires on the identical site, so int8 scale
-        resolution is unchanged).  For reduced (delayed-form)
-        aggregation the gather/reduce/subtract then run over centroid
-        chunks, so the full ``(n_out, k, dim)`` gathered tensor — the
-        largest buffer of the unfused program — is never materialized.
-        """
-        attrs = node.attrs
-        reduce = bool(attrs["reduce"])
-        k, dim = attrs["k"], attrs["dim"]
-        weight_only = bool(attrs.get("gemm_weight_only"))
-        layer = attrs["gemm_layer"]
-        ops = self.table.module_segment(midx, layer, weight_only=weight_only)
-        site = ("module", midx, layer,
-                "weight_only" if weight_only else "full")
-        epilogue = self._epilogue_ops(node, midx)
-        source = node.inputs[0]
-        nid = node.id
-        backend = self.backend
-
-        def kernel(env, ctx):
-            rows = ctx["rows"][midx]
-            crows = self._centroid_rows(ctx, midx)
-            n_rows = rows.shape[0]
-            src = self._apply_ops(ops, env[source], ctx, ("ga", nid), site)
             if reduce:
                 out = self._buffer(ctx, ("agg-o", nid), (n_rows, dim))
                 step = n_rows if n_rows <= 8 else max(8, -(-n_rows // 8))
@@ -530,11 +425,7 @@ class KernelProgram:
                 )
                 centroids = src[crows].reshape(n_rows, 1, dim)
                 backend.subtract(gathered, centroids, out=gathered)
-                x = gathered.reshape(n_rows * k, dim)
-                if epilogue is not None:
-                    x = self._apply_ops(epilogue[0], x, ctx, ("epi", nid),
-                                        epilogue[1])
-                env[nid] = x
+                env[nid] = gathered.reshape(n_rows * k, dim)
 
         return kernel
 
@@ -929,7 +820,7 @@ class KernelProgram:
         bucketed by the executing node's phase.
         """
         plan = self.plan_for(coords)
-        phase_of = self._liveness.phase_of(self.graph)
+        phase_of = self._liveness.phase_of(self.ngraph.graph)
         allocated, phases = 0, {}
         by_def = {}
         for b in plan.buffers:
@@ -964,7 +855,8 @@ class KernelProgram:
         """
         plan = self.plan_for(coords)
         module_of = {
-            node.id: node.attrs.get("module") for node in self.graph.nodes
+            node.id: node.attrs.get("module")
+            for node in self.ngraph.graph.nodes
         }
         regions = {}
         for pos in range(len(self._kernels)):
@@ -981,8 +873,7 @@ class KernelProgram:
 
 
 def compile_kernel_program(network, strategy="delayed", backend="float64",
-                           batched=False, params=None, plan_memory=True,
-                           fusion=()):
+                           batched=False, params=None, plan_memory=True):
     """Compile ``network`` under ``strategy`` into a :class:`KernelProgram`.
 
     The network's whole-network graph (memoized on the instance) is
@@ -992,13 +883,11 @@ def compile_kernel_program(network, strategy="delayed", backend="float64",
     :class:`~repro.backend.params.ParameterTable` (e.g. one attached
     zero-copy from the program cache or shared memory) instead of
     exporting the network's weights; ``plan_memory=False`` restores
-    the per-kernel buffer pool; ``fusion`` names the kernel-compiler
-    fusion rewrites (:data:`repro.graph.passes.FUSION_PASSES`) to
-    apply before lowering.
+    the per-kernel buffer pool.
     """
     return KernelProgram(network.network_graph(strategy), network,
                          get_backend(backend), batched, params=params,
-                         plan_memory=plan_memory, fusion=fusion)
+                         plan_memory=plan_memory)
 
 
 class NetworkKernelExecutor:
@@ -1013,7 +902,7 @@ class NetworkKernelExecutor:
     """
 
     def __init__(self, backend="float64", params=None, program_cache=None,
-                 plan_memory=True, fusion=()):
+                 plan_memory=True):
         self.backend = get_backend(backend)
         #: Optional pre-built (possibly zero-copy-attached) parameter
         #: table every compiled program reads through — the pool-worker
@@ -1024,8 +913,6 @@ class NetworkKernelExecutor:
         #: load from (and first-compiles persist to) it.
         self.program_cache = program_cache
         self.plan_memory = bool(plan_memory)
-        #: Fusion flags every compiled program applies.
-        self.fusion = normalize_fusion(fusion)
         self._programs = {}
 
     def program(self, ngraph, network, batched):
@@ -1037,13 +924,11 @@ class NetworkKernelExecutor:
                 program = self.program_cache.program_for(
                     ngraph, network, self.backend, batched,
                     params=self.params, plan_memory=self.plan_memory,
-                    fusion=self.fusion,
                 )
             else:
                 program = KernelProgram(ngraph, network, self.backend,
                                         batched, params=self.params,
-                                        plan_memory=self.plan_memory,
-                                        fusion=self.fusion)
+                                        plan_memory=self.plan_memory)
             entry = (ngraph, program)
             self._programs[key] = entry
         return entry[1]

@@ -11,7 +11,7 @@ compile NETWORK [--strategy S] [--backend B] [--cache DIR]
     Ahead-of-time compile kernel programs into an on-disk program
     cache (packed parameters + measured arena plans).
 tune NETWORK [--batch B] [--backends B ...] [--cache DIR]
-    Measure the strategy x backend x fusion grid for one workload
+    Measure the strategy x backend grid for one workload
     shape and store the winning configuration in the program cache.
 simulate NETWORK [--config C]
     Simulate one network on one SoC configuration.
@@ -78,7 +78,8 @@ def _cmd_trace(args):
         print(schedule.describe())
         print(f"cross-module overlap steps: "
               f"{len(schedule.cross_module_overlap_steps())}")
-        _trace_fusion(net, args)
+        if args.cache:
+            _trace_tuned(net, args.cache)
     elif args.graph:
         # The strategy-rewritten whole-network operator graph the
         # executors run and the trace below is lowered from.
@@ -100,28 +101,17 @@ def _cmd_trace(args):
     return 0
 
 
-def _trace_fusion(net, args):
-    """``repro trace --schedule`` tail: the kernel compiler's fusion
-
-    decisions on this graph, plus the autotuner's chosen configuration
-    when ``--cache`` points at a program cache with a stored table.
-    """
-    from .graph import fusion_report
-
-    lines = fusion_report(net.network_graph(args.strategy).graph)
-    print(f"kernel fusion decisions ({len(lines)} rewrite(s)):")
-    for line in lines:
-        print(f"  {line}")
-    if not args.cache:
-        return
+def _trace_tuned(net, cache_dir):
+    """``repro trace --schedule --cache DIR`` tail: the autotuner's
+    chosen configuration, when the program cache holds a stored table."""
     from .backend import ProgramCache, network_fingerprint
     from .tune import TunedTable
 
-    data = ProgramCache(args.cache).load_tuned(
+    data = ProgramCache(cache_dir).load_tuned(
         net.name, network_fingerprint(net)
     )
     if data is None:
-        print(f"tuned config: none stored in {args.cache} "
+        print(f"tuned config: none stored in {cache_dir} "
               f"(run 'repro tune' first)")
         return
     for line in TunedTable.from_json(data).describe():
@@ -644,7 +634,7 @@ def build_parser():
                                 "safe to reuse across networks and restarts)")
 
     p_tune = sub.add_parser(
-        "tune", help="autotune strategy/backend/fusion per workload shape"
+        "tune", help="autotune strategy/backend per workload shape"
     )
     p_tune.add_argument("network", nargs="*",
                         help="networks to tune (default PointNet++ (c))")

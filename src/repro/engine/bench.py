@@ -878,7 +878,7 @@ def bench_tune(network="PointNet++ (c)", scale=0.125, batch=8, repeats=2,
     """Autotuned dispatch vs the best and worst fixed configurations.
 
     Runs the :class:`~repro.tune.Autotuner` over the strategy x
-    backend x fusion grid for one workload shape, then re-times three
+    backend grid for one workload shape, then re-times three
     runners on the same probe clouds: ``BatchRunner(tuned=table)``
     (measured dispatch), the best fixed configuration, and the worst
     *gate-passing* fixed configuration.  Alongside the timings the row
@@ -886,8 +886,8 @@ def bench_tune(network="PointNet++ (c)", scale=0.125, batch=8, repeats=2,
     correctness gate, a warm same-cache re-tune performs zero
     benchmarks and round-trips the stored table byte-identically, two
     cold same-seed tunes agree on every candidate's gate outcome, and
-    the fusion rewrites are bit-exact in float64 while lowering the
-    planner's peak live bytes.
+    the default delayed float64 program's peak live bytes (the
+    centroid-chunked aggregate never holds a neighborhood tensor).
     """
     import tempfile
 
@@ -898,17 +898,15 @@ def bench_tune(network="PointNet++ (c)", scale=0.125, batch=8, repeats=2,
         batch = min(batch, 4)
         repeats = 1
     backends = ("float64", "float32")
-    fusions = ((), ("epilogue", "gather"))
     net = build_network(network, scale=scale, rng=np.random.default_rng(seed))
     key = shape_key(net.name, net.n_points, batch)
 
     with tempfile.TemporaryDirectory(prefix="repro-tune-bench-") as tmp:
         cache = ProgramCache(tmp)
         cold = Autotuner(net, program_cache=cache, repeats=repeats, seed=seed)
-        table = cold.tune(batch=batch, backends=backends, fusions=fusions)
+        table = cold.tune(batch=batch, backends=backends)
         warm = Autotuner(net, program_cache=cache, repeats=repeats, seed=seed)
-        warm_table = warm.tune(batch=batch, backends=backends,
-                               fusions=fusions)
+        warm_table = warm.tune(batch=batch, backends=backends)
     round_trip = (json.dumps(table.to_json(), sort_keys=True)
                   == json.dumps(warm_table.to_json(), sort_keys=True))
 
@@ -916,8 +914,7 @@ def bench_tune(network="PointNet++ (c)", scale=0.125, batch=8, repeats=2,
     # fixed seed the candidate grid, its order, and every gate verdict
     # and metric must agree exactly.
     second = Autotuner(net, repeats=repeats, seed=seed)
-    second_table = second.tune(batch=batch, backends=backends,
-                               fusions=fusions)
+    second_table = second.tune(batch=batch, backends=backends)
 
     def gate_record(tbl):
         return [(c.key(), c.gate_passed, c.gate)
@@ -938,20 +935,8 @@ def bench_tune(network="PointNet++ (c)", scale=0.125, batch=8, repeats=2,
     best_ms = timed(BatchRunner(net, **winner.runner_kwargs(net)))
     worst_ms = timed(BatchRunner(net, **worst.runner_kwargs(net)))
 
-    # The tentpole's fusion story on this workload: float64 fused
-    # kernels must match unfused bit-for-bit, and the fused-gather
-    # rewrite must shrink the planner's peak live bytes (it skips the
-    # full-layer materialization between GEMM and gather).
-    probe = clouds[0]
-    peaks, outputs = {}, {}
-    for fusion in ((), ("epilogue", "gather")):
-        program = compile_kernel_program(net, "delayed", backend="float64",
-                                         fusion=fusion)
-        label = "+".join(fusion) if fusion else "nofuse"
-        peaks[label] = int(program.memory_report(probe)["peak_live_bytes"])
-        outputs[label] = program.run(probe)
-    fused_exact = _outputs_equal(outputs["nofuse"],
-                                 outputs["epilogue+gather"])
+    program = compile_kernel_program(net, "delayed", backend="float64")
+    peak_live = int(program.memory_report(clouds[0])["peak_live_bytes"])
 
     return {
         "workload": {
@@ -960,7 +945,6 @@ def bench_tune(network="PointNet++ (c)", scale=0.125, batch=8, repeats=2,
             "batch": batch,
             "n_points": net.n_points,
             "backends": list(backends),
-            "fusions": ["+".join(f) if f else "nofuse" for f in fusions],
             "repeats": repeats,
             "seed": seed,
         },
@@ -980,11 +964,7 @@ def bench_tune(network="PointNet++ (c)", scale=0.125, batch=8, repeats=2,
         "warm_rebenchmarks": warm.n_benchmarks,
         "table_round_trip": bool(round_trip),
         "table_deterministic": bool(deterministic),
-        "fused_bit_exact_float64": bool(fused_exact),
-        "peak_live_unfused_bytes": peaks["nofuse"],
-        "peak_live_fused_bytes": peaks["epilogue+gather"],
-        "peak_live_reduction": 1.0 - peaks["epilogue+gather"]
-        / peaks["nofuse"],
+        "peak_live_bytes": peak_live,
     }
 
 

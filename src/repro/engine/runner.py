@@ -113,11 +113,6 @@ class BatchRunner:
         zero-copy memmapped parameters, pre-measured arena plans — and
         first-compiles persist for the next process.  Only meaningful
         together with ``backend``.
-    fusion:
-        Kernel fusion flags (e.g. ``("epilogue", "gather")``) applied
-        when the compiled programs are built.  Only meaningful together
-        with ``backend`` — the graph interpreter never sees fused
-        graphs.
     params:
         Optional pre-built :class:`~repro.backend.params.ParameterTable`
         (e.g. attached zero-copy from a shared-memory descriptor or the
@@ -130,13 +125,15 @@ class BatchRunner:
         request's shape key (network, point count, batch size, nearest
         batch as fallback), delegating to an internally memoized runner
         per winning configuration; the runner's own
-        strategy/backend/fusion settings serve only shapes the table
+        strategy/backend settings serve only shapes the table
         has no entry for.
     """
 
+    fusion = ()  # only reader: benchmarks/ledger/test_ledger.py:221
+
     def __init__(self, network, strategy="delayed", substrate="brute",
                  cache=None, dtype=None, backend=None, program_cache=None,
-                 fusion=(), tuned=None, params=None):
+                 tuned=None, params=None):
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}")
         self.network = network
@@ -155,9 +152,6 @@ class BatchRunner:
 
             program_cache = ProgramCache(program_cache)
         self.program_cache = program_cache
-        from ..graph import normalize_fusion
-
-        self.fusion = normalize_fusion(fusion)
         if tuned is not None and not hasattr(tuned, "lookup"):
             from ..tune import TunedTable
 
@@ -176,7 +170,6 @@ class BatchRunner:
 
             self._kernel_executor = NetworkKernelExecutor(
                 backend, params=params, program_cache=program_cache,
-                fusion=self.fusion,
             )
         self._plan = None
 

@@ -229,8 +229,7 @@ _WORKER_STATE = {}
 
 
 def _init_forward_worker(network, strategy, substrate, dtype,
-                         kernel_backend=None, shared_params=None,
-                         fusion=()):
+                         kernel_backend=None, shared_params=None):
     """Pool initializer: unpickle the network once per worker process.
 
     Runs in each worker when the persistent pool starts (and in-process
@@ -255,8 +254,7 @@ def _init_forward_worker(network, strategy, substrate, dtype,
             from ..backend import attach_table
 
             params = attach_table(shared_params)
-        executor = NetworkKernelExecutor(kernel_backend, params=params,
-                                         fusion=fusion)
+        executor = NetworkKernelExecutor(kernel_backend, params=params)
     _WORKER_STATE["network"] = network
     _WORKER_STATE["strategy"] = strategy
     _WORKER_STATE["substrate"] = substrate
@@ -329,23 +327,19 @@ class AsyncRunner(BatchRunner):
         still shares parameters zero-copy through
         ``multiprocessing.shared_memory`` whenever a ``kernel_backend``
         is set.
-    fusion:
-        Kernel fusion flags for the compiled programs (meaningful with
-        ``kernel_backend``); shipped into process-pool workers so they
-        compile the same fused program.
     tuned:
         Optional :class:`~repro.tune.TunedTable` (or its JSON form).
         Resolved once at construction — the pipeline depth
         (``in_flight``) is the shape hint — and the winning
         configuration overrides ``strategy`` / ``substrate`` /
-        ``kernel_backend`` / ``fusion`` for every subsequent batch;
-        the resolved config is exposed as ``tuned_config``.
+        ``kernel_backend`` for every subsequent batch; the resolved
+        config is exposed as ``tuned_config``.
     """
 
     def __init__(self, network, strategy="delayed", substrate="brute",
                  cache=None, dtype=None, max_workers=None, in_flight=None,
                  backend="thread", kernel_backend=None, program_cache=None,
-                 fusion=(), tuned=None, params=None):
+                 tuned=None, params=None):
         if tuned is not None and not hasattr(tuned, "lookup"):
             from ..tune import TunedTable
 
@@ -359,11 +353,9 @@ class AsyncRunner(BatchRunner):
                 strategy = config.strategy
                 substrate = config.substrate
                 kernel_backend = config.resolve_backend(network)
-                fusion = config.fusion
         super().__init__(network, strategy=strategy, substrate=substrate,
                          cache=cache, dtype=dtype, backend=kernel_backend,
-                         program_cache=program_cache, fusion=fusion,
-                         params=params)
+                         program_cache=program_cache, params=params)
         if backend not in _BACKENDS:
             raise ValueError(
                 f"unknown backend {backend!r}; expected one of {_BACKENDS}"
@@ -498,7 +490,7 @@ class AsyncRunner(BatchRunner):
                 # or attach the freshly-packed shm segment.
                 descriptor, handle = parameter_descriptor(
                     self.network, self.strategy, self.kernel_backend,
-                    fusion=self.fusion, program_cache=self.program_cache,
+                    program_cache=self.program_cache,
                 )
                 self._shared_table = handle
             return network_skeleton(self.network), descriptor
@@ -520,7 +512,6 @@ class AsyncRunner(BatchRunner):
                 max_workers=self.max_workers, backend="process",
                 persistent=True, initializer=_init_forward_worker,
                 initargs=(network, self.strategy, self.substrate,
-                          self.dtype, self.kernel_backend, shared_params,
-                          self.fusion),
+                          self.dtype, self.kernel_backend, shared_params),
             )
         return self._process_runner.map(network_forward_task, list(batch))

@@ -28,18 +28,12 @@ from .network import (
     build_network_graph,
 )
 from .passes import (
-    FUSION_PASSES,
     PIPELINES,
-    apply_fusion,
     dead_code_elimination,
     delay_aggregation,
     fuse_aggregation,
-    fuse_epilogue,
-    fuse_gather,
-    fusion_report,
     limit_delay,
     module_graph,
-    normalize_fusion,
     run_pipeline,
 )
 from .plan import (
@@ -52,7 +46,6 @@ from .plan import (
 from .schedule import GraphSchedule, ScheduledNode, node_lane, schedule_graph
 
 __all__ = [
-    "FUSION_PASSES",
     "KINDS",
     "Frontier",
     "Graph",
@@ -73,7 +66,6 @@ __all__ = [
     "NetworkRegion",
     "OpRecorder",
     "ValueLiveness",
-    "apply_fusion",
     "build_module_graph",
     "build_network_graph",
     "compile_network_plan",
@@ -81,11 +73,7 @@ __all__ = [
     "delay_aggregation",
     "format_graph",
     "fuse_aggregation",
-    "fuse_epilogue",
-    "fuse_gather",
-    "fusion_report",
     "limit_delay",
-    "normalize_fusion",
     "lower_graph",
     "lower_module_trace",
     "lower_network_trace",

@@ -39,7 +39,6 @@ KINDS = (
     "matmul",      # one shared-MLP layer (F phase)
     "reduce_max",  # neighborhood max-reduction (A or F phase)
     "aggregate",   # fused gather[+reduce_max]+subtract (A phase)
-    "gemm_aggregate",  # kernel-level GEMM+gather fusion (A phase)
     "epilogue",    # limited-variant bias + activation replay (no trace op)
     "concat",      # feature concatenation (O phase)
     # Network-level kinds (repro.graph.network): whole networks lower

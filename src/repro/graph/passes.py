@@ -25,18 +25,12 @@ from .build import build_module_graph
 from .ir import Node
 
 __all__ = [
-    "FUSION_PASSES",
     "PIPELINES",
-    "apply_fusion",
     "dead_code_elimination",
     "delay_aggregation",
     "fuse_aggregation",
-    "fuse_epilogue",
-    "fuse_gather",
-    "fusion_report",
     "limit_delay",
     "module_graph",
-    "normalize_fusion",
     "run_pipeline",
 ]
 
@@ -391,189 +385,6 @@ def dead_code_elimination(graph):
     return graph.replace_nodes(
         [n for n in graph if n.id in live], outputs=graph.outputs
     ).validate()
-
-
-# -- kernel-compiler fusion rewrites -----------------------------------------
-#
-# The passes below are *kernel-level* fusions: they run on a copy of the
-# strategy-rewritten graph inside the kernel compiler
-# (:class:`repro.backend.runtime.KernelProgram` with ``fusion=`` flags)
-# and never touch the graphs the eager/batched executors, the trace
-# lowering or the scheduler consume.  Every fused node reuses the id of
-# the pattern's externally-visible value, so downstream references and
-# graph outputs stay valid without rewiring.
-
-
-def _protected_ids(graph):
-    """Ids that must keep materializing in the kernel environment.
-
-    Graph outputs, plus the stage bindings the kernel runtime actually
-    reads from the environment: a search's ``coords`` source, and its
-    ``feats`` source only when it searches in feature space (a
-    coords-space search carries the binding but never dereferences it).
-    """
-    protected = set(graph.outputs)
-    for node in graph:
-        if node.kind != "search":
-            continue
-        coords_ref = node.attrs.get("coords")
-        if coords_ref is not None:
-            protected.add(coords_ref)
-        feats_ref = node.attrs.get("feats")
-        if feats_ref is not None and node.attrs.get("space") != "coords":
-            protected.add(feats_ref)
-    return protected
-
-
-def fuse_epilogue(graph, report=None):
-    """Fold ``aggregate(reduce=False)`` → ``epilogue`` into one node.
-
-    The limited variant's epilogue re-adds the hoisted layer's bias and
-    replays its activation right after aggregation — currently a
-    separate kernel and a second pass over the ``n_out*k`` rows.  The
-    fused aggregate carries ``epilogue_layer`` so the kernel runtime
-    applies the bias+activation in place on the freshly gathered
-    buffer.  The fused node reuses the *epilogue's* id.
-
-    ``report``, when given, collects one human-readable line per fused
-    pair (the ``repro trace --schedule`` fusion listing).
-    """
-    graph = graph.copy()
-    protected = _protected_ids(graph)
-    fused, dropped = {}, set()
-    for node in graph.nodes:
-        if node.kind != "aggregate" or node.attrs.get("reduce") \
-                or "epilogue_layer" in node.attrs:
-            continue
-        if node.id in protected:
-            continue
-        consumers = graph.consumers(node.id)
-        if len(consumers) != 1 or consumers[0].kind != "epilogue":
-            continue
-        epilogue = consumers[0]
-        fused[node.id] = Node(
-            epilogue.id, "aggregate", node.inputs,
-            {**node.attrs, "epilogue_layer": epilogue.attrs["layer"]},
-            phase=node.phase,
-        )
-        dropped.add(epilogue.id)
-        if report is not None:
-            report.append(
-                f"fuse_epilogue: aggregate %{node.id} + epilogue "
-                f"%{epilogue.id} -> aggregate %{epilogue.id} "
-                f"(module {node.attrs.get('module', '-')})"
-            )
-    if not fused:
-        return graph
-    out = [fused.get(n.id, n) for n in graph.nodes if n.id not in dropped]
-    return graph.replace_nodes(out, outputs=graph.outputs).validate()
-
-
-def fuse_gather(graph, report=None):
-    """Fuse a region's final GEMM (or a skip-concat) into the gather.
-
-    Two cross-boundary rewrites on ``aggregate`` sources:
-
-    * ``matmul`` → ``aggregate`` becomes one ``gemm_aggregate`` node:
-      the gathered view is produced directly from the GEMM output, and
-      for reduced (delayed-form) aggregation the runtime consumes it in
-      centroid chunks, never materializing the full
-      ``(n_out, k, dim)`` gathered tensor.  The GEMM itself stays a
-      full-shape call (BLAS summation order depends on call shape, and
-      the bit-exactness gates compare against the unfused kernels).
-    * ``concat`` → ``aggregate`` folds the skip/link concatenation into
-      gather offsets: each part is gathered straight into its column
-      slice of the neighborhood buffer, so the concatenated feature
-      table is never materialized.
-
-    Both only apply when the aggregate is the source's sole consumer
-    and the source is not a graph output or stage-binding reference.
-    Fused nodes reuse the aggregate's id.
-    """
-    graph = graph.copy()
-    protected = _protected_ids(graph)
-    by_id = {n.id: n for n in graph.nodes}
-    fused, dropped = {}, set()
-    for node in graph.nodes:
-        if node.kind != "aggregate":
-            continue
-        source = by_id[node.inputs[0]]
-        if source.id in protected or source.id in dropped \
-                or len(graph.consumers(source.id)) != 1:
-            continue
-        if source.kind == "matmul":
-            fused[node.id] = Node(
-                node.id, "gemm_aggregate",
-                (source.inputs[0], node.inputs[1], node.inputs[2]),
-                {**node.attrs,
-                 "gemm_layer": source.attrs["layer"],
-                 "gemm_weight_only": bool(source.attrs.get("weight_only"))},
-                phase="A",
-            )
-            dropped.add(source.id)
-            if report is not None:
-                report.append(
-                    f"fuse_gather: matmul %{source.id} (layer "
-                    f"{source.attrs['layer']}) + aggregate %{node.id} -> "
-                    f"gemm_aggregate %{node.id} "
-                    f"(module {node.attrs.get('module', '-')})"
-                )
-        elif source.kind == "concat" and not node.attrs.get("reduce") \
-                and "concat_parts" not in node.attrs:
-            parts = source.inputs
-            fused[node.id] = Node(
-                node.id, "aggregate",
-                (*parts, node.inputs[1], node.inputs[2]),
-                {**node.attrs, "concat_parts": len(parts)},
-                phase=node.phase,
-            )
-            dropped.add(source.id)
-            if report is not None:
-                report.append(
-                    f"fuse_gather: concat %{source.id} ({len(parts)} "
-                    f"parts) folded into aggregate %{node.id} offsets "
-                    f"(module {node.attrs.get('module', '-')})"
-                )
-    if not fused:
-        return graph
-    out = [fused.get(n.id, n) for n in graph.nodes if n.id not in dropped]
-    return graph.replace_nodes(out, outputs=graph.outputs).validate()
-
-
-#: The kernel-compiler fusion rewrites, by flag name.  ``"epilogue"``
-#: must run before ``"gather"`` so a ``gemm_aggregate`` can absorb an
-#: already-folded ``epilogue_layer``; :func:`normalize_fusion` enforces
-#: that canonical order.
-FUSION_PASSES = {
-    "epilogue": fuse_epilogue,
-    "gather": fuse_gather,
-}
-
-
-def normalize_fusion(flags):
-    """Validate fusion flags and return them in canonical pass order."""
-    flags = set(flags)
-    unknown = flags - set(FUSION_PASSES)
-    if unknown:
-        raise ValueError(
-            f"unknown fusion flags {sorted(unknown)}; "
-            f"expected a subset of {sorted(FUSION_PASSES)}"
-        )
-    return tuple(f for f in ("epilogue", "gather") if f in flags)
-
-
-def apply_fusion(graph, flags, report=None):
-    """Apply the named fusion rewrites to ``graph`` in canonical order."""
-    for flag in normalize_fusion(flags):
-        graph = FUSION_PASSES[flag](graph, report=report)
-    return graph
-
-
-def fusion_report(graph, flags=("epilogue", "gather")):
-    """The fusion decisions for ``graph``, one line per fused pattern."""
-    report = []
-    apply_fusion(graph, flags, report=report)
-    return report
 
 
 #: Pass pipeline per strategy.  ``original`` is the built form plus the

@@ -210,8 +210,7 @@ class Server:
     @classmethod
     def hosting(cls, networks, strategy="delayed", scale=0.125,
                 runner="batch", backend=None, program_cache=None,
-                policy=None, workers=1, fusion=(), tuned=None,
-                cache=None):
+                policy=None, workers=1, tuned=None, cache=None):
         """Build a server hosting ``networks`` (names or instances).
 
         The convenience constructor the CLI uses: each network gets its
@@ -225,11 +224,9 @@ class Server:
         first request.  One cache serves every hosted network; programs
         are content-addressed, so restarts with unchanged weights hit.
 
-        ``fusion`` forwards kernel fusion flags to every runner (with
-        ``backend``).  ``tuned`` dispatches each network's requests on
-        its measured autotuned table: pass a
-        :class:`~repro.tune.TunedTable` (or its JSON form) to use it
-        for the matching network, or ``True`` to load each network's
+        ``tuned`` dispatches each network's requests on its measured
+        autotuned table: pass a :class:`~repro.tune.TunedTable` (or its
+        JSON form) to use it for the matching network, or ``True`` to load each network's
         stored table from ``program_cache`` (networks without a stored
         table fall back to the fixed configuration).
 
@@ -253,13 +250,13 @@ class Server:
             if runner == "async":
                 runners.append(AsyncRunner(
                     net, strategy=strategy, kernel_backend=backend,
-                    program_cache=program_cache, fusion=fusion,
+                    program_cache=program_cache,
                     tuned=net_tuned, cache=cache,
                 ))
             elif runner == "batch":
                 runners.append(BatchRunner(
                     net, strategy=strategy, backend=backend,
-                    program_cache=program_cache, fusion=fusion,
+                    program_cache=program_cache,
                     tuned=net_tuned, cache=cache,
                 ))
             else:

@@ -396,7 +396,7 @@ class ShardRouter:
     @classmethod
     def hosting(cls, networks, shards=2, strategy="delayed", scale=0.125,
                 runner="batch", backend=None, program_cache=None,
-                policy=None, fusion=(), tuned=None, cache_size=256,
+                policy=None, tuned=None, cache_size=256,
                 memory_budget_mb=None, hot=None, affinity="content",
                 seed=0):
         """Plan, provision and start a sharded fleet (names or instances).
@@ -451,7 +451,7 @@ class ShardRouter:
 
             for n_points, net in nets.items():
                 descriptor, handle = parameter_descriptor(
-                    net, strategy, backend, fusion=fusion, batched=True,
+                    net, strategy, backend, batched=True,
                     program_cache=program_cache,
                 )
                 if handle is not None:
@@ -478,14 +478,14 @@ class ShardRouter:
                 if runner == "async":
                     replica_runner = AsyncRunner(
                         net, strategy=strategy, kernel_backend=backend,
-                        program_cache=program_cache, fusion=fusion,
+                        program_cache=program_cache,
                         tuned=net_tuned, cache=shard_cache,
                         params=shared_params.get(replica.n_points),
                     )
                 else:
                     replica_runner = BatchRunner(
                         net, strategy=strategy, backend=backend,
-                        program_cache=program_cache, fusion=fusion,
+                        program_cache=program_cache,
                         tuned=net_tuned, cache=shard_cache,
                         params=shared_params.get(replica.n_points),
                     )

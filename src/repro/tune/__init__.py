@@ -1,8 +1,8 @@
-"""Shape-keyed autotuning over strategy x backend x substrate x fusion.
+"""Shape-keyed autotuning over strategy x backend x substrate.
 
 :class:`Autotuner` measures the configuration space for one workload
 shape (network, point count, batch size), gates every candidate for
-correctness against its strategy's float64 unfused reference, and
+correctness against its strategy's float64 reference, and
 records the winner in a :class:`TunedTable` persisted through the AOT
 :class:`~repro.backend.ProgramCache` — so a warm ``repro tune``
 performs zero re-benchmarks and the engine runners
@@ -12,7 +12,6 @@ of the cost model's prediction.
 
 from .autotuner import (
     DEFAULT_BACKENDS,
-    DEFAULT_FUSIONS,
     DEFAULT_STRATEGIES,
     DEFAULT_SUBSTRATES,
     GATE_MAX_REL_ERR,
@@ -27,7 +26,6 @@ from .autotuner import (
 __all__ = [
     "Autotuner",
     "DEFAULT_BACKENDS",
-    "DEFAULT_FUSIONS",
     "DEFAULT_STRATEGIES",
     "DEFAULT_SUBSTRATES",
     "GATE_MAX_REL_ERR",

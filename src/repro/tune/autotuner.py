@@ -2,14 +2,13 @@
 
 The paper's headline numbers come from picking the right execution
 strategy per network, but the best *configuration* — strategy x kernel
-backend x search substrate x fusion flags — shifts with the workload
-shape (which network, how many points, what batch size).  The cost
-model (:mod:`repro.profiling.cost_model`) predicts the strategy
-ordering from MAC counts alone; this module closes the loop by
-*measuring*: enumerate the configuration space for one shape key,
-gate every candidate for correctness against the float64 unfused
-reference of its own strategy, time the survivors, and record the
-winner in a
+backend x search substrate — shifts with the workload shape (which
+network, how many points, what batch size).  The cost model
+(:mod:`repro.profiling.cost_model`) predicts the strategy ordering
+from MAC counts alone; this module closes the loop by *measuring*:
+enumerate the configuration space for one shape key, gate every
+candidate for correctness against the float64 reference of its own
+strategy, time the survivors, and record the winner in a
 :class:`TunedTable` that serializes through the AOT
 :class:`~repro.backend.ProgramCache`.  A warm-cache :meth:`Autotuner.tune`
 returns the stored table without constructing a single runner — zero
@@ -27,7 +26,6 @@ import numpy as np
 
 from ..backend.aot import network_fingerprint
 from ..core import STRATEGIES
-from ..graph.passes import normalize_fusion
 
 __all__ = [
     "Autotuner",
@@ -37,18 +35,16 @@ __all__ = [
     "shape_key",
 ]
 
-#: Default search space: every strategy x backend tier, brute-force
-#: search, with and without the kernel fusion rewrites.
+#: Default search space: every strategy x backend tier, brute-force search.
 DEFAULT_STRATEGIES = ("original", "delayed", "limited")
 DEFAULT_BACKENDS = ("float64", "float32", "int8")
 DEFAULT_SUBSTRATES = ("brute",)
-DEFAULT_FUSIONS = ((), ("epilogue", "gather"))
 
-#: Per-backend correctness gates against the float64 unfused reference
-#: *of the candidate's own strategy* — the strategies are the paper's
+#: Per-backend correctness gates against the float64 reference *of the
+#: candidate's own strategy* — the strategies are the paper's
 #: accuracy-preserving program transforms and legitimately compute
 #: different floats, so the gate checks what tuning actually varies:
-#: that backend precision and kernel fusion don't change the answer.
+#: that backend precision doesn't change the answer.
 #: A candidate that fails its tier's gate is recorded (the table tells
 #: the whole story) but can never be selected as winner — the autotuner
 #: must not trade correctness for speed.
@@ -102,18 +98,13 @@ class TunedConfig:
     strategy: str
     backend: str
     substrate: str = "brute"
-    fusion: tuple = ()
     ms: float = float("inf")
     gate_passed: bool = True
     gate: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        object.__setattr__(self, "fusion", normalize_fusion(self.fusion))
-
     def key(self):
         """Stable identity of the configuration (shape-independent)."""
-        fused = "+".join(self.fusion) if self.fusion else "nofuse"
-        return f"{self.strategy}|{self.backend}|{self.substrate}|{fused}"
+        return f"{self.strategy}|{self.backend}|{self.substrate}"
 
     def resolve_backend(self, network):
         """The kernel backend object/name a runner should be built with.
@@ -131,7 +122,6 @@ class TunedConfig:
             "strategy": self.strategy,
             "substrate": self.substrate,
             "backend": self.resolve_backend(network),
-            "fusion": self.fusion,
         }
 
     def to_json(self):
@@ -139,7 +129,6 @@ class TunedConfig:
             "strategy": self.strategy,
             "backend": self.backend,
             "substrate": self.substrate,
-            "fusion": list(self.fusion),
             "ms": self.ms if np.isfinite(self.ms) else None,
             "gate_passed": bool(self.gate_passed),
             "gate": dict(self.gate),
@@ -152,7 +141,6 @@ class TunedConfig:
             strategy=data["strategy"],
             backend=data["backend"],
             substrate=data.get("substrate", "brute"),
-            fusion=tuple(data.get("fusion", ())),
             ms=float("inf") if ms is None else float(ms),
             gate_passed=bool(data.get("gate_passed", True)),
             gate=dict(data.get("gate", {})),
@@ -288,8 +276,7 @@ class Autotuner:
 
     def search_space(self, strategies=DEFAULT_STRATEGIES,
                      backends=DEFAULT_BACKENDS,
-                     substrates=DEFAULT_SUBSTRATES,
-                     fusions=DEFAULT_FUSIONS):
+                     substrates=DEFAULT_SUBSTRATES):
         """The candidate grid, validated and in deterministic order."""
         for strategy in strategies:
             if strategy not in STRATEGIES:
@@ -298,13 +285,11 @@ class Autotuner:
             if backend not in GATE_MAX_REL_ERR:
                 raise ValueError(f"no correctness gate for backend "
                                  f"{backend!r}")
-        normalized = [normalize_fusion(f) for f in fusions]
         return [
-            TunedConfig(strategy, backend, substrate, fusion)
+            TunedConfig(strategy, backend, substrate)
             for strategy in strategies
             for backend in backends
             for substrate in substrates
-            for fusion in normalized
         ]
 
     def _predicted_macs(self):
@@ -346,7 +331,7 @@ class Autotuner:
 
     def tune(self, batch=8, strategies=DEFAULT_STRATEGIES,
              backends=DEFAULT_BACKENDS, substrates=DEFAULT_SUBSTRATES,
-             fusions=DEFAULT_FUSIONS, prune_ratio=None, report=None):
+             prune_ratio=None, report=None):
         """Tune one workload shape; returns the (possibly stored) table.
 
         The warm path is checked *before* any runner or probe batch is
@@ -362,7 +347,7 @@ class Autotuner:
         list, receives human-readable progress lines.
         """
         log = report if report is not None else []
-        space = self.search_space(strategies, backends, substrates, fusions)
+        space = self.search_space(strategies, backends, substrates)
         digest = self._space_digest(space, batch)
         fingerprint = network_fingerprint(self.network)
         key = shape_key(self.network.name, self.network.n_points, batch)
@@ -390,7 +375,7 @@ class Autotuner:
                     and predicted > cheapest * float(prune_ratio)):
                 candidates.append(TunedConfig(
                     config.strategy, config.backend, config.substrate,
-                    config.fusion, ms=float("inf"), gate_passed=False,
+                    ms=float("inf"), gate_passed=False,
                     gate={"pruned": True, "predicted_macs": predicted},
                 ))
                 log.append(f"{key}: pruned {config.key()} "
@@ -418,7 +403,7 @@ class Autotuner:
             "seed": self.seed,
             "repeats": self.repeats,
             "batch": int(batch),
-            "reference": "per-strategy float64|brute|nofuse",
+            "reference": "per-strategy float64|brute",
             "predicted_macs": {s: m for s, m in macs.items()
                                if np.isfinite(m)},
             "pruned": [c.key() for c in candidates
@@ -437,7 +422,7 @@ class Autotuner:
         return rng.normal(size=(int(batch), self.network.n_points, 3))
 
     def _reference_outputs(self, strategy, batch):
-        """Float64 unfused outputs of one strategy — its gate's truth."""
+        """Float64 outputs of one strategy — its gate's truth."""
         from .. import engine
 
         runner = engine.BatchRunner(self.network, strategy=strategy,
@@ -470,5 +455,5 @@ class Autotuner:
             ms = _best_ms(lambda: runner.run(clouds), self.repeats)
             self.n_benchmarks += 1
         return TunedConfig(config.strategy, config.backend,
-                           config.substrate, config.fusion, ms=ms,
+                           config.substrate, ms=ms,
                            gate_passed=passed, gate=gate)

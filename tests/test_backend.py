@@ -22,17 +22,33 @@ from repro.backend import (
     export_stack,
     get_backend,
 )
+from repro.core import ModuleSpec
 from repro.engine import AsyncRunner, BatchRunner, NeighborIndexCache, ParallelRunner
 from repro.engine.bench import bench_backend
 from repro.graph import NetworkBatchedExecutor, compile_network_plan
 from repro.neighbors import neighbor_search, raw_knn, search_context
 from repro.networks import ALL_NETWORKS, build_network
+from repro.networks.generic import GenericPointCloudNetwork
 from repro.neural import BatchNorm, Dropout, Linear, ReLU, SharedMLP, Tensor, no_grad
 
 STRATEGIES = ("original", "delayed", "limited")
 
+#: One-module toys whose centroid count sits on each side of every edge
+#: of the aggregate kernel's chunk rule (one chunk up to 8 rows, then
+#: ceil(rows / 8) per chunk with a floor of 8).  The equivalence matrix
+#: runs each as one cloud (rows = n_out) and as a stack of 3
+#: (rows = 3 * n_out), so full, partial and single-row last chunks all
+#: occur.
+CHUNK_EDGE_TOYS = {f"{rows}-centroid toy": rows
+                   for rows in (1, 7, 8, 9, 63, 64, 65)}
+
 
 def toy(name, seed=0):
+    if name in CHUNK_EDGE_TOYS:
+        spec = ModuleSpec("m", n_in=96, n_out=CHUNK_EDGE_TOYS[name], k=6,
+                          mlp_dims=(3, 16, 24))
+        return GenericPointCloudNetwork([spec], head_dims=(24, 4), name=name,
+                                        rng=np.random.default_rng(seed))
     scale = 0.03125 if "(s)" in name else 0.0625
     return build_network(name, num_classes=4, scale=scale,
                          rng=np.random.default_rng(seed))
@@ -135,7 +151,7 @@ class TestParameterExport:
 
 
 class TestKernelEquivalence:
-    @pytest.mark.parametrize("name", ALL_NETWORKS)
+    @pytest.mark.parametrize("name", [*ALL_NETWORKS, *CHUNK_EDGE_TOYS])
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_float64_bit_exact_and_float32_tolerance(self, name, strategy):
         net = toy(name)

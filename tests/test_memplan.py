@@ -10,6 +10,7 @@ and the engine/CLI integration (``program_cache=``, ``repro compile``,
 ``repro trace --memory``, the bench ``mem`` row).
 """
 
+import hashlib
 import json
 import pickle
 import warnings
@@ -30,6 +31,7 @@ from repro.backend import (
     share_table,
     validate_plan,
 )
+from repro.backend.aot import FORMAT
 from repro.engine import AsyncRunner, BatchRunner, ParallelRunner
 from repro.graph import value_liveness
 from repro.networks import ALL_NETWORKS, build_network
@@ -202,16 +204,27 @@ class TestPlannerBitExact:
 
 
 class TestAdversarialAliasing:
-    def test_poisoning_dead_regions_mid_run_is_bit_invisible(self):
+    @pytest.mark.parametrize("name,batch", [("DGCNN (c)", None),
+                                            ("PointNet++ (s)", 3)])
+    def test_poisoning_dead_regions_mid_run_is_bit_invisible(self, name,
+                                                             batch):
         # Every kernel fully overwrites its output buffer, so scribbling
         # over every byte the plan says is dead — after each kernel —
         # must not change a single output bit.  If liveness were wrong
         # anywhere, a consumer would read 0xAA garbage and this fails.
-        net = toy("DGCNN (c)")
-        cloud = cloud_for(net)
-        program = compile_kernel_program(net, "delayed", backend="float64")
+        net = toy(name)
+        cloud = cloud_for(net) if batch is None else clouds_for(net, batch)
+        program = compile_kernel_program(net, "delayed", backend="float64",
+                                         batched=batch is not None)
         reference = program.run(cloud)
         plan = program.plan_for(cloud)
+        if batch is not None:
+            # The stack height is chosen so that an aggregate's last
+            # centroid chunk is partial.
+            shapes = {b.key: b.shape for b in plan.buffers}
+            assert any(shapes["agg-o", key[1]][0] % shape[0]
+                       for key, shape in shapes.items()
+                       if key[0] == "agg-gc")
 
         poisoned = {"ranges": 0}
 
@@ -405,6 +418,53 @@ class TestProgramCache:
         path.write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="kernel"):
             cache.load(digest, net.network_graph("delayed"), net)
+
+    @staticmethod
+    def _restamp(cache, key, stamp):
+        """Point index entry ``key`` at the same manifest under another
+        format stamp — content-addressed, so under its own digest, as a
+        directory written by other code holds it."""
+        index = cache._read_index()
+        body = json.dumps(dict(cache.manifest(index[key]), format=stamp),
+                          sort_keys=True)
+        index[key] = hashlib.sha256(body.encode()).hexdigest()
+        with open(cache._manifest_path(index[key]), "w") as handle:
+            handle.write(body)
+        cache._write_index(index)
+        return index[key]
+
+    def test_entries_under_another_format_are_stale(self, tmp_path):
+        net = toy("PointNet++ (s)")
+        cloud = cloud_for(net)
+        ngraph = net.network_graph("delayed")
+        backend = get_backend("float64")
+        cache = ProgramCache(tmp_path)
+        program = cache.program_for(ngraph, net, backend, False)
+        program.plan_for(cloud)
+        cache.store(program)
+        config = (ngraph.network, "delayed", "float64", False,
+                  network_fingerprint(net))
+        stale = self._restamp(cache, cache.config_key(*config), FORMAT - 1)
+        # The kernel labels still match: only the stamp can tell that
+        # the stored plans may name scratch keys this code never asks for.
+        with pytest.raises(ValueError, match="format"):
+            cache.load(stale, ngraph, net)
+        fresh = cache.program_for(ngraph, net, backend, False)
+        assert fresh.memory_stats()["signatures"] == 0  # compiled, not seeded
+        fresh.plan_for(cloud)
+        cache.store(fresh)
+        digest = cache.digest_for(*config)
+        assert digest != stale
+        manifest = cache.manifest(digest)
+        assert manifest["format"] == FORMAT
+        assert any(b["key"][0] == "agg-gc"
+                   for plan in manifest["plans"].values()
+                   for b in plan["buffers"])
+
+        cache.store_tuned(net.name, "fp", {"entries": {}})
+        assert cache.load_tuned(net.name, "fp") == {"entries": {}}
+        self._restamp(cache, f"tuned|{net.name}|fp", FORMAT - 1)
+        assert cache.load_tuned(net.name, "fp") is None
 
 
 class TestEngineIntegration:

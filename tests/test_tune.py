@@ -1,9 +1,7 @@
-"""Tests for the kernel fusion rewrites and the shape-keyed autotuner.
+"""Tests for the shape-keyed autotuner.
 
-Covers the tentpole end to end — both fusion passes bit-exact against
-the unfused float64 kernels on all seven networks and three strategies
-(single, batched, and overlapped/async arities), the fused-gather peak
-live-bytes reduction, pass idempotence for every graph pass, the
+Covers the default delayed program's peak live-bytes bound, pass
+idempotence for every graph pass, the
 :class:`~repro.tune.Autotuner` cold/warm protocol (warm re-tunes run
 zero benchmarks), its correctness gates (a gate-failing configuration
 is recorded but never selected), measured dispatch through
@@ -26,14 +24,10 @@ from repro.backend import ProgramCache, compile_kernel_program
 from repro.engine import AsyncRunner, BatchRunner, NeighborIndexCache
 from repro.engine.bench import bench_tune, validate_row, write_json
 from repro.graph import (
-    apply_fusion,
     build_module_graph,
     dead_code_elimination,
     delay_aggregation,
     fuse_aggregation,
-    fuse_epilogue,
-    fuse_gather,
-    fusion_report,
     limit_delay,
 )
 from repro.networks import ALL_NETWORKS, build_network
@@ -41,7 +35,6 @@ from repro.serve import Server
 from repro.tune import Autotuner, TunedConfig, TunedTable, shape_key
 
 STRATEGIES = ("original", "delayed", "limited")
-FUSION = ("epilogue", "gather")
 
 
 def toy(name, seed=0):
@@ -80,62 +73,17 @@ def graph_sig(graph):
     )
 
 
-# -- fusion rewrites: bit-exactness ------------------------------------------
+# -- the aggregate kernel's working set ---------------------------------------
 
 
-@pytest.mark.parametrize("name", ALL_NETWORKS)
-def test_fused_kernels_bit_exact(name):
-    """Fused programs match unfused float64 bit-for-bit, both arities."""
-    net = toy(name)
-    for strategy in STRATEGIES:
-        single = cloud_for(net)
-        batch = clouds_for(net, 2)
-        for batched, data in ((False, single), (True, batch)):
-            plain = compile_kernel_program(
-                net, strategy, backend="float64", batched=batched)
-            fused = compile_kernel_program(
-                net, strategy, backend="float64", batched=batched,
-                fusion=FUSION)
-            assert fused.fusion == FUSION
-            assert_outputs_equal(plain.run(data), fused.run(data))
-
-
-def test_fused_async_overlap_bit_exact():
-    """Fused per-cloud programs under the async pipeline stay exact."""
-    net = toy("PointNet++ (c)")
-    clouds = clouds_for(net, 3)
-    with AsyncRunner(net, kernel_backend="float64",
-                     backend="serial") as plain, \
-            AsyncRunner(net, kernel_backend="float64", backend="thread",
-                        max_workers=2, in_flight=2,
-                        fusion=FUSION) as fused:
-        assert_outputs_equal(plain.run(clouds).outputs,
-                             fused.run(clouds).outputs)
-
-
-def test_fused_gather_reduces_peak_live_bytes():
-    """The acceptance criterion: the fused gather skips at least one
-
-    full-layer materialization, visible as a strictly lower planner
-    peak on PointNet++ delayed."""
+def test_default_delayed_program_peak_live_bytes():
+    """The centroid-chunked aggregate never holds an ``(n_out, k, dim)``
+    neighborhood tensor: PointNet++ (c) delayed peaked at 786432 live
+    bytes when it did, and at 376832 under the opt-in gather fusion this
+    kernel replaced."""
     net = build_network("PointNet++ (c)", scale=0.125)
-    cloud = cloud_for(net)
-    peaks = {}
-    for fusion in ((), FUSION):
-        program = compile_kernel_program(net, "delayed", backend="float64",
-                                         fusion=fusion)
-        peaks[fusion] = program.memory_report(cloud)["peak_live_bytes"]
-    assert peaks[FUSION] < peaks[()]
-
-
-def test_fusion_report_names_rewrites():
-    net = build_network("PointNet++ (c)", scale=0.125)
-    lines = fusion_report(net.network_graph("delayed").graph)
-    assert lines and all("fuse_" in line for line in lines)
-    assert any("gemm_aggregate" in line for line in lines)
-    dense = build_network("DensePoint", scale=0.125)
-    concat_lines = fusion_report(dense.network_graph("original").graph)
-    assert any("concat" in line for line in concat_lines)
+    program = compile_kernel_program(net, "delayed", backend="float64")
+    assert program.memory_report(cloud_for(net))["peak_live_bytes"] <= 376832
 
 
 # -- pass idempotence --------------------------------------------------------
@@ -146,9 +94,8 @@ def test_graph_passes_idempotent(name):
     """Every pass applied twice is a structural no-op, on every network.
 
     The strategy rewrites apply to raw (pre-``fuse_aggregation``)
-    module graphs; the aggregation fusion, DCE and the two kernel
-    fusion passes apply to the lowered whole-network graphs the
-    executors actually run.
+    module graphs; the aggregation fusion and DCE apply to the lowered
+    whole-network graphs the executors actually run.
     """
     net = toy(name)
     checked = 0
@@ -164,17 +111,14 @@ def test_graph_passes_idempotent(name):
     assert checked, f"{name} exposed no plain module specs"
     for strategy in STRATEGIES:
         graph = net.network_graph(strategy).graph
-        for pass_fn in (fuse_aggregation, dead_code_elimination,
-                        fuse_epilogue, fuse_gather):
+        for pass_fn in (fuse_aggregation, dead_code_elimination):
             once = pass_fn(graph)
             assert graph_sig(pass_fn(once)) == graph_sig(once)
-        fused = apply_fusion(graph, FUSION)
-        assert graph_sig(apply_fusion(fused, FUSION)) == graph_sig(fused)
 
 
 # -- autotuner ---------------------------------------------------------------
 
-TUNE_KW = dict(backends=("float64", "float32"), fusions=((), FUSION))
+TUNE_KW = dict(backends=("float64", "float32"))
 
 
 def test_autotuner_cold_then_warm_zero_benchmarks(tmp_path):
@@ -236,8 +180,7 @@ def test_autotuner_prune_is_recorded_not_silent():
     net = toy("PointNet++ (c)")
     log = []
     table = Autotuner(net, repeats=1, seed=2).tune(
-        batch=2, backends=("float64",), fusions=((),),
-        prune_ratio=1.0, report=log)
+        batch=2, backends=("float64",), prune_ratio=1.0, report=log)
     key = shape_key(net.name, net.n_points, 2)
     pruned = [c for c in table.candidates(key) if c.gate.get("pruned")]
     assert pruned, "prune_ratio=1.0 should skip the non-cheapest strategies"
@@ -270,7 +213,8 @@ def test_batch_runner_dispatches_on_tuned_table():
 
 def test_tuned_table_lookup_and_round_trip():
     table = TunedTable("PointNet++ (c)", "fp")
-    config = TunedConfig("delayed", "float32", fusion=FUSION, ms=1.0)
+    config = TunedConfig("delayed", "float32", ms=1.0)
+    assert config.key() == "delayed|float32|brute"
     table.add(shape_key("PointNet++ (c)", 128, 8), config, [config],
               meta={"space": "x"})
     assert table.lookup("PointNet++ (c)", 128, 8).key() == config.key()
@@ -285,24 +229,22 @@ def test_tuned_table_lookup_and_round_trip():
 
 def test_async_runner_resolves_tuned_config_at_construction():
     net = toy("PointNet++ (c)")
-    config = TunedConfig("limited", "float32", fusion=FUSION, ms=1.0)
+    config = TunedConfig("limited", "float32", ms=1.0)
     table = TunedTable(net.name, "fp")
     table.add(shape_key(net.name, net.n_points, 2), config, [config], {})
     with AsyncRunner(net, backend="serial", in_flight=2,
                      tuned=table) as runner:
         assert runner.tuned_config.key() == config.key()
         assert runner.strategy == "limited"
-        assert runner.fusion == FUSION
         assert runner.kernel_backend == "float32"
         result = runner.run(clouds_for(net, 2))
-    with BatchRunner(net, strategy="limited", backend="float32",
-                     fusion=FUSION) as fixed:
+    with BatchRunner(net, strategy="limited", backend="float32") as fixed:
         fixed_out = fixed.run(clouds_for(net, 2)).outputs
     # Same per-cloud programs, stacked: top-1 sanity (single-cloud vs
     # batched GEMM shapes differ, so only the serial arities match
     # bit-for-bit; here both paths run single-cloud programs).
     with AsyncRunner(net, backend="serial", kernel_backend="float32",
-                     strategy="limited", fusion=FUSION) as serial:
+                     strategy="limited") as serial:
         assert_outputs_equal(serial.run(clouds_for(net, 2)).outputs,
                              result.outputs)
     assert np.asarray(fixed_out).shape == np.asarray(result.outputs).shape
@@ -336,8 +278,7 @@ def test_bench_tune_row_gates():
     assert row["winner_gate_passed"]
     assert row["warm_rebenchmarks"] == 0
     assert row["table_round_trip"] and row["table_deterministic"]
-    assert row["fused_bit_exact_float64"]
-    assert row["peak_live_reduction"] > 0
+    assert row["peak_live_bytes"] > 0
     assert row["n_candidates"] == row["cold_benchmarks"] \
         + row["n_gate_failures"]
 
