@@ -22,61 +22,33 @@ engine selects them through ``backend=`` on
 ``backend`` and ``quant`` rows.
 """
 
-from .aot import (
-    ProgramCache,
-    SharedTable,
-    attach_table,
-    network_fingerprint,
-    network_skeleton,
-    parameter_descriptor,
-    share_table,
-)
-from .array import (
-    ArrayBackend,
-    NumpyBackend,
-    get_backend,
-    registered_backends,
-)
-from .memplan import ArenaPlan, GraphLiveness, plan_arena, validate_plan
-from .params import (
-    ParameterTable,
-    export_segment,
-    export_stack,
-    segment_layers,
-)
-from .quant import (
-    CalibrationRecorder,
-    Int8Backend,
-    ScaleTable,
-    calibrate_scales,
-)
-from .runtime import KernelProgram, NetworkKernelExecutor, compile_kernel_program
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ArenaPlan",
-    "ArrayBackend",
-    "CalibrationRecorder",
-    "GraphLiveness",
-    "Int8Backend",
-    "KernelProgram",
-    "NetworkKernelExecutor",
-    "NumpyBackend",
-    "ParameterTable",
-    "ProgramCache",
-    "ScaleTable",
-    "SharedTable",
-    "attach_table",
-    "calibrate_scales",
-    "compile_kernel_program",
-    "export_segment",
-    "export_stack",
-    "get_backend",
-    "network_fingerprint",
-    "network_skeleton",
-    "parameter_descriptor",
-    "plan_arena",
-    "registered_backends",
-    "segment_layers",
-    "share_table",
-    "validate_plan",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "ProgramCache": "aot",
+    "SharedTable": "aot",
+    "attach_table": "aot",
+    "network_fingerprint": "aot",
+    "network_skeleton": "aot",
+    "parameter_descriptor": "aot",
+    "share_table": "aot",
+    "ArrayBackend": "array",
+    "NumpyBackend": "array",
+    "get_backend": "array",
+    "registered_backends": "array",
+    "ArenaPlan": "memplan",
+    "GraphLiveness": "memplan",
+    "plan_arena": "memplan",
+    "validate_plan": "memplan",
+    "ParameterTable": "params",
+    "export_segment": "params",
+    "export_stack": "params",
+    "segment_layers": "params",
+    "CalibrationRecorder": "quant",
+    "Int8Backend": "quant",
+    "ScaleTable": "quant",
+    "calibrate_scales": "quant",
+    "KernelProgram": "runtime",
+    "NetworkKernelExecutor": "runtime",
+    "compile_kernel_program": "runtime",
+})

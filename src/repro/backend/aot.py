@@ -15,10 +15,10 @@ compiled programs durable and their parameters shareable:
   :func:`numpy.memmap`: K processes loading one digest share the bytes
   through the page cache, zero copies.
 * :func:`share_table` / :func:`attach_table` move a packed table
-  through ``multiprocessing.shared_memory`` when there is no disk
-  cache: the parent packs once, workers attach by name and rebuild the
+  through one private tmpfs file when there is no disk cache: the
+  parent packs once, workers map the file read-only and rebuild the
   table as views — cold pool spin-up becomes a map instead of a
-  pickle-and-re-export.
+  pickle-and-re-export, and no helper process is involved.
 * :func:`network_skeleton` strips the parameter arrays out of a
   deep-copied network so the *structure* still pickles tiny (the graph
   builder only needs specs and layer shapes); a skeleton refuses to
@@ -125,50 +125,94 @@ def network_skeleton(network):
     return skeleton
 
 
-# -- shared-memory transport -------------------------------------------------
+# -- shared-file transport ---------------------------------------------------
+
+_SHARE_PREFIX = "repro-params-"
+
+
+def _map_table(path, manifest):
+    """The packed table at ``path`` as read-only zero-copy views."""
+    mapped = np.memmap(path, dtype=np.uint8, mode="r")
+    return ParameterTable.from_buffer(manifest, mapped, backing=mapped)
+
+
+def _share_dir():
+    """Where published tables live: tmpfs when the platform has it (the
+    pages never touch a disk), the temp dir otherwise."""
+    return "/dev/shm" if os.access("/dev/shm", os.W_OK | os.X_OK) \
+        else tempfile.gettempdir()
+
+
+def _sweep_stale(directory):
+    """Unlink published tables whose owner died without closing them.
+
+    The owner pid is in the file name, so the next start reclaims what a
+    SIGKILLed server left behind; a file whose pid is alive (or is not a
+    pid at all) is someone's table and stays.
+    """
+    for name in os.listdir(directory):
+        if not name.startswith(_SHARE_PREFIX):
+            continue
+        try:
+            os.kill(int(name[len(_SHARE_PREFIX):].split("-")[0]), 0)
+        except ProcessLookupError:
+            try:
+                os.unlink(os.path.join(directory, name))
+            except OSError:
+                pass  # swept by a concurrent start, or not ours to remove
+        except (ValueError, OverflowError, PermissionError):
+            pass  # unparseable, or alive under another user
 
 
 class SharedTable:
-    """Parent-side handle of a table published to shared memory.
+    """Owner-side handle of a table published as a private file.
 
-    ``descriptor()`` is the picklable token workers pass to
-    :func:`attach_table`; the parent must keep this handle alive while
-    workers attach and call :meth:`close` (which unlinks) when the pool
-    shuts down.
+    ``descriptor()`` is the picklable token consumers pass to
+    :func:`attach_table`; the owner calls :meth:`close` (which unlinks)
+    once they are done.  Mappings made before the unlink stay valid, so
+    the order against the consumers' own shutdown does not matter.
     """
 
-    def __init__(self, shm, manifest):
-        self._shm = shm
+    def __init__(self, path, manifest):
+        self.path = path
         self.manifest = manifest
 
     def descriptor(self):
-        return {"kind": "shm", "name": self._shm.name,
-                "manifest": self.manifest, "owner_pid": os.getpid()}
+        return {"kind": "file", "path": self.path, "manifest": self.manifest}
 
     def close(self, unlink=True):
-        if self._shm is None:
+        if self.path is None:
             return
-        shm, self._shm = self._shm, None
-        shm.close()
+        path, self.path = self.path, None
         if unlink:
             try:
-                shm.unlink()
+                os.unlink(path)
             except FileNotFoundError:
                 pass
 
 
 def share_table(table):
-    """Publish a packed table to shared memory; returns a handle.
+    """Publish a packed table for zero-copy attach; returns a handle.
 
-    One copy of the bytes lands in the segment; every worker that
-    attaches maps the same physical pages.
+    The bytes are written once to a file only this user can open
+    (``O_EXCL``, mode 0600, named ``repro-params-<owner pid>-…``) in
+    :func:`_share_dir`.  Every consumer maps the same physical pages
+    read-only.  No helper process watches the file: the owner unlinks
+    it, and :func:`_sweep_stale` reclaims the files of owners that died
+    first.
     """
-    from multiprocessing import shared_memory
-
     manifest, blob = table.pack()
-    shm = shared_memory.SharedMemory(create=True, size=max(1, len(blob)))
-    shm.buf[:len(blob)] = blob
-    return SharedTable(shm, manifest)
+    directory = _share_dir()
+    _sweep_stale(directory)
+    fd, path = tempfile.mkstemp(prefix=f"{_SHARE_PREFIX}{os.getpid()}-",
+                                dir=directory)
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(blob or b"\0")  # an empty file cannot be mapped
+    except BaseException:
+        os.unlink(path)
+        raise
+    return SharedTable(path, manifest)
 
 
 def parameter_descriptor(network, strategy, backend, batched=False,
@@ -179,14 +223,14 @@ def parameter_descriptor(network, strategy, backend, batched=False,
     :func:`attach_table` once per consumer (pool worker, shard
     replica), and ``handle`` is the owner-side :class:`SharedTable` to
     ``close(unlink=True)`` after every consumer is done — ``None`` on
-    the program-cache path, where the blob file outlives the callers
-    and the page cache does the sharing.
+    the program-cache path, where the blob file outlives the callers.
 
     This is the single decision point both the async scheduler's
     process pool and the shard router's replica fleet route through:
-    with ``program_cache`` the table rides the content-addressed
-    ``<digest>.bin`` memmap; without one the parent packs the table
-    once into a shared-memory segment.
+    with ``program_cache`` the descriptor names the content-addressed
+    ``<digest>.bin``; without one the parent packs the table once into
+    a private file (:func:`share_table`).  Either way it is a file the
+    consumers map, and the page cache does the sharing.
     """
     backend = get_backend(backend)
     if program_cache is not None:
@@ -203,64 +247,18 @@ def parameter_descriptor(network, strategy, backend, batched=False,
     return handle.descriptor(), handle
 
 
-def _attach_shm(name, foreign=True):
-    from multiprocessing import shared_memory
-
-    class _Attached(shared_memory.SharedMemory):
-        # Attached-side mapping only: table views handed to compiled
-        # programs may outlive it, so the implicit close at interpreter
-        # shutdown can see exported buffers.  The owner handle controls
-        # the segment's lifetime and the OS reclaims the mapping at
-        # process exit — that late BufferError is pure noise.
-        def __del__(self):
-            try:
-                super().__del__()
-            except BufferError:
-                pass
-
-    try:
-        # Python >= 3.13: opt out of resource tracking on attach — the
-        # creating process owns the segment's lifetime.
-        return _Attached(name=name, track=False)
-    except TypeError:
-        pass
-    if not foreign:
-        # Attaching in the owner process itself (serial pool degrade):
-        # the registration is the owner's own, leave tracking alone.
-        return _Attached(name=name)
-    # Pre-3.13 attach registers with the resource tracker, which spawned
-    # workers *share* with the parent (spawn passes tracker_fd), so a
-    # later unregister here would clobber the owner's registration and
-    # its unlink would double-unregister.  Suppress the registration
-    # instead — the owner tracks and unlinks the segment.
-    from multiprocessing import resource_tracker
-
-    original_register = resource_tracker.register
-    resource_tracker.register = lambda *args, **kwargs: None
-    try:
-        return _Attached(name=name)
-    finally:
-        resource_tracker.register = original_register
-
-
 def attach_table(descriptor):
     """Rebuild a :class:`ParameterTable` zero-copy from a descriptor.
 
-    ``{"kind": "shm", ...}`` attaches the parent's shared-memory
-    segment by name; ``{"kind": "file", ...}`` maps a program-cache
-    blob read-only.  Either way the table's arrays are views over
-    memory this process never copied.
+    A descriptor is ``{"kind": "file", "path": ..., "manifest": ...}``
+    whoever wrote it (:meth:`SharedTable.descriptor`,
+    :meth:`ProgramCache.descriptor_for`): the blob maps read-only and
+    the table's arrays are views over memory this process never copied.
     """
-    kind = descriptor["kind"]
-    if kind == "shm":
-        foreign = descriptor.get("owner_pid") != os.getpid()
-        shm = _attach_shm(descriptor["name"], foreign=foreign)
-        return ParameterTable.from_buffer(descriptor["manifest"], shm.buf,
-                                          backing=shm)
-    if kind == "file":
-        cache = ProgramCache(descriptor["directory"])
-        return cache.table(descriptor["digest"])
-    raise ValueError(f"unknown parameter-table descriptor kind {kind!r}")
+    if descriptor["kind"] != "file":
+        raise ValueError("unknown parameter-table descriptor kind "
+                         f"{descriptor['kind']!r}")
+    return _map_table(descriptor["path"], descriptor["manifest"])
 
 
 # -- the on-disk program cache -----------------------------------------------
@@ -430,10 +428,7 @@ class ProgramCache:
         """The stored parameter table, memmapped read-only (zero-copy)."""
         if manifest is None:
             manifest = self.manifest(digest)
-        mapped = np.memmap(self._blob_path(digest), dtype=np.uint8,
-                           mode="r")
-        return ParameterTable.from_buffer(manifest["params"], mapped,
-                                          backing=mapped)
+        return _map_table(self._blob_path(digest), manifest["params"])
 
     def load(self, digest, ngraph, network, plan_memory=True):
         """Rebuild a runnable program from a stored digest.
@@ -555,5 +550,5 @@ class ProgramCache:
         ngraph = network.network_graph(strategy)
         program = self.program_for(ngraph, network, backend, batched)
         digest = self.store(program)
-        return {"kind": "file", "directory": self.directory,
-                "digest": digest}
+        return {"kind": "file", "path": self._blob_path(digest),
+                "manifest": self.manifest(digest)["params"]}

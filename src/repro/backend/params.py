@@ -30,8 +30,7 @@ object instead of snapshotting their own copies — and they serialize:
 :meth:`ParameterTable.pack` flattens the table into a JSON manifest
 plus one aligned binary blob, and :meth:`ParameterTable.from_buffer`
 rebuilds it **zero-copy** over any buffer exposing the blob (an
-``mmap`` of the program cache, a ``multiprocessing.shared_memory``
-segment a pool worker attached).  That pair is what makes compiled
+``mmap`` of the program cache or of the file a pool worker attached).  That pair is what makes compiled
 programs AOT-cacheable and lets K workers share one copy of the
 weights (:mod:`repro.backend.aot`).
 """
@@ -209,7 +208,7 @@ class ParameterTable:
         self.entries = dict(entries)
         self.content_hash = content_hash or self._digest()
         # Zero-copy tables keep their backing buffer alive through this
-        # handle (shared-memory segment, mmap); plain exports leave it None.
+        # handle (the mmap); plain exports leave it None.
         self._backing = None
 
     # -- construction --------------------------------------------------------
@@ -384,8 +383,8 @@ class ParameterTable:
         """Rebuild a table as zero-copy views over ``buffer``.
 
         ``buffer`` is anything the :func:`numpy.frombuffer` protocol
-        accepts — the ``.buf`` of an attached shared-memory segment, a
-        read-only ``mmap`` of the on-disk blob.  ``backing`` (kept on
+        accepts — a read-only ``mmap`` of a shared table file or of the
+        program cache's on-disk blob.  ``backing`` (kept on
         the table) pins the owner of that memory for the table's
         lifetime.  No bytes are copied and nothing is re-hashed: the
         manifest's recorded content hash is trusted (it was computed

@@ -881,7 +881,7 @@ def compile_kernel_program(network, strategy="delayed", backend="float64",
     :class:`~repro.backend.array.ArrayBackend`); ``batched`` selects
     the flat-batch arity.  ``params`` supplies a pre-built
     :class:`~repro.backend.params.ParameterTable` (e.g. one attached
-    zero-copy from the program cache or shared memory) instead of
+    zero-copy from the program cache or a shared file) instead of
     exporting the network's weights; ``plan_memory=False`` restores
     the per-kernel buffer pool.
     """
@@ -906,7 +906,7 @@ class NetworkKernelExecutor:
         self.backend = get_backend(backend)
         #: Optional pre-built (possibly zero-copy-attached) parameter
         #: table every compiled program reads through — the pool-worker
-        #: path, where weights arrive via shared memory instead of
+        #: path, where weights arrive via a mapped file instead of
         #: re-export.
         self.params = params
         #: Optional :class:`~repro.backend.aot.ProgramCache`; programs

@@ -404,15 +404,20 @@ def _cmd_bench(args):
 def _serve_handle_line(server, line, emit):
     """One JSON request line -> submit; ``emit`` gets the response dict.
 
-    Malformed lines and rejected requests (unroutable shape, queue
-    backpressure, shutdown) are answered immediately with an ``error``
-    response carrying the request id when one was parsed.
+    Malformed lines (bad JSON, JSON that is not an object, no
+    ``cloud``) and rejected requests (unroutable shape, non-finite
+    coordinates, queue backpressure, shutdown) are answered immediately
+    with an ``error`` response carrying the request id when one was
+    parsed.
     """
     from .serve import ServeError
 
     request_id = None
     try:
         payload = json.loads(line)
+        if not isinstance(payload, dict):
+            raise ValueError("request must be a JSON object, got "
+                             f"{type(payload).__name__}")
         request_id = payload.get("id")
         future = server.submit(
             payload["cloud"],
@@ -449,7 +454,7 @@ def _serve_handle_line(server, line, emit):
 
 def _build_server(args):
     from .engine.cache import NeighborIndexCache
-    from .serve import BatchPolicy, Server, ShardRouter
+    from .serve import BatchPolicy, Server
 
     policy = BatchPolicy(max_batch=args.max_batch,
                          max_wait_ms=args.max_wait_ms,
@@ -458,6 +463,8 @@ def _build_server(args):
         raise SystemExit("--tuned needs --program-cache to load stored "
                          "tables from (warm it with 'repro tune')")
     if args.shards > 1:
+        from .serve import ShardRouter
+
         return ShardRouter.hosting(
             args.network or ["PointNet++ (c)"],
             shards=args.shards,
@@ -557,7 +564,9 @@ def _cmd_serve(args):
                             self.wfile.write(data)
 
                     for raw in self.rfile:
-                        line = raw.decode().strip()
+                        # One bad byte must not kill the connection's
+                        # handler: it becomes a JSON error response.
+                        line = raw.decode(errors="replace").strip()
                         if line:
                             _serve_handle_line(server, line, emit_socket)
 

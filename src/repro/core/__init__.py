@@ -1,36 +1,21 @@
 """Delayed-aggregation: the paper's primary contribution."""
 
-from .equivalence import (
-    linear_distributivity_gap,
-    max_subtract_gap,
-    mlp_distributivity_gap,
-    relative_error,
-)
-from .msg import MultiScaleModule, MultiScaleSpec
-from .module import (
-    STRATEGIES,
-    BatchModuleOutput,
-    ModuleOutput,
-    ModuleSpec,
-    PointCloudModule,
-    emit_module_trace,
-)
-from .tables import BatchedNeighborIndexTable, NeighborIndexTable, PointFeatureTable
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ModuleSpec",
-    "PointCloudModule",
-    "ModuleOutput",
-    "BatchModuleOutput",
-    "emit_module_trace",
-    "STRATEGIES",
-    "BatchedNeighborIndexTable",
-    "MultiScaleSpec",
-    "MultiScaleModule",
-    "NeighborIndexTable",
-    "PointFeatureTable",
-    "max_subtract_gap",
-    "linear_distributivity_gap",
-    "mlp_distributivity_gap",
-    "relative_error",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "linear_distributivity_gap": "equivalence",
+    "max_subtract_gap": "equivalence",
+    "mlp_distributivity_gap": "equivalence",
+    "relative_error": "equivalence",
+    "MultiScaleModule": "msg",
+    "MultiScaleSpec": "msg",
+    "STRATEGIES": "module",
+    "BatchModuleOutput": "module",
+    "ModuleOutput": "module",
+    "ModuleSpec": "module",
+    "PointCloudModule": "module",
+    "emit_module_trace": "module",
+    "BatchedNeighborIndexTable": "tables",
+    "NeighborIndexTable": "tables",
+    "PointFeatureTable": "tables",
+})

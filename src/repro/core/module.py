@@ -41,7 +41,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..graph.executors import BatchedExecutor, EagerExecutor
-from ..graph.lower import lower_module_trace
 from ..graph.passes import module_graph
 from ..neural import SharedMLP, Tensor
 from ..neural.layers import Linear, Module
@@ -285,4 +284,8 @@ def emit_module_trace(spec, strategy, trace, n_in=None):
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
+    # Imported here: analytics-only, so execution never loads the trace
+    # lowering or repro.profiling.
+    from ..graph.lower import lower_module_trace
+
     return lower_module_trace(spec, strategy, trace, n_in=n_in)

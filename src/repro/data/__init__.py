@@ -1,54 +1,30 @@
 """Synthetic datasets replacing ModelNet40 / ShapeNet / KITTI offline."""
 
-from .kitti import (
-    SyntheticFrustum,
-    bev_iou,
-    box_corners_bev,
-    synthetic_lidar_scene,
-)
-from .io import (
-    load_points,
-    read_off,
-    read_ply,
-    read_xyz,
-    save_points,
-    write_off,
-    write_ply,
-    write_xyz,
-)
-from .metrics import confusion_matrix, mean_iou, overall_accuracy
-from .modelnet import SyntheticModelNet, make_class_generators
-from .shapenet import CATEGORY_BUILDERS, SyntheticShapeNet, num_part_classes
-from .shapes import (
-    SHAPE_SAMPLERS,
-    augment,
-    normalize_cloud,
-    random_rotation,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "SyntheticModelNet",
-    "make_class_generators",
-    "SyntheticShapeNet",
-    "CATEGORY_BUILDERS",
-    "num_part_classes",
-    "SyntheticFrustum",
-    "synthetic_lidar_scene",
-    "bev_iou",
-    "box_corners_bev",
-    "SHAPE_SAMPLERS",
-    "augment",
-    "normalize_cloud",
-    "random_rotation",
-    "overall_accuracy",
-    "load_points",
-    "save_points",
-    "read_xyz",
-    "write_xyz",
-    "read_off",
-    "write_off",
-    "read_ply",
-    "write_ply",
-    "mean_iou",
-    "confusion_matrix",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "SyntheticFrustum": "kitti",
+    "bev_iou": "kitti",
+    "box_corners_bev": "kitti",
+    "synthetic_lidar_scene": "kitti",
+    "load_points": "io",
+    "read_off": "io",
+    "read_ply": "io",
+    "read_xyz": "io",
+    "save_points": "io",
+    "write_off": "io",
+    "write_ply": "io",
+    "write_xyz": "io",
+    "confusion_matrix": "metrics",
+    "mean_iou": "metrics",
+    "overall_accuracy": "metrics",
+    "SyntheticModelNet": "modelnet",
+    "make_class_generators": "modelnet",
+    "CATEGORY_BUILDERS": "shapenet",
+    "SyntheticShapeNet": "shapenet",
+    "num_part_classes": "shapenet",
+    "SHAPE_SAMPLERS": "shapes",
+    "augment": "shapes",
+    "normalize_cloud": "shapes",
+    "random_rotation": "shapes",
+})

@@ -11,33 +11,23 @@ irregular per-cloud work across cores (:class:`ParallelRunner`).
 trajectory in ``BENCH_engine.json``.
 """
 
-from .bench import bench_tune, run_benchmarks, validate_row, write_json
-from .cache import NeighborIndexCache, content_digest
-from .parallel import ParallelRunner, kdtree_nit_task, soc_latency_task
-from .runner import BatchResult, BatchRunner
-from .scheduler import (
-    AsyncRunner,
-    OverlapExecutor,
-    OverlapNetworkExecutor,
-    async_forward_task,
-    network_forward_task,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AsyncRunner",
-    "BatchRunner",
-    "BatchResult",
-    "OverlapExecutor",
-    "OverlapNetworkExecutor",
-    "async_forward_task",
-    "network_forward_task",
-    "NeighborIndexCache",
-    "content_digest",
-    "ParallelRunner",
-    "kdtree_nit_task",
-    "soc_latency_task",
-    "bench_tune",
-    "run_benchmarks",
-    "validate_row",
-    "write_json",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "bench_tune": "bench",
+    "run_benchmarks": "bench",
+    "validate_row": "bench",
+    "write_json": "bench",
+    "NeighborIndexCache": "cache",
+    "content_digest": "cache",
+    "ParallelRunner": "parallel",
+    "kdtree_nit_task": "parallel",
+    "soc_latency_task": "parallel",
+    "BatchResult": "runner",
+    "BatchRunner": "runner",
+    "AsyncRunner": "scheduler",
+    "OverlapExecutor": "scheduler",
+    "OverlapNetworkExecutor": "scheduler",
+    "async_forward_task": "scheduler",
+    "network_forward_task": "scheduler",
+})

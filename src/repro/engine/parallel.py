@@ -23,7 +23,7 @@ import os
 import threading
 import time
 import warnings
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 
 __all__ = ["ParallelRunner", "kdtree_nit_task", "soc_latency_task"]
 
@@ -76,9 +76,13 @@ class ParallelRunner:
         return kwargs
 
     def _make_pool(self):
-        cls = ProcessPoolExecutor if self.backend == "process" \
-            else ThreadPoolExecutor
-        return cls(**self._pool_kwargs())
+        if self.backend == "process":
+            # Loads multiprocessing: paid by the first process pool, not
+            # by every thread-pool or serial runner.
+            from concurrent.futures import ProcessPoolExecutor
+
+            return ProcessPoolExecutor(**self._pool_kwargs())
+        return ThreadPoolExecutor(**self._pool_kwargs())
 
     def _serial_map(self, fn, items):
         # Re-applied on every serial map, not memoized per runner:

@@ -115,8 +115,8 @@ class BatchRunner:
         together with ``backend``.
     params:
         Optional pre-built :class:`~repro.backend.params.ParameterTable`
-        (e.g. attached zero-copy from a shared-memory descriptor or the
-        program cache) the compiled programs read through instead of
+        (e.g. attached zero-copy from a :func:`~repro.backend.share_table`
+        descriptor or the program cache) the compiled programs read through instead of
         exporting this runner's own copy of the weights.  Only
         meaningful together with ``backend``; its dtype must match.
     tuned:

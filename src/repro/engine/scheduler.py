@@ -239,8 +239,8 @@ def _init_forward_worker(network, strategy, substrate, dtype,
 
     ``shared_params`` is an optional
     :func:`~repro.backend.attach_table` descriptor.  When set, the
-    worker maps the parent's packed parameter table zero-copy (shared
-    memory or an on-disk program cache) instead of unpickling parameter
+    worker maps the parent's packed parameter table zero-copy (a
+    shared file or an on-disk program cache) instead of unpickling parameter
     data — ``network`` is then a stripped
     :func:`~repro.backend.network_skeleton`, kilobytes instead of the
     megabytes of weights.
@@ -324,9 +324,9 @@ class AsyncRunner(BatchRunner):
         process workers receive a :func:`~repro.backend.network_skeleton`
         plus a cache descriptor and map the packed parameters from disk
         instead of unpickling them.  Without a cache the process backend
-        still shares parameters zero-copy through
-        ``multiprocessing.shared_memory`` whenever a ``kernel_backend``
-        is set.
+        still shares parameters zero-copy through one private tmpfs
+        file (:func:`~repro.backend.share_table`) whenever a
+        ``kernel_backend`` is set.
     tuned:
         Optional :class:`~repro.tune.TunedTable` (or its JSON form).
         Resolved once at construction — the pipeline depth
@@ -442,8 +442,8 @@ class AsyncRunner(BatchRunner):
             self._process_runner.close()
             self._process_runner = None
         if self._shared_table is not None:
-            # Workers are gone (pool drained above): safe to unlink the
-            # shared-memory segment backing their parameter tables.
+            # Workers are gone (pool drained above): unlink the file
+            # backing their parameter tables.
             self._shared_table.close(unlink=True)
             self._shared_table = None
 
@@ -472,8 +472,8 @@ class AsyncRunner(BatchRunner):
         Without a kernel backend the full network pickles into each
         worker, as before.  With one, parameters travel zero-copy: the
         parent packs the table once and workers map it — through the
-        on-disk program cache when one is configured, through a
-        ``multiprocessing.shared_memory`` segment otherwise — while the
+        on-disk program cache when one is configured, through one
+        private tmpfs file otherwise — while the
         pickled payload shrinks to a parameter-stripped skeleton.
         """
         if self.kernel_backend is None:
@@ -482,12 +482,12 @@ class AsyncRunner(BatchRunner):
 
         try:
             if self._shared_table is not None:
-                # Re-warming the pool: the segment already exists.
+                # Re-warming the pool: the file already exists.
                 descriptor = self._shared_table.descriptor()
             else:
                 # Compiles (and stores) on the parent if not cached yet;
                 # workers then only open the memmap (program-cache path)
-                # or attach the freshly-packed shm segment.
+                # or map the freshly-packed shared file.
                 descriptor, handle = parameter_descriptor(
                     self.network, self.strategy, self.kernel_backend,
                     program_cache=self.program_cache,

@@ -14,75 +14,46 @@ consumer — eager and batched executors
 (:mod:`~repro.graph.schedule`) the async scheduler executes.
 """
 
-from .build import build_module_graph, search_signature
-from .executors import BatchedExecutor, EagerExecutor, ExecutionResult, OpRecorder
-from .ir import KINDS, Frontier, Graph, Node, format_graph, resolve_dim, shape_env
-from .lower import lower_graph, lower_module_trace, lower_network_trace
-from .network import (
-    NetworkBatchedExecutor,
-    NetworkEagerExecutor,
-    NetworkGraph,
-    NetworkGraphBuilder,
-    NetworkOutput,
-    NetworkRegion,
-    build_network_graph,
-)
-from .passes import (
-    PIPELINES,
-    dead_code_elimination,
-    delay_aggregation,
-    fuse_aggregation,
-    limit_delay,
-    module_graph,
-    run_pipeline,
-)
-from .plan import (
-    ModulePlan,
-    NetworkPlan,
-    ValueLiveness,
-    compile_network_plan,
-    value_liveness,
-)
-from .schedule import GraphSchedule, ScheduledNode, node_lane, schedule_graph
+from .._lazy import lazy_exports
 
-__all__ = [
-    "KINDS",
-    "Frontier",
-    "Graph",
-    "GraphSchedule",
-    "Node",
-    "PIPELINES",
-    "ScheduledNode",
-    "BatchedExecutor",
-    "EagerExecutor",
-    "ExecutionResult",
-    "ModulePlan",
-    "NetworkBatchedExecutor",
-    "NetworkEagerExecutor",
-    "NetworkGraph",
-    "NetworkGraphBuilder",
-    "NetworkOutput",
-    "NetworkPlan",
-    "NetworkRegion",
-    "OpRecorder",
-    "ValueLiveness",
-    "build_module_graph",
-    "build_network_graph",
-    "compile_network_plan",
-    "dead_code_elimination",
-    "delay_aggregation",
-    "format_graph",
-    "fuse_aggregation",
-    "limit_delay",
-    "lower_graph",
-    "lower_module_trace",
-    "lower_network_trace",
-    "module_graph",
-    "node_lane",
-    "resolve_dim",
-    "run_pipeline",
-    "schedule_graph",
-    "search_signature",
-    "shape_env",
-    "value_liveness",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "build_module_graph": "build",
+    "search_signature": "build",
+    "BatchedExecutor": "executors",
+    "EagerExecutor": "executors",
+    "ExecutionResult": "executors",
+    "OpRecorder": "executors",
+    "KINDS": "ir",
+    "Frontier": "ir",
+    "Graph": "ir",
+    "Node": "ir",
+    "format_graph": "ir",
+    "resolve_dim": "ir",
+    "shape_env": "ir",
+    "lower_graph": "lower",
+    "lower_module_trace": "lower",
+    "lower_network_trace": "lower",
+    "NetworkBatchedExecutor": "network",
+    "NetworkEagerExecutor": "network",
+    "NetworkGraph": "network",
+    "NetworkGraphBuilder": "network",
+    "NetworkOutput": "network",
+    "NetworkRegion": "network",
+    "build_network_graph": "network",
+    "PIPELINES": "passes",
+    "dead_code_elimination": "passes",
+    "delay_aggregation": "passes",
+    "fuse_aggregation": "passes",
+    "limit_delay": "passes",
+    "module_graph": "passes",
+    "run_pipeline": "passes",
+    "ModulePlan": "plan",
+    "NetworkPlan": "plan",
+    "ValueLiveness": "plan",
+    "compile_network_plan": "plan",
+    "value_liveness": "plan",
+    "GraphSchedule": "schedule",
+    "ScheduledNode": "schedule",
+    "node_lane": "schedule",
+    "schedule_graph": "schedule",
+})

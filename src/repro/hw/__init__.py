@@ -1,45 +1,33 @@
 """Hardware models: GPU, systolic NPU, aggregation unit, DRAM, NSE, SoC."""
 
-from .aggregation_unit import MESORASI_AU, AggregationUnit, AUResult
-from .approx import (
-    ApproximateAggregationUnit,
-    ApproxResult,
-    dropped_neighbor_error,
-)
-from .dram import LPDDR3, DRAMModel
-from .gpu import TX2_GPU, GPUResult, MobileGPU
-from .npu import MESORASI_NPU, NPUResult, SystolicNPU
-from .nse import TIGRIS_NSE, NeighborSearchEngine
-from .soc import CONFIGS, SoC, SoCConfig, SoCResult, synthetic_nit
-from .sram import SRAM, crossbar_area_mm2
-from .timeline import Interval, Timeline, build_timeline, render_gantt
+from .._lazy import lazy_exports
 
-__all__ = [
-    "MobileGPU",
-    "GPUResult",
-    "TX2_GPU",
-    "SystolicNPU",
-    "NPUResult",
-    "MESORASI_NPU",
-    "AggregationUnit",
-    "AUResult",
-    "MESORASI_AU",
-    "ApproximateAggregationUnit",
-    "ApproxResult",
-    "dropped_neighbor_error",
-    "NeighborSearchEngine",
-    "TIGRIS_NSE",
-    "DRAMModel",
-    "LPDDR3",
-    "SRAM",
-    "crossbar_area_mm2",
-    "Timeline",
-    "Interval",
-    "build_timeline",
-    "render_gantt",
-    "SoC",
-    "SoCConfig",
-    "SoCResult",
-    "CONFIGS",
-    "synthetic_nit",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "MESORASI_AU": "aggregation_unit",
+    "AggregationUnit": "aggregation_unit",
+    "AUResult": "aggregation_unit",
+    "ApproximateAggregationUnit": "approx",
+    "ApproxResult": "approx",
+    "dropped_neighbor_error": "approx",
+    "LPDDR3": "dram",
+    "DRAMModel": "dram",
+    "TX2_GPU": "gpu",
+    "GPUResult": "gpu",
+    "MobileGPU": "gpu",
+    "MESORASI_NPU": "npu",
+    "NPUResult": "npu",
+    "SystolicNPU": "npu",
+    "TIGRIS_NSE": "nse",
+    "NeighborSearchEngine": "nse",
+    "CONFIGS": "soc",
+    "SoC": "soc",
+    "SoCConfig": "soc",
+    "SoCResult": "soc",
+    "synthetic_nit": "soc",
+    "SRAM": "sram",
+    "crossbar_area_mm2": "sram",
+    "Interval": "timeline",
+    "Timeline": "timeline",
+    "build_timeline": "timeline",
+    "render_gantt": "timeline",
+})

@@ -1,33 +1,21 @@
 """Neighbor search substrate: the operator ``N`` of the paper."""
 
-from .ball import ball_query
-from .brute import knn_brute_force, pairwise_squared_distances
-from .dispatch import (
-    SUBSTRATES,
-    active_search_options,
-    neighbor_search,
-    raw_knn,
-    search_context,
-)
-from .grid import UniformGrid
-from .kdtree import KDTree
-from .sampling import farthest_point_sampling, random_sampling
-from .stats import mean_occupancy, neighborhood_occupancy, occupancy_histogram
+from .._lazy import lazy_exports
 
-__all__ = [
-    "knn_brute_force",
-    "pairwise_squared_distances",
-    "KDTree",
-    "UniformGrid",
-    "ball_query",
-    "SUBSTRATES",
-    "neighbor_search",
-    "raw_knn",
-    "search_context",
-    "active_search_options",
-    "farthest_point_sampling",
-    "random_sampling",
-    "neighborhood_occupancy",
-    "occupancy_histogram",
-    "mean_occupancy",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "ball_query": "ball",
+    "knn_brute_force": "brute",
+    "pairwise_squared_distances": "brute",
+    "SUBSTRATES": "dispatch",
+    "active_search_options": "dispatch",
+    "neighbor_search": "dispatch",
+    "raw_knn": "dispatch",
+    "search_context": "dispatch",
+    "UniformGrid": "grid",
+    "KDTree": "kdtree",
+    "farthest_point_sampling": "sampling",
+    "random_sampling": "sampling",
+    "mean_occupancy": "stats",
+    "neighborhood_occupancy": "stats",
+    "occupancy_histogram": "stats",
+})

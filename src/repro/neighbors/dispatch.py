@@ -18,6 +18,7 @@ batch.
 from __future__ import annotations
 
 import contextlib
+import functools
 import threading
 
 import numpy as np
@@ -25,11 +26,6 @@ import numpy as np
 from .brute import knn_brute_force
 from .grid import UniformGrid
 from .kdtree import KDTree
-
-try:  # Optional acceleration only: the pure-python KDTree remains the fallback.
-    from scipy.spatial import cKDTree as _cKDTree
-except ImportError:  # pragma: no cover - scipy is present in CI
-    _cKDTree = None
 
 __all__ = [
     "SUBSTRATES",
@@ -97,9 +93,26 @@ def _grid_cell_size(points):
     return widest / max(1.0, len(points) ** (1.0 / 3.0))
 
 
+@functools.cache
+def _ckdtree():
+    """``scipy.spatial.cKDTree``, or ``None`` without scipy.
+
+    Optional acceleration only — the pure-python :class:`KDTree` remains
+    the fallback — and resolved at the first ``kdtree`` search, not at
+    import: scipy costs ~0.3 s to load and the default ``brute``
+    substrate never needs it.
+    """
+    try:
+        from scipy.spatial import cKDTree
+    except ImportError:
+        return None
+    return cKDTree
+
+
 def _knn_kdtree(points, queries, k):
-    if _cKDTree is not None:
-        distances, indices = _cKDTree(points).query(queries, k=k)
+    cKDTree = _ckdtree()
+    if cKDTree is not None:
+        distances, indices = cKDTree(points).query(queries, k=k)
         if k == 1:
             distances = distances[:, None]
             indices = indices[:, None]

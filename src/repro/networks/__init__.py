@@ -1,53 +1,31 @@
 """The seven benchmark networks of Table I."""
 
-from .base import FCHead, FeaturePropagation, PointCloudNetwork, scale_spec
-from .densepoint import DensePoint
-from .dgcnn import DGCNNClassification, DGCNNSegmentation
-from .fpointnet import FPointNet
-from .generic import GenericPointCloudNetwork, validate_spec_chain
-from .ldgcnn import LDGCNN
-from .pointnet2 import PointNet2Classification, PointNet2Segmentation
-from .registry import (
-    ALL_NETWORKS,
-    NETWORK_CLASSES,
-    PROFILED_NETWORKS,
-    build_network,
-    table1_rows,
-)
-from .training import (
-    TrainResult,
-    evaluate_classifier,
-    evaluate_detector,
-    evaluate_segmenter,
-    train_classifier,
-    train_detector,
-    train_segmenter,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "PointCloudNetwork",
-    "FeaturePropagation",
-    "FCHead",
-    "scale_spec",
-    "PointNet2Classification",
-    "PointNet2Segmentation",
-    "DGCNNClassification",
-    "DGCNNSegmentation",
-    "FPointNet",
-    "GenericPointCloudNetwork",
-    "validate_spec_chain",
-    "LDGCNN",
-    "DensePoint",
-    "NETWORK_CLASSES",
-    "PROFILED_NETWORKS",
-    "ALL_NETWORKS",
-    "build_network",
-    "table1_rows",
-    "TrainResult",
-    "train_classifier",
-    "evaluate_classifier",
-    "train_segmenter",
-    "evaluate_segmenter",
-    "train_detector",
-    "evaluate_detector",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "FCHead": "base",
+    "FeaturePropagation": "base",
+    "PointCloudNetwork": "base",
+    "scale_spec": "base",
+    "DensePoint": "densepoint",
+    "DGCNNClassification": "dgcnn",
+    "DGCNNSegmentation": "dgcnn",
+    "FPointNet": "fpointnet",
+    "GenericPointCloudNetwork": "generic",
+    "validate_spec_chain": "generic",
+    "LDGCNN": "ldgcnn",
+    "PointNet2Classification": "pointnet2",
+    "PointNet2Segmentation": "pointnet2",
+    "ALL_NETWORKS": "registry",
+    "NETWORK_CLASSES": "registry",
+    "PROFILED_NETWORKS": "registry",
+    "build_network": "registry",
+    "table1_rows": "registry",
+    "TrainResult": "training",
+    "evaluate_classifier": "training",
+    "evaluate_detector": "training",
+    "evaluate_segmenter": "training",
+    "train_classifier": "training",
+    "train_detector": "training",
+    "train_segmenter": "training",
+})

@@ -33,11 +33,9 @@ from ..graph import (
     NetworkBatchedExecutor,
     NetworkEagerExecutor,
     build_network_graph,
-    lower_network_trace,
 )
 from ..neighbors import neighbor_search
 from ..neural import Dropout, Linear, Module, ReLU, Sequential, Tensor, concat, stack
-from ..profiling.trace import Trace
 
 __all__ = [
     "FCHead",
@@ -226,6 +224,8 @@ class PointCloudNetwork(Module):
             )
         ngraph = self.network_graph(strategy)
         if trace is not None:
+            from ..graph import lower_network_trace
+
             lower_network_trace(ngraph, trace)
         if executor is None:
             executor = NetworkEagerExecutor()
@@ -294,8 +294,13 @@ class PointCloudNetwork(Module):
         """Emit the full-network operator trace at this instance's scale.
 
         Lowered from the same whole-network graph the executors run, so
-        analytics and execution cannot drift.
+        analytics and execution cannot drift.  The lowering and
+        :mod:`repro.profiling` load here, with the first trace —
+        executing a network never imports them.
         """
+        from ..graph import lower_network_trace
+        from ..profiling import Trace
+
         return lower_network_trace(
             self.network_graph(strategy), Trace(self.name, strategy)
         )

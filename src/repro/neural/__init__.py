@@ -1,44 +1,30 @@
 """Numpy-based autograd DNN substrate (replaces the paper's TensorFlow)."""
 
-from .layers import (
-    BatchNorm,
-    Dropout,
-    Linear,
-    Module,
-    Parameter,
-    ReLU,
-    Sequential,
-)
-from .losses import accuracy, cross_entropy, log_softmax, mse_loss
-from .mlp import SharedMLP
-from .optim import SGD, Adam
-from .schedulers import CosineLR, ExponentialLR, StepLR, clip_grad_norm
-from .serialization import load_checkpoint, save_checkpoint
-from .tensor import Tensor, concat, no_grad, stack
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Tensor",
-    "concat",
-    "stack",
-    "no_grad",
-    "Module",
-    "Parameter",
-    "Linear",
-    "ReLU",
-    "BatchNorm",
-    "Dropout",
-    "Sequential",
-    "SharedMLP",
-    "cross_entropy",
-    "mse_loss",
-    "log_softmax",
-    "accuracy",
-    "SGD",
-    "Adam",
-    "save_checkpoint",
-    "load_checkpoint",
-    "StepLR",
-    "ExponentialLR",
-    "CosineLR",
-    "clip_grad_norm",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "BatchNorm": "layers",
+    "Dropout": "layers",
+    "Linear": "layers",
+    "Module": "layers",
+    "Parameter": "layers",
+    "ReLU": "layers",
+    "Sequential": "layers",
+    "accuracy": "losses",
+    "cross_entropy": "losses",
+    "log_softmax": "losses",
+    "mse_loss": "losses",
+    "SharedMLP": "mlp",
+    "SGD": "optim",
+    "Adam": "optim",
+    "CosineLR": "schedulers",
+    "ExponentialLR": "schedulers",
+    "StepLR": "schedulers",
+    "clip_grad_norm": "schedulers",
+    "load_checkpoint": "serialization",
+    "save_checkpoint": "serialization",
+    "Tensor": "tensor",
+    "concat": "tensor",
+    "no_grad": "tensor",
+    "stack": "tensor",
+})

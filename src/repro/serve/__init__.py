@@ -23,45 +23,28 @@ cache already holds their index.  :func:`bench_shard` measures the
 throughput scaling story at 1/2/4 shards.
 """
 
-from .batcher import BatchPolicy, gather, split_by_shape
-from .harness import (
-    bench_serve,
-    bench_shard,
-    serve_bench_results,
-    shard_bench_results,
-)
-from .queue import FairQueue, QueueFull, Request, ServeError, ServerClosed
-from .server import Server, ServeResponse
-from .shard import (
-    HashRing,
-    PlacementError,
-    PlacementPlan,
-    Replica,
-    ShardRouter,
-    plan_placement,
-    replica_working_set,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BatchPolicy",
-    "FairQueue",
-    "HashRing",
-    "PlacementError",
-    "PlacementPlan",
-    "QueueFull",
-    "Replica",
-    "Request",
-    "ServeError",
-    "ServeResponse",
-    "Server",
-    "ServerClosed",
-    "ShardRouter",
-    "bench_serve",
-    "bench_shard",
-    "gather",
-    "plan_placement",
-    "replica_working_set",
-    "serve_bench_results",
-    "shard_bench_results",
-    "split_by_shape",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "BatchPolicy": "batcher",
+    "gather": "batcher",
+    "split_by_shape": "batcher",
+    "bench_serve": "harness",
+    "bench_shard": "harness",
+    "serve_bench_results": "harness",
+    "shard_bench_results": "harness",
+    "FairQueue": "queue",
+    "QueueFull": "queue",
+    "Request": "queue",
+    "ServeError": "queue",
+    "ServerClosed": "queue",
+    "Server": "server",
+    "ServeResponse": "server",
+    "HashRing": "shard",
+    "PlacementError": "shard",
+    "PlacementPlan": "shard",
+    "Replica": "shard",
+    "ShardRouter": "shard",
+    "plan_placement": "shard",
+    "replica_working_set": "shard",
+})

@@ -43,7 +43,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..engine.cache import merge_cache_stats
-from ..engine.parallel import ParallelRunner
 from .batcher import BatchPolicy, gather, split_by_shape
 from .queue import FairQueue, Request, ServeError, ServerClosed
 
@@ -186,6 +185,8 @@ class Server:
                 )
             self.workers = dispatch.max_workers
         elif self.workers > 1:
+            from ..engine.parallel import ParallelRunner
+
             self._dispatch = ParallelRunner(
                 max_workers=self.workers, backend="thread", persistent=True
             )
@@ -237,7 +238,6 @@ class Server:
         hit/miss/eviction counters.
         """
         from ..engine.runner import BatchRunner
-        from ..engine.scheduler import AsyncRunner
         from ..networks import build_network
 
         if isinstance(networks, str):
@@ -248,6 +248,8 @@ class Server:
                 if isinstance(network, str) else network
             net_tuned = _resolve_tuned(tuned, net, program_cache)
             if runner == "async":
+                from ..engine.scheduler import AsyncRunner
+
                 runners.append(AsyncRunner(
                     net, strategy=strategy, kernel_backend=backend,
                     program_cache=program_cache,
@@ -277,18 +279,27 @@ class Server:
 
         Never blocks: an unroutable cloud raises immediately, a full
         queue raises :class:`~repro.serve.queue.QueueFull`, a closing
-        server raises :class:`~repro.serve.queue.ServerClosed`.
+        server raises :class:`~repro.serve.queue.ServerClosed`.  A cloud
+        with NaN or infinite coordinates is refused here too
+        (``ValueError``, counted ``rejected``): served, it would come
+        back as confident finite logits or as NaNs, both ``completed``.
         """
         cloud = np.asarray(cloud, dtype=np.float64)
         if cloud.ndim != 2 or cloud.shape[1] != 3:
             raise ValueError(f"expected an (N, 3) cloud, got {cloud.shape}")
-        if cloud.shape[0] not in self._routes:
-            with self._lock:
-                self._stats["rejected"] += 1
-            raise ServeError(
+        refusal = None
+        if not np.isfinite(cloud).all():
+            refusal = ValueError(
+                "cloud has non-finite coordinates (NaN or inf)")
+        elif cloud.shape[0] not in self._routes:
+            refusal = ServeError(
                 f"no hosted network serves n_points={cloud.shape[0]} "
                 f"(served sizes: {self.served_sizes})"
             )
+        if refusal is not None:
+            with self._lock:
+                self._stats["rejected"] += 1
+            raise refusal
         request = Request(
             id=str(request_id) if request_id is not None
             else f"r{next(self._ids)}",

@@ -28,14 +28,14 @@ giving up any of its determinism guarantees:
   with a kernel backend — spin up zero-copy from the
   :func:`~repro.backend.parameter_descriptor` path: one packed
   :class:`~repro.backend.params.ParameterTable` per network travels
-  through the program cache's memmap or a shared-memory segment, and
-  every replica's compiled programs read the same bytes.
+  through the program cache's blob or one private tmpfs file, mapped
+  read-only, and every replica's compiled programs read the same bytes.
 
 Cross-shard semantics: backpressure aggregates (a request spills along
 the ring past a full replica and only raises
 :class:`~repro.serve.queue.QueueFull` when *every* replica of its
 shape is at capacity), shutdown drains in dependency order (replicas
-first, then the shared pool, then the shared parameter segments), and
+first, then the shared pool, then the shared parameter files), and
 :meth:`ShardRouter.stats` reports per-shard queue depth and cache hit
 rates next to the aggregate counters.
 """
@@ -411,11 +411,10 @@ class ShardRouter:
         ``backend``, each network's parameter table is packed once and
         attached zero-copy by every replica via
         :func:`~repro.backend.parameter_descriptor` — through
-        ``program_cache``'s memmapped blobs when given, a
-        shared-memory segment otherwise.
+        ``program_cache``'s memmapped blobs when given, a private
+        tmpfs file (:func:`~repro.backend.share_table`) otherwise.
         """
         from ..engine.runner import BatchRunner
-        from ..engine.scheduler import AsyncRunner
         from ..networks import build_network
 
         if isinstance(networks, str) or hasattr(networks, "n_points"):
@@ -446,36 +445,38 @@ class ShardRouter:
             if cache_size else None
         shared_handles = []
         shared_params = {}
-        if backend is not None:
-            from ..backend import attach_table, parameter_descriptor
-
-            for n_points, net in nets.items():
-                descriptor, handle = parameter_descriptor(
-                    net, strategy, backend, batched=True,
-                    program_cache=program_cache,
-                )
-                if handle is not None:
-                    shared_handles.append(handle)
-                # One attached table per network, shared by every
-                # replica's executor: N replicas, one copy of the
-                # packed weights.
-                shared_params[n_points] = attach_table(descriptor)
-
         dispatch = None
-        if len(plan.replicas) > 1:
-            dispatch = ParallelRunner(
-                max_workers=len(plan.replicas), backend="thread",
-                persistent=True,
-            )
-
         servers = []
         try:
+            if backend is not None:
+                from ..backend import attach_table, parameter_descriptor
+
+                for n_points, net in nets.items():
+                    descriptor, handle = parameter_descriptor(
+                        net, strategy, backend, batched=True,
+                        program_cache=program_cache,
+                    )
+                    if handle is not None:
+                        shared_handles.append(handle)
+                    # One attached table per network, shared by every
+                    # replica's executor: N replicas, one copy of the
+                    # packed weights.
+                    shared_params[n_points] = attach_table(descriptor)
+
+            if len(plan.replicas) > 1:
+                dispatch = ParallelRunner(
+                    max_workers=len(plan.replicas), backend="thread",
+                    persistent=True,
+                )
+
             for replica in plan.replicas:
                 net = nets[replica.n_points]
                 net_tuned = _resolve_tuned(tuned, net, program_cache)
                 shard_cache = None if cache is None \
                     else cache.shard(replica.shard)
                 if runner == "async":
+                    from ..engine.scheduler import AsyncRunner
+
                     replica_runner = AsyncRunner(
                         net, strategy=strategy, kernel_backend=backend,
                         program_cache=program_cache,
@@ -626,8 +627,8 @@ class ShardRouter:
         across them, so every admitted request resolves; their closes
         wait out the sub-batches they submitted to the shared pool),
         *then* the shared dispatch pool — it must outlive every
-        replica's in-flight work — and the shared parameter segments
-        unlink last, after no executor can still read them.
+        replica's in-flight work — and the shared parameter files
+        unlink last.
         """
         with self._lock:
             if self._closed:

@@ -10,28 +10,17 @@ performs zero re-benchmarks and the engine runners
 of the cost model's prediction.
 """
 
-from .autotuner import (
-    DEFAULT_BACKENDS,
-    DEFAULT_STRATEGIES,
-    DEFAULT_SUBSTRATES,
-    GATE_MAX_REL_ERR,
-    GATE_MIN_TOP1,
-    Autotuner,
-    TunedConfig,
-    TunedTable,
-    int8_backend_for,
-    shape_key,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Autotuner",
-    "DEFAULT_BACKENDS",
-    "DEFAULT_STRATEGIES",
-    "DEFAULT_SUBSTRATES",
-    "GATE_MAX_REL_ERR",
-    "GATE_MIN_TOP1",
-    "TunedConfig",
-    "TunedTable",
-    "int8_backend_for",
-    "shape_key",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "DEFAULT_BACKENDS": "autotuner",
+    "DEFAULT_STRATEGIES": "autotuner",
+    "DEFAULT_SUBSTRATES": "autotuner",
+    "GATE_MAX_REL_ERR": "autotuner",
+    "GATE_MIN_TOP1": "autotuner",
+    "Autotuner": "autotuner",
+    "TunedConfig": "autotuner",
+    "TunedTable": "autotuner",
+    "int8_backend_for": "autotuner",
+    "shape_key": "autotuner",
+})

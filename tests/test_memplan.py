@@ -5,14 +5,18 @@ Covers buffer liveness over the whole-network graph, arena planning
 bit-exactness across all seven networks and three strategies for
 serial, batched and async execution, an adversarial test that corrupts
 dead arena regions mid-run, parameter-table dedup and zero-copy
-transports (shared memory + on-disk program cache), skeleton pickling,
+transports (shared file + on-disk program cache), skeleton pickling,
 and the engine/CLI integration (``program_cache=``, ``repro compile``,
 ``repro trace --memory``, the bench ``mem`` row).
 """
 
 import hashlib
 import json
+import os
 import pickle
+import stat
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -31,7 +35,7 @@ from repro.backend import (
     share_table,
     validate_plan,
 )
-from repro.backend.aot import FORMAT
+from repro.backend.aot import FORMAT, _share_dir
 from repro.engine import AsyncRunner, BatchRunner, ParallelRunner
 from repro.graph import value_liveness
 from repro.networks import ALL_NETWORKS, build_network
@@ -354,6 +358,66 @@ class TestSharedMemoryTransport:
         finally:
             shared.close(unlink=True)
 
+    def test_shared_file_roundtrip_owner_unlinks(self):
+        # Weights no other test exports, and dedupe=False: the table
+        # registry then holds nothing with this content hash, so
+        # attach_table cannot hand an in-memory twin back.
+        net = toy("PointNet++ (c)", seed=97)
+        table = ParameterTable.for_graph(net.network_graph("delayed"),
+                                         backend=get_backend("float32"),
+                                         dedupe=False)
+        shared = share_table(table)
+        path = shared.path
+        try:
+            assert os.path.basename(path).startswith(
+                f"repro-params-{os.getpid()}-")
+            assert stat.S_IMODE(os.stat(path).st_mode) == 0o600
+            descriptor = shared.descriptor()
+            assert descriptor["kind"] == "file"
+            attached = attach_table(pickle.loads(pickle.dumps(descriptor)))
+            assert attached is not table
+            assert attached.entries.keys() == table.entries.keys()
+            for key, ops in table.entries.items():
+                for op, mapped in zip(ops, attached.entries[key]):
+                    assert op[0] == mapped[0]
+                    for a, b in zip(op[1:], mapped[1:]):
+                        assert (a is None) == (b is None)
+                        if a is not None:
+                            assert not b.flags.writeable  # mapped read-only
+                            assert np.array_equal(a, b)
+        finally:
+            shared.close(unlink=True)
+        assert not os.path.exists(path)
+        shared.close(unlink=True)  # a second close is a no-op
+        assert attached.verify_buffer()  # the mapping outlives the unlink
+
+    def test_next_share_sweeps_files_of_dead_owners_only(self):
+        net = toy("PointNet++ (s)")
+        table = ParameterTable.for_graph(net.network_graph("delayed"),
+                                         backend=get_backend("float64"))
+        dead = subprocess.Popen([sys.executable, "-c", "pass"])
+        dead.wait(timeout=60)
+        directory = _share_dir()
+        planted = {
+            "dead": f"repro-params-{dead.pid}-planted",
+            "alive": f"repro-params-{os.getpid()}-planted",
+            "not a pid": "repro-params-nobody-planted",
+        }
+        try:
+            for name in planted.values():
+                with open(os.path.join(directory, name), "wb") as handle:
+                    handle.write(b"x")
+            share_table(table).close(unlink=True)
+            left = {label for label, name in planted.items()
+                    if os.path.exists(os.path.join(directory, name))}
+            assert left == {"alive", "not a pid"}
+        finally:
+            for name in planted.values():
+                try:
+                    os.unlink(os.path.join(directory, name))
+                except FileNotFoundError:
+                    pass
+
 
 class TestProgramCache:
     def test_store_load_bit_exact_with_seeded_plans(self, tmp_path):
@@ -488,7 +552,7 @@ class TestEngineIntegration:
                              kernel_backend="float64")
         try:
             payload, descriptor = runner._worker_payload()
-            assert descriptor["kind"] == "shm"
+            assert descriptor["kind"] == "file"
             assert len(pickle.dumps(payload)) < 64 * 1024
         finally:
             runner.close()

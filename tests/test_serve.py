@@ -8,13 +8,23 @@ admitted, and a single dispatch worker degrades to fully serial
 execution with identical results.
 """
 
+import json
+import os
+import re
+import select
+import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import repro
+from repro.cli import _serve_handle_line
 from repro.engine import BatchRunner, ParallelRunner
 from repro.engine.runner import BatchResult
 from repro.networks import build_network
@@ -340,6 +350,112 @@ class TestServerEdgeCases:
             resp = server.request(stub_cloud(value=2.0), request_id="sync")
             assert resp.request_id == "sync"
             assert np.allclose(resp.output, stub_cloud(value=2.0).sum())
+
+
+# ------------------------------------------------- front-door hardening
+
+
+class TestHostileRequests:
+    """What the front door refuses, and that refusing costs nobody else."""
+
+    def test_non_finite_cloud_refused_batch_mates_unchanged(self, small_net,
+                                                            small_clouds):
+        # max_batch=2 under a long deadline: "a" and "b" always share one
+        # kernel call, whether or not bad requests arrive in between.
+        policy = BatchPolicy(max_batch=2, max_wait_ms=10_000.0)
+
+        def serve(poisons):
+            server = Server(BatchRunner(small_net), policy=policy)
+            with server:
+                first = server.submit(small_clouds[0], request_id="a")
+                for poison in poisons:
+                    bad = small_clouds[2].copy()
+                    bad[3, 1] = poison
+                    with pytest.raises(ValueError, match="non-finite"):
+                        server.submit(bad, request_id="bad")
+                second = server.submit(small_clouds[1], request_id="b")
+                responses = [f.result(timeout=TIMEOUT)
+                             for f in (first, second)]
+            return responses, server.stats()
+
+        clean, clean_stats = serve(())
+        mixed, mixed_stats = serve((np.nan, np.inf, -np.inf))
+        for a, b in zip(clean, mixed):
+            assert a.batch_ids == b.batch_ids == ("a", "b")
+            assert np.asarray(a.output).tobytes() \
+                == np.asarray(b.output).tobytes()
+        assert clean_stats["rejected"] == 0
+        assert mixed_stats["rejected"] == 3
+        for stats in (clean_stats, mixed_stats):
+            assert (stats["submitted"], stats["completed"],
+                    stats["failed"]) == (2, 2, 0)
+
+    def test_json_line_that_is_not_an_object_gets_an_error_response(self):
+        answers = []
+        answered = threading.Event()
+
+        def emit(payload):
+            answers.append(payload)
+            answered.set()
+
+        with Server(StubRunner(n_points=2)) as server:
+            for line in ("[]", "3", '"x"', "null", "{", ""):
+                _serve_handle_line(server, line, emit)
+            assert [a["id"] for a in answers] == [None] * 6
+            assert all("error" in a and "output" not in a for a in answers)
+            assert "JSON object" in answers[0]["error"]
+            _serve_handle_line(
+                server, '{"id": 7, "cloud": [[0, NaN, 0], [1, 1, 1]]}', emit)
+            assert answers[-1]["id"] == 7
+            assert "non-finite" in answers[-1]["error"]
+            # ... and the loop still serves the next well-formed line.
+            answered.clear()
+            _serve_handle_line(
+                server, '{"id": 8, "cloud": [[0, 0, 0], [1, 1, 1]]}', emit)
+            assert answered.wait(TIMEOUT)
+            assert answers[-1]["id"] == "8" and "output" in answers[-1]
+
+    def test_tcp_handler_survives_undecodable_bytes(self):
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--scale", "0.0625",
+             "--port", "0"],
+            stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE, env=env,
+        )
+        try:
+            # Bounded reads only: the announcement carries the port.
+            announced, port = b"", None
+            deadline = time.monotonic() + TIMEOUT
+            while port is None:
+                ready, _, _ = select.select(
+                    [proc.stderr], [], [],
+                    max(0.0, deadline - time.monotonic()))
+                assert ready, f"no port announced: {announced!r}"
+                chunk = os.read(proc.stderr.fileno(), 65536)
+                assert chunk, f"server exited early: {announced!r}"
+                announced += chunk
+                match = re.search(rb"127\.0\.0\.1:(\d+)", announced)
+                port = int(match.group(1)) if match else None
+            cloud = np.random.default_rng(5).normal(size=(64, 3)).tolist()
+            with socket.create_connection(("127.0.0.1", port),
+                                          timeout=TIMEOUT) as conn:
+                reader = conn.makefile("rb")
+                conn.sendall(b'\xff\xfe{"id": "bad"}\n')
+                refused = json.loads(reader.readline())
+                conn.sendall(
+                    json.dumps({"id": "ok", "cloud": cloud}).encode() + b"\n")
+                served = json.loads(reader.readline())
+            assert refused["id"] is None and "error" in refused
+            assert served["id"] == "ok" and len(served["output"]) > 0
+            proc.terminate()  # SIGTERM drains and exits 0
+            assert proc.wait(timeout=TIMEOUT) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            proc.wait(timeout=TIMEOUT)
+            proc.stderr.close()
 
 
 # ----------------------------------------------------- engine drain hooks

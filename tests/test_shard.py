@@ -11,6 +11,9 @@ drains the fleet in dependency order without dropping or duplicating
 a single request id.
 """
 
+import glob
+import os
+import tempfile
 import threading
 import time
 from types import SimpleNamespace
@@ -18,6 +21,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import repro.engine.runner
+import repro.serve.shard
+from repro.backend.aot import _share_dir
 from repro.engine import BatchRunner, ParallelRunner
 from repro.engine.cache import (
     NeighborIndexCache,
@@ -561,6 +567,83 @@ class TestShardExactness:
             return router.stats()["cache"]["hit_rate"]
 
         assert hit_rate("content") > hit_rate("random")
+
+
+# ------------------------------------------------- partial start-up failure
+
+
+def shared_table_files():
+    """The parameter tables this process has published and not removed."""
+    return glob.glob(os.path.join(_share_dir(),
+                                  f"repro-params-{os.getpid()}-*"))
+
+
+class TestHostingFailure:
+    """``ShardRouter.hosting`` fails whole: nothing it started survives."""
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        """Every Server / dispatch pool ``hosting`` constructs."""
+        started = SimpleNamespace(servers=[], pools=[])
+
+        class RecordingServer(Server):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                started.servers.append(self)
+
+        class RecordingPool(ParallelRunner):
+            closes = 0
+
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                started.pools.append(self)
+
+            def close(self):
+                self.closes += 1
+                super().close()
+
+        monkeypatch.setattr(repro.serve.shard, "Server", RecordingServer)
+        monkeypatch.setattr(repro.serve.shard, "ParallelRunner",
+                            RecordingPool)
+        return started
+
+    @staticmethod
+    def fail_on_call(target, number, error):
+        """``target``, except that call ``number`` (1-based) raises."""
+        calls = []
+
+        def flaky(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == number:
+                raise error
+            return target(*args, **kwargs)
+
+        return flaky
+
+    def test_failed_table_publish_leaves_no_file(self, monkeypatch, started):
+        # Two hosted networks: the first table is published, creating
+        # the second one's file fails.
+        nets = [build_network("PointNet++ (c)", scale=scale)
+                for scale in (0.03125, 0.0625)]
+        monkeypatch.setattr(tempfile, "mkstemp", self.fail_on_call(
+            tempfile.mkstemp, 2, OSError(28, "No space left on device")))
+        with pytest.raises(OSError, match="No space left"):
+            ShardRouter.hosting(nets, shards=2, backend="float32")
+        assert shared_table_files() == []
+        assert started.servers == []  # tables are published first
+
+    def test_failed_replica_closes_its_started_siblings(self, monkeypatch,
+                                                        started, tiny_net):
+        monkeypatch.setattr(repro.engine.runner, "BatchRunner",
+                            self.fail_on_call(BatchRunner, 2,
+                                              RuntimeError("replica 1 died")))
+        with pytest.raises(RuntimeError, match="replica 1 died"):
+            ShardRouter.hosting(tiny_net, shards=2, backend="float32")
+        assert len(started.servers) == 1 and len(started.pools) == 1
+        assert started.servers[0]._closed
+        assert not started.servers[0]._thread.is_alive()
+        assert started.pools[0].closes == 1
+        assert shared_table_files() == []
 
 
 # ---------------------------------------------------------------- harness
