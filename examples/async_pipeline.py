@@ -27,7 +27,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from repro.engine import AsyncRunner, OverlapNetworkExecutor
+from repro.engine import AsyncRunner, OverlapExecutor
 from repro.graph import module_graph, schedule_graph
 from repro.networks import build_network
 from repro.neural import no_grad
@@ -64,11 +64,15 @@ for step in cross[:2]:
     )
     print(f"  e.g. module boundaries overlap in one step: {cells}")
 
-# Measure exactly that: one cloud, serial network executor vs the
-# cross-module overlap executor on a small search pool.
+# Measure exactly that: one cloud, the serial GraphExecutor vs the
+# OverlapExecutor (the same interpreter walking the dependency frontier)
+# on a small search pool.  There are three executors in all — these two
+# and the kernel runtime's NetworkKernelExecutor — and they know one
+# arity: a cloud is a stack of one; `net.forward` lifts it with
+# `cloud[None]` and unwraps the result, executors never look at rank.
 cloud = clouds[0]
 with no_grad(), ThreadPoolExecutor(max_workers=2) as pool:
-    executor = OverlapNetworkExecutor(pool)
+    executor = OverlapExecutor(pool)
     start = time.perf_counter()
     for _ in range(3):
         net.forward(cloud, strategy="delayed")

@@ -10,7 +10,7 @@ compiled programs durable and their parameters shareable:
   :class:`~repro.backend.runtime.KernelProgram` — kernel list, arena
   plans, packed parameter table — to a **content-addressed** on-disk
   format (``<digest>.json`` manifest + ``<digest>.bin`` blob, plus an
-  ``index.json`` mapping (network, strategy, backend, arity, weight
+  ``index.json`` mapping (network, strategy, backend, weight
   fingerprint) to digests).  Loading maps the blob read-only with
   :func:`numpy.memmap`: K processes loading one digest share the bytes
   through the page cache, zero copies.
@@ -215,9 +215,14 @@ def share_table(table):
     return SharedTable(path, manifest)
 
 
-def parameter_descriptor(network, strategy, backend, batched=False,
+def parameter_descriptor(network, strategy, backend, batched=True,
                          program_cache=None):
     """One packed parameter source for N zero-copy consumers.
+
+    ``batched`` is read by nothing — programs and their cache entries
+    have one arity — and is accepted only because
+    ``benchmarks/ledger/layers.py``, which a non-benchmark change may
+    not edit, still passes it (ROADMAP item 5(c) removes it).
 
     Returns ``(descriptor, handle)``: the descriptor feeds
     :func:`attach_table` once per consumer (pool worker, shard
@@ -236,10 +241,7 @@ def parameter_descriptor(network, strategy, backend, batched=False,
     if program_cache is not None:
         if not hasattr(program_cache, "descriptor_for"):
             program_cache = ProgramCache(program_cache)
-        descriptor = program_cache.descriptor_for(
-            network, strategy, backend, batched=batched
-        )
-        return descriptor, None
+        return program_cache.descriptor_for(network, strategy, backend), None
     ngraph = network.network_graph(strategy)
     table = ParameterTable.for_graph(ngraph, backend=backend,
                                      network=network)
@@ -266,8 +268,10 @@ def attach_table(descriptor):
 #: Stamp of everything a stored manifest's readers depend on beyond the
 #: kernel labels: scratch-buffer keys, the plan JSON, the config key and
 #: the tuned-table JSON.  Entries carrying any other value are stale —
-#: programs recompile, tuned tables re-tune.
-FORMAT = 2
+#: programs recompile, tuned tables re-tune.  3: one program per
+#: configuration (the single-cloud / stack arity left the key and the
+#: manifest).
+FORMAT = 3
 
 
 def _tuple_deep(value):
@@ -356,16 +360,12 @@ class ProgramCache:
             raise
 
     @staticmethod
-    def config_key(network_name, strategy, backend_name, batched,
-                   fingerprint):
-        arity = "batched" if batched else "single"
-        return f"{network_name}|{strategy}|{backend_name}|{arity}|" \
-               f"{fingerprint}"
+    def config_key(network_name, strategy, backend_name, fingerprint):
+        return f"{network_name}|{strategy}|{backend_name}|{fingerprint}"
 
-    def digest_for(self, network_name, strategy, backend_name, batched,
-                   fingerprint):
+    def digest_for(self, network_name, strategy, backend_name, fingerprint):
         """The stored digest for a configuration, or ``None``."""
-        key = self.config_key(network_name, strategy, backend_name, batched,
+        key = self.config_key(network_name, strategy, backend_name,
                               fingerprint)
         return self._read_index().get(key)
 
@@ -391,7 +391,6 @@ class ProgramCache:
             "strategy": program.ngraph.strategy,
             "backend": program.backend.name,
             "dtype": str(np.dtype(program.backend.dtype)),
-            "batched": program.batched,
             "fingerprint": fingerprint,
             "kernels": list(program.kernel_labels),
             "plans": {
@@ -413,8 +412,7 @@ class ProgramCache:
             os.replace(manifest_path + ".tmp", manifest_path)
         index = self._read_index()
         key = self.config_key(manifest["network"], manifest["strategy"],
-                              manifest["backend"], manifest["batched"],
-                              fingerprint)
+                              manifest["backend"], fingerprint)
         if index.get(key) != digest:
             index[key] = digest
             self._write_index(index)
@@ -449,8 +447,7 @@ class ProgramCache:
             )
         table = self.table(digest, manifest)
         backend = get_backend(manifest["backend"])
-        program = KernelProgram(ngraph, network, backend,
-                                manifest["batched"], params=table,
+        program = KernelProgram(ngraph, network, backend, params=table,
                                 plan_memory=plan_memory)
         if list(program.kernel_labels) != manifest["kernels"]:
             raise ValueError(
@@ -465,7 +462,7 @@ class ProgramCache:
             })
         return program
 
-    def program_for(self, ngraph, network, backend, batched, params=None,
+    def program_for(self, ngraph, network, backend, params=None,
                     plan_memory=True):
         """Load-or-compile: the executor's entry point.
 
@@ -478,18 +475,18 @@ class ProgramCache:
         """
         backend = get_backend(backend)
         if params is not None:
-            return KernelProgram(ngraph, network, backend, batched,
-                                 params=params, plan_memory=plan_memory)
+            return KernelProgram(ngraph, network, backend, params=params,
+                                 plan_memory=plan_memory)
         fingerprint = network_fingerprint(network)
         digest = self.digest_for(ngraph.network, ngraph.strategy,
-                                 backend.name, batched, fingerprint)
+                                 backend.name, fingerprint)
         if digest is not None:
             try:
                 return self.load(digest, ngraph, network,
                                  plan_memory=plan_memory)
             except (OSError, ValueError, KeyError, json.JSONDecodeError):
                 pass  # stale or damaged entry: recompile below
-        program = KernelProgram(ngraph, network, backend, batched,
+        program = KernelProgram(ngraph, network, backend,
                                 plan_memory=plan_memory)
         self.store(program, fingerprint)
         return program
@@ -540,7 +537,7 @@ class ProgramCache:
             return None
         return manifest["table"]
 
-    def descriptor_for(self, network, strategy, backend, batched=False):
+    def descriptor_for(self, network, strategy, backend):
         """A picklable ``{"kind": "file"}`` token for pool workers.
 
         Compiles-and-stores on first use, so the parent pays the
@@ -548,7 +545,7 @@ class ProgramCache:
         """
         backend = get_backend(backend)
         ngraph = network.network_graph(strategy)
-        program = self.program_for(ngraph, network, backend, batched)
+        program = self.program_for(ngraph, network, backend)
         digest = self.store(program)
         return {"kind": "file", "path": self._blob_path(digest),
                 "manifest": self.manifest(digest)["params"]}

@@ -106,7 +106,7 @@ class NumpyBackend(ArrayBackend):
     ``float64`` is the reference: its kernels execute the same numpy
     operations, in the same order, as the autograd executors, so its
     outputs are bit-exact matches of
-    :class:`~repro.graph.network.NetworkEagerExecutor`.  ``float32`` is
+    :class:`~repro.graph.executors.GraphExecutor`.  ``float32`` is
     the BLAS fast path: parameters are packed once in float32 and the
     neighbor search runs in float32 too, keeping the whole inference
     pipeline in single precision.

@@ -24,8 +24,7 @@ backends snapshot a cast copy at export time.
 flat, content-hashed table holding every segment a compiled
 :class:`~repro.backend.runtime.KernelProgram` will touch, keyed by the
 graph location that uses it.  Tables de-duplicate through a global
-registry — two backends with the same dtype (or the single- and
-batched-arity programs of one executor) resolve to the *same* table
+registry — two backends with the same dtype resolve to the *same* table
 object instead of snapshotting their own copies — and they serialize:
 :meth:`ParameterTable.pack` flattens the table into a JSON manifest
 plus one aligned binary blob, and :meth:`ParameterTable.from_buffer`

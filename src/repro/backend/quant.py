@@ -111,8 +111,8 @@ class ScaleTable:
 
     Keys are the graph sites the parameter table itself uses —
     ``("module", midx, layer, variant)`` / ``("ref", ref, stage)`` —
-    so one table serves the single-cloud and batched arities of every
-    program compiled from the same network graph.  Serialization uses
+    so one table serves every program compiled from the same network
+    graph.  Serialization uses
     ``float.hex`` so equal tables are byte-identical, never merely
     close: the determinism regression test (and the program-cache
     digest stability it guards) compares the JSON bytes directly.
@@ -199,7 +199,7 @@ def calibrate_scales(network, strategy, batch=8, rounds=2,
                      seed=CALIBRATION_SEED, clouds=None):
     """Calibrate a :class:`ScaleTable` against the float64 reference.
 
-    Runs the batched float64 reference program with a
+    Runs the float64 reference program with a
     :class:`CalibrationRecorder` attached — over ``rounds`` seeded
     standard-normal batches by default, or over an explicit
     ``(B, n_points, 3)`` calibration set when ``clouds`` is given (the
@@ -211,8 +211,7 @@ def calibrate_scales(network, strategy, batch=8, rounds=2,
     from .runtime import KernelProgram
 
     ngraph = network.network_graph(strategy)
-    program = KernelProgram(ngraph, network, get_backend("float64"),
-                            batched=True)
+    program = KernelProgram(ngraph, network, get_backend("float64"))
     recorder = CalibrationRecorder()
     with no_grad():
         if clouds is not None:

@@ -24,7 +24,7 @@ pre-packed parameter table (:mod:`repro.backend.params`):
   restores the PR 5 one-buffer-per-kernel pool, and is the baseline
   the CI ``mem`` gates compare against);
 * parameters live in one content-hashed
-  :class:`~repro.backend.params.ParameterTable` shared across arities,
+  :class:`~repro.backend.params.ParameterTable` shared across
   executors and same-dtype backends — and, packed, across *processes*
   (:mod:`repro.backend.aot`);
 * centroid sampling is resolved at compile time (it is a deterministic
@@ -35,16 +35,17 @@ pre-packed parameter table (:mod:`repro.backend.params`):
   so float32 and float64 programs never share cache entries.
 
 The float64 reference backend executes the same numpy operations, in
-the same order, as :class:`~repro.graph.network.NetworkEagerExecutor` /
-:class:`~repro.graph.network.NetworkBatchedExecutor`, so its outputs
-are bit-exact against them (CI-gated across all seven networks and all
-three strategies); the float32 backend trades ≤1e-4 relative logit
-error for roughly 2× GEMM throughput.
+the same order, as :class:`~repro.graph.executors.GraphExecutor`, so
+its outputs are bit-exact against it (CI-gated across all seven
+networks and all three strategies); the float32 backend trades ≤1e-4
+relative logit error for roughly 2× GEMM throughput.
 
 :class:`NetworkKernelExecutor` adapts the runtime to the executor API
 the rest of the stack speaks: it satisfies the ``run_network`` contract
-of :meth:`repro.networks.base.PointCloudNetwork.forward` (and its
-batched form), memoizing one compiled program per (graph, arity).
+of :meth:`repro.networks.base.PointCloudNetwork.forward`, memoizing one
+compiled program per graph.  Programs know one arity — a ``(B, N, 3)``
+stack; a single cloud arrives as the stack of one the front door lifted
+it into.
 Programs are thread-compatible — scratch buffers live in thread-local
 storage — so one executor instance can serve an
 :class:`~repro.engine.scheduler.AsyncRunner` pipeline.
@@ -136,21 +137,20 @@ class KernelProgram:
     """A compiled whole-network program: a flat list of ndarray kernels.
 
     Built by :func:`compile_kernel_program`; :meth:`run` executes the
-    kernels front to back over one cloud (or a ``(B, N, 3)`` stack when
-    compiled ``batched``) and returns the network outputs as inference
-    tensors.  Scratch memory is arena-planned per (thread, input
+    kernels front to back over a ``(B, N, 3)`` stack of clouds (a
+    single cloud is a stack of one) and returns the network outputs as
+    inference tensors.  Scratch memory is arena-planned per (thread, input
     signature) — see :mod:`repro.backend.memplan` — so a single program
     may run concurrently from multiple threads; parameters come from a
     shared :class:`~repro.backend.params.ParameterTable` (``params=``
     accepts a pre-built — possibly zero-copy-attached — table).
     """
 
-    def __init__(self, ngraph, network, backend, batched, params=None,
+    def __init__(self, ngraph, network, backend, params=None,
                  plan_memory=True):
         self.ngraph = ngraph
         self.network = network
         self.backend = get_backend(backend)
-        self.batched = bool(batched)
         self.plan_memory = bool(plan_memory)
         if params is None:
             params = ParameterTable.for_graph(ngraph, self.backend,
@@ -288,7 +288,7 @@ class KernelProgram:
     # -- module-region kernels ----------------------------------------------
 
     def _centroid_rows(self, ctx, midx):
-        """Centroid rows in the flat feature table (batched: lifted)."""
+        """Centroid rows in the flat feature table."""
         return ctx["crows"][midx]
 
     def _k_sample(self, node, midx):
@@ -297,15 +297,12 @@ class KernelProgram:
         # Sampling is a deterministic function of the static input
         # scale, so the centroid ids are a compile-time constant.
         local = np.asarray(module._sample_centroids(n_in))
-        nid, batched = node.id, self.batched
+        nid = node.id
 
         def kernel(env, ctx):
             env[nid] = local
-            if batched:
-                base = (np.arange(ctx["batch"], dtype=np.int64) * n_in)[:, None]
-                ctx["crows"][midx] = (local[None, :] + base).reshape(-1)
-            else:
-                ctx["crows"][midx] = local
+            base = (np.arange(ctx["batch"], dtype=np.int64) * n_in)[:, None]
+            ctx["crows"][midx] = (local[None, :] + base).reshape(-1)
 
         return kernel
 
@@ -318,26 +315,21 @@ class KernelProgram:
         coords_id, feats_id = attrs["coords"], attrs["feats"]
         module = self.ngraph.refs[midx]
         local = np.asarray(module._sample_centroids(n_in))
-        nid, batched = node.id, self.batched
+        nid = node.id
 
         def kernel(env, ctx):
             if feature_space:
-                space = env[feats_id]
-                if batched:
-                    space = space.reshape(ctx["batch"], n_in, in_dim)
+                space = env[feats_id].reshape(ctx["batch"], n_in, in_dim)
             else:
                 space = env[coords_id]
-            queries = space[:, local] if batched else space[local]
+            queries = space[:, local]
             indices, _ = neighbor_search(
                 space, queries, k, dtype=self._search_dtype(), tag=signature
             )
-            if batched:
-                base = (np.arange(ctx["batch"], dtype=np.int64) * n_in)
-                rows = (indices + base[:, None, None]).reshape(
-                    ctx["batch"] * indices.shape[1], k
-                )
-            else:
-                rows = indices
+            base = (np.arange(ctx["batch"], dtype=np.int64) * n_in)
+            rows = (indices + base[:, None, None]).reshape(
+                ctx["batch"] * indices.shape[1], k
+            )
             ctx["rows"][midx] = rows
             env[nid] = rows
 
@@ -475,12 +467,12 @@ class KernelProgram:
         backend = self.backend
 
         def kernel(env, ctx):
+            # Un-fused original/limited path: rows*k flat rows (or a
+            # gather's block) back to (rows, k, dim) before the
+            # neighborhood reduction.
+            k = ctx["rows"][midx].shape[1]
             x = env[source]
-            if x.ndim == 2:
-                # Un-fused original/limited path: rows*k flat rows back
-                # to (rows, k, dim) before the neighborhood reduction.
-                k = ctx["rows"][midx].shape[1]
-                x = x.reshape(x.shape[0] // k, k, x.shape[1])
+            x = x.reshape(-1, k, x.shape[-1])
             env[nid] = backend.reduce_max(
                 x, axis=1,
                 out=self._buffer(ctx, ("max", nid), (x.shape[0], x.shape[2])),
@@ -508,7 +500,7 @@ class KernelProgram:
     # -- network-level kernels ----------------------------------------------
 
     def _k_coords(self, node):
-        nid, batched = node.id, self.batched
+        nid = node.id
         if not node.inputs:
             def kernel(env, ctx):
                 env[nid] = ctx["coords"]
@@ -516,18 +508,16 @@ class KernelProgram:
         prev, sample = node.inputs
 
         def kernel(env, ctx):
-            idx = env[sample]
-            env[nid] = env[prev][:, idx] if batched else env[prev][idx]
+            env[nid] = env[prev][:, env[sample]]
 
         return kernel
 
     def _k_lift(self, node):
-        source, nid, batched = node.inputs[0], node.id, self.batched
+        source, nid = node.inputs[0], node.id
 
         def kernel(env, ctx):
             coords = env[source]
-            env[nid] = coords.reshape(-1, coords.shape[-1]) if batched \
-                else coords
+            env[nid] = coords.reshape(-1, coords.shape[-1])
 
         return kernel
 
@@ -566,15 +556,14 @@ class KernelProgram:
         stages = self._stages(ref)
         cap = fp.K
         fine_c, fine_f, coarse_c, coarse_f = node.inputs
-        nid, batched = node.id, self.batched
+        nid = node.id
         backend = self.backend
 
         def kernel(env, ctx):
             fine_coords = env[fine_c]
             coarse_coords = env[coarse_c]
             coarse_feats = env[coarse_f]
-            n_coarse = coarse_coords.shape[1] if batched \
-                else len(coarse_coords)
+            n_coarse = coarse_coords.shape[1]
             k = min(cap, n_coarse)
             # Unlike module searches (index-only: neighbor order washes
             # out in the max-reduction), interpolation consumes the
@@ -584,17 +573,13 @@ class KernelProgram:
             # so the float32 backend stays within its logit tolerance.
             idx, dist = neighbor_search(coarse_coords, fine_coords, k)
             weights = 1.0 / np.maximum(dist, 1e-8)
-            if batched:
-                weights = weights / weights.sum(axis=-1, keepdims=True)
-            else:
-                weights = weights / weights.sum(axis=1, keepdims=True)
+            weights = weights / weights.sum(axis=-1, keepdims=True)
             weights = weights.astype(backend.dtype, copy=False)
-            if batched:
-                batch, n_fine = fine_coords.shape[0], fine_coords.shape[1]
-                base = (np.arange(batch, dtype=np.int64)
-                        * n_coarse)[:, None, None]
-                idx = (idx + base).reshape(batch * n_fine, k)
-                weights = weights.reshape(batch * n_fine, k)
+            batch, n_fine = fine_coords.shape[0], fine_coords.shape[1]
+            base = (np.arange(batch, dtype=np.int64)
+                    * n_coarse)[:, None, None]
+            idx = (idx + base).reshape(batch * n_fine, k)
+            weights = weights.reshape(batch * n_fine, k)
             gathered = coarse_feats[idx]
             x = (gathered * weights[:, :, None]).sum(axis=1)
             x = np.concatenate([env[fine_f], x], axis=1)
@@ -637,23 +622,15 @@ class KernelProgram:
     def _k_select(self, node):
         coords_id, scores_id = node.inputs
         n_select = node.attrs["n_select"]
-        nid, batched = node.id, self.batched
+        nid = node.id
 
         def kernel(env, ctx):
             logits = env[scores_id]
-            scores = logits[:, 1] - logits[:, 0]
-            coords = env[coords_id]
-            if batched:
-                per_cloud = scores.reshape(ctx["batch"], -1)
-                order = np.argsort(-per_cloud, axis=1,
-                                   kind="stable")[:, :n_select]
-                selected = np.take_along_axis(coords, order[:, :, None],
-                                              axis=1)
-                env[nid] = selected - selected.mean(axis=1, keepdims=True)
-            else:
-                order = np.argsort(-scores, kind="stable")[:n_select]
-                selected = coords[order]
-                env[nid] = selected - selected.mean(axis=0, keepdims=True)
+            scores = (logits[:, 1] - logits[:, 0]).reshape(ctx["batch"], -1)
+            order = np.argsort(-scores, axis=1, kind="stable")[:, :n_select]
+            selected = np.take_along_axis(env[coords_id], order[:, :, None],
+                                          axis=1)
+            env[nid] = selected - selected.mean(axis=1, keepdims=True)
 
         return kernel
 
@@ -704,7 +681,7 @@ class KernelProgram:
         return arena, None
 
     def run(self, coords, on_kernel=None):
-        """Execute the program over one cloud (or a batched stack).
+        """Execute the program over a ``(batch, n, 3)`` stack of clouds.
 
         Returns the network outputs as inference :class:`~repro.neural.Tensor`
         values (a dict for multi-output networks), matching the network
@@ -721,21 +698,17 @@ class KernelProgram:
         from ..neural import Tensor
 
         coords = self.backend.asarray(np.asarray(coords))
-        if self.batched and coords.ndim != 3:
+        if coords.ndim != 3:
             raise ValueError(
-                f"batched program expects (batch, n, 3) coords, "
-                f"got {coords.shape}"
-            )
-        if not self.batched and coords.ndim != 2:
-            raise ValueError(
-                f"single-cloud program expects (n, 3) coords, "
-                f"got {coords.shape}"
+                "kernel programs take stacks only: expected (batch, n, 3) "
+                f"coords, got {coords.shape} — lift one cloud with "
+                "cloud[None]"
             )
         sig = tuple(coords.shape)
         alloc, measuring = self._allocator(self._state(), sig)
         ctx = {
             "coords": coords,
-            "batch": coords.shape[0] if self.batched else 1,
+            "batch": coords.shape[0],
             "rows": {},
             "crows": {},
             "alloc": alloc,
@@ -771,7 +744,7 @@ class KernelProgram:
         values = {}
         for out in self.ngraph.outputs:
             value = env[out.node].copy()
-            if out.per_point and self.batched:
+            if out.per_point:
                 rows = value.shape[0] // ctx["batch"]
                 value = value.reshape(ctx["batch"], rows, value.shape[1])
             values[out.name] = Tensor(value)
@@ -873,32 +846,36 @@ class KernelProgram:
 
 
 def compile_kernel_program(network, strategy="delayed", backend="float64",
-                           batched=False, params=None, plan_memory=True):
+                           batched=True, params=None, plan_memory=True):
     """Compile ``network`` under ``strategy`` into a :class:`KernelProgram`.
 
     The network's whole-network graph (memoized on the instance) is
     lowered against ``backend`` (a name, dtype or
-    :class:`~repro.backend.array.ArrayBackend`); ``batched`` selects
-    the flat-batch arity.  ``params`` supplies a pre-built
+    :class:`~repro.backend.array.ArrayBackend`).  ``batched`` is read by
+    nothing: programs have one arity (a cloud is a stack of one), and
+    the keyword is accepted only because ``benchmarks/ledger/layers.py``
+    — which a non-benchmark change may not edit — still passes it; it
+    goes with ROADMAP item 5(c).  ``params`` supplies a pre-built
     :class:`~repro.backend.params.ParameterTable` (e.g. one attached
     zero-copy from the program cache or a shared file) instead of
     exporting the network's weights; ``plan_memory=False`` restores
     the per-kernel buffer pool.
     """
     return KernelProgram(network.network_graph(strategy), network,
-                         get_backend(backend), batched, params=params,
+                         get_backend(backend), params=params,
                          plan_memory=plan_memory)
 
 
 class NetworkKernelExecutor:
     """Kernel-runtime executor behind the standard ``run_network`` API.
 
-    Drop-in wherever the network executors plug in —
+    Drop-in wherever the graph executors plug in —
     ``network.forward(cloud, executor=NetworkKernelExecutor("float32"))``
     — and the serving entry point the engine's ``backend=`` parameters
-    construct.  Single-cloud and batched programs are compiled lazily,
-    once per (graph, arity), and cached on the executor; thread-local
-    scratch keeps one executor safe to share across an async pipeline.
+    construct.  One program per graph is compiled lazily and cached on
+    the executor — it serves every stack height, one included;
+    thread-local scratch keeps one executor safe to share across an
+    async pipeline.
     """
 
     def __init__(self, backend="float64", params=None, program_cache=None,
@@ -915,25 +892,24 @@ class NetworkKernelExecutor:
         self.plan_memory = bool(plan_memory)
         self._programs = {}
 
-    def program(self, ngraph, network, batched):
-        """The compiled program for ``ngraph`` at the given arity."""
-        key = (id(ngraph), bool(batched))
+    def program(self, ngraph, network):
+        """The compiled program for ``ngraph``."""
+        key = id(ngraph)
         entry = self._programs.get(key)
         if entry is None or entry[0] is not ngraph:
             if self.program_cache is not None:
                 program = self.program_cache.program_for(
-                    ngraph, network, self.backend, batched,
+                    ngraph, network, self.backend,
                     params=self.params, plan_memory=self.plan_memory,
                 )
             else:
                 program = KernelProgram(ngraph, network, self.backend,
-                                        batched, params=self.params,
+                                        params=self.params,
                                         plan_memory=self.plan_memory)
             entry = (ngraph, program)
             self._programs[key] = entry
         return entry[1]
 
     def run_network(self, ngraph, network, coords):
-        """Execute ``ngraph`` over ``coords`` ((n, 3) or (B, n, 3))."""
-        coords = np.asarray(coords)
-        return self.program(ngraph, network, coords.ndim == 3).run(coords)
+        """Execute ``ngraph`` over a ``(B, n, 3)`` stack of clouds."""
+        return self.program(ngraph, network).run(coords)

@@ -123,7 +123,7 @@ def _trace_memory(net, strategy):
     from .backend import compile_kernel_program
 
     program = compile_kernel_program(net, strategy, backend="float64")
-    cloud = np.random.default_rng(0).normal(size=(net.n_points, 3))
+    cloud = np.random.default_rng(0).normal(size=(1, net.n_points, 3))
     report = program.memory_report(cloud)
     plan = report["plan"]
     print(f"{net.name} [{strategy}] — {report['n_kernels']} kernels, "
@@ -149,21 +149,17 @@ def _cmd_compile(args):
     rng = np.random.default_rng(0)
     for name in args.network or ["PointNet++ (c)"]:
         net = build_network(name, scale=args.scale)
-        for batched in (False, True):
-            program = compile_kernel_program(
-                net, args.strategy, backend=args.backend, batched=batched
-            )
-            # Measure the representative shape's arena plan before
-            # storing, so loads start with the plan pre-seeded.
-            if batched:
-                sample = rng.normal(size=(args.batch, net.n_points, 3))
-            else:
-                sample = rng.normal(size=(net.n_points, 3))
-            plan = program.plan_for(sample)
-            digest = cache.store(program)
-            arity = "batched" if batched else "single "
+        program = compile_kernel_program(net, args.strategy,
+                                         backend=args.backend)
+        # Measure the arena plans of a lone request and of a full batch
+        # before storing, so loads start with both pre-seeded.
+        heights = sorted({1, args.batch})
+        plans = [program.plan_for(rng.normal(size=(b, net.n_points, 3)))
+                 for b in heights]
+        digest = cache.store(program)
+        for b, plan in zip(heights, plans):
             print(f"{digest[:16]}  {net.name} [{args.strategy}] "
-                  f"{args.backend} {arity}  arena {plan.total_bytes:10,d} B "
+                  f"{args.backend} B={b:<3d} arena {plan.total_bytes:10,d} B "
                   f"(-{plan.reduction * 100:.1f}% vs pool)")
     print(f"programs cached in {cache.directory}")
     return 0
@@ -354,11 +350,6 @@ def _cmd_bench(args):
     print(f"  parallel serial {par['serial_ms']:6.2f} ms   "
           f"{par['workers']} worker(s) {par['parallel_ms']:8.2f} ms   "
           f"speedup {par['speedup_parallel']:.2f}x")
-    graph = results["graph"]
-    print(f"  graph    ref  {graph['reference_ms']:8.2f} ms   "
-          f"eager   {graph['eager_ms']:8.2f} ms   "
-          f"overhead {graph['overhead_ratio']:.3f}x   "
-          f"batched {graph['batched_clouds_per_s']:.0f} clouds/s")
     sched = results["sched"]
     print(f"  sched    serial {sched['serial_ms']:6.2f} ms   "
           f"async   {sched['async_ms']:8.2f} ms   "

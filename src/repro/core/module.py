@@ -17,8 +17,9 @@ computation (F).  The three orderings studied in the paper:
 Since the operator-graph IR landed, the module no longer hand-writes a
 forward body per strategy: it builds its graph once in ``original``
 form and the ``delayed``/``limited`` orderings are graph-rewrite passes
-(:mod:`repro.graph.passes`).  Execution — single-cloud or batched —
-interprets the rewritten graph (:mod:`repro.graph.executors`), and the
+(:mod:`repro.graph.passes`).  Execution interprets the rewritten graph
+over a stack of clouds (:mod:`repro.graph.executors`; ``forward`` lifts
+its one cloud into a stack of one and unwraps the result), and the
 operator trace the profiling analytics and hardware simulators consume
 is lowered from the *same* graph (:mod:`repro.graph.lower`), so trace
 and execution cannot drift.  :func:`emit_module_trace` remains the
@@ -28,10 +29,10 @@ inputs stay cheap) as a thin shim over the lowering.
 Networks no longer compose modules through Python bodies either: the
 network builder (:mod:`repro.graph.network`) inlines
 :func:`repro.graph.build.build_module_graph` as a subroutine, so whole
-networks lower to one graph and the per-module ``forward`` here
+networks lower to one graph and the per-module ``forward_batch`` here
 survives as the composition baseline
 (:meth:`repro.networks.base.PointCloudNetwork.forward_composed`) the
-network executors are bit-exactness-tested against.
+graph executor is bit-exactness-tested against.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..graph.executors import BatchedExecutor, EagerExecutor
+from ..graph.executors import GraphExecutor
 from ..graph.passes import module_graph
 from ..neural import SharedMLP, Tensor
 from ..neural.layers import Linear, Module
@@ -202,11 +203,10 @@ class PointCloudModule(Module):
             Multi-scale grouping passes the same set to every scale
             branch; by default the module samples its own.
         executor:
-            Optional single-cloud graph executor (anything with the
-            :class:`~repro.graph.executors.EagerExecutor` ``run``
-            contract).  The engine's async scheduler passes its
-            N/F-overlap executor here; the default is a fresh
-            :class:`EagerExecutor`.
+            Optional graph executor (anything with the
+            :class:`~repro.graph.executors.GraphExecutor` ``run``
+            contract; it is handed the cloud as a stack of one).  The
+            default is a fresh :class:`GraphExecutor`.
 
         Returns a :class:`ModuleOutput`.
         """
@@ -226,12 +226,13 @@ class PointCloudModule(Module):
             )
 
         if executor is None:
-            executor = EagerExecutor()
+            executor = GraphExecutor()
+        # A cloud is a stack of one: lift, run the stack path, unwrap.
         result = executor.run(
-            graph, self, coords, features, centroid_idx=centroid_idx
+            graph, self, coords[None], features, centroid_idx=centroid_idx
         )
         out_coords = coords[result.centroid_idx]
-        nit = NeighborIndexTable(result.indices, result.centroid_idx)
+        nit = NeighborIndexTable(result.indices[0], result.centroid_idx)
         pft = PointFeatureTable(result.pft_data) \
             if result.pft_data is not None else None
         return ModuleOutput(out_coords, result.features, nit, pft)
@@ -249,11 +250,10 @@ class PointCloudModule(Module):
         strategy:
             One of :data:`STRATEGIES`.
 
-        The batched executor runs the neighbor search batched
+        The executor runs the neighbor search over the stack
         (cloud-local indices), lifts the indices into the flat row
         space, and then every graph node processes the whole batch as
-        one tall matrix — the same arithmetic per row as the
-        single-cloud path.
+        one tall matrix — the same arithmetic per row at every height.
 
         Returns a :class:`BatchModuleOutput`.
         """
@@ -264,7 +264,7 @@ class PointCloudModule(Module):
                 f"{self.spec.name}: expected flat features "
                 f"{(batch * n_in, self.spec.in_dim)}, got {features.shape}"
             )
-        result = BatchedExecutor().run(graph, self, coords, features)
+        result = GraphExecutor().run(graph, self, coords, features)
         out_coords = coords[:, result.centroid_idx]
         nit = BatchedNeighborIndexTable(result.indices, result.centroid_idx)
         pft = PointFeatureTable(result.pft_data) \

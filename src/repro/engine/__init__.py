@@ -27,7 +27,6 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "BatchRunner": "runner",
     "AsyncRunner": "scheduler",
     "OverlapExecutor": "scheduler",
-    "OverlapNetworkExecutor": "scheduler",
     "async_forward_task": "scheduler",
     "network_forward_task": "scheduler",
 })

@@ -17,9 +17,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from ..neighbors import ball_query, knn_brute_force, neighbor_search, raw_knn
+from ..neighbors import ball_query, knn_brute_force, raw_knn
 from ..networks import build_network
-from ..neural import Tensor, no_grad
+from ..neural import no_grad
 from .cache import NeighborIndexCache
 from .parallel import ParallelRunner, kdtree_nit_task
 from .runner import BatchRunner
@@ -223,117 +223,6 @@ def bench_forward(network="PointNet++ (c)", batch=16, scale=0.125,
     }
 
 
-def _reference_module_forward(module, coords, feats, strategy):
-    """The pre-IR hand-written module forward, kept verbatim.
-
-    These are the strategy bodies the operator-graph executors replaced
-    in :mod:`repro.core.module`; they survive here as the perf baseline
-    the eager graph executor is gated against (CI requires the executor
-    within 10% of them).
-    """
-    from ..core.module import ModuleOutput
-    from ..core.tables import NeighborIndexTable, PointFeatureTable
-
-    spec = module.spec
-    n_in = coords.shape[0]
-    centroid_idx = module._sample_centroids(n_in)
-    out_coords = coords[centroid_idx]
-    space = coords if spec.search_space == "coords" else feats.data
-    indices, _ = neighbor_search(space, space[centroid_idx], spec.k)
-    nit = NeighborIndexTable(indices, centroid_idx)
-
-    if strategy == "original":
-        k, m_in = spec.k, spec.in_dim
-        rows = len(centroid_idx)
-        gathered = feats.gather(indices)
-        centroids = feats.gather(centroid_idx).reshape(rows, 1, m_in)
-        offsets = (gathered - centroids).reshape(rows * k, m_in)
-        transformed = module.mlp(offsets).reshape(rows, k, spec.out_dim)
-        return ModuleOutput(out_coords, transformed.max(axis=1), nit, None)
-    if strategy == "delayed":
-        pft_tensor = module.mlp(feats)
-        pft = PointFeatureTable(pft_tensor.data)
-        gathered = pft_tensor.gather(indices)
-        reduced = gathered.max(axis=1)
-        out = reduced - pft_tensor.gather(centroid_idx)
-        return ModuleOutput(out_coords, out, nit, pft)
-    layers = module.mlp.net.layers
-    first = layers[0]
-    hoisted = feats @ first.weight
-    k = spec.k
-    rows = len(centroid_idx)
-    hidden = hoisted.shape[-1]
-    gathered = hoisted.gather(indices)
-    centroids = hoisted.gather(centroid_idx).reshape(rows, 1, hidden)
-    offsets = (gathered - centroids).reshape(rows * k, hidden)
-    if first.bias is not None:
-        offsets = offsets + first.bias
-    out = offsets
-    for layer in layers[1:]:
-        out = layer(out)
-    transformed = out.reshape(rows, k, spec.out_dim)
-    return ModuleOutput(
-        out_coords, transformed.max(axis=1), nit, PointFeatureTable(hoisted.data)
-    )
-
-
-def bench_graph(network="PointNet++ (c)", batch=16, scale=0.125,
-                strategy="delayed", repeats=3, seed=0):
-    """Eager graph executor vs the removed hand-written forward bodies.
-
-    Drives one network's encoder stack module-by-module through both
-    paths over the same cloud, plus the batched executor's end-to-end
-    throughput for the PR-over-PR trajectory.
-    """
-    net = build_network(network, scale=scale)
-    rng = np.random.default_rng(seed)
-    cloud = rng.normal(size=(net.n_points, 3))
-
-    def encoder_graph():
-        with no_grad():
-            coords, feats = cloud, Tensor(cloud.copy())
-            for module in net.encoder:
-                out = module(coords, feats, strategy=strategy)
-                coords, feats = out.coords, out.features
-
-    def encoder_reference():
-        with no_grad():
-            coords, feats = cloud, Tensor(cloud.copy())
-            for module in net.encoder:
-                out = _reference_module_forward(module, coords, feats, strategy)
-                coords, feats = out.coords, out.features
-
-    # Interleave the two measurements: clock drift (CPU frequency,
-    # co-tenants on shared CI runners) then hits both sides equally
-    # instead of biasing whichever ran second.
-    encoder_reference(), encoder_graph()  # warm caches
-    reference_ms = eager_ms = float("inf")
-    for _ in range(max(1, repeats) * 4):
-        reference_ms = min(reference_ms, _best_ms(encoder_reference, 2))
-        eager_ms = min(eager_ms, _best_ms(encoder_graph, 2))
-
-    runner = BatchRunner(net, strategy=strategy)
-    clouds = rng.normal(size=(batch, net.n_points, 3))
-    batched_ms = _best_ms(lambda: runner.run(clouds), max(1, repeats - 1))
-
-    return {
-        "workload": {
-            "network": network,
-            "strategy": strategy,
-            "batch": batch,
-            "n_points": net.n_points,
-            "scale": scale,
-        },
-        "baseline": "pre-IR hand-written strategy bodies (encoder stack)",
-        "reference_ms": reference_ms,
-        "eager_ms": eager_ms,
-        "overhead_ratio": eager_ms / reference_ms,
-        "plan_nodes": runner.plan.node_count,
-        "batched_ms": batched_ms,
-        "batched_clouds_per_s": batch / (batched_ms / 1e3),
-    }
-
-
 def bench_sched(network="PointNet++ (c)", batch=16, scale=0.5,
                 strategy="delayed", repeats=2, seed=0):
     """Async N/F-overlap scheduler vs the serial graph executor.
@@ -414,9 +303,9 @@ def bench_netgraph(network="PointNet++ (c)", batch=8, scale=0.25,
                    strategy="delayed", repeats=2, seed=0):
     """Whole-network graph execution vs per-module composition.
 
-    Serial: every cloud through the single-cloud network-graph executor
-    vs the same modules composed through
-    :meth:`~repro.core.module.PointCloudModule.forward` (the
+    Serial: every cloud through ``forward`` (the graph executor over a
+    stack of one) vs the same modules composed through
+    :meth:`~repro.core.module.PointCloudModule.forward_batch` (the
     pre-network-graph path, kept as ``forward_composed``).  Async: the
     cross-module overlap executor pipelined by :class:`AsyncRunner`.
     Alongside the timings the row records the *static* overlap story CI
@@ -752,10 +641,9 @@ def bench_mem(network="PointNet++ (c)", batch=8, scale=0.125,
     rng = np.random.default_rng(seed)
     clouds = rng.normal(size=(batch, net.n_points, 3))
 
-    planned = compile_kernel_program(net, strategy, backend="float64",
-                                     batched=True)
+    planned = compile_kernel_program(net, strategy, backend="float64")
     unplanned = compile_kernel_program(net, strategy, backend="float64",
-                                       batched=True, plan_memory=False)
+                                       plan_memory=False)
     planned_out = planned.run(clouds)
     exact = _outputs_equal(planned_out, unplanned.run(clouds))
     plan = planned.plan_for(clouds)
@@ -793,8 +681,7 @@ def bench_mem(network="PointNet++ (c)", batch=8, scale=0.125,
     # AOT cache: fresh compile vs load (memmapped params, seeded plans).
     ngraph = net.network_graph(strategy)
     compile_ms = _best_ms(
-        lambda: compile_kernel_program(net, strategy, backend="float64",
-                                       batched=True),
+        lambda: compile_kernel_program(net, strategy, backend="float64"),
         repeats,
     )
     with tempfile.TemporaryDirectory() as tmp:
@@ -940,7 +827,7 @@ def bench_tune(network="PointNet++ (c)", scale=0.125, batch=8, repeats=2,
     worst_ms = timed(BatchRunner(net, **worst.runner_kwargs(net)))
 
     program = compile_kernel_program(net, "delayed", backend="float64")
-    peak_live = int(program.memory_report(clouds[0])["peak_live_bytes"])
+    peak_live = int(program.memory_report(clouds[:1])["peak_live_bytes"])
 
     return {
         "workload": {
@@ -1005,13 +892,6 @@ def run_benchmarks(batch=16, n_points=1024, k=16, network="PointNet++ (c)",
             scale=scale,
             strategy=strategy,
             repeats=max(1, repeats - 1),
-        ),
-        "graph": bench_graph(
-            network=network,
-            batch=batch,
-            scale=scale,
-            strategy=strategy,
-            repeats=repeats,
         ),
         "sched": bench_sched(
             network=network,

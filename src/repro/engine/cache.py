@@ -9,15 +9,16 @@ skips the search entirely, no matter which code path issues it.
 
 Plug an instance into :func:`repro.neighbors.search_context` (or a
 :class:`repro.engine.BatchRunner`) and every search in scope consults
-it.  Batched lookups resolve per cloud: hits are served from the table,
-and only the missing clouds are recomputed, together, through the
+it.  A stack resolves each *distinct* cloud once: hits (and a stack's
+own repeats of one cloud) are served from the table, and only the
+still-missing distinct clouds are recomputed, together, through the
 batched substrate kernel.
 
-The cache is thread-safe, and single-cloud lookups are *single-flight*:
-when the async scheduler has several identical searches in flight
-concurrently (the same cloud pipelined on different workers), exactly
-one thread computes while the rest wait and then hit — concurrent
-duplicates never duplicate the index build.
+The cache is thread-safe, and every lookup — single cloud or stack —
+is *single-flight*: when several identical searches are in flight
+concurrently (the same cloud pipelined on different workers, each as a
+stack of one), exactly one thread computes while the rest wait and
+then hit — concurrent duplicates never duplicate the index build.
 """
 
 from __future__ import annotations
@@ -115,16 +116,6 @@ class NeighborIndexCache:
             np.dtype(dtype).name if dtype is not None else "float64",
         )
 
-    def _get(self, key):
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return entry
-
     def _put(self, key, value):
         with self._lock:
             self._entries[key] = value
@@ -133,6 +124,33 @@ class NeighborIndexCache:
                 self._entries.popitem(last=False)
                 self.evictions += 1
         return value
+
+    def _claim(self, key):
+        """One single-flight step for ``key``; call with the lock held.
+
+        Returns ``(entry, None)`` on a hit, ``(None, event)`` when
+        another thread is computing the key (wait on the event, then
+        claim again), and ``(None, None)`` when the caller now owns the
+        computation — counted as the miss — and must :meth:`_release`
+        the key once it has installed (or abandoned) the entry.
+        """
+        entry = self._entries.get(key)
+        if entry is not None:
+            self._entries.move_to_end(key)
+            self.hits += 1
+            return entry, None
+        waiter = self._pending.get(key)
+        if waiter is None:
+            self._pending[key] = threading.Event()
+            self.misses += 1
+        return None, waiter
+
+    def _release(self, keys):
+        """Give up the claims on ``keys`` and wake their waiters."""
+        with self._lock:
+            events = [self._pending.pop(key) for key in keys]
+        for event in events:
+            event.set()
 
     def _single(self, key, compute):
         """Single-flight lookup: concurrent duplicates compute once.
@@ -144,47 +162,70 @@ class NeighborIndexCache:
         """
         while True:
             with self._lock:
-                entry = self._entries.get(key)
-                if entry is not None:
-                    self._entries.move_to_end(key)
-                    self.hits += 1
-                    return entry
-                waiter = self._pending.get(key)
-                if waiter is None:
-                    self._pending[key] = threading.Event()
-                    self.misses += 1
-                    break
+                entry, waiter = self._claim(key)
+            if entry is not None:
+                return entry
+            if waiter is None:
+                break
             waiter.wait()
         try:
-            value = self._put(key, compute())
+            return self._put(key, compute())
         finally:
-            with self._lock:
-                event = self._pending.pop(key, None)
-            if event is not None:
-                event.set()
-        return value
+            self._release([key])
 
     def _lookup_batch(self, kind, points, queries, params, compute, tag=None):
-        """Resolve a (B, ...) batch: cached clouds hit, misses batch-compute."""
-        batch = points.shape[0]
+        """Resolve a (B, ...) stack: each distinct cloud once, single-flight.
+
+        One pass under the lock sorts the stack's distinct keys into
+        hits, keys another thread is already computing, and keys this
+        thread claims (a repeat of a cloud inside the stack is a hit).
+        The claimed clouds compute together in one ``compute`` call and
+        their claims are released before this thread waits on anyone
+        else's — so two stacks claiming overlapping keys in opposite
+        orders cannot deadlock.
+        """
         keys = [
             self._key(kind, points[b], queries[b], *params, tag=tag)
-            for b in range(batch)
+            for b in range(points.shape[0])
         ]
-        results = [self._get(key) for key in keys]
-        missing = [b for b in range(batch) if results[b] is None]
-        if missing:
-            first, second = compute(points[missing], queries[missing])
-            for j, b in enumerate(missing):
-                # Copy out of the batch buffer: caching a view would pin
-                # the whole (M, Q, k) compute output for as long as any
-                # one cloud survives in the LRU.
-                results[b] = self._put(
-                    keys[b], (first[j].copy(), second[j].copy())
-                )
+        first_row = {}
+        for b, key in enumerate(keys):
+            first_row.setdefault(key, b)
+        found, claimed, awaited = {}, [], []
+        with self._lock:
+            for key in first_row:
+                entry, waiter = self._claim(key)
+                if entry is not None:
+                    found[key] = entry
+                elif waiter is None:
+                    claimed.append(key)
+                else:
+                    awaited.append(key)
+            self.hits += len(keys) - len(first_row)
+        if claimed:
+            try:
+                rows = [first_row[key] for key in claimed]
+                first, second = compute(points[rows], queries[rows])
+                for j, key in enumerate(claimed):
+                    # Copy out of the batch buffer: caching a view would
+                    # pin the whole (M, Q, k) compute output for as long
+                    # as any one cloud survives in the LRU.
+                    found[key] = self._put(
+                        key, (first[j].copy(), second[j].copy())
+                    )
+            finally:
+                self._release(claimed)
+        for key in awaited:
+            row = slice(first_row[key], first_row[key] + 1)
+
+            def compute_one():
+                first, second = compute(points[row], queries[row])
+                return first[0], second[0]
+
+            found[key] = self._single(key, compute_one)
         return (
-            np.stack([r[0] for r in results]),
-            np.stack([r[1] for r in results]),
+            np.stack([found[key][0] for key in keys]),
+            np.stack([found[key][1] for key in keys]),
         )
 
     # -- lookups ------------------------------------------------------------

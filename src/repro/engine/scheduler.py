@@ -1,23 +1,23 @@
 """Async N/F-overlap scheduler: dependency-driven network execution.
 
-The serial executors walk a graph front to back, so the neighbor
+The serial executor walks a graph front to back, so the neighbor
 search finishes before the first hoisted MLP layer starts — even
 though delayed aggregation makes the two independent.  This module
 turns the operator-graph IR into an actual concurrency substrate:
 
-* :class:`OverlapExecutor` executes one module graph dependency-first
-  through the IR's :class:`~repro.graph.ir.Frontier`.  N-lane nodes
-  (the sample→search chain, per :func:`~repro.graph.schedule.node_lane`)
-  are submitted to a worker pool while F-lane nodes (the hoisted MLP
-  chain) run inline on the scheduling thread, so neighbor search and
-  feature computation overlap per module — the paper's N/F overlap
-  (§V), in software.
-* :class:`OverlapNetworkExecutor` does the same over a *whole-network*
-  graph (:mod:`repro.graph.network`): because stage coordinates flow
-  through explicit ``coords`` nodes, module i+1's sample→search chain
-  is ready while module i's hoisted MLP and aggregation still drain —
-  N/F overlap across module boundaries, which per-module execution
-  cannot express.
+* :class:`OverlapExecutor` is the graph interpreter
+  (:class:`~repro.graph.executors.GraphExecutor`) with one override: it
+  walks a graph dependency-first through the IR's
+  :class:`~repro.graph.ir.Frontier` instead of front to back.  N-lane
+  nodes (the sample→search chain, per
+  :func:`~repro.graph.schedule.node_lane`) are submitted to a worker
+  pool while F-lane nodes (the hoisted MLP chain) run inline on the
+  scheduling thread, so neighbor search and feature computation
+  overlap — the paper's N/F overlap (§V), in software.  Over a
+  *whole-network* graph (:mod:`repro.graph.network`) stage coordinates
+  flow through explicit ``coords`` nodes, so module i+1's
+  sample→search chain is ready while module i's hoisted MLP and
+  aggregation still drain — N/F overlap across module boundaries.
 * :class:`AsyncRunner` serves batches with the same API as
   :class:`~repro.engine.runner.BatchRunner` but pipelines multiple
   clouds in flight: each cloud walks the full network graph on its own
@@ -46,8 +46,7 @@ import warnings
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 
-from ..graph.executors import EagerExecutor
-from ..graph.network import NetworkEagerExecutor
+from ..graph.executors import GraphExecutor
 from ..graph.schedule import node_lane
 from ..neighbors import active_search_options, search_context
 from ..neural import no_grad
@@ -57,7 +56,6 @@ from .runner import BatchRunner
 __all__ = [
     "AsyncRunner",
     "OverlapExecutor",
-    "OverlapNetworkExecutor",
     "async_forward_task",
     "network_forward_task",
 ]
@@ -65,7 +63,7 @@ __all__ = [
 _BACKENDS = ("thread", "process", "serial")
 
 
-def _drive_frontier(graph, execute, pool, options, on_complete=None):
+def _drive_frontier(graph, execute, pool, options):
     """Walk ``graph`` dependency-first, pooling N-lane nodes.
 
     ``execute(node, env)`` computes one node's value; ready N-lane
@@ -112,16 +110,20 @@ def _drive_frontier(graph, execute, pool, options, on_complete=None):
     return env
 
 
-class OverlapExecutor(EagerExecutor):
-    """Dependency-driven single-cloud executor with N/F overlap.
+class OverlapExecutor(GraphExecutor):
+    """Dependency-driven graph executor with N/F overlap.
 
-    Drop-in for :class:`~repro.graph.executors.EagerExecutor` (same
-    ``run`` contract, same per-node arithmetic — outputs are
-    bit-identical).  Instead of walking the node list serially it walks
-    the graph's dependency frontier: every ready N-lane node is
-    submitted to ``pool`` while ready F-lane nodes execute inline, so a
-    delayed-aggregation graph runs its neighbor search concurrently
-    with its hoisted MLP chain.
+    Drop-in for :class:`~repro.graph.executors.GraphExecutor` (same
+    ``run`` / ``run_network`` contracts, same per-node arithmetic —
+    outputs are bit-identical).  Instead of walking the node list
+    serially it walks the graph's dependency frontier: every ready
+    N-lane node is submitted to ``pool`` while ready F-lane nodes
+    execute inline, so a delayed-aggregation graph runs its neighbor
+    search concurrently with its hoisted MLP chain — and, over a
+    network graph, module i+1's sample→search chain is submitted the
+    moment module i's sampling chain completes, while module i's
+    hoisted MLP and aggregation are still draining on the scheduling
+    thread.
 
     Parameters
     ----------
@@ -145,69 +147,24 @@ class OverlapExecutor(EagerExecutor):
         self.pool = pool
         self.observer = observer
 
-    def run(self, graph, module, coords, features, centroid_idx=None):
-        """Execute ``graph`` dependency-first; see :class:`EagerExecutor`."""
-        segments, shared_env, state = self._init_run(module)
+    def _walk(self, graph, execute):
+        """Compute every node dependency-first, pooling the N lane."""
+        observer = self.observer
+
+        def observed(node, env):
+            observer("start", node)
+            value = execute(node, env)
+            observer("finish", node)
+            return value
+
         # Search options are thread-local: capture the scheduler
         # thread's scope and re-enter it around pooled nodes so a
         # worker-thread search still sees the engine's substrate,
         # cache and dtype choice.
-        options = active_search_options()
-
-        def execute(node, env):
-            if self.observer is not None:
-                self.observer("start", node)
-            value = self._exec_node(
-                node, env, module, coords, features, centroid_idx, segments,
-                state,
-            )
-            if self.observer is not None:
-                self.observer("finish", node)
-            return value
-
-        shared_env.update(
-            _drive_frontier(graph, execute, self.pool, options)
+        return _drive_frontier(
+            graph, execute if observer is None else observed, self.pool,
+            active_search_options(),
         )
-        return self._finish(graph, shared_env, state)
-
-
-class OverlapNetworkExecutor(NetworkEagerExecutor):
-    """Whole-network graph executor with cross-module N/F overlap.
-
-    Drop-in for :class:`~repro.graph.network.NetworkEagerExecutor`
-    (same ``run_network`` contract, same per-node arithmetic — outputs
-    are bit-identical).  Walking the network graph's dependency
-    frontier instead of its node list means module i+1's sample→search
-    chain is submitted to the pool the moment module i's sampling chain
-    completes — while module i's hoisted MLP and aggregation are still
-    draining on the scheduling thread.  This is the cross-module
-    overlap the per-module :class:`OverlapExecutor` cannot express.
-
-    Parameters as for :class:`OverlapExecutor`.
-    """
-
-    def __init__(self, pool=None, recorder=None, observer=None):
-        super().__init__(recorder)
-        self.pool = pool
-        self.observer = observer
-
-    def run_network(self, ngraph, network, coords):
-        """Execute the network graph dependency-first."""
-        shared_env = self._start_run(ngraph, coords)
-        options = active_search_options()
-
-        def execute(node, env):
-            if self.observer is not None:
-                self.observer("start", node)
-            value = self._exec_network_node(node, env, ngraph, coords)
-            if self.observer is not None:
-                self.observer("finish", node)
-            return value
-
-        shared_env.update(
-            _drive_frontier(ngraph.graph, execute, self.pool, options)
-        )
-        return self._network_outputs(ngraph, shared_env)
 
 
 def async_forward_task(args):
@@ -276,9 +233,9 @@ class AsyncRunner(BatchRunner):
 
     :meth:`run` pipelines up to ``in_flight`` clouds concurrently, each
     executing its full network forward through an
-    :class:`OverlapExecutor` (per-module N/F overlap on a shared search
-    pool).  Outputs are bit-exact matches of the serial per-cloud eager
-    loop (:meth:`run_sequential`, inherited — the baseline the ``sched``
+    :class:`OverlapExecutor` (N/F overlap on a shared search pool).
+    Outputs are bit-exact matches of the serial per-cloud eager loop
+    (:meth:`run_sequential`, inherited — the baseline the ``sched``
     bench row measures against); speedup comes purely from concurrency
     and therefore scales with cores.
 
@@ -408,7 +365,7 @@ class AsyncRunner(BatchRunner):
             if self._kernel_executor is not None:
                 executor = self._kernel_executor
             else:
-                executor = OverlapNetworkExecutor(pool)
+                executor = OverlapExecutor(pool)
             return self.network.forward(
                 cloud, strategy=self.strategy, executor=executor,
             )

@@ -7,7 +7,7 @@ builds its operator graph in ``original`` form
 (:func:`~repro.graph.build.build_module_graph`), the ``delayed`` and
 ``limited`` strategies are graph-rewrite passes
 (:mod:`~repro.graph.passes`), and the rewritten graph feeds every
-consumer — eager and batched executors
+consumer — the graph interpreter
 (:mod:`~repro.graph.executors`), the profiling trace lowering
 (:mod:`~repro.graph.lower`), the engine's execution plans
 (:mod:`~repro.graph.plan`), and the N/F-overlap schedule lowering
@@ -19,9 +19,8 @@ from .._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "build_module_graph": "build",
     "search_signature": "build",
-    "BatchedExecutor": "executors",
-    "EagerExecutor": "executors",
     "ExecutionResult": "executors",
+    "GraphExecutor": "executors",
     "OpRecorder": "executors",
     "KINDS": "ir",
     "Frontier": "ir",
@@ -33,8 +32,6 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "lower_graph": "lower",
     "lower_module_trace": "lower",
     "lower_network_trace": "lower",
-    "NetworkBatchedExecutor": "network",
-    "NetworkEagerExecutor": "network",
     "NetworkGraph": "network",
     "NetworkGraphBuilder": "network",
     "NetworkOutput": "network",

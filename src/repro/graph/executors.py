@@ -1,20 +1,35 @@
-"""Pluggable executors: run a module graph over real point data.
+"""The graph interpreter: run module and network graphs over real point data.
 
-Two executors consume the same graphs:
+One class, :class:`GraphExecutor`, interprets both graph forms over the
+autograd tensors, and it knows one arity: **a cloud is a stack of one**.
+Coordinates are ``(batch, n, 3)`` stacks and features flat
+``(batch * n, C)`` tensors in cloud-major row order; the neighbor
+search runs over the stack, the resulting cloud-local indices are
+lifted into the flat row space, and every downstream node processes the
+whole stack as one tall matrix — the same arithmetic per row at every
+height, which is why a stack of one agrees bit for bit with the same
+cloud inside a taller stack.  The single-cloud front doors
+(:meth:`repro.core.module.PointCloudModule.forward`,
+:meth:`repro.networks.base.PointCloudNetwork.forward`) lift with
+``cloud[None]`` and unwrap the result; the executor never looks at
+rank.
 
-* :class:`EagerExecutor` — single-cloud numpy/autograd execution; this
-  is what :meth:`repro.core.module.PointCloudModule.forward` runs.
-* :class:`BatchedExecutor` — a stack of clouds at once: the neighbor
-  search runs batched, the resulting cloud-local indices are lifted
-  into the flat ``batch * n`` row space, and every downstream node then
-  processes the whole batch as one tall matrix — the same arithmetic
-  per row as the single-cloud path, which is why batched and single
-  outputs agree to machine precision.
+* :meth:`GraphExecutor.run` executes one *module* graph;
+* :meth:`GraphExecutor.run_network` executes a whole-*network* graph
+  (:mod:`repro.graph.network`): module-region nodes go through the same
+  per-node arithmetic, heads / decoders / skip glue are handled beside
+  them;
+* :meth:`GraphExecutor.run_composed` is the per-module composition
+  reference the network-graph tests compare against.
 
-Executors dispatch per node kind; an optional :class:`OpRecorder`
-captures the shape of every logical operator actually executed (fused
-nodes record their constituents), which the trace/execution-consistency
-tests compare against the graph's lowered :class:`~repro.profiling.trace.Trace`.
+Subclasses change only *how nodes are walked* (:meth:`GraphExecutor._walk`);
+:class:`repro.engine.scheduler.OverlapExecutor` walks the dependency
+frontier instead of the node list.
+
+An optional :class:`OpRecorder` captures the shape of every logical
+operator actually executed (fused nodes record their constituents),
+which the trace/execution-consistency tests compare against the graph's
+lowered :class:`~repro.profiling.trace.Trace`.
 """
 
 from __future__ import annotations
@@ -24,9 +39,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..neighbors import neighbor_search
+from ..neural import Tensor, concat
 from ..neural.layers import Linear
+from .network import MODULE_KINDS
 
-__all__ = ["BatchedExecutor", "EagerExecutor", "ExecutionResult", "OpRecorder"]
+__all__ = ["ExecutionResult", "GraphExecutor", "OpRecorder"]
 
 
 @dataclass
@@ -76,67 +93,36 @@ def _mlp_segments(mlp):
     return [layers[a:b] for a, b in zip(starts, bounds[1:])]
 
 
-class EagerExecutor:
-    """Single-cloud graph interpreter over the autograd tensors."""
+class GraphExecutor:
+    """The graph interpreter over the autograd tensors.
+
+    ``coords`` values are ``(batch, n, 3)`` stacks and feature values
+    flat ``(batch * n, C)`` tensors in cloud-major row order; a single
+    cloud is the stack of height one its front door lifts it into.
+    Only sampling, search and the per-cloud network glue know about the
+    stack at all — every other node works on flat rows.
+    """
 
     def __init__(self, recorder=None):
         self.recorder = recorder
 
-    # -- data plumbing (overridden by the batched executor) -----------------
-
-    def _n_in(self, coords):
-        return coords.shape[0]
-
-    def _sample(self, module, coords, centroid_idx):
-        """Cloud-local centroid ids plus their rows in the feature table."""
-        if centroid_idx is None:
-            centroid_idx = module._sample_centroids(self._n_in(coords))
-            derived = True
-        else:
-            derived = False
-        return centroid_idx, np.asarray(centroid_idx), derived
-
-    def _search(self, node, module, coords, features, centroid_idx, tag):
-        if node.attrs["space"] == "coords":
-            space = coords
-        else:
-            space = features.data
-        indices, _ = neighbor_search(
-            space, space[centroid_idx], module.spec.k, tag=tag
-        )
-        return indices, indices, space.shape[-1]
-
-    # -- driver ---------------------------------------------------------------
+    # -- drivers ------------------------------------------------------------
 
     def run(self, graph, module, coords, features, centroid_idx=None):
-        """Execute ``graph`` for ``module`` over one cloud (or flat batch).
+        """Execute a module ``graph`` for ``module`` over a stack of clouds.
 
-        ``coords``/``features`` follow the module forward contract;
-        ``centroid_idx`` optionally pins externally-chosen centroids
-        (multi-scale grouping shares one set across branches).
+        ``coords`` is ``(batch, n_in, 3)`` and ``features`` the flat
+        ``(batch * n_in, m)`` tensor; ``centroid_idx`` optionally pins
+        externally-chosen cloud-local centroids (multi-scale grouping
+        shares one set across branches).
         """
-        segments, env, state = self._init_run(module)
-        for node in graph:
-            env[node.id] = self._exec_node(
-                node, env, module, coords, features, centroid_idx, segments,
-                state,
-            )
-        return self._finish(graph, env, state)
+        segments, state = self._init_run(module)
 
-    def _init_run(self, module):
-        """Per-run scratch shared with subclasses: (segments, env, state)."""
-        state = {
-            "centroid_local": None,  # cloud-local centroid ids
-            "centroid_rows": None,   # rows into the flat feature table
-            "derived_centroids": False,
-            "indices_local": None,   # cloud-local NIT indices
-            "indices_rows": None,    # row-space NIT indices
-            "pft": None,
-        }
-        return _mlp_segments(module.mlp), {}, state
+        def execute(node, env):
+            return self._exec_node(node, env, module, coords, features,
+                                   centroid_idx, segments, state)
 
-    def _finish(self, graph, env, state):
-        """Package the executed graph's output (shared with subclasses)."""
+        env = self._walk(graph, execute)
         if len(graph.outputs) != 1:
             raise ValueError("module graphs produce exactly one output")
         return ExecutionResult(
@@ -146,7 +132,85 @@ class EagerExecutor:
             state["pft"],
         )
 
-    # -- node dispatch -------------------------------------------------------
+    def run_network(self, ngraph, network, coords):
+        """Execute the whole network graph over a ``(batch, n, 3)`` stack."""
+        self._start_run(ngraph, coords)
+
+        def execute(node, env):
+            return self._exec_network_node(node, env, ngraph, coords)
+
+        return self._network_outputs(ngraph, self._walk(ngraph.graph, execute))
+
+    def run_composed(self, ngraph, network, coords):
+        """Per-module composition reference: the pre-network-graph path.
+
+        Every module region executes through
+        :meth:`~repro.core.module.PointCloudModule.forward_batch` (a
+        fresh per-module executor, exactly as networks composed modules
+        before whole-network graphs); glue nodes still interpret the
+        graph.  Outputs are bit-exact against :meth:`run_network` — the
+        ``netgraph`` bench row measures the two against each other.
+        """
+        self._start_run(ngraph, coords)
+        env = {}
+        regions = {region.module: region for region in ngraph.regions}
+        done = set()
+        for node in ngraph.graph:
+            index = node.attrs.get("module")
+            if index is not None:
+                if index in done:
+                    continue
+                region = regions[index]
+                out = ngraph.refs[index].forward_batch(
+                    env[region.coords], env[region.feats],
+                    strategy=ngraph.strategy,
+                )
+                env[region.sample] = out.nit.centroids
+                env[region.output] = out.features
+                done.add(index)
+                continue
+            env[node.id] = self._exec_network_node(node, env, ngraph, coords)
+        return self._network_outputs(ngraph, env)
+
+    def _walk(self, graph, execute):
+        """Compute every node with ``execute(node, env)``, front to back.
+
+        The one method a subclass overrides: *when* nodes run is the
+        walker's business, *what* they compute never is.
+        """
+        env = {}
+        for node in graph:
+            env[node.id] = execute(node, env)
+        return env
+
+    def _init_run(self, module):
+        """Per-run scratch of one module (region): ``(segments, state)``."""
+        state = {
+            "centroid_local": None,  # cloud-local centroid ids
+            "centroid_rows": None,   # rows into the flat feature table
+            "derived_centroids": False,
+            "indices_local": None,   # cloud-local NIT indices
+            "indices_rows": None,    # row-space NIT indices
+            "pft": None,
+        }
+        return _mlp_segments(module.mlp), state
+
+    def _start_run(self, ngraph, coords):
+        self._nclouds = coords.shape[0]
+        # Pre-create per-region scratch so a pooled frontier walk never
+        # races two threads on first touch of a module's state.
+        self._module_runs = {
+            region.module: self._init_run(ngraph.refs[region.module])
+            for region in ngraph.regions
+        }
+
+    # -- module-region dispatch ----------------------------------------------
+
+    @staticmethod
+    def _row_base(coords):
+        """First flat feature row of every cloud of the stack, as a column."""
+        batch, n_in = coords.shape[0], coords.shape[1]
+        return (np.arange(batch, dtype=np.int64) * n_in)[:, None]
 
     def _exec_node(self, node, env, module, coords, features, centroid_idx,
                    segments, state):
@@ -154,28 +218,42 @@ class EagerExecutor:
         if kind == "input":
             return features
         if kind == "sample":
-            local, rows, derived = self._sample(module, coords, centroid_idx)
+            n_in = coords.shape[1]
+            local = centroid_idx
+            if local is None:
+                local = module._sample_centroids(n_in)
             state["centroid_local"] = local
-            state["centroid_rows"] = rows
-            state["derived_centroids"] = derived
+            state["centroid_rows"] = (
+                np.asarray(local)[None, :] + self._row_base(coords)
+            ).reshape(-1)
+            state["derived_centroids"] = centroid_idx is None
             if self.recorder is not None:
-                self.recorder.record("sample", n_points=self._n_in(coords),
-                             n_samples=len(np.atleast_1d(local)))
+                self.recorder.record("sample", n_points=n_in,
+                                     n_samples=len(np.atleast_1d(local)))
             return local
         if kind == "search":
+            batch, n_in = coords.shape[0], coords.shape[1]
+            if node.attrs["space"] == "coords":
+                space = coords
+            else:
+                space = features.data.reshape(batch, n_in, module.spec.in_dim)
             # Cache keying by node signature is only sound when the
             # queries are the node's own deterministic centroid draw.
             tag = node.attrs.get("signature") if state["derived_centroids"] \
                 else None
-            local, rows, dim = self._search(
-                node, module, coords, features, state["centroid_local"], tag
+            local, _ = neighbor_search(
+                space, space[:, state["centroid_local"]], module.spec.k,
+                tag=tag,
+            )
+            rows = (local + self._row_base(coords)[:, None]).reshape(
+                batch * local.shape[1], local.shape[2]
             )
             state["indices_local"] = local
             state["indices_rows"] = rows
             if self.recorder is not None:
                 self.recorder.record("search", n_queries=local.shape[-2],
-                             n_points=self._n_in(coords), k=local.shape[-1],
-                             dim=dim)
+                                     n_points=n_in, k=local.shape[-1],
+                                     dim=space.shape[-1])
             return rows
         if kind == "gather":
             return self._gather(env[node.inputs[0]], state)
@@ -190,7 +268,11 @@ class EagerExecutor:
         if kind == "matmul":
             return self._matmul(node, env[node.inputs[0]], segments, state)
         if kind == "reduce_max":
-            return self._reduce_max(env[node.inputs[0]], state)
+            # The un-fused node form: rows*k flat rows (or a gather's
+            # block) back to (rows, k, dim) before the reduction.
+            x = env[node.inputs[0]]
+            k = state["indices_rows"].shape[1]
+            return self._reduce_max(x.reshape(-1, k, x.shape[-1]), state)
         if kind == "aggregate":
             source = env[node.inputs[0]]
             gathered = self._gather(source, state)
@@ -200,11 +282,6 @@ class EagerExecutor:
             return self._subtract_pre(gathered, source, state)
         if kind == "epilogue":
             return self._epilogue(node, env[node.inputs[0]], segments)
-        if kind == "concat":
-            from ..neural import concat
-
-            return concat([env[i] for i in node.inputs],
-                          axis=node.attrs.get("axis", 1))
         raise ValueError(f"executor cannot handle node kind {kind!r}")
 
     # -- operator semantics (identical to the pre-IR strategy bodies) --------
@@ -248,11 +325,6 @@ class EagerExecutor:
         return out
 
     def _reduce_max(self, x, state):
-        if x.ndim == 2:
-            # Un-fused original/limited path: rows*k flat rows back to
-            # (rows, k, dim) before the neighborhood reduction.
-            k = state["indices_rows"].shape[1]
-            x = x.reshape(x.shape[0] // k, k, x.shape[1])
         reduced = x.max(axis=1)
         if self.recorder is not None:
             self.recorder.record("reduce_max", n_centroids=x.shape[0], k=x.shape[1],
@@ -271,43 +343,80 @@ class EagerExecutor:
             x = layer(x)
         return x
 
+    # -- network-level dispatch ----------------------------------------------
 
-class BatchedExecutor(EagerExecutor):
-    """Flat-batch graph interpreter: one tall matrix per node.
+    def _exec_network_node(self, node, env, ngraph, coords):
+        kind = node.kind
+        if kind in MODULE_KINDS:
+            index = node.attrs["module"]
+            segments, state = self._module_runs[index]
+            # Stage bindings are fetched leniently: a coords-space
+            # sample/search legitimately runs before its stage features
+            # exist — that gap IS the cross-module overlap.  Nodes that
+            # do consume a binding carry it as a real input edge, so
+            # the frontier guarantees it is present by execution time.
+            return self._exec_node(
+                node, env, ngraph.refs[index],
+                env.get(node.attrs.get("coords")),
+                env.get(node.attrs.get("feats")),
+                None, segments, state,
+            )
+        nclouds = self._nclouds
+        if kind == "coords":
+            if not node.inputs:
+                return coords
+            return env[node.inputs[0]][:, env[node.inputs[1]]]
+        if kind == "lift":
+            stage = env[node.inputs[0]]
+            return Tensor(stage.reshape(-1, stage.shape[-1]).copy())
+        if kind == "head":
+            out = ngraph.refs[node.attrs["ref"]](env[node.inputs[0]])
+            if self.recorder is not None:
+                self.recorder.record("head", rows=out.shape[0],
+                                     dims=node.attrs["dims"])
+            return out
+        if kind == "propagate":
+            fp = ngraph.refs[node.attrs["ref"]]
+            out = fp.forward_batch(*(env[i] for i in node.inputs))
+            if self.recorder is not None:
+                self.recorder.record("propagate", rows=out.shape[0],
+                                     dims=node.attrs["dims"])
+            return out
+        if kind == "global_max":
+            x = env[node.inputs[0]]
+            rows = x.shape[0] // nclouds
+            out = x.reshape(nclouds, rows, x.shape[1]).max(axis=1)
+            if self.recorder is not None:
+                self.recorder.record("global_max", k=rows, dim=x.shape[1])
+            return out
+        if kind == "broadcast":
+            idx = np.repeat(np.arange(nclouds), node.attrs["rows"])
+            return env[node.inputs[0]].gather(idx)
+        if kind == "select":
+            logits = env[node.inputs[1]].data
+            scores = (logits[:, 1] - logits[:, 0]).reshape(nclouds, -1)
+            order = np.argsort(-scores, axis=1,
+                               kind="stable")[:, :node.attrs["n_select"]]
+            selected = np.take_along_axis(env[node.inputs[0]],
+                                          order[:, :, None], axis=1)
+            return selected - selected.mean(axis=1, keepdims=True)
+        if kind == "concat":
+            if self.recorder is not None:
+                self.recorder.record("concat", rows=node.attrs.get("rows"),
+                                     dim=node.attrs.get("dim"),
+                                     traced=node.attrs.get("traced", True))
+            return concat([env[i] for i in node.inputs],
+                          axis=node.attrs.get("axis", 1))
+        raise ValueError(f"network executor cannot handle kind {kind!r}")
 
-    ``coords`` is (batch, n_in, 3) and ``features`` the flat
-    (batch * n_in, m) tensor in cloud-major row order.  Only sampling
-    and search differ from the eager executor — every other node works
-    on flat rows unchanged.
-    """
-
-    def _n_in(self, coords):
-        return coords.shape[1]
-
-    def _row_base(self, coords):
-        batch, n_in = coords.shape[0], coords.shape[1]
-        return (np.arange(batch, dtype=np.int64) * n_in)[:, None]
-
-    def _sample(self, module, coords, centroid_idx):
-        if centroid_idx is None:
-            centroid_idx = module._sample_centroids(self._n_in(coords))
-            derived = True
-        else:
-            derived = False
-        rows = (np.asarray(centroid_idx)[None, :]
-                + self._row_base(coords)).reshape(-1)
-        return centroid_idx, rows, derived
-
-    def _search(self, node, module, coords, features, centroid_idx, tag):
-        batch, n_in = coords.shape[0], coords.shape[1]
-        if node.attrs["space"] == "coords":
-            space = coords
-        else:
-            space = features.data.reshape(batch, n_in, module.spec.in_dim)
-        indices, _ = neighbor_search(
-            space, space[:, centroid_idx], module.spec.k, tag=tag
-        )
-        rows = (indices + self._row_base(coords)[:, None]).reshape(
-            batch * indices.shape[1], indices.shape[2]
-        )
-        return indices, rows, space.shape[-1]
+    def _network_outputs(self, ngraph, env):
+        values = {}
+        for out in ngraph.outputs:
+            value = env[out.node]
+            if out.per_point:
+                rows = value.shape[0] // self._nclouds
+                value = value.reshape(self._nclouds, rows, value.shape[1])
+            values[out.name] = value
+        if len(values) == 1 and None in values:
+            return values[None]
+        return values

@@ -25,15 +25,14 @@ sample→search chain depends only on the *sampling* chain of its
 predecessors: `schedule_graph` over a network graph therefore exposes
 cross-module N/F overlap — module i+1's neighbor search is ready while
 module i's MLP and aggregation still drain — which
-:class:`repro.engine.scheduler.OverlapNetworkExecutor` exploits at run
-time.
+:class:`repro.engine.scheduler.OverlapExecutor` exploits at run time.
 
-Executors here reuse the per-node arithmetic of
-:class:`~repro.graph.executors.EagerExecutor` /
-:class:`~repro.graph.executors.BatchedExecutor` verbatim, so
+:class:`~repro.graph.executors.GraphExecutor` interprets these graphs
+with the same per-node arithmetic it runs module graphs with, so
 whole-network execution is bit-exact against composing the same modules
-through :meth:`repro.core.module.PointCloudModule.forward` — the
-pre-network-graph path, kept available as :meth:`run_composed` (the
+through :meth:`repro.core.module.PointCloudModule.forward_batch` — the
+pre-network-graph path, kept available as
+:meth:`~repro.graph.executors.GraphExecutor.run_composed` (the
 ``netgraph`` bench baseline).
 """
 
@@ -41,17 +40,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .build import build_module_graph
-from .executors import BatchedExecutor, EagerExecutor
 from .ir import Graph, resolve_dim, shape_env
 from .passes import run_pipeline
 from .schedule import schedule_graph
 
 __all__ = [
-    "NetworkBatchedExecutor",
-    "NetworkEagerExecutor",
     "NetworkGraph",
     "NetworkGraphBuilder",
     "NetworkOutput",
@@ -73,9 +67,9 @@ _NON_DIM_ATTRS = ("space", "signature", "mode")
 class NetworkOutput:
     """One named network output.
 
-    ``per_point`` marks per-point logits that reshape to
-    ``(batch, n, C)`` under batched execution (single-cloud execution
-    returns the flat ``(n, C)`` rows unchanged).
+    ``per_point`` marks per-point logits: executors reshape their flat
+    rows to ``(batch, n, C)``, and the single-cloud front door unwraps
+    the stack of one to ``(n, C)``.
     """
 
     node: int
@@ -334,207 +328,3 @@ def build_network_graph(network, strategy="delayed"):
     )
     return NetworkGraph(network.name, strategy, graph, tuple(builder.refs),
                         outputs, _collect_regions(graph))
-
-
-class _NetworkRunMixin:
-    """Whole-network execution over the module executors' arithmetic.
-
-    Mixed into :class:`~repro.graph.executors.EagerExecutor` /
-    :class:`~repro.graph.executors.BatchedExecutor`: module-region nodes
-    dispatch through the inherited ``_exec_node`` (identical per-node
-    arithmetic, hence bit-exact against per-module execution), and the
-    network-level kinds are handled here with the per-cloud reshapes as
-    the only single/batched difference.
-    """
-
-    # -- drivers ------------------------------------------------------------
-
-    def run_network(self, ngraph, network, coords):
-        """Execute the whole network graph over ``coords``."""
-        env = self._start_run(ngraph, coords)
-        for node in ngraph.graph:
-            env[node.id] = self._exec_network_node(node, env, ngraph, coords)
-        return self._network_outputs(ngraph, env)
-
-    def run_composed(self, ngraph, network, coords):
-        """Per-module composition baseline: the pre-network-graph path.
-
-        Every module region executes through
-        :meth:`~repro.core.module.PointCloudModule.forward` /
-        ``forward_batch`` (a fresh per-module executor, exactly as
-        networks composed modules before whole-network graphs); glue
-        nodes still interpret the graph.  Outputs are bit-exact against
-        :meth:`run_network` — the ``netgraph`` bench row measures the
-        two against each other.
-        """
-        env = self._start_run(ngraph, coords)
-        regions = {region.module: region for region in ngraph.regions}
-        done = set()
-        for node in ngraph.graph:
-            index = node.attrs.get("module")
-            if index is not None:
-                if index in done:
-                    continue
-                region = regions[index]
-                out = self._module_forward(
-                    ngraph.refs[index], env[region.coords],
-                    env[region.feats], ngraph.strategy,
-                )
-                env[region.sample] = out.nit.centroids
-                env[region.output] = out.features
-                done.add(index)
-                continue
-            env[node.id] = self._exec_network_node(node, env, ngraph, coords)
-        return self._network_outputs(ngraph, env)
-
-    def _start_run(self, ngraph, coords):
-        self._nclouds = self._batch_size(coords)
-        # Pre-create per-region scratch so a pooled frontier walk never
-        # races two threads on first touch of a module's state.
-        self._module_runs = {}
-        for region in ngraph.regions:
-            segments, _, state = self._init_run(ngraph.refs[region.module])
-            self._module_runs[region.module] = (segments, state)
-        return {}
-
-    # -- node dispatch -------------------------------------------------------
-
-    def _exec_network_node(self, node, env, ngraph, coords):
-        kind = node.kind
-        if kind in MODULE_KINDS:
-            index = node.attrs["module"]
-            segments, state = self._module_runs[index]
-            # Stage bindings are fetched leniently: a coords-space
-            # sample/search legitimately runs before its stage features
-            # exist — that gap IS the cross-module overlap.  Nodes that
-            # do consume a binding carry it as a real input edge, so
-            # the frontier guarantees it is present by execution time.
-            return self._exec_node(
-                node, env, ngraph.refs[index],
-                env.get(node.attrs.get("coords")),
-                env.get(node.attrs.get("feats")),
-                None, segments, state,
-            )
-        if kind == "coords":
-            if not node.inputs:
-                return coords
-            return self._index_coords(env[node.inputs[0]],
-                                      env[node.inputs[1]])
-        if kind == "lift":
-            return self._lift(env[node.inputs[0]])
-        if kind == "head":
-            out = ngraph.refs[node.attrs["ref"]](env[node.inputs[0]])
-            if self.recorder is not None:
-                self.recorder.record("head", rows=out.shape[0],
-                                     dims=node.attrs["dims"])
-            return out
-        if kind == "propagate":
-            fp = ngraph.refs[node.attrs["ref"]]
-            out = self._propagate(fp, *(env[i] for i in node.inputs))
-            if self.recorder is not None:
-                self.recorder.record("propagate", rows=out.shape[0],
-                                     dims=node.attrs["dims"])
-            return out
-        if kind == "global_max":
-            x = env[node.inputs[0]]
-            rows = x.shape[0] // self._nclouds
-            out = x.reshape(self._nclouds, rows, x.shape[1]).max(axis=1)
-            if self.recorder is not None:
-                self.recorder.record("global_max", k=rows, dim=x.shape[1])
-            return out
-        if kind == "broadcast":
-            idx = np.repeat(np.arange(self._nclouds), node.attrs["rows"])
-            return env[node.inputs[0]].gather(idx)
-        if kind == "select":
-            scores = env[node.inputs[1]].data
-            return self._select(env[node.inputs[0]],
-                                scores[:, 1] - scores[:, 0],
-                                node.attrs["n_select"])
-        if kind == "concat":
-            if self.recorder is not None:
-                self.recorder.record("concat", rows=node.attrs.get("rows"),
-                                     dim=node.attrs.get("dim"),
-                                     traced=node.attrs.get("traced", True))
-            return self._exec_node(node, env, None, None, None, None, None,
-                                   None)
-        raise ValueError(f"network executor cannot handle kind {kind!r}")
-
-    def _network_outputs(self, ngraph, env):
-        values = {}
-        for out in ngraph.outputs:
-            value = env[out.node]
-            if out.per_point:
-                value = self._per_point(value)
-            values[out.name] = value
-        if len(values) == 1 and None in values:
-            return values[None]
-        return values
-
-
-class NetworkEagerExecutor(_NetworkRunMixin, EagerExecutor):
-    """Single-cloud whole-network graph interpreter."""
-
-    def _batch_size(self, coords):
-        return 1
-
-    def _index_coords(self, prev, idx):
-        return prev[idx]
-
-    def _lift(self, coords):
-        from ..neural import Tensor
-
-        return Tensor(coords.copy())
-
-    def _propagate(self, fp, fine_coords, fine_feats, coarse_coords,
-                   coarse_feats):
-        return fp(fine_coords, fine_feats, coarse_coords, coarse_feats)
-
-    def _select(self, coords, scores, n_select):
-        order = np.argsort(-scores, kind="stable")[:n_select]
-        selected = coords[order]
-        return selected - selected.mean(axis=0, keepdims=True)
-
-    def _per_point(self, value):
-        return value
-
-    def _module_forward(self, module, coords, feats, strategy):
-        return module(coords, feats, strategy=strategy)
-
-
-class NetworkBatchedExecutor(_NetworkRunMixin, BatchedExecutor):
-    """Flat-batch whole-network graph interpreter.
-
-    ``coords`` values are ``(batch, n, 3)`` stacks, feature values flat
-    ``(batch * n, C)`` tensors in cloud-major row order — the same
-    contract as :class:`~repro.graph.executors.BatchedExecutor`, now
-    spanning heads, decoders and skip glue too.
-    """
-
-    def _batch_size(self, coords):
-        return coords.shape[0]
-
-    def _index_coords(self, prev, idx):
-        return prev[:, idx]
-
-    def _lift(self, coords):
-        from ..neural import Tensor
-
-        return Tensor(coords.reshape(-1, coords.shape[-1]).copy())
-
-    def _propagate(self, fp, fine_coords, fine_feats, coarse_coords,
-                   coarse_feats):
-        return fp.forward_batch(fine_coords, fine_feats, coarse_coords,
-                                coarse_feats)
-
-    def _select(self, coords, scores, n_select):
-        per_cloud = scores.reshape(self._nclouds, -1)
-        order = np.argsort(-per_cloud, axis=1, kind="stable")[:, :n_select]
-        selected = np.take_along_axis(coords, order[:, :, None], axis=1)
-        return selected - selected.mean(axis=1, keepdims=True)
-
-    def _per_point(self, value):
-        rows = value.shape[0] // self._nclouds
-        return value.reshape(self._nclouds, rows, value.shape[1])
-
-    def _module_forward(self, module, coords, feats, strategy):
-        return module.forward_batch(coords, feats, strategy=strategy)

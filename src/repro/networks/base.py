@@ -16,10 +16,11 @@ Since whole-network graphs landed, every network declares its topology
 *once* through a declarative :meth:`PointCloudNetwork._build_graph`
 builder (:class:`~repro.graph.network.NetworkGraphBuilder`): the entire
 network — modules, heads, feature propagation, skip concats — lowers to
-one operator graph per strategy.  ``forward`` interprets it with the
-single-cloud network executor, ``forward_batch`` with the flat-batch
-one, ``trace`` lowers the same graph to the analytic operator stream,
-and the engine's async scheduler substitutes a dependency-driven
+one operator graph per strategy.  ``forward_batch`` interprets it over a
+stack of clouds; ``forward`` lifts its one cloud into a stack of one
+and unwraps the result (a cloud is a stack of one — executors never
+look at rank); ``trace`` lowers the same graph to the analytic operator
+stream, and the engine's async scheduler substitutes a dependency-driven
 executor that overlaps neighbor search with feature computation
 *across module boundaries* — all from the same program.
 """
@@ -29,11 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import ModuleSpec
-from ..graph import (
-    NetworkBatchedExecutor,
-    NetworkEagerExecutor,
-    build_network_graph,
-)
+from ..graph import GraphExecutor, build_network_graph
 from ..neighbors import neighbor_search
 from ..neural import Dropout, Linear, Module, ReLU, Sequential, Tensor, concat, stack
 
@@ -118,25 +115,21 @@ class FeaturePropagation(Module):
         return self.mlp.export_layers()
 
     def forward(self, fine_coords, fine_feats, coarse_coords, coarse_feats):
-        """Propagate (n_coarse, C) features to (n_fine, ...) points."""
-        k = min(self.K, len(coarse_coords))
-        idx, dist = neighbor_search(coarse_coords, fine_coords, k)
-        weights = 1.0 / np.maximum(dist, 1e-8)
-        weights = weights / weights.sum(axis=1, keepdims=True)
-        gathered = coarse_feats.gather(idx)  # (n_fine, k, C)
-        interpolated = (gathered * Tensor(weights[:, :, None])).sum(axis=1)
-        if fine_feats is not None:
-            interpolated = concat([fine_feats, interpolated], axis=1)
-        return self.mlp(interpolated)
+        """Propagate (n_coarse, C) features to (n_fine, ...) points.
+
+        A cloud is a stack of one: flat feature rows already are the
+        stack form, so only the coordinates need lifting.
+        """
+        return self.forward_batch(fine_coords[None], fine_feats,
+                                  coarse_coords[None], coarse_feats)
 
     def forward_batch(self, fine_coords, fine_feats, coarse_coords, coarse_feats):
         """Batched propagation: (B, n_fine, 3) clouds, flat feature rows.
 
         ``fine_feats``/``coarse_feats`` are flat (B * n, C) Tensors in
         cloud-major order (``fine_feats`` may be None, as on the first
-        decoder level).  The three-nearest search runs batched; the
-        inverse-distance interpolation then works on flat rows, exactly
-        as the single-cloud path does per cloud.
+        decoder level).  The three-nearest search runs over the stack;
+        the inverse-distance interpolation then works on flat rows.
         """
         batch, n_fine = fine_coords.shape[0], fine_coords.shape[1]
         n_coarse = coarse_coords.shape[1]
@@ -152,6 +145,21 @@ class FeaturePropagation(Module):
         if fine_feats is not None:
             interpolated = concat([fine_feats, interpolated], axis=1)
         return self.mlp(interpolated)
+
+
+def _only_cloud(ngraph, stacked):
+    """A stack-of-one result in :meth:`PointCloudNetwork.forward`'s shapes.
+
+    Per-point outputs lose their leading stack axis; per-cloud rows
+    (``(1, C)`` logits, box parameters) already are the per-cloud form.
+    """
+    def unwrap(value, out):
+        return value.reshape(value.shape[1:]) if out.per_point else value
+
+    if isinstance(stacked, dict):
+        return {out.name: unwrap(stacked[out.name], out)
+                for out in ngraph.outputs}
+    return unwrap(stacked, ngraph.outputs[0])
 
 
 class PointCloudNetwork(Module):
@@ -208,13 +216,14 @@ class PointCloudNetwork(Module):
     def forward(self, coords, strategy="delayed", trace=None, executor=None):
         """Run the network over one (n_points, 3) cloud.
 
-        ``executor`` optionally substitutes the whole-network graph
-        executor (anything with the
-        :class:`~repro.graph.network.NetworkEagerExecutor`
-        ``run_network`` contract); the engine's async scheduler passes
-        its cross-module N/F-overlap executor here.  Returns
-        task-dependent output (class logits, per-point logits, or a
-        detection dict).
+        The cloud runs as a stack of one and the result is unwrapped to
+        the per-cloud shapes: ``(1, C)`` class logits, ``(n, C)``
+        per-point logits, or a detection dict of those.  ``executor``
+        optionally substitutes the whole-network graph executor
+        (anything with the
+        :class:`~repro.graph.executors.GraphExecutor` ``run_network``
+        contract); the engine's async scheduler passes its cross-module
+        N/F-overlap executor here.
         """
         coords = np.asarray(coords, dtype=np.float64)
         if coords.shape != (self.n_points, 3):
@@ -228,18 +237,18 @@ class PointCloudNetwork(Module):
 
             lower_network_trace(ngraph, trace)
         if executor is None:
-            executor = NetworkEagerExecutor()
-        return executor.run_network(ngraph, self, coords)
+            executor = GraphExecutor()
+        return _only_cloud(ngraph,
+                           executor.run_network(ngraph, self, coords[None]))
 
     def forward_batch(self, coords, strategy="delayed"):
         """Run the network over a (batch, n_points, 3) stack of clouds.
 
         Classification networks return a (batch, num_classes) Tensor,
         segmentation networks (batch, n_points, num_classes), detection
-        networks a dict of batched tensors.  The same network graph as
-        :meth:`forward` runs, interpreted by the flat-batch executor:
-        the whole stack goes through batched neighbor search and tall
-        shared-MLP matrices.
+        networks a dict of batched tensors.  The whole stack goes
+        through one neighbor search per module and tall shared-MLP
+        matrices.
         """
         coords = np.asarray(coords, dtype=np.float64)
         if coords.ndim == 2:
@@ -249,7 +258,7 @@ class PointCloudNetwork(Module):
                 f"{self.name} expects (batch, {self.n_points}, 3) coords, "
                 f"got {coords.shape}"
             )
-        return NetworkBatchedExecutor().run_network(
+        return GraphExecutor().run_network(
             self.network_graph(strategy), self, coords
         )
 
@@ -257,20 +266,19 @@ class PointCloudNetwork(Module):
         """Per-module composition: the pre-network-graph execution path.
 
         Each module region runs through
-        :meth:`~repro.core.module.PointCloudModule.forward` (or
-        ``forward_batch`` for a (B, N, 3) stack) exactly as networks
-        composed modules before whole-network graphs; only the glue
-        interprets the graph.  Kept as the bit-exactness baseline the
+        :meth:`~repro.core.module.PointCloudModule.forward_batch`
+        exactly as networks composed modules before whole-network
+        graphs; only the glue interprets the graph.  Takes one cloud or
+        a (B, N, 3) stack.  Kept as the bit-exactness baseline the
         ``netgraph`` bench row and the equivalence tests measure
         against.
         """
         coords = np.asarray(coords, dtype=np.float64)
+        ngraph = self.network_graph(strategy)
         if coords.ndim == 3:
-            executor = NetworkBatchedExecutor()
-        else:
-            executor = NetworkEagerExecutor()
-        return executor.run_composed(
-            self.network_graph(strategy), self, coords
+            return GraphExecutor().run_composed(ngraph, self, coords)
+        return _only_cloud(
+            ngraph, GraphExecutor().run_composed(ngraph, self, coords[None])
         )
 
     @staticmethod

@@ -102,11 +102,9 @@ def replica_working_set(network, strategy="delayed", backend=None, batch=8,
         if program_cache is not None and hasattr(program_cache,
                                                  "program_for"):
             ngraph = network.network_graph(strategy)
-            program = program_cache.program_for(ngraph, network, backend,
-                                                batched=True)
+            program = program_cache.program_for(ngraph, network, backend)
         else:
-            program = compile_kernel_program(network, strategy, backend,
-                                             batched=True)
+            program = compile_kernel_program(network, strategy, backend)
         coords = np.zeros((int(batch), network.n_points, 3),
                           dtype=backend.dtype)
         modules = dict(program.module_working_sets(coords))
@@ -453,7 +451,7 @@ class ShardRouter:
 
                 for n_points, net in nets.items():
                     descriptor, handle = parameter_descriptor(
-                        net, strategy, backend, batched=True,
+                        net, strategy, backend,
                         program_cache=program_cache,
                     )
                     if handle is not None:

@@ -25,7 +25,7 @@ from repro.backend import (
 from repro.core import ModuleSpec
 from repro.engine import AsyncRunner, BatchRunner, NeighborIndexCache, ParallelRunner
 from repro.engine.bench import bench_backend
-from repro.graph import NetworkBatchedExecutor, compile_network_plan
+from repro.graph import GraphExecutor, compile_network_plan
 from repro.neighbors import neighbor_search, raw_knn, search_context
 from repro.networks import ALL_NETWORKS, build_network
 from repro.networks.generic import GenericPointCloudNetwork
@@ -163,7 +163,7 @@ class TestKernelEquivalence:
         with no_grad():
             ref = net.forward(cloud, strategy=strategy)
             out = net.forward(cloud, strategy=strategy, executor=k64)
-            bref = NetworkBatchedExecutor().run_network(ngraph, net, clouds)
+            bref = GraphExecutor().run_network(ngraph, net, clouds)
             bout = k64.run_network(ngraph, net, clouds)
             fast = k32.run_network(ngraph, net, clouds)
         assert_bit_exact(ref, out)
@@ -173,25 +173,34 @@ class TestKernelEquivalence:
         for _, b in leaves(bref, fast):
             assert b.dtype == np.float32
 
-    def test_programs_are_memoized_per_graph_and_arity(self):
+    def test_one_program_per_graph_serves_heights_1_and_3(self):
         net = toy("PointNet++ (c)")
         executor = NetworkKernelExecutor("float64")
         ngraph = net.network_graph("delayed")
-        single = executor.program(ngraph, net, batched=False)
-        assert executor.program(ngraph, net, batched=False) is single
-        assert executor.program(ngraph, net, batched=True) is not single
+        program = executor.program(ngraph, net)
+        clouds = clouds_for(net, 3, seed=6)
+        with no_grad():
+            one = net.forward(clouds[0], strategy="delayed", executor=executor)
+            three = executor.run_network(ngraph, net, clouds)
+            assert_bit_exact(net.forward(clouds[0], strategy="delayed"), one)
+            assert_bit_exact(GraphExecutor().run_network(ngraph, net, clouds),
+                             three)
+        assert executor.program(ngraph, net) is program
+        assert len(executor._programs) == 1
+        assert one.shape == (1, 4) and three.shape == (3, 4)
+        assert program.memory_stats()["signatures"] == 2  # one plan a height
+        assert executor.program(net.network_graph("original"), net) \
+            is not program
 
-    def test_program_rejects_wrong_arity(self):
+    def test_program_takes_stacks_only(self):
         net = toy("PointNet++ (c)")
-        program = compile_kernel_program(net, "delayed", "float64",
-                                         batched=True)
-        with pytest.raises(ValueError, match="batched program"):
+        program = compile_kernel_program(net, "delayed", "float64")
+        with pytest.raises(ValueError, match="stacks only"):
             program.run(cloud_for(net))
 
     def test_outputs_do_not_alias_scratch_buffers(self):
         net = toy("PointNet++ (c)")
-        program = compile_kernel_program(net, "delayed", "float32",
-                                         batched=True)
+        program = compile_kernel_program(net, "delayed", "float32")
         with no_grad():
             first = program.run(clouds_for(net, 2, seed=3)).data.copy()
             again = program.run(clouds_for(net, 2, seed=3)).data
@@ -200,22 +209,25 @@ class TestKernelEquivalence:
 
     def test_program_is_thread_safe(self):
         net = toy("PointNet++ (c)")
-        program = compile_kernel_program(net, "delayed", "float32",
-                                         batched=False)
+        executor = NetworkKernelExecutor("float32")
         cloud = cloud_for(net, seed=5)
         results, errors = [], []
+
+        def run():
+            return net.forward(cloud, strategy="delayed",
+                               executor=executor).data.copy()
 
         def worker():
             try:
                 for _ in range(3):
-                    results.append(program.run(cloud).data.copy())
+                    results.append(run())
             except Exception as exc:  # pragma: no cover - diagnostic
                 errors.append(exc)
 
         # no_grad is entered once on this thread (the global is shared,
         # so worker threads must not enter/exit it concurrently).
         with no_grad():
-            expected = program.run(cloud).data.copy()
+            expected = run()
             threads = [threading.Thread(target=worker) for _ in range(4)]
             for t in threads:
                 t.start()

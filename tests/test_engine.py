@@ -243,6 +243,38 @@ class TestNeighborIndexCache:
         np.testing.assert_array_equal(batch_i, ref_i)
         np.testing.assert_array_equal(batch_d, ref_d)
 
+    def test_stack_resolves_each_distinct_cloud_once(self, monkeypatch):
+        from repro.engine import cache as cache_module
+
+        computed = []
+        real = cache_module.raw_knn
+
+        def recording_knn(points, *args, **kwargs):
+            computed.append(np.asarray(points).shape)
+            return real(points, *args, **kwargs)
+
+        monkeypatch.setattr(cache_module, "raw_knn", recording_knn)
+        cache = NeighborIndexCache(maxsize=16)
+        a, b = random_clouds(2, 64, seed=36)
+        stack = np.stack([a] * 4)
+        indices, distances = cache.knn(stack, stack[:, :10], 4)
+        # Four copies of one cloud: one search over one cloud, one miss,
+        # and a hit per repeat — not four misses and a (4, 64, 3) search.
+        assert computed == [(1, 64, 3)]
+        assert cache.stats()["misses"] == 1 and cache.stats()["hits"] == 3
+        assert len(cache) == 1
+        ref_i, ref_d = knn_brute_force(stack, stack[:, :10], 4)
+        np.testing.assert_array_equal(indices, ref_i)
+        np.testing.assert_array_equal(distances, ref_d)
+        # Mixed stack: the cached cloud hits (twice), the new one
+        # computes once, in stack order.
+        mixed = np.stack([a, b, a, b])
+        indices, _ = cache.knn(mixed, mixed[:, :10], 4)
+        assert computed == [(1, 64, 3), (1, 64, 3)]
+        assert cache.stats()["misses"] == 2 and cache.stats()["hits"] == 6
+        np.testing.assert_array_equal(
+            indices, knn_brute_force(mixed, mixed[:, :10], 4)[0])
+
     def test_content_digest_distinguishes(self):
         a = random_clouds(1, 10, seed=34)[0]
         assert content_digest(a) == content_digest(a.copy())

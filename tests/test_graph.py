@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from repro.core import ModuleSpec, PointCloudModule, emit_module_trace
+from repro.core.module import ModuleOutput
+from repro.core.tables import NeighborIndexTable, PointFeatureTable
 from repro.engine import BatchRunner, NeighborIndexCache
-from repro.engine.bench import _reference_module_forward
 from repro.graph import (
-    BatchedExecutor,
-    EagerExecutor,
     Graph,
+    GraphExecutor,
     OpRecorder,
     build_module_graph,
     compile_network_plan,
@@ -24,7 +24,7 @@ from repro.graph import (
     run_pipeline,
     shape_env,
 )
-from repro.neighbors import search_context
+from repro.neighbors import neighbor_search, search_context
 from repro.networks import build_network
 from repro.neural import Tensor
 from repro.profiling.trace import (
@@ -123,6 +123,57 @@ def reference_emit_module_trace(spec, strategy, trace, n_in=None):
             ReduceMaxOp("F", name, n_centroids=n_out, k=k, feature_dim=dims[-1])
         )
     return trace
+
+
+def _reference_module_forward(module, coords, feats, strategy):
+    """The pre-IR hand-written module forward, kept verbatim.
+
+    These are the strategy bodies the operator-graph executor replaced
+    in :mod:`repro.core.module`; they survive here as the independent
+    oracle ``test_matches_reference_bodies_exactly`` holds the executor
+    to, bit for bit.
+    """
+    spec = module.spec
+    n_in = coords.shape[0]
+    centroid_idx = module._sample_centroids(n_in)
+    out_coords = coords[centroid_idx]
+    space = coords if spec.search_space == "coords" else feats.data
+    indices, _ = neighbor_search(space, space[centroid_idx], spec.k)
+    nit = NeighborIndexTable(indices, centroid_idx)
+
+    if strategy == "original":
+        k, m_in = spec.k, spec.in_dim
+        rows = len(centroid_idx)
+        gathered = feats.gather(indices)
+        centroids = feats.gather(centroid_idx).reshape(rows, 1, m_in)
+        offsets = (gathered - centroids).reshape(rows * k, m_in)
+        transformed = module.mlp(offsets).reshape(rows, k, spec.out_dim)
+        return ModuleOutput(out_coords, transformed.max(axis=1), nit, None)
+    if strategy == "delayed":
+        pft_tensor = module.mlp(feats)
+        pft = PointFeatureTable(pft_tensor.data)
+        gathered = pft_tensor.gather(indices)
+        reduced = gathered.max(axis=1)
+        out = reduced - pft_tensor.gather(centroid_idx)
+        return ModuleOutput(out_coords, out, nit, pft)
+    layers = module.mlp.net.layers
+    first = layers[0]
+    hoisted = feats @ first.weight
+    k = spec.k
+    rows = len(centroid_idx)
+    hidden = hoisted.shape[-1]
+    gathered = hoisted.gather(indices)
+    centroids = hoisted.gather(centroid_idx).reshape(rows, 1, hidden)
+    offsets = (gathered - centroids).reshape(rows * k, hidden)
+    if first.bias is not None:
+        offsets = offsets + first.bias
+    out = offsets
+    for layer in layers[1:]:
+        out = layer(out)
+    transformed = out.reshape(rows, k, spec.out_dim)
+    return ModuleOutput(
+        out_coords, transformed.max(axis=1), nit, PointFeatureTable(hoisted.data)
+    )
 
 
 class TestIR:
@@ -287,26 +338,91 @@ class TestExecutors:
         rng = np.random.default_rng(2)
         clouds = rng.normal(size=(3, SPEC.n_in, 3))
         mod = PointCloudModule(SPEC, rng=np.random.default_rng(3))
-        batched = BatchedExecutor().run(
+        batched = GraphExecutor().run(
             mod.graph(strategy), mod, clouds,
             Tensor(clouds.reshape(-1, 3).copy()),
         )
         stacked = batched.features.data.reshape(3, SPEC.n_out, SPEC.out_dim)
         for b in range(3):
-            single = EagerExecutor().run(
-                mod.graph(strategy), mod, clouds[b], Tensor(clouds[b].copy())
+            single = GraphExecutor().run(
+                mod.graph(strategy), mod, clouds[b][None],
+                Tensor(clouds[b].copy()),
             )
             np.testing.assert_allclose(stacked[b], single.features.data,
                                        atol=1e-9)
-            np.testing.assert_array_equal(batched.indices[b], single.indices)
+            np.testing.assert_array_equal(batched.indices[b],
+                                          single.indices[0])
+
+    @pytest.mark.parametrize("spec", [SPEC, FEATURE_SPEC])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_forward_is_forward_batch_of_a_stack_of_one(self, spec, strategy):
+        # The one-arity contract at the module door: outputs and
+        # parameter gradients agree bit for bit, modulo the leading axis.
+        rng = np.random.default_rng(6)
+        coords = rng.normal(size=(spec.n_in, 3))
+        data = rng.normal(size=(spec.n_in, spec.in_dim))
+
+        def run(door):
+            mod = PointCloudModule(spec, rng=np.random.default_rng(7))
+            out = door(mod, Tensor(data.copy()))
+            out.features.sum().backward()
+            return out, [p.grad for p in mod.parameters()]
+
+        one, one_grads = run(
+            lambda mod, feats: mod(coords, feats, strategy=strategy))
+        stack, stack_grads = run(
+            lambda mod, feats: mod.forward_batch(coords[None], feats,
+                                                 strategy=strategy))
+        assert one.nit.indices.shape == (spec.n_out, spec.k)
+        np.testing.assert_array_equal(one.features.data, stack.features.data)
+        np.testing.assert_array_equal(one.coords, stack.coords[0])
+        np.testing.assert_array_equal(one.nit.indices, stack.nit.indices[0])
+        np.testing.assert_array_equal(one.nit.centroids, stack.nit.centroids)
+        assert (one.pft is None) == (stack.pft is None)
+        assert len(one_grads) == len(stack_grads) > 0
+        for a, b in zip(one_grads, stack_grads):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_forward_with_pinned_centroids_is_the_stack_path(self, strategy):
+        rng = np.random.default_rng(8)
+        coords = rng.normal(size=(SPEC.n_in, 3))
+        pinned = rng.permutation(SPEC.n_in)[:SPEC.n_out]
+        mod = PointCloudModule(SPEC, rng=np.random.default_rng(9))
+        one = mod(coords, Tensor(coords.copy()), strategy=strategy,
+                  centroid_idx=pinned)
+        stack = GraphExecutor().run(mod.graph(strategy), mod, coords[None],
+                                    Tensor(coords.copy()),
+                                    centroid_idx=pinned)
+        np.testing.assert_array_equal(one.features.data, stack.features.data)
+        np.testing.assert_array_equal(one.nit.indices, stack.indices[0])
+        np.testing.assert_array_equal(one.nit.centroids, pinned)
+        np.testing.assert_array_equal(one.coords, coords[pinned])
+
+    def test_executor_census(self):
+        # One arity, three executors: the graph interpreter, its
+        # frontier-walking subclass, and the kernel runtime's adapter.
+        import re
+        from pathlib import Path
+
+        import repro
+
+        defined = sorted(
+            name
+            for path in Path(repro.__file__).parent.rglob("*.py")
+            for name in re.findall(r"^class (\w*Executor)\b",
+                                   path.read_text(), re.MULTILINE)
+        )
+        assert defined == ["GraphExecutor", "NetworkKernelExecutor",
+                           "OverlapExecutor"]
 
     def test_recorder_captures_fused_constituents(self):
         rng = np.random.default_rng(4)
         coords = rng.normal(size=(SPEC.n_in, 3))
         mod = PointCloudModule(SPEC)
         rec = OpRecorder()
-        EagerExecutor(recorder=rec).run(
-            mod.graph("delayed"), mod, coords, Tensor(coords.copy())
+        GraphExecutor(recorder=rec).run(
+            mod.graph("delayed"), mod, coords[None], Tensor(coords.copy())
         )
         kinds = [r["kind"] for r in rec.records]
         assert kinds == ["sample", "matmul", "matmul", "search", "gather",
@@ -338,8 +454,8 @@ class TestTraceExecutionConsistency:
         feats = Tensor(coords.copy())
         for module in net.encoder:
             recorder = OpRecorder()
-            result = EagerExecutor(recorder=recorder).run(
-                module.graph(strategy), module, coords, feats
+            result = GraphExecutor(recorder=recorder).run(
+                module.graph(strategy), module, coords[None], feats
             )
             trace = emit_module_trace(module.spec, strategy, Trace(),
                                       n_in=coords.shape[0])

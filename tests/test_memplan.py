@@ -51,7 +51,8 @@ def toy(name, seed=0):
 
 
 def cloud_for(net, seed=0):
-    return np.random.default_rng(seed).normal(size=(net.n_points, 3))
+    """One cloud, as the stack of one kernel programs take."""
+    return np.random.default_rng(seed).normal(size=(1, net.n_points, 3))
 
 
 def clouds_for(net, batch, seed=0):
@@ -167,10 +168,9 @@ class TestPlannerBitExact:
     def test_batched_delayed(self, name):
         net = toy(name)
         clouds = clouds_for(net, 3)
-        planned = compile_kernel_program(net, "delayed", backend="float64",
-                                         batched=True)
+        planned = compile_kernel_program(net, "delayed", backend="float64")
         unplanned = compile_kernel_program(net, "delayed", backend="float64",
-                                           batched=True, plan_memory=False)
+                                           plan_memory=False)
         reference = unplanned.run(clouds)
         assert_bit_exact(reference, planned.run(clouds))
         assert_bit_exact(reference, planned.run(clouds))
@@ -199,8 +199,7 @@ class TestPlannerBitExact:
 
     def test_shape_change_replans(self):
         net = toy("PointNet++ (c)")
-        program = compile_kernel_program(net, "delayed", backend="float64",
-                                         batched=True)
+        program = compile_kernel_program(net, "delayed", backend="float64")
         a = program.plan_for(clouds_for(net, 2))
         b = program.plan_for(clouds_for(net, 4))
         assert a is not b
@@ -218,8 +217,7 @@ class TestAdversarialAliasing:
         # anywhere, a consumer would read 0xAA garbage and this fails.
         net = toy(name)
         cloud = cloud_for(net) if batch is None else clouds_for(net, batch)
-        program = compile_kernel_program(net, "delayed", backend="float64",
-                                         batched=batch is not None)
+        program = compile_kernel_program(net, "delayed", backend="float64")
         reference = program.run(cloud)
         plan = program.plan_for(cloud)
         if batch is not None:
@@ -267,16 +265,15 @@ class TestAdversarialAliasing:
 
 
 class TestParameterTableDedup:
-    def test_arities_and_fresh_backends_share_one_table(self):
+    def test_programs_and_fresh_backends_share_one_table(self):
         net = toy("PointNet++ (c)")
         ngraph = net.network_graph("delayed")
-        single = compile_kernel_program(net, "delayed", backend="float64")
-        batched = compile_kernel_program(net, "delayed", backend="float64",
-                                         batched=True)
-        assert single.table is batched.table
+        first = compile_kernel_program(net, "delayed", backend="float64")
+        second = compile_kernel_program(net, "delayed", backend="float64")
+        assert first is not second and first.table is second.table
         fresh = ParameterTable.for_graph(ngraph, backend=get_backend("float64"))
-        assert fresh is single.table
-        assert single.table.content_hash == fresh.content_hash
+        assert fresh is first.table
+        assert first.table.content_hash == fresh.content_hash
 
     def test_different_dtypes_do_not_share(self):
         net = toy("PointNet++ (c)")
@@ -438,10 +435,10 @@ class TestProgramCache:
         ngraph = net.network_graph("delayed")
         cache = ProgramCache(tmp_path)
         backend = get_backend("float64")
-        first = cache.program_for(ngraph, net, backend, False)
+        first = cache.program_for(ngraph, net, backend)
         index = json.loads((tmp_path / "index.json").read_text())
         assert len(index) == 1
-        second = cache.program_for(ngraph, net, backend, False)
+        second = cache.program_for(ngraph, net, backend)
         assert json.loads((tmp_path / "index.json").read_text()) == index
         cloud = cloud_for(net)
         assert_bit_exact(first.run(cloud), second.run(cloud))
@@ -451,8 +448,8 @@ class TestProgramCache:
         backend = get_backend("float64")
         a = toy("PointNet++ (s)", seed=0)
         b = toy("PointNet++ (s)", seed=1)
-        cache.program_for(a.network_graph("delayed"), a, backend, False)
-        cache.program_for(b.network_graph("delayed"), b, backend, False)
+        cache.program_for(a.network_graph("delayed"), a, backend)
+        cache.program_for(b.network_graph("delayed"), b, backend)
         index = json.loads((tmp_path / "index.json").read_text())
         assert len(index) == 2  # distinct fingerprints, distinct digests
 
@@ -503,24 +500,29 @@ class TestProgramCache:
         ngraph = net.network_graph("delayed")
         backend = get_backend("float64")
         cache = ProgramCache(tmp_path)
-        program = cache.program_for(ngraph, net, backend, False)
+        program = cache.program_for(ngraph, net, backend)
         program.plan_for(cloud)
         cache.store(program)
-        config = (ngraph.network, "delayed", "float64", False,
+        config = (ngraph.network, "delayed", "float64",
                   network_fingerprint(net))
-        stale = self._restamp(cache, cache.config_key(*config), FORMAT - 1)
+        # One entry per configuration: the key has no arity component.
+        assert cache.config_key(*config) == "|".join(config)
+        # Format 2 keyed and stored programs per arity; such an entry —
+        # even one an index key still reaches — is stale.
+        assert FORMAT > 2
+        stale = self._restamp(cache, cache.config_key(*config), 2)
         # The kernel labels still match: only the stamp can tell that
         # the stored plans may name scratch keys this code never asks for.
         with pytest.raises(ValueError, match="format"):
             cache.load(stale, ngraph, net)
-        fresh = cache.program_for(ngraph, net, backend, False)
+        fresh = cache.program_for(ngraph, net, backend)
         assert fresh.memory_stats()["signatures"] == 0  # compiled, not seeded
         fresh.plan_for(cloud)
         cache.store(fresh)
         digest = cache.digest_for(*config)
         assert digest != stale
         manifest = cache.manifest(digest)
-        assert manifest["format"] == FORMAT
+        assert manifest["format"] == FORMAT and "batched" not in manifest
         assert any(b["key"][0] == "agg-gc"
                    for plan in manifest["plans"].values()
                    for b in plan["buffers"])
@@ -529,6 +531,32 @@ class TestProgramCache:
         assert cache.load_tuned(net.name, "fp") == {"entries": {}}
         self._restamp(cache, f"tuned|{net.name}|fp", FORMAT - 1)
         assert cache.load_tuned(net.name, "fp") is None
+
+
+    def test_warmed_entry_serves_heights_1_and_8(self, tmp_path):
+        net = toy("PointNet++ (c)")
+        ngraph = net.network_graph("delayed")
+        clouds = clouds_for(net, 8)
+        warm = NetworkKernelExecutor("float64",
+                                     program_cache=ProgramCache(tmp_path))
+        with no_grad():
+            one = net.forward(clouds[0], strategy="delayed", executor=warm)
+            eight = warm.run_network(ngraph, net, clouds)
+        # Persist the plans the two runs measured, as `repro compile` does.
+        ProgramCache(tmp_path).store(warm.program(ngraph, net))
+        index = json.loads((tmp_path / "index.json").read_text())
+        assert len(index) == 1
+
+        served = NetworkKernelExecutor("float64",
+                                       program_cache=ProgramCache(tmp_path))
+        program = served.program(ngraph, net)
+        assert program.memory_stats()["signatures"] == 2  # seeded, both
+        with no_grad():
+            assert_bit_exact(one, net.forward(clouds[0], strategy="delayed",
+                                              executor=served))
+            assert_bit_exact(eight, served.run_network(ngraph, net, clouds))
+        assert program.memory_stats()["signatures"] == 2  # nothing re-measured
+        assert json.loads((tmp_path / "index.json").read_text()) == index
 
 
 class TestEngineIntegration:
@@ -609,7 +637,7 @@ class TestEngineIntegration:
         from repro.serve import Server
 
         net = toy("PointNet++ (c)")
-        cloud = cloud_for(net)
+        cloud = cloud_for(net)[0]
         reference = BatchRunner(net, strategy="delayed",
                                 backend="float64").run(cloud).per_cloud()[0]
         with Server.hosting([net], backend="float64",
@@ -655,7 +683,7 @@ class TestCLI:
         index = json.loads(
             (tmp_path / "programs" / "index.json").read_text()
         )
-        assert len(index) == 2  # single + batched arities
+        assert len(index) == 1  # one program per configuration
 
     def test_bench_mem_row(self):
         from repro.engine.bench import bench_mem

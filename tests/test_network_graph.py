@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from repro.core import ModuleSpec, PointCloudModule, emit_module_trace
-from repro.engine import AsyncRunner, OverlapNetworkExecutor, ParallelRunner
+from repro.engine import AsyncRunner, OverlapExecutor, ParallelRunner
 from repro.engine.bench import bench_netgraph
 from repro.graph import (
-    NetworkEagerExecutor,
+    GraphExecutor,
     OpRecorder,
     build_network_graph,
     compile_network_plan,
@@ -132,6 +132,43 @@ class TestExecutionEquivalence:
             composed = net.forward_composed(clouds, strategy=strategy)
         assert outputs_equal(graph_out, composed)
 
+    @pytest.mark.parametrize("name", ALL_NETWORKS)
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_forward_is_forward_batch_of_a_stack_of_one(self, name, strategy):
+        # The one-arity contract at the network door: a cloud is a
+        # stack of one, so outputs and parameter gradients (the training
+        # path) agree bit for bit, modulo the leading axis of per-point
+        # outputs.
+        cloud = cloud_for(toy(name), seed=5)
+
+        def run(door):
+            net = toy(name)
+            out = door(net)
+            leaves = list(out.values()) if isinstance(out, dict) else [out]
+            total = leaves[0].sum()
+            for leaf in leaves[1:]:
+                total = total + leaf.sum()
+            total.backward()
+            return out, [p.grad for p in net.parameters()]
+
+        one, one_grads = run(lambda net: net.forward(cloud, strategy=strategy))
+        stack, stack_grads = run(
+            lambda net: net.forward_batch(cloud[None], strategy=strategy))
+        per_point = {out.name: out.per_point
+                     for out in toy(name).network_graph(strategy).outputs}
+        if not isinstance(one, dict):
+            one, stack = {None: one}, {None: stack}
+        assert set(one) == set(stack) == set(per_point)
+        for key, value in one.items():
+            stacked = stack[key].data
+            assert stacked.shape == (
+                (1, *value.shape) if per_point[key] else value.shape)
+            assert np.array_equal(value.data,
+                                  stacked[0] if per_point[key] else stacked)
+        assert len(one_grads) == len(stack_grads) > 0
+        for a, b in zip(one_grads, stack_grads):
+            assert a is not None and np.array_equal(a, b)
+
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_batched_matches_single_within_tolerance(self, strategy):
         net = toy("PointNet++ (c)")
@@ -213,7 +250,7 @@ class TestTraceConsistency:
         recorder = OpRecorder()
         with no_grad():
             net.forward(cloud_for(net, seed=4), strategy=strategy,
-                        executor=NetworkEagerExecutor(recorder=recorder))
+                        executor=GraphExecutor(recorder=recorder))
         executed = [item for record in recorder.records
                     for item in self.expand(record)]
         lowered = [self.lower(op) for op in net.trace(strategy)]
@@ -408,7 +445,7 @@ class ThreadSafeLog:
             self.events.append((event, node.id))
 
 
-class TestOverlapNetworkExecutor:
+class TestOverlapExecutorOnNetworkGraphs:
     @pytest.mark.parametrize("name", ["PointNet++ (c)", "DGCNN (c)",
                                       "F-PointNet"])
     @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -418,7 +455,7 @@ class TestOverlapNetworkExecutor:
         with no_grad(), ThreadPoolExecutor(max_workers=2) as pool:
             serial = net.forward(cloud, strategy=strategy)
             overlapped = net.forward(cloud, strategy=strategy,
-                                     executor=OverlapNetworkExecutor(pool))
+                                     executor=OverlapExecutor(pool))
         assert outputs_equal(serial, overlapped)
 
     def test_dependency_order_property(self):
@@ -431,7 +468,7 @@ class TestOverlapNetworkExecutor:
                 log = ThreadSafeLog()
                 with no_grad():
                     net.forward(cloud, strategy="delayed",
-                                executor=OverlapNetworkExecutor(
+                                executor=OverlapExecutor(
                                     pool, observer=log))
                 assert len(log.events) == 2 * len(graph)
                 starts, finishes = {}, {}

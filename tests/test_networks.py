@@ -203,6 +203,39 @@ class TestSegmentationDecoder:
                  Tensor(rng.normal(size=(8, 16))))
         assert out.shape == (32, 16)
 
+    @pytest.mark.parametrize("skip", [True, False])
+    def test_forward_is_forward_batch_of_a_stack_of_one(self, skip):
+        # A cloud is a stack of one at the decoder door too — with and
+        # without skip features (``fine_feats=None`` is the first
+        # decoder level), outputs and parameter gradients bit for bit.
+        from repro.networks import FeaturePropagation
+        from repro.neural import Tensor
+
+        rng = np.random.default_rng(1)
+        fine = rng.normal(size=(32, 3))
+        coarse = rng.normal(size=(8, 3))
+        fine_data = rng.normal(size=(32, 8))
+        coarse_data = rng.normal(size=(8, 16))
+
+        def run(door):
+            fp = FeaturePropagation("fp", 32, ((8 if skip else 0) + 16, 16),
+                                    rng=np.random.default_rng(2))
+            out = door(fp, Tensor(fine_data.copy()) if skip else None,
+                       Tensor(coarse_data.copy()))
+            out.sum().backward()
+            return out, [p.grad for p in fp.parameters()]
+
+        one, one_grads = run(
+            lambda fp, ff, cf: fp(fine, ff, coarse, cf))
+        stack, stack_grads = run(
+            lambda fp, ff, cf: fp.forward_batch(fine[None], ff,
+                                                coarse[None], cf))
+        assert one.shape == (32, 16)
+        assert np.array_equal(one.data, stack.data)
+        assert len(one_grads) == len(stack_grads) > 0
+        for a, b in zip(one_grads, stack_grads):
+            assert np.array_equal(a, b)
+
     def test_interpolation_weights_prefer_near(self):
         from repro.networks import FeaturePropagation
         from repro.neural import Tensor

@@ -227,14 +227,14 @@ class TestQuantizeProperties:
 @pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("name", ALL_NETWORKS)
 class TestDifferentialMatrix:
-    """int8 vs float64 over every network × strategy, both arities."""
+    """int8 vs float64 over every network × strategy, stacks and single
+    clouds."""
 
     def test_int8_tracks_float64(self, name, strategy):
         net = toy(name)
         ngraph = net.network_graph(strategy)
-        reference = KernelProgram(ngraph, net, get_backend("float64"),
-                                  batched=True)
-        quantized = KernelProgram(ngraph, net, QUANT, batched=True)
+        reference = KernelProgram(ngraph, net, get_backend("float64"))
+        quantized = KernelProgram(ngraph, net, QUANT)
         assert any(op[0] == "qlinear" for ops in
                    quantized.table.entries.values() for op in ops)
         clouds = clouds_for(net, 4, seed=11)
@@ -252,13 +252,16 @@ class TestDifferentialMatrix:
         for full, part in leaves(observed, prefix):
             assert np.array_equal(np.asarray(full)[:2], part)
 
-        # The single-cloud arity shares the calibrated scales and must
-        # track the float64 single-cloud program just as closely.
-        single_ref = KernelProgram(ngraph, net, get_backend("float64"),
-                                   batched=False)
-        single_q = KernelProgram(ngraph, net, QUANT, batched=False)
-        assert rel_err(single_ref.run(clouds[0]),
-                       single_q.run(clouds[0])) <= RANDOM_NET_REL_TOL
+        # A single cloud — a stack of one through the front door —
+        # shares the calibrated scales and must track the float64
+        # program just as closely.
+        with no_grad():
+            single_ref = net.forward(
+                clouds[0], strategy=strategy,
+                executor=NetworkKernelExecutor("float64"))
+            single_q = net.forward(clouds[0], strategy=strategy,
+                                   executor=NetworkKernelExecutor(QUANT))
+        assert rel_err(single_ref, single_q) <= RANDOM_NET_REL_TOL
 
 
 class TestTrainedAgreement:
@@ -301,8 +304,7 @@ class TestEnginePaths:
     def test_batch_runner_matches_kernel_program(self):
         net = toy("PointNet++ (c)")
         clouds = clouds_for(net, 3, seed=5)
-        program = KernelProgram(net.network_graph("delayed"), net, QUANT,
-                                batched=True)
+        program = KernelProgram(net.network_graph("delayed"), net, QUANT)
         direct = program.run(clouds)
         runner = BatchRunner(net, strategy="delayed", backend=QUANT)
         for a, b in leaves(direct, runner.run(clouds).outputs):
@@ -314,9 +316,9 @@ class TestEnginePaths:
         executor = NetworkKernelExecutor(QUANT)
         with no_grad():
             out = net.forward(cloud, strategy="delayed", executor=executor)
-        program = KernelProgram(net.network_graph("delayed"), net, QUANT,
-                                batched=False)
-        for a, b in leaves(program.run(cloud), out):
+        program = KernelProgram(net.network_graph("delayed"), net, QUANT)
+        assert out.shape == (1, 4)
+        for a, b in leaves(program.run(cloud[None]), out):
             assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("pool", ["serial", "thread"])
@@ -384,11 +386,10 @@ class TestPackaging:
     def test_program_runs_on_attached_table(self):
         net = toy("PointNet++ (c)")
         ngraph = net.network_graph("delayed")
-        original = KernelProgram(ngraph, net, QUANT, batched=True)
+        original = KernelProgram(ngraph, net, QUANT)
         manifest, blob = original.table.pack()
         attached = ParameterTable.from_buffer(manifest, blob, dedupe=False)
-        clone = KernelProgram(ngraph, net, QUANT, batched=True,
-                              params=attached)
+        clone = KernelProgram(ngraph, net, QUANT, params=attached)
         clouds = clouds_for(net, 2, seed=9)
         for a, b in leaves(original.run(clouds), clone.run(clouds)):
             assert np.array_equal(a, b)

@@ -14,7 +14,7 @@ from repro.engine import (
     cache as cache_module,
 )
 from repro.graph import (
-    EagerExecutor,
+    GraphExecutor,
     build_module_graph,
     module_graph,
     node_lane,
@@ -155,9 +155,10 @@ class TestOverlapExecutor:
         cloud = random_clouds(1, net.n_points, seed=7)[0]
         graph = module.graph(strategy)
         with no_grad(), ThreadPoolExecutor(max_workers=2) as pool:
-            eager = EagerExecutor().run(graph, module, cloud, Tensor(cloud.copy()))
+            eager = GraphExecutor().run(graph, module, cloud[None],
+                                        Tensor(cloud.copy()))
             overlap = OverlapExecutor(pool).run(
-                graph, module, cloud, Tensor(cloud.copy())
+                graph, module, cloud[None], Tensor(cloud.copy())
             )
         np.testing.assert_array_equal(eager.features.data, overlap.features.data)
         np.testing.assert_array_equal(eager.indices, overlap.indices)
@@ -214,7 +215,7 @@ class TestOverlapExecutor:
         cloud = random_clouds(1, net.n_points, seed=9)[0]
         with no_grad(), pytest.raises(RuntimeError, match="stalled"):
             OverlapExecutor(None).run(
-                broken, net.encoder[0], cloud, Tensor(cloud.copy())
+                broken, net.encoder[0], cloud[None], Tensor(cloud.copy())
             )
 
 
@@ -333,6 +334,109 @@ class TestCacheSingleFlight:
         for indices, distances in results[1:]:
             np.testing.assert_array_equal(indices, results[0][0])
             np.testing.assert_array_equal(distances, results[0][1])
+
+    def test_concurrent_stacks_of_one_compute_once(self, monkeypatch):
+        # The lifted front doors hand every per-cloud search to the
+        # cache as a stack of one: four in flight for the same cloud
+        # must still compute once, by the claim protocol — not by luck.
+        calls = []
+        barrier = threading.Barrier(4)
+        real = cache_module.raw_knn
+
+        def recording_knn(*args, **kwargs):
+            calls.append(threading.get_ident())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cache_module, "raw_knn", recording_knn)
+        cache = NeighborIndexCache(maxsize=8)
+        stack = random_clouds(1, 64, seed=62)
+        results = []
+
+        def lookup():
+            barrier.wait()
+            results.append(cache.knn(stack, stack[:, :16], 4))
+
+        threads = [threading.Thread(target=lookup) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert len(calls) == 1, "concurrent duplicates must compute once"
+        assert cache.misses == 1 and cache.hits == 3
+        assert len(results) == 4
+        for indices, distances in results:
+            assert indices.shape == (1, 16, 4)
+            np.testing.assert_array_equal(indices, results[0][0])
+            np.testing.assert_array_equal(distances, results[0][1])
+
+    def test_overlapping_stacks_in_opposite_orders_stress(self):
+        # More workers than cores, a shortened switch interval, and
+        # stacks that claim overlapping clouds in opposite orders: no
+        # deadlock (claims are released before anyone waits), every
+        # distinct cloud computes exactly once, and no counter update
+        # is lost.
+        import sys
+
+        clouds = random_clouds(6, 48, seed=63)
+        orders = [[0, 1, 2, 3, 4, 5], [5, 4, 3, 2, 1, 0],
+                  [2, 2, 0, 5, 5, 1], [3, 4, 3, 0, 1, 1]] * 2
+        cache = NeighborIndexCache(maxsize=64)
+        barrier = threading.Barrier(len(orders))
+        results, errors = {}, []
+
+        def lookup(slot, order):
+            try:
+                stack = clouds[order]
+                barrier.wait(timeout=30)
+                results[slot] = cache.knn(stack, stack[:, :8], 4)
+            except Exception as exc:  # pragma: no cover - diagnostic
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=lookup, args=item)
+                       for item in enumerate(orders)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads), "stack lookups hung"
+        assert not errors and len(results) == len(orders)
+        stats = cache.stats()
+        assert stats["misses"] == 6 and stats["size"] == 6
+        assert stats["hits"] + stats["misses"] == sum(map(len, orders))
+        assert not cache._pending
+        reference = cache_module.raw_knn(clouds, clouds[:, :8], 4)
+        for slot, order in enumerate(orders):
+            np.testing.assert_array_equal(results[slot][0],
+                                          reference[0][order])
+            np.testing.assert_array_equal(results[slot][1],
+                                          reference[1][order])
+
+    def test_failed_stack_compute_releases_its_claims(self, monkeypatch):
+        cache = NeighborIndexCache(maxsize=8)
+        stack = random_clouds(2, 32, seed=64)
+        real = cache_module.raw_knn
+        attempts = []
+
+        def flaky_knn(*args, **kwargs):
+            attempts.append(1)
+            if len(attempts) == 1:
+                raise RuntimeError("first owner dies")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cache_module, "raw_knn", flaky_knn)
+        with pytest.raises(RuntimeError):
+            cache.knn(stack, stack[:, :4], 3)
+        # Nothing is left pending: the next lookup takes over.
+        assert not cache._pending
+        indices, _ = cache.knn(stack, stack[:, :4], 3)
+        np.testing.assert_array_equal(indices,
+                                      real(stack, stack[:, :4], 3)[0])
 
     def test_failed_compute_releases_waiters(self):
         cache = NeighborIndexCache(maxsize=8)

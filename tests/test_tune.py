@@ -83,7 +83,8 @@ def test_default_delayed_program_peak_live_bytes():
     kernel replaced."""
     net = build_network("PointNet++ (c)", scale=0.125)
     program = compile_kernel_program(net, "delayed", backend="float64")
-    assert program.memory_report(cloud_for(net))["peak_live_bytes"] <= 376832
+    report = program.memory_report(cloud_for(net)[None])
+    assert report["peak_live_bytes"] <= 376832
 
 
 # -- pass idempotence --------------------------------------------------------
