@@ -7,8 +7,9 @@ re-export its parameter table at initializer time.  This module makes
 compiled programs durable and their parameters shareable:
 
 * :class:`ProgramCache` persists a compiled
-  :class:`~repro.backend.runtime.KernelProgram` — kernel list, arena
-  plans, packed parameter table — to a **content-addressed** on-disk
+  :class:`~repro.backend.runtime.KernelProgram` — kernel list, the
+  per-cloud arena plan, packed parameter table — to a
+  **content-addressed** on-disk
   format (``<digest>.json`` manifest + ``<digest>.bin`` blob, plus an
   ``index.json`` mapping (network, strategy, backend, weight
   fingerprint) to digests).  Loading maps the blob read-only with
@@ -32,6 +33,7 @@ compiled programs durable and their parameters shareable:
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import json
 import os
@@ -225,17 +227,16 @@ def parameter_descriptor(network, strategy, backend, batched=True,
     not edit, still passes it (ROADMAP item 5(c) removes it).
 
     Returns ``(descriptor, handle)``: the descriptor feeds
-    :func:`attach_table` once per consumer (pool worker, shard
-    replica), and ``handle`` is the owner-side :class:`SharedTable` to
+    :func:`attach_table` once per consumer process (a pool worker), and
+    ``handle`` is the owner-side :class:`SharedTable` to
     ``close(unlink=True)`` after every consumer is done — ``None`` on
     the program-cache path, where the blob file outlives the callers.
 
-    This is the single decision point both the async scheduler's
-    process pool and the shard router's replica fleet route through:
-    with ``program_cache`` the descriptor names the content-addressed
+    With ``program_cache`` the descriptor names the content-addressed
     ``<digest>.bin``; without one the parent packs the table once into
     a private file (:func:`share_table`).  Either way it is a file the
-    consumers map, and the page cache does the sharing.
+    consumers map, and the page cache does the sharing.  Consumers in
+    *this* process (shard replicas) share the table object instead.
     """
     backend = get_backend(backend)
     if program_cache is not None:
@@ -268,10 +269,10 @@ def attach_table(descriptor):
 #: Stamp of everything a stored manifest's readers depend on beyond the
 #: kernel labels: scratch-buffer keys, the plan JSON, the config key and
 #: the tuned-table JSON.  Entries carrying any other value are stale —
-#: programs recompile, tuned tables re-tune.  3: one program per
-#: configuration (the single-cloud / stack arity left the key and the
-#: manifest).
-FORMAT = 3
+#: programs recompile, tuned tables re-tune.  4: one per-cloud plan per
+#: entry (``"plan"``, the height-1 arena plan every stack height is
+#: derived from) where 3 kept one measured plan per input signature.
+FORMAT = 4
 
 
 def _tuple_deep(value):
@@ -280,38 +281,13 @@ def _tuple_deep(value):
     return value
 
 
-def _plan_to_json(plan):
-    return {
-        "total_bytes": plan.total_bytes,
-        "n_positions": plan.n_positions,
-        "pool_bytes": plan.pool_bytes,
-        "buffers": [
-            {
-                "key": b.key, "shape": list(b.shape), "dtype": b.dtype,
-                "nbytes": b.nbytes, "offset": b.offset,
-                "def_pos": b.def_pos, "last_pos": b.last_pos,
-                "nodes": list(b.nodes),
-            }
-            for b in plan.buffers
-        ],
-    }
-
-
 def _plan_from_json(data):
-    return ArenaPlan(
-        total_bytes=data["total_bytes"],
-        n_positions=data["n_positions"],
-        pool_bytes=data["pool_bytes"],
-        buffers=tuple(
-            ArenaBuffer(
-                key=_tuple_deep(b["key"]), shape=tuple(b["shape"]),
-                dtype=b["dtype"], nbytes=b["nbytes"], offset=b["offset"],
-                def_pos=b["def_pos"], last_pos=b["last_pos"],
-                nodes=tuple(b["nodes"]),
-            )
-            for b in data["buffers"]
-        ),
-    )
+    """An :class:`ArenaPlan` back from its ``dataclasses.asdict`` JSON."""
+    return ArenaPlan(**dict(data, buffers=tuple(
+        ArenaBuffer(**{field: _tuple_deep(value)
+                       for field, value in buffer.items()})
+        for buffer in data["buffers"]
+    )))
 
 
 class ProgramCache:
@@ -319,8 +295,9 @@ class ProgramCache:
 
     Layout under ``directory``::
 
-        <digest>.json   program manifest: config, kernel labels, arena
-                        plans, the parameter-table manifest
+        <digest>.json   program manifest: config, kernel labels, the
+                        per-cloud arena plan, the parameter-table
+                        manifest
         <digest>.bin    the packed parameter blob (memmapped on load)
         index.json      config key -> digest
 
@@ -382,8 +359,7 @@ class ProgramCache:
         if fingerprint is None:
             fingerprint = network_fingerprint(program.network)
         table_manifest, blob = program.table.pack()
-        with program._plans_lock:
-            plans = dict(program._plans)
+        plan = program.per_cloud_plan
         manifest = {
             "format": FORMAT,
             "kind": "kernel-program",
@@ -393,10 +369,7 @@ class ProgramCache:
             "dtype": str(np.dtype(program.backend.dtype)),
             "fingerprint": fingerprint,
             "kernels": list(program.kernel_labels),
-            "plans": {
-                ",".join(str(d) for d in sig): _plan_to_json(plan)
-                for sig, plan in plans.items()
-            },
+            "plan": None if plan is None else dataclasses.asdict(plan),
             "params": table_manifest,
         }
         body = json.dumps(manifest, sort_keys=True).encode()
@@ -432,8 +405,9 @@ class ProgramCache:
         """Rebuild a runnable program from a stored digest.
 
         The kernel closures recompile against ``ngraph`` (cheap — a
-        few ms); the parameters map zero-copy and the arena plans seed
-        directly, so no measuring run and no weight export happen.
+        few ms); the parameters map zero-copy and the per-cloud arena
+        plan seeds directly, so no measuring run and no weight export
+        happen at any stack height.
         Raises :class:`ValueError` when the entry was written under
         another :data:`FORMAT` or its kernel list no longer matches
         what this code compiles — the stale-cache signal
@@ -454,12 +428,8 @@ class ProgramCache:
                 f"stored program {digest[:12]} kernel list is stale for "
                 "the current compiler"
             )
-        if plan_memory:
-            program.seed_plans({
-                tuple(int(d) for d in sig.split(",") if d):
-                    _plan_from_json(plan)
-                for sig, plan in manifest["plans"].items()
-            })
+        if plan_memory and manifest["plan"] is not None:
+            program.seed_plan(_plan_from_json(manifest["plan"]))
         return program
 
     def program_for(self, ngraph, network, backend, params=None,
@@ -467,7 +437,7 @@ class ProgramCache:
         """Load-or-compile: the executor's entry point.
 
         A cache hit rebuilds from disk (zero-copy parameters, seeded
-        plans); a miss compiles normally and persists the result so
+        plan); a miss compiles normally and persists the result so
         the next process — or the next CI step — hits.  ``params``
         short-circuits the disk path entirely: the caller already
         holds an attached table, and a skeleton network could not

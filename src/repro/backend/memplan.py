@@ -8,12 +8,15 @@ dominate bytes moved — which makes that the wrong shape for a serve
 host.  This module is the TVM-style static memory planner that fixes
 it:
 
-1. the runtime records every scratch request of a *measuring run*
-   (key, size, the kernel position that wrote it) and maps each buffer
-   to the graph values that alias it (epilogues mutate their input in
-   place, non-reduced aggregations escape their gather buffer through a
-   reshape — alias detection by address range rather than a hand-kept
-   table keeps those honest);
+1. the runtime records every scratch request of its one *measuring
+   run* (key, size, the kernel position that wrote it) and maps each
+   buffer to the graph values that alias it (epilogues mutate their
+   input in place, non-reduced aggregations escape their gather buffer
+   through a reshape — alias detection by address range rather than a
+   hand-kept table keeps those honest).  Every leading dimension is
+   ``stack height × per-cloud rows``, so the records are kept **per
+   cloud** and any height is a multiplication away (:func:`at_height`):
+   a program measures once, at whatever height arrives first;
 2. :class:`GraphLiveness` extends the graph-level
    :func:`~repro.graph.plan.value_liveness` metadata onto fused-kernel
    positions: a buffer is live from its defining kernel to the last
@@ -23,7 +26,8 @@ it:
    a best-fit offset assigner.  Two buffers may share bytes exactly
    when their live intervals are disjoint: a program runs its kernels
    strictly front to back on the calling thread out of a thread-local
-   arena, so a dead buffer has no reader left.
+   arena, so a dead buffer has no reader left.  Packing one height
+   takes well under a millisecond; the program memoises it.
 
 Buffers are written whole (every kernel output goes through ``out=``),
 so recycling dead bytes is invisible to the computation: the arena run
@@ -45,6 +49,7 @@ __all__ = [
     "ArenaPlan",
     "BufferRecord",
     "GraphLiveness",
+    "at_height",
     "plan_arena",
     "record_aliases",
     "validate_plan",
@@ -62,7 +67,8 @@ def _align(nbytes, alignment=ALIGNMENT):
 
 @dataclass
 class BufferRecord:
-    """One scratch request observed during a measuring run.
+    """One scratch request observed during a measuring run, per cloud
+    (leading dimension and bytes divided by the run's stack height).
 
     ``array`` holds the measuring-run allocation while alias detection
     runs (dropped before the record is kept); ``nodes`` collects the
@@ -76,6 +82,16 @@ class BufferRecord:
     def_pos: int
     array: object = None
     nodes: set = field(default_factory=set)
+
+
+def at_height(buffers, height):
+    """A per-cloud plan's ``buffers`` as ``height`` stacked clouds
+    request them — records :func:`plan_arena` packs again."""
+    return [
+        replace(b, shape=(b.shape[0] * height, *b.shape[1:]),
+                nbytes=b.nbytes * height)
+        for b in buffers
+    ]
 
 
 class GraphLiveness:
@@ -151,7 +167,7 @@ class ArenaBuffer:
 
 @dataclass(frozen=True)
 class ArenaPlan:
-    """A packed arena layout for one (program, input-signature) pair.
+    """A packed arena layout for one (program, stack height) pair.
 
     ``pool_bytes`` is what the same run costs under PR 5's
     one-buffer-per-kernel pool — the baseline the CI peak-bytes gate

@@ -15,14 +15,15 @@ pre-packed parameter table (:mod:`repro.backend.params`):
   on raw arrays with planned output buffers — no ``Tensor`` wrappers,
   no ``_from_op`` closures, no autograd bookkeeping on the inference
   path;
-* scratch memory is **arena-planned** (:mod:`repro.backend.memplan`):
-  the first run per (thread, input signature) measures every buffer
-  request, liveness over the kernel schedule packs them into one
-  contiguous arena with best-fit reuse, and steady-state runs execute
-  out of arena views — peak working-set bytes drop by the measured
-  reuse instead of summing every kernel's buffer (``plan_memory=False``
-  restores the PR 5 one-buffer-per-kernel pool, and is the baseline
-  the CI ``mem`` gates compare against);
+* scratch memory is **arena-planned** (:mod:`repro.backend.memplan`),
+  once per program and *per cloud*: the first run, at whatever stack
+  height arrives, measures every buffer request; the plan for any
+  height is that measurement scaled and packed by liveness into one
+  contiguous arena with best-fit reuse.  Each thread keeps one
+  grow-only arena and serves every height from views of it — peak
+  working-set bytes drop by the measured reuse instead of summing every
+  kernel's buffer (``plan_memory=False`` restores the PR 5
+  one-buffer-per-kernel pool, the baseline of the CI ``mem`` gates);
 * parameters live in one content-hashed
   :class:`~repro.backend.params.ParameterTable` shared across
   executors and same-dtype backends — and, packed, across *processes*
@@ -48,7 +49,8 @@ stack; a single cloud arrives as the stack of one the front door lifted
 it into.
 Programs are thread-compatible — scratch buffers live in thread-local
 storage — so one executor instance can serve an
-:class:`~repro.engine.scheduler.AsyncRunner` pipeline.
+:class:`~repro.engine.scheduler.AsyncRunner` pipeline or every replica
+of a :class:`~repro.serve.shard.ShardRouter` fleet.
 """
 
 from __future__ import annotations
@@ -61,8 +63,10 @@ from ..graph.network import MODULE_KINDS
 from ..neighbors import active_search_options, neighbor_search
 from .array import get_backend
 from .memplan import (
+    ArenaPlan,
     BufferRecord,
     GraphLiveness,
+    at_height,
     plan_arena,
     record_aliases,
     validate_plan,
@@ -91,46 +95,68 @@ class _DictPool:
 
 
 class _MeasuringPool(_DictPool):
-    """A dict pool that records every request for the arena planner."""
+    """A dict pool that records every request, per cloud, for the planner.
 
-    def __init__(self, backend):
+    Scratch is sized by stacked rows, so dividing each leading dimension
+    by the ``height`` this run happens to have gives the records every
+    height shares.  A buffer that does not divide cannot be planned per
+    cloud: that raises rather than under-provisioning some height.
+    """
+
+    def __init__(self, backend, height):
         super().__init__(backend)
+        self.height = height
         self.records = []
 
     def request(self, key, shape, pos):
         existing = self.buffers.get(key)
         buf = super().request(key, shape, pos)
         if buf is not existing:
+            rows, rest = divmod(shape[0], self.height)
+            if rest:
+                raise ValueError(
+                    f"buffer {key!r} has {shape[0]} leading rows, not a "
+                    f"multiple of the stack height {self.height}: it "
+                    "cannot be planned per cloud"
+                )
             self.records.append(BufferRecord(
-                key=key, shape=tuple(shape), dtype=str(buf.dtype),
-                nbytes=buf.nbytes, def_pos=pos, array=buf,
+                key=key, shape=(rows, *shape[1:]), dtype=str(buf.dtype),
+                nbytes=buf.nbytes // self.height, def_pos=pos, array=buf,
             ))
         return buf
 
 
 class _ArenaPool:
-    """Planned execution: every request resolves to an arena view."""
+    """One thread's grow-only arena: every planned request is a view of it."""
 
-    def __init__(self, backend, plan):
-        self.backend = backend
-        self.plan = plan
-        self.arena = np.empty(plan.total_bytes, dtype=np.uint8)
-        self.views = {}
-        for b in plan.buffers:
-            view = self.arena[b.offset:b.offset + b.nbytes]
-            self.views[b.key] = view.view(np.dtype(b.dtype)).reshape(b.shape)
+    def __init__(self, program):
+        self.program = program
+        self.arena = np.empty(0, dtype=np.uint8)
+        self._views = {}  # stack height -> {key: view of self.arena}
+        self.views = None  # the running height's view set
+
+    def bind(self, height, plan):
+        if plan.total_bytes > self.arena.nbytes:
+            self.arena = np.empty(plan.total_bytes, dtype=np.uint8)
+            self._views.clear()  # they are views of the arena just dropped
+        views = self._views.get(height)
+        if views is None:
+            views = self._views[height] = {
+                b.key: self.arena[b.offset:b.end]
+                .view(np.dtype(b.dtype)).reshape(b.shape)
+                for b in plan.buffers
+            }
+        self.views = views
 
     def request(self, key, shape, pos):
         view = self.views.get(key)
         if view is None or view.shape != tuple(shape):
-            # A request the measuring run never saw (or at a drifted
-            # shape) falls back to a fresh allocation — correct, just
-            # unplanned.
-            return self.backend.empty(shape)
+            # Not in the plan: served correctly from a fresh allocation,
+            # and counted so a planner regression shows in memory_stats().
+            with self.program._plans_lock:
+                self.program._unplanned += 1
+            return self.program.backend.empty(shape)
         return view
-
-    def nbytes(self):
-        return self.arena.nbytes
 
 
 class KernelProgram:
@@ -139,9 +165,10 @@ class KernelProgram:
     Built by :func:`compile_kernel_program`; :meth:`run` executes the
     kernels front to back over a ``(B, N, 3)`` stack of clouds (a
     single cloud is a stack of one) and returns the network outputs as
-    inference tensors.  Scratch memory is arena-planned per (thread, input
-    signature) — see :mod:`repro.backend.memplan` — so a single program
-    may run concurrently from multiple threads; parameters come from a
+    inference tensors.  Scratch memory is arena-planned per cloud and
+    served from one arena per thread — see :mod:`repro.backend.memplan` —
+    so a single program may run concurrently from multiple threads at
+    any mix of stack heights; parameters come from a
     shared :class:`~repro.backend.params.ParameterTable` (``params=``
     accepts a pre-built — possibly zero-copy-attached — table).
     """
@@ -165,7 +192,13 @@ class KernelProgram:
         self._kernels = []
         self._kernel_nodes = []
         self._local = threading.local()
-        self._plans = {}
+        #: The height-1 :class:`~repro.backend.memplan.ArenaPlan` every
+        #: height is scaled from (and the program cache stores); ``None``
+        #: until the program has run or been seeded.
+        self.per_cloud_plan = None
+        self._plans = {}  # stack height -> ArenaPlan
+        self._measuring_runs = 0
+        self._unplanned = 0
         self._plans_lock = threading.Lock()
         self._compile()
         self._liveness = GraphLiveness(ngraph.graph, self._kernel_nodes)
@@ -382,7 +415,10 @@ class KernelProgram:
         (§V-B), so the ``(n_out, k, dim)`` neighborhood tensor is never
         materialized.  Chunking is over centroids only — each
         neighborhood still reduces over ``k`` in one call — so the
-        result is bit-identical to the unchunked form.
+        result is bit-identical to the unchunked form.  A pass takes
+        an eighth of each cloud's centroids (never fewer than eight)
+        times the stack height, so the chunk scratch scales with height
+        exactly like every other buffer.
         """
         reduce = bool(node.attrs["reduce"])
         k, dim = node.attrs["k"], node.attrs["dim"]
@@ -397,7 +433,9 @@ class KernelProgram:
             n_rows = rows.shape[0]
             if reduce:
                 out = self._buffer(ctx, ("agg-o", nid), (n_rows, dim))
-                step = n_rows if n_rows <= 8 else max(8, -(-n_rows // 8))
+                n_out = n_rows // ctx["batch"]
+                step = ctx["batch"] * (
+                    n_out if n_out <= 8 else max(8, -(-n_out // 8)))
                 gbuf = self._buffer(ctx, ("agg-gc", nid), (step, k, dim))
                 rbuf = self._buffer(ctx, ("agg-rc", nid), (step, dim))
                 for start in range(0, n_rows, step):
@@ -636,49 +674,40 @@ class KernelProgram:
 
     # -- execution -----------------------------------------------------------
 
-    def _state(self):
-        state = getattr(self._local, "state", None)
-        if state is None:
-            state = self._local.state = {"pool": None, "sig": None,
-                                         "arena": None}
-        return state
-
-    def _plan(self, sig):
+    def _plan_at(self, height):
+        """The per-cloud plan scaled to ``height`` clouds (memoised)."""
         with self._plans_lock:
-            return self._plans.get(sig)
+            plan = self._plans.get(height)
+            if plan is None:
+                plan = self._plans[height] = validate_plan(plan_arena(
+                    at_height(self.per_cloud_plan.buffers, height),
+                    self._liveness), self._liveness)
+            return plan
 
-    def _install_plan(self, sig, measuring):
-        plan = validate_plan(plan_arena(measuring.records, self._liveness),
-                             self._liveness)
+    def seed_plan(self, plan, measured=False):
+        """Install a per-cloud plan: a stored one (the AOT program-cache
+        path), or the one a first run just ``measured``."""
         with self._plans_lock:
-            self._plans.setdefault(sig, plan)
+            self._measuring_runs += measured
+            if self.per_cloud_plan is None:  # two threads may both measure
+                self.per_cloud_plan = plan
 
-    def seed_plans(self, plans):
-        """Install precomputed arena plans (the AOT program-cache path)."""
-        with self._plans_lock:
-            for sig, plan in plans.items():
-                self._plans.setdefault(tuple(sig), plan)
-
-    def _allocator(self, state, sig):
-        """The scratch pool for this run; None second value = planned.
-
-        Returns ``(pool, measuring)`` — ``measuring`` is the recording
-        pool when this run must measure for the planner.
-        """
+    def _allocator(self, height):
+        """``(pool, measuring)`` for a run over ``height`` clouds;
+        ``measuring`` is ``pool`` when this run measures, else ``None``."""
+        local = self._local
+        pool = getattr(local, "pool", None)
         if not self.plan_memory:
-            pool = state["pool"]
             if pool is None:
-                pool = state["pool"] = _DictPool(self.backend)
+                pool = local.pool = _DictPool(self.backend)
             return pool, None
-        plan = self._plan(sig)
-        if plan is None:
-            measuring = _MeasuringPool(self.backend)
+        if self.per_cloud_plan is None:
+            measuring = _MeasuringPool(self.backend, height)
             return measuring, measuring
-        arena = state["arena"]
-        if arena is None or arena.plan is not plan:
-            arena = _ArenaPool(self.backend, plan)
-            state["arena"], state["sig"] = arena, sig
-        return arena, None
+        if pool is None:
+            pool = local.pool = _ArenaPool(self)
+        pool.bind(height, self._plan_at(height))
+        return pool, None
 
     def run(self, coords, on_kernel=None):
         """Execute the program over a ``(batch, n, 3)`` stack of clouds.
@@ -688,12 +717,13 @@ class KernelProgram:
         executors' contract.  Output arrays are fresh copies — scratch
         buffers never escape a run.
 
-        With memory planning on (the default) the first run per
-        (thread, input-shape) pair measures buffer lifetimes and
-        installs an arena plan; steady-state runs execute out of the
-        packed arena, bit-identically.  ``on_kernel(pos, label, env,
-        ctx)``, when given, is invoked after each kernel — the hook the
-        aliasing tests use to corrupt dead arena regions mid-run.
+        With memory planning on (the default) the program's first run
+        measures buffer lifetimes and installs the per-cloud plan; every
+        later run, at any stack height and on any thread, executes out
+        of the calling thread's arena, bit-identically.  ``on_kernel(pos,
+        label, env, ctx)``, when given, is invoked after each kernel —
+        the hook the aliasing tests use to corrupt dead arena regions
+        mid-run.
         """
         from ..neural import Tensor
 
@@ -704,8 +734,7 @@ class KernelProgram:
                 f"coords, got {coords.shape} — lift one cloud with "
                 "cloud[None]"
             )
-        sig = tuple(coords.shape)
-        alloc, measuring = self._allocator(self._state(), sig)
+        alloc, measuring = self._allocator(coords.shape[0])
         ctx = {
             "coords": coords,
             "batch": coords.shape[0],
@@ -721,26 +750,23 @@ class KernelProgram:
         if observe is not None:
             ctx["observe"] = observe
         env = {}
-        if measuring is None:
-            for pos, (label, kernel) in enumerate(self._kernels):
-                ctx["pos"] = pos
-                kernel(env, ctx)
-                if on_kernel is not None:
-                    on_kernel(pos, label, env, ctx)
-        else:
-            seen = set()
-            for pos, (label, kernel) in enumerate(self._kernels):
-                ctx["pos"] = pos
-                kernel(env, ctx)
+        seen = set()
+        for pos, (label, kernel) in enumerate(self._kernels):
+            ctx["pos"] = pos
+            kernel(env, ctx)
+            if measuring is not None:
                 # Map freshly-produced values onto the buffers backing
                 # them — in-place epilogues and reshape escapes extend
                 # buffer liveness past the defining kernel.
                 fresh = [(nid, env[nid]) for nid in env.keys() - seen]
                 record_aliases(measuring.records, fresh)
                 seen.update(env.keys())
-                if on_kernel is not None:
-                    on_kernel(pos, label, env, ctx)
-            self._install_plan(sig, measuring)
+            if on_kernel is not None:
+                on_kernel(pos, label, env, ctx)
+        if measuring is not None:
+            self.seed_plan(validate_plan(
+                plan_arena(measuring.records, self._liveness)), measured=True)
+            self._plan_at(ctx["batch"])  # memory_stats() reports this height
         values = {}
         for out in self.ngraph.outputs:
             value = env[out.node].copy()
@@ -754,35 +780,45 @@ class KernelProgram:
 
     # -- planner introspection ----------------------------------------------
 
-    def plan_for(self, coords):
-        """The arena plan for ``coords``' shape (measuring if needed)."""
+    def plan_for(self, coords, height=None):
+        """The arena plan for ``height`` clouds (default: ``coords``' own).
+
+        Scaled from the per-cloud plan; a program that has neither run
+        nor been seeded runs ``coords`` once to measure it.
+        """
         if not self.plan_memory:
             raise ValueError("memory planning is disabled on this program")
-        sig = tuple(np.asarray(coords).shape)
-        plan = self._plan(sig)
-        if plan is None:
+        if self.per_cloud_plan is None:
             self.run(coords)
-            plan = self._plan(sig)
-        return plan
+        return self._plan_at(len(coords) if height is None else int(height))
 
     def memory_stats(self):
-        """Planner statistics across every input signature seen so far."""
+        """Planner statistics, sized by the tallest height planned so far.
+
+        ``measuring_runs`` is one unless the plan was seeded (or two
+        threads raced to be first); ``unplanned`` counts scratch requests
+        the plan did not describe — zero unless the planner is wrong.
+        """
         if not self.plan_memory:
-            pool = self._state()["pool"]
+            pool = getattr(self._local, "pool", None)
             return {
                 "planned": False,
                 "pool_bytes": 0 if pool is None else pool.nbytes(),
             }
         with self._plans_lock:
-            plans = list(self._plans.values())
-        return {
-            "planned": True,
-            "signatures": len(plans),
-            "buffers": sum(len(p.buffers) for p in plans),
-            "arena_bytes": sum(p.total_bytes for p in plans),
-            "pool_bytes": sum(p.pool_bytes for p in plans),
-            "peak_live_bytes": sum(p.peak_live_bytes for p in plans),
-        }
+            heights = tuple(sorted(self._plans))
+            tallest = self._plans[heights[-1]] if heights \
+                else ArenaPlan(0, (), 0, 0)
+            return {
+                "planned": True,
+                "heights": heights,
+                "buffers": len((self.per_cloud_plan or tallest).buffers),
+                "arena_bytes": tallest.total_bytes,
+                "pool_bytes": tallest.pool_bytes,
+                "peak_live_bytes": tallest.peak_live_bytes,
+                "measuring_runs": self._measuring_runs,
+                "unplanned": self._unplanned,
+            }
 
     def memory_report(self, coords):
         """Per-phase peaks before/after planning, plus the arena plan.
@@ -813,8 +849,8 @@ class KernelProgram:
             "peak_live_bytes": plan.peak_live_bytes,
         }
 
-    def module_working_sets(self, coords):
-        """Peak planned live bytes per module region, for ``coords``' shape.
+    def module_working_sets(self, plan):
+        """Peak planned live bytes per module region under ``plan``.
 
         Buckets the arena plan's per-position live bytes by the
         executing kernel's network module (the graph node's ``module``
@@ -826,7 +862,6 @@ class KernelProgram:
         (:attr:`table`), which is the other resident component of a
         replica's working set.
         """
-        plan = self.plan_for(coords)
         module_of = {
             node.id: node.attrs.get("module")
             for node in self.ngraph.graph.nodes
@@ -875,7 +910,7 @@ class NetworkKernelExecutor:
     construct.  One program per graph is compiled lazily and cached on
     the executor — it serves every stack height, one included;
     thread-local scratch keeps one executor safe to share across an
-    async pipeline.
+    async pipeline or a fleet of shard replicas.
     """
 
     def __init__(self, backend="float64", params=None, program_cache=None,
@@ -886,8 +921,14 @@ class NetworkKernelExecutor:
         #: path, where weights arrive via a mapped file instead of
         #: re-export.
         self.params = params
-        #: Optional :class:`~repro.backend.aot.ProgramCache`; programs
-        #: load from (and first-compiles persist to) it.
+        #: Optional :class:`~repro.backend.aot.ProgramCache` (opened here
+        #: when given as its directory, as the CLI does); programs load
+        #: from (and first-compiles persist to) it.
+        if program_cache is not None and not hasattr(program_cache,
+                                                     "program_for"):
+            from .aot import ProgramCache  # which imports this module
+
+            program_cache = ProgramCache(program_cache)
         self.program_cache = program_cache
         self.plan_memory = bool(plan_memory)
         self._programs = {}

@@ -9,7 +9,7 @@ trace NETWORK [--strategy S] [--memory]
     prints the planner's per-phase peaks and arena layout instead).
 compile NETWORK [--strategy S] [--backend B] [--cache DIR]
     Ahead-of-time compile kernel programs into an on-disk program
-    cache (packed parameters + measured arena plans).
+    cache (packed parameters + the measured per-cloud arena plan).
 tune NETWORK [--batch B] [--backends B ...] [--cache DIR]
     Measure the strategy x backend grid for one workload
     shape and store the winning configuration in the program cache.
@@ -151,16 +151,16 @@ def _cmd_compile(args):
         net = build_network(name, scale=args.scale)
         program = compile_kernel_program(net, args.strategy,
                                          backend=args.backend)
-        # Measure the arena plans of a lone request and of a full batch
-        # before storing, so loads start with both pre-seeded.
-        heights = sorted({1, args.batch})
-        plans = [program.plan_for(rng.normal(size=(b, net.n_points, 3)))
-                 for b in heights]
+        # One cloud measures the per-cloud plan; stored with the
+        # program, it serves every stack height with no measuring run.
+        cloud = rng.normal(size=(1, net.n_points, 3))
+        plan = program.plan_for(cloud)
         digest = cache.store(program)
-        for b, plan in zip(heights, plans):
-            print(f"{digest[:16]}  {net.name} [{args.strategy}] "
-                  f"{args.backend} B={b:<3d} arena {plan.total_bytes:10,d} B "
-                  f"(-{plan.reduction * 100:.1f}% vs pool)")
+        batched = program.plan_for(cloud, height=args.batch)
+        print(f"{digest[:16]}  {net.name} [{args.strategy}] {args.backend} "
+              f"arena {plan.total_bytes:,d} B per cloud, "
+              f"{batched.total_bytes:,d} B at B={args.batch} "
+              f"(-{plan.reduction * 100:.1f}% vs pool)")
     print(f"programs cached in {cache.directory}")
     return 0
 
@@ -525,6 +525,8 @@ def _cmd_serve(args):
     import signal
 
     server = _build_server(args)
+    if args.shards > 1:
+        print(server.plan.describe(), file=sys.stderr)
     sizes = ", ".join(str(n) for n in server.served_sizes)
     write_lock = threading.Lock()
 
@@ -627,8 +629,8 @@ def build_parser():
                            choices=("float64", "float32", "int8"))
     p_compile.add_argument("--scale", type=float, default=0.125)
     p_compile.add_argument("--batch", type=int, default=8,
-                           help="representative batch size whose arena plan "
-                                "is measured and stored with the program")
+                           help="batch size whose arena is printed next to "
+                                "the stored per-cloud plan's")
     p_compile.add_argument("--cache", default=".repro-programs", metavar="DIR",
                            help="program cache directory (content-addressed; "
                                 "safe to reuse across networks and restarts)")
@@ -739,7 +741,7 @@ def _add_serve_options(parser, bench):
     parser.add_argument("--program-cache", default=None, metavar="DIR",
                         help="on-disk AOT program cache directory; kernel "
                              "programs load precompiled (memmapped packed "
-                             "parameters, measured arena plans) and "
+                             "parameters, the measured arena plan) and "
                              "first-compiles persist for the next start — "
                              "warm it with 'repro compile'")
     parser.add_argument("--cache-size", type=int, default=256,

@@ -623,7 +623,7 @@ def bench_mem(network="PointNet++ (c)", batch=8, scale=0.125,
       sides time the pickle round-trip a ``spawn`` pool performs plus
       the initializer itself.
     * **AOT cache load** — compiling the program fresh vs loading it
-      (packed parameters memmapped, arena plans pre-seeded) from the
+      (packed parameters memmapped, arena plan pre-seeded) from the
       on-disk :class:`~repro.backend.ProgramCache`.
     """
     import pickle
@@ -678,7 +678,7 @@ def bench_mem(network="PointNet++ (c)", batch=8, scale=0.125,
     finally:
         shared.close(unlink=True)
 
-    # AOT cache: fresh compile vs load (memmapped params, seeded plans).
+    # AOT cache: fresh compile vs load (memmapped params, seeded plan).
     ngraph = net.network_graph(strategy)
     compile_ms = _best_ms(
         lambda: compile_kernel_program(net, strategy, backend="float64"),

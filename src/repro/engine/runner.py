@@ -110,7 +110,7 @@ class BatchRunner:
     program_cache:
         Optional :class:`~repro.backend.ProgramCache` (or a directory
         path for one).  Kernel programs then load from the AOT cache —
-        zero-copy memmapped parameters, pre-measured arena plans — and
+        zero-copy memmapped parameters, a pre-measured arena plan — and
         first-compiles persist for the next process.  Only meaningful
         together with ``backend``.
     params:
@@ -119,6 +119,12 @@ class BatchRunner:
         descriptor or the program cache) the compiled programs read through instead of
         exporting this runner's own copy of the weights.  Only
         meaningful together with ``backend``; its dtype must match.
+    executor:
+        Optional pre-built :class:`~repro.backend.NetworkKernelExecutor`
+        to run through instead of one constructed from ``backend`` /
+        ``program_cache`` / ``params`` (which is then only reported).
+        Executors are thread-compatible: the shard router hands one to
+        every replica of a network.
     tuned:
         Optional :class:`~repro.tune.TunedTable` (or its JSON form).
         Each :meth:`run` then dispatches on the measured winner for the
@@ -133,7 +139,7 @@ class BatchRunner:
 
     def __init__(self, network, strategy="delayed", substrate="brute",
                  cache=None, dtype=None, backend=None, program_cache=None,
-                 tuned=None, params=None):
+                 tuned=None, params=None, executor=None):
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}")
         self.network = network
@@ -146,11 +152,6 @@ class BatchRunner:
         # ``backend`` for its concurrency pool type, so generic code
         # should read the kernel choice from ``kernel_backend``.
         self.kernel_backend = backend
-        if program_cache is not None and not hasattr(program_cache,
-                                                     "program_for"):
-            from ..backend import ProgramCache
-
-            program_cache = ProgramCache(program_cache)
         self.program_cache = program_cache
         if tuned is not None and not hasattr(tuned, "lookup"):
             from ..tune import TunedTable
@@ -161,11 +162,10 @@ class BatchRunner:
         #: Optional pre-built (possibly zero-copy-attached)
         #: :class:`~repro.backend.params.ParameterTable` the compiled
         #: programs read through instead of re-exporting the network's
-        #: weights — the shard-replica path, where N runners share one
-        #: packed table.  Only meaningful together with ``backend``.
+        #: weights.  Only meaningful together with ``backend``.
         self.params = params
-        self._kernel_executor = None
-        if backend is not None:
+        self._kernel_executor = executor
+        if executor is None and backend is not None:
             from ..backend import NetworkKernelExecutor
 
             self._kernel_executor = NetworkKernelExecutor(

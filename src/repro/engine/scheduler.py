@@ -291,12 +291,14 @@ class AsyncRunner(BatchRunner):
         configuration overrides ``strategy`` / ``substrate`` /
         ``kernel_backend`` for every subsequent batch; the resolved
         config is exposed as ``tuned_config``.
+    params, executor:
+        As for :class:`~repro.engine.runner.BatchRunner`.
     """
 
     def __init__(self, network, strategy="delayed", substrate="brute",
                  cache=None, dtype=None, max_workers=None, in_flight=None,
                  backend="thread", kernel_backend=None, program_cache=None,
-                 tuned=None, params=None):
+                 tuned=None, params=None, executor=None):
         if tuned is not None and not hasattr(tuned, "lookup"):
             from ..tune import TunedTable
 
@@ -310,9 +312,11 @@ class AsyncRunner(BatchRunner):
                 strategy = config.strategy
                 substrate = config.substrate
                 kernel_backend = config.resolve_backend(network)
+                executor = None  # built for the untuned backend
         super().__init__(network, strategy=strategy, substrate=substrate,
                          cache=cache, dtype=dtype, backend=kernel_backend,
-                         program_cache=program_cache, params=params)
+                         program_cache=program_cache, params=params,
+                         executor=executor)
         if backend not in _BACKENDS:
             raise ValueError(
                 f"unknown backend {backend!r}; expected one of {_BACKENDS}"

@@ -221,7 +221,7 @@ class Server:
         selecting a kernel backend and ``program_cache`` (a
         :class:`~repro.backend.ProgramCache` or directory path) letting
         those runners load AOT-compiled programs — memmapped packed
-        parameters, pre-measured arena plans — instead of compiling on
+        parameters, a pre-measured arena plan — instead of compiling on
         first request.  One cache serves every hosted network; programs
         are content-addressed, so restarts with unchanged weights hit.
 

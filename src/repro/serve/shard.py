@@ -8,10 +8,10 @@ giving up any of its determinism guarantees:
 
 * :func:`plan_placement` builds a :class:`PlacementPlan`: each
   (network, shape-class) replica is bin-packed into a worker slot
-  against a per-worker memory budget, using the per-module working-set
-  bytes the arena planner already measures
-  (:meth:`~repro.backend.runtime.KernelProgram.module_working_sets`
-  plus the packed parameter table); when slots remain after every
+  against a per-worker memory budget.  A replica's working set is
+  exact — the per-cloud arena plan of the program it will run, scaled
+  to ``max_batch``, plus the packed parameter table — and costs no
+  ``max_batch``-high forward pass.  When slots remain after every
   network is placed once, the hottest shapes replicate into them.
 * :class:`ShardRouter` speaks the existing ``Server`` API (submit →
   future → :class:`~repro.serve.server.ServeResponse`) in front of one
@@ -25,17 +25,19 @@ giving up any of its determinism guarantees:
   per worker.
 * Replicas share one persistent thread
   :class:`~repro.engine.parallel.ParallelRunner` dispatch pool, and —
-  with a kernel backend — spin up zero-copy from the
-  :func:`~repro.backend.parameter_descriptor` path: one packed
-  :class:`~repro.backend.params.ParameterTable` per network travels
-  through the program cache's blob or one private tmpfs file, mapped
-  read-only, and every replica's compiled programs read the same bytes.
+  with a kernel backend — one
+  :class:`~repro.backend.NetworkKernelExecutor` per hosted network:
+  replicas are threads of this process, so they run the *same* compiled
+  program over the same :class:`~repro.backend.params.ParameterTable`
+  and the same per-cloud arena plan (each built once, or loaded from
+  the program cache), each out of its own thread's arena.
 
 Cross-shard semantics: backpressure aggregates (a request spills along
 the ring past a full replica and only raises
 :class:`~repro.serve.queue.QueueFull` when *every* replica of its
 shape is at capacity), shutdown drains in dependency order (replicas
-first, then the shared pool, then the shared parameter files), and
+first, then the shared pool, then any shared parameter files a caller
+handed over), and
 :meth:`ShardRouter.stats` reports per-shard queue depth and cache hit
 rates next to the aggregate counters.
 """
@@ -81,37 +83,37 @@ class PlacementError(ServeError):
 
 
 def replica_working_set(network, strategy="delayed", backend=None, batch=8,
-                        program_cache=None):
+                        program_cache=None, executor=None):
     """``(total_bytes, modules)`` one replica of ``network`` keeps resident.
 
-    With a kernel ``backend`` the numbers come from real plan metadata:
-    the compiled program's arena plan for a ``(batch, N, 3)`` stack
-    (measured on a zero stack — the plan depends only on shapes) plus
-    the packed parameter table, with ``modules`` breaking the arena
+    With a kernel ``backend`` the numbers are exact plan metadata: the
+    program's per-cloud arena plan scaled to a ``(batch, N, 3)`` stack
+    plus the packed parameter table, with ``modules`` breaking the arena
     down into per-module peaks
     (:meth:`~repro.backend.runtime.KernelProgram.module_working_sets`).
+    A program loaded from a warmed ``program_cache`` (or its directory)
+    carries that plan and nothing runs; a fresh one measures it on one
+    zero cloud — the plan depends only on shapes.  ``executor`` is the
+    :class:`~repro.backend.NetworkKernelExecutor` whose program to size
+    (the fleet's shared one) instead of a private one.
     Without a backend the eager interpreter has no arena plan, so the
     activation term is an estimate — the brute-force distance matrix
     that dominates the interpreter's transient footprint — next to the
     exact parameter bytes.
     """
-    if backend is not None:
-        from ..backend import compile_kernel_program, get_backend
+    if executor is None and backend is not None:
+        from ..backend import NetworkKernelExecutor
 
-        backend = get_backend(backend)
-        if program_cache is not None and hasattr(program_cache,
-                                                 "program_for"):
-            ngraph = network.network_graph(strategy)
-            program = program_cache.program_for(ngraph, network, backend)
-        else:
-            program = compile_kernel_program(network, strategy, backend)
-        coords = np.zeros((int(batch), network.n_points, 3),
-                          dtype=backend.dtype)
-        modules = dict(program.module_working_sets(coords))
+        executor = NetworkKernelExecutor(backend, program_cache=program_cache)
+    if executor is not None:
+        program = executor.program(network.network_graph(strategy), network)
+        plan = program.plan_for(
+            np.zeros((1, network.n_points, 3), dtype=program.backend.dtype),
+            height=batch,
+        )
+        modules = dict(program.module_working_sets(plan))
         modules["parameters"] = int(program.table.nbytes)
-        total = int(program.plan_for(coords).total_bytes) \
-            + modules["parameters"]
-        return total, modules
+        return int(plan.total_bytes) + modules["parameters"], modules
     params = int(sum(p.data.nbytes for p in network.parameters()))
     activations = int(8 * batch * network.n_points ** 2)
     return params + activations, {"parameters": params,
@@ -142,6 +144,8 @@ class PlacementPlan:
     slots: int
     budget_bytes: object  # int or None
     replicas: tuple
+    #: The stack height (the servers' ``max_batch``) the sets are sized for.
+    batch: int = 8
 
     def by_shape(self):
         """``n_points -> (shard ids)`` — the router's first routing level."""
@@ -158,23 +162,31 @@ class PlacementPlan:
         return used
 
     def describe(self):
-        """Human-readable placement dump (``repro serve --shards`` logs it)."""
+        """Which replica went to which slot and what its working set was
+        summed from (``repro serve --shards`` prints it at start-up)."""
         budget = "unbounded" if self.budget_bytes is None \
             else f"{self.budget_bytes} B"
         lines = [f"placement: {len(self.replicas)} replica(s) on "
                  f"{self.slots} slot(s), budget {budget}/slot"]
         for replica in self.replicas:
+            modules = dict(replica.modules)
+            table = modules["parameters"]
+            scratch = f"activations (estimate, batch {self.batch})" \
+                if "activations" in modules \
+                else f"arena (per-cloud plan x {self.batch})"
             lines.append(
-                f"  shard {replica.shard} -> slot {replica.slot}: "
-                f"{replica.network} (n={replica.n_points}, "
-                f"{replica.working_set_bytes} B)"
+                f"  replica {replica.shard} -> slot {replica.slot}: "
+                f"{replica.network} (n={replica.n_points}), "
+                f"{replica.working_set_bytes} B = "
+                f"{replica.working_set_bytes - table} B {scratch} + "
+                f"{table} B table"
             )
         return "\n".join(lines)
 
 
 def plan_placement(networks, slots, budget_bytes=None, hot=None,
                    strategy="delayed", backend=None, batch=8,
-                   program_cache=None):
+                   program_cache=None, executors=None):
     """Bin-pack (network, shape-class) replicas into ``slots`` workers.
 
     Two passes.  First, every network is placed exactly once, largest
@@ -191,7 +203,9 @@ def plan_placement(networks, slots, budget_bytes=None, hot=None,
     weights (default: uniform).
 
     Replicas are numbered (their ``shard`` ids) in (slot, name) order,
-    so the same inputs always produce the same plan.
+    so the same inputs always produce the same plan.  ``executors``
+    (``n_points`` -> :class:`~repro.backend.NetworkKernelExecutor`) are
+    the ones to size instead of private ones: the fleet's own.
     """
     networks = list(networks)
     if not networks:
@@ -220,6 +234,7 @@ def plan_placement(networks, slots, budget_bytes=None, hot=None,
         net.n_points: replica_working_set(
             net, strategy=strategy, backend=backend, batch=batch,
             program_cache=program_cache,
+            executor=(executors or {}).get(net.n_points),
         )
         for net in networks
     }
@@ -284,7 +299,7 @@ def plan_placement(networks, slots, budget_bytes=None, hot=None,
         )
     )
     return PlacementPlan(slots=slots, budget_bytes=budget_bytes,
-                         replicas=replicas)
+                         replicas=replicas, batch=int(batch))
 
 
 # -- consistent hashing ------------------------------------------------------
@@ -406,11 +421,10 @@ class ShardRouter:
         when a single replica suffices — the fully serial degrade),
         and ``cache_size`` total neighbor-index entries partitioned
         across them (``0`` disables caching).  With a kernel
-        ``backend``, each network's parameter table is packed once and
-        attached zero-copy by every replica via
-        :func:`~repro.backend.parameter_descriptor` — through
-        ``program_cache``'s memmapped blobs when given, a private
-        tmpfs file (:func:`~repro.backend.share_table`) otherwise.
+        ``backend``, one :class:`~repro.backend.NetworkKernelExecutor`
+        per hosted network is built here: its program compiles (or
+        loads from ``program_cache``) once, the placement is sized from
+        that program's per-cloud plan, and every replica runs it.
         """
         from ..engine.runner import BatchRunner
         from ..networks import build_network
@@ -432,35 +446,29 @@ class ShardRouter:
         ]
         budget = None if memory_budget_mb is None \
             else int(memory_budget_mb * 2 ** 20)
+        executors = {}
+        if backend is not None:
+            from ..backend import NetworkKernelExecutor
+
+            # One executor per network, shared by placement and by every
+            # replica: N replicas, one program, one table, one plan.
+            executors = {
+                net.n_points: NetworkKernelExecutor(
+                    backend, program_cache=program_cache)
+                for net in built
+            }
         plan = plan_placement(
             built, slots=shards, budget_bytes=budget,
             hot=hot, strategy=strategy, backend=backend,
-            batch=policy.max_batch, program_cache=program_cache,
+            batch=policy.max_batch, executors=executors,
         )
         nets = {net.n_points: net for net in built}
 
         cache = PartitionedIndexCache(len(plan.replicas), maxsize=cache_size) \
             if cache_size else None
-        shared_handles = []
-        shared_params = {}
         dispatch = None
         servers = []
         try:
-            if backend is not None:
-                from ..backend import attach_table, parameter_descriptor
-
-                for n_points, net in nets.items():
-                    descriptor, handle = parameter_descriptor(
-                        net, strategy, backend,
-                        program_cache=program_cache,
-                    )
-                    if handle is not None:
-                        shared_handles.append(handle)
-                    # One attached table per network, shared by every
-                    # replica's executor: N replicas, one copy of the
-                    # packed weights.
-                    shared_params[n_points] = attach_table(descriptor)
-
             if len(plan.replicas) > 1:
                 dispatch = ParallelRunner(
                     max_workers=len(plan.replicas), backend="thread",
@@ -469,25 +477,26 @@ class ShardRouter:
 
             for replica in plan.replicas:
                 net = nets[replica.n_points]
-                net_tuned = _resolve_tuned(tuned, net, program_cache)
-                shard_cache = None if cache is None \
-                    else cache.shard(replica.shard)
+                executor = executors.get(replica.n_points)
+                config = dict(
+                    strategy=strategy, program_cache=program_cache,
+                    tuned=_resolve_tuned(tuned, net, program_cache),
+                    cache=None if cache is None
+                    else cache.shard(replica.shard),
+                    executor=executor,
+                    # What the runner reports as its table: the one the
+                    # shared program (compiled by the placement) reads.
+                    params=None if executor is None else executor.program(
+                        net.network_graph(strategy), net).table,
+                )
                 if runner == "async":
                     from ..engine.scheduler import AsyncRunner
 
-                    replica_runner = AsyncRunner(
-                        net, strategy=strategy, kernel_backend=backend,
-                        program_cache=program_cache,
-                        tuned=net_tuned, cache=shard_cache,
-                        params=shared_params.get(replica.n_points),
-                    )
+                    replica_runner = AsyncRunner(net, kernel_backend=backend,
+                                                 **config)
                 else:
-                    replica_runner = BatchRunner(
-                        net, strategy=strategy, backend=backend,
-                        program_cache=program_cache,
-                        tuned=net_tuned, cache=shard_cache,
-                        params=shared_params.get(replica.n_points),
-                    )
+                    replica_runner = BatchRunner(net, backend=backend,
+                                                 **config)
                 servers.append(Server(
                     replica_runner, policy=policy, dispatch=dispatch,
                     shard=replica.shard,
@@ -497,11 +506,9 @@ class ShardRouter:
                 server.close(drain=False)
             if dispatch is not None:
                 dispatch.close()
-            for handle in shared_handles:
-                handle.close(unlink=True)
             raise
         return cls(servers, plan=plan, cache=cache, dispatch=dispatch,
-                   shared=shared_handles, affinity=affinity, seed=seed)
+                   affinity=affinity, seed=seed)
 
     # -- admission -----------------------------------------------------------
 

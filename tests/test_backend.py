@@ -34,11 +34,12 @@ from repro.neural import BatchNorm, Dropout, Linear, ReLU, SharedMLP, Tensor, no
 STRATEGIES = ("original", "delayed", "limited")
 
 #: One-module toys whose centroid count sits on each side of every edge
-#: of the aggregate kernel's chunk rule (one chunk up to 8 rows, then
-#: ceil(rows / 8) per chunk with a floor of 8).  The equivalence matrix
-#: runs each as one cloud (rows = n_out) and as a stack of 3
-#: (rows = 3 * n_out), so full, partial and single-row last chunks all
-#: occur.
+#: of the aggregate kernel's per-cloud chunk rule (one chunk up to 8
+#: centroids, then ceil(n_out / 8) per chunk with a floor of 8; a stack
+#: of B takes B chunks to a pass), so full, partial (63 -> 7, 65 -> 2)
+#: and single-centroid (9 -> 1) last chunks all occur.  The equivalence
+#: matrix runs each as one cloud and as a stack of 3;
+#: ``test_chunk_edge_toys_at_heights_1_3_8`` adds 8 on one program.
 CHUNK_EDGE_TOYS = {f"{rows}-centroid toy": rows
                    for rows in (1, 7, 8, 9, 63, 64, 65)}
 
@@ -188,9 +189,26 @@ class TestKernelEquivalence:
         assert executor.program(ngraph, net) is program
         assert len(executor._programs) == 1
         assert one.shape == (1, 4) and three.shape == (3, 4)
-        assert program.memory_stats()["signatures"] == 2  # one plan a height
+        stats = program.memory_stats()
+        # One measured plan, scaled to both heights.
+        assert stats["heights"] == (1, 3) and stats["measuring_runs"] == 1
         assert executor.program(net.network_graph("original"), net) \
             is not program
+
+    @pytest.mark.parametrize("name", CHUNK_EDGE_TOYS)
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_chunk_edge_toys_at_heights_1_3_8(self, name, strategy):
+        net = toy(name)
+        ngraph = net.network_graph(strategy)
+        clouds = clouds_for(net, 8, seed=4)
+        kernel = NetworkKernelExecutor("float64")
+        with no_grad():
+            for height in (3, 8, 1):  # measured at 3, scaled up and down
+                stack = clouds[:height]
+                assert_bit_exact(
+                    GraphExecutor().run_network(ngraph, net, stack),
+                    kernel.run_network(ngraph, net, stack))
+        assert kernel.program(ngraph, net).memory_stats()["unplanned"] == 0
 
     def test_program_takes_stacks_only(self):
         net = toy("PointNet++ (c)")

@@ -52,16 +52,25 @@ def run_child(code, stdin=""):
 # One request through the real CLI entry point, then a report of what
 # this process loaded and left behind.
 SERVE_ONE = """
-import glob, json, os, sys
+import contextlib, glob, io, json, os, sys, tempfile
 import repro.cli
-rc = repro.cli.main(["serve", "--network", "PointNet++ (c)", "--scale", "0.5",
-                     "--serve-backend", "float32"] + {extra!r})
+made, mkstemp = [], tempfile.mkstemp
+def recording_mkstemp(*args, **kwargs):
+    made.append(kwargs.get("prefix"))
+    return mkstemp(*args, **kwargs)
+tempfile.mkstemp = recording_mkstemp
+stderr = io.StringIO()
+with contextlib.redirect_stderr(stderr):
+    rc = repro.cli.main(["serve", "--network", "PointNet++ (c)", "--scale",
+                         "0.5", "--serve-backend", "float32"] + {extra!r})
 modules = sorted(m for m in sys.modules
                  if m.split(".")[0] in ("repro", "scipy", "multiprocessing"))
 from repro.backend.aot import _share_dir  # after the snapshot
 print(json.dumps({{
     "rc": rc,
     "modules": modules,
+    "stderr": stderr.getvalue(),
+    "made": made,
     "files": glob.glob(os.path.join(_share_dir(),
                                     "repro-params-%d-*" % os.getpid())),
 }}))
@@ -108,7 +117,26 @@ class TestServedRequestImports:
         assert offenders(modules, ("multiprocessing",)) == []
         served = offenders(modules, ("repro",))
         assert len(served) <= 50, served
-        assert report["files"] == []
+        # Replicas are threads: no table was published at any point
+        # (``made``), let alone left behind (``files``).
+        assert report["made"] == [] and report["files"] == []
+
+    def test_sharded_server_says_once_what_placement_decided(self):
+        lines = serve_one(["--shards", "2"])["stderr"].splitlines()
+        assert [line.split(":")[0] for line in lines[:3]] == [
+            "placement", "  replica 0 -> slot 0", "  replica 1 -> slot 1"]
+        assert lines[3].startswith("serving n_points in [512]")
+        for line in lines[1:3]:
+            total, arena, table = (int(n) for n in re.findall(r"(\d+) B", line))
+            assert total == arena + table and "per-cloud plan x 8" in line
+        # The drain lines the ledger parses are the last four, unchanged;
+        # nothing before them can be mistaken for one.
+        drain = ("served ", "neighbor-index cache: ", "routing: ", "  shard ")
+        assert [line.startswith(prefix) for line, prefix
+                in zip(lines[4:], (*drain, drain[-1]))] == [True] * 5
+        assert not any(line.startswith(drain) for line in lines[:4])
+        assert len(lines) == 9
+        assert "placement" not in "".join(serve_one([])["stderr"])
 
 
 class TestFrontDoors:

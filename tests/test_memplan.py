@@ -1,7 +1,9 @@
 """Tests for the memory planner + AOT program cache (:mod:`repro.backend`).
 
 Covers buffer liveness over the whole-network graph, arena planning
-(best-fit offsets, validation), planner-on
+(best-fit offsets, validation), the per-cloud plan (derived == measured
+at every stack height, no unplanned request, one grow-only arena per
+thread), planner-on
 bit-exactness across all seven networks and three strategies for
 serial, batched and async execution, an adversarial test that corrupts
 dead arena regions mid-run, parameter-table dedup and zero-copy
@@ -17,7 +19,9 @@ import pickle
 import stat
 import subprocess
 import sys
+import threading
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,9 +40,12 @@ from repro.backend import (
     validate_plan,
 )
 from repro.backend.aot import FORMAT, _share_dir
+from repro.backend.runtime import _MeasuringPool
+from repro.core import ModuleSpec
 from repro.engine import AsyncRunner, BatchRunner, ParallelRunner
 from repro.graph import value_liveness
 from repro.networks import ALL_NETWORKS, build_network
+from repro.networks.generic import GenericPointCloudNetwork
 from repro.neural import no_grad
 
 STRATEGIES = ("original", "delayed", "limited")
@@ -197,47 +204,175 @@ class TestPlannerBitExact:
                                            plan_memory=False)
         assert_bit_exact(unplanned.run(cloud), planned.run(cloud))
 
-    def test_shape_change_replans(self):
+    def test_height_change_scales_the_one_measured_plan(self):
         net = toy("PointNet++ (c)")
         program = compile_kernel_program(net, "delayed", backend="float64")
         a = program.plan_for(clouds_for(net, 2))
         b = program.plan_for(clouds_for(net, 4))
         assert a is not b
-        assert program.memory_stats()["signatures"] == 2
+        assert [(x.key, x.shape[0] * 2, x.shape[1:]) for x in a.buffers] \
+            == [(x.key, x.shape[0], x.shape[1:]) for x in b.buffers]
+        stats = program.memory_stats()
+        assert stats["heights"] == (2, 4) and stats["measuring_runs"] == 1
+        assert stats["arena_bytes"] == b.total_bytes  # the tallest so far
+
+
+def plan_facts(plan):
+    """Everything two equal plans agree on."""
+    return (plan.total_bytes, plan.pool_bytes, plan.n_positions,
+            [(b.key, b.shape, b.dtype, b.nbytes, b.offset, b.def_pos,
+              b.last_pos, b.nodes) for b in plan.buffers])
+
+
+def chunk_edge_toy(n_out=65):
+    """One module whose last aggregate chunk is partial: 65 centroids go
+    9 to a pass per cloud, which leaves 2."""
+    spec = ModuleSpec("m", n_in=96, n_out=n_out, k=6, mlp_dims=(3, 16, 24))
+    return GenericPointCloudNetwork([spec], head_dims=(24, 4),
+                                    name=f"{n_out}-centroid toy",
+                                    rng=np.random.default_rng(0))
+
+
+class TestPerCloudPlan:
+    HEIGHTS = tuple(range(1, 9))
+
+    @pytest.mark.parametrize("name", ALL_NETWORKS)
+    def test_derived_plan_equals_measured_plan_at_every_height(self, name):
+        # The differential gate of "measure once, multiply": whichever
+        # height a program happened to measure at, the plan it derives
+        # for height h is the plan a fresh program measures at h.
+        net = build_network(name, scale=0.25)
+        stack = np.random.default_rng(3).normal(
+            size=(8, net.n_points, 3)).astype(np.float32)
+        for strategy in STRATEGIES:
+            def fresh():
+                return compile_kernel_program(net, strategy,
+                                              backend="float32")
+
+            measured = {h: plan_facts(fresh().plan_for(stack[:h]))
+                        for h in self.HEIGHTS}
+            for first in (1, 5):
+                program = fresh()
+                program.run(stack[:first])
+                derived = {h: plan_facts(program.plan_for(stack[:h]))
+                           for h in self.HEIGHTS}
+                assert derived == measured, (name, strategy, first)
+            # ... and every request of every height is one it planned.
+            for h in self.HEIGHTS:
+                program.run(stack[:h])
+            stats = program.memory_stats()
+            assert stats["unplanned"] == 0, (name, strategy)
+            assert stats["measuring_runs"] == 1
+            assert stats["heights"] == self.HEIGHTS
+
+    def test_a_buffer_that_does_not_divide_raises(self):
+        pool = _MeasuringPool(get_backend("float64"), height=2)
+        assert pool.request(("x", 0), (6, 4), 0).shape == (6, 4)
+        [record] = pool.records  # kept per cloud
+        assert record.shape == (3, 4) and record.nbytes == 3 * 4 * 8
+        with pytest.raises(ValueError, match="multiple of the stack height"):
+            pool.request(("y", 0), (7, 4), 1)
+
+    def test_unplanned_requests_are_served_and_counted(self):
+        net = toy("PointNet++ (c)")
+        cloud = cloud_for(net)
+        program = compile_kernel_program(net, "delayed", backend="float64")
+        reference = program.run(cloud)
+        # A planner regression, simulated: the plan loses one buffer.
+        plan = program.per_cloud_plan
+        program.per_cloud_plan = replace(plan, buffers=plan.buffers[1:])
+        program._plans.clear()
+        assert_bit_exact(reference, program.run(cloud))
+        assert program.memory_stats()["unplanned"] == 1
+
+    def test_two_threads_at_two_heights_share_one_program(self):
+        net = toy("PointNet++ (c)")
+        clouds = clouds_for(net, 5)
+        program = compile_kernel_program(net, "delayed", backend="float64")
+        unplanned = compile_kernel_program(net, "delayed", backend="float64",
+                                           plan_memory=False)
+        stacks = {2: clouds[:2], 5: clouds}
+        references = {h: unplanned.run(x) for h, x in stacks.items()}
+        start = threading.Barrier(2)
+        failures = []
+
+        def serve(height):
+            try:
+                start.wait(timeout=30)
+                # Both first runs may measure; the rest interleave two
+                # heights over one shared plan map.
+                for _ in range(20):
+                    assert_bit_exact(references[height],
+                                     program.run(stacks[height]))
+            except BaseException as exc:  # reported on the main thread
+                failures.append((height, exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=serve, args=(h,))
+                       for h in stacks]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        stats = program.memory_stats()
+        assert stats["heights"] == (2, 5) and stats["unplanned"] == 0
+        assert 1 <= stats["measuring_runs"] <= 2
 
 
 class TestAdversarialAliasing:
-    @pytest.mark.parametrize("name,batch", [("DGCNN (c)", None),
-                                            ("PointNet++ (s)", 3)])
+    @pytest.mark.parametrize("heights", [(8, 3, 1, 8, 5), (1, 3, 8, 3)])
+    @pytest.mark.parametrize("name", ["DGCNN (c)", "PointNet++ (s)",
+                                      "65-centroid toy"])
     def test_poisoning_dead_regions_mid_run_is_bit_invisible(self, name,
-                                                             batch):
+                                                             heights):
         # Every kernel fully overwrites its output buffer, so scribbling
         # over every byte the plan says is dead — after each kernel —
         # must not change a single output bit.  If liveness were wrong
         # anywhere, a consumer would read 0xAA garbage and this fails.
-        net = toy(name)
-        cloud = cloud_for(net) if batch is None else clouds_for(net, batch)
+        # One program, one thread, a walk over stack heights: the arena
+        # only grows, so a short stack runs in the front of a tall
+        # stack's arena, a height seen before reuses its cached views,
+        # and a new tallest height drops every cached view with the
+        # arena it pointed into.
+        net = chunk_edge_toy() if name.endswith("toy") else toy(name)
+        clouds = clouds_for(net, 8)
         program = compile_kernel_program(net, "delayed", backend="float64")
-        reference = program.run(cloud)
-        plan = program.plan_for(cloud)
-        if batch is not None:
-            # The stack height is chosen so that an aggregate's last
-            # centroid chunk is partial.
-            shapes = {b.key: b.shape for b in plan.buffers}
+        unplanned = compile_kernel_program(net, "delayed", backend="float64",
+                                           plan_memory=False)
+        if name.endswith("toy"):
+            # An aggregate's last centroid chunk is partial.
+            shapes = {b.key: b.shape for b in program.plan_for(clouds).buffers}
             assert any(shapes["agg-o", key[1]][0] % shape[0]
                        for key, shape in shapes.items()
                        if key[0] == "agg-gc")
+        arenas = []
+        for height in heights:
+            stack = clouds[:height]
+            plan = program.plan_for(stack)
+            poisoned = {"ranges": 0}
 
-        poisoned = {"ranges": 0}
+            def poison(pos, label, env, ctx):
+                arena = ctx["alloc"].arena
+                arenas.append(arena)
+                for start, end in plan.dead_ranges_at(pos):
+                    arena[start:end] = 0xAA
+                    poisoned["ranges"] += 1
+                arena[plan.total_bytes:] = 0xAA  # a taller height's tail
 
-        def poison(pos, label, env, ctx):
-            arena = ctx["alloc"].arena
-            for start, end in plan.dead_ranges_at(pos):
-                arena[start:end] = 0xAA
-                poisoned["ranges"] += 1
-
-        assert_bit_exact(reference, program.run(cloud, on_kernel=poison))
-        assert poisoned["ranges"] > 0
+            assert_bit_exact(unplanned.run(stack),
+                             program.run(stack, on_kernel=poison))
+            assert poisoned["ranges"] > 0
+        # One allocation per new tallest height, and never one otherwise.
+        growths = sum(h > max(heights[:i], default=0)
+                      for i, h in enumerate(heights))
+        assert len({id(arena) for arena in arenas}) == growths
+        assert program.memory_stats()["unplanned"] == 0
 
     def test_poisoning_a_live_region_is_detected(self):
         # The counterpart proving the poison harness has teeth: clobber
@@ -427,8 +562,9 @@ class TestProgramCache:
         digest = cache.store(program)
         loaded = cache.load(digest, net.network_graph("delayed"), net)
         stats = loaded.memory_stats()
-        assert stats["planned"] and stats["signatures"] >= 1
+        assert stats["planned"] and stats["buffers"] >= 1
         assert_bit_exact(reference, loaded.run(cloud))
+        assert loaded.memory_stats()["measuring_runs"] == 0  # it was seeded
 
     def test_program_for_compiles_once_then_hits(self, tmp_path):
         net = toy("PointNet++ (s)")
@@ -507,25 +643,26 @@ class TestProgramCache:
                   network_fingerprint(net))
         # One entry per configuration: the key has no arity component.
         assert cache.config_key(*config) == "|".join(config)
-        # Format 2 keyed and stored programs per arity; such an entry —
-        # even one an index key still reaches — is stale.
-        assert FORMAT > 2
-        stale = self._restamp(cache, cache.config_key(*config), 2)
+        # Format 3 stored one measured plan per input signature; such an
+        # entry — even one an index key still reaches — is stale.
+        assert FORMAT > 3
+        stale = self._restamp(cache, cache.config_key(*config), 3)
         # The kernel labels still match: only the stamp can tell that
         # the stored plans may name scratch keys this code never asks for.
         with pytest.raises(ValueError, match="format"):
             cache.load(stale, ngraph, net)
         fresh = cache.program_for(ngraph, net, backend)
-        assert fresh.memory_stats()["signatures"] == 0  # compiled, not seeded
+        assert fresh.memory_stats()["buffers"] == 0  # compiled, not seeded
         fresh.plan_for(cloud)
         cache.store(fresh)
         digest = cache.digest_for(*config)
         assert digest != stale
         manifest = cache.manifest(digest)
         assert manifest["format"] == FORMAT and "batched" not in manifest
+        # One per-cloud plan per entry, whatever heights the program ran.
+        assert "plans" not in manifest
         assert any(b["key"][0] == "agg-gc"
-                   for plan in manifest["plans"].values()
-                   for b in plan["buffers"])
+                   for b in manifest["plan"]["buffers"])
 
         cache.store_tuned(net.name, "fp", {"entries": {}})
         assert cache.load_tuned(net.name, "fp") == {"entries": {}}
@@ -542,7 +679,7 @@ class TestProgramCache:
         with no_grad():
             one = net.forward(clouds[0], strategy="delayed", executor=warm)
             eight = warm.run_network(ngraph, net, clouds)
-        # Persist the plans the two runs measured, as `repro compile` does.
+        # Persist the plan the first run measured, as `repro compile` does.
         ProgramCache(tmp_path).store(warm.program(ngraph, net))
         index = json.loads((tmp_path / "index.json").read_text())
         assert len(index) == 1
@@ -550,12 +687,15 @@ class TestProgramCache:
         served = NetworkKernelExecutor("float64",
                                        program_cache=ProgramCache(tmp_path))
         program = served.program(ngraph, net)
-        assert program.memory_stats()["signatures"] == 2  # seeded, both
+        seeded = program.memory_stats()
+        assert seeded["buffers"] > 0 and seeded["heights"] == ()
         with no_grad():
             assert_bit_exact(one, net.forward(clouds[0], strategy="delayed",
                                               executor=served))
             assert_bit_exact(eight, served.run_network(ngraph, net, clouds))
-        assert program.memory_stats()["signatures"] == 2  # nothing re-measured
+        stats = program.memory_stats()
+        assert stats["heights"] == (1, 8)  # both derived from the one plan
+        assert stats["measuring_runs"] == 0 and stats["unplanned"] == 0
         assert json.loads((tmp_path / "index.json").read_text()) == index
 
 

@@ -21,8 +21,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import repro.backend.aot
+import repro.backend.runtime
 import repro.engine.runner
 import repro.serve.shard
+from repro.backend import ParameterTable, ProgramCache, compile_kernel_program
 from repro.backend.aot import _share_dir
 from repro.engine import BatchRunner, ParallelRunner
 from repro.engine.cache import (
@@ -32,7 +35,7 @@ from repro.engine.cache import (
     merge_cache_stats,
 )
 from repro.engine.runner import BatchResult
-from repro.networks import build_network
+from repro.networks import ALL_NETWORKS, build_network
 from repro.serve import (
     BatchPolicy,
     HashRing,
@@ -97,6 +100,32 @@ def stub_router(n_shards=2, n_points=8, block=None, max_queue=64,
     return ShardRouter(servers, **kwargs)
 
 
+@pytest.fixture
+def spies(monkeypatch):
+    """Counts of what starting a kernel-backend fleet may do only once."""
+    counts = {"exports": 0, "compiles": 0, "measuring_runs": 0, "shares": 0}
+
+    def counted(name, target):
+        def spy(*args, **kwargs):
+            counts[name] += 1
+            return target(*args, **kwargs)
+        return spy
+
+    for_graph = ParameterTable.for_graph.__func__
+    monkeypatch.setattr(
+        ParameterTable, "for_graph",
+        classmethod(counted("exports", for_graph)))
+    program = repro.backend.runtime.KernelProgram
+    monkeypatch.setattr(program, "_compile",
+                        counted("compiles", program._compile))
+    monkeypatch.setattr(
+        repro.backend.runtime, "_MeasuringPool",
+        counted("measuring_runs", repro.backend.runtime._MeasuringPool))
+    monkeypatch.setattr(repro.backend.aot, "share_table",
+                        counted("shares", repro.backend.aot.share_table))
+    return counts
+
+
 # ----------------------------------------------------------- working sets
 
 
@@ -110,6 +139,50 @@ class TestWorkingSets:
         arena = {k: v for k, v in modules.items() if k != "parameters"}
         assert arena and all(v > 0 for v in arena.values())
         assert max(arena.values()) <= total
+
+    @pytest.mark.parametrize("name", ALL_NETWORKS)
+    def test_kernel_path_equals_a_direct_measurement(self, name):
+        # The size comes from one cloud and a multiplication; it must be
+        # the size a fresh program measures on a whole (batch, N, 3) stack.
+        net = build_network(name,
+                            scale=0.03125 if "(s)" in name else 0.0625)
+        for batch in (1, 4, 8):
+            total, _ = replica_working_set(net, backend="float32",
+                                           batch=batch)
+            direct = compile_kernel_program(net, "delayed", "float32")
+            stack = np.zeros((batch, net.n_points, 3), dtype=np.float32)
+            assert total == direct.plan_for(stack).total_bytes \
+                + direct.table.nbytes, (name, batch)
+            assert direct.memory_stats()["heights"] == (batch,)
+
+    def test_warmed_cache_directory_sizes_without_running(self, tiny_net,
+                                                          tmp_path, spies):
+        # The CLI hands --program-cache over as a string.
+        warm = ProgramCache(tmp_path)
+        program = warm.program_for(tiny_net.network_graph("delayed"),
+                                   tiny_net, "float32")
+        cloud = np.zeros((1, tiny_net.n_points, 3))
+        program.plan_for(cloud)
+        warm.store(program)
+        expected = program.plan_for(cloud, height=8).total_bytes \
+            + program.table.nbytes
+        spies.update(dict.fromkeys(spies, 0))
+        for cache in (str(tmp_path), ProgramCache(tmp_path)):
+            total, _ = replica_working_set(tiny_net, backend="float32",
+                                           batch=8, program_cache=cache)
+            assert total == expected
+            plan = plan_placement([tiny_net], slots=2, backend="float32",
+                                  batch=8, program_cache=cache)
+            assert plan.replicas[0].working_set_bytes == expected
+        assert spies["measuring_runs"] == 0 and spies["exports"] == 0
+        with ShardRouter.hosting(tiny_net, shards=2, backend="float32",
+                                 program_cache=str(tmp_path)) as router:
+            cloud = np.random.default_rng(2).normal(
+                size=(tiny_net.n_points, 3))
+            router.request(cloud, timeout=TIMEOUT)
+            assert router.plan.replicas[0].working_set_bytes == expected
+        assert spies["measuring_runs"] == 0 and spies["exports"] == 0
+        assert spies["shares"] == 0
 
     def test_eager_path_estimates_activations(self, tiny_net):
         total, modules = replica_working_set(tiny_net, backend=None, batch=4)
@@ -176,6 +249,23 @@ class TestPlacement:
         plan = plan_placement([tiny_net], slots=2)
         text = plan.describe()
         assert "2 replica(s)" in text and tiny_net.name in text
+
+    @pytest.mark.parametrize("backend, scratch", [
+        ("float32", "arena (per-cloud plan x 4)"),
+        (None, "activations (estimate, batch 4)"),
+    ])
+    def test_describe_sums_each_working_set(self, tiny_net, backend, scratch):
+        plan = plan_placement([tiny_net], slots=2, backend=backend, batch=4)
+        lines = plan.describe().splitlines()[1:]
+        assert len(lines) == 2
+        for line, replica in zip(lines, plan.replicas):
+            table = dict(replica.modules)["parameters"]
+            assert line == (
+                f"  replica {replica.shard} -> slot {replica.slot}: "
+                f"{tiny_net.name} (n={tiny_net.n_points}), "
+                f"{replica.working_set_bytes} B = "
+                f"{replica.working_set_bytes - table} B {scratch} + "
+                f"{table} B table")
 
 
 # ------------------------------------------------------------- hash ring
@@ -549,6 +639,31 @@ class TestShardExactness:
             assert np.array_equal(np.asarray(resp.output),
                                   np.asarray(replay[position]))
 
+    def test_fleet_shares_one_program_table_and_plan(self, spies):
+        # Counted, not timed: starting two replicas of one network and
+        # serving on both costs what starting one server costs.
+        net = build_network("PointNet++ (c)", scale=0.03125,
+                            rng=np.random.default_rng(41))
+        rng = np.random.default_rng(5)
+        with ShardRouter.hosting([net], shards=2, backend="float32") as router:
+            assert router.n_shards == 2
+            ring = router._rings[net.n_points]
+            clouds = {}
+            while len(clouds) < 2:  # one cloud owned by each replica
+                cloud = rng.normal(size=(net.n_points, 3))
+                clouds.setdefault(ring.owner(content_digest(cloud)), cloud)
+            routed = {shard: router.request(cloud, timeout=TIMEOUT)
+                      for shard, cloud in clouds.items()}
+        assert {shard: resp.shard for shard, resp in routed.items()} \
+            == {0: 0, 1: 1}
+        assert spies == {"exports": 1, "compiles": 1, "measuring_runs": 1,
+                         "shares": 0}
+        with Server.hosting([net], backend="float32") as server:
+            for shard, cloud in clouds.items():
+                alone = server.request(cloud, timeout=TIMEOUT)
+                assert np.array_equal(np.asarray(alone.output),
+                                      np.asarray(routed[shard].output))
+
     def test_affinity_beats_random_on_repeated_clouds(self, tiny_net):
         rng = np.random.default_rng(9)
         clouds = [rng.normal(size=(tiny_net.n_points, 3)) for _ in range(4)]
@@ -621,16 +736,21 @@ class TestHostingFailure:
         return flaky
 
     def test_failed_table_publish_leaves_no_file(self, monkeypatch, started):
-        # Two hosted networks: the first table is published, creating
-        # the second one's file fails.
+        # Two hosted networks: the first one's table is exported, the
+        # second export fails.  Replicas are threads of this process and
+        # read the table where it was built, so no file is ever made.
         nets = [build_network("PointNet++ (c)", scale=scale)
                 for scale in (0.03125, 0.0625)]
+        for_graph = ParameterTable.for_graph.__func__
+        monkeypatch.setattr(ParameterTable, "for_graph", classmethod(
+            self.fail_on_call(for_graph, 2, MemoryError("table 2"))))
         monkeypatch.setattr(tempfile, "mkstemp", self.fail_on_call(
-            tempfile.mkstemp, 2, OSError(28, "No space left on device")))
-        with pytest.raises(OSError, match="No space left"):
+            tempfile.mkstemp, 1, AssertionError("a table went to a file")))
+        with pytest.raises(MemoryError, match="table 2"):
             ShardRouter.hosting(nets, shards=2, backend="float32")
         assert shared_table_files() == []
-        assert started.servers == []  # tables are published first
+        assert started.servers == []  # tables are built first
+        assert started.pools == []
 
     def test_failed_replica_closes_its_started_siblings(self, monkeypatch,
                                                         started, tiny_net):
