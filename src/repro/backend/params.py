@@ -186,17 +186,21 @@ class ParameterTable:
     Tables are content-addressed: :attr:`content_hash` digests the
     dtype, keys, op kinds and raw bytes, and :meth:`for_graph`
     canonicalizes through a global weak registry so equal tables are
-    one object in memory.
+    one object in memory.  The digest is taken when something compares
+    or stores the table, not when it is built: the registry groups live
+    tables by a structural signature and hashes only within a group.
     """
 
-    _registry = weakref.WeakValueDictionary()
+    _registry = {}  # signature -> WeakSet of the live tables sharing it
     _registry_lock = threading.Lock()
 
     def __init__(self, backend_name, dtype, entries, content_hash=None):
         self.backend_name = str(backend_name)
         self.dtype = np.dtype(dtype)
         self.entries = dict(entries)
-        self.content_hash = content_hash or self._digest()
+        # A hash recorded in a manifest is trusted; otherwise the first
+        # read of :attr:`content_hash` computes it.
+        self._content_hash = content_hash
         # Zero-copy tables keep their backing buffer alive through this
         # handle (the mmap); plain exports leave it None.
         self._backing = None
@@ -208,10 +212,10 @@ class ParameterTable:
         """Export the table of one whole-network graph under ``backend``.
 
         With ``dedupe`` (the default) the result is canonicalized
-        through the content-hash registry: a second export with
-        identical bytes — the other arity of the same program, another
-        executor over the same network, any backend sharing the dtype —
-        returns the existing table object instead of new copies.
+        through the registry: a second export with identical bytes —
+        another executor over the same network, any backend sharing the
+        dtype — returns the existing table object instead of new copies.
+        The first export of a structure is hashed by nobody.
 
         ``network`` is the live network the graph was built from;
         backends that pack segments specially (the quantized backend's
@@ -261,11 +265,19 @@ class ParameterTable:
         return table._canonical() if dedupe else table
 
     def _canonical(self):
+        """The live table equal to this one, else this one, registered.
+
+        Only tables with the same :meth:`_signature` can be equal, so a
+        table whose structure nothing else live shares joins the registry
+        unhashed; otherwise both sides are hashed and compared.
+        """
         with ParameterTable._registry_lock:
-            existing = ParameterTable._registry.get(self.content_hash)
-            if existing is not None:
-                return existing
-            ParameterTable._registry[self.content_hash] = self
+            peers = ParameterTable._registry.setdefault(self._signature(),
+                                                        weakref.WeakSet())
+            for peer in list(peers):
+                if peer.content_hash == self.content_hash:
+                    return peer
+            peers.add(self)
             return self
 
     # -- lookup --------------------------------------------------------------
@@ -303,6 +315,22 @@ class ParameterTable:
         return total
 
     # -- content addressing --------------------------------------------------
+
+    def _signature(self):
+        """Dtype, entry keys, op kinds and array shapes — no bytes read."""
+        return (str(self.dtype),) + tuple(
+            (key, tuple((op[0],) + tuple(
+                None if part is None else part.shape for part in op[1:]
+            ) for op in self.entries[key]))
+            for key in sorted(self.entries, key=repr)
+        )
+
+    @property
+    def content_hash(self):
+        """SHA-256 of the dtype, keys, op kinds and raw bytes (memoised)."""
+        if self._content_hash is None:
+            self._content_hash = self._digest()
+        return self._content_hash
 
     def _digest(self):
         digest = hashlib.sha256()

@@ -41,11 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..graph.executors import GraphExecutor
 from ..graph.passes import module_graph
 from ..neural import SharedMLP, Tensor
 from ..neural.layers import Linear, Module
-from .tables import BatchedNeighborIndexTable, NeighborIndexTable, PointFeatureTable
 
 __all__ = [
     "ModuleSpec",
@@ -225,6 +223,11 @@ class PointCloudModule(Module):
                 f"got {len(centroid_idx)}"
             )
 
+        # Imported here: the interpreter and the table containers are
+        # eager-only, so a kernel-backend start never loads them.
+        from ..graph.executors import GraphExecutor
+        from .tables import NeighborIndexTable, PointFeatureTable
+
         if executor is None:
             executor = GraphExecutor()
         # A cloud is a stack of one: lift, run the stack path, unwrap.
@@ -264,6 +267,9 @@ class PointCloudModule(Module):
                 f"{self.spec.name}: expected flat features "
                 f"{(batch * n_in, self.spec.in_dim)}, got {features.shape}"
             )
+        from ..graph.executors import GraphExecutor
+        from .tables import BatchedNeighborIndexTable, PointFeatureTable
+
         result = GraphExecutor().run(graph, self, coords, features)
         out_coords = coords[:, result.centroid_idx]
         nit = BatchedNeighborIndexTable(result.indices, result.centroid_idx)

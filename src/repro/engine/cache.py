@@ -29,7 +29,7 @@ from collections import OrderedDict
 
 import numpy as np
 
-from ..neighbors import ball_query, raw_knn
+from ..neighbors import raw_knn
 
 __all__ = [
     "NeighborIndexCache",
@@ -257,6 +257,8 @@ class NeighborIndexCache:
 
     def ball(self, points, queries, radius, max_samples, dtype=None):
         """Cached ball query; same shapes and semantics as :func:`ball_query`."""
+        from ..neighbors import ball_query  # no served network searches balls
+
         points = np.asarray(points)
         queries = np.asarray(queries)
         params = (max_samples, radius, "brute", dtype)

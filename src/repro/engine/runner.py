@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core import STRATEGIES
-from ..graph import compile_network_plan
 from ..neighbors import search_context
 from ..neural import Tensor, no_grad
 
@@ -178,6 +177,8 @@ class BatchRunner:
         is introspection over — not a copy of — what actually runs.
         """
         if self._plan is None:
+            from ..graph import compile_network_plan
+
             kernel = self._kernel_executor
             self._plan = compile_network_plan(
                 self.network, self.strategy,

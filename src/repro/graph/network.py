@@ -42,7 +42,6 @@ from dataclasses import dataclass, replace
 from .build import build_module_graph
 from .ir import Graph, resolve_dim, shape_env
 from .passes import run_pipeline
-from .schedule import schedule_graph
 
 __all__ = [
     "NetworkGraph",
@@ -117,6 +116,8 @@ class NetworkGraph:
 
     def schedule(self):
         """The cross-module N/F-lane schedule of this graph."""
+        from .schedule import schedule_graph  # analysis only
+
         return schedule_graph(self.graph)
 
     @property

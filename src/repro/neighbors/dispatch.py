@@ -24,8 +24,6 @@ import threading
 import numpy as np
 
 from .brute import knn_brute_force
-from .grid import UniformGrid
-from .kdtree import KDTree
 
 __all__ = [
     "SUBSTRATES",
@@ -117,6 +115,8 @@ def _knn_kdtree(points, queries, k):
             distances = distances[:, None]
             indices = indices[:, None]
         return indices.astype(np.int64), np.asarray(distances, dtype=np.float64)
+    from .kdtree import KDTree  # the fallback loads with its first search
+
     return KDTree(points).query_batch(queries, k)
 
 
@@ -125,6 +125,8 @@ def _knn_grid(points, queries, k):
         # Voxel grids are 3-D by construction; feature-space searches
         # (DGCNN modules beyond the first) route to the brute kernel.
         return knn_brute_force(points, queries, k)
+    from .grid import UniformGrid  # loads with the first grid search
+
     grid = UniformGrid(points, _grid_cell_size(points))
     out_i = np.empty((len(queries), k), dtype=np.int64)
     out_d = np.empty((len(queries), k), dtype=np.float64)

@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import ModuleSpec
-from ..graph import GraphExecutor, build_network_graph
+from ..graph import build_network_graph
 from ..neighbors import neighbor_search
 from ..neural import Dropout, Linear, Module, ReLU, Sequential, Tensor, concat, stack
 
@@ -237,6 +237,8 @@ class PointCloudNetwork(Module):
 
             lower_network_trace(ngraph, trace)
         if executor is None:
+            from ..graph.executors import GraphExecutor
+
             executor = GraphExecutor()
         return _only_cloud(ngraph,
                            executor.run_network(ngraph, self, coords[None]))
@@ -258,6 +260,8 @@ class PointCloudNetwork(Module):
                 f"{self.name} expects (batch, {self.n_points}, 3) coords, "
                 f"got {coords.shape}"
             )
+        from ..graph.executors import GraphExecutor
+
         return GraphExecutor().run_network(
             self.network_graph(strategy), self, coords
         )
@@ -273,6 +277,8 @@ class PointCloudNetwork(Module):
         ``netgraph`` bench row and the equivalence tests measure
         against.
         """
+        from ..graph.executors import GraphExecutor
+
         coords = np.asarray(coords, dtype=np.float64)
         ngraph = self.network_graph(strategy)
         if coords.ndim == 3:

@@ -3,15 +3,15 @@
 Two groupings are provided: :data:`PROFILED_NETWORKS`, the five
 networks the characterization figures (4, 5, 9, 10, 12) profile, and
 :data:`ALL_NETWORKS`, the full seven-network evaluation set of §VII.
+
+A name resolves through :data:`NETWORK_MODULES`, so building one network
+imports only the module that defines it; :data:`NETWORK_CLASSES`, which
+needs every class, is built on first access.
 """
 
 from __future__ import annotations
 
-from .densepoint import DensePoint
-from .dgcnn import DGCNNClassification, DGCNNSegmentation
-from .fpointnet import FPointNet
-from .ldgcnn import LDGCNN
-from .pointnet2 import PointNet2Classification, PointNet2Segmentation
+from importlib import import_module
 
 __all__ = [
     "NETWORK_CLASSES",
@@ -21,14 +21,15 @@ __all__ = [
     "table1_rows",
 ]
 
-NETWORK_CLASSES = {
-    "PointNet++ (c)": PointNet2Classification,
-    "PointNet++ (s)": PointNet2Segmentation,
-    "DGCNN (c)": DGCNNClassification,
-    "DGCNN (s)": DGCNNSegmentation,
-    "F-PointNet": FPointNet,
-    "LDGCNN": LDGCNN,
-    "DensePoint": DensePoint,
+#: Paper name -> (defining module, class name), in Table I order.
+NETWORK_MODULES = {
+    "PointNet++ (c)": ("pointnet2", "PointNet2Classification"),
+    "PointNet++ (s)": ("pointnet2", "PointNet2Segmentation"),
+    "DGCNN (c)": ("dgcnn", "DGCNNClassification"),
+    "DGCNN (s)": ("dgcnn", "DGCNNSegmentation"),
+    "F-PointNet": ("fpointnet", "FPointNet"),
+    "LDGCNN": ("ldgcnn", "LDGCNN"),
+    "DensePoint": ("densepoint", "DensePoint"),
 }
 
 #: The five networks characterized in §III (Figs 4, 5, 9, 10, 12).
@@ -44,20 +45,35 @@ PROFILED_NETWORKS = (
 ALL_NETWORKS = PROFILED_NETWORKS + ("LDGCNN", "DensePoint")
 
 
+def _network_class(name):
+    """The class of one benchmark network, importing only its module."""
+    if name not in NETWORK_MODULES:
+        raise KeyError(
+            f"unknown network {name!r}; available: {sorted(NETWORK_MODULES)}"
+        )
+    module, cls = NETWORK_MODULES[name]
+    return getattr(import_module(f"{__package__}.{module}"), cls)
+
+
+def __getattr__(name):
+    if name != "NETWORK_CLASSES":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    classes = globals()["NETWORK_CLASSES"] = {
+        key: _network_class(key) for key in NETWORK_MODULES
+    }
+    return classes
+
+
 def build_network(name, **kwargs):
     """Instantiate a benchmark network by its paper name."""
-    if name not in NETWORK_CLASSES:
-        raise KeyError(
-            f"unknown network {name!r}; available: {sorted(NETWORK_CLASSES)}"
-        )
-    return NETWORK_CLASSES[name](**kwargs)
+    return _network_class(name)(**kwargs)
 
 
 def table1_rows():
     """Rows of Table I: (domain, algorithm, dataset, year)."""
     rows = []
     for name in ALL_NETWORKS:
-        cls = NETWORK_CLASSES[name]
+        cls = _network_class(name)
         domain = {
             "classification": "Classification",
             "segmentation": "Segmentation",

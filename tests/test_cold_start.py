@@ -51,7 +51,9 @@ def run_child(code, stdin=""):
 
 
 # One request through the real CLI entry point, then a report of what
-# this process loaded and left behind.
+# this process loaded, hashed and left behind.  On a kernel backend a spy
+# counts parameter-table digests; the eager path never loads the table
+# module, so it is not imported there to be spied on.
 SERVE_ONE = """
 import contextlib, glob, io, json, os, sys, tempfile
 import repro.cli
@@ -60,16 +62,25 @@ def recording_mkstemp(*args, **kwargs):
     made.append(kwargs.get("prefix"))
     return mkstemp(*args, **kwargs)
 tempfile.mkstemp = recording_mkstemp
+digests = []
+if {backend!r} != "eager":
+    from repro.backend.params import ParameterTable
+    digest = ParameterTable._digest
+    def counting_digest(self):
+        digests.append(1)
+        return digest(self)
+    ParameterTable._digest = counting_digest
 stderr = io.StringIO()
 with contextlib.redirect_stderr(stderr):
     rc = repro.cli.main(["serve", "--network", "PointNet++ (c)", "--scale",
-                         "0.5", "--serve-backend", "float32"] + {extra!r})
+                         "0.5", "--serve-backend", {backend!r}] + {extra!r})
 modules = sorted(m for m in sys.modules
                  if m.split(".")[0] in ("repro", "scipy", "multiprocessing"))
 from repro.backend.aot import _share_dir  # after the snapshot
 print(json.dumps({{
     "rc": rc,
     "modules": modules,
+    "digests": len(digests),
     "stderr": stderr.getvalue(),
     "made": made,
     "files": glob.glob(os.path.join(_share_dir(),
@@ -81,11 +92,28 @@ NEVER_SERVED = ("repro.hw", "repro.data", "repro.tune", "repro.engine.bench",
                 "repro.serve.harness", "repro.profiling.report",
                 "repro.networks.training")
 
+#: Eager-only and analysis-only code, the other commands, and every
+#: network module but the hosted PointNet++ one: none of it is on the
+#: kernel path.  The eager path runs the graph interpreter and nothing
+#: else of this list.
+NETWORK_MODULES = sorted(
+    f"repro.networks.{path.stem}"
+    for path in Path(repro.__file__).parent.joinpath("networks").glob("*.py")
+    if path.stem not in ("__init__", "base", "registry"))
+KERNEL_PATH_FORBIDDEN = (
+    "repro.graph.executors", "repro.graph.schedule", "repro.core.tables",
+    "repro.neighbors.grid", "repro.neighbors.kdtree", "repro.neighbors.ball",
+    "repro.commands",
+    *(m for m in NETWORK_MODULES if m != "repro.networks.pointnet2"),
+)
+EAGER_PATH_FORBIDDEN = tuple(m for m in KERNEL_PATH_FORBIDDEN
+                             if m != "repro.graph.executors")
 
-def serve_one(extra):
+
+def serve_one(extra, backend="float32"):
     rows = [[0.01 * i, 0.5 - 0.002 * i, (i % 7) / 7.0] for i in range(512)]
     response, report = run_child(
-        SERVE_ONE.format(extra=extra),
+        SERVE_ONE.format(extra=extra, backend=backend),
         stdin=json.dumps({"id": "r0", "cloud": rows}) + "\n",
     )
     assert "output" in json.loads(response), response[:200]
@@ -101,26 +129,58 @@ def offenders(modules, prefixes):
 
 class TestServedRequestImports:
     def test_single_server_loads_only_the_serving_path(self):
-        modules = serve_one([])["modules"]
+        report = serve_one([])
+        modules = report["modules"]
         assert offenders(modules, ("scipy",)) == []
         assert offenders(modules, NEVER_SERVED) == []
+        assert offenders(modules, KERNEL_PATH_FORBIDDEN) == []
         served = offenders(modules, ("repro",))
-        assert len(served) <= 50, served
+        assert len(served) <= 34, served
+        # One table, nothing to compare it with: nothing is hashed.
+        assert report["digests"] == 0
+
+    def test_eager_server_loads_only_the_interpreter_path(self):
+        modules = serve_one([], backend="eager")["modules"]
+        assert offenders(modules, ("scipy",)) == []
+        assert offenders(modules, NEVER_SERVED) == []
+        assert offenders(modules, EAGER_PATH_FORBIDDEN) == []
+        assert "repro.graph.executors" in modules
+        served = offenders(modules, ("repro",))
+        assert len(served) <= 29, served
 
     def test_sharded_server_needs_no_helper_process_or_leftover_file(self):
         report = serve_one(["--shards", "2"])
         modules = report["modules"]
         assert offenders(modules, ("scipy",)) == []
         assert offenders(modules, NEVER_SERVED) == []
+        assert offenders(modules, KERNEL_PATH_FORBIDDEN) == []
         # No multiprocessing at all — in particular not its shared-memory
         # transport, whose resource tracker is a child process that
         # outlives its parent.
         assert offenders(modules, ("multiprocessing",)) == []
         served = offenders(modules, ("repro",))
-        assert len(served) <= 50, served
+        assert len(served) <= 36, served
         # Replicas are threads: no table was published at any point
-        # (``made``), let alone left behind (``files``).
+        # (``made``), let alone left behind (``files``); they share one
+        # table, so it is never hashed either.
         assert report["made"] == [] and report["files"] == []
+        assert report["digests"] == 0
+
+    def test_a_network_name_imports_only_its_module(self):
+        [report] = run_child(
+            "import json, sys\n"
+            "from repro.networks import build_network\n"
+            "build_network('DGCNN (c)', scale=0.0625)\n"
+            "loaded = sorted(m for m in sys.modules\n"
+            "                if m.startswith('repro.networks.'))\n"
+            "from repro.networks import NETWORK_CLASSES\n"
+            "print(json.dumps({'loaded': loaded,\n"
+            "                  'classes': len(NETWORK_CLASSES)}))\n"
+        )
+        report = json.loads(report)
+        assert offenders(report["loaded"], NETWORK_MODULES) \
+            == ["repro.networks.dgcnn"]
+        assert report["classes"] == 7
 
     def test_sharded_server_says_once_what_placement_decided(self):
         lines = serve_one(["--shards", "2"])["stderr"].splitlines()

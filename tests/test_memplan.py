@@ -446,6 +446,77 @@ class TestParameterTableDedup:
                                    params=t32)
 
 
+class TestParameterTableHashing:
+    """A table is hashed when something compares or stores it."""
+
+    @pytest.fixture
+    def digests(self, monkeypatch):
+        # An empty registry: tables other tests keep alive must not
+        # become peers to compare against.
+        monkeypatch.setattr(ParameterTable, "_registry", {})
+        calls = []
+        digest = ParameterTable._digest
+
+        def counting_digest(table):
+            calls.append(table)
+            return digest(table)
+
+        monkeypatch.setattr(ParameterTable, "_digest", counting_digest)
+        return calls
+
+    @staticmethod
+    def export(net, backend="float32"):
+        return ParameterTable.for_graph(net.network_graph("delayed"),
+                                        backend=get_backend(backend))
+
+    def test_a_lone_export_is_not_hashed(self, digests):
+        table = self.export(toy("PointNet++ (c)"))
+        assert digests == []
+        table.content_hash
+        table.content_hash
+        assert digests == [table]  # memoised
+
+    def test_an_equal_export_is_the_same_object_one_digest_each(self,
+                                                                 digests):
+        net = toy("PointNet++ (c)")
+        first = self.export(net)
+        second = self.export(net)
+        assert second is first
+        assert len(digests) == 2 and digests[0] is first
+        assert digests[1] is not first  # the candidate, then dropped
+        third = self.export(net)
+        assert third is first and len(digests) == 3  # first's is memoised
+
+    def test_dtype_or_weights_keep_tables_apart(self, digests):
+        net = toy("PointNet++ (c)")
+        t32 = self.export(net)
+        t64 = self.export(net, "float64")
+        assert t64 is not t32 and digests == []  # signatures differ
+        other = self.export(toy("PointNet++ (c)", seed=1))
+        assert other is not t32
+        assert other.content_hash != t32.content_hash
+
+    def test_a_manifest_hash_is_trusted(self, digests):
+        table = self.export(toy("PointNet++ (c)"), "float64")
+        manifest, blob = table.pack()
+        assert digests == [table]
+        restored = ParameterTable.from_buffer(manifest, blob, dedupe=False)
+        assert restored.content_hash == table.content_hash
+        assert digests == [table]
+
+    def test_a_flipped_byte_fails_verification(self):
+        table = self.export(toy("PointNet++ (c)"), "float64")
+        manifest, blob = table.pack()
+        corrupted = bytearray(blob)
+        corrupted[manifest["arrays"][0]["offset"]] ^= 0x01
+        restored = ParameterTable.from_buffer(manifest, corrupted,
+                                              dedupe=False)
+        assert restored.content_hash == table.content_hash  # as recorded
+        assert not restored.verify_buffer()
+        assert ParameterTable.from_buffer(manifest, bytearray(blob),
+                                          dedupe=False).verify_buffer()
+
+
 class TestFingerprint:
     def test_fingerprint_tracks_weights(self):
         a = toy("PointNet++ (s)", seed=0)

@@ -457,6 +457,26 @@ class TestHostileRequests:
             proc.wait(timeout=TIMEOUT)
             proc.stderr.close()
 
+    @pytest.mark.parametrize("argv, reason", [
+        (["--network", "PointNet (x)"], "unknown network 'PointNet (x)'"),
+        (["--scale", "0"], "scale factor must be positive"),
+        (["--max-batch", "0"], "max_batch must be at least 1"),
+    ])
+    def test_bad_configuration_is_one_error_line(self, argv, reason):
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        # A request is waiting on stdin: the refusal comes before it is read.
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "serve", *argv],
+            input='{"id": 1, "cloud": [[0, 0, 0]]}\n', capture_output=True,
+            text=True, timeout=TIMEOUT, env=env,
+        )
+        assert done.returncode == 2 and done.stdout == ""
+        errors = [line for line in done.stderr.splitlines() if "error:" in line]
+        assert len(errors) == 1 and errors[0].startswith("repro serve: error: ")
+        assert reason in errors[0]
+        assert "Traceback" not in done.stderr
+
 
 # ----------------------------------------------------- engine drain hooks
 
