@@ -26,7 +26,7 @@ bench --serve [--rates R R ...] [--output PATH]
 bench --serve --shards S S ... [--output PATH]
     Sharded-serving scaling sweep (placement + affinity routing);
     writes BENCH_shard.json.
-serve [--network N ...] [--max-batch B] [--max-wait-ms D] [--port P]
+serve [--network N ...] [--max-batch B] [--port P]
     Long-lived continuous-batching server (stdin or TCP JSON lines).
     ``--shards N`` fronts N placement-planned replica servers with the
     cache-affinity shard router.
@@ -107,9 +107,7 @@ def _build_server(args):
     from .engine.cache import NeighborIndexCache
     from .serve import BatchPolicy, Server
 
-    policy = BatchPolicy(max_batch=args.max_batch,
-                         max_wait_ms=args.max_wait_ms,
-                         max_queue=args.max_queue)
+    policy = BatchPolicy(max_batch=args.max_batch, max_queue=args.max_queue)
     if args.tuned and not args.program_cache:
         raise ValueError("--tuned needs --program-cache to load stored "
                          "tables from (warm it with 'repro tune')")
@@ -403,12 +401,10 @@ def build_parser():
 def _add_serve_options(parser, bench):
     """Batching-policy knobs shared by ``serve`` and ``bench --serve``."""
     parser.add_argument("--max-batch", type=int, default=8,
-                        help="most requests coalesced into one dispatch")
-    parser.add_argument("--max-wait-ms", type=float, default=5.0,
-                        help="deadline on the oldest request's queueing "
-                             "time before a partial batch flushes")
+                        help="most queued requests one dispatch takes "
+                             "(it never waits for more)")
     parser.add_argument("--workers", type=int, default=1,
-                        help="dispatch concurrency (1 = fully serial)")
+                        help="batches in flight at once (1 = fully serial)")
     parser.add_argument("--serve-backend", default="eager",
                         choices=("eager", "float32", "float64", "int8"),
                         help="execution path requests drain through: the "
@@ -441,17 +437,12 @@ def _add_serve_options(parser, bench):
         parser.add_argument("--memory-budget-mb", type=float, default=None,
                             help="per-slot working-set budget for the "
                                  "placement planner (default: unbounded)")
-    if not bench:
         parser.add_argument("--tuned", action="store_true",
                             help="dispatch each hosted network on its "
                                  "stored autotuned table from "
                                  "--program-cache (warm it with 'repro "
                                  "tune'; networks without a stored table "
                                  "keep the fixed configuration)")
-    if bench:
-        parser.add_argument("--deadline-ms", type=float, default=750.0,
-                            help="p99 budget the serve row records for "
-                                 "the CI tail-latency gate")
 
 
 def main(argv=None):

@@ -211,7 +211,6 @@ def _cmd_bench_shard(args):
         backend=_serve_backend(args.serve_backend),
         shard_counts=tuple(args.shards),
         max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
         cache_size=args.cache_size,
     )
     row = results["shard"]
@@ -252,14 +251,11 @@ def _cmd_bench_serve(args):
         backend=_serve_backend(args.serve_backend),
         rates=tuple(args.rates) if args.rates else (30.0, 90.0),
         max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
         workers=args.workers,
-        deadline_ms=args.deadline_ms,
     )
     row = results["serve"]
     print(f"serve bench ({row['workload']['backend']} backend, "
-          f"{row['workload']['requests_per_rate']} requests/rate, "
-          f"deadline {row['deadline_ms']:.0f} ms)")
+          f"{row['workload']['requests_per_rate']} requests/rate)")
     for cell in row["grid"]:
         print(f"  rate {cell['rate_rps']:6.1f} rps  "
               f"{cell['policy']:12s} p50 {cell['p50_ms']:7.2f} ms  "

@@ -3,9 +3,10 @@
 The layer that turns *traffic* into the ``(B, N, 3)`` stacks every
 other entry point assumes: :class:`Server` admits heterogeneous
 point-cloud requests onto a bounded per-tenant fair queue
-(:class:`FairQueue`), coalesces arrivals under a
-:class:`BatchPolicy` (``max_batch`` / ``max_wait_ms`` deadline), splits
-mixed-``N`` batches into per-shape sub-batches, and drains each through
+(:class:`FairQueue`), takes up to ``max_batch`` queued requests
+(:class:`BatchPolicy`) whenever a dispatch lane is free — never
+waiting for riders — splits mixed-``N`` batches into per-shape
+sub-batches, and drains each through
 an engine runner — the batched graph interpreter or a compiled kernel
 backend alike.  ``repro serve`` wraps it in a stdin/socket JSON request
 loop; :func:`bench_serve` replays open-loop Poisson arrivals against it

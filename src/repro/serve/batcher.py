@@ -1,30 +1,24 @@
-"""Dynamic batch formation: deadline-bounded coalescing + shape split.
+"""Dynamic batch formation: work-conserving gather + shape split.
 
-Continuous batching in the Clipper/Orca mold: the dispatcher does not
-wait for a full batch, it waits for whichever comes first —
-``max_batch`` requests pending, or the *oldest* request having waited
-``max_wait_ms``.  Low traffic therefore pays at most one deadline of
-queueing before a partial batch flushes; high traffic forms full
-batches with no artificial delay (the deadline only ever triggers on
-a non-full batch).
+Continuous batching in the Orca mold (iteration-level scheduling): the
+dispatcher never waits for riders.  A server takes up to ``max_batch``
+queued requests the moment something is queued *and* it has a free
+dispatch lane; batches form from whatever arrived while earlier batches
+ran.  An unloaded request is therefore dispatched at once, and a loaded
+server still fills its batches, because the queue refills while the
+lanes are busy.
 
-The two knobs trade tail latency against throughput:
+``max_batch`` caps how much work one kernel call amortizes — larger
+batches cut per-dispatch overhead and let a backlog drain in fewer
+calls, but make the last rider wait for the whole sub-batch to compute.
 
-* ``max_batch`` caps how much work one kernel call amortizes — larger
-  batches raise throughput per dispatch but make the last rider wait
-  for the whole sub-batch to compute.
-* ``max_wait_ms`` caps queueing delay at low rates — smaller deadlines
-  cut p99 when traffic is sparse, at the cost of smaller (less
-  amortized) batches.
-
-:func:`gather` implements the wait; :func:`split_by_shape` turns one
+:func:`gather` takes the batch; :func:`split_by_shape` turns one
 gathered batch into per-shape sub-batches, because only same-``N``
 clouds can stack into a single ``(B, N, 3)`` kernel call.
 """
 
 from __future__ import annotations
 
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -39,55 +33,31 @@ class BatchPolicy:
     ----------
     max_batch:
         Most requests coalesced into one dispatch (``1`` disables
-        batching entirely — the tail-latency-optimal, throughput-worst
-        policy the bench harness uses as its baseline).
-    max_wait_ms:
-        Deadline on the oldest request's queueing time before a
-        partial batch flushes.
+        batching entirely — the baseline policy of the bench harness).
     max_queue:
         Admission bound (see :class:`~repro.serve.queue.FairQueue`).
     """
 
     max_batch: int = 8
-    max_wait_ms: float = 5.0
     max_queue: int = 64
 
     def __post_init__(self):
         if self.max_batch < 1:
             raise ValueError("max_batch must be at least 1")
-        if self.max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be non-negative")
         if self.max_queue < self.max_batch:
             raise ValueError("max_queue must be at least max_batch")
 
 
 def gather(queue, policy):
-    """Block on ``queue`` until a batch is due, then take it.
+    """Block until something is queued, then take it.
 
-    Returns up to ``policy.max_batch`` requests once either trigger
-    fires (batch full, or oldest arrival past the ``max_wait_ms``
-    deadline), draining round-robin across tenants.  A closed queue
-    flushes whatever is pending immediately — partial batches included
-    — and returns ``[]`` only once closed *and* empty, which is the
-    dispatcher's signal to exit.
+    Returns up to ``policy.max_batch`` requests, drained round-robin
+    across tenants, as soon as the queue is non-empty — it never waits
+    for more riders.  Returns ``[]`` only once the queue is closed
+    *and* empty, which is the dispatcher's signal to exit.
     """
-    depth = queue.wait()
-    if depth == 0:
+    if queue.wait() == 0:
         return []  # closed and drained
-    while depth < policy.max_batch and not queue.closed:
-        oldest = queue.oldest_arrival()
-        if oldest is None:
-            # Raced with another consumer; go back to sleep.
-            depth = queue.wait()
-            if depth == 0:
-                return []
-            continue
-        deadline = oldest + policy.max_wait_ms / 1e3
-        if time.perf_counter() >= deadline:
-            break
-        depth = queue.wait_for_change(depth, deadline)
-        if depth == 0 and queue.closed:
-            return []
     return queue.take(policy.max_batch)
 
 

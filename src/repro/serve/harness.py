@@ -10,9 +10,9 @@ the request's *scheduled* arrival, which also immunizes the numbers
 against coordinated omission when the generator itself falls behind.
 
 :func:`bench_serve` sweeps a (rate x policy) grid — by default a
-no-batching policy (``max_batch=1``, the tail-latency-optimal baseline)
-against continuous batching — and reports p50/p99 latency and
-throughput per cell into one stable ``serve`` bench row.  Alongside the
+no-batching policy (``max_batch=1``, the baseline) against continuous
+batching — and reports p50/p99 latency and throughput per cell into
+one stable ``serve`` bench row.  Alongside the
 timings it records the deterministic correctness story CI gates on:
 
 * every response is bit-exact against a direct
@@ -50,13 +50,10 @@ __all__ = ["bench_serve", "bench_shard", "serve_bench_results",
            "shard_bench_results"]
 
 
-def _default_policies(max_batch, max_wait_ms, max_queue):
+def _default_policies(max_batch, max_queue):
     return (
-        ("no_batching",
-         BatchPolicy(max_batch=1, max_wait_ms=0.0, max_queue=max_queue)),
-        ("continuous",
-         BatchPolicy(max_batch=max_batch, max_wait_ms=max_wait_ms,
-                     max_queue=max_queue)),
+        ("no_batching", BatchPolicy(max_batch=1, max_queue=max_queue)),
+        ("continuous", BatchPolicy(max_batch=max_batch, max_queue=max_queue)),
     )
 
 
@@ -111,17 +108,16 @@ def _replay(server, clouds, schedule, tenants):
 
 def bench_serve(network="PointNet++ (c)", scale=0.0625, strategy="delayed",
                 backend=None, rates=(30.0, 90.0), requests_per_rate=48,
-                distinct_clouds=8, tenants=4, max_batch=8, max_wait_ms=5.0,
-                max_queue=4096, workers=1, deadline_ms=750.0, seed=0,
-                policies=None):
+                distinct_clouds=8, tenants=4, max_batch=8, max_queue=4096,
+                workers=1, seed=0, policies=None):
     """Sweep the serving frontend over a (rate x policy) grid.
 
     Returns one ``serve`` bench row: ``workload`` + ``baseline`` like
     every other row, a ``grid`` of per-(rate, policy) latency/throughput
-    cells, and the deterministic gates — ``responses_ok`` (bit-exact
-    for float64 paths, top-1-identical for float32), ``ids_ok`` (no
-    dropped or duplicated request IDs) and ``p99_batched_worst_ms``
-    (the worst continuous-batching p99, gated ``<= deadline_ms``).
+    cells, the deterministic gates — ``responses_ok`` (bit-exact for
+    float64 paths, top-1-identical for float32) and ``ids_ok`` (no
+    dropped or duplicated request IDs) — and ``p99_batched_worst_ms``
+    (the worst continuous-batching p99).
 
     ``backend=None`` serves through the batched graph interpreter;
     ``"float64"``/``"float32"`` serve the compiled kernel programs.
@@ -141,7 +137,7 @@ def bench_serve(network="PointNet++ (c)", scale=0.0625, strategy="delayed",
 
     serve_runner = BatchRunner(net, strategy=strategy, backend=backend)
     if policies is None:
-        policies = _default_policies(max_batch, max_wait_ms, max_queue)
+        policies = _default_policies(max_batch, max_queue)
 
     grid = []
     exact = top1 = ids_ok = True
@@ -192,7 +188,6 @@ def bench_serve(network="PointNet++ (c)", scale=0.0625, strategy="delayed",
                 "rate_rps": float(rate),
                 "policy": name,
                 "max_batch": policy.max_batch,
-                "max_wait_ms": policy.max_wait_ms,
                 "offered": requests_per_rate,
                 "completed": len(responses),
                 "rejected": len(rejected),
@@ -223,7 +218,6 @@ def bench_serve(network="PointNet++ (c)", scale=0.0625, strategy="delayed",
             "workers": workers,
         },
         "baseline": "direct BatchRunner.run on the same clouds (no queueing)",
-        "deadline_ms": float(deadline_ms),
         "direct_batch_ms": direct_batch_ms,
         "grid": grid,
         "responses_exact": bool(exact),
@@ -261,8 +255,7 @@ def _affinity_hit_rate(mode, network, shards, sequence, clouds, policy,
 def bench_shard(network="PointNet++ (c)", scale=0.0625, strategy="delayed",
                 backend=None, shard_counts=(1, 2, 4), rate=None,
                 requests=64, distinct_clouds=6, tenants=4, max_batch=8,
-                max_wait_ms=4.0, max_queue=4096, cache_size=1024,
-                affinity_passes=3, seed=0):
+                max_queue=4096, cache_size=1024, affinity_passes=3, seed=0):
     """Open-loop scaling sweep over shard counts — the ``shard`` row.
 
     One Poisson schedule (auto-rated to ~3x a single dispatch
@@ -300,8 +293,7 @@ def bench_shard(network="PointNet++ (c)", scale=0.0625, strategy="delayed",
         # to saturate the single-server baseline without drowning it.
         rate = 3.0 * max_batch / max(direct_batch_ms / 1e3, 1e-6)
     schedule = np.cumsum(rng.exponential(1.0 / rate, size=requests))
-    policy = BatchPolicy(max_batch=max_batch, max_wait_ms=max_wait_ms,
-                         max_queue=max_queue)
+    policy = BatchPolicy(max_batch=max_batch, max_queue=max_queue)
 
     from .shard import ShardRouter
 

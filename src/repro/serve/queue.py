@@ -3,9 +3,8 @@
 The serving frontend's front door.  Producers (:meth:`Server.submit
 <repro.serve.server.Server.submit>` callers, the CLI request loop, the
 bench harness's arrival generator) push :class:`Request` objects;
-the dispatcher thread blocks on the queue until the batching policy
-says a batch is due.  Three properties the serve tests pin down live
-here:
+the dispatcher thread blocks on the queue until something is queued.
+Three properties the serve tests pin down live here:
 
 * **Bounded depth** — :meth:`FairQueue.push` never blocks; once
   ``max_queue`` requests are pending it raises :class:`QueueFull`
@@ -53,10 +52,10 @@ class Request:
     """One pending inference request.
 
     ``arrival`` is a ``time.perf_counter`` stamp taken at admission;
-    the batching deadline (``max_wait_ms``) and the reported queueing
-    latency both measure from it.  The ``future`` resolves to a
-    :class:`~repro.serve.server.ServeResponse` (or raises) once the
-    request's sub-batch has drained through the runner.
+    the reported queueing latency measures from it.  The ``future``
+    resolves to a :class:`~repro.serve.server.ServeResponse` (or
+    raises) once the request's sub-batch has drained through the
+    runner.
     """
 
     id: str
@@ -118,12 +117,6 @@ class FairQueue:
             self._depth += 1
             self._nonempty.notify_all()
 
-    def oldest_arrival(self):
-        """Arrival stamp of the longest-waiting request (None if empty)."""
-        with self._lock:
-            heads = [lane[0].arrival for lane in self._lanes.values() if lane]
-            return min(heads) if heads else None
-
     def take(self, limit):
         """Remove and return up to ``limit`` requests, fairly.
 
@@ -147,28 +140,13 @@ class FairQueue:
                         break
         return taken
 
-    def wait(self, timeout=None):
+    def wait(self):
         """Block until the queue is non-empty or closed.
 
         Returns the pending depth (0 only when closed and drained).
         """
         with self._nonempty:
-            self._nonempty.wait_for(
-                lambda: self._depth > 0 or self._closed, timeout
-            )
-            return self._depth
-
-    def wait_for_change(self, depth, deadline):
-        """Block until the depth differs from ``depth``, ``deadline``
-        (a ``perf_counter`` stamp) passes, or the queue closes.
-        Returns the current depth."""
-        with self._nonempty:
-            while (self._depth == depth and not self._closed
-                   and time.perf_counter() < deadline):
-                remaining = deadline - time.perf_counter()
-                if remaining <= 0:
-                    break
-                self._nonempty.wait(remaining)
+            self._nonempty.wait_for(lambda: self._depth > 0 or self._closed)
             return self._depth
 
     def close(self, reject=False):

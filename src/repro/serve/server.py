@@ -11,15 +11,18 @@ tenants.  The request lifecycle:
    bounded per-tenant :class:`~repro.serve.queue.FairQueue` (raising
    :class:`~repro.serve.queue.QueueFull` under overload — backpressure,
    never unbounded buffering).
-2. **Coalesce** — the dispatcher thread blocks in
-   :func:`~repro.serve.batcher.gather` until the batch is full or the
-   oldest request hits the ``max_wait_ms`` deadline, then splits the
-   gathered requests into per-shape sub-batches.
+2. **Coalesce** — once a dispatch lane is free, the dispatcher thread
+   blocks in :func:`~repro.serve.batcher.gather` until anything is
+   queued and takes up to ``max_batch`` requests at once (it never
+   waits for riders), then splits them into per-shape sub-batches.
 3. **Drain** — each sub-batch stacks into one ``(B, N, 3)`` call
    through its :class:`~repro.engine.runner.BatchRunner` (kernel
    backends included), executing inline with one dispatch worker or across a
    persistent :class:`~repro.engine.parallel.ParallelRunner` thread
-   pool with more.
+   pool with more.  A server has as many lanes as dispatch workers:
+   one gathered batch holds one lane until all of its sub-batches
+   have run, so batches form from what queues while the lanes are
+   busy.
 4. **Respond** — the batch output splits back per request
    (:meth:`~repro.engine.runner.BatchResult.per_cloud`) and each
    request's future resolves to a :class:`ServeResponse`.
@@ -80,8 +83,8 @@ def _resolve_tuned(tuned, network, program_cache):
 class ServeResponse:
     """One request's result plus its latency breakdown.
 
-    ``queued_ms`` is admission -> dispatch (what the batching policy
-    controls); ``service_ms`` is the sub-batch's runner call;
+    ``queued_ms`` is admission -> dispatch (time spent waiting for a
+    free dispatch lane); ``service_ms`` is the sub-batch's runner call;
     ``latency_ms`` is admission -> response (what the client feels).
     ``batch_ids`` names every request that shared the kernel call, in
     stack order — batched float64 GEMMs are bit-reproducible for a
@@ -124,13 +127,14 @@ class Server:
         same ``n_points`` are ambiguous and rejected.
     policy:
         A :class:`~repro.serve.batcher.BatchPolicy` (default: 8-deep
-        batches, 5 ms deadline, 64-deep queue).
+        batches, 64-deep queue).
     workers:
-        Dispatch concurrency.  ``1`` (default) runs every sub-batch
-        inline on the dispatcher thread — the fully serial degrade,
-        no pools anywhere.  More workers drain sub-batches through a
-        persistent thread :class:`~repro.engine.parallel.ParallelRunner`
-        so a slow batch does not block the next shape group.
+        Dispatch concurrency — the number of batches in flight at
+        once.  ``1`` (default) runs every sub-batch inline on the
+        dispatcher thread — the fully serial degrade, no pools
+        anywhere.  More workers drain batches through a persistent
+        thread :class:`~repro.engine.parallel.ParallelRunner` so a slow
+        batch does not block the next one.
     dispatch:
         An externally-owned persistent
         :class:`~repro.engine.parallel.ParallelRunner` to drain
@@ -138,6 +142,7 @@ class Server:
         :class:`~repro.serve.shard.ShardRouter`'s replicas share one
         pool.  The server never closes an external pool; its own
         :meth:`close` just waits for the sub-batches *it* submitted.
+        The pool's ``max_workers`` becomes the server's ``workers``.
         Mutually exclusive with ``workers > 1``.
     shard:
         Replica id stamped on every :class:`ServeResponse` (default 0;
@@ -189,9 +194,12 @@ class Server:
             self._dispatch = ParallelRunner(
                 max_workers=self.workers, backend="thread", persistent=True
             )
-        #: Sub-batch futures in flight on the dispatch pool.  close()
-        #: waits on these instead of closing the pool, which it may
-        #: not own.
+        #: One permit per dispatch lane: the dispatcher takes one before
+        #: it gathers, and the gathered batch gives it back once it has
+        #: run, so no more than ``workers`` batches are ever in flight.
+        self._lanes = threading.Semaphore(self.workers)
+        #: Batch futures in flight on the dispatch pool.  close() waits
+        #: on these instead of closing the pool, which it may not own.
         self._pending = set()
         self._ids = itertools.count()
         self._lock = threading.Lock()
@@ -337,23 +345,32 @@ class Server:
 
     def _dispatch_loop(self):
         while True:
+            self._lanes.acquire()
             batch = gather(self._queue, self.policy)
             if not batch:
                 return  # closed and drained
             with self._lock:
                 self._stats["batches"] += 1
-            for group in split_by_shape(batch).values():
-                if self._dispatch is None:
-                    self._run_group(group)
-                else:
-                    future = self._dispatch.submit(self._run_group, group)
-                    with self._lock:
-                        self._pending.add(future)
-                    future.add_done_callback(self._discard_pending)
+            groups = list(split_by_shape(batch).values())
+            if self._dispatch is None:
+                self._run_groups(groups)
+                self._lanes.release()
+            else:
+                future = self._dispatch.submit(self._run_groups, groups)
+                with self._lock:
+                    self._pending.add(future)
+                future.add_done_callback(self._batch_done)
 
-    def _discard_pending(self, future):
+    def _batch_done(self, future):
+        """A pooled batch has run: forget its future, free its lane."""
         with self._lock:
             self._pending.discard(future)
+        self._lanes.release()
+
+    def _run_groups(self, groups):
+        """One gathered batch, its shape groups in order, on one lane."""
+        for group in groups:
+            self._run_group(group)
 
     def _run_group(self, group):
         """One same-shape sub-batch through its runner, fan results out."""
@@ -401,9 +418,8 @@ class Server:
         :class:`~repro.serve.queue.ServerClosed` (in-flight sub-batches
         still complete; the runner call cannot be interrupted).  The
         queue close and the rejection happen atomically, so a non-drain
-        close both returns without waiting out the batching deadline
-        (the dispatcher is woken directly) and never races the
-        dispatcher into serving a request it was meant to fail.
+        close never races the dispatcher into serving a request it was
+        meant to fail.
 
         With an external ``dispatch`` pool the server waits for the
         sub-batches it submitted but leaves the pool running — the
@@ -417,7 +433,7 @@ class Server:
         # reject=True removes still-pending requests under the queue
         # lock in the same step that closes admission: the dispatcher
         # wakes to an empty, closed queue and exits immediately instead
-        # of serving (or timing out on) what we are about to fail.
+        # of serving what we are about to fail.
         for req in self._queue.close(reject=not drain):
             if req.future.set_running_or_notify_cancel():
                 req.future.set_exception(

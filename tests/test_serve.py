@@ -1,11 +1,16 @@
 """Serving frontend: admission, batching policy, dispatch, harness.
 
-The edge cases CI pins down: a deadline expiry flushes a partial batch,
-a full queue rejects with backpressure instead of deadlocking, mixed-N
+The edge cases CI pins down: a lone queued request is taken at once,
+requests queued behind a running batch ride the next one together, a
+server never has more batches in flight than dispatch lanes, a full
+queue rejects with backpressure instead of deadlocking, mixed-N
 arrivals split into per-shape sub-batches that stay bit-exact against
 direct BatchRunner calls, graceful shutdown drains everything already
 admitted, and a single dispatch worker degrades to fully serial
 execution with identical results.
+
+Batches form deterministically here: a test parks the dispatcher on a
+gated first call, queues requests behind it, then opens the gate.
 """
 
 import json
@@ -37,6 +42,7 @@ from repro.serve import (
     Server,
     ServerClosed,
     bench_serve,
+    gather,
     split_by_shape,
 )
 
@@ -86,6 +92,67 @@ def stub_cloud(n_points=8, value=1.0):
     return np.full((n_points, 3), value)
 
 
+class GatedRunner:
+    """A real runner whose calls wait for ``gate`` — parks the dispatcher
+    for the bit-exact tests the way ``StubRunner(block=gate)`` does."""
+
+    def __init__(self, runner, gate):
+        self.runner = runner
+        self.network = runner.network
+        self.gate = gate
+
+    def run(self, stack):
+        assert self.gate.wait(TIMEOUT)
+        return self.runner.run(stack)
+
+    def close(self):
+        self.runner.close()
+
+
+class CountingRunner(StubRunner):
+    """Counts runner calls in flight.  Every call waits at a barrier of
+    ``parties``, so no call finishes until that many run side by side."""
+
+    def __init__(self, parties, pool=None):
+        super().__init__()
+        self.barrier = threading.Barrier(parties, timeout=TIMEOUT)
+        self.pool = pool
+        self.lock = threading.Lock()
+        self.active = self.peak = 0
+        self.pool_pending = []  # pool tasks unresolved at each entry
+
+    def run(self, stack):
+        with self.lock:
+            self.active += 1
+            self.peak = max(self.peak, self.active)
+            if self.pool is not None:
+                self.pool_pending.append(self.pool.pending())
+        try:
+            self.barrier.wait()
+            return super().run(stack)
+        finally:
+            with self.lock:
+                self.active -= 1
+
+
+def wait_until_taken(server):
+    """Block until the dispatcher has taken everything queued."""
+    give_up = time.time() + TIMEOUT
+    while len(server._queue) > 0 and time.time() < give_up:
+        time.sleep(0.002)
+    assert len(server._queue) == 0
+
+
+def park(server, clouds):
+    """Submit ``clouds`` one at a time, each taken before the next, so
+    each parks one dispatch lane on a gated runner; returns the futures."""
+    futures = []
+    for cloud in clouds:
+        futures.append(server.submit(cloud))
+        wait_until_taken(server)
+    return futures
+
+
 # ---------------------------------------------------------------- queue
 
 
@@ -119,23 +186,30 @@ class TestFairQueue:
             q.push(Request("b", stub_cloud()))
         assert [r.id for r in q.take(4)] == ["a"]
 
-    def test_oldest_arrival_tracks_head(self):
-        q = FairQueue(max_queue=4)
-        assert q.oldest_arrival() is None
-        first = Request("a", stub_cloud())
-        q.push(first)
-        q.push(Request("b", stub_cloud()))
-        assert q.oldest_arrival() == first.arrival
-
 
 class TestBatchPolicy:
     def test_validation(self):
         with pytest.raises(ValueError):
             BatchPolicy(max_batch=0)
         with pytest.raises(ValueError):
-            BatchPolicy(max_wait_ms=-1.0)
-        with pytest.raises(ValueError):
             BatchPolicy(max_batch=8, max_queue=4)
+
+    def test_lone_queued_request_is_taken_at_once(self):
+        q = FairQueue(max_queue=64)
+        q.push(Request("lonely", stub_cloud()))
+        # Nothing else will ever arrive: gather must not wait for riders.
+        batch = gather(q, BatchPolicy(max_batch=64))
+        assert [r.id for r in batch] == ["lonely"] and len(q) == 0
+
+    def test_gather_takes_at_most_max_batch_then_exits_on_close(self):
+        q = FairQueue(max_queue=8)
+        for i in range(3):
+            q.push(Request(f"r{i}", stub_cloud()))
+        policy = BatchPolicy(max_batch=2, max_queue=8)
+        assert [r.id for r in gather(q, policy)] == ["r0", "r1"]
+        q.close()
+        assert [r.id for r in gather(q, policy)] == ["r2"]  # drains first
+        assert gather(q, policy) == []  # closed and drained: exit signal
 
     def test_split_by_shape_groups_in_first_seen_order(self):
         reqs = [Request("a", stub_cloud(8)), Request("b", stub_cloud(16)),
@@ -150,23 +224,78 @@ class TestBatchPolicy:
 
 
 class TestServerEdgeCases:
-    def test_deadline_expiry_flushes_partial_batch(self):
-        # max_batch far above the offered load: only the max_wait_ms
-        # deadline can flush, and it must.
-        runner = StubRunner()
-        policy = BatchPolicy(max_batch=64, max_wait_ms=25.0, max_queue=64)
+    def test_requests_queued_behind_a_running_batch_ride_the_next_together(
+            self):
+        gate = threading.Event()
+        runner = StubRunner(block=gate)
+        policy = BatchPolicy(max_batch=8, max_queue=64)
         with Server(runner, policy=policy) as server:
-            futures = [server.submit(stub_cloud(value=i)) for i in range(3)]
+            parked = park(server, [stub_cloud(value=-1.0)])
+            futures = [server.submit(stub_cloud(value=i), request_id=f"q{i}")
+                       for i in range(3)]
+            gate.set()
             responses = [f.result(timeout=TIMEOUT) for f in futures]
-        assert all(r.batch_size < 64 for r in responses)
-        assert sum({r.batch_ids: r.batch_size for r in responses}.values()) == 3
+            assert parked[0].result(timeout=TIMEOUT).batch_size == 1
+        assert all(r.batch_ids == ("q0", "q1", "q2") for r in responses)
+        assert runner.calls == [(1, 8, 3), (3, 8, 3)]
         for i, resp in enumerate(responses):
             assert np.allclose(resp.output, stub_cloud(value=i).sum())
+
+    def test_pooled_server_never_has_more_batches_in_flight_than_workers(self):
+        runner = CountingRunner(parties=2)
+        policy = BatchPolicy(max_batch=1, max_queue=64)
+        with Server(runner, policy=policy, workers=2) as server:
+            runner.pool = server._dispatch
+            futures = [server.submit(stub_cloud(value=i)) for i in range(8)]
+            assert all(f.result(timeout=TIMEOUT) for f in futures)
+        # The barrier proves two lanes run side by side; the counts prove
+        # no third batch ever started, or even waited in the pool.
+        assert runner.peak == 2
+        assert len(runner.pool_pending) == 8
+        assert max(runner.pool_pending) <= 2
+
+    def test_lanes_hold_under_concurrent_submitters(self):
+        # More lanes than cores, four submitting threads and a short
+        # switch interval: a lost lane release would stall the server,
+        # a lost count would break the totals.
+        runner = CountingRunner(parties=1)
+        policy = BatchPolicy(max_batch=3, max_queue=256)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with Server(runner, policy=policy, workers=4) as server:
+                runner.pool = server._dispatch
+                futures = {}
+
+                def submit(tenant):
+                    for i in range(50):
+                        rid = f"{tenant}-{i}"
+                        futures[rid] = server.submit(
+                            stub_cloud(value=i), request_id=rid,
+                            tenant=tenant)
+
+                threads = [threading.Thread(target=submit, args=(f"t{t}",))
+                           for t in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(TIMEOUT)
+                    assert not thread.is_alive()
+                responses = {rid: f.result(timeout=TIMEOUT)
+                             for rid, f in futures.items()}
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(responses) == 200
+        assert all(resp.request_id == rid for rid, resp in responses.items())
+        stats = server.stats()
+        assert stats["completed"] == stats["batched_requests"] == 200
+        assert sum(shape[0] for shape in runner.calls) == 200
+        assert runner.peak <= 4 and max(runner.pool_pending) <= 4
 
     def test_full_queue_rejects_with_backpressure_not_deadlock(self):
         gate = threading.Event()
         runner = StubRunner(block=gate)
-        policy = BatchPolicy(max_batch=1, max_wait_ms=0.0, max_queue=3)
+        policy = BatchPolicy(max_batch=1, max_queue=3)
         server = Server(runner, policy=policy)
         try:
             first = server.submit(stub_cloud())  # dispatcher parks on it
@@ -198,8 +327,12 @@ class TestServerEdgeCases:
         }
         rng = np.random.default_rng(3)
         clouds = {}
-        policy = BatchPolicy(max_batch=8, max_wait_ms=20.0, max_queue=64)
-        with Server(list(runners.values()), policy=policy) as server:
+        gate = threading.Event()
+        gated = GatedRunner(runners[coarse.n_points], gate)
+        policy = BatchPolicy(max_batch=8, max_queue=64)
+        with Server([runners[small_net.n_points], gated],
+                    policy=policy) as server:
+            park(server, [rng.normal(size=(coarse.n_points, 3))])
             futures = {}
             for i in range(8):
                 n = small_net.n_points if i % 2 else coarse.n_points
@@ -207,9 +340,13 @@ class TestServerEdgeCases:
                 futures[f"m{i}"] = server.submit(
                     clouds[f"m{i}"], request_id=f"m{i}"
                 )
+            gate.set()
             responses = {rid: f.result(timeout=TIMEOUT)
                          for rid, f in futures.items()}
         for rid, resp in responses.items():
+            # All eight rode one gathered batch, split into two 4-high
+            # same-N sub-batches.
+            assert resp.batch_size == 4
             group_ns = {clouds[member].shape[0]
                         for member in resp.batch_ids}
             assert group_ns == {clouds[rid].shape[0]}  # same-N sub-batch
@@ -221,28 +358,37 @@ class TestServerEdgeCases:
             assert np.array_equal(resp.output, direct[position])
 
     def test_graceful_shutdown_drains_in_flight(self):
-        runner = StubRunner()
-        policy = BatchPolicy(max_batch=4, max_wait_ms=50.0, max_queue=64)
+        gate = threading.Event()
+        runner = StubRunner(block=gate)
+        policy = BatchPolicy(max_batch=4, max_queue=64)
         server = Server(runner, policy=policy)
-        futures = [server.submit(stub_cloud(value=i)) for i in range(12)]
-        server.close(drain=True)  # immediately: most requests still queued
+        futures = park(server, [stub_cloud(value=0)])
+        futures += [server.submit(stub_cloud(value=i)) for i in range(1, 12)]
+        closer = threading.Thread(target=server.close, kwargs={"drain": True})
+        closer.start()
+        give_up = time.time() + TIMEOUT
+        while not server._queue.closed and time.time() < give_up:
+            time.sleep(0.002)
+        assert len(server._queue) == 11  # closed with everything queued
+        gate.set()
+        closer.join(TIMEOUT)
+        assert not closer.is_alive()
         for i, future in enumerate(futures):
             assert np.allclose(future.result(timeout=TIMEOUT).output,
                                stub_cloud(value=i).sum())
         assert server.stats()["completed"] == 12
+        # The drain still forms max_batch-high batches from the backlog.
+        assert [shape[0] for shape in runner.calls] == [1, 4, 4, 3]
         assert runner.closed
 
     def test_non_drain_shutdown_fails_queued_requests(self):
         gate = threading.Event()
         runner = StubRunner(block=gate)
-        policy = BatchPolicy(max_batch=1, max_wait_ms=0.0, max_queue=8)
+        policy = BatchPolicy(max_batch=1, max_queue=8)
         server = Server(runner, policy=policy)
-        first = server.submit(stub_cloud())
-        # Wait until the dispatcher has parked inside the runner so the
-        # later submissions stay queued deterministically.
-        deadline = time.time() + TIMEOUT
-        while len(server._queue) > 0 and time.time() < deadline:
-            time.sleep(0.002)
+        # The dispatcher parks inside the runner, so the later
+        # submissions stay queued deterministically.
+        first, = park(server, [stub_cloud()])
         queued = [server.submit(stub_cloud()) for _ in range(3)]
         closer = threading.Thread(target=server.close,
                                   kwargs={"drain": False})
@@ -259,40 +405,53 @@ class TestServerEdgeCases:
         with pytest.raises(ServerClosed):
             server.submit(stub_cloud())
 
-    def test_non_drain_close_returns_without_waiting_deadline(self):
+    def test_non_drain_close_fails_everything_behind_a_parked_batch(self):
         # Regression: close(drain=False) used to race the dispatcher —
         # queue.close() woke it and it could gather() the still-queued
-        # requests (waiting out max_wait_ms) before drain_rejected ran.
-        # The atomic close-and-reject means a huge deadline cannot
-        # stall a non-drain shutdown.
-        runner = StubRunner()
-        policy = BatchPolicy(max_batch=64, max_wait_ms=60_000.0,
-                             max_queue=64)
+        # requests before drain_rejected ran.  The atomic
+        # close-and-reject fails every queued request deterministically:
+        # none may sneak into a final batch once the parked one returns.
+        gate = threading.Event()
+        runner = StubRunner(block=gate)
+        policy = BatchPolicy(max_batch=64, max_queue=64)
         server = Server(runner, policy=policy)
+        parked, = park(server, [stub_cloud()])
         futures = [server.submit(stub_cloud(value=i)) for i in range(5)]
-        start = time.perf_counter()
-        server.close(drain=False)
-        assert time.perf_counter() - start < 5.0  # not ~60 s
-        # Every queued request fails deterministically: none may sneak
-        # into a final batch on a non-drain close.
+        closer = threading.Thread(target=server.close,
+                                  kwargs={"drain": False})
+        closer.start()
         for future in futures:
             with pytest.raises(ServerClosed):
                 future.result(timeout=TIMEOUT)
-        assert runner.calls == []
+        gate.set()
+        closer.join(TIMEOUT)
+        assert not closer.is_alive()
+        assert parked.result(timeout=TIMEOUT).batch_size == 1
+        assert runner.calls == [(1, 8, 3)]  # only the parked call ran
 
     def test_single_worker_serial_degrade(self, small_net, small_clouds):
         reference = BatchRunner(small_net)
-        serial = Server(BatchRunner(small_net),
-                        policy=BatchPolicy(max_batch=4, max_wait_ms=5.0))
+        gate = threading.Event()
+        policy = BatchPolicy(max_batch=4)
+        serial = Server(GatedRunner(BatchRunner(small_net), gate),
+                        policy=policy)
         assert serial.workers == 1 and serial._dispatch is None
-        pooled = Server(BatchRunner(small_net),
-                        policy=BatchPolicy(max_batch=4, max_wait_ms=5.0),
-                        workers=4)
+        pooled = Server(GatedRunner(BatchRunner(small_net), gate),
+                        policy=policy, workers=4)
         assert pooled._dispatch is not None
         for server in (serial, pooled):
+            gate.clear()
             with server:
-                futures = [server.submit(c) for c in small_clouds[:6]]
+                # Park every lane, queue five behind them, release: the
+                # five form one 4-high batch and one lone rider.
+                lanes = server.workers
+                futures = park(server, small_clouds[:lanes])
+                futures += [server.submit(c)
+                            for c in small_clouds[lanes:lanes + 5]]
+                gate.set()
                 responses = [f.result(timeout=TIMEOUT) for f in futures]
+            assert [r.batch_size for r in responses] \
+                == [1] * lanes + [4, 4, 4, 4, 1]
             for i, resp in enumerate(responses):
                 stack = np.stack([
                     small_clouds[int(m[1:])] for m in resp.batch_ids
@@ -326,13 +485,11 @@ class TestServerEdgeCases:
     def test_tenant_fairness_end_to_end(self):
         gate = threading.Event()
         runner = StubRunner(block=gate)
-        policy = BatchPolicy(max_batch=2, max_wait_ms=0.0, max_queue=64)
+        policy = BatchPolicy(max_batch=2, max_queue=64)
         server = Server(runner, policy=policy)
         first = server.submit(stub_cloud(), tenant="warm")  # parks dispatcher
-        deadline = time.time() + TIMEOUT
-        while len(server._queue) > 0 and time.time() < deadline:
-            time.sleep(0.002)
-        loud = [server.submit(stub_cloud(), request_id=f"loud{i}",
+        wait_until_taken(server)
+        loud =[server.submit(stub_cloud(), request_id=f"loud{i}",
                               tenant="loud") for i in range(4)]
         quiet = server.submit(stub_cloud(), request_id="quiet0",
                               tenant="quiet")
@@ -360,13 +517,16 @@ class TestHostileRequests:
 
     def test_non_finite_cloud_refused_batch_mates_unchanged(self, small_net,
                                                             small_clouds):
-        # max_batch=2 under a long deadline: "a" and "b" always share one
-        # kernel call, whether or not bad requests arrive in between.
-        policy = BatchPolicy(max_batch=2, max_wait_ms=10_000.0)
+        # "a" and "b" queue behind a parked batch and always share the
+        # next kernel call, whether or not bad requests arrive in between.
+        policy = BatchPolicy(max_batch=2)
 
         def serve(poisons):
-            server = Server(BatchRunner(small_net), policy=policy)
+            gate = threading.Event()
+            server = Server(GatedRunner(BatchRunner(small_net), gate),
+                            policy=policy)
             with server:
+                park(server, [small_clouds[3]])
                 first = server.submit(small_clouds[0], request_id="a")
                 for poison in poisons:
                     bad = small_clouds[2].copy()
@@ -374,6 +534,7 @@ class TestHostileRequests:
                     with pytest.raises(ValueError, match="non-finite"):
                         server.submit(bad, request_id="bad")
                 second = server.submit(small_clouds[1], request_id="b")
+                gate.set()
                 responses = [f.result(timeout=TIMEOUT)
                              for f in (first, second)]
             return responses, server.stats()
@@ -387,8 +548,9 @@ class TestHostileRequests:
         assert clean_stats["rejected"] == 0
         assert mixed_stats["rejected"] == 3
         for stats in (clean_stats, mixed_stats):
+            # The parked request plus "a" and "b".
             assert (stats["submitted"], stats["completed"],
-                    stats["failed"]) == (2, 2, 0)
+                    stats["failed"]) == (3, 3, 0)
 
     def test_json_line_that_is_not_an_object_gets_an_error_response(self):
         answers = []
@@ -544,7 +706,7 @@ class TestHarness:
     def test_bench_serve_row_schema_and_gates(self):
         row = bench_serve(scale=0.0625, rates=(120.0, 240.0),
                           requests_per_rate=6, distinct_clouds=3,
-                          max_wait_ms=2.0, seed=1)
+                          seed=1)
         assert row["baseline"].startswith("direct BatchRunner")
         assert {"network", "backend", "workers"} <= set(row["workload"])
         assert len(row["grid"]) == 4  # 2 rates x 2 policies
@@ -559,7 +721,7 @@ class TestHarness:
     def test_bench_serve_float32_kernel_path(self):
         row = bench_serve(scale=0.0625, rates=(150.0, 300.0),
                           requests_per_rate=5, distinct_clouds=2,
-                          backend="float32", max_wait_ms=2.0, seed=2)
+                          backend="float32", seed=2)
         assert row["workload"]["backend"] == "float32"
         assert row["responses_ok"] and row["ids_ok"]
 

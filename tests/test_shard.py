@@ -90,8 +90,7 @@ def stub_cloud(n_points=8, value=1.0):
 
 def stub_router(n_shards=2, n_points=8, block=None, max_queue=64,
                 policy=None, **kwargs):
-    policy = policy or BatchPolicy(max_batch=4, max_wait_ms=2.0,
-                                   max_queue=max_queue)
+    policy = policy or BatchPolicy(max_batch=4, max_queue=max_queue)
     servers = [
         Server(StubRunner(n_points=n_points, block=block), policy=policy,
                shard=shard)
@@ -364,7 +363,7 @@ class NeighborIndexCacheProbe:
 
 class TestShardRouter:
     def test_shard_ids_must_match_positions(self):
-        policy = BatchPolicy(max_batch=2, max_wait_ms=1.0)
+        policy = BatchPolicy(max_batch=2)
         servers = [Server(StubRunner(), policy=policy, shard=1)]
         try:
             with pytest.raises(ValueError, match="shard ids must match"):
@@ -404,7 +403,7 @@ class TestShardRouter:
 
     def test_backpressure_spills_then_aggregates(self):
         gate = threading.Event()
-        policy = BatchPolicy(max_batch=1, max_wait_ms=0.0, max_queue=2)
+        policy = BatchPolicy(max_batch=1, max_queue=2)
         router = stub_router(n_shards=2, block=gate, policy=policy)
         try:
             cloud = stub_cloud(value=2.5)
@@ -490,7 +489,7 @@ class TestShardRouter:
         pool = ParallelRunner(max_workers=2, backend="thread",
                               persistent=True)
         try:
-            policy = BatchPolicy(max_batch=2, max_wait_ms=1.0)
+            policy = BatchPolicy(max_batch=2)
             servers = [
                 Server(StubRunner(), policy=policy, dispatch=pool,
                        shard=shard)
@@ -508,6 +507,46 @@ class TestShardRouter:
             assert pool._pool is inner  # untouched by the replica
             router.close()
             assert pool._pool is None  # shut down exactly once, by router
+        finally:
+            pool.close()
+
+    def test_replicas_on_a_shared_pool_never_exceed_its_size(self):
+        # Each replica has one lane per pool worker; together they may
+        # queue more batches on the pool, but never run more at once.
+        pool = ParallelRunner(max_workers=2, backend="thread",
+                              persistent=True)
+        barrier = threading.Barrier(2, timeout=TIMEOUT)
+        lock = threading.Lock()
+        counts = {"active": 0, "peak": 0}
+
+        class CountingRunner(StubRunner):
+            """Counts calls in flight across both replicas; every call
+            waits at a 2-party barrier, so two must run side by side."""
+
+            def run(self, stack):
+                with lock:
+                    counts["active"] += 1
+                    counts["peak"] = max(counts["peak"], counts["active"])
+                try:
+                    barrier.wait()
+                    return super().run(stack)
+                finally:
+                    with lock:
+                        counts["active"] -= 1
+
+        try:
+            policy = BatchPolicy(max_batch=1)
+            servers = [
+                Server(CountingRunner(), policy=policy, dispatch=pool,
+                       shard=shard)
+                for shard in range(2)
+            ]
+            with ShardRouter(servers, dispatch=pool) as router:
+                futures = [router.submit(stub_cloud(value=float(i)))
+                           for i in range(8)]
+                shards = {f.result(TIMEOUT).shard for f in futures}
+            assert shards == {0, 1}  # both replicas dispatched
+            assert counts["peak"] == 2
         finally:
             pool.close()
 
@@ -530,7 +569,7 @@ class TestShardRouter:
         # cannot starve a quiet one anywhere in the fleet — and the
         # aggregated backpressure path never deadlocks the submitters.
         gate = threading.Event()
-        policy = BatchPolicy(max_batch=2, max_wait_ms=0.0, max_queue=64)
+        policy = BatchPolicy(max_batch=2, max_queue=64)
         router = stub_router(n_shards=2, block=gate, policy=policy)
         try:
             # Find one cloud owned by each shard, then park both
@@ -612,7 +651,7 @@ class TestShardExactness:
 
     @staticmethod
     def _assert_exact(net, clouds, strategy, backend):
-        policy = BatchPolicy(max_batch=4, max_wait_ms=2.0, max_queue=256)
+        policy = BatchPolicy(max_batch=4, max_queue=256)
         direct = BatchRunner(net, strategy=strategy, backend=backend)
         router = ShardRouter.hosting(
             net, shards=2, strategy=strategy, backend=backend,
@@ -668,7 +707,7 @@ class TestShardExactness:
         rng = np.random.default_rng(9)
         clouds = [rng.normal(size=(tiny_net.n_points, 3)) for _ in range(4)]
         sequence = [i % len(clouds) for i in range(24)]
-        policy = BatchPolicy(max_batch=4, max_wait_ms=1.0, max_queue=256)
+        policy = BatchPolicy(max_batch=4, max_queue=256)
 
         def hit_rate(mode):
             router = ShardRouter.hosting(
