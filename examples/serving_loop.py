@@ -16,10 +16,10 @@ call.  This example:
    ``BatchRunner`` call on the same formed sub-batch (same stack =>
    same BLAS blocking => identical bits),
 3. serves two model sizes at once — mixed-``N`` arrivals route by
-   point count and split into per-shape sub-batches,
-4. replays an open-loop Poisson arrival schedule at two rates and
-   prints the p50/p99 latency of no batching against continuous
-   batching.
+   point count and split into per-shape sub-batches.
+
+Serving latency and throughput are measured through the real
+``repro serve`` process by ``benchmarks/ledger/README.md``.
 
 Run:  python examples/serving_loop.py
 """
@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.engine import BatchRunner
 from repro.networks import build_network
-from repro.serve import BatchPolicy, Server, bench_serve
+from repro.serve import BatchPolicy, Server
 
 net = build_network("PointNet++ (c)", scale=0.125)
 rng = np.random.default_rng(0)
@@ -82,17 +82,3 @@ for n in (net.n_points, coarse.n_points):
     answered = [r for c, r in zip(mixed, responses) if c.shape[0] == n]
     print(f"N={n}: {len(answered)} requests, "
           f"sub-batch sizes {[r.batch_size for r in answered]}")
-
-# -- 4. Open-loop latency: no batching vs continuous batching ------------------
-
-# Poisson arrivals at two rates; latency is measured from each
-# request's *scheduled* arrival (coordinated-omission-free).  Neither
-# policy ever waits for riders, so at low rates they read alike.
-row = bench_serve(scale=0.0625, rates=(60.0, 120.0), requests_per_rate=12,
-                  distinct_clouds=4)
-print(f"\nopen-loop sweep ({row['workload']['backend']} backend, "
-      f"correctness ok={row['responses_ok']}):")
-for cell in row["grid"]:
-    print(f"  {cell['rate_rps']:5.0f} req/s  {cell['policy']:<12}"
-          f"  p50 {cell['p50_ms']:6.1f} ms  p99 {cell['p99_ms']:6.1f} ms"
-          f"  mean batch {cell['mean_batch']:.1f}")

@@ -89,10 +89,11 @@ def network_fingerprint(network):
 _SHARE_PREFIX = "repro-params-"
 
 
-def _map_table(path, manifest):
+def _map_table(path, manifest, dedupe=True):
     """The packed table at ``path`` as read-only zero-copy views."""
     mapped = np.memmap(path, dtype=np.uint8, mode="r")
-    return ParameterTable.from_buffer(manifest, mapped, backing=mapped)
+    return ParameterTable.from_buffer(manifest, mapped, backing=mapped,
+                                      dedupe=dedupe)
 
 
 def _share_dir():
@@ -358,10 +359,21 @@ class ProgramCache:
             return json.load(handle)
 
     def table(self, digest, manifest=None):
-        """The stored parameter table, memmapped read-only (zero-copy)."""
+        """The stored parameter table, memmapped read-only (zero-copy).
+
+        The blob is re-hashed against the manifest's recorded content
+        hash before the table can join the dedupe registry: a damaged
+        ``.bin`` raises :class:`ValueError` instead of serving wrong
+        weights under a trusted hash.
+        """
         if manifest is None:
             manifest = self.manifest(digest)
-        return _map_table(self._blob_path(digest), manifest["params"])
+        table = _map_table(self._blob_path(digest), manifest["params"],
+                           dedupe=False)
+        if not table.verify_buffer():
+            raise ValueError(f"stored program {digest[:12]} parameter blob "
+                             "fails verification")
+        return table._canonical()
 
     def load(self, digest, ngraph, network, plan_memory=True):
         """Rebuild a runnable program from a stored digest.
@@ -371,9 +383,10 @@ class ProgramCache:
         plan seeds directly, so no measuring run and no weight export
         happen at any stack height.
         Raises :class:`ValueError` when the entry was written under
-        another :data:`FORMAT` or its kernel list no longer matches
-        what this code compiles — the stale-cache signal
-        ``program_for`` recovers from by recompiling.
+        another :data:`FORMAT`, its parameter blob fails verification,
+        or its kernel list no longer matches what this code compiles —
+        the stale-cache signal ``program_for`` recovers from by
+        recompiling.
         """
         manifest = self.manifest(digest)
         if manifest.get("format") != FORMAT:
@@ -416,7 +429,12 @@ class ProgramCache:
                 return self.load(digest, ngraph, network,
                                  plan_memory=plan_memory)
             except (OSError, ValueError, KeyError, json.JSONDecodeError):
-                pass  # stale or damaged entry: recompile below
+                # Stale or damaged: drop the manifest so the store below
+                # rewrites the entry instead of every start recompiling.
+                try:
+                    os.unlink(self._manifest_path(digest))
+                except FileNotFoundError:
+                    pass
         program = KernelProgram(ngraph, network, backend,
                                 plan_memory=plan_memory)
         self.store(program, fingerprint)

@@ -404,8 +404,8 @@ class ParameterTable:
         the table) pins the owner of that memory for the table's
         lifetime.  No bytes are copied and nothing is re-hashed: the
         manifest's recorded content hash is trusted (it was computed
-        when the blob was written; `verify_buffer` re-checks it when
-        integrity matters more than load time).
+        when the blob was written; the program cache re-checks an
+        on-disk blob with :meth:`verify_buffer` before using it).
         """
         if manifest.get("kind") != "parameter-table":
             raise ValueError("manifest does not describe a parameter table")

@@ -21,15 +21,11 @@ train [--network N] [--strategy S] [--epochs E]
     Train a scaled-down classifier on the synthetic dataset.
 bench [--batch B] [--n-points N] [--output PATH]
     Benchmark the batched inference engine and write BENCH_engine.json.
-bench --serve [--rates R R ...] [--output PATH]
-    Open-loop serving latency sweep; writes BENCH_serve.json.
-bench --serve --shards S S ... [--output PATH]
-    Sharded-serving scaling sweep (placement + affinity routing);
-    writes BENCH_shard.json.
 serve [--network N ...] [--max-batch B] [--port P]
     Long-lived continuous-batching server (stdin or TCP JSON lines).
     ``--shards N`` fronts N placement-planned replica servers with the
-    cache-affinity shard router.
+    cache-affinity shard router.  Its latency and throughput are
+    measured by ``benchmarks/ledger/README.md``.
 
 This module holds the parser and ``serve``; the other command bodies
 live in :mod:`repro.commands`, which a server start never imports.
@@ -365,16 +361,8 @@ def build_parser():
                          help="kernel-runtime fast path the backend row "
                               "measures against eager (the float64 "
                               "reference is always included)")
-    p_bench.add_argument("--output", default=None,
-                         help="result path (default BENCH_engine.json, or "
-                              "BENCH_serve.json with --serve)")
-    p_bench.add_argument("--serve", action="store_true",
-                         help="run the open-loop serving latency sweep "
-                              "instead of the engine suite")
-    p_bench.add_argument("--rates", type=float, nargs="+", default=None,
-                         help="open-loop Poisson arrival rates in "
-                              "requests/s (--serve; default 30 90)")
-    _add_serve_options(p_bench, bench=True)
+    p_bench.add_argument("--output", default="BENCH_engine.json",
+                         help="result path (default BENCH_engine.json)")
 
     p_serve = sub.add_parser(
         "serve", help="long-lived continuous-batching inference server"
@@ -393,56 +381,42 @@ def build_parser():
     p_serve.add_argument("--port", type=int, default=None,
                          help="serve JSON lines over TCP on 127.0.0.1:PORT "
                               "instead of stdin")
-    _add_serve_options(p_serve, bench=False)
+    p_serve.add_argument("--max-batch", type=int, default=8,
+                         help="most queued requests one dispatch takes "
+                              "(it never waits for more)")
+    p_serve.add_argument("--workers", type=int, default=1,
+                         help="batches in flight at once (1 = fully serial)")
+    p_serve.add_argument("--serve-backend", default="eager",
+                         choices=("eager", "float32", "float64", "int8"),
+                         help="execution path requests drain through: the "
+                              "batched graph interpreter or a compiled "
+                              "kernel backend")
+    p_serve.add_argument("--program-cache", default=None, metavar="DIR",
+                         help="on-disk AOT program cache directory; kernel "
+                              "programs load precompiled (memmapped packed "
+                              "parameters, the measured arena plan) and "
+                              "first-compiles persist for the next start — "
+                              "warm it with 'repro compile'")
+    p_serve.add_argument("--cache-size", type=int, default=256,
+                         help="total neighbor-index cache entries (0 "
+                              "disables caching; with --shards the budget "
+                              "is partitioned across the replicas)")
+    p_serve.add_argument("--shards", type=int, default=1,
+                         help="worker slots the placement planner "
+                              "bin-packs replicas into; above 1 the "
+                              "cache-affinity shard router fronts the "
+                              "replica fleet")
+    p_serve.add_argument("--memory-budget-mb", type=float, default=None,
+                         help="per-slot working-set budget for the "
+                              "placement planner (default: unbounded)")
+    p_serve.add_argument("--tuned", action="store_true",
+                         help="dispatch each hosted network on its "
+                              "stored autotuned table from "
+                              "--program-cache (warm it with 'repro "
+                              "tune'; networks without a stored table "
+                              "keep the fixed configuration)")
 
     return parser
-
-
-def _add_serve_options(parser, bench):
-    """Batching-policy knobs shared by ``serve`` and ``bench --serve``."""
-    parser.add_argument("--max-batch", type=int, default=8,
-                        help="most queued requests one dispatch takes "
-                             "(it never waits for more)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="batches in flight at once (1 = fully serial)")
-    parser.add_argument("--serve-backend", default="eager",
-                        choices=("eager", "float32", "float64", "int8"),
-                        help="execution path requests drain through: the "
-                             "batched graph interpreter or a compiled "
-                             "kernel backend")
-    parser.add_argument("--program-cache", default=None, metavar="DIR",
-                        help="on-disk AOT program cache directory; kernel "
-                             "programs load precompiled (memmapped packed "
-                             "parameters, the measured arena plan) and "
-                             "first-compiles persist for the next start — "
-                             "warm it with 'repro compile'")
-    parser.add_argument("--cache-size", type=int, default=256,
-                        help="total neighbor-index cache entries (0 "
-                             "disables caching; with --shards the budget "
-                             "is partitioned across the replicas)")
-    if bench:
-        parser.add_argument("--shards", type=int, nargs="+", default=None,
-                            metavar="S",
-                            help="with --serve: run the sharded-serving "
-                                 "scaling sweep at these shard counts "
-                                 "instead of the latency sweep (writes "
-                                 "BENCH_shard.json; 1 is always included "
-                                 "as the scaling baseline)")
-    else:
-        parser.add_argument("--shards", type=int, default=1,
-                            help="worker slots the placement planner "
-                                 "bin-packs replicas into; above 1 the "
-                                 "cache-affinity shard router fronts the "
-                                 "replica fleet")
-        parser.add_argument("--memory-budget-mb", type=float, default=None,
-                            help="per-slot working-set budget for the "
-                                 "placement planner (default: unbounded)")
-        parser.add_argument("--tuned", action="store_true",
-                            help="dispatch each hosted network on its "
-                                 "stored autotuned table from "
-                                 "--program-cache (warm it with 'repro "
-                                 "tune'; networks without a stored table "
-                                 "keep the fixed configuration)")
 
 
 def main(argv=None):

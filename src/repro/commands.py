@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cli import _serve_backend
-
 __all__ = ["COMMANDS"]
 
 
@@ -200,86 +198,9 @@ def _cmd_train(args):
     return 0
 
 
-def _cmd_bench_shard(args):
-    from .engine import write_json
-    from .serve import shard_bench_results
-
-    results = shard_bench_results(
-        quick=args.quick,
-        network=args.network,
-        strategy=args.strategy,
-        backend=_serve_backend(args.serve_backend),
-        shard_counts=tuple(args.shards),
-        max_batch=args.max_batch,
-        cache_size=args.cache_size,
-    )
-    row = results["shard"]
-    workload = row["workload"]
-    print(f"shard bench ({workload['backend']} backend, "
-          f"{workload['requests']} requests, "
-          f"{workload['rate_rps']:.1f} rps offered, "
-          f"{workload['cpu_count']} cpu(s))")
-    for cell in row["grid"]:
-        print(f"  shards {cell['shards']:2d}  "
-              f"p50 {cell['p50_ms']:7.2f} ms  "
-              f"p99 {cell['p99_ms']:7.2f} ms  "
-              f"{cell['throughput_rps']:7.1f} rps  "
-              f"scaling {cell['scaling_vs_single']:.2f}x  "
-              f"spilled {cell['spilled']}")
-    print(f"  responses {'ok' if row['responses_ok'] else 'WRONG'} "
-          f"(bit-exact {'yes' if row['responses_exact'] else 'NO'})   "
-          f"ids {'ok' if row['ids_ok'] else 'BROKEN'}   "
-          f"affinity {row['affinity_hit_rate']:.2f} vs "
-          f"random {row['random_hit_rate']:.2f} hit rate "
-          f"({'better' if row['affinity_beats_random'] else 'NOT BETTER'})")
-    output = args.output or "BENCH_shard.json"
-    write_json(results, output)
-    print(f"wrote {output}")
-    return 0
-
-
-def _cmd_bench_serve(args):
-    from .engine import write_json
-    from .serve import serve_bench_results
-
-    if args.shards:
-        return _cmd_bench_shard(args)
-    results = serve_bench_results(
-        quick=args.quick,
-        network=args.network,
-        strategy=args.strategy,
-        backend=_serve_backend(args.serve_backend),
-        rates=tuple(args.rates) if args.rates else (30.0, 90.0),
-        max_batch=args.max_batch,
-        workers=args.workers,
-    )
-    row = results["serve"]
-    print(f"serve bench ({row['workload']['backend']} backend, "
-          f"{row['workload']['requests_per_rate']} requests/rate)")
-    for cell in row["grid"]:
-        print(f"  rate {cell['rate_rps']:6.1f} rps  "
-              f"{cell['policy']:12s} p50 {cell['p50_ms']:7.2f} ms  "
-              f"p99 {cell['p99_ms']:7.2f} ms  "
-              f"{cell['throughput_rps']:6.1f} rps  "
-              f"mean batch {cell['mean_batch']:.2f}  "
-              f"rejected {cell['rejected']}")
-    print(f"  responses {'ok' if row['responses_ok'] else 'WRONG'} "
-          f"(bit-exact {'yes' if row['responses_exact'] else 'NO'}, "
-          f"top-1 {'yes' if row['responses_top1'] else 'NO'})   "
-          f"ids {'ok' if row['ids_ok'] else 'BROKEN'}   "
-          f"worst batched p99 {row['p99_batched_worst_ms']:.2f} ms")
-    output = args.output or "BENCH_serve.json"
-    write_json(results, output)
-    print(f"wrote {output}")
-    return 0
-
-
 def _cmd_bench(args):
     from .engine import run_benchmarks, write_json
 
-    if args.serve:
-        return _cmd_bench_serve(args)
-    args.output = args.output or "BENCH_engine.json"
     results = run_benchmarks(
         batch=args.batch,
         n_points=args.n_points,

@@ -29,11 +29,10 @@ __all__ = ["bench_mem", "bench_meta", "bench_quant", "bench_tune",
 
 
 def bench_meta(quick=False):
-    """The environment block every bench JSON leads with.
-
-    Shared by the engine suite and the serving harness so
-    ``BENCH_engine.json`` and ``BENCH_serve.json`` stay comparable
-    across runners.
+    """The environment block every bench JSON leads with, so
+    ``BENCH_*.json`` files stay comparable across runners.  Serving
+    latency is not a bench row: ``benchmarks/ledger/README.md``
+    measures it through the real ``repro serve`` process.
     """
     return {
         "python": platform.python_version(),
@@ -860,74 +859,6 @@ def _validate_leaves(value, path):
         )
 
 
-def _require_number(value, path, minimum=None):
-    if isinstance(value, bool) or not isinstance(
-        value, (int, float, np.integer, np.floating)
-    ):
-        raise ValueError(f"shard row value {path} must be a number, got "
-                         f"{type(value).__name__}")
-    if not np.isfinite(value):
-        raise ValueError(f"shard row value {path} must be finite, got "
-                         f"{value!r}")
-    if minimum is not None and value < minimum:
-        raise ValueError(f"shard row value {path} must be >= {minimum}, "
-                         f"got {value!r}")
-
-
-def _require_bool(value, path):
-    if not isinstance(value, bool):
-        raise ValueError(f"shard row value {path} must be a bool, got "
-                         f"{type(value).__name__}")
-
-
-def _validate_shard_row(row, name):
-    """The ``shard`` row's extra shape, beyond the shared schema.
-
-    The sharded-serving CI job gates on this row's scaling factor and
-    correctness booleans, so the schema pins them: every grid cell
-    carries an integer ``shards`` count, a finite ``scaling_vs_single``
-    throughput factor, and one ``per_shard`` entry per shard with
-    finite queue depth and cache hit rate; the row itself carries the
-    affinity-vs-random hit rates and the exactness/ID booleans.
-    """
-    grid = row.get("grid")
-    if not isinstance(grid, (list, tuple)) or not grid:
-        raise ValueError(f"shard row {name!r} needs a non-empty 'grid' list "
-                         "of per-shard-count cells")
-    for index, cell in enumerate(grid):
-        path = f"{name}.grid[{index}]"
-        if not isinstance(cell, dict):
-            raise ValueError(f"{path} must be a dict")
-        shards = cell.get("shards")
-        if isinstance(shards, bool) or not isinstance(
-            shards, (int, np.integer)
-        ) or shards < 1:
-            raise ValueError(f"{path}.shards must be an int >= 1, got "
-                             f"{shards!r}")
-        _require_number(cell.get("scaling_vs_single"),
-                        f"{path}.scaling_vs_single", minimum=0.0)
-        per_shard = cell.get("per_shard")
-        if not isinstance(per_shard, (list, tuple)) \
-                or len(per_shard) != shards:
-            raise ValueError(
-                f"{path}.per_shard must list exactly {shards} entries "
-                f"(one per shard), got "
-                f"{len(per_shard) if isinstance(per_shard, (list, tuple)) else per_shard!r}"
-            )
-        for slot, entry in enumerate(per_shard):
-            entry_path = f"{path}.per_shard[{slot}]"
-            if not isinstance(entry, dict):
-                raise ValueError(f"{entry_path} must be a dict")
-            _require_number(entry.get("queue_depth"),
-                            f"{entry_path}.queue_depth", minimum=0)
-            _require_number(entry.get("hit_rate"),
-                            f"{entry_path}.hit_rate", minimum=0.0)
-    for key in ("affinity_hit_rate", "random_hit_rate"):
-        _require_number(row.get(key), f"{name}.{key}", minimum=0.0)
-    for key in ("affinity_beats_random", "ids_ok", "responses_exact"):
-        _require_bool(row.get(key), f"{name}.{key}")
-
-
 def validate_row(row, name="row"):
     """Validate one bench row against the shared BENCH_*.json schema.
 
@@ -936,10 +867,8 @@ def validate_row(row, name="row"):
     the row measures against), and every leaf must be a JSON scalar —
     finite numbers, strings, bools, or None — so the row trajectory
     stays machine-comparable PR over PR and every value can appear in a
-    CI gate expression.  Rows named ``shard`` additionally validate the
-    sharded-serving shape (:func:`_validate_shard_row`).  Returns the
-    row; raises :class:`ValueError` naming the offending path
-    otherwise.
+    CI gate expression.  Returns the row; raises :class:`ValueError`
+    naming the offending path otherwise.
     """
     if not isinstance(row, dict):
         raise ValueError(f"bench row {name!r} must be a dict, got "
@@ -953,8 +882,6 @@ def validate_row(row, name="row"):
         raise ValueError(f"bench row {name!r} needs a 'baseline' string "
                          "naming what it measures against")
     _validate_leaves(row, name)
-    if name == "shard":
-        _validate_shard_row(row, name)
     return row
 
 

@@ -9,10 +9,9 @@ waiting for riders — splits mixed-``N`` batches into per-shape
 sub-batches, and drains each through
 an engine runner — the batched graph interpreter or a compiled kernel
 backend alike.  ``repro serve`` wraps it in a stdin/socket JSON request
-loop; :func:`bench_serve` replays open-loop Poisson arrivals against it
-and reports p50/p99 latency and throughput per (rate, policy), with
-responses gated bit-exact against direct
-:class:`~repro.engine.runner.BatchRunner` calls.
+loop; responses are bit-exact against direct
+:class:`~repro.engine.runner.BatchRunner` calls on the same formed
+sub-batch.
 
 Sharded serving layers on top (:mod:`repro.serve.shard`):
 :func:`plan_placement` bin-packs (network, shape-class) replicas onto
@@ -20,8 +19,10 @@ worker slots by measured working-set bytes, and :class:`ShardRouter`
 fronts the resulting replica :class:`Server` fleet — routing each
 request to its shape class, with consistent-hash cache affinity so
 repeated clouds land on the shard whose partition of the neighbor-index
-cache already holds their index.  :func:`bench_shard` measures the
-throughput scaling story at 1/2/4 shards.
+cache already holds their index.
+
+Serving latency and throughput are measured in one place, through the
+real ``repro serve`` process: ``benchmarks/ledger/README.md``.
 """
 
 from .._lazy import lazy_exports
@@ -30,10 +31,6 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "BatchPolicy": "batcher",
     "gather": "batcher",
     "split_by_shape": "batcher",
-    "bench_serve": "harness",
-    "bench_shard": "harness",
-    "serve_bench_results": "harness",
-    "shard_bench_results": "harness",
     "FairQueue": "queue",
     "QueueFull": "queue",
     "Request": "queue",

@@ -33,7 +33,7 @@ class BatchPolicy:
     ----------
     max_batch:
         Most requests coalesced into one dispatch (``1`` disables
-        batching entirely — the baseline policy of the bench harness).
+        batching entirely).
     max_queue:
         Admission bound (see :class:`~repro.serve.queue.FairQueue`).
     """

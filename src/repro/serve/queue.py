@@ -1,8 +1,8 @@
 """Admission control: a bounded request queue with per-tenant fairness.
 
 The serving frontend's front door.  Producers (:meth:`Server.submit
-<repro.serve.server.Server.submit>` callers, the CLI request loop, the
-bench harness's arrival generator) push :class:`Request` objects;
+<repro.serve.server.Server.submit>` callers, the CLI request loop)
+push :class:`Request` objects;
 the dispatcher thread blocks on the queue until something is queued.
 Three properties the serve tests pin down live here:
 

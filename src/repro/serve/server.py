@@ -28,10 +28,9 @@ tenants.  The request lifecycle:
    request's future resolves to a :class:`ServeResponse`.
 
 Because the runners execute the exact same programs as direct
-``BatchRunner.run`` calls, responses are bit-exact against offline
-inference (float64; top-1-identical under the float32 kernel backend)
-no matter how arrivals happened to coalesce — the bench harness and CI
-gate exactly that.
+``BatchRunner.run`` calls, every response is bit-exact against a
+direct call on the sub-batch it rode in, on every backend — the serve
+and shard tests replay each formed sub-batch to check exactly that.
 """
 
 from __future__ import annotations

@@ -35,7 +35,7 @@ FRONT_DOORS = [
     ("repro", 13), ("repro.backend", 25), ("repro.core", 15),
     ("repro.data", 24), ("repro.engine", 11), ("repro.graph", 35),
     ("repro.hw", 27), ("repro.neighbors", 15), ("repro.networks", 25),
-    ("repro.neural", 24), ("repro.profiling", 31), ("repro.serve", 21),
+    ("repro.neural", 24), ("repro.profiling", 31), ("repro.serve", 17),
     ("repro.tune", 10),
 ]
 
@@ -89,8 +89,7 @@ print(json.dumps({{
 """
 
 NEVER_SERVED = ("repro.hw", "repro.data", "repro.tune", "repro.engine.bench",
-                "repro.serve.harness", "repro.profiling.report",
-                "repro.networks.training")
+                "repro.profiling.report", "repro.networks.training")
 
 #: Eager-only and analysis-only code, the other commands, and every
 #: network module but the hosted PointNet++ one: none of it is on the

@@ -708,6 +708,62 @@ class TestProgramCache:
         with pytest.raises(ValueError, match="kernel"):
             cache.load(digest, net.network_graph("delayed"), net)
 
+    def test_damaged_blob_recompiles_once_then_loads_clean(self, tmp_path):
+        import repro
+
+        net = toy("PointNet++ (c)", seed=23)
+        cache = ProgramCache(tmp_path)
+        digest = cache.store(compile_kernel_program(net, "delayed",
+                                                    backend="float64"))
+        blob = tmp_path / f"{digest}.bin"
+        intact = blob.read_bytes()
+        damaged = bytearray(intact)
+        damaged[::4096] = bytes(byte ^ 0x01 for byte in damaged[::4096])
+        blob.write_bytes(damaged)
+        # In this process the dedupe registry would hand the live table
+        # back and hide the flip: each load runs in a fresh process.
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from repro.backend import (ParameterTable, ProgramCache,\n"
+            "                           compile_kernel_program, get_backend)\n"
+            "from repro.networks import build_network\n"
+            "net = build_network('PointNet++ (c)', num_classes=4,\n"
+            "                    scale=0.0625, rng=np.random.default_rng(23))\n"
+            "ngraph = net.network_graph('delayed')\n"
+            "cache = ProgramCache(sys.argv[1])\n"
+            "try:\n"
+            "    cache.load(sys.argv[2], ngraph, net)\n"
+            "    verdict = 'clean'\n"
+            "except ValueError:\n"
+            "    verdict = 'refused'\n"
+            "program = cache.program_for(ngraph, net, 'float64')\n"
+            "# The reference exports its own table, past the registry.\n"
+            "table = ParameterTable.for_graph(ngraph, get_backend('float64'),\n"
+            "                                 dedupe=False)\n"
+            "fresh = compile_kernel_program(net, 'delayed', params=table)\n"
+            "cloud = np.random.default_rng(0).normal(size=(1, net.n_points, 3))\n"
+            "print(verdict, np.array_equal(program.run(cloud).data,\n"
+            "                              fresh.run(cloud).data))\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+
+        def load_in_child():
+            done = subprocess.run(
+                [sys.executable, "-c", code, str(tmp_path), digest],
+                capture_output=True, text=True, timeout=120,
+                env=dict(os.environ, PYTHONPATH=src),
+            )
+            assert done.returncode == 0, done.stderr[-2000:]
+            return done.stdout.split()
+
+        assert load_in_child() == ["refused", "True"]  # recompiled
+        assert blob.read_bytes() == intact  # ... and the entry rewritten
+        assert cache.digest_for(net.network_graph("delayed").network,
+                                "delayed", "float64",
+                                network_fingerprint(net)) == digest
+        assert load_in_child() == ["clean", "True"]
+
     @staticmethod
     def _restamp(cache, key, stamp):
         """Point index entry ``key`` at the same manifest under another

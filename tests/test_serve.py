@@ -1,4 +1,4 @@
-"""Serving frontend: admission, batching policy, dispatch, harness.
+"""Serving frontend: admission, batching policy, dispatch, exactness.
 
 The edge cases CI pins down: a lone queued request is taken at once,
 requests queued behind a running batch ride the next one together, a
@@ -6,11 +6,14 @@ server never has more batches in flight than dispatch lanes, a full
 queue rejects with backpressure instead of deadlocking, mixed-N
 arrivals split into per-shape sub-batches that stay bit-exact against
 direct BatchRunner calls, graceful shutdown drains everything already
-admitted, and a single dispatch worker degrades to fully serial
-execution with identical results.
+admitted, a single dispatch worker degrades to fully serial
+execution with identical results, and concurrent submitters across
+tenants get responses bit-exact against a replay of whatever stack
+each rode in, with every request ID answered once.
 
-Batches form deterministically here: a test parks the dispatcher on a
-gated first call, queues requests behind it, then opens the gate.
+Batches form deterministically in the edge-case tests: a test parks
+the dispatcher on a gated first call, queues requests behind it, then
+opens the gate.
 """
 
 import json
@@ -29,7 +32,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.cli import _serve_handle_line
+from repro.cli import _serve_handle_line, build_parser
 from repro.engine import BatchRunner, ParallelRunner
 from repro.engine.runner import BatchResult
 from repro.networks import build_network
@@ -41,7 +44,6 @@ from repro.serve import (
     ServeError,
     Server,
     ServerClosed,
-    bench_serve,
     gather,
     split_by_shape,
 )
@@ -640,6 +642,35 @@ class TestHostileRequests:
         assert "Traceback" not in done.stderr
 
 
+# ---------------------------------------------------------- command line
+
+
+class TestCommandLine:
+    def test_serve_keeps_its_options_and_defaults(self):
+        args = build_parser().parse_args(["serve"])
+        assert {key: value for key, value in vars(args).items()
+                if key != "command"} == {
+            "network": None, "scale": 0.125, "strategy": "delayed",
+            "max_queue": 64, "port": None, "max_batch": 8, "workers": 1,
+            "serve_backend": "eager", "program_cache": None,
+            "cache_size": 256, "shards": 1, "memory_budget_mb": None,
+            "tuned": False,
+        }
+
+    @pytest.mark.parametrize("option", [
+        ["--serve"], ["--rates", "30", "90"], ["--shards", "2"],
+        ["--max-batch", "4"], ["--workers", "2"],
+        ["--serve-backend", "float32"], ["--program-cache", "cache"],
+        ["--cache-size", "0"],
+    ], ids=lambda option: option[0])
+    def test_bench_takes_no_serve_option(self, option, capsys):
+        # Serving is measured by benchmarks/ledger/, not by `repro bench`.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["bench", *option])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 # ----------------------------------------------------- engine drain hooks
 
 
@@ -699,32 +730,54 @@ class TestDrainHooks:
             runner.submit(lambda x: x, 1)
 
 
-# -------------------------------------------------------------- harness
+# ------------------------------------------------ concurrent exactness
 
 
-class TestHarness:
-    def test_bench_serve_row_schema_and_gates(self):
-        row = bench_serve(scale=0.0625, rates=(120.0, 240.0),
-                          requests_per_rate=6, distinct_clouds=3,
-                          seed=1)
-        assert row["baseline"].startswith("direct BatchRunner")
-        assert {"network", "backend", "workers"} <= set(row["workload"])
-        assert len(row["grid"]) == 4  # 2 rates x 2 policies
-        for cell in row["grid"]:
-            assert cell["completed"] == 6 and cell["rejected"] == 0
-            assert 0 < cell["p50_ms"] <= cell["p99_ms"] <= cell["max_ms"]
-            assert cell["throughput_rps"] > 0
-        assert row["responses_exact"] and row["responses_top1"]
-        assert row["responses_ok"] and row["ids_ok"]
-        assert row["p99_batched_worst_ms"] > 0
+class TestConcurrentExactness:
+    @pytest.mark.parametrize("backend", [None, "float32"])
+    def test_threads_and_tenants_replay_bit_exact(self, small_net,
+                                                  small_clouds, backend):
+        # Three submitter threads, two tenants, three distinct clouds:
+        # whatever sub-batches form, each response equals a direct call
+        # on its own formed stack, and every request ID is answered once.
+        clouds = small_clouds[:3]
+        direct = BatchRunner(small_net, backend=backend)
+        full_batch = direct.run(clouds).per_cloud()
 
-    def test_bench_serve_float32_kernel_path(self):
-        row = bench_serve(scale=0.0625, rates=(150.0, 300.0),
-                          requests_per_rate=5, distinct_clouds=2,
-                          backend="float32", seed=2)
-        assert row["workload"]["backend"] == "float32"
-        assert row["responses_ok"] and row["ids_ok"]
+        def cloud_of(rid):
+            thread, i = map(int, rid[1:].split("-"))
+            return (thread + i) % len(clouds)
 
-    def test_bench_serve_requires_two_rates(self):
-        with pytest.raises(ValueError, match="2 arrival rates"):
-            bench_serve(rates=(50.0,))
+        futures = {}
+        policy = BatchPolicy(max_batch=4, max_queue=64)
+        with Server(BatchRunner(small_net, backend=backend), policy=policy,
+                    workers=2) as server:
+            def submit(thread):
+                for i in range(8):
+                    rid = f"s{thread}-{i}"
+                    futures[rid] = server.submit(
+                        clouds[cloud_of(rid)], request_id=rid,
+                        tenant=f"t{i % 2}")
+
+            threads = [threading.Thread(target=submit, args=(t,))
+                       for t in range(3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(TIMEOUT)
+                assert not thread.is_alive()
+            responses = {rid: f.result(timeout=TIMEOUT)
+                         for rid, f in futures.items()}
+            stats = server.stats()
+        assert sorted(resp.request_id for resp in responses.values()) \
+            == sorted(f"s{t}-{i}" for t in range(3) for i in range(8))
+        assert (stats["completed"], stats["rejected"], stats["failed"]) \
+            == (24, 0, 0)
+        for rid, resp in responses.items():
+            stack = np.stack([clouds[cloud_of(m)] for m in resp.batch_ids])
+            replay = direct.run(stack).per_cloud()
+            assert np.array_equal(resp.output,
+                                  replay[resp.batch_ids.index(rid)])
+            # Top-1 against one full-batch call: composition-independent.
+            assert np.argmax(resp.output) \
+                == np.argmax(full_batch[cloud_of(rid)])

@@ -44,7 +44,6 @@ from repro.serve import (
     ServeError,
     Server,
     ShardRouter,
-    bench_shard,
     plan_placement,
     replica_working_set,
 )
@@ -653,6 +652,7 @@ class TestShardExactness:
     def _assert_exact(net, clouds, strategy, backend):
         policy = BatchPolicy(max_batch=4, max_queue=256)
         direct = BatchRunner(net, strategy=strategy, backend=backend)
+        full_batch = direct.run(clouds).per_cloud()
         router = ShardRouter.hosting(
             net, shards=2, strategy=strategy, backend=backend,
             policy=policy, cache_size=64, seed=0,
@@ -665,8 +665,15 @@ class TestShardExactness:
             }
             responses = {rid: f.result(TIMEOUT)
                          for rid, f in futures.items()}
-        assert set(responses) == set(futures)
+            stats = router.stats()
+        # Every ID answered once, by its own response; nothing shed.
+        assert [resp.request_id for resp in responses.values()] \
+            == list(futures)
+        assert (stats["completed"], stats["rejected"]) == (12, 0)
         for rid, resp in responses.items():
+            # Top-1 against one full-batch call: composition-independent.
+            assert np.argmax(resp.output) \
+                == np.argmax(full_batch[int(rid[1:]) % len(clouds)])
             # Replay the exact formed sub-batch on a direct runner:
             # same stack composition => same BLAS blocking => bit-equal.
             stack = np.stack([
@@ -803,28 +810,3 @@ class TestHostingFailure:
         assert not started.servers[0]._thread.is_alive()
         assert started.pools[0].closes == 1
         assert shared_table_files() == []
-
-
-# ---------------------------------------------------------------- harness
-
-
-class TestShardBench:
-    def test_bench_shard_row_schema_and_gates(self):
-        from repro.engine.bench import validate_row
-
-        row = bench_shard(scale=0.03125, backend="float32",
-                          shard_counts=(2,), requests=12,
-                          distinct_clouds=3, tenants=2, max_batch=4,
-                          affinity_passes=2, seed=0)
-        validate_row(row, name="shard")  # the shard row schema holds
-        assert row["baseline"].startswith("single-Server")
-        # shard_counts always folds in the single-shard baseline.
-        assert [cell["shards"] for cell in row["grid"]] == [1, 2]
-        for cell in row["grid"]:
-            assert cell["completed"] == 12
-            assert len(cell["per_shard"]) == cell["shards"]
-            assert cell["scaling_vs_single"] > 0
-        assert row["ids_ok"] and row["responses_exact"]
-        assert row["scaling_2shard"] == row["grid"][1]["scaling_vs_single"]
-        assert 0.0 <= row["random_hit_rate"] <= 1.0
-        assert 0.0 <= row["affinity_hit_rate"] <= 1.0
