@@ -280,11 +280,15 @@ class ProgramCache:
         return os.path.join(self.directory, "index.json")
 
     def _read_index(self):
+        """Config key -> digest.  A missing or damaged index (not JSON,
+        not UTF-8, not an object) reads as empty: every lookup misses,
+        and the next :meth:`store` rewrites it."""
         try:
-            with open(self._index_path()) as handle:
-                return json.load(handle)
-        except (FileNotFoundError, json.JSONDecodeError):
+            with open(self._index_path(), encoding="utf-8") as handle:
+                index = json.load(handle)
+        except (FileNotFoundError, json.JSONDecodeError, UnicodeDecodeError):
             return {}
+        return index if isinstance(index, dict) else {}
 
     def _write_index(self, index):
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
@@ -479,7 +483,7 @@ class ProgramCache:
             return None
         try:
             manifest = self.manifest(digest)
-        except (OSError, json.JSONDecodeError):
+        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
             return None
         if manifest.get("kind") != "tuned-table" \
                 or manifest.get("format") != FORMAT:

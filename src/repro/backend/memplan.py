@@ -194,13 +194,6 @@ class ArenaPlan:
             return 0.0
         return 1.0 - self.total_bytes / self.pool_bytes
 
-    def live_at(self, pos):
-        """Buffers live at kernel position ``pos``, by arena offset."""
-        return tuple(
-            b for b in sorted(self.buffers, key=lambda b: b.offset)
-            if b.def_pos <= pos <= b.last_pos
-        )
-
     def live_bytes_at(self, pos):
         return sum(b.nbytes for b in self.buffers
                    if b.def_pos <= pos <= b.last_pos)

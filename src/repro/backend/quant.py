@@ -253,19 +253,6 @@ class Int8Backend(ArrayBackend):
         self._shadows = {}
         self._lock = threading.Lock()
 
-    # The lock and the weakref-keyed shadow cache are process-local
-    # state; re-create both after unpickling.
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state.pop("_lock", None)
-        state.pop("_shadows", None)
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._shadows = {}
-        self._lock = threading.Lock()
-
     # -- calibration ---------------------------------------------------------
 
     def scales_for(self, ngraph, network=None):

@@ -215,7 +215,6 @@ def _cmd_bench(args):
     knn = results["knn"]
     ball = results["ball"]
     forward = results["forward"]
-    par = results["parallel"]
     print(f"engine bench ({knn['cpu_count']} cpu(s), "
           f"B={knn['workload']['batch']}, N={knn['workload']['n_points']}, "
           f"k={knn['workload']['k']})")
@@ -230,9 +229,6 @@ def _cmd_bench(args):
           f"batched {forward['batched_ms']:8.2f} ms   "
           f"speedup {forward['speedup_batched']:.2f}x   "
           f"cached {forward['speedup_cached']:.2f}x")
-    print(f"  parallel serial {par['serial_ms']:6.2f} ms   "
-          f"{par['workers']} worker(s) {par['parallel_ms']:8.2f} ms   "
-          f"speedup {par['speedup_parallel']:.2f}x")
     ng = results["netgraph"]
     print(f"  netgraph composed {ng['composed_ms']:6.2f} ms   "
           f"graph {ng['netgraph_ms']:8.2f} ms   "

@@ -3,10 +3,10 @@
 The serving layer over the reproduction: stack B clouds into (B, N, 3)
 arrays and drive the full forward pass batch-at-a-time
 (:class:`BatchRunner`), skip repeated neighbor searches with a
-content-keyed single-flight LRU (:class:`NeighborIndexCache`), and fan
-irregular per-cloud work across cores (:class:`ParallelRunner`).
-``repro bench`` exercises all of them and records the throughput
-trajectory in ``BENCH_engine.json``.
+content-keyed single-flight LRU (:class:`NeighborIndexCache`), and drain
+serving sub-batches through a persistent thread pool
+(:class:`ParallelRunner`).  ``repro bench`` exercises the first two and
+records the throughput trajectory in ``BENCH_engine.json``.
 """
 
 from .._lazy import lazy_exports
@@ -19,8 +19,6 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "NeighborIndexCache": "cache",
     "content_digest": "cache",
     "ParallelRunner": "parallel",
-    "kdtree_nit_task": "parallel",
-    "soc_latency_task": "parallel",
     "BatchResult": "runner",
     "BatchRunner": "runner",
 })

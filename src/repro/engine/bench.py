@@ -1,8 +1,8 @@
-"""Engine throughput benchmark: single vs batched vs parallel vs cached.
+"""Engine throughput benchmark: single vs batched vs cached.
 
 ``repro bench`` runs this suite and writes ``BENCH_engine.json`` so CI
 can track the perf trajectory PR over PR.  Every row compares the
-engine's batched/cached/parallel path against the per-cloud loop the
+engine's batched/cached path against the per-cloud loop the
 repository used before the engine existed (default-precision
 :func:`knn_brute_force` calls, single-cloud network forwards).
 """
@@ -21,7 +21,6 @@ from ..neighbors import ball_query, knn_brute_force, raw_knn
 from ..networks import build_network
 from ..neural import no_grad
 from .cache import NeighborIndexCache
-from .parallel import ParallelRunner, kdtree_nit_task
 from .runner import BatchRunner
 
 __all__ = ["bench_mem", "bench_meta", "bench_quant", "bench_tune",
@@ -626,30 +625,6 @@ def bench_mem(network="PointNet++ (c)", batch=8, scale=0.125,
     }
 
 
-def bench_parallel(n_clouds=8, n_points=512, k=16, repeats=1, seed=0):
-    """k-d tree NIT builds (unbatchable) serial vs multi-core processes."""
-    rng = np.random.default_rng(seed)
-    clouds = rng.normal(size=(n_clouds, n_points, 3))
-    tasks = [(clouds[b], clouds[b][: n_points // 2], k) for b in range(n_clouds)]
-
-    # scipy loads with the first kdtree search: keep that one-time import
-    # out of the serial timing (forked pool workers inherit it loaded).
-    kdtree_nit_task(tasks[0])
-    serial = ParallelRunner(max_workers=1, backend="serial")
-    serial_ms = _best_ms(lambda: serial.map(kdtree_nit_task, tasks), repeats)
-    workers = os.cpu_count() or 1
-    runner = ParallelRunner(max_workers=workers, backend="process")
-    parallel_ms = _best_ms(lambda: runner.map(kdtree_nit_task, tasks), repeats)
-    return {
-        "workload": {"n_clouds": n_clouds, "n_points": n_points, "k": k},
-        "baseline": "serial per-cloud k-d tree sweep",
-        "workers": workers,
-        "serial_ms": serial_ms,
-        "parallel_ms": parallel_ms,
-        "speedup_parallel": serial_ms / parallel_ms,
-    }
-
-
 def bench_substrates(n_points=1024, k=16, queries=256, repeats=3, seed=0):
     """One cloud through each substrate behind the common API."""
     rng = np.random.default_rng(seed)
@@ -823,9 +798,6 @@ def run_benchmarks(batch=16, n_points=1024, k=16, network="PointNet++ (c)",
             scale=scale,
             strategy=strategy,
             repeats=max(1, repeats - 1),
-        ),
-        "parallel": bench_parallel(
-            n_clouds=max(2, batch // 2), n_points=max(128, n_points // 2), k=k
         ),
         "substrates": bench_substrates(
             n_points=n_points, k=k, queries=max(64, n_points // 4),

@@ -1,18 +1,11 @@
-"""ParallelRunner: multi-core fan-out for work that cannot batch.
+"""ParallelRunner: the serving dispatch pool.
 
-Batching covers the regular kernels (distance matrices, shared MLPs);
-what it cannot cover is per-cloud work with irregular control flow —
-k-d tree builds, grid walks, SoC simulation sweeps.  Those scale across
-cores instead.  :class:`ParallelRunner` maps a picklable task over a
-``ProcessPoolExecutor`` (threads or serial on request), degrading to a
-serial sweep when only one core is available or the sandbox forbids
-process pools.
-
-Runners can be *persistent*: the pool survives across :meth:`map` and
-:meth:`submit` calls — the serving dispatch pools run on one.
-
-The module-level ``*_task`` helpers are defined at import scope so the
-``spawn`` start method can pickle them.
+A persistent thread pool that :class:`~repro.serve.server.Server` drains
+sub-batches through when it has more than one dispatch worker, and that
+:class:`~repro.serve.shard.ShardRouter` shares across its replicas.
+Threads are enough: a sub-batch spends its time in numpy and BLAS,
+which release the GIL.  :meth:`ParallelRunner.pending` is the pool's
+live depth, and one worker degrades to running every task inline.
 """
 
 from __future__ import annotations
@@ -22,77 +15,44 @@ import threading
 import warnings
 from concurrent.futures import Future, ThreadPoolExecutor
 
-__all__ = ["ParallelRunner", "kdtree_nit_task", "soc_latency_task"]
-
-_BACKENDS = ("process", "thread", "serial")
+__all__ = ["ParallelRunner"]
 
 
 class ParallelRunner:
-    """Map per-cloud tasks over worker processes (or threads).
+    """A persistent thread pool behind :meth:`submit`.
 
     Parameters
     ----------
-    max_workers, backend:
-        ``backend`` is ``"process"`` (default), ``"thread"``, or
-        ``"serial"``.  With one worker, one item, or a pool that fails
-        to start, the map degrades to an in-process loop — results are
-        identical either way.
-    persistent:
-        Keep the pool alive across :meth:`map` calls instead of
-        creating one per call — amortizes worker startup over a serving
-        loop.  Release with :meth:`close` or use the runner as a context
-        manager.
+    max_workers:
+        Pool size (default ``os.cpu_count()``).  With one worker, or a
+        pool that fails to start, every task runs inline and
+        :meth:`submit` returns an already-completed future — same
+        results, same API.
+    backend, persistent:
+        Read by nothing: the pool is always threads and always
+        persistent.  They are accepted, as ``"thread"`` / ``True`` only,
+        because ``benchmarks/ledger/layers.py`` still passes them; they
+        go with ROADMAP item 6.  Any other value raises
+        :class:`ValueError`.
+
+    The pool starts on the first :meth:`submit` and lives until
+    :meth:`close`; use the runner as a context manager to release it.
     """
 
-    def __init__(self, max_workers=None, backend="process", persistent=False):
-        if backend not in _BACKENDS:
-            raise ValueError(f"unknown backend {backend!r}; expected {_BACKENDS}")
-        self.max_workers = int(max_workers or os.cpu_count() or 1)
+    def __init__(self, max_workers=None, backend="thread", persistent=True):
+        if backend != "thread" or persistent is not True:
+            raise ValueError(
+                f"backend={backend!r}, persistent={persistent!r}: the "
+                "dispatch pool is a persistent thread pool"
+            )
+        if max_workers is None:
+            max_workers = os.cpu_count() or 1
+        self.max_workers = int(max_workers)
         if self.max_workers <= 0:
             raise ValueError("max_workers must be positive")
-        self.backend = backend
-        self.persistent = bool(persistent)
         self._pool = None
         self._inflight = set()
         self._inflight_lock = threading.Lock()
-
-    def _make_pool(self):
-        if self.backend == "process":
-            # Loads multiprocessing: paid by the first process pool, not
-            # by every thread-pool or serial runner.
-            from concurrent.futures import ProcessPoolExecutor
-
-            return ProcessPoolExecutor(max_workers=self.max_workers)
-        return ThreadPoolExecutor(max_workers=self.max_workers)
-
-    def map(self, fn, items, chunksize=1):
-        """Apply ``fn`` to every item, preserving order."""
-        items = list(items)
-        if self.backend == "serial" or self.max_workers == 1 or len(items) <= 1:
-            return [fn(item) for item in items]
-        try:
-            if self.persistent:
-                if self._pool is None:
-                    self._pool = self._make_pool()
-                if self.backend == "process":
-                    return list(self._pool.map(fn, items, chunksize=chunksize))
-                return list(self._pool.map(fn, items))
-            if self.backend == "process":
-                with self._make_pool() as pool:
-                    return list(pool.map(fn, items, chunksize=chunksize))
-            with self._make_pool() as pool:
-                return list(pool.map(fn, items))
-        except (OSError, PermissionError, RuntimeError) as exc:
-            # A broken persistent pool cannot serve the next map either.
-            if self._pool is not None:
-                self._pool.shutdown(wait=False)
-                self._pool = None
-            warnings.warn(
-                f"{self.backend} pool unavailable ({exc}); running serially",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return [fn(item) for item in items]
 
     def _inline_future(self, fn, args):
         future = Future()
@@ -104,31 +64,24 @@ class ParallelRunner:
         return future
 
     def submit(self, fn, *args):
-        """Submit one task to a persistent pool, returning its future.
+        """Run ``fn(*args)`` on the pool, returning its future.
 
-        The streaming counterpart of :meth:`map` — the serving
-        frontend's dispatcher drains batch groups through this so
+        The serving dispatcher drains batch groups through this so
         sub-batches execute concurrently while new arrivals keep
-        queueing.  Requires ``persistent=True`` (a per-call pool would
-        be torn down before the future resolves).  The serial backend,
-        a single worker, and a pool that fails to start all degrade to
-        running the task inline and returning an already-completed
-        future — same results, same API.
+        queueing.
         """
-        if self.backend == "serial" or self.max_workers == 1:
+        if self.max_workers == 1:
             return self._inline_future(fn, args)
-        if not self.persistent:
-            raise ValueError("submit() requires a persistent runner")
         try:
             if self._pool is None:
-                self._pool = self._make_pool()
+                self._pool = ThreadPoolExecutor(max_workers=self.max_workers)
             return self._track(self._pool.submit(fn, *args))
-        except (OSError, PermissionError, RuntimeError) as exc:
+        except (OSError, RuntimeError) as exc:
             if self._pool is not None:
                 self._pool.shutdown(wait=False)
                 self._pool = None
             warnings.warn(
-                f"{self.backend} pool unavailable ({exc}); running inline",
+                f"thread pool unavailable ({exc}); running inline",
                 RuntimeWarning,
                 stacklevel=2,
             )
@@ -158,9 +111,9 @@ class ParallelRunner:
             return len(self._inflight)
 
     def close(self):
-        """Shut down a persistent pool (idempotent; the next :meth:`map`
-        recreates it).  Blocks until already-submitted work — including
-        :meth:`submit` futures — has drained."""
+        """Shut the pool down (idempotent; the next :meth:`submit`
+        restarts it).  Blocks until already-submitted futures have
+        drained."""
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
@@ -170,20 +123,3 @@ class ParallelRunner:
 
     def __exit__(self, *exc):
         self.close()
-
-
-def kdtree_nit_task(args):
-    """(points, queries, k) -> k-d tree KNN.  Tree builds cannot batch."""
-    points, queries, k = args
-    from ..neighbors import raw_knn
-
-    return raw_knn(points, queries, k, substrate="kdtree")
-
-
-def soc_latency_task(args):
-    """(network_name, config_name) -> simulated SoC latency in seconds."""
-    network_name, config_name = args
-    from ..hw import SoC
-    from ..networks import build_network
-
-    return SoC().simulate(build_network(network_name), config_name).latency

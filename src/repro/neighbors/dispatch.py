@@ -36,8 +36,8 @@ __all__ = [
 SUBSTRATES = ("brute", "kdtree", "grid")
 
 _DEFAULT_OPTIONS = {"substrate": "brute", "cache": None, "dtype": None}
-# Per-thread stacks: concurrent runners (e.g. a thread-backend
-# ParallelRunner driving two engines) must not see each other's options.
+# Per-thread stacks: concurrent runners (e.g. a ParallelRunner driving
+# two engines) must not see each other's options.
 _LOCAL = threading.local()
 
 

@@ -135,7 +135,7 @@ class Server:
         thread :class:`~repro.engine.parallel.ParallelRunner` so a slow
         batch does not block the next one.
     dispatch:
-        An externally-owned persistent
+        An externally-owned
         :class:`~repro.engine.parallel.ParallelRunner` to drain
         sub-batches through instead of building one — how a
         :class:`~repro.serve.shard.ShardRouter`'s replicas share one
@@ -181,18 +181,11 @@ class Server:
                     "pass either workers or an external dispatch pool, "
                     "not both"
                 )
-            if not dispatch.persistent:
-                raise ValueError(
-                    "an external dispatch pool must be persistent — "
-                    "submit() futures outlive per-call pools"
-                )
             self.workers = dispatch.max_workers
         elif self.workers > 1:
             from ..engine.parallel import ParallelRunner
 
-            self._dispatch = ParallelRunner(
-                max_workers=self.workers, backend="thread", persistent=True
-            )
+            self._dispatch = ParallelRunner(max_workers=self.workers)
         #: One permit per dispatch lane: the dispatcher takes one before
         #: it gathers, and the gathered batch gives it back once it has
         #: run, so no more than ``workers`` batches are ever in flight.

@@ -466,10 +466,7 @@ class ShardRouter:
         servers = []
         try:
             if len(plan.replicas) > 1:
-                dispatch = ParallelRunner(
-                    max_workers=len(plan.replicas), backend="thread",
-                    persistent=True,
-                )
+                dispatch = ParallelRunner(max_workers=len(plan.replicas))
 
             for replica in plan.replicas:
                 net = nets[replica.n_points]

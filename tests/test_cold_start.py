@@ -30,10 +30,11 @@ TIMEOUT = 120.0
 #: ``serve`` and ``tune`` — exposing a subpackage no longer imports it —
 #: and that ``repro.engine`` (then 16) and ``repro.graph`` (then 39)
 #: shrank when the seven executors became three, and again (with
-#: ``repro.backend``) when the thread-overlap runtime was retired.
+#: ``repro.backend``) when the thread-overlap runtime was retired, and
+#: ``repro.engine`` once more when its process-pool task helpers went.
 FRONT_DOORS = [
     ("repro", 13), ("repro.backend", 25), ("repro.core", 15),
-    ("repro.data", 24), ("repro.engine", 11), ("repro.graph", 35),
+    ("repro.data", 24), ("repro.engine", 9), ("repro.graph", 35),
     ("repro.hw", 27), ("repro.neighbors", 15), ("repro.networks", 25),
     ("repro.neural", 24), ("repro.profiling", 31), ("repro.serve", 17),
     ("repro.tune", 10),
@@ -133,6 +134,7 @@ class TestServedRequestImports:
         assert offenders(modules, ("scipy",)) == []
         assert offenders(modules, NEVER_SERVED) == []
         assert offenders(modules, KERNEL_PATH_FORBIDDEN) == []
+        assert offenders(modules, ("multiprocessing",)) == []
         served = offenders(modules, ("repro",))
         assert len(served) <= 34, served
         # One table, nothing to compare it with: nothing is hashed.
@@ -144,6 +146,7 @@ class TestServedRequestImports:
         assert offenders(modules, NEVER_SERVED) == []
         assert offenders(modules, EAGER_PATH_FORBIDDEN) == []
         assert "repro.graph.executors" in modules
+        assert offenders(modules, ("multiprocessing",)) == []
         served = offenders(modules, ("repro",))
         assert len(served) <= 29, served
 

@@ -12,7 +12,6 @@ from repro.engine import (
     ParallelRunner,
     cache as cache_module,
     content_digest,
-    kdtree_nit_task,
     run_benchmarks,
 )
 from repro.neighbors import (
@@ -618,39 +617,67 @@ class TestBatchRunnerPaths:
 
 
 class TestParallelRunner:
-    def test_backends_agree(self):
-        clouds = random_clouds(3, 64, seed=50)
-        tasks = [(clouds[b], clouds[b][:16], 4) for b in range(3)]
-        serial = ParallelRunner(backend="serial").map(kdtree_nit_task, tasks)
-        threaded = ParallelRunner(max_workers=2, backend="thread").map(
-            kdtree_nit_task, tasks
-        )
-        procs = ParallelRunner(max_workers=2, backend="process").map(
-            kdtree_nit_task, tasks
-        )
-        for ser, thr, pro in zip(serial, threaded, procs):
-            np.testing.assert_array_equal(ser[0], thr[0])
-            np.testing.assert_array_equal(ser[0], pro[0])
-
     def test_bad_backend_rejected(self):
         with pytest.raises(ValueError):
             ParallelRunner(backend="gpu")
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    def test_map_preserves_order(self, backend):
-        runner = ParallelRunner(max_workers=2, backend=backend)
-        assert runner.map(abs, range(-6, 0)) == [6, 5, 4, 3, 2, 1]
+    @pytest.mark.parametrize("kwargs", [{"backend": "process"},
+                                        {"backend": "serial"},
+                                        {"persistent": False}])
+    def test_only_the_persistent_thread_pool_exists(self, kwargs):
+        with pytest.raises(ValueError, match="persistent thread pool"):
+            ParallelRunner(max_workers=2, **kwargs)
 
     def test_single_worker_runs_inline(self):
-        # One worker never starts a pool, so tasks need not pickle.
-        runner = ParallelRunner(max_workers=1, backend="process")
-        assert runner.map(lambda x: x * 2, [1, 2, 3]) == [2, 4, 6]
-        assert runner.submit(lambda x: x + 1, 1).result() == 2
-        assert runner._pool is None
+        # One worker never starts a pool: the future is done on return.
+        runner = ParallelRunner(max_workers=1)
+        future = runner.submit(lambda x: x + 1, 1)
+        assert future.done() and future.result() == 2
+        assert runner._pool is None and runner.pending() == 0
+
+    def test_threads_agree_with_inline(self):
+        # k-d tree builds cannot batch, so they are what a pool spreads.
+        def kdtree_knn(cloud):
+            return raw_knn(cloud, cloud[:16], 4, substrate="kdtree")
+
+        clouds = random_clouds(3, 64, seed=50)
+        inline = ParallelRunner(max_workers=1)
+        with ParallelRunner(max_workers=2) as pool:
+            futures = [(inline.submit(kdtree_knn, c), pool.submit(kdtree_knn, c))
+                       for c in clouds]
+            for ser, thr in futures:
+                np.testing.assert_array_equal(ser.result()[0],
+                                              thr.result(timeout=30)[0])
+
+    def test_each_future_holds_its_own_result(self):
+        # Tasks finish in reverse order; each future still answers for
+        # the task it was submitted with.
+        gates = [threading.Event() for _ in range(3)]
+
+        def task(i):
+            assert gates[i].wait(30)
+            if i:
+                gates[i - 1].set()
+            return -i
+
+        with ParallelRunner(max_workers=3) as runner:
+            futures = [runner.submit(task, i) for i in range(3)]
+            gates[-1].set()
+            assert [f.result(timeout=30) for f in futures] == [0, -1, -2]
+
+    def test_persistent_pool_survives_batches(self):
+        with ParallelRunner(max_workers=2) as runner:
+            assert runner.submit(len, [1]).result(timeout=30) == 1
+            pool = runner._pool
+            assert pool is not None
+            assert runner.submit(len, [1, 2]).result(timeout=30) == 2
+            assert runner._pool is pool
+        assert runner._pool is None  # context exit released it
 
     def test_negative_workers_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            ParallelRunner(max_workers=-1)
+        for workers in (0, -1):  # 0 is not "unset"
+            with pytest.raises(ValueError, match="positive"):
+                ParallelRunner(max_workers=workers)
 
     def test_pending_counts_unresolved_submits(self):
         release = threading.Event()
@@ -667,10 +694,9 @@ class TestParallelRunner:
 class TestBenchSmoke:
     def test_quick_benchmarks_have_all_rows(self):
         results = run_benchmarks(quick=True)
-        for key in ("meta", "knn", "ball", "forward", "parallel", "substrates"):
+        for key in ("meta", "knn", "ball", "forward", "substrates"):
             assert key in results
         assert results["knn"]["speedup_batched"] > 0
         assert results["knn"]["speedup_cached"] > 1
         assert results["ball"]["speedup_batched"] > 0
         assert results["forward"]["speedup_batched"] > 0
-        assert results["parallel"]["speedup_parallel"] > 0

@@ -938,6 +938,55 @@ class TestCLI:
         )
         assert len(index) == 1  # one program per configuration
 
+    @staticmethod
+    def _serve_one(*extra):
+        """One request through a fresh ``repro serve``; its output."""
+        import repro
+
+        rows = np.random.default_rng(5).normal(size=(64, 3)).tolist()
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "serve", "--network",
+             "PointNet++ (c)", "--scale", "0.0625", "--serve-backend",
+             "float32", *extra],
+            input=json.dumps({"id": "r0", "cloud": rows}) + "\n",
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=os.path.dirname(
+                os.path.dirname(repro.__file__))),
+        )
+        assert done.returncode == 0, done.stderr[-2000:]
+        response = json.loads(done.stdout.splitlines()[0])
+        assert "output" in response, response
+        return np.asarray(response["output"])
+
+    @pytest.mark.parametrize("damage", [
+        lambda body: body[:5] + b"\xff" + body[6:],  # not UTF-8
+        lambda body: b"[]",  # JSON, but not an object
+    ], ids=["non-utf8", "non-object"])
+    def test_damaged_index_recompiles_and_is_rewritten(self, tmp_path,
+                                                       damage):
+        from repro.cli import main
+
+        cache_dir = tmp_path / "pc"
+        assert main(["compile", "PointNet++ (c)", "--scale", "0.0625",
+                     "--backend", "float32", "--cache", str(cache_dir)]) == 0
+        path = cache_dir / "index.json"
+        keys = set(json.loads(path.read_text()))
+        path.write_bytes(damage(path.read_bytes()))
+        served = self._serve_one("--program-cache", str(cache_dir))
+        assert np.array_equal(served, self._serve_one())
+        rewritten = json.loads(path.read_text())
+        assert isinstance(rewritten, dict) and set(rewritten) == keys
+        for digest in rewritten.values():
+            assert (cache_dir / f"{digest}.json").exists()
+
+    def test_damaged_tuned_manifest_reads_as_untuned(self, tmp_path):
+        cache = ProgramCache(tmp_path)
+        digest = cache.store_tuned("net", "fp", {"entries": {}})
+        path = tmp_path / f"{digest}.json"
+        body = path.read_bytes()
+        path.write_bytes(body[:5] + b"\xff" + body[6:])
+        assert cache.load_tuned("net", "fp") is None
+
     def test_bench_mem_row(self):
         from repro.engine.bench import bench_mem
 

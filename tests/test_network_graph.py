@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.core import ModuleSpec, PointCloudModule, emit_module_trace
-from repro.engine import ParallelRunner
 from repro.engine.bench import bench_netgraph
 from repro.graph import (
     GraphExecutor,
@@ -453,18 +452,6 @@ class TestCrossModuleSchedule:
                      "--schedule"]) == 0
         out = capsys.readouterr().out
         assert "cross-module overlap steps" in out
-
-
-class TestPersistentParallelRunner:
-    def test_persistent_thread_pool_survives_maps(self):
-        with ParallelRunner(max_workers=2, backend="thread",
-                            persistent=True) as runner:
-            assert runner.map(len, [[1], [1, 2]]) == [1, 2]
-            pool = runner._pool
-            assert pool is not None
-            assert runner.map(len, [[1, 2, 3], []]) == [3, 0]
-            assert runner._pool is pool
-        assert runner._pool is None  # context exit released it
 
 
 class TestNetgraphBenchRow:

@@ -11,7 +11,6 @@ agreement, parameter-table packing/zero-copy transport of quantized
 segments, and calibration determinism.
 """
 
-import pickle
 import warnings
 
 import numpy as np
@@ -112,13 +111,6 @@ class TestRegistry:
         assert backend.dtype == np.float32
         assert backend.search_dtype == np.float32
         assert backend.name == "int8"
-
-    def test_backend_pickles_without_its_lock(self):
-        backend = Int8Backend(scales=ScaleTable({("x",): 1.0}))
-        clone = pickle.loads(pickle.dumps(backend))
-        assert isinstance(clone, Int8Backend)
-        assert clone.preset_scales == backend.preset_scales
-        assert clone._lock is not backend._lock
 
 
 finite_activations = st.floats(min_value=-50, max_value=50,

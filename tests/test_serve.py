@@ -705,12 +705,12 @@ class TestDrainHooks:
         assert runner.run(np.zeros((1, small_net.n_points, 3))).batch_size == 1
 
     def test_parallel_submit_serial_degrade_inline(self):
-        runner = ParallelRunner(max_workers=1, backend="serial")
+        runner = ParallelRunner(max_workers=1)
         future = runner.submit(lambda x: x * 2, 21)
         assert future.done() and future.result() == 42
 
     def test_parallel_submit_carries_exceptions(self):
-        runner = ParallelRunner(max_workers=1, backend="serial")
+        runner = ParallelRunner(max_workers=1)
 
         def boom(_):
             raise ValueError("nope")
@@ -719,15 +719,9 @@ class TestDrainHooks:
             runner.submit(boom, 0).result()
 
     def test_parallel_submit_persistent_thread_pool(self):
-        with ParallelRunner(max_workers=2, backend="thread",
-                            persistent=True) as runner:
+        with ParallelRunner(max_workers=2) as runner:
             futures = [runner.submit(lambda x: x + 1, i) for i in range(8)]
             assert [f.result(TIMEOUT) for f in futures] == list(range(1, 9))
-
-    def test_parallel_submit_requires_persistent_pool(self):
-        runner = ParallelRunner(max_workers=2, backend="thread")
-        with pytest.raises(ValueError, match="persistent"):
-            runner.submit(lambda x: x, 1)
 
 
 # ------------------------------------------------ concurrent exactness

@@ -485,8 +485,7 @@ class TestShardRouter:
             router.submit(stub_cloud())
 
     def test_external_dispatch_pool_not_closed_by_servers(self):
-        pool = ParallelRunner(max_workers=2, backend="thread",
-                              persistent=True)
+        pool = ParallelRunner(max_workers=2)
         try:
             policy = BatchPolicy(max_batch=2)
             servers = [
@@ -512,8 +511,7 @@ class TestShardRouter:
     def test_replicas_on_a_shared_pool_never_exceed_its_size(self):
         # Each replica has one lane per pool worker; together they may
         # queue more batches on the pool, but never run more at once.
-        pool = ParallelRunner(max_workers=2, backend="thread",
-                              persistent=True)
+        pool = ParallelRunner(max_workers=2)
         barrier = threading.Barrier(2, timeout=TIMEOUT)
         lock = threading.Lock()
         counts = {"active": 0, "peak": 0}
@@ -550,15 +548,10 @@ class TestShardRouter:
             pool.close()
 
     def test_server_rejects_ambiguous_dispatch_config(self):
-        pool = ParallelRunner(max_workers=2, backend="thread",
-                              persistent=True)
+        pool = ParallelRunner(max_workers=2)
         try:
             with pytest.raises(ValueError, match="not both"):
                 Server(StubRunner(), workers=4, dispatch=pool)
-            with pytest.raises(ValueError, match="persistent"):
-                Server(StubRunner(),
-                       dispatch=ParallelRunner(max_workers=2,
-                                               backend="thread"))
         finally:
             pool.close()
 
