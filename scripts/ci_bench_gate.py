@@ -20,16 +20,6 @@ Gates are ``NAME=EXPR`` pairs where EXPR is a Python expression
 evaluated with the loaded JSON bound to ``results``; ``--show`` entries
 are printed for the log but never gate.
 
-``--compare-baseline PATH`` additionally regression-compares the fresh
-results against a previous run's JSON (e.g. the default branch's
-artifact): each ``--compare NAME=EXPR`` names a bigger-is-better metric
-evaluated on both files, and the job fails when the fresh value drops
-below ``(1 - --compare-tolerance)`` of the baseline (default 0.8x, i.e.
-a >20% regression).  A missing baseline file or a metric absent from
-the older artifact skips cleanly — the first run of a new row must not
-fail for lacking history.  Comparisons are timing-derived, so they
-share the noisy gates' retry-once protocol.
-
 Example:
     python scripts/ci_bench_gate.py --json BENCH_engine.json \\
       --bench "repro bench --repeats 3 --output BENCH_engine.json" \\
@@ -41,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import subprocess
 import sys
 
@@ -68,20 +57,6 @@ def parse_args(argv=None):
                         metavar="NAME=EXPR",
                         help="noisy gate: one miss triggers one bench "
                              "retry before failing")
-    parser.add_argument("--compare-baseline", default=None, metavar="PATH",
-                        help="previous results JSON to regression-compare "
-                             "--compare metrics against (missing file "
-                             "skips the comparison cleanly)")
-    parser.add_argument("--compare", action="append", default=[],
-                        metavar="NAME=EXPR",
-                        help="bigger-is-better metric evaluated on both "
-                             "the fresh results and --compare-baseline; "
-                             "fails (with the noisy-gate retry) when the "
-                             "fresh value regresses past the tolerance")
-    parser.add_argument("--compare-tolerance", type=float, default=0.2,
-                        help="allowed fractional drop vs baseline before "
-                             "a --compare fails (default 0.2 = fresh must "
-                             "stay above 0.8x baseline)")
     return parser.parse_args(argv)
 
 
@@ -129,61 +104,20 @@ def check(path, shows, exacts, gates):
     return failed
 
 
-def compare_baseline(path, baseline_path, compares, tolerance):
-    """Regression-compare ``--compare`` metrics; returns the failed names.
-
-    Skips cleanly (empty list, with a log line saying why) when no
-    baseline path was given, the file does not exist, or the baseline
-    artifact predates a metric — history must never be a prerequisite.
-    """
-    if not compares:
-        return []
-    if not baseline_path or not os.path.exists(baseline_path):
-        print(f"  baseline comparison skipped "
-              f"({baseline_path or 'no baseline'} not present)")
-        return []
-    with open(path) as handle:
-        current = json.load(handle)
-    with open(baseline_path) as handle:
-        baseline = json.load(handle)
-    floor = 1.0 - tolerance
-    failed = []
-    for name, expr in compares:
-        try:
-            old = evaluate(expr, baseline)
-        except (KeyError, IndexError, TypeError) as exc:
-            print(f"  compare {name}: skipped — baseline lacks it "
-                  f"({type(exc).__name__}: {exc})")
-            continue
-        new = evaluate(expr, current)
-        ok = new >= floor * old
-        print(f"  compare {name}: {'pass' if ok else 'REGRESSION'}  "
-              f"fresh {new:.4g} vs baseline {old:.4g} "
-              f"(floor {floor:.2f}x)  ({expr})")
-        if not ok:
-            failed.append(name)
-    return failed
-
-
 def main(argv=None):
     args = parse_args(argv)
     shows = [split_spec(spec) for spec in args.show]
     exacts = [split_spec(spec) for spec in args.exact]
     gates = [split_spec(spec) for spec in args.gate]
-    compares = [split_spec(spec) for spec in args.compare]
 
     run_bench(args.bench)
     failed = check(args.json, shows, exacts, gates)
-    failed += compare_baseline(args.json, args.compare_baseline, compares,
-                               args.compare_tolerance)
     if not failed:
         return 0
     print(f"gate(s) {failed} missed; retrying bench once on a hopefully "
           "quieter runner")
     run_bench(args.retry_bench or args.bench)
     failed = check(args.json, shows, exacts, gates)
-    failed += compare_baseline(args.json, args.compare_baseline, compares,
-                               args.compare_tolerance)
     if failed:
         print(f"gate(s) {failed} missed twice")
         return 1

@@ -17,7 +17,6 @@ loads none of them):
 * :mod:`repro.hw` — GPU/NPU/AU/DRAM/NSE/SoC hardware models
 * :mod:`repro.engine` — batched multi-cloud serving engine
 * :mod:`repro.serve` — continuous-batching server and shard router
-* :mod:`repro.tune` — shape-keyed autotuner
 """
 
 from ._lazy import lazy_exports
@@ -28,7 +27,6 @@ __version__ = "1.1.0"
 __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     name: name
     for name in ("backend", "core", "data", "engine", "graph", "hw",
-                 "neighbors", "networks", "neural", "profiling", "serve",
-                 "tune")
+                 "neighbors", "networks", "neural", "profiling", "serve")
 })
 __all__.append("__version__")

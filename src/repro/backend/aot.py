@@ -230,9 +230,10 @@ def attach_table(descriptor):
 # -- the on-disk program cache -----------------------------------------------
 
 #: Stamp of everything a stored manifest's readers depend on beyond the
-#: kernel labels: scratch-buffer keys, the plan JSON, the config key and
-#: the tuned-table JSON.  Entries carrying any other value are stale —
-#: programs recompile, tuned tables re-tune.  4: one per-cloud plan per
+#: kernel labels: scratch-buffer keys, the plan JSON and the config key.
+#: Entries carrying any other value are stale and recompile.  Index keys
+#: no lookup asks for (a directory older code wrote may hold
+#: ``tuned|…`` ones) are left as they are.  4: one per-cloud plan per
 #: entry (``"plan"``, the height-1 arena plan every stack height is
 #: derived from) where 3 kept one measured plan per input signature.
 FORMAT = 4
@@ -443,52 +444,6 @@ class ProgramCache:
                                 plan_memory=plan_memory)
         self.store(program, fingerprint)
         return program
-
-    # -- tuned dispatch tables -----------------------------------------------
-
-    def store_tuned(self, network_name, fingerprint, table_json):
-        """Persist an autotuner dispatch table; returns its digest.
-
-        Tables are keyed per (network, weight fingerprint) the same way
-        programs are — a retrained network misses cleanly — and stored
-        as manifest-only entries (no parameter blob).
-        """
-        manifest = {
-            "format": FORMAT,
-            "kind": "tuned-table",
-            "network": network_name,
-            "fingerprint": fingerprint,
-            "table": table_json,
-        }
-        body = json.dumps(manifest, sort_keys=True).encode()
-        digest = hashlib.sha256(body).hexdigest()
-        manifest_path = self._manifest_path(digest)
-        if not os.path.exists(manifest_path):
-            with open(manifest_path + ".tmp", "w") as handle:
-                json.dump(manifest, handle, sort_keys=True)
-            os.replace(manifest_path + ".tmp", manifest_path)
-        index = self._read_index()
-        key = f"tuned|{network_name}|{fingerprint}"
-        if index.get(key) != digest:
-            index[key] = digest
-            self._write_index(index)
-        return digest
-
-    def load_tuned(self, network_name, fingerprint):
-        """The stored tuned-table JSON for a network, or ``None``."""
-        digest = self._read_index().get(
-            f"tuned|{network_name}|{fingerprint}"
-        )
-        if digest is None:
-            return None
-        try:
-            manifest = self.manifest(digest)
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            return None
-        if manifest.get("kind") != "tuned-table" \
-                or manifest.get("format") != FORMAT:
-            return None
-        return manifest["table"]
 
     def descriptor_for(self, network, strategy, backend):
         """A picklable ``{"kind": "file"}`` token for :func:`attach_table`.

@@ -10,9 +10,6 @@ trace NETWORK [--strategy S] [--memory]
 compile NETWORK [--strategy S] [--backend B] [--cache DIR]
     Ahead-of-time compile kernel programs into an on-disk program
     cache (packed parameters + the measured per-cloud arena plan).
-tune NETWORK [--batch B] [--backends B ...] [--cache DIR]
-    Measure the strategy x backend grid for one workload
-    shape and store the winning configuration in the program cache.
 simulate NETWORK [--config C]
     Simulate one network on one SoC configuration.
 networks
@@ -104,9 +101,6 @@ def _build_server(args):
     from .serve import BatchPolicy, Server
 
     policy = BatchPolicy(max_batch=args.max_batch, max_queue=args.max_queue)
-    if args.tuned and not args.program_cache:
-        raise ValueError("--tuned needs --program-cache to load stored "
-                         "tables from (warm it with 'repro tune')")
     if args.shards > 1:
         from .serve import ShardRouter
 
@@ -118,7 +112,6 @@ def _build_server(args):
             backend=_serve_backend(args.serve_backend),
             program_cache=args.program_cache,
             policy=policy,
-            tuned=args.tuned,
             cache_size=args.cache_size,
             memory_budget_mb=args.memory_budget_mb,
         )
@@ -132,7 +125,6 @@ def _build_server(args):
         program_cache=args.program_cache,
         policy=policy,
         workers=args.workers,
-        tuned=args.tuned,
         cache=cache,
     )
 
@@ -286,10 +278,6 @@ def build_parser():
                          help="print the kernel runtime's per-phase memory "
                               "peaks before/after arena planning, plus the "
                               "planned arena layout")
-    p_trace.add_argument("--cache", default=None, metavar="DIR",
-                         help="with --schedule: program cache directory to "
-                              "read the autotuner's chosen configuration "
-                              "from (see 'repro tune')")
 
     p_compile = sub.add_parser(
         "compile", help="AOT-compile kernel programs into a program cache"
@@ -307,33 +295,6 @@ def build_parser():
     p_compile.add_argument("--cache", default=".repro-programs", metavar="DIR",
                            help="program cache directory (content-addressed; "
                                 "safe to reuse across networks and restarts)")
-
-    p_tune = sub.add_parser(
-        "tune", help="autotune strategy/backend per workload shape"
-    )
-    p_tune.add_argument("network", nargs="*", **_NETWORK,
-                        help="networks to tune (default PointNet++ (c))")
-    p_tune.add_argument("--scale", type=float, default=0.125)
-    p_tune.add_argument("--batch", type=int, default=8,
-                        help="workload batch size the shape key records")
-    p_tune.add_argument("--repeats", type=int, default=2,
-                        help="best-of-N timing per surviving candidate")
-    p_tune.add_argument("--seed", type=int, default=2020,
-                        help="probe-cloud seed (fixed seed => deterministic "
-                             "candidate record)")
-    p_tune.add_argument("--backends", nargs="+",
-                        default=["float64", "float32", "int8"],
-                        choices=("float64", "float32", "int8"),
-                        help="kernel backend tiers to enumerate")
-    p_tune.add_argument("--prune-ratio", type=float, default=None,
-                        help="skip strategies the cost model predicts at "
-                             "more than this multiple of the cheapest "
-                             "strategy's MACs (skips are recorded, never "
-                             "silent)")
-    p_tune.add_argument("--cache", default=".repro-programs", metavar="DIR",
-                        help="program cache directory the tuned table "
-                             "persists in (warm re-tunes run zero "
-                             "benchmarks); pass '' to disable")
 
     p_sim = sub.add_parser("simulate", help="simulate a network on an SoC")
     p_sim.add_argument("network", **_NETWORK)
@@ -409,12 +370,6 @@ def build_parser():
     p_serve.add_argument("--memory-budget-mb", type=float, default=None,
                          help="per-slot working-set budget for the "
                               "placement planner (default: unbounded)")
-    p_serve.add_argument("--tuned", action="store_true",
-                         help="dispatch each hosted network on its "
-                              "stored autotuned table from "
-                              "--program-cache (warm it with 'repro "
-                              "tune'; networks without a stored table "
-                              "keep the fixed configuration)")
 
     return parser
 

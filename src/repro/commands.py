@@ -46,8 +46,6 @@ def _cmd_trace(args):
         print(schedule.describe())
         print(f"cross-module overlap steps: "
               f"{len(schedule.cross_module_overlap_steps())}")
-        if args.cache:
-            _trace_tuned(net, args.cache)
     elif args.graph:
         # The strategy-rewritten whole-network operator graph the
         # executors run and the trace below is lowered from.
@@ -67,23 +65,6 @@ def _cmd_trace(args):
         print(f"  {phase}    {row['ops']:3d} {row['macs']:11,d} "
               f"{row['bytes_read']:12,d} {row['bytes_written']:14,d}")
     return 0
-
-
-def _trace_tuned(net, cache_dir):
-    """``repro trace --schedule --cache DIR`` tail: the autotuner's
-    chosen configuration, when the program cache holds a stored table."""
-    from .backend import ProgramCache, network_fingerprint
-    from .tune import TunedTable
-
-    data = ProgramCache(cache_dir).load_tuned(
-        net.name, network_fingerprint(net)
-    )
-    if data is None:
-        print(f"tuned config: none stored in {cache_dir} "
-              f"(run 'repro tune' first)")
-        return
-    for line in TunedTable.from_json(data).describe():
-        print(f"tuned config: {line}")
 
 
 def _trace_memory(net, strategy):
@@ -130,31 +111,6 @@ def _cmd_compile(args):
               f"{batched.total_bytes:,d} B at B={args.batch} "
               f"(-{plan.reduction * 100:.1f}% vs pool)")
     print(f"programs cached in {cache.directory}")
-    return 0
-
-
-def _cmd_tune(args):
-    """Autotune configurations per workload shape; store tuned tables."""
-    from .backend import ProgramCache
-    from .networks import build_network
-    from .tune import Autotuner
-
-    cache = ProgramCache(args.cache) if args.cache else None
-    for name in args.network or ["PointNet++ (c)"]:
-        net = build_network(name, scale=args.scale)
-        tuner = Autotuner(net, program_cache=cache, repeats=args.repeats,
-                          seed=args.seed)
-        log = []
-        table = tuner.tune(batch=args.batch,
-                           backends=tuple(args.backends),
-                           prune_ratio=args.prune_ratio, report=log)
-        for line in log:
-            print(f"  {line}")
-        for line in table.describe():
-            print(line)
-        suffix = (f"; table stored in {cache.directory}" if cache else
-                  "; pass --cache to persist the table")
-        print(f"  ran {tuner.n_benchmarks} benchmark(s){suffix}")
     return 0
 
 
@@ -266,7 +222,6 @@ COMMANDS = {
     "networks": _cmd_networks,
     "trace": _cmd_trace,
     "compile": _cmd_compile,
-    "tune": _cmd_tune,
     "simulate": _cmd_simulate,
     "train": _cmd_train,
     "bench": _cmd_bench,

@@ -12,7 +12,6 @@ records the throughput trajectory in ``BENCH_engine.json``.
 from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(globals(), {
-    "bench_tune": "bench",
     "run_benchmarks": "bench",
     "validate_row": "bench",
     "write_json": "bench",

@@ -23,8 +23,8 @@ from ..neural import no_grad
 from .cache import NeighborIndexCache
 from .runner import BatchRunner
 
-__all__ = ["bench_mem", "bench_meta", "bench_quant", "bench_tune",
-           "run_benchmarks", "validate_row", "write_json"]
+__all__ = ["bench_mem", "bench_meta", "bench_quant", "run_benchmarks",
+           "validate_row", "write_json"]
 
 
 def bench_meta(quick=False):
@@ -640,101 +640,6 @@ def bench_substrates(n_points=1024, k=16, queries=256, repeats=3, seed=0):
         search()  # untimed: the first kdtree search imports scipy
         out[f"{substrate}_ms"] = _best_ms(search, repeats)
     return out
-
-
-def bench_tune(network="PointNet++ (c)", scale=0.125, batch=8, repeats=2,
-               seed=0, quick=False):
-    """Autotuned dispatch vs the best and worst fixed configurations.
-
-    Runs the :class:`~repro.tune.Autotuner` over the strategy x
-    backend grid for one workload shape, then re-times three
-    runners on the same probe clouds: ``BatchRunner(tuned=table)``
-    (measured dispatch), the best fixed configuration, and the worst
-    *gate-passing* fixed configuration.  Alongside the timings the row
-    records the stories CI gates on exactly: the winner passed its
-    correctness gate, a warm same-cache re-tune performs zero
-    benchmarks and round-trips the stored table byte-identically, two
-    cold same-seed tunes agree on every candidate's gate outcome, and
-    the default delayed float64 program's peak live bytes (the
-    centroid-chunked aggregate never holds a neighborhood tensor).
-    """
-    import tempfile
-
-    from ..backend import ProgramCache, compile_kernel_program
-    from ..tune import Autotuner, shape_key
-
-    if quick:
-        batch = min(batch, 4)
-        repeats = 1
-    backends = ("float64", "float32")
-    net = build_network(network, scale=scale, rng=np.random.default_rng(seed))
-    key = shape_key(net.name, net.n_points, batch)
-
-    with tempfile.TemporaryDirectory(prefix="repro-tune-bench-") as tmp:
-        cache = ProgramCache(tmp)
-        cold = Autotuner(net, program_cache=cache, repeats=repeats, seed=seed)
-        table = cold.tune(batch=batch, backends=backends)
-        warm = Autotuner(net, program_cache=cache, repeats=repeats, seed=seed)
-        warm_table = warm.tune(batch=batch, backends=backends)
-    round_trip = (json.dumps(table.to_json(), sort_keys=True)
-                  == json.dumps(warm_table.to_json(), sort_keys=True))
-
-    # Cold-vs-cold determinism: timings vary run to run, but for a
-    # fixed seed the candidate grid, its order, and every gate verdict
-    # and metric must agree exactly.
-    second = Autotuner(net, repeats=repeats, seed=seed)
-    second_table = second.tune(batch=batch, backends=backends)
-
-    def gate_record(tbl):
-        return [(c.key(), c.gate_passed, c.gate)
-                for c in tbl.candidates(key)]
-
-    deterministic = gate_record(table) == gate_record(second_table)
-
-    winner = table.config(key)
-    passed = [c for c in table.candidates(key) if c.gate_passed]
-    worst = max(passed, key=lambda c: c.ms)
-    clouds = np.random.default_rng(seed).normal(size=(batch, net.n_points, 3))
-
-    def timed(runner):
-        runner.run(clouds)  # warm compile outside the timed region
-        return _best_ms(lambda: runner.run(clouds), repeats)
-
-    tuned_ms = timed(BatchRunner(net, tuned=table))
-    best_ms = timed(BatchRunner(net, **winner.runner_kwargs(net)))
-    worst_ms = timed(BatchRunner(net, **worst.runner_kwargs(net)))
-
-    program = compile_kernel_program(net, "delayed", backend="float64")
-    peak_live = int(program.memory_report(clouds[:1])["peak_live_bytes"])
-
-    return {
-        "workload": {
-            "network": net.name,
-            "scale": scale,
-            "batch": batch,
-            "n_points": net.n_points,
-            "backends": list(backends),
-            "repeats": repeats,
-            "seed": seed,
-        },
-        "baseline": "best/worst fixed configuration over the same "
-                    "candidate grid",
-        "autotuned_config": winner.key(),
-        "autotuned_ms": tuned_ms,
-        "best_fixed_ms": best_ms,
-        "worst_fixed_config": worst.key(),
-        "worst_fixed_ms": worst_ms,
-        "autotuned_vs_best_fixed": tuned_ms / best_ms,
-        "speedup_vs_worst_fixed": worst_ms / tuned_ms,
-        "winner_gate_passed": bool(winner.gate_passed),
-        "n_candidates": len(table.candidates(key)),
-        "n_gate_failures": len(table.candidates(key)) - len(passed),
-        "cold_benchmarks": cold.n_benchmarks,
-        "warm_rebenchmarks": warm.n_benchmarks,
-        "table_round_trip": bool(round_trip),
-        "table_deterministic": bool(deterministic),
-        "peak_live_bytes": peak_live,
-    }
 
 
 def run_benchmarks(batch=16, n_points=1024, k=16, network="PointNet++ (c)",

@@ -124,21 +124,18 @@ class BatchRunner:
         ``program_cache`` / ``params`` (which is then only reported).
         Executors are thread-compatible: the shard router hands one to
         every replica of a network.
-    tuned:
-        Optional :class:`~repro.tune.TunedTable` (or its JSON form).
-        Each :meth:`run` then dispatches on the measured winner for the
-        request's shape key (network, point count, batch size, nearest
-        batch as fallback), delegating to an internally memoized runner
-        per winning configuration; the runner's own
-        strategy/backend settings serve only shapes the table
-        has no entry for.
+
+    ``strategy`` and ``backend`` are the caller's contract: every
+    :meth:`run` executes exactly that configuration, whatever the batch
+    height.
     """
 
     fusion = ()  # only reader: benchmarks/ledger/test_ledger.py:221
+    tuned = None  # only reader: benchmarks/ledger/test_ledger.py:221
 
     def __init__(self, network, strategy="delayed", substrate="brute",
                  cache=None, dtype=None, backend=None, program_cache=None,
-                 tuned=None, params=None, executor=None):
+                 params=None, executor=None):
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}")
         self.network = network
@@ -148,12 +145,6 @@ class BatchRunner:
         self.dtype = dtype
         self.backend = backend
         self.program_cache = program_cache
-        if tuned is not None and not hasattr(tuned, "lookup"):
-            from ..tune import TunedTable
-
-            tuned = TunedTable.from_json(tuned)
-        self.tuned = tuned
-        self._tuned_runners = {}
         #: Optional pre-built (possibly zero-copy-attached)
         #: :class:`~repro.backend.params.ParameterTable` the compiled
         #: programs read through instead of re-exporting the network's
@@ -218,42 +209,13 @@ class BatchRunner:
             dict(self.cache.stats()) if self.cache is not None else {},
         )
 
-    def _batch_size(self, clouds):
-        if isinstance(clouds, (list, tuple)):
-            return len(clouds)
-        arr = np.asarray(clouds)
-        return 1 if arr.ndim == 2 else len(arr)
-
-    def _tuned_runner(self, batch_size):
-        """The memoized delegate runner for one tuned configuration."""
-        config = self.tuned.lookup(
-            self.network.name, self.network.n_points, batch_size
-        )
-        if config is None:
-            return None
-        runner = self._tuned_runners.get(config.key())
-        if runner is None:
-            runner = BatchRunner(
-                self.network, cache=self.cache, dtype=self.dtype,
-                program_cache=self.program_cache,
-                **config.runner_kwargs(self.network),
-            )
-            self._tuned_runners[config.key()] = runner
-        return runner
-
     def run(self, clouds):
         """Batched inference over ``clouds`` (list or (B, N, 3) array).
 
         With a kernel ``backend`` configured the stack goes through the
         compiled kernel program; otherwise through the batched graph
         interpreter (:meth:`~repro.networks.base.PointCloudNetwork.forward_batch`).
-        With ``tuned`` configured, the measured winner for the
-        request's shape dispatches first.
         """
-        if self.tuned is not None:
-            runner = self._tuned_runner(self._batch_size(clouds))
-            if runner is not None:
-                return runner.run(clouds)
         if self._kernel_executor is not None:
             # Stack directly in the backend's dtype: the program would
             # cast anyway, and float32 clouds must not round-trip
@@ -276,15 +238,8 @@ class BatchRunner:
         return self._result(outputs, len(batch), time.perf_counter() - start)
 
     def close(self):
-        """Release any pooled resources (idempotent).
-
-        The runner holds only the memoized tuned delegates; this is
-        the drain hook the serving frontend calls on shutdown.
-        """
-        delegates = list(self._tuned_runners.values())
-        self._tuned_runners.clear()
-        for runner in delegates:
-            runner.close()
+        """The drain hook the serving frontend calls on shutdown: a
+        runner holds no pooled resources, so this is a no-op."""
 
     def __enter__(self):
         return self

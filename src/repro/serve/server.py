@@ -50,34 +50,6 @@ from .queue import FairQueue, Request, ServeError, ServerClosed
 __all__ = ["ServeResponse", "Server"]
 
 
-def _resolve_tuned(tuned, network, program_cache):
-    """Per-network tuned table for :meth:`Server.hosting`.
-
-    ``True`` loads the network's stored table from the program cache
-    (``None`` when no table was ever tuned); an explicit table (object
-    or JSON) applies only to the network it was tuned for.
-    """
-    if tuned is None or tuned is False:
-        return None
-    from ..tune import TunedTable
-
-    if tuned is True:
-        if program_cache is None:
-            raise ValueError("tuned=True needs a program_cache to load "
-                             "stored tables from")
-        if not hasattr(program_cache, "load_tuned"):
-            from ..backend import ProgramCache
-
-            program_cache = ProgramCache(program_cache)
-        from ..backend import network_fingerprint
-
-        data = program_cache.load_tuned(network.name,
-                                        network_fingerprint(network))
-        return None if data is None else TunedTable.from_json(data)
-    table = tuned if hasattr(tuned, "lookup") else TunedTable.from_json(tuned)
-    return table if table.network in ("", network.name) else None
-
-
 @dataclass
 class ServeResponse:
     """One request's result plus its latency breakdown.
@@ -210,7 +182,7 @@ class Server:
     @classmethod
     def hosting(cls, networks, strategy="delayed", scale=0.125,
                 backend=None, program_cache=None,
-                policy=None, workers=1, tuned=None, cache=None):
+                policy=None, workers=1, cache=None):
         """Build a server hosting ``networks`` (names or instances).
 
         The convenience constructor the CLI uses: each network gets its
@@ -221,12 +193,7 @@ class Server:
         parameters, a pre-measured arena plan — instead of compiling on
         first request.  One cache serves every hosted network; programs
         are content-addressed, so restarts with unchanged weights hit.
-
-        ``tuned`` dispatches each network's requests on its measured
-        autotuned table: pass a :class:`~repro.tune.TunedTable` (or its
-        JSON form) to use it for the matching network, or ``True`` to load each network's
-        stored table from ``program_cache`` (networks without a stored
-        table fall back to the fixed configuration).
+        Every request runs exactly ``strategy`` on ``backend``.
 
         ``cache`` plugs one
         :class:`~repro.engine.cache.NeighborIndexCache` (it is
@@ -245,8 +212,7 @@ class Server:
                 if isinstance(network, str) else network
             runners.append(BatchRunner(
                 net, strategy=strategy, backend=backend,
-                program_cache=program_cache,
-                tuned=_resolve_tuned(tuned, net, program_cache), cache=cache,
+                program_cache=program_cache, cache=cache,
             ))
         return cls(runners, policy=policy, workers=workers)
 
@@ -365,19 +331,26 @@ class Server:
             self._run_group(group)
 
     def _run_group(self, group):
-        """One same-shape sub-batch through its runner, fan results out."""
+        """One same-shape sub-batch through its runner, fan results out.
+
+        When the stacked call raises, the group reruns one request at a
+        time: only a request whose own run raises fails, and every other
+        one completes as a batch of one.
+        """
         dispatch_start = time.perf_counter()
         try:
             runner = self._routes[group[0].n_points]
             result = runner.run(np.stack([req.cloud for req in group]))
             outputs = result.per_cloud()
         except BaseException as exc:  # noqa: BLE001 - delivered per request
+            if len(group) > 1:
+                for req in group:
+                    self._run_group([req])
+                return
             with self._lock:
-                self._stats["failed"] += len(group)
-            for req in group:
-                if not req.future.set_running_or_notify_cancel():
-                    continue
-                req.future.set_exception(exc)
+                self._stats["failed"] += 1
+            if group[0].future.set_running_or_notify_cancel():
+                group[0].future.set_exception(exc)
             return
         done = time.perf_counter()
         with self._lock:

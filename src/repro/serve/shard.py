@@ -60,7 +60,7 @@ from ..engine.cache import (
 from ..engine.parallel import ParallelRunner
 from .batcher import BatchPolicy
 from .queue import QueueFull, ServeError
-from .server import Server, _resolve_tuned
+from .server import Server
 
 __all__ = [
     "HashRing",
@@ -409,7 +409,7 @@ class ShardRouter:
     @classmethod
     def hosting(cls, networks, shards=2, strategy="delayed", scale=0.125,
                 backend=None, program_cache=None,
-                policy=None, tuned=None, cache_size=256,
+                policy=None, cache_size=256,
                 memory_budget_mb=None, hot=None, affinity="content",
                 seed=0):
         """Plan, provision and start a sharded fleet (names or instances).
@@ -474,7 +474,6 @@ class ShardRouter:
                 replica_runner = BatchRunner(
                     net, strategy=strategy, backend=backend,
                     program_cache=program_cache,
-                    tuned=_resolve_tuned(tuned, net, program_cache),
                     cache=None if cache is None
                     else cache.shard(replica.shard),
                     executor=executor,

@@ -26,18 +26,18 @@ SRC = str(Path(repro.__file__).resolve().parents[1])
 TIMEOUT = 120.0
 
 #: (package, public names): the counts before the front doors went
-#: lazy, except that the root (then 10) now also exposes ``graph``,
-#: ``serve`` and ``tune`` — exposing a subpackage no longer imports it —
-#: and that ``repro.engine`` (then 16) and ``repro.graph`` (then 39)
-#: shrank when the seven executors became three, and again (with
-#: ``repro.backend``) when the thread-overlap runtime was retired, and
-#: ``repro.engine`` once more when its process-pool task helpers went.
+#: lazy, except that the root (then 10) now also exposes ``graph`` and
+#: ``serve`` — exposing a subpackage no longer imports it — and that
+#: ``repro.engine`` (then 16) and ``repro.graph`` (then 39) shrank when
+#: the seven executors became three, and again (with ``repro.backend``)
+#: when the thread-overlap runtime was retired, and ``repro.engine``
+#: once more when its process-pool task helpers and the autotuner's
+#: bench row went.
 FRONT_DOORS = [
-    ("repro", 13), ("repro.backend", 25), ("repro.core", 15),
-    ("repro.data", 24), ("repro.engine", 9), ("repro.graph", 35),
+    ("repro", 12), ("repro.backend", 25), ("repro.core", 15),
+    ("repro.data", 24), ("repro.engine", 8), ("repro.graph", 35),
     ("repro.hw", 27), ("repro.neighbors", 15), ("repro.networks", 25),
     ("repro.neural", 24), ("repro.profiling", 31), ("repro.serve", 17),
-    ("repro.tune", 10),
 ]
 
 
@@ -89,7 +89,7 @@ print(json.dumps({{
 }}))
 """
 
-NEVER_SERVED = ("repro.hw", "repro.data", "repro.tune", "repro.engine.bench",
+NEVER_SERVED = ("repro.hw", "repro.data", "repro.engine.bench",
                 "repro.profiling.report", "repro.networks.training")
 
 #: Eager-only and analysis-only code, the other commands, and every

@@ -1,7 +1,9 @@
 """Tests for the batched inference engine and batched neighbor search."""
 
+import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ from repro.engine import (
     cache as cache_module,
     content_digest,
     run_benchmarks,
+    validate_row,
+    write_json,
 )
 from repro.neighbors import (
     SUBSTRATES,
@@ -25,7 +29,6 @@ from repro.neighbors import (
     search_context,
 )
 from repro.networks import ALL_NETWORKS, build_network
-from repro.tune import TunedConfig, TunedTable, shape_key
 
 
 def random_clouds(batch=4, n=120, d=3, seed=0):
@@ -470,6 +473,42 @@ class TestCacheSingleFlight:
         assert cache.hits == 1 and cache.misses == 1
         np.testing.assert_array_equal(first[0], second[0])
 
+    def test_cache_stats_counters_thread_safe(self):
+        cache = NeighborIndexCache(maxsize=32)
+        cloud = random_clouds(1, 64, seed=0)[0]
+        queries = cloud[:16]
+        cache.knn(cloud, queries, 4)  # single warm miss installs the entry
+        assert cache.stats()["misses"] == 1
+
+        workers, lookups = 8, 25
+        stop = threading.Event()
+
+        def reader():
+            # Concurrent stats() readers must never see torn state.
+            while not stop.is_set():
+                stats = cache.stats()
+                assert 0.0 <= stats["hit_rate"] <= 1.0
+
+        def hammer():
+            for _ in range(lookups):
+                indices, _ = cache.knn(cloud, queries, 4)
+                assert indices.shape == (16, 4)
+
+        watcher = threading.Thread(target=reader)
+        watcher.start()
+        try:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                for future in [pool.submit(hammer) for _ in range(workers)]:
+                    future.result()
+        finally:
+            stop.set()
+            watcher.join()
+        stats = cache.stats()
+        assert stats["hits"] == workers * lookups
+        assert stats["misses"] == 1
+        assert stats["hits"] + stats["misses"] == workers * lookups + 1
+        assert stats["evictions"] == 0 and stats["size"] == 1
+
 
 class TestBatchRunner:
     @pytest.mark.parametrize("name", ["PointNet++ (c)", "DGCNN (c)"])
@@ -599,22 +638,6 @@ class TestBatchRunnerPaths:
         for leaf, want in zip(got, expected):
             np.testing.assert_array_equal(leaf, want)
 
-    def test_close_releases_tuned_delegates_and_stays_usable(self):
-        net = toy("PointNet++ (c)")
-        config = TunedConfig("limited", "float32", ms=1.0)
-        table = TunedTable(net.name, "fp")
-        table.add(shape_key(net.name, net.n_points, 2), config, [config], {})
-        clouds = random_clouds(2, net.n_points, seed=55)
-        runner = BatchRunner(net, tuned=table)
-        first = runner.run(clouds)
-        delegate = runner._tuned_runners[config.key()]
-        runner.close()
-        assert runner._tuned_runners == {}
-        runner.close()  # idempotent
-        second = runner.run(clouds)  # the delegate is rebuilt on demand
-        assert runner._tuned_runners[config.key()] is not delegate
-        np.testing.assert_array_equal(first.outputs, second.outputs)
-
 
 class TestParallelRunner:
     def test_bad_backend_rejected(self):
@@ -700,3 +723,27 @@ class TestBenchSmoke:
         assert results["knn"]["speedup_cached"] > 1
         assert results["ball"]["speedup_batched"] > 0
         assert results["forward"]["speedup_batched"] > 0
+
+    def test_validate_row_schema(self, tmp_path):
+        good = {"workload": {"batch": 2}, "baseline": "x", "speedup": 1.5,
+                "nested": {"values": [1, 2.0, "s", True, None]}}
+        assert validate_row(good, name="good") is good
+        with pytest.raises(ValueError, match="workload"):
+            validate_row({"baseline": "x"}, name="bad")
+        with pytest.raises(ValueError, match="baseline"):
+            validate_row({"workload": {"a": 1}}, name="bad")
+        with pytest.raises(ValueError, match="non-finite"):
+            validate_row({"workload": {"a": 1}, "baseline": "x",
+                          "ms": float("nan")}, name="bad")
+        with pytest.raises(ValueError, match="non-JSON"):
+            validate_row({"workload": {"a": 1}, "baseline": "x",
+                          "arr": np.zeros(2)}, name="bad")
+        # write_json enforces the schema on every non-meta row.
+        with pytest.raises(ValueError, match="non-finite"):
+            write_json({"meta": {"anything": float("inf")},
+                        "row": {"workload": {"a": 1}, "baseline": "x",
+                                "ms": float("inf")}},
+                       tmp_path / "bad.json")
+        path = write_json({"meta": {"quick": True}, "row": good},
+                          tmp_path / "good.json")
+        assert json.loads(Path(path).read_text())["row"]["speedup"] == 1.5

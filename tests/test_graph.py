@@ -28,7 +28,7 @@ from repro.graph import (
     shape_env,
 )
 from repro.neighbors import neighbor_search, search_context
-from repro.networks import build_network
+from repro.networks import ALL_NETWORKS, build_network
 from repro.neural import Tensor, no_grad
 from repro.profiling.trace import (
     GatherOp,
@@ -323,6 +323,38 @@ class TestPasses:
         assert again.outputs == limited.outputs
         with pytest.raises(ValueError):
             delay_aggregation(limited)
+
+    @pytest.mark.parametrize("name", ALL_NETWORKS)
+    def test_graph_passes_idempotent(self, name):
+        """Every pass applied twice is a structural no-op, on every network.
+
+        The strategy rewrites apply to raw (pre-``fuse_aggregation``)
+        module graphs; the aggregation fusion and DCE apply to the lowered
+        whole-network graphs the executors actually run.
+        """
+        def signature(graph):
+            return ([(n.id, n.kind, n.inputs, n.attrs, n.phase)
+                     for n in graph.nodes], tuple(graph.outputs))
+
+        net = build_network(name, num_classes=4,
+                            scale=0.03125 if "(s)" in name else 0.0625,
+                            rng=np.random.default_rng(0))
+        checked = 0
+        for module in net.encoder:
+            spec = getattr(module, "spec", None)
+            if spec is None or hasattr(spec, "branches"):
+                continue  # MSG modules lower through their own builder
+            raw = build_module_graph(spec)
+            checked += 1
+            for pass_fn in (delay_aggregation, limit_delay):
+                once = pass_fn(raw)
+                assert signature(pass_fn(once)) == signature(once)
+        assert checked, f"{name} exposed no plain module specs"
+        for strategy in STRATEGIES:
+            graph = net.network_graph(strategy).graph
+            for pass_fn in (fuse_aggregation, dead_code_elimination):
+                once = pass_fn(graph)
+                assert signature(pass_fn(once)) == signature(once)
 
 
 class TestScheduleLowering:

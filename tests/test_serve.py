@@ -7,7 +7,9 @@ queue rejects with backpressure instead of deadlocking, mixed-N
 arrivals split into per-shape sub-batches that stay bit-exact against
 direct BatchRunner calls, graceful shutdown drains everything already
 admitted, a single dispatch worker degrades to fully serial
-execution with identical results, and concurrent submitters across
+execution with identical results, one request that makes its batch
+raise fails alone, every batch height runs exactly the strategy and
+backend the server was built with, and concurrent submitters across
 tenants get responses bit-exact against a replay of whatever stack
 each rode in, with every request ID answered once.
 
@@ -69,19 +71,21 @@ class StubRunner:
     tests park the dispatcher to fill the queue deterministically.
     """
 
-    def __init__(self, n_points=8, block=None, fail=False):
+    def __init__(self, n_points=8, block=None, fail=False, poison=None):
         self.network = SimpleNamespace(n_points=n_points)
         self.block = block
         self.fail = fail
+        self.poison = poison  # a stack holding this all-constant cloud raises
         self.calls = []
         self.closed = False
 
     def run(self, stack):
         if self.block is not None:
             assert self.block.wait(TIMEOUT)
-        if self.fail:
-            raise RuntimeError("injected runner failure")
         stack = np.asarray(stack)
+        if self.fail or (self.poison is not None
+                         and (stack == self.poison).all(axis=(1, 2)).any()):
+            raise RuntimeError("injected runner failure")
         self.calls.append(stack.shape)
         return BatchResult(stack.sum(axis=(1, 2), keepdims=True),
                            len(stack), 0.0)
@@ -472,6 +476,34 @@ class TestServerEdgeCases:
                     future.result(timeout=TIMEOUT)
         assert server.stats()["failed"] == 3
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_bad_request_fails_alone(self, workers):
+        # Four requests queue behind the parked lanes and form one batch;
+        # the stacked call raises on the poisoned cloud, so the group
+        # reruns one request at a time and only the culprit fails.
+        gate = threading.Event()
+        runner = StubRunner(block=gate, poison=-7.0)
+        values = {"a": 1.0, "b": 2.0, "bad": -7.0, "c": 3.0}
+        with Server(runner, policy=BatchPolicy(max_batch=4),
+                    workers=workers) as server:
+            parked = park(server, [stub_cloud(value=-1.0)] * workers)
+            futures = {rid: server.submit(stub_cloud(value=value),
+                                          request_id=rid)
+                       for rid, value in values.items()}
+            gate.set()
+            with pytest.raises(RuntimeError, match="injected"):
+                futures.pop("bad").result(timeout=TIMEOUT)
+            responses = {rid: f.result(timeout=TIMEOUT)
+                         for rid, f in futures.items()}
+            assert all(f.result(timeout=TIMEOUT) for f in parked)
+        stats = server.stats()
+        assert (stats["completed"], stats["failed"]) == (3 + workers, 1)
+        assert runner.calls[workers:] == [(1, 8, 3)] * 3
+        for rid, resp in responses.items():
+            assert resp.batch_ids == (rid,)
+            solo = runner.run(stub_cloud(value=values[rid])[None])
+            assert np.array_equal(resp.output, solo.per_cloud()[0])
+
     def test_unroutable_and_malformed_clouds_rejected_at_admission(self):
         with Server(StubRunner(n_points=8)) as server:
             with pytest.raises(ServeError, match="n_points=5"):
@@ -654,8 +686,21 @@ class TestCommandLine:
             "max_queue": 64, "port": None, "max_batch": 8, "workers": 1,
             "serve_backend": "eager", "program_cache": None,
             "cache_size": 256, "shards": 1, "memory_budget_mb": None,
-            "tuned": False,
         }
+
+    @pytest.mark.parametrize("argv", [
+        ["tune"],
+        ["trace", "PointNet++ (c)", "--schedule", "--cache", "dir"],
+    ], ids=["tune", "trace --cache"])
+    def test_nothing_picks_a_configuration_for_the_caller(self, argv,
+                                                          capsys):
+        # Strategy and backend are the caller's flags: the autotuner's
+        # command and its trace option are argparse errors (serve's
+        # option set is pinned exactly by the test above).
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        capsys.readouterr()
 
     @pytest.mark.parametrize("option", [
         ["--serve"], ["--rates", "30", "90"], ["--shards", "2"],
@@ -775,3 +820,48 @@ class TestConcurrentExactness:
             # Top-1 against one full-batch call: composition-independent.
             assert np.argmax(resp.output) \
                 == np.argmax(full_batch[cloud_of(rid)])
+
+
+# ------------------------------------------------- the caller's contract
+
+
+class TestStrategyAndBackendAreTheCallersFlags:
+    """``delayed`` and ``original`` are different functions and float32
+    is a precision contract, so nothing may pick either per request:
+    every batch height runs exactly the flags the server was built with."""
+
+    @pytest.mark.parametrize("backend", [None, "float32", "float64"])
+    @pytest.mark.parametrize("strategy", ["original", "delayed", "limited"])
+    def test_every_height_serves_the_flags(self, strategy, backend):
+        server = Server.hosting("PointNet++ (c)", strategy=strategy,
+                                scale=0.0625, backend=backend,
+                                policy=BatchPolicy(max_batch=8))
+        rng = np.random.default_rng(17)
+        clouds, futures = {}, {}
+        with server:
+            [(n, runner)] = server._routes.items()
+            assert (runner.strategy, runner.backend) == (strategy, backend)
+            gate = threading.Event()
+            server._routes[n] = GatedRunner(runner, gate)
+
+            def submit(rid):
+                clouds[rid] = rng.normal(size=(n, 3))
+                futures[rid] = server.submit(clouds[rid], request_id=rid)
+
+            for height in (3, 8):
+                gate.clear()
+                submit(f"parked{height}")  # a batch of one holds the lane
+                wait_until_taken(server)
+                for i in range(height):
+                    submit(f"h{height}-{i}")
+                gate.set()
+                responses = {rid: f.result(timeout=TIMEOUT)
+                             for rid, f in futures.items()}
+        assert sorted({r.batch_size for r in responses.values()}) == [1, 3, 8]
+        direct = BatchRunner(runner.network, strategy=strategy,
+                             backend=backend)
+        for rid, resp in responses.items():
+            stack = np.stack([clouds[m] for m in resp.batch_ids])
+            replay = direct.run(stack).per_cloud()
+            assert np.array_equal(resp.output,
+                                  replay[resp.batch_ids.index(rid)])
