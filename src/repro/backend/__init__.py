@@ -17,8 +17,8 @@ executors), ``float32`` (the BLAS fast path), and ``int8``
 per-tensor activation scales calibrated against the float64 reference,
 int8 GEMMs with int32 accumulation inside a float32 envelope).  The
 engine selects them through ``backend=`` on
-:class:`~repro.engine.BatchRunner`, and ``repro bench`` tracks them in
-its ``backend`` and ``quant`` rows.
+:class:`~repro.engine.BatchRunner`, and ``repro serve`` through
+``--serve-backend``.
 """
 
 from .._lazy import lazy_exports

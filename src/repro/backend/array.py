@@ -42,7 +42,7 @@ class ArrayBackend:
     :attr:`search_dtype` or individual kernels to specialize.
     """
 
-    #: Short name used in plans, bench rows and ``repr``.
+    #: Short name used in plans and ``repr``.
     name = "base"
     #: Parameter/activation dtype every exported weight is packed in.
     dtype = np.dtype(np.float64)

@@ -8,9 +8,9 @@ The quantization scheme is symmetric and post-training:
 * **activations** carry one per-tensor scale per *graph site* (the
   :class:`~repro.backend.params.ParameterTable` entry key of the
   segment consuming them), calibrated by running the **float64
-  reference program** over seeded standard-normal batches — the bench
-  workload distribution — with a :class:`CalibrationRecorder` attached
-  through the existing ``run(on_kernel=...)`` hook.  Calibration is a
+  reference program** over seeded standard-normal batches with a
+  :class:`CalibrationRecorder` attached through the existing
+  ``run(on_kernel=...)`` hook.  Calibration is a
   deterministic function of (weights, strategy, seed): two runs
   produce byte-identical :class:`ScaleTable` serializations, which
   keeps :class:`~repro.backend.aot.ProgramCache` digests stable.
@@ -63,7 +63,7 @@ __all__ = [
 QMAX = 127
 
 #: Default seed of the calibration workload (seeded standard-normal
-#: batches, the same distribution the bench rows draw).
+#: batches).
 CALIBRATION_SEED = 2020
 
 
@@ -203,7 +203,7 @@ def calibrate_scales(network, strategy, batch=8, rounds=2,
     :class:`CalibrationRecorder` attached — over ``rounds`` seeded
     standard-normal batches by default, or over an explicit
     ``(B, n_points, 3)`` calibration set when ``clouds`` is given (the
-    quant bench calibrates on its training clouds).  Everything here is
+    trained-agreement test calibrates on its training clouds).  Everything here is
     deterministic under a fixed seed — same weights, same strategy,
     same seed/clouds ⇒ byte-identical table.
     """

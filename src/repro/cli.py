@@ -16,8 +16,6 @@ networks
     List the benchmark networks (Table I).
 train [--network N] [--strategy S] [--epochs E]
     Train a scaled-down classifier on the synthetic dataset.
-bench [--batch B] [--n-points N] [--output PATH]
-    Benchmark the batched inference engine and write BENCH_engine.json.
 serve [--network N ...] [--max-batch B] [--port P]
     Long-lived continuous-batching server (stdin or TCP JSON lines).
     ``--shards N`` fronts N placement-planned replica servers with the
@@ -67,7 +65,7 @@ def _serve_handle_line(server, line, emit):
             request_id=request_id,
             tenant=payload.get("tenant", "default"),
         )
-    except (ServeError, KeyError, TypeError, ValueError) as exc:
+    except (ServeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         emit({"id": request_id, "error": str(exc)})
         return
 
@@ -305,25 +303,6 @@ def build_parser():
     p_train.add_argument("--strategy", default="delayed",
                          choices=("original", "delayed", "limited"))
     p_train.add_argument("--epochs", type=int, default=5)
-
-    p_bench = sub.add_parser("bench", help="benchmark the batched engine")
-    p_bench.add_argument("--batch", type=int, default=16)
-    p_bench.add_argument("--n-points", type=int, default=1024)
-    p_bench.add_argument("--k", type=int, default=16)
-    p_bench.add_argument("--network", default="PointNet++ (c)", **_NETWORK)
-    p_bench.add_argument("--scale", type=float, default=0.125)
-    p_bench.add_argument("--strategy", default="delayed",
-                         choices=("original", "delayed", "limited"))
-    p_bench.add_argument("--repeats", type=int, default=3)
-    p_bench.add_argument("--quick", action="store_true",
-                         help="tiny workloads (CI smoke)")
-    p_bench.add_argument("--backend", default="float32",
-                         choices=("float32", "float64", "int8"),
-                         help="kernel-runtime fast path the backend row "
-                              "measures against eager (the float64 "
-                              "reference is always included)")
-    p_bench.add_argument("--output", default="BENCH_engine.json",
-                         help="result path (default BENCH_engine.json)")
 
     p_serve = sub.add_parser(
         "serve", help="long-lived continuous-batching inference server"

@@ -154,69 +154,6 @@ def _cmd_train(args):
     return 0
 
 
-def _cmd_bench(args):
-    from .engine import run_benchmarks, write_json
-
-    results = run_benchmarks(
-        batch=args.batch,
-        n_points=args.n_points,
-        k=args.k,
-        network=args.network,
-        scale=args.scale,
-        strategy=args.strategy,
-        repeats=args.repeats,
-        quick=args.quick,
-        backend=args.backend,
-    )
-    knn = results["knn"]
-    ball = results["ball"]
-    forward = results["forward"]
-    print(f"engine bench ({knn['cpu_count']} cpu(s), "
-          f"B={knn['workload']['batch']}, N={knn['workload']['n_points']}, "
-          f"k={knn['workload']['k']})")
-    print(f"  knn      loop {knn['per_cloud_loop_ms']:8.2f} ms   "
-          f"batched {knn['batched_ms']:8.2f} ms   "
-          f"speedup {knn['speedup_batched']:.2f}x   "
-          f"cached {knn['speedup_cached']:.1f}x")
-    print(f"  ball     loop {ball['per_cloud_loop_ms']:8.2f} ms   "
-          f"batched {ball['batched_ms']:8.2f} ms   "
-          f"speedup {ball['speedup_batched']:.2f}x")
-    print(f"  forward  loop {forward['sequential_ms']:8.2f} ms   "
-          f"batched {forward['batched_ms']:8.2f} ms   "
-          f"speedup {forward['speedup_batched']:.2f}x   "
-          f"cached {forward['speedup_cached']:.2f}x")
-    ng = results["netgraph"]
-    print(f"  netgraph composed {ng['composed_ms']:6.2f} ms   "
-          f"graph {ng['netgraph_ms']:8.2f} ms   "
-          f"bit-exact {'yes' if ng['bit_exact'] else 'NO'}   "
-          f"({ng['cross_module_overlap_steps']} cross-module overlap "
-          f"step(s))")
-    be = results["backend"]
-    print(f"  backend  eager {be['eager_batched_ms']:8.2f} ms   "
-          f"float64 {be['kernel64_batched_ms']:8.2f} ms "
-          f"({be['speedup_kernel64_batched']:.2f}x, "
-          f"bit-exact {'yes' if be['bit_exact_float64'] else 'NO'})   "
-          f"{be['fast_backend']} {be['kernel_fast_batched_ms']:8.2f} ms "
-          f"({be['speedup_fast_batched']:.2f}x, "
-          f"rel err {be['fast_max_rel_err']:.1e}, "
-          f"top-1 {'ok' if be['fast_argmax_equal'] else 'DIFFERS'})")
-    qt = results["quant"]
-    print(f"  quant    int8 {qt['int8_batched_ms']:8.2f} ms "
-          f"({qt['speedup_vs_float64']:.2f}x vs float64)   "
-          f"top-1 agree {qt['min_top1_agreement'] * 100:5.1f}%   "
-          f"packed {qt['packed_bytes_ratio'] * 100:.1f}% of float64   "
-          f"calib {'stable' if qt['calibration_deterministic'] else 'DRIFTS'}")
-    mem = results["mem"]
-    print(f"  mem      pool {mem['pool_bytes'] / 1e6:8.2f} MB   "
-          f"arena {mem['arena_bytes'] / 1e6:8.2f} MB "
-          f"(-{mem['peak_reduction'] * 100:.1f}%, "
-          f"bit-exact {'yes' if mem['bit_exact'] else 'NO'})   "
-          f"cache load {mem['speedup_cache_load']:.1f}x")
-    write_json(results, args.output)
-    print(f"wrote {args.output}")
-    return 0
-
-
 COMMANDS = {
     "report": _cmd_report,
     "networks": _cmd_networks,
@@ -224,5 +161,4 @@ COMMANDS = {
     "compile": _cmd_compile,
     "simulate": _cmd_simulate,
     "train": _cmd_train,
-    "bench": _cmd_bench,
 }

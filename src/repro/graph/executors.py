@@ -146,7 +146,7 @@ class GraphExecutor:
         fresh per-module executor, exactly as networks composed modules
         before whole-network graphs); glue nodes still interpret the
         graph.  Outputs are bit-exact against :meth:`run_network` — the
-        ``netgraph`` bench row measures the two against each other.
+        equivalence tests compare the two.
         """
         self._start_run(ngraph, coords)
         env = {}

@@ -32,7 +32,7 @@ whole-network execution is bit-exact against composing the same modules
 through :meth:`repro.core.module.PointCloudModule.forward_batch` — the
 pre-network-graph path, kept available as
 :meth:`~repro.graph.executors.GraphExecutor.run_composed` (the
-``netgraph`` bench baseline).
+reference the equivalence tests compare against).
 """
 
 from __future__ import annotations

@@ -274,8 +274,7 @@ class PointCloudNetwork(Module):
         exactly as networks composed modules before whole-network
         graphs; only the glue interprets the graph.  Takes one cloud or
         a (B, N, 3) stack.  Kept as the bit-exactness baseline the
-        ``netgraph`` bench row and the equivalence tests measure
-        against.
+        equivalence tests measure against.
         """
         from ..graph.executors import GraphExecutor
 

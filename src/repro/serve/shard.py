@@ -364,7 +364,7 @@ class ShardRouter:
     ``shard`` ids match their list positions.  ``submit`` routes by
     shape class, then by cache affinity (consistent hashing on the
     cloud's content digest; ``affinity="random"`` is the control
-    arm the bench row compares hit rates against), spilling along the
+    arm the affinity tests compare hit rates against), spilling along the
     ring under per-shard backpressure before raising an aggregated
     :class:`~repro.serve.queue.QueueFull`.
     """

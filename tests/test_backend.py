@@ -24,7 +24,6 @@ from repro.backend import (
 )
 from repro.core import ModuleSpec
 from repro.engine import BatchRunner, NeighborIndexCache, ParallelRunner
-from repro.engine.bench import bench_backend
 from repro.graph import GraphExecutor, compile_network_plan
 from repro.neighbors import neighbor_search, raw_knn, search_context
 from repro.networks import ALL_NETWORKS, build_network
@@ -314,16 +313,6 @@ class TestEngineIntegration:
         # The float32 program searches in float32, so every search
         # missed again instead of reusing the float64 entries.
         assert cache.misses == 2 * misses
-
-    def test_bench_backend_row(self):
-        row = bench_backend(batch=2, scale=0.0625, repeats=1)
-        assert row["bit_exact_float64"] is True
-        assert row["fast_argmax_equal"] is True
-        assert row["fast_max_rel_err"] <= 1e-4
-        assert row["fast_backend"] == "float32"
-        assert {"workload", "baseline", "eager_batched_ms",
-                "kernel64_batched_ms", "kernel_fast_batched_ms",
-                "speedup_fast_batched"} <= set(row)
 
 
 class TestDtypePropagation:

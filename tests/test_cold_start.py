@@ -32,10 +32,10 @@ TIMEOUT = 120.0
 #: the seven executors became three, and again (with ``repro.backend``)
 #: when the thread-overlap runtime was retired, and ``repro.engine``
 #: once more when its process-pool task helpers and the autotuner's
-#: bench row went.
+#: bench row went, and again when the bench layer itself went.
 FRONT_DOORS = [
     ("repro", 12), ("repro.backend", 25), ("repro.core", 15),
-    ("repro.data", 24), ("repro.engine", 8), ("repro.graph", 35),
+    ("repro.data", 24), ("repro.engine", 5), ("repro.graph", 35),
     ("repro.hw", 27), ("repro.neighbors", 15), ("repro.networks", 25),
     ("repro.neural", 24), ("repro.profiling", 31), ("repro.serve", 17),
 ]
@@ -89,8 +89,8 @@ print(json.dumps({{
 }}))
 """
 
-NEVER_SERVED = ("repro.hw", "repro.data", "repro.engine.bench",
-                "repro.profiling.report", "repro.networks.training")
+NEVER_SERVED = ("repro.hw", "repro.data", "repro.profiling.report",
+                "repro.networks.training")
 
 #: Eager-only and analysis-only code, the other commands, and every
 #: network module but the hosted PointNet++ one: none of it is on the
@@ -222,12 +222,12 @@ class TestFrontDoors:
             "before = sorted(m for m in sys.modules if m.startswith('repro'))\n"
             "name = repro.engine.BatchRunner.__name__\n"
             "print(json.dumps({'before': before, 'name': name,\n"
-            "    'bench': 'repro.engine.bench' in sys.modules}))\n"
+            "    'parallel': 'repro.engine.parallel' in sys.modules}))\n"
         )
         report = json.loads(report)
         assert report["before"] == ["repro", "repro._lazy"]
         assert report["name"] == "BatchRunner"
-        assert report["bench"] is False  # a sibling nobody asked for
+        assert report["parallel"] is False  # a sibling nobody asked for
 
     def test_no_init_imports_a_sibling(self):
         for init in Path(repro.__file__).parent.rglob("__init__.py"):

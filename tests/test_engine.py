@@ -1,9 +1,7 @@
 """Tests for the batched inference engine and batched neighbor search."""
 
-import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,9 +12,6 @@ from repro.engine import (
     ParallelRunner,
     cache as cache_module,
     content_digest,
-    run_benchmarks,
-    validate_row,
-    write_json,
 )
 from repro.neighbors import (
     SUBSTRATES,
@@ -714,36 +709,3 @@ class TestParallelRunner:
         assert runner.pending() == 0
 
 
-class TestBenchSmoke:
-    def test_quick_benchmarks_have_all_rows(self):
-        results = run_benchmarks(quick=True)
-        for key in ("meta", "knn", "ball", "forward", "substrates"):
-            assert key in results
-        assert results["knn"]["speedup_batched"] > 0
-        assert results["knn"]["speedup_cached"] > 1
-        assert results["ball"]["speedup_batched"] > 0
-        assert results["forward"]["speedup_batched"] > 0
-
-    def test_validate_row_schema(self, tmp_path):
-        good = {"workload": {"batch": 2}, "baseline": "x", "speedup": 1.5,
-                "nested": {"values": [1, 2.0, "s", True, None]}}
-        assert validate_row(good, name="good") is good
-        with pytest.raises(ValueError, match="workload"):
-            validate_row({"baseline": "x"}, name="bad")
-        with pytest.raises(ValueError, match="baseline"):
-            validate_row({"workload": {"a": 1}}, name="bad")
-        with pytest.raises(ValueError, match="non-finite"):
-            validate_row({"workload": {"a": 1}, "baseline": "x",
-                          "ms": float("nan")}, name="bad")
-        with pytest.raises(ValueError, match="non-JSON"):
-            validate_row({"workload": {"a": 1}, "baseline": "x",
-                          "arr": np.zeros(2)}, name="bad")
-        # write_json enforces the schema on every non-meta row.
-        with pytest.raises(ValueError, match="non-finite"):
-            write_json({"meta": {"anything": float("inf")},
-                        "row": {"workload": {"a": 1}, "baseline": "x",
-                                "ms": float("inf")}},
-                       tmp_path / "bad.json")
-        path = write_json({"meta": {"quick": True}, "row": good},
-                          tmp_path / "good.json")
-        assert json.loads(Path(path).read_text())["row"]["speedup"] == 1.5

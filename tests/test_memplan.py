@@ -1007,10 +1007,3 @@ class TestCLI:
         index = json.loads((cache_dir / "index.json").read_text())
         assert isinstance(index, dict) and len(index) == 2
         assert index.items() >= old.items()
-
-    def test_bench_mem_row(self):
-        from repro.engine.bench import bench_mem
-
-        row = bench_mem(batch=2, scale=0.0625, repeats=1)
-        assert row["bit_exact"] and row["cache_bit_exact"]
-        assert row["peak_reduction"] >= 0.30

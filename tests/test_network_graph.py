@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.core import ModuleSpec, PointCloudModule, emit_module_trace
-from repro.engine.bench import bench_netgraph
 from repro.graph import (
     GraphExecutor,
     OpRecorder,
@@ -452,15 +451,6 @@ class TestCrossModuleSchedule:
                      "--schedule"]) == 0
         out = capsys.readouterr().out
         assert "cross-module overlap steps" in out
-
-
-class TestNetgraphBenchRow:
-    def test_row_passes_its_own_gates(self):
-        row = bench_netgraph(batch=2, scale=0.0625, repeats=1)
-        assert row["bit_exact"] is True
-        assert row["cross_module_overlap_steps"] >= 1
-        assert row["network_overlap_steps"] >= row["module_overlap_steps"]
-        assert row["composed_ms"] > 0 and row["netgraph_ms"] > 0
 
 
 class TestBuilderValidation:

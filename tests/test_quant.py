@@ -262,7 +262,7 @@ class TestTrainedAgreement:
         # Quantized top-1 preservation is a statement about decisive
         # predictions — train briefly so margins are real, calibrate on
         # the training clouds, then require >= 99% agreement on every
-        # strategy (the same protocol the quant bench row gates in CI).
+        # strategy.
         from repro.data import SyntheticModelNet
         from repro.networks import build_network, train_classifier
 

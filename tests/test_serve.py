@@ -604,6 +604,13 @@ class TestHostileRequests:
                 server, '{"id": 7, "cloud": [[0, NaN, 0], [1, 1, 1]]}', emit)
             assert answers[-1]["id"] == 7
             assert "non-finite" in answers[-1]["error"]
+            # JSON integers are unbounded; one beyond float64 is refused.
+            big = "1" + "0" * 400
+            _serve_handle_line(
+                server, f'{{"id": 9, "cloud": [[{big}, 0, 0], [1, 1, 1]]}}',
+                emit)
+            assert answers[-1]["id"] == 9 and "output" not in answers[-1]
+            assert "too large" in answers[-1]["error"]
             # ... and the loop still serves the next well-formed line.
             answered.clear()
             _serve_handle_line(
@@ -702,18 +709,13 @@ class TestCommandLine:
         assert exc.value.code == 2
         capsys.readouterr()
 
-    @pytest.mark.parametrize("option", [
-        ["--serve"], ["--rates", "30", "90"], ["--shards", "2"],
-        ["--max-batch", "4"], ["--workers", "2"],
-        ["--serve-backend", "float32"], ["--program-cache", "cache"],
-        ["--cache-size", "0"],
-    ], ids=lambda option: option[0])
-    def test_bench_takes_no_serve_option(self, option, capsys):
-        # Serving is measured by benchmarks/ledger/, not by `repro bench`.
+    def test_there_is_no_bench_command(self, capsys):
+        # Serving is measured by benchmarks/ledger/ and correctness by
+        # the tier-1 tests; there is no second measurement command.
         with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(["bench", *option])
+            build_parser().parse_args(["bench"])
         assert exc.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 # ----------------------------------------------------- engine drain hooks
