@@ -80,6 +80,26 @@ class TestBatchedBrute:
                                    atol=1e-4)
         assert d32.dtype == np.float32 and d64.dtype == np.float64
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32],
+                             ids=["float64", "float32"])
+    def test_batched_matches_full_matrix_reference(self, dtype):
+        # The batched kernel against the pre-engine per-cloud search: a
+        # full distance matrix, argpartition, then a stable sort of the
+        # K survivors.  Same neighbors, in the same order, per cloud.
+        clouds = random_clouds(4, 160, seed=10).astype(dtype)
+        batch_i, batch_d = knn_brute_force(clouds, clouds, 12, dtype=dtype,
+                                           block=37)
+        for b in range(4):
+            d = pairwise_squared_distances(clouds[b], clouds[b], dtype=dtype)
+            part = np.argpartition(d, 11, axis=1)[:, :12]
+            part_d = np.take_along_axis(d, part, axis=1)
+            order = np.argsort(part_d, axis=1, kind="stable")
+            np.testing.assert_array_equal(
+                batch_i[b], np.take_along_axis(part, order, axis=1))
+            np.testing.assert_allclose(
+                batch_d[b] ** 2, np.take_along_axis(part_d, order, axis=1),
+                atol=1e-4 if dtype == np.float32 else 1e-12)
+
     def test_block_size_does_not_change_results(self):
         cloud = random_clouds(1, 200, seed=4)[0]
         i_small, d_small = knn_brute_force(cloud, cloud, 7, block=17)
@@ -139,6 +159,27 @@ class TestBatchedBall:
             assert counts[row] == len(kept)
             np.testing.assert_array_equal(idx[row, : len(kept)], kept)
             assert (idx[row, len(kept):] == kept[0]).all()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32],
+                             ids=["float64", "float32"])
+    def test_batched_matches_reference_row_loop(self, dtype):
+        # The same per-row loop over a stack of clouds, at the distance
+        # precision the stack is searched in.
+        clouds = random_clouds(3, 110, seed=11).astype(dtype)
+        queries = np.concatenate(
+            [clouds[:, :30], np.full((3, 1, 3), 50.0, dtype=dtype)], axis=1)
+        idx, counts = ball_query(clouds, queries, 0.6, 8, dtype=dtype)
+        assert idx.shape == (3, 31, 8)
+        for b in range(3):
+            d = pairwise_squared_distances(queries[b], clouds[b], dtype=dtype)
+            for row in range(31):
+                hits = np.nonzero(d[row] <= dtype(0.6) * dtype(0.6))[0]
+                if len(hits) == 0:
+                    hits = np.array([int(np.argmin(d[row]))])
+                kept = hits[:8]
+                assert counts[b, row] == len(kept)
+                np.testing.assert_array_equal(idx[b, row, : len(kept)], kept)
+                assert (idx[b, row, len(kept):] == kept[0]).all()
 
 
 class TestSubstrateAgreement:
@@ -619,6 +660,26 @@ class TestBatchRunnerPaths:
         assert stats["hits"] == 3 * len(net.encoder)
         expected = BatchRunner(net).run_sequential(clouds)
         np.testing.assert_allclose(result.outputs, expected.outputs, atol=1e-6)
+
+    @pytest.mark.parametrize("name", ALL_NETWORKS)
+    @pytest.mark.parametrize("backend", [None, "float32"])
+    def test_warm_cache_bit_exact_vs_uncached(self, backend, name):
+        # A stack answered from a warm neighbor-index cache equals the
+        # same stack searched afresh, bit for bit, on every network and
+        # on the float32 kernels that serving hosts.
+        net = toy(name)
+        clouds = random_clouds(3, net.n_points, seed=52)
+        cache = NeighborIndexCache(maxsize=512)
+        cached = BatchRunner(net, cache=cache, backend=backend)
+        cached.run(clouds)
+        misses, hits = cache.misses, cache.hits
+        got = cloud_leaves(cached.run(clouds))
+        assert misses > 0 and cache.misses == misses
+        assert cache.hits - hits == misses  # every search of the rerun hit
+        want = cloud_leaves(BatchRunner(net, backend=backend).run(clouds))
+        for leaves, expected in zip(got, want, strict=True):
+            for leaf, leaf_want in zip(leaves, expected, strict=True):
+                np.testing.assert_array_equal(leaf, leaf_want)
 
     @pytest.mark.parametrize("backend", [None, "float64"])
     def test_threads_share_one_runner(self, backend):
