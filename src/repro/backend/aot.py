@@ -273,7 +273,11 @@ class ProgramCache:
 
     def __init__(self, directory):
         self.directory = os.path.abspath(str(directory))
-        os.makedirs(self.directory, exist_ok=True)
+        try:
+            os.makedirs(self.directory, exist_ok=True)
+        except OSError as exc:  # a file at the path, or in front of it
+            raise ValueError(f"program cache {self.directory} is not a "
+                             f"usable directory: {exc.strerror}") from exc
 
     # -- index ---------------------------------------------------------------
 
@@ -380,7 +384,7 @@ class ProgramCache:
                              "fails verification")
         return table._canonical()
 
-    def load(self, digest, ngraph, network, plan_memory=True):
+    def load(self, digest, ngraph, network):
         """Rebuild a runnable program from a stored digest.
 
         The kernel closures recompile against ``ngraph`` (cheap — a
@@ -401,19 +405,17 @@ class ProgramCache:
             )
         table = self.table(digest, manifest)
         backend = get_backend(manifest["backend"])
-        program = KernelProgram(ngraph, network, backend, params=table,
-                                plan_memory=plan_memory)
+        program = KernelProgram(ngraph, network, backend, params=table)
         if list(program.kernel_labels) != manifest["kernels"]:
             raise ValueError(
                 f"stored program {digest[:12]} kernel list is stale for "
                 "the current compiler"
             )
-        if plan_memory and manifest["plan"] is not None:
+        if manifest["plan"] is not None:
             program.seed_plan(_plan_from_json(manifest["plan"]))
         return program
 
-    def program_for(self, ngraph, network, backend, params=None,
-                    plan_memory=True):
+    def program_for(self, ngraph, network, backend, params=None):
         """Load-or-compile: the executor's entry point.
 
         A cache hit rebuilds from disk (zero-copy parameters, seeded
@@ -424,15 +426,13 @@ class ProgramCache:
         """
         backend = get_backend(backend)
         if params is not None:
-            return KernelProgram(ngraph, network, backend, params=params,
-                                 plan_memory=plan_memory)
+            return KernelProgram(ngraph, network, backend, params=params)
         fingerprint = network_fingerprint(network)
         digest = self.digest_for(ngraph.network, ngraph.strategy,
                                  backend.name, fingerprint)
         if digest is not None:
             try:
-                return self.load(digest, ngraph, network,
-                                 plan_memory=plan_memory)
+                return self.load(digest, ngraph, network)
             except (OSError, ValueError, KeyError, json.JSONDecodeError):
                 # Stale or damaged: drop the manifest so the store below
                 # rewrites the entry instead of every start recompiling.
@@ -440,8 +440,7 @@ class ProgramCache:
                     os.unlink(self._manifest_path(digest))
                 except FileNotFoundError:
                     pass
-        program = KernelProgram(ngraph, network, backend,
-                                plan_memory=plan_memory)
+        program = KernelProgram(ngraph, network, backend)
         self.store(program, fingerprint)
         return program
 

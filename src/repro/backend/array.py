@@ -9,9 +9,7 @@ A backend owns
   the float32 backend multiplies float32 GEMMs end to end instead of
   casting per call;
 * the **search dtype** handed to :func:`repro.neighbors.neighbor_search`
-  (``None`` keeps the historical float64 default on the reference
-  backend; the float32 backend searches in float32 unless the active
-  :func:`~repro.neighbors.search_context` pins a dtype);
+  (each float backend searches in its own dtype);
 * the dtype-sensitive kernels themselves (GEMM, bias, ReLU), with
   ``out=`` parameters so the runtime can run them into preallocated
   buffers.
@@ -46,9 +44,8 @@ class ArrayBackend:
     name = "base"
     #: Parameter/activation dtype every exported weight is packed in.
     dtype = np.dtype(np.float64)
-    #: dtype forwarded to neighbor search when the active search
-    #: context does not pin one (``None`` = historical float64).
-    search_dtype = None
+    #: dtype every module neighbor search of a program runs in.
+    search_dtype = np.dtype(np.float64)
 
     # -- array plumbing -----------------------------------------------------
 
@@ -118,10 +115,7 @@ class NumpyBackend(ArrayBackend):
             raise ValueError(f"backend dtype must be floating, got {dtype}")
         self.dtype = dtype
         self.name = dtype.name
-        # The reference backend leaves the search dtype unset so the
-        # engine's search_context (and the historical float64 default)
-        # stay in charge; narrower backends search in their own dtype.
-        self.search_dtype = None if dtype == np.float64 else dtype
+        self.search_dtype = dtype
 
 
 def _make_int8():

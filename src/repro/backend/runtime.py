@@ -22,16 +22,15 @@ pre-packed parameter table (:mod:`repro.backend.params`):
   contiguous arena with best-fit reuse.  Each thread keeps one
   grow-only arena and serves every height from views of it — peak
   working-set bytes drop by the measured reuse instead of summing every
-  kernel's buffer (``plan_memory=False`` restores the PR 5
-  one-buffer-per-kernel pool, the baseline of the CI ``mem`` gates);
+  kernel's buffer (the measuring run's one-buffer-per-kernel pool is the
+  baseline of the CI ``mem`` gates);
 * parameters live in one content-hashed
   :class:`~repro.backend.params.ParameterTable` shared across
   executors and same-dtype backends — and, packed, across *processes*
   (:mod:`repro.backend.aot`);
 * centroid sampling is resolved at compile time (it is a deterministic
   function of the static graph shapes), and neighbor searches run in
-  the backend's search dtype unless the active
-  :func:`~repro.neighbors.search_context` pins one — the engine's
+  the backend's search dtype — the engine's
   :class:`~repro.engine.cache.NeighborIndexCache` keys on that dtype,
   so float32 and float64 programs never share cache entries.
 
@@ -59,7 +58,7 @@ import threading
 import numpy as np
 
 from ..graph.network import MODULE_KINDS
-from ..neighbors import active_search_options, neighbor_search
+from ..neighbors import neighbor_search
 from .array import get_backend
 from .memplan import (
     ArenaPlan,
@@ -75,42 +74,28 @@ from .params import ParameterTable
 __all__ = ["KernelProgram", "NetworkKernelExecutor", "compile_kernel_program"]
 
 
-class _DictPool:
-    """PR 5 semantics: one persistent buffer per kernel-output key."""
+class _MeasuringPool:
+    """A first run's pool: one fresh buffer per kernel-output key, each
+    request recorded, per cloud, for the planner.
 
-    def __init__(self, backend):
+    Nothing is reused, so this is also the never-reusing baseline the
+    planned arena is checked against.  Scratch is sized by stacked rows,
+    so dividing each leading dimension by the ``height`` this run
+    happens to have gives the records every height shares.  A buffer
+    that does not divide cannot be planned per cloud: that raises rather
+    than under-provisioning some height.
+    """
+
+    def __init__(self, backend, height):
         self.backend = backend
+        self.height = height
         self.buffers = {}
+        self.records = []
 
     def request(self, key, shape, pos):
         buf = self.buffers.get(key)
         if buf is None or buf.shape != tuple(shape):
-            buf = self.backend.empty(shape)
-            self.buffers[key] = buf
-        return buf
-
-    def nbytes(self):
-        return sum(b.nbytes for b in self.buffers.values())
-
-
-class _MeasuringPool(_DictPool):
-    """A dict pool that records every request, per cloud, for the planner.
-
-    Scratch is sized by stacked rows, so dividing each leading dimension
-    by the ``height`` this run happens to have gives the records every
-    height shares.  A buffer that does not divide cannot be planned per
-    cloud: that raises rather than under-provisioning some height.
-    """
-
-    def __init__(self, backend, height):
-        super().__init__(backend)
-        self.height = height
-        self.records = []
-
-    def request(self, key, shape, pos):
-        existing = self.buffers.get(key)
-        buf = super().request(key, shape, pos)
-        if buf is not existing:
+            buf = self.buffers[key] = self.backend.empty(shape)
             rows, rest = divmod(shape[0], self.height)
             if rest:
                 raise ValueError(
@@ -172,12 +157,10 @@ class KernelProgram:
     accepts a pre-built — possibly zero-copy-attached — table).
     """
 
-    def __init__(self, ngraph, network, backend, params=None,
-                 plan_memory=True):
+    def __init__(self, ngraph, network, backend, params=None):
         self.ngraph = ngraph
         self.network = network
         self.backend = get_backend(backend)
-        self.plan_memory = bool(plan_memory)
         if params is None:
             params = ParameterTable.for_graph(ngraph, self.backend,
                                               network=network)
@@ -211,11 +194,6 @@ class KernelProgram:
     def _buffer(self, ctx, key, shape):
         """Scratch buffer for one kernel output, from the active pool."""
         return ctx["alloc"].request(key, shape, ctx["pos"])
-
-    def _search_dtype(self):
-        """Backend search dtype, unless the active context pins one."""
-        context = active_search_options()["dtype"]
-        return context if context is not None else self.backend.search_dtype
 
     def _apply_ops(self, ops, x, ctx, key, site=None):
         """Run one packed segment's ops; GEMMs go to preallocated buffers.
@@ -344,6 +322,7 @@ class KernelProgram:
         feature_space = attrs["space"] != "coords"
         in_dim = attrs["dim"]
         signature = attrs["signature"]
+        search_dtype = self.backend.search_dtype
         coords_id, feats_id = attrs["coords"], attrs["feats"]
         module = self.ngraph.refs[midx]
         local = np.asarray(module._sample_centroids(n_in))
@@ -356,7 +335,7 @@ class KernelProgram:
                 space = env[coords_id]
             queries = space[:, local]
             indices, _ = neighbor_search(
-                space, queries, k, dtype=self._search_dtype(), tag=signature
+                space, queries, k, dtype=search_dtype, tag=signature
             )
             base = (np.arange(ctx["batch"], dtype=np.int64) * n_in)
             rows = (indices + base[:, None, None]).reshape(
@@ -606,7 +585,7 @@ class KernelProgram:
             # out in the max-reduction), interpolation consumes the
             # *distances* — inverse-distance weights shift whenever a
             # float32 search reorders near-tied coarse neighbors.  Keep
-            # propagation searches at the context default (float64)
+            # propagation searches at neighbor_search's float64 default
             # so the float32 backend stays within its logit tolerance.
             idx, dist = neighbor_search(coarse_coords, fine_coords, k)
             weights = 1.0 / np.maximum(dist, 1e-8)
@@ -694,17 +673,12 @@ class KernelProgram:
     def _allocator(self, height):
         """``(pool, measuring)`` for a run over ``height`` clouds;
         ``measuring`` is ``pool`` when this run measures, else ``None``."""
-        local = self._local
-        pool = getattr(local, "pool", None)
-        if not self.plan_memory:
-            if pool is None:
-                pool = local.pool = _DictPool(self.backend)
-            return pool, None
         if self.per_cloud_plan is None:
             measuring = _MeasuringPool(self.backend, height)
             return measuring, measuring
+        pool = getattr(self._local, "pool", None)
         if pool is None:
-            pool = local.pool = _ArenaPool(self)
+            pool = self._local.pool = _ArenaPool(self)
         pool.bind(height, self._plan_at(height))
         return pool, None
 
@@ -716,13 +690,12 @@ class KernelProgram:
         executors' contract.  Output arrays are fresh copies — scratch
         buffers never escape a run.
 
-        With memory planning on (the default) the program's first run
-        measures buffer lifetimes and installs the per-cloud plan; every
-        later run, at any stack height and on any thread, executes out
-        of the calling thread's arena, bit-identically.  ``on_kernel(pos,
-        label, env, ctx)``, when given, is invoked after each kernel —
-        the hook the aliasing tests use to corrupt dead arena regions
-        mid-run.
+        The program's first run measures buffer lifetimes and installs
+        the per-cloud plan; every later run, at any stack height and on
+        any thread, executes out of the calling thread's arena,
+        bit-identically.  ``on_kernel(pos, label, env, ctx)``, when
+        given, is invoked after each kernel — the hook the aliasing tests
+        use to corrupt dead arena regions mid-run.
         """
         from ..neural import Tensor
 
@@ -785,8 +758,6 @@ class KernelProgram:
         Scaled from the per-cloud plan; a program that has neither run
         nor been seeded runs ``coords`` once to measure it.
         """
-        if not self.plan_memory:
-            raise ValueError("memory planning is disabled on this program")
         if self.per_cloud_plan is None:
             self.run(coords)
         return self._plan_at(len(coords) if height is None else int(height))
@@ -798,18 +769,11 @@ class KernelProgram:
         threads raced to be first); ``unplanned`` counts scratch requests
         the plan did not describe — zero unless the planner is wrong.
         """
-        if not self.plan_memory:
-            pool = getattr(self._local, "pool", None)
-            return {
-                "planned": False,
-                "pool_bytes": 0 if pool is None else pool.nbytes(),
-            }
         with self._plans_lock:
             heights = tuple(sorted(self._plans))
             tallest = self._plans[heights[-1]] if heights \
                 else ArenaPlan(0, (), 0, 0)
             return {
-                "planned": True,
                 "heights": heights,
                 "buffers": len((self.per_cloud_plan or tallest).buffers),
                 "arena_bytes": tallest.total_bytes,
@@ -880,7 +844,7 @@ class KernelProgram:
 
 
 def compile_kernel_program(network, strategy="delayed", backend="float64",
-                           batched=True, params=None, plan_memory=True):
+                           batched=True, params=None):
     """Compile ``network`` under ``strategy`` into a :class:`KernelProgram`.
 
     The network's whole-network graph (memoized on the instance) is
@@ -889,15 +853,13 @@ def compile_kernel_program(network, strategy="delayed", backend="float64",
     nothing: programs have one arity (a cloud is a stack of one), and
     the keyword is accepted only because ``benchmarks/ledger/layers.py``
     — which a non-benchmark change may not edit — still passes it; it
-    goes with ROADMAP item 5(c).  ``params`` supplies a pre-built
+    goes with ROADMAP item 10.  ``params`` supplies a pre-built
     :class:`~repro.backend.params.ParameterTable` (e.g. one attached
     zero-copy from the program cache or a shared file) instead of
-    exporting the network's weights; ``plan_memory=False`` restores
-    the per-kernel buffer pool.
+    exporting the network's weights.
     """
     return KernelProgram(network.network_graph(strategy), network,
-                         get_backend(backend), params=params,
-                         plan_memory=plan_memory)
+                         get_backend(backend), params=params)
 
 
 class NetworkKernelExecutor:
@@ -912,8 +874,7 @@ class NetworkKernelExecutor:
     fleet of shard replicas.
     """
 
-    def __init__(self, backend="float64", params=None, program_cache=None,
-                 plan_memory=True):
+    def __init__(self, backend="float64", params=None, program_cache=None):
         self.backend = get_backend(backend)
         #: Optional pre-built (possibly zero-copy-attached) parameter
         #: table every compiled program reads through instead of
@@ -928,7 +889,6 @@ class NetworkKernelExecutor:
 
             program_cache = ProgramCache(program_cache)
         self.program_cache = program_cache
-        self.plan_memory = bool(plan_memory)
         self._programs = {}
 
     def program(self, ngraph, network):
@@ -938,13 +898,11 @@ class NetworkKernelExecutor:
         if entry is None or entry[0] is not ngraph:
             if self.program_cache is not None:
                 program = self.program_cache.program_for(
-                    ngraph, network, self.backend,
-                    params=self.params, plan_memory=self.plan_memory,
+                    ngraph, network, self.backend, params=self.params,
                 )
             else:
                 program = KernelProgram(ngraph, network, self.backend,
-                                        params=self.params,
-                                        plan_memory=self.plan_memory)
+                                        params=self.params)
             entry = (ngraph, program)
             self._programs[key] = entry
         return entry[1]

@@ -46,11 +46,15 @@ def _serve_handle_line(server, line, emit):
     """One JSON request line -> submit; ``emit`` gets the response dict.
 
     Malformed lines (bad JSON, JSON that is not an object, no
-    ``cloud``) and rejected requests (unroutable shape, non-finite
-    coordinates, queue backpressure, shutdown) are answered immediately
-    with an ``error`` response carrying the request id when one was
-    parsed.
+    ``cloud``, an id holding NaN or Infinity) and rejected requests
+    (unroutable shape, non-finite coordinates, queue backpressure,
+    shutdown) are answered immediately with an ``error`` response
+    carrying the request id when one was parsed.  Every response dict
+    is strict JSON (RFC 8259 has no NaN or Infinity): an output that is
+    not finite is answered with an ``error`` too.
     """
+    import numpy as np
+
     from .serve import ServeError
 
     request_id = None
@@ -59,6 +63,11 @@ def _serve_handle_line(server, line, emit):
         if not isinstance(payload, dict):
             raise ValueError("request must be a JSON object, got "
                              f"{type(payload).__name__}")
+        try:
+            json.dumps(payload.get("id"), allow_nan=False)
+        except ValueError:
+            raise ValueError("request id holds NaN or Infinity, which a "
+                             "JSON response cannot echo") from None
         request_id = payload.get("id")
         future = server.submit(
             payload["cloud"],
@@ -76,6 +85,12 @@ def _serve_handle_line(server, line, emit):
             return
         resp = done.result()
         output = resp.output
+        leaves = output.values() if isinstance(output, dict) else (output,)
+        if not all(np.isfinite(leaf).all() for leaf in leaves):
+            emit({"id": resp.request_id,
+                  "error": "output is not finite (NaN or inf): the cloud "
+                           "overflows the precision it is served in"})
+            return
         if isinstance(output, dict):
             output = {key: value.tolist() for key, value in output.items()}
         else:
@@ -189,7 +204,7 @@ def _cmd_serve(args):
 
     def emit(payload, stream=sys.stdout):
         with write_lock:
-            stream.write(json.dumps(payload) + "\n")
+            stream.write(json.dumps(payload, allow_nan=False) + "\n")
             stream.flush()
 
     try:
@@ -199,7 +214,8 @@ def _cmd_serve(args):
             class Handler(socketserver.StreamRequestHandler):
                 def handle(self):
                     def emit_socket(payload):
-                        data = (json.dumps(payload) + "\n").encode()
+                        data = (json.dumps(payload, allow_nan=False)
+                                + "\n").encode()
                         with write_lock:
                             self.wfile.write(data)
 

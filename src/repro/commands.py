@@ -7,6 +7,8 @@ compiles them.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 __all__ = ["COMMANDS"]
@@ -94,7 +96,11 @@ def _cmd_compile(args):
     from .backend import ProgramCache, compile_kernel_program
     from .networks import build_network
 
-    cache = ProgramCache(args.cache)
+    try:
+        cache = ProgramCache(args.cache)
+    except ValueError as exc:
+        print(f"repro compile: error: {exc}", file=sys.stderr)
+        return 2
     rng = np.random.default_rng(0)
     for name in args.network or ["PointNet++ (c)"]:
         net = build_network(name, scale=args.scale)

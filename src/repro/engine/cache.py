@@ -4,15 +4,15 @@ Neighbor search is the serving bottleneck the paper attacks; in a
 serving workload the same cloud often comes back (retries, multi-model
 ensembles, per-frame re-ranking), and its neighbor tables are identical
 every time.  The cache keys on *content* — a digest of the cloud and
-query arrays plus (k, radius, substrate, dtype) — so any repeated query
-skips the search entirely, no matter which code path issues it.
+query arrays plus (k, dtype) — so any repeated query skips the search
+entirely, no matter which code path issues it.
 
 Plug an instance into :func:`repro.neighbors.search_context` (or a
 :class:`repro.engine.BatchRunner`) and every search in scope consults
 it.  A stack resolves each *distinct* cloud once: hits (and a stack's
 own repeats of one cloud) are served from the table, and only the
 still-missing distinct clouds are recomputed, together, through the
-batched substrate kernel.
+batched brute-force kernel.
 
 The cache is thread-safe, and every lookup — single cloud or stack —
 is *single-flight*: when several identical searches are in flight
@@ -29,7 +29,7 @@ from collections import OrderedDict
 
 import numpy as np
 
-from ..neighbors import raw_knn
+from ..neighbors import knn_brute_force
 
 __all__ = [
     "NeighborIndexCache",
@@ -52,9 +52,8 @@ def content_digest(array):
 class NeighborIndexCache:
     """Bounded LRU cache of neighbor-search results.
 
-    Entries are ``(indices, distances)`` for KNN and ``(indices,
-    counts)`` for ball queries.  Returned arrays are the cached objects
-    themselves — treat them as read-only.
+    Entries are KNN ``(indices, distances)`` pairs.  Returned arrays are
+    the cached objects themselves — treat them as read-only.
     """
 
     def __init__(self, maxsize=256):
@@ -100,19 +99,16 @@ class NeighborIndexCache:
     # -- internals ----------------------------------------------------------
 
     @staticmethod
-    def _key(kind, points, queries, k, radius, substrate, dtype, tag=None):
+    def _key(points, queries, k, dtype, tag=None):
         # A graph search-node signature replaces the query digest: the
         # queries are that node's deterministic centroid draw over the
         # points, so (points digest, tag) already identifies them and
         # hashing the derived array again would be pure overhead.
         query_id = ("tag", tag) if tag is not None else content_digest(queries)
         return (
-            kind,
             content_digest(points),
             query_id,
             int(k),
-            float(radius) if radius is not None else None,
-            substrate,
             np.dtype(dtype).name if dtype is not None else "float64",
         )
 
@@ -173,7 +169,7 @@ class NeighborIndexCache:
         finally:
             self._release([key])
 
-    def _lookup_batch(self, kind, points, queries, params, compute, tag=None):
+    def _lookup_batch(self, points, queries, k, dtype, compute, tag=None):
         """Resolve a (B, ...) stack: each distinct cloud once, single-flight.
 
         One pass under the lock sorts the stack's distinct keys into
@@ -185,7 +181,7 @@ class NeighborIndexCache:
         orders cannot deadlock.
         """
         keys = [
-            self._key(kind, points[b], queries[b], *params, tag=tag)
+            self._key(points[b], queries[b], k, dtype, tag=tag)
             for b in range(points.shape[0])
         ]
         first_row = {}
@@ -230,8 +226,8 @@ class NeighborIndexCache:
 
     # -- lookups ------------------------------------------------------------
 
-    def knn(self, points, queries, k, substrate="brute", dtype=None, tag=None):
-        """Cached KNN; same shapes and semantics as :func:`raw_knn`.
+    def knn(self, points, queries, k, dtype=None, tag=None):
+        """Cached KNN; same shapes and semantics as :func:`knn_brute_force`.
 
         ``tag`` is an optional graph search-node signature (see
         :func:`repro.graph.build.search_signature`); when given, the
@@ -239,42 +235,14 @@ class NeighborIndexCache:
         """
         points = np.asarray(points)
         queries = np.asarray(queries)
-        params = (k, None, substrate, dtype)
-        if points.ndim == 2:
-            key = self._key("knn", points, queries, *params, tag=tag)
-            return self._single(
-                key,
-                lambda: raw_knn(points, queries, k, substrate=substrate,
-                                dtype=dtype),
-            )
 
         def compute(miss_points, miss_queries):
-            return raw_knn(miss_points, miss_queries, k, substrate=substrate,
-                           dtype=dtype)
+            return knn_brute_force(miss_points, miss_queries, k, dtype=dtype)
 
-        return self._lookup_batch("knn", points, queries, params, compute,
-                                  tag=tag)
-
-    def ball(self, points, queries, radius, max_samples, dtype=None):
-        """Cached ball query; same shapes and semantics as :func:`ball_query`."""
-        from ..neighbors import ball_query  # no served network searches balls
-
-        points = np.asarray(points)
-        queries = np.asarray(queries)
-        params = (max_samples, radius, "brute", dtype)
         if points.ndim == 2:
-            key = self._key("ball", points, queries, *params)
-            return self._single(
-                key,
-                lambda: ball_query(points, queries, radius, max_samples,
-                                   dtype=dtype),
-            )
-
-        def compute(miss_points, miss_queries):
-            return ball_query(miss_points, miss_queries, radius, max_samples,
-                              dtype=dtype)
-
-        return self._lookup_batch("ball", points, queries, params, compute)
+            key = self._key(points, queries, k, dtype, tag=tag)
+            return self._single(key, lambda: compute(points, queries))
+        return self._lookup_batch(points, queries, k, dtype, compute, tag=tag)
 
 
 def merge_cache_stats(stats_iter):

@@ -5,8 +5,8 @@ compiles the network's per-module operator graphs into an execution
 plan once (:func:`repro.graph.compile_network_plan`), stacks B clouds
 into a (B, N, 3) array, runs the whole stack through the batched graph
 executor (batched neighbor search + tall shared-MLP matrices) under
-inference mode, and scopes the substrate / cache / dtype choice over
-every search the plan issues.
+inference mode, and scopes the neighbor-index cache over every search
+the plan issues.
 """
 
 from __future__ import annotations
@@ -90,22 +90,16 @@ class BatchRunner:
         A :class:`~repro.networks.base.PointCloudNetwork` instance.
     strategy:
         Execution strategy for every forward (default ``delayed``).
-    substrate:
-        Neighbor-search substrate scoped over the run (default brute).
     cache:
         Optional :class:`~repro.engine.cache.NeighborIndexCache`; when
         set, repeated clouds skip their searches entirely.
-    dtype:
-        Search precision (e.g. ``np.float32`` to halve search memory
-        traffic; network arithmetic itself stays float64 unless a
-        kernel ``backend`` is selected).
     backend:
         Optional kernel backend (``"float64"``, ``"float32"``, or an
         :class:`~repro.backend.ArrayBackend`).  When set, :meth:`run`
         executes the compiled autograd-free kernel program
         (:class:`~repro.backend.NetworkKernelExecutor`) instead of the
-        batched graph interpreter, and — unless ``dtype`` pins one —
-        neighbor searches run in the backend's dtype too.
+        batched graph interpreter, and neighbor searches run in the
+        backend's search dtype.
     program_cache:
         Optional :class:`~repro.backend.ProgramCache` (or a directory
         path for one).  Kernel programs then load from the AOT cache —
@@ -133,16 +127,13 @@ class BatchRunner:
     fusion = ()  # only reader: benchmarks/ledger/test_ledger.py:221
     tuned = None  # only reader: benchmarks/ledger/test_ledger.py:221
 
-    def __init__(self, network, strategy="delayed", substrate="brute",
-                 cache=None, dtype=None, backend=None, program_cache=None,
-                 params=None, executor=None):
+    def __init__(self, network, strategy="delayed", cache=None, backend=None,
+                 program_cache=None, params=None, executor=None):
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}")
         self.network = network
         self.strategy = strategy
-        self.substrate = substrate
         self.cache = cache
-        self.dtype = dtype
         self.backend = backend
         self.program_cache = program_cache
         #: Optional pre-built (possibly zero-copy-attached)
@@ -177,6 +168,14 @@ class BatchRunner:
             )
         return self._plan
 
+    @property
+    def stack_dtype(self):
+        """The dtype :meth:`run` stacks clouds in: the kernel backend's
+        (a float32 program would cast anyway, and float32 clouds must not
+        round-trip through a float64 copy), else float64."""
+        kernel = self._kernel_executor
+        return np.dtype(np.float64) if kernel is None else kernel.backend.dtype
+
     def _stack(self, clouds, dtype=np.float64):
         batch = np.asarray(clouds, dtype=dtype)
         if batch.ndim == 2:
@@ -189,9 +188,7 @@ class BatchRunner:
         return batch
 
     def _context(self):
-        return search_context(
-            substrate=self.substrate, cache=self.cache, dtype=self.dtype
-        )
+        return search_context(cache=self.cache)
 
     def _result(self, outputs, batch_size, seconds):
         if isinstance(outputs, Tensor):
@@ -216,14 +213,7 @@ class BatchRunner:
         compiled kernel program; otherwise through the batched graph
         interpreter (:meth:`~repro.networks.base.PointCloudNetwork.forward_batch`).
         """
-        if self._kernel_executor is not None:
-            # Stack directly in the backend's dtype: the program would
-            # cast anyway, and float32 clouds must not round-trip
-            # through a float64 copy on the fast path.
-            batch = self._stack(clouds,
-                                dtype=self._kernel_executor.backend.dtype)
-        else:
-            batch = self._stack(clouds)
+        batch = self._stack(clouds, dtype=self.stack_dtype)
         start = time.perf_counter()
         with no_grad(), self._context():
             if self._kernel_executor is not None:

@@ -145,7 +145,7 @@ class NetworkPlan:
         if self.backend is not None:
             lines.append(
                 f"kernel backend: {self.backend.name} "
-                f"(search dtype {self.backend.search_dtype or 'context'})"
+                f"(search dtype {self.backend.search_dtype})"
             )
         if self.graph is not None:
             lines.append(

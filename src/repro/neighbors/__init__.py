@@ -6,10 +6,7 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "ball_query": "ball",
     "knn_brute_force": "brute",
     "pairwise_squared_distances": "brute",
-    "SUBSTRATES": "dispatch",
-    "active_search_options": "dispatch",
     "neighbor_search": "dispatch",
-    "raw_knn": "dispatch",
     "search_context": "dispatch",
     "UniformGrid": "grid",
     "KDTree": "kdtree",

@@ -95,7 +95,9 @@ class Server:
         contract).  Each runner serves the cloud size of its network;
         hosting several networks with different ``n_points`` gives the
         server its mixed-``N`` routing table.  Two runners with the
-        same ``n_points`` are ambiguous and rejected.
+        same ``n_points`` are ambiguous and rejected.  A runner that
+        stacks clouds in another dtype than float64 says so in
+        ``stack_dtype``; admission checks finiteness in it.
     policy:
         A :class:`~repro.serve.batcher.BatchPolicy` (default: 8-deep
         batches, 64-deep queue).
@@ -229,17 +231,25 @@ class Server:
         Never blocks: an unroutable cloud raises immediately, a full
         queue raises :class:`~repro.serve.queue.QueueFull`, a closing
         server raises :class:`~repro.serve.queue.ServerClosed`.  A cloud
-        with NaN or infinite coordinates is refused here too
-        (``ValueError``, counted ``rejected``): served, it would come
-        back as confident finite logits or as NaNs, both ``completed``.
+        with NaN or infinite coordinates — in the dtype its runner stacks
+        in (``stack_dtype``, float64 when a runner does not say) — is
+        refused here too (``ValueError``, counted ``rejected``): served,
+        it would come back as confident finite logits or as NaNs, both
+        ``completed``.
         """
         cloud = np.asarray(cloud, dtype=np.float64)
         if cloud.ndim != 2 or cloud.shape[1] != 3:
             raise ValueError(f"expected an (N, 3) cloud, got {cloud.shape}")
         refusal = None
-        if not np.isfinite(cloud).all():
+        # Finite in float64 is not enough: a runner that stacks in
+        # float32 turns 1e39 into inf.
+        dtype = np.dtype(getattr(self._routes.get(cloud.shape[0]),
+                                 "stack_dtype", np.float64))
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(cloud.astype(dtype, copy=False)).all()
+        if not finite:
             refusal = ValueError(
-                "cloud has non-finite coordinates (NaN or inf)")
+                f"cloud has non-finite coordinates (NaN or inf) in {dtype}")
         elif cloud.shape[0] not in self._routes:
             refusal = ServeError(
                 f"no hosted network serves n_points={cloud.shape[0]} "

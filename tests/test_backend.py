@@ -25,7 +25,7 @@ from repro.backend import (
 from repro.core import ModuleSpec
 from repro.engine import BatchRunner, NeighborIndexCache, ParallelRunner
 from repro.graph import GraphExecutor, compile_network_plan
-from repro.neighbors import neighbor_search, raw_knn, search_context
+from repro.neighbors import neighbor_search
 from repro.networks import ALL_NETWORKS, build_network
 from repro.networks.generic import GenericPointCloudNetwork
 from repro.neural import BatchNorm, Dropout, Linear, ReLU, SharedMLP, Tensor, no_grad
@@ -95,7 +95,7 @@ def assert_close_with_same_top1(ref, out, rel=1e-4):
 class TestArrayBackend:
     def test_registry_resolves_names_dtypes_and_instances(self):
         f64 = get_backend("float64")
-        assert f64.dtype == np.float64 and f64.search_dtype is None
+        assert f64.dtype == np.float64 and f64.search_dtype == np.float64
         f32 = get_backend(np.float32)
         assert f32.dtype == np.float32 and f32.search_dtype == np.float32
         assert get_backend(f32) is f32
@@ -316,32 +316,35 @@ class TestEngineIntegration:
 
 
 class TestDtypePropagation:
-    def test_raw_knn_honors_dtype(self):
+    def test_neighbor_search_honors_dtype(self):
+        # The ledger's neighbors.knn_ms call: a float32 search returns
+        # float32 distances; the default searches in float64.
         rng = np.random.default_rng(0)
-        points = rng.normal(size=(64, 3))
-        _, d32 = raw_knn(points, points[:8], 4, dtype=np.float32)
-        _, d64 = raw_knn(points, points[:8], 4)
+        points = rng.normal(size=(2, 64, 3))
+        _, d32 = neighbor_search(points, points[:, :8], 4, dtype=np.float32)
+        _, d64 = neighbor_search(points, points[:, :8], 4)
         assert d32.dtype == np.float32 and d64.dtype == np.float64
 
-    def test_search_context_dtype_reaches_dispatch(self):
-        rng = np.random.default_rng(1)
-        points = rng.normal(size=(64, 3))
-        with search_context(dtype=np.float32):
-            _, dist = neighbor_search(points, points[:8], 4)
-        assert dist.dtype == np.float32
+    @pytest.mark.parametrize("backend, dtype", [
+        ("float64", np.float64), ("float32", np.float32),
+        ("int8", np.float32)])
+    def test_programs_search_in_their_own_dtype(self, backend, dtype,
+                                                monkeypatch):
+        from repro.backend import runtime
 
-    def test_context_dtype_overrides_backend_search_dtype(self):
+        searched = []
+
+        def recording_search(*args, **kwargs):
+            indices, distances = neighbor_search(*args, **kwargs)
+            searched.append(distances.dtype)
+            return indices, distances
+
         net = toy("PointNet++ (c)")
-        fast = compile_kernel_program(net, "delayed", "float32")
-        reference = compile_kernel_program(net, "delayed", "float64")
-        # Outside any context the backend's own search dtype applies...
-        assert fast._search_dtype() == np.float32
-        assert reference._search_dtype() is None  # historical float64
-        # ...but an engine-scoped dtype always wins.
-        with search_context(dtype=np.float64):
-            assert fast._search_dtype() == np.float64
-        with search_context(dtype=np.float32):
-            assert reference._search_dtype() == np.float32
+        # Compile first: int8 calibrates on export, through other searches.
+        program = compile_kernel_program(net, "delayed", backend)
+        monkeypatch.setattr(runtime, "neighbor_search", recording_search)
+        program.run(clouds_for(net, 2))
+        assert searched == [np.dtype(dtype)] * len(net.encoder)
 
     def test_cache_keys_on_dtype_with_single_flight(self):
         rng = np.random.default_rng(2)

@@ -10,7 +10,6 @@ timeout.
 
 import ast
 import importlib
-import importlib.util
 import json
 import os
 import re
@@ -36,7 +35,7 @@ TIMEOUT = 120.0
 FRONT_DOORS = [
     ("repro", 12), ("repro.backend", 25), ("repro.core", 15),
     ("repro.data", 24), ("repro.engine", 5), ("repro.graph", 35),
-    ("repro.hw", 27), ("repro.neighbors", 15), ("repro.networks", 25),
+    ("repro.hw", 27), ("repro.neighbors", 12), ("repro.networks", 25),
     ("repro.neural", 24), ("repro.profiling", 31), ("repro.serve", 17),
 ]
 
@@ -237,48 +236,6 @@ class TestFrontDoors:
                 if isinstance(node, (ast.Import, ast.ImportFrom))
             ]
             assert imported == ["_lazy"], init
-
-
-# kdtree == brute on indices, plus whether scipy.spatial was loaded
-# before / after the first kdtree search.
-KDTREE = """
-import json, sys
-{prelude}
-import numpy as np
-from repro.neighbors import raw_knn
-from repro.neighbors.dispatch import _ckdtree
-rng = np.random.default_rng(3)
-points, queries = rng.normal(size=(96, 3)), rng.normal(size=(17, 3))
-before = "scipy.spatial" in sys.modules
-tree_i, tree_d = raw_knn(points, queries, 5, substrate="kdtree")
-brute_i, brute_d = raw_knn(points, queries, 5, substrate="brute")
-print(json.dumps({{
-    "before": before, "after": "scipy.spatial" in sys.modules,
-    "accelerated": _ckdtree() is not None,
-    "indices_equal": bool(np.array_equal(tree_i, brute_i)),
-    "distances_close": bool(np.allclose(tree_d, brute_d)),
-}}))
-"""
-
-
-class TestKdtreeSubstrate:
-    def test_pure_python_tree_serves_when_scipy_is_missing(self):
-        [report] = run_child(KDTREE.format(
-            prelude="sys.modules['scipy'] = None  # import scipy -> ImportError"
-        ))
-        report = json.loads(report)
-        assert report == {"before": False, "after": False,
-                          "accelerated": False, "indices_equal": True,
-                          "distances_close": True}
-
-    @pytest.mark.skipif(importlib.util.find_spec("scipy") is None,
-                        reason="scipy not installed")
-    def test_scipy_loads_at_the_first_kdtree_search(self):
-        [report] = run_child(KDTREE.format(prelude=""))
-        report = json.loads(report)
-        assert report == {"before": False, "after": True,
-                          "accelerated": True, "indices_equal": True,
-                          "distances_close": True}
 
 
 def test_version_has_one_source():

@@ -14,13 +14,11 @@ from repro.engine import (
     content_digest,
 )
 from repro.neighbors import (
-    SUBSTRATES,
-    active_search_options,
+    KDTree,
     ball_query,
     knn_brute_force,
     neighbor_search,
     pairwise_squared_distances,
-    raw_knn,
     search_context,
 )
 from repro.networks import ALL_NETWORKS, build_network
@@ -182,64 +180,68 @@ class TestBatchedBall:
                 assert (idx[b, row, len(kept):] == kept[0]).all()
 
 
-class TestSubstrateAgreement:
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_substrates_return_same_neighbor_sets(self, seed):
-        # Property: on random clouds, every substrate returns the same
-        # neighbor distances (identical sets up to distance ties).
-        cloud = random_clouds(1, 180, seed=10 + seed)[0]
-        queries = cloud[::7]
-        reference = None
-        for substrate in SUBSTRATES:
-            idx, dist = raw_knn(cloud, queries, 6, substrate=substrate)
-            assert idx.shape == (len(queries), 6)
-            if reference is None:
-                reference = dist
-            else:
-                np.testing.assert_allclose(dist, reference, atol=1e-6)
-
-    def test_substrates_agree_batched(self):
-        clouds = random_clouds(3, 100, seed=20)
-        queries = clouds[:, :25]
-        reference = None
-        for substrate in SUBSTRATES:
-            idx, dist = raw_knn(clouds, queries, 5, substrate=substrate)
-            assert idx.shape == (3, 25, 5)
-            if reference is None:
-                reference = dist
-            else:
-                np.testing.assert_allclose(dist, reference, atol=1e-6)
-
-    def test_every_substrate_rejects_bad_k(self):
-        # scipy's cKDTree would otherwise pad k > N with out-of-bounds
-        # indices; the dispatch layer must enforce the brute contract.
+class TestSearchContext:
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_neighbor_search_rejects_bad_k(self, cached):
+        # The cache computes through knn_brute_force, whose validation
+        # is the only one: a bad k raises on both paths and leaves no
+        # claim behind.
         cloud = random_clouds(1, 6, seed=22)[0]
-        for substrate in SUBSTRATES:
-            with pytest.raises(ValueError):
-                raw_knn(cloud, cloud, 9, substrate=substrate)
-            with pytest.raises(ValueError):
-                raw_knn(cloud, cloud, 0, substrate=substrate)
+        cache = NeighborIndexCache(maxsize=8)
+        with search_context(cache=cache if cached else None):
+            for k in (9, 0):
+                with pytest.raises(ValueError):
+                    neighbor_search(cloud, cloud, k)
+                with pytest.raises(ValueError):
+                    neighbor_search(cloud[None], cloud[None], k)
+        assert not cache._pending and len(cache) == 0
 
-    def test_search_context_scopes_options(self):
-        assert active_search_options()["substrate"] == "brute"
-        with search_context(substrate="kdtree"):
-            assert active_search_options()["substrate"] == "kdtree"
-            with search_context(substrate="grid"):
-                assert active_search_options()["substrate"] == "grid"
-            assert active_search_options()["substrate"] == "kdtree"
-        assert active_search_options()["substrate"] == "brute"
-        with pytest.raises(ValueError):
-            with search_context(substrate="octree"):
-                pass
+    def test_search_context_scopes_caches(self):
+        a, b = NeighborIndexCache(maxsize=8), NeighborIndexCache(maxsize=8)
+        clouds = random_clouds(3, 40, seed=21)
 
-    def test_neighbor_search_honours_context(self):
-        cloud = random_clouds(1, 80, seed=21)[0]
-        brute_i, _ = neighbor_search(cloud, cloud[:10], 4)
-        with search_context(substrate="kdtree"):
-            tree_i, tree_d = neighbor_search(cloud, cloud[:10], 4)
-        ref_d = raw_knn(cloud, cloud[:10], 4, substrate="brute")[1]
-        np.testing.assert_allclose(tree_d, ref_d, atol=1e-6)
-        assert brute_i.shape == tree_i.shape
+        def search(i):
+            return neighbor_search(clouds[i], clouds[i][:5], 3)
+
+        with search_context(cache=a):
+            search(0)
+            with search_context(cache=b):
+                search(1)
+                with search_context():  # None keeps the enclosing cache
+                    search(1)
+            search(2)
+        search(0)  # outside every scope: no cache at all
+        assert (a.misses, a.hits, len(a)) == (2, 0, 2)
+        assert (b.misses, b.hits, len(b)) == (1, 1, 1)
+
+    def test_threads_fill_only_their_own_cache(self):
+        clouds = random_clouds(4, 48, seed=23)
+        caches = [NeighborIndexCache(maxsize=16) for _ in range(2)]
+        barrier = threading.Barrier(2)
+        errors = []
+
+        def serve(slot):
+            try:
+                with search_context(cache=caches[slot]):
+                    barrier.wait(timeout=30)
+                    for cloud in clouds[slot::2]:
+                        for _ in range(3):
+                            neighbor_search(cloud, cloud[:6], 4)
+                            barrier.wait(timeout=30)  # interleave the two
+            except Exception as exc:  # pragma: no cover - diagnostic
+                errors.append(exc)
+
+        threads = [threading.Thread(target=serve, args=(slot,))
+                   for slot in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads) and not errors
+        for slot, cache in enumerate(caches):
+            assert (cache.misses, cache.hits, len(cache)) == (2, 4, 2)
+            own = {content_digest(c) for c in clouds[slot::2]}
+            assert {key[0] for key in cache._entries} == own
 
 
 class TestBatchedNeighborIndexTable:
@@ -280,8 +282,8 @@ class TestNeighborIndexCache:
         cloud = random_clouds(1, 70, seed=31)[0]
         cache.knn(cloud, cloud[:12], 5)
         cache.knn(cloud, cloud[:12], 6)  # different k
-        cache.knn(cloud, cloud[:12], 5, substrate="kdtree")
-        cache.ball(cloud, cloud[:12], 0.5, 5)
+        cache.knn(cloud, cloud[:12], 5, dtype=np.float32)
+        cache.knn(cloud, cloud[:11], 5)  # different queries
         assert cache.misses == 4 and cache.hits == 0
 
     def test_lru_eviction(self):
@@ -309,13 +311,13 @@ class TestNeighborIndexCache:
         from repro.engine import cache as cache_module
 
         computed = []
-        real = cache_module.raw_knn
+        real = cache_module.knn_brute_force
 
         def recording_knn(points, *args, **kwargs):
             computed.append(np.asarray(points).shape)
             return real(points, *args, **kwargs)
 
-        monkeypatch.setattr(cache_module, "raw_knn", recording_knn)
+        monkeypatch.setattr(cache_module, "knn_brute_force", recording_knn)
         cache = NeighborIndexCache(maxsize=16)
         a, b = random_clouds(2, 64, seed=36)
         stack = np.stack([a] * 4)
@@ -357,13 +359,13 @@ class TestCacheSingleFlight:
     def test_concurrent_identical_searches_compute_once(self, monkeypatch):
         calls = []
         barrier = threading.Barrier(4)
-        real = cache_module.raw_knn
+        real = cache_module.knn_brute_force
 
         def slow_knn(*args, **kwargs):
             calls.append(threading.get_ident())
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(cache_module, "raw_knn", slow_knn)
+        monkeypatch.setattr(cache_module, "knn_brute_force", slow_knn)
         cache = NeighborIndexCache(maxsize=8)
         cloud = random_clouds(1, 64, seed=60)[0]
         results = []
@@ -389,13 +391,13 @@ class TestCacheSingleFlight:
         # must still compute once, by the claim protocol — not by luck.
         calls = []
         barrier = threading.Barrier(4)
-        real = cache_module.raw_knn
+        real = cache_module.knn_brute_force
 
         def recording_knn(*args, **kwargs):
             calls.append(threading.get_ident())
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(cache_module, "raw_knn", recording_knn)
+        monkeypatch.setattr(cache_module, "knn_brute_force", recording_knn)
         cache = NeighborIndexCache(maxsize=8)
         stack = random_clouds(1, 64, seed=62)
         results = []
@@ -458,7 +460,7 @@ class TestCacheSingleFlight:
         assert stats["misses"] == 6 and stats["size"] == 6
         assert stats["hits"] + stats["misses"] == sum(map(len, orders))
         assert not cache._pending
-        reference = cache_module.raw_knn(clouds, clouds[:, :8], 4)
+        reference = cache_module.knn_brute_force(clouds, clouds[:, :8], 4)
         for slot, order in enumerate(orders):
             np.testing.assert_array_equal(results[slot][0],
                                           reference[0][order])
@@ -468,7 +470,7 @@ class TestCacheSingleFlight:
     def test_failed_stack_compute_releases_its_claims(self, monkeypatch):
         cache = NeighborIndexCache(maxsize=8)
         stack = random_clouds(2, 32, seed=64)
-        real = cache_module.raw_knn
+        real = cache_module.knn_brute_force
         attempts = []
 
         def flaky_knn(*args, **kwargs):
@@ -477,7 +479,7 @@ class TestCacheSingleFlight:
                 raise RuntimeError("first owner dies")
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(cache_module, "raw_knn", flaky_knn)
+        monkeypatch.setattr(cache_module, "knn_brute_force", flaky_knn)
         with pytest.raises(RuntimeError):
             cache.knn(stack, stack[:, :4], 3)
         # Nothing is left pending: the next lookup takes over.
@@ -500,14 +502,6 @@ class TestCacheSingleFlight:
             cache._single(("key",), compute)
         # The key is no longer pending: the next lookup takes over.
         assert cache._single(("key",), compute) == ("ok", "ok")
-
-    def test_ball_single_flight_path(self):
-        cache = NeighborIndexCache(maxsize=8)
-        cloud = random_clouds(1, 48, seed=61)[0]
-        first = cache.ball(cloud, cloud[:8], 0.8, 4)
-        second = cache.ball(cloud, cloud[:8], 0.8, 4)
-        assert cache.hits == 1 and cache.misses == 1
-        np.testing.assert_array_equal(first[0], second[0])
 
     def test_cache_stats_counters_thread_safe(self):
         cache = NeighborIndexCache(maxsize=32)
@@ -717,7 +711,7 @@ class TestParallelRunner:
     def test_threads_agree_with_inline(self):
         # k-d tree builds cannot batch, so they are what a pool spreads.
         def kdtree_knn(cloud):
-            return raw_knn(cloud, cloud[:16], 4, substrate="kdtree")
+            return KDTree(cloud).query_batch(cloud[:16], 4)
 
         clouds = random_clouds(3, 64, seed=50)
         inline = ParallelRunner(max_workers=1)

@@ -745,7 +745,7 @@ class TestPlansAndCache:
         # Tagged keys replace the query digest; entries must not be
         # duplicated under both forms.
         assert len(cache) == 3
-        assert all(key[2][0] == "tag" for key in cache._entries)
+        assert all(key[1][0] == "tag" for key in cache._entries)
         np.testing.assert_allclose(first.data, second.data, atol=0)
 
     def test_search_signature_shared_across_strategies(self):

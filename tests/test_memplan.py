@@ -66,6 +66,13 @@ def clouds_for(net, batch, seed=0):
     return np.random.default_rng(seed).normal(size=(batch, net.n_points, 3))
 
 
+def unplanned_run(net, strategy, backend, x):
+    """The reference a planned run must match bit for bit: a fresh
+    program's first run, which measures out of one never-reused buffer
+    per kernel output."""
+    return compile_kernel_program(net, strategy, backend=backend).run(x)
+
+
 def leaves(ref, out):
     if isinstance(ref, dict):
         assert set(ref) == set(out)
@@ -162,10 +169,7 @@ class TestPlannerBitExact:
         for strategy in STRATEGIES:
             planned = compile_kernel_program(net, strategy,
                                              backend="float64")
-            unplanned = compile_kernel_program(net, strategy,
-                                               backend="float64",
-                                               plan_memory=False)
-            reference = unplanned.run(cloud)
+            reference = unplanned_run(net, strategy, "float64", cloud)
             # First run measures, second executes out of the arena —
             # both must match the unplanned pool bit-for-bit.
             assert_bit_exact(reference, planned.run(cloud))
@@ -176,9 +180,7 @@ class TestPlannerBitExact:
         net = toy(name)
         clouds = clouds_for(net, 3)
         planned = compile_kernel_program(net, "delayed", backend="float64")
-        unplanned = compile_kernel_program(net, "delayed", backend="float64",
-                                           plan_memory=False)
-        reference = unplanned.run(clouds)
+        reference = unplanned_run(net, "delayed", "float64", clouds)
         assert_bit_exact(reference, planned.run(clouds))
         assert_bit_exact(reference, planned.run(clouds))
 
@@ -203,9 +205,9 @@ class TestPlannerBitExact:
         net = toy("PointNet++ (c)")
         cloud = cloud_for(net)
         planned = compile_kernel_program(net, "delayed", backend="float32")
-        unplanned = compile_kernel_program(net, "delayed", backend="float32",
-                                           plan_memory=False)
-        assert_bit_exact(unplanned.run(cloud), planned.run(cloud))
+        reference = unplanned_run(net, "delayed", "float32", cloud)
+        planned.run(cloud)  # measures; the run below uses the arena
+        assert_bit_exact(reference, planned.run(cloud))
 
     def test_height_change_scales_the_one_measured_plan(self):
         net = toy("PointNet++ (c)")
@@ -292,10 +294,9 @@ class TestPerCloudPlan:
         net = toy("PointNet++ (c)")
         clouds = clouds_for(net, 5)
         program = compile_kernel_program(net, "delayed", backend="float64")
-        unplanned = compile_kernel_program(net, "delayed", backend="float64",
-                                           plan_memory=False)
         stacks = {2: clouds[:2], 5: clouds}
-        references = {h: unplanned.run(x) for h, x in stacks.items()}
+        references = {h: unplanned_run(net, "delayed", "float64", x)
+                      for h, x in stacks.items()}
         start = threading.Barrier(2)
         failures = []
 
@@ -346,8 +347,6 @@ class TestAdversarialAliasing:
         net = chunk_edge_toy() if name.endswith("toy") else toy(name)
         clouds = clouds_for(net, 8)
         program = compile_kernel_program(net, "delayed", backend="float64")
-        unplanned = compile_kernel_program(net, "delayed", backend="float64",
-                                           plan_memory=False)
         if name.endswith("toy"):
             # An aggregate's last centroid chunk is partial.
             shapes = {b.key: b.shape for b in program.plan_for(clouds).buffers}
@@ -368,7 +367,7 @@ class TestAdversarialAliasing:
                     poisoned["ranges"] += 1
                 arena[plan.total_bytes:] = 0xAA  # a taller height's tail
 
-            assert_bit_exact(unplanned.run(stack),
+            assert_bit_exact(unplanned_run(net, "delayed", "float64", stack),
                              program.run(stack, on_kernel=poison))
             assert poisoned["ranges"] > 0
         # One allocation per new tallest height, and never one otherwise.
@@ -655,7 +654,7 @@ class TestProgramCache:
         digest = cache.store(program)
         loaded = cache.load(digest, net.network_graph("delayed"), net)
         stats = loaded.memory_stats()
-        assert stats["planned"] and stats["buffers"] >= 1
+        assert stats["buffers"] >= 1
         assert_bit_exact(reference, loaded.run(cloud))
         assert loaded.memory_stats()["measuring_runs"] == 0  # it was seeded
 
@@ -912,14 +911,6 @@ class TestMemoryReporting:
         report = program.memory_report(cloud_for(net))
         assert report["peak_live_bytes"] <= 376832
 
-    def test_memory_stats_unplanned(self):
-        net = toy("PointNet++ (s)")
-        program = compile_kernel_program(net, "delayed", backend="float64",
-                                         plan_memory=False)
-        program.run(cloud_for(net))
-        stats = program.memory_stats()
-        assert stats["planned"] is False and stats["pool_bytes"] > 0
-
 
 class TestCLI:
     def test_trace_memory(self, capsys):
@@ -941,6 +932,19 @@ class TestCLI:
             (tmp_path / "programs" / "index.json").read_text()
         )
         assert len(index) == 1  # one program per configuration
+
+    def test_compile_into_a_file_is_one_error_line(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "programs"
+        path.write_text("not a directory")
+        assert main(["compile", "PointNet++ (c)", "--scale", "0.0625",
+                     "--cache", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro compile: error: ")
+        assert "not a usable directory" in captured.err
+        assert len(captured.err.splitlines()) == 1
 
     @staticmethod
     def _serve_one(*extra):

@@ -34,7 +34,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.cli import _serve_handle_line, build_parser
+from repro.cli import _serve_backend, _serve_handle_line, build_parser
 from repro.engine import BatchRunner, ParallelRunner
 from repro.engine.runner import BatchResult
 from repro.networks import build_network
@@ -618,6 +618,51 @@ class TestHostileRequests:
             assert answered.wait(TIMEOUT)
             assert answers[-1]["id"] == "8" and "output" in answers[-1]
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("backend, coordinate, rejected", [
+        ("eager", 1e308, 0), ("float64", 1e308, 0),
+        ("float32", 1e39, 1), ("int8", 1e39, 1),
+    ])
+    def test_overflowing_cloud_is_answered_in_strict_json(
+            self, small_net, backend, coordinate, rejected):
+        # Finite in float64 is not finite as served: 1e39 is inf in the
+        # float32 stack (refused at admission), and 1e308 overflows the
+        # float64 network into NaN logits (answered with an error).
+        # RFC 8259 has no NaN, so neither may reach the response line.
+        answers = []
+        answered = threading.Event()
+
+        def emit(payload):
+            answers.append(payload)
+            answered.set()
+
+        cloud = np.full((small_net.n_points, 3), coordinate)
+        line = json.dumps({"id": "big", "cloud": cloud.tolist()})
+        with Server.hosting([small_net],
+                            backend=_serve_backend(backend)) as server:
+            _serve_handle_line(server, line, emit)
+            assert answered.wait(TIMEOUT)
+            stats = server.stats()
+        [answer] = answers
+        json.dumps(answer, allow_nan=False)  # strict JSON
+        assert answer["id"] == "big" and "output" not in answer
+        expected = "non-finite coordinates" if rejected \
+            else "output is not finite"
+        assert expected in answer["error"]
+        assert stats["rejected"] == rejected
+
+    def test_non_finite_request_id_is_not_echoed(self):
+        answers = []
+        with Server(StubRunner(n_points=2)) as server:
+            _serve_handle_line(
+                server, '{"id": NaN, "cloud": [[0, 0, 0], [1, 1, 1]]}',
+                answers.append)
+            assert server.stats()["submitted"] == 0
+        [answer] = answers
+        json.dumps(answer, allow_nan=False)  # strict JSON
+        assert answer["id"] is None and "NaN or Infinity" in answer["error"]
+
     def test_tcp_handler_survives_undecodable_bytes(self):
         env = dict(os.environ,
                    PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
@@ -664,6 +709,8 @@ class TestHostileRequests:
         (["--network", "PointNet (x)"], "unknown network 'PointNet (x)'"),
         (["--scale", "0"], "scale factor must be positive"),
         (["--max-batch", "0"], "max_batch must be at least 1"),
+        (["--serve-backend", "float32", "--program-cache", os.devnull],
+         "is not a usable directory"),
     ])
     def test_bad_configuration_is_one_error_line(self, argv, reason):
         env = dict(os.environ,
