@@ -89,11 +89,10 @@ def network_fingerprint(network):
 _SHARE_PREFIX = "repro-params-"
 
 
-def _map_table(path, manifest, dedupe=True):
+def _map_table(path, manifest):
     """The packed table at ``path`` as read-only zero-copy views."""
     mapped = np.memmap(path, dtype=np.uint8, mode="r")
-    return ParameterTable.from_buffer(manifest, mapped, backing=mapped,
-                                      dedupe=dedupe)
+    return ParameterTable.from_buffer(manifest, mapped, backing=mapped)
 
 
 def _share_dir():
@@ -183,7 +182,7 @@ def parameter_descriptor(network, strategy, backend, batched=True,
     ``batched`` is read by nothing — programs and their cache entries
     have one arity — and is accepted only because
     ``benchmarks/ledger/layers.py``, which a non-benchmark change may
-    not edit, still passes it (ROADMAP item 5(c) removes it).
+    not edit, still passes it (ROADMAP item 10 removes it).
 
     Returns ``(descriptor, handle)``: the descriptor feeds
     :func:`attach_table` once per consumer, and ``handle`` is the
@@ -371,18 +370,17 @@ class ProgramCache:
         """The stored parameter table, memmapped read-only (zero-copy).
 
         The blob is re-hashed against the manifest's recorded content
-        hash before the table can join the dedupe registry: a damaged
-        ``.bin`` raises :class:`ValueError` instead of serving wrong
-        weights under a trusted hash.
+        hash before the table is returned: a damaged ``.bin`` raises
+        :class:`ValueError` instead of serving wrong weights under a
+        trusted hash.
         """
         if manifest is None:
             manifest = self.manifest(digest)
-        table = _map_table(self._blob_path(digest), manifest["params"],
-                           dedupe=False)
+        table = _map_table(self._blob_path(digest), manifest["params"])
         if not table.verify_buffer():
             raise ValueError(f"stored program {digest[:12]} parameter blob "
                              "fails verification")
-        return table._canonical()
+        return table
 
     def load(self, digest, ngraph, network):
         """Rebuild a runnable program from a stored digest.

@@ -5,11 +5,10 @@ autograd :class:`~repro.neural.Tensor`; every kernel it compiles calls
 the small operator vocabulary defined here against a backend object.
 A backend owns
 
-* the **parameter dtype** — weights are exported once per backend, so
-  the float32 backend multiplies float32 GEMMs end to end instead of
-  casting per call;
-* the **search dtype** handed to :func:`repro.neighbors.neighbor_search`
-  (each float backend searches in its own dtype);
+* the **dtype** — weights are exported once per backend, so the
+  float32 backend multiplies float32 GEMMs end to end instead of
+  casting per call, and every neighbor search a program issues runs in
+  it too;
 * the dtype-sensitive kernels themselves (GEMM, bias, ReLU), with
   ``out=`` parameters so the runtime can run them into preallocated
   buffers.
@@ -36,16 +35,14 @@ class ArrayBackend:
 
     Subclasses (or structurally-compatible objects) provide the dtype
     policy plus the dtype-sensitive kernels.  The base class implements
-    everything over numpy; override :attr:`dtype` /
-    :attr:`search_dtype` or individual kernels to specialize.
+    everything over numpy; override :attr:`dtype` or individual kernels
+    to specialize.
     """
 
-    #: Short name used in plans and ``repr``.
+    #: Short name used in cache keys and ``repr``.
     name = "base"
-    #: Parameter/activation dtype every exported weight is packed in.
+    #: Parameter, activation and neighbor-search dtype of a program.
     dtype = np.dtype(np.float64)
-    #: dtype every module neighbor search of a program runs in.
-    search_dtype = np.dtype(np.float64)
 
     # -- array plumbing -----------------------------------------------------
 
@@ -115,7 +112,6 @@ class NumpyBackend(ArrayBackend):
             raise ValueError(f"backend dtype must be floating, got {dtype}")
         self.dtype = dtype
         self.name = dtype.name
-        self.search_dtype = dtype
 
 
 def _make_int8():
@@ -136,7 +132,7 @@ _REGISTRY = {
 #: program in the process.
 _LAZY = {"int8": _make_int8}
 
-_registry_lock = threading.Lock()
+_lazy_lock = threading.Lock()
 
 
 def registered_backends():
@@ -151,7 +147,7 @@ def _resolve_name(name):
     factory = _LAZY.get(name)
     if factory is None:
         return None
-    with _registry_lock:
+    with _lazy_lock:
         return _REGISTRY.setdefault(name, factory())
 
 

@@ -18,7 +18,7 @@ it:
    cloud** and any height is a multiplication away (:func:`at_height`):
    a program measures once, at whatever height arrives first;
 2. :class:`GraphLiveness` extends the graph-level
-   :func:`~repro.graph.plan.value_liveness` metadata onto fused-kernel
+   :func:`~repro.graph.ir.value_liveness` metadata onto fused-kernel
    positions: a buffer is live from its defining kernel to the last
    kernel that reads any value aliasing it (graph outputs live to the
    end — they are copied out after the last kernel);
@@ -41,7 +41,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..graph.plan import value_liveness
+from ..graph.ir import value_liveness
 
 __all__ = [
     "ALIGNMENT",

@@ -23,22 +23,21 @@ backends snapshot a cast copy at export time.
 :class:`ParameterTable` is the whole-network form of that export: one
 flat, content-hashed table holding every segment a compiled
 :class:`~repro.backend.runtime.KernelProgram` will touch, keyed by the
-graph location that uses it.  Tables de-duplicate through a global
-registry — two backends with the same dtype resolve to the *same* table
-object instead of snapshotting their own copies — and they serialize:
+graph location that uses it.  An executor compiles one program, and so
+exports one table, per graph; the server builds one runner per hosted
+network and a shard fleet hands every replica one executor, so a
+hosted network's weights are exported once.  Tables serialize:
 :meth:`ParameterTable.pack` flattens the table into a JSON manifest
 plus one aligned binary blob, and :meth:`ParameterTable.from_buffer`
 rebuilds it **zero-copy** over any buffer exposing the blob (an
-``mmap`` of the program cache or of a published table file).  That pair
-is what makes compiled programs AOT-cacheable and lets K consumers share
-one copy of the weights (:mod:`repro.backend.aot`).
+``mmap`` of the program cache or of a published table file).  That
+pair is what makes compiled programs AOT-cacheable and lets K processes
+share one copy of the weights (:mod:`repro.backend.aot`).
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
-import weakref
 
 import numpy as np
 
@@ -184,15 +183,9 @@ class ParameterTable:
     graph will make.
 
     Tables are content-addressed: :attr:`content_hash` digests the
-    dtype, keys, op kinds and raw bytes, and :meth:`for_graph`
-    canonicalizes through a global weak registry so equal tables are
-    one object in memory.  The digest is taken when something compares
-    or stores the table, not when it is built: the registry groups live
-    tables by a structural signature and hashes only within a group.
+    dtype, keys, op kinds and raw bytes.  The digest is taken when
+    something stores or verifies the table, never when it is built.
     """
-
-    _registry = {}  # signature -> WeakSet of the live tables sharing it
-    _registry_lock = threading.Lock()
 
     def __init__(self, backend_name, dtype, entries, content_hash=None):
         self.backend_name = str(backend_name)
@@ -208,14 +201,8 @@ class ParameterTable:
     # -- construction --------------------------------------------------------
 
     @classmethod
-    def for_graph(cls, ngraph, backend, dedupe=True, network=None):
+    def for_graph(cls, ngraph, backend, network=None):
         """Export the table of one whole-network graph under ``backend``.
-
-        With ``dedupe`` (the default) the result is canonicalized
-        through the registry: a second export with identical bytes —
-        another executor over the same network, any backend sharing the
-        dtype — returns the existing table object instead of new copies.
-        The first export of a structure is hashed by nobody.
 
         ``network`` is the live network the graph was built from;
         backends that pack segments specially (the quantized backend's
@@ -261,24 +248,7 @@ class ParameterTable:
                                                       site=("ref", ref),
                                                       packer=packer)):
                     entries[("ref", ref, si)] = ops
-        table = cls(backend.name, backend.dtype, entries)
-        return table._canonical() if dedupe else table
-
-    def _canonical(self):
-        """The live table equal to this one, else this one, registered.
-
-        Only tables with the same :meth:`_signature` can be equal, so a
-        table whose structure nothing else live shares joins the registry
-        unhashed; otherwise both sides are hashed and compared.
-        """
-        with ParameterTable._registry_lock:
-            peers = ParameterTable._registry.setdefault(self._signature(),
-                                                        weakref.WeakSet())
-            for peer in list(peers):
-                if peer.content_hash == self.content_hash:
-                    return peer
-            peers.add(self)
-            return self
+        return cls(backend.name, backend.dtype, entries)
 
     # -- lookup --------------------------------------------------------------
 
@@ -315,15 +285,6 @@ class ParameterTable:
         return total
 
     # -- content addressing --------------------------------------------------
-
-    def _signature(self):
-        """Dtype, entry keys, op kinds and array shapes — no bytes read."""
-        return (str(self.dtype),) + tuple(
-            (key, tuple((op[0],) + tuple(
-                None if part is None else part.shape for part in op[1:]
-            ) for op in self.entries[key]))
-            for key in sorted(self.entries, key=repr)
-        )
 
     @property
     def content_hash(self):
@@ -395,7 +356,7 @@ class ParameterTable:
         return manifest, bytes(blob)
 
     @classmethod
-    def from_buffer(cls, manifest, buffer, backing=None, dedupe=True):
+    def from_buffer(cls, manifest, buffer, backing=None):
         """Rebuild a table as zero-copy views over ``buffer``.
 
         ``buffer`` is anything the :func:`numpy.frombuffer` protocol
@@ -429,7 +390,7 @@ class ParameterTable:
         table = cls(manifest["backend"], manifest["dtype"], entries,
                     content_hash=manifest["content_hash"])
         table._backing = backing
-        return table._canonical() if dedupe else table
+        return table
 
     def verify_buffer(self):
         """Recompute the content hash over the live arrays; True if intact."""

@@ -22,14 +22,13 @@ GEMMs are bit-reproducible under any batch composition — stronger than
 the BLAS float paths), and dequantizes per output channel back to
 float32.  Everything dtype-sensitive *around* the GEMMs — neighbor
 search, inverse-distance interpolation, aggregation, batch norm —
-stays in float32, mirroring how :class:`~repro.backend.array.NumpyBackend`
-pins ``search_dtype``: :attr:`Int8Backend.dtype` is ``float32``, so
+stays in float32: :attr:`Int8Backend.dtype` is ``float32``, so
 inter-kernel activations, arena buffers and searches never see int8.
 
 Quantized segments pack as ``("qlinear", qweight, w_scale, bias,
 a_scale)`` ops whose parts are all ndarrays, so the existing
 :class:`~repro.backend.params.ParameterTable` machinery — content
-hashing, dedupe, :meth:`~repro.backend.params.ParameterTable.pack` /
+hashing, :meth:`~repro.backend.params.ParameterTable.pack` /
 ``from_buffer`` zero-copy loading from the program cache — works on int8
 tables unchanged.
 """
@@ -241,7 +240,6 @@ class Int8Backend(ArrayBackend):
 
     name = "int8"
     dtype = np.dtype(np.float32)
-    search_dtype = np.dtype(np.float32)
 
     def __init__(self, scales=None, calibration_batch=8,
                  calibration_rounds=2, calibration_seed=CALIBRATION_SEED):

@@ -25,12 +25,12 @@ pre-packed parameter table (:mod:`repro.backend.params`):
   kernel's buffer (the measuring run's one-buffer-per-kernel pool is the
   baseline of the CI ``mem`` gates);
 * parameters live in one content-hashed
-  :class:`~repro.backend.params.ParameterTable` shared across
-  executors and same-dtype backends — and, packed, across *processes*
-  (:mod:`repro.backend.aot`);
+  :class:`~repro.backend.params.ParameterTable` per program — one
+  executor's programs share it across threads and, packed, across
+  *processes* (:mod:`repro.backend.aot`);
 * centroid sampling is resolved at compile time (it is a deterministic
   function of the static graph shapes), and neighbor searches run in
-  the backend's search dtype — the engine's
+  the backend's dtype — the engine's
   :class:`~repro.engine.cache.NeighborIndexCache` keys on that dtype,
   so float32 and float64 programs never share cache entries.
 
@@ -153,7 +153,7 @@ class KernelProgram:
     served from one arena per thread — see :mod:`repro.backend.memplan` —
     so a single program may run concurrently from multiple threads at
     any mix of stack heights; parameters come from a
-    shared :class:`~repro.backend.params.ParameterTable` (``params=``
+    packed :class:`~repro.backend.params.ParameterTable` (``params=``
     accepts a pre-built — possibly zero-copy-attached — table).
     """
 
@@ -322,7 +322,7 @@ class KernelProgram:
         feature_space = attrs["space"] != "coords"
         in_dim = attrs["dim"]
         signature = attrs["signature"]
-        search_dtype = self.backend.search_dtype
+        dtype = self.backend.dtype
         coords_id, feats_id = attrs["coords"], attrs["feats"]
         module = self.ngraph.refs[midx]
         local = np.asarray(module._sample_centroids(n_in))
@@ -335,7 +335,7 @@ class KernelProgram:
                 space = env[coords_id]
             queries = space[:, local]
             indices, _ = neighbor_search(
-                space, queries, k, dtype=search_dtype, tag=signature
+                space, queries, k, dtype=dtype, tag=signature
             )
             base = (np.arange(ctx["batch"], dtype=np.int64) * n_in)
             rows = (indices + base[:, None, None]).reshape(

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import threading
 
@@ -375,7 +376,17 @@ def main(argv=None):
         return _cmd_serve(args)
     from .commands import COMMANDS
 
-    return COMMANDS[args.command](args)
+    try:
+        status = COMMANDS[args.command](args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of stdout went away (``repro trace ... | head``).
+        # Point stdout at devnull so the interpreter's final flush
+        # cannot raise again, and exit quietly.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ def _cmd_networks(_args):
 
 
 def _cmd_trace(args):
-    from .graph import compile_network_plan
+    from .graph import format_graph
     from .networks import build_network
 
     net = build_network(args.network)
@@ -51,7 +51,10 @@ def _cmd_trace(args):
     elif args.graph:
         # The strategy-rewritten whole-network operator graph the
         # executors run and the trace below is lowered from.
-        print(compile_network_plan(net, args.strategy).describe())
+        ngraph = net.network_graph(args.strategy)
+        print(f"network graph: {ngraph.node_count} nodes, "
+              f"{len(ngraph.regions)} module regions")
+        print(format_graph(ngraph.graph))
     else:
         for op in trace:
             fields = {

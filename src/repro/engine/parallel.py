@@ -32,7 +32,7 @@ class ParallelRunner:
         Read by nothing: the pool is always threads and always
         persistent.  They are accepted, as ``"thread"`` / ``True`` only,
         because ``benchmarks/ledger/layers.py`` still passes them; they
-        go with ROADMAP item 6.  Any other value raises
+        go with ROADMAP item 10.  Any other value raises
         :class:`ValueError`.
 
     The pool starts on the first :meth:`submit` and lives until

@@ -1,12 +1,12 @@
 """BatchRunner: drive a network over stacks of point clouds.
 
 This is the serving front door the ROADMAP's scaling work builds on: it
-compiles the network's per-module operator graphs into an execution
-plan once (:func:`repro.graph.compile_network_plan`), stacks B clouds
-into a (B, N, 3) array, runs the whole stack through the batched graph
-executor (batched neighbor search + tall shared-MLP matrices) under
-inference mode, and scopes the neighbor-index cache over every search
-the plan issues.
+stacks B clouds into a (B, N, 3) array and runs the whole stack through
+the network's strategy-rewritten whole-network graph
+(``network.network_graph(strategy)``) under inference mode — compiled
+into a :class:`~repro.backend.KernelProgram` when a kernel backend is
+set, through the batched graph interpreter otherwise — and scopes the
+neighbor-index cache over every search that graph issues.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ class BatchRunner:
         executes the compiled autograd-free kernel program
         (:class:`~repro.backend.NetworkKernelExecutor`) instead of the
         batched graph interpreter, and neighbor searches run in the
-        backend's search dtype.
+        backend's dtype.
     program_cache:
         Optional :class:`~repro.backend.ProgramCache` (or a directory
         path for one).  Kernel programs then load from the AOT cache —
@@ -148,25 +148,6 @@ class BatchRunner:
             self._kernel_executor = NetworkKernelExecutor(
                 backend, params=params, program_cache=program_cache,
             )
-        self._plan = None
-
-    @property
-    def plan(self):
-        """The compiled per-module graph plan this runner executes.
-
-        Compiled lazily and memoized; the underlying graphs are shared
-        with the forward passes (same (spec, strategy) memo), so this
-        is introspection over — not a copy of — what actually runs.
-        """
-        if self._plan is None:
-            from ..graph import compile_network_plan
-
-            kernel = self._kernel_executor
-            self._plan = compile_network_plan(
-                self.network, self.strategy,
-                backend=None if kernel is None else kernel.backend,
-            )
-        return self._plan
 
     @property
     def stack_dtype(self):

@@ -8,9 +8,9 @@ builds its operator graph in ``original`` form
 ``limited`` strategies are graph-rewrite passes
 (:mod:`~repro.graph.passes`), and the rewritten graph feeds every
 consumer — the graph interpreter
-(:mod:`~repro.graph.executors`), the profiling trace lowering
-(:mod:`~repro.graph.lower`), the engine's execution plans
-(:mod:`~repro.graph.plan`), and the static N/F-overlap schedule
+(:mod:`~repro.graph.executors`), the kernel compiler
+(:mod:`repro.backend.runtime`), the profiling trace lowering
+(:mod:`~repro.graph.lower`), and the static N/F-overlap schedule
 (:mod:`~repro.graph.schedule`) the paper's hardware exploits.
 """
 
@@ -25,9 +25,11 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "KINDS": "ir",
     "Graph": "ir",
     "Node": "ir",
+    "ValueLiveness": "ir",
     "format_graph": "ir",
     "resolve_dim": "ir",
     "shape_env": "ir",
+    "value_liveness": "ir",
     "lower_graph": "lower",
     "lower_module_trace": "lower",
     "lower_network_trace": "lower",
@@ -43,11 +45,6 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "limit_delay": "passes",
     "module_graph": "passes",
     "run_pipeline": "passes",
-    "ModulePlan": "plan",
-    "NetworkPlan": "plan",
-    "ValueLiveness": "plan",
-    "compile_network_plan": "plan",
-    "value_liveness": "plan",
     "GraphSchedule": "schedule",
     "ScheduledNode": "schedule",
     "node_lane": "schedule",

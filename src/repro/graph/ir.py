@@ -23,9 +23,11 @@ __all__ = [
     "KINDS",
     "Graph",
     "Node",
+    "ValueLiveness",
     "format_graph",
     "resolve_dim",
     "shape_env",
+    "value_liveness",
 ]
 
 #: Node kinds understood by the executors and the trace lowering.
@@ -196,19 +198,11 @@ class Graph:
         return iter(self.nodes)
 
 
-def format_graph(graph, env=None):
+def format_graph(graph):
     """Human-readable dump used by ``repro trace --graph``."""
     lines = [f"graph {graph.name}: {len(graph)} nodes, outputs={list(graph.outputs)}"]
     for node in graph:
-        attrs = []
-        for key, value in node.attrs.items():
-            if env is not None and isinstance(value, str) and key != "space" \
-                    and key != "signature" and key != "mode":
-                try:
-                    value = f"{value}={resolve_dim(value, env)}"
-                except (KeyError, TypeError):
-                    pass
-            attrs.append(f"{key}={value}")
+        attrs = [f"{key}={value}" for key, value in node.attrs.items()]
         deps = ",".join(str(i) for i in node.inputs)
         flag = " ||" if node.parallelizable else ""
         lines.append(
@@ -216,3 +210,53 @@ def format_graph(graph, env=None):
             f"({deps:<8s}) {' '.join(attrs)}{flag}"
         )
     return "\n".join(lines)
+
+
+@dataclass(frozen=True)
+class ValueLiveness:
+    """Liveness of one graph value over the topological node order.
+
+    Positions index ``graph.nodes`` — the list order *is* the schedule,
+    so ``def_index`` is where the value is produced and
+    ``last_use_index`` the last position that reads it
+    (``len(graph.nodes)`` for graph outputs, which outlive every node).
+    """
+
+    node: int
+    kind: str
+    def_index: int
+    last_use_index: int
+    consumers: tuple
+
+
+def value_liveness(graph):
+    """Per-value liveness over ``graph``'s topological schedule.
+
+    Returns ``{node_id: ValueLiveness}``.  This is pure graph metadata
+    — the kernel runtime's arena planner
+    (:mod:`repro.backend.memplan`) maps these node positions onto its
+    fused-kernel positions.
+    """
+    positions = {node.id: index for index, node in enumerate(graph.nodes)}
+    consumers = {node.id: [] for node in graph.nodes}
+    for node in graph.nodes:
+        for parent in set(node.inputs):
+            consumers[parent].append(node)
+    outputs = set(graph.outputs)
+    values = {}
+    for node in graph.nodes:
+        used_by = consumers[node.id]
+        if node.id in outputs:
+            last = len(graph.nodes)
+        elif used_by:
+            last = max(positions[c.id] for c in used_by)
+        else:
+            last = positions[node.id]
+        values[node.id] = ValueLiveness(
+            node=node.id,
+            kind=node.kind,
+            def_index=positions[node.id],
+            last_use_index=last,
+            consumers=tuple(c.id for c in used_by),
+        )
+    return values

@@ -58,7 +58,7 @@ class Request:
     runner.
     """
 
-    id: str
+    id: object
     cloud: np.ndarray
     tenant: str = "default"
     arrival: float = field(default_factory=time.perf_counter)

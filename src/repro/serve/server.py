@@ -57,6 +57,8 @@ class ServeResponse:
     ``queued_ms`` is admission -> dispatch (time spent waiting for a
     free dispatch lane); ``service_ms`` is the sub-batch's runner call;
     ``latency_ms`` is admission -> response (what the client feels).
+    ``request_id`` is the id the caller passed, unchanged (any value),
+    or the minted ``"r<n>"`` when it passed none.
     ``batch_ids`` names every request that shared the kernel call, in
     stack order — batched float64 GEMMs are bit-reproducible for a
     given stack but not across different stack heights (BLAS blocking
@@ -65,7 +67,7 @@ class ServeResponse:
     comparing against a differently-batched run.
     """
 
-    request_id: str
+    request_id: object
     tenant: str
     output: object
     batch_ids: tuple
@@ -228,46 +230,29 @@ class Server:
     def submit(self, cloud, request_id=None, tenant="default"):
         """Admit one request; returns a future of :class:`ServeResponse`.
 
-        Never blocks: an unroutable cloud raises immediately, a full
-        queue raises :class:`~repro.serve.queue.QueueFull`, a closing
-        server raises :class:`~repro.serve.queue.ServerClosed`.  A cloud
-        with NaN or infinite coordinates — in the dtype its runner stacks
-        in (``stack_dtype``, float64 when a runner does not say) — is
-        refused here too (``ValueError``, counted ``rejected``): served,
-        it would come back as confident finite logits or as NaNs, both
-        ``completed``.
+        Never blocks: a cloud that is not a numeric ``(N, 3)`` array
+        raises ``ValueError`` (or the ``TypeError`` / ``OverflowError``
+        converting it raised), an unroutable cloud raises immediately, a
+        full queue raises :class:`~repro.serve.queue.QueueFull`, a
+        closing server raises :class:`~repro.serve.queue.ServerClosed`.
+        A cloud with NaN or infinite coordinates — in the dtype its
+        runner stacks in (``stack_dtype``, float64 when a runner does not
+        say) — is refused here too (``ValueError``): served, it would
+        come back as confident finite logits or as NaNs, both
+        ``completed``.  Every refusal is counted ``rejected``.
+        ``request_id`` is kept as given; without one the server mints
+        ``"r<n>"``.
         """
-        cloud = np.asarray(cloud, dtype=np.float64)
-        if cloud.ndim != 2 or cloud.shape[1] != 3:
-            raise ValueError(f"expected an (N, 3) cloud, got {cloud.shape}")
-        refusal = None
-        # Finite in float64 is not enough: a runner that stacks in
-        # float32 turns 1e39 into inf.
-        dtype = np.dtype(getattr(self._routes.get(cloud.shape[0]),
-                                 "stack_dtype", np.float64))
-        with np.errstate(over="ignore"):
-            finite = np.isfinite(cloud.astype(dtype, copy=False)).all()
-        if not finite:
-            refusal = ValueError(
-                f"cloud has non-finite coordinates (NaN or inf) in {dtype}")
-        elif cloud.shape[0] not in self._routes:
-            refusal = ServeError(
-                f"no hosted network serves n_points={cloud.shape[0]} "
-                f"(served sizes: {self.served_sizes})"
-            )
-        if refusal is not None:
-            with self._lock:
-                self._stats["rejected"] += 1
-            raise refusal
-        request = Request(
-            id=str(request_id) if request_id is not None
-            else f"r{next(self._ids)}",
-            cloud=cloud,
-            tenant=str(tenant),
-        )
         try:
+            cloud = self._admissible(cloud)
+            request = Request(
+                id=f"r{next(self._ids)}" if request_id is None
+                else request_id,
+                cloud=cloud,
+                tenant=str(tenant),
+            )
             self._queue.push(request)
-        except ServeError:
+        except Exception:
             with self._lock:
                 self._stats["rejected"] += 1
             raise
@@ -277,6 +262,28 @@ class Server:
                 self._stats["max_depth"], len(self._queue)
             )
         return request.future
+
+    def _admissible(self, cloud):
+        """``cloud`` as a float64 ``(N, 3)`` array a hosted runner serves,
+        else raise."""
+        cloud = np.asarray(cloud, dtype=np.float64)
+        if cloud.ndim != 2 or cloud.shape[1] != 3:
+            raise ValueError(f"expected an (N, 3) cloud, got {cloud.shape}")
+        # Finite in float64 is not enough: a runner that stacks in
+        # float32 turns 1e39 into inf.
+        dtype = np.dtype(getattr(self._routes.get(cloud.shape[0]),
+                                 "stack_dtype", np.float64))
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(cloud.astype(dtype, copy=False)).all()
+        if not finite:
+            raise ValueError(
+                f"cloud has non-finite coordinates (NaN or inf) in {dtype}")
+        if cloud.shape[0] not in self._routes:
+            raise ServeError(
+                f"no hosted network serves n_points={cloud.shape[0]} "
+                f"(served sizes: {self.served_sizes})"
+            )
+        return cloud
 
     def request(self, cloud, request_id=None, tenant="default", timeout=None):
         """Synchronous convenience: submit and wait for the response."""

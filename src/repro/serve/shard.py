@@ -528,8 +528,18 @@ class ShardRouter:
         the neighbor-index cache, and each further candidate is the
         backpressure spill target in ring order.  Only when *every*
         replica of the shape is at capacity does the aggregated
-        :class:`~repro.serve.queue.QueueFull` surface.
+        :class:`~repro.serve.queue.QueueFull` surface.  Every request
+        the router refuses — malformed, unroutable, non-finite, or shed
+        by every replica — is counted ``rejected`` once.
         """
+        try:
+            return self._route(cloud, request_id, tenant)
+        except Exception:
+            with self._lock:
+                self._stats["rejected"] += 1
+            raise
+
+    def _route(self, cloud, request_id, tenant):
         cloud = np.asarray(cloud, dtype=np.float64)
         if cloud.ndim != 2 or cloud.shape[1] != 3:
             raise ValueError(f"expected an (N, 3) cloud, got {cloud.shape}")
@@ -558,8 +568,6 @@ class ShardRouter:
                 else:
                     self._stats["spilled"] += 1
             return future
-        with self._lock:
-            self._stats["rejected"] += 1
         raise QueueFull(
             f"all {len(self._by_shape[n])} replica(s) serving "
             f"n_points={n} at capacity ({'; '.join(depths)})"
@@ -578,7 +586,10 @@ class ShardRouter:
         hit/miss/eviction stats — under its shard id; the top level
         sums the request counters, merges the cache counters, and adds
         the router's own routing stats (affinity hits vs ring spills
-        vs aggregated rejections).
+        vs rejections).  A replica counts ``rejected`` every try it
+        refused, spills included; the top-level ``rejected`` is the
+        router's own count of refused requests, so after a drain
+        ``completed + failed + rejected`` is every request submitted.
         """
         with self._lock:
             routing = dict(self._stats)
@@ -589,10 +600,10 @@ class ShardRouter:
             per_shard.append(entry)
         totals = {
             key: sum(entry[key] for entry in per_shard)
-            for key in ("submitted", "completed", "failed", "rejected",
-                        "batches", "sub_batches", "batched_requests",
-                        "queue_depth")
+            for key in ("submitted", "completed", "failed", "batches",
+                        "sub_batches", "batched_requests", "queue_depth")
         }
+        totals["rejected"] = routing["rejected"]
         totals["mean_batch"] = (
             totals["batched_requests"] / totals["sub_batches"]
             if totals["sub_batches"] else 0.0

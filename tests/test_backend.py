@@ -24,7 +24,7 @@ from repro.backend import (
 )
 from repro.core import ModuleSpec
 from repro.engine import BatchRunner, NeighborIndexCache, ParallelRunner
-from repro.graph import GraphExecutor, compile_network_plan
+from repro.graph import GraphExecutor
 from repro.neighbors import neighbor_search
 from repro.networks import ALL_NETWORKS, build_network
 from repro.networks.generic import GenericPointCloudNetwork
@@ -95,9 +95,9 @@ def assert_close_with_same_top1(ref, out, rel=1e-4):
 class TestArrayBackend:
     def test_registry_resolves_names_dtypes_and_instances(self):
         f64 = get_backend("float64")
-        assert f64.dtype == np.float64 and f64.search_dtype == np.float64
+        assert f64.dtype == np.float64
         f32 = get_backend(np.float32)
-        assert f32.dtype == np.float32 and f32.search_dtype == np.float32
+        assert f32.dtype == np.float32
         assert get_backend(f32) is f32
         custom = NumpyBackend(np.float32)
         assert get_backend(custom) is custom
@@ -270,15 +270,11 @@ class TestEngineIntegration:
         assert fast.outputs.dtype == np.float32
         assert_close_with_same_top1(eager.outputs, fast.outputs)
 
-    def test_plan_records_backend(self):
+    def test_runner_stacks_in_its_backend_dtype(self):
         net = toy("PointNet++ (c)")
-        plan = BatchRunner(net, backend="float32").plan
-        assert plan.backend.name == "float32"
-        assert "kernel backend: float32" in plan.describe()
-        assert BatchRunner(net).plan.backend is None
-        assert compile_network_plan(net, "delayed",
-                                    backend="float64").backend.dtype \
-            == np.float64
+        assert BatchRunner(net, backend="float32").stack_dtype == np.float32
+        assert BatchRunner(net, backend="int8").stack_dtype == np.float32
+        assert BatchRunner(net).stack_dtype == np.float64
 
     def test_batch_runner_kernel_stacks_of_one_match_sequential(self):
         net = toy("PointNet++ (c)")

@@ -1,5 +1,5 @@
 """Tests for the operator-graph IR: builder, rewrite passes, executors,
-trace lowering, plans, and the trace/execution consistency property."""
+trace lowering, and the trace/execution consistency property."""
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from repro.graph import (
     Node,
     OpRecorder,
     build_module_graph,
-    compile_network_plan,
     dead_code_elimination,
     delay_aggregation,
     format_graph,
@@ -217,7 +216,7 @@ class TestIR:
 
     def test_format_graph_mentions_every_node(self):
         g = module_graph(SPEC, "delayed")
-        text = format_graph(g, env=shape_env(SPEC))
+        text = format_graph(g)
         for node in g:
             assert node.kind in text
 
@@ -717,22 +716,6 @@ class TestBatchedNetworkCoverage:
 
 
 class TestPlansAndCache:
-    def test_compile_network_plan(self):
-        net = build_network("F-PointNet", scale=0.0625)
-        plan = compile_network_plan(net, "delayed")
-        # seg encoder (3) + box encoder (2)
-        assert len(plan) == 5
-        assert plan.node_count == sum(e.node_count for e in plan)
-        text = plan.describe()
-        assert "seg_sa1" in text and "box_sa1" in text
-
-    def test_batch_runner_exposes_plan(self):
-        net = build_network("PointNet++ (c)", scale=0.0625)
-        runner = BatchRunner(net, strategy="limited")
-        assert runner.plan.strategy == "limited"
-        assert len(runner.plan) == 3
-        assert runner.plan is runner.plan  # memoized
-
     def test_cache_keys_on_search_signature(self):
         net = build_network("PointNet++ (c)", num_classes=4, scale=0.0625)
         cloud = np.random.default_rng(9).normal(size=(net.n_points, 3))

@@ -110,14 +110,6 @@ class TestValueLiveness:
         for output in ngraph.outputs:
             assert live[output.node].last_use_index == n
 
-    def test_network_plan_exposes_liveness(self):
-        from repro.graph import compile_network_plan
-
-        net = toy("PointNet++ (s)")
-        plan = compile_network_plan(net, "delayed")
-        live = plan.liveness()
-        assert live  # non-empty map over the whole-network graph
-
 
 class TestArenaPlanning:
     def test_plan_validates_and_packs_below_pool(self):
@@ -401,16 +393,17 @@ class TestAdversarialAliasing:
         )
 
 
-class TestParameterTableDedup:
-    def test_programs_and_fresh_backends_share_one_table(self):
+class TestParameterTable:
+    def test_one_executor_holds_one_table_per_graph(self):
         net = toy("PointNet++ (c)")
         ngraph = net.network_graph("delayed")
-        first = compile_kernel_program(net, "delayed", backend="float64")
-        second = compile_kernel_program(net, "delayed", backend="float64")
-        assert first is not second and first.table is second.table
+        executor = NetworkKernelExecutor("float64")
+        program = executor.program(ngraph, net)
+        assert executor.program(ngraph, net) is program
+        # Another export is its own table with the same content.
         fresh = ParameterTable.for_graph(ngraph, backend=get_backend("float64"))
-        assert fresh is first.table
-        assert first.table.content_hash == fresh.content_hash
+        assert fresh is not program.table
+        assert fresh.content_hash == program.table.content_hash
 
     def test_different_dtypes_do_not_share(self):
         net = toy("PointNet++ (c)")
@@ -427,7 +420,7 @@ class TestParameterTableDedup:
                                          backend=get_backend("float64"))
         manifest, blob = table.pack()
         assert manifest["total_bytes"] == len(blob)
-        restored = ParameterTable.from_buffer(manifest, blob, dedupe=False)
+        restored = ParameterTable.from_buffer(manifest, blob)
         assert restored.content_hash == table.content_hash
         assert restored.verify_buffer()
         program = compile_kernel_program(net, "delayed", backend="float64",
@@ -446,13 +439,10 @@ class TestParameterTableDedup:
 
 
 class TestParameterTableHashing:
-    """A table is hashed when something compares or stores it."""
+    """A table is hashed when something stores or verifies it."""
 
     @pytest.fixture
     def digests(self, monkeypatch):
-        # An empty registry: tables other tests keep alive must not
-        # become peers to compare against.
-        monkeypatch.setattr(ParameterTable, "_registry", {})
         calls = []
         digest = ParameterTable._digest
 
@@ -475,22 +465,19 @@ class TestParameterTableHashing:
         table.content_hash
         assert digests == [table]  # memoised
 
-    def test_an_equal_export_is_the_same_object_one_digest_each(self,
-                                                                 digests):
+    def test_equal_exports_are_not_hashed(self, digests):
         net = toy("PointNet++ (c)")
         first = self.export(net)
         second = self.export(net)
-        assert second is first
-        assert len(digests) == 2 and digests[0] is first
-        assert digests[1] is not first  # the candidate, then dropped
-        third = self.export(net)
-        assert third is first and len(digests) == 3  # first's is memoised
+        assert second is not first and digests == []
+        assert first.content_hash == second.content_hash
+        assert digests == [first, second]
 
     def test_dtype_or_weights_keep_tables_apart(self, digests):
         net = toy("PointNet++ (c)")
         t32 = self.export(net)
         t64 = self.export(net, "float64")
-        assert t64 is not t32 and digests == []  # signatures differ
+        assert t64 is not t32 and digests == []
         other = self.export(toy("PointNet++ (c)", seed=1))
         assert other is not t32
         assert other.content_hash != t32.content_hash
@@ -499,7 +486,7 @@ class TestParameterTableHashing:
         table = self.export(toy("PointNet++ (c)"), "float64")
         manifest, blob = table.pack()
         assert digests == [table]
-        restored = ParameterTable.from_buffer(manifest, blob, dedupe=False)
+        restored = ParameterTable.from_buffer(manifest, blob)
         assert restored.content_hash == table.content_hash
         assert digests == [table]
 
@@ -508,12 +495,11 @@ class TestParameterTableHashing:
         manifest, blob = table.pack()
         corrupted = bytearray(blob)
         corrupted[manifest["arrays"][0]["offset"]] ^= 0x01
-        restored = ParameterTable.from_buffer(manifest, corrupted,
-                                              dedupe=False)
+        restored = ParameterTable.from_buffer(manifest, corrupted)
         assert restored.content_hash == table.content_hash  # as recorded
         assert not restored.verify_buffer()
-        assert ParameterTable.from_buffer(manifest, bytearray(blob),
-                                          dedupe=False).verify_buffer()
+        assert ParameterTable.from_buffer(manifest,
+                                          bytearray(blob)).verify_buffer()
 
 
 class TestFingerprint:
@@ -547,13 +533,9 @@ class TestSharedMemoryTransport:
             shared.close(unlink=True)
 
     def test_shared_file_roundtrip_owner_unlinks(self):
-        # Weights no other test exports, and dedupe=False: the table
-        # registry then holds nothing with this content hash, so
-        # attach_table cannot hand an in-memory twin back.
         net = toy("PointNet++ (c)", seed=97)
         table = ParameterTable.for_graph(net.network_graph("delayed"),
-                                         backend=get_backend("float32"),
-                                         dedupe=False)
+                                         backend=get_backend("float32"))
         shared = share_table(table)
         path = shared.path
         try:
@@ -708,8 +690,6 @@ class TestProgramCache:
             cache.load(digest, net.network_graph("delayed"), net)
 
     def test_damaged_blob_recompiles_once_then_loads_clean(self, tmp_path):
-        import repro
-
         net = toy("PointNet++ (c)", seed=23)
         cache = ProgramCache(tmp_path)
         digest = cache.store(compile_kernel_program(net, "delayed",
@@ -719,49 +699,18 @@ class TestProgramCache:
         damaged = bytearray(intact)
         damaged[::4096] = bytes(byte ^ 0x01 for byte in damaged[::4096])
         blob.write_bytes(damaged)
-        # In this process the dedupe registry would hand the live table
-        # back and hide the flip: each load runs in a fresh process.
-        code = (
-            "import sys\n"
-            "import numpy as np\n"
-            "from repro.backend import (ParameterTable, ProgramCache,\n"
-            "                           compile_kernel_program, get_backend)\n"
-            "from repro.networks import build_network\n"
-            "net = build_network('PointNet++ (c)', num_classes=4,\n"
-            "                    scale=0.0625, rng=np.random.default_rng(23))\n"
-            "ngraph = net.network_graph('delayed')\n"
-            "cache = ProgramCache(sys.argv[1])\n"
-            "try:\n"
-            "    cache.load(sys.argv[2], ngraph, net)\n"
-            "    verdict = 'clean'\n"
-            "except ValueError:\n"
-            "    verdict = 'refused'\n"
-            "program = cache.program_for(ngraph, net, 'float64')\n"
-            "# The reference exports its own table, past the registry.\n"
-            "table = ParameterTable.for_graph(ngraph, get_backend('float64'),\n"
-            "                                 dedupe=False)\n"
-            "fresh = compile_kernel_program(net, 'delayed', params=table)\n"
-            "cloud = np.random.default_rng(0).normal(size=(1, net.n_points, 3))\n"
-            "print(verdict, np.array_equal(program.run(cloud).data,\n"
-            "                              fresh.run(cloud).data))\n"
-        )
-        src = os.path.dirname(os.path.dirname(repro.__file__))
-
-        def load_in_child():
-            done = subprocess.run(
-                [sys.executable, "-c", code, str(tmp_path), digest],
-                capture_output=True, text=True, timeout=120,
-                env=dict(os.environ, PYTHONPATH=src),
-            )
-            assert done.returncode == 0, done.stderr[-2000:]
-            return done.stdout.split()
-
-        assert load_in_child() == ["refused", "True"]  # recompiled
-        assert blob.read_bytes() == intact  # ... and the entry rewritten
-        assert cache.digest_for(net.network_graph("delayed").network,
-                                "delayed", "float64",
+        ngraph = net.network_graph("delayed")
+        with pytest.raises(ValueError, match="fails verification"):
+            cache.load(digest, ngraph, net)
+        program = cache.program_for(ngraph, net, "float64")  # recompiles
+        assert blob.read_bytes() == intact  # ... and rewrites the entry
+        fresh = compile_kernel_program(net, "delayed", backend="float64")
+        cloud = cloud_for(net)
+        assert_bit_exact(fresh.run(cloud), program.run(cloud))
+        assert cache.digest_for(ngraph.network, "delayed", "float64",
                                 network_fingerprint(net)) == digest
-        assert load_in_child() == ["clean", "True"]
+        loaded = cache.load(digest, ngraph, net)  # the clean entry loads
+        assert_bit_exact(fresh.run(cloud), loaded.run(cloud))
 
     @staticmethod
     def _restamp(cache, key, stamp):

@@ -10,7 +10,7 @@ from repro.graph import (
     GraphExecutor,
     OpRecorder,
     build_network_graph,
-    compile_network_plan,
+    format_graph,
     module_graph,
     schedule_graph,
 )
@@ -82,12 +82,19 @@ class TestBuild:
         with pytest.raises(ValueError):
             toy("PointNet++ (c)").network_graph("eager")
 
-    def test_plan_carries_network_graph(self):
-        net = toy("F-PointNet")
-        plan = compile_network_plan(net, "delayed")
-        assert plan.graph is net.network_graph("delayed")
-        text = plan.describe()
-        assert "network graph" in text and "module regions" in text
+    def test_trace_graph_prints_the_network_graph(self, capsys):
+        from repro.cli import main
+
+        assert main(["trace", "F-PointNet", "--graph"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        ngraph = build_network("F-PointNet").network_graph("delayed")
+        graph = format_graph(ngraph.graph).splitlines()
+        assert lines[1] == (f"network graph: {ngraph.node_count} nodes, "
+                            f"{len(ngraph.regions)} module regions")
+        assert lines[2:2 + len(graph)] == graph
+        # Both encoders' regions: the segmentation and the box one.
+        names = [ngraph.refs[r.module].spec.name for r in ngraph.regions]
+        assert names == ["seg_sa1", "seg_sa2", "seg_sa3", "box_sa1", "box_sa2"]
 
     def test_delayed_rewrite_applies_per_region(self):
         net = toy("PointNet++ (c)")

@@ -109,7 +109,6 @@ class TestRegistry:
     def test_dtype_policy(self):
         backend = get_backend("int8")
         assert backend.dtype == np.float32
-        assert backend.search_dtype == np.float32
         assert backend.name == "int8"
 
 
@@ -367,7 +366,7 @@ class TestPackaging:
         table = ParameterTable.for_graph(ngraph, QUANT, network=net)
         manifest, blob = table.pack()
         assert manifest["backend"] == "int8"
-        clone = ParameterTable.from_buffer(manifest, blob, dedupe=False)
+        clone = ParameterTable.from_buffer(manifest, blob)
         assert clone.content_hash == table.content_hash
         assert clone.verify_buffer()
         for key, ops in table.entries.items():
@@ -382,7 +381,7 @@ class TestPackaging:
         ngraph = net.network_graph("delayed")
         original = KernelProgram(ngraph, net, QUANT)
         manifest, blob = original.table.pack()
-        attached = ParameterTable.from_buffer(manifest, blob, dedupe=False)
+        attached = ParameterTable.from_buffer(manifest, blob)
         clone = KernelProgram(ngraph, net, QUANT, params=attached)
         clouds = clouds_for(net, 2, seed=9)
         for a, b in leaves(original.run(clouds), clone.run(clouds)):

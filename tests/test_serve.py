@@ -34,7 +34,12 @@ import numpy as np
 import pytest
 
 import repro
-from repro.cli import _serve_backend, _serve_handle_line, build_parser
+from repro.cli import (
+    _build_server,
+    _serve_backend,
+    _serve_handle_line,
+    build_parser,
+)
 from repro.engine import BatchRunner, ParallelRunner
 from repro.engine.runner import BatchResult
 from repro.networks import build_network
@@ -510,7 +515,7 @@ class TestServerEdgeCases:
                 server.submit(stub_cloud(5))
             with pytest.raises(ValueError, match="expected an"):
                 server.submit(np.zeros((8, 2)))
-            assert server.stats()["rejected"] == 1
+            assert server.stats()["rejected"] == 2
 
     def test_duplicate_shape_routes_rejected(self):
         with pytest.raises(ValueError, match="n_points=8"):
@@ -616,7 +621,7 @@ class TestHostileRequests:
             _serve_handle_line(
                 server, '{"id": 8, "cloud": [[0, 0, 0], [1, 1, 1]]}', emit)
             assert answered.wait(TIMEOUT)
-            assert answers[-1]["id"] == "8" and "output" in answers[-1]
+            assert answers[-1]["id"] == 8 and "output" in answers[-1]
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")
@@ -651,6 +656,19 @@ class TestHostileRequests:
             else "output is not finite"
         assert expected in answer["error"]
         assert stats["rejected"] == rejected
+
+    @pytest.mark.parametrize("cloud", [
+        [[1, 2]] * 2, [], "abc", [[[1, 2, 3]]], [[1, 2, 3], [4]],
+    ], ids=["two-columns", "empty", "string", "three-dims", "ragged"])
+    def test_malformed_cloud_is_counted_rejected(self, cloud):
+        answers = []
+        with Server(StubRunner(n_points=2)) as server:
+            _serve_handle_line(server, json.dumps({"id": "m", "cloud": cloud}),
+                               answers.append)
+        [answer] = answers
+        assert answer["id"] == "m" and "output" not in answer
+        stats = server.stats()
+        assert (stats["submitted"], stats["rejected"]) == (0, 1)
 
     def test_non_finite_request_id_is_not_echoed(self):
         answers = []
@@ -728,6 +746,44 @@ class TestHostileRequests:
         assert "Traceback" not in done.stderr
 
 
+class TestResponseIds:
+    """A response carries the request's ``id`` exactly as it was sent."""
+
+    IDS = [5, True, {"k": [1, 2]}, [1, "a"], 2.5, "s", None]
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_every_response_echoes_the_id_as_sent(self, shards):
+        server = _build_server(build_parser().parse_args(
+            ["serve", "--scale", "0.0625", "--shards", str(shards)]))
+        [n] = server.served_sizes
+        cloud = np.random.default_rng(3).normal(size=(n, 3)).tolist()
+        answers = []
+        with server:
+            for index, rid in enumerate(self.IDS):
+                request = {"cloud": cloud, "tenant": f"t{index}"}
+                if rid is not None:
+                    request["id"] = rid
+                _serve_handle_line(server, json.dumps(request),
+                                   answers.append)
+                # The same ids on a refused request: an error response.
+                _serve_handle_line(server, json.dumps(
+                    dict(request, cloud=cloud[:-1])), answers.append)
+        stats = server.stats()
+        errors = [a for a in answers if "error" in a]
+        served = {a["tenant"]: a for a in answers if "output" in a}
+        assert len(errors) == len(served) == len(self.IDS)
+        for index, rid in enumerate(self.IDS):
+            echoed = served[f"t{index}"]["id"]
+            if rid is None:
+                assert re.fullmatch(r"r\d+", echoed)
+            else:
+                assert json.dumps(echoed) == json.dumps(rid)
+        assert [json.dumps(a["id"]) for a in errors] \
+            == [json.dumps(rid) for rid in self.IDS]
+        assert (stats["completed"], stats["failed"], stats["rejected"]) \
+            == (len(self.IDS), 0, len(self.IDS))
+
+
 # ---------------------------------------------------------- command line
 
 
@@ -755,6 +811,40 @@ class TestCommandLine:
             build_parser().parse_args(argv)
         assert exc.value.code == 2
         capsys.readouterr()
+
+    def test_a_reader_that_goes_away_ends_a_command_quietly(self):
+        # ``repro trace ... | head -1``: the child prints one line, the
+        # reader takes it and closes the pipe, then the child goes on.
+        code = (
+            "import builtins, sys\n"
+            "import repro.cli\n"
+            "first = builtins.print\n"
+            "def print_then_wait(*args, **kwargs):\n"
+            "    first(*args, **kwargs)\n"
+            "    sys.stdout.flush()\n"
+            "    builtins.print = first\n"
+            "    sys.stdin.readline()\n"
+            "builtins.print = print_then_wait\n"
+            "sys.exit(repro.cli.main(['trace', 'PointNet++ (c)']))\n"
+        )
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code], stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        try:
+            assert proc.stdout.readline().startswith(b"PointNet++ (c)")
+            proc.stdout.close()
+            proc.stdin.write(b"\n")
+            proc.stdin.close()
+            assert proc.wait(timeout=TIMEOUT) == 1
+            assert proc.stderr.read() == b""
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            proc.wait(timeout=TIMEOUT)
+            proc.stderr.close()
 
     def test_there_is_no_bench_command(self, capsys):
         # Serving is measured by benchmarks/ledger/ and correctness by

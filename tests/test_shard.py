@@ -27,6 +27,7 @@ import repro.engine.runner
 import repro.serve.shard
 from repro.backend import ParameterTable, ProgramCache, compile_kernel_program
 from repro.backend.aot import _share_dir
+from repro.cli import _print_serve_stats
 from repro.engine import BatchRunner, ParallelRunner
 from repro.engine.cache import (
     NeighborIndexCache,
@@ -426,6 +427,41 @@ class TestShardRouter:
             gate.set()
             router.close()
         assert all(f.result(TIMEOUT) for f in admitted)
+
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    def test_each_request_is_counted_once(self, n_shards, capsys):
+        # One replica queue slot and one lane each: most of 200 submits
+        # are shed, some only after spilling past a full replica.  After
+        # the drain every request is completed, failed or rejected once.
+        gate = threading.Event()
+        policy = BatchPolicy(max_batch=1, max_queue=1)
+        router = stub_router(n_shards=n_shards, block=gate, policy=policy)
+        front = router if n_shards > 1 else router.replica(0)
+        refused = 0
+        try:
+            for value in range(200):
+                try:
+                    front.submit(stub_cloud(value=float(value % 2)))
+                except QueueFull:
+                    refused += 1
+            for cloud in (stub_cloud(5), np.zeros((8, 2)), "abc",
+                          stub_cloud(value=np.nan)):
+                with pytest.raises((ServeError, ValueError)):
+                    front.submit(cloud)
+        finally:
+            gate.set()
+            router.close()
+        stats = front.stats()
+        assert refused >= 190
+        assert stats["rejected"] == refused + 4
+        assert stats["completed"] == 200 - refused
+        assert stats["completed"] + stats["failed"] + stats["rejected"] \
+            == 204
+        if n_shards > 1:
+            assert stats["routing"]["rejected"] == stats["rejected"]
+            assert stats["routing"]["unroutable"] == 1
+        _print_serve_stats(stats)
+        assert f"rejected {refused + 4}, failed 0)" in capsys.readouterr().err
 
     def test_no_dropped_or_duplicated_ids_under_concurrency(self):
         router = stub_router(n_shards=2, n_points=8, max_queue=4096)
