@@ -205,8 +205,7 @@ def parameter_descriptor(network, strategy, backend, batched=True,
             program_cache = ProgramCache(program_cache)
         return program_cache.descriptor_for(network, strategy, backend), None
     ngraph = network.network_graph(strategy)
-    table = ParameterTable.for_graph(ngraph, backend=backend,
-                                     network=network)
+    table = ParameterTable.for_graph(ngraph, backend=backend)
     handle = share_table(table)
     return handle.descriptor(), handle
 

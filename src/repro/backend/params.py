@@ -112,18 +112,12 @@ def _tail_ops(layers, backend):
     return ops
 
 
-def export_segment(layers, backend, weight_only=False, epilogue=False,
-                   site=None, packer=None):
+def export_segment(layers, backend, weight_only=False, epilogue=False):
     """Pack one per-Linear segment into an ops tuple.
 
     ``weight_only`` exports just the GEMM (the limited variant's
     hoisted product); ``epilogue`` exports the complementary bias +
     activation tail the epilogue node replays after aggregation.
-    ``packer`` (a backend's ``segment_packer`` closure) replaces the
-    plain ``("linear", W, b)`` head with a backend-specific op —
-    quantized backends emit ``("qlinear", ...)`` here — and receives
-    ``site``, the graph location whose calibrated activation scale the
-    segment consumes.
     """
     linear, tail = layers[0], layers[1:]
     if not isinstance(linear, Linear):
@@ -133,30 +127,19 @@ def export_segment(layers, backend, weight_only=False, epilogue=False,
             else _export_array(linear.bias.data, backend)
         ops = [] if bias is None else [("bias", bias)]
         return tuple(ops + _tail_ops(tail, backend))
-    if packer is not None:
-        head = packer(linear, site, weight_only)
-    else:
-        weight = _export_array(linear.weight.data, backend)
-        bias = None if weight_only or linear.bias is None \
-            else _export_array(linear.bias.data, backend)
-        head = ("linear", weight, bias)
+    weight = _export_array(linear.weight.data, backend)
+    bias = None if weight_only or linear.bias is None \
+        else _export_array(linear.bias.data, backend)
+    head = ("linear", weight, bias)
     if weight_only:
         return (head,)
     return tuple([head] + _tail_ops(tail, backend))
 
 
-def export_stack(layers, backend, site=None, packer=None):
-    """Pack a whole Linear/.../Linear stack: one ops tuple per segment.
-
-    ``site`` is the stack's base graph location; segment ``i`` packs
-    under ``site + (i,)``, matching the parameter-table keys.
-    """
-    return tuple(
-        export_segment(segment, backend,
-                       site=None if site is None else tuple(site) + (si,),
-                       packer=packer)
-        for si, segment in enumerate(segment_layers(layers))
-    )
+def export_stack(layers, backend):
+    """Pack a whole Linear/.../Linear stack: one ops tuple per segment."""
+    return tuple(export_segment(segment, backend)
+                 for segment in segment_layers(layers))
 
 
 #: Blob offsets round up to one cache line — every zero-copy view is
@@ -201,18 +184,8 @@ class ParameterTable:
     # -- construction --------------------------------------------------------
 
     @classmethod
-    def for_graph(cls, ngraph, backend, network=None):
-        """Export the table of one whole-network graph under ``backend``.
-
-        ``network`` is the live network the graph was built from;
-        backends that pack segments specially (the quantized backend's
-        ``segment_packer`` hook) may need it to calibrate activation
-        scales before exporting.
-        """
-        packer = None
-        make_packer = getattr(backend, "segment_packer", None)
-        if make_packer is not None:
-            packer = make_packer(ngraph, network)
+    def for_graph(cls, ngraph, backend):
+        """Export the table of one whole-network graph under ``backend``."""
         entries = {}
         segments = {}
         graph = ngraph.graph
@@ -236,7 +209,6 @@ class ParameterTable:
                         segments[midx][layer], backend,
                         weight_only=variant == "weight_only",
                         epilogue=variant == "epilogue",
-                        site=key, packer=packer,
                     )
             elif kind in ("head", "propagate"):
                 ref = node.attrs["ref"]
@@ -244,9 +216,7 @@ class ParameterTable:
                     continue
                 obj = ngraph.refs[ref]
                 for si, ops in enumerate(export_stack(_ref_layers(obj),
-                                                      backend,
-                                                      site=("ref", ref),
-                                                      packer=packer)):
+                                                      backend)):
                     entries[("ref", ref, si)] = ops
         return cls(backend.name, backend.dtype, entries)
 

@@ -162,8 +162,7 @@ class KernelProgram:
         self.network = network
         self.backend = get_backend(backend)
         if params is None:
-            params = ParameterTable.for_graph(ngraph, self.backend,
-                                              network=network)
+            params = ParameterTable.for_graph(ngraph, self.backend)
         elif np.dtype(params.dtype) != np.dtype(self.backend.dtype):
             raise ValueError(
                 f"parameter table dtype {params.dtype} does not match "
@@ -195,33 +194,16 @@ class KernelProgram:
         """Scratch buffer for one kernel output, from the active pool."""
         return ctx["alloc"].request(key, shape, ctx["pos"])
 
-    def _apply_ops(self, ops, x, ctx, key, site=None):
-        """Run one packed segment's ops; GEMMs go to preallocated buffers.
-
-        ``site`` is the segment's parameter-table key; when a
-        calibration observer is installed (``ctx["observe"]``) it
-        receives ``(site, x)`` before each GEMM — including the folded
-        chain intermediates that never reach the kernel environment.
-        """
+    def _apply_ops(self, ops, x, ctx, key):
+        """Run one packed segment's ops; GEMMs go to preallocated buffers."""
         backend = self.backend
-        observe = ctx.get("observe")
         for i, op in enumerate(ops):
             kind = op[0]
             if kind == "linear":
-                if observe is not None:
-                    observe(site, x)
                 out = self._buffer(ctx, (key, i), (x.shape[0], op[1].shape[1]))
                 x = backend.matmul(x, op[1], out=out)
                 if op[2] is not None:
                     backend.add_bias(x, op[2])
-            elif kind == "qlinear":
-                # ("qlinear", qweight, w_scale, bias, a_scale): the
-                # quantized GEMM dequantizes into the planned float32
-                # buffer; bias and tail stay float32.
-                out = self._buffer(ctx, (key, i), (x.shape[0], op[1].shape[1]))
-                x = backend.qmatmul(x, op[1], op[2], op[4], out=out)
-                if op[3] is not None:
-                    backend.add_bias(x, op[3])
             elif kind == "bias":
                 x = backend.add_bias(x, op[1])
             elif kind == "relu":
@@ -371,16 +353,14 @@ class KernelProgram:
             ops = self.table.module_segment(
                 midx, link.attrs["layer"], weight_only=weight_only,
             )
-            site = ("module", midx, link.attrs["layer"],
-                    "weight_only" if weight_only else "full")
-            specs.append((link.id, ops, site))
+            specs.append((link.id, ops))
         source = chain[0].inputs[0]
         last = chain[-1].id
 
         def kernel(env, ctx):
             x = env[source]
-            for link_id, ops, site in specs:
-                x = self._apply_ops(ops, x, ctx, ("mm", link_id), site)
+            for link_id, ops in specs:
+                x = self._apply_ops(ops, x, ctx, ("mm", link_id))
             env[last] = x
 
         return kernel
@@ -500,7 +480,6 @@ class KernelProgram:
         layer = node.attrs["layer"]
         ops = self.table.module_segment(midx, layer, epilogue=True)
         source, nid = node.inputs[0], node.id
-        site = ("module", midx, layer, "epilogue")
         # The epilogue runs in place; copy first unless it is the sole
         # consumer of its input.
         shared = len(graph.consumers(source)) > 1
@@ -509,7 +488,7 @@ class KernelProgram:
             x = env[source]
             if shared:
                 x = x.copy()
-            env[nid] = self._apply_ops(ops, x, ctx, ("epi", nid), site)
+            env[nid] = self._apply_ops(ops, x, ctx, ("epi", nid))
 
         return kernel
 
@@ -560,8 +539,7 @@ class KernelProgram:
         def kernel(env, ctx):
             x = env[source]
             for si, ops in enumerate(stages):
-                x = self._apply_ops(ops, x, ctx, ("head", nid, si),
-                                    ("ref", ref, si))
+                x = self._apply_ops(ops, x, ctx, ("head", nid, si))
             env[nid] = x
 
         return kernel
@@ -600,8 +578,7 @@ class KernelProgram:
             x = (gathered * weights[:, :, None]).sum(axis=1)
             x = np.concatenate([env[fine_f], x], axis=1)
             for si, ops in enumerate(stages):
-                x = self._apply_ops(ops, x, ctx, ("fp", nid, si),
-                                    ("ref", ref, si))
+                x = self._apply_ops(ops, x, ctx, ("fp", nid, si))
             env[nid] = x
 
         return kernel
@@ -715,12 +692,6 @@ class KernelProgram:
             "alloc": alloc,
             "pos": 0,
         }
-        # A hook exposing an ``observe`` method (the quantization
-        # CalibrationRecorder) additionally sees every linear segment's
-        # (site, input) — folded chain intermediates included.
-        observe = getattr(on_kernel, "observe", None)
-        if observe is not None:
-            ctx["observe"] = observe
         env = {}
         seen = set()
         for pos, (label, kernel) in enumerate(self._kernels):

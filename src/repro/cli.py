@@ -38,6 +38,11 @@ from .networks.registry import NETWORK_MODULES
 
 __all__ = ["main"]
 
+#: Longest ``--port`` request line the server buffers, newline excluded:
+#: about 8x the JSON of a 2048-point cloud.  A longer line is discarded
+#: up to its newline and answered with one error line.
+MAX_LINE_BYTES = 1 << 20
+
 
 def _serve_backend(name):
     return None if name == "eager" else name
@@ -220,7 +225,16 @@ def _cmd_serve(args):
                         with write_lock:
                             self.wfile.write(data)
 
-                    for raw in self.rfile:
+                    while raw := self.rfile.readline(MAX_LINE_BYTES + 1):
+                        if len(raw) > MAX_LINE_BYTES \
+                                and not raw.endswith(b"\n"):
+                            while raw and not raw.endswith(b"\n"):
+                                raw = self.rfile.readline(MAX_LINE_BYTES + 1)
+                            emit_socket({
+                                "id": None,
+                                "error": "request line longer than the "
+                                         f"{MAX_LINE_BYTES}-byte limit"})
+                            continue
                         # One bad byte must not kill the connection's
                         # handler: it becomes a JSON error response.
                         line = raw.decode(errors="replace").strip()
@@ -302,7 +316,7 @@ def build_parser():
     p_compile.add_argument("--strategy", default="delayed",
                            choices=("original", "delayed", "limited"))
     p_compile.add_argument("--backend", default="float64",
-                           choices=("float64", "float32", "int8"))
+                           choices=("float64", "float32"))
     p_compile.add_argument("--scale", type=float, default=0.125)
     p_compile.add_argument("--batch", type=int, default=8,
                            help="batch size whose arena is printed next to "
@@ -344,7 +358,7 @@ def build_parser():
     p_serve.add_argument("--workers", type=int, default=1,
                          help="batches in flight at once (1 = fully serial)")
     p_serve.add_argument("--serve-backend", default="eager",
-                         choices=("eager", "float32", "float64", "int8"),
+                         choices=("eager", "float32", "float64"),
                          help="execution path requests drain through: the "
                               "batched graph interpreter or a compiled "
                               "kernel backend")

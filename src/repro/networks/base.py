@@ -184,10 +184,9 @@ class PointCloudNetwork(Module):
     #: Canonical input size at paper scale.
     paper_n_points = 1024
 
-    def __init__(self, modules, rng=None):
+    def __init__(self, modules):
         super().__init__()
         self.encoder = list(modules)
-        self._rng = rng or np.random.default_rng(0)
         # Per-(instance, strategy) whole-network graph memo; built
         # lazily because subclasses attach heads after this runs.
         self._network_graphs = {}

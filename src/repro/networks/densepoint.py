@@ -60,7 +60,7 @@ class DensePoint(PointCloudNetwork):
         specs = [scale_spec(s, scale) for s, _ in staged]
         self._dense_flags = [flag for _, flag in staged]
         modules = [PointCloudModule(s, rng=rng) for s in specs]
-        super().__init__(modules, rng=rng)
+        super().__init__(modules)
         self.num_classes = num_classes
         self.head = FCHead([512, 256, 128, num_classes], rng=rng)
 

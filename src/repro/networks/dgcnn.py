@@ -57,7 +57,7 @@ class DGCNNClassification(PointCloudNetwork):
         rng = rng or np.random.default_rng(0)
         specs = [scale_spec(s, scale) for s in _CLS_SPECS]
         modules = [PointCloudModule(s, rng=rng) for s in specs]
-        super().__init__(modules, rng=rng)
+        super().__init__(modules)
         self.num_classes = num_classes
         skip_dim = sum(s.out_dim for s in specs)  # 64+64+128+256 = 512
         self.embed = SharedMLP([skip_dim, 1024], rng=rng)
@@ -92,7 +92,7 @@ class DGCNNSegmentation(PointCloudNetwork):
         rng = rng or np.random.default_rng(0)
         specs = [scale_spec(s, scale) for s in _SEG_SPECS]
         modules = [PointCloudModule(s, rng=rng) for s in specs]
-        super().__init__(modules, rng=rng)
+        super().__init__(modules)
         self.num_classes = num_classes
         skip_dim = sum(s.out_dim for s in specs)  # 64+64+64 = 192
         self.embed = SharedMLP([skip_dim, 1024], rng=rng)

@@ -49,7 +49,7 @@ class FPointNet(PointCloudNetwork):
         seg_specs = [scale_spec(s, scale) for s in _SEG_SPECS]
         box_specs = [scale_spec(s, scale) for s in _BOX_SPECS]
         modules = [PointCloudModule(s, rng=rng) for s in seg_specs]
-        super().__init__(modules, rng=rng)
+        super().__init__(modules)
         self.num_classes = num_classes
         n = [s.n_in for s in seg_specs]
         self.fp3 = FeaturePropagation("seg_fp3", n[2], (1024 + 256, 256, 256), rng=rng)

@@ -84,7 +84,7 @@ class GenericPointCloudNetwork(PointCloudNetwork):
         if specs[0].in_dim != 3:
             raise ValueError("the first module must consume 3-D coordinates")
         modules = [PointCloudModule(s, rng=rng) for s in specs]
-        super().__init__(modules, rng=rng)
+        super().__init__(modules)
         self.name = name
         self.task = task
         self.num_classes = head_dims[-1]

@@ -49,7 +49,7 @@ class LDGCNN(PointCloudNetwork):
         rng = rng or np.random.default_rng(0)
         specs = [scale_spec(s, scale) for s in _SPECS]
         modules = [PointCloudModule(s, rng=rng) for s in specs]
-        super().__init__(modules, rng=rng)
+        super().__init__(modules)
         self.num_classes = num_classes
         link_dim = 3 + sum(s.out_dim for s in specs)  # 3+64+64+64+128 = 323
         self.embed = SharedMLP([link_dim, 1024], rng=rng)

@@ -43,7 +43,7 @@ class PointNet2Classification(PointCloudNetwork):
         rng = rng or np.random.default_rng(0)
         specs = [scale_spec(s, scale) for s in _CLS_SPECS]
         modules = [PointCloudModule(s, rng=rng) for s in specs]
-        super().__init__(modules, rng=rng)
+        super().__init__(modules)
         self.num_classes = num_classes
         self.head = FCHead([1024, 512, 256, num_classes], dropout=dropout, rng=rng)
 
@@ -68,7 +68,7 @@ class PointNet2Segmentation(PointCloudNetwork):
         rng = rng or np.random.default_rng(0)
         specs = [scale_spec(s, scale) for s in _SEG_SPECS]
         modules = [PointCloudModule(s, rng=rng) for s in specs]
-        super().__init__(modules, rng=rng)
+        super().__init__(modules)
         self.num_classes = num_classes
         n = [s.n_in for s in specs]  # (2048, 512, 128) at paper scale
         # FP3 upsamples sa3 output onto sa2 centroids, etc. (skip concat).

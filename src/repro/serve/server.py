@@ -99,7 +99,7 @@ class Server:
         server its mixed-``N`` routing table.  Two runners with the
         same ``n_points`` are ambiguous and rejected.  A runner that
         stacks clouds in another dtype than float64 says so in
-        ``stack_dtype``; admission checks finiteness in it.
+        ``stack_dtype``; admission bounds coordinates by it.
     policy:
         A :class:`~repro.serve.batcher.BatchPolicy` (default: 8-deep
         batches, 64-deep queue).
@@ -235,11 +235,12 @@ class Server:
         converting it raised), an unroutable cloud raises immediately, a
         full queue raises :class:`~repro.serve.queue.QueueFull`, a
         closing server raises :class:`~repro.serve.queue.ServerClosed`.
-        A cloud with NaN or infinite coordinates — in the dtype its
-        runner stacks in (``stack_dtype``, float64 when a runner does not
-        say) — is refused here too (``ValueError``): served, it would
-        come back as confident finite logits or as NaNs, both
-        ``completed``.  Every refusal is counted ``rejected``.
+        A cloud with NaN or infinite coordinates, or with one too large
+        for the dtype its runner stacks in (``stack_dtype``, float64 when
+        a runner does not say) to search, is refused here too
+        (``ValueError``): served, it would come back as wrong finite
+        logits or as NaNs, both ``completed``.  Every refusal is counted
+        ``rejected``.
         ``request_id`` is kept as given; without one the server mints
         ``"r<n>"``.
         """
@@ -269,15 +270,20 @@ class Server:
         cloud = np.asarray(cloud, dtype=np.float64)
         if cloud.ndim != 2 or cloud.shape[1] != 3:
             raise ValueError(f"expected an (N, 3) cloud, got {cloud.shape}")
-        # Finite in float64 is not enough: a runner that stacks in
-        # float32 turns 1e39 into inf.
+        peak = np.abs(cloud).max(initial=0.0)
+        if not np.isfinite(peak):
+            raise ValueError("cloud has non-finite coordinates (NaN or inf)")
+        # Finite in float64 is not enough: a neighbor search sums three
+        # squared coordinate differences in the dtype the runner stacks
+        # in, so beyond sqrt(max) / (2 sqrt 3) a distance overflows and
+        # the answer is silently wrong (5.3e18 in float32).
         dtype = np.dtype(getattr(self._routes.get(cloud.shape[0]),
                                  "stack_dtype", np.float64))
-        with np.errstate(over="ignore"):
-            finite = np.isfinite(cloud.astype(dtype, copy=False)).all()
-        if not finite:
+        bound = np.sqrt(float(np.finfo(dtype).max)) / (2.0 * np.sqrt(3.0))
+        if peak > bound:
             raise ValueError(
-                f"cloud has non-finite coordinates (NaN or inf) in {dtype}")
+                f"cloud has a coordinate of magnitude {peak:.3g}, beyond "
+                f"{bound:.3g}, the largest a {dtype} neighbor search admits")
         if cloud.shape[0] not in self._routes:
             raise ServeError(
                 f"no hosted network serves n_points={cloud.shape[0]} "

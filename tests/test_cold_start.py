@@ -32,9 +32,11 @@ TIMEOUT = 120.0
 #: when the thread-overlap runtime was retired, and ``repro.engine``
 #: once more when its process-pool task helpers and the autotuner's
 #: bench row went, and again when the bench layer itself went;
-#: ``repro.graph`` lost three more when the network plan went.
+#: ``repro.graph`` lost three more when the network plan went;
+#: ``repro.backend`` lost five when the int8 backend went and the one
+#: float backend class folded into ``ArrayBackend``.
 FRONT_DOORS = [
-    ("repro", 12), ("repro.backend", 25), ("repro.core", 15),
+    ("repro", 12), ("repro.backend", 20), ("repro.core", 15),
     ("repro.data", 24), ("repro.engine", 5), ("repro.graph", 32),
     ("repro.hw", 27), ("repro.neighbors", 12), ("repro.networks", 25),
     ("repro.neural", 24), ("repro.profiling", 31), ("repro.serve", 17),

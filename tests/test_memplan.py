@@ -7,7 +7,8 @@ thread), planner-on
 bit-exactness across all seven networks and three strategies for
 serial, batched and threaded execution, an adversarial test that corrupts
 dead arena regions mid-run, parameter-table dedup and zero-copy
-transports (shared file + on-disk program cache), weight fingerprints,
+transports of float64 and float32 tables (shared file + on-disk
+program cache), weight fingerprints,
 and the engine/CLI integration (``program_cache=``, ``repro compile``,
 ``repro trace --memory``, the bench ``mem`` row).
 """
@@ -20,6 +21,7 @@ import stat
 import subprocess
 import sys
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -429,6 +431,40 @@ class TestParameterTable:
         cloud = cloud_for(net)
         assert_bit_exact(reference.run(cloud), program.run(cloud))
 
+    def test_float32_pack_roundtrip_preserves_ops_and_bits(self):
+        net = toy("PointNet++ (s)")
+        ngraph = net.network_graph("delayed")
+        table = ParameterTable.for_graph(ngraph,
+                                         backend=get_backend("float32"))
+        manifest, blob = table.pack()
+        restored = ParameterTable.from_buffer(manifest, blob)
+        assert restored.content_hash == table.content_hash
+        assert restored.verify_buffer()
+        for key, ops in table.entries.items():
+            for op, other in zip(ops, restored.entries[key], strict=True):
+                assert op[0] == other[0]
+                for a, b in zip(op[1:], other[1:], strict=True):
+                    if isinstance(a, np.ndarray):
+                        assert b.dtype == a.dtype == np.float32
+                        assert np.array_equal(a, b)
+                    else:
+                        assert a == b
+        program = compile_kernel_program(net, "delayed", backend="float32",
+                                         params=restored)
+        reference = compile_kernel_program(net, "delayed", backend="float32")
+        clouds = clouds_for(net, 2, seed=9)
+        assert_bit_exact(reference.run(clouds), program.run(clouds))
+
+    def test_packed_float32_blob_is_half_of_float64(self):
+        net = toy("PointNet++ (c)")
+        ngraph = net.network_graph("delayed")
+        blob64 = ParameterTable.for_graph(
+            ngraph, backend=get_backend("float64")).pack()[1]
+        blob32 = ParameterTable.for_graph(
+            ngraph, backend=get_backend("float32")).pack()[1]
+        # Half the bytes, plus at most a cache line of alignment each.
+        assert len(blob32) < 0.55 * len(blob64)
+
     def test_dtype_mismatch_rejected(self):
         net = toy("PointNet++ (s)")
         ngraph = net.network_graph("delayed")
@@ -813,6 +849,22 @@ class TestEngineIntegration:
             runner = BatchRunner(net, backend="float64",
                                  params=attach_table(descriptor))
             assert_bit_exact(reference, runner.run(clouds).outputs)
+        finally:
+            handle.close(unlink=True)
+
+    def test_attached_float32_shared_file_table_bit_exact(self):
+        # The served precision over the shared file: the consumer maps
+        # the packed float32 table as is, with no warning on the way.
+        net = toy("PointNet++ (c)")
+        clouds = clouds_for(net, 4, seed=5)
+        reference = BatchRunner(net, backend="float32").run(clouds).outputs
+        descriptor, handle = parameter_descriptor(net, "delayed", "float32")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                runner = BatchRunner(net, backend="float32",
+                                     params=attach_table(descriptor))
+                assert_bit_exact(reference, runner.run(clouds).outputs)
         finally:
             handle.close(unlink=True)
 

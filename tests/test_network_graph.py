@@ -363,8 +363,7 @@ class DeadSkipNetwork(PointCloudNetwork):
             ModuleSpec("d1", n_in=64, n_out=32, k=8, mlp_dims=(3, 16)),
             ModuleSpec("d2", n_in=32, n_out=8, k=8, mlp_dims=(16, 24)),
         ]
-        super().__init__([PointCloudModule(s, rng=rng) for s in specs],
-                         rng=rng)
+        super().__init__([PointCloudModule(s, rng=rng) for s in specs])
         self.include_dead = include_dead
         self.num_classes = 4
         self.head = FCHead([24, 4], rng=rng)

@@ -18,6 +18,7 @@ the dispatcher on a gated first call, queues requests behind it, then
 opens the gate.
 """
 
+import contextlib
 import json
 import os
 import re
@@ -35,6 +36,7 @@ import pytest
 
 import repro
 from repro.cli import (
+    MAX_LINE_BYTES,
     _build_server,
     _serve_backend,
     _serve_handle_line,
@@ -43,6 +45,7 @@ from repro.cli import (
 from repro.engine import BatchRunner, ParallelRunner
 from repro.engine.runner import BatchResult
 from repro.networks import build_network
+from repro.neural import Linear
 from repro.serve import (
     BatchPolicy,
     FairQueue,
@@ -623,18 +626,9 @@ class TestHostileRequests:
             assert answered.wait(TIMEOUT)
             assert answers[-1]["id"] == 8 and "output" in answers[-1]
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
-    @pytest.mark.parametrize("backend, coordinate, rejected", [
-        ("eager", 1e308, 0), ("float64", 1e308, 0),
-        ("float32", 1e39, 1), ("int8", 1e39, 1),
-    ])
-    def test_overflowing_cloud_is_answered_in_strict_json(
-            self, small_net, backend, coordinate, rejected):
-        # Finite in float64 is not finite as served: 1e39 is inf in the
-        # float32 stack (refused at admission), and 1e308 overflows the
-        # float64 network into NaN logits (answered with an error).
-        # RFC 8259 has no NaN, so neither may reach the response line.
+    @staticmethod
+    def _answer_one(net, backend, cloud):
+        """Serve ``cloud`` on ``net`` through the line front door."""
         answers = []
         answered = threading.Event()
 
@@ -642,20 +636,60 @@ class TestHostileRequests:
             answers.append(payload)
             answered.set()
 
-        cloud = np.full((small_net.n_points, 3), coordinate)
-        line = json.dumps({"id": "big", "cloud": cloud.tolist()})
-        with Server.hosting([small_net],
-                            backend=_serve_backend(backend)) as server:
+        line = json.dumps({"id": "big", "cloud": np.asarray(cloud).tolist()})
+        with Server.hosting([net], backend=_serve_backend(backend)) as server:
             _serve_handle_line(server, line, emit)
             assert answered.wait(TIMEOUT)
             stats = server.stats()
         [answer] = answers
         json.dumps(answer, allow_nan=False)  # strict JSON
-        assert answer["id"] == "big" and "output" not in answer
-        expected = "non-finite coordinates" if rejected \
-            else "output is not finite"
-        assert expected in answer["error"]
-        assert stats["rejected"] == rejected
+        assert answer["id"] == "big"
+        return answer, stats
+
+    @pytest.mark.parametrize("backend, coordinate", [
+        ("eager", 1e308), ("float64", 1e308),
+        ("float32", 1e39), ("float32", 1e20),
+    ])
+    def test_overflowing_cloud_is_answered_in_strict_json(
+            self, small_net, backend, coordinate):
+        # Finite in float64 is not searchable as served: a squared
+        # distance overflows past sqrt(max) / (2 sqrt 3) of the stack
+        # dtype (5.3e18 in float32, 3.9e153 in float64), so the cloud
+        # is refused at admission instead of answered wrong or as NaN.
+        cloud = np.full((small_net.n_points, 3), coordinate)
+        answer, stats = self._answer_one(small_net, backend, cloud)
+        assert "output" not in answer
+        assert "the largest a" in answer["error"]
+        assert (stats["rejected"], stats["submitted"]) == (1, 0)
+
+    def test_cloud_at_the_float32_bound_is_answered_within_contract(
+            self, small_net, small_clouds):
+        bound = np.sqrt(float(np.finfo(np.float32).max)) / (2 * np.sqrt(3))
+        cloud = small_clouds[0] * (bound / np.abs(small_clouds[0]).max())
+        assert np.abs(cloud).max() <= bound
+        answer, stats = self._answer_one(small_net, "float32", cloud)
+        assert stats["rejected"] == 0
+        expected = BatchRunner(small_net, backend="float64").run(
+            cloud[None]).outputs[0]
+        observed = np.asarray(answer["output"])
+        assert np.abs(observed - expected).max() \
+            <= 1e-4 * np.abs(expected).max()
+        assert observed.argmax() == expected.argmax()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_non_finite_output_is_answered_in_strict_json(self):
+        # An in-range cloud through weights that overflow float64: the
+        # cloud is admitted, and the output guard answers with an error.
+        net = build_network("PointNet++ (c)", scale=0.0625)
+        for module in net.modules():
+            if isinstance(module, Linear):
+                module.weight.data *= 1e100
+        cloud = np.random.default_rng(3).normal(size=(net.n_points, 3))
+        answer, stats = self._answer_one(net, "float64", cloud)
+        assert "output" not in answer
+        assert "output is not finite" in answer["error"]
+        assert (stats["rejected"], stats["completed"]) == (0, 1)
 
     @pytest.mark.parametrize("cloud", [
         [[1, 2]] * 2, [], "abc", [[[1, 2, 3]]], [[1, 2, 3], [4]],
@@ -681,7 +715,10 @@ class TestHostileRequests:
         json.dumps(answer, allow_nan=False)  # strict JSON
         assert answer["id"] is None and "NaN or Infinity" in answer["error"]
 
-    def test_tcp_handler_survives_undecodable_bytes(self):
+    @staticmethod
+    @contextlib.contextmanager
+    def _tcp_connection():
+        """A ``repro serve --port 0`` child and a connection to it."""
         env = dict(os.environ,
                    PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
         proc = subprocess.Popen(
@@ -704,17 +741,9 @@ class TestHostileRequests:
                 announced += chunk
                 match = re.search(rb"127\.0\.0\.1:(\d+)", announced)
                 port = int(match.group(1)) if match else None
-            cloud = np.random.default_rng(5).normal(size=(64, 3)).tolist()
             with socket.create_connection(("127.0.0.1", port),
                                           timeout=TIMEOUT) as conn:
-                reader = conn.makefile("rb")
-                conn.sendall(b'\xff\xfe{"id": "bad"}\n')
-                refused = json.loads(reader.readline())
-                conn.sendall(
-                    json.dumps({"id": "ok", "cloud": cloud}).encode() + b"\n")
-                served = json.loads(reader.readline())
-            assert refused["id"] is None and "error" in refused
-            assert served["id"] == "ok" and len(served["output"]) > 0
+                yield conn, conn.makefile("rb")
             proc.terminate()  # SIGTERM drains and exits 0
             assert proc.wait(timeout=TIMEOUT) == 0
         finally:
@@ -722,6 +751,32 @@ class TestHostileRequests:
                 proc.kill()
             proc.wait(timeout=TIMEOUT)
             proc.stderr.close()
+
+    def test_tcp_handler_survives_undecodable_bytes(self):
+        cloud = np.random.default_rng(5).normal(size=(64, 3)).tolist()
+        with self._tcp_connection() as (conn, reader):
+            conn.sendall(b'\xff\xfe{"id": "bad"}\n')
+            refused = json.loads(reader.readline())
+            conn.sendall(
+                json.dumps({"id": "ok", "cloud": cloud}).encode() + b"\n")
+            served = json.loads(reader.readline())
+        assert refused["id"] is None and "error" in refused
+        assert served["id"] == "ok" and len(served["output"]) > 0
+
+    def test_tcp_handler_bounds_a_request_line(self):
+        # An over-long line is discarded up to its newline and answered
+        # with one error line; the connection goes on serving.
+        cloud = np.random.default_rng(5).normal(size=(64, 3)).tolist()
+        with self._tcp_connection() as (conn, reader):
+            conn.sendall(b'{"id": "long", "cloud": "'
+                         + b"x" * (2 * MAX_LINE_BYTES) + b'"}\n')
+            refused = json.loads(reader.readline())
+            conn.sendall(
+                json.dumps({"id": "ok", "cloud": cloud}).encode() + b"\n")
+            served = json.loads(reader.readline())
+        assert refused["id"] is None
+        assert f"{MAX_LINE_BYTES}-byte limit" in refused["error"]
+        assert served["id"] == "ok" and len(served["output"]) > 0
 
     @pytest.mark.parametrize("argv, reason", [
         (["--network", "PointNet (x)"], "unknown network 'PointNet (x)'"),
@@ -853,6 +908,17 @@ class TestCommandLine:
             build_parser().parse_args(["bench"])
         assert exc.value.code == 2
         assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--serve-backend", "int8"],
+        ["compile", "--backend", "int8"],
+    ], ids=["serve", "compile"])
+    def test_int8_is_not_a_backend_choice(self, argv, capsys):
+        # The two float precisions are the only kernel backends.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "invalid choice: 'int8'" in capsys.readouterr().err
 
 
 # ----------------------------------------------------- engine drain hooks

@@ -448,20 +448,23 @@ class TestShardRouter:
                           stub_cloud(value=np.nan)):
                 with pytest.raises((ServeError, ValueError)):
                     front.submit(cloud)
+            # Refused at admission, before any replica queue is tried.
+            with pytest.raises(ValueError, match="neighbor search admits"):
+                front.submit(stub_cloud(value=1e200))
         finally:
             gate.set()
             router.close()
         stats = front.stats()
         assert refused >= 190
-        assert stats["rejected"] == refused + 4
+        assert stats["rejected"] == refused + 5
         assert stats["completed"] == 200 - refused
         assert stats["completed"] + stats["failed"] + stats["rejected"] \
-            == 204
+            == 205
         if n_shards > 1:
             assert stats["routing"]["rejected"] == stats["rejected"]
             assert stats["routing"]["unroutable"] == 1
         _print_serve_stats(stats)
-        assert f"rejected {refused + 4}, failed 0)" in capsys.readouterr().err
+        assert f"rejected {refused + 5}, failed 0)" in capsys.readouterr().err
 
     def test_no_dropped_or_duplicated_ids_under_concurrency(self):
         router = stub_router(n_shards=2, n_points=8, max_queue=4096)
@@ -672,7 +675,7 @@ class TestShardExactness:
                                                      tiny_clouds, strategy):
         self._assert_exact(tiny_net, tiny_clouds, strategy, None)
 
-    @pytest.mark.parametrize("backend", [None, "float64", "float32", "int8"])
+    @pytest.mark.parametrize("backend", [None, "float64", "float32"])
     def test_bit_exact_vs_direct_replay_per_backend(self, tiny_net,
                                                     tiny_clouds, backend):
         self._assert_exact(tiny_net, tiny_clouds, "delayed", backend)
