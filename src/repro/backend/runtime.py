@@ -195,13 +195,22 @@ class KernelProgram:
         return ctx["alloc"].request(key, shape, ctx["pos"])
 
     def _apply_ops(self, ops, x, ctx, key):
-        """Run one packed segment's ops; GEMMs go to preallocated buffers."""
+        """Run one packed segment's ops; GEMMs go to preallocated buffers.
+
+        A BLAS call never mixes clouds: the flat cloud-major rows are
+        viewed as a ``(batch, rows, K)`` stack, which numpy multiplies as
+        one GEMM per cloud — the very call the cloud makes alone — so a
+        cloud's bits do not depend on what shares its stack.
+        """
         backend = self.backend
+        batch = ctx["batch"]
         for i, op in enumerate(ops):
             kind = op[0]
             if kind == "linear":
                 out = self._buffer(ctx, (key, i), (x.shape[0], op[1].shape[1]))
-                x = backend.matmul(x, op[1], out=out)
+                backend.matmul(x.reshape(batch, -1, x.shape[1]), op[1],
+                               out=out.reshape(batch, -1, out.shape[1]))
+                x = out
                 if op[2] is not None:
                     backend.add_bias(x, op[2])
             elif kind == "bias":

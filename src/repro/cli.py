@@ -256,8 +256,11 @@ def _cmd_serve(args):
             print(f"serving n_points in [{sizes}] on stdin "
                   "(one JSON request per line; EOF drains and exits)",
                   file=sys.stderr)
-            for raw in sys.stdin:
-                line = raw.strip()
+            # Bytes, decoded with replacement as over --port: a line
+            # that is not UTF-8 (or a last line cut inside a character)
+            # fails as JSON instead of killing the loop.
+            for raw in sys.stdin.buffer:
+                line = raw.decode(errors="replace").strip()
                 if line:
                     _serve_handle_line(server, line, emit)
     except KeyboardInterrupt:

@@ -256,7 +256,8 @@ class PointCloudModule(Module):
         The executor runs the neighbor search over the stack
         (cloud-local indices), lifts the indices into the flat row
         space, and then every graph node processes the whole batch as
-        one tall matrix — the same arithmetic per row at every height.
+        flat rows — every Linear as one GEMM per cloud, so each cloud
+        gets the same bits at every height.
 
         Returns a :class:`BatchModuleOutput`.
         """

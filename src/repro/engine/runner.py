@@ -45,13 +45,10 @@ class BatchResult:
     def per_cloud(self):
         """Split the stacked outputs back into one output per cloud.
 
-        The inverse of
-        :meth:`~repro.networks.base.PointCloudNetwork.stack_outputs`, and
-        the demultiplexing hook the serving frontend uses to hand each
+        The demultiplexing hook the serving frontend uses to hand each
         request its own response: (B, ...) arrays split along the batch
-        axis, detection dicts split value-wise, and per-cloud lists
-        (how :meth:`BatchRunner.run_sequential` stacks detection
-        outputs) pass through.  Always returns plain ndarray leaves.
+        axis, detection dicts split value-wise.  Always returns plain
+        ndarray leaves.
         """
         out = self.outputs
         if isinstance(out, (Tensor, np.ndarray)):
@@ -66,17 +63,6 @@ class BatchResult:
             return [
                 {key: _leaf_array(value)[b] for key, value in out.items()}
                 for b in range(self.batch_size)
-            ]
-        if isinstance(out, (list, tuple)):
-            if len(out) != self.batch_size:
-                raise ValueError(
-                    f"cannot split {len(out)} outputs into "
-                    f"{self.batch_size} per-cloud responses"
-                )
-            return [
-                {key: _leaf_array(value) for key, value in item.items()}
-                if isinstance(item, dict) else _leaf_array(item)
-                for item in out
             ]
         raise TypeError(f"unsupported output structure {type(out).__name__}")
 
@@ -157,8 +143,8 @@ class BatchRunner:
         kernel = self._kernel_executor
         return np.dtype(np.float64) if kernel is None else kernel.backend.dtype
 
-    def _stack(self, clouds, dtype=np.float64):
-        batch = np.asarray(clouds, dtype=dtype)
+    def _stack(self, clouds):
+        batch = np.asarray(clouds, dtype=self.stack_dtype)
         if batch.ndim == 2:
             batch = batch[None]
         n = self.network.n_points
@@ -194,7 +180,7 @@ class BatchRunner:
         compiled kernel program; otherwise through the batched graph
         interpreter (:meth:`~repro.networks.base.PointCloudNetwork.forward_batch`).
         """
-        batch = self._stack(clouds, dtype=self.stack_dtype)
+        batch = self._stack(clouds)
         start = time.perf_counter()
         with no_grad(), self._context():
             if self._kernel_executor is not None:
@@ -217,16 +203,3 @@ class BatchRunner:
 
     def __exit__(self, *exc):
         self.close()
-
-    def run_sequential(self, clouds):
-        """Per-cloud loop under the same context — the batching baseline."""
-        batch = self._stack(clouds)
-        start = time.perf_counter()
-        with no_grad(), self._context():
-            outputs = [
-                self.network.forward(batch[b], strategy=self.strategy)
-                for b in range(len(batch))
-            ]
-        seconds = time.perf_counter() - start
-        stacked = type(self.network).stack_outputs(outputs)
-        return self._result(stacked, len(batch), seconds)

@@ -6,9 +6,9 @@ Coordinates are ``(batch, n, 3)`` stacks and features flat
 ``(batch * n, C)`` tensors in cloud-major row order; the neighbor
 search runs over the stack, the resulting cloud-local indices are
 lifted into the flat row space, and every downstream node processes the
-whole stack as one tall matrix — the same arithmetic per row at every
-height, which is why a stack of one agrees bit for bit with the same
-cloud inside a taller stack.  The single-cloud front doors
+whole stack as flat rows.  No BLAS call mixes clouds: every Linear runs
+through :func:`per_cloud`, one GEMM per cloud, so a cloud gets the same
+bits alone as at any place in any stack.  The single-cloud front doors
 (:meth:`repro.core.module.PointCloudModule.forward`,
 :meth:`repro.networks.base.PointCloudNetwork.forward`) lift with
 ``cloud[None]`` and unwrap the result; the executor never looks at
@@ -42,7 +42,32 @@ from ..neural import Tensor, concat
 from ..neural.layers import Linear
 from .network import MODULE_KINDS
 
-__all__ = ["ExecutionResult", "GraphExecutor", "OpRecorder"]
+__all__ = ["ExecutionResult", "GraphExecutor", "OpRecorder", "per_cloud"]
+
+
+def _per_cloud_matmul(x, weight, nclouds):
+    """``x @ weight`` over flat cloud-major rows, one GEMM per cloud."""
+    rows, k = x.shape
+    out = x.reshape(nclouds, rows // nclouds, k) @ weight
+    return out.reshape(rows, out.shape[-1])
+
+
+def per_cloud(layers, x, nclouds):
+    """Run ``layers`` over the flat rows of ``nclouds`` stacked clouds.
+
+    A BLAS call never mixes clouds: each Linear multiplies the rows as a
+    ``(nclouds, rows, K)`` stack, which numpy runs as one GEMM per cloud —
+    the very call the cloud makes alone — so a cloud's bits do not
+    depend on what shares its stack.  Other layers are row-wise.
+    """
+    for layer in layers:
+        if isinstance(layer, Linear):
+            x = _per_cloud_matmul(x, layer.weight, nclouds)
+            if layer.bias is not None:
+                x = x + layer.bias
+        else:
+            x = layer(x)
+    return x
 
 
 @dataclass
@@ -116,6 +141,7 @@ class GraphExecutor:
         shares one set across branches).
         """
         segments, state = self._init_run(module)
+        self._nclouds = coords.shape[0]
 
         env = {}
         for node in graph:
@@ -296,11 +322,9 @@ class GraphExecutor:
     def _matmul(self, node, x, segments, state):
         segment = segments[node.attrs["layer"]]
         if node.attrs.get("weight_only"):
-            out = x @ segment[0].weight
+            out = _per_cloud_matmul(x, segment[0].weight, self._nclouds)
         else:
-            out = x
-            for layer in segment:
-                out = layer(out)
+            out = per_cloud(segment, x, self._nclouds)
         if self.recorder is not None:
             self.recorder.record("matmul", rows=x.shape[0], in_dim=x.shape[1],
                          out_dim=out.shape[1])
@@ -354,7 +378,8 @@ class GraphExecutor:
             stage = env[node.inputs[0]]
             return Tensor(stage.reshape(-1, stage.shape[-1]).copy())
         if kind == "head":
-            out = ngraph.refs[node.attrs["ref"]](env[node.inputs[0]])
+            out = per_cloud(ngraph.refs[node.attrs["ref"]].export_layers(),
+                            env[node.inputs[0]], nclouds)
             if self.recorder is not None:
                 self.recorder.record("head", rows=out.shape[0],
                                      dims=node.attrs["dims"])

@@ -32,7 +32,7 @@ import numpy as np
 from ..core import ModuleSpec
 from ..graph import build_network_graph
 from ..neighbors import neighbor_search
-from ..neural import Dropout, Linear, Module, ReLU, Sequential, Tensor, concat, stack
+from ..neural import Dropout, Linear, Module, ReLU, Sequential, Tensor, concat
 
 __all__ = [
     "FCHead",
@@ -129,8 +129,11 @@ class FeaturePropagation(Module):
         ``fine_feats``/``coarse_feats`` are flat (B * n, C) Tensors in
         cloud-major order (``fine_feats`` may be None, as on the first
         decoder level).  The three-nearest search runs over the stack;
-        the inverse-distance interpolation then works on flat rows.
+        the inverse-distance interpolation then works on flat rows, and
+        the MLP runs one GEMM per cloud (:func:`~repro.graph.executors.per_cloud`).
         """
+        from ..graph.executors import per_cloud
+
         batch, n_fine = fine_coords.shape[0], fine_coords.shape[1]
         n_coarse = coarse_coords.shape[1]
         k = min(self.K, n_coarse)
@@ -144,7 +147,7 @@ class FeaturePropagation(Module):
         interpolated = (gathered * flat_w).sum(axis=1)
         if fine_feats is not None:
             interpolated = concat([fine_feats, interpolated], axis=1)
-        return self.mlp(interpolated)
+        return per_cloud(self.export_layers(), interpolated, batch)
 
 
 def _only_cloud(ngraph, stacked):
@@ -284,21 +287,6 @@ class PointCloudNetwork(Module):
         return _only_cloud(
             ngraph, GraphExecutor().run_composed(ngraph, self, coords[None])
         )
-
-    @staticmethod
-    def stack_outputs(outputs):
-        """Stack per-cloud forward outputs along a new batch axis.
-
-        The single source of truth for the output convention: (1, C)
-        classification logits concatenate to (B, C); (n, C) per-point
-        logits stack to (B, n, C); anything else (detection dicts) is
-        returned as a plain list.
-        """
-        if all(isinstance(out, Tensor) for out in outputs):
-            if outputs[0].ndim == 2 and outputs[0].shape[0] == 1:
-                return concat(outputs, axis=0)  # classification: (B, C)
-            return stack(outputs, axis=0)  # segmentation: (B, n, C)
-        return outputs
 
     # -- tracing ------------------------------------------------------------
 

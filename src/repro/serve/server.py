@@ -27,10 +27,8 @@ tenants.  The request lifecycle:
    (:meth:`~repro.engine.runner.BatchResult.per_cloud`) and each
    request's future resolves to a :class:`ServeResponse`.
 
-Because the runners execute the exact same programs as direct
-``BatchRunner.run`` calls, every response is bit-exact against a
-direct call on the sub-batch it rode in, on every backend — the serve
-and shard tests replay each formed sub-batch to check exactly that.
+No BLAS call mixes clouds, so a response equals its cloud served
+alone, bit for bit, on every backend — whatever shared its stack.
 """
 
 from __future__ import annotations
@@ -59,12 +57,9 @@ class ServeResponse:
     ``latency_ms`` is admission -> response (what the client feels).
     ``request_id`` is the id the caller passed, unchanged (any value),
     or the minted ``"r<n>"`` when it passed none.
-    ``batch_ids`` names every request that shared the kernel call, in
-    stack order — batched float64 GEMMs are bit-reproducible for a
-    given stack but not across different stack heights (BLAS blocking
-    changes with the matrix shape), so exact-correctness checks replay
-    the *same composition* through a direct runner call rather than
-    comparing against a differently-batched run.
+    ``output`` equals the cloud served alone, bit for bit, on every
+    backend.  ``batch_ids`` records batch formation: every request that
+    shared the kernel call, in stack order.
     """
 
     request_id: object
@@ -76,8 +71,7 @@ class ServeResponse:
     latency_ms: float
     #: Which replica served the request — 0 for a standalone server,
     #: the owning replica's shard id behind a
-    #: :class:`~repro.serve.shard.ShardRouter` (exact-replay checks
-    #: use it to pick the runner that actually formed the sub-batch).
+    #: :class:`~repro.serve.shard.ShardRouter`.
     shard: int = 0
 
     @property

@@ -1,0 +1,67 @@
+"""Helpers the test modules share: toy networks, seeded clouds, and
+bit-exact comparison across every output structure.
+
+Test modules import them by name (``from conftest import toy``).
+"""
+
+import numpy as np
+
+from repro.core import ModuleSpec
+from repro.networks import build_network
+from repro.networks.generic import GenericPointCloudNetwork
+
+#: One-module toys whose centroid count sits on each side of every edge
+#: of the aggregate kernel's per-cloud chunk rule (one chunk up to 8
+#: centroids, then ceil(n_out / 8) per chunk with a floor of 8; a stack
+#: of B takes B chunks to a pass), so full, partial (63 -> 7, 65 -> 2)
+#: and single-centroid (9 -> 1) last chunks all occur.  :func:`toy`
+#: builds them by name.
+CHUNK_EDGE_TOYS = {f"{rows}-centroid toy": rows
+                   for rows in (1, 7, 8, 9, 63, 64, 65)}
+
+
+def toy(name, seed=0, scale=None):
+    """A small seeded network with 4 classes: a benchmark network at
+    ``scale`` (default 1/32 of paper scale for segmentation, 1/16
+    otherwise), or one of the :data:`CHUNK_EDGE_TOYS`."""
+    rng = np.random.default_rng(seed)
+    if name in CHUNK_EDGE_TOYS:
+        spec = ModuleSpec("m", n_in=96, n_out=CHUNK_EDGE_TOYS[name], k=6,
+                          mlp_dims=(3, 16, 24))
+        return GenericPointCloudNetwork([spec], head_dims=(24, 4), name=name,
+                                        rng=rng)
+    if scale is None:
+        scale = 0.03125 if "(s)" in name else 0.0625
+    return build_network(name, num_classes=4, scale=scale, rng=rng)
+
+
+def cloud_for(net, seed=0):
+    """One seeded ``(n_points, 3)`` cloud for ``net``."""
+    return np.random.default_rng(seed).normal(size=(net.n_points, 3))
+
+
+def clouds_for(net, batch, seed=0):
+    """A seeded ``(batch, n_points, 3)`` stack of clouds for ``net``."""
+    return np.random.default_rng(seed).normal(size=(batch, net.n_points, 3))
+
+
+def leaves(ref, out):
+    """Yield (reference, other) array pairs across the output structure."""
+    if isinstance(ref, dict):
+        assert set(ref) == set(out)
+        for key in ref:
+            yield from leaves(ref[key], out[key])
+    elif isinstance(ref, (list, tuple)):
+        assert len(ref) == len(out)
+        for a, b in zip(ref, out):
+            yield from leaves(a, b)
+    else:
+        yield (
+            np.asarray(ref.data if hasattr(ref, "data") else ref),
+            np.asarray(out.data if hasattr(out, "data") else out),
+        )
+
+
+def assert_bit_exact(ref, out):
+    for a, b in leaves(ref, out):
+        assert np.array_equal(a, b)

@@ -16,6 +16,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import CHUNK_EDGE_TOYS, assert_bit_exact, cloud_for, clouds_for, leaves, toy
 from repro.backend import (
     ArrayBackend,
     NetworkKernelExecutor,
@@ -24,66 +25,12 @@ from repro.backend import (
     get_backend,
     registered_backends,
 )
-from repro.core import ModuleSpec
+from repro.core import STRATEGIES
 from repro.engine import BatchRunner, NeighborIndexCache, ParallelRunner
 from repro.graph import GraphExecutor
 from repro.neighbors import neighbor_search
 from repro.networks import ALL_NETWORKS, build_network
-from repro.networks.generic import GenericPointCloudNetwork
 from repro.neural import BatchNorm, Dropout, Linear, ReLU, SharedMLP, Tensor, no_grad
-
-STRATEGIES = ("original", "delayed", "limited")
-
-#: One-module toys whose centroid count sits on each side of every edge
-#: of the aggregate kernel's per-cloud chunk rule (one chunk up to 8
-#: centroids, then ceil(n_out / 8) per chunk with a floor of 8; a stack
-#: of B takes B chunks to a pass), so full, partial (63 -> 7, 65 -> 2)
-#: and single-centroid (9 -> 1) last chunks all occur.  The equivalence
-#: matrix runs each as one cloud and as a stack of 3;
-#: ``test_chunk_edge_toys_at_heights_1_3_8`` adds 8 on one program.
-CHUNK_EDGE_TOYS = {f"{rows}-centroid toy": rows
-                   for rows in (1, 7, 8, 9, 63, 64, 65)}
-
-
-def toy(name, seed=0):
-    if name in CHUNK_EDGE_TOYS:
-        spec = ModuleSpec("m", n_in=96, n_out=CHUNK_EDGE_TOYS[name], k=6,
-                          mlp_dims=(3, 16, 24))
-        return GenericPointCloudNetwork([spec], head_dims=(24, 4), name=name,
-                                        rng=np.random.default_rng(seed))
-    scale = 0.03125 if "(s)" in name else 0.0625
-    return build_network(name, num_classes=4, scale=scale,
-                         rng=np.random.default_rng(seed))
-
-
-def cloud_for(net, seed=0):
-    return np.random.default_rng(seed).normal(size=(net.n_points, 3))
-
-
-def clouds_for(net, batch, seed=0):
-    return np.random.default_rng(seed).normal(size=(batch, net.n_points, 3))
-
-
-def leaves(ref, out):
-    """Yield (reference, other) array pairs across the output structure."""
-    if isinstance(ref, dict):
-        assert set(ref) == set(out)
-        for key in ref:
-            yield from leaves(ref[key], out[key])
-    elif isinstance(ref, (list, tuple)):
-        assert len(ref) == len(out)
-        for a, b in zip(ref, out):
-            yield from leaves(a, b)
-    else:
-        yield (
-            np.asarray(ref.data if hasattr(ref, "data") else ref),
-            np.asarray(out.data if hasattr(out, "data") else out),
-        )
-
-
-def assert_bit_exact(ref, out):
-    for a, b in leaves(ref, out):
-        assert np.array_equal(a, b)
 
 
 def assert_close_with_same_top1(ref, out, rel=1e-4):
@@ -324,6 +271,14 @@ class TestFloat32Programs:
                     assert b.dtype == np.float32
             assert_bit_exact(outputs[3], kernel.run_network(ngraph, net,
                                                             clouds[:3]))
+            # No BLAS call mixes clouds: every row of a stack is the row
+            # its cloud gets alone.
+            alone = [kernel.run_network(ngraph, net, clouds[b:b + 1])
+                     for b in range(8)]
+            for height in (3, 8):
+                for b in range(height):
+                    for one, row in leaves(alone[b], outputs[height]):
+                        assert np.array_equal(one[0], row[b])
             # The single-cloud front door lifts to a stack of one.
             single = net.forward(clouds[0], strategy=strategy,
                                  executor=kernel)
@@ -365,13 +320,13 @@ class TestEngineIntegration:
     def test_batch_runner_kernel_stacks_of_one_match_sequential(self):
         net = toy("PointNet++ (c)")
         clouds = clouds_for(net, 3)
+        eager = BatchRunner(net)
         with BatchRunner(net, backend="float64") as runner:
             assert runner.backend == "float64"
-            # The serial per-cloud eager loop is the bit-exactness
-            # baseline (batched GEMM blocking differs in the last ulp).
-            sequential = runner.run_sequential(clouds)
             one_by_one = [runner.run(cloud[None]).outputs for cloud in clouds]
-        assert np.array_equal(sequential.outputs, np.concatenate(one_by_one))
+        sequential = [eager.run(cloud[None]).outputs for cloud in clouds]
+        assert np.array_equal(np.concatenate(sequential),
+                              np.concatenate(one_by_one))
 
     def test_kernel_searches_share_the_runner_cache(self):
         net = toy("PointNet++ (c)")

@@ -6,6 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from conftest import toy
 from repro.engine import (
     BatchRunner,
     NeighborIndexCache,
@@ -28,23 +29,18 @@ def random_clouds(batch=4, n=120, d=3, seed=0):
     return np.random.default_rng(seed).normal(size=(batch, n, d))
 
 
-def toy(name):
-    scale = 0.03125 if "(s)" in name else 0.0625
-    return build_network(name, num_classes=4, scale=scale)
-
-
 def cloud_leaves(result):
-    """Each cloud's output leaves, flattened, in key order.
-
-    Flattening puts every output convention on one footing: a batched
-    run splits a detection dict into per-cloud rows, while the
-    sequential baseline keeps each cloud's ``(1, C)`` box row.
-    """
+    """Each cloud's output leaves, flattened, in key order."""
     return [
         [np.ravel(item[key]) for key in sorted(item)]
         if isinstance(item, dict) else [np.ravel(item)]
         for item in result.per_cloud()
     ]
+
+
+def alone(runner, clouds):
+    """Each cloud's output leaves, served through ``runner`` alone."""
+    return [cloud_leaves(runner.run(cloud[None]))[0] for cloud in clouds]
 
 
 class TestBatchedBrute:
@@ -595,10 +591,9 @@ class TestBatchRunner:
         net = build_network("DGCNN (c)", num_classes=4, scale=0.0625)
         clouds = random_clouds(2, net.n_points, seed=44)
         runner = BatchRunner(net)
-        np.testing.assert_allclose(
+        np.testing.assert_array_equal(
             runner.run(clouds).outputs,
-            runner.run_sequential(clouds).outputs,
-            atol=1e-6,
+            np.concatenate([runner.run(c[None]).outputs for c in clouds]),
         )
 
     def test_shape_validation(self):
@@ -617,11 +612,11 @@ class TestBatchRunnerPaths:
     def test_stacks_of_one_bit_exact_vs_sequential(self, backend, name):
         # A request served alone is a stack of one: through the graph
         # interpreter or the float64 kernel program, its outputs equal
-        # the eager per-cloud forward bit for bit.
+        # the eager runner's, cloud by cloud, bit for bit.
         net = toy(name)
         clouds = random_clouds(2, net.n_points, seed=50)
         runner = BatchRunner(net, backend=backend)
-        expected = cloud_leaves(runner.run_sequential(clouds))
+        expected = alone(BatchRunner(net), clouds)
         for b, cloud in enumerate(clouds):
             (got,) = cloud_leaves(runner.run(cloud[None]))
             assert len(got) == len(expected[b])
@@ -634,12 +629,12 @@ class TestBatchRunnerPaths:
         clouds = random_clouds(3, net.n_points, seed=51)
         runner = BatchRunner(net)
         batched = cloud_leaves(runner.run(clouds))
-        sequential = cloud_leaves(runner.run_sequential(clouds))
+        sequential = alone(runner, clouds)
         assert len(batched) == len(sequential) == 3
         for got, want in zip(batched, sequential):
             assert len(got) == len(want)
             for leaf, expected in zip(got, want):
-                np.testing.assert_allclose(leaf, expected, atol=1e-6)
+                np.testing.assert_array_equal(leaf, expected)
 
     def test_repeated_clouds_in_one_stack_search_once(self):
         # The same cloud four times in one stack: the cache ends up with
@@ -652,8 +647,9 @@ class TestBatchRunnerPaths:
         stats = cache.stats()
         assert stats["misses"] == len(net.encoder)
         assert stats["hits"] == 3 * len(net.encoder)
-        expected = BatchRunner(net).run_sequential(clouds)
-        np.testing.assert_allclose(result.outputs, expected.outputs, atol=1e-6)
+        expected = BatchRunner(net).run(cloud[None]).outputs
+        for row in result.outputs:
+            np.testing.assert_array_equal(row, expected[0])
 
     @pytest.mark.parametrize("name", ALL_NETWORKS)
     @pytest.mark.parametrize("backend", [None, "float32"])

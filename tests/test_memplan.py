@@ -28,6 +28,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import assert_bit_exact, clouds_for, leaves, toy
 from repro.backend import (
     NetworkKernelExecutor,
     ParameterTable,
@@ -43,29 +44,12 @@ from repro.backend import (
 )
 from repro.backend.aot import FORMAT, _share_dir
 from repro.backend.runtime import _MeasuringPool
-from repro.core import ModuleSpec
+from repro.core import STRATEGIES, ModuleSpec
 from repro.engine import BatchRunner
 from repro.graph import value_liveness
 from repro.networks import ALL_NETWORKS, build_network
 from repro.networks.generic import GenericPointCloudNetwork
 from repro.neural import no_grad
-
-STRATEGIES = ("original", "delayed", "limited")
-
-
-def toy(name, seed=0):
-    scale = 0.03125 if "(s)" in name else 0.0625
-    return build_network(name, num_classes=4, scale=scale,
-                         rng=np.random.default_rng(seed))
-
-
-def cloud_for(net, seed=0):
-    """One cloud, as the stack of one kernel programs take."""
-    return np.random.default_rng(seed).normal(size=(1, net.n_points, 3))
-
-
-def clouds_for(net, batch, seed=0):
-    return np.random.default_rng(seed).normal(size=(batch, net.n_points, 3))
 
 
 def unplanned_run(net, strategy, backend, x):
@@ -73,27 +57,6 @@ def unplanned_run(net, strategy, backend, x):
     program's first run, which measures out of one never-reused buffer
     per kernel output."""
     return compile_kernel_program(net, strategy, backend=backend).run(x)
-
-
-def leaves(ref, out):
-    if isinstance(ref, dict):
-        assert set(ref) == set(out)
-        for key in ref:
-            yield from leaves(ref[key], out[key])
-    elif isinstance(ref, (list, tuple)):
-        assert len(ref) == len(out)
-        for a, b in zip(ref, out):
-            yield from leaves(a, b)
-    else:
-        yield (
-            np.asarray(ref.data if hasattr(ref, "data") else ref),
-            np.asarray(out.data if hasattr(out, "data") else out),
-        )
-
-
-def assert_bit_exact(ref, out):
-    for a, b in leaves(ref, out):
-        assert np.array_equal(a, b)
 
 
 class TestValueLiveness:
@@ -117,7 +80,7 @@ class TestArenaPlanning:
     def test_plan_validates_and_packs_below_pool(self):
         net = toy("PointNet++ (c)")
         program = compile_kernel_program(net, "delayed", backend="float64")
-        plan = program.plan_for(cloud_for(net))
+        plan = program.plan_for(clouds_for(net, 1))
         validate_plan(plan)  # alignment, bounds, no live overlap
         assert plan.total_bytes < plan.pool_bytes
         assert plan.peak_live_bytes <= plan.total_bytes
@@ -128,7 +91,7 @@ class TestArenaPlanning:
     def test_live_buffers_never_alias(self):
         net = toy("DGCNN (c)")
         program = compile_kernel_program(net, "delayed", backend="float64")
-        plan = program.plan_for(cloud_for(net))
+        plan = program.plan_for(clouds_for(net, 1))
         for i, a in enumerate(plan.buffers):
             for b in plan.buffers[i + 1:]:
                 overlap_bytes = not (a.end <= b.offset or b.end <= a.offset)
@@ -143,14 +106,14 @@ class TestArenaPlanning:
             for strategy in STRATEGIES:
                 program = compile_kernel_program(net, strategy,
                                                  backend="float64")
-                plan = program.plan_for(cloud_for(net))
+                plan = program.plan_for(clouds_for(net, 1))
                 assert plan.reduction >= 0.30, (name, strategy,
                                                 plan.reduction)
 
     def test_empty_records_make_an_empty_arena(self):
         net = toy("PointNet++ (s)")
         program = compile_kernel_program(net, "delayed", backend="float64")
-        program.plan_for(cloud_for(net))  # builds the liveness index
+        program.plan_for(clouds_for(net, 1))  # builds the liveness index
         plan = plan_arena([], program._liveness)
         assert plan.total_bytes == 0 and not plan.buffers
 
@@ -159,7 +122,7 @@ class TestPlannerBitExact:
     @pytest.mark.parametrize("name", ALL_NETWORKS)
     def test_serial_all_strategies(self, name):
         net = toy(name)
-        cloud = cloud_for(net)
+        cloud = clouds_for(net, 1)
         for strategy in STRATEGIES:
             planned = compile_kernel_program(net, strategy,
                                              backend="float64")
@@ -197,7 +160,7 @@ class TestPlannerBitExact:
 
     def test_float32_stays_close_with_planner(self):
         net = toy("PointNet++ (c)")
-        cloud = cloud_for(net)
+        cloud = clouds_for(net, 1)
         planned = compile_kernel_program(net, "delayed", backend="float32")
         reference = unplanned_run(net, "delayed", "float32", cloud)
         planned.run(cloud)  # measures; the run below uses the arena
@@ -274,7 +237,7 @@ class TestPerCloudPlan:
 
     def test_unplanned_requests_are_served_and_counted(self):
         net = toy("PointNet++ (c)")
-        cloud = cloud_for(net)
+        cloud = clouds_for(net, 1)
         program = compile_kernel_program(net, "delayed", backend="float64")
         reference = program.run(cloud)
         # A planner regression, simulated: the plan loses one buffer.
@@ -374,7 +337,7 @@ class TestAdversarialAliasing:
         # The counterpart proving the poison harness has teeth: clobber
         # a *live* buffer once and the outputs must change.
         net = toy("PointNet++ (c)")
-        cloud = cloud_for(net)
+        cloud = clouds_for(net, 1)
         program = compile_kernel_program(net, "delayed", backend="float64")
         reference = program.run(cloud)
         plan = program.plan_for(cloud)
@@ -428,7 +391,7 @@ class TestParameterTable:
         program = compile_kernel_program(net, "delayed", backend="float64",
                                          params=restored)
         reference = compile_kernel_program(net, "delayed", backend="float64")
-        cloud = cloud_for(net)
+        cloud = clouds_for(net, 1)
         assert_bit_exact(reference.run(cloud), program.run(cloud))
 
     def test_float32_pack_roundtrip_preserves_ops_and_bits(self):
@@ -561,7 +524,7 @@ class TestSharedMemoryTransport:
             program = compile_kernel_program(
                 net, "delayed", backend="float64", params=attached
             )
-            cloud = cloud_for(net)
+            cloud = clouds_for(net, 1)
             reference = compile_kernel_program(net, "delayed",
                                                backend="float64")
             assert_bit_exact(reference.run(cloud), program.run(cloud))
@@ -664,7 +627,7 @@ class TestSharedMemoryTransport:
 class TestProgramCache:
     def test_store_load_bit_exact_with_seeded_plans(self, tmp_path):
         net = toy("PointNet++ (c)")
-        cloud = cloud_for(net)
+        cloud = clouds_for(net, 1)
         program = compile_kernel_program(net, "delayed", backend="float64")
         reference = program.run(cloud)
         program.plan_for(cloud)
@@ -686,7 +649,7 @@ class TestProgramCache:
         assert len(index) == 1
         second = cache.program_for(ngraph, net, backend)
         assert json.loads((tmp_path / "index.json").read_text()) == index
-        cloud = cloud_for(net)
+        cloud = clouds_for(net, 1)
         assert_bit_exact(first.run(cloud), second.run(cloud))
 
     def test_weight_change_misses(self, tmp_path):
@@ -709,7 +672,7 @@ class TestProgramCache:
         program = compile_kernel_program(
             net, "delayed", backend="float64", params=attached,
         )
-        cloud = cloud_for(net)
+        cloud = clouds_for(net, 1)
         reference = compile_kernel_program(net, "delayed", backend="float64")
         assert_bit_exact(reference.run(cloud), program.run(cloud))
 
@@ -741,7 +704,7 @@ class TestProgramCache:
         program = cache.program_for(ngraph, net, "float64")  # recompiles
         assert blob.read_bytes() == intact  # ... and rewrites the entry
         fresh = compile_kernel_program(net, "delayed", backend="float64")
-        cloud = cloud_for(net)
+        cloud = clouds_for(net, 1)
         assert_bit_exact(fresh.run(cloud), program.run(cloud))
         assert cache.digest_for(ngraph.network, "delayed", "float64",
                                 network_fingerprint(net)) == digest
@@ -764,7 +727,7 @@ class TestProgramCache:
 
     def test_entries_under_another_format_are_stale(self, tmp_path):
         net = toy("PointNet++ (s)")
-        cloud = cloud_for(net)
+        cloud = clouds_for(net, 1)
         ngraph = net.network_graph("delayed")
         backend = get_backend("float64")
         cache = ProgramCache(tmp_path)
@@ -884,7 +847,7 @@ class TestEngineIntegration:
         from repro.serve import Server
 
         net = toy("PointNet++ (c)")
-        cloud = cloud_for(net)[0]
+        cloud = clouds_for(net, 1)[0]
         reference = BatchRunner(net, strategy="delayed",
                                 backend="float64").run(cloud).per_cloud()[0]
         with Server.hosting([net], backend="float64",
@@ -897,7 +860,7 @@ class TestMemoryReporting:
     def test_memory_report_phases(self):
         net = toy("PointNet++ (c)")
         program = compile_kernel_program(net, "delayed", backend="float64")
-        report = program.memory_report(cloud_for(net))
+        report = program.memory_report(clouds_for(net, 1))
         assert report["arena_bytes"] < report["pool_bytes"]
         for row in report["phases"].values():
             assert row["after"] <= row["before"]
@@ -909,7 +872,7 @@ class TestMemoryReporting:
         kernel replaced."""
         net = build_network("PointNet++ (c)", scale=0.125)
         program = compile_kernel_program(net, "delayed", backend="float64")
-        report = program.memory_report(cloud_for(net))
+        report = program.memory_report(clouds_for(net, 1))
         assert report["peak_live_bytes"] <= 376832
 
 

@@ -5,7 +5,8 @@ execution/trace/composition equivalence properties."""
 import numpy as np
 import pytest
 
-from repro.core import ModuleSpec, PointCloudModule, emit_module_trace
+from conftest import assert_bit_exact, cloud_for, clouds_for, toy
+from repro.core import STRATEGIES, ModuleSpec, PointCloudModule, emit_module_trace
 from repro.graph import (
     GraphExecutor,
     OpRecorder,
@@ -27,34 +28,6 @@ from repro.profiling.trace import (
     SubtractOp,
     Trace,
 )
-
-STRATEGIES = ("original", "delayed", "limited")
-
-
-def toy(name, seed=0):
-    scale = 0.03125 if "(s)" in name else 0.0625
-    return build_network(name, num_classes=4, scale=scale,
-                         rng=np.random.default_rng(seed))
-
-
-def cloud_for(net, seed=0):
-    return np.random.default_rng(seed).normal(size=(net.n_points, 3))
-
-
-def clouds_for(net, batch, seed=0):
-    return np.random.default_rng(seed).normal(size=(batch, net.n_points, 3))
-
-
-def outputs_equal(left, right, atol=0):
-    if isinstance(left, dict):
-        assert set(left) == set(right)
-        return all(outputs_equal(left[k], right[k], atol) for k in left)
-    left = left.data if hasattr(left, "data") else left
-    right = right.data if hasattr(right, "data") else right
-    if atol:
-        np.testing.assert_allclose(left, right, atol=atol)
-        return True
-    return bool(np.array_equal(np.asarray(left), np.asarray(right)))
 
 
 class TestBuild:
@@ -122,7 +95,7 @@ class TestExecutionEquivalence:
         with no_grad():
             graph_out = net.forward(cloud, strategy=strategy)
             composed = net.forward_composed(cloud, strategy=strategy)
-        assert outputs_equal(graph_out, composed)
+        assert_bit_exact(graph_out, composed)
 
     @pytest.mark.parametrize("name", ALL_NETWORKS)
     @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -132,7 +105,7 @@ class TestExecutionEquivalence:
         with no_grad():
             graph_out = net.forward_batch(clouds, strategy=strategy)
             composed = net.forward_composed(clouds, strategy=strategy)
-        assert outputs_equal(graph_out, composed)
+        assert_bit_exact(graph_out, composed)
 
     @pytest.mark.parametrize("name", ALL_NETWORKS)
     @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -176,8 +149,7 @@ class TestExecutionEquivalence:
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_stack_rows_match_stacks_of_one(self, name, strategy):
         # Every output leaf of run_network leads with the stack axis:
-        # a cloud's slice of a taller stack is its own stack of one,
-        # up to BLAS blocking of the taller matrices.
+        # a cloud's slice of a taller stack is its own stack of one.
         net = toy(name)
         clouds = clouds_for(net, 2, seed=7)
         ngraph = net.network_graph(strategy)
@@ -191,8 +163,8 @@ class TestExecutionEquivalence:
                 for tall, single in pairs:
                     assert tall.shape == (2, *single.shape[1:])
                     assert single.shape[0] == 1
-                    np.testing.assert_allclose(tall.data[b], single.data[0],
-                                               atol=1e-6)
+                    np.testing.assert_array_equal(tall.data[b],
+                                                  single.data[0])
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_batched_matches_single_within_tolerance(self, strategy):
@@ -202,8 +174,8 @@ class TestExecutionEquivalence:
             batched = net.forward_batch(clouds, strategy=strategy)
             for b in range(3):
                 single = net.forward(clouds[b], strategy=strategy)
-                np.testing.assert_allclose(batched.data[b], single.data[0],
-                                           atol=1e-6)
+                np.testing.assert_array_equal(batched.data[b],
+                                              single.data[0])
 
 
 class TestTraceConsistency:
@@ -396,8 +368,7 @@ class TestDeadCodeElimination:
         assert [n.kind for n in dead_graph] == [n.kind for n in clean_graph]
         cloud = cloud_for(with_dead, seed=6)
         with no_grad():
-            assert outputs_equal(with_dead.forward(cloud),
-                                 clean.forward(cloud))
+            assert_bit_exact(with_dead.forward(cloud), clean.forward(cloud))
         # The dead branch never shows up in the trace either.
         assert not with_dead.trace("delayed").by_type(ConcatOp)
 

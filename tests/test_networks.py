@@ -4,6 +4,7 @@ tracing, strategy equivalence and gradient flow."""
 import numpy as np
 import pytest
 
+from conftest import cloud_for, toy
 from repro.core import ModuleSpec
 from repro.networks import (
     ALL_NETWORKS,
@@ -15,14 +16,6 @@ from repro.networks import (
 from repro.profiling.trace import NeighborSearchOp
 
 SCALE = 0.0625  # 1/16 of paper scale keeps execution fast
-
-
-def toy(name):
-    return build_network(name, scale=SCALE, rng=np.random.default_rng(0))
-
-
-def cloud_for(net, seed=0):
-    return np.random.default_rng(seed).normal(size=(net.n_points, 3))
 
 
 class TestRegistry:
@@ -69,7 +62,7 @@ class TestScaleSpec:
 class TestExecution:
     @pytest.mark.parametrize("name", ALL_NETWORKS)
     def test_forward_shapes(self, name):
-        net = toy(name)
+        net = toy(name, scale=SCALE)
         out = net(cloud_for(net), strategy="delayed")
         if net.task == "classification":
             assert out.shape == (1, net.num_classes)
@@ -81,26 +74,26 @@ class TestExecution:
 
     @pytest.mark.parametrize("name", ["PointNet++ (c)", "DGCNN (c)"])
     def test_all_strategies_execute(self, name):
-        net = toy(name)
+        net = toy(name, scale=SCALE)
         pts = cloud_for(net)
         for strategy in ("original", "delayed", "limited"):
             out = net(pts, strategy=strategy)
             assert np.isfinite(out.data).all()
 
     def test_wrong_input_shape_rejected(self):
-        net = toy("PointNet++ (c)")
+        net = toy("PointNet++ (c)", scale=SCALE)
         with pytest.raises(ValueError):
             net(np.zeros((net.n_points + 1, 3)))
 
     def test_gradients_reach_all_parameters(self):
-        net = toy("PointNet++ (c)")
+        net = toy("PointNet++ (c)", scale=SCALE)
         out = net(cloud_for(net), strategy="delayed")
         (out * out).sum().backward()
         grads = [p.grad is not None for p in net.parameters()]
         assert all(grads) and len(grads) > 10
 
     def test_fpointnet_parameters_include_box_stage(self):
-        net = toy("F-PointNet")
+        net = toy("F-PointNet", scale=SCALE)
         names = len(net.parameters())
         # seg encoder (3 modules * 6) + fps/heads + box stage; box_sa
         # modules alone add >= 10 parameters.
@@ -160,7 +153,7 @@ class TestTraces:
     def test_trace_matches_execution_emission(self):
         # The analytic trace and the trace emitted during execution agree
         # on MLP MAC totals at matching scale.
-        net = toy("PointNet++ (c)")
+        net = toy("PointNet++ (c)", scale=SCALE)
         analytic = net.trace("delayed")
         from repro.profiling.trace import Trace
 

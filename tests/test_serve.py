@@ -4,14 +4,14 @@ The edge cases CI pins down: a lone queued request is taken at once,
 requests queued behind a running batch ride the next one together, a
 server never has more batches in flight than dispatch lanes, a full
 queue rejects with backpressure instead of deadlocking, mixed-N
-arrivals split into per-shape sub-batches that stay bit-exact against
-direct BatchRunner calls, graceful shutdown drains everything already
+arrivals split into per-shape sub-batches, each response bit-exact
+against its cloud served alone, graceful shutdown drains everything already
 admitted, a single dispatch worker degrades to fully serial
 execution with identical results, one request that makes its batch
 raise fails alone, every batch height runs exactly the strategy and
 backend the server was built with, and concurrent submitters across
-tenants get responses bit-exact against a replay of whatever stack
-each rode in, with every request ID answered once.
+tenants get responses bit-exact against each cloud served alone,
+whatever stack it rode in, with every request ID answered once.
 
 Batches form deterministically in the edge-case tests: a test parks
 the dispatcher on a gated first call, queues requests behind it, then
@@ -364,12 +364,10 @@ class TestServerEdgeCases:
             group_ns = {clouds[member].shape[0]
                         for member in resp.batch_ids}
             assert group_ns == {clouds[rid].shape[0]}  # same-N sub-batch
-            # Bit-exact against a direct BatchRunner call on the same
-            # formed stack (same composition => same BLAS blocking).
-            stack = np.stack([clouds[m] for m in resp.batch_ids])
-            direct = runners[stack.shape[1]].run(stack).per_cloud()
-            position = resp.batch_ids.index(rid)
-            assert np.array_equal(resp.output, direct[position])
+            # Bit-exact against the cloud served alone.
+            cloud = clouds[rid]
+            alone = runners[cloud.shape[0]].run(cloud[None]).per_cloud()
+            assert np.array_equal(resp.output, alone[0])
 
     def test_graceful_shutdown_drains_in_flight(self):
         gate = threading.Event()
@@ -445,6 +443,8 @@ class TestServerEdgeCases:
 
     def test_single_worker_serial_degrade(self, small_net, small_clouds):
         reference = BatchRunner(small_net)
+        alone = [reference.run(cloud[None]).per_cloud()[0]
+                 for cloud in small_clouds]
         gate = threading.Event()
         policy = BatchPolicy(max_batch=4)
         serial = Server(GatedRunner(BatchRunner(small_net), gate),
@@ -467,13 +467,7 @@ class TestServerEdgeCases:
             assert [r.batch_size for r in responses] \
                 == [1] * lanes + [4, 4, 4, 4, 1]
             for i, resp in enumerate(responses):
-                stack = np.stack([
-                    small_clouds[int(m[1:])] for m in resp.batch_ids
-                ])
-                direct = reference.run(stack).per_cloud()
-                assert np.array_equal(
-                    resp.output, direct[resp.batch_ids.index(f"r{i}")]
-                )
+                assert np.array_equal(resp.output, alone[i])
 
     def test_runner_failure_propagates_to_every_rider(self):
         runner = StubRunner(fail=True)
@@ -717,8 +711,10 @@ class TestHostileRequests:
 
     @staticmethod
     @contextlib.contextmanager
-    def _tcp_connection():
-        """A ``repro serve --port 0`` child and a connection to it."""
+    def _tcp_server():
+        """A ``repro serve --port 0`` child: yields its port and a list
+        that, once SIGTERM drained it and it exited 0, holds its final
+        stderr."""
         env = dict(os.environ,
                    PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
         proc = subprocess.Popen(
@@ -741,16 +737,78 @@ class TestHostileRequests:
                 announced += chunk
                 match = re.search(rb"127\.0\.0\.1:(\d+)", announced)
                 port = int(match.group(1)) if match else None
-            with socket.create_connection(("127.0.0.1", port),
-                                          timeout=TIMEOUT) as conn:
-                yield conn, conn.makefile("rb")
+            log = []
+            yield port, log
             proc.terminate()  # SIGTERM drains and exits 0
             assert proc.wait(timeout=TIMEOUT) == 0
+            log.append((announced + proc.stderr.read()).decode())
         finally:
             if proc.poll() is None:
                 proc.kill()
             proc.wait(timeout=TIMEOUT)
             proc.stderr.close()
+
+    @classmethod
+    @contextlib.contextmanager
+    def _tcp_connection(cls):
+        """A ``repro serve --port 0`` child and a connection to it."""
+        with cls._tcp_server() as (port, _), socket.create_connection(
+                ("127.0.0.1", port), timeout=TIMEOUT) as conn:
+            yield conn, conn.makefile("rb")
+
+    @staticmethod
+    def _counted(stderr):
+        """``completed + failed + rejected`` off the drain line."""
+        served, rejected, failed = map(int, re.search(
+            r"served (\d+) request.*rejected (\d+), failed (\d+)",
+            stderr).groups())
+        return served + rejected + failed
+
+    @pytest.mark.parametrize("cut", [
+        b'{"id": "cut", "cloud": [[0.5, 1',
+        '{"id": "caf\u00e9"}'.encode()[:-3],  # inside the two-byte é
+    ], ids=["mid-json", "mid-character"])
+    def test_stdin_line_cut_off_at_eof(self, cut):
+        # The last line has no newline: it is answered with one error
+        # line, nothing counts it, and EOF still drains and exits 0 —
+        # even where stdin decodes strictly (a UTF-8 locale).
+        env = dict(os.environ, PYTHONIOENCODING="utf-8:strict",
+                   PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        cloud = np.random.default_rng(5).normal(size=(64, 3)).tolist()
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "serve", "--scale", "0.0625"],
+            input=json.dumps({"id": "ok", "cloud": cloud}).encode() + b"\n"
+            + cut, capture_output=True, timeout=TIMEOUT, env=env,
+        )
+        assert done.returncode == 0, done.stderr.decode()
+        answers = [json.loads(line) for line in done.stdout.splitlines()]
+        errors = [a for a in answers if "error" in a]
+        assert len(answers) == 2 and len(errors) == 1
+        assert errors[0]["id"] is None
+        assert [a["id"] for a in answers if "output" in a] == ["ok"]
+        assert self._counted(done.stderr.decode()) == 1  # one submit
+
+    def test_tcp_client_half_closing_mid_line(self):
+        # A client that shuts its write side mid-line gets one error
+        # line and the end of the stream; the server goes on to serve
+        # the next connection.
+        cloud = np.random.default_rng(5).normal(size=(64, 3)).tolist()
+        with self._tcp_server() as (port, log):
+            with socket.create_connection(("127.0.0.1", port),
+                                          timeout=TIMEOUT) as conn:
+                conn.sendall(b'{"id": "cut", "cloud": [[0.5, 1')
+                conn.shutdown(socket.SHUT_WR)
+                answers = conn.makefile("rb").readlines()
+            with socket.create_connection(("127.0.0.1", port),
+                                          timeout=TIMEOUT) as conn:
+                conn.sendall(
+                    json.dumps({"id": "ok", "cloud": cloud}).encode() + b"\n")
+                served = json.loads(conn.makefile("rb").readline())
+        assert len(answers) == 1
+        refused = json.loads(answers[0])
+        assert refused["id"] is None and "error" in refused
+        assert served["id"] == "ok" and len(served["output"]) > 0
+        assert self._counted(log[0]) == 1  # one submit
 
     def test_tcp_handler_survives_undecodable_bytes(self):
         cloud = np.random.default_rng(5).normal(size=(64, 3)).tolist()
@@ -940,11 +998,6 @@ class TestDrainHooks:
         assert np.array_equal(rows[0]["logits"], [0.0, 1.0, 2.0])
         assert np.array_equal(rows[1]["center"], [2.0, 3.0])
 
-    def test_per_cloud_passes_per_cloud_lists_through(self):
-        result = BatchResult([{"a": np.ones(2)}, {"a": np.zeros(2)}], 2, 0.1)
-        rows = result.per_cloud()
-        assert np.array_equal(rows[1]["a"], np.zeros(2))
-
     def test_per_cloud_rejects_mismatched_sizes(self):
         with pytest.raises(ValueError, match="cannot split"):
             BatchResult(np.zeros((2, 4)), 3, 0.1).per_cloud()
@@ -982,11 +1035,11 @@ class TestConcurrentExactness:
     def test_threads_and_tenants_replay_bit_exact(self, small_net,
                                                   small_clouds, backend):
         # Three submitter threads, two tenants, three distinct clouds:
-        # whatever sub-batches form, each response equals a direct call
-        # on its own formed stack, and every request ID is answered once.
+        # whatever sub-batches form, each response equals its cloud
+        # served alone, and every request ID is answered once.
         clouds = small_clouds[:3]
         direct = BatchRunner(small_net, backend=backend)
-        full_batch = direct.run(clouds).per_cloud()
+        alone = [direct.run(cloud[None]).per_cloud()[0] for cloud in clouds]
 
         def cloud_of(rid):
             thread, i = map(int, rid[1:].split("-"))
@@ -1018,13 +1071,7 @@ class TestConcurrentExactness:
         assert (stats["completed"], stats["rejected"], stats["failed"]) \
             == (24, 0, 0)
         for rid, resp in responses.items():
-            stack = np.stack([clouds[cloud_of(m)] for m in resp.batch_ids])
-            replay = direct.run(stack).per_cloud()
-            assert np.array_equal(resp.output,
-                                  replay[resp.batch_ids.index(rid)])
-            # Top-1 against one full-batch call: composition-independent.
-            assert np.argmax(resp.output) \
-                == np.argmax(full_batch[cloud_of(rid)])
+            assert np.array_equal(resp.output, alone[cloud_of(rid)])
 
 
 # ------------------------------------------------- the caller's contract
@@ -1066,7 +1113,5 @@ class TestStrategyAndBackendAreTheCallersFlags:
         direct = BatchRunner(runner.network, strategy=strategy,
                              backend=backend)
         for rid, resp in responses.items():
-            stack = np.stack([clouds[m] for m in resp.batch_ids])
-            replay = direct.run(stack).per_cloud()
-            assert np.array_equal(resp.output,
-                                  replay[resp.batch_ids.index(rid)])
+            alone = direct.run(clouds[rid][None]).per_cloud()[0]
+            assert np.array_equal(resp.output, alone)

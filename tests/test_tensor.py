@@ -87,8 +87,12 @@ class TestArithmetic:
 
 
 class TestMatmul:
-    def test_matmul_grad(self):
-        check_grad(lambda a, b: a @ b, (4, 3), (3, 5))
+    # The 3-D case is the per-cloud GEMM: a (clouds, rows, K) stack times
+    # one shared weight, whose gradient sums over the cloud axis.
+    @pytest.mark.parametrize("shapes", [((4, 3), (3, 5)), ((3, 4, 5), (5, 2))],
+                             ids=["2d", "3d_per_cloud"])
+    def test_matmul_grad(self, shapes):
+        check_grad(lambda a, b: a @ b, *shapes)
 
     def test_matmul_chain(self):
         check_grad(lambda a, b, c: (a @ b) @ c, (2, 3), (3, 4), (4, 2))
