@@ -303,9 +303,6 @@ def build_parser():
     p_trace.add_argument("--graph", action="store_true",
                          help="print the lowered operator graphs instead "
                               "of the flat op list")
-    p_trace.add_argument("--schedule", action="store_true",
-                         help="print the static N/F-lane overlap schedule "
-                              "(what the paper's hardware runs side by side)")
     p_trace.add_argument("--memory", action="store_true",
                          help="print the kernel runtime's per-phase memory "
                               "peaks before/after arena planning, plus the "

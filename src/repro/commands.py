@@ -39,16 +39,7 @@ def _cmd_trace(args):
     trace = net.trace(args.strategy)
     print(f"{net.name} [{args.strategy}] — {len(trace)} ops, "
           f"{trace.mlp_macs() / 1e6:.1f} M MLP MACs")
-    if args.schedule:
-        # The whole-network N/F-lane schedule (static analysis of what
-        # the paper's hardware overlaps): steps with both lanes could run
-        # neighbor search beside the hoisted MLP chain, and cross-module
-        # steps start module i+1's N lane while module i still drains.
-        schedule = net.network_graph(args.strategy).schedule()
-        print(schedule.describe())
-        print(f"cross-module overlap steps: "
-              f"{len(schedule.cross_module_overlap_steps())}")
-    elif args.graph:
+    if args.graph:
         # The strategy-rewritten whole-network operator graph the
         # executors run and the trace below is lowered from.
         ngraph = net.network_graph(args.strategy)
@@ -61,6 +52,7 @@ def _cmd_trace(args):
                 k: v for k, v in vars(op).items()
                 if k not in ("phase", "module", "parallelizable")
             }
+            # "||" marks the ops the strategy lets the hardware overlap.
             flag = " ||" if op.parallelizable else ""
             detail = ", ".join(f"{k}={v}" for k, v in fields.items())
             print(f"  [{op.phase}] {op.module:12s} "

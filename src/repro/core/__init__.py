@@ -10,12 +10,10 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "MultiScaleModule": "msg",
     "MultiScaleSpec": "msg",
     "STRATEGIES": "module",
-    "BatchModuleOutput": "module",
     "ModuleOutput": "module",
     "ModuleSpec": "module",
     "PointCloudModule": "module",
     "emit_module_trace": "module",
-    "BatchedNeighborIndexTable": "tables",
     "NeighborIndexTable": "tables",
     "PointFeatureTable": "tables",
 })

@@ -29,10 +29,7 @@ inputs stay cheap) as a thin shim over the lowering.
 Networks no longer compose modules through Python bodies either: the
 network builder (:mod:`repro.graph.network`) inlines
 :func:`repro.graph.build.build_module_graph` as a subroutine, so whole
-networks lower to one graph and the per-module ``forward_batch`` here
-survives as the composition baseline
-(:meth:`repro.networks.base.PointCloudNetwork.forward_composed`) the
-graph executor is bit-exactness-tested against.
+networks lower to one graph; ``forward`` here runs one module alone.
 """
 
 from __future__ import annotations
@@ -49,7 +46,6 @@ __all__ = [
     "ModuleSpec",
     "PointCloudModule",
     "ModuleOutput",
-    "BatchModuleOutput",
     "emit_module_trace",
     "STRATEGIES",
 ]
@@ -118,26 +114,11 @@ class ModuleOutput:
     pft: PointFeatureTable = None
 
 
-@dataclass
-class BatchModuleOutput:
-    """Result of executing a module over a batch of clouds.
-
-    ``coords`` is (batch, n_out, 3); ``features`` is a flat
-    (batch * n_out, m_out) Tensor in cloud-major row order, so the
-    shared-MLP layers downstream treat the whole batch as extra rows.
-    """
-
-    coords: np.ndarray
-    features: Tensor
-    nit: BatchedNeighborIndexTable
-    pft: PointFeatureTable = None
-
-
 class PointCloudModule(Module):
     """Executable module parameterized by a :class:`ModuleSpec`.
 
-    Both forward paths interpret the module's strategy-rewritten
-    operator graph; the graphs themselves are memoized per
+    ``forward`` interprets the module's strategy-rewritten operator
+    graph; the graphs themselves are memoized per
     (spec, strategy) by :func:`repro.graph.passes.module_graph`.
     """
 
@@ -239,44 +220,6 @@ class PointCloudModule(Module):
         pft = PointFeatureTable(result.pft_data) \
             if result.pft_data is not None else None
         return ModuleOutput(out_coords, result.features, nit, pft)
-
-    def forward_batch(self, coords, features, strategy="delayed"):
-        """Run the module over a batch of clouds at once.
-
-        Parameters
-        ----------
-        coords:
-            (batch, n_in, 3) numpy coordinates.
-        features:
-            Flat (batch * n_in, Min) Tensor of per-point features, rows
-            in cloud-major order.
-        strategy:
-            One of :data:`STRATEGIES`.
-
-        The executor runs the neighbor search over the stack
-        (cloud-local indices), lifts the indices into the flat row
-        space, and then every graph node processes the whole batch as
-        flat rows — every Linear as one GEMM per cloud, so each cloud
-        gets the same bits at every height.
-
-        Returns a :class:`BatchModuleOutput`.
-        """
-        graph = self.graph(strategy)
-        batch, n_in = coords.shape[0], coords.shape[1]
-        if features.shape != (batch * n_in, self.spec.in_dim):
-            raise ValueError(
-                f"{self.spec.name}: expected flat features "
-                f"{(batch * n_in, self.spec.in_dim)}, got {features.shape}"
-            )
-        from ..graph.executors import GraphExecutor
-        from .tables import BatchedNeighborIndexTable, PointFeatureTable
-
-        result = GraphExecutor().run(graph, self, coords, features)
-        out_coords = coords[:, result.centroid_idx]
-        nit = BatchedNeighborIndexTable(result.indices, result.centroid_idx)
-        pft = PointFeatureTable(result.pft_data) \
-            if result.pft_data is not None else None
-        return BatchModuleOutput(out_coords, result.features, nit, pft)
 
 
 def emit_module_trace(spec, strategy, trace, n_in=None):

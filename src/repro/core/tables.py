@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["BatchedNeighborIndexTable", "NeighborIndexTable", "PointFeatureTable"]
+__all__ = ["NeighborIndexTable", "PointFeatureTable"]
 
 _INDEX_BITS = 12  # per §VI: 64 neighbor indices at 12 bits each per entry
 
@@ -53,74 +53,6 @@ class NeighborIndexTable:
 
     def size_bytes(self, index_bits=_INDEX_BITS):
         """Storage footprint with packed indices, as budgeted in §VI."""
-        bits = self.indices.size * index_bits
-        return (bits + 7) // 8
-
-    def max_index(self):
-        return int(self.indices.max()) if self.indices.size else 0
-
-
-@dataclass
-class BatchedNeighborIndexTable:
-    """(batch, n_centroids, k) neighbor indices — one NIT per cloud.
-
-    Produced by the batched inference engine when a stack of clouds runs
-    through one module.  ``centroids`` may be a single (n_centroids,)
-    row shared by every cloud (the deterministic sampling case) or a
-    (batch, n_centroids) array with one row per cloud.
-    """
-
-    indices: np.ndarray
-    centroids: np.ndarray
-
-    def __post_init__(self):
-        self.indices = np.asarray(self.indices, dtype=np.int64)
-        self.centroids = np.asarray(self.centroids, dtype=np.int64)
-        if self.indices.ndim != 3:
-            raise ValueError("batched NIT indices must be (batch, n_centroids, k)")
-        if self.centroids.ndim not in (1, 2):
-            raise ValueError("centroids must be (n_centroids,) or (batch, n_centroids)")
-        if self.centroids.shape[-1] != self.indices.shape[1]:
-            raise ValueError("one centroid id per NIT row is required")
-        if self.centroids.ndim == 2 and len(self.centroids) != len(self.indices):
-            raise ValueError("one centroid row per cloud is required")
-
-    @classmethod
-    def from_tables(cls, tables):
-        """Stack per-cloud :class:`NeighborIndexTable` objects."""
-        tables = list(tables)
-        if not tables:
-            raise ValueError("cannot stack zero NITs")
-        return cls(
-            np.stack([t.indices for t in tables]),
-            np.stack([t.centroids for t in tables]),
-        )
-
-    @property
-    def batch_size(self):
-        return self.indices.shape[0]
-
-    @property
-    def n_centroids(self):
-        return self.indices.shape[1]
-
-    @property
-    def k(self):
-        return self.indices.shape[2]
-
-    def _centroid_row(self, b):
-        return self.centroids if self.centroids.ndim == 1 else self.centroids[b]
-
-    def cloud(self, b):
-        """The NIT of one cloud in the batch."""
-        return NeighborIndexTable(self.indices[b], self._centroid_row(b))
-
-    def tables(self):
-        """Per-cloud NITs, in batch order."""
-        return [self.cloud(b) for b in range(self.batch_size)]
-
-    def size_bytes(self, index_bits=_INDEX_BITS):
-        """Aggregate storage footprint across the batch (cf. §VI)."""
         bits = self.indices.size * index_bits
         return (bits + 7) // 8
 

@@ -9,9 +9,10 @@ builds its operator graph in ``original`` form
 (:mod:`~repro.graph.passes`), and the rewritten graph feeds every
 consumer — the graph interpreter
 (:mod:`~repro.graph.executors`), the kernel compiler
-(:mod:`repro.backend.runtime`), the profiling trace lowering
-(:mod:`~repro.graph.lower`), and the static N/F-overlap schedule
-(:mod:`~repro.graph.schedule`) the paper's hardware exploits.
+(:mod:`repro.backend.runtime`) and the profiling trace lowering
+(:mod:`~repro.graph.lower`).  The rewrite passes mark the nodes that may
+overlap (``Node.parallelizable``: a delayed module's search and hoisted
+MLP), which the lowering copies onto trace ops for the hardware models.
 """
 
 from .._lazy import lazy_exports
@@ -45,8 +46,4 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "limit_delay": "passes",
     "module_graph": "passes",
     "run_pipeline": "passes",
-    "GraphSchedule": "schedule",
-    "ScheduledNode": "schedule",
-    "node_lane": "schedule",
-    "schedule_graph": "schedule",
 })

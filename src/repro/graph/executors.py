@@ -18,12 +18,10 @@ rank.
 * :meth:`GraphExecutor.run_network` executes a whole-*network* graph
   (:mod:`repro.graph.network`): module-region nodes go through the same
   per-node arithmetic, heads / decoders / skip glue are handled beside
-  them;
-* :meth:`GraphExecutor.run_composed` is the per-module composition
-  reference the network-graph tests compare against.
+  them.
 
-``run``, ``run_network`` and ``run_composed`` all walk the node list
-front to back: the list order is the topological order.
+``run`` and ``run_network`` both walk the node list front to back: the
+list order is the topological order.
 
 An optional :class:`OpRecorder` captures the shape of every logical
 operator actually executed (fused nodes record their constituents),
@@ -161,37 +159,6 @@ class GraphExecutor:
         self._start_run(ngraph, coords)
         env = {}
         for node in ngraph.graph:
-            env[node.id] = self._exec_network_node(node, env, ngraph, coords)
-        return self._network_outputs(ngraph, env)
-
-    def run_composed(self, ngraph, network, coords):
-        """Per-module composition reference: the pre-network-graph path.
-
-        Every module region executes through
-        :meth:`~repro.core.module.PointCloudModule.forward_batch` (a
-        fresh per-module executor, exactly as networks composed modules
-        before whole-network graphs); glue nodes still interpret the
-        graph.  Outputs are bit-exact against :meth:`run_network` — the
-        equivalence tests compare the two.
-        """
-        self._start_run(ngraph, coords)
-        env = {}
-        regions = {region.module: region for region in ngraph.regions}
-        done = set()
-        for node in ngraph.graph:
-            index = node.attrs.get("module")
-            if index is not None:
-                if index in done:
-                    continue
-                region = regions[index]
-                out = ngraph.refs[index].forward_batch(
-                    env[region.coords], env[region.feats],
-                    strategy=ngraph.strategy,
-                )
-                env[region.sample] = out.nit.centroids
-                env[region.output] = out.features
-                done.add(index)
-                continue
             env[node.id] = self._exec_network_node(node, env, ngraph, coords)
         return self._network_outputs(ngraph, env)
 
@@ -359,8 +326,8 @@ class GraphExecutor:
             index = node.attrs["module"]
             segments, state = self._module_runs[index]
             # Stage bindings are fetched leniently: a coords-space
-            # sample/search legitimately runs before its stage features
-            # exist — that gap IS the cross-module overlap.  Nodes that
+            # sample/search depends only on the stage coordinates, so
+            # it may run before its stage features exist.  Nodes that
             # do consume a binding carry it as a real input edge, so
             # the topological node order guarantees it is present.
             return self._exec_node(

@@ -60,7 +60,10 @@ class Node:
 
     ``inputs`` are node ids; ``attrs`` hold the shape parameters, either
     literal ints (MLP widths are static per spec) or symbolic dims
-    resolved by :func:`resolve_dim`.
+    resolved by :func:`resolve_dim`.  ``parallelizable`` is the one
+    description of N/F overlap: the strategy passes set it on the
+    search and the hoisted products that no longer depend on each
+    other, and the hardware models overlap exactly the flagged ops.
     """
 
     id: int

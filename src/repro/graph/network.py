@@ -2,11 +2,10 @@
 
 The paper's delayed-aggregation story is a *network-level* property —
 module i+1's hoisted MLP is independent of module i's aggregation drain
-— but per-module graphs stop at module boundaries, so passes, the
-schedule analysis and the trace cannot see across them.  This module closes the
-gap: a network declares its topology once through a
-:class:`NetworkGraphBuilder` and the whole network lowers to ONE
-:class:`~repro.graph.ir.Graph`:
+— but per-module graphs stop at module boundaries, so passes and the
+trace cannot see across them.  This module closes the gap: a network
+declares its topology once through a :class:`NetworkGraphBuilder` and
+the whole network lowers to ONE :class:`~repro.graph.ir.Graph`:
 
 * every module's *original-order* subgraph is inlined (per-module
   ``build`` becomes a subroutine of the network builder), tagged with
@@ -22,17 +21,12 @@ gap: a network declares its topology once through a
 Because coordinates flow through explicit ``coords`` nodes (derived
 from sampling, never from features), a downstream module's
 sample→search chain depends only on the *sampling* chain of its
-predecessors: `schedule_graph` over a network graph therefore exposes
-cross-module N/F overlap — module i+1's neighbor search is ready while
-module i's MLP and aggregation still drain.
+predecessors.
 
 :class:`~repro.graph.executors.GraphExecutor` interprets these graphs
-with the same per-node arithmetic it runs module graphs with, so
-whole-network execution is bit-exact against composing the same modules
-through :meth:`repro.core.module.PointCloudModule.forward_batch` — the
-pre-network-graph path, kept available as
-:meth:`~repro.graph.executors.GraphExecutor.run_composed` (the
-reference the equivalence tests compare against).
+with the same per-node arithmetic it runs module graphs with;
+:class:`NetworkRegion` records where each module sits, so a per-module
+reference can be checked against every region of a network run.
 """
 
 from __future__ import annotations
@@ -81,10 +75,9 @@ class NetworkRegion:
 
     ``coords``/``feats`` are the node ids feeding the region,
     ``sample`` its centroid-sampling node and ``output`` its
-    externally-consumed feature node — everything the composed
-    (per-module) execution path needs to splice
-    :meth:`~repro.core.module.PointCloudModule.forward` in place of the
-    region.
+    externally-consumed feature node — everything needed to compare
+    the region against :meth:`~repro.core.module.PointCloudModule.forward`
+    run on the same inputs.
     """
 
     module: int
@@ -113,12 +106,6 @@ class NetworkGraph:
 
     def __len__(self):
         return len(self.graph)
-
-    def schedule(self):
-        """The cross-module N/F-lane schedule of this graph."""
-        from .schedule import schedule_graph  # analysis only
-
-        return schedule_graph(self.graph)
 
     @property
     def node_count(self):
@@ -195,8 +182,7 @@ class NetworkGraphBuilder:
                 inputs = (coords,)
             elif node.kind == "search" and spec.search_space == "coords":
                 # Coordinate-space searches do not consume features at
-                # all; rewiring the feature input to the coords chain is
-                # what unlocks cross-module N/F overlap.
+                # all: their input is the coords chain.
                 inputs = (coords, inputs[1])
             new = self.graph.add(node.kind, inputs, attrs, node.phase,
                                  node.parallelizable)

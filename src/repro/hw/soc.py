@@ -13,8 +13,12 @@ The paper's platform taxonomy:
 * ***-NSE** — any of the above with the Tigris-style neighbor search
   engine replacing the GPU for N (§VII-E).
 
-Latency composes per module: serial N + A + F without overlap,
-``max(N, F) + A`` with overlap.  Energy sums engine energies plus the
+Latency composes per module.  Without overlap it is serial
+N + F + A + O.  With overlap, only the ops whose ``parallelizable`` flag
+is set run side by side — under ``delayed`` a module's search and its
+whole hoisted MLP, under ``limited`` the search and the first product,
+under ``original`` nothing — so a module takes ``max(N∥, F∥)`` plus
+every unflagged N, F, A and O time.  Energy sums engine energies plus the
 DRAM traffic each configuration incurs (notably the NIT round trip and
 the original algorithm's spilled MLP activations).
 """
@@ -34,6 +38,7 @@ from .npu import SystolicNPU
 from .nse import NeighborSearchEngine
 
 __all__ = [
+    "ModuleTime",
     "SoCConfig",
     "SoC",
     "SoCResult",
@@ -44,7 +49,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SoCConfig:
-    """Which engine runs each phase, and whether N/F overlap."""
+    """Which engine runs each phase, and whether flagged N/F ops overlap."""
 
     name: str
     strategy: str = "original"
@@ -75,9 +80,52 @@ CONFIGS = {
 }
 
 
+@dataclass(frozen=True)
+class ModuleTime:
+    """One module's engine time per phase, in seconds.
+
+    ``n_par`` / ``f_par`` are the parts of ``n`` / ``f`` spent in ops
+    whose ``parallelizable`` flag is set.
+    """
+
+    module: str
+    n: float
+    a: float
+    f: float
+    o: float
+    n_par: float
+    f_par: float
+
+    def windows(self, overlap):
+        """``([(phase, start, end)], span)`` offsets from the module start.
+
+        With ``overlap`` the flagged N and F time run side by side from
+        the start; everything else follows serially — unflagged N,
+        unflagged F, then A and O.  ``span`` is the module's latency.
+        """
+        if overlap:
+            side = (("N", self.n_par), ("F", self.f_par))
+            serial = (("N", self.n - self.n_par), ("F", self.f - self.f_par))
+            clock = max(self.n_par, self.f_par)
+        else:
+            side = ()
+            serial = (("N", self.n), ("F", self.f))
+            clock = 0.0
+        windows = [(phase, 0.0, t) for phase, t in side if t]
+        for phase, t in serial + (("A", self.a), ("O", self.o)):
+            if t:
+                windows.append((phase, clock, clock + t))
+            clock += t
+        return windows, clock
+
+
 @dataclass
 class SoCResult:
-    """Latency/energy of one network on one SoC configuration."""
+    """Latency/energy of one network on one SoC configuration.
+
+    ``modules`` holds the per-module :class:`ModuleTime` the latency
+    was composed from, in execution order.
+    """
 
     config: str
     latency: float
@@ -85,6 +133,7 @@ class SoCResult:
     phase_times: dict = field(default_factory=dict)
     phase_energy: dict = field(default_factory=dict)
     au_stats: list = field(default_factory=list)
+    modules: list = field(default_factory=list)
 
     def speedup_over(self, other):
         return other.latency / self.latency
@@ -196,6 +245,7 @@ class SoC:
         phase_times = {p: 0.0 for p in "NAFO"}
         phase_energy = {p: 0.0 for p in "NAFO"}
         au_stats = []
+        modules = []
         latency = 0.0
         dram_bytes = 0
 
@@ -208,12 +258,14 @@ class SoC:
                 groups.append((op.module, [op]))
 
         for module_name, ops in groups:
-            n_time = a_time = f_time = o_time = 0.0
+            n_time = a_time = f_time = o_time = n_par = f_par = 0.0
             au_done = False
             for op in ops:
                 if op.phase == "N":
                     t, e = self._n_cost(op, config)
                     n_time += t
+                    if op.parallelizable:
+                        n_par += t
                     phase_energy["N"] += e
                     # NIT round trip: written by the search engine, read
                     # by the aggregation consumer.
@@ -240,6 +292,8 @@ class SoC:
                 elif op.phase == "F":
                     t, e = self._f_cost(op, config)
                     f_time += t
+                    if op.parallelizable:
+                        f_par += t
                     phase_energy["F"] += e
                 else:
                     t = self.gpu.op_time(op)
@@ -247,10 +301,10 @@ class SoC:
                     phase_energy["O"] += self.gpu.op_energy(op, t)
                 dram_bytes += getattr(op, "output_bytes", 0) \
                     if isinstance(op, MatMulOp) and not config.use_npu else 0
-            if config.overlap:
-                latency += max(n_time, f_time) + a_time + o_time
-            else:
-                latency += n_time + f_time + a_time + o_time
+            times = ModuleTime(module_name, n_time, a_time, f_time, o_time,
+                               n_par, f_par)
+            modules.append(times)
+            latency += times.windows(config.overlap)[1]
             phase_times["N"] += n_time
             phase_times["A"] += a_time
             phase_times["F"] += f_time
@@ -258,7 +312,8 @@ class SoC:
 
         energy = sum(phase_energy.values()) + self.dram.transfer_energy(dram_bytes)
         return SoCResult(
-            config.name, latency, energy, phase_times, phase_energy, au_stats
+            config.name, latency, energy, phase_times, phase_energy, au_stats,
+            modules,
         )
 
     def compare(self, network, config_names=("baseline", "mesorasi_sw",

@@ -1,9 +1,9 @@
 """Execution timelines: when each engine is busy during a network run.
 
-The SoC model reports per-phase totals; the timeline reconstructs the
-schedule itself — per module, which window the GPU (N), the NPU (F) and
-the AU (A) occupy — so the Fig 8 overlap is inspectable and renderable
-as a text Gantt chart.
+The SoC model composes its latency from per-module phase times; the
+timeline lays those same times out — per module, which window the GPU
+(N), the NPU (F) and the AU (A) occupy — so the Fig 8 overlap is
+inspectable and renderable as a text Gantt chart.
 """
 
 from __future__ import annotations
@@ -59,85 +59,29 @@ class Timeline:
 def build_timeline(soc, network, config):
     """Schedule a network on an SoC configuration.
 
-    Mirrors :meth:`repro.hw.soc.SoC.simulate`'s latency composition but
-    keeps the start/end of every engine window.  Returns a
-    :class:`Timeline` whose makespan equals the simulator's latency up
-    to floating-point noise.
+    Runs :meth:`repro.hw.soc.SoC.simulate` and places each module's
+    phase windows (:meth:`repro.hw.soc.ModuleTime.windows`) after the
+    previous module's, so the makespan is the simulator's latency.
     """
-    from .soc import CONFIGS, synthetic_nit
-    from ..profiling.trace import GatherOp
+    from .soc import CONFIGS
 
     if isinstance(config, str):
         config = CONFIGS[config]
-    trace = network.trace(config.strategy)
-    specs = {m.spec.name: m.spec for m in network.encoder}
-    for extra in getattr(network, "box_encoder", []):
-        specs[extra.spec.name] = extra.spec
-
-    groups = []
-    for op in trace:
-        if groups and groups[-1][0] == op.module:
-            groups[-1][1].append(op)
-        else:
-            groups.append((op.module, [op]))
-
+    engines = {
+        "N": "GPU:N",
+        "F": "NPU:F" if config.use_npu else "GPU:F",
+        "A": "AU:A" if config.use_au else "GPU:A",
+        "O": "GPU:O",
+    }
     timeline = Timeline()
     clock = 0.0
-    for module_name, ops in groups:
-        n_time = a_time = f_time = o_time = 0.0
-        au_done = False
-        for op in ops:
-            if op.phase == "N":
-                n_time += soc._n_cost(op, config)[0]
-            elif op.phase == "A":
-                if config.use_au and module_name in specs:
-                    if not au_done and isinstance(op, GatherOp):
-                        spec = specs[module_name]
-                        nit = synthetic_nit(spec)
-                        a_time += soc.au.process(
-                            nit, op.feature_dim, op.table_rows
-                        ).time
-                        au_done = True
-                    continue
-                a_time += soc.gpu.op_time(op)
-            elif op.phase == "F":
-                f_time += soc._f_cost(op, config)[0]
-            else:
-                o_time += soc.gpu.op_time(op)
-
-        if config.overlap:
-            if n_time:
-                timeline.intervals.append(
-                    Interval("GPU:N", module_name, clock, clock + n_time)
-                )
-            if f_time:
-                timeline.intervals.append(
-                    Interval("NPU:F", module_name, clock, clock + f_time)
-                )
-            clock += max(n_time, f_time)
-        else:
-            if n_time:
-                timeline.intervals.append(
-                    Interval("GPU:N", module_name, clock, clock + n_time)
-                )
-                clock += n_time
-            if f_time:
-                engine = "NPU:F" if config.use_npu else "GPU:F"
-                timeline.intervals.append(
-                    Interval(engine, module_name, clock, clock + f_time)
-                )
-                clock += f_time
-        if a_time:
-            engine = "AU:A" if config.use_au else "GPU:A"
-            timeline.intervals.append(
-                Interval(engine, module_name, clock, clock + a_time)
-            )
-            clock += a_time
-        if o_time:
-            timeline.intervals.append(
-                Interval("GPU:O", module_name, clock, clock + o_time)
-            )
-            clock += o_time
+    for times in soc.simulate(network, config).modules:
+        windows, span = times.windows(config.overlap)
+        for phase, start, end in windows:
+            timeline.intervals.append(Interval(
+                engines[phase], times.module, clock + start, clock + end
+            ))
+        clock += span
     return timeline
 
 

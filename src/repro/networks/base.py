@@ -20,8 +20,7 @@ one operator graph per strategy.  ``forward_batch`` interprets it over a
 stack of clouds; ``forward`` lifts its one cloud into a stack of one
 and unwraps the result (a cloud is a stack of one — executors never
 look at rank); ``trace`` lowers the same graph to the analytic operator
-stream, and :func:`~repro.graph.schedule_graph` reads the N/F overlap
-the paper's hardware exploits *across module boundaries* off it — all
+stream, carrying the N/F-overlap flags the hardware models read — all
 from the same program.
 """
 
@@ -171,9 +170,8 @@ class PointCloudNetwork(Module):
     Subclasses define ``self.encoder`` (a list of PointCloudModules)
     and declare their topology once in :meth:`_build_graph` against a
     :class:`~repro.graph.network.NetworkGraphBuilder`.  Everything else
-    — single-cloud forward, batched forward, the analytic trace, the
-    N/F-overlap schedule — is derived from the resulting whole-network
-    graph.
+    — single-cloud forward, batched forward, the analytic trace — is
+    derived from the resulting whole-network graph.
     """
 
     #: Short name used in figures, e.g. "PointNet++ (c)".
@@ -266,26 +264,6 @@ class PointCloudNetwork(Module):
 
         return GraphExecutor().run_network(
             self.network_graph(strategy), self, coords
-        )
-
-    def forward_composed(self, coords, strategy="delayed"):
-        """Per-module composition: the pre-network-graph execution path.
-
-        Each module region runs through
-        :meth:`~repro.core.module.PointCloudModule.forward_batch`
-        exactly as networks composed modules before whole-network
-        graphs; only the glue interprets the graph.  Takes one cloud or
-        a (B, N, 3) stack.  Kept as the bit-exactness baseline the
-        equivalence tests measure against.
-        """
-        from ..graph.executors import GraphExecutor
-
-        coords = np.asarray(coords, dtype=np.float64)
-        ngraph = self.network_graph(strategy)
-        if coords.ndim == 3:
-            return GraphExecutor().run_composed(ngraph, self, coords)
-        return _only_cloud(
-            ngraph, GraphExecutor().run_composed(ngraph, self, coords[None])
         )
 
     # -- tracing ------------------------------------------------------------

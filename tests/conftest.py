@@ -1,5 +1,6 @@
-"""Helpers the test modules share: toy networks, seeded clouds, and
-bit-exact comparison across every output structure.
+"""Helpers the test modules share: toy networks, seeded clouds,
+bit-exact comparison across every output structure, and the
+independent per-module reference forward.
 
 Test modules import them by name (``from conftest import toy``).
 """
@@ -7,6 +8,9 @@ Test modules import them by name (``from conftest import toy``).
 import numpy as np
 
 from repro.core import ModuleSpec
+from repro.core.module import ModuleOutput
+from repro.core.tables import NeighborIndexTable, PointFeatureTable
+from repro.neighbors import neighbor_search
 from repro.networks import build_network
 from repro.networks.generic import GenericPointCloudNetwork
 
@@ -65,3 +69,55 @@ def leaves(ref, out):
 def assert_bit_exact(ref, out):
     for a, b in leaves(ref, out):
         assert np.array_equal(a, b)
+
+
+def reference_module_forward(module, coords, feats, strategy):
+    """The pre-IR hand-written module forward over one cloud, kept verbatim.
+
+    These are the strategy bodies the operator-graph executor replaced
+    in :mod:`repro.core.module`; they survive here as the one
+    independent oracle for what a module computes.  The executor is held
+    to them bit for bit, module by module and region by region of every
+    network graph.
+    """
+    spec = module.spec
+    n_in = coords.shape[0]
+    centroid_idx = module._sample_centroids(n_in)
+    out_coords = coords[centroid_idx]
+    space = coords if spec.search_space == "coords" else feats.data
+    indices, _ = neighbor_search(space, space[centroid_idx], spec.k)
+    nit = NeighborIndexTable(indices, centroid_idx)
+
+    if strategy == "original":
+        k, m_in = spec.k, spec.in_dim
+        rows = len(centroid_idx)
+        gathered = feats.gather(indices)
+        centroids = feats.gather(centroid_idx).reshape(rows, 1, m_in)
+        offsets = (gathered - centroids).reshape(rows * k, m_in)
+        transformed = module.mlp(offsets).reshape(rows, k, spec.out_dim)
+        return ModuleOutput(out_coords, transformed.max(axis=1), nit, None)
+    if strategy == "delayed":
+        pft_tensor = module.mlp(feats)
+        pft = PointFeatureTable(pft_tensor.data)
+        gathered = pft_tensor.gather(indices)
+        reduced = gathered.max(axis=1)
+        out = reduced - pft_tensor.gather(centroid_idx)
+        return ModuleOutput(out_coords, out, nit, pft)
+    layers = module.mlp.net.layers
+    first = layers[0]
+    hoisted = feats @ first.weight
+    k = spec.k
+    rows = len(centroid_idx)
+    hidden = hoisted.shape[-1]
+    gathered = hoisted.gather(indices)
+    centroids = hoisted.gather(centroid_idx).reshape(rows, 1, hidden)
+    offsets = (gathered - centroids).reshape(rows * k, hidden)
+    if first.bias is not None:
+        offsets = offsets + first.bias
+    out = offsets
+    for layer in layers[1:]:
+        out = layer(out)
+    transformed = out.reshape(rows, k, spec.out_dim)
+    return ModuleOutput(
+        out_coords, transformed.max(axis=1), nit, PointFeatureTable(hoisted.data)
+    )

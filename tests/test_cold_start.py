@@ -36,8 +36,8 @@ TIMEOUT = 120.0
 #: ``repro.backend`` lost five when the int8 backend went and the one
 #: float backend class folded into ``ArrayBackend``.
 FRONT_DOORS = [
-    ("repro", 12), ("repro.backend", 20), ("repro.core", 15),
-    ("repro.data", 24), ("repro.engine", 5), ("repro.graph", 32),
+    ("repro", 12), ("repro.backend", 20), ("repro.core", 13),
+    ("repro.data", 24), ("repro.engine", 5), ("repro.graph", 28),
     ("repro.hw", 27), ("repro.neighbors", 12), ("repro.networks", 25),
     ("repro.neural", 24), ("repro.profiling", 31), ("repro.serve", 17),
 ]
@@ -103,7 +103,7 @@ NETWORK_MODULES = sorted(
     for path in Path(repro.__file__).parent.joinpath("networks").glob("*.py")
     if path.stem not in ("__init__", "base", "registry"))
 KERNEL_PATH_FORBIDDEN = (
-    "repro.graph.executors", "repro.graph.schedule", "repro.core.tables",
+    "repro.graph.executors", "repro.core.tables",
     "repro.neighbors.grid", "repro.neighbors.kdtree", "repro.neighbors.ball",
     "repro.commands",
     *(m for m in NETWORK_MODULES if m != "repro.networks.pointnet2"),

@@ -240,29 +240,6 @@ class TestSearchContext:
             assert {key[0] for key in cache._entries} == own
 
 
-class TestBatchedNeighborIndexTable:
-    def test_round_trip_through_per_cloud_tables(self):
-        from repro.core import BatchedNeighborIndexTable
-
-        clouds = random_clouds(3, 50, seed=25)
-        idx, _ = knn_brute_force(clouds, clouds[:, :8], 4)
-        batched = BatchedNeighborIndexTable(idx, np.arange(8))
-        assert (batched.batch_size, batched.n_centroids, batched.k) == (3, 8, 4)
-        rebuilt = BatchedNeighborIndexTable.from_tables(batched.tables())
-        np.testing.assert_array_equal(rebuilt.indices, batched.indices)
-        assert batched.cloud(1).size_bytes() * 3 == batched.size_bytes()
-
-    def test_validation(self):
-        from repro.core import BatchedNeighborIndexTable
-
-        with pytest.raises(ValueError):
-            BatchedNeighborIndexTable(np.zeros((4, 3)), np.arange(4))
-        with pytest.raises(ValueError):
-            BatchedNeighborIndexTable(np.zeros((2, 4, 3)), np.arange(5))
-        with pytest.raises(ValueError):
-            BatchedNeighborIndexTable.from_tables([])
-
-
 class TestNeighborIndexCache:
     def test_hit_returns_same_result(self):
         cache = NeighborIndexCache(maxsize=8)

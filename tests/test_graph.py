@@ -4,9 +4,8 @@ trace lowering, and the trace/execution consistency property."""
 import numpy as np
 import pytest
 
+from conftest import reference_module_forward
 from repro.core import ModuleSpec, PointCloudModule, emit_module_trace
-from repro.core.module import ModuleOutput
-from repro.core.tables import NeighborIndexTable, PointFeatureTable
 from repro.engine import BatchRunner, NeighborIndexCache
 from repro.graph import (
     Graph,
@@ -20,13 +19,11 @@ from repro.graph import (
     fuse_aggregation,
     limit_delay,
     module_graph,
-    node_lane,
     resolve_dim,
     run_pipeline,
-    schedule_graph,
     shape_env,
 )
-from repro.neighbors import neighbor_search, search_context
+from repro.neighbors import search_context
 from repro.networks import ALL_NETWORKS, build_network
 from repro.neural import Tensor, no_grad
 from repro.profiling.trace import (
@@ -133,57 +130,6 @@ def reference_emit_module_trace(spec, strategy, trace, n_in=None):
     return trace
 
 
-def _reference_module_forward(module, coords, feats, strategy):
-    """The pre-IR hand-written module forward, kept verbatim.
-
-    These are the strategy bodies the operator-graph executor replaced
-    in :mod:`repro.core.module`; they survive here as the independent
-    oracle ``test_matches_reference_bodies_exactly`` holds the executor
-    to, bit for bit.
-    """
-    spec = module.spec
-    n_in = coords.shape[0]
-    centroid_idx = module._sample_centroids(n_in)
-    out_coords = coords[centroid_idx]
-    space = coords if spec.search_space == "coords" else feats.data
-    indices, _ = neighbor_search(space, space[centroid_idx], spec.k)
-    nit = NeighborIndexTable(indices, centroid_idx)
-
-    if strategy == "original":
-        k, m_in = spec.k, spec.in_dim
-        rows = len(centroid_idx)
-        gathered = feats.gather(indices)
-        centroids = feats.gather(centroid_idx).reshape(rows, 1, m_in)
-        offsets = (gathered - centroids).reshape(rows * k, m_in)
-        transformed = module.mlp(offsets).reshape(rows, k, spec.out_dim)
-        return ModuleOutput(out_coords, transformed.max(axis=1), nit, None)
-    if strategy == "delayed":
-        pft_tensor = module.mlp(feats)
-        pft = PointFeatureTable(pft_tensor.data)
-        gathered = pft_tensor.gather(indices)
-        reduced = gathered.max(axis=1)
-        out = reduced - pft_tensor.gather(centroid_idx)
-        return ModuleOutput(out_coords, out, nit, pft)
-    layers = module.mlp.net.layers
-    first = layers[0]
-    hoisted = feats @ first.weight
-    k = spec.k
-    rows = len(centroid_idx)
-    hidden = hoisted.shape[-1]
-    gathered = hoisted.gather(indices)
-    centroids = hoisted.gather(centroid_idx).reshape(rows, 1, hidden)
-    offsets = (gathered - centroids).reshape(rows * k, hidden)
-    if first.bias is not None:
-        offsets = offsets + first.bias
-    out = offsets
-    for layer in layers[1:]:
-        out = layer(out)
-    transformed = out.reshape(rows, k, spec.out_dim)
-    return ModuleOutput(
-        out_coords, transformed.max(axis=1), nit, PointFeatureTable(hoisted.data)
-    )
-
-
 class TestIR:
     def test_resolve_dim(self):
         env = {"n_in": 64, "n_out": 32, "k": 8}
@@ -275,6 +221,19 @@ class TestPasses:
         assert len(g.find("epilogue")) == 1
         assert g.only("subtract").attrs["mode"] == "pre"
 
+    def test_flags_tell_the_strategy_story(self):
+        # The flag is the one description of N/F overlap: original order
+        # overlaps nothing, delayed the search with the whole MLP chain,
+        # limited the search with exactly the first (linear) product.
+        def flagged(strategy):
+            return [n.kind for n in module_graph(sa1_spec(), strategy)
+                    if n.parallelizable]
+
+        n_layers = len(sa1_spec().mlp_dims) - 1
+        assert flagged("original") == []
+        assert sorted(flagged("delayed")) == ["matmul"] * n_layers + ["search"]
+        assert sorted(flagged("limited")) == ["matmul", "search"]
+
     def test_fuse_produces_single_aggregate(self):
         for strategy in STRATEGIES:
             g = module_graph(SPEC, strategy)
@@ -354,50 +313,6 @@ class TestPasses:
             for pass_fn in (fuse_aggregation, dead_code_elimination):
                 once = pass_fn(graph)
                 assert signature(pass_fn(once)) == signature(once)
-
-
-class TestScheduleLowering:
-    def test_lanes(self):
-        graph = module_graph(sa1_spec(), "delayed")
-        schedule = schedule_graph(graph)
-        for entry in schedule:
-            expected = "N" if entry.node.kind in ("sample", "search") else "F"
-            assert entry.lane == expected
-            assert node_lane(entry.node) == expected
-            assert schedule.lane(entry.node.id) == expected
-
-    def test_overlap_only_after_delaying_aggregation(self):
-        # The strategy story as a static schedule property: original
-        # order cannot overlap N with F; delayed overlaps the whole MLP
-        # chain; limited overlaps exactly the first (linear) product.
-        spec = sa1_spec()
-        by_strategy = {
-            strategy: schedule_graph(module_graph(spec, strategy))
-            for strategy in ("original", "delayed", "limited")
-        }
-        assert by_strategy["original"].overlap_steps() == ()
-        assert len(by_strategy["delayed"].overlap_steps()) >= 1
-        assert len(by_strategy["limited"].overlap_steps()) >= 1
-
-        overlapped = {
-            entry.node.kind
-            for step in by_strategy["delayed"].overlap_steps()
-            for entry in step
-        }
-        assert overlapped == {"search", "matmul"}
-
-    def test_steps_respect_dependencies(self):
-        for strategy in ("original", "delayed", "limited"):
-            schedule = schedule_graph(module_graph(sa1_spec(), strategy))
-            steps = {entry.node.id: entry.step for entry in schedule}
-            for entry in schedule:
-                for parent in entry.node.inputs:
-                    assert steps[parent] < entry.step
-            assert schedule.width >= 1
-
-    def test_describe_mentions_overlap(self):
-        text = schedule_graph(module_graph(sa1_spec(), "delayed")).describe()
-        assert "overlap step" in text and "search[N]" in text
 
 
 class LoggingExecutor(GraphExecutor):
@@ -523,7 +438,7 @@ class TestExecutors:
         feats = Tensor(rng.normal(size=(spec.n_in, spec.in_dim)))
         mod = PointCloudModule(spec, rng=np.random.default_rng(1))
         out = mod(coords, feats, strategy=strategy)
-        ref = _reference_module_forward(mod, coords, feats, strategy)
+        ref = reference_module_forward(mod, coords, feats, strategy)
         np.testing.assert_array_equal(out.features.data, ref.features.data)
         np.testing.assert_array_equal(out.nit.indices, ref.nit.indices)
         np.testing.assert_array_equal(out.coords, ref.coords)
@@ -547,40 +462,9 @@ class TestExecutors:
                 mod.graph(strategy), mod, clouds[b][None],
                 Tensor(clouds[b].copy()),
             )
-            np.testing.assert_allclose(stacked[b], single.features.data,
-                                       atol=1e-9)
+            np.testing.assert_array_equal(stacked[b], single.features.data)
             np.testing.assert_array_equal(batched.indices[b],
                                           single.indices[0])
-
-    @pytest.mark.parametrize("spec", [SPEC, FEATURE_SPEC])
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_forward_is_forward_batch_of_a_stack_of_one(self, spec, strategy):
-        # The one-arity contract at the module door: outputs and
-        # parameter gradients agree bit for bit, modulo the leading axis.
-        rng = np.random.default_rng(6)
-        coords = rng.normal(size=(spec.n_in, 3))
-        data = rng.normal(size=(spec.n_in, spec.in_dim))
-
-        def run(door):
-            mod = PointCloudModule(spec, rng=np.random.default_rng(7))
-            out = door(mod, Tensor(data.copy()))
-            out.features.sum().backward()
-            return out, [p.grad for p in mod.parameters()]
-
-        one, one_grads = run(
-            lambda mod, feats: mod(coords, feats, strategy=strategy))
-        stack, stack_grads = run(
-            lambda mod, feats: mod.forward_batch(coords[None], feats,
-                                                 strategy=strategy))
-        assert one.nit.indices.shape == (spec.n_out, spec.k)
-        np.testing.assert_array_equal(one.features.data, stack.features.data)
-        np.testing.assert_array_equal(one.coords, stack.coords[0])
-        np.testing.assert_array_equal(one.nit.indices, stack.nit.indices[0])
-        np.testing.assert_array_equal(one.nit.centroids, stack.nit.centroids)
-        assert (one.pft is None) == (stack.pft is None)
-        assert len(one_grads) == len(stack_grads) > 0
-        for a, b in zip(one_grads, stack_grads):
-            np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_forward_with_pinned_centroids_is_the_stack_path(self, strategy):

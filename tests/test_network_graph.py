@@ -1,22 +1,28 @@
 """Tests for whole-network graphs: builders, network-aware passes,
-executors, cross-module schedules, trace lowering, and the
-execution/trace/composition equivalence properties."""
+executors, trace lowering, and the execution/trace equivalence
+properties — every module region held to the independent per-module
+reference."""
 
 import numpy as np
 import pytest
 
-from conftest import assert_bit_exact, cloud_for, clouds_for, toy
+from conftest import (
+    CHUNK_EDGE_TOYS,
+    assert_bit_exact,
+    cloud_for,
+    clouds_for,
+    reference_module_forward,
+    toy,
+)
 from repro.core import STRATEGIES, ModuleSpec, PointCloudModule, emit_module_trace
 from repro.graph import (
     GraphExecutor,
     OpRecorder,
     build_network_graph,
     format_graph,
-    module_graph,
-    schedule_graph,
 )
 from repro.networks import ALL_NETWORKS, FCHead, PointCloudNetwork, build_network
-from repro.neural import no_grad
+from repro.neural import Tensor, no_grad
 from repro.profiling.trace import (
     ConcatOp,
     GatherOp,
@@ -83,29 +89,52 @@ class TestBuild:
             assert len(aggs) == 1 and aggs[0].attrs["reduce"] is True
 
 
+class RecordingExecutor(GraphExecutor):
+    """The graph interpreter, keeping every network node's value."""
+
+    def __init__(self):
+        super().__init__()
+        self.values = {}
+
+    def _exec_network_node(self, node, *args):
+        value = super()._exec_network_node(node, *args)
+        self.values[node.id] = value
+        return value
+
+
 class TestExecutionEquivalence:
-    """Whole-network graph execution is bit-exact against composing the
-    same modules through the per-module forward path."""
+    """Whole-network graph execution is bit-exact against the
+    independent per-module reference, region by region."""
 
-    @pytest.mark.parametrize("name", ALL_NETWORKS)
+    @pytest.mark.parametrize("height", [1, 3])
     @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_single_cloud_bit_exact_vs_composed(self, name, strategy):
+    @pytest.mark.parametrize("name", [*ALL_NETWORKS, *CHUNK_EDGE_TOYS])
+    def test_every_region_matches_the_reference_bodies(self, name, strategy,
+                                                       height):
+        # Each region's own inputs, cloud by cloud, go through the pre-IR
+        # strategy bodies; the region's output rows and sampled
+        # centroids must be theirs bit for bit.
         net = toy(name)
-        cloud = cloud_for(net, seed=1)
+        ngraph = net.network_graph(strategy)
+        executor = RecordingExecutor()
         with no_grad():
-            graph_out = net.forward(cloud, strategy=strategy)
-            composed = net.forward_composed(cloud, strategy=strategy)
-        assert_bit_exact(graph_out, composed)
-
-    @pytest.mark.parametrize("name", ALL_NETWORKS)
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_batched_bit_exact_vs_composed(self, name, strategy):
-        net = toy(name)
-        clouds = clouds_for(net, 2, seed=2)
-        with no_grad():
-            graph_out = net.forward_batch(clouds, strategy=strategy)
-            composed = net.forward_composed(clouds, strategy=strategy)
-        assert_bit_exact(graph_out, composed)
+            executor.run_network(ngraph, net, clouds_for(net, height, seed=1))
+            for region in ngraph.regions:
+                coords = executor.values[region.coords]
+                feats = executor.values[region.feats].data
+                output = executor.values[region.output].data
+                n_in = coords.shape[1]
+                n_out = output.shape[0] // height
+                for b in range(height):
+                    ref = reference_module_forward(
+                        ngraph.refs[region.module], coords[b],
+                        Tensor(feats[b * n_in:(b + 1) * n_in]), strategy,
+                    )
+                    assert np.array_equal(
+                        output[b * n_out:(b + 1) * n_out], ref.features.data
+                    ), (region.module, b)
+                    assert np.array_equal(executor.values[region.sample],
+                                          ref.nit.centroids)
 
     @pytest.mark.parametrize("name", ALL_NETWORKS)
     @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -371,63 +400,6 @@ class TestDeadCodeElimination:
             assert_bit_exact(with_dead.forward(cloud), clean.forward(cloud))
         # The dead branch never shows up in the trace either.
         assert not with_dead.trace("delayed").by_type(ConcatOp)
-
-
-class TestCrossModuleSchedule:
-    def test_delayed_pointnet_has_cross_module_overlap(self):
-        net = toy("PointNet++ (c)")
-        schedule = net.network_graph("delayed").schedule()
-        cross = schedule.cross_module_overlap_steps()
-        assert len(cross) >= 1
-        # A cross-module step really does pair module i+1's N lane with
-        # module i's F-lane compute.
-        step = cross[0]
-        n_mods = {e.node.attrs.get("module") for e in step if e.lane == "N"}
-        f_mods = {e.node.attrs.get("module") for e in step if e.lane == "F"
-                  and "module" in e.node.attrs}
-        assert n_mods - f_mods
-
-    def test_original_order_has_no_intra_module_overlap(self):
-        # Original order cannot overlap a module's own N and F phases
-        # (the paper's point) — but the network graph still exposes
-        # *cross-module* concurrency even here, because sampling flows
-        # through the coords chain and never waits on features.
-        net = toy("PointNet++ (c)")
-        schedule = net.network_graph("original").schedule()
-        for step in schedule.overlap_steps():
-            intra = {
-                e.node.attrs.get("module")
-                for e in step if e.lane == "N"
-            } & {
-                e.node.attrs.get("module")
-                for e in step
-                if e.lane == "F" and "module" in e.node.attrs
-            }
-            assert not intra, "original order must not overlap within a module"
-
-    def test_network_overlap_at_least_per_module_sum(self):
-        for strategy in ("delayed", "limited"):
-            net = toy("PointNet++ (c)")
-            network = net.network_graph(strategy).schedule()
-            per_module = sum(
-                len(schedule_graph(module_graph(m.spec, strategy))
-                    .overlap_steps())
-                for m in net.encoder
-            )
-            assert len(network.overlap_steps()) >= per_module
-
-    def test_describe_mentions_cross_module(self):
-        net = toy("PointNet++ (c)")
-        text = net.network_graph("delayed").schedule().describe()
-        assert "cross-module" in text
-
-    def test_cli_schedule_prints_cross_module(self, capsys):
-        from repro.cli import main
-
-        assert main(["trace", "PointNet++ (c)", "--strategy", "delayed",
-                     "--schedule"]) == 0
-        out = capsys.readouterr().out
-        assert "cross-module overlap steps" in out
 
 
 class TestBuilderValidation:

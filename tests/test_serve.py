@@ -913,7 +913,7 @@ class TestCommandLine:
 
     @pytest.mark.parametrize("argv", [
         ["tune"],
-        ["trace", "PointNet++ (c)", "--schedule", "--cache", "dir"],
+        ["trace", "PointNet++ (c)", "--cache", "dir"],
     ], ids=["tune", "trace --cache"])
     def test_nothing_picks_a_configuration_for_the_caller(self, argv,
                                                           capsys):

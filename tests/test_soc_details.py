@@ -1,5 +1,7 @@
 """Detailed accounting tests for the SoC composition layer."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from repro.hw import (
     SystolicNPU,
     synthetic_nit,
 )
-from repro.networks import build_network
+from repro.networks import ALL_NETWORKS, build_network
 from repro.profiling.trace import MatMulOp, NeighborSearchOp, Trace
 
 
@@ -51,6 +53,44 @@ class TestPhaseAccounting:
             assert overlap.phase_times[p] == pytest.approx(
                 serial.phase_times[p]
             )
+
+
+class TestOverlapFollowsTheFlags:
+    """The SoC overlaps only the ops the strategy passes flag."""
+
+    @staticmethod
+    def overlap_and_serial(name, strategy):
+        soc, net = SoC(), build_network(name)
+        config = SoCConfig(strategy, strategy=strategy, use_npu=True)
+        return (soc.simulate(net, replace(config, overlap=True)),
+                soc.simulate(net, config))
+
+    @pytest.mark.parametrize("name", ALL_NETWORKS)
+    def test_original_order_overlaps_nothing(self, name):
+        # Under original order every MLP consumes the search's output,
+        # so turning overlap on cannot hide any time.
+        overlap, serial = self.overlap_and_serial(name, "original")
+        assert overlap.latency == serial.latency
+
+    @pytest.mark.parametrize("name", ALL_NETWORKS)
+    def test_limited_hides_at_most_the_flagged_product(self, name):
+        # Limited delay frees only the first product of each module; the
+        # slack covers the different summation order of the two sides.
+        overlap, serial = self.overlap_and_serial(name, "limited")
+        flagged_f = sum(m.f_par for m in serial.modules)
+        assert flagged_f > 0
+        assert overlap.latency < serial.latency
+        assert overlap.latency >= (serial.latency - flagged_f) * (1 - 1e-12)
+
+    @pytest.mark.parametrize("name", ALL_NETWORKS)
+    def test_delayed_flags_every_search_and_product(self, name):
+        # Every module that searches runs its whole N and F side by side,
+        # so the Mesorasi configurations compose max(N, F) as before.
+        r = SoC().simulate(build_network(name), "mesorasi_sw")
+        searching = [m for m in r.modules if m.n]
+        assert searching
+        for m in searching:
+            assert (m.n_par, m.f_par) == (m.n, m.f)
 
 
 class TestEngineSubstitution:
