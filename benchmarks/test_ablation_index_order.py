@@ -26,11 +26,13 @@ def test_ablation_index_order(benchmark):
     rng = np.random.default_rng(0)
     v = rng.normal(size=(1024, 3))
     surface = v / np.linalg.norm(v, axis=1, keepdims=True)
+    # Drawn once: the row must not depend on how many rounds the
+    # benchmark fixture decides to run.
+    shuffled = surface[rng.permutation(len(surface))]
 
     def run():
         au = AggregationUnit()
         scan = surface[_morton_order(surface)]
-        shuffled = surface[rng.permutation(len(surface))]
         return {
             "scan order": au.process(_nit_for(scan), 128, 1024),
             "random order": au.process(_nit_for(shuffled), 128, 1024),

@@ -15,16 +15,16 @@ Two backends ship: ``float64`` (bit-exact against the graph
 executors) and ``float32`` (the BLAS fast path).  The
 engine selects them through ``backend=`` on
 :class:`~repro.engine.BatchRunner`, and ``repro serve`` through
-``--serve-backend``.
+``--serve-backend``.  Every program is compiled in process and measures
+its arena plan on its first run; :mod:`repro.backend.aot` holds only
+the file transport for packed parameter tables.
 """
 
 from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(globals(), {
-    "ProgramCache": "aot",
     "SharedTable": "aot",
     "attach_table": "aot",
-    "network_fingerprint": "aot",
     "parameter_descriptor": "aot",
     "share_table": "aot",
     "ArrayBackend": "array",

@@ -21,7 +21,7 @@ arrays share memory with the live parameters (no copy); narrower
 backends snapshot a cast copy at export time.
 
 :class:`ParameterTable` is the whole-network form of that export: one
-flat, content-hashed table holding every segment a compiled
+flat table holding every segment a compiled
 :class:`~repro.backend.runtime.KernelProgram` will touch, keyed by the
 graph location that uses it.  An executor compiles one program, and so
 exports one table, per graph; the server builds one runner per hosted
@@ -30,14 +30,10 @@ hosted network's weights are exported once.  Tables serialize:
 :meth:`ParameterTable.pack` flattens the table into a JSON manifest
 plus one aligned binary blob, and :meth:`ParameterTable.from_buffer`
 rebuilds it **zero-copy** over any buffer exposing the blob (an
-``mmap`` of the program cache or of a published table file).  That
-pair is what makes compiled programs AOT-cacheable and lets K processes
-share one copy of the weights (:mod:`repro.backend.aot`).
+``mmap`` of a published table file, :mod:`repro.backend.aot`).
 """
 
 from __future__ import annotations
-
-import hashlib
 
 import numpy as np
 
@@ -164,19 +160,12 @@ class ParameterTable:
     kernel compiler looks ops up instead of exporting them, and one
     table answers every lookup any program compiled from the same
     graph will make.
-
-    Tables are content-addressed: :attr:`content_hash` digests the
-    dtype, keys, op kinds and raw bytes.  The digest is taken when
-    something stores or verifies the table, never when it is built.
     """
 
-    def __init__(self, backend_name, dtype, entries, content_hash=None):
+    def __init__(self, backend_name, dtype, entries):
         self.backend_name = str(backend_name)
         self.dtype = np.dtype(dtype)
         self.entries = dict(entries)
-        # A hash recorded in a manifest is trusted; otherwise the first
-        # read of :attr:`content_hash` computes it.
-        self._content_hash = content_hash
         # Zero-copy tables keep their backing buffer alive through this
         # handle (the mmap); plain exports leave it None.
         self._backing = None
@@ -254,30 +243,6 @@ class ParameterTable:
                 total += array.nbytes
         return total
 
-    # -- content addressing --------------------------------------------------
-
-    @property
-    def content_hash(self):
-        """SHA-256 of the dtype, keys, op kinds and raw bytes (memoised)."""
-        if self._content_hash is None:
-            self._content_hash = self._digest()
-        return self._content_hash
-
-    def _digest(self):
-        digest = hashlib.sha256()
-        digest.update(str(self.dtype).encode())
-        for key in sorted(self.entries, key=repr):
-            digest.update(repr(key).encode())
-            for op in self.entries[key]:
-                digest.update(op[0].encode())
-                for part in op[1:]:
-                    if part is None:
-                        digest.update(b"\x00")
-                    else:
-                        digest.update(str(part.shape).encode())
-                        digest.update(np.ascontiguousarray(part).data)
-        return digest.hexdigest()
-
     # -- serialization -------------------------------------------------------
 
     def pack(self):
@@ -318,7 +283,6 @@ class ParameterTable:
             "kind": "parameter-table",
             "backend": self.backend_name,
             "dtype": str(self.dtype),
-            "content_hash": self.content_hash,
             "total_bytes": len(blob),
             "arrays": specs,
             "entries": entries,
@@ -330,13 +294,9 @@ class ParameterTable:
         """Rebuild a table as zero-copy views over ``buffer``.
 
         ``buffer`` is anything the :func:`numpy.frombuffer` protocol
-        accepts — a read-only ``mmap`` of a shared table file or of the
-        program cache's on-disk blob.  ``backing`` (kept on
-        the table) pins the owner of that memory for the table's
-        lifetime.  No bytes are copied and nothing is re-hashed: the
-        manifest's recorded content hash is trusted (it was computed
-        when the blob was written; the program cache re-checks an
-        on-disk blob with :meth:`verify_buffer` before using it).
+        accepts — a read-only ``mmap`` of a shared table file.
+        ``backing`` (kept on the table) pins the owner of that memory
+        for the table's lifetime.  No bytes are copied.
         """
         if manifest.get("kind") != "parameter-table":
             raise ValueError("manifest does not describe a parameter table")
@@ -357,11 +317,6 @@ class ParameterTable:
                     None if ref is None else views[ref] for ref in op[1:]
                 ]))
             entries[key] = tuple(ops)
-        table = cls(manifest["backend"], manifest["dtype"], entries,
-                    content_hash=manifest["content_hash"])
+        table = cls(manifest["backend"], manifest["dtype"], entries)
         table._backing = backing
         return table
-
-    def verify_buffer(self):
-        """Recompute the content hash over the live arrays; True if intact."""
-        return self._digest() == self.content_hash

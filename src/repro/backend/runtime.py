@@ -24,10 +24,9 @@ pre-packed parameter table (:mod:`repro.backend.params`):
   working-set bytes drop by the measured reuse instead of summing every
   kernel's buffer (the measuring run's one-buffer-per-kernel pool is the
   baseline of the CI ``mem`` gates);
-* parameters live in one content-hashed
+* parameters live in one
   :class:`~repro.backend.params.ParameterTable` per program — one
-  executor's programs share it across threads and, packed, across
-  *processes* (:mod:`repro.backend.aot`);
+  executor's programs share it across threads;
 * centroid sampling is resolved at compile time (it is a deterministic
   function of the static graph shapes), and neighbor searches run in
   the backend's dtype — the engine's
@@ -174,8 +173,7 @@ class KernelProgram:
         self._kernel_nodes = []
         self._local = threading.local()
         #: The height-1 :class:`~repro.backend.memplan.ArenaPlan` every
-        #: height is scaled from (and the program cache stores); ``None``
-        #: until the program has run or been seeded.
+        #: height is scaled from; ``None`` until the program has run.
         self.per_cloud_plan = None
         self._plans = {}  # stack height -> ArenaPlan
         self._measuring_runs = 0
@@ -648,14 +646,6 @@ class KernelProgram:
                     self._liveness), self._liveness)
             return plan
 
-    def seed_plan(self, plan, measured=False):
-        """Install a per-cloud plan: a stored one (the AOT program-cache
-        path), or the one a first run just ``measured``."""
-        with self._plans_lock:
-            self._measuring_runs += measured
-            if self.per_cloud_plan is None:  # two threads may both measure
-                self.per_cloud_plan = plan
-
     def _allocator(self, height):
         """``(pool, measuring)`` for a run over ``height`` clouds;
         ``measuring`` is ``pool`` when this run measures, else ``None``."""
@@ -716,8 +706,11 @@ class KernelProgram:
             if on_kernel is not None:
                 on_kernel(pos, label, env, ctx)
         if measuring is not None:
-            self.seed_plan(validate_plan(
-                plan_arena(measuring.records, self._liveness)), measured=True)
+            plan = validate_plan(plan_arena(measuring.records, self._liveness))
+            with self._plans_lock:
+                self._measuring_runs += 1
+                if self.per_cloud_plan is None:  # two threads may both measure
+                    self.per_cloud_plan = plan
             self._plan_at(ctx["batch"])  # memory_stats() reports this height
         values = {}
         for out in self.ngraph.outputs:
@@ -735,8 +728,8 @@ class KernelProgram:
     def plan_for(self, coords, height=None):
         """The arena plan for ``height`` clouds (default: ``coords``' own).
 
-        Scaled from the per-cloud plan; a program that has neither run
-        nor been seeded runs ``coords`` once to measure it.
+        Scaled from the per-cloud plan; a program that has not run yet
+        runs ``coords`` once to measure it.
         """
         if self.per_cloud_plan is None:
             self.run(coords)
@@ -745,9 +738,9 @@ class KernelProgram:
     def memory_stats(self):
         """Planner statistics, sized by the tallest height planned so far.
 
-        ``measuring_runs`` is one unless the plan was seeded (or two
-        threads raced to be first); ``unplanned`` counts scratch requests
-        the plan did not describe — zero unless the planner is wrong.
+        ``measuring_runs`` is one unless two threads raced to be first;
+        ``unplanned`` counts scratch requests the plan did not describe —
+        zero unless the planner is wrong.
         """
         with self._plans_lock:
             heights = tuple(sorted(self._plans))
@@ -835,7 +828,7 @@ def compile_kernel_program(network, strategy="delayed", backend="float64",
     — which a non-benchmark change may not edit — still passes it; it
     goes with ROADMAP item 10.  ``params`` supplies a pre-built
     :class:`~repro.backend.params.ParameterTable` (e.g. one attached
-    zero-copy from the program cache or a shared file) instead of
+    zero-copy from a shared file) instead of
     exporting the network's weights.
     """
     return KernelProgram(network.network_graph(strategy), network,
@@ -854,21 +847,12 @@ class NetworkKernelExecutor:
     fleet of shard replicas.
     """
 
-    def __init__(self, backend="float64", params=None, program_cache=None):
+    def __init__(self, backend="float64", params=None):
         self.backend = get_backend(backend)
         #: Optional pre-built (possibly zero-copy-attached) parameter
         #: table every compiled program reads through instead of
         #: re-exporting the network's weights.
         self.params = params
-        #: Optional :class:`~repro.backend.aot.ProgramCache` (opened here
-        #: when given as its directory, as the CLI does); programs load
-        #: from (and first-compiles persist to) it.
-        if program_cache is not None and not hasattr(program_cache,
-                                                     "program_for"):
-            from .aot import ProgramCache  # which imports this module
-
-            program_cache = ProgramCache(program_cache)
-        self.program_cache = program_cache
         self._programs = {}
 
     def program(self, ngraph, network):
@@ -876,14 +860,8 @@ class NetworkKernelExecutor:
         key = id(ngraph)
         entry = self._programs.get(key)
         if entry is None or entry[0] is not ngraph:
-            if self.program_cache is not None:
-                program = self.program_cache.program_for(
-                    ngraph, network, self.backend, params=self.params,
-                )
-            else:
-                program = KernelProgram(ngraph, network, self.backend,
-                                        params=self.params)
-            entry = (ngraph, program)
+            entry = (ngraph, KernelProgram(ngraph, network, self.backend,
+                                           params=self.params))
             self._programs[key] = entry
         return entry[1]
 

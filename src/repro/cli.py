@@ -7,9 +7,6 @@ report
 trace NETWORK [--strategy S] [--memory]
     Print the operator trace of one benchmark network (``--memory``
     prints the planner's per-phase peaks and arena layout instead).
-compile NETWORK [--strategy S] [--backend B] [--cache DIR]
-    Ahead-of-time compile kernel programs into an on-disk program
-    cache (packed parameters + the measured per-cloud arena plan).
 simulate NETWORK [--config C]
     Simulate one network on one SoC configuration.
 networks
@@ -129,7 +126,6 @@ def _build_server(args):
             strategy=args.strategy,
             scale=args.scale,
             backend=_serve_backend(args.serve_backend),
-            program_cache=args.program_cache,
             policy=policy,
             cache_size=args.cache_size,
             memory_budget_mb=args.memory_budget_mb,
@@ -141,7 +137,6 @@ def _build_server(args):
         strategy=args.strategy,
         scale=args.scale,
         backend=_serve_backend(args.serve_backend),
-        program_cache=args.program_cache,
         policy=policy,
         workers=args.workers,
         cache=cache,
@@ -308,23 +303,6 @@ def build_parser():
                               "peaks before/after arena planning, plus the "
                               "planned arena layout")
 
-    p_compile = sub.add_parser(
-        "compile", help="AOT-compile kernel programs into a program cache"
-    )
-    p_compile.add_argument("network", nargs="*", **_NETWORK,
-                           help="networks to compile (default PointNet++ (c))")
-    p_compile.add_argument("--strategy", default="delayed",
-                           choices=("original", "delayed", "limited"))
-    p_compile.add_argument("--backend", default="float64",
-                           choices=("float64", "float32"))
-    p_compile.add_argument("--scale", type=float, default=0.125)
-    p_compile.add_argument("--batch", type=int, default=8,
-                           help="batch size whose arena is printed next to "
-                                "the stored per-cloud plan's")
-    p_compile.add_argument("--cache", default=".repro-programs", metavar="DIR",
-                           help="program cache directory (content-addressed; "
-                                "safe to reuse across networks and restarts)")
-
     p_sim = sub.add_parser("simulate", help="simulate a network on an SoC")
     p_sim.add_argument("network", **_NETWORK)
     p_sim.add_argument("--config", default="mesorasi_hw")
@@ -362,12 +340,6 @@ def build_parser():
                          help="execution path requests drain through: the "
                               "batched graph interpreter or a compiled "
                               "kernel backend")
-    p_serve.add_argument("--program-cache", default=None, metavar="DIR",
-                         help="on-disk AOT program cache directory; kernel "
-                              "programs load precompiled (memmapped packed "
-                              "parameters, the measured arena plan) and "
-                              "first-compiles persist for the next start — "
-                              "warm it with 'repro compile'")
     p_serve.add_argument("--cache-size", type=int, default=256,
                          help="total neighbor-index cache entries (0 "
                               "disables caching; with --shards the budget "

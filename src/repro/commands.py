@@ -7,8 +7,6 @@ compiles them.
 
 from __future__ import annotations
 
-import sys
-
 import numpy as np
 
 __all__ = ["COMMANDS"]
@@ -86,35 +84,6 @@ def _trace_memory(net, strategy):
     return 0
 
 
-def _cmd_compile(args):
-    """Ahead-of-time compile programs into the on-disk cache."""
-    from .backend import ProgramCache, compile_kernel_program
-    from .networks import build_network
-
-    try:
-        cache = ProgramCache(args.cache)
-    except ValueError as exc:
-        print(f"repro compile: error: {exc}", file=sys.stderr)
-        return 2
-    rng = np.random.default_rng(0)
-    for name in args.network or ["PointNet++ (c)"]:
-        net = build_network(name, scale=args.scale)
-        program = compile_kernel_program(net, args.strategy,
-                                         backend=args.backend)
-        # One cloud measures the per-cloud plan; stored with the
-        # program, it serves every stack height with no measuring run.
-        cloud = rng.normal(size=(1, net.n_points, 3))
-        plan = program.plan_for(cloud)
-        digest = cache.store(program)
-        batched = program.plan_for(cloud, height=args.batch)
-        print(f"{digest[:16]}  {net.name} [{args.strategy}] {args.backend} "
-              f"arena {plan.total_bytes:,d} B per cloud, "
-              f"{batched.total_bytes:,d} B at B={args.batch} "
-              f"(-{plan.reduction * 100:.1f}% vs pool)")
-    print(f"programs cached in {cache.directory}")
-    return 0
-
-
 def _cmd_simulate(args):
     from .hw import SoC
     from .networks import build_network
@@ -159,7 +128,6 @@ COMMANDS = {
     "report": _cmd_report,
     "networks": _cmd_networks,
     "trace": _cmd_trace,
-    "compile": _cmd_compile,
     "simulate": _cmd_simulate,
     "train": _cmd_train,
 }

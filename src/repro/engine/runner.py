@@ -86,42 +86,37 @@ class BatchRunner:
         (:class:`~repro.backend.NetworkKernelExecutor`) instead of the
         batched graph interpreter, and neighbor searches run in the
         backend's dtype.
-    program_cache:
-        Optional :class:`~repro.backend.ProgramCache` (or a directory
-        path for one).  Kernel programs then load from the AOT cache —
-        zero-copy memmapped parameters, a pre-measured arena plan — and
-        first-compiles persist for the next process.  Only meaningful
-        together with ``backend``.
     params:
         Optional pre-built :class:`~repro.backend.params.ParameterTable`
         (e.g. attached zero-copy from a :func:`~repro.backend.share_table`
-        descriptor or the program cache) the compiled programs read through instead of
+        descriptor) the compiled programs read through instead of
         exporting this runner's own copy of the weights.  Only
         meaningful together with ``backend``; its dtype must match.
     executor:
         Optional pre-built :class:`~repro.backend.NetworkKernelExecutor`
         to run through instead of one constructed from ``backend`` /
-        ``program_cache`` / ``params`` (which is then only reported).
+        ``params`` (which is then only reported).
         Executors are thread-compatible: the shard router hands one to
         every replica of a network.
 
     ``strategy`` and ``backend`` are the caller's contract: every
     :meth:`run` executes exactly that configuration, whatever the batch
-    height.
+    height.  Every kernel program compiles in process and measures its
+    arena plan on its first run.
     """
 
     fusion = ()  # only reader: benchmarks/ledger/test_ledger.py:221
     tuned = None  # only reader: benchmarks/ledger/test_ledger.py:221
+    program_cache = None  # only reader: benchmarks/ledger/test_ledger.py:222
 
     def __init__(self, network, strategy="delayed", cache=None, backend=None,
-                 program_cache=None, params=None, executor=None):
+                 params=None, executor=None):
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}")
         self.network = network
         self.strategy = strategy
         self.cache = cache
         self.backend = backend
-        self.program_cache = program_cache
         #: Optional pre-built (possibly zero-copy-attached)
         #: :class:`~repro.backend.params.ParameterTable` the compiled
         #: programs read through instead of re-exporting the network's
@@ -131,9 +126,8 @@ class BatchRunner:
         if executor is None and backend is not None:
             from ..backend import NetworkKernelExecutor
 
-            self._kernel_executor = NetworkKernelExecutor(
-                backend, params=params, program_cache=program_cache,
-            )
+            self._kernel_executor = NetworkKernelExecutor(backend,
+                                                          params=params)
 
     @property
     def stack_dtype(self):

@@ -179,19 +179,14 @@ class Server:
 
     @classmethod
     def hosting(cls, networks, strategy="delayed", scale=0.125,
-                backend=None, program_cache=None,
-                policy=None, workers=1, cache=None):
+                backend=None, policy=None, workers=1, cache=None):
         """Build a server hosting ``networks`` (names or instances).
 
         The convenience constructor the CLI uses: each network gets its
         own :class:`~repro.engine.runner.BatchRunner`, with ``backend``
-        selecting a kernel backend and ``program_cache`` (a
-        :class:`~repro.backend.ProgramCache` or directory path) letting
-        those runners load AOT-compiled programs — memmapped packed
-        parameters, a pre-measured arena plan — instead of compiling on
-        first request.  One cache serves every hosted network; programs
-        are content-addressed, so restarts with unchanged weights hit.
-        Every request runs exactly ``strategy`` on ``backend``.
+        selecting a kernel backend whose program compiles here, in
+        process.  Every request runs exactly ``strategy`` on
+        ``backend``.
 
         ``cache`` plugs one
         :class:`~repro.engine.cache.NeighborIndexCache` (it is
@@ -209,8 +204,7 @@ class Server:
             net = build_network(network, scale=scale) \
                 if isinstance(network, str) else network
             runners.append(BatchRunner(
-                net, strategy=strategy, backend=backend,
-                program_cache=program_cache, cache=cache,
+                net, strategy=strategy, backend=backend, cache=cache,
             ))
         return cls(runners, policy=policy, workers=workers)
 

@@ -83,7 +83,7 @@ class PlacementError(ServeError):
 
 
 def replica_working_set(network, strategy="delayed", backend=None, batch=8,
-                        program_cache=None, executor=None):
+                        executor=None):
     """``(total_bytes, modules)`` one replica of ``network`` keeps resident.
 
     With a kernel ``backend`` the numbers are exact plan metadata: the
@@ -91,9 +91,8 @@ def replica_working_set(network, strategy="delayed", backend=None, batch=8,
     plus the packed parameter table, with ``modules`` breaking the arena
     down into per-module peaks
     (:meth:`~repro.backend.runtime.KernelProgram.module_working_sets`).
-    A program loaded from a warmed ``program_cache`` (or its directory)
-    carries that plan and nothing runs; a fresh one measures it on one
-    zero cloud — the plan depends only on shapes.  ``executor`` is the
+    A program that has not run yet measures that plan on one zero
+    cloud — the plan depends only on shapes.  ``executor`` is the
     :class:`~repro.backend.NetworkKernelExecutor` whose program to size
     (the fleet's shared one) instead of a private one.
     Without a backend the eager interpreter has no arena plan, so the
@@ -104,7 +103,7 @@ def replica_working_set(network, strategy="delayed", backend=None, batch=8,
     if executor is None and backend is not None:
         from ..backend import NetworkKernelExecutor
 
-        executor = NetworkKernelExecutor(backend, program_cache=program_cache)
+        executor = NetworkKernelExecutor(backend)
     if executor is not None:
         program = executor.program(network.network_graph(strategy), network)
         plan = program.plan_for(
@@ -186,7 +185,7 @@ class PlacementPlan:
 
 def plan_placement(networks, slots, budget_bytes=None, hot=None,
                    strategy="delayed", backend=None, batch=8,
-                   program_cache=None, executors=None):
+                   executors=None):
     """Bin-pack (network, shape-class) replicas into ``slots`` workers.
 
     Two passes.  First, every network is placed exactly once, largest
@@ -233,7 +232,6 @@ def plan_placement(networks, slots, budget_bytes=None, hot=None,
     sizes = {
         net.n_points: replica_working_set(
             net, strategy=strategy, backend=backend, batch=batch,
-            program_cache=program_cache,
             executor=(executors or {}).get(net.n_points),
         )
         for net in networks
@@ -408,8 +406,7 @@ class ShardRouter:
 
     @classmethod
     def hosting(cls, networks, shards=2, strategy="delayed", scale=0.125,
-                backend=None, program_cache=None,
-                policy=None, cache_size=256,
+                backend=None, policy=None, cache_size=256,
                 memory_budget_mb=None, hot=None, affinity="content",
                 seed=0):
         """Plan, provision and start a sharded fleet (names or instances).
@@ -422,9 +419,9 @@ class ShardRouter:
         and ``cache_size`` total neighbor-index entries partitioned
         across them (``0`` disables caching).  With a kernel
         ``backend``, one :class:`~repro.backend.NetworkKernelExecutor`
-        per hosted network is built here: its program compiles (or
-        loads from ``program_cache``) once, the placement is sized from
-        that program's per-cloud plan, and every replica runs it.
+        per hosted network is built here: its program compiles once,
+        the placement is sized from that program's per-cloud plan, and
+        every replica runs it.
         """
         from ..engine.runner import BatchRunner
         from ..networks import build_network
@@ -449,8 +446,7 @@ class ShardRouter:
             # One executor per network, shared by placement and by every
             # replica: N replicas, one program, one table, one plan.
             executors = {
-                net.n_points: NetworkKernelExecutor(
-                    backend, program_cache=program_cache)
+                net.n_points: NetworkKernelExecutor(backend)
                 for net in built
             }
         plan = plan_placement(
@@ -473,7 +469,6 @@ class ShardRouter:
                 executor = executors.get(replica.n_points)
                 replica_runner = BatchRunner(
                     net, strategy=strategy, backend=backend,
-                    program_cache=program_cache,
                     cache=None if cache is None
                     else cache.shard(replica.shard),
                     executor=executor,

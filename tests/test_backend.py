@@ -352,6 +352,49 @@ class TestEngineIntegration:
         assert cache.misses == 2 * misses
 
 
+DUPLICATE_CLOUDS = ("all_but_three", "eightfold", "two_points",
+                    "half_at_1e12")
+
+
+def duplicate_point_clouds(n_points, seed=0):
+    """The four hostile clouds of ``n_points``, in :data:`DUPLICATE_CLOUDS`
+    order: every point equal but three; every point repeated 8 times;
+    only two distinct points; and half the points equal, at coordinates
+    of magnitude 1e12."""
+    rng = np.random.default_rng(seed)
+    all_but_three = np.repeat(rng.normal(size=(1, 3)), n_points, axis=0)
+    all_but_three[rng.choice(n_points, 3, replace=False)] = \
+        rng.normal(size=(3, 3))
+    eightfold = np.repeat(rng.normal(size=(n_points // 8, 3)), 8, axis=0)
+    two = rng.normal(size=(2, 3))[rng.integers(0, 2, size=n_points)]
+    huge = rng.normal(size=(n_points, 3)) * 1e12
+    huge[: n_points // 2] = huge[0]
+    return np.stack([all_but_three, eightfold, two, huge])
+
+
+class TestDuplicatePoints:
+    """Clouds made of repeated points go through every serving path
+    without a warning: float64 keeps the eager bits and float32 keeps
+    the float32 contract."""
+
+    @pytest.mark.parametrize("kind", DUPLICATE_CLOUDS)
+    @pytest.mark.parametrize("name", ALL_NETWORKS)
+    def test_repeated_points_keep_every_path_exact(self, name, kind):
+        net = toy(name)
+        cloud = duplicate_point_clouds(net.n_points)[
+            DUPLICATE_CLOUDS.index(kind)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eager, exact, fast = (
+                BatchRunner(net, backend=backend).run(cloud[None])
+                .per_cloud()[0]
+                for backend in (None, "float64", "float32"))
+        assert_bit_exact(eager, exact)
+        for _, b in leaves(eager, fast):
+            assert b.dtype == np.float32 and np.isfinite(b).all()
+        assert_close_with_same_top1(eager, fast)
+
+
 class TestDtypePropagation:
     def test_neighbor_search_honors_dtype(self):
         # The ledger's neighbors.knn_ms call: a float32 search returns

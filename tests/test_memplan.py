@@ -1,4 +1,4 @@
-"""Tests for the memory planner + AOT program cache (:mod:`repro.backend`).
+"""Tests for the memory planner and parameter tables (:mod:`repro.backend`).
 
 Covers buffer liveness over the whole-network graph, arena planning
 (best-fit offsets, validation), the per-cloud plan (derived == measured
@@ -6,15 +6,11 @@ at every stack height, no unplanned request, one grow-only arena per
 thread), planner-on
 bit-exactness across all seven networks and three strategies for
 serial, batched and threaded execution, an adversarial test that corrupts
-dead arena regions mid-run, parameter-table dedup and zero-copy
-transports of float64 and float32 tables (shared file + on-disk
-program cache), weight fingerprints,
-and the engine/CLI integration (``program_cache=``, ``repro compile``,
-``repro trace --memory``, the bench ``mem`` row).
+dead arena regions mid-run, parameter-table export and the zero-copy
+shared-file transport of float64 and float32 tables, and the engine/CLI
+integration (attached tables, ``repro trace --memory``).
 """
 
-import hashlib
-import json
 import os
 import pickle
 import stat
@@ -32,17 +28,15 @@ from conftest import assert_bit_exact, clouds_for, leaves, toy
 from repro.backend import (
     NetworkKernelExecutor,
     ParameterTable,
-    ProgramCache,
     attach_table,
     compile_kernel_program,
     get_backend,
-    network_fingerprint,
     parameter_descriptor,
     plan_arena,
     share_table,
     validate_plan,
 )
-from repro.backend.aot import FORMAT, _share_dir
+from repro.backend.aot import _share_dir
 from repro.backend.runtime import _MeasuringPool
 from repro.core import STRATEGIES, ModuleSpec
 from repro.engine import BatchRunner
@@ -57,6 +51,20 @@ def unplanned_run(net, strategy, backend, x):
     program's first run, which measures out of one never-reused buffer
     per kernel output."""
     return compile_kernel_program(net, strategy, backend=backend).run(x)
+
+
+def assert_same_entries(source, table):
+    """``table`` holds ``source``'s entries: the same keys and op kinds,
+    and every op array ``array_equal`` in the same dtype."""
+    assert table.entries.keys() == source.entries.keys()
+    for key, ops in source.entries.items():
+        for op, other in zip(ops, table.entries[key], strict=True):
+            assert op[0] == other[0]
+            for a, b in zip(op[1:], other[1:], strict=True):
+                assert (a is None) == (b is None)
+                if a is not None:
+                    assert b.dtype == a.dtype
+                    assert np.array_equal(a, b)
 
 
 class TestValueLiveness:
@@ -368,7 +376,7 @@ class TestParameterTable:
         # Another export is its own table with the same content.
         fresh = ParameterTable.for_graph(ngraph, backend=get_backend("float64"))
         assert fresh is not program.table
-        assert fresh.content_hash == program.table.content_hash
+        assert_same_entries(program.table, fresh)
 
     def test_different_dtypes_do_not_share(self):
         net = toy("PointNet++ (c)")
@@ -376,9 +384,11 @@ class TestParameterTable:
         t64 = ParameterTable.for_graph(ngraph, backend=get_backend("float64"))
         t32 = ParameterTable.for_graph(ngraph, backend=get_backend("float32"))
         assert t64 is not t32
-        assert t64.content_hash != t32.content_hash
+        assert t64.entries.keys() == t32.entries.keys()
+        assert all(part.dtype == np.float32 for part in t32._arrays())
+        assert all(part.dtype == np.float64 for part in t64._arrays())
 
-    def test_pack_roundtrip_preserves_hash_and_bits(self):
+    def test_pack_roundtrip_preserves_bits(self):
         net = toy("PointNet++ (s)")
         ngraph = net.network_graph("delayed")
         table = ParameterTable.for_graph(ngraph,
@@ -386,8 +396,7 @@ class TestParameterTable:
         manifest, blob = table.pack()
         assert manifest["total_bytes"] == len(blob)
         restored = ParameterTable.from_buffer(manifest, blob)
-        assert restored.content_hash == table.content_hash
-        assert restored.verify_buffer()
+        assert_same_entries(table, restored)
         program = compile_kernel_program(net, "delayed", backend="float64",
                                          params=restored)
         reference = compile_kernel_program(net, "delayed", backend="float64")
@@ -401,17 +410,8 @@ class TestParameterTable:
                                          backend=get_backend("float32"))
         manifest, blob = table.pack()
         restored = ParameterTable.from_buffer(manifest, blob)
-        assert restored.content_hash == table.content_hash
-        assert restored.verify_buffer()
-        for key, ops in table.entries.items():
-            for op, other in zip(ops, restored.entries[key], strict=True):
-                assert op[0] == other[0]
-                for a, b in zip(op[1:], other[1:], strict=True):
-                    if isinstance(a, np.ndarray):
-                        assert b.dtype == a.dtype == np.float32
-                        assert np.array_equal(a, b)
-                    else:
-                        assert a == b
+        assert_same_entries(table, restored)
+        assert all(part.dtype == np.float32 for part in restored._arrays())
         program = compile_kernel_program(net, "delayed", backend="float32",
                                          params=restored)
         reference = compile_kernel_program(net, "delayed", backend="float32")
@@ -437,80 +437,6 @@ class TestParameterTable:
                                    params=t32)
 
 
-class TestParameterTableHashing:
-    """A table is hashed when something stores or verifies it."""
-
-    @pytest.fixture
-    def digests(self, monkeypatch):
-        calls = []
-        digest = ParameterTable._digest
-
-        def counting_digest(table):
-            calls.append(table)
-            return digest(table)
-
-        monkeypatch.setattr(ParameterTable, "_digest", counting_digest)
-        return calls
-
-    @staticmethod
-    def export(net, backend="float32"):
-        return ParameterTable.for_graph(net.network_graph("delayed"),
-                                        backend=get_backend(backend))
-
-    def test_a_lone_export_is_not_hashed(self, digests):
-        table = self.export(toy("PointNet++ (c)"))
-        assert digests == []
-        table.content_hash
-        table.content_hash
-        assert digests == [table]  # memoised
-
-    def test_equal_exports_are_not_hashed(self, digests):
-        net = toy("PointNet++ (c)")
-        first = self.export(net)
-        second = self.export(net)
-        assert second is not first and digests == []
-        assert first.content_hash == second.content_hash
-        assert digests == [first, second]
-
-    def test_dtype_or_weights_keep_tables_apart(self, digests):
-        net = toy("PointNet++ (c)")
-        t32 = self.export(net)
-        t64 = self.export(net, "float64")
-        assert t64 is not t32 and digests == []
-        other = self.export(toy("PointNet++ (c)", seed=1))
-        assert other is not t32
-        assert other.content_hash != t32.content_hash
-
-    def test_a_manifest_hash_is_trusted(self, digests):
-        table = self.export(toy("PointNet++ (c)"), "float64")
-        manifest, blob = table.pack()
-        assert digests == [table]
-        restored = ParameterTable.from_buffer(manifest, blob)
-        assert restored.content_hash == table.content_hash
-        assert digests == [table]
-
-    def test_a_flipped_byte_fails_verification(self):
-        table = self.export(toy("PointNet++ (c)"), "float64")
-        manifest, blob = table.pack()
-        corrupted = bytearray(blob)
-        corrupted[manifest["arrays"][0]["offset"]] ^= 0x01
-        restored = ParameterTable.from_buffer(manifest, corrupted)
-        assert restored.content_hash == table.content_hash  # as recorded
-        assert not restored.verify_buffer()
-        assert ParameterTable.from_buffer(manifest,
-                                          bytearray(blob)).verify_buffer()
-
-
-class TestFingerprint:
-    def test_fingerprint_tracks_weights(self):
-        a = toy("PointNet++ (s)", seed=0)
-        b = toy("PointNet++ (s)", seed=1)
-        assert network_fingerprint(a) != network_fingerprint(b)
-        assert network_fingerprint(a) == network_fingerprint(
-            toy("PointNet++ (s)", seed=0)
-        )
-
-
 class TestSharedMemoryTransport:
     def test_shared_table_roundtrips_bit_exact(self):
         net = toy("PointNet++ (s)")
@@ -520,7 +446,7 @@ class TestSharedMemoryTransport:
         shared = share_table(table)
         try:
             attached = attach_table(shared.descriptor())
-            assert attached.content_hash == table.content_hash
+            assert_same_entries(table, attached)
             program = compile_kernel_program(
                 net, "delayed", backend="float64", params=attached
             )
@@ -545,20 +471,14 @@ class TestSharedMemoryTransport:
             assert descriptor["kind"] == "file"
             attached = attach_table(pickle.loads(pickle.dumps(descriptor)))
             assert attached is not table
-            assert attached.entries.keys() == table.entries.keys()
-            for key, ops in table.entries.items():
-                for op, mapped in zip(ops, attached.entries[key]):
-                    assert op[0] == mapped[0]
-                    for a, b in zip(op[1:], mapped[1:]):
-                        assert (a is None) == (b is None)
-                        if a is not None:
-                            assert not b.flags.writeable  # mapped read-only
-                            assert np.array_equal(a, b)
+            assert_same_entries(table, attached)
+            assert not any(part.flags.writeable  # mapped read-only
+                           for part in attached._arrays())
         finally:
             shared.close(unlink=True)
         assert not os.path.exists(path)
         shared.close(unlink=True)  # a second close is a no-op
-        assert attached.verify_buffer()  # the mapping outlives the unlink
+        assert_same_entries(table, attached)  # the mapping outlives the unlink
 
     def test_descriptor_pickles_without_the_weights(self):
         net = toy("PointNet++ (c)")
@@ -568,7 +488,10 @@ class TestSharedMemoryTransport:
             assert len(pickle.dumps(descriptor)) < 64 * 1024
             assert len(pickle.dumps(net)) > 1024 * 1024
             attached = attach_table(pickle.loads(pickle.dumps(descriptor)))
-            assert attached.verify_buffer()
+            assert_same_entries(
+                ParameterTable.for_graph(net.network_graph("delayed"),
+                                         backend=get_backend("float64")),
+                attached)
         finally:
             handle.close(unlink=True)
 
@@ -577,11 +500,16 @@ class TestSharedMemoryTransport:
 
         net = toy("PointNet++ (c)")
         descriptor, handle = parameter_descriptor(net, "delayed", "float64")
+        # The child sends back what it mapped, copied out of the file.
         code = (
             "import pickle, sys\n"
+            "import numpy as np\n"
             "from repro.backend import attach_table\n"
             "table = attach_table(pickle.loads(bytes.fromhex(sys.stdin.read())))\n"
-            "print(table.content_hash, table.verify_buffer())\n"
+            "entries = {key: tuple(\n"
+            "    (op[0], *(None if a is None else np.array(a) for a in op[1:]))\n"
+            "    for op in ops) for key, ops in table.entries.items()}\n"
+            "print(pickle.dumps(entries).hex())\n"
         )
         src = os.path.dirname(os.path.dirname(repro.__file__))
         try:
@@ -590,11 +518,15 @@ class TestSharedMemoryTransport:
                 input=pickle.dumps(descriptor).hex(), capture_output=True,
                 text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src),
             )
-            local = attach_table(descriptor)
         finally:
             handle.close(unlink=True)
         assert done.returncode == 0, done.stderr[-2000:]
-        assert done.stdout.split() == [local.content_hash, "True"]
+        mapped = ParameterTable("float64", np.float64,
+                                pickle.loads(bytes.fromhex(done.stdout)))
+        assert_same_entries(
+            ParameterTable.for_graph(net.network_graph("delayed"),
+                                     backend=get_backend("float64")),
+            mapped)
 
     def test_next_share_sweeps_files_of_dead_owners_only(self):
         net = toy("PointNet++ (s)")
@@ -624,185 +556,7 @@ class TestSharedMemoryTransport:
                     pass
 
 
-class TestProgramCache:
-    def test_store_load_bit_exact_with_seeded_plans(self, tmp_path):
-        net = toy("PointNet++ (c)")
-        cloud = clouds_for(net, 1)
-        program = compile_kernel_program(net, "delayed", backend="float64")
-        reference = program.run(cloud)
-        program.plan_for(cloud)
-        cache = ProgramCache(tmp_path)
-        digest = cache.store(program)
-        loaded = cache.load(digest, net.network_graph("delayed"), net)
-        stats = loaded.memory_stats()
-        assert stats["buffers"] >= 1
-        assert_bit_exact(reference, loaded.run(cloud))
-        assert loaded.memory_stats()["measuring_runs"] == 0  # it was seeded
-
-    def test_program_for_compiles_once_then_hits(self, tmp_path):
-        net = toy("PointNet++ (s)")
-        ngraph = net.network_graph("delayed")
-        cache = ProgramCache(tmp_path)
-        backend = get_backend("float64")
-        first = cache.program_for(ngraph, net, backend)
-        index = json.loads((tmp_path / "index.json").read_text())
-        assert len(index) == 1
-        second = cache.program_for(ngraph, net, backend)
-        assert json.loads((tmp_path / "index.json").read_text()) == index
-        cloud = clouds_for(net, 1)
-        assert_bit_exact(first.run(cloud), second.run(cloud))
-
-    def test_weight_change_misses(self, tmp_path):
-        cache = ProgramCache(tmp_path)
-        backend = get_backend("float64")
-        a = toy("PointNet++ (s)", seed=0)
-        b = toy("PointNet++ (s)", seed=1)
-        cache.program_for(a.network_graph("delayed"), a, backend)
-        cache.program_for(b.network_graph("delayed"), b, backend)
-        index = json.loads((tmp_path / "index.json").read_text())
-        assert len(index) == 2  # distinct fingerprints, distinct digests
-
-    def test_descriptor_attaches_memmapped_table(self, tmp_path):
-        net = toy("PointNet++ (s)")
-        cache = ProgramCache(tmp_path)
-        descriptor = cache.descriptor_for(net, "delayed",
-                                          get_backend("float64"))
-        assert descriptor["kind"] == "file"
-        attached = attach_table(descriptor)
-        program = compile_kernel_program(
-            net, "delayed", backend="float64", params=attached,
-        )
-        cloud = clouds_for(net, 1)
-        reference = compile_kernel_program(net, "delayed", backend="float64")
-        assert_bit_exact(reference.run(cloud), program.run(cloud))
-
-    def test_stale_kernels_rejected(self, tmp_path):
-        net = toy("PointNet++ (s)")
-        program = compile_kernel_program(net, "delayed", backend="float64")
-        cache = ProgramCache(tmp_path)
-        digest = cache.store(program)
-        path = tmp_path / f"{digest}.json"
-        manifest = json.loads(path.read_text())
-        manifest["kernels"] = list(manifest["kernels"])[:-1]
-        path.write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match="kernel"):
-            cache.load(digest, net.network_graph("delayed"), net)
-
-    def test_damaged_blob_recompiles_once_then_loads_clean(self, tmp_path):
-        net = toy("PointNet++ (c)", seed=23)
-        cache = ProgramCache(tmp_path)
-        digest = cache.store(compile_kernel_program(net, "delayed",
-                                                    backend="float64"))
-        blob = tmp_path / f"{digest}.bin"
-        intact = blob.read_bytes()
-        damaged = bytearray(intact)
-        damaged[::4096] = bytes(byte ^ 0x01 for byte in damaged[::4096])
-        blob.write_bytes(damaged)
-        ngraph = net.network_graph("delayed")
-        with pytest.raises(ValueError, match="fails verification"):
-            cache.load(digest, ngraph, net)
-        program = cache.program_for(ngraph, net, "float64")  # recompiles
-        assert blob.read_bytes() == intact  # ... and rewrites the entry
-        fresh = compile_kernel_program(net, "delayed", backend="float64")
-        cloud = clouds_for(net, 1)
-        assert_bit_exact(fresh.run(cloud), program.run(cloud))
-        assert cache.digest_for(ngraph.network, "delayed", "float64",
-                                network_fingerprint(net)) == digest
-        loaded = cache.load(digest, ngraph, net)  # the clean entry loads
-        assert_bit_exact(fresh.run(cloud), loaded.run(cloud))
-
-    @staticmethod
-    def _restamp(cache, key, stamp):
-        """Point index entry ``key`` at the same manifest under another
-        format stamp — content-addressed, so under its own digest, as a
-        directory written by other code holds it."""
-        index = cache._read_index()
-        body = json.dumps(dict(cache.manifest(index[key]), format=stamp),
-                          sort_keys=True)
-        index[key] = hashlib.sha256(body.encode()).hexdigest()
-        with open(cache._manifest_path(index[key]), "w") as handle:
-            handle.write(body)
-        cache._write_index(index)
-        return index[key]
-
-    def test_entries_under_another_format_are_stale(self, tmp_path):
-        net = toy("PointNet++ (s)")
-        cloud = clouds_for(net, 1)
-        ngraph = net.network_graph("delayed")
-        backend = get_backend("float64")
-        cache = ProgramCache(tmp_path)
-        program = cache.program_for(ngraph, net, backend)
-        program.plan_for(cloud)
-        cache.store(program)
-        config = (ngraph.network, "delayed", "float64",
-                  network_fingerprint(net))
-        # One entry per configuration: the key has no arity component.
-        assert cache.config_key(*config) == "|".join(config)
-        # Format 3 stored one measured plan per input signature; such an
-        # entry — even one an index key still reaches — is stale.
-        assert FORMAT > 3
-        stale = self._restamp(cache, cache.config_key(*config), 3)
-        # The kernel labels still match: only the stamp can tell that
-        # the stored plans may name scratch keys this code never asks for.
-        with pytest.raises(ValueError, match="format"):
-            cache.load(stale, ngraph, net)
-        fresh = cache.program_for(ngraph, net, backend)
-        assert fresh.memory_stats()["buffers"] == 0  # compiled, not seeded
-        fresh.plan_for(cloud)
-        cache.store(fresh)
-        digest = cache.digest_for(*config)
-        assert digest != stale
-        manifest = cache.manifest(digest)
-        assert manifest["format"] == FORMAT and "batched" not in manifest
-        # One per-cloud plan per entry, whatever heights the program ran.
-        assert "plans" not in manifest
-        assert any(b["key"][0] == "agg-gc"
-                   for b in manifest["plan"]["buffers"])
-
-    def test_warmed_entry_serves_heights_1_and_8(self, tmp_path):
-        net = toy("PointNet++ (c)")
-        ngraph = net.network_graph("delayed")
-        clouds = clouds_for(net, 8)
-        warm = NetworkKernelExecutor("float64",
-                                     program_cache=ProgramCache(tmp_path))
-        with no_grad():
-            one = net.forward(clouds[0], strategy="delayed", executor=warm)
-            eight = warm.run_network(ngraph, net, clouds)
-        # Persist the plan the first run measured, as `repro compile` does.
-        ProgramCache(tmp_path).store(warm.program(ngraph, net))
-        index = json.loads((tmp_path / "index.json").read_text())
-        assert len(index) == 1
-
-        served = NetworkKernelExecutor("float64",
-                                       program_cache=ProgramCache(tmp_path))
-        program = served.program(ngraph, net)
-        seeded = program.memory_stats()
-        assert seeded["buffers"] > 0 and seeded["heights"] == ()
-        with no_grad():
-            assert_bit_exact(one, net.forward(clouds[0], strategy="delayed",
-                                              executor=served))
-            assert_bit_exact(eight, served.run_network(ngraph, net, clouds))
-        stats = program.memory_stats()
-        assert stats["heights"] == (1, 8)  # both derived from the one plan
-        assert stats["measuring_runs"] == 0 and stats["unplanned"] == 0
-        assert json.loads((tmp_path / "index.json").read_text()) == index
-
-
 class TestEngineIntegration:
-    def test_batch_runner_program_cache_bit_exact(self, tmp_path):
-        net = toy("PointNet++ (c)")
-        clouds = clouds_for(net, 3)
-        plain = BatchRunner(net, strategy="delayed", backend="float64")
-        cached = BatchRunner(net, strategy="delayed", backend="float64",
-                             program_cache=str(tmp_path))
-        assert_bit_exact(plain.run(clouds).outputs, cached.run(clouds).outputs)
-        assert (tmp_path / "index.json").exists()
-        # A fresh runner over the same cache serves the stored program.
-        rehosted = BatchRunner(net, strategy="delayed", backend="float64",
-                               program_cache=ProgramCache(tmp_path))
-        assert_bit_exact(plain.run(clouds).outputs,
-                         rehosted.run(clouds).outputs)
-
     def test_attached_shared_file_table_bit_exact(self):
         net = toy("PointNet++ (s)")
         clouds = clouds_for(net, 3)
@@ -831,31 +585,6 @@ class TestEngineIntegration:
         finally:
             handle.close(unlink=True)
 
-    def test_attached_program_cache_table_bit_exact(self, tmp_path):
-        net = toy("PointNet++ (s)")
-        clouds = clouds_for(net, 2)
-        reference = BatchRunner(net, backend="float64").run(clouds).outputs
-        descriptor, handle = parameter_descriptor(
-            net, "delayed", "float64", program_cache=str(tmp_path))
-        assert handle is None  # the cache's blob file outlives the caller
-        runner = BatchRunner(net, backend="float64",
-                             params=attach_table(descriptor))
-        assert_bit_exact(reference, runner.run(clouds).outputs)
-        assert (tmp_path / "index.json").exists()
-
-    def test_server_hosting_with_program_cache(self, tmp_path):
-        from repro.serve import Server
-
-        net = toy("PointNet++ (c)")
-        cloud = clouds_for(net, 1)[0]
-        reference = BatchRunner(net, strategy="delayed",
-                                backend="float64").run(cloud).per_cloud()[0]
-        with Server.hosting([net], backend="float64",
-                            program_cache=str(tmp_path)) as server:
-            response = server.request(cloud, timeout=60)
-        assert np.array_equal(reference, response.output)
-
-
 class TestMemoryReporting:
     def test_memory_report_phases(self):
         net = toy("PointNet++ (c)")
@@ -883,95 +612,3 @@ class TestCLI:
         assert main(["trace", "PointNet++ (s)", "--memory"]) == 0
         out = capsys.readouterr().out
         assert "arena" in out and "reduction" in out
-
-    def test_compile_then_serve_from_cache(self, tmp_path, capsys):
-        from repro.cli import main
-
-        cache_dir = str(tmp_path / "programs")
-        assert main(["compile", "PointNet++ (s)", "--scale", "0.03125",
-                     "--batch", "2", "--cache", cache_dir]) == 0
-        out = capsys.readouterr().out
-        assert "programs cached" in out
-        index = json.loads(
-            (tmp_path / "programs" / "index.json").read_text()
-        )
-        assert len(index) == 1  # one program per configuration
-
-    def test_compile_into_a_file_is_one_error_line(self, tmp_path, capsys):
-        from repro.cli import main
-
-        path = tmp_path / "programs"
-        path.write_text("not a directory")
-        assert main(["compile", "PointNet++ (c)", "--scale", "0.0625",
-                     "--cache", str(path)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("repro compile: error: ")
-        assert "not a usable directory" in captured.err
-        assert len(captured.err.splitlines()) == 1
-
-    @staticmethod
-    def _serve_one(*extra):
-        """One request through a fresh ``repro serve``; its output."""
-        import repro
-
-        rows = np.random.default_rng(5).normal(size=(64, 3)).tolist()
-        done = subprocess.run(
-            [sys.executable, "-m", "repro.cli", "serve", "--network",
-             "PointNet++ (c)", "--scale", "0.0625", "--serve-backend",
-             "float32", *extra],
-            input=json.dumps({"id": "r0", "cloud": rows}) + "\n",
-            capture_output=True, text=True, timeout=120,
-            env=dict(os.environ, PYTHONPATH=os.path.dirname(
-                os.path.dirname(repro.__file__))),
-        )
-        assert done.returncode == 0, done.stderr[-2000:]
-        response = json.loads(done.stdout.splitlines()[0])
-        assert "output" in response, response
-        return np.asarray(response["output"])
-
-    @pytest.mark.parametrize("damage", [
-        lambda body: body[:5] + b"\xff" + body[6:],  # not UTF-8
-        lambda body: b"[]",  # JSON, but not an object
-    ], ids=["non-utf8", "non-object"])
-    def test_damaged_index_recompiles_and_is_rewritten(self, tmp_path,
-                                                       damage):
-        from repro.cli import main
-
-        cache_dir = tmp_path / "pc"
-        assert main(["compile", "PointNet++ (c)", "--scale", "0.0625",
-                     "--backend", "float32", "--cache", str(cache_dir)]) == 0
-        path = cache_dir / "index.json"
-        keys = set(json.loads(path.read_text()))
-        path.write_bytes(damage(path.read_bytes()))
-        served = self._serve_one("--program-cache", str(cache_dir))
-        assert np.array_equal(served, self._serve_one())
-        rewritten = json.loads(path.read_text())
-        assert isinstance(rewritten, dict) and set(rewritten) == keys
-        for digest in rewritten.values():
-            assert (cache_dir / f"{digest}.json").exists()
-
-    def test_a_directory_with_tuned_entries_still_compiles_and_serves(
-            self, tmp_path):
-        # Older code kept autotuner tables in the same directory: a
-        # ``tuned|<network>|<fingerprint>`` index key naming a manifest of
-        # kind "tuned-table".  Nothing reads them any more.
-        from repro.cli import main
-
-        cache_dir = tmp_path / "pc"
-        cache_dir.mkdir()
-        body = json.dumps({"format": FORMAT, "kind": "tuned-table",
-                           "network": "PointNet++ (c)", "fingerprint": "fp",
-                           "table": {"format": 1, "entries": {}}},
-                          sort_keys=True)
-        digest = hashlib.sha256(body.encode()).hexdigest()
-        (cache_dir / f"{digest}.json").write_text(body)
-        old = {"tuned|PointNet++ (c)|fp": digest}
-        (cache_dir / "index.json").write_text(json.dumps(old))
-        assert main(["compile", "PointNet++ (c)", "--scale", "0.0625",
-                     "--backend", "float32", "--cache", str(cache_dir)]) == 0
-        served = self._serve_one("--program-cache", str(cache_dir))
-        assert np.array_equal(served, self._serve_one())
-        index = json.loads((cache_dir / "index.json").read_text())
-        assert isinstance(index, dict) and len(index) == 2
-        assert index.items() >= old.items()

@@ -25,7 +25,7 @@ import repro.backend.aot
 import repro.backend.runtime
 import repro.engine.runner
 import repro.serve.shard
-from repro.backend import ParameterTable, ProgramCache, compile_kernel_program
+from repro.backend import ParameterTable, compile_kernel_program
 from repro.backend.aot import _share_dir
 from repro.cli import _print_serve_stats
 from repro.engine import BatchRunner, ParallelRunner
@@ -153,35 +153,6 @@ class TestWorkingSets:
             assert total == direct.plan_for(stack).total_bytes \
                 + direct.table.nbytes, (name, batch)
             assert direct.memory_stats()["heights"] == (batch,)
-
-    def test_warmed_cache_directory_sizes_without_running(self, tiny_net,
-                                                          tmp_path, spies):
-        # The CLI hands --program-cache over as a string.
-        warm = ProgramCache(tmp_path)
-        program = warm.program_for(tiny_net.network_graph("delayed"),
-                                   tiny_net, "float32")
-        cloud = np.zeros((1, tiny_net.n_points, 3))
-        program.plan_for(cloud)
-        warm.store(program)
-        expected = program.plan_for(cloud, height=8).total_bytes \
-            + program.table.nbytes
-        spies.update(dict.fromkeys(spies, 0))
-        for cache in (str(tmp_path), ProgramCache(tmp_path)):
-            total, _ = replica_working_set(tiny_net, backend="float32",
-                                           batch=8, program_cache=cache)
-            assert total == expected
-            plan = plan_placement([tiny_net], slots=2, backend="float32",
-                                  batch=8, program_cache=cache)
-            assert plan.replicas[0].working_set_bytes == expected
-        assert spies["measuring_runs"] == 0 and spies["exports"] == 0
-        with ShardRouter.hosting(tiny_net, shards=2, backend="float32",
-                                 program_cache=str(tmp_path)) as router:
-            cloud = np.random.default_rng(2).normal(
-                size=(tiny_net.n_points, 3))
-            router.request(cloud, timeout=TIMEOUT)
-            assert router.plan.replicas[0].working_set_bytes == expected
-        assert spies["measuring_runs"] == 0 and spies["exports"] == 0
-        assert spies["shares"] == 0
 
     def test_eager_path_estimates_activations(self, tiny_net):
         total, modules = replica_working_set(tiny_net, backend=None, batch=4)
