@@ -38,6 +38,8 @@ clouds = rng.normal(size=(12, net.n_points, 3))
 
 # The first arrival is dispatched at once; the rest of the burst queues
 # while it runs and rides the following batches, up to 4 at a time.
+# A runner runs the compiled float64 kernel program by default
+# (backend="float32" for the faster float32 program).
 policy = BatchPolicy(max_batch=4, max_queue=64)
 server = Server(BatchRunner(net, strategy="delayed"), policy=policy)
 

@@ -41,10 +41,6 @@ __all__ = ["main"]
 MAX_LINE_BYTES = 1 << 20
 
 
-def _serve_backend(name):
-    return None if name == "eager" else name
-
-
 def _serve_handle_line(server, line, emit):
     """One JSON request line -> submit; ``emit`` gets the response dict.
 
@@ -112,12 +108,13 @@ def _serve_handle_line(server, line, emit):
 
 
 def _build_server(args):
-    """The server ``args`` describe; a bad configuration is a ValueError."""
+    """The server ``args`` describe; a bad configuration is a ValueError
+    (or, for a memory budget no replica fits, a ``PlacementError``)."""
     from .engine.cache import NeighborIndexCache
     from .serve import BatchPolicy, Server
 
     policy = BatchPolicy(max_batch=args.max_batch, max_queue=args.max_queue)
-    if args.shards > 1:
+    if args.shards != 1:
         from .serve import ShardRouter
 
         return ShardRouter.hosting(
@@ -125,7 +122,7 @@ def _build_server(args):
             shards=args.shards,
             strategy=args.strategy,
             scale=args.scale,
-            backend=_serve_backend(args.serve_backend),
+            backend=args.serve_backend,
             policy=policy,
             cache_size=args.cache_size,
             memory_budget_mb=args.memory_budget_mb,
@@ -136,7 +133,7 @@ def _build_server(args):
         args.network or ["PointNet++ (c)"],
         strategy=args.strategy,
         scale=args.scale,
-        backend=_serve_backend(args.serve_backend),
+        backend=args.serve_backend,
         policy=policy,
         workers=args.workers,
         cache=cache,
@@ -182,9 +179,11 @@ def _cmd_serve(args):
     """Long-lived request loop: JSON lines on stdin or a TCP socket."""
     import signal
 
+    from .serve import ServeError
+
     try:
         server = _build_server(args)
-    except ValueError as exc:
+    except (ValueError, ServeError) as exc:
         # A configuration error, found before any request is read.
         print(f"repro serve: error: {exc}", file=sys.stderr)
         return 2
@@ -335,11 +334,10 @@ def build_parser():
                               "(it never waits for more)")
     p_serve.add_argument("--workers", type=int, default=1,
                          help="batches in flight at once (1 = fully serial)")
-    p_serve.add_argument("--serve-backend", default="eager",
-                         choices=("eager", "float32", "float64"),
-                         help="execution path requests drain through: the "
-                              "batched graph interpreter or a compiled "
-                              "kernel backend")
+    p_serve.add_argument("--serve-backend", default="float64",
+                         choices=("float32", "float64"),
+                         help="precision of the compiled kernel program "
+                              "requests drain through")
     p_serve.add_argument("--cache-size", type=int, default=256,
                          help="total neighbor-index cache entries (0 "
                               "disables caching; with --shards the budget "

@@ -204,8 +204,9 @@ class PointCloudModule(Module):
                 f"got {len(centroid_idx)}"
             )
 
-        # Imported here: the interpreter and the table containers are
-        # eager-only, so a kernel-backend start never loads them.
+        # Imported here: the interpreter and the table containers serve
+        # training and the test oracle only, so a server start never
+        # loads them.
         from ..graph.executors import GraphExecutor
         from .tables import NeighborIndexTable, PointFeatureTable
 

@@ -3,10 +3,12 @@
 This is the serving front door the ROADMAP's scaling work builds on: it
 stacks B clouds into a (B, N, 3) array and runs the whole stack through
 the network's strategy-rewritten whole-network graph
-(``network.network_graph(strategy)``) under inference mode — compiled
-into a :class:`~repro.backend.KernelProgram` when a kernel backend is
-set, through the batched graph interpreter otherwise — and scopes the
-neighbor-index cache over every search that graph issues.
+(``network.network_graph(strategy)``), compiled into a
+:class:`~repro.backend.KernelProgram`, and scopes the neighbor-index
+cache over every search that program issues.  The batched graph
+interpreter (:meth:`~repro.networks.base.PointCloudNetwork.forward_batch`)
+is not a serving path: it trains, and it is the oracle the float64
+program is held to bit for bit.
 """
 
 from __future__ import annotations
@@ -80,18 +82,16 @@ class BatchRunner:
         Optional :class:`~repro.engine.cache.NeighborIndexCache`; when
         set, repeated clouds skip their searches entirely.
     backend:
-        Optional kernel backend (``"float64"``, ``"float32"``, or an
-        :class:`~repro.backend.ArrayBackend`).  When set, :meth:`run`
-        executes the compiled autograd-free kernel program
-        (:class:`~repro.backend.NetworkKernelExecutor`) instead of the
-        batched graph interpreter, and neighbor searches run in the
-        backend's dtype.
+        Kernel backend the compiled program runs on: ``"float64"`` (the
+        default; ``None`` means it too), ``"float32"``, or an
+        :class:`~repro.backend.ArrayBackend`.  Neighbor searches run in
+        the backend's dtype.
     params:
         Optional pre-built :class:`~repro.backend.params.ParameterTable`
         (e.g. attached zero-copy from a :func:`~repro.backend.share_table`
         descriptor) the compiled programs read through instead of
-        exporting this runner's own copy of the weights.  Only
-        meaningful together with ``backend``; its dtype must match.
+        exporting this runner's own copy of the weights; its dtype must
+        match ``backend``'s.
     executor:
         Optional pre-built :class:`~repro.backend.NetworkKernelExecutor`
         to run through instead of one constructed from ``backend`` /
@@ -116,26 +116,24 @@ class BatchRunner:
         self.network = network
         self.strategy = strategy
         self.cache = cache
-        self.backend = backend
+        self.backend = "float64" if backend is None else backend
         #: Optional pre-built (possibly zero-copy-attached)
         #: :class:`~repro.backend.params.ParameterTable` the compiled
         #: programs read through instead of re-exporting the network's
-        #: weights.  Only meaningful together with ``backend``.
+        #: weights.
         self.params = params
-        self._kernel_executor = executor
-        if executor is None and backend is not None:
+        if executor is None:
             from ..backend import NetworkKernelExecutor
 
-            self._kernel_executor = NetworkKernelExecutor(backend,
-                                                          params=params)
+            executor = NetworkKernelExecutor(self.backend, params=params)
+        self._kernel_executor = executor
 
     @property
     def stack_dtype(self):
         """The dtype :meth:`run` stacks clouds in: the kernel backend's
         (a float32 program would cast anyway, and float32 clouds must not
-        round-trip through a float64 copy), else float64."""
-        kernel = self._kernel_executor
-        return np.dtype(np.float64) if kernel is None else kernel.backend.dtype
+        round-trip through a float64 copy)."""
+        return self._kernel_executor.backend.dtype
 
     def _stack(self, clouds):
         batch = np.asarray(clouds, dtype=self.stack_dtype)
@@ -152,14 +150,11 @@ class BatchRunner:
         return search_context(cache=self.cache)
 
     def _result(self, outputs, batch_size, seconds):
-        if isinstance(outputs, Tensor):
+        # A program returns a Tensor, or a dict of them for detection.
+        if isinstance(outputs, dict):
+            outputs = {key: value.data for key, value in outputs.items()}
+        else:
             outputs = outputs.data
-        elif isinstance(outputs, dict):
-            # Detection networks return a dict of batched tensors.
-            outputs = {
-                key: value.data if isinstance(value, Tensor) else value
-                for key, value in outputs.items()
-            }
         return BatchResult(
             outputs,
             batch_size,
@@ -168,24 +163,14 @@ class BatchRunner:
         )
 
     def run(self, clouds):
-        """Batched inference over ``clouds`` (list or (B, N, 3) array).
-
-        With a kernel ``backend`` configured the stack goes through the
-        compiled kernel program; otherwise through the batched graph
-        interpreter (:meth:`~repro.networks.base.PointCloudNetwork.forward_batch`).
-        """
+        """Batched inference over ``clouds`` (list or (B, N, 3) array)
+        through the compiled kernel program."""
         batch = self._stack(clouds)
         start = time.perf_counter()
         with no_grad(), self._context():
-            if self._kernel_executor is not None:
-                outputs = self._kernel_executor.run_network(
-                    self.network.network_graph(self.strategy),
-                    self.network, batch,
-                )
-            else:
-                outputs = self.network.forward_batch(
-                    batch, strategy=self.strategy
-                )
+            outputs = self._kernel_executor.run_network(
+                self.network.network_graph(self.strategy), self.network, batch,
+            )
         return self._result(outputs, len(batch), time.perf_counter() - start)
 
     def close(self):

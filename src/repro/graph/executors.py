@@ -14,6 +14,10 @@ bits alone as at any place in any stack.  The single-cloud front doors
 ``cloud[None]`` and unwrap the result; the executor never looks at
 rank.
 
+The interpreter trains and checks; it does not serve.
+:class:`~repro.engine.runner.BatchRunner` runs compiled kernel
+programs, and the float64 one is held to this interpreter bit for bit.
+
 * :meth:`GraphExecutor.run` executes one *module* graph;
 * :meth:`GraphExecutor.run_network` executes a whole-*network* graph
   (:mod:`repro.graph.network`): module-region nodes go through the same

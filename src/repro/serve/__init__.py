@@ -6,12 +6,11 @@ point-cloud requests onto a bounded per-tenant fair queue
 (:class:`FairQueue`), takes up to ``max_batch`` queued requests
 (:class:`BatchPolicy`) whenever a dispatch lane is free — never
 waiting for riders — splits mixed-``N`` batches into per-shape
-sub-batches, and drains each through
-an engine runner — the batched graph interpreter or a compiled kernel
-backend alike.  ``repro serve`` wraps it in a stdin/socket JSON request
-loop; responses are bit-exact against direct
-:class:`~repro.engine.runner.BatchRunner` calls on the same formed
-sub-batch.
+sub-batches, and drains each through an engine runner's compiled
+kernel program (float64 by default, float32 on request).  ``repro
+serve`` wraps it in a stdin/socket JSON request loop; a response is
+bit-exact against a direct :class:`~repro.engine.runner.BatchRunner`
+call on its cloud alone.
 
 Sharded serving layers on top (:mod:`repro.serve.shard`):
 :func:`plan_placement` bin-packs (network, shape-class) replicas onto

@@ -179,13 +179,13 @@ class Server:
 
     @classmethod
     def hosting(cls, networks, strategy="delayed", scale=0.125,
-                backend=None, policy=None, workers=1, cache=None):
+                backend="float64", policy=None, workers=1, cache=None):
         """Build a server hosting ``networks`` (names or instances).
 
         The convenience constructor the CLI uses: each network gets its
-        own :class:`~repro.engine.runner.BatchRunner`, with ``backend``
-        selecting a kernel backend whose program compiles here, in
-        process.  Every request runs exactly ``strategy`` on
+        own :class:`~repro.engine.runner.BatchRunner`, whose kernel
+        program on ``backend`` (float64 by default, or float32) compiles
+        here, in process.  Every request runs exactly ``strategy`` on
         ``backend``.
 
         ``cache`` plugs one

@@ -24,13 +24,12 @@ giving up any of its determinism guarantees:
   on the same shard; the fleet builds every index once instead of once
   per worker.
 * Replicas share one persistent thread
-  :class:`~repro.engine.parallel.ParallelRunner` dispatch pool, and —
-  with a kernel backend — one
+  :class:`~repro.engine.parallel.ParallelRunner` dispatch pool and one
   :class:`~repro.backend.NetworkKernelExecutor` per hosted network:
   replicas are threads of this process, so they run the *same* compiled
   program over the same :class:`~repro.backend.params.ParameterTable`
-  and the same per-cloud arena plan (each built once, or loaded from
-  the program cache), each out of its own thread's arena.
+  and the same per-cloud arena plan (each built once), each out of its
+  own thread's arena.
 
 Cross-shard semantics: backpressure aggregates (a request spills along
 the ring past a full replica and only raises
@@ -82,41 +81,32 @@ class PlacementError(ServeError):
 # -- working sets ------------------------------------------------------------
 
 
-def replica_working_set(network, strategy="delayed", backend=None, batch=8,
-                        executor=None):
+def replica_working_set(network, strategy="delayed", backend="float64",
+                        batch=8, executor=None):
     """``(total_bytes, modules)`` one replica of ``network`` keeps resident.
 
-    With a kernel ``backend`` the numbers are exact plan metadata: the
-    program's per-cloud arena plan scaled to a ``(batch, N, 3)`` stack
-    plus the packed parameter table, with ``modules`` breaking the arena
-    down into per-module peaks
+    The numbers are exact plan metadata of the program the replica runs
+    on ``backend``: its per-cloud arena plan scaled to a
+    ``(batch, N, 3)`` stack plus the packed parameter table, with
+    ``modules`` breaking the arena down into per-module peaks
     (:meth:`~repro.backend.runtime.KernelProgram.module_working_sets`).
     A program that has not run yet measures that plan on one zero
     cloud — the plan depends only on shapes.  ``executor`` is the
     :class:`~repro.backend.NetworkKernelExecutor` whose program to size
     (the fleet's shared one) instead of a private one.
-    Without a backend the eager interpreter has no arena plan, so the
-    activation term is an estimate — the brute-force distance matrix
-    that dominates the interpreter's transient footprint — next to the
-    exact parameter bytes.
     """
-    if executor is None and backend is not None:
+    if executor is None:
         from ..backend import NetworkKernelExecutor
 
         executor = NetworkKernelExecutor(backend)
-    if executor is not None:
-        program = executor.program(network.network_graph(strategy), network)
-        plan = program.plan_for(
-            np.zeros((1, network.n_points, 3), dtype=program.backend.dtype),
-            height=batch,
-        )
-        modules = dict(program.module_working_sets(plan))
-        modules["parameters"] = int(program.table.nbytes)
-        return int(plan.total_bytes) + modules["parameters"], modules
-    params = int(sum(p.data.nbytes for p in network.parameters()))
-    activations = int(8 * batch * network.n_points ** 2)
-    return params + activations, {"parameters": params,
-                                  "activations": activations}
+    program = executor.program(network.network_graph(strategy), network)
+    plan = program.plan_for(
+        np.zeros((1, network.n_points, 3), dtype=program.backend.dtype),
+        height=batch,
+    )
+    modules = dict(program.module_working_sets(plan))
+    modules["parameters"] = int(program.table.nbytes)
+    return int(plan.total_bytes) + modules["parameters"], modules
 
 
 # -- placement ---------------------------------------------------------------
@@ -170,21 +160,18 @@ class PlacementPlan:
         for replica in self.replicas:
             modules = dict(replica.modules)
             table = modules["parameters"]
-            scratch = f"activations (estimate, batch {self.batch})" \
-                if "activations" in modules \
-                else f"arena (per-cloud plan x {self.batch})"
             lines.append(
                 f"  replica {replica.shard} -> slot {replica.slot}: "
                 f"{replica.network} (n={replica.n_points}), "
                 f"{replica.working_set_bytes} B = "
-                f"{replica.working_set_bytes - table} B {scratch} + "
-                f"{table} B table"
+                f"{replica.working_set_bytes - table} B arena "
+                f"(per-cloud plan x {self.batch}) + {table} B table"
             )
         return "\n".join(lines)
 
 
 def plan_placement(networks, slots, budget_bytes=None, hot=None,
-                   strategy="delayed", backend=None, batch=8,
+                   strategy="delayed", backend="float64", batch=8,
                    executors=None):
     """Bin-pack (network, shape-class) replicas into ``slots`` workers.
 
@@ -210,7 +197,7 @@ def plan_placement(networks, slots, budget_bytes=None, hot=None,
     if not networks:
         raise ValueError("at least one network is required")
     if int(slots) < 1:
-        raise ValueError("slots must be positive")
+        raise ValueError(f"slots must be positive, got {slots}")
     slots = int(slots)
     shapes = {}
     for net in networks:
@@ -406,7 +393,7 @@ class ShardRouter:
 
     @classmethod
     def hosting(cls, networks, shards=2, strategy="delayed", scale=0.125,
-                backend=None, policy=None, cache_size=256,
+                backend="float64", policy=None, cache_size=256,
                 memory_budget_mb=None, hot=None, affinity="content",
                 seed=0):
         """Plan, provision and start a sharded fleet (names or instances).
@@ -417,11 +404,11 @@ class ShardRouter:
         All replicas share one persistent thread dispatch pool (none
         when a single replica suffices — the fully serial degrade),
         and ``cache_size`` total neighbor-index entries partitioned
-        across them (``0`` disables caching).  With a kernel
-        ``backend``, one :class:`~repro.backend.NetworkKernelExecutor`
-        per hosted network is built here: its program compiles once,
-        the placement is sized from that program's per-cloud plan, and
-        every replica runs it.
+        across them (``0`` disables caching).  One
+        :class:`~repro.backend.NetworkKernelExecutor` on ``backend`` per
+        hosted network is built here: its program compiles once, the
+        placement is sized from that program's per-cloud plan, and every
+        replica runs it.
         """
         from ..engine.runner import BatchRunner
         from ..networks import build_network
@@ -437,18 +424,19 @@ class ShardRouter:
             if isinstance(network, str) else network
             for network in networks
         ]
+        if memory_budget_mb is not None \
+                and not 0 < memory_budget_mb < float("inf"):
+            raise ValueError("memory budget must be a positive, finite "
+                             f"number of MB, got {memory_budget_mb}")
         budget = None if memory_budget_mb is None \
             else int(memory_budget_mb * 2 ** 20)
-        executors = {}
-        if backend is not None:
-            from ..backend import NetworkKernelExecutor
+        from ..backend import NetworkKernelExecutor
 
-            # One executor per network, shared by placement and by every
-            # replica: N replicas, one program, one table, one plan.
-            executors = {
-                net.n_points: NetworkKernelExecutor(backend)
-                for net in built
-            }
+        # One executor per network, shared by placement and by every
+        # replica: N replicas, one program, one table, one plan.
+        executors = {
+            net.n_points: NetworkKernelExecutor(backend) for net in built
+        }
         plan = plan_placement(
             built, slots=shards, budget_bytes=budget,
             hot=hot, strategy=strategy, backend=backend,
@@ -466,7 +454,7 @@ class ShardRouter:
 
             for replica in plan.replicas:
                 net = nets[replica.n_points]
-                executor = executors.get(replica.n_points)
+                executor = executors[replica.n_points]
                 replica_runner = BatchRunner(
                     net, strategy=strategy, backend=backend,
                     cache=None if cache is None
@@ -474,7 +462,7 @@ class ShardRouter:
                     executor=executor,
                     # What the runner reports as its table: the one the
                     # shared program (compiled by the placement) reads.
-                    params=None if executor is None else executor.program(
+                    params=executor.program(
                         net.network_graph(strategy), net).table,
                 )
                 servers.append(Server(

@@ -1,6 +1,7 @@
 """Helpers the test modules share: toy networks, seeded clouds,
-bit-exact comparison across every output structure, and the
-independent per-module reference forward.
+bit-exact comparison across every output structure, the batched graph
+interpreter every served path is held to, and the independent
+per-module reference forward.
 
 Test modules import them by name (``from conftest import toy``).
 """
@@ -13,6 +14,7 @@ from repro.core.tables import NeighborIndexTable, PointFeatureTable
 from repro.neighbors import neighbor_search
 from repro.networks import build_network
 from repro.networks.generic import GenericPointCloudNetwork
+from repro.neural import no_grad
 
 #: One-module toys whose centroid count sits on each side of every edge
 #: of the aggregate kernel's per-cloud chunk rule (one chunk up to 8
@@ -69,6 +71,22 @@ def leaves(ref, out):
 def assert_bit_exact(ref, out):
     for a, b in leaves(ref, out):
         assert np.array_equal(a, b)
+
+
+def interpret(net, clouds, strategy="delayed"):
+    """The batched graph interpreter over a ``(B, N, 3)`` stack.
+
+    ``net.forward_batch`` under ``no_grad()``, with the outputs as plain
+    arrays (a dict of them for detection), shaped like
+    ``BatchResult.outputs``.  Serving never runs it: it is the oracle the
+    float64 kernel program, and so every default runner, is held to bit
+    for bit.
+    """
+    with no_grad():
+        out = net.forward_batch(clouds, strategy=strategy)
+    if isinstance(out, dict):
+        return {key: value.data for key, value in out.items()}
+    return out.data
 
 
 def reference_module_forward(module, coords, feats, strategy):

@@ -16,7 +16,15 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import CHUNK_EDGE_TOYS, assert_bit_exact, cloud_for, clouds_for, leaves, toy
+from conftest import (
+    CHUNK_EDGE_TOYS,
+    assert_bit_exact,
+    cloud_for,
+    clouds_for,
+    interpret,
+    leaves,
+    toy,
+)
 from repro.backend import (
     ArrayBackend,
     NetworkKernelExecutor,
@@ -156,9 +164,9 @@ class TestKernelEquivalence:
         with no_grad():
             ref = net.forward(cloud, strategy=strategy)
             out = net.forward(cloud, strategy=strategy, executor=k64)
-            bref = GraphExecutor().run_network(ngraph, net, clouds)
             bout = k64.run_network(ngraph, net, clouds)
             fast = k32.run_network(ngraph, net, clouds)
+        bref = interpret(net, clouds, strategy)
         assert_bit_exact(ref, out)
         assert_bit_exact(bref, bout)
         assert_close_with_same_top1(bref, fast)
@@ -300,17 +308,15 @@ class TestEngineIntegration:
     def test_batch_runner_backend_float64_bit_exact(self):
         net = toy("PointNet++ (c)")
         clouds = clouds_for(net, 4)
-        eager = BatchRunner(net).run(clouds)
         kernel = BatchRunner(net, backend="float64").run(clouds)
-        assert np.array_equal(eager.outputs, kernel.outputs)
+        assert np.array_equal(interpret(net, clouds), kernel.outputs)
 
     def test_batch_runner_backend_float32_close(self):
         net = toy("PointNet++ (s)")
         clouds = clouds_for(net, 2)
-        eager = BatchRunner(net).run(clouds)
         fast = BatchRunner(net, backend="float32").run(clouds)
         assert fast.outputs.dtype == np.float32
-        assert_close_with_same_top1(eager.outputs, fast.outputs)
+        assert_close_with_same_top1(interpret(net, clouds), fast.outputs)
 
     def test_runner_stacks_in_its_backend_dtype(self):
         net = toy("PointNet++ (c)")
@@ -320,11 +326,10 @@ class TestEngineIntegration:
     def test_batch_runner_kernel_stacks_of_one_match_sequential(self):
         net = toy("PointNet++ (c)")
         clouds = clouds_for(net, 3)
-        eager = BatchRunner(net)
         with BatchRunner(net, backend="float64") as runner:
             assert runner.backend == "float64"
             one_by_one = [runner.run(cloud[None]).outputs for cloud in clouds]
-        sequential = [eager.run(cloud[None]).outputs for cloud in clouds]
+        sequential = [interpret(net, cloud[None]) for cloud in clouds]
         assert np.array_equal(np.concatenate(sequential),
                               np.concatenate(one_by_one))
 
@@ -373,9 +378,9 @@ def duplicate_point_clouds(n_points, seed=0):
 
 
 class TestDuplicatePoints:
-    """Clouds made of repeated points go through every serving path
-    without a warning: float64 keeps the eager bits and float32 keeps
-    the float32 contract."""
+    """Clouds made of repeated points go through both serving paths
+    without a warning: float64 keeps the interpreter's bits and float32
+    keeps the float32 contract."""
 
     @pytest.mark.parametrize("kind", DUPLICATE_CLOUDS)
     @pytest.mark.parametrize("name", ALL_NETWORKS)
@@ -385,14 +390,14 @@ class TestDuplicatePoints:
             DUPLICATE_CLOUDS.index(kind)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            eager, exact, fast = (
-                BatchRunner(net, backend=backend).run(cloud[None])
-                .per_cloud()[0]
-                for backend in (None, "float64", "float32"))
-        assert_bit_exact(eager, exact)
-        for _, b in leaves(eager, fast):
+            oracle = interpret(net, cloud[None])
+            exact, fast = (
+                BatchRunner(net, backend=backend).run(cloud[None]).outputs
+                for backend in ("float64", "float32"))
+        assert_bit_exact(oracle, exact)
+        for _, b in leaves(oracle, fast):
             assert b.dtype == np.float32 and np.isfinite(b).all()
-        assert_close_with_same_top1(eager, fast)
+        assert_close_with_same_top1(oracle, fast)
 
 
 class TestDtypePropagation:

@@ -67,7 +67,7 @@ tempfile.mkstemp = recording_mkstemp
 stderr = io.StringIO()
 with contextlib.redirect_stderr(stderr):
     rc = repro.cli.main(["serve", "--network", "PointNet++ (c)", "--scale",
-                         "0.5", "--serve-backend", {backend!r}] + {extra!r})
+                         "0.5"] + {extra!r})
 modules = sorted(m for m in sys.modules
                  if m.split(".")[0] in ("repro", "scipy", "multiprocessing"))
 from repro.backend.aot import _share_dir  # after the snapshot
@@ -84,10 +84,9 @@ print(json.dumps({{
 NEVER_SERVED = ("repro.hw", "repro.data", "repro.profiling.report",
                 "repro.networks.training")
 
-#: Eager-only and analysis-only code, the other commands, and every
-#: network module but the hosted PointNet++ one: none of it is on the
-#: kernel path.  The eager path runs the graph interpreter and nothing
-#: else of this list.
+#: The graph interpreter (training and the test oracle), analysis-only
+#: code, the other commands, and every network module but the hosted
+#: PointNet++ one: none of it is on the serving path.
 NETWORK_MODULES = sorted(
     f"repro.networks.{path.stem}"
     for path in Path(repro.__file__).parent.joinpath("networks").glob("*.py")
@@ -98,14 +97,16 @@ KERNEL_PATH_FORBIDDEN = (
     "repro.commands",
     *(m for m in NETWORK_MODULES if m != "repro.networks.pointnet2"),
 )
-EAGER_PATH_FORBIDDEN = tuple(m for m in KERNEL_PATH_FORBIDDEN
-                             if m != "repro.graph.executors")
 
 
 def serve_one(extra, backend="float32"):
+    """One request through ``repro serve``; ``backend=None`` passes no
+    ``--serve-backend`` (the default server)."""
+    if backend is not None:
+        extra = ["--serve-backend", backend, *extra]
     rows = [[0.01 * i, 0.5 - 0.002 * i, (i % 7) / 7.0] for i in range(512)]
     response, report = run_child(
-        SERVE_ONE.format(extra=extra, backend=backend),
+        SERVE_ONE.format(extra=extra),
         stdin=json.dumps({"id": "r0", "cloud": rows}) + "\n",
     )
     assert "output" in json.loads(response), response[:200]
@@ -131,16 +132,17 @@ class TestServedRequestImports:
         assert len(served) <= 33, served
         assert report["made"] == [] and report["files"] == []
 
-    def test_eager_server_loads_only_the_interpreter_path(self):
-        report = serve_one([], backend="eager")
+    def test_default_server_loads_only_the_serving_path(self):
+        # No --serve-backend: the float64 kernel program serves, and the
+        # graph interpreter stays unloaded.
+        report = serve_one([], backend=None)
         modules = report["modules"]
         assert offenders(modules, ("scipy",)) == []
         assert offenders(modules, NEVER_SERVED) == []
-        assert offenders(modules, EAGER_PATH_FORBIDDEN) == []
-        assert "repro.graph.executors" in modules
+        assert offenders(modules, KERNEL_PATH_FORBIDDEN) == []
         assert offenders(modules, ("multiprocessing",)) == []
         served = offenders(modules, ("repro",))
-        assert len(served) <= 29, served
+        assert len(served) <= 33, served
         assert report["made"] == [] and report["files"] == []
 
     def test_sharded_server_needs_no_helper_process_or_leftover_file(self):

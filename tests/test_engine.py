@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from conftest import toy
+from conftest import assert_bit_exact, interpret, toy
 from repro.engine import (
     BatchRunner,
     NeighborIndexCache,
@@ -585,20 +585,19 @@ class TestBatchRunnerPaths:
     """Every serving path of the one runner against its per-cloud loop."""
 
     @pytest.mark.parametrize("name", ALL_NETWORKS)
-    @pytest.mark.parametrize("backend", [None, "float64"])
+    @pytest.mark.parametrize("backend", [None, "float64"],
+                             ids=["default", "float64"])
     def test_stacks_of_one_bit_exact_vs_sequential(self, backend, name):
-        # A request served alone is a stack of one: through the graph
-        # interpreter or the float64 kernel program, its outputs equal
-        # the eager runner's, cloud by cloud, bit for bit.
+        # A request served alone is a stack of one: through the default
+        # runner, which is the float64 kernel program, its outputs equal
+        # the graph interpreter's, cloud by cloud, bit for bit.
         net = toy(name)
         clouds = random_clouds(2, net.n_points, seed=50)
         runner = BatchRunner(net, backend=backend)
-        expected = alone(BatchRunner(net), clouds)
-        for b, cloud in enumerate(clouds):
-            (got,) = cloud_leaves(runner.run(cloud[None]))
-            assert len(got) == len(expected[b])
-            for leaf, want in zip(got, expected[b]):
-                np.testing.assert_array_equal(leaf, want)
+        assert runner.backend == "float64"
+        for cloud in clouds:
+            assert_bit_exact(interpret(net, cloud[None]),
+                             runner.run(cloud[None]).outputs)
 
     @pytest.mark.parametrize("name", ALL_NETWORKS)
     def test_batched_close_to_sequential(self, name):
@@ -624,12 +623,12 @@ class TestBatchRunnerPaths:
         stats = cache.stats()
         assert stats["misses"] == len(net.encoder)
         assert stats["hits"] == 3 * len(net.encoder)
-        expected = BatchRunner(net).run(cloud[None]).outputs
+        expected = interpret(net, cloud[None])
         for row in result.outputs:
             np.testing.assert_array_equal(row, expected[0])
 
     @pytest.mark.parametrize("name", ALL_NETWORKS)
-    @pytest.mark.parametrize("backend", [None, "float32"])
+    @pytest.mark.parametrize("backend", ["float64", "float32"])
     def test_warm_cache_bit_exact_vs_uncached(self, backend, name):
         # A stack answered from a warm neighbor-index cache equals the
         # same stack searched afresh, bit for bit, on every network and
@@ -648,7 +647,7 @@ class TestBatchRunnerPaths:
             for leaf, leaf_want in zip(leaves, expected, strict=True):
                 np.testing.assert_array_equal(leaf, leaf_want)
 
-    @pytest.mark.parametrize("backend", [None, "float64"])
+    @pytest.mark.parametrize("backend", ["float64", "float32"])
     def test_threads_share_one_runner(self, backend):
         # The serving dispatch pool calls one runner from several
         # threads at once: no run may see another's per-run state.

@@ -38,7 +38,6 @@ import repro
 from repro.cli import (
     MAX_LINE_BYTES,
     _build_server,
-    _serve_backend,
     _serve_handle_line,
     build_parser,
 )
@@ -631,7 +630,7 @@ class TestHostileRequests:
             answered.set()
 
         line = json.dumps({"id": "big", "cloud": np.asarray(cloud).tolist()})
-        with Server.hosting([net], backend=_serve_backend(backend)) as server:
+        with Server.hosting([net], backend=backend) as server:
             _serve_handle_line(server, line, emit)
             assert answered.wait(TIMEOUT)
             stats = server.stats()
@@ -641,7 +640,7 @@ class TestHostileRequests:
         return answer, stats
 
     @pytest.mark.parametrize("backend, coordinate", [
-        ("eager", 1e308), ("float64", 1e308),
+        ("float64", 1e200), ("float64", 1e308),
         ("float32", 1e39), ("float32", 1e20),
     ])
     def test_overflowing_cloud_is_answered_in_strict_json(
@@ -840,6 +839,18 @@ class TestHostileRequests:
         (["--network", "PointNet (x)"], "unknown network 'PointNet (x)'"),
         (["--scale", "0"], "scale factor must be positive"),
         (["--max-batch", "0"], "max_batch must be at least 1"),
+        (["--shards", "0"], "slots must be positive, got 0"),
+        (["--shards", "-2"], "slots must be positive, got -2"),
+        (["--shards", "2", "--memory-budget-mb", "0"],
+         "memory budget must be a positive, finite number of MB, got 0.0"),
+        (["--shards", "2", "--memory-budget-mb", "-1"],
+         "memory budget must be a positive, finite number of MB, got -1.0"),
+        (["--shards", "2", "--memory-budget-mb", "inf"],
+         "memory budget must be a positive, finite number of MB, got inf"),
+        (["--shards", "2", "--memory-budget-mb", "nan"],
+         "memory budget must be a positive, finite number of MB, got nan"),
+        (["--shards", "2", "--memory-budget-mb", "0.001"],
+         "fits no slot under a 1048 B/slot budget"),
     ])
     def test_bad_configuration_is_one_error_line(self, argv, reason):
         env = dict(os.environ,
@@ -905,7 +916,7 @@ class TestCommandLine:
                 if key != "command"} == {
             "network": None, "scale": 0.125, "strategy": "delayed",
             "max_queue": 64, "port": None, "max_batch": 8, "workers": 1,
-            "serve_backend": "eager", "cache_size": 256, "shards": 1, "memory_budget_mb": None,
+            "serve_backend": "float64", "cache_size": 256, "shards": 1, "memory_budget_mb": None,
         }
 
     @pytest.mark.parametrize("argv", [
@@ -966,12 +977,15 @@ class TestCommandLine:
         assert exc.value.code == 2
         assert f"invalid choice: '{command}'" in capsys.readouterr().err
 
-    def test_int8_is_not_a_backend_choice(self, capsys):
-        # The two float precisions are the only kernel backends.
+    @pytest.mark.parametrize("backend", ["int8", "eager"])
+    def test_int8_is_not_a_backend_choice(self, backend, capsys):
+        # The two float precisions of the compiled kernel program are the
+        # only choices: no quantized backend, and no serve option routes
+        # requests through the graph interpreter.
         with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(["serve", "--serve-backend", "int8"])
+            build_parser().parse_args(["serve", "--serve-backend", backend])
         assert exc.value.code == 2
-        assert "invalid choice: 'int8'" in capsys.readouterr().err
+        assert f"invalid choice: '{backend}'" in capsys.readouterr().err
 
 
 # ----------------------------------------------------- engine drain hooks
@@ -1087,7 +1101,9 @@ class TestStrategyAndBackendAreTheCallersFlags:
         clouds, futures = {}, {}
         with server:
             [(n, runner)] = server._routes.items()
-            assert (runner.strategy, runner.backend) == (strategy, backend)
+            # No backend is the default: the float64 program.
+            assert (runner.strategy, runner.backend) \
+                == (strategy, backend or "float64")
             gate = threading.Event()
             server._routes[n] = GatedRunner(runner, gate)
 

@@ -154,11 +154,6 @@ class TestWorkingSets:
                 + direct.table.nbytes, (name, batch)
             assert direct.memory_stats()["heights"] == (batch,)
 
-    def test_eager_path_estimates_activations(self, tiny_net):
-        total, modules = replica_working_set(tiny_net, backend=None, batch=4)
-        assert modules["parameters"] > 0
-        assert modules["activations"] == 8 * 4 * tiny_net.n_points ** 2
-        assert total == sum(modules.values())
 
 
 # -------------------------------------------------------------- placement
@@ -222,7 +217,7 @@ class TestPlacement:
 
     @pytest.mark.parametrize("backend, scratch", [
         ("float32", "arena (per-cloud plan x 4)"),
-        (None, "activations (estimate, batch 4)"),
+        ("float64", "arena (per-cloud plan x 4)"),
     ])
     def test_describe_sums_each_working_set(self, tiny_net, backend, scratch):
         plan = plan_placement([tiny_net], slots=2, backend=backend, batch=4)
