@@ -1,15 +1,15 @@
-"""Ablation: neighbor-search substrates (brute force / k-d tree / grid).
+"""Ablation: neighbor-search substrates (brute force / k-d tree).
 
-The library ships three N implementations; this benchmark verifies they
-agree and measures their actual Python runtime on a PointNet++-module-
-sized workload, illustrating why tree/grid structures matter as the
+The library ships two N implementations; this benchmark verifies they
+agree and measures the tree's actual Python runtime on a PointNet++-
+module-sized workload, illustrating why tree structures matter as the
 point count grows (the motivation for neighbor search engines, §VII-E).
 """
 
 import numpy as np
 from conftest import print_table
 
-from repro.neighbors import KDTree, UniformGrid, knn_brute_force
+from repro.neighbors import KDTree, knn_brute_force
 
 N_POINTS = 1024
 N_QUERIES = 64
@@ -26,26 +26,20 @@ def test_knn_substrates_agree_and_benchmark(benchmark):
     pts = _cloud()
     queries = pts[:N_QUERIES]
     tree = KDTree(pts)
-    grid = UniformGrid(pts, cell_size=0.3)
 
     bf_idx, bf_dist = knn_brute_force(pts, queries, K)
 
     def run_all():
-        tree_d = np.stack([tree.query(q, K)[1] for q in queries])
-        grid_d = np.stack([grid.query(q, K)[1] for q in queries])
-        return tree_d, grid_d
+        return np.stack([tree.query(q, K)[1] for q in queries])
 
-    tree_dist, grid_dist = benchmark(run_all)
+    tree_dist = benchmark(run_all)
     print_table(
         "Neighbor search substrates (1024 points, 64 queries, K=8)",
         ["Substrate", "Max |d - brute| "],
         [
             ("KDTree", f"{np.abs(tree_dist - bf_dist).max():.2e}"),
-            ("UniformGrid", f"{np.abs(grid_dist - bf_dist).max():.2e}"),
         ],
     )
     np.testing.assert_allclose(tree_dist, bf_dist, atol=1e-6)
-    np.testing.assert_allclose(grid_dist, bf_dist, atol=1e-6)
-    # Structural sanity: the tree is balanced, the grid is populated.
+    # Structural sanity: the tree is balanced.
     assert tree.depth() <= 12
-    assert grid.n_cells > 10

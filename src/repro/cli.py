@@ -117,6 +117,11 @@ def _build_server(args):
     if args.shards != 1:
         from .serve import ShardRouter
 
+        if args.workers is not None:
+            raise ValueError(
+                "--workers does not apply under --shards: the router "
+                "runs one dispatch worker per replica")
+
         return ShardRouter.hosting(
             args.network or ["PointNet++ (c)"],
             shards=args.shards,
@@ -127,6 +132,10 @@ def _build_server(args):
             cache_size=args.cache_size,
             memory_budget_mb=args.memory_budget_mb,
         )
+    if args.memory_budget_mb is not None:
+        raise ValueError(
+            "--memory-budget-mb budgets the placement planner's slots, "
+            "so it needs --shards above 1")
     cache = NeighborIndexCache(maxsize=args.cache_size) \
         if args.cache_size else None
     return Server.hosting(
@@ -135,7 +144,7 @@ def _build_server(args):
         scale=args.scale,
         backend=args.serve_backend,
         policy=policy,
-        workers=args.workers,
+        workers=1 if args.workers is None else args.workers,
         cache=cache,
     )
 
@@ -175,6 +184,39 @@ def _print_serve_stats(stats):
               file=sys.stderr)
 
 
+def _tcp_server(port, server, write_lock):
+    """A threading TCP server on 127.0.0.1:``port`` feeding ``server``;
+    a port it cannot bind is an ``OSError`` here, before any request."""
+    import socketserver
+
+    class Handler(socketserver.StreamRequestHandler):
+        def handle(self):
+            def emit_socket(payload):
+                data = (json.dumps(payload, allow_nan=False)
+                        + "\n").encode()
+                with write_lock:
+                    self.wfile.write(data)
+
+            while raw := self.rfile.readline(MAX_LINE_BYTES + 1):
+                if len(raw) > MAX_LINE_BYTES and not raw.endswith(b"\n"):
+                    while raw and not raw.endswith(b"\n"):
+                        raw = self.rfile.readline(MAX_LINE_BYTES + 1)
+                    emit_socket({
+                        "id": None,
+                        "error": "request line longer than the "
+                                 f"{MAX_LINE_BYTES}-byte limit"})
+                    continue
+                # One bad byte must not kill the connection's
+                # handler: it becomes a JSON error response.
+                line = raw.decode(errors="replace").strip()
+                if line:
+                    _serve_handle_line(server, line, emit_socket)
+
+    tcp = socketserver.ThreadingTCPServer(("127.0.0.1", port), Handler)
+    tcp.daemon_threads = True
+    return tcp
+
+
 def _cmd_serve(args):
     """Long-lived request loop: JSON lines on stdin or a TCP socket."""
     import signal
@@ -187,10 +229,19 @@ def _cmd_serve(args):
         # A configuration error, found before any request is read.
         print(f"repro serve: error: {exc}", file=sys.stderr)
         return 2
+    write_lock = threading.Lock()
+    tcp = None
+    if args.port is not None:
+        try:
+            tcp = _tcp_server(args.port, server, write_lock)
+        except OSError as exc:
+            server.close()
+            print(f"repro serve: error: cannot listen on 127.0.0.1:"
+                  f"{args.port}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     if args.shards > 1:
         print(server.plan.describe(), file=sys.stderr)
     sizes = ", ".join(str(n) for n in server.served_sizes)
-    write_lock = threading.Lock()
 
     def _sigterm(_signum, _frame):
         # Orchestrators stop services with SIGTERM; route it through the
@@ -208,37 +259,8 @@ def _cmd_serve(args):
             stream.flush()
 
     try:
-        if args.port is not None:
-            import socketserver
-
-            class Handler(socketserver.StreamRequestHandler):
-                def handle(self):
-                    def emit_socket(payload):
-                        data = (json.dumps(payload, allow_nan=False)
-                                + "\n").encode()
-                        with write_lock:
-                            self.wfile.write(data)
-
-                    while raw := self.rfile.readline(MAX_LINE_BYTES + 1):
-                        if len(raw) > MAX_LINE_BYTES \
-                                and not raw.endswith(b"\n"):
-                            while raw and not raw.endswith(b"\n"):
-                                raw = self.rfile.readline(MAX_LINE_BYTES + 1)
-                            emit_socket({
-                                "id": None,
-                                "error": "request line longer than the "
-                                         f"{MAX_LINE_BYTES}-byte limit"})
-                            continue
-                        # One bad byte must not kill the connection's
-                        # handler: it becomes a JSON error response.
-                        line = raw.decode(errors="replace").strip()
-                        if line:
-                            _serve_handle_line(server, line, emit_socket)
-
-            with socketserver.ThreadingTCPServer(
-                ("127.0.0.1", args.port), Handler
-            ) as tcp:
-                tcp.daemon_threads = True
+        if tcp is not None:
+            with tcp:
                 print(f"serving n_points in [{sizes}] on 127.0.0.1:"
                       f"{tcp.server_address[1]} (ctrl-c to stop)",
                       file=sys.stderr)
@@ -279,6 +301,14 @@ def _network_name(name):
 
 
 _NETWORK = {"type": _network_name, "metavar": "NETWORK"}
+
+
+def _port(text):
+    """Parse-time check of ``--port``: a TCP port number, 0 = any free."""
+    if not (text.isdigit() and int(text) <= 65535):
+        raise argparse.ArgumentTypeError(
+            f"port must be an integer in 0..65535, got {text!r}")
+    return int(text)
 
 
 def build_parser():
@@ -326,14 +356,15 @@ def build_parser():
     p_serve.add_argument("--max-queue", type=int, default=64,
                          help="admission bound; pushes beyond it are "
                               "rejected with a backpressure error")
-    p_serve.add_argument("--port", type=int, default=None,
+    p_serve.add_argument("--port", type=_port, default=None,
                          help="serve JSON lines over TCP on 127.0.0.1:PORT "
                               "instead of stdin")
     p_serve.add_argument("--max-batch", type=int, default=8,
                          help="most queued requests one dispatch takes "
                               "(it never waits for more)")
-    p_serve.add_argument("--workers", type=int, default=1,
-                         help="batches in flight at once (1 = fully serial)")
+    p_serve.add_argument("--workers", type=int, default=None,
+                         help="batches in flight at once (default 1 = "
+                              "fully serial; not with --shards)")
     p_serve.add_argument("--serve-backend", default="float64",
                          choices=("float32", "float64"),
                          help="precision of the compiled kernel program "

@@ -7,14 +7,6 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "bev_iou": "kitti",
     "box_corners_bev": "kitti",
     "synthetic_lidar_scene": "kitti",
-    "load_points": "io",
-    "read_off": "io",
-    "read_ply": "io",
-    "read_xyz": "io",
-    "save_points": "io",
-    "write_off": "io",
-    "write_ply": "io",
-    "write_xyz": "io",
     "confusion_matrix": "metrics",
     "mean_iou": "metrics",
     "overall_accuracy": "metrics",

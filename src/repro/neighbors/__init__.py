@@ -8,7 +8,6 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "pairwise_squared_distances": "brute",
     "neighbor_search": "dispatch",
     "search_context": "dispatch",
-    "UniformGrid": "grid",
     "KDTree": "kdtree",
     "farthest_point_sampling": "sampling",
     "random_sampling": "sampling",

@@ -47,8 +47,9 @@ def scale_spec(spec, factor):
     Used to derive toy-scale configurations for training from the
     paper-scale ones, keeping the architecture (MLP widths) intact.
     """
-    if factor <= 0:
-        raise ValueError("scale factor must be positive")
+    if not (factor > 0 and np.isfinite(factor)):
+        raise ValueError(
+            f"scale factor must be positive and finite, got {factor}")
     n_in = max(1, int(round(spec.n_in * factor)))
     n_out = max(1, min(n_in, int(round(spec.n_out * factor))))
     if factor >= 1:

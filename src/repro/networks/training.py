@@ -3,7 +3,7 @@
 The paper retrains every network with delayed-aggregation from scratch
 and shows the accuracy matches the original algorithm (-0.9% to +1.2%).
 These loops do the same on the synthetic datasets at reduced scale:
-per-cloud SGD/Adam over the numpy autograd engine.
+per-cloud Adam over the numpy autograd engine.
 """
 
 from __future__ import annotations

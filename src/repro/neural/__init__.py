@@ -15,14 +15,7 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "log_softmax": "losses",
     "mse_loss": "losses",
     "SharedMLP": "mlp",
-    "SGD": "optim",
     "Adam": "optim",
-    "CosineLR": "schedulers",
-    "ExponentialLR": "schedulers",
-    "StepLR": "schedulers",
-    "clip_grad_norm": "schedulers",
-    "load_checkpoint": "serialization",
-    "save_checkpoint": "serialization",
     "Tensor": "tensor",
     "concat": "tensor",
     "no_grad": "tensor",

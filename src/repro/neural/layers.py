@@ -75,46 +75,6 @@ class Module:
         for p in self.parameters():
             p.grad = None
 
-    def state_dict(self):
-        """Flat name -> array mapping, for checkpoint round-trips."""
-        state = {}
-
-        def visit(obj, prefix):
-            for name, value in vars(obj).items():
-                if isinstance(value, Parameter):
-                    state[prefix + name] = value.data.copy()
-                elif isinstance(value, Module):
-                    visit(value, f"{prefix}{name}.")
-                elif isinstance(value, (list, tuple)):
-                    for i, v in enumerate(value):
-                        if isinstance(v, Module):
-                            visit(v, f"{prefix}{name}.{i}.")
-
-        visit(self, "")
-        return state
-
-    def load_state_dict(self, state):
-        def visit(obj, prefix):
-            for name, value in vars(obj).items():
-                if isinstance(value, Parameter):
-                    key = prefix + name
-                    if key not in state:
-                        raise KeyError(f"missing parameter {key!r}")
-                    if value.data.shape != state[key].shape:
-                        raise ValueError(
-                            f"shape mismatch for {key!r}: "
-                            f"{value.data.shape} vs {state[key].shape}"
-                        )
-                    value.data[...] = state[key]
-                elif isinstance(value, Module):
-                    visit(value, f"{prefix}{name}.")
-                elif isinstance(value, (list, tuple)):
-                    for i, v in enumerate(value):
-                        if isinstance(v, Module):
-                            visit(v, f"{prefix}{name}.{i}.")
-
-        visit(self, "")
-
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["SGD", "Adam"]
+__all__ = ["Adam"]
 
 
 class Optimizer:
@@ -20,29 +20,6 @@ class Optimizer:
 
     def step(self):
         raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(self, params, lr=0.01, momentum=0.0, weight_decay=0.0):
-        super().__init__(params, lr)
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self):
-        for p, v in zip(self.params, self._velocity):
-            if p.grad is None:
-                continue
-            grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            if self.momentum:
-                v *= self.momentum
-                v += grad
-                grad = v
-            p.data -= self.lr * grad
 
 
 class Adam(Optimizer):

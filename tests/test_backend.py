@@ -118,37 +118,45 @@ class TestParameterExport:
         assert export_stack(dropped, get_backend("float64"))
 
 
-class TestTrainedAgreement:
-    def test_float32_top1_agreement_on_trained_classifier(self):
-        # Random-weight toys have near-tied logits, so their top-1 says
-        # little; train briefly so margins are real, then require the
-        # float32 program to agree with the float64 reference on >= 99%
-        # of decisions under every strategy.
-        from repro.data import SyntheticModelNet
-        from repro.networks import train_classifier
+@pytest.fixture(scope="module")
+def trained_classifier():
+    """A briefly trained PointNet++ (c) and the clouds to judge it on.
 
-        dataset = SyntheticModelNet(num_classes=4, n_points=256,
-                                    train_per_class=8, test_per_class=24,
-                                    seed=0, rotate=False)
-        net = build_network("PointNet++ (c)", num_classes=4, scale=0.125,
-                            rng=np.random.default_rng(0))
-        n = net.n_points
-        train_clouds = dataset.train_clouds[:, :n]
-        train_classifier(net, train_clouds, dataset.train_labels,
-                         epochs=3, lr=1e-3, strategy="delayed", seed=1)
-        net.eval()
-        eval_clouds = np.concatenate(
-            [train_clouds, dataset.test_clouds[:, :n]])
-        for strategy in STRATEGIES:
-            expected = BatchRunner(net, strategy=strategy,
-                                   backend="float64").run(eval_clouds)
-            observed = BatchRunner(net, strategy=strategy,
-                                   backend="float32").run(eval_clouds)
-            agree = total = 0
-            for a, b in leaves(expected.outputs, observed.outputs):
-                agree += int((a.argmax(-1) == b.argmax(-1)).sum())
-                total += a.reshape(-1, a.shape[-1]).shape[0]
-            assert agree / total >= 0.99, (strategy, agree, total)
+    Random-weight toys have near-tied logits, so their top-1 says
+    little; training gives the decisions real margins.  One training
+    serves every strategy.
+    """
+    from repro.data import SyntheticModelNet
+    from repro.networks import train_classifier
+
+    dataset = SyntheticModelNet(num_classes=4, n_points=256,
+                                train_per_class=8, test_per_class=24,
+                                seed=0, rotate=False)
+    net = build_network("PointNet++ (c)", num_classes=4, scale=0.125,
+                        rng=np.random.default_rng(0))
+    n = net.n_points
+    train_clouds = dataset.train_clouds[:, :n]
+    train_classifier(net, train_clouds, dataset.train_labels,
+                     epochs=3, lr=1e-3, strategy="delayed", seed=1)
+    net.eval()
+    return net, np.concatenate([train_clouds, dataset.test_clouds[:, :n]])
+
+
+class TestTrainedAgreement:
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_float32_top1_agreement_on_trained_classifier(
+            self, trained_classifier, strategy):
+        # The float32 program agrees with the graph interpreter on
+        # >= 99% of decisions, for each strategy on its own.
+        net, clouds = trained_classifier
+        expected = interpret(net, clouds, strategy)
+        observed = BatchRunner(net, strategy=strategy,
+                               backend="float32").run(clouds).outputs
+        agree = total = 0
+        for a, b in leaves(expected, observed):
+            agree += int((a.argmax(-1) == b.argmax(-1)).sum())
+            total += a.reshape(-1, a.shape[-1]).shape[0]
+        assert agree / total >= 0.99, (strategy, agree, total)
 
 
 class TestKernelEquivalence:

@@ -38,9 +38,9 @@ TIMEOUT = 120.0
 #: the on-disk program cache went.
 FRONT_DOORS = [
     ("repro", 12), ("repro.backend", 18), ("repro.core", 13),
-    ("repro.data", 24), ("repro.engine", 5), ("repro.graph", 28),
-    ("repro.hw", 27), ("repro.neighbors", 12), ("repro.networks", 25),
-    ("repro.neural", 24), ("repro.profiling", 31), ("repro.serve", 17),
+    ("repro.data", 16), ("repro.engine", 5), ("repro.graph", 28),
+    ("repro.hw", 27), ("repro.neighbors", 11), ("repro.networks", 25),
+    ("repro.neural", 17), ("repro.profiling", 31), ("repro.serve", 17),
 ]
 
 
@@ -93,7 +93,7 @@ NETWORK_MODULES = sorted(
     if path.stem not in ("__init__", "base", "registry"))
 KERNEL_PATH_FORBIDDEN = (
     "repro.graph.executors", "repro.core.tables",
-    "repro.neighbors.grid", "repro.neighbors.kdtree", "repro.neighbors.ball",
+    "repro.neighbors.kdtree", "repro.neighbors.ball",
     "repro.commands",
     *(m for m in NETWORK_MODULES if m != "repro.networks.pointnet2"),
 )

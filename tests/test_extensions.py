@@ -1,6 +1,5 @@
-"""Tests for the extension modules: uniform-grid search, approximate
-aggregation (the paper's future-work item), checkpointing, the report
-generator and the CLI."""
+"""Tests for the extension modules: approximate aggregation (the paper's
+future-work item), the report generator and the CLI."""
 
 import numpy as np
 import pytest
@@ -10,61 +9,6 @@ from repro.hw import (
     ApproximateAggregationUnit,
     dropped_neighbor_error,
 )
-from repro.neighbors import KDTree, UniformGrid, knn_brute_force
-from repro.neural import SharedMLP, load_checkpoint, save_checkpoint
-
-
-def cloud(n=200, seed=0):
-    return np.random.default_rng(seed).normal(size=(n, 3))
-
-
-class TestUniformGrid:
-    def test_radius_matches_naive(self):
-        pts = cloud(300, seed=1)
-        grid = UniformGrid(pts, cell_size=0.5)
-        q = pts[0]
-        hits = grid.query_radius(q, 0.8)
-        naive = np.nonzero(np.sqrt(((pts - q) ** 2).sum(1)) <= 0.8)[0]
-        np.testing.assert_array_equal(np.sort(hits), naive)
-
-    def test_knn_matches_brute_force(self):
-        pts = cloud(256, seed=2)
-        grid = UniformGrid(pts, cell_size=0.4)
-        for qi in (0, 10, 100):
-            g_idx, g_dist = grid.query(pts[qi], k=5)
-            _, b_dist = knn_brute_force(pts, pts[qi:qi + 1], 5)
-            np.testing.assert_allclose(np.sort(g_dist), b_dist[0], atol=1e-9)
-
-    def test_knn_agrees_with_kdtree(self):
-        pts = cloud(128, seed=3)
-        grid = UniformGrid(pts, cell_size=0.7)
-        tree = KDTree(pts)
-        g_idx, g_dist = grid.query(pts[7], k=4)
-        t_idx, t_dist = tree.query(pts[7], k=4)
-        np.testing.assert_allclose(g_dist, t_dist, atol=1e-9)
-
-    def test_occupancy_sums_to_n(self):
-        pts = cloud(100, seed=4)
-        grid = UniformGrid(pts, cell_size=1.0)
-        assert grid.occupancy().sum() == 100
-        assert grid.n_cells == len(grid.occupancy())
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            UniformGrid(np.zeros((0, 3)), 1.0)
-        with pytest.raises(ValueError):
-            UniformGrid(cloud(10), 0.0)
-        with pytest.raises(ValueError):
-            UniformGrid(cloud(10), 1.0).query(np.zeros(3), k=11)
-        with pytest.raises(ValueError):
-            UniformGrid(cloud(10), 1.0).query_radius(np.zeros(3), -1)
-
-    def test_far_query(self):
-        pts = cloud(64, seed=5)
-        grid = UniformGrid(pts, cell_size=0.5)
-        idx, dist = grid.query(np.array([50.0, 50.0, 50.0]), k=3)
-        _, b_dist = knn_brute_force(pts, np.array([[50.0, 50.0, 50.0]]), 3)
-        np.testing.assert_allclose(dist, b_dist[0], atol=1e-9)
 
 
 class TestApproximateAggregation:
@@ -123,36 +67,6 @@ class TestApproximateAggregation:
         assert isinstance(au, AggregationUnit)
         exact = au.process(self.nit, 64, 1024)  # exact path still works
         assert exact.cycles > 0
-
-
-class TestSerialization:
-    def test_roundtrip(self, tmp_path):
-        a = SharedMLP([3, 16, 8], rng=np.random.default_rng(0))
-        b = SharedMLP([3, 16, 8], rng=np.random.default_rng(9))
-        path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, a, metadata={"strategy": "delayed", "epoch": 3})
-        state, meta = load_checkpoint(path, module=b)
-        assert meta == {"strategy": "delayed", "epoch": 3}
-        from repro.neural import Tensor
-
-        x = Tensor(np.random.default_rng(1).normal(size=(4, 3)))
-        np.testing.assert_allclose(a(x).data, b(x).data)
-
-    def test_load_without_module(self, tmp_path):
-        mlp = SharedMLP([2, 4], rng=np.random.default_rng(0))
-        path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, mlp)
-        state, meta = load_checkpoint(path)
-        assert meta == {}
-        assert len(state) == len(mlp.state_dict())
-
-    def test_shape_mismatch_raises(self, tmp_path):
-        a = SharedMLP([3, 16, 8])
-        b = SharedMLP([3, 8, 8])
-        path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, a)
-        with pytest.raises((ValueError, KeyError)):
-            load_checkpoint(path, module=b)
 
 
 class TestReport:

@@ -8,7 +8,6 @@ from repro.neural import (
     BatchNorm,
     Dropout,
     Linear,
-    SGD,
     Sequential,
     SharedMLP,
     Tensor,
@@ -84,19 +83,6 @@ class TestDropout:
 
 
 class TestModuleProtocol:
-    def test_state_dict_roundtrip(self):
-        a = SharedMLP([3, 8, 4], rng=np.random.default_rng(0))
-        b = SharedMLP([3, 8, 4], rng=np.random.default_rng(99))
-        b.load_state_dict(a.state_dict())
-        x = Tensor(np.random.default_rng(2).normal(size=(5, 3)))
-        np.testing.assert_allclose(a(x).data, b(x).data)
-
-    def test_load_state_dict_shape_mismatch(self):
-        a = SharedMLP([3, 8, 4])
-        b = SharedMLP([3, 9, 4])
-        with pytest.raises((ValueError, KeyError)):
-            b.load_state_dict(a.state_dict())
-
     def test_train_eval_propagates(self):
         net = Sequential(Linear(2, 2), Dropout(0.5))
         net.eval()
@@ -197,14 +183,6 @@ class TestOptimizers:
             opt.step()
         return p.data
 
-    def test_sgd_converges(self):
-        final = self._quadratic_steps(lambda ps: SGD(ps, lr=0.1))
-        assert np.abs(final).max() < 1e-6
-
-    def test_sgd_momentum_converges(self):
-        final = self._quadratic_steps(lambda ps: SGD(ps, lr=0.05, momentum=0.9))
-        assert np.abs(final).max() < 1e-4
-
     def test_adam_converges(self):
         final = self._quadratic_steps(lambda ps: Adam(ps, lr=0.1))
         assert np.abs(final).max() < 1e-3
@@ -213,14 +191,16 @@ class TestOptimizers:
         from repro.neural.layers import Parameter
 
         p = Parameter(np.array([1.0]))
-        opt = SGD([p], lr=0.1, weight_decay=1.0)
+        opt = Adam([p], lr=0.1, weight_decay=1.0)
         p.grad = np.array([0.0])
         opt.step()
+        # The decay term is the whole gradient, so Adam's first,
+        # bias-corrected step moves the weight by lr towards zero.
         assert p.data[0] == pytest.approx(0.9)
 
     def test_empty_params_rejected(self):
         with pytest.raises(ValueError):
-            SGD([], lr=0.1)
+            Adam([], lr=0.1)
 
     def test_training_reduces_loss_on_toy_task(self):
         rng = np.random.default_rng(0)

@@ -70,6 +70,83 @@ class TestBruteForceKNN:
             knn_brute_force(pts, pts, k=0)
 
 
+def _oracle_clouds():
+    """name -> (points, queries, k): the hostile shapes a brute-force
+    search meets, each checked against the k-d tree."""
+    rng = np.random.default_rng(41)
+    base = rng.normal(size=(512, 3))
+    line = rng.uniform(-2.0, 2.0, size=(128, 1)) * [1.0, -2.0, 0.5] \
+        + [0.3, 0.1, -0.2]
+    plane = rng.normal(size=(128, 2)) @ [[1.0, 0.0, 0.5], [0.0, 1.0, -1.0]]
+    lattice = np.stack(np.meshgrid(*[np.arange(5.0)] * 3, indexing="ij"),
+                       axis=-1).reshape(-1, 3)
+    shifted = base + 1e3  # world-frame coordinates, as LiDAR sends them
+    return {
+        "scaled_x4": (base[:256] * 4, base[:32] * 4, 16),
+        "collinear": (line, line[::8], 8),
+        "coplanar": (plane, plane[::8], 12),
+        "identical": (np.full((32, 3), 0.7), np.full((8, 3), 0.7), 8),
+        "lattice_ties": (lattice, lattice[::7], 10),
+        "k_equals_n": (base[:48], base[:8], 48),
+        "far_query": (base[:64], np.array([[50.0, 50.0, 50.0]]), 3),
+        "shifted_1e3": (shifted, shifted[:64], 16),
+    }
+
+
+ORACLE_CLOUDS = _oracle_clouds()
+SEARCH_PATHS = {
+    "float64": (np.float64, False),
+    "float32": (np.float32, False),
+    "float32_stack": (np.float32, True),
+}
+
+
+class TestBruteForceOracle:
+    """Brute-force kNN against ``KDTree``, an independent search run in
+    float64 on the coordinates as cast to the search dtype."""
+
+    @pytest.mark.parametrize("path", SEARCH_PATHS)
+    @pytest.mark.parametrize("name", ORACLE_CLOUDS)
+    def test_neighbors_match_the_kdtree(self, name, path):
+        points, queries, k = ORACLE_CLOUDS[name]
+        dtype, stacked = SEARCH_PATHS[path]
+        points, queries = points.astype(dtype), queries.astype(dtype)
+        if stacked:
+            # The cloud in the middle of a stack of unrelated clouds.
+            rng = np.random.default_rng(7)
+            others = rng.normal(size=(2, *points.shape)).astype(dtype)
+            idx, dist = knn_brute_force(
+                np.stack([others[0], points, others[1]]),
+                np.stack([others[0, :len(queries)], queries,
+                          others[1, :len(queries)]]),
+                k, dtype=dtype)
+            idx, dist = idx[1], dist[1]
+        else:
+            idx, dist = knn_brute_force(points, queries, k, dtype=dtype)
+        p64, q64 = points.astype(np.float64), queries.astype(np.float64)
+        tree = KDTree(p64)
+        # The search may round a squared distance by a few ulps of the
+        # squared extent of the cloud about its own centre, never of
+        # its distance from the origin.
+        centre = (p64.min(axis=0) + p64.max(axis=0)) / 2
+        extent = np.abs(np.concatenate([p64, q64]) - centre).max()
+        tol = 16 * np.finfo(dtype).eps * max(extent, 1.0) ** 2
+        n = len(p64)
+        for row, q in enumerate(q64):
+            t_idx, t_dist = tree.query(q, min(k + 1, n))
+            exact = ((p64[idx[row]] - q) ** 2).sum(axis=1)
+            assert len(set(idx[row])) == k
+            assert (np.diff(dist[row]) >= 0).all()
+            np.testing.assert_allclose(dist[row].astype(np.float64) ** 2,
+                                       exact, rtol=0, atol=tol)
+            np.testing.assert_allclose(np.sort(exact), t_dist[:k] ** 2,
+                                       rtol=0, atol=tol)
+            # Where the k-th and (k+1)-th neighbours are told apart by
+            # more than rounding, the neighbour set itself is fixed.
+            if k == n or t_dist[k] ** 2 - t_dist[k - 1] ** 2 > 2 * tol:
+                assert set(idx[row]) == set(t_idx[:k]), row
+
+
 class TestKDTree:
     def test_agrees_with_brute_force(self):
         pts = random_cloud(300, seed=5)

@@ -851,11 +851,34 @@ class TestHostileRequests:
          "memory budget must be a positive, finite number of MB, got nan"),
         (["--shards", "2", "--memory-budget-mb", "0.001"],
          "fits no slot under a 1048 B/slot budget"),
+        # A budget only the placement planner reads, without a planner.
+        *((["--memory-budget-mb", mb], "--memory-budget-mb budgets the "
+           "placement planner's slots, so it needs --shards above 1")
+          for mb in ("64", "-5", "0.001", "nan")),
+        # The router runs one dispatch worker per replica.
+        *((["--shards", "2", "--workers", workers],
+           "--workers does not apply under --shards")
+          for workers in ("4", "1")),
+        (["--scale", "inf"], "scale factor must be positive and finite, "
+                             "got inf"),
+        (["--scale=-inf"], "scale factor must be positive and finite, "
+                           "got -inf"),
+        (["--scale", "nan"], "scale factor must be positive and finite, "
+                             "got nan"),
+        (["--port", "-1"], "port must be an integer in 0..65535, got '-1'"),
+        (["--port", "65536"],
+         "port must be an integer in 0..65535, got '65536'"),
     ])
     def test_bad_configuration_is_one_error_line(self, argv, reason):
+        assert reason in self._refused_serve(argv)
+
+    @staticmethod
+    def _refused_serve(argv):
+        """``repro serve ARGV`` with a request waiting on stdin: it must
+        exit 2 with one ``repro serve: error:`` line and no traceback,
+        before the request is read.  Returns that line."""
         env = dict(os.environ,
                    PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
-        # A request is waiting on stdin: the refusal comes before it is read.
         done = subprocess.run(
             [sys.executable, "-m", "repro.cli", "serve", *argv],
             input='{"id": 1, "cloud": [[0, 0, 0]]}\n', capture_output=True,
@@ -864,8 +887,17 @@ class TestHostileRequests:
         assert done.returncode == 2 and done.stdout == ""
         errors = [line for line in done.stderr.splitlines() if "error:" in line]
         assert len(errors) == 1 and errors[0].startswith("repro serve: error: ")
-        assert reason in errors[0]
         assert "Traceback" not in done.stderr
+        return errors[0]
+
+    def test_a_port_in_use_is_one_error_line(self):
+        with socket.socket() as held:
+            held.bind(("127.0.0.1", 0))
+            held.listen()
+            port = held.getsockname()[1]
+            error = self._refused_serve(
+                ["--scale", "0.0625", "--port", str(port)])
+        assert f"cannot listen on 127.0.0.1:{port}: " in error
 
 
 class TestResponseIds:
@@ -915,7 +947,7 @@ class TestCommandLine:
         assert {key: value for key, value in vars(args).items()
                 if key != "command"} == {
             "network": None, "scale": 0.125, "strategy": "delayed",
-            "max_queue": 64, "port": None, "max_batch": 8, "workers": 1,
+            "max_queue": 64, "port": None, "max_batch": 8, "workers": None,
             "serve_backend": "float64", "cache_size": 256, "shards": 1, "memory_budget_mb": None,
         }
 
