@@ -7,9 +7,18 @@ compiles them.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 __all__ = ["COMMANDS"]
+
+
+def _refuse(command, message):
+    """One ``repro COMMAND: error:`` line on stderr, found before any
+    work starts; exit status 2, as argparse and ``repro serve`` use."""
+    print(f"repro {command}: error: {message}", file=sys.stderr)
+    return 2
 
 
 def _cmd_report(_args):
@@ -86,8 +95,12 @@ def _trace_memory(net, strategy):
 
 def _cmd_simulate(args):
     from .hw import SoC
+    from .hw.soc import CONFIGS
     from .networks import build_network
 
+    if args.config not in CONFIGS:
+        return _refuse("simulate", f"unknown config {args.config!r} (choose "
+                                   f"from {', '.join(map(repr, CONFIGS))})")
     soc = SoC()
     net = build_network(args.network)
     result = soc.simulate(net, args.config)
@@ -108,6 +121,9 @@ def _cmd_train(args):
     from .data import SyntheticModelNet
     from .networks import build_network, evaluate_classifier, train_classifier
 
+    if args.epochs < 1:
+        return _refuse("train", f"--epochs must be at least 1, got "
+                                f"{args.epochs}")
     ds = SyntheticModelNet(num_classes=4, n_points=256, train_per_class=8,
                            test_per_class=4, seed=0, rotate=False)
     net = build_network(args.network, num_classes=4, scale=0.0625,

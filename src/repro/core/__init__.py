@@ -7,13 +7,8 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "max_subtract_gap": "equivalence",
     "mlp_distributivity_gap": "equivalence",
     "relative_error": "equivalence",
-    "MultiScaleModule": "msg",
-    "MultiScaleSpec": "msg",
     "STRATEGIES": "module",
     "ModuleOutput": "module",
     "ModuleSpec": "module",
     "PointCloudModule": "module",
-    "emit_module_trace": "module",
-    "NeighborIndexTable": "tables",
-    "PointFeatureTable": "tables",
 })

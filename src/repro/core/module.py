@@ -17,19 +17,18 @@ computation (F).  The three orderings studied in the paper:
 Since the operator-graph IR landed, the module no longer hand-writes a
 forward body per strategy: it builds its graph once in ``original``
 form and the ``delayed``/``limited`` orderings are graph-rewrite passes
-(:mod:`repro.graph.passes`).  Execution interprets the rewritten graph
-over a stack of clouds (:mod:`repro.graph.executors`; ``forward`` lifts
-its one cloud into a stack of one and unwraps the result), and the
-operator trace the profiling analytics and hardware simulators consume
-is lowered from the *same* graph (:mod:`repro.graph.lower`), so trace
-and execution cannot drift.  :func:`emit_module_trace` remains the
-analytic entry point (it never touches point data, so paper-scale
-inputs stay cheap) as a thin shim over the lowering.
+(:mod:`repro.graph.passes`).  :meth:`PointCloudModule.forward` is the
+one way to run a module alone: it lifts its cloud into a stack of one,
+hands it to :meth:`repro.graph.executors.GraphExecutor.run` and unwraps
+the :class:`ModuleOutput`.  The operator trace the profiling analytics
+and hardware simulators consume is lowered from the *same* graph by
+:func:`repro.graph.lower_module_trace` (it never touches point data, so
+paper-scale inputs stay cheap), so trace and execution cannot drift.
 
-Networks no longer compose modules through Python bodies either: the
+Networks do not compose modules through Python bodies either: the
 network builder (:mod:`repro.graph.network`) inlines
 :func:`repro.graph.build.build_module_graph` as a subroutine, so whole
-networks lower to one graph; ``forward`` here runs one module alone.
+networks lower to one graph.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ __all__ = [
     "ModuleSpec",
     "PointCloudModule",
     "ModuleOutput",
-    "emit_module_trace",
     "STRATEGIES",
 ]
 
@@ -81,6 +79,14 @@ class ModuleSpec:
     search_space: str = "coords"
 
     def __post_init__(self):
+        for field, value in (("n_in", self.n_in), ("n_out", self.n_out),
+                             ("k", self.k)):
+            if value < 1:
+                raise ValueError(f"{self.name}: {field} must be at least 1, "
+                                 f"got {value}")
+        if any(width < 1 for width in self.mlp_dims):
+            raise ValueError(f"{self.name}: every MLP width must be at least "
+                             f"1, got {tuple(self.mlp_dims)}")
         if self.n_out > self.n_in:
             raise ValueError(f"{self.name}: n_out cannot exceed n_in")
         if self.k > self.n_in:
@@ -106,12 +112,25 @@ class ModuleSpec:
 
 @dataclass
 class ModuleOutput:
-    """Result of executing a module."""
+    """What one module run produces.
+
+    :meth:`PointCloudModule.forward` returns the per-cloud shapes:
+    ``coords`` ``(n_out, 3)``, ``features`` an ``(n_out, Mout)`` Tensor,
+    ``indices`` the ``(n_out, k)`` Neighbor Index Table and ``centroids``
+    the ``(n_out,)`` sampled point ids.
+    :meth:`~repro.graph.executors.GraphExecutor.run` returns the stack
+    form: ``(B, n_out, 3)`` coords, flat ``(B * n_out, Mout)`` feature
+    rows and ``(B, n_out, k)`` cloud-local indices (every cloud samples
+    the same ``centroids``).  ``pft`` holds the Point Feature Table rows
+    (the MLP output per *input* point) when the strategy produced one,
+    else ``None``.
+    """
 
     coords: np.ndarray
     features: Tensor
-    nit: NeighborIndexTable
-    pft: PointFeatureTable = None
+    indices: np.ndarray
+    centroids: np.ndarray
+    pft: np.ndarray = None
 
 
 class PointCloudModule(Module):
@@ -126,7 +145,6 @@ class PointCloudModule(Module):
         super().__init__()
         self.spec = spec
         self.mlp = SharedMLP(list(spec.mlp_dims), batch_norm=batch_norm, rng=rng)
-        self._rng = rng or np.random.default_rng(0)
         # Per-instance handle onto the shared (spec, strategy) graph
         # memo: skips re-hashing the spec on every forward.
         self._graphs = {}
@@ -161,11 +179,8 @@ class PointCloudModule(Module):
             cached = self._graphs[strategy] = module_graph(self.spec, strategy)
         return cached
 
-    # -- strategies -------------------------------------------------------
-
-    def forward(self, coords, features, strategy="delayed", trace=None,
-                centroid_idx=None, executor=None):
-        """Run the module.
+    def forward(self, coords, features, strategy="delayed", trace=None):
+        """Run the module over one cloud.
 
         Parameters
         ----------
@@ -176,18 +191,12 @@ class PointCloudModule(Module):
         strategy:
             One of :data:`STRATEGIES`.
         trace:
-            Optional :class:`Trace` to append operator records to.
-        centroid_idx:
-            Optional externally-chosen centroid indices (length n_out).
-            Multi-scale grouping passes the same set to every scale
-            branch; by default the module samples its own.
-        executor:
-            Optional graph executor (anything with the
-            :class:`~repro.graph.executors.GraphExecutor` ``run``
-            contract; it is handed the cloud as a stack of one).  The
-            default is a fresh :class:`GraphExecutor`.
+            Optional :class:`Trace` to append the graph's lowered
+            operator records to (:func:`repro.graph.lower_module_trace`).
 
-        Returns a :class:`ModuleOutput`.
+        The cloud runs through
+        :meth:`~repro.graph.executors.GraphExecutor.run` as a stack of
+        one; returns the unwrapped :class:`ModuleOutput`.
         """
         graph = self.graph(strategy)
         n_in = coords.shape[0]
@@ -197,46 +206,16 @@ class PointCloudModule(Module):
                 f"{(n_in, self.spec.in_dim)}, got {features.shape}"
             )
         if trace is not None:
-            emit_module_trace(self.spec, strategy, trace, n_in=n_in)
-        if centroid_idx is not None and len(centroid_idx) != self.spec.n_out:
-            raise ValueError(
-                f"{self.spec.name}: expected {self.spec.n_out} centroids, "
-                f"got {len(centroid_idx)}"
-            )
+            # Imported here: analytics-only, so execution never loads
+            # the trace lowering or repro.profiling.
+            from ..graph.lower import lower_module_trace
 
-        # Imported here: the interpreter and the table containers serve
-        # training and the test oracle only, so a server start never
-        # loads them.
+            lower_module_trace(self.spec, strategy, trace, n_in=n_in)
+
+        # Imported here: the interpreter serves training and the test
+        # oracle only, so a server start never loads it.
         from ..graph.executors import GraphExecutor
-        from .tables import NeighborIndexTable, PointFeatureTable
 
-        if executor is None:
-            executor = GraphExecutor()
-        # A cloud is a stack of one: lift, run the stack path, unwrap.
-        result = executor.run(
-            graph, self, coords[None], features, centroid_idx=centroid_idx
-        )
-        out_coords = coords[result.centroid_idx]
-        nit = NeighborIndexTable(result.indices[0], result.centroid_idx)
-        pft = PointFeatureTable(result.pft_data) \
-            if result.pft_data is not None else None
-        return ModuleOutput(out_coords, result.features, nit, pft)
-
-
-def emit_module_trace(spec, strategy, trace, n_in=None):
-    """Append the operator records for one module run to ``trace``.
-
-    A thin shim over :func:`repro.graph.lower.lower_module_trace`: the
-    records are lowered from the same strategy-rewritten graph the
-    executors run, so the analytics stay consistent with execution by
-    construction.  Purely analytic — it never touches point data — so
-    it can be evaluated at the paper's full input scale (e.g.
-    130K-point KITTI frames) in microseconds.
-    """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    # Imported here: analytics-only, so execution never loads the trace
-    # lowering or repro.profiling.
-    from ..graph.lower import lower_module_trace
-
-    return lower_module_trace(spec, strategy, trace, n_in=n_in)
+        out = GraphExecutor().run(graph, self, coords[None], features)
+        return ModuleOutput(out.coords[0], out.features, out.indices[0],
+                            out.centroids, out.pft)

@@ -14,7 +14,6 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "make_class_generators": "modelnet",
     "CATEGORY_BUILDERS": "shapenet",
     "SyntheticShapeNet": "shapenet",
-    "num_part_classes": "shapenet",
     "SHAPE_SAMPLERS": "shapes",
     "augment": "shapes",
     "normalize_cloud": "shapes",

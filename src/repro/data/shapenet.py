@@ -21,7 +21,7 @@ from .shapes import (
     sample_plane,
 )
 
-__all__ = ["SyntheticShapeNet", "CATEGORY_BUILDERS", "num_part_classes"]
+__all__ = ["SyntheticShapeNet", "CATEGORY_BUILDERS"]
 
 
 def _table(n, rng):
@@ -128,12 +128,6 @@ CATEGORY_BUILDERS = {
     "mug": (_mug, 2),
     "rocket": (_rocket, 3),
 }
-
-
-def num_part_classes(categories=None):
-    """Total part-label space (category-specific labels, ShapeNet-style)."""
-    categories = categories or list(CATEGORY_BUILDERS)
-    return sum(CATEGORY_BUILDERS[c][1] for c in categories)
 
 
 @dataclass

@@ -20,7 +20,6 @@ from .._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "build_module_graph": "build",
     "search_signature": "build",
-    "ExecutionResult": "executors",
     "GraphExecutor": "executors",
     "OpRecorder": "executors",
     "KINDS": "ir",

@@ -18,7 +18,10 @@ The interpreter trains and checks; it does not serve.
 :class:`~repro.engine.runner.BatchRunner` runs compiled kernel
 programs, and the float64 one is held to this interpreter bit for bit.
 
-* :meth:`GraphExecutor.run` executes one *module* graph;
+* :meth:`GraphExecutor.run` executes one *module* graph and returns a
+  :class:`~repro.core.module.ModuleOutput` in its stack form — the one
+  way to run a module alone, behind
+  :meth:`~repro.core.module.PointCloudModule.forward`;
 * :meth:`GraphExecutor.run_network` executes a whole-*network* graph
   (:mod:`repro.graph.network`): module-region nodes go through the same
   per-node arithmetic, heads / decoders / skip glue are handled beside
@@ -39,12 +42,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..core.module import ModuleOutput
 from ..neighbors import neighbor_search
 from ..neural import Tensor, concat
 from ..neural.layers import Linear
 from .network import MODULE_KINDS
 
-__all__ = ["ExecutionResult", "GraphExecutor", "OpRecorder", "per_cloud"]
+__all__ = ["GraphExecutor", "OpRecorder", "per_cloud"]
 
 
 def _per_cloud_matmul(x, weight, nclouds):
@@ -87,23 +91,6 @@ class OpRecorder:
         return [r for r in self.records if r["kind"] == kind]
 
 
-@dataclass
-class ExecutionResult:
-    """What a module graph run produces.
-
-    ``features`` is the module output tensor; ``indices`` the neighbor
-    index table (cloud-local, (n_out, k) single / (batch, n_out, k)
-    batched); ``centroid_idx`` the (cloud-local) sampled centroids;
-    ``pft_data`` the Point Feature Table rows when the strategy
-    produced one.
-    """
-
-    features: object
-    indices: np.ndarray
-    centroid_idx: np.ndarray
-    pft_data: np.ndarray = None
-
-
 def _mlp_segments(mlp):
     """Split an MLP's layer list into per-Linear segments.
 
@@ -134,13 +121,12 @@ class GraphExecutor:
 
     # -- drivers ------------------------------------------------------------
 
-    def run(self, graph, module, coords, features, centroid_idx=None):
+    def run(self, graph, module, coords, features):
         """Execute a module ``graph`` for ``module`` over a stack of clouds.
 
         ``coords`` is ``(batch, n_in, 3)`` and ``features`` the flat
-        ``(batch * n_in, m)`` tensor; ``centroid_idx`` optionally pins
-        externally-chosen cloud-local centroids (multi-scale grouping
-        shares one set across branches).
+        ``(batch * n_in, m)`` tensor; returns the stack-form
+        :class:`~repro.core.module.ModuleOutput`.
         """
         segments, state = self._init_run(module)
         self._nclouds = coords.shape[0]
@@ -148,15 +134,12 @@ class GraphExecutor:
         env = {}
         for node in graph:
             env[node.id] = self._exec_node(node, env, module, coords, features,
-                                           centroid_idx, segments, state)
+                                           segments, state)
         if len(graph.outputs) != 1:
             raise ValueError("module graphs produce exactly one output")
-        return ExecutionResult(
-            env[graph.outputs[0]],
-            state["indices_local"],
-            np.asarray(state["centroid_local"]),
-            state["pft"],
-        )
+        centroids = state["centroid_local"]
+        return ModuleOutput(coords[:, centroids], env[graph.outputs[0]],
+                            state["indices_local"], centroids, state["pft"])
 
     def run_network(self, ngraph, network, coords):
         """Execute the whole network graph over a ``(batch, n, 3)`` stack."""
@@ -171,7 +154,6 @@ class GraphExecutor:
         state = {
             "centroid_local": None,  # cloud-local centroid ids
             "centroid_rows": None,   # rows into the flat feature table
-            "derived_centroids": False,
             "indices_local": None,   # cloud-local NIT indices
             "indices_rows": None,    # row-space NIT indices
             "pft": None,
@@ -193,24 +175,21 @@ class GraphExecutor:
         batch, n_in = coords.shape[0], coords.shape[1]
         return (np.arange(batch, dtype=np.int64) * n_in)[:, None]
 
-    def _exec_node(self, node, env, module, coords, features, centroid_idx,
-                   segments, state):
+    def _exec_node(self, node, env, module, coords, features, segments,
+                   state):
         kind = node.kind
         if kind == "input":
             return features
         if kind == "sample":
             n_in = coords.shape[1]
-            local = centroid_idx
-            if local is None:
-                local = module._sample_centroids(n_in)
+            local = module._sample_centroids(n_in)
             state["centroid_local"] = local
             state["centroid_rows"] = (
-                np.asarray(local)[None, :] + self._row_base(coords)
+                local[None, :] + self._row_base(coords)
             ).reshape(-1)
-            state["derived_centroids"] = centroid_idx is None
             if self.recorder is not None:
                 self.recorder.record("sample", n_points=n_in,
-                                     n_samples=len(np.atleast_1d(local)))
+                                     n_samples=len(local))
             return local
         if kind == "search":
             batch, n_in = coords.shape[0], coords.shape[1]
@@ -218,13 +197,11 @@ class GraphExecutor:
                 space = coords
             else:
                 space = features.data.reshape(batch, n_in, module.spec.in_dim)
-            # Cache keying by node signature is only sound when the
-            # queries are the node's own deterministic centroid draw.
-            tag = node.attrs.get("signature") if state["derived_centroids"] \
-                else None
+            # The queries are the node's own deterministic centroid
+            # draw, so its signature keys the neighbor-index cache.
             local, _ = neighbor_search(
                 space, space[:, state["centroid_local"]], module.spec.k,
-                tag=tag,
+                tag=node.attrs.get("signature"),
             )
             rows = (local + self._row_base(coords)[:, None]).reshape(
                 batch * local.shape[1], local.shape[2]
@@ -338,7 +315,7 @@ class GraphExecutor:
                 node, env, ngraph.refs[index],
                 env.get(node.attrs.get("coords")),
                 env.get(node.attrs.get("feats")),
-                None, segments, state,
+                segments, state,
             )
         nclouds = self._nclouds
         if kind == "coords":
@@ -357,7 +334,7 @@ class GraphExecutor:
             return out
         if kind == "propagate":
             fp = ngraph.refs[node.attrs["ref"]]
-            out = fp.forward_batch(*(env[i] for i in node.inputs))
+            out = fp(*(env[i] for i in node.inputs))
             if self.recorder is not None:
                 self.recorder.record("propagate", rows=out.shape[0],
                                      dims=node.attrs["dims"])

@@ -5,9 +5,9 @@ evaluate — and appends one operator record per node (fused aggregation
 nodes re-expand into their gather / reduce-max / subtract constituents).
 Because analytics and execution both derive from the same graph, the
 trace the hardware models consume is consistent with the ops the
-executors run *by construction*; the old hand-maintained analytic
-emission survives only as the :func:`repro.core.module.emit_module_trace`
-shim over this function.
+executors run *by construction*.  :func:`lower_module_trace` is the one
+trace entry for a module alone (``PointCloudModule.forward(trace=...)``
+calls it), :func:`lower_network_trace` the one for a whole network.
 """
 
 from __future__ import annotations
@@ -127,7 +127,9 @@ def lower_module_trace(spec, strategy, trace, n_in=None):
     """Lower one module spec's graph under ``strategy`` into ``trace``.
 
     Purely analytic — never touches point data — so paper-scale inputs
-    (130K-point KITTI frames) lower in microseconds.
+    (130K-point KITTI frames) lower in microseconds.  An unknown
+    ``strategy`` is a ``ValueError`` (from
+    :func:`~repro.graph.passes.run_pipeline`).  Returns ``trace``.
     """
     graph = module_graph(spec, strategy)
     env = shape_env(spec, n_in=n_in)

@@ -11,7 +11,5 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "KDTree": "kdtree",
     "farthest_point_sampling": "sampling",
     "random_sampling": "sampling",
-    "mean_occupancy": "stats",
     "neighborhood_occupancy": "stats",
-    "occupancy_histogram": "stats",
 })

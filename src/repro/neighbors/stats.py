@@ -2,15 +2,15 @@
 
 The key memory-cost driver in point cloud networks is that one input
 point belongs to many overlapping neighborhoods and is re-normalized in
-each.  These helpers compute how many neighborhoods each point occurs
-in, and the Fig 6 histogram over those counts.
+each.  :func:`neighborhood_occupancy` counts how many neighborhoods
+each point occurs in; Fig 6 plots those counts.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["neighborhood_occupancy", "occupancy_histogram", "mean_occupancy"]
+__all__ = ["neighborhood_occupancy"]
 
 
 def neighborhood_occupancy(neighbor_indices, n_points):
@@ -32,23 +32,3 @@ def neighborhood_occupancy(neighbor_indices, n_points):
     if len(counts) > n_points:
         raise ValueError("neighbor index exceeds n_points")
     return counts
-
-
-def occupancy_histogram(counts, max_neighborhoods=None):
-    """Fig 6 series: x = #neighborhoods, y = #points occurring in x.
-
-    Returns (xs, ys) arrays; ``xs`` spans 0..max occupancy (or the cap).
-    """
-    counts = np.asarray(counts)
-    top = int(counts.max()) if len(counts) else 0
-    if max_neighborhoods is not None:
-        top = min(top, max_neighborhoods)
-    xs = np.arange(top + 1)
-    ys = np.bincount(np.minimum(counts, top), minlength=top + 1)
-    return xs, ys
-
-
-def mean_occupancy(counts):
-    """Average number of neighborhoods per point (paper: ~20-100)."""
-    counts = np.asarray(counts)
-    return float(counts.mean()) if len(counts) else 0.0

@@ -115,22 +115,15 @@ class FeaturePropagation(Module):
         return self.mlp.export_layers()
 
     def forward(self, fine_coords, fine_feats, coarse_coords, coarse_feats):
-        """Propagate (n_coarse, C) features to (n_fine, ...) points.
+        """Propagate coarse features onto the fine points of a stack.
 
-        A cloud is a stack of one: flat feature rows already are the
-        stack form, so only the coordinates need lifting.
-        """
-        return self.forward_batch(fine_coords[None], fine_feats,
-                                  coarse_coords[None], coarse_feats)
-
-    def forward_batch(self, fine_coords, fine_feats, coarse_coords, coarse_feats):
-        """Batched propagation: (B, n_fine, 3) clouds, flat feature rows.
-
-        ``fine_feats``/``coarse_feats`` are flat (B * n, C) Tensors in
-        cloud-major order (``fine_feats`` may be None, as on the first
-        decoder level).  The three-nearest search runs over the stack;
-        the inverse-distance interpolation then works on flat rows, and
-        the MLP runs one GEMM per cloud (:func:`~repro.graph.executors.per_cloud`).
+        ``fine_coords``/``coarse_coords`` are (B, n, 3) stacks (a cloud
+        is a stack of one) and ``fine_feats``/``coarse_feats`` flat
+        (B * n, C) Tensors in cloud-major order (``fine_feats`` may be
+        None, as on the first decoder level).  The three-nearest search
+        runs over the stack; the inverse-distance interpolation then
+        works on flat rows, and the MLP runs one GEMM per cloud
+        (:func:`~repro.graph.executors.per_cloud`).
         """
         from ..graph.executors import per_cloud
 

@@ -18,10 +18,7 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "analyze_trace": "roofline",
     "StrategyComparison": "cost_model",
     "compare_strategies": "cost_model",
-    "gather_working_sets": "cost_model",
-    "layer_size_stats": "cost_model",
     "mac_reduction_percent": "cost_model",
-    "violin_summary": "cost_model",
     "BYTES_PER_ELEMENT": "trace",
     "ConcatOp": "trace",
     "GatherOp": "trace",

@@ -2,9 +2,8 @@
 
 These functions compute the paper's algorithmic metrics — the ones that
 are properties of the workload itself rather than of any particular
-hardware: MAC counts and reductions (Fig 9), layer output (activation)
-size distributions (Fig 10), gather working sets (§IV-C), and
-neighborhood statistics (Fig 6).
+hardware: MAC counts and reductions (Fig 9) and layer output
+(activation) size distributions (Fig 10).
 """
 
 from __future__ import annotations
@@ -13,15 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trace import GatherOp, Trace
+from .trace import Trace
 
 __all__ = [
     "StrategyComparison",
     "compare_strategies",
     "mac_reduction_percent",
-    "layer_size_stats",
-    "gather_working_sets",
-    "violin_summary",
 ]
 
 
@@ -61,27 +57,8 @@ def mac_reduction_percent(network):
     return compare_strategies(network).mac_reduction_percent
 
 
-def layer_size_stats(trace):
-    """Fig 10 summary of one trace's F-phase layer outputs (bytes)."""
-    sizes = np.array(trace.layer_output_sizes(), dtype=np.float64)
-    if len(sizes) == 0:
-        raise ValueError("trace contains no F-phase matmul layers")
-    return {
-        "min": float(sizes.min()),
-        "max": float(sizes.max()),
-        "median": float(np.median(sizes)),
-        "mean": float(sizes.mean()),
-        "sizes": sizes,
-    }
-
-
-def violin_summary(traces):
-    """Aggregate layer output sizes over several traces (Fig 10 violin)."""
-    sizes = np.concatenate([t.layer_output_sizes() for t in traces]).astype(float)
-    return layer_size_stats_from_sizes(sizes)
-
-
 def layer_size_stats_from_sizes(sizes):
+    """Fig 10 summary (bytes) of a set of F-phase layer output sizes."""
     sizes = np.asarray(sizes, dtype=np.float64)
     return {
         "min": float(sizes.min()),
@@ -90,8 +67,3 @@ def layer_size_stats_from_sizes(sizes):
         "mean": float(sizes.mean()),
         "sizes": sizes,
     }
-
-
-def gather_working_sets(trace):
-    """Bytes of each gather's source table (§IV-C working-set growth)."""
-    return [op.table_bytes for op in trace.by_type(GatherOp)]

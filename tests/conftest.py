@@ -10,7 +10,6 @@ import numpy as np
 
 from repro.core import ModuleSpec
 from repro.core.module import ModuleOutput
-from repro.core.tables import NeighborIndexTable, PointFeatureTable
 from repro.neighbors import neighbor_search
 from repro.networks import build_network
 from repro.networks.generic import GenericPointCloudNetwork
@@ -104,7 +103,6 @@ def reference_module_forward(module, coords, feats, strategy):
     out_coords = coords[centroid_idx]
     space = coords if spec.search_space == "coords" else feats.data
     indices, _ = neighbor_search(space, space[centroid_idx], spec.k)
-    nit = NeighborIndexTable(indices, centroid_idx)
 
     if strategy == "original":
         k, m_in = spec.k, spec.in_dim
@@ -113,14 +111,15 @@ def reference_module_forward(module, coords, feats, strategy):
         centroids = feats.gather(centroid_idx).reshape(rows, 1, m_in)
         offsets = (gathered - centroids).reshape(rows * k, m_in)
         transformed = module.mlp(offsets).reshape(rows, k, spec.out_dim)
-        return ModuleOutput(out_coords, transformed.max(axis=1), nit, None)
+        return ModuleOutput(out_coords, transformed.max(axis=1), indices,
+                            centroid_idx, None)
     if strategy == "delayed":
         pft_tensor = module.mlp(feats)
-        pft = PointFeatureTable(pft_tensor.data)
         gathered = pft_tensor.gather(indices)
         reduced = gathered.max(axis=1)
         out = reduced - pft_tensor.gather(centroid_idx)
-        return ModuleOutput(out_coords, out, nit, pft)
+        return ModuleOutput(out_coords, out, indices, centroid_idx,
+                            pft_tensor.data)
     layers = module.mlp.net.layers
     first = layers[0]
     hoisted = feats @ first.weight
@@ -137,5 +136,5 @@ def reference_module_forward(module, coords, feats, strategy):
         out = layer(out)
     transformed = out.reshape(rows, k, spec.out_dim)
     return ModuleOutput(
-        out_coords, transformed.max(axis=1), nit, PointFeatureTable(hoisted.data)
+        out_coords, transformed.max(axis=1), indices, centroid_idx, hoisted.data
     )

@@ -1,21 +1,19 @@
-"""Tests for the delayed-aggregation core: module strategies, tables,
-trace emission, and the distributivity properties of Equ. 2/3."""
+"""Tests for the delayed-aggregation core: module strategies, trace
+emission, and the distributivity properties of Equ. 2/3."""
 
 import numpy as np
 import pytest
 
 from repro.core import (
     ModuleSpec,
-    NeighborIndexTable,
     PointCloudModule,
-    PointFeatureTable,
     STRATEGIES,
-    emit_module_trace,
     linear_distributivity_gap,
     max_subtract_gap,
     mlp_distributivity_gap,
     relative_error,
 )
+from repro.graph import lower_module_trace
 from repro.neural import SharedMLP, Tensor, no_grad
 from repro.profiling.trace import (
     GatherOp,
@@ -48,49 +46,80 @@ class TestModuleSpec:
             ModuleSpec("bad", n_in=10, n_out=5, k=4, mlp_dims=(3, 8),
                        search_space="pixels")
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_in", 0), ("n_in", -1), ("n_out", 0), ("n_out", -1),
+        ("k", 0), ("k", -1), ("mlp_dims", (3, 0)), ("mlp_dims", (0, 8)),
+        ("mlp_dims", (3, 8, -1)),
+    ], ids=lambda value: str(value).replace(" ", ""))
+    def test_degenerate_sizes_rejected_naming_the_spec(self, field, value):
+        sizes = dict(n_in=10, n_out=5, k=4, mlp_dims=(3, 8))
+        sizes[field] = value
+        with pytest.raises(ValueError, match=r"^degenerate: .* at least 1"):
+            ModuleSpec("degenerate", **sizes)
+
     def test_search_dim(self):
         assert SPEC.search_dim == 3
         feat = ModuleSpec("f", 10, 10, 4, (64, 64), search_space="features")
         assert feat.search_dim == 64
 
 
-class TestTables:
-    def test_nit_shape_validation(self):
-        with pytest.raises(ValueError):
-            NeighborIndexTable(np.zeros(5), np.zeros(5))
-        with pytest.raises(ValueError):
-            NeighborIndexTable(np.zeros((5, 3)), np.zeros(4))
+class TestModuleOutput:
+    """The Neighbor Index Table and Point Feature Table as plain arrays."""
 
-    def test_nit_size_bytes(self):
-        nit = NeighborIndexTable(np.zeros((128, 64), dtype=int), np.zeros(128, dtype=int))
-        # 64 indices * 12 bits = 96 bytes per entry; 128 entries = 12 KB.
-        assert nit.size_bytes() == 128 * 96
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_indices_index_the_input_cloud(self, strategy):
+        coords, feats = make_cloud(seed=6)
+        out = PointCloudModule(SPEC)(coords, feats, strategy=strategy)
+        assert np.issubdtype(out.indices.dtype, np.integer)
+        assert out.indices.shape == (32, 8)
+        assert out.indices.min() >= 0 and out.indices.max() < 64
+        assert out.centroids.shape == (32,)
+        assert np.all(np.diff(out.centroids) > 0)
+        for row, centroid in zip(out.indices, out.centroids):
+            # k distinct neighbors, the centroid itself (distance 0) among them.
+            assert len(set(row.tolist())) == 8
+            assert centroid in row
 
-    def test_pft_gather(self):
-        pft = PointFeatureTable(np.arange(12.0).reshape(4, 3))
-        nit = NeighborIndexTable(np.array([[0, 3]]), np.array([0]))
-        out = pft.gather(nit)
-        assert out.shape == (1, 2, 3)
-        np.testing.assert_allclose(out[0, 1], [9.0, 10.0, 11.0])
+    def test_neighbor_table_does_not_depend_on_strategy(self):
+        coords, feats = make_cloud(seed=7)
+        mod = PointCloudModule(SPEC)
+        outs = [mod(coords, feats, strategy=s) for s in STRATEGIES]
+        for out in outs[1:]:
+            np.testing.assert_array_equal(out.indices, outs[0].indices)
+            np.testing.assert_array_equal(out.centroids, outs[0].centroids)
 
-    def test_pft_gather_out_of_range(self):
-        pft = PointFeatureTable(np.zeros((4, 3)))
-        nit = NeighborIndexTable(np.array([[9]]), np.array([0]))
-        with pytest.raises(IndexError):
-            pft.gather(nit)
+    def test_original_keeps_no_pft(self):
+        coords, feats = make_cloud()
+        assert PointCloudModule(SPEC)(coords, feats,
+                                      strategy="original").pft is None
 
-    def test_column_partitions_cover_all_columns(self):
-        pft = PointFeatureTable(np.zeros((8, 128)))
-        parts = pft.column_partitions(4)
-        assert parts[0][0] == 0 and parts[-1][1] == 128
-        assert sum(b - a for a, b in parts) == 128
+    def test_delayed_pft_is_the_mlp_over_every_input_point(self):
+        coords, feats = make_cloud(seed=8)
+        mod = PointCloudModule(SPEC, rng=np.random.default_rng(9))
+        out = mod(coords, feats, strategy="delayed")
+        with no_grad():
+            expected = mod.mlp(Tensor(feats.data.copy())).data
+        np.testing.assert_allclose(out.pft, expected, rtol=1e-12, atol=1e-12)
 
-    def test_column_partitions_validation(self):
-        pft = PointFeatureTable(np.zeros((8, 4)))
-        with pytest.raises(ValueError):
-            pft.column_partitions(0)
-        with pytest.raises(ValueError):
-            pft.column_partitions(5)
+    def test_delayed_output_is_the_gathered_max_minus_the_centroid_row(self):
+        # Equ. 3: gather PFT rows by the NIT, reduce, then subtract the
+        # centroid's own row after the reduction.
+        coords, feats = make_cloud(seed=10)
+        out = PointCloudModule(SPEC)(coords, feats, strategy="delayed")
+        expected = (out.pft[out.indices].max(axis=1)
+                    - out.pft[out.centroids])
+        np.testing.assert_array_equal(out.features.data, expected)
+
+    def test_limited_pft_is_the_first_weight_product(self):
+        # Only the bias-free product is hoisted; the bias cancels in the
+        # centroid subtraction and is re-added after aggregation.
+        coords, feats = make_cloud(seed=11)
+        mod = PointCloudModule(SPEC, rng=np.random.default_rng(12))
+        out = mod(coords, feats, strategy="limited")
+        weight = mod.mlp.net.layers[0].weight.data
+        assert out.pft.shape == (64, 16)
+        np.testing.assert_allclose(out.pft, feats.data @ weight,
+                                   rtol=1e-12, atol=1e-12)
 
 
 class TestStrategies:
@@ -101,15 +130,14 @@ class TestStrategies:
             out = mod(coords, feats, strategy=strategy)
             assert out.coords.shape == (32, 3)
             assert out.features.shape == (32, 24)
-            assert out.nit.indices.shape == (32, 8)
+            assert out.indices.shape == (32, 8)
+            np.testing.assert_array_equal(out.coords, coords[out.centroids])
 
     def test_limited_exactly_matches_original(self):
         # Hoisting only the linear MVM is precise (§VII-C).
         coords, feats = make_cloud(seed=2)
         mod = PointCloudModule(SPEC, rng=np.random.default_rng(3))
-        mod._rng = np.random.default_rng(7)
         orig = mod(coords, feats, strategy="original")
-        mod._rng = np.random.default_rng(7)  # same centroid sampling
         ltd = mod(coords, feats, strategy="limited")
         np.testing.assert_allclose(ltd.features.data, orig.features.data,
                                    rtol=1e-9, atol=1e-9)
@@ -117,9 +145,7 @@ class TestStrategies:
     def test_delayed_is_close_but_not_exact(self):
         coords, feats = make_cloud(seed=4)
         mod = PointCloudModule(SPEC, rng=np.random.default_rng(5))
-        mod._rng = np.random.default_rng(11)
         orig = mod(coords, feats, strategy="original")
-        mod._rng = np.random.default_rng(11)
         delayed = mod(coords, feats, strategy="delayed")
         err = relative_error(delayed.features.data, orig.features.data)
         assert err > 0.0        # the ReLU breaks exactness...
@@ -136,9 +162,7 @@ class TestStrategies:
         from repro.neural.layers import Linear
 
         mod.mlp.net.layers = [Linear(3, 8, bias=False, rng=np.random.default_rng(2))]
-        mod._rng = np.random.default_rng(3)
         orig = mod(coords, feats, strategy="original")
-        mod._rng = np.random.default_rng(3)
         delayed = mod(coords, feats, strategy="delayed")
         np.testing.assert_allclose(delayed.features.data, orig.features.data,
                                    atol=1e-9)
@@ -148,7 +172,7 @@ class TestStrategies:
         mod = PointCloudModule(SPEC)
         out = mod(coords, feats, strategy="delayed")
         assert out.pft is not None
-        assert out.pft.features.shape == (64, 24)
+        assert out.pft.shape == (64, 24)
 
     def test_feature_space_search(self):
         spec = ModuleSpec("edge", 32, 32, 4, (8, 16), search_space="features")
@@ -159,7 +183,7 @@ class TestStrategies:
         out = mod(coords, feats, strategy="delayed")
         assert out.features.shape == (32, 16)
         # With n_out == n_in, every point is its own centroid.
-        np.testing.assert_array_equal(out.nit.centroids, np.arange(32))
+        np.testing.assert_array_equal(out.centroids, np.arange(32))
 
     def test_bad_strategy_rejected(self):
         coords, feats = make_cloud()
@@ -299,8 +323,7 @@ class TestStrategyGradients:
 class TestTraceEmission:
     def _trace(self, strategy):
         t = Trace("unit", strategy)
-        emit_module_trace(SPEC, strategy, t)
-        return t
+        return lower_module_trace(SPEC, strategy, t)
 
     def test_original_op_sequence(self):
         t = self._trace("original")

@@ -15,7 +15,6 @@ from repro.data import (
     confusion_matrix,
     mean_iou,
     normalize_cloud,
-    num_part_classes,
     overall_accuracy,
     random_rotation,
     synthetic_lidar_scene,
@@ -99,7 +98,8 @@ class TestShapeNet:
         ds = SyntheticShapeNet(n_points=64, train_per_category=2,
                                test_per_category=1)
         assert ds.train_labels.max() < ds.num_classes
-        assert ds.num_classes == num_part_classes()
+        assert ds.num_classes == sum(parts for _, parts
+                                     in CATEGORY_BUILDERS.values())
 
     def test_every_category_contributes_parts(self):
         ds = SyntheticShapeNet(n_points=128, train_per_category=1,

@@ -1,9 +1,15 @@
 """Tests for the extension modules: approximate aggregation (the paper's
 future-work item), the report generator and the CLI."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.hw import (
     AggregationUnit,
     ApproximateAggregationUnit,
@@ -117,6 +123,44 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "latency" in out
         assert "AU sa1" in out
+
+    @pytest.mark.parametrize("argv, reason", [
+        (["simulate", "PointNet++ (c)", "--config", "bogus"],
+         "unknown config 'bogus' (choose from 'gpu', 'baseline', "
+         "'mesorasi_sw', 'mesorasi_hw', 'baseline_nse', 'mesorasi_sw_nse', "
+         "'mesorasi_hw_nse')"),
+        (["train", "--epochs", "0"], "--epochs must be at least 1, got 0"),
+        (["train", "--epochs=-1"], "--epochs must be at least 1, got -1"),
+    ], ids=["simulate --config bogus", "train --epochs 0", "train --epochs -1"])
+    def test_a_bad_option_value_is_one_error_line(self, argv, reason):
+        # Refused before any work starts: no traceback, nothing on
+        # stdout, exit 2 as for an argparse error.
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", *argv], capture_output=True,
+            text=True, timeout=120, env=env,
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == f"repro {argv[0]}: error: {reason}\n"
+
+    @pytest.mark.parametrize("config", [
+        "gpu", "baseline", "mesorasi_sw", "mesorasi_hw", "baseline_nse",
+        "mesorasi_sw_nse", "mesorasi_hw_nse",
+    ])
+    def test_every_config_the_refusal_names_simulates(self, config, capsys):
+        from repro.cli import main
+
+        assert main(["simulate", "PointNet++ (c)", "--config", config]) == 0
+        assert "latency" in capsys.readouterr().out
+
+    def test_one_epoch_is_the_least_that_trains(self, capsys):
+        from repro.cli import main
+
+        assert main(["train", "--epochs", "1"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("PointNet++ (c) [delayed] loss ")
+        assert "test accuracy" in out
 
     def test_unknown_command_exits(self):
         from repro.cli import main

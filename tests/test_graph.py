@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import reference_module_forward
-from repro.core import ModuleSpec, PointCloudModule, emit_module_trace
+from repro.core import ModuleSpec, PointCloudModule
 from repro.engine import BatchRunner, NeighborIndexCache
 from repro.graph import (
     Graph,
@@ -18,6 +18,7 @@ from repro.graph import (
     format_graph,
     fuse_aggregation,
     limit_delay,
+    lower_module_trace,
     module_graph,
     resolve_dim,
     run_pipeline,
@@ -48,7 +49,7 @@ def sa1_spec():
                          scale=0.0625).encoder[0].spec
 
 
-def reference_emit_module_trace(spec, strategy, trace, n_in=None):
+def reference_module_emission(spec, strategy, trace, n_in=None):
     """The pre-IR hand-written analytic emission, kept verbatim as the
     golden reference the graph lowering must reproduce exactly."""
     n_in = spec.n_in if n_in is None else n_in
@@ -297,17 +298,12 @@ class TestPasses:
         net = build_network(name, num_classes=4,
                             scale=0.03125 if "(s)" in name else 0.0625,
                             rng=np.random.default_rng(0))
-        checked = 0
+        assert net.encoder
         for module in net.encoder:
-            spec = getattr(module, "spec", None)
-            if spec is None or hasattr(spec, "branches"):
-                continue  # MSG modules lower through their own builder
-            raw = build_module_graph(spec)
-            checked += 1
+            raw = build_module_graph(module.spec)
             for pass_fn in (delay_aggregation, limit_delay):
                 once = pass_fn(raw)
                 assert signature(pass_fn(once)) == signature(once)
-        assert checked, f"{name} exposed no plain module specs"
         for strategy in STRATEGIES:
             graph = net.network_graph(strategy).graph
             for pass_fn in (fuse_aggregation, dead_code_elimination):
@@ -393,7 +389,7 @@ class TestNodeOrder:
                 executor = LoggingExecutor()
                 out = executor.run(graph, module, coords, feats)
                 assert_producers_first(graph, executor.order)
-                coords, feats = coords[:, out.centroid_idx], out.features
+                coords, feats = out.coords, out.features
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_network_walk_runs_producers_first(self, strategy):
@@ -419,14 +415,14 @@ class TestTraceLowering:
     @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("n_in", [None, 16, 200])
     def test_matches_hand_written_emission_exactly(self, spec, strategy, n_in):
-        lowered = emit_module_trace(spec, strategy, Trace(), n_in=n_in)
-        reference = reference_emit_module_trace(spec, strategy, Trace(),
+        lowered = lower_module_trace(spec, strategy, Trace(), n_in=n_in)
+        reference = reference_module_emission(spec, strategy, Trace(),
                                                 n_in=n_in)
         assert list(lowered) == list(reference)
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
-            emit_module_trace(SPEC, "eager", Trace())
+            lower_module_trace(SPEC, "eager", Trace())
 
 
 class TestExecutors:
@@ -440,12 +436,13 @@ class TestExecutors:
         out = mod(coords, feats, strategy=strategy)
         ref = reference_module_forward(mod, coords, feats, strategy)
         np.testing.assert_array_equal(out.features.data, ref.features.data)
-        np.testing.assert_array_equal(out.nit.indices, ref.nit.indices)
+        np.testing.assert_array_equal(out.indices, ref.indices)
+        np.testing.assert_array_equal(out.centroids, ref.centroids)
         np.testing.assert_array_equal(out.coords, ref.coords)
         if ref.pft is None:
             assert out.pft is None
         else:
-            np.testing.assert_array_equal(out.pft.features, ref.pft.features)
+            np.testing.assert_array_equal(out.pft, ref.pft)
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_batched_executor_matches_eager(self, strategy):
@@ -467,20 +464,22 @@ class TestExecutors:
                                           single.indices[0])
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_forward_with_pinned_centroids_is_the_stack_path(self, strategy):
+    def test_forward_is_the_stack_path(self, strategy):
         rng = np.random.default_rng(8)
         coords = rng.normal(size=(SPEC.n_in, 3))
-        pinned = rng.permutation(SPEC.n_in)[:SPEC.n_out]
         mod = PointCloudModule(SPEC, rng=np.random.default_rng(9))
-        one = mod(coords, Tensor(coords.copy()), strategy=strategy,
-                  centroid_idx=pinned)
+        one = mod(coords, Tensor(coords.copy()), strategy=strategy)
         stack = GraphExecutor().run(mod.graph(strategy), mod, coords[None],
-                                    Tensor(coords.copy()),
-                                    centroid_idx=pinned)
+                                    Tensor(coords.copy()))
         np.testing.assert_array_equal(one.features.data, stack.features.data)
-        np.testing.assert_array_equal(one.nit.indices, stack.indices[0])
-        np.testing.assert_array_equal(one.nit.centroids, pinned)
-        np.testing.assert_array_equal(one.coords, coords[pinned])
+        np.testing.assert_array_equal(one.indices, stack.indices[0])
+        np.testing.assert_array_equal(one.centroids, stack.centroids)
+        np.testing.assert_array_equal(one.coords, stack.coords[0])
+        np.testing.assert_array_equal(one.coords, coords[one.centroids])
+        if stack.pft is None:
+            assert one.pft is None
+        else:
+            np.testing.assert_array_equal(one.pft, stack.pft)
 
     def test_executor_census(self):
         # One arity, two executors: the graph interpreter and the
@@ -539,7 +538,7 @@ class TestTraceExecutionConsistency:
             result = GraphExecutor(recorder=recorder).run(
                 module.graph(strategy), module, coords[None], feats
             )
-            trace = emit_module_trace(module.spec, strategy, Trace(),
+            trace = lower_module_trace(module.spec, strategy, Trace(),
                                       n_in=coords.shape[0])
             executed = list(recorder.records)
             if not trace.by_type(SampleOp):
@@ -555,7 +554,7 @@ class TestTraceExecutionConsistency:
                         f"{record['kind']}.{field}: executed "
                         f"{record[field]} vs traced {getattr(op, field)}"
                     )
-            coords = coords[result.centroid_idx]
+            coords = result.coords[0]
             feats = result.features
 
 

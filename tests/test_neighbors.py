@@ -8,9 +8,7 @@ from repro.neighbors import (
     ball_query,
     farthest_point_sampling,
     knn_brute_force,
-    mean_occupancy,
     neighborhood_occupancy,
-    occupancy_histogram,
     pairwise_squared_distances,
     random_sampling,
 )
@@ -278,24 +276,11 @@ class TestOccupancyStats:
         counts = neighborhood_occupancy(nit, 4)
         np.testing.assert_array_equal(counts, [3, 2, 1, 0])
 
-    def test_histogram(self):
-        counts = np.array([3, 2, 1, 0])
-        xs, ys = occupancy_histogram(counts)
-        np.testing.assert_array_equal(xs, [0, 1, 2, 3])
-        np.testing.assert_array_equal(ys, [1, 1, 1, 1])
-
-    def test_histogram_cap(self):
-        xs, ys = occupancy_histogram(np.array([10, 1]), max_neighborhoods=5)
-        assert xs[-1] == 5
-        assert ys[-1] == 1
-
-    def test_mean_occupancy_matches_k_identity(self):
-        # Sum of occupancy == n_centroids * k, so the mean is Q*k/N.
+    def test_occupancy_sums_to_centroids_times_k(self):
         pts = random_cloud(128, seed=14)
         idx, _ = knn_brute_force(pts, pts[:64], k=16)
         counts = neighborhood_occupancy(idx, 128)
         assert counts.sum() == 64 * 16
-        assert mean_occupancy(counts) == pytest.approx(64 * 16 / 128)
 
     def test_index_out_of_range(self):
         with pytest.raises(ValueError):

@@ -14,12 +14,13 @@ from conftest import (
     reference_module_forward,
     toy,
 )
-from repro.core import STRATEGIES, ModuleSpec, PointCloudModule, emit_module_trace
+from repro.core import STRATEGIES, ModuleSpec, PointCloudModule
 from repro.graph import (
     GraphExecutor,
     OpRecorder,
     build_network_graph,
     format_graph,
+    lower_module_trace,
 )
 from repro.networks import ALL_NETWORKS, FCHead, PointCloudNetwork, build_network
 from repro.neural import Tensor, no_grad
@@ -134,7 +135,7 @@ class TestExecutionEquivalence:
                         output[b * n_out:(b + 1) * n_out], ref.features.data
                     ), (region.module, b)
                     assert np.array_equal(executor.values[region.sample],
-                                          ref.nit.centroids)
+                                          ref.centroids)
 
     @pytest.mark.parametrize("name", ALL_NETWORKS)
     @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -311,7 +312,7 @@ class TestTraceMatchesLegacyEmission:
         trace = Trace(net.name, strategy)
         name = net.name
         for module in net.encoder:
-            emit_module_trace(module.spec, strategy, trace)
+            lower_module_trace(module.spec, strategy, trace)
         n = net.n_points
         if name in ("PointNet++ (c)", "DensePoint"):
             self.head_ops(trace, net.head.dims, rows=1)
@@ -337,7 +338,7 @@ class TestTraceMatchesLegacyEmission:
                 self.fp_ops(trace, fp)
             self.head_ops(trace, net.mask_head.dims, rows=n)
             for module in net.box_encoder:
-                emit_module_trace(module.spec, strategy, trace)
+                lower_module_trace(module.spec, strategy, trace)
             self.head_ops(trace, net.box_head.dims, rows=1)
         else:
             raise AssertionError(f"no reference emission for {name}")

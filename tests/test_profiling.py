@@ -12,11 +12,9 @@ from repro.profiling import (
     NeighborSearchOp,
     Trace,
     compare_strategies,
-    gather_working_sets,
-    layer_size_stats,
     mac_reduction_percent,
-    violin_summary,
 )
+from repro.profiling.cost_model import layer_size_stats_from_sizes
 
 
 class TestOpRecords:
@@ -68,7 +66,7 @@ class TestCostModel:
 
     def test_layer_size_stats(self):
         t = build_network("PointNet++ (s)").trace("original")
-        stats = layer_size_stats(t)
+        stats = layer_size_stats_from_sizes(t.layer_output_sizes())
         assert stats["min"] <= stats["median"] <= stats["max"]
         # Fig 10: original layer outputs reach the multi-MB regime.
         assert stats["max"] > 2 * 2 ** 20
@@ -76,23 +74,27 @@ class TestCostModel:
     def test_delayed_layer_sizes_fit_on_chip(self):
         # Fig 10: delayed outputs drop to the 512 KB - 1 MB regime.
         t = build_network("PointNet++ (s)").trace("delayed")
-        stats = layer_size_stats(t)
+        stats = layer_size_stats_from_sizes(t.layer_output_sizes())
         assert stats["max"] <= 1.5 * 2 ** 20
 
-    def test_violin_summary_aggregates(self):
+    def test_layer_size_stats_pool_networks(self):
         nets = [build_network(n) for n in ("PointNet++ (c)", "DGCNN (c)")]
-        summary = violin_summary([n.trace("original") for n in nets])
-        assert len(summary["sizes"]) > 5
+        sizes = [s for n in nets for s in n.trace("original").layer_output_sizes()]
+        stats = layer_size_stats_from_sizes(sizes)
+        assert len(stats["sizes"]) == len(sizes) > 5
+        assert stats["mean"] == pytest.approx(sum(sizes) / len(sizes))
 
-    def test_empty_trace_rejected(self):
+    def test_empty_sizes_rejected(self):
         with pytest.raises(ValueError):
-            layer_size_stats(Trace())
+            layer_size_stats_from_sizes(Trace().layer_output_sizes())
 
     def test_gather_working_set_growth(self):
         # §IV-C: the delayed gather table is Mout/Min times larger.
         net = build_network("PointNet++ (c)")
-        orig = gather_working_sets(net.trace("original"))
-        delayed = gather_working_sets(net.trace("delayed"))
+        orig, delayed = (
+            [op.table_bytes for op in net.trace(s).by_type(GatherOp)]
+            for s in ("original", "delayed")
+        )
         assert delayed[0] / orig[0] == pytest.approx(128 / 3)
 
 

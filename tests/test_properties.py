@@ -5,15 +5,11 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core import (
-    ModuleSpec,
-    PointFeatureTable,
-    emit_module_trace,
-    max_subtract_gap,
-)
+from repro.core import ModuleSpec, PointCloudModule, max_subtract_gap
+from repro.graph import lower_module_trace
 from repro.hw import AggregationUnit
 from repro.neighbors import KDTree, knn_brute_force, neighborhood_occupancy
-from repro.neural import Tensor
+from repro.neural import Tensor, no_grad
 from repro.profiling.trace import Trace
 
 finite = st.floats(min_value=-100, max_value=100, allow_nan=False,
@@ -141,8 +137,8 @@ class TestTraceProperties:
         k = min(n_in, k_cap)
         spec = ModuleSpec("m", n_in, n_out, k, dims)
         orig, delayed = Trace(), Trace()
-        emit_module_trace(spec, "original", orig)
-        emit_module_trace(spec, "delayed", delayed)
+        lower_module_trace(spec, "original", orig)
+        lower_module_trace(spec, "delayed", delayed)
         # Delayed MACs < original exactly when n_in < n_out * k; our
         # networks always satisfy n_in <= n_out * k.
         if n_in <= n_out * k:
@@ -158,7 +154,7 @@ class TestTraceProperties:
         spec = ModuleSpec("m", n_in, max(1, n_in // 2), min(k, n_in),
                           (3, 8, 16))
         t = Trace()
-        emit_module_trace(spec, strategy, t)
+        lower_module_trace(spec, strategy, t)
         phases = {op.phase for op in t}
         assert {"N", "A", "F"} <= phases
 
@@ -205,16 +201,50 @@ class TestAUProperties:
             assert cols * n_points <= au.pft_buffer.words
 
 
-class TestPFTProperties:
+module_sizes = st.tuples(
+    st.integers(min_value=2, max_value=40),   # n_in
+    st.integers(min_value=1, max_value=4),    # n_in // n_out
+    st.integers(min_value=1, max_value=8),    # k cap
+    st.integers(min_value=0, max_value=2 ** 16),  # cloud seed
+)
+
+
+def run_module(sizes, strategy, dims=(3, 6, 5)):
+    n_in, out_div, k_cap, seed = sizes
+    spec = ModuleSpec("m", n_in, max(1, n_in // out_div), min(n_in, k_cap),
+                      dims)
+    rng = np.random.default_rng(seed)
+    coords = rng.normal(size=(n_in, 3))
+    module = PointCloudModule(spec, rng=np.random.default_rng(seed + 1))
+    with no_grad():
+        return spec, module(coords, Tensor(coords.copy()), strategy=strategy)
+
+
+class TestModuleOutputProperties:
     @settings(max_examples=30, deadline=None)
-    @given(
-        arrays(np.float64, (12, 8), elements=finite),
-        st.integers(min_value=1, max_value=8),
-    )
-    def test_column_partitions_tile_exactly(self, features, parts):
-        pft = PointFeatureTable(features)
-        ranges = pft.column_partitions(parts)
-        covered = []
-        for a, b in ranges:
-            covered.extend(range(a, b))
-        assert covered == list(range(8))
+    @given(module_sizes, st.sampled_from(["original", "delayed", "limited"]))
+    def test_neighbor_table_indexes_the_cloud(self, sizes, strategy):
+        spec, out = run_module(sizes, strategy)
+        assert out.indices.shape == (spec.n_out, spec.k)
+        assert out.indices.min() >= 0 and out.indices.max() < spec.n_in
+        assert np.all(np.diff(out.centroids) > 0)
+        for row, centroid in zip(out.indices, out.centroids):
+            assert len(set(row.tolist())) == spec.k
+            assert centroid in row
+
+    @settings(max_examples=30, deadline=None)
+    @given(module_sizes)
+    def test_delayed_is_the_gathered_max_minus_the_centroid_row(self, sizes):
+        _spec, out = run_module(sizes, "delayed")
+        expected = out.pft[out.indices].max(axis=1) - out.pft[out.centroids]
+        np.testing.assert_array_equal(out.features.data, expected)
+
+    @settings(max_examples=30, deadline=None)
+    @given(module_sizes)
+    def test_limited_matches_original(self, sizes):
+        # Hoisting only the linear product is exact (§VII-C).
+        _spec, orig = run_module(sizes, "original")
+        _spec, ltd = run_module(sizes, "limited")
+        np.testing.assert_array_equal(ltd.indices, orig.indices)
+        np.testing.assert_allclose(ltd.features.data, orig.features.data,
+                                   rtol=1e-9, atol=1e-9)
