@@ -37,7 +37,6 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "ParameterTable": "params",
     "export_segment": "params",
     "export_stack": "params",
-    "segment_layers": "params",
     "KernelProgram": "runtime",
     "NetworkKernelExecutor": "runtime",
     "compile_kernel_program": "runtime",

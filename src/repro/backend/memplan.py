@@ -11,8 +11,9 @@ it:
 1. the runtime records every scratch request of its one *measuring
    run* (key, size, the kernel position that wrote it) and maps each
    buffer to the graph values that alias it (epilogues mutate their
-   input in place, non-reduced aggregations escape their gather buffer
-   through a reshape — alias detection by address range rather than a
+   input in place, and a non-reducing ``aggregate`` — the graph's one
+   aggregation node, compiled to one kernel — returns its gather buffer
+   through a reshape; alias detection by address range rather than a
    hand-kept table keeps those honest).  Every leading dimension is
    ``stack height × per-cloud rows``, so the records are kept **per
    cloud** and any height is a multiplication away (:func:`at_height`):
@@ -138,7 +139,7 @@ class GraphLiveness:
 
         The buffer dies after the last kernel reading any value that
         aliases it; values with no aliasing graph value (chain
-        ping-pong intermediates, fused-aggregate scratch) die at their
+        ping-pong intermediates, reducing-aggregate chunks) die at their
         own kernel.
         """
         last = record.def_pos

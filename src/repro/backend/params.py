@@ -37,30 +37,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..neural.layers import BatchNorm, Dropout, Linear, ReLU
+from ..neural.layers import BatchNorm, Dropout, Linear, ReLU, segment_layers
 
 __all__ = [
     "ParameterTable",
     "export_segment",
     "export_stack",
-    "segment_layers",
 ]
-
-
-def segment_layers(layers):
-    """Split a layer list into per-Linear segments.
-
-    Segment ``i`` starts at the i-th Linear and carries its
-    BatchNorm/ReLU/Dropout tail — the same split the graph executors
-    use, so segment ``i`` is what a graph ``matmul`` node ``layer=i``
-    executes.
-    """
-    layers = list(layers)
-    starts = [i for i, layer in enumerate(layers) if isinstance(layer, Linear)]
-    if not starts:
-        raise TypeError("cannot export a stack with no Linear layers")
-    bounds = starts + [len(layers)]
-    return [layers[a:b] for a, b in zip(starts, bounds[1:])]
 
 
 def _export_array(array, backend):

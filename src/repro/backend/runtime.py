@@ -11,10 +11,11 @@ pre-packed parameter table (:mod:`repro.backend.params`):
 * consecutive shared-MLP ``matmul`` nodes fold into a single batched
   GEMM+bias+ReLU chain kernel running through preallocated ping-pong
   buffers;
-* gather / reduce-max / subtract (and the fused ``aggregate``) operate
-  on raw arrays with planned output buffers — no ``Tensor`` wrappers,
-  no ``_from_op`` closures, no autograd bookkeeping on the inference
-  path;
+* each ``aggregate`` node — gather [+ reduce-max] + subtract, the
+  graph's one aggregation node — is one kernel, and it and the post-MLP
+  ``reduce_max`` operate on raw arrays with planned output buffers — no
+  ``Tensor`` wrappers, no ``_from_op`` closures, no autograd
+  bookkeeping on the inference path;
 * scratch memory is **arena-planned** (:mod:`repro.backend.memplan`),
   once per program and *per cloud*: the first run, at whatever stack
   height arrives, measures every buffer request; the plan for any
@@ -254,10 +255,6 @@ class KernelProgram:
             return self._k_matmul_chain(graph, position, node, midx, consumed)
         if kind == "aggregate":
             return self._k_aggregate(node, midx)
-        if kind == "gather":
-            return self._k_gather(node, midx)
-        if kind == "subtract":
-            return self._k_subtract(node, midx)
         if kind == "reduce_max":
             return self._k_reduce_max(node, midx)
         if kind == "epilogue":
@@ -285,10 +282,6 @@ class KernelProgram:
         raise ValueError(f"kernel runtime cannot compile kind {kind!r}")
 
     # -- module-region kernels ----------------------------------------------
-
-    def _centroid_rows(self, ctx, midx):
-        """Centroid rows in the flat feature table."""
-        return ctx["crows"][midx]
 
     def _k_sample(self, node, midx):
         module = self.ngraph.refs[midx]
@@ -394,7 +387,7 @@ class KernelProgram:
         def kernel(env, ctx):
             src = env[source]
             rows = ctx["rows"][midx]
-            crows = self._centroid_rows(ctx, midx)
+            crows = ctx["crows"][midx]  # centroid rows of the flat table
             n_rows = rows.shape[0]
             if reduce:
                 out = self._buffer(ctx, ("agg-o", nid), (n_rows, dim))
@@ -424,55 +417,14 @@ class KernelProgram:
 
         return kernel
 
-    def _k_gather(self, node, midx):
-        source, nid = node.inputs[0], node.id
-        k = node.attrs["k"]
-        dim = node.attrs["feature_dim"]
-
-        def kernel(env, ctx):
-            rows = ctx["rows"][midx]
-            env[nid] = np.take(
-                env[source], rows, axis=0,
-                out=self._buffer(ctx, ("gth", nid), (rows.shape[0], k, dim)),
-            )
-
-        return kernel
-
-    def _k_subtract(self, node, midx):
-        pre = node.attrs["mode"] == "pre"
-        nid = node.id
-        backend = self.backend
-        a, b = node.inputs[0], node.inputs[1]
-
-        def kernel(env, ctx):
-            crows = self._centroid_rows(ctx, midx)
-            source = env[b]
-            if pre:
-                gathered = env[a]
-                n_rows, k, dim = gathered.shape
-                centroids = source[crows].reshape(n_rows, 1, dim)
-                out = backend.subtract(
-                    gathered, centroids,
-                    out=self._buffer(ctx, ("sub", nid), gathered.shape),
-                )
-                env[nid] = out.reshape(n_rows * k, dim)
-            else:
-                reduced = env[a]
-                env[nid] = backend.subtract(
-                    reduced, source[crows],
-                    out=self._buffer(ctx, ("sub", nid), reduced.shape),
-                )
-
-        return kernel
-
     def _k_reduce_max(self, node, midx):
         source, nid = node.inputs[0], node.id
         backend = self.backend
 
         def kernel(env, ctx):
-            # Un-fused original/limited path: rows*k flat rows (or a
-            # gather's block) back to (rows, k, dim) before the
-            # neighborhood reduction.
+            # The post-MLP reduction of original/limited: rows*k flat
+            # rows back to (rows, k, dim) before the neighborhood
+            # reduction.
             k = ctx["rows"][midx].shape[1]
             x = env[source]
             x = x.reshape(-1, k, x.shape[-1])

@@ -4,9 +4,11 @@ Commands
 --------
 report
     Print the full paper-style evaluation report.
-trace NETWORK [--strategy S] [--memory]
-    Print the operator trace of one benchmark network (``--memory``
-    prints the planner's per-phase peaks and arena layout instead).
+trace NETWORK [--strategy S] [--graph | --memory]
+    Print the operator trace of one benchmark network (``--graph``
+    adds the lowered operator graph in place of the op list;
+    ``--memory`` prints the planner's per-phase peaks and arena layout
+    instead).
 simulate NETWORK [--config C]
     Simulate one network on one SoC configuration.
 networks
@@ -324,13 +326,15 @@ def build_parser():
     p_trace.add_argument("network", **_NETWORK)
     p_trace.add_argument("--strategy", default="delayed",
                          choices=("original", "delayed", "limited"))
-    p_trace.add_argument("--graph", action="store_true",
-                         help="print the lowered operator graphs instead "
-                              "of the flat op list")
-    p_trace.add_argument("--memory", action="store_true",
-                         help="print the kernel runtime's per-phase memory "
-                              "peaks before/after arena planning, plus the "
-                              "planned arena layout")
+    # Each replaces the flat op list with a different report.
+    view = p_trace.add_mutually_exclusive_group()
+    view.add_argument("--graph", action="store_true",
+                      help="print the lowered operator graphs instead "
+                           "of the flat op list")
+    view.add_argument("--memory", action="store_true",
+                      help="print the kernel runtime's per-phase memory "
+                           "peaks before/after arena planning, plus the "
+                           "planned arena layout")
 
     p_sim = sub.add_parser("simulate", help="simulate a network on an SoC")
     p_sim.add_argument("network", **_NETWORK)

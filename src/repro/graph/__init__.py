@@ -41,7 +41,6 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "PIPELINES": "passes",
     "dead_code_elimination": "passes",
     "delay_aggregation": "passes",
-    "fuse_aggregation": "passes",
     "limit_delay": "passes",
     "module_graph": "passes",
     "run_pipeline": "passes",

@@ -8,6 +8,11 @@ orderings are not built here — they are graph-rewrite passes
 (:mod:`repro.graph.passes`), which is the point of the IR: the program
 transform the paper proposes is applied to the program, not re-written
 by hand per strategy.
+
+Aggregation is one ``aggregate`` node from the start: the NIT-driven
+gather and the centroid subtraction (and, once delayed, the max-reduce
+between them) are one pass, the granularity the paper's Aggregation
+Unit consumes (§V-B), and the form every consumer of the graph reads.
 """
 
 from __future__ import annotations
@@ -56,22 +61,19 @@ def build_module_graph(spec):
             "signature": search_signature(spec),
         },
     )
-    gth = g.add(
-        "gather",
-        inputs=(inp.id, srch.id),
+    prev = g.add(
+        "aggregate",
+        inputs=(inp.id, srch.id, smp.id),
         phase="A",
         attrs={
             "n_centroids": "n_out",
             "k": "k",
             "feature_dim": dims[0],
             "table_rows": "n_in",
+            "reduce": False,
+            "rows": "n_out*k",
+            "dim": dims[0],
         },
-    )
-    prev = g.add(
-        "subtract",
-        inputs=(gth.id, inp.id, smp.id),
-        phase="A",
-        attrs={"rows": "n_out*k", "dim": dims[0], "mode": "pre"},
     )
     for i, (a, b) in enumerate(zip(dims[:-1], dims[1:])):
         prev = g.add(

@@ -31,7 +31,8 @@ programs, and the float64 one is held to this interpreter bit for bit.
 list order is the topological order.
 
 An optional :class:`OpRecorder` captures the shape of every logical
-operator actually executed (fused nodes record their constituents),
+operator actually executed (an ``aggregate`` node records its gather /
+[reduce-max /] subtract constituents),
 which the trace/execution-consistency tests compare against the graph's
 lowered :class:`~repro.profiling.trace.Trace`.
 """
@@ -45,7 +46,7 @@ import numpy as np
 from ..core.module import ModuleOutput
 from ..neighbors import neighbor_search
 from ..neural import Tensor, concat
-from ..neural.layers import Linear
+from ..neural.layers import Linear, segment_layers
 from .network import MODULE_KINDS
 
 __all__ = ["GraphExecutor", "OpRecorder", "per_cloud"]
@@ -89,21 +90,6 @@ class OpRecorder:
     def by_kind(self, kind):
         """All records of one operator kind, in execution order."""
         return [r for r in self.records if r["kind"] == kind]
-
-
-def _mlp_segments(mlp):
-    """Split an MLP's layer list into per-Linear segments.
-
-    Segment ``i`` starts at the i-th Linear and runs up to (excluding)
-    the next one, so it carries the Linear plus its BatchNorm/ReLU tail.
-    Graph ``matmul`` node ``layer=i`` executes segment ``i``.
-    """
-    layers = list(mlp.net.layers)
-    starts = [i for i, layer in enumerate(layers) if isinstance(layer, Linear)]
-    if not starts:
-        raise TypeError("module MLP has no Linear layers to execute")
-    bounds = starts + [len(layers)]
-    return [layers[a:b] for a, b in zip(starts, bounds[1:])]
 
 
 class GraphExecutor:
@@ -158,7 +144,7 @@ class GraphExecutor:
             "indices_rows": None,    # row-space NIT indices
             "pft": None,
         }
-        return _mlp_segments(module.mlp), state
+        return segment_layers(module.mlp.export_layers()), state
 
     def _start_run(self, ngraph, coords):
         self._nclouds = coords.shape[0]
@@ -213,21 +199,11 @@ class GraphExecutor:
                                      n_points=n_in, k=local.shape[-1],
                                      dim=space.shape[-1])
             return rows
-        if kind == "gather":
-            return self._gather(env[node.inputs[0]], state)
-        if kind == "subtract":
-            if node.attrs["mode"] == "pre":
-                return self._subtract_pre(
-                    env[node.inputs[0]], env[node.inputs[1]], state
-                )
-            return self._subtract_post(
-                env[node.inputs[0]], env[node.inputs[1]], state
-            )
         if kind == "matmul":
             return self._matmul(node, env[node.inputs[0]], segments, state)
         if kind == "reduce_max":
-            # The un-fused node form: rows*k flat rows (or a gather's
-            # block) back to (rows, k, dim) before the reduction.
+            # The post-MLP reduction: rows*k flat rows back to
+            # (rows, k, dim) before the reduction.
             x = env[node.inputs[0]]
             k = state["indices_rows"].shape[1]
             return self._reduce_max(x.reshape(-1, k, x.shape[-1]), state)

@@ -1,9 +1,11 @@
 """The operator-graph IR.
 
-A :class:`Graph` is an ordered list of :class:`Node` records — the same
-operator taxonomy the profiling traces use (Sample / NeighborSearch /
-Gather / Subtract / MatMul / ReduceMax / Concat) plus the fused
-aggregation node the rewrite passes introduce.  Node attributes hold
+A :class:`Graph` is an ordered list of :class:`Node` records — the
+profiling traces' operator taxonomy (Sample / NeighborSearch / MatMul /
+ReduceMax / Concat), except that aggregation is one ``aggregate`` node
+(gather [+ max-reduce] + subtract, the Aggregation Unit's one
+NIT-driven pass) that the trace lowering expands into its Gather /
+ReduceMax / Subtract records.  Node attributes hold
 *symbolic* dimensions ("n_in", "n_out", "k", products like "n_out*k")
 so one graph serves every input scale and batch size; executors and the
 trace lowering bind them against a concrete :class:`ShapeEnv` at run
@@ -35,11 +37,9 @@ KINDS = (
     "input",       # graph input (the module's per-point feature table)
     "sample",      # centroid sampling (O phase)
     "search",      # neighbor search (N phase)
-    "gather",      # NIT-driven row gather (A phase)
-    "subtract",    # centroid subtraction, pre- or post-reduction (A phase)
     "matmul",      # one shared-MLP layer (F phase)
-    "reduce_max",  # neighborhood max-reduction (A or F phase)
-    "aggregate",   # fused gather[+reduce_max]+subtract (A phase)
+    "reduce_max",  # post-MLP neighborhood max-reduction (F phase)
+    "aggregate",   # NIT-driven gather [+ max-reduce] + subtract (A phase)
     "epilogue",    # limited-variant bias + activation replay (no trace op)
     "concat",      # feature concatenation (O phase)
     # Network-level kinds (repro.graph.network): whole networks lower

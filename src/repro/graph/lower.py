@@ -1,8 +1,9 @@
 """Lower an operator graph to a profiling :class:`~repro.profiling.trace.Trace`.
 
 The lowering walks the graph's node list — the same order the executors
-evaluate — and appends one operator record per node (fused aggregation
-nodes re-expand into their gather / reduce-max / subtract constituents).
+evaluate — and appends one operator record per node; an ``aggregate``
+node, the one aggregation node of the IR, expands into the gather /
+[reduce-max /] subtract records of the paper's op taxonomy.
 Because analytics and execution both derive from the same graph, the
 trace the hardware models consume is consistent with the ops the
 executors run *by construction*.  :func:`lower_module_trace` is the one
@@ -58,12 +59,6 @@ def lower_graph(graph, trace, env, name=None):
                 n_points=dim(attrs["n_points"]),
                 k=dim(attrs["k"]), dim=dim(attrs["dim"]),
             ))
-        elif node.kind == "gather":
-            trace.add(_gather_op(node.phase, name, attrs, dim))
-        elif node.kind == "subtract":
-            trace.add(SubtractOp(node.phase, name,
-                                 rows=dim(attrs["rows"]),
-                                 dim=dim(attrs["dim"])))
         elif node.kind == "matmul":
             trace.add(MatMulOp(
                 node.phase, name, parallelizable=node.parallelizable,
@@ -73,10 +68,13 @@ def lower_graph(graph, trace, env, name=None):
         elif node.kind == "reduce_max":
             trace.add(_reduce_op(node.phase, name, attrs, dim))
         elif node.kind == "aggregate":
-            trace.add(_gather_op("A", name, attrs, dim))
+            trace.add(GatherOp("A", name,
+                               n_centroids=dim(attrs["n_centroids"]),
+                               k=dim(attrs["k"]),
+                               feature_dim=dim(attrs["feature_dim"]),
+                               table_rows=dim(attrs["table_rows"])))
             if attrs["reduce"]:
-                trace.add(_reduce_op(attrs.get("reduce_phase", "A"), name,
-                                     attrs, dim))
+                trace.add(_reduce_op("A", name, attrs, dim))
             trace.add(SubtractOp("A", name, rows=dim(attrs["rows"]),
                                  dim=dim(attrs["dim"])))
         elif node.kind == "concat":
@@ -106,14 +104,6 @@ def lower_graph(graph, trace, env, name=None):
         else:
             raise ValueError(f"cannot lower node kind {node.kind!r}")
     return trace
-
-
-def _gather_op(phase, name, attrs, dim):
-    return GatherOp(phase, name,
-                    n_centroids=dim(attrs["n_centroids"]),
-                    k=dim(attrs["k"]),
-                    feature_dim=dim(attrs["feature_dim"]),
-                    table_rows=dim(attrs["table_rows"]))
 
 
 def _reduce_op(phase, name, attrs, dim):

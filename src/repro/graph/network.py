@@ -15,8 +15,8 @@ the whole network lowers to ONE :class:`~repro.graph.ir.Graph`:
   ``concat`` / ``global_max`` / ``coords`` / ``lift`` / ``select``);
 * the standard pass pipeline (:data:`repro.graph.passes.PIPELINES`)
   then runs over the *full* graph — delayed/limited rewrite every
-  module region, fusion collapses every aggregation, and DCE drops
-  genuinely dead skip branches and unused head inputs network-wide.
+  module region and DCE drops genuinely dead skip branches and unused
+  head inputs network-wide.
 
 Because coordinates flow through explicit ``coords`` nodes (derived
 from sampling, never from features), a downstream module's
@@ -47,12 +47,11 @@ __all__ = [
 
 #: Node kinds executed through the per-module executor dispatch.
 MODULE_KINDS = (
-    "sample", "search", "gather", "subtract", "matmul", "reduce_max",
-    "aggregate", "epilogue",
+    "sample", "search", "aggregate", "matmul", "reduce_max", "epilogue",
 )
 
 #: Spec-level attr values that are identifiers, not symbolic dims.
-_NON_DIM_ATTRS = ("space", "signature", "mode")
+_NON_DIM_ATTRS = ("space", "signature")
 
 
 @dataclass(frozen=True)
@@ -294,8 +293,8 @@ def build_network_graph(network, strategy="delayed"):
     """Lower ``network`` to one strategy-rewritten :class:`NetworkGraph`.
 
     The network's declarative builder emits the original-order program;
-    the standard pass pipeline then rewrites every module region,
-    fuses aggregation, and dead-code-eliminates network-wide.
+    the standard pass pipeline then rewrites every module region and
+    dead-code-eliminates network-wide.
     """
     builder = NetworkGraphBuilder(network)
     network._build_graph(builder)
@@ -306,7 +305,7 @@ def build_network_graph(network, strategy="delayed"):
     graph.validate()
     graph = run_pipeline(graph, strategy)
     # Rewrites may move a region's output node (delayed aggregation
-    # ends on the subtract, not the reduce); the pipeline rewired
+    # ends on the aggregate, not the reduce); the pipeline rewired
     # graph.outputs, so re-anchor the named outputs on it.
     outputs = tuple(
         replace(out, node=node)

@@ -11,6 +11,14 @@ implemented as rewrites over the original-order graph, so execution,
 batching, trace analytics and the hardware models all consume the same
 transformed program instead of three hand-maintained copies.
 
+Each rewrite has one body, written per module region: a module graph is
+one implicit region and a whole-network graph has one per inlined
+module, so the same body rewrites both.  Aggregation is one
+``aggregate`` node throughout (built that way,
+:mod:`repro.graph.build`): delaying flips it to its reducing form and
+absorbs the region's ``reduce_max``, limiting re-points it at the
+hoisted product.
+
 Passes are ``graph -> graph`` callables; :data:`PIPELINES` names the
 pass list per strategy and :func:`module_graph` memoizes the result per
 (spec, strategy).
@@ -28,42 +36,23 @@ __all__ = [
     "PIPELINES",
     "dead_code_elimination",
     "delay_aggregation",
-    "fuse_aggregation",
     "limit_delay",
     "module_graph",
     "run_pipeline",
 ]
 
 
-def _original_pattern(graph):
-    """The (input, sample, search, gather, subtract, matmuls, reduce)
-    skeleton every original-order module graph has."""
-    return (
-        graph.only("input"),
-        graph.only("sample"),
-        graph.only("search"),
-        graph.only("gather"),
-        graph.only("subtract"),
-        graph.find("matmul"),
-        graph.only("reduce_max"),
-    )
-
-
-# -- network-aware region machinery -----------------------------------------
+# -- module regions -----------------------------------------------------------
 #
 # A whole-network graph (repro.graph.network) inlines every module's
 # original-order subgraph, tagging each inlined node with
-# ``attrs["module"]``.  The strategy rewrites below then apply to every
-# module *region* of the program — the same pass works on a single
-# module graph (one implicit region) and on a network graph with many.
-
-
-def _has_module_regions(graph):
-    return any("module" in node.attrs for node in graph)
+# ``attrs["module"]``; a module graph is one implicit region (every node
+# but its ``input``).  The strategy rewrites below are written once, per
+# region, and apply to every region of either form.
 
 
 def _region_pattern(nodes):
-    """The original-order skeleton of one inlined module region."""
+    """``(sample, search, aggregate, matmuls)`` of one module region."""
 
     def only(kind):
         found = [n for n in nodes if n.kind == kind]
@@ -77,10 +66,8 @@ def _region_pattern(nodes):
     return (
         only("sample"),
         only("search"),
-        only("gather"),
-        only("subtract"),
+        only("aggregate"),
         [n for n in nodes if n.kind == "matmul"],
-        only("reduce_max"),
     )
 
 
@@ -89,7 +76,7 @@ def _rewrite_module_regions(graph, region_rewrite):
 
     ``region_rewrite(nodes, alloc)`` returns ``(new_nodes, old_out,
     new_out)``; when the region's externally-visible output node changes
-    (delayed aggregation moves it from the reduce to the subtract), all
+    (delayed aggregation moves it from the reduce to the aggregate), all
     downstream references — later regions, glue nodes, graph outputs —
     are rewired.  ``alloc()`` hands out globally-fresh node ids.
     """
@@ -100,6 +87,13 @@ def _rewrite_module_regions(graph, region_rewrite):
     def alloc():
         next_id[0] += 1
         return next_id[0] - 1
+
+    if any("module" in node.attrs for node in nodes):
+        def region_of(node):
+            return node.attrs.get("module")
+    else:
+        def region_of(node):
+            return None if node.kind == "input" else 0
 
     remap = {}
 
@@ -121,7 +115,7 @@ def _rewrite_module_regions(graph, region_rewrite):
 
     out, seen, i = [], set(), 0
     while i < len(nodes):
-        index = nodes[i].attrs.get("module")
+        index = region_of(nodes[i])
         if index is None:
             out.append(rewire(nodes[i]))
             i += 1
@@ -130,7 +124,7 @@ def _rewrite_module_regions(graph, region_rewrite):
             raise ValueError(f"module region {index} is not contiguous")
         seen.add(index)
         region = []
-        while i < len(nodes) and nodes[i].attrs.get("module") == index:
+        while i < len(nodes) and region_of(nodes[i]) == index:
             region.append(rewire(nodes[i]))
             i += 1
         new_nodes, old_out, new_out = region_rewrite(region, alloc)
@@ -142,24 +136,21 @@ def _rewrite_module_regions(graph, region_rewrite):
 
 
 def _delay_region(nodes, _alloc):
-    """Delay one inlined module region (network-graph form of Fig 8)."""
-    smp, srch, gth, sub, matmuls, rm = _region_pattern(nodes)
-    if sub.attrs.get("mode") == "post":
+    """Delay one module region (Fig 8)."""
+    smp, srch, agg, matmuls = _region_pattern(nodes)
+    if agg.attrs["reduce"]:
         # Already delayed: re-application is a structural no-op.
-        return nodes, rm.id, rm.id
-    if matmuls and matmuls[0].attrs.get("weight_only"):
+        return nodes, agg.id, agg.id
+    if matmuls[0].attrs.get("weight_only"):
         raise ValueError(
             "delay_aggregation expects an original-order graph "
-            "(region is in limited form)"
+            "(module is in limited form)"
         )
-    if sub.attrs.get("mode") != "pre":
-        raise ValueError("delay_aggregation expects an original-order graph")
-    feats_src = gth.inputs[0]
+    rm = next(n for n in nodes if n.kind == "reduce_max")
     n_in = srch.attrs["n_points"]
-    n_out = srch.attrs["n_queries"]
     out_dim = matmuls[-1].attrs["out_dim"]
 
-    hoisted, prev_id = [], feats_src
+    hoisted, prev_id = [], agg.inputs[0]
     for mm in matmuls:
         mm = replace(mm, inputs=(prev_id,), parallelizable=True)
         mm = mm.with_attrs(rows=n_in)
@@ -168,42 +159,37 @@ def _delay_region(nodes, _alloc):
     hoisted[-1] = hoisted[-1].with_attrs(pft=True)
 
     srch = replace(srch, parallelizable=True)
-    gth = replace(gth, inputs=(hoisted[-1].id, srch.id))
-    gth = gth.with_attrs(feature_dim=out_dim)
-    rm = replace(rm, inputs=(gth.id,), phase="A")
-    rm = rm.with_attrs(feature_dim=out_dim)
-    new_sub = replace(sub, inputs=(rm.id, hoisted[-1].id, smp.id))
-    new_sub = new_sub.with_attrs(rows=n_out, dim=out_dim, mode="post")
-    return [smp, *hoisted, srch, gth, rm, new_sub], rm.id, new_sub.id
+    agg = replace(agg, inputs=(prev_id, *agg.inputs[1:]))
+    agg = agg.with_attrs(feature_dim=out_dim, reduce=True,
+                         rows=srch.attrs["n_queries"], dim=out_dim)
+    return [smp, *hoisted, srch, agg], rm.id, agg.id
 
 
 def _limit_region(nodes, alloc):
     """Hoist one region's first matrix-vector product (GNN variant)."""
-    smp, srch, gth, sub, matmuls, rm = _region_pattern(nodes)
-    if matmuls and matmuls[0].attrs.get("weight_only"):
+    smp, srch, agg, matmuls = _region_pattern(nodes)
+    if matmuls[0].attrs.get("weight_only"):
         # Already limited: re-application is a structural no-op.
-        return nodes, rm.id, rm.id
-    if sub.attrs.get("mode") != "pre":
+        return nodes, agg.id, agg.id
+    if agg.attrs["reduce"]:
         raise ValueError(
             "limit_delay expects an original-order graph "
-            "(region is in delayed form)"
+            "(module is in delayed form)"
         )
-    feats_src = gth.inputs[0]
-    n_in = srch.attrs["n_points"]
+    rm = next(n for n in nodes if n.kind == "reduce_max")
     hidden = matmuls[0].attrs["out_dim"]
 
-    first = replace(matmuls[0], inputs=(feats_src,), parallelizable=True)
-    first = first.with_attrs(rows=n_in, weight_only=True, pft=True)
+    first = replace(matmuls[0], inputs=(agg.inputs[0],), parallelizable=True)
+    first = first.with_attrs(rows=srch.attrs["n_points"], weight_only=True,
+                             pft=True)
     srch = replace(srch, parallelizable=True)
-    gth = replace(gth, inputs=(first.id, srch.id))
-    gth = gth.with_attrs(feature_dim=hidden)
-    sub = replace(sub, inputs=(gth.id, first.id, smp.id))
-    sub = sub.with_attrs(dim=hidden)
+    agg = replace(agg, inputs=(first.id, *agg.inputs[1:]))
+    agg = agg.with_attrs(feature_dim=hidden, dim=hidden)
 
     region_attrs = {
         key: smp.attrs[key] for key in ("module", "label") if key in smp.attrs
     }
-    epilogue = Node(alloc(), "epilogue", (sub.id,),
+    epilogue = Node(alloc(), "epilogue", (agg.id,),
                     {"layer": 0, **region_attrs}, phase="F")
     rest, prev = [], epilogue
     for mm in matmuls[1:]:
@@ -211,58 +197,25 @@ def _limit_region(nodes, alloc):
         rest.append(mm)
         prev = mm
     rm = replace(rm, inputs=(prev.id,))
-    return [smp, first, srch, gth, sub, epilogue, *rest, rm], rm.id, rm.id
+    return [smp, first, srch, agg, epilogue, *rest, rm], rm.id, rm.id
 
 
 def delay_aggregation(graph):
     """Rewrite ``F(A(N(p), p))`` into ``A(F(N(p)), F(p))`` (Fig 8).
 
-    The whole MLP chain is hoisted before the gather: it now runs over
+    The whole MLP chain is hoisted before aggregation: it now runs over
     the ``n_in`` input points (and is marked parallelizable — it can
-    overlap the neighbor search on a different engine).  Aggregation
-    becomes gather → reduce-max → subtract: the centroid feature is
-    subtracted *after* the reduction, which is exact by the max-subtract
-    identity.  The final MLP output is the Point Feature Table.
+    overlap the neighbor search on a different engine).  The
+    ``aggregate`` node becomes gather → reduce-max → subtract
+    (``reduce=True``) and absorbs the module's ``reduce_max``: the
+    centroid feature is subtracted *after* the reduction, which is exact
+    by the max-subtract identity.  The final MLP output is the Point
+    Feature Table.
 
-    Network-aware: on a whole-network graph the rewrite applies to every
-    inlined module region, rewiring downstream consumers of each
-    region's output.
+    On a whole-network graph the rewrite applies to every inlined module
+    region, rewiring downstream consumers of each region's output.
     """
-    if _has_module_regions(graph):
-        return _rewrite_module_regions(graph, _delay_region)
-    graph = graph.copy()
-    inp, smp, srch, gth, sub, matmuls, rm = _original_pattern(graph)
-    if sub.attrs.get("mode") == "post":
-        return graph  # already delayed: idempotent no-op
-    if matmuls and matmuls[0].attrs.get("weight_only"):
-        raise ValueError(
-            "delay_aggregation expects an original-order graph "
-            "(graph is in limited form)"
-        )
-    if sub.attrs.get("mode") != "pre":
-        raise ValueError("delay_aggregation expects an original-order graph")
-    out_dim = matmuls[-1].attrs["out_dim"]
-
-    hoisted = []
-    prev = inp
-    for mm in matmuls:
-        mm = replace(mm, inputs=(prev.id,), parallelizable=True)
-        mm = mm.with_attrs(rows="n_in")
-        hoisted.append(mm)
-        prev = mm
-    hoisted[-1] = hoisted[-1].with_attrs(pft=True)
-
-    srch = replace(srch, parallelizable=True)
-    gth = replace(gth, inputs=(hoisted[-1].id, srch.id))
-    gth = gth.with_attrs(feature_dim=out_dim)
-    rm = replace(rm, inputs=(gth.id,), phase="A")
-    rm = rm.with_attrs(feature_dim=out_dim)
-    sub = replace(sub, inputs=(rm.id, hoisted[-1].id, smp.id))
-    sub = sub.with_attrs(rows="n_out", dim=out_dim, mode="post")
-
-    return graph.replace_nodes(
-        [inp, smp, *hoisted, srch, gth, rm, sub], outputs=(sub.id,)
-    ).validate()
+    return _rewrite_module_regions(graph, _delay_region)
 
 
 def limit_delay(graph):
@@ -273,101 +226,11 @@ def limit_delay(graph):
     ``epilogue`` node re-adds it (and replays the layer's activation)
     after aggregation before the remaining layers run over the
     ``n_out*k`` aggregated rows.  The hoisted product's output is the
-    (narrow) Point Feature Table.
+    (narrow) Point Feature Table the ``aggregate`` node now reads.
 
-    Network-aware like :func:`delay_aggregation`.
+    Region-wise like :func:`delay_aggregation`.
     """
-    if _has_module_regions(graph):
-        return _rewrite_module_regions(graph, _limit_region)
-    graph = graph.copy()
-    inp, smp, srch, gth, sub, matmuls, rm = _original_pattern(graph)
-    if matmuls and matmuls[0].attrs.get("weight_only"):
-        return graph  # already limited: idempotent no-op
-    if sub.attrs.get("mode") != "pre":
-        raise ValueError(
-            "limit_delay expects an original-order graph "
-            "(graph is in delayed form)"
-        )
-    hidden = matmuls[0].attrs["out_dim"]
-
-    first = replace(matmuls[0], inputs=(inp.id,), parallelizable=True)
-    first = first.with_attrs(rows="n_in", weight_only=True, pft=True)
-    srch = replace(srch, parallelizable=True)
-    gth = replace(gth, inputs=(first.id, srch.id))
-    gth = gth.with_attrs(feature_dim=hidden)
-    sub = replace(sub, inputs=(gth.id, first.id, smp.id))
-    sub = sub.with_attrs(dim=hidden)
-
-    fresh = max(n.id for n in graph) + 1
-    epilogue = Node(fresh, "epilogue", (sub.id,), {"layer": 0}, phase="F")
-
-    rest = []
-    prev = epilogue
-    for mm in matmuls[1:]:
-        mm = replace(mm, inputs=(prev.id,))
-        rest.append(mm)
-        prev = mm
-    rm = replace(rm, inputs=(prev.id,))
-
-    return graph.replace_nodes(
-        [inp, smp, first, srch, gth, sub, epilogue, *rest, rm],
-        outputs=(rm.id,),
-    ).validate()
-
-
-def fuse_aggregation(graph):
-    """Fuse gather [+ reduce-max] + subtract into one aggregation node.
-
-    This is the granularity the hardware aggregation unit (Fig 13-15)
-    consumes — one NIT-driven pass over the point feature table — and it
-    saves the executors two dispatches per module.  The fused node
-    remembers its constituents, so trace lowering re-expands it and the
-    emitted operator records are unchanged.
-    """
-    graph = graph.copy()
-    fused = []
-    skip = set()
-    for node in list(graph.nodes):
-        if node.id in skip:
-            continue
-        if node.kind == "gather":
-            consumers = graph.consumers(node.id)
-            if len(consumers) == 1 and consumers[0].kind == "subtract" \
-                    and consumers[0].attrs.get("mode") == "pre":
-                sub = consumers[0]
-                agg = Node(
-                    sub.id, "aggregate",
-                    (node.inputs[0], node.inputs[1], sub.inputs[2]),
-                    {**node.attrs, "reduce": False,
-                     "rows": sub.attrs["rows"], "dim": sub.attrs["dim"]},
-                    phase="A",
-                )
-                fused.append(agg)
-                skip.add(sub.id)
-                continue
-            if len(consumers) == 1 and consumers[0].kind == "reduce_max":
-                rm = consumers[0]
-                rm_consumers = graph.consumers(rm.id)
-                if len(rm_consumers) == 1 and rm_consumers[0].kind == "subtract" \
-                        and rm_consumers[0].attrs.get("mode") == "post":
-                    sub = rm_consumers[0]
-                    agg = Node(
-                        sub.id, "aggregate",
-                        (node.inputs[0], node.inputs[1], sub.inputs[2]),
-                        {**node.attrs, "reduce": True,
-                         "reduce_phase": rm.phase,
-                         "rows": sub.attrs["rows"], "dim": sub.attrs["dim"]},
-                        phase="A",
-                    )
-                    fused.append(agg)
-                    skip.update((rm.id, sub.id))
-                    continue
-        fused.append(node)
-
-    # The fused node reuses the pattern's *last* id, so downstream input
-    # references (e.g. the matmul chain after an original-order fuse)
-    # remain valid without rewiring.
-    return graph.replace_nodes(fused, outputs=graph.outputs).validate()
+    return _rewrite_module_regions(graph, _limit_region)
 
 
 def dead_code_elimination(graph):
@@ -390,9 +253,9 @@ def dead_code_elimination(graph):
 #: Pass pipeline per strategy.  ``original`` is the built form plus the
 #: standard cleanup; ``delayed``/``limited`` apply their rewrite first.
 PIPELINES = {
-    "original": (fuse_aggregation, dead_code_elimination),
-    "delayed": (delay_aggregation, fuse_aggregation, dead_code_elimination),
-    "limited": (limit_delay, fuse_aggregation, dead_code_elimination),
+    "original": (dead_code_elimination,),
+    "delayed": (delay_aggregation, dead_code_elimination),
+    "limited": (limit_delay, dead_code_elimination),
 }
 
 

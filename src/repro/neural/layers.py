@@ -19,6 +19,7 @@ __all__ = [
     "Dropout",
     "Sequential",
     "Parameter",
+    "segment_layers",
 ]
 
 
@@ -176,3 +177,20 @@ class Sequential(Module):
 
     def __len__(self):
         return len(self.layers)
+
+
+def segment_layers(layers):
+    """Split a layer list into per-Linear segments.
+
+    Segment ``i`` starts at the i-th Linear and runs up to (excluding)
+    the next one, so it carries the Linear plus its
+    BatchNorm/ReLU/Dropout tail.  It is what a graph ``matmul`` node
+    ``layer=i`` executes, in the graph interpreter and, exported, in a
+    kernel program.
+    """
+    layers = list(layers)
+    starts = [i for i, layer in enumerate(layers) if isinstance(layer, Linear)]
+    if not starts:
+        raise TypeError("a layer stack with no Linear layers has no segments")
+    bounds = starts + [len(layers)]
+    return [layers[a:b] for a, b in zip(starts, bounds[1:])]

@@ -41,6 +41,33 @@ from repro.networks import ALL_NETWORKS, build_network
 from repro.neural import BatchNorm, Dropout, Linear, ReLU, SharedMLP, Tensor, no_grad
 
 
+BATCH_NORM_TOY = "PointNet++ (c) with BatchNorm"
+
+
+def batch_norm_toy():
+    """PointNet++ (c) with a BatchNorm after every module Linear, in
+    eval mode (no registered network uses BatchNorm)."""
+    net = toy("PointNet++ (c)")
+    for module in net.encoder:
+        module.mlp = SharedMLP(list(module.spec.mlp_dims), batch_norm=True,
+                               rng=np.random.default_rng(3))
+    return net.eval()
+
+
+def seed_parameters(net, seed):
+    """Give every Linear bias and BatchNorm statistic a nonzero value."""
+    rng = np.random.default_rng(seed)
+    for module in net.modules():
+        if isinstance(module, Linear) and module.bias is not None:
+            module.bias.data[...] = rng.normal(0.0, 0.5, module.bias.shape)
+        elif isinstance(module, BatchNorm):
+            dim = module.dim
+            module.running_mean = rng.normal(0.0, 0.5, dim)
+            module.running_var = rng.uniform(0.5, 2.0, dim)
+            module.gamma.data[...] = rng.uniform(0.5, 1.5, dim)
+            module.beta.data[...] = rng.normal(0.0, 0.5, dim)
+
+
 def assert_close_with_same_top1(ref, out, rel=1e-4):
     for a, b in leaves(ref, out):
         b = np.asarray(b, dtype=np.float64)
@@ -181,6 +208,20 @@ class TestKernelEquivalence:
         # The fast path really ran in float32 end to end.
         for _, b in leaves(bref, fast):
             assert b.dtype == np.float32
+
+    @pytest.mark.parametrize("name", [*ALL_NETWORKS, BATCH_NORM_TOY])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_float64_bit_exact_with_nonzero_biases(self, name, strategy):
+        # Freshly built networks have all-zero biases and no BatchNorm,
+        # so a program that drops or double-adds a bias — the limited
+        # epilogue re-adds the one its hoisted product left out — or
+        # mis-folds a BatchNorm matches the interpreter on them.
+        net = batch_norm_toy() if name == BATCH_NORM_TOY else toy(name)
+        seed_parameters(net, seed=7)
+        clouds = clouds_for(net, 3, seed=2)
+        with no_grad():
+            out = compile_kernel_program(net, strategy, "float64").run(clouds)
+        assert_bit_exact(interpret(net, clouds, strategy), out)
 
     def test_one_program_per_graph_serves_heights_1_and_3(self):
         net = toy("PointNet++ (c)")

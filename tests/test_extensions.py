@@ -115,6 +115,21 @@ class TestCLI:
         assert "NeighborSearchOp" in out
         assert "MLP MACs" in out
 
+    def test_trace_graph_and_memory_together_are_refused(self, capsys):
+        # Each flag replaces the op list with its own report; asking for
+        # both is a usage error, not the memory report alone.
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["trace", "PointNet++ (c)", "--graph", "--memory"])
+        assert exit_info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        errors = [line for line in err.splitlines()
+                  if line.startswith("repro trace: error:")]
+        assert errors == ["repro trace: error: argument --memory: not "
+                          "allowed with argument --graph"]
+
     def test_simulate_command(self, capsys):
         from repro.cli import main
 

@@ -16,7 +16,6 @@ from repro.graph import (
     dead_code_elimination,
     delay_aggregation,
     format_graph,
-    fuse_aggregation,
     limit_delay,
     lower_module_trace,
     module_graph,
@@ -170,9 +169,15 @@ class TestIR:
     def test_build_is_original_order(self):
         g = build_module_graph(SPEC)
         kinds = [n.kind for n in g]
-        assert kinds == ["input", "sample", "search", "gather", "subtract",
+        assert kinds == ["input", "sample", "search", "aggregate",
                          "matmul", "matmul", "reduce_max"]
         assert not any(n.parallelizable for n in g)
+        agg = g.only("aggregate")
+        assert agg.attrs["reduce"] is False and agg.phase == "A"
+        assert agg.inputs == (g.only("input").id, g.only("search").id,
+                              g.only("sample").id)
+        assert (agg.attrs["rows"], agg.attrs["dim"]) == ("n_out*k", 3)
+        assert g.only("reduce_max").phase == "F"
 
     def test_validate_rejects_a_node_waiting_on_a_later_one(self):
         graph = module_graph(sa1_spec(), "delayed")
@@ -202,15 +207,19 @@ class TestPasses:
         g = delay_aggregation(build_module_graph(SPEC))
         kinds = [n.kind for n in g]
         assert kinds == ["input", "sample", "matmul", "matmul", "search",
-                         "gather", "reduce_max", "subtract"]
+                         "aggregate"]
         matmuls = g.find("matmul")
         assert all(m.parallelizable for m in matmuls)
         assert all(m.attrs["rows"] == "n_in" for m in matmuls)
         assert matmuls[-1].attrs.get("pft") is True
         assert g.only("search").parallelizable
-        assert g.only("reduce_max").phase == "A"
-        sub = g.only("subtract")
-        assert sub.attrs["mode"] == "post" and sub.attrs["rows"] == "n_out"
+        # The module's reduce_max is absorbed: the aggregate reduces.
+        agg = g.only("aggregate")
+        assert agg.attrs["reduce"] is True and agg.phase == "A"
+        assert agg.inputs[0] == matmuls[-1].id
+        assert (agg.attrs["rows"], agg.attrs["dim"]) == ("n_out", 24)
+        assert agg.attrs["feature_dim"] == 24
+        assert g.outputs == (agg.id,)
 
     def test_limit_hoists_only_first_layer(self):
         g = limit_delay(build_module_graph(SPEC))
@@ -219,8 +228,11 @@ class TestPasses:
         assert matmuls[0].attrs["rows"] == "n_in" and matmuls[0].parallelizable
         assert matmuls[1].attrs["rows"] == "n_out*k"
         assert not matmuls[1].parallelizable
-        assert len(g.find("epilogue")) == 1
-        assert g.only("subtract").attrs["mode"] == "pre"
+        agg = g.only("aggregate")
+        assert agg.attrs["reduce"] is False
+        assert agg.inputs[0] == matmuls[0].id
+        assert agg.attrs["dim"] == agg.attrs["feature_dim"] == 16
+        assert [n.kind for n in g.consumers(agg.id)] == ["epilogue"]
 
     def test_flags_tell_the_strategy_story(self):
         # The flag is the one description of N/F overlap: original order
@@ -235,19 +247,12 @@ class TestPasses:
         assert sorted(flagged("delayed")) == ["matmul"] * n_layers + ["search"]
         assert sorted(flagged("limited")) == ["matmul", "search"]
 
-    def test_fuse_produces_single_aggregate(self):
+    def test_every_strategy_has_one_aggregate(self):
         for strategy in STRATEGIES:
             g = module_graph(SPEC, strategy)
             agg = g.only("aggregate")
             assert agg.attrs["reduce"] == (strategy == "delayed")
-            assert not g.find("gather")
-            assert not g.find("subtract")
-
-    def test_fuse_is_an_independent_pass(self):
-        fused = fuse_aggregation(delay_aggregation(build_module_graph(SPEC)))
-        agg = fused.only("aggregate")
-        assert agg.attrs["reduce"] is True
-        assert fused.outputs == (agg.id,)
+            assert len(g.find("reduce_max")) == (strategy != "delayed")
 
     def test_dce_drops_unreachable_node(self):
         g = build_module_graph(SPEC)
@@ -287,9 +292,10 @@ class TestPasses:
     def test_graph_passes_idempotent(self, name):
         """Every pass applied twice is a structural no-op, on every network.
 
-        The strategy rewrites apply to raw (pre-``fuse_aggregation``)
-        module graphs; the aggregation fusion and DCE apply to the lowered
-        whole-network graphs the executors actually run.
+        The strategy rewrites apply to raw module graphs, and (with
+        DCE) to the lowered whole-network graphs the executors actually
+        run: a rewritten network graph is a fixed point of its own
+        strategy's rewrite.
         """
         def signature(graph):
             return ([(n.id, n.kind, n.inputs, n.attrs, n.phase)
@@ -304,11 +310,14 @@ class TestPasses:
             for pass_fn in (delay_aggregation, limit_delay):
                 once = pass_fn(raw)
                 assert signature(pass_fn(once)) == signature(once)
+        rewrites = {"delayed": delay_aggregation, "limited": limit_delay}
         for strategy in STRATEGIES:
             graph = net.network_graph(strategy).graph
-            for pass_fn in (fuse_aggregation, dead_code_elimination):
-                once = pass_fn(graph)
-                assert signature(pass_fn(once)) == signature(once)
+            once = dead_code_elimination(graph)
+            assert signature(dead_code_elimination(once)) == signature(once)
+            if strategy in rewrites:
+                assert signature(rewrites[strategy](graph)) == \
+                    signature(graph)
 
 
 class LoggingExecutor(GraphExecutor):
@@ -371,7 +380,7 @@ class TestNodeOrder:
         built = build_module_graph(sa1_spec())
         sample = built.only("sample").id
         assert [n.kind for n in built.consumers(sample)] == ["search",
-                                                             "subtract"]
+                                                             "aggregate"]
         for strategy in STRATEGIES:
             graph = module_graph(sa1_spec(), strategy)
             sample = graph.only("sample").id
