@@ -30,7 +30,8 @@ pre-packed parameter table (:mod:`repro.backend.params`):
   executor's programs share it across threads;
 * centroid sampling is resolved at compile time (it is a deterministic
   function of the static graph shapes), and neighbor searches run in
-  the backend's dtype — the engine's
+  the backend's dtype — through the neighbor-index cache a run is
+  handed (``run(coords, cache=...)``), else brute force.  The engine's
   :class:`~repro.engine.cache.NeighborIndexCache` keys on that dtype,
   so float32 and float64 programs never share cache entries.
 
@@ -58,7 +59,7 @@ import threading
 import numpy as np
 
 from ..graph.network import MODULE_KINDS
-from ..neighbors import neighbor_search
+from ..neighbors import knn_brute_force
 from .array import get_backend
 from .memplan import (
     ArenaPlan,
@@ -72,6 +73,15 @@ from .memplan import (
 from .params import ParameterTable
 
 __all__ = ["KernelProgram", "NetworkKernelExecutor", "compile_kernel_program"]
+
+
+def _knn(cache, points, queries, k, dtype=None, tag=None):
+    """The runtime's one neighbor search: through the run's cache when
+    it has one (keyed on ``tag`` instead of the queries when given),
+    else brute force."""
+    if cache is None:
+        return knn_brute_force(points, queries, k, dtype=dtype)
+    return cache.knn(points, queries, k, dtype=dtype, tag=tag)
 
 
 class _MeasuringPool:
@@ -316,9 +326,8 @@ class KernelProgram:
             else:
                 space = env[coords_id]
             queries = space[:, local]
-            indices, _ = neighbor_search(
-                space, queries, k, dtype=dtype, tag=signature
-            )
+            indices, _ = _knn(ctx["cache"], space, queries, k, dtype=dtype,
+                              tag=signature)
             base = (np.arange(ctx["batch"], dtype=np.int64) * n_in)
             rows = (indices + base[:, None, None]).reshape(
                 ctx["batch"] * indices.shape[1], k
@@ -522,9 +531,10 @@ class KernelProgram:
             # out in the max-reduction), interpolation consumes the
             # *distances* — inverse-distance weights shift whenever a
             # float32 search reorders near-tied coarse neighbors.  Keep
-            # propagation searches at neighbor_search's float64 default
+            # propagation searches at the brute kernel's float64 default
             # so the float32 backend stays within its logit tolerance.
-            idx, dist = neighbor_search(coarse_coords, fine_coords, k)
+            # Untagged: the cache keys on the fine coords themselves.
+            idx, dist = _knn(ctx["cache"], coarse_coords, fine_coords, k)
             weights = 1.0 / np.maximum(dist, 1e-8)
             weights = weights / weights.sum(axis=-1, keepdims=True)
             weights = weights.astype(backend.dtype, copy=False)
@@ -610,7 +620,7 @@ class KernelProgram:
         pool.bind(height, self._plan_at(height))
         return pool, None
 
-    def run(self, coords, on_kernel=None):
+    def run(self, coords, on_kernel=None, cache=None):
         """Execute the program over a ``(batch, n, 3)`` stack of clouds.
 
         Returns the network outputs as inference :class:`~repro.neural.Tensor`
@@ -623,7 +633,11 @@ class KernelProgram:
         any thread, executes out of the calling thread's arena,
         bit-identically.  ``on_kernel(pos, label, env, ctx)``, when
         given, is invoked after each kernel — the hook the aliasing tests
-        use to corrupt dead arena regions mid-run.
+        use to corrupt dead arena regions mid-run.  ``cache``, when
+        given, is the :class:`~repro.engine.cache.NeighborIndexCache`
+        every neighbor search of this run consults; it belongs to the
+        run, not the program, so replicas sharing one program each bring
+        their own.
         """
         from ..neural import Tensor
 
@@ -642,6 +656,7 @@ class KernelProgram:
             "crows": {},
             "alloc": alloc,
             "pos": 0,
+            "cache": cache,
         }
         env = {}
         seen = set()
@@ -817,6 +832,7 @@ class NetworkKernelExecutor:
             self._programs[key] = entry
         return entry[1]
 
-    def run_network(self, ngraph, network, coords):
-        """Execute ``ngraph`` over a ``(B, n, 3)`` stack of clouds."""
-        return self.program(ngraph, network).run(coords)
+    def run_network(self, ngraph, network, coords, cache=None):
+        """Execute ``ngraph`` over a ``(B, n, 3)`` stack of clouds,
+        searching through ``cache`` when one is given."""
+        return self.program(ngraph, network).run(coords, cache=cache)

@@ -307,9 +307,18 @@ _NETWORK = {"type": _network_name, "metavar": "NETWORK"}
 
 def _port(text):
     """Parse-time check of ``--port``: a TCP port number, 0 = any free."""
-    if not (text.isdigit() and int(text) <= 65535):
+    if not (text.isdecimal() and int(text) <= 65535):
         raise argparse.ArgumentTypeError(
             f"port must be an integer in 0..65535, got {text!r}")
+    return int(text)
+
+
+def _cache_size(text):
+    """Parse-time check of ``--cache-size``: entries, 0 = no cache."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            "cache size must be a non-negative integer (0 disables "
+            f"caching), got {text!r}")
     return int(text)
 
 
@@ -373,7 +382,7 @@ def build_parser():
                          choices=("float32", "float64"),
                          help="precision of the compiled kernel program "
                               "requests drain through")
-    p_serve.add_argument("--cache-size", type=int, default=256,
+    p_serve.add_argument("--cache-size", type=_cache_size, default=256,
                          help="total neighbor-index cache entries (0 "
                               "disables caching; with --shards the budget "
                               "is partitioned across the replicas)")

@@ -7,12 +7,12 @@ every time.  The cache keys on *content* — a digest of the cloud and
 query arrays plus (k, dtype) — so any repeated query skips the search
 entirely, no matter which code path issues it.
 
-Plug an instance into :func:`repro.neighbors.search_context` (or a
-:class:`repro.engine.BatchRunner`) and every search in scope consults
-it.  A stack resolves each *distinct* cloud once: hits (and a stack's
-own repeats of one cloud) are served from the table, and only the
-still-missing distinct clouds are recomputed, together, through the
-batched brute-force kernel.
+Hand an instance to a :class:`repro.engine.BatchRunner` (or to
+:meth:`repro.backend.KernelProgram.run` as ``cache=``) and every search
+of those runs consults it.  A stack resolves each *distinct* cloud
+once: hits (and a stack's own repeats of one cloud) are served from the
+table, and only the still-missing distinct clouds are recomputed,
+together, through the batched brute-force kernel.
 
 The cache is thread-safe, and every lookup — single cloud or stack —
 is *single-flight*: when several identical searches are in flight

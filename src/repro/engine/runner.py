@@ -4,8 +4,8 @@ This is the serving front door the ROADMAP's scaling work builds on: it
 stacks B clouds into a (B, N, 3) array and runs the whole stack through
 the network's strategy-rewritten whole-network graph
 (``network.network_graph(strategy)``), compiled into a
-:class:`~repro.backend.KernelProgram`, and scopes the neighbor-index
-cache over every search that program issues.  The batched graph
+:class:`~repro.backend.KernelProgram`, handing the program its
+neighbor-index cache as an argument of every run.  The batched graph
 interpreter (:meth:`~repro.networks.base.PointCloudNetwork.forward_batch`)
 is not a serving path: it trains, and it is the oracle the float64
 program is held to bit for bit.
@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core import STRATEGIES
-from ..neighbors import search_context
 from ..neural import Tensor, no_grad
 
 __all__ = ["BatchResult", "BatchRunner"]
@@ -146,9 +145,6 @@ class BatchRunner:
             )
         return batch
 
-    def _context(self):
-        return search_context(cache=self.cache)
-
     def _result(self, outputs, batch_size, seconds):
         # A program returns a Tensor, or a dict of them for detection.
         if isinstance(outputs, dict):
@@ -167,9 +163,10 @@ class BatchRunner:
         through the compiled kernel program."""
         batch = self._stack(clouds)
         start = time.perf_counter()
-        with no_grad(), self._context():
+        with no_grad():
             outputs = self._kernel_executor.run_network(
                 self.network.network_graph(self.strategy), self.network, batch,
+                cache=self.cache,
             )
         return self._result(outputs, len(batch), time.perf_counter() - start)
 

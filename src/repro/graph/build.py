@@ -13,6 +13,9 @@ Aggregation is one ``aggregate`` node from the start: the NIT-driven
 gather and the centroid subtraction (and, once delayed, the max-reduce
 between them) are one pass, the granularity the paper's Aggregation
 Unit consumes (§V-B), and the form every consumer of the graph reads.
+Its attrs name each size once — ``n_centroids``, ``k``, ``table_rows``
+and the feature width ``dim`` — and the rows it writes follow from them
+and ``reduce``: ``n_centroids`` once reduced, else ``n_centroids * k``.
 """
 
 from __future__ import annotations
@@ -68,10 +71,8 @@ def build_module_graph(spec):
         attrs={
             "n_centroids": "n_out",
             "k": "k",
-            "feature_dim": dims[0],
             "table_rows": "n_in",
             "reduce": False,
-            "rows": "n_out*k",
             "dim": dims[0],
         },
     )

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.module import ModuleOutput
-from ..neighbors import neighbor_search
+from ..neighbors import knn_brute_force
 from ..neural import Tensor, concat
 from ..neural.layers import Linear, segment_layers
 from .network import MODULE_KINDS
@@ -183,11 +183,8 @@ class GraphExecutor:
                 space = coords
             else:
                 space = features.data.reshape(batch, n_in, module.spec.in_dim)
-            # The queries are the node's own deterministic centroid
-            # draw, so its signature keys the neighbor-index cache.
-            local, _ = neighbor_search(
+            local, _ = knn_brute_force(
                 space, space[:, state["centroid_local"]], module.spec.k,
-                tag=node.attrs.get("signature"),
             )
             rows = (local + self._row_base(coords)[:, None]).reshape(
                 batch * local.shape[1], local.shape[2]

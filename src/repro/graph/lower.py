@@ -66,17 +66,22 @@ def lower_graph(graph, trace, env, name=None):
                 in_dim=dim(attrs["in_dim"]), out_dim=dim(attrs["out_dim"]),
             ))
         elif node.kind == "reduce_max":
-            trace.add(_reduce_op(node.phase, name, attrs, dim))
+            trace.add(ReduceMaxOp(node.phase, name,
+                                  n_centroids=dim(attrs["n_centroids"]),
+                                  k=dim(attrs["k"]),
+                                  feature_dim=dim(attrs["feature_dim"])))
         elif node.kind == "aggregate":
-            trace.add(GatherOp("A", name,
-                               n_centroids=dim(attrs["n_centroids"]),
-                               k=dim(attrs["k"]),
-                               feature_dim=dim(attrs["feature_dim"]),
+            n_centroids, k = dim(attrs["n_centroids"]), dim(attrs["k"])
+            width = dim(attrs["dim"])
+            trace.add(GatherOp("A", name, n_centroids=n_centroids, k=k,
+                               feature_dim=width,
                                table_rows=dim(attrs["table_rows"])))
             if attrs["reduce"]:
-                trace.add(_reduce_op("A", name, attrs, dim))
-            trace.add(SubtractOp("A", name, rows=dim(attrs["rows"]),
-                                 dim=dim(attrs["dim"])))
+                trace.add(ReduceMaxOp("A", name, n_centroids=n_centroids,
+                                      k=k, feature_dim=width))
+            # One offset row per centroid once reduced, else per neighbor.
+            rows = n_centroids if attrs["reduce"] else n_centroids * k
+            trace.add(SubtractOp("A", name, rows=rows, dim=width))
         elif node.kind == "concat":
             trace.add(ConcatOp(node.phase, name, rows=dim(attrs["rows"]),
                                dim=dim(attrs["dim"])))
@@ -104,13 +109,6 @@ def lower_graph(graph, trace, env, name=None):
         else:
             raise ValueError(f"cannot lower node kind {node.kind!r}")
     return trace
-
-
-def _reduce_op(phase, name, attrs, dim):
-    return ReduceMaxOp(phase, name,
-                       n_centroids=dim(attrs["n_centroids"]),
-                       k=dim(attrs["k"]),
-                       feature_dim=dim(attrs["feature_dim"]))
 
 
 def lower_module_trace(spec, strategy, trace, n_in=None):

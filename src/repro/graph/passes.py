@@ -160,8 +160,7 @@ def _delay_region(nodes, _alloc):
 
     srch = replace(srch, parallelizable=True)
     agg = replace(agg, inputs=(prev_id, *agg.inputs[1:]))
-    agg = agg.with_attrs(feature_dim=out_dim, reduce=True,
-                         rows=srch.attrs["n_queries"], dim=out_dim)
+    agg = agg.with_attrs(reduce=True, dim=out_dim)
     return [smp, *hoisted, srch, agg], rm.id, agg.id
 
 
@@ -184,7 +183,7 @@ def _limit_region(nodes, alloc):
                              pft=True)
     srch = replace(srch, parallelizable=True)
     agg = replace(agg, inputs=(first.id, *agg.inputs[1:]))
-    agg = agg.with_attrs(feature_dim=hidden, dim=hidden)
+    agg = agg.with_attrs(dim=hidden)
 
     region_attrs = {
         key: smp.attrs[key] for key in ("module", "label") if key in smp.attrs

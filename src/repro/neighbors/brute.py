@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["knn_brute_force", "pairwise_squared_distances"]
+__all__ = ["knn_brute_force", "neighbor_search", "pairwise_squared_distances"]
 
 #: Query rows per distance block: 256 rows x 4096 points x 8 bytes = 8 MB
 #: worst case, comfortably inside the last-level cache for typical N.
@@ -190,3 +190,8 @@ def knn_brute_force(points, queries, k, dtype=None, block=_DEFAULT_BLOCK):
     for b in range(batch):
         out_i[b], out_d[b] = _knn_one_cloud(points[b], queries[b], k, block)
     return out_i, out_d
+
+
+#: Another name for :func:`knn_brute_force`, kept for the benchmark
+#: ledger's ``neighbors.knn_ms`` probe, its one remaining reader.
+neighbor_search = knn_brute_force

@@ -30,7 +30,7 @@ import numpy as np
 
 from ..core import ModuleSpec
 from ..graph import build_network_graph
-from ..neighbors import neighbor_search
+from ..neighbors import knn_brute_force
 from ..neural import Dropout, Linear, Module, ReLU, Sequential, Tensor, concat
 
 __all__ = [
@@ -130,7 +130,7 @@ class FeaturePropagation(Module):
         batch, n_fine = fine_coords.shape[0], fine_coords.shape[1]
         n_coarse = coarse_coords.shape[1]
         k = min(self.K, n_coarse)
-        idx, dist = neighbor_search(coarse_coords, fine_coords, k)  # (B, nf, k)
+        idx, dist = knn_brute_force(coarse_coords, fine_coords, k)  # (B, nf, k)
         weights = 1.0 / np.maximum(dist, 1e-8)
         weights = weights / weights.sum(axis=-1, keepdims=True)
         row_base = (np.arange(batch, dtype=np.int64) * n_coarse)[:, None, None]

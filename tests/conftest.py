@@ -10,7 +10,7 @@ import numpy as np
 
 from repro.core import ModuleSpec
 from repro.core.module import ModuleOutput
-from repro.neighbors import neighbor_search
+from repro.neighbors import knn_brute_force
 from repro.networks import build_network
 from repro.networks.generic import GenericPointCloudNetwork
 from repro.neural import no_grad
@@ -102,7 +102,7 @@ def reference_module_forward(module, coords, feats, strategy):
     centroid_idx = module._sample_centroids(n_in)
     out_coords = coords[centroid_idx]
     space = coords if spec.search_space == "coords" else feats.data
-    indices, _ = neighbor_search(space, space[centroid_idx], spec.k)
+    indices, _ = knn_brute_force(space, space[centroid_idx], spec.k)
 
     if strategy == "original":
         k, m_in = spec.k, spec.in_dim

@@ -466,15 +466,16 @@ class TestDtypePropagation:
         from repro.backend import runtime
 
         searched = []
+        real = runtime.knn_brute_force
 
         def recording_search(*args, **kwargs):
-            indices, distances = neighbor_search(*args, **kwargs)
+            indices, distances = real(*args, **kwargs)
             searched.append(distances.dtype)
             return indices, distances
 
         net = toy("PointNet++ (c)")
         program = compile_kernel_program(net, "delayed", backend)
-        monkeypatch.setattr(runtime, "neighbor_search", recording_search)
+        monkeypatch.setattr(runtime, "knn_brute_force", recording_search)
         program.run(clouds_for(net, 2))
         assert searched == [np.dtype(dtype)] * len(net.encoder)
 

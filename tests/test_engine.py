@@ -6,7 +6,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from conftest import assert_bit_exact, interpret, toy
+from conftest import assert_bit_exact, clouds_for, interpret, toy
+from repro.backend import NetworkKernelExecutor
 from repro.engine import (
     BatchRunner,
     NeighborIndexCache,
@@ -18,9 +19,7 @@ from repro.neighbors import (
     KDTree,
     ball_query,
     knn_brute_force,
-    neighbor_search,
     pairwise_squared_distances,
-    search_context,
 )
 from repro.networks import ALL_NETWORKS, build_network
 
@@ -176,54 +175,58 @@ class TestBatchedBall:
                 assert (idx[b, row, len(kept):] == kept[0]).all()
 
 
-class TestSearchContext:
+class TestCacheArgument:
     @pytest.mark.parametrize("cached", [False, True])
-    def test_neighbor_search_rejects_bad_k(self, cached):
+    def test_a_bad_k_raises_through_both_searches(self, cached):
         # The cache computes through knn_brute_force, whose validation
         # is the only one: a bad k raises on both paths and leaves no
         # claim behind.
         cloud = random_clouds(1, 6, seed=22)[0]
         cache = NeighborIndexCache(maxsize=8)
-        with search_context(cache=cache if cached else None):
-            for k in (9, 0):
-                with pytest.raises(ValueError):
-                    neighbor_search(cloud, cloud, k)
-                with pytest.raises(ValueError):
-                    neighbor_search(cloud[None], cloud[None], k)
+        search = cache.knn if cached else knn_brute_force
+        for k in (9, 0):
+            with pytest.raises(ValueError):
+                search(cloud, cloud, k)
+            with pytest.raises(ValueError):
+                search(cloud[None], cloud[None], k)
         assert not cache._pending and len(cache) == 0
 
-    def test_search_context_scopes_caches(self):
-        a, b = NeighborIndexCache(maxsize=8), NeighborIndexCache(maxsize=8)
-        clouds = random_clouds(3, 40, seed=21)
-
-        def search(i):
-            return neighbor_search(clouds[i], clouds[i][:5], 3)
-
-        with search_context(cache=a):
-            search(0)
-            with search_context(cache=b):
-                search(1)
-                with search_context():  # None keeps the enclosing cache
-                    search(1)
-            search(2)
-        search(0)  # outside every scope: no cache at all
-        assert (a.misses, a.hits, len(a)) == (2, 0, 2)
-        assert (b.misses, b.hits, len(b)) == (1, 1, 1)
+    def test_runners_fill_only_their_own_cache(self):
+        net = toy("PointNet++ (c)")
+        clouds = clouds_for(net, 3, seed=21)
+        a, b = NeighborIndexCache(maxsize=16), NeighborIndexCache(maxsize=16)
+        BatchRunner(net, cache=a).run(clouds[0:1])
+        runner_b = BatchRunner(net, cache=b)
+        runner_b.run(clouds[1:2])
+        runner_b.run(clouds[1:2])
+        BatchRunner(net, cache=a).run(clouds[2:3])
+        BatchRunner(net).run(clouds[0:1])  # no cache at all
+        m = len(net.encoder)
+        assert (a.misses, a.hits, len(a)) == (2 * m, 0, 2 * m)
+        assert (b.misses, b.hits, len(b)) == (m, m, m)
+        assert content_digest(clouds[1]) in {key[0] for key in b._entries}
+        assert {key[0] for key in a._entries}.isdisjoint(
+            {key[0] for key in b._entries})
 
     def test_threads_fill_only_their_own_cache(self):
-        clouds = random_clouds(4, 48, seed=23)
-        caches = [NeighborIndexCache(maxsize=16) for _ in range(2)]
+        # Two runners on two threads share one program, as a shard
+        # fleet's replicas do; each run searches through its own cache.
+        net = toy("PointNet++ (c)")
+        clouds = clouds_for(net, 4, seed=23)
+        caches = [NeighborIndexCache(maxsize=32) for _ in range(2)]
+        executor = NetworkKernelExecutor()
+        runners = [BatchRunner(net, cache=cache, executor=executor)
+                   for cache in caches]
         barrier = threading.Barrier(2)
         errors = []
 
         def serve(slot):
             try:
-                with search_context(cache=caches[slot]):
-                    barrier.wait(timeout=30)
-                    for cloud in clouds[slot::2]:
-                        for _ in range(3):
-                            neighbor_search(cloud, cloud[:6], 4)
-                            barrier.wait(timeout=30)  # interleave the two
+                barrier.wait(timeout=30)
+                for cloud in clouds[slot::2]:
+                    for _ in range(3):
+                        runners[slot].run(cloud[None])
+                        barrier.wait(timeout=30)  # interleave the two
             except Exception as exc:  # pragma: no cover - diagnostic
                 errors.append(exc)
 
@@ -234,10 +237,31 @@ class TestSearchContext:
         for t in threads:
             t.join(timeout=60)
         assert not any(t.is_alive() for t in threads) and not errors
+        m = len(net.encoder)
         for slot, cache in enumerate(caches):
-            assert (cache.misses, cache.hits, len(cache)) == (2, 4, 2)
+            assert (cache.misses, cache.hits, len(cache)) == (2 * m, 4 * m, 2 * m)
             own = {content_digest(c) for c in clouds[slot::2]}
-            assert {key[0] for key in cache._entries} == own
+            other = {content_digest(c) for c in clouds[1 - slot::2]}
+            searched = {key[0] for key in cache._entries}
+            assert own <= searched and other.isdisjoint(searched)
+
+    def test_segmentation_propagate_searches_go_through_the_cache(self):
+        # Beside its tagged module searches, PointNet++ (s) issues one
+        # untagged search per propagation level, keyed on its queries.
+        net = toy("PointNet++ (s)")
+        graph = net.network_graph("delayed").graph
+        assert len(graph.find("propagate")) == 3
+        clouds = clouds_for(net, 2, seed=24)
+        cache = NeighborIndexCache(maxsize=64)
+        runner = BatchRunner(net, cache=cache)
+        first = runner.run(clouds).outputs
+        m, per_cloud = len(net.encoder), len(net.encoder) + 3
+        assert (cache.misses, cache.hits) == (2 * per_cloud, 0)
+        tagged = [key for key in cache._entries if key[1][0] == "tag"]
+        assert len(tagged) == 2 * m and len(cache) == 2 * per_cloud
+        second = runner.run(clouds).outputs
+        assert (cache.misses, cache.hits) == (2 * per_cloud, 2 * per_cloud)
+        np.testing.assert_array_equal(first, second)
 
 
 class TestNeighborIndexCache:
@@ -317,15 +341,6 @@ class TestNeighborIndexCache:
         assert content_digest(a) == content_digest(a.copy())
         assert content_digest(a) != content_digest(a.astype(np.float32))
         assert content_digest(a) != content_digest(a[:5])
-
-    def test_cache_inside_search_context(self):
-        cache = NeighborIndexCache(maxsize=32)
-        cloud = random_clouds(1, 60, seed=35)[0]
-        with search_context(cache=cache):
-            i1, _ = neighbor_search(cloud, cloud[:8], 3)
-            i2, _ = neighbor_search(cloud, cloud[:8], 3)
-        assert cache.hits == 1
-        np.testing.assert_array_equal(i1, i2)
 
 
 class TestCacheSingleFlight:

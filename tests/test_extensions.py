@@ -146,7 +146,11 @@ class TestCLI:
          "'mesorasi_hw_nse')"),
         (["train", "--epochs", "0"], "--epochs must be at least 1, got 0"),
         (["train", "--epochs=-1"], "--epochs must be at least 1, got -1"),
-    ], ids=["simulate --config bogus", "train --epochs 0", "train --epochs -1"])
+        (["serve", "--cache-size=-1"],
+         "argument --cache-size: cache size must be a non-negative integer "
+         "(0 disables caching), got '-1'"),
+    ], ids=["simulate --config bogus", "train --epochs 0", "train --epochs -1",
+            "serve --cache-size -1"])
     def test_a_bad_option_value_is_one_error_line(self, argv, reason):
         # Refused before any work starts: no traceback, nothing on
         # stdout, exit 2 as for an argparse error.
@@ -157,7 +161,12 @@ class TestCLI:
             text=True, timeout=120, env=env,
         )
         assert (done.returncode, done.stdout) == (2, "")
-        assert done.stderr == f"repro {argv[0]}: error: {reason}\n"
+        error = f"repro {argv[0]}: error: {reason}\n"
+        usage, tail = done.stderr[:-len(error)], done.stderr[-len(error):]
+        assert tail == error
+        # Only argparse's own refusals print the command's usage first.
+        assert usage == "" or (reason.startswith("argument ")
+                               and usage.startswith(f"usage: repro {argv[0]} "))
 
     @pytest.mark.parametrize("config", [
         "gpu", "baseline", "mesorasi_sw", "mesorasi_hw", "baseline_nse",

@@ -23,7 +23,6 @@ from repro.graph import (
     run_pipeline,
     shape_env,
 )
-from repro.neighbors import search_context
 from repro.networks import ALL_NETWORKS, build_network
 from repro.neural import Tensor, no_grad
 from repro.profiling.trace import (
@@ -176,7 +175,9 @@ class TestIR:
         assert agg.attrs["reduce"] is False and agg.phase == "A"
         assert agg.inputs == (g.only("input").id, g.only("search").id,
                               g.only("sample").id)
-        assert (agg.attrs["rows"], agg.attrs["dim"]) == ("n_out*k", 3)
+        assert (agg.attrs["n_centroids"], agg.attrs["k"]) == ("n_out", "k")
+        assert (agg.attrs["table_rows"], agg.attrs["dim"]) == ("n_in", 3)
+        assert not {"rows", "feature_dim"} & set(agg.attrs)
         assert g.only("reduce_max").phase == "F"
 
     def test_validate_rejects_a_node_waiting_on_a_later_one(self):
@@ -217,8 +218,7 @@ class TestPasses:
         agg = g.only("aggregate")
         assert agg.attrs["reduce"] is True and agg.phase == "A"
         assert agg.inputs[0] == matmuls[-1].id
-        assert (agg.attrs["rows"], agg.attrs["dim"]) == ("n_out", 24)
-        assert agg.attrs["feature_dim"] == 24
+        assert agg.attrs["dim"] == 24
         assert g.outputs == (agg.id,)
 
     def test_limit_hoists_only_first_layer(self):
@@ -231,7 +231,7 @@ class TestPasses:
         agg = g.only("aggregate")
         assert agg.attrs["reduce"] is False
         assert agg.inputs[0] == matmuls[0].id
-        assert agg.attrs["dim"] == agg.attrs["feature_dim"] == 16
+        assert agg.attrs["dim"] == 16
         assert [n.kind for n in g.consumers(agg.id)] == ["epilogue"]
 
     def test_flags_tell_the_strategy_story(self):
@@ -612,16 +612,16 @@ class TestPlansAndCache:
         net = build_network("PointNet++ (c)", num_classes=4, scale=0.0625)
         cloud = np.random.default_rng(9).normal(size=(net.n_points, 3))
         cache = NeighborIndexCache(maxsize=64)
-        with search_context(cache=cache):
-            first = net.forward(cloud, strategy="delayed")
-            assert cache.misses == 3 and cache.hits == 0
-            second = net.forward(cloud, strategy="delayed")
+        runner = BatchRunner(net, strategy="delayed", cache=cache)
+        first = runner.run(cloud[None]).outputs
+        assert cache.misses == 3 and cache.hits == 0
+        second = runner.run(cloud[None]).outputs
         assert cache.hits == 3
         # Tagged keys replace the query digest; entries must not be
         # duplicated under both forms.
         assert len(cache) == 3
         assert all(key[1][0] == "tag" for key in cache._entries)
-        np.testing.assert_allclose(first.data, second.data, atol=0)
+        np.testing.assert_array_equal(first, second)
 
     def test_search_signature_shared_across_strategies(self):
         # The search is strategy-independent, so a delayed warm-up
@@ -629,10 +629,9 @@ class TestPlansAndCache:
         net = build_network("PointNet++ (c)", num_classes=4, scale=0.0625)
         cloud = np.random.default_rng(10).normal(size=(net.n_points, 3))
         cache = NeighborIndexCache(maxsize=64)
-        with search_context(cache=cache):
-            net.forward(cloud, strategy="delayed")
-            misses = cache.misses
-            net.forward(cloud, strategy="original")
+        BatchRunner(net, strategy="delayed", cache=cache).run(cloud[None])
+        misses = cache.misses
+        BatchRunner(net, strategy="original", cache=cache).run(cloud[None])
         assert cache.misses == misses
 
 

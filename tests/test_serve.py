@@ -868,6 +868,8 @@ class TestHostileRequests:
         (["--port", "-1"], "port must be an integer in 0..65535, got '-1'"),
         (["--port", "65536"],
          "port must be an integer in 0..65535, got '65536'"),
+        # A superscript digit is a digit to str.isdigit, not to int().
+        (["--port", "\u00b2"], "port must be an integer in 0..65535, got '\u00b2'"),
     ])
     def test_bad_configuration_is_one_error_line(self, argv, reason):
         assert reason in self._refused_serve(argv)
