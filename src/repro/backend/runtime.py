@@ -752,31 +752,6 @@ class KernelProgram:
             "peak_live_bytes": plan.peak_live_bytes,
         }
 
-    def module_working_sets(self, plan):
-        """Peak planned live bytes per module region under ``plan``.
-
-        Buckets the arena plan's per-position live bytes by the
-        executing kernel's network module (the graph node's ``module``
-        attr; head/aggregation kernels outside any module bucket under
-        ``"head"``) and keeps each bucket's maximum — the memory a
-        worker slot must actually provision for that region of the
-        network.  The placement planner bin-packs replicas against the
-        sum of these peaks plus the packed parameter table
-        (:attr:`table`), which is the other resident component of a
-        replica's working set.
-        """
-        module_of = {
-            node.id: node.attrs.get("module")
-            for node in self.ngraph.graph.nodes
-        }
-        regions = {}
-        for pos in range(len(self._kernels)):
-            midx = module_of.get(self._liveness.lead_node[pos])
-            label = "head" if midx is None else f"module{midx}"
-            regions[label] = max(regions.get(label, 0),
-                                 plan.live_bytes_at(pos))
-        return regions
-
     @property
     def kernel_labels(self):
         """The compiled kernel labels, in execution order."""

@@ -17,8 +17,8 @@ train [--network N] [--strategy S] [--epochs E]
     Train a scaled-down classifier on the synthetic dataset.
 serve [--network N ...] [--max-batch B] [--port P]
     Long-lived continuous-batching server (stdin or TCP JSON lines).
-    ``--shards N`` fronts N placement-planned replica servers with the
-    cache-affinity shard router.  Its latency and throughput are
+    ``--shards N`` fronts N replica servers with the cache-affinity
+    shard router.  Its latency and throughput are
     measured by ``benchmarks/ledger/README.md``.
 
 This module holds the parser and ``serve``; the other command bodies
@@ -110,8 +110,7 @@ def _serve_handle_line(server, line, emit):
 
 
 def _build_server(args):
-    """The server ``args`` describe; a bad configuration is a ValueError
-    (or, for a memory budget no replica fits, a ``PlacementError``)."""
+    """The server ``args`` describe; a bad configuration is a ValueError."""
     from .engine.cache import NeighborIndexCache
     from .serve import BatchPolicy, Server
 
@@ -132,12 +131,7 @@ def _build_server(args):
             backend=args.serve_backend,
             policy=policy,
             cache_size=args.cache_size,
-            memory_budget_mb=args.memory_budget_mb,
         )
-    if args.memory_budget_mb is not None:
-        raise ValueError(
-            "--memory-budget-mb budgets the placement planner's slots, "
-            "so it needs --shards above 1")
     cache = NeighborIndexCache(maxsize=args.cache_size) \
         if args.cache_size else None
     return Server.hosting(
@@ -384,16 +378,14 @@ def build_parser():
                               "requests drain through")
     p_serve.add_argument("--cache-size", type=_cache_size, default=256,
                          help="total neighbor-index cache entries (0 "
-                              "disables caching; with --shards the budget "
-                              "is partitioned across the replicas)")
+                              "disables caching; with --shards the total "
+                              "is split evenly across the replicas, so it "
+                              "must be at least their count)")
     p_serve.add_argument("--shards", type=int, default=1,
-                         help="worker slots the placement planner "
-                              "bin-packs replicas into; above 1 the "
-                              "cache-affinity shard router fronts the "
-                              "replica fleet")
-    p_serve.add_argument("--memory-budget-mb", type=float, default=None,
-                         help="per-slot working-set budget for the "
-                              "placement planner (default: unbounded)")
+                         help="replica servers, at most 64, each hosting "
+                              "one network round-robin; above 1 the "
+                              "shard router fronts them, sending each "
+                              "cloud to the replica its content picks")
 
     return parser
 

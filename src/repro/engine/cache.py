@@ -284,12 +284,14 @@ class PartitionedIndexCache:
             raise ValueError("shards must be positive")
         if maxsize <= 0:
             raise ValueError("maxsize must be positive")
+        if maxsize < shards:
+            raise ValueError(
+                f"cache size {maxsize} is smaller than the {shards} shards "
+                "it is split across (each needs at least one entry; 0 "
+                "disables caching)")
         self.maxsize = int(maxsize)
-        # Budget splits across partitions; every shard gets at least
-        # one slot so a tiny budget still caches *something* per shard.
-        per_shard = max(1, self.maxsize // shards)
         self._shards = tuple(
-            NeighborIndexCache(per_shard) for _ in range(shards)
+            NeighborIndexCache(self.maxsize // shards) for _ in range(shards)
         )
 
     @property

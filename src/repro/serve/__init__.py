@@ -13,10 +13,10 @@ bit-exact against a direct :class:`~repro.engine.runner.BatchRunner`
 call on its cloud alone.
 
 Sharded serving layers on top (:mod:`repro.serve.shard`):
-:func:`plan_placement` bin-packs (network, shape-class) replicas onto
-worker slots by measured working-set bytes, and :class:`ShardRouter`
-fronts the resulting replica :class:`Server` fleet — routing each
-request to its shape class, with consistent-hash cache affinity so
+:func:`plan_placement` numbers a fixed fleet of replicas, round-robin
+over the hosted networks, and :class:`ShardRouter` fronts the replica
+:class:`Server` fleet — routing each request to its shape class, then
+to the replica its content digest picks (modulo the replica count) so
 repeated clouds land on the shard whose partition of the neighbor-index
 cache already holds their index.
 
@@ -37,11 +37,8 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "ServerClosed": "queue",
     "Server": "server",
     "ServeResponse": "server",
-    "HashRing": "shard",
-    "PlacementError": "shard",
     "PlacementPlan": "shard",
     "Replica": "shard",
     "ShardRouter": "shard",
     "plan_placement": "shard",
-    "replica_working_set": "shard",
 })

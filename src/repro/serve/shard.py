@@ -1,51 +1,43 @@
-"""Sharded serving: placement planning and cache-affinity routing.
+"""Sharded serving: a fixed replica fleet and cache-affinity routing.
 
-PR 6's :class:`~repro.serve.server.Server` drives a single dispatch
-pipeline — one dispatcher thread, one runner per shape, one
-:class:`~repro.engine.cache.NeighborIndexCache` that every worker
-would have to duplicate.  This module scales that frontend out without
-giving up any of its determinism guarantees:
+:class:`~repro.serve.server.Server` drives a single dispatch pipeline —
+one dispatcher thread, one runner per shape, one
+:class:`~repro.engine.cache.NeighborIndexCache`.  This module fronts N
+replicas of it without giving up any of its determinism guarantees:
 
-* :func:`plan_placement` builds a :class:`PlacementPlan`: each
-  (network, shape-class) replica is bin-packed into a worker slot
-  against a per-worker memory budget.  A replica's working set is
-  exact — the per-cloud arena plan of the program it will run, scaled
-  to ``max_batch``, plus the packed parameter table — and costs no
-  ``max_batch``-high forward pass.  When slots remain after every
-  network is placed once, the hottest shapes replicate into them.
+* :func:`plan_placement` numbers the replicas: ``max(slots,
+  len(networks))`` of them, replica ``i`` hosting ``networks[i %
+  len(networks)]``.  Replicas are threads of this process, so they run
+  the *same* compiled program over the same
+  :class:`~repro.backend.params.ParameterTable` and the same per-cloud
+  arena plan (each built once, by one
+  :class:`~repro.backend.NetworkKernelExecutor` per hosted network),
+  each out of its own thread's arena: there is no per-replica memory
+  to budget or to size.
 * :class:`ShardRouter` speaks the existing ``Server`` API (submit →
-  future → :class:`~repro.serve.server.ServeResponse`) in front of one
-  replica :class:`~repro.serve.server.Server` per plan entry.  Routing
-  is two-level: the request's ``n_points`` picks the replica set, then
-  **cache affinity** — consistent hashing on the cloud's content
-  digest over a virtual-node ring — picks the replica whose partition
-  of the :class:`~repro.engine.cache.PartitionedIndexCache` holds (or
-  will hold) that cloud's warm neighbor indices.  Repeated clouds land
-  on the same shard; the fleet builds every index once instead of once
-  per worker.
-* Replicas share one persistent thread
-  :class:`~repro.engine.parallel.ParallelRunner` dispatch pool and one
-  :class:`~repro.backend.NetworkKernelExecutor` per hosted network:
-  replicas are threads of this process, so they run the *same* compiled
-  program over the same :class:`~repro.backend.params.ParameterTable`
-  and the same per-cloud arena plan (each built once), each out of its
-  own thread's arena.
+  future → :class:`~repro.serve.server.ServeResponse`) in front of the
+  replica :class:`~repro.serve.server.Server` fleet.  Routing is
+  two-level: the request's ``n_points`` picks the replica set, then
+  **cache affinity** — the cloud's content digest modulo the size of
+  that set — picks the owner whose partition of the
+  :class:`~repro.engine.cache.PartitionedIndexCache` holds (or will
+  hold) that cloud's warm neighbor indices.  Repeated clouds land on
+  the same shard; the fleet builds every index once instead of once
+  per replica.  The fleet never changes size while it serves, so a
+  consistent-hash ring would buy nothing over the modulo.
 
-Cross-shard semantics: backpressure aggregates (a request spills along
-the ring past a full replica and only raises
-:class:`~repro.serve.queue.QueueFull` when *every* replica of its
-shape is at capacity), shutdown drains in dependency order (replicas
-first, then the shared pool, then any shared parameter files a caller
-handed over), and
+Cross-shard semantics: backpressure aggregates (a request spills past
+a full owner to the next replica of its set, in list order from the
+owner, and only raises :class:`~repro.serve.queue.QueueFull` when
+*every* replica of its shape is at capacity), shutdown drains in
+dependency order (replicas first, then the shared dispatch pool, then
+any shared parameter files a caller handed over), and
 :meth:`ShardRouter.stats` reports per-shard queue depth and cache hit
 rates next to the aggregate counters.
 """
 
 from __future__ import annotations
 
-import bisect
-import hashlib
-import random
 import threading
 from dataclasses import dataclass
 
@@ -61,52 +53,12 @@ from .batcher import BatchPolicy
 from .queue import QueueFull, ServeError
 from .server import Server
 
-__all__ = [
-    "HashRing",
-    "PlacementError",
-    "PlacementPlan",
-    "Replica",
-    "ShardRouter",
-    "plan_placement",
-    "replica_working_set",
-]
+__all__ = ["PlacementPlan", "Replica", "ShardRouter", "plan_placement"]
 
-_AFFINITIES = ("content", "random")
-
-
-class PlacementError(ServeError):
-    """No placement satisfies the per-worker memory budget."""
-
-
-# -- working sets ------------------------------------------------------------
-
-
-def replica_working_set(network, strategy="delayed", backend="float64",
-                        batch=8, executor=None):
-    """``(total_bytes, modules)`` one replica of ``network`` keeps resident.
-
-    The numbers are exact plan metadata of the program the replica runs
-    on ``backend``: its per-cloud arena plan scaled to a
-    ``(batch, N, 3)`` stack plus the packed parameter table, with
-    ``modules`` breaking the arena down into per-module peaks
-    (:meth:`~repro.backend.runtime.KernelProgram.module_working_sets`).
-    A program that has not run yet measures that plan on one zero
-    cloud — the plan depends only on shapes.  ``executor`` is the
-    :class:`~repro.backend.NetworkKernelExecutor` whose program to size
-    (the fleet's shared one) instead of a private one.
-    """
-    if executor is None:
-        from ..backend import NetworkKernelExecutor
-
-        executor = NetworkKernelExecutor(backend)
-    program = executor.program(network.network_graph(strategy), network)
-    plan = program.plan_for(
-        np.zeros((1, network.n_points, 3), dtype=program.backend.dtype),
-        height=batch,
-    )
-    modules = dict(program.module_working_sets(plan))
-    modules["parameters"] = int(program.table.nbytes)
-    return int(plan.total_bytes) + modules["parameters"], modules
+#: Most replicas one fleet starts.  Each replica is a ``Server`` whose
+#: dispatcher thread starts in its constructor, so an unbounded
+#: ``--shards`` would start that many threads before serving anything.
+MAX_SLOTS = 64
 
 
 # -- placement ---------------------------------------------------------------
@@ -114,92 +66,48 @@ def replica_working_set(network, strategy="delayed", backend="float64",
 
 @dataclass(frozen=True)
 class Replica:
-    """One (network, shape-class) assignment to a worker slot."""
+    """One replica of the fleet and the network it hosts."""
 
     shard: int
-    slot: int
     network: str
     n_points: int
-    working_set_bytes: int
-    #: ``(label, bytes)`` pairs — the per-module breakdown the working
-    #: set was summed from (kept picklable/JSON-friendly as a tuple).
-    modules: tuple
 
 
 @dataclass(frozen=True)
 class PlacementPlan:
-    """Replica-to-slot assignments for one router fleet."""
+    """The replicas of one router fleet, in shard-id order."""
 
-    slots: int
-    budget_bytes: object  # int or None
     replicas: tuple
-    #: The stack height (the servers' ``max_batch``) the sets are sized for.
-    batch: int = 8
-
-    def by_shape(self):
-        """``n_points -> (shard ids)`` — the router's first routing level."""
-        shapes = {}
-        for replica in self.replicas:
-            shapes.setdefault(replica.n_points, []).append(replica.shard)
-        return {n: tuple(ids) for n, ids in shapes.items()}
-
-    def slot_bytes(self):
-        """Provisioned working-set bytes per slot."""
-        used = [0] * self.slots
-        for replica in self.replicas:
-            used[replica.slot] += replica.working_set_bytes
-        return used
 
     def describe(self):
-        """Which replica went to which slot and what its working set was
-        summed from (``repro serve --shards`` prints it at start-up)."""
-        budget = "unbounded" if self.budget_bytes is None \
-            else f"{self.budget_bytes} B"
-        lines = [f"placement: {len(self.replicas)} replica(s) on "
-                 f"{self.slots} slot(s), budget {budget}/slot"]
-        for replica in self.replicas:
-            modules = dict(replica.modules)
-            table = modules["parameters"]
-            lines.append(
-                f"  replica {replica.shard} -> slot {replica.slot}: "
-                f"{replica.network} (n={replica.n_points}), "
-                f"{replica.working_set_bytes} B = "
-                f"{replica.working_set_bytes - table} B arena "
-                f"(per-cloud plan x {self.batch}) + {table} B table"
-            )
+        """One line per replica (``repro serve --shards`` prints it at
+        start-up)."""
+        lines = [f"placement: {len(self.replicas)} replica(s)"]
+        lines += [f"  replica {replica.shard}: {replica.network} "
+                  f"(n={replica.n_points})" for replica in self.replicas]
         return "\n".join(lines)
 
 
-def plan_placement(networks, slots, budget_bytes=None, hot=None,
-                   strategy="delayed", backend="float64", batch=8,
-                   executors=None):
-    """Bin-pack (network, shape-class) replicas into ``slots`` workers.
+def plan_placement(networks, slots, backend=None, batch=None):
+    """Number the replicas of a fleet of ``slots`` over ``networks``.
 
-    Two passes.  First, every network is placed exactly once, largest
-    working set first, into the least-loaded slot that fits
-    ``budget_bytes`` (:class:`PlacementError` when none does — an
-    impossible budget must fail loudly at plan time, not OOM a worker
-    at serve time).  Second, while any slot is still *empty*, the
-    hottest under-replicated shape — highest ``hot`` weight divided by
-    its current replica count, so heat spreads instead of one shape
-    monopolizing the spare slots — replicates into it, budget
-    permitting.  ``hot`` maps network names (or ``n_points`` shape
-    classes, which stay unique when one architecture is hosted at two
-    scales) to relative request
-    weights (default: uniform).
-
-    Replicas are numbered (their ``shard`` ids) in (slot, name) order,
-    so the same inputs always produce the same plan.  ``executors``
-    (``n_points`` -> :class:`~repro.backend.NetworkKernelExecutor`) are
-    the ones to size instead of private ones: the fleet's own.
+    There are ``max(slots, len(networks))`` replicas, and replica ``i``
+    hosts ``networks[i % len(networks)]``, in the order given: every
+    network is hosted at least once and the replicas spread round-robin.
+    Shard routing is by cloud size, so placed networks must differ in
+    ``n_points``.  ``backend`` and ``batch`` are read by nothing; they
+    are accepted only because ``benchmarks/ledger/layers.py`` — which a
+    non-benchmark change may not edit — still passes them, and they go
+    with ROADMAP item 11(f).
     """
     networks = list(networks)
     if not networks:
         raise ValueError("at least one network is required")
     if int(slots) < 1:
         raise ValueError(f"slots must be positive, got {slots}")
-    slots = int(slots)
-    shapes = {}
+    if int(slots) > MAX_SLOTS:
+        raise ValueError(f"slots must be at most {MAX_SLOTS}, got {slots}")
+    shapes = set()
     for net in networks:
         if net.n_points in shapes:
             raise ValueError(
@@ -207,135 +115,13 @@ def plan_placement(networks, slots, budget_bytes=None, hot=None,
                 "routing is by cloud size, so placed networks must "
                 "differ in n_points"
             )
-        shapes[net.n_points] = net
-    # Internal dicts key on n_points — validated unique above, unlike
-    # names (the same architecture at two scales shares one name).
-    # ``hot`` accepts either key kind for the same reason.
-    hot = dict(hot or {})
-    weights = {
-        net.n_points: float(hot.get(net.n_points, hot.get(net.name, 1.0)))
-        for net in networks
-    }
-    sizes = {
-        net.n_points: replica_working_set(
-            net, strategy=strategy, backend=backend, batch=batch,
-            executor=(executors or {}).get(net.n_points),
-        )
-        for net in networks
-    }
-
-    used = [0] * slots
-    hosted = [set() for _ in range(slots)]
-    placed = []  # (slot, network)
-
-    def fits(slot, n_points):
-        total = sizes[n_points][0]
-        if n_points in hosted[slot]:
-            return False
-        return budget_bytes is None or used[slot] + total <= budget_bytes
-
-    def place(slot, net):
-        used[slot] += sizes[net.n_points][0]
-        hosted[slot].add(net.n_points)
-        placed.append((slot, net))
-
-    for net in sorted(networks,
-                      key=lambda n: (-sizes[n.n_points][0], n.name,
-                                     n.n_points)):
-        candidates = [s for s in range(slots) if fits(s, net.n_points)]
-        if not candidates:
-            raise PlacementError(
-                f"{net.name} (n={net.n_points}, {sizes[net.n_points][0]} B "
-                f"working set) fits no slot under a {budget_bytes} B/slot "
-                "budget"
-            )
-        place(min(candidates, key=lambda s: (used[s], s)), net)
-
-    counts = {net.n_points: 1 for net in networks}
-    while True:
-        empty = [s for s in range(slots) if not hosted[s]]
-        if not empty:
-            break
-        ranked = sorted(
-            networks,
-            key=lambda n: (-weights[n.n_points] / counts[n.n_points],
-                           n.name, n.n_points),
-        )
-        for net in ranked:
-            slot = next((s for s in empty if fits(s, net.n_points)), None)
-            if slot is not None:
-                place(slot, net)
-                counts[net.n_points] += 1
-                break
-        else:
-            break  # nothing fits the remaining empty slots
-
-    replicas = tuple(
-        Replica(
-            shard=shard, slot=slot, network=net.name,
-            n_points=net.n_points,
-            working_set_bytes=int(sizes[net.n_points][0]),
-            modules=tuple(sorted(sizes[net.n_points][1].items())),
-        )
-        for shard, (slot, net) in enumerate(
-            sorted(placed,
-                   key=lambda item: (item[0], item[1].name,
-                                     item[1].n_points))
-        )
-    )
-    return PlacementPlan(slots=slots, budget_bytes=budget_bytes,
-                         replicas=replicas, batch=int(batch))
-
-
-# -- consistent hashing ------------------------------------------------------
-
-
-class HashRing:
-    """Consistent-hash ring with virtual nodes (the affinity router).
-
-    Each member lands at ``points`` pseudo-random positions on a
-    64-bit ring; :meth:`order` walks clockwise from a key's position
-    and yields every distinct member.  The first member is the key's
-    *owner* — stable under lookups, and adding or removing one member
-    only remaps the keys that hashed into its arcs, so a replica
-    joining or draining does not reshuffle every cloud's cache shard.
-    """
-
-    def __init__(self, members, points=64):
-        members = list(members)
-        if not members:
-            raise ValueError("a hash ring needs at least one member")
-        if int(points) < 1:
-            raise ValueError("points must be positive")
-        self._members = tuple(members)
-        ring = sorted(
-            (self._position(f"{member}#{vnode}"), member)
-            for member in members
-            for vnode in range(int(points))
-        )
-        self._ring = ring
-        self._positions = [position for position, _ in ring]
-
-    @staticmethod
-    def _position(text):
-        return int(hashlib.sha1(text.encode()).hexdigest()[:16], 16)
-
-    def order(self, key):
-        """Members in ring-walk order for ``key`` (a hex digest string)."""
-        start = bisect.bisect_right(self._positions, int(key[:16], 16))
-        seen, ordered = set(), []
-        for offset in range(len(self._ring)):
-            member = self._ring[(start + offset) % len(self._ring)][1]
-            if member not in seen:
-                seen.add(member)
-                ordered.append(member)
-                if len(ordered) == len(self._members):
-                    break
-        return ordered
-
-    def owner(self, key):
-        """The first member on the ring at or after ``key``'s position."""
-        return self.order(key)[0]
+        shapes.add(net.n_points)
+    count = max(int(slots), len(networks))
+    hosted = (networks[i % len(networks)] for i in range(count))
+    return PlacementPlan(replicas=tuple(
+        Replica(shard=shard, network=net.name, n_points=net.n_points)
+        for shard, net in enumerate(hosted)
+    ))
 
 
 # -- the router --------------------------------------------------------------
@@ -347,15 +133,14 @@ class ShardRouter:
     Build one with :meth:`hosting` (the CLI path) or hand it a list of
     replica :class:`~repro.serve.server.Server` instances whose
     ``shard`` ids match their list positions.  ``submit`` routes by
-    shape class, then by cache affinity (consistent hashing on the
-    cloud's content digest; ``affinity="random"`` is the control
-    arm the affinity tests compare hit rates against), spilling along the
-    ring under per-shard backpressure before raising an aggregated
+    shape class, then by cache affinity (the cloud's content digest
+    picks its owner), spilling past full replicas under per-shard
+    backpressure before raising an aggregated
     :class:`~repro.serve.queue.QueueFull`.
     """
 
     def __init__(self, servers, plan=None, cache=None, dispatch=None,
-                 shared=(), affinity="content", ring_points=64, seed=0):
+                 shared=()):
         servers = list(servers)
         if not servers:
             raise ValueError("at least one replica server is required")
@@ -365,13 +150,8 @@ class ShardRouter:
                     f"replica {index} is stamped shard={server.shard}; "
                     "shard ids must match the replica list order"
                 )
-        if affinity not in _AFFINITIES:
-            raise ValueError(
-                f"unknown affinity {affinity!r}; expected {_AFFINITIES}"
-            )
         self.plan = plan
         self.cache = cache
-        self.affinity = affinity
         self._servers = servers
         self._dispatch = dispatch
         #: Owner-side shared-parameter handles (e.g.
@@ -381,11 +161,6 @@ class ShardRouter:
         for index, server in enumerate(servers):
             for n in server.served_sizes:
                 self._by_shape.setdefault(n, []).append(index)
-        self._rings = {
-            n: HashRing(ids, points=ring_points)
-            for n, ids in self._by_shape.items()
-        }
-        self._rng = random.Random(seed)
         self._lock = threading.Lock()
         self._stats = {"routed": 0, "affinity_hits": 0, "spilled": 0,
                        "rejected": 0, "unroutable": 0}
@@ -393,59 +168,46 @@ class ShardRouter:
 
     @classmethod
     def hosting(cls, networks, shards=2, strategy="delayed", scale=0.125,
-                backend="float64", policy=None, cache_size=256,
-                memory_budget_mb=None, hot=None, affinity="content",
-                seed=0):
+                backend="float64", policy=None, cache_size=256):
         """Plan, provision and start a sharded fleet (names or instances).
 
-        ``shards`` is the worker-slot count the placement bin-packs
-        into (``memory_budget_mb`` bounds each slot); one replica
-        :class:`~repro.serve.server.Server` starts per plan entry.
+        One replica :class:`~repro.serve.server.Server` starts per plan
+        entry (:func:`plan_placement`: ``max(shards, len(networks))``).
         All replicas share one persistent thread dispatch pool (none
         when a single replica suffices — the fully serial degrade),
         and ``cache_size`` total neighbor-index entries partitioned
         across them (``0`` disables caching).  One
         :class:`~repro.backend.NetworkKernelExecutor` on ``backend`` per
-        hosted network is built here: its program compiles once, the
-        placement is sized from that program's per-cloud plan, and every
-        replica runs it.
+        hosted network is built here and its program compiled before
+        any replica starts; every replica runs that program, and the
+        fleet's first request measures its plan.
         """
+        from ..backend import NetworkKernelExecutor
         from ..engine.runner import BatchRunner
         from ..networks import build_network
 
         if isinstance(networks, str) or hasattr(networks, "n_points"):
             networks = [networks]
         policy = policy or BatchPolicy()
-        # Key hosted networks by n_points (plan_placement validates
-        # uniqueness): names collide when one architecture is hosted at
-        # two scales.
         built = [
             build_network(network, scale=scale)
             if isinstance(network, str) else network
             for network in networks
         ]
-        if memory_budget_mb is not None \
-                and not 0 < memory_budget_mb < float("inf"):
-            raise ValueError("memory budget must be a positive, finite "
-                             f"number of MB, got {memory_budget_mb}")
-        budget = None if memory_budget_mb is None \
-            else int(memory_budget_mb * 2 ** 20)
-        from ..backend import NetworkKernelExecutor
-
-        # One executor per network, shared by placement and by every
-        # replica: N replicas, one program, one table, one plan.
-        executors = {
-            net.n_points: NetworkKernelExecutor(backend) for net in built
-        }
-        plan = plan_placement(
-            built, slots=shards, budget_bytes=budget,
-            hot=hot, strategy=strategy, backend=backend,
-            batch=policy.max_batch, executors=executors,
-        )
-        nets = {net.n_points: net for net in built}
-
+        plan = plan_placement(built, slots=shards)
         cache = PartitionedIndexCache(len(plan.replicas), maxsize=cache_size) \
             if cache_size else None
+        # Key hosted networks by n_points (plan_placement validates
+        # uniqueness): names collide when one architecture is hosted at
+        # two scales.  One executor per network, its program compiled
+        # here, before any thread starts: N replicas, one program, one
+        # table, one plan.
+        nets = {net.n_points: net for net in built}
+        programs = {}
+        for n, net in nets.items():
+            executor = NetworkKernelExecutor(backend)
+            programs[n] = executor, executor.program(
+                net.network_graph(strategy), net)
         dispatch = None
         servers = []
         try:
@@ -453,17 +215,16 @@ class ShardRouter:
                 dispatch = ParallelRunner(max_workers=len(plan.replicas))
 
             for replica in plan.replicas:
-                net = nets[replica.n_points]
-                executor = executors[replica.n_points]
+                executor, program = programs[replica.n_points]
                 replica_runner = BatchRunner(
-                    net, strategy=strategy, backend=backend,
+                    nets[replica.n_points], strategy=strategy,
+                    backend=backend,
                     cache=None if cache is None
                     else cache.shard(replica.shard),
                     executor=executor,
                     # What the runner reports as its table: the one the
-                    # shared program (compiled by the placement) reads.
-                    params=executor.program(
-                        net.network_graph(strategy), net).table,
+                    # shared program reads.
+                    params=program.table,
                 )
                 servers.append(Server(
                     replica_runner, policy=policy, dispatch=dispatch,
@@ -475,8 +236,7 @@ class ShardRouter:
             if dispatch is not None:
                 dispatch.close()
             raise
-        return cls(servers, plan=plan, cache=cache, dispatch=dispatch,
-                   affinity=affinity, seed=seed)
+        return cls(servers, plan=plan, cache=cache, dispatch=dispatch)
 
     # -- admission -----------------------------------------------------------
 
@@ -494,23 +254,23 @@ class ShardRouter:
         return self._servers[shard]
 
     def _candidates(self, n_points, cloud):
-        if self.affinity == "content":
-            return self._rings[n_points].order(content_digest(cloud))
-        shards = list(self._by_shape[n_points])
-        with self._lock:
-            self._rng.shuffle(shards)
-        return shards
+        """The replicas of ``n_points`` in the order ``cloud`` tries
+        them: its owner (the content digest modulo their count) first,
+        then the rest of the list from there on, wrapping round."""
+        shards = self._by_shape[n_points]
+        owner = int(content_digest(cloud)[:16], 16) % len(shards)
+        return shards[owner:] + shards[:owner]
 
     def submit(self, cloud, request_id=None, tenant="default"):
         """Admit one request; returns a future of
         :class:`~repro.serve.server.ServeResponse`.
 
         Routing: the cloud's ``n_points`` selects its replica set,
-        then consistent hashing on the cloud's content digest orders
-        that set — the first candidate owns the cloud's partition of
-        the neighbor-index cache, and each further candidate is the
-        backpressure spill target in ring order.  Only when *every*
-        replica of the shape is at capacity does the aggregated
+        then the cloud's content digest orders that set
+        (:meth:`_candidates`) — the first candidate owns the cloud's
+        partition of the neighbor-index cache, and each further
+        candidate is the next backpressure spill target.  Only when
+        *every* replica of the shape is at capacity does the aggregated
         :class:`~repro.serve.queue.QueueFull` surface.  Every request
         the router refuses — malformed, unroutable, non-finite, or shed
         by every replica — is counted ``rejected`` once.
@@ -568,8 +328,8 @@ class ShardRouter:
         depth, batch counters, and its neighbor-index cache partition's
         hit/miss/eviction stats — under its shard id; the top level
         sums the request counters, merges the cache counters, and adds
-        the router's own routing stats (affinity hits vs ring spills
-        vs rejections).  A replica counts ``rejected`` every try it
+        the router's own routing stats (affinity hits vs spills vs
+        rejections).  A replica counts ``rejected`` every try it
         refused, spills included; the top-level ``rejected`` is the
         router's own count of refused requests, so after a drain
         ``completed + failed + rejected`` is every request submitted.

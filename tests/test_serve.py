@@ -841,20 +841,11 @@ class TestHostileRequests:
         (["--max-batch", "0"], "max_batch must be at least 1"),
         (["--shards", "0"], "slots must be positive, got 0"),
         (["--shards", "-2"], "slots must be positive, got -2"),
-        (["--shards", "2", "--memory-budget-mb", "0"],
-         "memory budget must be a positive, finite number of MB, got 0.0"),
-        (["--shards", "2", "--memory-budget-mb", "-1"],
-         "memory budget must be a positive, finite number of MB, got -1.0"),
-        (["--shards", "2", "--memory-budget-mb", "inf"],
-         "memory budget must be a positive, finite number of MB, got inf"),
-        (["--shards", "2", "--memory-budget-mb", "nan"],
-         "memory budget must be a positive, finite number of MB, got nan"),
-        (["--shards", "2", "--memory-budget-mb", "0.001"],
-         "fits no slot under a 1048 B/slot budget"),
-        # A budget only the placement planner reads, without a planner.
-        *((["--memory-budget-mb", mb], "--memory-budget-mb budgets the "
-           "placement planner's slots, so it needs --shards above 1")
-          for mb in ("64", "-5", "0.001", "nan")),
+        # Refused before any replica thread starts.
+        (["--shards", "65"], "slots must be at most 64, got 65"),
+        # --cache-size is a total across the shards.
+        (["--shards", "2", "--cache-size", "1"],
+         "cache size 1 is smaller than the 2 shards it is split across"),
         # The router runs one dispatch worker per replica.
         *((["--shards", "2", "--workers", workers],
            "--workers does not apply under --shards")
@@ -950,7 +941,7 @@ class TestCommandLine:
                 if key != "command"} == {
             "network": None, "scale": 0.125, "strategy": "delayed",
             "max_queue": 64, "port": None, "max_batch": 8, "workers": None,
-            "serve_backend": "float64", "cache_size": 256, "shards": 1, "memory_budget_mb": None,
+            "serve_backend": "float64", "cache_size": 256, "shards": 1,
         }
 
     @pytest.mark.parametrize("argv", [

@@ -1,18 +1,19 @@
 """Sharded serving: placement, affinity routing, partitioned cache.
 
-The contracts CI pins down: the placement planner bin-packs replicas
-under a per-slot budget (and fails loudly on an impossible one), the
-consistent-hash ring routes the same cloud to the same shard so the
-partitioned neighbor-index cache warms once per fleet, backpressure
-aggregates across replicas before a request is rejected, responses
-stay bit-exact against each cloud served alone by a direct
-BatchRunner across every strategy and kernel backend, and shutdown
-drains the fleet in dependency order without dropping or duplicating
-a single request id.
+The contracts CI pins down: placement numbers a bounded fleet
+round-robin over the hosted networks, a cloud's owner is its content
+digest modulo the replica count so the same cloud lands on the same
+shard and the partitioned neighbor-index cache warms once per fleet,
+backpressure spills from the owner onward and aggregates across
+replicas before a request is rejected, responses stay bit-exact
+against each cloud served alone by a direct BatchRunner across every
+strategy and kernel backend, and shutdown — draining or not, even
+mid-spill — resolves every request id exactly once.
 """
 
 import glob
 import os
+import random
 import tempfile
 import threading
 import time
@@ -25,7 +26,7 @@ import repro.backend.aot
 import repro.backend.runtime
 import repro.engine.runner
 import repro.serve.shard
-from repro.backend import ParameterTable, compile_kernel_program
+from repro.backend import ParameterTable
 from repro.backend.aot import _share_dir
 from repro.cli import _print_serve_stats
 from repro.engine import BatchRunner, ParallelRunner
@@ -39,15 +40,14 @@ from repro.engine.runner import BatchResult
 from repro.networks import ALL_NETWORKS, build_network
 from repro.serve import (
     BatchPolicy,
-    HashRing,
-    PlacementError,
     QueueFull,
     ServeError,
     Server,
+    ServerClosed,
     ShardRouter,
     plan_placement,
-    replica_working_set,
 )
+from repro.serve.shard import MAX_SLOTS
 
 TIMEOUT = 30.0
 
@@ -125,86 +125,51 @@ def spies(monkeypatch):
     return counts
 
 
-# ----------------------------------------------------------- working sets
-
-
-class TestWorkingSets:
-    def test_kernel_path_measures_plan_and_parameters(self, tiny_net):
-        total, modules = replica_working_set(tiny_net, backend="float32",
-                                             batch=4)
-        assert total > modules["parameters"] > 0
-        # Per-module peaks partition the arena story: every bucket is
-        # positive and no single bucket exceeds the whole.
-        arena = {k: v for k, v in modules.items() if k != "parameters"}
-        assert arena and all(v > 0 for v in arena.values())
-        assert max(arena.values()) <= total
-
-    @pytest.mark.parametrize("name", ALL_NETWORKS)
-    def test_kernel_path_equals_a_direct_measurement(self, name):
-        # The size comes from one cloud and a multiplication; it must be
-        # the size a fresh program measures on a whole (batch, N, 3) stack.
-        net = build_network(name,
-                            scale=0.03125 if "(s)" in name else 0.0625)
-        for batch in (1, 4, 8):
-            total, _ = replica_working_set(net, backend="float32",
-                                           batch=batch)
-            direct = compile_kernel_program(net, "delayed", "float32")
-            stack = np.zeros((batch, net.n_points, 3), dtype=np.float32)
-            assert total == direct.plan_for(stack).total_bytes \
-                + direct.table.nbytes, (name, batch)
-            assert direct.memory_stats()["heights"] == (batch,)
-
+def owned_cloud(router, shard, n_points=8):
+    """A stub cloud whose owner (first routing candidate) is ``shard``."""
+    for value in range(256):
+        cloud = stub_cloud(n_points, value=float(value))
+        if router._candidates(n_points, cloud)[0] == shard:
+            return cloud
+    raise AssertionError(f"no stub cloud is owned by shard {shard}")
 
 
 # -------------------------------------------------------------- placement
 
 
 class TestPlacement:
-    def test_replicates_hot_shapes_into_empty_slots(self, tiny_net):
-        plan = plan_placement([tiny_net], slots=3)
-        assert len(plan.replicas) == 3
-        assert plan.by_shape() == {tiny_net.n_points: (0, 1, 2)}
-        assert [r.slot for r in plan.replicas] == [0, 1, 2]
-        assert all(r.working_set_bytes > 0 for r in plan.replicas)
+    @pytest.mark.parametrize("slots", [1, 2, 3, 4])
+    def test_one_network_fills_every_slot(self, tiny_net, slots):
+        plan = plan_placement([tiny_net], slots=slots)
+        assert [(r.shard, r.network, r.n_points) for r in plan.replicas] \
+            == [(i, tiny_net.name, tiny_net.n_points) for i in range(slots)]
 
-    def test_two_networks_spread_before_replicating(self, tiny_net):
-        other = build_network("PointNet++ (c)", scale=0.0625)
-        plan = plan_placement([tiny_net, other], slots=2)
-        # Each network is placed exactly once before anything
-        # replicates, and they land on distinct slots.
-        assert len(plan.replicas) == 2
-        assert {r.n_points for r in plan.replicas} == {
-            tiny_net.n_points, other.n_points
-        }
-        assert len({r.slot for r in plan.replicas}) == 2
+    @pytest.mark.parametrize("slots, hosted", [
+        # Every network is hosted even on fewer slots, and spare slots
+        # repeat the list in the order given.
+        (1, (0, 1)), (2, (0, 1)), (3, (0, 1, 0)),
+    ])
+    def test_networks_are_hosted_round_robin(self, tiny_net, slots, hosted):
+        networks = [tiny_net, build_network("PointNet++ (c)", scale=0.0625)]
+        plan = plan_placement(networks, slots=slots)
+        assert [(r.shard, r.n_points) for r in plan.replicas] \
+            == [(i, networks[k].n_points) for i, k in enumerate(hosted)]
 
-    def test_impossible_budget_fails_at_plan_time(self, tiny_net):
-        with pytest.raises(PlacementError, match="fits no slot"):
-            plan_placement([tiny_net], slots=2, budget_bytes=16)
+    @pytest.mark.parametrize("slots", [1, MAX_SLOTS])
+    def test_slots_up_to_the_ceiling_are_planned(self, tiny_net, slots):
+        # A plan is a rule: even the ceiling starts and compiles nothing.
+        plan = plan_placement([tiny_net], slots=slots)
+        assert [r.shard for r in plan.replicas] == list(range(slots))
 
-    def test_budget_limits_replication(self, tiny_net):
-        total, _ = replica_working_set(tiny_net, batch=8)
-        # Budget fits exactly one replica per slot; the second pass
-        # still fills both slots because each is empty.
-        plan = plan_placement([tiny_net], slots=2, budget_bytes=total)
-        assert len(plan.replicas) == 2
-        assert max(plan.slot_bytes()) <= total
-
-    def test_hot_weights_and_determinism(self, tiny_net):
-        other = build_network("PointNet++ (c)", scale=0.0625)
-        # Same architecture at two scales shares a display name, so
-        # heat (and the count below) keys on shape class instead.
-        hot = {other.n_points: 10.0}
-        plans = [
-            plan_placement([tiny_net, other], slots=4, hot=hot)
-            for _ in range(2)
-        ]
-        assert plans[0] == plans[1]  # same inputs, same plan
-        by_shape = {}
-        for replica in plans[0].replicas:
-            by_shape[replica.n_points] = by_shape.get(replica.n_points, 0) + 1
-        # The hot shape takes the spare slots.
-        assert by_shape[other.n_points] > by_shape[tiny_net.n_points]
+    @pytest.mark.parametrize("slots, reason", [
+        (0, "slots must be positive, got 0"),
+        (-2, "slots must be positive, got -2"),
+        (MAX_SLOTS + 1, f"slots must be at most {MAX_SLOTS}, "
+                        f"got {MAX_SLOTS + 1}"),
+    ])
+    def test_slots_out_of_bounds_are_refused(self, tiny_net, slots, reason):
+        with pytest.raises(ValueError, match=reason):
+            plan_placement([tiny_net], slots=slots)
 
     def test_duplicate_n_points_rejected(self, tiny_net):
         with pytest.raises(ValueError, match="n_points"):
@@ -212,58 +177,28 @@ class TestPlacement:
 
     def test_describe_names_every_replica(self, tiny_net):
         plan = plan_placement([tiny_net], slots=2)
-        text = plan.describe()
-        assert "2 replica(s)" in text and tiny_net.name in text
-
-    @pytest.mark.parametrize("backend, scratch", [
-        ("float32", "arena (per-cloud plan x 4)"),
-        ("float64", "arena (per-cloud plan x 4)"),
-    ])
-    def test_describe_sums_each_working_set(self, tiny_net, backend, scratch):
-        plan = plan_placement([tiny_net], slots=2, backend=backend, batch=4)
-        lines = plan.describe().splitlines()[1:]
-        assert len(lines) == 2
-        for line, replica in zip(lines, plan.replicas):
-            table = dict(replica.modules)["parameters"]
-            assert line == (
-                f"  replica {replica.shard} -> slot {replica.slot}: "
-                f"{tiny_net.name} (n={tiny_net.n_points}), "
-                f"{replica.working_set_bytes} B = "
-                f"{replica.working_set_bytes - table} B {scratch} + "
-                f"{table} B table")
+        assert plan.describe().splitlines() == [
+            "placement: 2 replica(s)",
+            f"  replica 0: {tiny_net.name} (n={tiny_net.n_points})",
+            f"  replica 1: {tiny_net.name} (n={tiny_net.n_points})",
+        ]
 
 
-# ------------------------------------------------------------- hash ring
+# --------------------------------------------------------------- affinity
 
 
-class TestHashRing:
-    def test_owner_is_deterministic(self):
-        ring = HashRing([0, 1, 2], points=32)
-        key = content_digest(stub_cloud(value=3.0))
-        assert ring.owner(key) == ring.owner(key)
-        assert ring.order(key) == ring.order(key)
-        assert sorted(ring.order(key)) == [0, 1, 2]
-
-    def test_member_removal_only_remaps_its_keys(self):
-        big = HashRing([0, 1, 2], points=64)
-        small = HashRing([0, 1], points=64)
-        rng = np.random.default_rng(5)
-        moved = 0
-        for i in range(64):
-            key = content_digest(rng.normal(size=(4, 3)))
-            before, after = big.owner(key), small.owner(key)
-            if before != 2:
-                # Keys not owned by the removed member stay put.
-                assert after == before
-            else:
-                moved += 1
-        assert moved > 0  # the removed member did own something
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="at least one member"):
-            HashRing([])
-        with pytest.raises(ValueError, match="points"):
-            HashRing([0], points=0)
+class TestAffinityRule:
+    @pytest.mark.parametrize("n_shards", [1, 2, 3, 4])
+    def test_owner_is_the_digest_modulo_the_replica_count(self, n_shards):
+        # The owner comes first; spills walk on from it, wrapping round.
+        router = stub_router(n_shards=n_shards)
+        with router:
+            for value in range(12):
+                cloud = stub_cloud(value=float(value))
+                owner = int(content_digest(cloud)[:16], 16) % n_shards
+                assert router._candidates(8, cloud) \
+                    == [(owner + k) % n_shards for k in range(n_shards)]
+                assert router.request(cloud, timeout=TIMEOUT).shard == owner
 
 
 # -------------------------------------------------------- partitioned cache
@@ -274,7 +209,28 @@ class TestPartitionedCache:
         cache = PartitionedIndexCache(4, maxsize=32)
         assert cache.n_shards == 4
         assert all(cache.shard(i).maxsize == 8 for i in range(4))
-        assert PartitionedIndexCache(8, maxsize=4).shard(0).maxsize == 1
+        # The size is a total: it cannot give each partition one entry.
+        with pytest.raises(ValueError, match="cache size 4 is smaller "
+                                             "than the 8 shards"):
+            PartitionedIndexCache(8, maxsize=4)
+
+    @pytest.mark.parametrize("shards, maxsize", [
+        (1, 1), (2, 2), (3, 10), (4, 256),
+    ])
+    def test_partitions_never_hold_more_than_the_total(self, shards,
+                                                       maxsize):
+        cache = PartitionedIndexCache(shards, maxsize=maxsize)
+        sizes = [cache.shard(i).maxsize for i in range(shards)]
+        assert all(size >= 1 for size in sizes)
+        assert sum(sizes) <= maxsize
+
+    @pytest.mark.parametrize("shards, maxsize", [(2, 1), (4, 3), (64, 63)])
+    def test_a_total_below_the_shard_count_is_refused(self, shards,
+                                                      maxsize):
+        with pytest.raises(ValueError, match=f"cache size {maxsize} is "
+                                             f"smaller than the {shards} "
+                                             "shards"):
+            PartitionedIndexCache(shards, maxsize=maxsize)
 
     def test_aggregate_stats_merge_partitions(self):
         cache = PartitionedIndexCache(2, maxsize=8)
@@ -365,7 +321,7 @@ class TestShardRouter:
             for value in range(32):
                 future = router.submit(stub_cloud(value=float(value)))
                 owners.add(future.result(TIMEOUT).shard)
-        assert owners == {0, 1}  # the ring uses the whole fleet
+        assert owners == {0, 1}  # affinity uses the whole fleet
 
     def test_backpressure_spills_then_aggregates(self):
         gate = threading.Event()
@@ -571,16 +527,7 @@ class TestShardRouter:
         try:
             # Find one cloud owned by each shard, then park both
             # dispatchers inside their runners.
-            owned = {}
-            for value in range(64):
-                cloud = stub_cloud(value=float(value))
-                shard = router._rings[8].owner(
-                    content_digest(np.asarray(cloud, dtype=np.float64))
-                )
-                owned.setdefault(shard, cloud)
-                if len(owned) == 2:
-                    break
-            assert set(owned) == {0, 1}
+            owned = {shard: owned_cloud(router, shard) for shard in (0, 1)}
             parked = [router.submit(owned[s], tenant="warm")
                       for s in (0, 1)]
             deadline = time.time() + TIMEOUT
@@ -611,25 +558,96 @@ class TestShardRouter:
             router.close()
         assert all(f.result(TIMEOUT) for f in parked + loud)
 
-    def test_random_affinity_is_seeded_control_arm(self):
-        router_a = stub_router(n_shards=2, affinity="random", seed=3)
-        router_b = stub_router(n_shards=2, affinity="random", seed=3)
-        with router_a, router_b:
-            shards_a = [
-                router_a.request(stub_cloud(value=float(i)),
-                                 timeout=TIMEOUT).shard
-                for i in range(8)
-            ]
-            shards_b = [
-                router_b.request(stub_cloud(value=float(i)),
-                                 timeout=TIMEOUT).shard
-                for i in range(8)
-            ]
-        assert shards_a == shards_b  # same seed, same control routing
+    def test_close_mid_spill_resolves_every_id_once(self):
+        # Replica 0 is gated full, so its clouds spill to replica 1; a
+        # non-draining close lands while submitters keep going.
+        gate = threading.Event()
+        threads_before = set(threading.enumerate())
 
-    def test_unknown_affinity_rejected(self):
-        with pytest.raises(ValueError, match="unknown affinity"):
-            stub_router(affinity="sticky")
+        class RecordingPool(ParallelRunner):
+            closes = 0
+
+            def close(self):
+                self.closes += 1
+                super().close()
+
+        pool = RecordingPool(max_workers=2)
+        policy = BatchPolicy(max_batch=1, max_queue=2)
+        servers = [
+            Server(StubRunner(block=gate if shard == 0 else None),
+                   policy=policy, dispatch=pool, shard=shard)
+            for shard in range(2)
+        ]
+        router = ShardRouter(servers, dispatch=pool)
+        cloud = owned_cloud(router, 0)
+        lock = threading.Lock()
+        outcomes = {}  # request id -> its future, or its submit error
+        closed = threading.Event()
+
+        def submitter(name):
+            for i in range(100_000):
+                last = closed.is_set()
+                rid = f"{name}-{i}"
+                try:
+                    outcome = router.submit(cloud, request_id=rid)
+                except (QueueFull, ServerClosed) as exc:
+                    outcome = exc
+                with lock:
+                    outcomes[rid] = outcome
+                if last:
+                    return  # one submit after the close returned
+                time.sleep(0.001)
+
+        def closer():
+            router.close(drain=False)
+            closed.set()
+
+        submitters = [threading.Thread(target=submitter, args=(f"s{k}",))
+                      for k in range(3)]
+        closing = threading.Thread(target=closer)
+        try:
+            for thread in submitters:
+                thread.start()
+            deadline = time.time() + TIMEOUT
+            while router.stats()["routing"]["spilled"] < 3 \
+                    and time.time() < deadline:
+                time.sleep(0.002)
+            assert router.stats()["routing"]["spilled"] >= 3
+            closing.start()
+            # The close fails what replica 0 queued, then waits for its
+            # gated in-flight batches: open the gate once it is closing.
+            while not router.replica(0)._closed and time.time() < deadline:
+                time.sleep(0.002)
+        finally:
+            gate.set()
+            if closing.ident is None:  # failed before the close began
+                closer()
+            else:
+                closing.join(TIMEOUT)
+            for thread in submitters:
+                thread.join(TIMEOUT)
+        served = dropped = refused = 0
+        for rid, outcome in outcomes.items():
+            if isinstance(outcome, Exception):
+                refused += 1
+                continue
+            error = outcome.exception(TIMEOUT)
+            if error is None:
+                assert outcome.result().request_id == rid
+                served += 1
+            else:
+                assert isinstance(error, ServerClosed), error
+                dropped += 1
+        assert served and dropped and refused
+        # Every submitter's last submit came after the close returned.
+        last = [max((rid for rid in outcomes if rid.startswith(f"s{k}-")),
+                    key=lambda rid: int(rid.split("-")[1]))
+                for k in range(3)]
+        assert all(isinstance(outcomes[rid], ServerClosed) for rid in last)
+        router.close()  # idempotent
+        assert pool.closes == 1 and pool._pool is None
+        assert [thread for thread in threading.enumerate()
+                if thread not in threads_before] == []
 
 
 # ----------------------------------------------- end-to-end bit-exactness
@@ -653,7 +671,7 @@ class TestShardExactness:
         alone = [direct.run(cloud[None]).per_cloud()[0] for cloud in clouds]
         router = ShardRouter.hosting(
             net, shards=2, strategy=strategy, backend=backend,
-            policy=policy, cache_size=64, seed=0,
+            policy=policy, cache_size=64,
         )
         with router:
             futures = {
@@ -673,6 +691,36 @@ class TestShardExactness:
             assert np.array_equal(np.asarray(resp.output),
                                   alone[int(rid[1:]) % len(clouds)])
 
+    @pytest.mark.parametrize("name", ALL_NETWORKS)
+    def test_first_request_measures_the_plan_on_every_network(self, spies,
+                                                              name):
+        # Start-up runs no cloud to size anything: the fleet's first
+        # request measures the shared program's plan, and both replicas
+        # answer what the network answers alone.
+        net = build_network(name, scale=0.03125 if "(s)" in name else 0.0625,
+                            rng=np.random.default_rng(17))
+        rng = np.random.default_rng(23)
+        with ShardRouter.hosting([net], shards=2, backend="float32") as router:
+            assert spies["measuring_runs"] == 0, name
+            clouds = {}
+            while len(clouds) < 2:  # one cloud owned by each replica
+                cloud = rng.normal(size=(net.n_points, 3))
+                clouds.setdefault(router._candidates(net.n_points, cloud)[0],
+                                  cloud)
+            routed = {shard: router.request(cloud, timeout=TIMEOUT)
+                      for shard, cloud in clouds.items()}
+        assert spies["measuring_runs"] == 1, name
+        direct = BatchRunner(net, strategy="delayed", backend="float32")
+        for shard, cloud in clouds.items():
+            assert routed[shard].shard == shard
+            served = routed[shard].output
+            alone = direct.run(cloud[None]).per_cloud()[0]
+            if not isinstance(alone, dict):  # one head, or several
+                served, alone = {"": served}, {"": alone}
+            assert served.keys() == alone.keys(), (name, shard)
+            for head, value in alone.items():
+                assert np.array_equal(served[head], value), (name, shard)
+
     def test_fleet_shares_one_program_table_and_plan(self, spies):
         # Counted, not timed: starting two replicas of one network and
         # serving on both costs what starting one server costs.
@@ -681,11 +729,11 @@ class TestShardExactness:
         rng = np.random.default_rng(5)
         with ShardRouter.hosting([net], shards=2, backend="float32") as router:
             assert router.n_shards == 2
-            ring = router._rings[net.n_points]
             clouds = {}
             while len(clouds) < 2:  # one cloud owned by each replica
                 cloud = rng.normal(size=(net.n_points, 3))
-                clouds.setdefault(ring.owner(content_digest(cloud)), cloud)
+                clouds.setdefault(router._candidates(net.n_points, cloud)[0],
+                                  cloud)
             routed = {shard: router.request(cloud, timeout=TIMEOUT)
                       for shard, cloud in clouds.items()}
         assert {shard: resp.shard for shard, resp in routed.items()} \
@@ -704,10 +752,21 @@ class TestShardExactness:
         sequence = [i % len(clouds) for i in range(24)]
         policy = BatchPolicy(max_batch=4, max_queue=256)
 
-        def hit_rate(mode):
-            router = ShardRouter.hosting(
+        class ShuffledRouter(ShardRouter):
+            """The control arm: every request tries the replicas in a
+            seeded random order, whatever the cloud."""
+
+            shuffle = random.Random(13).shuffle
+
+            def _candidates(self, n_points, cloud):
+                shards = list(self._by_shape[n_points])
+                self.shuffle(shards)
+                return shards
+
+        def hit_rate(router_class):
+            router = router_class.hosting(
                 tiny_net, shards=2, backend="float32", policy=policy,
-                cache_size=64, affinity=mode, seed=13,
+                cache_size=64,
             )
             with router:
                 for i, index in enumerate(sequence):
@@ -715,7 +774,7 @@ class TestShardExactness:
                                    timeout=TIMEOUT)
             return router.stats()["cache"]["hit_rate"]
 
-        assert hit_rate("content") > hit_rate("random")
+        assert hit_rate(ShardRouter) > hit_rate(ShuffledRouter)
 
 
 # ------------------------------------------------- partial start-up failure
@@ -785,6 +844,12 @@ class TestHostingFailure:
         assert shared_table_files() == []
         assert started.servers == []  # tables are built first
         assert started.pools == []
+
+    def test_too_many_shards_start_nothing(self, started, tiny_net):
+        # The ceiling is checked before any thread or pool starts.
+        with pytest.raises(ValueError, match="slots must be at most 64"):
+            ShardRouter.hosting(tiny_net, shards=65, backend="float32")
+        assert started.servers == [] and started.pools == []
 
     def test_failed_replica_closes_its_started_siblings(self, monkeypatch,
                                                         started, tiny_net):
