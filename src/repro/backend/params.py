@@ -126,12 +126,6 @@ def export_stack(layers, backend):
 _BLOB_ALIGNMENT = 64
 
 
-def _ref_layers(obj):
-    """The exportable layer list behind a graph ref (head / decoder)."""
-    return obj.export_layers() if hasattr(obj, "export_layers") \
-        else list(obj.net.layers)
-
-
 class ParameterTable:
     """Every packed segment one compiled program touches, in one table.
 
@@ -139,7 +133,7 @@ class ParameterTable:
     ``("module", module_index, layer, variant)`` for the shared-MLP
     segments (``variant`` is ``"full"``, ``"weight_only"`` or
     ``"epilogue"``, mirroring the matmul/epilogue node attributes) and
-    ``("ref", ref_index, stage)`` for head / decoder stacks — so the
+    ``("ref", ref_index, stage)`` for head stacks — so the
     kernel compiler looks ops up instead of exporting them, and one
     table answers every lookup any program compiled from the same
     graph will make.
@@ -182,13 +176,12 @@ class ParameterTable:
                         weight_only=variant == "weight_only",
                         epilogue=variant == "epilogue",
                     )
-            elif kind in ("head", "propagate"):
+            elif kind == "head":
                 ref = node.attrs["ref"]
                 if ("ref", ref, 0) in entries:
                     continue
-                obj = ngraph.refs[ref]
-                for si, ops in enumerate(export_stack(_ref_layers(obj),
-                                                      backend)):
+                layers = ngraph.refs[ref].export_layers()
+                for si, ops in enumerate(export_stack(layers, backend)):
                     entries[("ref", ref, si)] = ops
         return cls(backend.name, backend.dtype, entries)
 

@@ -29,8 +29,9 @@ pre-packed parameter table (:mod:`repro.backend.params`):
   :class:`~repro.backend.params.ParameterTable` per program — one
   executor's programs share it across threads;
 * centroid sampling is resolved at compile time (it is a deterministic
-  function of the static graph shapes), and neighbor searches run in
-  the backend's dtype — through the neighbor-index cache a run is
+  function of the static graph shapes), and module neighbor searches
+  run in the backend's dtype (a decoder's search keeps float64
+  distances) — through the neighbor-index cache a run is
   handed (``run(coords, cache=...)``), else brute force.  The engine's
   :class:`~repro.engine.cache.NeighborIndexCache` keys on that dtype,
   so float32 and float64 programs never share cache entries.
@@ -58,7 +59,6 @@ import threading
 
 import numpy as np
 
-from ..graph.network import MODULE_KINDS
 from ..neighbors import knn_brute_force
 from .array import get_backend
 from .memplan import (
@@ -195,10 +195,6 @@ class KernelProgram:
 
     # -- compile-time helpers ------------------------------------------------
 
-    def _stages(self, index):
-        """The packed parameter stack of graph ref ``index``."""
-        return self.table.stages(index)
-
     def _buffer(self, ctx, key, shape):
         """Scratch buffer for one kernel output, from the active pool."""
         return ctx["alloc"].request(key, shape, ctx["pos"])
@@ -242,7 +238,7 @@ class KernelProgram:
             if node.id in consumed:
                 continue
             before = set(consumed)
-            if node.kind in MODULE_KINDS:
+            if "module" in node.attrs:
                 kernel = self._compile_module_node(graph, position, node,
                                                    consumed)
             else:
@@ -281,8 +277,10 @@ class KernelProgram:
             return self._k_concat(node)
         if kind == "head":
             return self._k_head(node)
-        if kind == "propagate":
-            return self._k_propagate(node)
+        if kind == "search":
+            return self._k_decoder_search(node)
+        if kind == "interpolate":
+            return self._k_interpolate(node)
         if kind == "global_max":
             return self._k_global_max(node)
         if kind == "broadcast":
@@ -500,8 +498,7 @@ class KernelProgram:
         return kernel
 
     def _k_head(self, node):
-        ref = node.attrs["ref"]
-        stages = self._stages(ref)
+        stages = self.table.stages(node.attrs["ref"])
         source, nid = node.inputs[0], node.id
 
         def kernel(env, ctx):
@@ -512,43 +509,47 @@ class KernelProgram:
 
         return kernel
 
-    def _k_propagate(self, node):
-        ref = node.attrs["ref"]
-        fp = self.ngraph.refs[ref]
-        stages = self._stages(ref)
-        cap = fp.K
-        fine_c, fine_f, coarse_c, coarse_f = node.inputs
-        nid = node.id
-        backend = self.backend
+    def _k_decoder_search(self, node):
+        points_id, queries_id = node.inputs
+        k, nid = node.attrs["k"], node.id
 
         def kernel(env, ctx):
-            fine_coords = env[fine_c]
-            coarse_coords = env[coarse_c]
-            coarse_feats = env[coarse_f]
-            n_coarse = coarse_coords.shape[1]
-            k = min(cap, n_coarse)
+            points, queries = env[points_id], env[queries_id]
             # Unlike module searches (index-only: neighbor order washes
             # out in the max-reduction), interpolation consumes the
             # *distances* — inverse-distance weights shift whenever a
             # float32 search reorders near-tied coarse neighbors.  Keep
-            # propagation searches at the brute kernel's float64 default
-            # so the float32 backend stays within its logit tolerance.
+            # decoder searches at the brute kernel's float64 default so
+            # the float32 backend stays within its logit tolerance.
             # Untagged: the cache keys on the fine coords themselves.
-            idx, dist = _knn(ctx["cache"], coarse_coords, fine_coords, k)
+            idx, dist = _knn(ctx["cache"], points, queries, k)
+            base = (np.arange(ctx["batch"], dtype=np.int64)
+                    * points.shape[1])[:, None, None]
+            env[nid] = ((idx + base).reshape(-1, k), dist.reshape(-1, k))
+
+        return kernel
+
+    def _k_interpolate(self, node):
+        search, source = node.inputs
+        nid = node.id
+        dtype = self.backend.dtype
+
+        def kernel(env, ctx):
+            rows, dist = env[search]
             weights = 1.0 / np.maximum(dist, 1e-8)
             weights = weights / weights.sum(axis=-1, keepdims=True)
-            weights = weights.astype(backend.dtype, copy=False)
-            batch, n_fine = fine_coords.shape[0], fine_coords.shape[1]
-            base = (np.arange(batch, dtype=np.int64)
-                    * n_coarse)[:, None, None]
-            idx = (idx + base).reshape(batch * n_fine, k)
-            weights = weights.reshape(batch * n_fine, k)
-            gathered = coarse_feats[idx]
-            x = (gathered * weights[:, :, None]).sum(axis=1)
-            x = np.concatenate([env[fine_f], x], axis=1)
-            for si, ops in enumerate(stages):
-                x = self._apply_ops(ops, x, ctx, ("fp", nid, si))
-            env[nid] = x
+            weights = weights.astype(dtype, copy=False)
+            src = env[source]
+            (n_rows, k), width = rows.shape, src.shape[1]
+            gathered = np.take(
+                src, rows, axis=0,
+                out=self._buffer(ctx, ("interp-g", nid), (n_rows, k, width)),
+            )
+            gathered *= weights[:, :, None]
+            env[nid] = np.sum(
+                gathered, axis=1,
+                out=self._buffer(ctx, ("interp", nid), (n_rows, width)),
+            )
 
         return kernel
 

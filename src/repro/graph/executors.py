@@ -24,8 +24,8 @@ programs, and the float64 one is held to this interpreter bit for bit.
   :meth:`~repro.core.module.PointCloudModule.forward`;
 * :meth:`GraphExecutor.run_network` executes a whole-*network* graph
   (:mod:`repro.graph.network`): module-region nodes go through the same
-  per-node arithmetic, heads / decoders / skip glue are handled beside
-  them.
+  per-node arithmetic, heads / decoder levels / skip glue are handled
+  beside them.
 
 ``run`` and ``run_network`` both walk the node list front to back: the
 list order is the topological order.
@@ -47,7 +47,6 @@ from ..core.module import ModuleOutput
 from ..neighbors import knn_brute_force
 from ..neural import Tensor, concat
 from ..neural.layers import Linear, segment_layers
-from .network import MODULE_KINDS
 
 __all__ = ["GraphExecutor", "OpRecorder", "per_cloud"]
 
@@ -276,7 +275,7 @@ class GraphExecutor:
 
     def _exec_network_node(self, node, env, ngraph, coords):
         kind = node.kind
-        if kind in MODULE_KINDS:
+        if "module" in node.attrs:
             index = node.attrs["module"]
             segments, state = self._module_runs[index]
             # Stage bindings are fetched leniently: a coords-space
@@ -305,12 +304,23 @@ class GraphExecutor:
                 self.recorder.record("head", rows=out.shape[0],
                                      dims=node.attrs["dims"])
             return out
-        if kind == "propagate":
-            fp = ngraph.refs[node.attrs["ref"]]
-            out = fp(*(env[i] for i in node.inputs))
+        if kind == "search":
+            # A decoder's coordinate kNN: each fine point's nearest
+            # coarse points as flat coarse rows, and their distances.
+            points, queries = (env[i] for i in node.inputs)
+            local, dist = knn_brute_force(points, queries, node.attrs["k"])
+            rows = local + self._row_base(points)[:, None]
+            return (rows.reshape(-1, local.shape[-1]),
+                    dist.reshape(-1, local.shape[-1]))
+        if kind == "interpolate":
+            rows, dist = env[node.inputs[0]]
+            weights = 1.0 / np.maximum(dist, 1e-8)
+            weights = weights / weights.sum(axis=-1, keepdims=True)
+            gathered = env[node.inputs[1]].gather(rows)  # (rows, k, C)
+            out = (gathered * Tensor(weights[:, :, None])).sum(axis=1)
             if self.recorder is not None:
-                self.recorder.record("propagate", rows=out.shape[0],
-                                     dims=node.attrs["dims"])
+                self.recorder.record("interpolate", n_points=out.shape[0],
+                                     feature_dim=node.attrs["feature_dim"])
             return out
         if kind == "global_max":
             x = env[node.inputs[0]]

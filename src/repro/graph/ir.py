@@ -36,18 +36,20 @@ __all__ = [
 KINDS = (
     "input",       # graph input (the module's per-point feature table)
     "sample",      # centroid sampling (O phase)
-    "search",      # neighbor search (N phase)
+    "search",      # neighbor search (N phase); a module-less one is a
+                   # decoder's coordinate kNN, handing on its distances
     "matmul",      # one shared-MLP layer (F phase)
     "reduce_max",  # post-MLP neighborhood max-reduction (F phase)
     "aggregate",   # NIT-driven gather [+ max-reduce] + subtract (A phase)
     "epilogue",    # limited-variant bias + activation replay (no trace op)
     "concat",      # feature concatenation (O phase)
     # Network-level kinds (repro.graph.network): whole networks lower
-    # to one graph, so heads, decoders and skip glue are IR nodes too.
+    # to one graph, so heads, decoders and skip glue are IR nodes too;
+    # a decoder level is search -> interpolate -> concat -> head.
     "coords",      # stage coordinates: network input or prev[centroids]
     "lift",        # seed feature rows from a coords value (no trace op)
     "head",        # an MLP head / embedding applied to flat rows (F phase)
-    "propagate",   # feature propagation / upsampling (decoder, O+F phase)
+    "interpolate", # inverse-distance weighted sum of coarse rows (O phase)
     "global_max",  # per-cloud global max-pool over flat rows (F phase)
     "broadcast",   # repeat each cloud's pooled row per point (no trace op)
     "select",      # per-cloud top-score point selection (no trace op)

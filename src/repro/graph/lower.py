@@ -90,15 +90,11 @@ def lower_graph(graph, trace, env, name=None):
             for a, b in zip(dims[:-1], dims[1:]):
                 trace.add(MatMulOp("F", name, rows=dim(attrs["rows"]),
                                    in_dim=a, out_dim=b))
-        elif node.kind == "propagate":
-            dims = attrs["dims"]
-            trace.add(InterpolateOp("O", name,
+        elif node.kind == "interpolate":
+            trace.add(InterpolateOp(node.phase, name,
                                     n_points=dim(attrs["n_points"]),
                                     k=dim(attrs["k"]),
-                                    feature_dim=dims[0]))
-            for a, b in zip(dims[:-1], dims[1:]):
-                trace.add(MatMulOp("F", name, rows=dim(attrs["n_points"]),
-                                   in_dim=a, out_dim=b))
+                                    feature_dim=dim(attrs["feature_dim"])))
         elif node.kind == "global_max":
             trace.add(ReduceMaxOp("F", name, n_centroids=1,
                                   k=dim(attrs["k"]),

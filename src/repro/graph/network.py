@@ -10,9 +10,11 @@ the whole network lowers to ONE :class:`~repro.graph.ir.Graph`:
 * every module's *original-order* subgraph is inlined (per-module
   ``build`` becomes a subroutine of the network builder), tagged with
   ``attrs["module"]`` so the strategy rewrites apply region-wise;
-* heads, feature propagation, skip concats, global pooling and stage
-  coordinates are first-class IR nodes (``head`` / ``propagate`` /
-  ``concat`` / ``global_max`` / ``coords`` / ``lift`` / ``select``);
+* heads, skip concats, global pooling and stage coordinates are
+  first-class IR nodes (``head`` / ``concat`` / ``global_max`` /
+  ``coords`` / ``lift`` / ``select``), and a feature-propagation step
+  is a coordinate ``search``, an ``interpolate``, a ``concat`` and a
+  ``head``;
 * the standard pass pipeline (:data:`repro.graph.passes.PIPELINES`)
   then runs over the *full* graph — delayed/limited rewrite every
   module region and DCE drops genuinely dead skip branches and unused
@@ -44,11 +46,6 @@ __all__ = [
     "NetworkRegion",
     "build_network_graph",
 ]
-
-#: Node kinds executed through the per-module executor dispatch.
-MODULE_KINDS = (
-    "sample", "search", "aggregate", "matmul", "reduce_max", "epilogue",
-)
 
 #: Spec-level attr values that are identifiers, not symbolic dims.
 _NON_DIM_ATTRS = ("space", "signature")
@@ -91,9 +88,9 @@ class NetworkGraph:
     """A whole network lowered to one strategy-rewritten graph.
 
     ``refs`` holds the executable objects graph nodes reference
-    (modules by ``attrs["module"]``, heads/decoders by
-    ``attrs["ref"]``); ``outputs`` the named output spec; ``regions``
-    the per-module splice points.
+    (modules by ``attrs["module"]``, heads by ``attrs["ref"]``);
+    ``outputs`` the named output spec; ``regions`` the per-module
+    splice points.
     """
 
     network: str
@@ -230,15 +227,36 @@ class NetworkGraphBuilder:
 
     def propagate(self, fp, fine_coords, fine_feats, coarse_coords,
                   coarse_feats):
-        """One feature-propagation (decoder/upsampling) step."""
-        return self.graph.add(
-            "propagate",
-            inputs=(fine_coords, fine_feats, coarse_coords, coarse_feats),
-            attrs={"ref": self._ref(fp), "label": fp.name,
-                   "n_points": fp.n_points, "k": fp.K,
-                   "dims": tuple(fp.mlp.dims)},
-            phase="F",
-        ).id
+        """One feature-propagation (decoder/upsampling) step.
+
+        Four nodes: a coordinate-space ``search`` of each fine point's
+        nearest coarse points, with their distances; ``interpolate``, the
+        inverse-distance weighted sum of the coarse features; the skip
+        ``concat``; and the FP MLP as a ``head``.  The search and the
+        concat are untraced, so the lowered trace is the
+        ``three_interpolate`` kernel plus the MLP's matmuls, as the
+        analytic emission has always reported a decoder level.
+        """
+        n_coarse = self.graph.node(coarse_coords).attrs["rows"]
+        width = fp.mlp.dims[0]
+        search = self.graph.add(
+            "search", inputs=(coarse_coords, fine_coords),
+            attrs={"n_queries": fp.n_points, "n_points": n_coarse,
+                   "k": min(fp.K, n_coarse), "dim": 3, "label": fp.name,
+                   "traced": False},
+            phase="N",
+        )
+        # The trace reports the kernel's fixed k and the MLP's input
+        # width, as the analytic emission always has.
+        interpolated = self.graph.add(
+            "interpolate", inputs=(search.id, coarse_feats),
+            attrs={"n_points": fp.n_points, "k": fp.K,
+                   "feature_dim": width, "label": fp.name},
+            phase="O",
+        )
+        joined = self.concat((fine_feats, interpolated.id), rows=fp.n_points,
+                             dim=width, label=fp.name, traced=False)
+        return self.head(fp.mlp, joined, rows=fp.n_points, label=fp.name)
 
     def global_max(self, feats, k, dim, label):
         """Per-cloud global max over ``k`` flat rows of width ``dim``."""

@@ -30,8 +30,7 @@ import numpy as np
 
 from ..core import ModuleSpec
 from ..graph import build_network_graph
-from ..neighbors import knn_brute_force
-from ..neural import Dropout, Linear, Module, ReLU, Sequential, Tensor, concat
+from ..neural import Dropout, Linear, Module, ReLU, Sequential
 
 __all__ = [
     "FCHead",
@@ -94,10 +93,12 @@ class FeaturePropagation(Module):
     Interpolates coarse features onto the fine point set with
     inverse-distance weights over the 3 nearest coarse points (the
     ``three_interpolate`` kernel the paper's baseline optimizes), then
-    concatenates skip features and applies a unit MLP.
-    Delayed-aggregation does not alter FP modules; they contribute to
-    the F phase identically under every strategy, which is why the
-    network graph models them as single ``propagate`` nodes.
+    concatenates skip features and applies a unit MLP.  The module only
+    holds that configuration and the MLP's weights:
+    :meth:`~repro.graph.network.NetworkGraphBuilder.propagate` builds a
+    level as IR nodes — coordinate ``search`` (N), ``interpolate`` (O),
+    skip ``concat`` and the MLP as a ``head`` (F) — which every
+    executor runs like any other node.  No strategy rewrites them.
     """
 
     K = 3
@@ -109,38 +110,6 @@ class FeaturePropagation(Module):
         self.name = name
         self.n_points = n_points
         self.mlp = SharedMLP(list(mlp_dims), rng=rng)
-
-    def export_layers(self):
-        """The flat layer list a kernel backend exports parameters from."""
-        return self.mlp.export_layers()
-
-    def forward(self, fine_coords, fine_feats, coarse_coords, coarse_feats):
-        """Propagate coarse features onto the fine points of a stack.
-
-        ``fine_coords``/``coarse_coords`` are (B, n, 3) stacks (a cloud
-        is a stack of one) and ``fine_feats``/``coarse_feats`` flat
-        (B * n, C) Tensors in cloud-major order (``fine_feats`` may be
-        None, as on the first decoder level).  The three-nearest search
-        runs over the stack; the inverse-distance interpolation then
-        works on flat rows, and the MLP runs one GEMM per cloud
-        (:func:`~repro.graph.executors.per_cloud`).
-        """
-        from ..graph.executors import per_cloud
-
-        batch, n_fine = fine_coords.shape[0], fine_coords.shape[1]
-        n_coarse = coarse_coords.shape[1]
-        k = min(self.K, n_coarse)
-        idx, dist = knn_brute_force(coarse_coords, fine_coords, k)  # (B, nf, k)
-        weights = 1.0 / np.maximum(dist, 1e-8)
-        weights = weights / weights.sum(axis=-1, keepdims=True)
-        row_base = (np.arange(batch, dtype=np.int64) * n_coarse)[:, None, None]
-        flat_idx = (idx + row_base).reshape(batch * n_fine, k)
-        gathered = coarse_feats.gather(flat_idx)  # (B * nf, k, C)
-        flat_w = Tensor(weights.reshape(batch * n_fine, k)[:, :, None])
-        interpolated = (gathered * flat_w).sum(axis=1)
-        if fine_feats is not None:
-            interpolated = concat([fine_feats, interpolated], axis=1)
-        return per_cloud(self.export_layers(), interpolated, batch)
 
 
 def _only_cloud(ngraph, stacked):

@@ -479,6 +479,35 @@ class TestDtypePropagation:
         program.run(clouds_for(net, 2))
         assert searched == [np.dtype(dtype)] * len(net.encoder)
 
+    def test_decoder_searches_hand_interpolate_float64_distances(self):
+        # Interpolation weighs coarse rows by their distances, which a
+        # float32 search shifts whenever it reorders near-tied coarse
+        # points: a float32 program keeps each decoder search in float64
+        # while its module searches run in float32.
+        net = toy("PointNet++ (s)")
+        program = compile_kernel_program(net, "delayed", "float32")
+        graph = program.ngraph.graph
+        searched = []
+
+        def on_kernel(pos, label, env, ctx):
+            kind, nid = label.split(":")
+            if kind != "search":
+                return
+            node = graph.node(int(nid))
+            if "module" in node.attrs:
+                # Index-only: the distances live in the entry it cached.
+                _, distances = next(reversed(ctx["cache"]._entries.values()))
+            else:
+                (consumer,) = graph.consumers(node.id)
+                assert consumer.kind == "interpolate"
+                _, distances = env[node.id]
+            searched.append(("module" in node.attrs, distances.dtype))
+
+        program.run(clouds_for(net, 2), on_kernel=on_kernel,
+                    cache=NeighborIndexCache(maxsize=64))
+        assert searched == ([(True, np.float32)] * len(net.encoder)
+                            + [(False, np.float64)] * 3)
+
     def test_cache_keys_on_dtype_with_single_flight(self):
         rng = np.random.default_rng(2)
         points = rng.normal(size=(128, 3))

@@ -250,7 +250,7 @@ class TestCacheArgument:
         # untagged search per propagation level, keyed on its queries.
         net = toy("PointNet++ (s)")
         graph = net.network_graph("delayed").graph
-        assert len(graph.find("propagate")) == 3
+        assert sum("module" not in n.attrs for n in graph.find("search")) == 3
         clouds = clouds_for(net, 2, seed=24)
         cache = NeighborIndexCache(maxsize=64)
         runner = BatchRunner(net, cache=cache)

@@ -237,14 +237,12 @@ class TestTraceConsistency:
             if not record["traced"]:
                 return []
             return [("concat", record["rows"], record["dim"])]
-        if kind in ("head", "propagate"):
+        if kind == "interpolate":
+            return [("interpolate", record["n_points"], record["feature_dim"])]
+        if kind == "head":
             dims = record["dims"]
-            rows = record["rows"]
-            ops = [("matmul", rows, a, b)
-                   for a, b in zip(dims[:-1], dims[1:])]
-            if kind == "propagate":
-                ops = [("interpolate", rows, dims[0])] + ops
-            return ops
+            return [("matmul", record["rows"], a, b)
+                    for a, b in zip(dims[:-1], dims[1:])]
         if kind == "global_max":
             return [("reduce_max", 1, record["k"], record["dim"])]
         raise AssertionError(f"unexpected executed kind {kind!r}")

@@ -4,11 +4,14 @@ tracing, strategy equivalence and gradient flow."""
 import numpy as np
 import pytest
 
-from conftest import cloud_for, toy
-from repro.core import ModuleSpec
+from conftest import cloud_for, interpret, toy
+from repro.backend import compile_kernel_program
+from repro.core import ModuleSpec, PointCloudModule
 from repro.networks import (
     ALL_NETWORKS,
     PROFILED_NETWORKS,
+    FeaturePropagation,
+    PointCloudNetwork,
     build_network,
     scale_spec,
     table1_rows,
@@ -183,27 +186,61 @@ class TestTraces:
         assert 0.5 < avg < 0.8
 
 
+class DecoderToy(PointCloudNetwork):
+    """One 32 -> 8 module and one decoder level back onto its 32 points.
+
+    The coarse features are the 8 centroids' own coordinates, so an
+    interpolated row is a weighted mean of coarse points; it is an
+    output beside the decoded rows.
+    """
+
+    name = "decoder toy"
+    task = "segmentation"
+
+    def __init__(self):
+        rng = np.random.default_rng(0)
+        spec = ModuleSpec("sa", n_in=32, n_out=8, k=4, mlp_dims=(3, 16))
+        super().__init__([PointCloudModule(spec, rng=rng)])
+        self.fp = FeaturePropagation("fp", 32, (3 + 3, 16), rng=rng)
+
+    def _build_graph(self, nb):
+        coords, feats = nb.input()
+        _, (coarse, _) = nb.encoder(self.encoder, coords, feats)
+        decoded = nb.propagate(self.fp, coords, feats, coarse,
+                               nb.lift(coarse))
+        nb.output(nb.graph.only("interpolate").id, name="interpolated",
+                  per_point=True)
+        nb.output(decoded, name="decoded", per_point=True)
+
+
+def decode(net, clouds):
+    """The interpreter's and the float64 program's outputs, held equal."""
+    interpreted = interpret(net, clouds)
+    program = compile_kernel_program(net, backend="float64").run(clouds)
+    for name, value in program.items():
+        np.testing.assert_array_equal(value.data, interpreted[name])
+    return interpreted
+
+
 class TestSegmentationDecoder:
     def test_feature_propagation_shapes(self):
-        from repro.networks import FeaturePropagation
-        from repro.neural import Tensor
-
-        rng = np.random.default_rng(0)
-        fp = FeaturePropagation("fp", 32, (8 + 16, 16), rng=rng)
-        fine = rng.normal(size=(32, 3))
-        coarse = rng.normal(size=(8, 3))
-        out = fp(fine[None], Tensor(rng.normal(size=(32, 8))), coarse[None],
-                 Tensor(rng.normal(size=(8, 16))))
-        assert out.shape == (32, 16)
+        net = DecoderToy()
+        out = decode(net, np.random.default_rng(0).normal(size=(3, 32, 3)))
+        assert out["interpolated"].shape == (3, 32, 3)
+        assert out["decoded"].shape == (3, 32, 16)
 
     def test_interpolation_weights_prefer_near(self):
-        from repro.networks import FeaturePropagation
-        from repro.neural import Tensor
-
-        fp = FeaturePropagation("fp", 1, (1, 1), rng=np.random.default_rng(0))
-        fine = np.array([[0.0, 0.0, 0.0]])
-        coarse = np.array([[0.01, 0, 0], [10.0, 0, 0], [20.0, 0, 0]])
-        feats = Tensor(np.array([[1.0], [100.0], [100.0]]))
-        idx_out = fp(fine[None], None, coarse[None], feats)
-        # Nearly all weight on the nearest coarse point.
-        assert idx_out.data[0, 0] < 5.0
+        net = DecoderToy()
+        cloud = np.random.default_rng(1).uniform(200.0, 300.0, size=(32, 3))
+        centroids = net.encoder[0]._sample_centroids(32)
+        near, mid, far = centroids[:3]
+        cloud[near], cloud[mid], cloud[far] = (0.01, 0, 0), (10, 0, 0), (20, 0, 0)
+        fine = next(i for i in range(32) if i not in centroids)
+        cloud[fine] = 0.0
+        out = decode(net, cloud[None])["interpolated"][0]
+        # Nearly all weight on the nearest coarse point, where the mean
+        # of the three would sit at x = 10 ...
+        assert np.abs(out[fine] - cloud[near]).max() < 0.05
+        # ... and all but rounding on a coarse point it coincides with.
+        np.testing.assert_allclose(out[centroids], cloud[centroids],
+                                   rtol=1e-6, atol=1e-6)
