@@ -3,8 +3,8 @@
 Builds one point cloud module (the first module of PointNet++, Fig 3 /
 Fig 8 of the paper), runs it alone (``module(coords, features)``) under
 the original, delayed and limited execution strategies, lowers its
-operator trace with ``repro.graph.lower_module_trace``, and shows the
-three headline effects:
+operator trace from the same graph (``module.trace(strategy)``), and
+shows the three headline effects:
 
 1. delayed only approximates original (Equ. 3: the ReLU does not
    distribute over the max; retraining recovers the accuracy), while
@@ -19,9 +19,7 @@ Run:  python examples/quickstart.py
 import numpy as np
 
 from repro.core import ModuleSpec, PointCloudModule, relative_error
-from repro.graph import lower_module_trace
 from repro.neural import Tensor
-from repro.profiling import Trace
 
 # The paper's example module: 1024 points -> 512 centroids, K=32
 # neighbors, shared MLP [3, 64, 64, 128].
@@ -49,8 +47,8 @@ print(f"limited vs original error:    {err_limited:.2e}  (exact MVM hoisting)")
 
 # -- 2. Workload comparison ----------------------------------------------------
 
-trace_orig = lower_module_trace(spec, "original", Trace())
-trace_delayed = lower_module_trace(spec, "delayed", Trace())
+trace_orig = module.trace("original")
+trace_delayed = module.trace("delayed")
 macs_orig = trace_orig.mlp_macs()
 macs_delayed = trace_delayed.mlp_macs()
 print(f"\nMLP MACs original:            {macs_orig / 1e6:.1f} M "

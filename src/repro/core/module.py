@@ -14,21 +14,19 @@ computation (F).  The three orderings studied in the paper:
   matrix-vector product (which is exactly linear), aggregate, then run
   the remaining layers over Nout*K rows.
 
-Since the operator-graph IR landed, the module no longer hand-writes a
-forward body per strategy: it builds its graph once in ``original``
-form and the ``delayed``/``limited`` orderings are graph-rewrite passes
-(:mod:`repro.graph.passes`).  :meth:`PointCloudModule.forward` is the
-one way to run a module alone: it lifts its cloud into a stack of one,
-hands it to :meth:`repro.graph.executors.GraphExecutor.run` and unwraps
-the :class:`ModuleOutput`.  The operator trace the profiling analytics
-and hardware simulators consume is lowered from the *same* graph by
-:func:`repro.graph.lower_module_trace` (it never touches point data, so
-paper-scale inputs stay cheap), so trace and execution cannot drift.
-
-Networks do not compose modules through Python bodies either: the
-network builder (:mod:`repro.graph.network`) inlines
-:func:`repro.graph.build.build_module_graph` as a subroutine, so whole
-networks lower to one graph.
+The module does not hand-write a forward body per strategy: a module
+is a region of a network graph, emitted once in ``original`` order by
+:meth:`repro.graph.network.NetworkGraphBuilder.module`, and the
+``delayed``/``limited`` orderings are graph-rewrite passes
+(:mod:`repro.graph.passes`).  Run alone, a module is a one-module
+network: :meth:`PointCloudModule.forward` lifts its cloud into a stack
+of one, runs that graph through
+:meth:`repro.graph.executors.GraphExecutor.run_network` with the
+feature table as its input, and unwraps the :class:`ModuleOutput`.
+:meth:`PointCloudModule.trace` lowers the *same* graph to the operator
+trace the profiling analytics and hardware simulators consume (it never
+touches point data, so paper-scale inputs stay cheap), so trace and
+execution cannot drift.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..graph.passes import module_graph
+from ..graph.network import build_network_graph
 from ..neural import SharedMLP, Tensor
 from ..neural.layers import Linear, Module
 
@@ -114,16 +112,12 @@ class ModuleSpec:
 class ModuleOutput:
     """What one module run produces.
 
-    :meth:`PointCloudModule.forward` returns the per-cloud shapes:
+    :meth:`PointCloudModule.forward` returns it for one cloud:
     ``coords`` ``(n_out, 3)``, ``features`` an ``(n_out, Mout)`` Tensor,
     ``indices`` the ``(n_out, k)`` Neighbor Index Table and ``centroids``
-    the ``(n_out,)`` sampled point ids.
-    :meth:`~repro.graph.executors.GraphExecutor.run` returns the stack
-    form: ``(B, n_out, 3)`` coords, flat ``(B * n_out, Mout)`` feature
-    rows and ``(B, n_out, k)`` cloud-local indices (every cloud samples
-    the same ``centroids``).  ``pft`` holds the Point Feature Table rows
-    (the MLP output per *input* point) when the strategy produced one,
-    else ``None``.
+    the ``(n_out,)`` sampled point ids.  ``pft`` holds the Point Feature
+    Table rows (the MLP output per *input* point) when the strategy
+    produced one, else ``None``.
     """
 
     coords: np.ndarray
@@ -136,18 +130,25 @@ class ModuleOutput:
 class PointCloudModule(Module):
     """Executable module parameterized by a :class:`ModuleSpec`.
 
-    ``forward`` interprets the module's strategy-rewritten operator
-    graph; the graphs themselves are memoized per
-    (spec, strategy) by :func:`repro.graph.passes.module_graph`.
+    To the graph builder it is a one-module network (``name``,
+    ``n_points`` and ``_build_graph``); ``forward`` interprets that
+    graph under a strategy and ``trace`` lowers it, both memoized per
+    instance by :meth:`network_graph`.
     """
 
     def __init__(self, spec, batch_norm=False, rng=None):
         super().__init__()
         self.spec = spec
         self.mlp = SharedMLP(list(spec.mlp_dims), batch_norm=batch_norm, rng=rng)
-        # Per-instance handle onto the shared (spec, strategy) graph
-        # memo: skips re-hashing the spec on every forward.
-        self._graphs = {}
+        self._network_graphs = {}
+
+    @property
+    def name(self):
+        return self.spec.name
+
+    @property
+    def n_points(self):
+        return self.spec.n_in
 
     # -- shared steps -------------------------------------------------------
 
@@ -164,58 +165,74 @@ class PointCloudModule(Module):
             return np.arange(n_in)
         return np.linspace(0, n_in - 1, self.spec.n_out).astype(np.int64)
 
-    def graph(self, strategy="delayed"):
-        """This module's operator graph under ``strategy`` (memoized)."""
+    def _build_graph(self, nb):
+        """The one-module network: the feature table in, one region."""
+        coords, feats = nb.input(features=self.spec.in_dim)
+        nb.output(nb.module(self, coords, feats)[1])
+
+    def network_graph(self, strategy="delayed"):
+        """This module's one-region graph under ``strategy`` (memoized)."""
         if strategy == "limited" and not isinstance(
             next(iter(self.mlp.net.layers), None), Linear
         ):
             # Checked every call, not just on the memo miss: the MLP's
             # layer list is mutable after construction.
             raise TypeError("limited strategy requires a leading Linear layer")
-        cached = self._graphs.get(strategy)
+        cached = self._network_graphs.get(strategy)
         if cached is None:
-            if strategy not in STRATEGIES:
-                raise ValueError(f"unknown strategy {strategy!r}")
-            cached = self._graphs[strategy] = module_graph(self.spec, strategy)
+            cached = self._network_graphs[strategy] = build_network_graph(
+                self, strategy
+            )
         return cached
 
-    def forward(self, coords, features, strategy="delayed", trace=None):
+    def forward(self, coords, features, strategy="delayed"):
         """Run the module over one cloud.
 
         Parameters
         ----------
         coords:
-            (n_in, 3) numpy coordinates.
+            (n_in, 3) numpy coordinates, ``n_in`` the spec's.
         features:
             (n_in, Min) Tensor of per-point features.
         strategy:
             One of :data:`STRATEGIES`.
-        trace:
-            Optional :class:`Trace` to append the graph's lowered
-            operator records to (:func:`repro.graph.lower_module_trace`).
 
         The cloud runs through
-        :meth:`~repro.graph.executors.GraphExecutor.run` as a stack of
-        one; returns the unwrapped :class:`ModuleOutput`.
+        :meth:`~repro.graph.executors.GraphExecutor.run_network` as a
+        stack of one; returns its :class:`ModuleOutput`.
         """
-        graph = self.graph(strategy)
-        n_in = coords.shape[0]
-        if features.shape != (n_in, self.spec.in_dim):
+        spec = self.spec
+        if coords.shape != (spec.n_in, 3):
+            raise ValueError(f"{spec.name} expects {(spec.n_in, 3)} coords, "
+                             f"got {coords.shape}")
+        if features.shape != (spec.n_in, spec.in_dim):
             raise ValueError(
-                f"{self.spec.name}: expected features "
-                f"{(n_in, self.spec.in_dim)}, got {features.shape}"
+                f"{spec.name}: expected features "
+                f"{(spec.n_in, spec.in_dim)}, got {features.shape}"
             )
-        if trace is not None:
-            # Imported here: analytics-only, so execution never loads
-            # the trace lowering or repro.profiling.
-            from ..graph.lower import lower_module_trace
-
-            lower_module_trace(self.spec, strategy, trace, n_in=n_in)
+        ngraph = self.network_graph(strategy)
 
         # Imported here: the interpreter serves training and the test
         # oracle only, so a server start never loads it.
         from ..graph.executors import GraphExecutor
 
-        out = GraphExecutor().run(graph, self, coords[None], features)
-        return ModuleOutput(out.coords[0], out.features, out.indices[0],
-                            out.centroids, out.pft)
+        executor = GraphExecutor()
+        out = executor.run_network(ngraph, self, coords[None],
+                                   features=features)
+        run = executor.region_state[0]
+        centroids = run["centroid_local"]
+        return ModuleOutput(coords[centroids], out, run["indices_local"][0],
+                            centroids, run["pft"])
+
+    def trace(self, strategy="original"):
+        """This module's operator trace under ``strategy``.
+
+        Lowered from the graph ``forward`` runs, as
+        :meth:`repro.networks.base.PointCloudNetwork.trace` is; the
+        lowering and :mod:`repro.profiling` load with the first trace.
+        """
+        from ..graph.lower import lower_network_trace
+        from ..profiling import Trace
+
+        return lower_network_trace(self.network_graph(strategy),
+                                   Trace(self.name, strategy))

@@ -2,10 +2,11 @@
 
 The paper's delayed aggregation is a *program transform* — reorder the
 N/A/F operator stream and both the software speedup and the hardware
-co-design follow.  This package encodes that transform once: a module
-builds its operator graph in ``original`` form
-(:func:`~repro.graph.build.build_module_graph`), the ``delayed`` and
-``limited`` strategies are graph-rewrite passes
+co-design follow.  This package encodes that transform once, over one
+graph form: a network graph (:mod:`~repro.graph.network`), in which
+every module is a region emitted in ``original`` order (a module run
+alone is a one-module network).  The ``delayed`` and ``limited``
+strategies are graph-rewrite passes over those regions
 (:mod:`~repro.graph.passes`), and the rewritten graph feeds every
 consumer — the graph interpreter
 (:mod:`~repro.graph.executors`), the kernel compiler
@@ -18,8 +19,6 @@ MLP), which the lowering copies onto trace ops for the hardware models.
 from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(globals(), {
-    "build_module_graph": "build",
-    "search_signature": "build",
     "GraphExecutor": "executors",
     "OpRecorder": "executors",
     "KINDS": "ir",
@@ -27,11 +26,7 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "Node": "ir",
     "ValueLiveness": "ir",
     "format_graph": "ir",
-    "resolve_dim": "ir",
-    "shape_env": "ir",
     "value_liveness": "ir",
-    "lower_graph": "lower",
-    "lower_module_trace": "lower",
     "lower_network_trace": "lower",
     "NetworkGraph": "network",
     "NetworkGraphBuilder": "network",
@@ -42,6 +37,5 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "dead_code_elimination": "passes",
     "delay_aggregation": "passes",
     "limit_delay": "passes",
-    "module_graph": "passes",
     "run_pipeline": "passes",
 })

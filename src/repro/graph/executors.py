@@ -1,14 +1,15 @@
-"""The graph interpreter: run module and network graphs over real point data.
+"""The graph interpreter: run network graphs over real point data.
 
-One class, :class:`GraphExecutor`, interprets both graph forms over the
-autograd tensors, and it knows one arity: **a cloud is a stack of one**.
-Coordinates are ``(batch, n, 3)`` stacks and features flat
-``(batch * n, C)`` tensors in cloud-major row order; the neighbor
-search runs over the stack, the resulting cloud-local indices are
-lifted into the flat row space, and every downstream node processes the
-whole stack as flat rows.  No BLAS call mixes clouds: every Linear runs
-through :func:`per_cloud`, one GEMM per cloud, so a cloud gets the same
-bits alone as at any place in any stack.  The single-cloud front doors
+One class, :class:`GraphExecutor`, interprets the one graph form — the
+network graph (:mod:`repro.graph.network`) — over the autograd tensors,
+and it knows one arity: **a cloud is a stack of one**.  Coordinates are
+``(batch, n, 3)`` stacks and features flat ``(batch * n, C)`` tensors in
+cloud-major row order; the neighbor search runs over the stack, the
+resulting cloud-local indices are lifted into the flat row space, and
+every downstream node processes the whole stack as flat rows.  No BLAS
+call mixes clouds: every Linear runs through :func:`per_cloud`, one GEMM
+per cloud, so a cloud gets the same bits alone as at any place in any
+stack.  The single-cloud front doors
 (:meth:`repro.core.module.PointCloudModule.forward`,
 :meth:`repro.networks.base.PointCloudNetwork.forward`) lift with
 ``cloud[None]`` and unwrap the result; the executor never looks at
@@ -18,17 +19,14 @@ The interpreter trains and checks; it does not serve.
 :class:`~repro.engine.runner.BatchRunner` runs compiled kernel
 programs, and the float64 one is held to this interpreter bit for bit.
 
-* :meth:`GraphExecutor.run` executes one *module* graph and returns a
-  :class:`~repro.core.module.ModuleOutput` in its stack form — the one
-  way to run a module alone, behind
-  :meth:`~repro.core.module.PointCloudModule.forward`;
-* :meth:`GraphExecutor.run_network` executes a whole-*network* graph
-  (:mod:`repro.graph.network`): module-region nodes go through the same
-  per-node arithmetic, heads / decoder levels / skip glue are handled
-  beside them.
-
-``run`` and ``run_network`` both walk the node list front to back: the
-list order is the topological order.
+:meth:`GraphExecutor.run_network` is the one driver.  It walks the node
+list front to back (the list order is the topological order):
+module-region nodes go through the per-node arithmetic below, heads /
+decoder levels / skip glue are handled beside them.  A module run alone
+is a one-module network graph whose ``input`` node is the feature table
+handed to ``run_network``; its sampled centroids, Neighbor Index Table
+and Point Feature Table stay readable in :attr:`GraphExecutor.region_state`
+after the run.
 
 An optional :class:`OpRecorder` captures the shape of every logical
 operator actually executed (an ``aggregate`` node records its gather /
@@ -43,7 +41,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.module import ModuleOutput
 from ..neighbors import knn_brute_force
 from ..neural import Tensor, concat
 from ..neural.layers import Linear, segment_layers
@@ -86,10 +83,6 @@ class OpRecorder:
         """Append one executed operator's kind and shape attributes."""
         self.records.append({"kind": kind, **info})
 
-    def by_kind(self, kind):
-        """All records of one operator kind, in execution order."""
-        return [r for r in self.records if r["kind"] == kind]
-
 
 class GraphExecutor:
     """The graph interpreter over the autograd tensors.
@@ -104,53 +97,34 @@ class GraphExecutor:
     def __init__(self, recorder=None):
         self.recorder = recorder
 
-    # -- drivers ------------------------------------------------------------
+    def run_network(self, ngraph, network, coords, features=None):
+        """Execute the network graph over a ``(batch, n, 3)`` stack.
 
-    def run(self, graph, module, coords, features):
-        """Execute a module ``graph`` for ``module`` over a stack of clouds.
-
-        ``coords`` is ``(batch, n_in, 3)`` and ``features`` the flat
-        ``(batch * n_in, m)`` tensor; returns the stack-form
-        :class:`~repro.core.module.ModuleOutput`.
+        ``features`` is the flat ``(batch * n, C)`` table a graph's
+        ``input`` node reads (a module run alone); networks lift theirs
+        from the coordinates.  Afterwards :attr:`region_state` maps each
+        module region to its run's sampled centroids (cloud-local),
+        neighbor indices (cloud-local, ``(batch, n_out, k)``) and Point
+        Feature Table (or ``None``).
         """
-        segments, state = self._init_run(module)
         self._nclouds = coords.shape[0]
-
-        env = {}
-        for node in graph:
-            env[node.id] = self._exec_node(node, env, module, coords, features,
-                                           segments, state)
-        if len(graph.outputs) != 1:
-            raise ValueError("module graphs produce exactly one output")
-        centroids = state["centroid_local"]
-        return ModuleOutput(coords[:, centroids], env[graph.outputs[0]],
-                            state["indices_local"], centroids, state["pft"])
-
-    def run_network(self, ngraph, network, coords):
-        """Execute the whole network graph over a ``(batch, n, 3)`` stack."""
-        self._start_run(ngraph, coords)
-        env = {}
-        for node in ngraph.graph:
-            env[node.id] = self._exec_network_node(node, env, ngraph, coords)
-        return self._network_outputs(ngraph, env)
-
-    def _init_run(self, module):
-        """Per-run scratch of one module (region): ``(segments, state)``."""
-        state = {
-            "centroid_local": None,  # cloud-local centroid ids
-            "centroid_rows": None,   # rows into the flat feature table
-            "indices_local": None,   # cloud-local NIT indices
-            "indices_rows": None,    # row-space NIT indices
-            "pft": None,
-        }
-        return segment_layers(module.mlp.export_layers()), state
-
-    def _start_run(self, ngraph, coords):
-        self._nclouds = coords.shape[0]
-        self._module_runs = {
-            region.module: self._init_run(ngraph.refs[region.module])
+        self.region_state = {
+            region.module: {
+                "segments": segment_layers(
+                    ngraph.refs[region.module].mlp.export_layers()),
+                "centroid_local": None,  # cloud-local centroid ids
+                "centroid_rows": None,   # rows into the flat feature table
+                "indices_local": None,   # cloud-local NIT indices
+                "indices_rows": None,    # row-space NIT indices
+                "pft": None,
+            }
             for region in ngraph.regions
         }
+        env = {}
+        for node in ngraph.graph:
+            env[node.id] = self._exec_network_node(node, env, ngraph, coords,
+                                                   features)
+        return self._network_outputs(ngraph, env)
 
     # -- module-region dispatch ----------------------------------------------
 
@@ -160,11 +134,8 @@ class GraphExecutor:
         batch, n_in = coords.shape[0], coords.shape[1]
         return (np.arange(batch, dtype=np.int64) * n_in)[:, None]
 
-    def _exec_node(self, node, env, module, coords, features, segments,
-                   state):
+    def _exec_node(self, node, env, module, coords, features, state):
         kind = node.kind
-        if kind == "input":
-            return features
         if kind == "sample":
             n_in = coords.shape[1]
             local = module._sample_centroids(n_in)
@@ -196,7 +167,7 @@ class GraphExecutor:
                                      dim=space.shape[-1])
             return rows
         if kind == "matmul":
-            return self._matmul(node, env[node.inputs[0]], segments, state)
+            return self._matmul(node, env[node.inputs[0]], state)
         if kind == "reduce_max":
             # The post-MLP reduction: rows*k flat rows back to
             # (rows, k, dim) before the reduction.
@@ -211,7 +182,7 @@ class GraphExecutor:
                 return self._subtract_post(reduced, source, state)
             return self._subtract_pre(gathered, source, state)
         if kind == "epilogue":
-            return self._epilogue(node, env[node.inputs[0]], segments)
+            return self._epilogue(node, env[node.inputs[0]], state)
         raise ValueError(f"executor cannot handle node kind {kind!r}")
 
     # -- operator semantics (identical to the pre-IR strategy bodies) --------
@@ -239,8 +210,8 @@ class GraphExecutor:
             self.recorder.record("subtract", rows=out.shape[0], dim=out.shape[1])
         return out
 
-    def _matmul(self, node, x, segments, state):
-        segment = segments[node.attrs["layer"]]
+    def _matmul(self, node, x, state):
+        segment = state["segments"][node.attrs["layer"]]
         if node.attrs.get("weight_only"):
             out = _per_cloud_matmul(x, segment[0].weight, self._nclouds)
         else:
@@ -259,8 +230,8 @@ class GraphExecutor:
                          feature_dim=x.shape[2])
         return reduced
 
-    def _epilogue(self, node, x, segments):
-        segment = segments[node.attrs["layer"]]
+    def _epilogue(self, node, x, state):
+        segment = state["segments"][node.attrs["layer"]]
         linear = segment[0]
         # The hoisted product ran weight-only: the bias cancels in the
         # centroid subtraction, so it is re-added here — followed by the
@@ -273,11 +244,10 @@ class GraphExecutor:
 
     # -- network-level dispatch ----------------------------------------------
 
-    def _exec_network_node(self, node, env, ngraph, coords):
+    def _exec_network_node(self, node, env, ngraph, coords, features):
         kind = node.kind
         if "module" in node.attrs:
             index = node.attrs["module"]
-            segments, state = self._module_runs[index]
             # Stage bindings are fetched leniently: a coords-space
             # sample/search depends only on the stage coordinates, so
             # it may run before its stage features exist.  Nodes that
@@ -287,9 +257,11 @@ class GraphExecutor:
                 node, env, ngraph.refs[index],
                 env.get(node.attrs.get("coords")),
                 env.get(node.attrs.get("feats")),
-                segments, state,
+                self.region_state[index],
             )
         nclouds = self._nclouds
+        if kind == "input":
+            return features
         if kind == "coords":
             if not node.inputs:
                 return coords
@@ -320,7 +292,8 @@ class GraphExecutor:
             out = (gathered * Tensor(weights[:, :, None])).sum(axis=1)
             if self.recorder is not None:
                 self.recorder.record("interpolate", n_points=out.shape[0],
-                                     feature_dim=node.attrs["feature_dim"])
+                                     k=rows.shape[1],
+                                     feature_dim=out.shape[1])
             return out
         if kind == "global_max":
             x = env[node.inputs[0]]

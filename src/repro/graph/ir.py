@@ -5,11 +5,9 @@ profiling traces' operator taxonomy (Sample / NeighborSearch / MatMul /
 ReduceMax / Concat), except that aggregation is one ``aggregate`` node
 (gather [+ max-reduce] + subtract, the Aggregation Unit's one
 NIT-driven pass) that the trace lowering expands into its Gather /
-ReduceMax / Subtract records.  Node attributes hold
-*symbolic* dimensions ("n_in", "n_out", "k", products like "n_out*k")
-so one graph serves every input scale and batch size; executors and the
-trace lowering bind them against a concrete :class:`ShapeEnv` at run
-time.
+ReduceMax / Subtract records.  Node attributes hold the per-cloud sizes
+as plain ints: a graph is built for one network instance at its fixed
+scale, and a cloud stack's height is the only size bound at run time.
 
 The node list order is both the topological order and the emission
 order: executors evaluate nodes front to back, and the trace lowering
@@ -27,14 +25,12 @@ __all__ = [
     "Node",
     "ValueLiveness",
     "format_graph",
-    "resolve_dim",
-    "shape_env",
     "value_liveness",
 ]
 
 #: Node kinds understood by the executors and the trace lowering.
 KINDS = (
-    "input",       # graph input (the module's per-point feature table)
+    "input",       # an external per-point feature table (a module run alone)
     "sample",      # centroid sampling (O phase)
     "search",      # neighbor search (N phase); a module-less one is a
                    # decoder's coordinate kNN, handing on its distances
@@ -43,9 +39,9 @@ KINDS = (
     "aggregate",   # NIT-driven gather [+ max-reduce] + subtract (A phase)
     "epilogue",    # limited-variant bias + activation replay (no trace op)
     "concat",      # feature concatenation (O phase)
-    # Network-level kinds (repro.graph.network): whole networks lower
-    # to one graph, so heads, decoders and skip glue are IR nodes too;
-    # a decoder level is search -> interpolate -> concat -> head.
+    # Network-level kinds (repro.graph.network): heads, decoders and
+    # skip glue are IR nodes too; a decoder level is
+    # search -> interpolate -> concat -> head.
     "coords",      # stage coordinates: network input or prev[centroids]
     "lift",        # seed feature rows from a coords value (no trace op)
     "head",        # an MLP head / embedding applied to flat rows (F phase)
@@ -60,9 +56,8 @@ KINDS = (
 class Node:
     """One operator in the graph.
 
-    ``inputs`` are node ids; ``attrs`` hold the shape parameters, either
-    literal ints (MLP widths are static per spec) or symbolic dims
-    resolved by :func:`resolve_dim`.  ``parallelizable`` is the one
+    ``inputs`` are node ids; ``attrs`` hold the shape parameters as
+    ints, plus labels and region tags.  ``parallelizable`` is the one
     description of N/F overlap: the strategy passes set it on the
     search and the hoisted products that no longer depend on each
     other, and the hardware models overlap exactly the flagged ops.
@@ -86,40 +81,6 @@ class Node:
         attrs = dict(self.attrs)
         attrs.update(updates)
         return replace(self, attrs=attrs)
-
-
-def resolve_dim(value, env):
-    """Bind a symbolic dim against ``env``.
-
-    ``value`` may be an int (returned as-is), a symbol name present in
-    ``env``, or a ``*``-product of symbols/ints ("n_out*k").
-    """
-    if isinstance(value, (int,)):
-        return int(value)
-    if not isinstance(value, str):
-        raise TypeError(f"cannot resolve dim {value!r}")
-    out = 1
-    for factor in value.split("*"):
-        factor = factor.strip()
-        if factor.isdigit():
-            out *= int(factor)
-        elif factor in env:
-            out *= int(env[factor])
-        else:
-            raise KeyError(f"unbound symbolic dim {factor!r} (env has {sorted(env)})")
-    return out
-
-
-def shape_env(spec, n_in=None):
-    """The standard binding for a module graph.
-
-    When executed or traced at a different input scale than the spec
-    (KITTI frames vary per sweep), ``n_out`` clamps to ``n_in`` the same
-    way module execution does.
-    """
-    n_in = spec.n_in if n_in is None else int(n_in)
-    n_out = spec.n_out if n_in == spec.n_in else min(spec.n_out, n_in)
-    return {"n_in": n_in, "n_out": n_out, "k": spec.k}
 
 
 class Graph:

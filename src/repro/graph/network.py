@@ -1,15 +1,15 @@
-"""Whole-network graphs: lift heads, decoders and skip glue into the IR.
+"""Network graphs: the one graph form, spanning modules, heads and glue.
 
 The paper's delayed-aggregation story is a *network-level* property —
 module i+1's hoisted MLP is independent of module i's aggregation drain
-— but per-module graphs stop at module boundaries, so passes and the
-trace cannot see across them.  This module closes the gap: a network
-declares its topology once through a :class:`NetworkGraphBuilder` and
-the whole network lowers to ONE :class:`~repro.graph.ir.Graph`:
+— so the IR has one graph form, the network graph.  A network declares
+its topology once through a :class:`NetworkGraphBuilder` and lowers to
+ONE :class:`~repro.graph.ir.Graph`:
 
-* every module's *original-order* subgraph is inlined (per-module
-  ``build`` becomes a subroutine of the network builder), tagged with
-  ``attrs["module"]`` so the strategy rewrites apply region-wise;
+* every module is a *region*: :meth:`NetworkGraphBuilder.module` emits
+  its original-order nodes (sample → search → aggregate → matmuls →
+  reduce_max), each tagged with ``attrs["module"]`` so the strategy
+  rewrites apply region-wise;
 * heads, skip concats, global pooling and stage coordinates are
   first-class IR nodes (``head`` / ``concat`` / ``global_max`` /
   ``coords`` / ``lift`` / ``select``), and a feature-propagation step
@@ -20,13 +20,16 @@ the whole network lowers to ONE :class:`~repro.graph.ir.Graph`:
   module region and DCE drops genuinely dead skip branches and unused
   head inputs network-wide.
 
+A module run alone is a one-module network: its graph is an external
+feature ``input`` and one region
+(:meth:`~repro.core.module.PointCloudModule.forward`).
+
 Because coordinates flow through explicit ``coords`` nodes (derived
 from sampling, never from features), a downstream module's
 sample→search chain depends only on the *sampling* chain of its
 predecessors.
 
-:class:`~repro.graph.executors.GraphExecutor` interprets these graphs
-with the same per-node arithmetic it runs module graphs with;
+:class:`~repro.graph.executors.GraphExecutor` interprets these graphs;
 :class:`NetworkRegion` records where each module sits, so a per-module
 reference can be checked against every region of a network run.
 """
@@ -35,8 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .build import build_module_graph
-from .ir import Graph, resolve_dim, shape_env
+from .ir import Graph
 from .passes import run_pipeline
 
 __all__ = [
@@ -45,10 +47,22 @@ __all__ = [
     "NetworkOutput",
     "NetworkRegion",
     "build_network_graph",
+    "search_signature",
 ]
 
-#: Spec-level attr values that are identifiers, not symbolic dims.
-_NON_DIM_ATTRS = ("space", "signature")
+
+def search_signature(spec):
+    """Stable identity of a module's neighbor search node.
+
+    Together with the content digest of the searched point table this
+    fully determines the search's queries (centroid sampling is a
+    deterministic function of n_in and n_out), so the engine's
+    neighbor-index cache can key on (points digest, signature) and skip
+    digesting the derived query array.
+    """
+    return (
+        f"{spec.name}:{spec.search_space}:k={spec.k}:n_out={spec.n_out}"
+    )
 
 
 @dataclass(frozen=True)
@@ -67,7 +81,7 @@ class NetworkOutput:
 
 @dataclass(frozen=True)
 class NetworkRegion:
-    """Where one inlined module lives in the network graph.
+    """Where one module region lives in the network graph.
 
     ``coords``/``feats`` are the node ids feeding the region,
     ``sample`` its centroid-sampling node and ``output`` its
@@ -109,13 +123,20 @@ class NetworkGraph:
         return len(self.graph)
 
 
+def _width(node):
+    """The feature width of the rows ``node`` produces."""
+    attrs = node.attrs
+    if "dims" in attrs:  # a head: its last layer's width
+        return attrs["dims"][-1]
+    return attrs.get("feature_dim", attrs.get("dim"))
+
+
 class NetworkGraphBuilder:
     """Declarative builder networks describe their topology against.
 
-    Each method appends IR nodes and returns node ids; the per-module
-    subgraph is inlined in *original* order — the strategy rewrite is a
-    pass over the finished network graph, exactly as it is for module
-    graphs.
+    Each method appends IR nodes and returns node ids; a module region
+    is emitted in *original* order — the strategy rewrite is a pass
+    over the finished network graph.
     """
 
     def __init__(self, network):
@@ -130,13 +151,22 @@ class NetworkGraphBuilder:
 
     # -- inputs and stage plumbing ------------------------------------------
 
-    def input(self):
-        """The network input: a coords node plus lifted feature rows."""
+    def input(self, features=None):
+        """The network input: a coords node plus its feature rows.
+
+        The rows are lifted from the coords, or, given a width
+        ``features``, are the caller's feature table — an ``input``
+        node, which is how a module run alone takes its features.
+        """
         n = self.network.n_points
         coords = self.graph.add("coords", attrs={"rows": n, "dim": 3,
                                                  "label": "input"})
-        feats = self.graph.add("lift", inputs=(coords.id,),
-                               attrs={"rows": n, "dim": 3})
+        if features is None:
+            feats = self.graph.add("lift", inputs=(coords.id,),
+                                   attrs={"rows": n, "dim": 3})
+        else:
+            feats = self.graph.add("input", attrs={"rows": n,
+                                                   "dim": features})
         return coords.id, feats.id
 
     def lift(self, coords):
@@ -144,55 +174,61 @@ class NetworkGraphBuilder:
         return self.graph.add("lift", inputs=(coords,),
                               attrs={"dim": 3}).id
 
-    # -- module inlining -----------------------------------------------------
+    # -- module regions ------------------------------------------------------
 
     def module(self, module, coords, feats):
-        """Inline one module's original-order subgraph.
+        """Emit one module as an original-order region.
 
-        Symbolic dims are bound against the module spec (network graphs
-        execute at the instance's fixed scale), every node is tagged
-        with its module region, and a derived ``coords`` node carries
+        ``F(A(N(p), p))`` is written here once; the ``delayed`` and
+        ``limited`` orderings are rewrites of it
+        (:mod:`repro.graph.passes`).  Aggregation is one ``aggregate``
+        node from the start — the NIT-driven gather and the centroid
+        subtraction (and, once delayed, the max-reduce between them) are
+        one pass, the granularity the paper's Aggregation Unit consumes
+        (§V-B).  Its attrs name each size once — ``n_centroids``, ``k``,
+        ``table_rows`` and the feature width ``dim``.  Every node is
+        tagged with its region, and a derived ``coords`` node carries
         the stage coordinates forward.  Returns
         ``(out_coords, out_feats)`` node ids.
         """
         spec = module.spec
         index = self._ref(module)
-        sub = build_module_graph(spec)
-        env = shape_env(spec)
-        id_map = {sub.only("input").id: feats}
-        for node in sub:
-            if node.kind == "input":
-                continue
-            attrs = {}
-            for key, value in node.attrs.items():
-                if isinstance(value, str) and key not in _NON_DIM_ATTRS:
-                    value = resolve_dim(value, env)
-                attrs[key] = value
-            attrs.update(module=index, label=spec.name,
-                         coords=coords, feats=feats)
-            inputs = tuple(id_map[p] for p in node.inputs)
-            if node.kind == "sample":
-                # Sampling depends only on the stage coordinates — this
-                # is what frees a module's N lane from its
-                # predecessors' feature computation.
-                inputs = (coords,)
-            elif node.kind == "search" and spec.search_space == "coords":
-                # Coordinate-space searches do not consume features at
-                # all: their input is the coords chain.
-                inputs = (coords, inputs[1])
-            new = self.graph.add(node.kind, inputs, attrs, node.phase,
-                                 node.parallelizable)
-            id_map[node.id] = new.id
+        n_in, n_out, k, dims = spec.n_in, spec.n_out, spec.k, spec.mlp_dims
+        region = {"module": index, "label": spec.name, "coords": coords,
+                  "feats": feats}
+
+        def add(kind, inputs, phase, **attrs):
+            return self.graph.add(kind, inputs, {**attrs, **region}, phase).id
+
+        # Sampling depends only on the stage coordinates — this is what
+        # frees a module's N lane from its predecessors' feature
+        # computation.  Coordinate-space searches do not consume
+        # features at all: their input is the coords chain.
+        sample = add("sample", (coords,), "O", n_points=n_in,
+                     n_samples=n_out)
+        space = coords if spec.search_space == "coords" else feats
+        search = add("search", (space, sample), "N", n_queries=n_out,
+                     n_points=n_in, k=k, dim=spec.search_dim,
+                     space=spec.search_space,
+                     signature=search_signature(spec))
+        out = add("aggregate", (feats, search, sample), "A",
+                  n_centroids=n_out, k=k, table_rows=n_in, reduce=False,
+                  dim=dims[0])
+        for i, (a, b) in enumerate(zip(dims[:-1], dims[1:])):
+            out = add("matmul", (out,), "F", layer=i, rows=n_out * k,
+                      in_dim=a, out_dim=b)
+        out = add("reduce_max", (out,), "F", n_centroids=n_out, k=k,
+                  feature_dim=dims[-1])
         out_coords = self.graph.add(
             "coords",
-            inputs=(coords, id_map[sub.only("sample").id]),
-            attrs={"rows": env["n_out"], "dim": 3, "label": spec.name,
+            inputs=(coords, sample),
+            attrs={"rows": n_out, "dim": 3, "label": spec.name,
                    "stage": index},
         )
-        return out_coords.id, id_map[sub.outputs[0]]
+        return out_coords.id, out
 
     def encoder(self, modules, coords, feats):
-        """Inline an encoder stack; returns every (coords, feats) level."""
+        """Emit an encoder stack; returns every (coords, feats) level."""
         levels = [(coords, feats)]
         for module in modules:
             coords, feats = self.module(module, coords, feats)
@@ -234,24 +270,23 @@ class NetworkGraphBuilder:
         inverse-distance weighted sum of the coarse features; the skip
         ``concat``; and the FP MLP as a ``head``.  The search and the
         concat are untraced, so the lowered trace is the
-        ``three_interpolate`` kernel plus the MLP's matmuls, as the
-        analytic emission has always reported a decoder level.
+        ``three_interpolate`` kernel — over the k it searches and the
+        coarse width it gathers — plus the MLP's matmuls.
         """
         n_coarse = self.graph.node(coarse_coords).attrs["rows"]
+        coarse_width = _width(self.graph.node(coarse_feats))
         width = fp.mlp.dims[0]
+        k = min(fp.K, n_coarse)
         search = self.graph.add(
             "search", inputs=(coarse_coords, fine_coords),
             attrs={"n_queries": fp.n_points, "n_points": n_coarse,
-                   "k": min(fp.K, n_coarse), "dim": 3, "label": fp.name,
-                   "traced": False},
+                   "k": k, "dim": 3, "label": fp.name, "traced": False},
             phase="N",
         )
-        # The trace reports the kernel's fixed k and the MLP's input
-        # width, as the analytic emission always has.
         interpolated = self.graph.add(
             "interpolate", inputs=(search.id, coarse_feats),
-            attrs={"n_points": fp.n_points, "k": fp.K,
-                   "feature_dim": width, "label": fp.name},
+            attrs={"n_points": fp.n_points, "k": k,
+                   "feature_dim": coarse_width, "label": fp.name},
             phase="O",
         )
         joined = self.concat((fine_feats, interpolated.id), rows=fp.n_points,

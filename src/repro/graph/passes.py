@@ -11,25 +11,21 @@ implemented as rewrites over the original-order graph, so execution,
 batching, trace analytics and the hardware models all consume the same
 transformed program instead of three hand-maintained copies.
 
-Each rewrite has one body, written per module region: a module graph is
-one implicit region and a whole-network graph has one per inlined
-module, so the same body rewrites both.  Aggregation is one
-``aggregate`` node throughout (built that way,
-:mod:`repro.graph.build`): delaying flips it to its reducing form and
-absorbs the region's ``reduce_max``, limiting re-points it at the
+Each rewrite has one body, written per module region: a network graph
+(:mod:`repro.graph.network`) emits every module as an original-order
+region whose nodes carry ``attrs["module"]``.  Aggregation is one
+``aggregate`` node throughout: delaying flips it to its reducing form
+and absorbs the region's ``reduce_max``, limiting re-points it at the
 hoisted product.
 
 Passes are ``graph -> graph`` callables; :data:`PIPELINES` names the
-pass list per strategy and :func:`module_graph` memoizes the result per
-(spec, strategy).
+pass list per strategy.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import replace
 
-from .build import build_module_graph
 from .ir import Node
 
 __all__ = [
@@ -37,18 +33,11 @@ __all__ = [
     "dead_code_elimination",
     "delay_aggregation",
     "limit_delay",
-    "module_graph",
     "run_pipeline",
 ]
 
 
 # -- module regions -----------------------------------------------------------
-#
-# A whole-network graph (repro.graph.network) inlines every module's
-# original-order subgraph, tagging each inlined node with
-# ``attrs["module"]``; a module graph is one implicit region (every node
-# but its ``input``).  The strategy rewrites below are written once, per
-# region, and apply to every region of either form.
 
 
 def _region_pattern(nodes):
@@ -88,18 +77,11 @@ def _rewrite_module_regions(graph, region_rewrite):
         next_id[0] += 1
         return next_id[0] - 1
 
-    if any("module" in node.attrs for node in nodes):
-        def region_of(node):
-            return node.attrs.get("module")
-    else:
-        def region_of(node):
-            return None if node.kind == "input" else 0
-
     remap = {}
 
     def rewire(node):
-        # Input edges and the coords/feats attr references (the module
-        # executor's stage bindings) both follow a moved region output.
+        # Input edges and the coords/feats attr references (the
+        # interpreter's stage bindings) both follow a moved region output.
         if any(parent in remap for parent in node.inputs):
             node = replace(
                 node, inputs=tuple(remap.get(p, p) for p in node.inputs)
@@ -115,7 +97,7 @@ def _rewrite_module_regions(graph, region_rewrite):
 
     out, seen, i = [], set(), 0
     while i < len(nodes):
-        index = region_of(nodes[i])
+        index = nodes[i].attrs.get("module")
         if index is None:
             out.append(rewire(nodes[i]))
             i += 1
@@ -124,7 +106,7 @@ def _rewrite_module_regions(graph, region_rewrite):
             raise ValueError(f"module region {index} is not contiguous")
         seen.add(index)
         region = []
-        while i < len(nodes) and region_of(nodes[i]) == index:
+        while i < len(nodes) and nodes[i].attrs.get("module") == index:
             region.append(rewire(nodes[i]))
             i += 1
         new_nodes, old_out, new_out = region_rewrite(region, alloc)
@@ -211,8 +193,8 @@ def delay_aggregation(graph):
     by the max-subtract identity.  The final MLP output is the Point
     Feature Table.
 
-    On a whole-network graph the rewrite applies to every inlined module
-    region, rewiring downstream consumers of each region's output.
+    The rewrite applies to every module region, rewiring downstream
+    consumers of each region's output.
     """
     return _rewrite_module_regions(graph, _delay_region)
 
@@ -267,9 +249,3 @@ def run_pipeline(graph, strategy):
     for pipeline_pass in PIPELINES[strategy]:
         graph = pipeline_pass(graph)
     return graph
-
-
-@functools.lru_cache(maxsize=512)
-def module_graph(spec, strategy):
-    """The (memoized) lowered graph of one module spec under a strategy."""
-    return run_pipeline(build_module_graph(spec), strategy)

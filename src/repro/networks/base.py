@@ -176,7 +176,7 @@ class PointCloudNetwork(Module):
     def n_points(self):
         return self.encoder[0].spec.n_in
 
-    def forward(self, coords, strategy="delayed", trace=None, executor=None):
+    def forward(self, coords, strategy="delayed", executor=None):
         """Run the network over one (n_points, 3) cloud.
 
         The cloud runs as a stack of one and the result is unwrapped to
@@ -195,10 +195,6 @@ class PointCloudNetwork(Module):
                 f"got {coords.shape}"
             )
         ngraph = self.network_graph(strategy)
-        if trace is not None:
-            from ..graph import lower_network_trace
-
-            lower_network_trace(ngraph, trace)
         if executor is None:
             from ..graph.executors import GraphExecutor
 

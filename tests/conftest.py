@@ -1,7 +1,7 @@
 """Helpers the test modules share: toy networks, seeded clouds,
 bit-exact comparison across every output structure, the batched graph
 interpreter every served path is held to, and the independent
-per-module reference forward.
+per-module references: the hand-written forward and trace emission.
 
 Test modules import them by name (``from conftest import toy``).
 """
@@ -14,6 +14,14 @@ from repro.neighbors import knn_brute_force
 from repro.networks import build_network
 from repro.networks.generic import GenericPointCloudNetwork
 from repro.neural import no_grad
+from repro.profiling.trace import (
+    GatherOp,
+    MatMulOp,
+    NeighborSearchOp,
+    ReduceMaxOp,
+    SampleOp,
+    SubtractOp,
+)
 
 #: One-module toys whose centroid count sits on each side of every edge
 #: of the aggregate kernel's per-cloud chunk rule (one chunk up to 8
@@ -138,3 +146,84 @@ def reference_module_forward(module, coords, feats, strategy):
     return ModuleOutput(
         out_coords, transformed.max(axis=1), indices, centroid_idx, hoisted.data
     )
+
+
+def reference_module_emission(spec, strategy, trace):
+    """The pre-IR hand-written analytic emission of one module, kept
+    verbatim as the golden reference every region's lowering must
+    reproduce exactly.  Appends to ``trace`` and returns it."""
+    n_in, n_out, k = spec.n_in, spec.n_out, spec.k
+    dims = spec.mlp_dims
+    name = spec.name
+
+    if n_out < n_in:
+        trace.add(SampleOp("O", name, n_points=n_in, n_samples=n_out))
+
+    if strategy == "original":
+        trace.add(
+            NeighborSearchOp(
+                "N", name, n_queries=n_out, n_points=n_in, k=k, dim=spec.search_dim
+            )
+        )
+        trace.add(
+            GatherOp(
+                "A", name,
+                n_centroids=n_out, k=k, feature_dim=dims[0], table_rows=n_in,
+            )
+        )
+        trace.add(SubtractOp("A", name, rows=n_out * k, dim=dims[0]))
+        for a, b in zip(dims[:-1], dims[1:]):
+            trace.add(MatMulOp("F", name, rows=n_out * k, in_dim=a, out_dim=b))
+        trace.add(
+            ReduceMaxOp("F", name, n_centroids=n_out, k=k, feature_dim=dims[-1])
+        )
+    elif strategy == "delayed":
+        for a, b in zip(dims[:-1], dims[1:]):
+            trace.add(
+                MatMulOp(
+                    "F", name, parallelizable=True, rows=n_in, in_dim=a, out_dim=b
+                )
+            )
+        trace.add(
+            NeighborSearchOp(
+                "N", name, parallelizable=True,
+                n_queries=n_out, n_points=n_in, k=k, dim=spec.search_dim,
+            )
+        )
+        trace.add(
+            GatherOp(
+                "A", name,
+                n_centroids=n_out, k=k, feature_dim=dims[-1], table_rows=n_in,
+            )
+        )
+        trace.add(
+            ReduceMaxOp("A", name, n_centroids=n_out, k=k, feature_dim=dims[-1])
+        )
+        trace.add(SubtractOp("A", name, rows=n_out, dim=dims[-1]))
+    else:  # limited
+        hidden = dims[1]
+        trace.add(
+            MatMulOp(
+                "F", name, parallelizable=True,
+                rows=n_in, in_dim=dims[0], out_dim=hidden,
+            )
+        )
+        trace.add(
+            NeighborSearchOp(
+                "N", name, parallelizable=True,
+                n_queries=n_out, n_points=n_in, k=k, dim=spec.search_dim,
+            )
+        )
+        trace.add(
+            GatherOp(
+                "A", name,
+                n_centroids=n_out, k=k, feature_dim=hidden, table_rows=n_in,
+            )
+        )
+        trace.add(SubtractOp("A", name, rows=n_out * k, dim=hidden))
+        for a, b in zip(dims[1:-1], dims[2:]):
+            trace.add(MatMulOp("F", name, rows=n_out * k, in_dim=a, out_dim=b))
+        trace.add(
+            ReduceMaxOp("F", name, n_centroids=n_out, k=k, feature_dim=dims[-1])
+        )
+    return trace

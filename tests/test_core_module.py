@@ -13,7 +13,6 @@ from repro.core import (
     mlp_distributivity_gap,
     relative_error,
 )
-from repro.graph import lower_module_trace
 from repro.neural import SharedMLP, Tensor, no_grad
 from repro.profiling.trace import (
     GatherOp,
@@ -21,7 +20,6 @@ from repro.profiling.trace import (
     NeighborSearchOp,
     ReduceMaxOp,
     SubtractOp,
-    Trace,
 )
 
 
@@ -195,6 +193,29 @@ class TestStrategies:
         with pytest.raises(ValueError):
             PointCloudModule(SPEC)(coords, Tensor(np.zeros((64, 5))))
 
+    @pytest.mark.parametrize("n", [16, 63, 65, 200])
+    def test_point_count_other_than_the_spec_rejected(self, n):
+        # A module runs at its spec's scale, as networks do.
+        coords, feats = make_cloud(n)
+        with pytest.raises(ValueError,
+                           match=r"^m1 expects \(64, 3\) coords, got"):
+            PointCloudModule(SPEC)(coords, feats)
+
+    def test_limited_requires_a_leading_linear(self):
+        # The hoisted product is the first Linear's weight multiply: an
+        # MLP that does not start with one has nothing to hoist.
+        from repro.neural.layers import ReLU
+
+        coords, feats = make_cloud()
+        mod = PointCloudModule(SPEC)
+        mod(coords, feats, strategy="limited")  # memoizes the graph
+        mod.mlp.net.layers = [ReLU(), *mod.mlp.net.layers]
+        with pytest.raises(TypeError, match="leading Linear"):
+            mod(coords, feats, strategy="limited")
+        with pytest.raises(TypeError, match="leading Linear"):
+            mod.trace("limited")
+        mod(coords, feats, strategy="original")  # other strategies still run
+
     def test_gradients_flow_through_delayed(self):
         coords, feats = make_cloud()
         mod = PointCloudModule(SPEC)
@@ -322,8 +343,7 @@ class TestStrategyGradients:
 
 class TestTraceEmission:
     def _trace(self, strategy):
-        t = Trace("unit", strategy)
-        return lower_module_trace(SPEC, strategy, t)
+        return PointCloudModule(SPEC).trace(strategy)
 
     def test_original_op_sequence(self):
         t = self._trace("original")
@@ -378,12 +398,16 @@ class TestTraceEmission:
         assert orig.rows == 32 * 8
         assert delayed.rows == 32  # subtraction after reduction
 
-    def test_forward_emits_trace(self):
-        coords, feats = make_cloud()
-        t = Trace()
-        PointCloudModule(SPEC)(coords, feats, strategy="delayed", trace=t)
-        assert len(t) > 0
+    def test_trace_is_lowered_from_the_forward_graph(self):
+        # One trace door per object, mirroring PointCloudNetwork.trace:
+        # the module's memoized graph, the one forward runs, lowered.
+        mod = PointCloudModule(SPEC)
+        t = mod.trace("delayed")
+        assert (t.network, t.strategy) == ("m1", "delayed")
         assert len(t.by_phase("N")) == 1
+        assert mod.trace().strategy == "original"
+        graph = mod.network_graph("delayed").graph
+        assert len(t.by_type(MatMulOp)) == len(graph.find("matmul"))
 
 
 class TestDistributivity:

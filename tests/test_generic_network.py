@@ -110,12 +110,3 @@ class TestIntegration:
         hw = soc.simulate(net, "mesorasi_hw")
         assert hw.latency < base.latency
         assert len(hw.au_stats) == 3
-
-    def test_trace_emitted_during_forward(self):
-        from repro.profiling import Trace
-
-        net = GenericPointCloudNetwork(SPECS, head_dims=(64, 4))
-        pts = np.random.default_rng(4).normal(size=(64, 3))
-        t = Trace(net.name, "delayed")
-        net(pts, strategy="delayed", trace=t)
-        assert t.mlp_macs() == net.trace("delayed").mlp_macs()

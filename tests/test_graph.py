@@ -1,10 +1,11 @@
-"""Tests for the operator-graph IR: builder, rewrite passes, executors,
-trace lowering, and the trace/execution consistency property."""
+"""Tests for the operator-graph IR: region emission, rewrite passes, the
+interpreter, trace lowering, and the trace/execution consistency
+property."""
 
 import numpy as np
 import pytest
 
-from conftest import reference_module_forward
+from conftest import reference_module_emission, reference_module_forward, toy
 from repro.core import ModuleSpec, PointCloudModule
 from repro.engine import BatchRunner, NeighborIndexCache
 from repro.graph import (
@@ -12,16 +13,11 @@ from repro.graph import (
     GraphExecutor,
     Node,
     OpRecorder,
-    build_module_graph,
     dead_code_elimination,
     delay_aggregation,
     format_graph,
     limit_delay,
-    lower_module_trace,
-    module_graph,
-    resolve_dim,
     run_pipeline,
-    shape_env,
 )
 from repro.networks import ALL_NETWORKS, build_network
 from repro.neural import Tensor, no_grad
@@ -47,108 +43,16 @@ def sa1_spec():
                          scale=0.0625).encoder[0].spec
 
 
-def reference_module_emission(spec, strategy, trace, n_in=None):
-    """The pre-IR hand-written analytic emission, kept verbatim as the
-    golden reference the graph lowering must reproduce exactly."""
-    n_in = spec.n_in if n_in is None else n_in
-    n_out = spec.n_out if n_in == spec.n_in else min(spec.n_out, n_in)
-    k = spec.k
-    dims = spec.mlp_dims
-    name = spec.name
-
-    if n_out < n_in:
-        trace.add(SampleOp("O", name, n_points=n_in, n_samples=n_out))
-
-    if strategy == "original":
-        trace.add(
-            NeighborSearchOp(
-                "N", name, n_queries=n_out, n_points=n_in, k=k, dim=spec.search_dim
-            )
-        )
-        trace.add(
-            GatherOp(
-                "A", name,
-                n_centroids=n_out, k=k, feature_dim=dims[0], table_rows=n_in,
-            )
-        )
-        trace.add(SubtractOp("A", name, rows=n_out * k, dim=dims[0]))
-        for a, b in zip(dims[:-1], dims[1:]):
-            trace.add(MatMulOp("F", name, rows=n_out * k, in_dim=a, out_dim=b))
-        trace.add(
-            ReduceMaxOp("F", name, n_centroids=n_out, k=k, feature_dim=dims[-1])
-        )
-    elif strategy == "delayed":
-        for a, b in zip(dims[:-1], dims[1:]):
-            trace.add(
-                MatMulOp(
-                    "F", name, parallelizable=True, rows=n_in, in_dim=a, out_dim=b
-                )
-            )
-        trace.add(
-            NeighborSearchOp(
-                "N", name, parallelizable=True,
-                n_queries=n_out, n_points=n_in, k=k, dim=spec.search_dim,
-            )
-        )
-        trace.add(
-            GatherOp(
-                "A", name,
-                n_centroids=n_out, k=k, feature_dim=dims[-1], table_rows=n_in,
-            )
-        )
-        trace.add(
-            ReduceMaxOp("A", name, n_centroids=n_out, k=k, feature_dim=dims[-1])
-        )
-        trace.add(SubtractOp("A", name, rows=n_out, dim=dims[-1]))
-    else:  # limited
-        hidden = dims[1]
-        trace.add(
-            MatMulOp(
-                "F", name, parallelizable=True,
-                rows=n_in, in_dim=dims[0], out_dim=hidden,
-            )
-        )
-        trace.add(
-            NeighborSearchOp(
-                "N", name, parallelizable=True,
-                n_queries=n_out, n_points=n_in, k=k, dim=spec.search_dim,
-            )
-        )
-        trace.add(
-            GatherOp(
-                "A", name,
-                n_centroids=n_out, k=k, feature_dim=hidden, table_rows=n_in,
-            )
-        )
-        trace.add(SubtractOp("A", name, rows=n_out * k, dim=hidden))
-        for a, b in zip(dims[1:-1], dims[2:]):
-            trace.add(MatMulOp("F", name, rows=n_out * k, in_dim=a, out_dim=b))
-        trace.add(
-            ReduceMaxOp("F", name, n_centroids=n_out, k=k, feature_dim=dims[-1])
-        )
-    return trace
+def region_graph(spec, strategy="original"):
+    """The one-module graph of ``spec`` under ``strategy``; ``original``
+    is the region as emitted (DCE only drops its unread out-coords)."""
+    return PointCloudModule(spec).network_graph(strategy).graph
 
 
 class TestIR:
-    def test_resolve_dim(self):
-        env = {"n_in": 64, "n_out": 32, "k": 8}
-        assert resolve_dim(7, env) == 7
-        assert resolve_dim("n_in", env) == 64
-        assert resolve_dim("n_out*k", env) == 256
-        with pytest.raises(KeyError):
-            resolve_dim("bogus", env)
-        with pytest.raises(TypeError):
-            resolve_dim(3.5, env)
-
-    def test_shape_env_clamps_n_out(self):
-        env = shape_env(SPEC)
-        assert env == {"n_in": 64, "n_out": 32, "k": 8}
-        env = shape_env(SPEC, n_in=16)
-        assert env["n_out"] == 16
-
     def test_validate_rejects_forward_reference(self):
         g = Graph("bad")
-        g.add("input", attrs={"rows": "n_in", "dim": 3})
+        g.add("input", attrs={"rows": 64, "dim": 3})
         b = g.add("matmul", inputs=(99,), attrs={})
         g.outputs = (b.id,)
         with pytest.raises(ValueError):
@@ -160,28 +64,29 @@ class TestIR:
             g.add("convolve")
 
     def test_format_graph_mentions_every_node(self):
-        g = module_graph(SPEC, "delayed")
+        g = region_graph(SPEC, "delayed")
         text = format_graph(g)
         for node in g:
             assert node.kind in text
 
-    def test_build_is_original_order(self):
-        g = build_module_graph(SPEC)
+    def test_region_is_emitted_in_original_order(self):
+        g = region_graph(SPEC)
         kinds = [n.kind for n in g]
-        assert kinds == ["input", "sample", "search", "aggregate",
+        assert kinds == ["coords", "input", "sample", "search", "aggregate",
                          "matmul", "matmul", "reduce_max"]
         assert not any(n.parallelizable for n in g)
         agg = g.only("aggregate")
         assert agg.attrs["reduce"] is False and agg.phase == "A"
         assert agg.inputs == (g.only("input").id, g.only("search").id,
                               g.only("sample").id)
-        assert (agg.attrs["n_centroids"], agg.attrs["k"]) == ("n_out", "k")
-        assert (agg.attrs["table_rows"], agg.attrs["dim"]) == ("n_in", 3)
+        assert (agg.attrs["n_centroids"], agg.attrs["k"]) == (32, 8)
+        assert (agg.attrs["table_rows"], agg.attrs["dim"]) == (64, 3)
         assert not {"rows", "feature_dim"} & set(agg.attrs)
         assert g.only("reduce_max").phase == "F"
+        assert g.only("search").attrs["signature"] == "m1:coords:k=8:n_out=32"
 
     def test_validate_rejects_a_node_waiting_on_a_later_one(self):
-        graph = module_graph(sa1_spec(), "delayed")
+        graph = region_graph(sa1_spec(), "delayed")
         broken = graph.copy()
         nodes = list(broken.nodes)
         nodes[0] = Node(nodes[0].id, nodes[0].kind, (nodes[-1].id,),
@@ -192,26 +97,26 @@ class TestIR:
         graph.validate()  # the copy shares no list with the memoized graph
 
     def test_validate_rejects_an_unproduced_output(self):
-        g = build_module_graph(SPEC).copy()
+        g = region_graph(SPEC).copy()
         g.outputs = (len(g) + 5,)
         with pytest.raises(ValueError, match="not produced"):
             g.validate()
 
     def test_replace_nodes_rejects_duplicate_ids(self):
-        g = build_module_graph(SPEC).copy()
+        g = region_graph(SPEC).copy()
         with pytest.raises(ValueError, match="duplicate"):
             g.replace_nodes(list(g.nodes) + [g.nodes[-1]])
 
 
 class TestPasses:
     def test_delay_hoists_matmuls_before_search(self):
-        g = delay_aggregation(build_module_graph(SPEC))
+        g = delay_aggregation(region_graph(SPEC))
         kinds = [n.kind for n in g]
-        assert kinds == ["input", "sample", "matmul", "matmul", "search",
-                         "aggregate"]
+        assert kinds == ["coords", "input", "sample", "matmul", "matmul",
+                         "search", "aggregate"]
         matmuls = g.find("matmul")
         assert all(m.parallelizable for m in matmuls)
-        assert all(m.attrs["rows"] == "n_in" for m in matmuls)
+        assert all(m.attrs["rows"] == 64 for m in matmuls)
         assert matmuls[-1].attrs.get("pft") is True
         assert g.only("search").parallelizable
         # The module's reduce_max is absorbed: the aggregate reduces.
@@ -222,11 +127,11 @@ class TestPasses:
         assert g.outputs == (agg.id,)
 
     def test_limit_hoists_only_first_layer(self):
-        g = limit_delay(build_module_graph(SPEC))
+        g = limit_delay(region_graph(SPEC))
         matmuls = g.find("matmul")
         assert matmuls[0].attrs.get("weight_only") is True
-        assert matmuls[0].attrs["rows"] == "n_in" and matmuls[0].parallelizable
-        assert matmuls[1].attrs["rows"] == "n_out*k"
+        assert matmuls[0].attrs["rows"] == 64 and matmuls[0].parallelizable
+        assert matmuls[1].attrs["rows"] == 32 * 8
         assert not matmuls[1].parallelizable
         agg = g.only("aggregate")
         assert agg.attrs["reduce"] is False
@@ -239,7 +144,7 @@ class TestPasses:
         # overlaps nothing, delayed the search with the whole MLP chain,
         # limited the search with exactly the first (linear) product.
         def flagged(strategy):
-            return [n.kind for n in module_graph(sa1_spec(), strategy)
+            return [n.kind for n in region_graph(sa1_spec(), strategy)
                     if n.parallelizable]
 
         n_layers = len(sa1_spec().mlp_dims) - 1
@@ -249,39 +154,40 @@ class TestPasses:
 
     def test_every_strategy_has_one_aggregate(self):
         for strategy in STRATEGIES:
-            g = module_graph(SPEC, strategy)
+            g = region_graph(SPEC, strategy)
             agg = g.only("aggregate")
             assert agg.attrs["reduce"] == (strategy == "delayed")
             assert len(g.find("reduce_max")) == (strategy != "delayed")
 
     def test_dce_drops_unreachable_node(self):
-        g = build_module_graph(SPEC)
-        dead = g.add("matmul", inputs=(g.nodes[0].id,),
-                     attrs={"layer": 0, "rows": "n_in", "in_dim": 3,
+        g = region_graph(SPEC).copy()
+        dead = g.add("matmul", inputs=(g.only("input").id,),
+                     attrs={"layer": 0, "rows": 64, "in_dim": 3,
                             "out_dim": 16}, phase="F")
         assert dead.id in {n.id for n in g}
         cleaned = dead_code_elimination(g)
         assert dead.id not in {n.id for n in cleaned}
-        assert len(cleaned) == len(build_module_graph(SPEC))
+        assert len(cleaned) == len(region_graph(SPEC))
 
     def test_pipeline_rejects_unknown_strategy(self):
         with pytest.raises(ValueError):
-            run_pipeline(build_module_graph(SPEC), "eager")
+            run_pipeline(region_graph(SPEC), "eager")
 
     def test_module_graph_is_memoized(self):
-        assert module_graph(SPEC, "delayed") is module_graph(SPEC, "delayed")
+        module = PointCloudModule(SPEC)
+        assert module.network_graph("delayed") is module.network_graph("delayed")
 
     def test_strategy_passes_idempotent_but_exclusive(self):
         # Re-applying a pass to its own output is a structural no-op;
         # applying the *other* variant's pass to it stays an error.
-        delayed = delay_aggregation(build_module_graph(SPEC))
+        delayed = delay_aggregation(region_graph(SPEC))
         again = delay_aggregation(delayed)
         assert again.nodes == delayed.nodes
         assert again.outputs == delayed.outputs
         with pytest.raises(ValueError):
             limit_delay(delayed)
 
-        limited = limit_delay(build_module_graph(SPEC))
+        limited = limit_delay(region_graph(SPEC))
         again = limit_delay(limited)
         assert again.nodes == limited.nodes
         assert again.outputs == limited.outputs
@@ -292,10 +198,10 @@ class TestPasses:
     def test_graph_passes_idempotent(self, name):
         """Every pass applied twice is a structural no-op, on every network.
 
-        The strategy rewrites apply to raw module graphs, and (with
-        DCE) to the lowered whole-network graphs the executors actually
-        run: a rewritten network graph is a fixed point of its own
-        strategy's rewrite.
+        The strategy rewrites apply to the original-order graph, and
+        (with DCE) to the rewritten graphs the executors actually run: a
+        rewritten network graph is a fixed point of its own strategy's
+        rewrite.
         """
         def signature(graph):
             return ([(n.id, n.kind, n.inputs, n.attrs, n.phase)
@@ -305,11 +211,10 @@ class TestPasses:
                             scale=0.03125 if "(s)" in name else 0.0625,
                             rng=np.random.default_rng(0))
         assert net.encoder
-        for module in net.encoder:
-            raw = build_module_graph(module.spec)
-            for pass_fn in (delay_aggregation, limit_delay):
-                once = pass_fn(raw)
-                assert signature(pass_fn(once)) == signature(once)
+        raw = net.network_graph("original").graph
+        for pass_fn in (delay_aggregation, limit_delay):
+            once = pass_fn(raw)
+            assert signature(pass_fn(once)) == signature(once)
         rewrites = {"delayed": delay_aggregation, "limited": limit_delay}
         for strategy in STRATEGIES:
             graph = net.network_graph(strategy).graph
@@ -321,25 +226,11 @@ class TestPasses:
 
 
 class LoggingExecutor(GraphExecutor):
-    """The graph interpreter, logging each node id as it evaluates it.
-
-    Module-kind nodes of a network graph pass through both dispatchers;
-    the network one logs them.
-    """
+    """The graph interpreter, logging each node id as it evaluates it."""
 
     def __init__(self):
         super().__init__()
         self.order = []
-        self._network = False
-
-    def run_network(self, *args):
-        self._network = True
-        return super().run_network(*args)
-
-    def _exec_node(self, node, *args):
-        if not self._network:
-            self.order.append(node.id)
-        return super()._exec_node(node, *args)
 
     def _exec_network_node(self, node, *args):
         self.order.append(node.id)
@@ -366,7 +257,7 @@ class TestNodeOrder:
     def test_first_matmul_waits_on_search_only_in_original(self, strategy):
         # Delaying aggregation is what frees the first MLP product from
         # the neighbor search: N and F become independent.
-        graph = module_graph(sa1_spec(), strategy)
+        graph = region_graph(sa1_spec(), strategy)
         ancestors = {}
         for node in graph:
             ancestors[node.id] = set(node.inputs).union(
@@ -377,12 +268,8 @@ class TestNodeOrder:
         assert first not in ancestors[search]
 
     def test_sampled_centroids_feed_search_and_subtraction(self):
-        built = build_module_graph(sa1_spec())
-        sample = built.only("sample").id
-        assert [n.kind for n in built.consumers(sample)] == ["search",
-                                                             "aggregate"]
         for strategy in STRATEGIES:
-            graph = module_graph(sa1_spec(), strategy)
+            graph = region_graph(sa1_spec(), strategy)
             sample = graph.only("sample").id
             assert [n.kind for n in graph.consumers(sample)] == [
                 "search", "aggregate"]
@@ -394,11 +281,12 @@ class TestNodeOrder:
         coords, feats = cloud[None], Tensor(cloud.copy())
         with no_grad():
             for module in net.encoder:
-                graph = module.graph(strategy)
+                ngraph = module.network_graph(strategy)
                 executor = LoggingExecutor()
-                out = executor.run(graph, module, coords, feats)
-                assert_producers_first(graph, executor.order)
-                coords, feats = out.coords, out.features
+                feats = executor.run_network(ngraph, module, coords,
+                                             features=feats)
+                assert_producers_first(ngraph.graph, executor.order)
+                coords = coords[:, executor.region_state[0]["centroid_local"]]
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_network_walk_runs_producers_first(self, strategy):
@@ -414,6 +302,23 @@ class TestNodeOrder:
 
 
 class TestTraceLowering:
+    """Every region's lowered records are the hand-written emission."""
+
+    @pytest.mark.parametrize("scale", ["paper", "toy"])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("name", ALL_NETWORKS)
+    def test_every_region_matches_hand_written_emission(self, name, strategy,
+                                                        scale):
+        net = build_network(name) if scale == "paper" else toy(name)
+        ngraph = net.network_graph(strategy)
+        trace = net.trace(strategy)
+        assert ngraph.regions
+        for region in ngraph.regions:
+            spec = ngraph.refs[region.module].spec
+            lowered = [op for op in trace if op.module == spec.name]
+            reference = reference_module_emission(spec, strategy, Trace())
+            assert lowered == list(reference), f"{spec.name} [{strategy}]"
+
     @pytest.mark.parametrize("spec", [
         SPEC,
         FEATURE_SPEC,
@@ -422,16 +327,15 @@ class TestTraceLowering:
                    mlp_dims=(3, 64, 64, 128)),
     ])
     @pytest.mark.parametrize("strategy", STRATEGIES)
-    @pytest.mark.parametrize("n_in", [None, 16, 200])
-    def test_matches_hand_written_emission_exactly(self, spec, strategy, n_in):
-        lowered = lower_module_trace(spec, strategy, Trace(), n_in=n_in)
-        reference = reference_module_emission(spec, strategy, Trace(),
-                                                n_in=n_in)
-        assert list(lowered) == list(reference)
+    def test_module_trace_matches_hand_written_emission(self, spec, strategy):
+        trace = PointCloudModule(spec).trace(strategy)
+        assert (trace.network, trace.strategy) == (spec.name, strategy)
+        reference = reference_module_emission(spec, strategy, Trace())
+        assert list(trace) == list(reference)
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
-            lower_module_trace(SPEC, "eager", Trace())
+            PointCloudModule(SPEC).trace("eager")
 
 
 class TestExecutors:
@@ -458,19 +362,19 @@ class TestExecutors:
         rng = np.random.default_rng(2)
         clouds = rng.normal(size=(3, SPEC.n_in, 3))
         mod = PointCloudModule(SPEC, rng=np.random.default_rng(3))
-        batched = GraphExecutor().run(
-            mod.graph(strategy), mod, clouds,
-            Tensor(clouds.reshape(-1, 3).copy()),
-        )
-        stacked = batched.features.data.reshape(3, SPEC.n_out, SPEC.out_dim)
+        ngraph = mod.network_graph(strategy)
+        tall = GraphExecutor()
+        batched = tall.run_network(ngraph, mod, clouds,
+                                   features=Tensor(clouds.reshape(-1, 3).copy()))
+        stacked = batched.data.reshape(3, SPEC.n_out, SPEC.out_dim)
         for b in range(3):
-            single = GraphExecutor().run(
-                mod.graph(strategy), mod, clouds[b][None],
-                Tensor(clouds[b].copy()),
-            )
-            np.testing.assert_array_equal(stacked[b], single.features.data)
-            np.testing.assert_array_equal(batched.indices[b],
-                                          single.indices[0])
+            one = GraphExecutor()
+            single = one.run_network(ngraph, mod, clouds[b][None],
+                                     features=Tensor(clouds[b].copy()))
+            np.testing.assert_array_equal(stacked[b], single.data)
+            np.testing.assert_array_equal(
+                tall.region_state[0]["indices_local"][b],
+                one.region_state[0]["indices_local"][0])
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_forward_is_the_stack_path(self, strategy):
@@ -478,17 +382,19 @@ class TestExecutors:
         coords = rng.normal(size=(SPEC.n_in, 3))
         mod = PointCloudModule(SPEC, rng=np.random.default_rng(9))
         one = mod(coords, Tensor(coords.copy()), strategy=strategy)
-        stack = GraphExecutor().run(mod.graph(strategy), mod, coords[None],
-                                    Tensor(coords.copy()))
-        np.testing.assert_array_equal(one.features.data, stack.features.data)
-        np.testing.assert_array_equal(one.indices, stack.indices[0])
-        np.testing.assert_array_equal(one.centroids, stack.centroids)
-        np.testing.assert_array_equal(one.coords, stack.coords[0])
+        executor = GraphExecutor()
+        stack = executor.run_network(mod.network_graph(strategy), mod,
+                                     coords[None],
+                                     features=Tensor(coords.copy()))
+        run = executor.region_state[0]
+        np.testing.assert_array_equal(one.features.data, stack.data)
+        np.testing.assert_array_equal(one.indices, run["indices_local"][0])
+        np.testing.assert_array_equal(one.centroids, run["centroid_local"])
         np.testing.assert_array_equal(one.coords, coords[one.centroids])
-        if stack.pft is None:
+        if run["pft"] is None:
             assert one.pft is None
         else:
-            np.testing.assert_array_equal(one.pft, stack.pft)
+            np.testing.assert_array_equal(one.pft, run["pft"])
 
     def test_executor_census(self):
         # One arity, two executors: the graph interpreter and the
@@ -511,8 +417,9 @@ class TestExecutors:
         coords = rng.normal(size=(SPEC.n_in, 3))
         mod = PointCloudModule(SPEC)
         rec = OpRecorder()
-        GraphExecutor(recorder=rec).run(
-            mod.graph("delayed"), mod, coords[None], Tensor(coords.copy())
+        GraphExecutor(recorder=rec).run_network(
+            mod.network_graph("delayed"), mod, coords[None],
+            features=Tensor(coords.copy()),
         )
         kinds = [r["kind"] for r in rec.records]
         assert kinds == ["sample", "matmul", "matmul", "search", "gather",
@@ -544,11 +451,10 @@ class TestTraceExecutionConsistency:
         feats = Tensor(coords.copy())
         for module in net.encoder:
             recorder = OpRecorder()
-            result = GraphExecutor(recorder=recorder).run(
-                module.graph(strategy), module, coords[None], feats
-            )
-            trace = lower_module_trace(module.spec, strategy, Trace(),
-                                      n_in=coords.shape[0])
+            executor = GraphExecutor(recorder=recorder)
+            feats = executor.run_network(module.network_graph(strategy),
+                                         module, coords[None], features=feats)
+            trace = module.trace(strategy)
             executed = list(recorder.records)
             if not trace.by_type(SampleOp):
                 # The trace omits the degenerate every-point "sampling";
@@ -563,8 +469,7 @@ class TestTraceExecutionConsistency:
                         f"{record['kind']}.{field}: executed "
                         f"{record[field]} vs traced {getattr(op, field)}"
                     )
-            coords = result.coords[0]
-            feats = result.features
+            coords = coords[executor.region_state[0]["centroid_local"]]
 
 
 class TestBatchedNetworkCoverage:

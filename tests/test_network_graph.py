@@ -11,6 +11,7 @@ from conftest import (
     assert_bit_exact,
     cloud_for,
     clouds_for,
+    reference_module_emission,
     reference_module_forward,
     toy,
 )
@@ -20,7 +21,6 @@ from repro.graph import (
     OpRecorder,
     build_network_graph,
     format_graph,
-    lower_module_trace,
 )
 from repro.networks import ALL_NETWORKS, FCHead, PointCloudNetwork, build_network
 from repro.neural import Tensor, no_grad
@@ -238,7 +238,8 @@ class TestTraceConsistency:
                 return []
             return [("concat", record["rows"], record["dim"])]
         if kind == "interpolate":
-            return [("interpolate", record["n_points"], record["feature_dim"])]
+            return [("interpolate", record["n_points"], record["k"],
+                     record["feature_dim"])]
         if kind == "head":
             dims = record["dims"]
             return [("matmul", record["rows"], a, b)
@@ -265,7 +266,7 @@ class TestTraceConsistency:
         if isinstance(op, ConcatOp):
             return ("concat", op.rows, op.dim)
         if isinstance(op, InterpolateOp):
-            return ("interpolate", op.n_points, op.feature_dim)
+            return ("interpolate", op.n_points, op.k, op.feature_dim)
         raise AssertionError(f"unexpected trace op {type(op).__name__}")
 
     @pytest.mark.parametrize("name", ALL_NETWORKS)
@@ -290,13 +291,26 @@ class TestTraceMatchesLegacyEmission:
         for a, b in zip(dims[:-1], dims[1:]):
             trace.add(MatMulOp("F", "head", rows=rows, in_dim=a, out_dim=b))
 
-    def fp_ops(self, trace, fp):
+    def fp_ops(self, trace, fp, n_coarse, coarse_width):
+        # The interpolation reads what it runs over: the k nearest of
+        # the n_coarse points it searches, at the coarse rows' width.
         dims = fp.mlp.dims
-        trace.add(InterpolateOp("O", fp.name, n_points=fp.n_points, k=fp.K,
-                                feature_dim=dims[0]))
+        trace.add(InterpolateOp("O", fp.name, n_points=fp.n_points,
+                                k=min(fp.K, n_coarse),
+                                feature_dim=coarse_width))
         for a, b in zip(dims[:-1], dims[1:]):
             trace.add(MatMulOp("F", fp.name, rows=fp.n_points,
                                in_dim=a, out_dim=b))
+
+    def decoder_ops(self, trace, net):
+        """fp3, fp2, fp1 over the three-module encoder: each level
+        interpolates the coarser level's rows, the last module's
+        output first and then each decoder head's."""
+        coarse_widths = (net.encoder[2].spec.out_dim, net.fp3.mlp.dims[-1],
+                         net.fp2.mlp.dims[-1])
+        for fp, module, width in zip((net.fp3, net.fp2, net.fp1),
+                                     net.encoder[::-1], coarse_widths):
+            self.fp_ops(trace, fp, module.spec.n_out, width)
 
     def embed_tail(self, trace, net, label="embed"):
         n = net.n_points
@@ -306,17 +320,18 @@ class TestTraceMatchesLegacyEmission:
                               feature_dim=net.embed.dims[-1]))
 
     def reference(self, net, strategy):
-        """The legacy per-network emission, ported verbatim."""
+        """The legacy per-network emission, ported verbatim; module
+        records come from the hand-written per-module emission, not from
+        the lowering under test."""
         trace = Trace(net.name, strategy)
         name = net.name
         for module in net.encoder:
-            lower_module_trace(module.spec, strategy, trace)
+            reference_module_emission(module.spec, strategy, trace)
         n = net.n_points
         if name in ("PointNet++ (c)", "DensePoint"):
             self.head_ops(trace, net.head.dims, rows=1)
         elif name == "PointNet++ (s)":
-            for fp in (net.fp3, net.fp2, net.fp1):
-                self.fp_ops(trace, fp)
+            self.decoder_ops(trace, net)
             self.head_ops(trace, net.head.dims, rows=n)
         elif name in ("DGCNN (c)", "LDGCNN"):
             label = "skip" if name == "DGCNN (c)" else "link"
@@ -332,11 +347,10 @@ class TestTraceMatchesLegacyEmission:
             # Execution order: decoders and the mask head run before the
             # box stage (the legacy emission listed the box modules
             # first; same op multiset, grouped per module either way).
-            for fp in (net.fp3, net.fp2, net.fp1):
-                self.fp_ops(trace, fp)
+            self.decoder_ops(trace, net)
             self.head_ops(trace, net.mask_head.dims, rows=n)
             for module in net.box_encoder:
-                lower_module_trace(module.spec, strategy, trace)
+                reference_module_emission(module.spec, strategy, trace)
             self.head_ops(trace, net.box_head.dims, rows=1)
         else:
             raise AssertionError(f"no reference emission for {name}")

@@ -6,11 +6,9 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.core import ModuleSpec, PointCloudModule, max_subtract_gap
-from repro.graph import lower_module_trace
 from repro.hw import AggregationUnit
 from repro.neighbors import KDTree, knn_brute_force, neighborhood_occupancy
 from repro.neural import Tensor, no_grad
-from repro.profiling.trace import Trace
 
 finite = st.floats(min_value=-100, max_value=100, allow_nan=False,
                    allow_infinity=False, width=64)
@@ -136,9 +134,8 @@ class TestTraceProperties:
         n_out = max(1, n_in // out_div)
         k = min(n_in, k_cap)
         spec = ModuleSpec("m", n_in, n_out, k, dims)
-        orig, delayed = Trace(), Trace()
-        lower_module_trace(spec, "original", orig)
-        lower_module_trace(spec, "delayed", delayed)
+        module = PointCloudModule(spec)
+        orig, delayed = module.trace("original"), module.trace("delayed")
         # Delayed MACs < original exactly when n_in < n_out * k; our
         # networks always satisfy n_in <= n_out * k.
         if n_in <= n_out * k:
@@ -153,8 +150,7 @@ class TestTraceProperties:
     def test_trace_phases_complete(self, n_in, k, strategy):
         spec = ModuleSpec("m", n_in, max(1, n_in // 2), min(k, n_in),
                           (3, 8, 16))
-        t = Trace()
-        lower_module_trace(spec, strategy, t)
+        t = PointCloudModule(spec).trace(strategy)
         phases = {op.phase for op in t}
         assert {"N", "A", "F"} <= phases
 
