@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..graph.network import build_network_graph
+from ..graph.network import NetworkGraphMixin
 from ..neural import SharedMLP, Tensor
 from ..neural.layers import Linear, Module
 
@@ -127,7 +127,7 @@ class ModuleOutput:
     pft: np.ndarray = None
 
 
-class PointCloudModule(Module):
+class PointCloudModule(NetworkGraphMixin, Module):
     """Executable module parameterized by a :class:`ModuleSpec`.
 
     To the graph builder it is a one-module network (``name``,
@@ -140,7 +140,6 @@ class PointCloudModule(Module):
         super().__init__()
         self.spec = spec
         self.mlp = SharedMLP(list(spec.mlp_dims), batch_norm=batch_norm, rng=rng)
-        self._network_graphs = {}
 
     @property
     def name(self):
@@ -178,12 +177,7 @@ class PointCloudModule(Module):
             # Checked every call, not just on the memo miss: the MLP's
             # layer list is mutable after construction.
             raise TypeError("limited strategy requires a leading Linear layer")
-        cached = self._network_graphs.get(strategy)
-        if cached is None:
-            cached = self._network_graphs[strategy] = build_network_graph(
-                self, strategy
-            )
-        return cached
+        return super().network_graph(strategy)
 
     def forward(self, coords, features, strategy="delayed"):
         """Run the module over one cloud.
@@ -223,16 +217,3 @@ class PointCloudModule(Module):
         centroids = run["centroid_local"]
         return ModuleOutput(coords[centroids], out, run["indices_local"][0],
                             centroids, run["pft"])
-
-    def trace(self, strategy="original"):
-        """This module's operator trace under ``strategy``.
-
-        Lowered from the graph ``forward`` runs, as
-        :meth:`repro.networks.base.PointCloudNetwork.trace` is; the
-        lowering and :mod:`repro.profiling` load with the first trace.
-        """
-        from ..graph.lower import lower_network_trace
-        from ..profiling import Trace
-
-        return lower_network_trace(self.network_graph(strategy),
-                                   Trace(self.name, strategy))

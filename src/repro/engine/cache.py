@@ -230,7 +230,7 @@ class NeighborIndexCache:
         """Cached KNN; same shapes and semantics as :func:`knn_brute_force`.
 
         ``tag`` is an optional graph search-node signature (see
-        :func:`repro.graph.network.search_signature`); when given, the
+        :func:`repro.graph.network._search_signature`); when given, the
         query array is not digested for the key.
         """
         points = np.asarray(points)

@@ -7,10 +7,9 @@ node, the one aggregation node of the IR, expands into the gather /
 Because analytics and execution both derive from the same graph, the
 trace the hardware models consume is consistent with the ops the
 executors run *by construction*.  :func:`lower_network_trace` is the
-one trace entry, behind both
-:meth:`repro.networks.base.PointCloudNetwork.trace` and
-:meth:`repro.core.module.PointCloudModule.trace` (a module alone is a
-one-module network graph).
+one trace entry, behind
+:meth:`repro.graph.network.NetworkGraphMixin.trace`, which networks and
+modules share (a module alone is a one-module network graph).
 """
 
 from __future__ import annotations

@@ -44,14 +44,14 @@ from .passes import run_pipeline
 __all__ = [
     "NetworkGraph",
     "NetworkGraphBuilder",
+    "NetworkGraphMixin",
     "NetworkOutput",
     "NetworkRegion",
     "build_network_graph",
-    "search_signature",
 ]
 
 
-def search_signature(spec):
+def _search_signature(spec):
     """Stable identity of a module's neighbor search node.
 
     Together with the content digest of the searched point table this
@@ -210,7 +210,7 @@ class NetworkGraphBuilder:
         search = add("search", (space, sample), "N", n_queries=n_out,
                      n_points=n_in, k=k, dim=spec.search_dim,
                      space=spec.search_space,
-                     signature=search_signature(spec))
+                     signature=_search_signature(spec))
         out = add("aggregate", (feats, search, sample), "A",
                   n_centroids=n_out, k=k, table_rows=n_in, reduce=False,
                   dim=dims[0])
@@ -366,3 +366,37 @@ def build_network_graph(network, strategy="delayed"):
     )
     return NetworkGraph(network.name, strategy, graph, tuple(builder.refs),
                         outputs, _collect_regions(graph))
+
+
+class NetworkGraphMixin:
+    """The graph memo and trace door of a model with a ``_build_graph``.
+
+    Networks and modules (a module run alone is a one-module network)
+    both build their graph through :func:`build_network_graph`, memoize
+    it per instance and strategy, and lower that same graph to their
+    operator trace.
+    """
+
+    def network_graph(self, strategy="delayed"):
+        """The whole-network graph under ``strategy`` (memoized)."""
+        # Filled lazily: subclasses attach heads after their base
+        # initializer runs, so nothing is built before the first call.
+        graphs = vars(self).setdefault("_network_graphs", {})
+        cached = graphs.get(strategy)
+        if cached is None:
+            cached = graphs[strategy] = build_network_graph(self, strategy)
+        return cached
+
+    def trace(self, strategy="original"):
+        """Emit the operator trace at this instance's scale.
+
+        Lowered from the same graph the executors run, so analytics and
+        execution cannot drift.  The lowering and :mod:`repro.profiling`
+        load here, with the first trace — executing never imports them.
+        """
+        from ..profiling import Trace
+        from .lower import lower_network_trace
+
+        return lower_network_trace(
+            self.network_graph(strategy), Trace(self.name, strategy)
+        )

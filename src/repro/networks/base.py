@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import ModuleSpec
-from ..graph import build_network_graph
+from ..graph.network import NetworkGraphMixin
 from ..neural import Dropout, Linear, Module, ReLU, Sequential
 
 __all__ = [
@@ -91,8 +91,9 @@ class FeaturePropagation(Module):
     """PointNet++ feature propagation (decoder) module.
 
     Interpolates coarse features onto the fine point set with
-    inverse-distance weights over the 3 nearest coarse points (the
-    ``three_interpolate`` kernel the paper's baseline optimizes), then
+    inverse-distance weights over the (up to) 3 nearest coarse points,
+    fewer when the coarse level has fewer (the ``three_interpolate``
+    kernel the paper's baseline optimizes), then
     concatenates skip features and applies a unit MLP.  The module only
     holds that configuration and the MLP's weights:
     :meth:`~repro.graph.network.NetworkGraphBuilder.propagate` builds a
@@ -127,7 +128,7 @@ def _only_cloud(ngraph, stacked):
     return unwrap(stacked, ngraph.outputs[0])
 
 
-class PointCloudNetwork(Module):
+class PointCloudNetwork(NetworkGraphMixin, Module):
     """Common driver for the benchmark networks.
 
     Subclasses define ``self.encoder`` (a list of PointCloudModules)
@@ -151,24 +152,12 @@ class PointCloudNetwork(Module):
     def __init__(self, modules):
         super().__init__()
         self.encoder = list(modules)
-        # Per-(instance, strategy) whole-network graph memo; built
-        # lazily because subclasses attach heads after this runs.
-        self._network_graphs = {}
 
     # -- the declarative builder --------------------------------------------
 
     def _build_graph(self, nb):
         """Emit this network's topology into builder ``nb``."""
         raise NotImplementedError
-
-    def network_graph(self, strategy="delayed"):
-        """The whole-network graph under ``strategy`` (memoized)."""
-        cached = self._network_graphs.get(strategy)
-        if cached is None:
-            cached = self._network_graphs[strategy] = build_network_graph(
-                self, strategy
-            )
-        return cached
 
     # -- execution -----------------------------------------------------------
 
@@ -223,21 +212,4 @@ class PointCloudNetwork(Module):
 
         return GraphExecutor().run_network(
             self.network_graph(strategy), self, coords
-        )
-
-    # -- tracing ------------------------------------------------------------
-
-    def trace(self, strategy="original"):
-        """Emit the full-network operator trace at this instance's scale.
-
-        Lowered from the same whole-network graph the executors run, so
-        analytics and execution cannot drift.  The lowering and
-        :mod:`repro.profiling` load here, with the first trace —
-        executing a network never imports them.
-        """
-        from ..graph import lower_network_trace
-        from ..profiling import Trace
-
-        return lower_network_trace(
-            self.network_graph(strategy), Trace(self.name, strategy)
         )

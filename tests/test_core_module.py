@@ -399,8 +399,8 @@ class TestTraceEmission:
         assert delayed.rows == 32  # subtraction after reduction
 
     def test_trace_is_lowered_from_the_forward_graph(self):
-        # One trace door per object, mirroring PointCloudNetwork.trace:
-        # the module's memoized graph, the one forward runs, lowered.
+        # One trace door per object, the one networks use: the
+        # module's memoized graph, the one forward runs, lowered.
         mod = PointCloudModule(SPEC)
         t = mod.trace("delayed")
         assert (t.network, t.strategy) == ("m1", "delayed")
