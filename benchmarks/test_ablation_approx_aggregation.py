@@ -11,23 +11,23 @@ latency/drop/functional-error trade-off on a realistic index stream.
 import numpy as np
 from conftest import print_table
 
-from repro.core import ModuleSpec
-from repro.hw import ApproximateAggregationUnit, dropped_neighbor_error
-from repro.hw.soc import synthetic_nit
+from repro.hw import ApproximateAggregationUnit, dropped_neighbor_error, network_nits
+from repro.networks import build_network
 
-SPEC = ModuleSpec("sa1", 1024, 512, 32, (3, 64, 64, 128))
 ROUND_BUDGETS = (1, 2, 3, None)
 
 
 def test_ablation_approx_aggregation(benchmark):
-    nit = synthetic_nit(SPEC)
-    pft = np.random.default_rng(0).normal(size=(1024, 128)) ** 2  # post-ReLU
+    net = build_network("PointNet++ (c)")
+    spec = net.encoder[0].spec
+    nit = network_nits(net, "delayed")[spec.name]
+    pft = np.random.default_rng(0).normal(size=(spec.n_in, spec.out_dim)) ** 2  # post-ReLU
 
     def run():
         out = {}
         for budget in ROUND_BUDGETS:
             au = ApproximateAggregationUnit(max_rounds=budget)
-            r = au.process_approximate(nit, 128, 1024)
+            r = au.process_approximate(nit, spec.out_dim, spec.n_in)
             err = dropped_neighbor_error(pft, nit, r.kept_mask)
             out[budget] = (r.speedup_vs_exact, r.dropped_fraction, err)
         return out

@@ -8,22 +8,22 @@ trade-off that motivates the nominal choice.
 
 from conftest import print_table
 
-from repro.core import ModuleSpec
-from repro.hw import AggregationUnit, SRAM
-from repro.hw.soc import synthetic_nit
+from repro.hw import AggregationUnit, SRAM, network_nits
+from repro.networks import build_network
 
 BANKS = (4, 8, 16, 32, 64)
-SPEC = ModuleSpec("sa1", 1024, 512, 32, (3, 64, 64, 128))
 
 
 def test_ablation_bank_count(benchmark):
-    nit = synthetic_nit(SPEC)
+    net = build_network("PointNet++ (c)")
+    spec = net.encoder[0].spec
+    nit = network_nits(net, "delayed")[spec.name]
 
     def run():
         out = {}
         for banks in BANKS:
             au = AggregationUnit(pft_buffer=SRAM(64, banks=banks, name="pft"))
-            r = au.process(nit, 128, 1024)
+            r = au.process(nit, spec.out_dim, spec.n_in)
             out[banks] = (r.cycles, r.conflict_fraction, au.area_mm2())
         return out
 

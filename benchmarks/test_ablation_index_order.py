@@ -10,8 +10,8 @@ order vs a random permutation.
 import numpy as np
 from conftest import print_table
 
+from repro.data import morton_order
 from repro.hw import AggregationUnit
-from repro.hw.soc import _morton_order
 from repro.neighbors import knn_brute_force, random_sampling
 
 
@@ -32,7 +32,7 @@ def test_ablation_index_order(benchmark):
 
     def run():
         au = AggregationUnit()
-        scan = surface[_morton_order(surface)]
+        scan = surface[morton_order(surface)]
         return {
             "scan order": au.process(_nit_for(scan), 128, 1024),
             "random order": au.process(_nit_for(shuffled), 128, 1024),

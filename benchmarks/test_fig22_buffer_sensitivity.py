@@ -8,15 +8,14 @@ energy win.  The nominal 64 KB / 12 KB point balances the two.
 
 from conftest import print_table
 
-from repro.hw import AggregationUnit, SRAM
-from repro.hw.soc import synthetic_nit
+from repro.hw import AggregationUnit, SRAM, network_nits
 from repro.networks import build_network
 
 PFT_SIZES = (8, 16, 32, 64, 128, 256)
 NIT_SIZES = (3, 6, 12, 24, 48, 96)
 
 
-def _au_energy(net, pft_kb, nit_kb):
+def _au_energy(net, nits, pft_kb, nit_kb):
     au = AggregationUnit(
         pft_buffer=SRAM(pft_kb, banks=32, name="pft"),
         nit_buffer=SRAM(nit_kb, banks=1, name="nit"),
@@ -24,19 +23,19 @@ def _au_energy(net, pft_kb, nit_kb):
     total = 0.0
     for module in net.encoder:
         spec = module.spec
-        nit = synthetic_nit(spec)
-        total += au.process(nit, spec.out_dim, spec.n_in).energy
+        total += au.process(nits[spec.name], spec.out_dim, spec.n_in).energy
     return total
 
 
 def test_fig22_buffer_sensitivity(benchmark):
     net = build_network("PointNet++ (s)")
+    nits = network_nits(net, "delayed")
 
     def run():
         grid = {}
         for pft in PFT_SIZES:
             for nit in NIT_SIZES:
-                grid[(pft, nit)] = _au_energy(net, pft, nit)
+                grid[(pft, nit)] = _au_energy(net, nits, pft, nit)
         return grid
 
     grid = benchmark(run)

@@ -17,13 +17,15 @@ from repro.networks import (
     train_classifier,
 )
 
-SCALE = 0.0625     # 64-point clouds keep the example under a minute
+# 64-point clouds, 16 training clouds and 3 epochs keep both runs to a
+# few seconds; the loss still halves and train accuracy clears chance.
+SCALE = 0.0625
 NUM_CLASSES = 4
-EPOCHS = 10
+EPOCHS = 3
 
 dataset = SyntheticModelNet(
-    num_classes=NUM_CLASSES, n_points=256, train_per_class=8,
-    test_per_class=4, seed=0, rotate=False,
+    num_classes=NUM_CLASSES, n_points=256, train_per_class=4,
+    test_per_class=2, seed=0, rotate=False,
 )
 print(f"dataset: {len(dataset.train_clouds)} train / "
       f"{len(dataset.test_clouds)} test clouds, classes: "

@@ -541,15 +541,21 @@ class KernelProgram:
             weights = weights.astype(dtype, copy=False)
             src = env[source]
             (n_rows, k), width = rows.shape, src.shape[1]
-            gathered = np.take(
-                src, rows, axis=0,
-                out=self._buffer(ctx, ("interp-g", nid), (n_rows, k, width)),
-            )
-            gathered *= weights[:, :, None]
-            env[nid] = np.sum(
-                gathered, axis=1,
+            # One neighbor column at a time, added in column order: the
+            # sum over k of the (n_rows, k, width) gather, without it.
+            out = np.take(
+                src, rows[:, 0], axis=0,
                 out=self._buffer(ctx, ("interp", nid), (n_rows, width)),
             )
+            out *= weights[:, :1]
+            for j in range(1, k):
+                column = np.take(
+                    src, rows[:, j], axis=0,
+                    out=self._buffer(ctx, ("interp-g", nid), (n_rows, width)),
+                )
+                column *= weights[:, j:j + 1]
+                out += column
+            env[nid] = out
 
         return kernel
 

@@ -16,6 +16,7 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "SyntheticShapeNet": "shapenet",
     "SHAPE_SAMPLERS": "shapes",
     "augment": "shapes",
+    "morton_order": "shapes",
     "normalize_cloud": "shapes",
     "random_rotation": "shapes",
 })

@@ -23,7 +23,7 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "SoC": "soc",
     "SoCConfig": "soc",
     "SoCResult": "soc",
-    "synthetic_nit": "soc",
+    "network_nits": "soc",
     "SRAM": "sram",
     "crossbar_area_mm2": "sram",
     "Interval": "timeline",

@@ -27,9 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from ..neighbors import knn_brute_force, random_sampling
+from ..data import SyntheticModelNet, morton_order
+from ..graph.executors import GraphExecutor
+from ..neural import no_grad
 from ..profiling.trace import GatherOp, MatMulOp, ReduceMaxOp
 from .aggregation_unit import AggregationUnit
 from .dram import LPDDR3
@@ -43,7 +43,7 @@ __all__ = [
     "SoC",
     "SoCResult",
     "CONFIGS",
-    "synthetic_nit",
+    "network_nits",
 ]
 
 
@@ -142,57 +142,25 @@ class SoCResult:
         return 1.0 - self.energy / other.energy
 
 
-_NIT_CACHE = {}
+def network_nits(network, strategy):
+    """``{module name: (n_out, k) NIT}`` as ``network``'s own searches write it.
 
-
-def _morton_order(points, bits=10):
-    """Scan order: sort points along a Morton (Z-order) curve.
-
-    Real point cloud files (ModelNet/ShapeNet/KITTI sweeps) store points
-    in scan order, so spatial neighbors have nearby indices — the
-    property that makes the AU's LSB bank interleaving effective
-    (§V-B).  Synthetic clouds must reproduce it or bank conflicts are
-    badly overestimated.
+    One interpreter run under ``strategy`` over one fixed synthetic
+    ModelNet cloud, stored in Morton scan order as real datasets are.
     """
-    pts = np.asarray(points)
-    lo = pts.min(axis=0)
-    span = np.maximum(pts.max(axis=0) - lo, 1e-9)
-    q = np.minimum(((pts - lo) / span * (2 ** bits - 1)).astype(np.uint64),
-                   2 ** bits - 1)
-    code = np.zeros(len(pts), dtype=np.uint64)
-    for b in range(bits):
-        for axis in range(3):
-            code |= ((q[:, axis] >> np.uint64(b)) & np.uint64(1)) \
-                << np.uint64(3 * b + axis)
-    return np.argsort(code, kind="stable")
-
-
-def synthetic_nit(spec, seed=0):
-    """A realistic neighbor-index stream for a module spec.
-
-    Generates a random cloud, reorders it along a Morton curve (scan
-    order, as in real datasets), samples centroids and runs a real KNN,
-    so the AU's bank conflicts are emergent from realistic
-    spatially-correlated indices rather than assumed.  Cached per
-    (spec, seed).
-    """
-    key = (spec.n_in, spec.n_out, spec.k, seed)
-    if key not in _NIT_CACHE:
-        rng = np.random.default_rng(seed)
-        # Sample a deformed sphere: real clouds are object *surfaces*
-        # (2-D manifolds), whose scan order has far better index
-        # locality than a volumetric blob.
-        v = rng.normal(size=(spec.n_in, 3))
-        pts = v / np.linalg.norm(v, axis=1, keepdims=True)
-        pts *= 1.0 + 0.3 * np.sin(3.0 * pts[:, :1])
-        pts = pts[_morton_order(pts)]
-        if spec.n_out < spec.n_in:
-            centroids = random_sampling(pts, spec.n_out, rng=rng)
-        else:
-            centroids = np.arange(spec.n_in)
-        idx, _ = knn_brute_force(pts, pts[centroids], spec.k)
-        _NIT_CACHE[key] = idx
-    return _NIT_CACHE[key]
+    cloud = SyntheticModelNet(
+        num_classes=1, n_points=network.n_points, train_per_class=1,
+        test_per_class=0, seed=0,
+    ).train_clouds[0]
+    ngraph = network.network_graph(strategy)
+    executor = GraphExecutor()
+    with no_grad():
+        executor.run_network(ngraph, network, cloud[morton_order(cloud)][None])
+    return {
+        ngraph.refs[region.module].spec.name:
+            executor.region_state[region.module]["indices_local"][0]
+        for region in ngraph.regions
+    }
 
 
 class SoC:
@@ -229,18 +197,17 @@ class SoC:
 
     # -- simulation -----------------------------------------------------------
 
-    def simulate(self, network, config, nit_seed=0):
+    def simulate(self, network, config):
         """Run ``network`` on ``config``; returns an :class:`SoCResult`.
 
-        For AU-enabled configs, per-module NIT index streams are drawn
-        from :func:`synthetic_nit` over the network's module specs.
+        For AU-enabled configs, each module's AU pass gathers from the
+        NIT the module's own search writes (:func:`network_nits` under
+        the config's strategy).
         """
         if isinstance(config, str):
             config = CONFIGS[config]
         trace = network.trace(config.strategy)
-        specs = {m.spec.name: m.spec for m in network.encoder}
-        for extra in getattr(network, "box_encoder", []):
-            specs[extra.spec.name] = extra.spec
+        nits = network_nits(network, config.strategy) if config.use_au else {}
 
         phase_times = {p: 0.0 for p in "NAFO"}
         phase_energy = {p: 0.0 for p in "NAFO"}
@@ -271,13 +238,12 @@ class SoC:
                     # by the aggregation consumer.
                     dram_bytes += 2 * op.bytes_written
                 elif op.phase == "A":
-                    if config.use_au and module_name in specs:
+                    if module_name in nits:
                         if not au_done:
-                            spec = specs[module_name]
                             if isinstance(op, GatherOp):
-                                nit = synthetic_nit(spec, seed=nit_seed)
                                 r = self.au.process(
-                                    nit, op.feature_dim, op.table_rows
+                                    nits[module_name], op.feature_dim,
+                                    op.table_rows,
                                 )
                                 a_time += r.time
                                 phase_energy["A"] += r.energy

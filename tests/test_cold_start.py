@@ -47,7 +47,7 @@ TIMEOUT = 120.0
 #: door when the neighbor-index cache became an argument of a program run.
 FRONT_DOORS = [
     ("repro", 12), ("repro.backend", 17), ("repro.core", 8),
-    ("repro.data", 15), ("repro.engine", 5), ("repro.graph", 19),
+    ("repro.data", 16), ("repro.engine", 5), ("repro.graph", 19),
     ("repro.hw", 27), ("repro.neighbors", 8), ("repro.networks", 25),
     ("repro.neural", 17), ("repro.profiling", 28), ("repro.serve", 14),
 ]

@@ -21,8 +21,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 DOC_FILES = sorted((ROOT / "docs").glob("*.md")) + [ROOT / "README.md"]
 EXAMPLES = sorted((ROOT / "examples").glob("*.py"))
-#: Per-script bound; the slowest example (training two toy PointNet++
-#: classifiers) takes about 35 s on a 2-vCPU box.
+#: Per-script bound; the slowest examples (training toy networks) take
+#: about 5 s each on a 2-vCPU box.
 EXAMPLE_TIMEOUT = 300.0
 
 FENCE = re.compile(

@@ -13,7 +13,7 @@ from repro.hw import (
     SoC,
     SystolicNPU,
     crossbar_area_mm2,
-    synthetic_nit,
+    network_nits,
 )
 from repro.networks import build_network
 from repro.profiling.trace import (
@@ -234,12 +234,10 @@ class TestAggregationUnit:
             nominal.process(nit, 128, 2048).energy
 
     def test_realistic_conflicts_moderate(self):
-        # With scan-ordered realistic index streams, LSB interleaving
-        # keeps the slowdown well below the random-stream worst case.
-        from repro.core import ModuleSpec
-
-        spec = ModuleSpec("m", 1024, 512, 32, (3, 64))
-        nit = synthetic_nit(spec)
+        # On the NIT a network's own search writes over a scan-ordered
+        # cloud, LSB interleaving keeps the slowdown well below the
+        # random-stream worst case.
+        nit = network_nits(build_network("PointNet++ (c)"), "delayed")["sa1"]
         r = self.au.process(nit, 128, 1024)
         assert r.slowdown_vs_ideal < 3.5
 
@@ -318,6 +316,15 @@ class TestSoC:
     def test_au_stats_emitted(self):
         stats = self.results["PointNet++ (c)"]["mesorasi_hw"].au_stats
         assert len(stats) == 3  # one per SA module
+
+    def test_feature_space_conflicts_rise_with_depth(self):
+        # DGCNN searches feature space: deeper EdgeConv layers pick
+        # neighbors by learned features, not position, so their indices
+        # lose the scan order's locality and the AU's bank conflicts grow.
+        r = self.soc.simulate(build_network("DGCNN (c)"), "mesorasi_hw")
+        conflicts = [stats.conflict_fraction for _, stats in r.au_stats]
+        assert len(conflicts) == 4
+        assert all(a < b for a, b in zip(conflicts, conflicts[1:])), conflicts
 
     def test_speedup_helpers(self):
         r = self.results["PointNet++ (c)"]

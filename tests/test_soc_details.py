@@ -2,10 +2,8 @@
 
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
-from repro.core import ModuleSpec
 from repro.hw import (
     CONFIGS,
     MobileGPU,
@@ -13,7 +11,7 @@ from repro.hw import (
     SoC,
     SoCConfig,
     SystolicNPU,
-    synthetic_nit,
+    network_nits,
 )
 from repro.networks import ALL_NETWORKS, build_network
 from repro.profiling.trace import MatMulOp, NeighborSearchOp, Trace
@@ -114,23 +112,17 @@ class TestEngineSubstitution:
             small.simulate(net, "baseline").phase_times["F"]
 
 
-class TestSyntheticNIT:
-    def test_shape_follows_spec(self):
-        spec = ModuleSpec("m", 256, 64, 12, (3, 8))
-        nit = synthetic_nit(spec)
-        assert nit.shape == (64, 12)
-        assert nit.max() < 256
-
-    def test_cached(self):
-        spec = ModuleSpec("m", 256, 64, 12, (3, 8))
-        assert synthetic_nit(spec) is synthetic_nit(spec)
-
-    def test_full_coverage_when_no_downsampling(self):
-        spec = ModuleSpec("m", 64, 64, 4, (3, 8))
-        nit = synthetic_nit(spec)
-        assert nit.shape == (64, 4)
-        # Every centroid's nearest neighbor set includes itself.
-        assert (nit == np.arange(64)[:, None]).any(axis=1).all()
+class TestNetworkNITs:
+    @pytest.mark.parametrize("name", ALL_NETWORKS)
+    def test_one_table_per_region_within_its_input(self, name):
+        net = build_network(name)
+        nits = network_nits(net, "delayed")
+        modules = list(net.encoder) + list(getattr(net, "box_encoder", []))
+        assert set(nits) == {m.spec.name for m in modules}
+        for module in modules:
+            spec, nit = module.spec, nits[module.spec.name]
+            assert nit.shape == (spec.n_out, spec.k), spec.name
+            assert 0 <= nit.min() and nit.max() < spec.n_in, spec.name
 
 
 class TestGPUOverlapBranches:
