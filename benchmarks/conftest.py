@@ -42,7 +42,7 @@ def soc_results(networks, soc):
     configs = ("gpu", "baseline", "mesorasi_sw", "mesorasi_hw",
                "baseline_nse", "mesorasi_sw_nse", "mesorasi_hw_nse")
     return {
-        name: {cfg: soc.simulate(net, cfg) for cfg in configs}
+        name: soc.compare(net, configs)
         for name, net in networks.items()
     }
 

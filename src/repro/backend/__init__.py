@@ -1,19 +1,18 @@
-"""Multi-backend inference runtime.
+"""Autograd-free inference runtime.
 
 The executors in :mod:`repro.graph` interpret network graphs through
 the autograd :class:`~repro.neural.Tensor` — correct, and the training
 substrate needs it, but pure inference pays graph-construction
 closures and float64 copies it never uses.  This package is the
-runtime layer underneath: a dtype-parameterized :class:`ArrayBackend`
-(:mod:`repro.backend.array`), a pre-packed parameter exporter
-(:mod:`repro.backend.params`), and a whole-network kernel compiler
+runtime layer underneath: a pre-packed parameter exporter
+(:mod:`repro.backend.params`) and a whole-network kernel compiler
 (:mod:`repro.backend.runtime`) that lowers a
 :class:`~repro.graph.network.NetworkGraph` to a flat list of
 autograd-free ndarray kernels.
 
-Two backends ship: ``float64`` (bit-exact against the graph
-executors) and ``float32`` (the BLAS fast path).  The
-engine selects them through ``backend=`` on
+A kernel program's backend is its dtype, and two ship: ``float64``
+(bit-exact against the graph executors) and ``float32`` (the BLAS fast
+path).  The engine selects one through ``backend=`` on
 :class:`~repro.engine.BatchRunner`, and ``repro serve`` through
 ``--serve-backend``.  Every program is compiled in process and measures
 its arena plan on its first run; :mod:`repro.backend.aot` holds only
@@ -27,9 +26,6 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "attach_table": "aot",
     "parameter_descriptor": "aot",
     "share_table": "aot",
-    "ArrayBackend": "array",
-    "get_backend": "array",
-    "registered_backends": "array",
     "ArenaPlan": "memplan",
     "GraphLiveness": "memplan",
     "plan_arena": "memplan",
@@ -38,6 +34,5 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "export_segment": "params",
     "export_stack": "params",
     "KernelProgram": "runtime",
-    "NetworkKernelExecutor": "runtime",
     "compile_kernel_program": "runtime",
 })

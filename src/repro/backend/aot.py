@@ -19,7 +19,6 @@ import tempfile
 
 import numpy as np
 
-from .array import get_backend
 from .params import ParameterTable
 
 __all__ = [
@@ -133,9 +132,7 @@ def parameter_descriptor(network, strategy, backend, batched=True):
     owner-side :class:`SharedTable` to ``close(unlink=True)`` after
     every consumer is done.
     """
-    backend = get_backend(backend)
-    table = ParameterTable.for_graph(network.network_graph(strategy),
-                                     backend=backend)
+    table = ParameterTable.for_graph(network.network_graph(strategy), backend)
     handle = share_table(table)
     return handle.descriptor(), handle
 

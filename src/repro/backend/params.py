@@ -2,8 +2,8 @@
 
 The autograd executors walk live :class:`~repro.neural.Module` objects
 on every node dispatch; the kernel runtime instead exports each
-network's weights **once per backend** into flat, backend-dtype ops
-lists.  An exported *stack* is a list of per-Linear *segments*; each
+network's weights **once per dtype** into flat ops lists in that
+dtype.  An exported *stack* is a list of per-Linear *segments*; each
 segment is a tuple of primitive ops
 
 ``("linear", W, b)`` — GEMM plus optional bias (``b`` may be ``None``),
@@ -16,21 +16,21 @@ inverse std precomputed exactly as the eval forward computes it,
 Export is **inference-only**: a training-mode BatchNorm (whose forward
 uses batch statistics and mutates running stats) or an active Dropout
 cannot be frozen into a kernel table, so exporting one raises — call
-``net.eval()`` first.  On the float64 reference backend the packed
-arrays share memory with the live parameters (no copy); narrower
-backends snapshot a cast copy at export time.
+``net.eval()`` first.  In float64, the reference dtype, the packed
+arrays share memory with the live parameters (no copy); float32
+snapshots a cast copy at export time.
 
 :class:`ParameterTable` is the whole-network form of that export: one
 flat table holding every segment a compiled
 :class:`~repro.backend.runtime.KernelProgram` will touch, keyed by the
-graph location that uses it.  An executor compiles one program, and so
-exports one table, per graph; the server builds one runner per hosted
-network and a shard fleet hands every replica one executor, so a
-hosted network's weights are exported once.  Tables serialize:
-:meth:`ParameterTable.pack` flattens the table into a JSON manifest
-plus one aligned binary blob, and :meth:`ParameterTable.from_buffer`
-rebuilds it **zero-copy** over any buffer exposing the blob (an
-``mmap`` of a published table file, :mod:`repro.backend.aot`).
+graph location that uses it.  A program exports one table; the server
+builds one runner per hosted network and a shard fleet hands every
+replica one program, so a hosted network's weights are exported once.
+Tables serialize: :meth:`ParameterTable.pack` flattens the table into
+a JSON manifest plus one aligned binary blob, and
+:meth:`ParameterTable.from_buffer` rebuilds it **zero-copy** over any
+buffer exposing the blob (an ``mmap`` of a published table file,
+:mod:`repro.backend.aot`).
 """
 
 from __future__ import annotations
@@ -46,13 +46,30 @@ __all__ = [
 ]
 
 
-def _export_array(array, backend):
-    return np.ascontiguousarray(
-        np.asarray(array).astype(backend.dtype, copy=False)
-    )
+#: The dtypes a kernel program computes in: float64, the reference, and
+#: float32, the fast path.
+_DTYPES = ("float32", "float64")
 
 
-def _tail_ops(layers, backend):
+def _resolve_dtype(dtype):
+    """``"float64"`` / ``"float32"`` or their numpy dtypes -> ``np.dtype``;
+    anything else is refused."""
+    try:
+        resolved = np.dtype(dtype)
+    except TypeError:
+        resolved = None
+    if resolved is None or resolved.name not in _DTYPES:
+        raise ValueError(
+            f"unknown backend {dtype!r}; expected one of {list(_DTYPES)}"
+        )
+    return np.dtype(resolved.name)  # native byte order
+
+
+def _export_array(array, dtype):
+    return np.ascontiguousarray(np.asarray(array).astype(dtype, copy=False))
+
+
+def _tail_ops(layers, dtype):
     """Pack a segment's post-Linear tail (BatchNorm / ReLU / Dropout)."""
     ops = []
     for layer in layers:
@@ -70,10 +87,10 @@ def _tail_ops(layers, backend):
             inv = 1.0 / np.sqrt(layer.running_var + layer.eps)
             ops.append((
                 "bn",
-                _export_array(layer.running_mean, backend),
-                _export_array(inv, backend),
-                _export_array(layer.gamma.data, backend),
-                _export_array(layer.beta.data, backend),
+                _export_array(layer.running_mean, dtype),
+                _export_array(inv, dtype),
+                _export_array(layer.gamma.data, dtype),
+                _export_array(layer.beta.data, dtype),
             ))
         elif isinstance(layer, Dropout):
             if layer.training and layer.p > 0.0:
@@ -91,7 +108,7 @@ def _tail_ops(layers, backend):
     return ops
 
 
-def export_segment(layers, backend, weight_only=False, epilogue=False):
+def export_segment(layers, dtype, weight_only=False, epilogue=False):
     """Pack one per-Linear segment into an ops tuple.
 
     ``weight_only`` exports just the GEMM (the limited variant's
@@ -103,26 +120,26 @@ def export_segment(layers, backend, weight_only=False, epilogue=False):
         raise TypeError("segment must start with a Linear layer")
     if epilogue:
         bias = None if linear.bias is None \
-            else _export_array(linear.bias.data, backend)
+            else _export_array(linear.bias.data, dtype)
         ops = [] if bias is None else [("bias", bias)]
-        return tuple(ops + _tail_ops(tail, backend))
-    weight = _export_array(linear.weight.data, backend)
+        return tuple(ops + _tail_ops(tail, dtype))
+    weight = _export_array(linear.weight.data, dtype)
     bias = None if weight_only or linear.bias is None \
-        else _export_array(linear.bias.data, backend)
+        else _export_array(linear.bias.data, dtype)
     head = ("linear", weight, bias)
     if weight_only:
         return (head,)
-    return tuple([head] + _tail_ops(tail, backend))
+    return tuple([head] + _tail_ops(tail, dtype))
 
 
-def export_stack(layers, backend):
+def export_stack(layers, dtype):
     """Pack a whole Linear/.../Linear stack: one ops tuple per segment."""
-    return tuple(export_segment(segment, backend)
+    return tuple(export_segment(segment, dtype)
                  for segment in segment_layers(layers))
 
 
 #: Blob offsets round up to one cache line — every zero-copy view is
-#: aligned for any backend dtype.
+#: aligned for either dtype.
 _BLOB_ALIGNMENT = 64
 
 
@@ -139,8 +156,7 @@ class ParameterTable:
     graph will make.
     """
 
-    def __init__(self, backend_name, dtype, entries):
-        self.backend_name = str(backend_name)
+    def __init__(self, dtype, entries):
         self.dtype = np.dtype(dtype)
         self.entries = dict(entries)
         # Zero-copy tables keep their backing buffer alive through this
@@ -150,8 +166,9 @@ class ParameterTable:
     # -- construction --------------------------------------------------------
 
     @classmethod
-    def for_graph(cls, ngraph, backend):
-        """Export the table of one whole-network graph under ``backend``."""
+    def for_graph(cls, ngraph, dtype):
+        """Export the table of one whole-network graph in ``dtype``."""
+        dtype = _resolve_dtype(dtype)
         entries = {}
         segments = {}
         graph = ngraph.graph
@@ -172,7 +189,7 @@ class ParameterTable:
                 key = ("module", midx, layer, variant)
                 if key not in entries:
                     entries[key] = export_segment(
-                        segments[midx][layer], backend,
+                        segments[midx][layer], dtype,
                         weight_only=variant == "weight_only",
                         epilogue=variant == "epilogue",
                     )
@@ -181,9 +198,9 @@ class ParameterTable:
                 if ("ref", ref, 0) in entries:
                     continue
                 layers = ngraph.refs[ref].export_layers()
-                for si, ops in enumerate(export_stack(layers, backend)):
+                for si, ops in enumerate(export_stack(layers, dtype)):
                     entries[("ref", ref, si)] = ops
-        return cls(backend.name, backend.dtype, entries)
+        return cls(dtype, entries)
 
     # -- lookup --------------------------------------------------------------
 
@@ -257,7 +274,6 @@ class ParameterTable:
         manifest = {
             "format": 1,
             "kind": "parameter-table",
-            "backend": self.backend_name,
             "dtype": str(self.dtype),
             "total_bytes": len(blob),
             "arrays": specs,
@@ -293,6 +309,6 @@ class ParameterTable:
                     None if ref is None else views[ref] for ref in op[1:]
                 ]))
             entries[key] = tuple(ops)
-        table = cls(manifest["backend"], manifest["dtype"], entries)
+        table = cls(manifest["dtype"], entries)
         table._backing = backing
         return table

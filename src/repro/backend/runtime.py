@@ -5,8 +5,8 @@
 :class:`KernelProgram` — a flat list of ndarray kernels closed over a
 pre-packed parameter table (:mod:`repro.backend.params`):
 
-* weights are exported **once per backend** at compile time, in the
-  backend's dtype, so a float32 program runs float32 BLAS GEMMs end to
+* weights are exported **once per program** at compile time, in the
+  program's dtype, so a float32 program runs float32 BLAS GEMMs end to
   end with zero per-call casts;
 * consecutive shared-MLP ``matmul`` nodes fold into a single batched
   GEMM+bias+ReLU chain kernel running through preallocated ping-pong
@@ -26,31 +26,27 @@ pre-packed parameter table (:mod:`repro.backend.params`):
   kernel's buffer (the measuring run's one-buffer-per-kernel pool is the
   baseline of the CI ``mem`` gates);
 * parameters live in one
-  :class:`~repro.backend.params.ParameterTable` per program — one
-  executor's programs share it across threads;
+  :class:`~repro.backend.params.ParameterTable` per program, shared
+  across threads;
 * centroid sampling is resolved at compile time (it is a deterministic
   function of the static graph shapes), and module neighbor searches
-  run in the backend's dtype (a decoder's search keeps float64
+  run in the program's dtype (a decoder's search keeps float64
   distances) — through the neighbor-index cache a run is
   handed (``run(coords, cache=...)``), else brute force.  The engine's
   :class:`~repro.engine.cache.NeighborIndexCache` keys on that dtype,
   so float32 and float64 programs never share cache entries.
 
-The float64 reference backend executes the same numpy operations, in
-the same order, as :class:`~repro.graph.executors.GraphExecutor`, so
-its outputs are bit-exact against it (CI-gated across all seven
-networks and all three strategies); the float32 backend trades ≤1e-4
-relative logit error for roughly 2× GEMM throughput.
+A program's backend is its dtype.  A float64 program executes the same
+numpy operations, in the same order, as
+:class:`~repro.graph.executors.GraphExecutor`, so its outputs are
+bit-exact against it (CI-gated across all seven networks and all three
+strategies); a float32 program trades ≤1e-4 relative logit error for
+roughly 2× GEMM throughput.
 
-:class:`NetworkKernelExecutor` adapts the runtime to the executor API
-the rest of the stack speaks: it satisfies the ``run_network`` contract
-of :meth:`repro.networks.base.PointCloudNetwork.forward`, memoizing one
-compiled program per graph.  Programs know one arity — a ``(B, N, 3)``
-stack; a single cloud arrives as the stack of one the front door lifted
-it into.
-Programs are thread-compatible — scratch buffers live in thread-local
-storage — so one executor instance can serve every replica of a
-:class:`~repro.serve.shard.ShardRouter` fleet.
+Programs know one arity — a ``(B, N, 3)`` stack; run one cloud as
+``program.run(cloud[None])``.  Programs are thread-compatible — scratch
+buffers live in thread-local storage — so one program serves every
+replica of a :class:`~repro.serve.shard.ShardRouter` fleet.
 """
 
 from __future__ import annotations
@@ -60,7 +56,6 @@ import threading
 import numpy as np
 
 from ..neighbors import knn_brute_force
-from .array import get_backend
 from .memplan import (
     ArenaPlan,
     BufferRecord,
@@ -70,9 +65,9 @@ from .memplan import (
     record_aliases,
     validate_plan,
 )
-from .params import ParameterTable
+from .params import ParameterTable, _resolve_dtype
 
-__all__ = ["KernelProgram", "NetworkKernelExecutor", "compile_kernel_program"]
+__all__ = ["KernelProgram", "compile_kernel_program"]
 
 
 def _knn(cache, points, queries, k, dtype=None, tag=None):
@@ -96,8 +91,8 @@ class _MeasuringPool:
     than under-provisioning some height.
     """
 
-    def __init__(self, backend, height):
-        self.backend = backend
+    def __init__(self, dtype, height):
+        self.dtype = dtype
         self.height = height
         self.buffers = {}
         self.records = []
@@ -105,7 +100,7 @@ class _MeasuringPool:
     def request(self, key, shape, pos):
         buf = self.buffers.get(key)
         if buf is None or buf.shape != tuple(shape):
-            buf = self.buffers[key] = self.backend.empty(shape)
+            buf = self.buffers[key] = np.empty(shape, self.dtype)
             rows, rest = divmod(shape[0], self.height)
             if rest:
                 raise ValueError(
@@ -149,7 +144,7 @@ class _ArenaPool:
             # and counted so a planner regression shows in memory_stats().
             with self.program._plans_lock:
                 self.program._unplanned += 1
-            return self.program.backend.empty(shape)
+            return np.empty(shape, self.program.dtype)
         return view
 
 
@@ -167,16 +162,17 @@ class KernelProgram:
     accepts a pre-built — possibly zero-copy-attached — table).
     """
 
-    def __init__(self, ngraph, network, backend, params=None):
+    def __init__(self, ngraph, network, dtype, params=None):
         self.ngraph = ngraph
         self.network = network
-        self.backend = get_backend(backend)
+        #: Parameter, activation and module-search dtype: the backend.
+        self.dtype = _resolve_dtype(dtype)
         if params is None:
-            params = ParameterTable.for_graph(ngraph, self.backend)
-        elif np.dtype(params.dtype) != np.dtype(self.backend.dtype):
+            params = ParameterTable.for_graph(ngraph, self.dtype)
+        elif params.dtype != self.dtype:
             raise ValueError(
                 f"parameter table dtype {params.dtype} does not match "
-                f"backend {self.backend.name!r}"
+                f"backend {self.dtype.name!r}"
             )
         #: The packed parameter table every kernel reads through.
         self.table = params
@@ -207,21 +203,20 @@ class KernelProgram:
         one GEMM per cloud — the very call the cloud makes alone — so a
         cloud's bits do not depend on what shares its stack.
         """
-        backend = self.backend
         batch = ctx["batch"]
         for i, op in enumerate(ops):
             kind = op[0]
             if kind == "linear":
                 out = self._buffer(ctx, (key, i), (x.shape[0], op[1].shape[1]))
-                backend.matmul(x.reshape(batch, -1, x.shape[1]), op[1],
-                               out=out.reshape(batch, -1, out.shape[1]))
+                np.matmul(x.reshape(batch, -1, x.shape[1]), op[1],
+                          out=out.reshape(batch, -1, out.shape[1]))
                 x = out
                 if op[2] is not None:
-                    backend.add_bias(x, op[2])
+                    x += op[2]
             elif kind == "bias":
-                x = backend.add_bias(x, op[1])
+                x += op[1]
             elif kind == "relu":
-                x = backend.relu(x)
+                x = np.maximum(x, 0, out=x)
             else:  # ("bn", mean, inv, gamma, beta) — eval-mode batch norm
                 x = x - op[1]
                 x *= op[2]
@@ -312,7 +307,7 @@ class KernelProgram:
         feature_space = attrs["space"] != "coords"
         in_dim = attrs["dim"]
         signature = attrs["signature"]
-        dtype = self.backend.dtype
+        dtype = self.dtype
         coords_id, feats_id = attrs["coords"], attrs["feats"]
         module = self.ngraph.refs[midx]
         local = np.asarray(module._sample_centroids(n_in))
@@ -389,7 +384,6 @@ class KernelProgram:
         k, dim = node.attrs["k"], node.attrs["dim"]
         source = node.inputs[0]
         nid = node.id
-        backend = self.backend
 
         def kernel(env, ctx):
             src = env[source]
@@ -408,10 +402,9 @@ class KernelProgram:
                     c = stop - start
                     block = np.take(src, rows[start:stop], axis=0,
                                     out=gbuf[:c])
-                    reduced = backend.reduce_max(block, axis=1,
-                                                 out=rbuf[:c])
-                    backend.subtract(reduced, src[crows[start:stop]],
-                                     out=out[start:stop])
+                    reduced = np.max(block, axis=1, out=rbuf[:c])
+                    np.subtract(reduced, src[crows[start:stop]],
+                                out=out[start:stop])
                 env[nid] = out
             else:
                 gathered = np.take(
@@ -419,14 +412,13 @@ class KernelProgram:
                     out=self._buffer(ctx, ("agg-g", nid), (n_rows, k, dim)),
                 )
                 centroids = src[crows].reshape(n_rows, 1, dim)
-                backend.subtract(gathered, centroids, out=gathered)
+                np.subtract(gathered, centroids, out=gathered)
                 env[nid] = gathered.reshape(n_rows * k, dim)
 
         return kernel
 
     def _k_reduce_max(self, node, midx):
         source, nid = node.inputs[0], node.id
-        backend = self.backend
 
         def kernel(env, ctx):
             # The post-MLP reduction of original/limited: rows*k flat
@@ -435,7 +427,7 @@ class KernelProgram:
             k = ctx["rows"][midx].shape[1]
             x = env[source]
             x = x.reshape(-1, k, x.shape[-1])
-            env[nid] = backend.reduce_max(
+            env[nid] = np.max(
                 x, axis=1,
                 out=self._buffer(ctx, ("max", nid), (x.shape[0], x.shape[2])),
             )
@@ -532,7 +524,7 @@ class KernelProgram:
     def _k_interpolate(self, node):
         search, source = node.inputs
         nid = node.id
-        dtype = self.backend.dtype
+        dtype = self.dtype
 
         def kernel(env, ctx):
             rows, dist = env[search]
@@ -561,13 +553,12 @@ class KernelProgram:
 
     def _k_global_max(self, node):
         source, nid = node.inputs[0], node.id
-        backend = self.backend
 
         def kernel(env, ctx):
             x = env[source]
             nclouds = ctx["batch"]
             rows = x.shape[0] // nclouds
-            env[nid] = backend.reduce_max(
+            env[nid] = np.max(
                 x.reshape(nclouds, rows, x.shape[1]), axis=1,
                 out=self._buffer(ctx, ("gm", nid), (nclouds, x.shape[1])),
             )
@@ -619,7 +610,7 @@ class KernelProgram:
         """``(pool, measuring)`` for a run over ``height`` clouds;
         ``measuring`` is ``pool`` when this run measures, else ``None``."""
         if self.per_cloud_plan is None:
-            measuring = _MeasuringPool(self.backend, height)
+            measuring = _MeasuringPool(self.dtype, height)
             return measuring, measuring
         pool = getattr(self._local, "pool", None)
         if pool is None:
@@ -648,7 +639,7 @@ class KernelProgram:
         """
         from ..neural import Tensor
 
-        coords = self.backend.asarray(np.asarray(coords))
+        coords = np.asarray(coords).astype(self.dtype, copy=False)
         if coords.ndim != 3:
             raise ValueError(
                 "kernel programs take stacks only: expected (batch, n, 3) "
@@ -770,8 +761,8 @@ def compile_kernel_program(network, strategy="delayed", backend="float64",
     """Compile ``network`` under ``strategy`` into a :class:`KernelProgram`.
 
     The network's whole-network graph (memoized on the instance) is
-    lowered against ``backend`` (a name, dtype or
-    :class:`~repro.backend.array.ArrayBackend`).  ``batched`` is read by
+    lowered in ``backend``, a dtype: ``"float64"`` or ``"float32"`` (or
+    their numpy dtypes).  ``batched`` is read by
     nothing: programs have one arity (a cloud is a stack of one), and
     the keyword is accepted only because ``benchmarks/ledger/layers.py``
     — which a non-benchmark change may not edit — still passes it; it
@@ -780,41 +771,6 @@ def compile_kernel_program(network, strategy="delayed", backend="float64",
     zero-copy from a shared file) instead of
     exporting the network's weights.
     """
-    return KernelProgram(network.network_graph(strategy), network,
-                         get_backend(backend), params=params)
+    return KernelProgram(network.network_graph(strategy), network, backend,
+                         params=params)
 
-
-class NetworkKernelExecutor:
-    """Kernel-runtime executor behind the standard ``run_network`` API.
-
-    Drop-in wherever the graph executors plug in —
-    ``network.forward(cloud, executor=NetworkKernelExecutor("float32"))``
-    — and the serving entry point the engine's ``backend=`` parameters
-    construct.  One program per graph is compiled lazily and cached on
-    the executor — it serves every stack height, one included;
-    thread-local scratch keeps one executor safe to share across a
-    fleet of shard replicas.
-    """
-
-    def __init__(self, backend="float64", params=None):
-        self.backend = get_backend(backend)
-        #: Optional pre-built (possibly zero-copy-attached) parameter
-        #: table every compiled program reads through instead of
-        #: re-exporting the network's weights.
-        self.params = params
-        self._programs = {}
-
-    def program(self, ngraph, network):
-        """The compiled program for ``ngraph``."""
-        key = id(ngraph)
-        entry = self._programs.get(key)
-        if entry is None or entry[0] is not ngraph:
-            entry = (ngraph, KernelProgram(ngraph, network, self.backend,
-                                           params=self.params))
-            self._programs[key] = entry
-        return entry[1]
-
-    def run_network(self, ngraph, network, coords, cache=None):
-        """Execute ``ngraph`` over a ``(B, n, 3)`` stack of clouds,
-        searching through ``cache`` when one is given."""
-        return self.program(ngraph, network).run(coords, cache=cache)

@@ -3,21 +3,24 @@
 This is the serving front door the ROADMAP's scaling work builds on: it
 stacks B clouds into a (B, N, 3) array and runs the whole stack through
 the network's strategy-rewritten whole-network graph
-(``network.network_graph(strategy)``), compiled into a
-:class:`~repro.backend.KernelProgram`, handing the program its
-neighbor-index cache as an argument of every run.  The batched graph
-interpreter (:meth:`~repro.networks.base.PointCloudNetwork.forward_batch`)
+(``network.network_graph(strategy)``), compiled into the one
+:class:`~repro.backend.KernelProgram` the runner runs, handing the
+program its neighbor-index cache as an argument of every run.  The
+batched graph interpreter
+(:meth:`~repro.networks.base.PointCloudNetwork.forward_batch`)
 is not a serving path: it trains, and it is the oracle the float64
 program is held to bit for bit.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..backend.params import _resolve_dtype
 from ..core import STRATEGIES
 from ..neural import Tensor, no_grad
 
@@ -81,27 +84,26 @@ class BatchRunner:
         Optional :class:`~repro.engine.cache.NeighborIndexCache`; when
         set, repeated clouds skip their searches entirely.
     backend:
-        Kernel backend the compiled program runs on: ``"float64"`` (the
-        default; ``None`` means it too), ``"float32"``, or an
-        :class:`~repro.backend.ArrayBackend`.  Neighbor searches run in
-        the backend's dtype.
+        The compiled program's dtype: ``"float64"`` (the default;
+        ``None`` means it too) or ``"float32"``.  Neighbor searches run
+        in it.
     params:
         Optional pre-built :class:`~repro.backend.params.ParameterTable`
         (e.g. attached zero-copy from a :func:`~repro.backend.share_table`
-        descriptor) the compiled programs read through instead of
+        descriptor) the compiled program reads through instead of
         exporting this runner's own copy of the weights; its dtype must
-        match ``backend``'s.
-    executor:
-        Optional pre-built :class:`~repro.backend.NetworkKernelExecutor`
-        to run through instead of one constructed from ``backend`` /
-        ``params`` (which is then only reported).
-        Executors are thread-compatible: the shard router hands one to
-        every replica of a network.
+        match ``backend``.
+    program:
+        Optional pre-compiled :class:`~repro.backend.KernelProgram` of
+        ``network`` under ``strategy`` and ``backend`` to run instead of
+        compiling one (``params`` is then only reported).  Programs are
+        thread-compatible: the shard router hands one to every replica
+        of a network.
 
     ``strategy`` and ``backend`` are the caller's contract: every
     :meth:`run` executes exactly that configuration, whatever the batch
-    height.  Every kernel program compiles in process and measures its
-    arena plan on its first run.
+    height.  The program compiles in process on the first run and
+    measures its arena plan then.
     """
 
     fusion = ()  # only reader: benchmarks/ledger/test_ledger.py:221
@@ -109,7 +111,7 @@ class BatchRunner:
     program_cache = None  # only reader: benchmarks/ledger/test_ledger.py:222
 
     def __init__(self, network, strategy="delayed", cache=None, backend=None,
-                 params=None, executor=None):
+                 params=None, program=None):
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}")
         self.network = network
@@ -121,18 +123,13 @@ class BatchRunner:
         #: programs read through instead of re-exporting the network's
         #: weights.
         self.params = params
-        if executor is None:
-            from ..backend import NetworkKernelExecutor
-
-            executor = NetworkKernelExecutor(self.backend, params=params)
-        self._kernel_executor = executor
-
-    @property
-    def stack_dtype(self):
-        """The dtype :meth:`run` stacks clouds in: the kernel backend's
-        (a float32 program would cast anyway, and float32 clouds must not
-        round-trip through a float64 copy)."""
-        return self._kernel_executor.backend.dtype
+        #: The dtype :meth:`run` stacks clouds in: the program's (a
+        #: float32 program would cast anyway, and float32 clouds must not
+        #: round-trip through a float64 copy).  Resolving it refuses a
+        #: bad backend here rather than on the first run.
+        self.stack_dtype = _resolve_dtype(self.backend)
+        self._program = program
+        self._compile_lock = threading.Lock()  # lanes may share a runner
 
     def _stack(self, clouds):
         batch = np.asarray(clouds, dtype=self.stack_dtype)
@@ -163,11 +160,15 @@ class BatchRunner:
         through the compiled kernel program."""
         batch = self._stack(clouds)
         start = time.perf_counter()
+        with self._compile_lock:
+            if self._program is None:
+                from ..backend import compile_kernel_program
+
+                self._program = compile_kernel_program(
+                    self.network, self.strategy, self.backend,
+                    params=self.params)
         with no_grad():
-            outputs = self._kernel_executor.run_network(
-                self.network.network_graph(self.strategy), self.network, batch,
-                cache=self.cache,
-            )
+            outputs = self._program.run(batch, cache=self.cache)
         return self._result(outputs, len(batch), time.perf_counter() - start)
 
     def close(self):

@@ -206,8 +206,12 @@ class SoC:
         """
         if isinstance(config, str):
             config = CONFIGS[config]
-        trace = network.trace(config.strategy)
         nits = network_nits(network, config.strategy) if config.use_au else {}
+        return self._simulate(network, config, nits)
+
+    def _simulate(self, network, config, nits):
+        """:meth:`simulate` over precomputed ``nits`` (``{}`` without AU)."""
+        trace = network.trace(config.strategy)
 
         phase_times = {p: 0.0 for p in "NAFO"}
         phase_energy = {p: 0.0 for p in "NAFO"}
@@ -284,5 +288,17 @@ class SoC:
 
     def compare(self, network, config_names=("baseline", "mesorasi_sw",
                                               "mesorasi_hw")):
-        """Simulate several configurations; returns {name: SoCResult}."""
-        return {name: self.simulate(network, name) for name in config_names}
+        """Simulate several configurations; returns {name: SoCResult}.
+
+        Each strategy's NITs are built once and shared by every AU
+        config that runs it.
+        """
+        nits, results = {}, {}
+        for name in config_names:
+            config = CONFIGS[name] if isinstance(name, str) else name
+            if config.use_au and config.strategy not in nits:
+                nits[config.strategy] = network_nits(network, config.strategy)
+            results[name] = self._simulate(
+                network, config,
+                nits[config.strategy] if config.use_au else {})
+        return results

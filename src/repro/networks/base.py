@@ -171,11 +171,8 @@ class PointCloudNetwork(NetworkGraphMixin, Module):
         The cloud runs as a stack of one and the result is unwrapped to
         the per-cloud shapes: ``(1, C)`` class logits, ``(n, C)``
         per-point logits, or a detection dict of those.  ``executor``
-        optionally substitutes the whole-network graph executor
-        (anything with the
-        :class:`~repro.graph.executors.GraphExecutor` ``run_network``
-        contract), e.g. a compiled
-        :class:`~repro.backend.NetworkKernelExecutor`.
+        optionally substitutes the :class:`~repro.graph.executors.GraphExecutor`
+        that runs the whole-network graph (e.g. one with a recorder).
         """
         coords = np.asarray(coords, dtype=np.float64)
         if coords.shape != (self.n_points, 3):

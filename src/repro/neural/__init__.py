@@ -19,5 +19,4 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "Tensor": "tensor",
     "concat": "tensor",
     "no_grad": "tensor",
-    "stack": "tensor",
 })

@@ -17,7 +17,7 @@ import threading
 
 import numpy as np
 
-__all__ = ["Tensor", "concat", "stack", "no_grad", "is_grad_enabled"]
+__all__ = ["Tensor", "concat", "no_grad", "is_grad_enabled"]
 
 # Grad mode is per-thread: the serving layers enter no_grad()
 # concurrently from dispatcher and worker threads, and a process-global
@@ -118,25 +118,14 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    @property
-    def T(self):
-        return self.transpose()
-
     def __len__(self):
         return len(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def numpy(self):
-        """Return the underlying array (shared, not copied)."""
-        return self.data
-
     def item(self):
         return float(self.data)
-
-    def detach(self):
-        return Tensor(self.data)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -252,30 +241,6 @@ class Tensor:
 
         return Tensor._from_op(np.log(self.data), (self,), backward)
 
-    def sqrt(self):
-        out_data = np.sqrt(self.data)
-
-        def backward(grad):
-            return (grad * 0.5 / out_data,)
-
-        return Tensor._from_op(out_data, (self,), backward)
-
-    def tanh(self):
-        out_data = np.tanh(self.data)
-
-        def backward(grad):
-            return (grad * (1.0 - out_data ** 2),)
-
-        return Tensor._from_op(out_data, (self,), backward)
-
-    def sigmoid(self):
-        out_data = 1.0 / (1.0 + np.exp(-self.data))
-
-        def backward(grad):
-            return (grad * out_data * (1.0 - out_data),)
-
-        return Tensor._from_op(out_data, (self,), backward)
-
     # -- reductions ------------------------------------------------------------
 
     def sum(self, axis=None, keepdims=False):
@@ -325,18 +290,6 @@ class Tensor:
 
         def backward(grad):
             return (grad.reshape(self.shape),)
-
-        return Tensor._from_op(out_data, (self,), backward)
-
-    def transpose(self, axes=None):
-        out_data = self.data.transpose(axes)
-        if axes is None:
-            inverse = None
-        else:
-            inverse = np.argsort(axes)
-
-        def backward(grad):
-            return (grad.transpose(inverse),)
 
         return Tensor._from_op(out_data, (self,), backward)
 
@@ -430,13 +383,3 @@ def concat(tensors, axis=0):
 
     return Tensor._from_op(out_data, tensors, backward)
 
-
-def stack(tensors, axis=0):
-    """Stack tensors along a new axis."""
-    tensors = [Tensor._wrap(t) for t in tensors]
-    out_data = np.stack([t.data for t in tensors], axis=axis)
-
-    def backward(grad):
-        return tuple(np.take(grad, i, axis=axis) for i in range(len(tensors)))
-
-    return Tensor._from_op(out_data, tensors, backward)

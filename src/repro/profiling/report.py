@@ -92,13 +92,10 @@ def soc_report(networks=None, soc=None):
     rows = []
     speedups = {"sw": [], "hw": [], "hw_nse": []}
     for name in networks:
-        net = build_network(name)
-        gpu_r = soc.simulate(net, "gpu")
-        base = soc.simulate(net, "baseline")
-        sw = soc.simulate(net, "mesorasi_sw")
-        hw = soc.simulate(net, "mesorasi_hw")
-        base_nse = soc.simulate(net, "baseline_nse")
-        hw_nse = soc.simulate(net, "mesorasi_hw_nse")
+        gpu_r, base, sw, hw, base_nse, hw_nse = soc.compare(
+            build_network(name), ("gpu", "baseline", "mesorasi_sw",
+                                  "mesorasi_hw", "baseline_nse",
+                                  "mesorasi_hw_nse")).values()
         speedups["sw"].append(base.latency / sw.latency)
         speedups["hw"].append(base.latency / hw.latency)
         speedups["hw_nse"].append(base_nse.latency / hw_nse.latency)

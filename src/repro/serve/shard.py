@@ -10,8 +10,8 @@ replicas of it without giving up any of its determinism guarantees:
   len(networks)]``.  Replicas are threads of this process, so they run
   the *same* compiled program over the same
   :class:`~repro.backend.params.ParameterTable` and the same per-cloud
-  arena plan (each built once, by one
-  :class:`~repro.backend.NetworkKernelExecutor` per hosted network),
+  arena plan (each built once, by the one
+  :class:`~repro.backend.KernelProgram` compiled per hosted network),
   each out of its own thread's arena: there is no per-replica memory
   to budget or to size.
 * :class:`ShardRouter` speaks the existing ``Server`` API (submit →
@@ -177,12 +177,12 @@ class ShardRouter:
         when a single replica suffices — the fully serial degrade),
         and ``cache_size`` total neighbor-index entries partitioned
         across them (``0`` disables caching).  One
-        :class:`~repro.backend.NetworkKernelExecutor` on ``backend`` per
-        hosted network is built here and its program compiled before
-        any replica starts; every replica runs that program, and the
-        fleet's first request measures its plan.
+        :class:`~repro.backend.KernelProgram` in ``backend`` per hosted
+        network is compiled here, before any replica starts; every
+        replica runs that program, and the fleet's first request
+        measures its plan.
         """
-        from ..backend import NetworkKernelExecutor
+        from ..backend import compile_kernel_program
         from ..engine.runner import BatchRunner
         from ..networks import build_network
 
@@ -199,15 +199,11 @@ class ShardRouter:
             if cache_size else None
         # Key hosted networks by n_points (plan_placement validates
         # uniqueness): names collide when one architecture is hosted at
-        # two scales.  One executor per network, its program compiled
-        # here, before any thread starts: N replicas, one program, one
-        # table, one plan.
+        # two scales.  One program per network, compiled here, before
+        # any thread starts: N replicas, one program, one table, one plan.
         nets = {net.n_points: net for net in built}
-        programs = {}
-        for n, net in nets.items():
-            executor = NetworkKernelExecutor(backend)
-            programs[n] = executor, executor.program(
-                net.network_graph(strategy), net)
+        programs = {n: compile_kernel_program(net, strategy, backend)
+                    for n, net in nets.items()}
         dispatch = None
         servers = []
         try:
@@ -215,13 +211,13 @@ class ShardRouter:
                 dispatch = ParallelRunner(max_workers=len(plan.replicas))
 
             for replica in plan.replicas:
-                executor, program = programs[replica.n_points]
+                program = programs[replica.n_points]
                 replica_runner = BatchRunner(
                     nets[replica.n_points], strategy=strategy,
                     backend=backend,
                     cache=None if cache is None
                     else cache.shard(replica.shard),
-                    executor=executor,
+                    program=program,
                     # What the runner reports as its table: the one the
                     # shared program reads.
                     params=program.table,

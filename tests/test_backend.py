@@ -1,13 +1,14 @@
 """Tests for the multi-backend kernel runtime (:mod:`repro.backend`).
 
-Covers the ArrayBackend registry, parameter export, float64
+Covers backend (dtype) resolution, parameter export, float64
 bit-exactness against the autograd network executors (all seven
 networks, all three strategies, single and batched), the float32
 tolerance + top-1 contract (and top-1 agreement on a briefly trained
 classifier), float32 programs at heights 1, 3 and 8 with bit-exact
 replay, engine integration (BatchRunner
-``backend=``), dtype propagation through the neighbor
-dispatch and cache, and the inference-mode Tensor dtype fast path.
+``backend=``), dtype discipline (a float32 program writes float32
+values only), dtype propagation through the neighbor dispatch and
+cache, and the inference-mode Tensor dtype fast path.
 """
 
 import threading
@@ -25,17 +26,9 @@ from conftest import (
     leaves,
     toy,
 )
-from repro.backend import (
-    ArrayBackend,
-    NetworkKernelExecutor,
-    compile_kernel_program,
-    export_stack,
-    get_backend,
-    registered_backends,
-)
+from repro.backend import compile_kernel_program, export_stack
 from repro.core import STRATEGIES
 from repro.engine import BatchRunner, NeighborIndexCache, ParallelRunner
-from repro.graph import GraphExecutor
 from repro.neighbors import neighbor_search
 from repro.networks import ALL_NETWORKS, build_network
 from repro.neural import BatchNorm, Dropout, Linear, ReLU, SharedMLP, Tensor, no_grad
@@ -76,49 +69,37 @@ def assert_close_with_same_top1(ref, out, rel=1e-4):
         assert np.array_equal(a.argmax(axis=-1), b.argmax(axis=-1))
 
 
-class TestArrayBackend:
-    def test_registry_resolves_names_dtypes_and_instances(self):
-        f64 = get_backend("float64")
-        assert f64.dtype == np.float64
-        f32 = get_backend(np.float32)
-        assert f32.dtype == np.float32
-        assert get_backend(f32) is f32
-        custom = ArrayBackend(np.float32)
-        assert get_backend(custom) is custom
+class TestBackendDtype:
+    """A program's backend is its dtype: float64 or float32, by name or
+    by numpy dtype; everything else is refused by name."""
 
-    def test_registered_backends_are_the_two_floats(self):
-        assert registered_backends() == ["float32", "float64"]
+    @pytest.mark.parametrize("backend", [
+        "bfloat128", "int8", np.int8, np.dtype("int8"), np.int64, "float16"])
+    def test_unknown_and_integer_backends_are_refused(self, backend):
+        net = toy("PointNet++ (c)")
+        for build in (
+                lambda: compile_kernel_program(net, "delayed", backend),
+                lambda: BatchRunner(net, backend=backend)):
+            with pytest.raises(ValueError, match="unknown backend") as excinfo:
+                build()
+            # The error lists what would have resolved.
+            assert "['float32', 'float64']" in str(excinfo.value)
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend") as excinfo:
-            get_backend("bfloat128")
-        # The error lists what would have resolved.
-        assert "['float32', 'float64']" in str(excinfo.value)
-        with pytest.raises(ValueError, match="floating"):
-            ArrayBackend(np.int64)
-
-    def test_integer_dtypes_have_no_backend(self):
-        for dtype in (np.int8, np.dtype("int8"), "int8"):
-            with pytest.raises(ValueError, match="unknown backend"):
-                get_backend(dtype)
-        with pytest.raises(ValueError, match="floating"):
-            ArrayBackend(np.int8)
-
-    def test_protocol_kernels(self):
-        backend = get_backend("float32")
-        a = backend.asarray(np.ones((2, 3)))
-        assert a.dtype == np.float32
-        out = backend.matmul(a, backend.asarray(np.eye(3)),
-                             out=backend.empty((2, 3)))
-        assert out.dtype == np.float32
-        x = backend.asarray(np.array([[-1.0, 2.0]]))
-        assert np.array_equal(backend.relu(x), [[0.0, 2.0]])
+    @pytest.mark.parametrize("name, dtype", [
+        ("float64", np.float64), ("float32", np.float32)])
+    def test_a_name_and_its_dtype_give_one_program_dtype(self, name, dtype):
+        net = toy("PointNet++ (c)")
+        for backend in (name, dtype, np.dtype(dtype)):
+            assert compile_kernel_program(net, "delayed", backend).dtype \
+                == np.dtype(dtype)
+            assert BatchRunner(net, backend=backend).stack_dtype \
+                == np.dtype(dtype)
 
 
 class TestParameterExport:
     def test_stack_packs_linear_bias_relu(self):
         mlp = SharedMLP([3, 8, 4], rng=np.random.default_rng(0))
-        stack = export_stack(mlp.export_layers(), get_backend("float32"))
+        stack = export_stack(mlp.export_layers(), np.float32)
         assert len(stack) == 2
         (linear, relu) = stack[0]
         assert linear[0] == "linear" and relu == ("relu",)
@@ -126,23 +107,23 @@ class TestParameterExport:
 
     def test_float64_export_shares_parameter_memory(self):
         mlp = SharedMLP([3, 8], rng=np.random.default_rng(0))
-        stack = export_stack(mlp.export_layers(), get_backend("float64"))
+        stack = export_stack(mlp.export_layers(), np.float64)
         assert stack[0][0][1] is mlp.linear_layers()[0].weight.data
 
     def test_training_batchnorm_and_dropout_rejected(self):
         layers = [Linear(3, 4), BatchNorm(4), ReLU()]
         with pytest.raises(ValueError, match="eval"):
-            export_stack(layers, get_backend("float64"))
+            export_stack(layers, np.float64)
         for layer in layers:
             layer.training = False
-        stack = export_stack(layers, get_backend("float64"))
+        stack = export_stack(layers, np.float64)
         assert [op[0] for op in stack[0]] == ["linear", "bn", "relu"]
 
         dropped = [Linear(3, 4), ReLU(), Dropout(0.5)]
         with pytest.raises(ValueError, match="Dropout"):
-            export_stack(dropped, get_backend("float64"))
+            export_stack(dropped, np.float64)
         dropped[2].training = False
-        assert export_stack(dropped, get_backend("float64"))
+        assert export_stack(dropped, np.float64)
 
 
 @pytest.fixture(scope="module")
@@ -193,16 +174,14 @@ class TestKernelEquivalence:
         net = toy(name)
         cloud = cloud_for(net, seed=1)
         clouds = clouds_for(net, 3, seed=2)
-        k64 = NetworkKernelExecutor("float64")
-        k32 = NetworkKernelExecutor("float32")
-        ngraph = net.network_graph(strategy)
+        k64 = compile_kernel_program(net, strategy, "float64")
+        k32 = compile_kernel_program(net, strategy, "float32")
         with no_grad():
-            ref = net.forward(cloud, strategy=strategy)
-            out = net.forward(cloud, strategy=strategy, executor=k64)
-            bout = k64.run_network(ngraph, net, clouds)
-            fast = k32.run_network(ngraph, net, clouds)
+            out = k64.run(cloud[None])
+            bout = k64.run(clouds)
+            fast = k32.run(clouds)
         bref = interpret(net, clouds, strategy)
-        assert_bit_exact(ref, out)
+        assert_bit_exact(interpret(net, cloud[None], strategy), out)
         assert_bit_exact(bref, bout)
         assert_close_with_same_top1(bref, fast)
         # The fast path really ran in float32 end to end.
@@ -223,41 +202,49 @@ class TestKernelEquivalence:
             out = compile_kernel_program(net, strategy, "float64").run(clouds)
         assert_bit_exact(interpret(net, clouds, strategy), out)
 
-    def test_one_program_per_graph_serves_heights_1_and_3(self):
+    def test_one_program_serves_heights_1_and_3(self):
         net = toy("PointNet++ (c)")
-        executor = NetworkKernelExecutor("float64")
-        ngraph = net.network_graph("delayed")
-        program = executor.program(ngraph, net)
+        program = compile_kernel_program(net, "delayed", "float64")
         clouds = clouds_for(net, 3, seed=6)
         with no_grad():
-            one = net.forward(clouds[0], strategy="delayed", executor=executor)
-            three = executor.run_network(ngraph, net, clouds)
-            assert_bit_exact(net.forward(clouds[0], strategy="delayed"), one)
-            assert_bit_exact(GraphExecutor().run_network(ngraph, net, clouds),
-                             three)
-        assert executor.program(ngraph, net) is program
-        assert len(executor._programs) == 1
+            one = program.run(clouds[:1])
+            three = program.run(clouds)
+        assert_bit_exact(interpret(net, clouds[:1]), one)
+        assert_bit_exact(interpret(net, clouds), three)
         assert one.shape == (1, 4) and three.shape == (3, 4)
         stats = program.memory_stats()
         # One measured plan, scaled to both heights.
         assert stats["heights"] == (1, 3) and stats["measuring_runs"] == 1
-        assert executor.program(net.network_graph("original"), net) \
-            is not program
+
+    def test_a_runner_runs_the_program_it_is_handed(self):
+        net = toy("PointNet++ (c)")
+        program = compile_kernel_program(net, "delayed", "float32")
+        runner = BatchRunner(net, backend="float32", program=program)
+        clouds = clouds_for(net, 2, seed=6)
+        runner.run(clouds)
+        runner.run(clouds[:1])
+        assert runner._program is program
+        assert program.memory_stats()["heights"] == (1, 2)
+        # Unhanded, a runner compiles its own on the first run, once.
+        own = BatchRunner(net, backend="float32")
+        assert own._program is None
+        own.run(clouds)
+        compiled = own._program
+        own.run(clouds)
+        assert own._program is compiled and compiled is not program
 
     @pytest.mark.parametrize("name", CHUNK_EDGE_TOYS)
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_chunk_edge_toys_at_heights_1_3_8(self, name, strategy):
         net = toy(name)
-        ngraph = net.network_graph(strategy)
         clouds = clouds_for(net, 8, seed=4)
-        kernel = NetworkKernelExecutor("float64")
+        program = compile_kernel_program(net, strategy, "float64")
         with no_grad():
             for height in (3, 8, 1):  # measured at 3, scaled up and down
                 stack = clouds[:height]
-                assert_bit_exact(
-                    GraphExecutor().run_network(ngraph, net, stack),
-                    kernel.run_network(ngraph, net, stack))
-        assert kernel.program(ngraph, net).memory_stats()["unplanned"] == 0
+                assert_bit_exact(interpret(net, stack, strategy),
+                                 program.run(stack))
+        assert program.memory_stats()["unplanned"] == 0
 
     def test_program_takes_stacks_only(self):
         net = toy("PointNet++ (c)")
@@ -276,13 +263,12 @@ class TestKernelEquivalence:
 
     def test_program_is_thread_safe(self):
         net = toy("PointNet++ (c)")
-        executor = NetworkKernelExecutor("float32")
+        program = compile_kernel_program(net, "delayed", "float32")
         cloud = cloud_for(net, seed=5)
         results, errors = [], []
 
         def run():
-            return net.forward(cloud, strategy="delayed",
-                               executor=executor).data.copy()
+            return program.run(cloud[None]).data.copy()
 
         def worker():
             try:
@@ -314,34 +300,26 @@ class TestFloat32Programs:
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_heights_1_3_8_track_float64(self, name, strategy):
         net = toy(name)
-        ngraph = net.network_graph(strategy)
         clouds = clouds_for(net, 8, seed=4)
-        kernel = NetworkKernelExecutor("float32")
+        program = compile_kernel_program(net, strategy, "float32")
         outputs = {}
         with no_grad():
             for height in (3, 8, 1):  # measured at 3, scaled up and down
                 stack = clouds[:height]
-                outputs[height] = kernel.run_network(ngraph, net, stack)
-                reference = GraphExecutor().run_network(ngraph, net, stack)
+                outputs[height] = program.run(stack)
+                reference = interpret(net, stack, strategy)
                 assert_close_with_same_top1(reference, outputs[height])
                 for _, b in leaves(reference, outputs[height]):
                     assert b.dtype == np.float32
-            assert_bit_exact(outputs[3], kernel.run_network(ngraph, net,
-                                                            clouds[:3]))
+            assert_bit_exact(outputs[3], program.run(clouds[:3]))
             # No BLAS call mixes clouds: every row of a stack is the row
             # its cloud gets alone.
-            alone = [kernel.run_network(ngraph, net, clouds[b:b + 1])
-                     for b in range(8)]
+            alone = [program.run(clouds[b:b + 1]) for b in range(8)]
             for height in (3, 8):
                 for b in range(height):
                     for one, row in leaves(alone[b], outputs[height]):
                         assert np.array_equal(one[0], row[b])
-            # The single-cloud front door lifts to a stack of one.
-            single = net.forward(clouds[0], strategy=strategy,
-                                 executor=kernel)
-            assert_close_with_same_top1(
-                net.forward(clouds[0], strategy=strategy), single)
-        stats = kernel.program(ngraph, net).memory_stats()
+        stats = program.memory_stats()
         assert stats["measuring_runs"] == 1 and stats["unplanned"] == 0
 
     def test_batch_runner_matches_kernel_program(self):
@@ -447,6 +425,38 @@ class TestDuplicatePoints:
         for _, b in leaves(oracle, fast):
             assert b.dtype == np.float32 and np.isfinite(b).all()
         assert_close_with_same_top1(oracle, fast)
+
+
+class TestDtypeDiscipline:
+    @pytest.mark.parametrize("name", ALL_NETWORKS)
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_float32_programs_write_float32_values_only(self, name,
+                                                        strategy):
+        # One dtype per program: every floating value a float32 program
+        # writes is float32, except each decoder search's distances,
+        # which stay float64 by design (interpolation weighs by them).
+        net = toy(name)
+        program = compile_kernel_program(net, strategy, "float32")
+        graph = program.ngraph.graph
+        written = {}
+
+        def on_kernel(pos, label, env, ctx):
+            for nid in env.keys() - written.keys():
+                written[nid] = (label, env[nid])
+
+        program.run(clouds_for(net, 2), on_kernel=on_kernel)
+        floating = 0
+        for nid, (label, value) in written.items():
+            node = graph.node(nid)
+            if node.kind == "search" and "module" not in node.attrs:
+                rows, distances = value
+                assert rows.dtype.kind == "i", label
+                assert distances.dtype == np.float64, label
+                continue
+            if value.dtype.kind == "f":
+                floating += 1
+                assert value.dtype == np.float32, (label, value.dtype)
+        assert floating > 0
 
 
 class TestDtypePropagation:

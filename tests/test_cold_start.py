@@ -34,8 +34,8 @@ TIMEOUT = 120.0
 #: bench row went, and again when the bench layer itself went;
 #: ``repro.graph`` lost three more when the network plan went;
 #: ``repro.backend`` lost five when the int8 backend went and the one
-#: float backend class folded into ``ArrayBackend``, and two more when
-#: the on-disk program cache went; ``repro.core`` lost five, and
+#: float backend class folded into one dtype-parameterized class, and
+#: two more when the on-disk program cache went; ``repro.core`` lost five, and
 #: ``repro.graph``, ``repro.data``, ``repro.neighbors`` and
 #: ``repro.profiling`` seven between them, when the module-level
 #: generation (multi-scale module, NIT/PFT containers, trace shim,
@@ -44,12 +44,17 @@ TIMEOUT = 120.0
 #: became one node from build on, and ``repro.backend`` lost
 #: ``segment_layers`` when the one MLP segment split moved to
 #: ``repro.neural.layers``; ``repro.neighbors`` lost its scoped-cache
-#: door when the neighbor-index cache became an argument of a program run.
+#: door when the neighbor-index cache became an argument of a program run;
+#: ``repro.backend`` lost four when a program's backend became its dtype
+#: (that class and its registry's two functions) and a runner came to
+#: run its one program (the per-graph kernel executor), and
+#: ``repro.neural`` lost ``stack`` with the Tensor surface only its own
+#: tests read.
 FRONT_DOORS = [
-    ("repro", 12), ("repro.backend", 17), ("repro.core", 8),
+    ("repro", 12), ("repro.backend", 13), ("repro.core", 8),
     ("repro.data", 16), ("repro.engine", 5), ("repro.graph", 19),
     ("repro.hw", 27), ("repro.neighbors", 8), ("repro.networks", 25),
-    ("repro.neural", 17), ("repro.profiling", 28), ("repro.serve", 14),
+    ("repro.neural", 16), ("repro.profiling", 28), ("repro.serve", 14),
 ]
 
 

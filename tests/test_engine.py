@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_bit_exact, clouds_for, interpret, toy
-from repro.backend import NetworkKernelExecutor
+from repro.backend import compile_kernel_program
 from repro.engine import (
     BatchRunner,
     NeighborIndexCache,
@@ -214,8 +214,8 @@ class TestCacheArgument:
         net = toy("PointNet++ (c)")
         clouds = clouds_for(net, 4, seed=23)
         caches = [NeighborIndexCache(maxsize=32) for _ in range(2)]
-        executor = NetworkKernelExecutor()
-        runners = [BatchRunner(net, cache=cache, executor=executor)
+        program = compile_kernel_program(net)
+        runners = [BatchRunner(net, cache=cache, program=program)
                    for cache in caches]
         barrier = threading.Barrier(2)
         errors = []

@@ -397,8 +397,8 @@ class TestExecutors:
             np.testing.assert_array_equal(one.pft, run["pft"])
 
     def test_executor_census(self):
-        # One arity, two executors: the graph interpreter and the
-        # kernel runtime's adapter.
+        # One arity, one executor: the graph interpreter.  Kernel
+        # programs run themselves (``program.run(stack)``).
         import re
         from pathlib import Path
 
@@ -410,7 +410,7 @@ class TestExecutors:
             for name in re.findall(r"^class (\w*Executor)\b",
                                    path.read_text(), re.MULTILINE)
         )
-        assert defined == ["GraphExecutor", "NetworkKernelExecutor"]
+        assert defined == ["GraphExecutor"]
 
     def test_recorder_captures_fused_constituents(self):
         rng = np.random.default_rng(4)

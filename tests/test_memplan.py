@@ -26,11 +26,9 @@ import pytest
 
 from conftest import assert_bit_exact, clouds_for, leaves, toy
 from repro.backend import (
-    NetworkKernelExecutor,
     ParameterTable,
     attach_table,
     compile_kernel_program,
-    get_backend,
     parameter_descriptor,
     plan_arena,
     share_table,
@@ -152,14 +150,12 @@ class TestPlannerBitExact:
     def test_threads_share_one_planned_program(self):
         net = toy("PointNet++ (c)")
         clouds = clouds_for(net, 4)
-        executor = NetworkKernelExecutor("float64")
+        program = compile_kernel_program(net, "delayed", "float64")
         with no_grad():
-            reference = [np.asarray(
-                net.forward(c, strategy="delayed", executor=executor).data
-            ) for c in clouds]
+            reference = [program.run(c[None]).data for c in clouds]
         # Scratch arenas are per thread: two threads running stacks of
         # one through the same program must not see each other's buffers.
-        runner = BatchRunner(net, strategy="delayed", executor=executor)
+        runner = BatchRunner(net, strategy="delayed", program=program)
         with ThreadPoolExecutor(max_workers=2) as pool:
             out = list(pool.map(
                 lambda cloud: runner.run(cloud[None]).per_cloud()[0], clouds))
@@ -236,7 +232,7 @@ class TestPerCloudPlan:
             assert stats["heights"] == self.HEIGHTS
 
     def test_a_buffer_that_does_not_divide_raises(self):
-        pool = _MeasuringPool(get_backend("float64"), height=2)
+        pool = _MeasuringPool(np.dtype(np.float64), height=2)
         assert pool.request(("x", 0), (6, 4), 0).shape == (6, 4)
         [record] = pool.records  # kept per cloud
         assert record.shape == (3, 4) and record.nbytes == 3 * 4 * 8
@@ -367,22 +363,20 @@ class TestAdversarialAliasing:
 
 
 class TestParameterTable:
-    def test_one_executor_holds_one_table_per_graph(self):
+    def test_one_program_holds_one_table(self):
         net = toy("PointNet++ (c)")
         ngraph = net.network_graph("delayed")
-        executor = NetworkKernelExecutor("float64")
-        program = executor.program(ngraph, net)
-        assert executor.program(ngraph, net) is program
+        program = compile_kernel_program(net, "delayed", "float64")
         # Another export is its own table with the same content.
-        fresh = ParameterTable.for_graph(ngraph, backend=get_backend("float64"))
+        fresh = ParameterTable.for_graph(ngraph, "float64")
         assert fresh is not program.table
         assert_same_entries(program.table, fresh)
 
     def test_different_dtypes_do_not_share(self):
         net = toy("PointNet++ (c)")
         ngraph = net.network_graph("delayed")
-        t64 = ParameterTable.for_graph(ngraph, backend=get_backend("float64"))
-        t32 = ParameterTable.for_graph(ngraph, backend=get_backend("float32"))
+        t64 = ParameterTable.for_graph(ngraph, "float64")
+        t32 = ParameterTable.for_graph(ngraph, "float32")
         assert t64 is not t32
         assert t64.entries.keys() == t32.entries.keys()
         assert all(part.dtype == np.float32 for part in t32._arrays())
@@ -391,8 +385,7 @@ class TestParameterTable:
     def test_pack_roundtrip_preserves_bits(self):
         net = toy("PointNet++ (s)")
         ngraph = net.network_graph("delayed")
-        table = ParameterTable.for_graph(ngraph,
-                                         backend=get_backend("float64"))
+        table = ParameterTable.for_graph(ngraph, "float64")
         manifest, blob = table.pack()
         assert manifest["total_bytes"] == len(blob)
         restored = ParameterTable.from_buffer(manifest, blob)
@@ -406,8 +399,7 @@ class TestParameterTable:
     def test_float32_pack_roundtrip_preserves_ops_and_bits(self):
         net = toy("PointNet++ (s)")
         ngraph = net.network_graph("delayed")
-        table = ParameterTable.for_graph(ngraph,
-                                         backend=get_backend("float32"))
+        table = ParameterTable.for_graph(ngraph, "float32")
         manifest, blob = table.pack()
         restored = ParameterTable.from_buffer(manifest, blob)
         assert_same_entries(table, restored)
@@ -421,17 +413,15 @@ class TestParameterTable:
     def test_packed_float32_blob_is_half_of_float64(self):
         net = toy("PointNet++ (c)")
         ngraph = net.network_graph("delayed")
-        blob64 = ParameterTable.for_graph(
-            ngraph, backend=get_backend("float64")).pack()[1]
-        blob32 = ParameterTable.for_graph(
-            ngraph, backend=get_backend("float32")).pack()[1]
+        blob64 = ParameterTable.for_graph(ngraph, "float64").pack()[1]
+        blob32 = ParameterTable.for_graph(ngraph, "float32").pack()[1]
         # Half the bytes, plus at most a cache line of alignment each.
         assert len(blob32) < 0.55 * len(blob64)
 
     def test_dtype_mismatch_rejected(self):
         net = toy("PointNet++ (s)")
         ngraph = net.network_graph("delayed")
-        t32 = ParameterTable.for_graph(ngraph, backend=get_backend("float32"))
+        t32 = ParameterTable.for_graph(ngraph, "float32")
         with pytest.raises(ValueError, match="dtype"):
             compile_kernel_program(net, "delayed", backend="float64",
                                    params=t32)
@@ -441,8 +431,7 @@ class TestSharedMemoryTransport:
     def test_shared_table_roundtrips_bit_exact(self):
         net = toy("PointNet++ (s)")
         ngraph = net.network_graph("delayed")
-        table = ParameterTable.for_graph(ngraph,
-                                         backend=get_backend("float64"))
+        table = ParameterTable.for_graph(ngraph, "float64")
         shared = share_table(table)
         try:
             attached = attach_table(shared.descriptor())
@@ -460,7 +449,7 @@ class TestSharedMemoryTransport:
     def test_shared_file_roundtrip_owner_unlinks(self):
         net = toy("PointNet++ (c)", seed=97)
         table = ParameterTable.for_graph(net.network_graph("delayed"),
-                                         backend=get_backend("float32"))
+                                         "float32")
         shared = share_table(table)
         path = shared.path
         try:
@@ -490,7 +479,7 @@ class TestSharedMemoryTransport:
             attached = attach_table(pickle.loads(pickle.dumps(descriptor)))
             assert_same_entries(
                 ParameterTable.for_graph(net.network_graph("delayed"),
-                                         backend=get_backend("float64")),
+                                         "float64"),
                 attached)
         finally:
             handle.close(unlink=True)
@@ -521,17 +510,17 @@ class TestSharedMemoryTransport:
         finally:
             handle.close(unlink=True)
         assert done.returncode == 0, done.stderr[-2000:]
-        mapped = ParameterTable("float64", np.float64,
+        mapped = ParameterTable(np.float64,
                                 pickle.loads(bytes.fromhex(done.stdout)))
         assert_same_entries(
             ParameterTable.for_graph(net.network_graph("delayed"),
-                                     backend=get_backend("float64")),
+                                     "float64"),
             mapped)
 
     def test_next_share_sweeps_files_of_dead_owners_only(self):
         net = toy("PointNet++ (s)")
         table = ParameterTable.for_graph(net.network_graph("delayed"),
-                                         backend=get_backend("float64"))
+                                         "float64")
         dead = subprocess.Popen([sys.executable, "-c", "pass"])
         dead.wait(timeout=60)
         directory = _share_dir()

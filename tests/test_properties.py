@@ -98,11 +98,6 @@ class TestTensorProperties:
         np.testing.assert_allclose(once.data, twice.data)
 
     @settings(max_examples=30, deadline=None)
-    @given(arrays(np.float64, (4, 3), elements=finite))
-    def test_double_transpose_identity(self, a):
-        np.testing.assert_allclose(Tensor(a).T.T.data, a)
-
-    @settings(max_examples=30, deadline=None)
     @given(arrays(np.float64, (6, 2), elements=finite),
            st.lists(st.integers(min_value=0, max_value=5), min_size=1,
                     max_size=8))

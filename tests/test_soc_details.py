@@ -164,6 +164,25 @@ class TestConfigRegistry:
             r = soc.simulate(net, name)
             assert r.latency > 0 and r.energy > 0, name
 
+    def test_compare_builds_each_strategys_nits_once(self, net,
+                                                     monkeypatch):
+        import repro.hw.soc as soc_module
+
+        calls = []
+
+        def counting(network, strategy):
+            calls.append(strategy)
+            return network_nits(network, strategy)
+
+        monkeypatch.setattr(soc_module, "network_nits", counting)
+        soc = SoC()
+        results = soc.compare(net, ("mesorasi_hw", "mesorasi_hw_nse"))
+        assert calls == ["delayed"]
+        # Sharing the NITs leaves every result as simulate computes it.
+        monkeypatch.undo()
+        for name, result in results.items():
+            assert result == soc.simulate(net, name), name
+
     def test_au_only_with_use_au(self, net):
         soc = SoC()
         assert soc.simulate(net, "mesorasi_sw").au_stats == []
