@@ -18,11 +18,12 @@ it:
    ``stack height × per-cloud rows``, so the records are kept **per
    cloud** and any height is a multiplication away (:func:`at_height`):
    a program measures once, at whatever height arrives first;
-2. :class:`GraphLiveness` extends the graph-level
-   :func:`~repro.graph.ir.value_liveness` metadata onto fused-kernel
-   positions: a buffer is live from its defining kernel to the last
-   kernel that reads any value aliasing it (graph outputs live to the
-   end — they are copied out after the last kernel);
+2. :class:`GraphLiveness` reads each value's last reader off the
+   graph's input edges — every value a kernel reads is one of its
+   nodes' inputs — and maps it onto fused-kernel positions: a buffer is
+   live from its defining kernel to the last kernel that reads any
+   value aliasing it (graph outputs live to the end — they are copied
+   out after the last kernel);
 3. :func:`plan_arena` packs the buffers into one contiguous arena with
    a best-fit offset assigner.  Two buffers may share bytes exactly
    when their live intervals are disjoint: a program runs its kernels
@@ -41,8 +42,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-
-from ..graph.ir import value_liveness
 
 __all__ = [
     "ALIGNMENT",
@@ -106,7 +105,6 @@ class GraphLiveness:
 
     def __init__(self, graph, kernel_nodes):
         self.n_kernels = len(kernel_nodes)
-        self.values = value_liveness(graph)
         position = {}
         lead = {}
         for pos, ids in enumerate(kernel_nodes):
@@ -116,16 +114,14 @@ class GraphLiveness:
         self.position = position
         #: kernel position -> the node whose readiness starts the kernel.
         self.lead_node = lead
-        outputs = set(graph.outputs)
-        last = {}
-        for nid, value in self.values.items():
-            if nid not in position:
-                continue
-            if nid in outputs:
-                last[nid] = self.n_kernels
-            else:
-                uses = [position[c] for c in value.consumers if c in position]
-                last[nid] = max(uses, default=position[nid])
+        # A value's readers are exactly its consumers in the graph: it
+        # dies at the last kernel covering one (at its own without any).
+        last = dict(position)
+        for node in graph.nodes:
+            for parent in node.inputs:
+                last[parent] = max(last[parent], position[node.id])
+        for nid in graph.outputs:
+            last[nid] = self.n_kernels
         #: node id -> last kernel position that reads the value.
         self.last_use = last
 

@@ -28,6 +28,11 @@ pre-packed parameter table (:mod:`repro.backend.params`):
 * parameters live in one
   :class:`~repro.backend.params.ParameterTable` per program, shared
   across threads;
+* every value a kernel reads is one of its nodes' input edges — an
+  ``aggregate`` reads the search's Neighbor Index Table and the
+  sample's centroid ids from the run's value table, not from a side
+  channel — so a value dies at its last consumer, which is what the
+  planner's liveness assumes;
 * centroid sampling is resolved at compile time (it is a deterministic
   function of the static graph shapes), and module neighbor searches
   run in the program's dtype (a decoder's search keeps float64
@@ -233,11 +238,7 @@ class KernelProgram:
             if node.id in consumed:
                 continue
             before = set(consumed)
-            if "module" in node.attrs:
-                kernel = self._compile_module_node(graph, position, node,
-                                                   consumed)
-            else:
-                kernel = self._compile_network_node(graph, node)
+            kernel = self._compile_node(graph, position, node, consumed)
             self._kernels.append((f"{node.kind}:{node.id}", kernel))
             # The graph values this kernel covers (a folded chain's
             # links all materialize here) — the planner's position map.
@@ -245,92 +246,71 @@ class KernelProgram:
                 (node.id, *sorted(consumed - before))
             )
 
-    def _compile_module_node(self, graph, position, node, consumed):
+    def _compile_node(self, graph, position, node, consumed):
         kind = node.kind
-        midx = node.attrs["module"]
-        if kind == "sample":
-            return self._k_sample(node, midx)
-        if kind == "search":
-            return self._k_search(node, midx)
         if kind == "matmul":
-            return self._k_matmul_chain(graph, position, node, midx, consumed)
-        if kind == "aggregate":
-            return self._k_aggregate(node, midx)
-        if kind == "reduce_max":
-            return self._k_reduce_max(node, midx)
+            return self._k_matmul_chain(graph, position, node, consumed)
         if kind == "epilogue":
-            return self._k_epilogue(graph, node, midx)
-        raise ValueError(f"kernel runtime cannot compile kind {kind!r}")
-
-    def _compile_network_node(self, graph, node):
-        kind = node.kind
-        if kind == "coords":
-            return self._k_coords(node)
-        if kind == "lift":
-            return self._k_lift(node)
-        if kind == "concat":
-            return self._k_concat(node)
-        if kind == "head":
-            return self._k_head(node)
-        if kind == "search":
+            return self._k_epilogue(graph, node)
+        if kind == "search" and "module" not in node.attrs:
             return self._k_decoder_search(node)
-        if kind == "interpolate":
-            return self._k_interpolate(node)
-        if kind == "global_max":
-            return self._k_global_max(node)
-        if kind == "broadcast":
-            return self._k_broadcast(node)
-        if kind == "select":
-            return self._k_select(node)
-        raise ValueError(f"kernel runtime cannot compile kind {kind!r}")
+        compilers = {
+            "sample": self._k_sample,
+            "search": self._k_search,
+            "aggregate": self._k_aggregate,
+            "reduce_max": self._k_reduce_max,
+            "coords": self._k_coords,
+            "lift": self._k_lift,
+            "concat": self._k_concat,
+            "head": self._k_head,
+            "interpolate": self._k_interpolate,
+            "global_max": self._k_global_max,
+            "broadcast": self._k_broadcast,
+            "select": self._k_select,
+        }
+        if kind not in compilers:
+            raise ValueError(f"kernel runtime cannot compile kind {kind!r}")
+        return compilers[kind](node)
 
     # -- module-region kernels ----------------------------------------------
 
-    def _k_sample(self, node, midx):
-        module = self.ngraph.refs[midx]
-        n_in = node.attrs["n_points"]
+    def _k_sample(self, node):
+        module = self.ngraph.refs[node.attrs["module"]]
         # Sampling is a deterministic function of the static input
         # scale, so the centroid ids are a compile-time constant.
-        local = np.asarray(module._sample_centroids(n_in))
+        local = np.asarray(module._sample_centroids(node.attrs["n_points"]))
         nid = node.id
 
         def kernel(env, ctx):
             env[nid] = local
-            base = (np.arange(ctx["batch"], dtype=np.int64) * n_in)[:, None]
-            ctx["crows"][midx] = (local[None, :] + base).reshape(-1)
 
         return kernel
 
-    def _k_search(self, node, midx):
+    def _k_search(self, node):
         attrs = node.attrs
         n_in, k = attrs["n_points"], attrs["k"]
         feature_space = attrs["space"] != "coords"
         in_dim = attrs["dim"]
         signature = attrs["signature"]
         dtype = self.dtype
-        coords_id, feats_id = attrs["coords"], attrs["feats"]
-        module = self.ngraph.refs[midx]
-        local = np.asarray(module._sample_centroids(n_in))
+        space_id, sample_id = node.inputs
         nid = node.id
 
         def kernel(env, ctx):
+            space = env[space_id]
             if feature_space:
-                space = env[feats_id].reshape(ctx["batch"], n_in, in_dim)
-            else:
-                space = env[coords_id]
-            queries = space[:, local]
+                space = space.reshape(ctx["batch"], n_in, in_dim)
+            queries = space[:, env[sample_id]]
             indices, _ = _knn(ctx["cache"], space, queries, k, dtype=dtype,
                               tag=signature)
             base = (np.arange(ctx["batch"], dtype=np.int64) * n_in)
-            rows = (indices + base[:, None, None]).reshape(
+            env[nid] = (indices + base[:, None, None]).reshape(
                 ctx["batch"] * indices.shape[1], k
             )
-            ctx["rows"][midx] = rows
-            env[nid] = rows
 
         return kernel
 
-    def _k_matmul_chain(self, graph, position, node, midx, consumed):
+    def _k_matmul_chain(self, graph, position, node, consumed):
         """Fold a run of consecutive matmul nodes into one chain kernel.
 
         A node joins the chain when it is the sole consumer of its
@@ -338,6 +318,7 @@ class KernelProgram:
         the intermediates can live entirely in the chain's ping-pong
         buffers.
         """
+        midx = node.attrs["module"]
         chain = [node]
         nodes = graph.nodes
         for follower in nodes[position + 1:]:
@@ -367,9 +348,12 @@ class KernelProgram:
 
         return kernel
 
-    def _k_aggregate(self, node, midx):
+    def _k_aggregate(self, node):
         """Gather → [reduce-max →] subtract, one NIT-driven pass.
 
+        The kernel reads its three input edges: the feature table, the
+        search's Neighbor Index Table (flat rows) and the sample's
+        centroid ids, which the stack's row base lifts into the table.
         Reduced (delayed-form) aggregation streams over centroid
         chunks the way the paper's Aggregation Unit streams NIT entries
         (§V-B), so the ``(n_out, k, dim)`` neighborhood tensor is never
@@ -382,13 +366,16 @@ class KernelProgram:
         """
         reduce = bool(node.attrs["reduce"])
         k, dim = node.attrs["k"], node.attrs["dim"]
-        source = node.inputs[0]
+        n_in = node.attrs["table_rows"]
+        source, search, sample = node.inputs
         nid = node.id
 
         def kernel(env, ctx):
             src = env[source]
-            rows = ctx["rows"][midx]
-            crows = ctx["crows"][midx]  # centroid rows of the flat table
+            rows = env[search]
+            base = (np.arange(ctx["batch"], dtype=np.int64) * n_in)[:, None]
+            # The centroid rows of the flat table.
+            crows = (env[sample][None, :] + base).reshape(-1)
             n_rows = rows.shape[0]
             if reduce:
                 out = self._buffer(ctx, ("agg-o", nid), (n_rows, dim))
@@ -417,14 +404,14 @@ class KernelProgram:
 
         return kernel
 
-    def _k_reduce_max(self, node, midx):
+    def _k_reduce_max(self, node):
         source, nid = node.inputs[0], node.id
+        k = node.attrs["k"]
 
         def kernel(env, ctx):
             # The post-MLP reduction of original/limited: rows*k flat
             # rows back to (rows, k, dim) before the neighborhood
             # reduction.
-            k = ctx["rows"][midx].shape[1]
             x = env[source]
             x = x.reshape(-1, k, x.shape[-1])
             env[nid] = np.max(
@@ -434,9 +421,9 @@ class KernelProgram:
 
         return kernel
 
-    def _k_epilogue(self, graph, node, midx):
-        layer = node.attrs["layer"]
-        ops = self.table.module_segment(midx, layer, epilogue=True)
+    def _k_epilogue(self, graph, node):
+        ops = self.table.module_segment(node.attrs["module"],
+                                        node.attrs["layer"], epilogue=True)
         source, nid = node.inputs[0], node.id
         # The epilogue runs in place; copy first unless it is the sole
         # consumer of its input.
@@ -631,7 +618,11 @@ class KernelProgram:
         any thread, executes out of the calling thread's arena,
         bit-identically.  ``on_kernel(pos, label, env, ctx)``, when
         given, is invoked after each kernel — the hook the aliasing tests
-        use to corrupt dead arena regions mid-run.  ``cache``, when
+        use to corrupt dead arena regions mid-run.  ``env`` maps node ids
+        to values, and a kernel reads only its nodes' input edges there;
+        ``ctx`` holds the run's state only: ``coords``, ``batch``, the
+        scratch allocator ``alloc``, the kernel position ``pos`` and the
+        ``cache``.  ``cache``, when
         given, is the :class:`~repro.engine.cache.NeighborIndexCache`
         every neighbor search of this run consults; it belongs to the
         run, not the program, so replicas sharing one program each bring
@@ -650,8 +641,6 @@ class KernelProgram:
         ctx = {
             "coords": coords,
             "batch": coords.shape[0],
-            "rows": {},
-            "crows": {},
             "alloc": alloc,
             "pos": 0,
             "cache": cache,

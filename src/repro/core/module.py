@@ -193,7 +193,10 @@ class PointCloudModule(NetworkGraphMixin, Module):
 
         The cloud runs through
         :meth:`~repro.graph.executors.GraphExecutor.run_network` as a
-        stack of one; returns its :class:`ModuleOutput`.
+        stack of one; its :class:`ModuleOutput` is read off the run's
+        :attr:`~repro.graph.executors.GraphExecutor.values` — the
+        region's ``sample`` and ``search`` values and the aggregate's
+        feature table.
         """
         spec = self.spec
         if coords.shape != (spec.n_in, 3):
@@ -213,7 +216,13 @@ class PointCloudModule(NetworkGraphMixin, Module):
         executor = GraphExecutor()
         out = executor.run_network(ngraph, self, coords[None],
                                    features=features)
-        run = executor.region_state[0]
-        centroids = run["centroid_local"]
-        return ModuleOutput(coords[centroids], out, run["indices_local"][0],
-                            centroids, run["pft"])
+        values = executor.values
+        region = ngraph.regions[0]
+        centroids = values[region.sample]
+        # The Point Feature Table is the product the aggregate gathers
+        # from; under ``original`` it gathers the input features.
+        table = ngraph.graph.only("aggregate").inputs[0]
+        pft = values[table].data \
+            if ngraph.graph.node(table).kind == "matmul" else None
+        return ModuleOutput(coords[centroids], out, values[region.search],
+                            centroids, pft)

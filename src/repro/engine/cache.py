@@ -9,16 +9,17 @@ entirely, no matter which code path issues it.
 
 Hand an instance to a :class:`repro.engine.BatchRunner` (or to
 :meth:`repro.backend.KernelProgram.run` as ``cache=``) and every search
-of those runs consults it.  A stack resolves each *distinct* cloud
-once: hits (and a stack's own repeats of one cloud) are served from the
-table, and only the still-missing distinct clouds are recomputed,
-together, through the batched brute-force kernel.
+of those runs consults it.  A stack resolves one cloud at a time, in
+stack order, through the lookup a single cloud takes: a cloud already
+in the table (a repeat earlier in the same stack included) is a hit,
+and a miss searches that cloud alone — the call the brute-force kernel
+makes for each cloud of a stack anyway, so the bits are the same.
 
-The cache is thread-safe, and every lookup — single cloud or stack —
-is *single-flight*: when several identical searches are in flight
-concurrently (the same cloud pipelined on different workers, each as a
-stack of one), exactly one thread computes while the rest wait and
-then hit — concurrent duplicates never duplicate the index build.
+The cache is thread-safe, and every lookup is *single-flight*: when
+several identical searches are in flight concurrently (the same cloud
+pipelined on different workers), exactly one thread computes while the
+rest wait and then hit — concurrent duplicates never duplicate the
+index build.
 """
 
 from __future__ import annotations
@@ -141,12 +142,11 @@ class NeighborIndexCache:
             self.misses += 1
         return None, waiter
 
-    def _release(self, keys):
-        """Give up the claims on ``keys`` and wake their waiters."""
+    def _release(self, key):
+        """Give up the claim on ``key`` and wake its waiters."""
         with self._lock:
-            events = [self._pending.pop(key) for key in keys]
-        for event in events:
-            event.set()
+            event = self._pending.pop(key)
+        event.set()
 
     def _single(self, key, compute):
         """Single-flight lookup: concurrent duplicates compute once.
@@ -167,62 +167,7 @@ class NeighborIndexCache:
         try:
             return self._put(key, compute())
         finally:
-            self._release([key])
-
-    def _lookup_batch(self, points, queries, k, dtype, compute, tag=None):
-        """Resolve a (B, ...) stack: each distinct cloud once, single-flight.
-
-        One pass under the lock sorts the stack's distinct keys into
-        hits, keys another thread is already computing, and keys this
-        thread claims (a repeat of a cloud inside the stack is a hit).
-        The claimed clouds compute together in one ``compute`` call and
-        their claims are released before this thread waits on anyone
-        else's — so two stacks claiming overlapping keys in opposite
-        orders cannot deadlock.
-        """
-        keys = [
-            self._key(points[b], queries[b], k, dtype, tag=tag)
-            for b in range(points.shape[0])
-        ]
-        first_row = {}
-        for b, key in enumerate(keys):
-            first_row.setdefault(key, b)
-        found, claimed, awaited = {}, [], []
-        with self._lock:
-            for key in first_row:
-                entry, waiter = self._claim(key)
-                if entry is not None:
-                    found[key] = entry
-                elif waiter is None:
-                    claimed.append(key)
-                else:
-                    awaited.append(key)
-            self.hits += len(keys) - len(first_row)
-        if claimed:
-            try:
-                rows = [first_row[key] for key in claimed]
-                first, second = compute(points[rows], queries[rows])
-                for j, key in enumerate(claimed):
-                    # Copy out of the batch buffer: caching a view would
-                    # pin the whole (M, Q, k) compute output for as long
-                    # as any one cloud survives in the LRU.
-                    found[key] = self._put(
-                        key, (first[j].copy(), second[j].copy())
-                    )
-            finally:
-                self._release(claimed)
-        for key in awaited:
-            row = slice(first_row[key], first_row[key] + 1)
-
-            def compute_one():
-                first, second = compute(points[row], queries[row])
-                return first[0], second[0]
-
-            found[key] = self._single(key, compute_one)
-        return (
-            np.stack([found[key][0] for key in keys]),
-            np.stack([found[key][1] for key in keys]),
-        )
+            self._release(key)
 
     # -- lookups ------------------------------------------------------------
 
@@ -231,18 +176,19 @@ class NeighborIndexCache:
 
         ``tag`` is an optional graph search-node signature (see
         :func:`repro.graph.network._search_signature`); when given, the
-        query array is not digested for the key.
+        query array is not digested for the key.  A ``(B, N, D)`` stack
+        is looked up one cloud at a time and the results stacked.
         """
         points = np.asarray(points)
         queries = np.asarray(queries)
-
-        def compute(miss_points, miss_queries):
-            return knn_brute_force(miss_points, miss_queries, k, dtype=dtype)
-
-        if points.ndim == 2:
-            key = self._key(points, queries, k, dtype, tag=tag)
-            return self._single(key, lambda: compute(points, queries))
-        return self._lookup_batch(points, queries, k, dtype, compute, tag=tag)
+        if points.ndim == 3:
+            found = [self.knn(p, q, k, dtype=dtype, tag=tag)
+                     for p, q in zip(points, queries)]
+            return (np.stack([indices for indices, _ in found]),
+                    np.stack([distances for _, distances in found]))
+        key = self._key(points, queries, k, dtype, tag=tag)
+        return self._single(
+            key, lambda: knn_brute_force(points, queries, k, dtype=dtype))
 
 
 def merge_cache_stats(stats_iter):

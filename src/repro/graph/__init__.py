@@ -24,9 +24,7 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "KINDS": "ir",
     "Graph": "ir",
     "Node": "ir",
-    "ValueLiveness": "ir",
     "format_graph": "ir",
-    "value_liveness": "ir",
     "lower_network_trace": "lower",
     "NetworkGraph": "network",
     "NetworkGraphBuilder": "network",

@@ -20,13 +20,15 @@ The interpreter trains and checks; it does not serve.
 programs, and the float64 one is held to this interpreter bit for bit.
 
 :meth:`GraphExecutor.run_network` is the one driver.  It walks the node
-list front to back (the list order is the topological order):
-module-region nodes go through the per-node arithmetic below, heads /
-decoder levels / skip glue are handled beside them.  A module run alone
-is a one-module network graph whose ``input`` node is the feature table
-handed to ``run_network``; its sampled centroids, Neighbor Index Table
-and Point Feature Table stay readable in :attr:`GraphExecutor.region_state`
-after the run.
+list front to back (the list order is the topological order), and a
+node reads exactly its input edges: an ``aggregate`` takes its Neighbor
+Index Table from its ``search`` input and its centroid ids from its
+``sample`` input, the edges the kernel runtime's arena planner reads
+liveness from.  After a run, :attr:`GraphExecutor.values` maps every
+node id to its value, so a module run alone (a one-module network graph
+whose ``input`` node is the feature table handed to ``run_network``)
+reads its sampled centroids, Neighbor Index Table and Point Feature
+Table there.
 
 An optional :class:`OpRecorder` captures the shape of every logical
 operator actually executed (an ``aggregate`` node records its gather /
@@ -102,93 +104,133 @@ class GraphExecutor:
 
         ``features`` is the flat ``(batch * n, C)`` table a graph's
         ``input`` node reads (a module run alone); networks lift theirs
-        from the coordinates.  Afterwards :attr:`region_state` maps each
-        module region to its run's sampled centroids (cloud-local),
-        neighbor indices (cloud-local, ``(batch, n_out, k)``) and Point
-        Feature Table (or ``None``).
+        from the coordinates.  Afterwards :attr:`values` maps every node
+        id to its value, in walk order: a module region's sampled
+        centroids (cloud-local) at ``region.sample``, its Neighbor Index
+        Table (flat rows, ``(batch * n_out, k)``) at ``region.search``.
         """
         self._nclouds = coords.shape[0]
-        self.region_state = {
-            region.module: {
-                "segments": segment_layers(
-                    ngraph.refs[region.module].mlp.export_layers()),
-                "centroid_local": None,  # cloud-local centroid ids
-                "centroid_rows": None,   # rows into the flat feature table
-                "indices_local": None,   # cloud-local NIT indices
-                "indices_rows": None,    # row-space NIT indices
-                "pft": None,
-            }
-            for region in ngraph.regions
-        }
-        env = {}
+        self.values = env = {}
         for node in ngraph.graph:
-            env[node.id] = self._exec_network_node(node, env, ngraph, coords,
-                                                   features)
+            env[node.id] = self._exec(node, env, ngraph, coords, features)
         return self._network_outputs(ngraph, env)
 
-    # -- module-region dispatch ----------------------------------------------
-
     @staticmethod
-    def _row_base(coords):
+    def _row_base(batch, n_in):
         """First flat feature row of every cloud of the stack, as a column."""
-        batch, n_in = coords.shape[0], coords.shape[1]
         return (np.arange(batch, dtype=np.int64) * n_in)[:, None]
 
-    def _exec_node(self, node, env, module, coords, features, state):
-        kind = node.kind
+    def _exec(self, node, env, ngraph, coords, features):
+        """One node's value, from its input edges' values in ``env``."""
+        kind, attrs = node.kind, node.attrs
+        inputs = [env[i] for i in node.inputs]
+        nclouds = self._nclouds
+        if kind == "input":
+            return features
+        if kind == "coords":
+            if not inputs:
+                return coords
+            return inputs[0][:, inputs[1]]
         if kind == "sample":
-            n_in = coords.shape[1]
-            local = module._sample_centroids(n_in)
-            state["centroid_local"] = local
-            state["centroid_rows"] = (
-                local[None, :] + self._row_base(coords)
-            ).reshape(-1)
+            n_in = inputs[0].shape[1]
+            local = ngraph.refs[attrs["module"]]._sample_centroids(n_in)
             if self.recorder is not None:
                 self.recorder.record("sample", n_points=n_in,
                                      n_samples=len(local))
             return local
-        if kind == "search":
-            batch, n_in = coords.shape[0], coords.shape[1]
-            if node.attrs["space"] == "coords":
-                space = coords
-            else:
-                space = features.data.reshape(batch, n_in, module.spec.in_dim)
-            local, _ = knn_brute_force(
-                space, space[:, state["centroid_local"]], module.spec.k,
-            )
-            rows = (local + self._row_base(coords)[:, None]).reshape(
-                batch * local.shape[1], local.shape[2]
-            )
-            state["indices_local"] = local
-            state["indices_rows"] = rows
-            if self.recorder is not None:
-                self.recorder.record("search", n_queries=local.shape[-2],
-                                     n_points=n_in, k=local.shape[-1],
-                                     dim=space.shape[-1])
-            return rows
+        if kind == "search" and "module" in attrs:
+            return self._search(attrs, *inputs)
         if kind == "matmul":
-            return self._matmul(node, env[node.inputs[0]], state)
+            return self._matmul(node, ngraph, inputs[0])
         if kind == "reduce_max":
             # The post-MLP reduction: rows*k flat rows back to
             # (rows, k, dim) before the reduction.
-            x = env[node.inputs[0]]
-            k = state["indices_rows"].shape[1]
-            return self._reduce_max(x.reshape(-1, k, x.shape[-1]), state)
+            x = inputs[0]
+            return self._reduce_max(x.reshape(-1, attrs["k"], x.shape[-1]))
         if kind == "aggregate":
-            source = env[node.inputs[0]]
-            gathered = self._gather(source, state)
-            if node.attrs["reduce"]:
-                reduced = self._reduce_max(gathered, state)
-                return self._subtract_post(reduced, source, state)
-            return self._subtract_pre(gathered, source, state)
+            source, indices, local = inputs
+            centroid_rows = (
+                local[None, :] + self._row_base(nclouds, attrs["table_rows"])
+            ).reshape(-1)
+            gathered = self._gather(source, indices)
+            if attrs["reduce"]:
+                reduced = self._reduce_max(gathered)
+                return self._subtract_post(reduced, source, centroid_rows)
+            return self._subtract_pre(gathered, source, centroid_rows)
         if kind == "epilogue":
-            return self._epilogue(node, env[node.inputs[0]], state)
+            return self._epilogue(node, ngraph, inputs[0])
+        if kind == "lift":
+            stage = inputs[0]
+            return Tensor(stage.reshape(-1, stage.shape[-1]).copy())
+        if kind == "head":
+            out = per_cloud(ngraph.refs[attrs["ref"]].export_layers(),
+                            inputs[0], nclouds)
+            if self.recorder is not None:
+                self.recorder.record("head", rows=out.shape[0],
+                                     dims=attrs["dims"])
+            return out
+        if kind == "search":
+            # A decoder's coordinate kNN: each fine point's nearest
+            # coarse points as flat coarse rows, and their distances.
+            points, queries = inputs
+            local, dist = knn_brute_force(points, queries, attrs["k"])
+            rows = local + self._row_base(*points.shape[:2])[:, None]
+            return (rows.reshape(-1, local.shape[-1]),
+                    dist.reshape(-1, local.shape[-1]))
+        if kind == "interpolate":
+            (rows, dist), coarse = inputs
+            weights = 1.0 / np.maximum(dist, 1e-8)
+            weights = weights / weights.sum(axis=-1, keepdims=True)
+            gathered = coarse.gather(rows)  # (rows, k, C)
+            out = (gathered * Tensor(weights[:, :, None])).sum(axis=1)
+            if self.recorder is not None:
+                self.recorder.record("interpolate", n_points=out.shape[0],
+                                     k=rows.shape[1],
+                                     feature_dim=out.shape[1])
+            return out
+        if kind == "global_max":
+            x = inputs[0]
+            rows = x.shape[0] // nclouds
+            out = x.reshape(nclouds, rows, x.shape[1]).max(axis=1)
+            if self.recorder is not None:
+                self.recorder.record("global_max", k=rows, dim=x.shape[1])
+            return out
+        if kind == "broadcast":
+            idx = np.repeat(np.arange(nclouds), attrs["rows"])
+            return inputs[0].gather(idx)
+        if kind == "select":
+            points, logits = inputs[0], inputs[1].data
+            scores = (logits[:, 1] - logits[:, 0]).reshape(nclouds, -1)
+            order = np.argsort(-scores, axis=1,
+                               kind="stable")[:, :attrs["n_select"]]
+            selected = np.take_along_axis(points, order[:, :, None], axis=1)
+            return selected - selected.mean(axis=1, keepdims=True)
+        if kind == "concat":
+            if self.recorder is not None:
+                self.recorder.record("concat", rows=attrs.get("rows"),
+                                     dim=attrs.get("dim"),
+                                     traced=attrs.get("traced", True))
+            return concat(inputs, axis=attrs.get("axis", 1))
         raise ValueError(f"executor cannot handle node kind {kind!r}")
 
     # -- operator semantics (identical to the pre-IR strategy bodies) --------
 
-    def _gather(self, source, state):
-        indices = state["indices_rows"]
+    def _search(self, attrs, space, local):
+        """A module's kNN over its stage space: the NIT as flat rows."""
+        batch, n_in = self._nclouds, attrs["n_points"]
+        if attrs["space"] != "coords":
+            space = space.data.reshape(batch, n_in, attrs["dim"])
+        local, _ = knn_brute_force(space, space[:, local], attrs["k"])
+        rows = (local + self._row_base(batch, n_in)[:, None]).reshape(
+            batch * local.shape[1], local.shape[2]
+        )
+        if self.recorder is not None:
+            self.recorder.record("search", n_queries=local.shape[-2],
+                                 n_points=n_in, k=local.shape[-1],
+                                 dim=space.shape[-1])
+        return rows
+
+    def _gather(self, source, indices):
         gathered = source.gather(indices)  # (rows, k, dim)
         if self.recorder is not None:
             self.recorder.record("gather", n_centroids=indices.shape[0],
@@ -196,22 +238,28 @@ class GraphExecutor:
                          table_rows=source.shape[0])
         return gathered
 
-    def _subtract_pre(self, gathered, source, state):
+    def _subtract_pre(self, gathered, source, centroid_rows):
         rows, k, dim = gathered.shape
-        centroids = source.gather(state["centroid_rows"]).reshape(rows, 1, dim)
+        centroids = source.gather(centroid_rows).reshape(rows, 1, dim)
         offsets = (gathered - centroids).reshape(rows * k, dim)
         if self.recorder is not None:
             self.recorder.record("subtract", rows=rows * k, dim=dim)
         return offsets
 
-    def _subtract_post(self, reduced, source, state):
-        out = reduced - source.gather(state["centroid_rows"])
+    def _subtract_post(self, reduced, source, centroid_rows):
+        out = reduced - source.gather(centroid_rows)
         if self.recorder is not None:
             self.recorder.record("subtract", rows=out.shape[0], dim=out.shape[1])
         return out
 
-    def _matmul(self, node, x, state):
-        segment = state["segments"][node.attrs["layer"]]
+    @staticmethod
+    def _segment(node, ngraph):
+        """The MLP layers a region's ``matmul`` / ``epilogue`` node runs."""
+        mlp = ngraph.refs[node.attrs["module"]].mlp
+        return segment_layers(mlp.export_layers())[node.attrs["layer"]]
+
+    def _matmul(self, node, ngraph, x):
+        segment = self._segment(node, ngraph)
         if node.attrs.get("weight_only"):
             out = _per_cloud_matmul(x, segment[0].weight, self._nclouds)
         else:
@@ -219,19 +267,17 @@ class GraphExecutor:
         if self.recorder is not None:
             self.recorder.record("matmul", rows=x.shape[0], in_dim=x.shape[1],
                          out_dim=out.shape[1])
-        if node.attrs.get("pft"):
-            state["pft"] = out.data
         return out
 
-    def _reduce_max(self, x, state):
+    def _reduce_max(self, x):
         reduced = x.max(axis=1)
         if self.recorder is not None:
             self.recorder.record("reduce_max", n_centroids=x.shape[0], k=x.shape[1],
                          feature_dim=x.shape[2])
         return reduced
 
-    def _epilogue(self, node, x, state):
-        segment = state["segments"][node.attrs["layer"]]
+    def _epilogue(self, node, ngraph, x):
+        segment = self._segment(node, ngraph)
         linear = segment[0]
         # The hoisted product ran weight-only: the bias cancels in the
         # centroid subtraction, so it is re-added here — followed by the
@@ -241,86 +287,6 @@ class GraphExecutor:
         for layer in segment[1:]:
             x = layer(x)
         return x
-
-    # -- network-level dispatch ----------------------------------------------
-
-    def _exec_network_node(self, node, env, ngraph, coords, features):
-        kind = node.kind
-        if "module" in node.attrs:
-            index = node.attrs["module"]
-            # Stage bindings are fetched leniently: a coords-space
-            # sample/search depends only on the stage coordinates, so
-            # it may run before its stage features exist.  Nodes that
-            # do consume a binding carry it as a real input edge, so
-            # the topological node order guarantees it is present.
-            return self._exec_node(
-                node, env, ngraph.refs[index],
-                env.get(node.attrs.get("coords")),
-                env.get(node.attrs.get("feats")),
-                self.region_state[index],
-            )
-        nclouds = self._nclouds
-        if kind == "input":
-            return features
-        if kind == "coords":
-            if not node.inputs:
-                return coords
-            return env[node.inputs[0]][:, env[node.inputs[1]]]
-        if kind == "lift":
-            stage = env[node.inputs[0]]
-            return Tensor(stage.reshape(-1, stage.shape[-1]).copy())
-        if kind == "head":
-            out = per_cloud(ngraph.refs[node.attrs["ref"]].export_layers(),
-                            env[node.inputs[0]], nclouds)
-            if self.recorder is not None:
-                self.recorder.record("head", rows=out.shape[0],
-                                     dims=node.attrs["dims"])
-            return out
-        if kind == "search":
-            # A decoder's coordinate kNN: each fine point's nearest
-            # coarse points as flat coarse rows, and their distances.
-            points, queries = (env[i] for i in node.inputs)
-            local, dist = knn_brute_force(points, queries, node.attrs["k"])
-            rows = local + self._row_base(points)[:, None]
-            return (rows.reshape(-1, local.shape[-1]),
-                    dist.reshape(-1, local.shape[-1]))
-        if kind == "interpolate":
-            rows, dist = env[node.inputs[0]]
-            weights = 1.0 / np.maximum(dist, 1e-8)
-            weights = weights / weights.sum(axis=-1, keepdims=True)
-            gathered = env[node.inputs[1]].gather(rows)  # (rows, k, C)
-            out = (gathered * Tensor(weights[:, :, None])).sum(axis=1)
-            if self.recorder is not None:
-                self.recorder.record("interpolate", n_points=out.shape[0],
-                                     k=rows.shape[1],
-                                     feature_dim=out.shape[1])
-            return out
-        if kind == "global_max":
-            x = env[node.inputs[0]]
-            rows = x.shape[0] // nclouds
-            out = x.reshape(nclouds, rows, x.shape[1]).max(axis=1)
-            if self.recorder is not None:
-                self.recorder.record("global_max", k=rows, dim=x.shape[1])
-            return out
-        if kind == "broadcast":
-            idx = np.repeat(np.arange(nclouds), node.attrs["rows"])
-            return env[node.inputs[0]].gather(idx)
-        if kind == "select":
-            logits = env[node.inputs[1]].data
-            scores = (logits[:, 1] - logits[:, 0]).reshape(nclouds, -1)
-            order = np.argsort(-scores, axis=1,
-                               kind="stable")[:, :node.attrs["n_select"]]
-            selected = np.take_along_axis(env[node.inputs[0]],
-                                          order[:, :, None], axis=1)
-            return selected - selected.mean(axis=1, keepdims=True)
-        if kind == "concat":
-            if self.recorder is not None:
-                self.recorder.record("concat", rows=node.attrs.get("rows"),
-                                     dim=node.attrs.get("dim"),
-                                     traced=node.attrs.get("traced", True))
-            return concat([env[i] for i in node.inputs],
-                          axis=node.attrs.get("axis", 1))
-        raise ValueError(f"network executor cannot handle kind {kind!r}")
 
     def _network_outputs(self, ngraph, env):
         values = {}

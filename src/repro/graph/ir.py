@@ -23,9 +23,7 @@ __all__ = [
     "KINDS",
     "Graph",
     "Node",
-    "ValueLiveness",
     "format_graph",
-    "value_liveness",
 ]
 
 #: Node kinds understood by the executors and the trace lowering.
@@ -177,52 +175,3 @@ def format_graph(graph):
         )
     return "\n".join(lines)
 
-
-@dataclass(frozen=True)
-class ValueLiveness:
-    """Liveness of one graph value over the topological node order.
-
-    Positions index ``graph.nodes`` — the list order *is* the schedule,
-    so ``def_index`` is where the value is produced and
-    ``last_use_index`` the last position that reads it
-    (``len(graph.nodes)`` for graph outputs, which outlive every node).
-    """
-
-    node: int
-    kind: str
-    def_index: int
-    last_use_index: int
-    consumers: tuple
-
-
-def value_liveness(graph):
-    """Per-value liveness over ``graph``'s topological schedule.
-
-    Returns ``{node_id: ValueLiveness}``.  This is pure graph metadata
-    — the kernel runtime's arena planner
-    (:mod:`repro.backend.memplan`) maps these node positions onto its
-    fused-kernel positions.
-    """
-    positions = {node.id: index for index, node in enumerate(graph.nodes)}
-    consumers = {node.id: [] for node in graph.nodes}
-    for node in graph.nodes:
-        for parent in set(node.inputs):
-            consumers[parent].append(node)
-    outputs = set(graph.outputs)
-    values = {}
-    for node in graph.nodes:
-        used_by = consumers[node.id]
-        if node.id in outputs:
-            last = len(graph.nodes)
-        elif used_by:
-            last = max(positions[c.id] for c in used_by)
-        else:
-            last = positions[node.id]
-        values[node.id] = ValueLiveness(
-            node=node.id,
-            kind=node.kind,
-            def_index=positions[node.id],
-            last_use_index=last,
-            consumers=tuple(c.id for c in used_by),
-        )
-    return values

@@ -9,7 +9,10 @@ ONE :class:`~repro.graph.ir.Graph`:
 * every module is a *region*: :meth:`NetworkGraphBuilder.module` emits
   its original-order nodes (sample → search → aggregate → matmuls →
   reduce_max), each tagged with ``attrs["module"]`` so the strategy
-  rewrites apply region-wise;
+  rewrites apply region-wise.  Every value a node reads is one of its
+  input edges — the aggregate reads the feature table, the search's
+  Neighbor Index Table and the sample's centroid ids — so the rewrites,
+  the executors and the arena planner's liveness follow one dataflow;
 * heads, skip concats, global pooling and stage coordinates are
   first-class IR nodes (``head`` / ``concat`` / ``global_max`` /
   ``coords`` / ``lift`` / ``select``), and a feature-propagation step
@@ -83,17 +86,20 @@ class NetworkOutput:
 class NetworkRegion:
     """Where one module region lives in the network graph.
 
-    ``coords``/``feats`` are the node ids feeding the region,
-    ``sample`` its centroid-sampling node and ``output`` its
-    externally-consumed feature node — everything needed to compare
-    the region against :meth:`~repro.core.module.PointCloudModule.forward`
-    run on the same inputs.
+    ``coords`` is the node feeding the region's ``sample``, ``feats``
+    the region's other input from outside itself, ``sample`` and
+    ``search`` its centroid-sampling and neighbor-search nodes and
+    ``output`` its last node — everything needed to compare the region
+    against :meth:`~repro.core.module.PointCloudModule.forward` run on
+    the same inputs.  Where dead-code elimination kept only a region's
+    sampling chain, ``feats`` and ``search`` are ``None``.
     """
 
     module: int
     coords: int
     feats: int
     sample: int
+    search: int
     output: int
 
 
@@ -194,8 +200,7 @@ class NetworkGraphBuilder:
         spec = module.spec
         index = self._ref(module)
         n_in, n_out, k, dims = spec.n_in, spec.n_out, spec.k, spec.mlp_dims
-        region = {"module": index, "label": spec.name, "coords": coords,
-                  "feats": feats}
+        region = {"module": index, "label": spec.name}
 
         def add(kind, inputs, phase, **attrs):
             return self.graph.add(kind, inputs, {**attrs, **region}, phase).id
@@ -323,22 +328,21 @@ class NetworkGraphBuilder:
 
 def _collect_regions(graph):
     """Per-module splice metadata from the final (rewritten) graph."""
-    per, order = {}, []
+    per = {}
     for node in graph:
         index = node.attrs.get("module")
-        if index is None:
-            continue
-        if index not in per:
-            order.append(index)
-        per.setdefault(index, []).append(node)
+        if index is not None:
+            per.setdefault(index, []).append(node)
     regions = []
-    for index in order:
-        nodes = per[index]
+    for index, nodes in per.items():
         sample = next(n for n in nodes if n.kind == "sample")
-        regions.append(NetworkRegion(
-            index, sample.attrs["coords"], sample.attrs["feats"],
-            sample.id, nodes[-1].id,
-        ))
+        coords = sample.inputs[0]
+        inside = {n.id for n in nodes} | {coords}
+        feats = next((p for n in nodes for p in n.inputs
+                      if p not in inside), None)
+        search = next((n.id for n in nodes if n.kind == "search"), None)
+        regions.append(NetworkRegion(index, coords, feats, sample.id,
+                                     search, nodes[-1].id))
     return tuple(regions)
 
 

@@ -16,7 +16,9 @@ Each rewrite has one body, written per module region: a network graph
 region whose nodes carry ``attrs["module"]``.  Aggregation is one
 ``aggregate`` node throughout: delaying flips it to its reducing form
 and absorbs the region's ``reduce_max``, limiting re-points it at the
-hoisted product.
+hoisted product.  Every value a node reads is one of its input edges,
+and no attr holds a second copy of an edge, so a rewrite moves edges and
+nothing else.
 
 Passes are ``graph -> graph`` callables; :data:`PIPELINES` names the
 pass list per strategy.
@@ -80,19 +82,10 @@ def _rewrite_module_regions(graph, region_rewrite):
     remap = {}
 
     def rewire(node):
-        # Input edges and the coords/feats attr references (the
-        # interpreter's stage bindings) both follow a moved region output.
         if any(parent in remap for parent in node.inputs):
             node = replace(
                 node, inputs=tuple(remap.get(p, p) for p in node.inputs)
             )
-        updates = {
-            key: remap[node.attrs[key]]
-            for key in ("coords", "feats")
-            if node.attrs.get(key) in remap
-        }
-        if updates:
-            node = node.with_attrs(**updates)
         return node
 
     out, seen, i = [], set(), 0
@@ -138,7 +131,6 @@ def _delay_region(nodes, _alloc):
         mm = mm.with_attrs(rows=n_in)
         hoisted.append(mm)
         prev_id = mm.id
-    hoisted[-1] = hoisted[-1].with_attrs(pft=True)
 
     srch = replace(srch, parallelizable=True)
     agg = replace(agg, inputs=(prev_id, *agg.inputs[1:]))
@@ -161,8 +153,7 @@ def _limit_region(nodes, alloc):
     hidden = matmuls[0].attrs["out_dim"]
 
     first = replace(matmuls[0], inputs=(agg.inputs[0],), parallelizable=True)
-    first = first.with_attrs(rows=srch.attrs["n_points"], weight_only=True,
-                             pft=True)
+    first = first.with_attrs(rows=srch.attrs["n_points"], weight_only=True)
     srch = replace(srch, parallelizable=True)
     agg = replace(agg, inputs=(first.id, *agg.inputs[1:]))
     agg = agg.with_attrs(dim=hidden)

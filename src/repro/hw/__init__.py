@@ -26,8 +26,4 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "network_nits": "soc",
     "SRAM": "sram",
     "crossbar_area_mm2": "sram",
-    "Interval": "timeline",
-    "Timeline": "timeline",
-    "build_timeline": "timeline",
-    "render_gantt": "timeline",
 })

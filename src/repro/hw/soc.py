@@ -96,27 +96,17 @@ class ModuleTime:
     n_par: float
     f_par: float
 
-    def windows(self, overlap):
-        """``([(phase, start, end)], span)`` offsets from the module start.
+    def span(self, overlap):
+        """The module's latency, in seconds.
 
         With ``overlap`` the flagged N and F time run side by side from
         the start; everything else follows serially — unflagged N,
-        unflagged F, then A and O.  ``span`` is the module's latency.
+        unflagged F, then A and O.
         """
         if overlap:
-            side = (("N", self.n_par), ("F", self.f_par))
-            serial = (("N", self.n - self.n_par), ("F", self.f - self.f_par))
-            clock = max(self.n_par, self.f_par)
-        else:
-            side = ()
-            serial = (("N", self.n), ("F", self.f))
-            clock = 0.0
-        windows = [(phase, 0.0, t) for phase, t in side if t]
-        for phase, t in serial + (("A", self.a), ("O", self.o)):
-            if t:
-                windows.append((phase, clock, clock + t))
-            clock += t
-        return windows, clock
+            return (max(self.n_par, self.f_par) + (self.n - self.n_par)
+                    + (self.f - self.f_par) + self.a + self.o)
+        return self.n + self.f + self.a + self.o
 
 
 @dataclass
@@ -156,9 +146,9 @@ def network_nits(network, strategy):
     executor = GraphExecutor()
     with no_grad():
         executor.run_network(ngraph, network, cloud[morton_order(cloud)][None])
+    # A stack of one: the search's flat NIT rows are the cloud's own.
     return {
-        ngraph.refs[region.module].spec.name:
-            executor.region_state[region.module]["indices_local"][0]
+        ngraph.refs[region.module].spec.name: executor.values[region.search]
         for region in ngraph.regions
     }
 
@@ -274,7 +264,7 @@ class SoC:
             times = ModuleTime(module_name, n_time, a_time, f_time, o_time,
                                n_par, f_par)
             modules.append(times)
-            latency += times.windows(config.overlap)[1]
+            latency += times.span(config.overlap)
             phase_times["N"] += n_time
             phase_times["A"] += a_time
             phase_times["F"] += f_time

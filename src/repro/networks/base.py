@@ -165,14 +165,12 @@ class PointCloudNetwork(NetworkGraphMixin, Module):
     def n_points(self):
         return self.encoder[0].spec.n_in
 
-    def forward(self, coords, strategy="delayed", executor=None):
+    def forward(self, coords, strategy="delayed"):
         """Run the network over one (n_points, 3) cloud.
 
         The cloud runs as a stack of one and the result is unwrapped to
         the per-cloud shapes: ``(1, C)`` class logits, ``(n, C)``
-        per-point logits, or a detection dict of those.  ``executor``
-        optionally substitutes the :class:`~repro.graph.executors.GraphExecutor`
-        that runs the whole-network graph (e.g. one with a recorder).
+        per-point logits, or a detection dict of those.
         """
         coords = np.asarray(coords, dtype=np.float64)
         if coords.shape != (self.n_points, 3):
@@ -180,13 +178,12 @@ class PointCloudNetwork(NetworkGraphMixin, Module):
                 f"{self.name} expects {(self.n_points, 3)} coords, "
                 f"got {coords.shape}"
             )
-        ngraph = self.network_graph(strategy)
-        if executor is None:
-            from ..graph.executors import GraphExecutor
+        from ..graph.executors import GraphExecutor
 
-            executor = GraphExecutor()
+        ngraph = self.network_graph(strategy)
         return _only_cloud(ngraph,
-                           executor.run_network(ngraph, self, coords[None]))
+                           GraphExecutor().run_network(ngraph, self,
+                                                       coords[None]))
 
     def forward_batch(self, coords, strategy="delayed"):
         """Run the network over a (batch, n_points, 3) stack of clouds.

@@ -11,11 +11,6 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "format_table": "report",
     "full_report": "report",
     "soc_report": "report",
-    "NPU_ROOF": "roofline",
-    "TX2_ROOF": "roofline",
-    "DeviceRoof": "roofline",
-    "RooflinePoint": "roofline",
-    "analyze_trace": "roofline",
     "StrategyComparison": "cost_model",
     "compare_strategies": "cost_model",
     "mac_reduction_percent": "cost_model",

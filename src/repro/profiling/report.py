@@ -2,8 +2,8 @@
 
 :func:`full_report` runs the complete analytic evaluation — workload
 characterization plus all hardware configurations for every benchmark
-network — and renders one readable report.  Used by the
-``reproduce_all`` example and the CLI.
+network — and renders one readable report: what ``repro report``
+prints.
 """
 
 from __future__ import annotations

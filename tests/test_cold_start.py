@@ -52,9 +52,9 @@ TIMEOUT = 120.0
 #: tests read.
 FRONT_DOORS = [
     ("repro", 12), ("repro.backend", 13), ("repro.core", 8),
-    ("repro.data", 16), ("repro.engine", 5), ("repro.graph", 19),
-    ("repro.hw", 27), ("repro.neighbors", 8), ("repro.networks", 25),
-    ("repro.neural", 16), ("repro.profiling", 28), ("repro.serve", 14),
+    ("repro.data", 16), ("repro.engine", 5), ("repro.graph", 17),
+    ("repro.hw", 23), ("repro.neighbors", 8), ("repro.networks", 25),
+    ("repro.neural", 16), ("repro.profiling", 23), ("repro.serve", 14),
 ]
 
 

@@ -321,7 +321,7 @@ class TestNeighborIndexCache:
         indices, distances = cache.knn(stack, stack[:, :10], 4)
         # Four copies of one cloud: one search over one cloud, one miss,
         # and a hit per repeat — not four misses and a (4, 64, 3) search.
-        assert computed == [(1, 64, 3)]
+        assert computed == [(64, 3)]
         assert cache.stats()["misses"] == 1 and cache.stats()["hits"] == 3
         assert len(cache) == 1
         ref_i, ref_d = knn_brute_force(stack, stack[:, :10], 4)
@@ -331,7 +331,7 @@ class TestNeighborIndexCache:
         # computes once, in stack order.
         mixed = np.stack([a, b, a, b])
         indices, _ = cache.knn(mixed, mixed[:, :10], 4)
-        assert computed == [(1, 64, 3), (1, 64, 3)]
+        assert computed == [(64, 3), (64, 3)]
         assert cache.stats()["misses"] == 2 and cache.stats()["hits"] == 6
         np.testing.assert_array_equal(
             indices, knn_brute_force(mixed, mixed[:, :10], 4)[0])

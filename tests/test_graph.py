@@ -117,7 +117,6 @@ class TestPasses:
         matmuls = g.find("matmul")
         assert all(m.parallelizable for m in matmuls)
         assert all(m.attrs["rows"] == 64 for m in matmuls)
-        assert matmuls[-1].attrs.get("pft") is True
         assert g.only("search").parallelizable
         # The module's reduce_max is absorbed: the aggregate reduces.
         agg = g.only("aggregate")
@@ -225,18 +224,6 @@ class TestPasses:
                     signature(graph)
 
 
-class LoggingExecutor(GraphExecutor):
-    """The graph interpreter, logging each node id as it evaluates it."""
-
-    def __init__(self):
-        super().__init__()
-        self.order = []
-
-    def _exec_network_node(self, node, *args):
-        self.order.append(node.id)
-        return super()._exec_network_node(node, *args)
-
-
 def assert_producers_first(graph, order):
     """Every node evaluated exactly once, each after all its producers."""
     assert sorted(order) == sorted(node.id for node in graph)
@@ -282,22 +269,23 @@ class TestNodeOrder:
         with no_grad():
             for module in net.encoder:
                 ngraph = module.network_graph(strategy)
-                executor = LoggingExecutor()
+                executor = GraphExecutor()
                 feats = executor.run_network(ngraph, module, coords,
                                              features=feats)
-                assert_producers_first(ngraph.graph, executor.order)
-                coords = coords[:, executor.region_state[0]["centroid_local"]]
+                # ``values`` is filled in walk order.
+                assert_producers_first(ngraph.graph, list(executor.values))
+                coords = coords[:, executor.values[ngraph.regions[0].sample]]
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_network_walk_runs_producers_first(self, strategy):
         net = build_network("PointNet++ (c)", num_classes=4, scale=0.0625)
         cloud = np.random.default_rng(9).normal(size=(net.n_points, 3))
-        executor = LoggingExecutor()
+        ngraph = net.network_graph(strategy)
+        executor = GraphExecutor()
         with no_grad():
-            logged = net.forward(cloud, strategy=strategy, executor=executor)
+            logged = executor.run_network(ngraph, net, cloud[None])
             plain = net.forward(cloud, strategy=strategy)
-        assert_producers_first(net.network_graph(strategy).graph,
-                               executor.order)
+        assert_producers_first(ngraph.graph, list(executor.values))
         np.testing.assert_array_equal(logged.data, plain.data)
 
 
@@ -372,9 +360,11 @@ class TestExecutors:
             single = one.run_network(ngraph, mod, clouds[b][None],
                                      features=Tensor(clouds[b].copy()))
             np.testing.assert_array_equal(stacked[b], single.data)
+            # The NIT's flat rows: cloud b's are its own, lifted by b * n_in.
+            search = ngraph.regions[0].search
             np.testing.assert_array_equal(
-                tall.region_state[0]["indices_local"][b],
-                one.region_state[0]["indices_local"][0])
+                tall.values[search][b * SPEC.n_out:(b + 1) * SPEC.n_out],
+                one.values[search] + b * SPEC.n_in)
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_forward_is_the_stack_path(self, strategy):
@@ -386,15 +376,19 @@ class TestExecutors:
         stack = executor.run_network(mod.network_graph(strategy), mod,
                                      coords[None],
                                      features=Tensor(coords.copy()))
-        run = executor.region_state[0]
+        ngraph = mod.network_graph(strategy)
+        region, values = ngraph.regions[0], executor.values
         np.testing.assert_array_equal(one.features.data, stack.data)
-        np.testing.assert_array_equal(one.indices, run["indices_local"][0])
-        np.testing.assert_array_equal(one.centroids, run["centroid_local"])
+        np.testing.assert_array_equal(one.indices, values[region.search])
+        np.testing.assert_array_equal(one.centroids, values[region.sample])
         np.testing.assert_array_equal(one.coords, coords[one.centroids])
-        if run["pft"] is None:
+        if strategy == "original":
             assert one.pft is None
         else:
-            np.testing.assert_array_equal(one.pft, run["pft"])
+            # The product the aggregate gathers: the whole MLP once
+            # delayed, its first Linear's weight product when limited.
+            table = ngraph.graph.only("aggregate").inputs[0]
+            np.testing.assert_array_equal(one.pft, values[table].data)
 
     def test_executor_census(self):
         # One arity, one executor: the graph interpreter.  Kernel
@@ -469,7 +463,8 @@ class TestTraceExecutionConsistency:
                         f"{record['kind']}.{field}: executed "
                         f"{record[field]} vs traced {getattr(op, field)}"
                     )
-            coords = coords[executor.region_state[0]["centroid_local"]]
+            region = module.network_graph(strategy).regions[0]
+            coords = coords[executor.values[region.sample]]
 
 
 class TestBatchedNetworkCoverage:

@@ -1,11 +1,12 @@
 """Tests for the memory planner and parameter tables (:mod:`repro.backend`).
 
-Covers buffer liveness over the whole-network graph, arena planning
-(best-fit offsets, validation), the per-cloud plan (derived == measured
-at every stack height, no unplanned request, one grow-only arena per
-thread), planner-on
-bit-exactness across all seven networks and three strategies for
-serial, batched and threaded execution, an adversarial test that corrupts
+Covers buffer liveness over the whole-network graph (every value dies
+at its last reader: dropping it from a run right after changes no bit),
+arena planning (best-fit offsets, validation), the per-cloud plan
+(derived == measured at every stack height, no unplanned request, one
+grow-only arena per thread), planner-on bit-exactness across all seven
+networks and three strategies for serial, batched and threaded
+execution, an adversarial test that corrupts
 dead arena regions mid-run, parameter-table export and the zero-copy
 shared-file transport of float64 and float32 tables, and the engine/CLI
 integration (attached tables, ``repro trace --memory``).
@@ -24,8 +25,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import assert_bit_exact, clouds_for, leaves, toy
+from conftest import assert_bit_exact, clouds_for, interpret, leaves, toy
 from repro.backend import (
+    GraphLiveness,
     ParameterTable,
     attach_table,
     compile_kernel_program,
@@ -38,7 +40,6 @@ from repro.backend.aot import _share_dir
 from repro.backend.runtime import _MeasuringPool
 from repro.core import STRATEGIES, ModuleSpec
 from repro.engine import BatchRunner
-from repro.graph import value_liveness
 from repro.networks import ALL_NETWORKS, build_network
 from repro.networks.generic import GenericPointCloudNetwork
 from repro.neural import no_grad
@@ -65,21 +66,47 @@ def assert_same_entries(source, table):
                     assert np.array_equal(a, b)
 
 
-class TestValueLiveness:
+class TestGraphLiveness:
     def test_intervals_cover_consumers_and_outputs_live_to_end(self):
+        # One kernel per node: kernel positions are graph positions.
         net = toy("PointNet++ (c)")
-        ngraph = net.network_graph("delayed")
-        live = value_liveness(ngraph.graph)
-        n = len(ngraph.graph.nodes)
-        assert set(live) == {node.id for node in ngraph.graph.nodes}
-        positions = {node.id: i for i, node in enumerate(ngraph.graph.nodes)}
-        for info in live.values():
-            assert 0 <= info.def_index < n
-            assert info.last_use_index >= info.def_index
-            for consumer in info.consumers:
-                assert positions[consumer] <= info.last_use_index
-        for output in ngraph.outputs:
-            assert live[output.node].last_use_index == n
+        graph = net.network_graph("delayed").graph
+        live = GraphLiveness(graph, [(node.id,) for node in graph.nodes])
+        n = len(graph.nodes)
+        assert set(live.last_use) == {node.id for node in graph.nodes}
+        positions = {node.id: i for i, node in enumerate(graph.nodes)}
+        outputs = set(graph.outputs)
+        for node in graph.nodes:
+            readers = [positions[c.id] for c in graph.consumers(node.id)]
+            assert 0 <= positions[node.id] < n
+            assert live.last_use[node.id] >= positions[node.id]
+            if node.id in outputs:
+                assert live.last_use[node.id] == n
+            else:
+                assert live.last_use[node.id] == max(
+                    readers, default=positions[node.id])
+
+
+class TestEveryValueDiesAtItsLastReader:
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("name", ALL_NETWORKS)
+    def test_dropping_dead_values_after_each_kernel(self, name, strategy):
+        # A kernel reads only its nodes' input edges, so a value no
+        # later kernel consumes can leave the run's value table at once
+        # without changing a bit — and the run carries no per-module
+        # side channel in ``ctx`` beside it.
+        net = toy(name)
+        clouds = clouds_for(net, 2)
+        program = compile_kernel_program(net, strategy, backend="float64")
+        last_use = program._liveness.last_use  # outputs: past every kernel
+
+        def drop_dead(pos, label, env, ctx):
+            assert set(ctx) == {"coords", "batch", "alloc", "pos", "cache"}
+            for nid in [nid for nid in env if last_use[nid] <= pos]:
+                del env[nid]
+
+        assert_bit_exact(interpret(net, clouds, strategy),
+                         program.run(clouds, on_kernel=drop_dead))
 
 
 class TestArenaPlanning:

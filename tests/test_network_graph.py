@@ -90,19 +90,6 @@ class TestBuild:
             assert len(aggs) == 1 and aggs[0].attrs["reduce"] is True
 
 
-class RecordingExecutor(GraphExecutor):
-    """The graph interpreter, keeping every network node's value."""
-
-    def __init__(self):
-        super().__init__()
-        self.values = {}
-
-    def _exec_network_node(self, node, *args):
-        value = super()._exec_network_node(node, *args)
-        self.values[node.id] = value
-        return value
-
-
 class TestExecutionEquivalence:
     """Whole-network graph execution is bit-exact against the
     independent per-module reference, region by region."""
@@ -117,7 +104,7 @@ class TestExecutionEquivalence:
         # centroids must be theirs bit for bit.
         net = toy(name)
         ngraph = net.network_graph(strategy)
-        executor = RecordingExecutor()
+        executor = GraphExecutor()
         with no_grad():
             executor.run_network(ngraph, net, clouds_for(net, height, seed=1))
             for region in ngraph.regions:
@@ -275,8 +262,8 @@ class TestTraceConsistency:
         net = toy(name)
         recorder = OpRecorder()
         with no_grad():
-            net.forward(cloud_for(net, seed=4), strategy=strategy,
-                        executor=GraphExecutor(recorder=recorder))
+            GraphExecutor(recorder=recorder).run_network(
+                net.network_graph(strategy), net, cloud_for(net, seed=4)[None])
         executed = [item for record in recorder.records
                     for item in self.expand(record)]
         lowered = [self.lower(op) for op in net.trace(strategy)]
