@@ -7,7 +7,7 @@ while the energy reduction improves slightly.
 
 from conftest import print_table
 
-from repro.hw import SoC, SystolicNPU
+from repro.hw import CONFIGS, SoC, SystolicNPU, network_nits
 from repro.networks import build_network
 
 SIZES = (8, 16, 24, 32, 40, 48)
@@ -17,11 +17,14 @@ def test_fig21_sa_sensitivity(benchmark):
     net = build_network("PointNet++ (s)")
 
     def run():
+        # The NITs depend on the network and strategy, not the SoC:
+        # build them once and hand them to all six arrays.
+        nits = network_nits(net, CONFIGS["mesorasi_hw"].strategy)
         out = {}
         for dim in SIZES:
             soc = SoC(npu=SystolicNPU(array_dim=dim))
             base = soc.simulate(net, "baseline")
-            hw = soc.simulate(net, "mesorasi_hw")
+            hw = soc.simulate(net, "mesorasi_hw", nits)
             out[dim] = (
                 base.latency / hw.latency,
                 hw.energy / base.energy,

@@ -32,7 +32,6 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "validate_plan": "memplan",
     "ParameterTable": "params",
     "export_segment": "params",
-    "export_stack": "params",
     "KernelProgram": "runtime",
     "compile_kernel_program": "runtime",
 })

@@ -3,8 +3,9 @@
 The autograd executors walk live :class:`~repro.neural.Module` objects
 on every node dispatch; the kernel runtime instead exports each
 network's weights **once per dtype** into flat ops lists in that
-dtype.  An exported *stack* is a list of per-Linear *segments*; each
-segment is a tuple of primitive ops
+dtype.  Every MLP layer — a module region's or a head's — is one graph
+``matmul`` node running one per-Linear *segment*, exported as a tuple
+of primitive ops
 
 ``("linear", W, b)`` — GEMM plus optional bias (``b`` may be ``None``),
 ``("bias", b)`` — bias add alone (the limited-variant epilogue re-adds
@@ -37,12 +38,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..neural.layers import BatchNorm, Dropout, Linear, ReLU, segment_layers
+from ..graph.network import NetworkGraph
+from ..neural.layers import BatchNorm, Dropout, Linear, ReLU
 
 __all__ = [
     "ParameterTable",
     "export_segment",
-    "export_stack",
 ]
 
 
@@ -132,12 +133,6 @@ def export_segment(layers, dtype, weight_only=False, epilogue=False):
     return tuple([head] + _tail_ops(tail, dtype))
 
 
-def export_stack(layers, dtype):
-    """Pack a whole Linear/.../Linear stack: one ops tuple per segment."""
-    return tuple(export_segment(segment, dtype)
-                 for segment in segment_layers(layers))
-
-
 #: Blob offsets round up to one cache line — every zero-copy view is
 #: aligned for either dtype.
 _BLOB_ALIGNMENT = 64
@@ -146,14 +141,14 @@ _BLOB_ALIGNMENT = 64
 class ParameterTable:
     """Every packed segment one compiled program touches, in one table.
 
-    Entries are keyed by graph location —
-    ``("module", module_index, layer, variant)`` for the shared-MLP
-    segments (``variant`` is ``"full"``, ``"weight_only"`` or
-    ``"epilogue"``, mirroring the matmul/epilogue node attributes) and
-    ``("ref", ref_index, stage)`` for head stacks — so the
-    kernel compiler looks ops up instead of exporting them, and one
-    table answers every lookup any program compiled from the same
-    graph will make.
+    Entries are keyed by graph location, ``(ref, layer, variant)``:
+    the graph ref of the MLP a ``matmul`` / ``epilogue`` node runs a
+    layer of (a region's module or a head,
+    :meth:`~repro.graph.network.NetworkGraph.mlp_ref`), the layer, and
+    ``variant`` — ``"full"``, ``"weight_only"`` or ``"epilogue"``,
+    mirroring the node's kind and attributes — so the kernel compiler
+    looks ops up instead of exporting them, and one table answers every
+    lookup any program compiled from the same graph will make.
     """
 
     def __init__(self, dtype, entries):
@@ -165,59 +160,39 @@ class ParameterTable:
 
     # -- construction --------------------------------------------------------
 
+    @staticmethod
+    def key(node):
+        """The entry key of one ``matmul`` / ``epilogue`` node."""
+        if node.kind == "epilogue":
+            variant = "epilogue"
+        elif node.attrs.get("weight_only"):
+            variant = "weight_only"
+        else:
+            variant = "full"
+        return (NetworkGraph.mlp_ref(node), node.attrs["layer"], variant)
+
     @classmethod
     def for_graph(cls, ngraph, dtype):
         """Export the table of one whole-network graph in ``dtype``."""
         dtype = _resolve_dtype(dtype)
         entries = {}
-        segments = {}
-        graph = ngraph.graph
-        for node in graph.nodes:
-            kind = node.kind
-            if kind in ("matmul", "epilogue"):
-                midx = node.attrs["module"]
-                module = ngraph.refs[midx]
-                if midx not in segments:
-                    segments[midx] = segment_layers(module.mlp.export_layers())
-                layer = node.attrs["layer"]
-                if kind == "epilogue":
-                    variant = "epilogue"
-                elif node.attrs.get("weight_only"):
-                    variant = "weight_only"
-                else:
-                    variant = "full"
-                key = ("module", midx, layer, variant)
-                if key not in entries:
-                    entries[key] = export_segment(
-                        segments[midx][layer], dtype,
-                        weight_only=variant == "weight_only",
-                        epilogue=variant == "epilogue",
-                    )
-            elif kind == "head":
-                ref = node.attrs["ref"]
-                if ("ref", ref, 0) in entries:
-                    continue
-                layers = ngraph.refs[ref].export_layers()
-                for si, ops in enumerate(export_stack(layers, dtype)):
-                    entries[("ref", ref, si)] = ops
+        for node in ngraph.graph.nodes:
+            if node.kind not in ("matmul", "epilogue"):
+                continue
+            key = cls.key(node)
+            if key not in entries:
+                entries[key] = export_segment(
+                    ngraph.segment(node), dtype,
+                    weight_only=key[2] == "weight_only",
+                    epilogue=key[2] == "epilogue",
+                )
         return cls(dtype, entries)
 
     # -- lookup --------------------------------------------------------------
 
-    def module_segment(self, midx, layer, weight_only=False, epilogue=False):
-        """Ops of one shared-MLP segment, by graph location."""
-        variant = "epilogue" if epilogue else \
-            "weight_only" if weight_only else "full"
-        return self.entries[("module", midx, layer, variant)]
-
-    def stages(self, ref):
-        """The packed per-segment stack of graph ref ``ref``."""
-        out = []
-        while ("ref", ref, len(out)) in self.entries:
-            out.append(self.entries[("ref", ref, len(out))])
-        if not out:
-            raise KeyError(f"parameter table holds no stack for ref {ref}")
-        return tuple(out)
+    def segment(self, node):
+        """Ops of the segment one ``matmul`` / ``epilogue`` node runs."""
+        return self.entries[self.key(node)]
 
     def _arrays(self):
         for key in sorted(self.entries, key=repr):

@@ -8,9 +8,9 @@ pre-packed parameter table (:mod:`repro.backend.params`):
 * weights are exported **once per program** at compile time, in the
   program's dtype, so a float32 program runs float32 BLAS GEMMs end to
   end with zero per-call casts;
-* consecutive shared-MLP ``matmul`` nodes fold into a single batched
-  GEMM+bias+ReLU chain kernel running through preallocated ping-pong
-  buffers;
+* consecutive ``matmul`` nodes of one MLP — a module region's or a
+  head's — fold into a single batched GEMM+bias+ReLU chain kernel
+  running through preallocated ping-pong buffers;
 * each ``aggregate`` node — gather [+ reduce-max] + subtract, the
   graph's one aggregation node — is one kernel, and it and the post-MLP
   ``reduce_max`` operate on raw arrays with planned output buffers — no
@@ -262,7 +262,6 @@ class KernelProgram:
             "coords": self._k_coords,
             "lift": self._k_lift,
             "concat": self._k_concat,
-            "head": self._k_head,
             "interpolate": self._k_interpolate,
             "global_max": self._k_global_max,
             "broadcast": self._k_broadcast,
@@ -313,30 +312,26 @@ class KernelProgram:
     def _k_matmul_chain(self, graph, position, node, consumed):
         """Fold a run of consecutive matmul nodes into one chain kernel.
 
-        A node joins the chain when it is the sole consumer of its
-        predecessor, so only the final value is externally visible and
-        the intermediates can live entirely in the chain's ping-pong
-        buffers.
+        A node joins the chain when it runs a layer of the same MLP (a
+        module region's or a head's: the same
+        :meth:`~repro.graph.network.NetworkGraph.mlp_ref`) and is the
+        sole consumer of its predecessor, so only the final value is
+        externally visible and the intermediates can live entirely in
+        the chain's ping-pong buffers.
         """
-        midx = node.attrs["module"]
+        mlp = self.ngraph.mlp_ref(node)
         chain = [node]
         nodes = graph.nodes
         for follower in nodes[position + 1:]:
             if (follower.kind == "matmul"
-                    and follower.attrs.get("module") == midx
+                    and self.ngraph.mlp_ref(follower) == mlp
                     and follower.inputs == (chain[-1].id,)
                     and len(graph.consumers(chain[-1].id)) == 1):
                 chain.append(follower)
             else:
                 break
         consumed.update(n.id for n in chain[1:])
-        specs = []
-        for link in chain:
-            weight_only = bool(link.attrs.get("weight_only"))
-            ops = self.table.module_segment(
-                midx, link.attrs["layer"], weight_only=weight_only,
-            )
-            specs.append((link.id, ops))
+        specs = [(link.id, self.table.segment(link)) for link in chain]
         source = chain[0].inputs[0]
         last = chain[-1].id
 
@@ -422,8 +417,7 @@ class KernelProgram:
         return kernel
 
     def _k_epilogue(self, graph, node):
-        ops = self.table.module_segment(node.attrs["module"],
-                                        node.attrs["layer"], epilogue=True)
+        ops = self.table.segment(node)
         source, nid = node.inputs[0], node.id
         # The epilogue runs in place; copy first unless it is the sole
         # consumer of its input.
@@ -473,18 +467,6 @@ class KernelProgram:
             env[nid] = np.concatenate(
                 parts, axis=axis, out=self._buffer(ctx, ("cat", nid), shape)
             )
-
-        return kernel
-
-    def _k_head(self, node):
-        stages = self.table.stages(node.attrs["ref"])
-        source, nid = node.inputs[0], node.id
-
-        def kernel(env, ctx):
-            x = env[source]
-            for si, ops in enumerate(stages):
-                x = self._apply_ops(ops, x, ctx, ("head", nid, si))
-            env[nid] = x
 
         return kernel
 

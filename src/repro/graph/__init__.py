@@ -20,7 +20,6 @@ from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "GraphExecutor": "executors",
-    "OpRecorder": "executors",
     "KINDS": "ir",
     "Graph": "ir",
     "Node": "ir",

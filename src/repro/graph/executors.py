@@ -29,25 +29,17 @@ node id to its value, so a module run alone (a one-module network graph
 whose ``input`` node is the feature table handed to ``run_network``)
 reads its sampled centroids, Neighbor Index Table and Point Feature
 Table there.
-
-An optional :class:`OpRecorder` captures the shape of every logical
-operator actually executed (an ``aggregate`` node records its gather /
-[reduce-max /] subtract constituents),
-which the trace/execution-consistency tests compare against the graph's
-lowered :class:`~repro.profiling.trace.Trace`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..neighbors import knn_brute_force
 from ..neural import Tensor, concat
-from ..neural.layers import Linear, segment_layers
+from ..neural.layers import Linear
 
-__all__ = ["GraphExecutor", "OpRecorder", "per_cloud"]
+__all__ = ["GraphExecutor", "per_cloud"]
 
 
 def _per_cloud_matmul(x, weight, nclouds):
@@ -75,17 +67,6 @@ def per_cloud(layers, x, nclouds):
     return x
 
 
-@dataclass
-class OpRecorder:
-    """Collects (kind, shape attributes) for every executed operator."""
-
-    records: list = field(default_factory=list)
-
-    def record(self, kind, **info):
-        """Append one executed operator's kind and shape attributes."""
-        self.records.append({"kind": kind, **info})
-
-
 class GraphExecutor:
     """The graph interpreter over the autograd tensors.
 
@@ -95,9 +76,6 @@ class GraphExecutor:
     Only sampling, search and the per-cloud network glue know about the
     stack at all — every other node works on flat rows.
     """
-
-    def __init__(self, recorder=None):
-        self.recorder = recorder
 
     def run_network(self, ngraph, network, coords, features=None):
         """Execute the network graph over a ``(batch, n, 3)`` stack.
@@ -133,11 +111,7 @@ class GraphExecutor:
             return inputs[0][:, inputs[1]]
         if kind == "sample":
             n_in = inputs[0].shape[1]
-            local = ngraph.refs[attrs["module"]]._sample_centroids(n_in)
-            if self.recorder is not None:
-                self.recorder.record("sample", n_points=n_in,
-                                     n_samples=len(local))
-            return local
+            return ngraph.refs[attrs["module"]]._sample_centroids(n_in)
         if kind == "search" and "module" in attrs:
             return self._search(attrs, *inputs)
         if kind == "matmul":
@@ -146,29 +120,23 @@ class GraphExecutor:
             # The post-MLP reduction: rows*k flat rows back to
             # (rows, k, dim) before the reduction.
             x = inputs[0]
-            return self._reduce_max(x.reshape(-1, attrs["k"], x.shape[-1]))
+            return x.reshape(-1, attrs["k"], x.shape[-1]).max(axis=1)
         if kind == "aggregate":
             source, indices, local = inputs
             centroid_rows = (
                 local[None, :] + self._row_base(nclouds, attrs["table_rows"])
             ).reshape(-1)
-            gathered = self._gather(source, indices)
+            gathered = source.gather(indices)  # (rows, k, dim)
             if attrs["reduce"]:
-                reduced = self._reduce_max(gathered)
-                return self._subtract_post(reduced, source, centroid_rows)
-            return self._subtract_pre(gathered, source, centroid_rows)
+                return gathered.max(axis=1) - source.gather(centroid_rows)
+            rows, k, dim = gathered.shape
+            centroids = source.gather(centroid_rows).reshape(rows, 1, dim)
+            return (gathered - centroids).reshape(rows * k, dim)
         if kind == "epilogue":
             return self._epilogue(node, ngraph, inputs[0])
         if kind == "lift":
             stage = inputs[0]
             return Tensor(stage.reshape(-1, stage.shape[-1]).copy())
-        if kind == "head":
-            out = per_cloud(ngraph.refs[attrs["ref"]].export_layers(),
-                            inputs[0], nclouds)
-            if self.recorder is not None:
-                self.recorder.record("head", rows=out.shape[0],
-                                     dims=attrs["dims"])
-            return out
         if kind == "search":
             # A decoder's coordinate kNN: each fine point's nearest
             # coarse points as flat coarse rows, and their distances.
@@ -182,19 +150,11 @@ class GraphExecutor:
             weights = 1.0 / np.maximum(dist, 1e-8)
             weights = weights / weights.sum(axis=-1, keepdims=True)
             gathered = coarse.gather(rows)  # (rows, k, C)
-            out = (gathered * Tensor(weights[:, :, None])).sum(axis=1)
-            if self.recorder is not None:
-                self.recorder.record("interpolate", n_points=out.shape[0],
-                                     k=rows.shape[1],
-                                     feature_dim=out.shape[1])
-            return out
+            return (gathered * Tensor(weights[:, :, None])).sum(axis=1)
         if kind == "global_max":
             x = inputs[0]
             rows = x.shape[0] // nclouds
-            out = x.reshape(nclouds, rows, x.shape[1]).max(axis=1)
-            if self.recorder is not None:
-                self.recorder.record("global_max", k=rows, dim=x.shape[1])
-            return out
+            return x.reshape(nclouds, rows, x.shape[1]).max(axis=1)
         if kind == "broadcast":
             idx = np.repeat(np.arange(nclouds), attrs["rows"])
             return inputs[0].gather(idx)
@@ -206,10 +166,6 @@ class GraphExecutor:
             selected = np.take_along_axis(points, order[:, :, None], axis=1)
             return selected - selected.mean(axis=1, keepdims=True)
         if kind == "concat":
-            if self.recorder is not None:
-                self.recorder.record("concat", rows=attrs.get("rows"),
-                                     dim=attrs.get("dim"),
-                                     traced=attrs.get("traced", True))
             return concat(inputs, axis=attrs.get("axis", 1))
         raise ValueError(f"executor cannot handle node kind {kind!r}")
 
@@ -221,63 +177,19 @@ class GraphExecutor:
         if attrs["space"] != "coords":
             space = space.data.reshape(batch, n_in, attrs["dim"])
         local, _ = knn_brute_force(space, space[:, local], attrs["k"])
-        rows = (local + self._row_base(batch, n_in)[:, None]).reshape(
+        return (local + self._row_base(batch, n_in)[:, None]).reshape(
             batch * local.shape[1], local.shape[2]
         )
-        if self.recorder is not None:
-            self.recorder.record("search", n_queries=local.shape[-2],
-                                 n_points=n_in, k=local.shape[-1],
-                                 dim=space.shape[-1])
-        return rows
-
-    def _gather(self, source, indices):
-        gathered = source.gather(indices)  # (rows, k, dim)
-        if self.recorder is not None:
-            self.recorder.record("gather", n_centroids=indices.shape[0],
-                         k=indices.shape[1], feature_dim=gathered.shape[-1],
-                         table_rows=source.shape[0])
-        return gathered
-
-    def _subtract_pre(self, gathered, source, centroid_rows):
-        rows, k, dim = gathered.shape
-        centroids = source.gather(centroid_rows).reshape(rows, 1, dim)
-        offsets = (gathered - centroids).reshape(rows * k, dim)
-        if self.recorder is not None:
-            self.recorder.record("subtract", rows=rows * k, dim=dim)
-        return offsets
-
-    def _subtract_post(self, reduced, source, centroid_rows):
-        out = reduced - source.gather(centroid_rows)
-        if self.recorder is not None:
-            self.recorder.record("subtract", rows=out.shape[0], dim=out.shape[1])
-        return out
-
-    @staticmethod
-    def _segment(node, ngraph):
-        """The MLP layers a region's ``matmul`` / ``epilogue`` node runs."""
-        mlp = ngraph.refs[node.attrs["module"]].mlp
-        return segment_layers(mlp.export_layers())[node.attrs["layer"]]
 
     def _matmul(self, node, ngraph, x):
-        segment = self._segment(node, ngraph)
+        """One MLP layer — a region's or a head's — over flat rows."""
+        segment = ngraph.segment(node)
         if node.attrs.get("weight_only"):
-            out = _per_cloud_matmul(x, segment[0].weight, self._nclouds)
-        else:
-            out = per_cloud(segment, x, self._nclouds)
-        if self.recorder is not None:
-            self.recorder.record("matmul", rows=x.shape[0], in_dim=x.shape[1],
-                         out_dim=out.shape[1])
-        return out
-
-    def _reduce_max(self, x):
-        reduced = x.max(axis=1)
-        if self.recorder is not None:
-            self.recorder.record("reduce_max", n_centroids=x.shape[0], k=x.shape[1],
-                         feature_dim=x.shape[2])
-        return reduced
+            return _per_cloud_matmul(x, segment[0].weight, self._nclouds)
+        return per_cloud(segment, x, self._nclouds)
 
     def _epilogue(self, node, ngraph, x):
-        segment = self._segment(node, ngraph)
+        segment = ngraph.segment(node)
         linear = segment[0]
         # The hoisted product ran weight-only: the bias cancels in the
         # centroid subtraction, so it is re-added here — followed by the

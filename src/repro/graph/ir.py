@@ -32,17 +32,16 @@ KINDS = (
     "sample",      # centroid sampling (O phase)
     "search",      # neighbor search (N phase); a module-less one is a
                    # decoder's coordinate kNN, handing on its distances
-    "matmul",      # one shared-MLP layer (F phase)
+    "matmul",      # one MLP layer, of a module region or a head (F phase)
     "reduce_max",  # post-MLP neighborhood max-reduction (F phase)
     "aggregate",   # NIT-driven gather [+ max-reduce] + subtract (A phase)
     "epilogue",    # limited-variant bias + activation replay (no trace op)
     "concat",      # feature concatenation (O phase)
-    # Network-level kinds (repro.graph.network): heads, decoders and
-    # skip glue are IR nodes too; a decoder level is
-    # search -> interpolate -> concat -> head.
+    # Network-level kinds (repro.graph.network): decoders and skip glue
+    # are IR nodes too; a decoder level is
+    # search -> interpolate -> concat -> matmul chain.
     "coords",      # stage coordinates: network input or prev[centroids]
     "lift",        # seed feature rows from a coords value (no trace op)
-    "head",        # an MLP head / embedding applied to flat rows (F phase)
     "interpolate", # inverse-distance weighted sum of coarse rows (O phase)
     "global_max",  # per-cloud global max-pool over flat rows (F phase)
     "broadcast",   # repeat each cloud's pooled row per point (no trace op)

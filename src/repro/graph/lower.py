@@ -82,11 +82,6 @@ def lower_network_trace(ngraph, trace):
         elif node.kind == "concat":
             trace.add(ConcatOp(node.phase, name, rows=attrs["rows"],
                                dim=attrs["dim"]))
-        elif node.kind == "head":
-            dims = attrs["dims"]
-            for a, b in zip(dims[:-1], dims[1:]):
-                trace.add(MatMulOp("F", name, rows=attrs["rows"],
-                                   in_dim=a, out_dim=b))
         elif node.kind == "interpolate":
             trace.add(InterpolateOp(node.phase, name,
                                     n_points=attrs["n_points"], k=attrs["k"],

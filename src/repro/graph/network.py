@@ -13,11 +13,14 @@ ONE :class:`~repro.graph.ir.Graph`:
   input edges — the aggregate reads the feature table, the search's
   Neighbor Index Table and the sample's centroid ids — so the rewrites,
   the executors and the arena planner's liveness follow one dataflow;
-* heads, skip concats, global pooling and stage coordinates are
-  first-class IR nodes (``head`` / ``concat`` / ``global_max`` /
-  ``coords`` / ``lift`` / ``select``), and a feature-propagation step
-  is a coordinate ``search``, an ``interpolate``, a ``concat`` and a
-  ``head``;
+* an MLP outside a module — a head or an embedding — is a chain of
+  ``matmul`` nodes, one per Linear, exactly like a region's MLP; its
+  nodes carry ``attrs["ref"]`` (the head) in place of ``module``, so
+  no strategy rewrite touches them.  Skip concats, global pooling and
+  stage coordinates are first-class IR nodes too (``concat`` /
+  ``global_max`` / ``coords`` / ``lift`` / ``select``), and a
+  feature-propagation step is a coordinate ``search``, an
+  ``interpolate``, a ``concat`` and the FP MLP's ``matmul`` chain;
 * the standard pass pipeline (:data:`repro.graph.passes.PIPELINES`)
   then runs over the *full* graph — delayed/limited rewrite every
   module region and DCE drops genuinely dead skip branches and unused
@@ -41,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from ..neural.layers import segment_layers
 from .ir import Graph
 from .passes import run_pipeline
 
@@ -128,13 +132,28 @@ class NetworkGraph:
         """Number of operator nodes in the whole-network graph."""
         return len(self.graph)
 
+    @staticmethod
+    def mlp_ref(node):
+        """The ref whose MLP a ``matmul`` / ``epilogue`` node runs a layer
+        of: its region's module, else its head."""
+        attrs = node.attrs
+        return attrs["module"] if "module" in attrs else attrs["ref"]
+
+    def segment(self, node):
+        """The layers a ``matmul`` / ``epilogue`` node runs: segment
+        ``attrs["layer"]`` of its MLP (:func:`segment_layers`)."""
+        attrs = node.attrs
+        if "module" in attrs:
+            mlp = self.refs[attrs["module"]].mlp
+        else:
+            mlp = self.refs[attrs["ref"]]
+        return segment_layers(mlp.export_layers())[attrs["layer"]]
+
 
 def _width(node):
     """The feature width of the rows ``node`` produces."""
     attrs = node.attrs
-    if "dims" in attrs:  # a head: its last layer's width
-        return attrs["dims"][-1]
-    return attrs.get("feature_dim", attrs.get("dim"))
+    return attrs.get("out_dim", attrs.get("feature_dim", attrs.get("dim")))
 
 
 class NetworkGraphBuilder:
@@ -254,26 +273,33 @@ class NetworkGraphBuilder:
     def head(self, head, feats, rows, label="head"):
         """An MLP head / embedding over flat feature rows.
 
-        ``head`` is any callable module with a ``dims`` width list
+        ``head`` is any module with a ``dims`` width list and an
+        ``export_layers()`` layer list
         (:class:`~repro.networks.base.FCHead`,
         :class:`~repro.neural.SharedMLP`); ``rows`` the per-cloud row
-        count the trace reports.
+        count the trace reports.  Emits one ``matmul`` node per Linear,
+        each running its layer's segment — the Linear and its
+        BatchNorm / ReLU / Dropout tail — as a region's matmuls do.
+        Returns the last node's id.
         """
-        return self.graph.add(
-            "head", inputs=(feats,),
-            attrs={"ref": self._ref(head), "rows": rows,
-                   "dims": tuple(head.dims), "label": label},
-            phase="F",
-        ).id
+        ref, out = self._ref(head), feats
+        for i, (a, b) in enumerate(zip(head.dims[:-1], head.dims[1:])):
+            out = self.graph.add(
+                "matmul", inputs=(out,),
+                attrs={"ref": ref, "layer": i, "rows": rows, "in_dim": a,
+                       "out_dim": b, "label": label},
+                phase="F",
+            ).id
+        return out
 
     def propagate(self, fp, fine_coords, fine_feats, coarse_coords,
                   coarse_feats):
         """One feature-propagation (decoder/upsampling) step.
 
-        Four nodes: a coordinate-space ``search`` of each fine point's
-        nearest coarse points, with their distances; ``interpolate``, the
+        A coordinate-space ``search`` of each fine point's nearest
+        coarse points, with their distances; ``interpolate``, the
         inverse-distance weighted sum of the coarse features; the skip
-        ``concat``; and the FP MLP as a ``head``.  The search and the
+        ``concat``; and the FP MLP as a :meth:`head`.  The search and the
         concat are untraced, so the lowered trace is the
         ``three_interpolate`` kernel — over the k it searches and the
         coarse width it gathers — plus the MLP's matmuls.

@@ -187,20 +187,21 @@ class SoC:
 
     # -- simulation -----------------------------------------------------------
 
-    def simulate(self, network, config):
+    def simulate(self, network, config, nits=None):
         """Run ``network`` on ``config``; returns an :class:`SoCResult`.
 
         For AU-enabled configs, each module's AU pass gathers from the
-        NIT the module's own search writes (:func:`network_nits` under
-        the config's strategy).
+        NIT the module's own search writes: ``nits``, the
+        :func:`network_nits` of ``network`` under the config's strategy,
+        built here unless a caller that simulates it more than once
+        hands it in.
         """
         if isinstance(config, str):
             config = CONFIGS[config]
-        nits = network_nits(network, config.strategy) if config.use_au else {}
-        return self._simulate(network, config, nits)
-
-    def _simulate(self, network, config, nits):
-        """:meth:`simulate` over precomputed ``nits`` (``{}`` without AU)."""
+        if not config.use_au:
+            nits = {}
+        elif nits is None:
+            nits = network_nits(network, config.strategy)
         trace = network.trace(config.strategy)
 
         phase_times = {p: 0.0 for p in "NAFO"}
@@ -288,7 +289,6 @@ class SoC:
             config = CONFIGS[name] if isinstance(name, str) else name
             if config.use_au and config.strategy not in nits:
                 nits[config.strategy] = network_nits(network, config.strategy)
-            results[name] = self._simulate(
-                network, config,
-                nits[config.strategy] if config.use_au else {})
+            results[name] = self.simulate(network, config,
+                                          nits.get(config.strategy))
         return results

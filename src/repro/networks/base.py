@@ -98,8 +98,9 @@ class FeaturePropagation(Module):
     holds that configuration and the MLP's weights:
     :meth:`~repro.graph.network.NetworkGraphBuilder.propagate` builds a
     level as IR nodes — coordinate ``search`` (N), ``interpolate`` (O),
-    skip ``concat`` and the MLP as a ``head`` (F) — which every
-    executor runs like any other node.  No strategy rewrites them.
+    skip ``concat`` and the MLP as a chain of ``matmul`` nodes (F) —
+    which every executor runs like any other node.  No strategy rewrites
+    them.
     """
 
     K = 3

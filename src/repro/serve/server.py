@@ -185,8 +185,9 @@ class Server:
         The convenience constructor the CLI uses: each network gets its
         own :class:`~repro.engine.runner.BatchRunner`, whose kernel
         program on ``backend`` (float64 by default, or float32) compiles
-        here, in process.  Every request runs exactly ``strategy`` on
-        ``backend``.
+        in process on the runner's first run — so a server's first
+        request to each network pays its compile, not this constructor.
+        Every request runs exactly ``strategy`` on ``backend``.
 
         ``cache`` plugs one
         :class:`~repro.engine.cache.NeighborIndexCache` (it is

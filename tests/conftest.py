@@ -227,3 +227,53 @@ def reference_module_emission(spec, strategy, trace):
             ReduceMaxOp("F", name, n_centroids=n_out, k=k, feature_dim=dims[-1])
         )
     return trace
+
+
+def _shape(value):
+    """A graph value's shape; a decoder search's is its NIT rows'."""
+    return (value[0] if isinstance(value, tuple) else value).shape
+
+
+def assert_values_match_attrs(ngraph, values, batch):
+    """Every node's value from an interpreter run over ``batch`` clouds
+    has the shape its attrs declare — the sizes the trace lowering reads
+    — so the lowered trace describes the operators that actually ran.
+
+    ``values`` is :attr:`repro.graph.GraphExecutor.values` after
+    ``run_network``: it must hold every node of the graph.
+    """
+    assert set(values) == {node.id for node in ngraph.graph}
+    for node in ngraph.graph:
+        a, kind = node.attrs, node.kind
+        shape = _shape(values[node.id])
+        ins = [_shape(values[i]) for i in node.inputs]
+        where = f"{ngraph.network} [{ngraph.strategy}] %{node.id} {kind}"
+        if kind == "sample":
+            assert ins[0][1] == a["n_points"], where
+            assert shape == (a["n_samples"],), where
+        elif kind == "search":
+            assert ins[0][-1] == a["dim"], where
+            assert int(np.prod(ins[0][:-1])) == batch * a["n_points"], where
+            assert shape == (batch * a["n_queries"], a["k"]), where
+        elif kind == "aggregate":
+            rows = a["n_centroids"] * (1 if a["reduce"] else a["k"])
+            assert ins[0] == (batch * a["table_rows"], a["dim"]), where
+            assert ins[1] == (batch * a["n_centroids"], a["k"]), where
+            assert shape == (batch * rows, a["dim"]), where
+        elif kind == "matmul":
+            assert ins[0] == (batch * a["rows"], a["in_dim"]), where
+            assert shape == (batch * a["rows"], a["out_dim"]), where
+        elif kind == "reduce_max":
+            assert ins[0] == (batch * a["n_centroids"] * a["k"],
+                              a["feature_dim"]), where
+            assert shape == (batch * a["n_centroids"], a["feature_dim"]), where
+        elif kind == "concat":
+            assert shape == (batch * a["rows"], a["dim"]), where
+        elif kind == "interpolate":
+            assert ins[0] == (batch * a["n_points"], a["k"]), where
+            assert shape == (batch * a["n_points"], a["feature_dim"]), where
+        elif kind == "global_max":
+            assert ins[0] == (batch * a["k"], a["dim"]), where
+            assert shape == (batch, a["dim"]), where
+        elif kind == "epilogue":
+            assert shape == ins[0], where

@@ -26,12 +26,13 @@ from conftest import (
     leaves,
     toy,
 )
-from repro.backend import compile_kernel_program, export_stack
+from repro.backend import compile_kernel_program, export_segment
 from repro.core import STRATEGIES
 from repro.engine import BatchRunner, NeighborIndexCache, ParallelRunner
 from repro.neighbors import neighbor_search
 from repro.networks import ALL_NETWORKS, build_network
 from repro.neural import BatchNorm, Dropout, Linear, ReLU, SharedMLP, Tensor, no_grad
+from repro.neural.layers import segment_layers
 
 
 BATCH_NORM_TOY = "PointNet++ (c) with BatchNorm"
@@ -97,33 +98,76 @@ class TestBackendDtype:
 
 
 class TestParameterExport:
-    def test_stack_packs_linear_bias_relu(self):
+    def test_segment_packs_linear_bias_relu(self):
         mlp = SharedMLP([3, 8, 4], rng=np.random.default_rng(0))
-        stack = export_stack(mlp.export_layers(), np.float32)
-        assert len(stack) == 2
-        (linear, relu) = stack[0]
+        segments = segment_layers(mlp.export_layers())
+        assert len(segments) == 2
+        (linear, relu) = export_segment(segments[0], np.float32)
         assert linear[0] == "linear" and relu == ("relu",)
         assert linear[1].dtype == np.float32 and linear[2].dtype == np.float32
 
     def test_float64_export_shares_parameter_memory(self):
         mlp = SharedMLP([3, 8], rng=np.random.default_rng(0))
-        stack = export_stack(mlp.export_layers(), np.float64)
-        assert stack[0][0][1] is mlp.linear_layers()[0].weight.data
+        ops = export_segment(mlp.export_layers(), np.float64)
+        assert ops[0][1] is mlp.linear_layers()[0].weight.data
 
     def test_training_batchnorm_and_dropout_rejected(self):
         layers = [Linear(3, 4), BatchNorm(4), ReLU()]
         with pytest.raises(ValueError, match="eval"):
-            export_stack(layers, np.float64)
+            export_segment(layers, np.float64)
         for layer in layers:
             layer.training = False
-        stack = export_stack(layers, np.float64)
-        assert [op[0] for op in stack[0]] == ["linear", "bn", "relu"]
+        ops = export_segment(layers, np.float64)
+        assert [op[0] for op in ops] == ["linear", "bn", "relu"]
 
         dropped = [Linear(3, 4), ReLU(), Dropout(0.5)]
         with pytest.raises(ValueError, match="Dropout"):
-            export_stack(dropped, np.float64)
+            export_segment(dropped, np.float64)
         dropped[2].training = False
-        assert export_stack(dropped, np.float64)
+        assert [op[0] for op in export_segment(dropped, np.float64)] \
+            == ["linear", "relu"]
+
+
+class TestHeads:
+    """A head is a chain of ``matmul`` nodes, compiled like a module's."""
+
+    @pytest.mark.parametrize("name", ["DGCNN (c)", "LDGCNN", "PointNet++ (s)"])
+    def test_each_head_folds_into_one_chain_kernel(self, name):
+        # DGCNN's and LDGCNN's one-layer embeds, their classifiers, and
+        # PointNet++ (s)'s decoder MLPs.
+        program = compile_kernel_program(toy(name), "delayed")
+        labels = set(program.kernel_labels)
+        heads = {}
+        for node in program.ngraph.graph:
+            if node.kind == "matmul" and "ref" in node.attrs:
+                heads.setdefault(node.attrs["ref"], []).append(node.id)
+        assert heads
+        for ids in heads.values():
+            assert [f"matmul:{i}" in labels for i in ids] \
+                == [True] + [False] * (len(ids) - 1)
+
+    @staticmethod
+    def dropout_net():
+        """PointNet++ (c) whose classifier has a Dropout after each
+        hidden layer."""
+        net = build_network("PointNet++ (c)", scale=0.125, dropout=0.5,
+                            rng=np.random.default_rng(2))
+        assert any(isinstance(layer, Dropout)
+                   for layer in net.head.export_layers())
+        return net
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_dropout_head_in_eval_mode_equals_interpreter(self, strategy):
+        net = self.dropout_net().eval()
+        clouds = clouds_for(net, 2, seed=1)
+        out = compile_kernel_program(net, strategy).run(clouds)
+        assert np.array_equal(out.data, interpret(net, clouds, strategy))
+
+    def test_dropout_head_in_training_mode_is_not_compiled(self):
+        net = self.dropout_net()
+        assert net.training
+        with pytest.raises(ValueError, match="Dropout"):
+            compile_kernel_program(net, "delayed")
 
 
 @pytest.fixture(scope="module")

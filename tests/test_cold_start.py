@@ -51,8 +51,8 @@ TIMEOUT = 120.0
 #: ``repro.neural`` lost ``stack`` with the Tensor surface only its own
 #: tests read.
 FRONT_DOORS = [
-    ("repro", 12), ("repro.backend", 13), ("repro.core", 8),
-    ("repro.data", 16), ("repro.engine", 5), ("repro.graph", 17),
+    ("repro", 12), ("repro.backend", 12), ("repro.core", 8),
+    ("repro.data", 16), ("repro.engine", 5), ("repro.graph", 16),
     ("repro.hw", 23), ("repro.neighbors", 8), ("repro.networks", 25),
     ("repro.neural", 16), ("repro.profiling", 23), ("repro.serve", 14),
 ]

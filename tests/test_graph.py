@@ -5,14 +5,18 @@ property."""
 import numpy as np
 import pytest
 
-from conftest import reference_module_emission, reference_module_forward, toy
+from conftest import (
+    assert_values_match_attrs,
+    reference_module_emission,
+    reference_module_forward,
+    toy,
+)
 from repro.core import ModuleSpec, PointCloudModule
 from repro.engine import BatchRunner, NeighborIndexCache
 from repro.graph import (
     Graph,
     GraphExecutor,
     Node,
-    OpRecorder,
     dead_code_elimination,
     delay_aggregation,
     format_graph,
@@ -21,15 +25,7 @@ from repro.graph import (
 )
 from repro.networks import ALL_NETWORKS, build_network
 from repro.neural import Tensor, no_grad
-from repro.profiling.trace import (
-    GatherOp,
-    MatMulOp,
-    NeighborSearchOp,
-    ReduceMaxOp,
-    SampleOp,
-    SubtractOp,
-    Trace,
-)
+from repro.profiling.trace import Trace
 
 SPEC = ModuleSpec("m1", n_in=64, n_out=32, k=8, mlp_dims=(3, 16, 24))
 FEATURE_SPEC = ModuleSpec("edge", n_in=48, n_out=48, k=6, mlp_dims=(16, 32),
@@ -406,35 +402,25 @@ class TestExecutors:
         )
         assert defined == ["GraphExecutor"]
 
-    def test_recorder_captures_fused_constituents(self):
+    def test_values_hold_every_node_of_a_run(self):
         rng = np.random.default_rng(4)
         coords = rng.normal(size=(SPEC.n_in, 3))
         mod = PointCloudModule(SPEC)
-        rec = OpRecorder()
-        GraphExecutor(recorder=rec).run_network(
-            mod.network_graph("delayed"), mod, coords[None],
-            features=Tensor(coords.copy()),
-        )
-        kinds = [r["kind"] for r in rec.records]
-        assert kinds == ["sample", "matmul", "matmul", "search", "gather",
-                         "reduce_max", "subtract"]
+        executor = GraphExecutor()
+        ngraph = mod.network_graph("delayed")
+        out = executor.run_network(ngraph, mod, coords[None],
+                                   features=Tensor(coords.copy()))
+        assert list(executor.values) == [n.id for n in ngraph.graph]
+        assert [n.kind for n in ngraph.graph] == [
+            "coords", "input", "sample", "matmul", "matmul", "search",
+            "aggregate"]
+        assert executor.values[ngraph.outputs[0].node] is out
 
 
 class TestTraceExecutionConsistency:
-    """The lowered Trace op shapes must match the ops actually executed."""
-
-    FIELD_MAP = {
-        SampleOp: ("n_points", "n_samples"),
-        NeighborSearchOp: ("n_queries", "n_points", "k", "dim"),
-        GatherOp: ("n_centroids", "k", "feature_dim", "table_rows"),
-        SubtractOp: ("rows", "dim"),
-        MatMulOp: ("rows", "in_dim", "out_dim"),
-        ReduceMaxOp: ("n_centroids", "k", "feature_dim"),
-    }
-    KIND_MAP = {
-        SampleOp: "sample", NeighborSearchOp: "search", GatherOp: "gather",
-        SubtractOp: "subtract", MatMulOp: "matmul", ReduceMaxOp: "reduce_max",
-    }
+    """The lowered Trace op shapes must match the ops actually executed:
+    every value a module run alone computes has the shape its node's
+    attrs — what the lowering reads — declare."""
 
     @pytest.mark.parametrize("name", ["PointNet++ (c)", "DGCNN (c)"])
     @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -444,27 +430,12 @@ class TestTraceExecutionConsistency:
         coords = rng.normal(size=(net.n_points, 3))
         feats = Tensor(coords.copy())
         for module in net.encoder:
-            recorder = OpRecorder()
-            executor = GraphExecutor(recorder=recorder)
-            feats = executor.run_network(module.network_graph(strategy),
-                                         module, coords[None], features=feats)
-            trace = module.trace(strategy)
-            executed = list(recorder.records)
-            if not trace.by_type(SampleOp):
-                # The trace omits the degenerate every-point "sampling";
-                # the executor still evaluates the node.
-                executed = [r for r in executed if r["kind"] != "sample"]
-            assert len(executed) == len(trace)
-            for record, op in zip(executed, trace):
-                assert record["kind"] == self.KIND_MAP[type(op)]
-                for field in self.FIELD_MAP[type(op)]:
-                    assert record[field] == getattr(op, field), (
-                        f"{module.spec.name} [{strategy}] "
-                        f"{record['kind']}.{field}: executed "
-                        f"{record[field]} vs traced {getattr(op, field)}"
-                    )
-            region = module.network_graph(strategy).regions[0]
-            coords = coords[executor.values[region.sample]]
+            ngraph = module.network_graph(strategy)
+            executor = GraphExecutor()
+            feats = executor.run_network(ngraph, module, coords[None],
+                                         features=feats)
+            assert_values_match_attrs(ngraph, executor.values, batch=1)
+            coords = coords[executor.values[ngraph.regions[0].sample]]
 
 
 class TestBatchedNetworkCoverage:

@@ -9,6 +9,7 @@ import pytest
 from conftest import (
     CHUNK_EDGE_TOYS,
     assert_bit_exact,
+    assert_values_match_attrs,
     cloud_for,
     clouds_for,
     reference_module_emission,
@@ -17,8 +18,8 @@ from conftest import (
 )
 from repro.core import STRATEGIES, ModuleSpec, PointCloudModule
 from repro.graph import (
+    KINDS,
     GraphExecutor,
-    OpRecorder,
     build_network_graph,
     format_graph,
 )
@@ -26,13 +27,9 @@ from repro.networks import ALL_NETWORKS, FCHead, PointCloudNetwork, build_networ
 from repro.neural import Tensor, no_grad
 from repro.profiling.trace import (
     ConcatOp,
-    GatherOp,
     InterpolateOp,
     MatMulOp,
-    NeighborSearchOp,
     ReduceMaxOp,
-    SampleOp,
-    SubtractOp,
     Trace,
 )
 
@@ -52,6 +49,16 @@ class TestBuild:
         tagged = {n.attrs.get("module") for n in ngraph.graph
                   if "module" in n.attrs}
         assert len(tagged) == expected_modules
+
+    def test_kinds_lists_no_dead_kind(self):
+        # The seven networks under every strategy, plus a module run
+        # alone — the only graph with an ``input`` node — use every kind.
+        used = {node.kind
+                for name in ALL_NETWORKS for strategy in STRATEGIES
+                for node in toy(name).network_graph(strategy).graph}
+        module = toy("PointNet++ (c)").encoder[0]
+        used |= {node.kind for node in module.network_graph("delayed").graph}
+        assert used == set(KINDS)
 
     def test_network_graph_is_memoized_per_strategy(self):
         net = toy("PointNet++ (c)")
@@ -197,77 +204,19 @@ class TestExecutionEquivalence:
 
 class TestTraceConsistency:
     """Executed op shapes equal the lowered network-trace op shapes —
-    the PR 2 property, now spanning heads, decoders and skip glue."""
-
-    def expand(self, record):
-        """One executed record -> its lowered trace-op equivalents."""
-        kind = record["kind"]
-        if kind == "sample":
-            if record["n_samples"] == record["n_points"]:
-                return []  # degenerate sampling is never traced
-            return [("sample", record["n_points"], record["n_samples"])]
-        if kind == "search":
-            return [("search", record["n_queries"], record["n_points"],
-                     record["k"], record["dim"])]
-        if kind == "gather":
-            return [("gather", record["n_centroids"], record["k"],
-                     record["feature_dim"], record["table_rows"])]
-        if kind == "subtract":
-            return [("subtract", record["rows"], record["dim"])]
-        if kind == "matmul":
-            return [("matmul", record["rows"], record["in_dim"],
-                     record["out_dim"])]
-        if kind == "reduce_max":
-            return [("reduce_max", record["n_centroids"], record["k"],
-                     record["feature_dim"])]
-        if kind == "concat":
-            if not record["traced"]:
-                return []
-            return [("concat", record["rows"], record["dim"])]
-        if kind == "interpolate":
-            return [("interpolate", record["n_points"], record["k"],
-                     record["feature_dim"])]
-        if kind == "head":
-            dims = record["dims"]
-            return [("matmul", record["rows"], a, b)
-                    for a, b in zip(dims[:-1], dims[1:])]
-        if kind == "global_max":
-            return [("reduce_max", 1, record["k"], record["dim"])]
-        raise AssertionError(f"unexpected executed kind {kind!r}")
-
-    def lower(self, op):
-        """One trace op -> the same comparison tuple."""
-        if isinstance(op, SampleOp):
-            return ("sample", op.n_points, op.n_samples)
-        if isinstance(op, NeighborSearchOp):
-            return ("search", op.n_queries, op.n_points, op.k, op.dim)
-        if isinstance(op, GatherOp):
-            return ("gather", op.n_centroids, op.k, op.feature_dim,
-                    op.table_rows)
-        if isinstance(op, SubtractOp):
-            return ("subtract", op.rows, op.dim)
-        if isinstance(op, MatMulOp):
-            return ("matmul", op.rows, op.in_dim, op.out_dim)
-        if isinstance(op, ReduceMaxOp):
-            return ("reduce_max", op.n_centroids, op.k, op.feature_dim)
-        if isinstance(op, ConcatOp):
-            return ("concat", op.rows, op.dim)
-        if isinstance(op, InterpolateOp):
-            return ("interpolate", op.n_points, op.k, op.feature_dim)
-        raise AssertionError(f"unexpected trace op {type(op).__name__}")
+    the PR 2 property, spanning heads, decoders and skip glue: every
+    value a network run computes has the shape its node's attrs, which
+    the lowering reads, declare."""
 
     @pytest.mark.parametrize("name", ALL_NETWORKS)
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_executed_matches_lowered(self, name, strategy):
         net = toy(name)
-        recorder = OpRecorder()
+        ngraph = net.network_graph(strategy)
+        executor = GraphExecutor()
         with no_grad():
-            GraphExecutor(recorder=recorder).run_network(
-                net.network_graph(strategy), net, cloud_for(net, seed=4)[None])
-        executed = [item for record in recorder.records
-                    for item in self.expand(record)]
-        lowered = [self.lower(op) for op in net.trace(strategy)]
-        assert executed == lowered, f"{name} [{strategy}]"
+            executor.run_network(ngraph, net, clouds_for(net, 2, seed=4))
+        assert_values_match_attrs(ngraph, executor.values, batch=2)
 
 
 class TestTraceMatchesLegacyEmission:
