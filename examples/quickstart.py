@@ -1,10 +1,12 @@
 """Quickstart: the delayed-aggregation primitive in five minutes.
 
 Builds one point cloud module (the first module of PointNet++, Fig 3 /
-Fig 8 of the paper), runs it alone (``module(coords, features)``) under
-the original, delayed and limited execution strategies, lowers its
-operator trace from the same graph (``module.trace(strategy)``), and
-shows the three headline effects:
+Fig 8 of the paper) as a one-module network
+(``GenericPointCloudNetwork([spec], head_dims=...)``: the module, a
+global max-pool and a linear classifier), runs it under the original,
+delayed and limited execution strategies, lowers its operator trace
+from the same graph (``net.trace(strategy)``), and shows the three
+headline effects:
 
 1. delayed only approximates original (Equ. 3: the ReLU does not
    distribute over the max; retraining recovers the accuracy), while
@@ -18,39 +20,54 @@ Run:  python examples/quickstart.py
 
 import numpy as np
 
-from repro.core import ModuleSpec, PointCloudModule, relative_error
-from repro.neural import Tensor
+from repro.core import ModuleSpec
+from repro.networks import GenericPointCloudNetwork
+from repro.neural import no_grad
 
 # The paper's example module: 1024 points -> 512 centroids, K=32
-# neighbors, shared MLP [3, 64, 64, 128].
+# neighbors, shared MLP [3, 64, 64, 128]; a 10-class head reads it.
 spec = ModuleSpec(
     "pointnet2_module1", n_in=1024, n_out=512, k=32, mlp_dims=(3, 64, 64, 128)
 )
-module = PointCloudModule(spec, rng=np.random.default_rng(0))
+net = GenericPointCloudNetwork([spec], head_dims=(128, 10),
+                               rng=np.random.default_rng(0))
 
-# A random input cloud; features of the first module are the 3-D coords.
-rng = np.random.default_rng(1)
-coords = rng.normal(size=(1024, 3))
-features = Tensor(coords.copy())
+# A random input cloud; the module's input features are its 3-D coords.
+cloud = np.random.default_rng(1).normal(size=(1024, 3))
 
 # -- 1. Functional comparison ------------------------------------------------
 
-original = module(coords, features, strategy="original")
-delayed = module(coords, features, strategy="delayed")
-limited = module(coords, features, strategy="limited")
+with no_grad():
+    logits = {strategy: net.forward(cloud, strategy=strategy).data
+              for strategy in ("original", "delayed", "limited")}
 
-err_delayed = relative_error(delayed.features.data, original.features.data)
-err_limited = relative_error(limited.features.data, original.features.data)
-print("output shape:                ", original.features.shape)
+
+def relative_error(approx, exact):
+    """Frobenius-norm error of ``approx``, relative to ``exact``."""
+    return np.linalg.norm(approx - exact) / np.linalg.norm(exact)
+
+
+err_delayed = relative_error(logits["delayed"], logits["original"])
+err_limited = relative_error(logits["limited"], logits["original"])
+print("logits shape:                ", logits["original"].shape)
 print(f"delayed vs original error:    {err_delayed:.4f}  (approximate, Equ. 3)")
 print(f"limited vs original error:    {err_limited:.2e}  (exact MVM hoisting)")
+assert err_limited < 1e-12 < err_delayed
 
 # -- 2. Workload comparison ----------------------------------------------------
 
-trace_orig = module.trace("original")
-trace_delayed = module.trace("delayed")
-macs_orig = trace_orig.mlp_macs()
-macs_delayed = trace_delayed.mlp_macs()
+# The module's own records: the head's matmul is not the module's work.
+trace_orig = net.trace("original")
+trace_delayed = net.trace("delayed")
+
+
+def module_macs(trace):
+    return sum(op.macs for op in trace
+               if op.module == spec.name and op.phase == "F")
+
+
+macs_orig = module_macs(trace_orig)
+macs_delayed = module_macs(trace_delayed)
 print(f"\nMLP MACs original:            {macs_orig / 1e6:.1f} M "
       f"(runs over {spec.n_out} x {spec.k} aggregated rows)")
 print(f"MLP MACs delayed:             {macs_delayed / 1e6:.1f} M "

@@ -8,7 +8,6 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "mlp_distributivity_gap": "equivalence",
     "relative_error": "equivalence",
     "STRATEGIES": "module",
-    "ModuleOutput": "module",
     "ModuleSpec": "module",
     "PointCloudModule": "module",
 })

@@ -18,15 +18,9 @@ The module does not hand-write a forward body per strategy: a module
 is a region of a network graph, emitted once in ``original`` order by
 :meth:`repro.graph.network.NetworkGraphBuilder.module`, and the
 ``delayed``/``limited`` orderings are graph-rewrite passes
-(:mod:`repro.graph.passes`).  Run alone, a module is a one-module
-network: :meth:`PointCloudModule.forward` lifts its cloud into a stack
-of one, runs that graph through
-:meth:`repro.graph.executors.GraphExecutor.run_network` with the
-feature table as its input, and unwraps the :class:`ModuleOutput`.
-:meth:`PointCloudModule.trace` lowers the *same* graph to the operator
-trace the profiling analytics and hardware simulators consume (it never
-touches point data, so paper-scale inputs stay cheap), so trace and
-execution cannot drift.
+(:mod:`repro.graph.passes`).  A module runs and traces only as a region
+of a network (:class:`repro.networks.base.PointCloudNetwork`); a module
+on its own is a one-module network.
 """
 
 from __future__ import annotations
@@ -35,14 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..graph.network import NetworkGraphMixin
-from ..neural import SharedMLP, Tensor
-from ..neural.layers import Linear, Module
+from ..neural import SharedMLP
+from ..neural.layers import Module
 
 __all__ = [
     "ModuleSpec",
     "PointCloudModule",
-    "ModuleOutput",
     "STRATEGIES",
 ]
 
@@ -108,48 +100,17 @@ class ModuleSpec:
         return 3 if self.search_space == "coords" else self.in_dim
 
 
-@dataclass
-class ModuleOutput:
-    """What one module run produces.
+class PointCloudModule(Module):
+    """A module's parameters: its :class:`ModuleSpec` and shared MLP.
 
-    :meth:`PointCloudModule.forward` returns it for one cloud:
-    ``coords`` ``(n_out, 3)``, ``features`` an ``(n_out, Mout)`` Tensor,
-    ``indices`` the ``(n_out, k)`` Neighbor Index Table and ``centroids``
-    the ``(n_out,)`` sampled point ids.  ``pft`` holds the Point Feature
-    Table rows (the MLP output per *input* point) when the strategy
-    produced one, else ``None``.
-    """
-
-    coords: np.ndarray
-    features: Tensor
-    indices: np.ndarray
-    centroids: np.ndarray
-    pft: np.ndarray = None
-
-
-class PointCloudModule(NetworkGraphMixin, Module):
-    """Executable module parameterized by a :class:`ModuleSpec`.
-
-    To the graph builder it is a one-module network (``name``,
-    ``n_points`` and ``_build_graph``); ``forward`` interprets that
-    graph under a strategy and ``trace`` lowers it, both memoized per
-    instance by :meth:`network_graph`.
+    It runs and traces only as a region of a network graph
+    (:meth:`~repro.graph.network.NetworkGraphBuilder.module`).
     """
 
     def __init__(self, spec, batch_norm=False, rng=None):
         super().__init__()
         self.spec = spec
         self.mlp = SharedMLP(list(spec.mlp_dims), batch_norm=batch_norm, rng=rng)
-
-    @property
-    def name(self):
-        return self.spec.name
-
-    @property
-    def n_points(self):
-        return self.spec.n_in
-
-    # -- shared steps -------------------------------------------------------
 
     def _sample_centroids(self, n_in):
         """Evenly-strided centroid subset.
@@ -163,66 +124,3 @@ class PointCloudModule(NetworkGraphMixin, Module):
         if self.spec.n_out == n_in:
             return np.arange(n_in)
         return np.linspace(0, n_in - 1, self.spec.n_out).astype(np.int64)
-
-    def _build_graph(self, nb):
-        """The one-module network: the feature table in, one region."""
-        coords, feats = nb.input(features=self.spec.in_dim)
-        nb.output(nb.module(self, coords, feats)[1])
-
-    def network_graph(self, strategy="delayed"):
-        """This module's one-region graph under ``strategy`` (memoized)."""
-        if strategy == "limited" and not isinstance(
-            next(iter(self.mlp.net.layers), None), Linear
-        ):
-            # Checked every call, not just on the memo miss: the MLP's
-            # layer list is mutable after construction.
-            raise TypeError("limited strategy requires a leading Linear layer")
-        return super().network_graph(strategy)
-
-    def forward(self, coords, features, strategy="delayed"):
-        """Run the module over one cloud.
-
-        Parameters
-        ----------
-        coords:
-            (n_in, 3) numpy coordinates, ``n_in`` the spec's.
-        features:
-            (n_in, Min) Tensor of per-point features.
-        strategy:
-            One of :data:`STRATEGIES`.
-
-        The cloud runs through
-        :meth:`~repro.graph.executors.GraphExecutor.run_network` as a
-        stack of one; its :class:`ModuleOutput` is read off the run's
-        :attr:`~repro.graph.executors.GraphExecutor.values` — the
-        region's ``sample`` and ``search`` values and the aggregate's
-        feature table.
-        """
-        spec = self.spec
-        if coords.shape != (spec.n_in, 3):
-            raise ValueError(f"{spec.name} expects {(spec.n_in, 3)} coords, "
-                             f"got {coords.shape}")
-        if features.shape != (spec.n_in, spec.in_dim):
-            raise ValueError(
-                f"{spec.name}: expected features "
-                f"{(spec.n_in, spec.in_dim)}, got {features.shape}"
-            )
-        ngraph = self.network_graph(strategy)
-
-        # Imported here: the interpreter serves training and the test
-        # oracle only, so a server start never loads it.
-        from ..graph.executors import GraphExecutor
-
-        executor = GraphExecutor()
-        out = executor.run_network(ngraph, self, coords[None],
-                                   features=features)
-        values = executor.values
-        region = ngraph.regions[0]
-        centroids = values[region.sample]
-        # The Point Feature Table is the product the aggregate gathers
-        # from; under ``original`` it gathers the input features.
-        table = ngraph.graph.only("aggregate").inputs[0]
-        pft = values[table].data \
-            if ngraph.graph.node(table).kind == "matmul" else None
-        return ModuleOutput(coords[centroids], out, values[region.search],
-                            centroids, pft)

@@ -6,7 +6,6 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "SyntheticFrustum": "kitti",
     "bev_iou": "kitti",
     "box_corners_bev": "kitti",
-    "synthetic_lidar_scene": "kitti",
     "confusion_matrix": "metrics",
     "mean_iou": "metrics",
     "overall_accuracy": "metrics",

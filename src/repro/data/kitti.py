@@ -1,13 +1,8 @@
 """Synthetic stand-in for KITTI frustum detection scenes.
 
-Two generators:
-
-* :class:`SyntheticFrustum` — per-frustum point clouds (object cluster +
-  ground + clutter) with per-point masks and an amodal 3D box label,
-  the F-PointNet training/eval workload.
-* :func:`synthetic_lidar_scene` — a full LiDAR-like sweep with ~130K
-  points, used wherever the paper works at KITTI frame resolution
-  (e.g. the Fig 7 MAC comparison).
+:class:`SyntheticFrustum` generates per-frustum point clouds (object
+cluster + ground + clutter) with per-point masks and an amodal 3D box
+label, the F-PointNet training/eval workload.
 """
 
 from __future__ import annotations
@@ -16,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SyntheticFrustum", "synthetic_lidar_scene", "box_corners_bev",
-           "bev_iou"]
+__all__ = ["SyntheticFrustum", "box_corners_bev", "bev_iou"]
 
 #: Car-like size priors (length, width, height) and their spread.
 _CAR_SIZE = np.array([3.9, 1.6, 1.5])
@@ -117,41 +111,6 @@ class SyntheticFrustum:
         boxes = self.boxes.copy()
         boxes[:, :3] -= centers[:, 0, :]
         return clouds, self.masks, boxes
-
-
-def synthetic_lidar_scene(n_points=130_000, n_objects=20, extent=60.0, seed=0):
-    """A full LiDAR-like sweep at KITTI frame resolution (~130K points).
-
-    Returns (points, labels) where labels are 0 for ground/clutter and
-    1..n_objects for object ids.
-    """
-    rng = np.random.default_rng(seed)
-    n_obj_pts = n_points // 4
-    per_obj = n_obj_pts // max(n_objects, 1)
-    pts, labels = [], []
-    for i in range(n_objects):
-        size = _CAR_SIZE + rng.normal(scale=_SIZE_SPREAD)
-        center = np.array(
-            [rng.uniform(-extent, extent), rng.uniform(-extent, extent),
-             size[2] / 2]
-        )
-        obj = (
-            _sample_box_surface(per_obj, size, rng) @ _rotz(rng.uniform(0, np.pi)).T
-            + center
-        )
-        pts.append(obj)
-        labels.append(np.full(per_obj, i + 1))
-    n_rest = n_points - sum(len(p) for p in pts)
-    # Ground dominates a LiDAR sweep; density falls off with range.
-    r = extent * np.sqrt(rng.uniform(0.01, 1.0, size=n_rest))
-    theta = rng.uniform(0, 2 * np.pi, size=n_rest)
-    ground = np.column_stack(
-        [r * np.cos(theta), r * np.sin(theta),
-         rng.normal(scale=0.05, size=n_rest)]
-    )
-    pts.append(ground)
-    labels.append(np.zeros(n_rest))
-    return np.vstack(pts), np.concatenate(labels).astype(int)
 
 
 def box_corners_bev(box):

@@ -90,8 +90,3 @@ class SyntheticModelNet:
 
     def __len__(self):
         return len(self.train_clouds) + len(self.test_clouds)
-
-    def shuffled_train(self, rng=None):
-        rng = rng or np.random.default_rng(self.seed + 1)
-        order = rng.permutation(len(self.train_clouds))
-        return self.train_clouds[order], self.train_labels[order]

@@ -41,11 +41,6 @@ class BatchResult:
     seconds: float
     cache_stats: dict = field(default_factory=dict)
 
-    @property
-    def clouds_per_second(self):
-        """Throughput of the run (infinite for an unmeasurably short one)."""
-        return self.batch_size / self.seconds if self.seconds > 0 else float("inf")
-
     def per_cloud(self):
         """Split the stacked outputs back into one output per cloud.
 

@@ -9,10 +9,9 @@ resulting cloud-local indices are lifted into the flat row space, and
 every downstream node processes the whole stack as flat rows.  No BLAS
 call mixes clouds: every Linear runs through :func:`per_cloud`, one GEMM
 per cloud, so a cloud gets the same bits alone as at any place in any
-stack.  The single-cloud front doors
-(:meth:`repro.core.module.PointCloudModule.forward`,
-:meth:`repro.networks.base.PointCloudNetwork.forward`) lift with
-``cloud[None]`` and unwrap the result; the executor never looks at
+stack.  The single-cloud front door
+(:meth:`repro.networks.base.PointCloudNetwork.forward`) lifts with
+``cloud[None]`` and unwraps the result; the executor never looks at
 rank.
 
 The interpreter trains and checks; it does not serve.
@@ -25,10 +24,8 @@ node reads exactly its input edges: an ``aggregate`` takes its Neighbor
 Index Table from its ``search`` input and its centroid ids from its
 ``sample`` input, the edges the kernel runtime's arena planner reads
 liveness from.  After a run, :attr:`GraphExecutor.values` maps every
-node id to its value, so a module run alone (a one-module network graph
-whose ``input`` node is the feature table handed to ``run_network``)
-reads its sampled centroids, Neighbor Index Table and Point Feature
-Table there.
+node id to its value, so each module region's sampled centroids,
+Neighbor Index Table and Point Feature Table can be read there.
 """
 
 from __future__ import annotations
@@ -77,20 +74,18 @@ class GraphExecutor:
     stack at all — every other node works on flat rows.
     """
 
-    def run_network(self, ngraph, network, coords, features=None):
+    def run_network(self, ngraph, network, coords):
         """Execute the network graph over a ``(batch, n, 3)`` stack.
 
-        ``features`` is the flat ``(batch * n, C)`` table a graph's
-        ``input`` node reads (a module run alone); networks lift theirs
-        from the coordinates.  Afterwards :attr:`values` maps every node
-        id to its value, in walk order: a module region's sampled
-        centroids (cloud-local) at ``region.sample``, its Neighbor Index
-        Table (flat rows, ``(batch * n_out, k)``) at ``region.search``.
+        Afterwards :attr:`values` maps every node id to its value, in
+        walk order: a module region's sampled centroids (cloud-local)
+        at ``region.sample``, its Neighbor Index Table (flat rows,
+        ``(batch * n_out, k)``) at ``region.search``.
         """
         self._nclouds = coords.shape[0]
         self.values = env = {}
         for node in ngraph.graph:
-            env[node.id] = self._exec(node, env, ngraph, coords, features)
+            env[node.id] = self._exec(node, env, ngraph, coords)
         return self._network_outputs(ngraph, env)
 
     @staticmethod
@@ -98,13 +93,11 @@ class GraphExecutor:
         """First flat feature row of every cloud of the stack, as a column."""
         return (np.arange(batch, dtype=np.int64) * n_in)[:, None]
 
-    def _exec(self, node, env, ngraph, coords, features):
+    def _exec(self, node, env, ngraph, coords):
         """One node's value, from its input edges' values in ``env``."""
         kind, attrs = node.kind, node.attrs
         inputs = [env[i] for i in node.inputs]
         nclouds = self._nclouds
-        if kind == "input":
-            return features
         if kind == "coords":
             if not inputs:
                 return coords

@@ -28,7 +28,6 @@ __all__ = [
 
 #: Node kinds understood by the executors and the trace lowering.
 KINDS = (
-    "input",       # an external per-point feature table (a module run alone)
     "sample",      # centroid sampling (O phase)
     "search",      # neighbor search (N phase); a module-less one is a
                    # decoder's coordinate kNN, handing on its distances

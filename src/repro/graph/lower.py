@@ -8,8 +8,7 @@ Because analytics and execution both derive from the same graph, the
 trace the hardware models consume is consistent with the ops the
 executors run *by construction*.  :func:`lower_network_trace` is the
 one trace entry, behind
-:meth:`repro.graph.network.NetworkGraphMixin.trace`, which networks and
-modules share (a module alone is a one-module network graph).
+:meth:`repro.networks.base.PointCloudNetwork.trace`.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from ..profiling.trace import (
 __all__ = ["lower_network_trace"]
 
 #: Kinds that are bookkeeping, not operators: they lower to no record.
-_UNTRACED = ("input", "epilogue", "coords", "lift", "select", "broadcast")
+_UNTRACED = ("epilogue", "coords", "lift", "select", "broadcast")
 
 
 def lower_network_trace(ngraph, trace):

@@ -26,10 +26,6 @@ ONE :class:`~repro.graph.ir.Graph`:
   module region and DCE drops genuinely dead skip branches and unused
   head inputs network-wide.
 
-A module run alone is a one-module network: its graph is an external
-feature ``input`` and one region
-(:meth:`~repro.core.module.PointCloudModule.forward`).
-
 Because coordinates flow through explicit ``coords`` nodes (derived
 from sampling, never from features), a downstream module's
 sample→search chain depends only on the *sampling* chain of its
@@ -51,7 +47,6 @@ from .passes import run_pipeline
 __all__ = [
     "NetworkGraph",
     "NetworkGraphBuilder",
-    "NetworkGraphMixin",
     "NetworkOutput",
     "NetworkRegion",
     "build_network_graph",
@@ -94,9 +89,9 @@ class NetworkRegion:
     the region's other input from outside itself, ``sample`` and
     ``search`` its centroid-sampling and neighbor-search nodes and
     ``output`` its last node — everything needed to compare the region
-    against :meth:`~repro.core.module.PointCloudModule.forward` run on
-    the same inputs.  Where dead-code elimination kept only a region's
-    sampling chain, ``feats`` and ``search`` are ``None``.
+    against a per-module reference run on the same inputs.  Where
+    dead-code elimination kept only a region's sampling chain,
+    ``feats`` and ``search`` are ``None``.
     """
 
     module: int
@@ -176,22 +171,14 @@ class NetworkGraphBuilder:
 
     # -- inputs and stage plumbing ------------------------------------------
 
-    def input(self, features=None):
-        """The network input: a coords node plus its feature rows.
-
-        The rows are lifted from the coords, or, given a width
-        ``features``, are the caller's feature table — an ``input``
-        node, which is how a module run alone takes its features.
-        """
+    def input(self):
+        """The network input: a coords node plus feature rows lifted
+        from it."""
         n = self.network.n_points
         coords = self.graph.add("coords", attrs={"rows": n, "dim": 3,
                                                  "label": "input"})
-        if features is None:
-            feats = self.graph.add("lift", inputs=(coords.id,),
-                                   attrs={"rows": n, "dim": 3})
-        else:
-            feats = self.graph.add("input", attrs={"rows": n,
-                                                   "dim": features})
+        feats = self.graph.add("lift", inputs=(coords.id,),
+                               attrs={"rows": n, "dim": 3})
         return coords.id, feats.id
 
     def lift(self, coords):
@@ -273,14 +260,11 @@ class NetworkGraphBuilder:
     def head(self, head, feats, rows, label="head"):
         """An MLP head / embedding over flat feature rows.
 
-        ``head`` is any module with a ``dims`` width list and an
-        ``export_layers()`` layer list
-        (:class:`~repro.networks.base.FCHead`,
-        :class:`~repro.neural.SharedMLP`); ``rows`` the per-cloud row
-        count the trace reports.  Emits one ``matmul`` node per Linear,
-        each running its layer's segment — the Linear and its
-        BatchNorm / ReLU / Dropout tail — as a region's matmuls do.
-        Returns the last node's id.
+        ``head`` is a :class:`~repro.neural.SharedMLP`; ``rows`` the
+        per-cloud row count the trace reports.  Emits one ``matmul``
+        node per Linear, each running its layer's segment — the Linear
+        and its BatchNorm / ReLU / Dropout tail — as a region's matmuls
+        do.  Returns the last node's id.
         """
         ref, out = self._ref(head), feats
         for i, (a, b) in enumerate(zip(head.dims[:-1], head.dims[1:])):
@@ -396,37 +380,3 @@ def build_network_graph(network, strategy="delayed"):
     )
     return NetworkGraph(network.name, strategy, graph, tuple(builder.refs),
                         outputs, _collect_regions(graph))
-
-
-class NetworkGraphMixin:
-    """The graph memo and trace door of a model with a ``_build_graph``.
-
-    Networks and modules (a module run alone is a one-module network)
-    both build their graph through :func:`build_network_graph`, memoize
-    it per instance and strategy, and lower that same graph to their
-    operator trace.
-    """
-
-    def network_graph(self, strategy="delayed"):
-        """The whole-network graph under ``strategy`` (memoized)."""
-        # Filled lazily: subclasses attach heads after their base
-        # initializer runs, so nothing is built before the first call.
-        graphs = vars(self).setdefault("_network_graphs", {})
-        cached = graphs.get(strategy)
-        if cached is None:
-            cached = graphs[strategy] = build_network_graph(self, strategy)
-        return cached
-
-    def trace(self, strategy="original"):
-        """Emit the operator trace at this instance's scale.
-
-        Lowered from the same graph the executors run, so analytics and
-        execution cannot drift.  The lowering and :mod:`repro.profiling`
-        load here, with the first trace — executing never imports them.
-        """
-        from ..profiling import Trace
-        from .lower import lower_network_trace
-
-        return lower_network_trace(
-            self.network_graph(strategy), Trace(self.name, strategy)
-        )

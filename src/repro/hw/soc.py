@@ -125,9 +125,6 @@ class SoCResult:
     au_stats: list = field(default_factory=list)
     modules: list = field(default_factory=list)
 
-    def speedup_over(self, other):
-        return other.latency / self.latency
-
     def energy_reduction_over(self, other):
         return 1.0 - self.energy / other.energy
 

@@ -29,11 +29,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import ModuleSpec
-from ..graph.network import NetworkGraphMixin
-from ..neural import Dropout, Linear, Module, ReLU, Sequential
+from ..graph.network import build_network_graph
+from ..neural import Module
 
 __all__ = [
-    "FCHead",
     "FeaturePropagation",
     "PointCloudNetwork",
     "scale_spec",
@@ -61,30 +60,6 @@ def scale_spec(spec, factor):
     return ModuleSpec(
         spec.name, n_in, n_out, k, spec.mlp_dims, search_space=spec.search_space
     )
-
-
-class FCHead(Module):
-    """Fully-connected classification/regression head."""
-
-    def __init__(self, dims, dropout=0.0, rng=None):
-        super().__init__()
-        rng = rng or np.random.default_rng(0)
-        self.dims = list(dims)
-        layers = []
-        for i, (a, b) in enumerate(zip(dims[:-1], dims[1:])):
-            layers.append(Linear(a, b, rng=rng))
-            if i < len(dims) - 2:
-                layers.append(ReLU())
-                if dropout:
-                    layers.append(Dropout(dropout, rng=rng))
-        self.net = Sequential(*layers)
-
-    def forward(self, x):
-        return self.net(x)
-
-    def export_layers(self):
-        """The flat layer list a kernel backend exports parameters from."""
-        return list(self.net.layers)
 
 
 class FeaturePropagation(Module):
@@ -129,7 +104,7 @@ def _only_cloud(ngraph, stacked):
     return unwrap(stacked, ngraph.outputs[0])
 
 
-class PointCloudNetwork(NetworkGraphMixin, Module):
+class PointCloudNetwork(Module):
     """Common driver for the benchmark networks.
 
     Subclasses define ``self.encoder`` (a list of PointCloudModules)
@@ -159,6 +134,30 @@ class PointCloudNetwork(NetworkGraphMixin, Module):
     def _build_graph(self, nb):
         """Emit this network's topology into builder ``nb``."""
         raise NotImplementedError
+
+    def network_graph(self, strategy="delayed"):
+        """The whole-network graph under ``strategy`` (memoized)."""
+        # Filled lazily: subclasses attach heads after their base
+        # initializer runs, so nothing is built before the first call.
+        graphs = vars(self).setdefault("_network_graphs", {})
+        cached = graphs.get(strategy)
+        if cached is None:
+            cached = graphs[strategy] = build_network_graph(self, strategy)
+        return cached
+
+    def trace(self, strategy="original"):
+        """Emit the operator trace at this instance's scale.
+
+        Lowered from the same graph the executors run, so analytics and
+        execution cannot drift.  The lowering and :mod:`repro.profiling`
+        load here, with the first trace — executing never imports them.
+        """
+        from ..graph.lower import lower_network_trace
+        from ..profiling import Trace
+
+        return lower_network_trace(
+            self.network_graph(strategy), Trace(self.name, strategy)
+        )
 
     # -- execution -----------------------------------------------------------
 

@@ -14,7 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import ModuleSpec, PointCloudModule
-from .base import FCHead, PointCloudNetwork, scale_spec
+from ..neural import SharedMLP
+from .base import PointCloudNetwork, scale_spec
 
 __all__ = ["DensePoint"]
 
@@ -62,7 +63,8 @@ class DensePoint(PointCloudNetwork):
         modules = [PointCloudModule(s, rng=rng) for s in specs]
         super().__init__(modules)
         self.num_classes = num_classes
-        self.head = FCHead([512, 256, 128, num_classes], rng=rng)
+        self.head = SharedMLP([512, 256, 128, num_classes],
+                              final_activation=False, rng=rng)
 
     def _build_graph(self, nb):
         coords, feats = nb.input()

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..core import ModuleSpec, PointCloudModule
 from ..neural import SharedMLP
-from .base import FCHead, PointCloudNetwork, scale_spec
+from .base import PointCloudNetwork, scale_spec
 
 __all__ = ["DGCNNClassification", "DGCNNSegmentation"]
 
@@ -61,7 +61,8 @@ class DGCNNClassification(PointCloudNetwork):
         self.num_classes = num_classes
         skip_dim = sum(s.out_dim for s in specs)  # 64+64+128+256 = 512
         self.embed = SharedMLP([skip_dim, 1024], rng=rng)
-        self.head = FCHead([1024, 512, 256, num_classes], rng=rng)
+        self.head = SharedMLP([1024, 512, 256, num_classes],
+                              final_activation=False, rng=rng)
 
     def _build_graph(self, nb):
         coords, feats = nb.input()
@@ -96,7 +97,8 @@ class DGCNNSegmentation(PointCloudNetwork):
         self.num_classes = num_classes
         skip_dim = sum(s.out_dim for s in specs)  # 64+64+64 = 192
         self.embed = SharedMLP([skip_dim, 1024], rng=rng)
-        self.head = FCHead([1024 + skip_dim, 256, 256, 128, num_classes], rng=rng)
+        self.head = SharedMLP([1024 + skip_dim, 256, 256, 128, num_classes],
+                              final_activation=False, rng=rng)
 
     def _build_graph(self, nb):
         coords, feats = nb.input()

@@ -15,7 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import ModuleSpec, PointCloudModule
-from .base import FCHead, FeaturePropagation, PointCloudNetwork, scale_spec
+from ..neural import SharedMLP
+from .base import FeaturePropagation, PointCloudNetwork, scale_spec
 
 __all__ = ["FPointNet"]
 
@@ -55,9 +56,11 @@ class FPointNet(PointCloudNetwork):
         self.fp3 = FeaturePropagation("seg_fp3", n[2], (1024 + 256, 256, 256), rng=rng)
         self.fp2 = FeaturePropagation("seg_fp2", n[1], (256 + 128, 256, 128), rng=rng)
         self.fp1 = FeaturePropagation("seg_fp1", n[0], (128 + 3, 128, 128), rng=rng)
-        self.mask_head = FCHead([128, 64, 2], rng=rng)
+        self.mask_head = SharedMLP([128, 64, 2],
+                                   final_activation=False, rng=rng)
         self.box_encoder = [PointCloudModule(s, rng=rng) for s in box_specs]
-        self.box_head = FCHead([512, 256, BOX_DIM + num_classes], rng=rng)
+        self.box_head = SharedMLP([512, 256, BOX_DIM + num_classes],
+                                  final_activation=False, rng=rng)
         self._box_n_in = box_specs[0].n_in
 
     def _build_graph(self, nb):

@@ -15,7 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import PointCloudModule
-from .base import FCHead, PointCloudNetwork
+from ..neural import SharedMLP
+from .base import PointCloudNetwork
 
 __all__ = ["GenericPointCloudNetwork", "validate_spec_chain"]
 
@@ -89,7 +90,8 @@ class GenericPointCloudNetwork(PointCloudNetwork):
         self.task = task
         self.num_classes = head_dims[-1]
         self.paper_n_points = specs[0].n_in
-        self.head = FCHead(list(head_dims), rng=rng)
+        self.head = SharedMLP(list(head_dims), final_activation=False,
+                              rng=rng)
 
     def _build_graph(self, nb):
         coords, feats = nb.input()

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..core import ModuleSpec, PointCloudModule
 from ..neural import SharedMLP
-from .base import FCHead, PointCloudNetwork, scale_spec
+from .base import PointCloudNetwork, scale_spec
 
 __all__ = ["LDGCNN"]
 
@@ -53,7 +53,8 @@ class LDGCNN(PointCloudNetwork):
         self.num_classes = num_classes
         link_dim = 3 + sum(s.out_dim for s in specs)  # 3+64+64+64+128 = 323
         self.embed = SharedMLP([link_dim, 1024], rng=rng)
-        self.head = FCHead([1024, 512, 256, num_classes], rng=rng)
+        self.head = SharedMLP([1024, 512, 256, num_classes],
+                              final_activation=False, rng=rng)
 
     def _build_graph(self, nb):
         coords, feats = nb.input()

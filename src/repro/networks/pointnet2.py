@@ -12,7 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import ModuleSpec, PointCloudModule
-from .base import FCHead, FeaturePropagation, PointCloudNetwork, scale_spec
+from ..neural import SharedMLP
+from .base import FeaturePropagation, PointCloudNetwork, scale_spec
 
 __all__ = ["PointNet2Classification", "PointNet2Segmentation"]
 
@@ -45,7 +46,9 @@ class PointNet2Classification(PointCloudNetwork):
         modules = [PointCloudModule(s, rng=rng) for s in specs]
         super().__init__(modules)
         self.num_classes = num_classes
-        self.head = FCHead([1024, 512, 256, num_classes], dropout=dropout, rng=rng)
+        self.head = SharedMLP([1024, 512, 256, num_classes],
+                              final_activation=False, dropout=dropout,
+                              rng=rng)
 
     def _build_graph(self, nb):
         # sa3 reduces every cloud to one centroid, so the flat encoder
@@ -75,7 +78,8 @@ class PointNet2Segmentation(PointCloudNetwork):
         self.fp3 = FeaturePropagation("fp3", n[2], (1024 + 256, 256, 256), rng=rng)
         self.fp2 = FeaturePropagation("fp2", n[1], (256 + 128, 256, 128), rng=rng)
         self.fp1 = FeaturePropagation("fp1", n[0], (128 + 3, 128, 128, 128), rng=rng)
-        self.head = FCHead([128, 128, num_classes], rng=rng)
+        self.head = SharedMLP([128, 128, num_classes],
+                              final_activation=False, rng=rng)
 
     def _build_graph(self, nb):
         coords, feats = nb.input()

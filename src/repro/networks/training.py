@@ -40,28 +40,30 @@ class TrainResult:
         return len(self.losses) >= 2 and self.losses[-1] < self.losses[0]
 
 
-def _epoch_order(n, rng):
-    return rng.permutation(n)
-
-
-def train_classifier(net, clouds, labels, epochs=3, lr=1e-3, strategy="delayed",
-                     seed=0):
-    """Train a classification network; returns a :class:`TrainResult`."""
+def _fit(net, n, loss_of, epochs, lr, seed):
+    """Seeded per-cloud Adam over clouds ``0..n-1``: each epoch visits
+    them in a fresh permutation and steps on ``loss_of(i)``."""
     rng = np.random.default_rng(seed)
     opt = Adam(net.parameters(), lr=lr)
     result = TrainResult()
     net.train()
     for _ in range(epochs):
         epoch_loss = 0.0
-        for i in _epoch_order(len(clouds), rng):
+        for i in rng.permutation(n):
             opt.zero_grad()
-            logits = net(clouds[i], strategy=strategy)
-            loss = cross_entropy(logits, [labels[i]])
+            loss = loss_of(i)
             loss.backward()
             opt.step()
             epoch_loss += loss.item()
-        result.losses.append(epoch_loss / len(clouds))
+        result.losses.append(epoch_loss / n)
     return result
+
+
+def train_classifier(net, clouds, labels, epochs=3, lr=1e-3, strategy="delayed",
+                     seed=0):
+    """Train a classification network; returns a :class:`TrainResult`."""
+    return _fit(net, len(clouds), lambda i: cross_entropy(
+        net(clouds[i], strategy=strategy), [labels[i]]), epochs, lr, seed)
 
 
 def evaluate_classifier(net, clouds, labels, strategy="delayed"):
@@ -79,21 +81,8 @@ def evaluate_classifier(net, clouds, labels, strategy="delayed"):
 def train_segmenter(net, clouds, labels, epochs=3, lr=1e-3, strategy="delayed",
                     seed=0):
     """Train a part-segmentation network (per-point cross-entropy)."""
-    rng = np.random.default_rng(seed)
-    opt = Adam(net.parameters(), lr=lr)
-    result = TrainResult()
-    net.train()
-    for _ in range(epochs):
-        epoch_loss = 0.0
-        for i in _epoch_order(len(clouds), rng):
-            opt.zero_grad()
-            logits = net(clouds[i], strategy=strategy)
-            loss = cross_entropy(logits, labels[i])
-            loss.backward()
-            opt.step()
-            epoch_loss += loss.item()
-        result.losses.append(epoch_loss / len(clouds))
-    return result
+    return _fit(net, len(clouds), lambda i: cross_entropy(
+        net(clouds[i], strategy=strategy), labels[i]), epochs, lr, seed)
 
 
 def evaluate_segmenter(net, clouds, labels, num_classes, strategy="delayed"):
@@ -112,25 +101,15 @@ def evaluate_segmenter(net, clouds, labels, num_classes, strategy="delayed"):
 def train_detector(net, clouds, masks, boxes, epochs=3, lr=1e-3,
                    strategy="delayed", seed=0, box_weight=0.1):
     """Train F-PointNet: mask cross-entropy + box regression MSE."""
-    rng = np.random.default_rng(seed)
-    opt = Adam(net.parameters(), lr=lr)
-    result = TrainResult()
-    net.train()
     box_dim = boxes.shape[1]
-    for _ in range(epochs):
-        epoch_loss = 0.0
-        for i in _epoch_order(len(clouds), rng):
-            opt.zero_grad()
-            out = net(clouds[i], strategy=strategy)
-            mask_loss = cross_entropy(out["mask_logits"], masks[i])
-            box_pred = out["box"][(np.array([0]), np.arange(box_dim))]
-            box_loss = mse_loss(box_pred, boxes[i])
-            loss = mask_loss + box_weight * box_loss
-            loss.backward()
-            opt.step()
-            epoch_loss += loss.item()
-        result.losses.append(epoch_loss / len(clouds))
-    return result
+
+    def loss_of(i):
+        out = net(clouds[i], strategy=strategy)
+        mask_loss = cross_entropy(out["mask_logits"], masks[i])
+        box_pred = out["box"][(np.array([0]), np.arange(box_dim))]
+        return mask_loss + box_weight * mse_loss(box_pred, boxes[i])
+
+    return _fit(net, len(clouds), loss_of, epochs, lr, seed)
 
 
 def evaluate_detector(net, clouds, masks, boxes, strategy="delayed"):

@@ -186,11 +186,15 @@ def segment_layers(layers):
     the next one, so it carries the Linear plus its
     BatchNorm/ReLU/Dropout tail.  It is what a graph ``matmul`` node
     ``layer=i`` executes, in the graph interpreter and, exported, in a
-    kernel program.
+    kernel program.  A stack must open with a Linear: a layer before
+    the first one belongs to no segment, so no node would run it.
     """
     layers = list(layers)
     starts = [i for i, layer in enumerate(layers) if isinstance(layer, Linear)]
     if not starts:
         raise TypeError("a layer stack with no Linear layers has no segments")
+    if starts[0]:
+        raise TypeError("a layer stack needs a leading Linear layer, got "
+                        f"{type(layers[0]).__name__} first")
     bounds = starts + [len(layers)]
     return [layers[a:b] for a, b in zip(starts, bounds[1:])]

@@ -4,21 +4,22 @@ A shared MLP applies the same per-point stack of Linear (+ optional
 BatchNorm) + ReLU layers to every row of its input.  In the original
 formulation the rows are aggregated neighbor offsets (K rows per
 centroid); with delayed-aggregation the rows are the raw input points.
-The module itself is agnostic — that choice is made by the caller
-(:mod:`repro.core.module`).
+The module itself is agnostic — that choice is made by the graph a
+network runs it in (:mod:`repro.graph`).  A network's heads and
+embeddings are shared MLPs too, over per-cloud or per-point rows.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .layers import BatchNorm, Linear, Module, ReLU, Sequential
+from .layers import BatchNorm, Dropout, Linear, Module, ReLU, Sequential
 
 __all__ = ["SharedMLP"]
 
 
 class SharedMLP(Module):
-    """Stack of ``Linear -> [BatchNorm] -> ReLU`` layers.
+    """Stack of ``Linear -> [BatchNorm] -> ReLU -> [Dropout]`` layers.
 
     Parameters
     ----------
@@ -31,10 +32,14 @@ class SharedMLP(Module):
         delayed-aggregation relies on (§VII-B).
     final_activation:
         Apply the nonlinearity after the last layer too (the paper's
-        module MLPs do; regression heads typically do not).
+        module MLPs do; classification and regression heads do not).
+    dropout:
+        Drop probability of a ``Dropout`` after every activation; 0
+        adds none.
     """
 
-    def __init__(self, dims, batch_norm=False, final_activation=True, rng=None):
+    def __init__(self, dims, batch_norm=False, final_activation=True,
+                 dropout=0.0, rng=None):
         super().__init__()
         if len(dims) < 2:
             raise ValueError("SharedMLP needs at least input and output widths")
@@ -49,6 +54,8 @@ class SharedMLP(Module):
                 if batch_norm:
                     layers.append(BatchNorm(b))
                 layers.append(ReLU())
+                if dropout:
+                    layers.append(Dropout(dropout, rng=rng))
         self.net = Sequential(*layers)
 
     @property
@@ -62,18 +69,6 @@ class SharedMLP(Module):
     def forward(self, x):
         return self.net(x)
 
-    def linear_layers(self):
-        """The Linear layers in order (used for the limited variant)."""
-        return [l for l in self.net if isinstance(l, Linear)]
-
     def export_layers(self):
         """The flat layer list a kernel backend exports parameters from."""
         return list(self.net.layers)
-
-    def mac_count(self, rows):
-        """Multiply-accumulate operations to process ``rows`` input rows."""
-        return rows * sum(a * b for a, b in zip(self.dims[:-1], self.dims[1:]))
-
-    def layer_output_bytes(self, rows, bytes_per_element=4):
-        """Per-layer activation sizes in bytes (the Fig 10 quantity)."""
-        return [rows * d * bytes_per_element for d in self.dims[1:]]

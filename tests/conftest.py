@@ -1,15 +1,18 @@
 """Helpers the test modules share: toy networks, seeded clouds,
 bit-exact comparison across every output structure, the batched graph
-interpreter every served path is held to, and the independent
-per-module references: the hand-written forward and trace emission.
+interpreter every served path is held to, one-module networks and the
+values their region computes, and the independent per-module
+references: the hand-written forward and trace emission.
 
 Test modules import them by name (``from conftest import toy``).
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.core import ModuleSpec
-from repro.core.module import ModuleOutput
+from repro.graph import GraphExecutor
 from repro.neighbors import knn_brute_force
 from repro.networks import build_network
 from repro.networks.generic import GenericPointCloudNetwork
@@ -96,14 +99,78 @@ def interpret(net, clouds, strategy="delayed"):
     return out.data
 
 
+def one_module_net(spec, rng=None):
+    """A network whose last region is ``spec``'s module, then a 4-class
+    head, as :data:`CHUNK_EDGE_TOYS` are built.
+
+    A spec that does not read the 3-D coordinates (``in_dim != 3``, say
+    a feature-space search) runs second, behind a ``lift`` module that
+    widens the coords to its input width.
+    """
+    specs = [spec]
+    if spec.in_dim != 3:
+        specs.insert(0, ModuleSpec("lift", spec.n_in, spec.n_in,
+                                   min(4, spec.n_in), (3, spec.in_dim)))
+    return GenericPointCloudNetwork(specs, head_dims=(spec.out_dim, 4),
+                                    rng=rng)
+
+
+@dataclass
+class ModuleRun:
+    """What one module computes for one cloud.
+
+    ``coords`` ``(n_out, 3)`` are the sampled centroids' coordinates,
+    ``features`` the ``(n_out, Mout)`` output Tensor, ``indices`` the
+    ``(n_out, k)`` Neighbor Index Table, ``centroids`` the ``(n_out,)``
+    sampled point ids and ``pft`` the Point Feature Table (the table the
+    aggregation gathers from, per *input* point) when the strategy
+    builds one, else ``None``.
+    """
+
+    coords: np.ndarray
+    features: object
+    indices: np.ndarray
+    centroids: np.ndarray
+    pft: np.ndarray = None
+
+
+def region_pft(ngraph, values, region):
+    """The Point Feature Table ``region``'s aggregate gathers, from a
+    run's :attr:`~repro.graph.GraphExecutor.values`: flat rows of the
+    MLP product once it is hoisted, ``None`` under ``original`` (where
+    the aggregate gathers the region's input features)."""
+    table = next(n for n in ngraph.graph if n.kind == "aggregate"
+                 and n.attrs["module"] == region.module).inputs[0]
+    if ngraph.graph.node(table).kind != "matmul":
+        return None
+    return values[table].data
+
+
+def run_module(net, cloud, strategy):
+    """Run ``net`` over one cloud; the last region's inputs and run.
+
+    Returns ``(coords, feats, run)``: the region's ``(n_in, 3)`` input
+    coordinates, its ``(n_in, Min)`` input feature Tensor and its
+    :class:`ModuleRun`.  Gradients flow unless the caller disables them.
+    """
+    ngraph = net.network_graph(strategy)
+    executor = GraphExecutor()
+    executor.run_network(ngraph, net, np.asarray(cloud)[None])
+    values, region = executor.values, ngraph.regions[-1]
+    coords, centroids = values[region.coords][0], values[region.sample]
+    return coords, values[region.feats], ModuleRun(
+        coords[centroids], values[region.output], values[region.search],
+        centroids, region_pft(ngraph, values, region))
+
+
 def reference_module_forward(module, coords, feats, strategy):
     """The pre-IR hand-written module forward over one cloud, kept verbatim.
 
     These are the strategy bodies the operator-graph executor replaced
     in :mod:`repro.core.module`; they survive here as the one
     independent oracle for what a module computes.  The executor is held
-    to them bit for bit, module by module and region by region of every
-    network graph.
+    to them bit for bit, region by region of every network graph.
+    Returns a :class:`ModuleRun`.
     """
     spec = module.spec
     n_in = coords.shape[0]
@@ -119,15 +186,15 @@ def reference_module_forward(module, coords, feats, strategy):
         centroids = feats.gather(centroid_idx).reshape(rows, 1, m_in)
         offsets = (gathered - centroids).reshape(rows * k, m_in)
         transformed = module.mlp(offsets).reshape(rows, k, spec.out_dim)
-        return ModuleOutput(out_coords, transformed.max(axis=1), indices,
-                            centroid_idx, None)
+        return ModuleRun(out_coords, transformed.max(axis=1), indices,
+                         centroid_idx, None)
     if strategy == "delayed":
         pft_tensor = module.mlp(feats)
         gathered = pft_tensor.gather(indices)
         reduced = gathered.max(axis=1)
         out = reduced - pft_tensor.gather(centroid_idx)
-        return ModuleOutput(out_coords, out, indices, centroid_idx,
-                            pft_tensor.data)
+        return ModuleRun(out_coords, out, indices, centroid_idx,
+                         pft_tensor.data)
     layers = module.mlp.net.layers
     first = layers[0]
     hoisted = feats @ first.weight
@@ -143,7 +210,7 @@ def reference_module_forward(module, coords, feats, strategy):
     for layer in layers[1:]:
         out = layer(out)
     transformed = out.reshape(rows, k, spec.out_dim)
-    return ModuleOutput(
+    return ModuleRun(
         out_coords, transformed.max(axis=1), indices, centroid_idx, hoisted.data
     )
 

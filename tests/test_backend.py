@@ -109,7 +109,7 @@ class TestParameterExport:
     def test_float64_export_shares_parameter_memory(self):
         mlp = SharedMLP([3, 8], rng=np.random.default_rng(0))
         ops = export_segment(mlp.export_layers(), np.float64)
-        assert ops[0][1] is mlp.linear_layers()[0].weight.data
+        assert ops[0][1] is mlp.net.layers[0].weight.data
 
     def test_training_batchnorm_and_dropout_rejected(self):
         layers = [Linear(3, 4), BatchNorm(4), ReLU()]

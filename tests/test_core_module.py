@@ -1,12 +1,13 @@
-"""Tests for the delayed-aggregation core: module strategies, trace
-emission, and the distributivity properties of Equ. 2/3."""
+"""Tests for the delayed-aggregation core: module strategies and trace
+emission, each read off a one-module network's region, and the
+distributivity properties of Equ. 2/3."""
 
 import numpy as np
 import pytest
 
+from conftest import one_module_net, run_module
 from repro.core import (
     ModuleSpec,
-    PointCloudModule,
     STRATEGIES,
     linear_distributivity_gap,
     max_subtract_gap,
@@ -14,22 +15,39 @@ from repro.core import (
     relative_error,
 )
 from repro.neural import SharedMLP, Tensor, no_grad
+from repro.neural.layers import Linear, ReLU
 from repro.profiling.trace import (
     GatherOp,
     MatMulOp,
     NeighborSearchOp,
     ReduceMaxOp,
     SubtractOp,
+    Trace,
 )
 
 
-def make_cloud(n=64, seed=0):
-    rng = np.random.default_rng(seed)
-    coords = rng.normal(size=(n, 3))
-    return coords, Tensor(coords.copy())
-
-
 SPEC = ModuleSpec("m1", n_in=64, n_out=32, k=8, mlp_dims=(3, 16, 24))
+
+
+def make_cloud(n=64, seed=0):
+    return np.random.default_rng(seed).normal(size=(n, 3))
+
+
+def module_net(spec=None, seed=0):
+    """A one-module network around ``spec`` (default :data:`SPEC`)."""
+    return one_module_net(spec or SPEC, rng=np.random.default_rng(seed))
+
+
+def run(net, cloud, strategy="delayed"):
+    """The module region's :class:`~conftest.ModuleRun` for one cloud."""
+    return run_module(net, cloud, strategy)[2]
+
+
+def module_trace(spec, strategy):
+    """The records of ``spec``'s region in its one-module network's trace."""
+    trace = module_net(spec).trace(strategy)
+    return Trace(spec.name, strategy,
+                 [op for op in trace if op.module == spec.name])
 
 
 class TestModuleSpec:
@@ -61,13 +79,12 @@ class TestModuleSpec:
         assert feat.search_dim == 64
 
 
-class TestModuleOutput:
+class TestModuleRun:
     """The Neighbor Index Table and Point Feature Table as plain arrays."""
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_indices_index_the_input_cloud(self, strategy):
-        coords, feats = make_cloud(seed=6)
-        out = PointCloudModule(SPEC)(coords, feats, strategy=strategy)
+        out = run(module_net(), make_cloud(seed=6), strategy)
         assert np.issubdtype(out.indices.dtype, np.integer)
         assert out.indices.shape == (32, 8)
         assert out.indices.min() >= 0 and out.indices.max() < 64
@@ -79,31 +96,26 @@ class TestModuleOutput:
             assert centroid in row
 
     def test_neighbor_table_does_not_depend_on_strategy(self):
-        coords, feats = make_cloud(seed=7)
-        mod = PointCloudModule(SPEC)
-        outs = [mod(coords, feats, strategy=s) for s in STRATEGIES]
+        cloud, net = make_cloud(seed=7), module_net()
+        outs = [run(net, cloud, s) for s in STRATEGIES]
         for out in outs[1:]:
             np.testing.assert_array_equal(out.indices, outs[0].indices)
             np.testing.assert_array_equal(out.centroids, outs[0].centroids)
 
     def test_original_keeps_no_pft(self):
-        coords, feats = make_cloud()
-        assert PointCloudModule(SPEC)(coords, feats,
-                                      strategy="original").pft is None
+        assert run(module_net(), make_cloud(), "original").pft is None
 
     def test_delayed_pft_is_the_mlp_over_every_input_point(self):
-        coords, feats = make_cloud(seed=8)
-        mod = PointCloudModule(SPEC, rng=np.random.default_rng(9))
-        out = mod(coords, feats, strategy="delayed")
+        net = module_net(seed=9)
+        _, feats, out = run_module(net, make_cloud(seed=8), "delayed")
         with no_grad():
-            expected = mod.mlp(Tensor(feats.data.copy())).data
+            expected = net.encoder[0].mlp(Tensor(feats.data.copy())).data
         np.testing.assert_allclose(out.pft, expected, rtol=1e-12, atol=1e-12)
 
     def test_delayed_output_is_the_gathered_max_minus_the_centroid_row(self):
         # Equ. 3: gather PFT rows by the NIT, reduce, then subtract the
         # centroid's own row after the reduction.
-        coords, feats = make_cloud(seed=10)
-        out = PointCloudModule(SPEC)(coords, feats, strategy="delayed")
+        out = run(module_net(), make_cloud(seed=10), "delayed")
         expected = (out.pft[out.indices].max(axis=1)
                     - out.pft[out.centroids])
         np.testing.assert_array_equal(out.features.data, expected)
@@ -111,10 +123,9 @@ class TestModuleOutput:
     def test_limited_pft_is_the_first_weight_product(self):
         # Only the bias-free product is hoisted; the bias cancels in the
         # centroid subtraction and is re-added after aggregation.
-        coords, feats = make_cloud(seed=11)
-        mod = PointCloudModule(SPEC, rng=np.random.default_rng(12))
-        out = mod(coords, feats, strategy="limited")
-        weight = mod.mlp.net.layers[0].weight.data
+        net = module_net(seed=12)
+        _, feats, out = run_module(net, make_cloud(seed=11), "limited")
+        weight = net.encoder[0].mlp.net.layers[0].weight.data
         assert out.pft.shape == (64, 16)
         np.testing.assert_allclose(out.pft, feats.data @ weight,
                                    rtol=1e-12, atol=1e-12)
@@ -122,29 +133,26 @@ class TestModuleOutput:
 
 class TestStrategies:
     def test_output_shapes_all_strategies(self):
-        coords, feats = make_cloud()
+        cloud = make_cloud()
         for strategy in STRATEGIES:
-            mod = PointCloudModule(SPEC, rng=np.random.default_rng(1))
-            out = mod(coords, feats, strategy=strategy)
+            out = run(module_net(seed=1), cloud, strategy)
             assert out.coords.shape == (32, 3)
             assert out.features.shape == (32, 24)
             assert out.indices.shape == (32, 8)
-            np.testing.assert_array_equal(out.coords, coords[out.centroids])
+            np.testing.assert_array_equal(out.coords, cloud[out.centroids])
 
     def test_limited_exactly_matches_original(self):
         # Hoisting only the linear MVM is precise (§VII-C).
-        coords, feats = make_cloud(seed=2)
-        mod = PointCloudModule(SPEC, rng=np.random.default_rng(3))
-        orig = mod(coords, feats, strategy="original")
-        ltd = mod(coords, feats, strategy="limited")
+        cloud, net = make_cloud(seed=2), module_net(seed=3)
+        orig = run(net, cloud, "original")
+        ltd = run(net, cloud, "limited")
         np.testing.assert_allclose(ltd.features.data, orig.features.data,
                                    rtol=1e-9, atol=1e-9)
 
     def test_delayed_is_close_but_not_exact(self):
-        coords, feats = make_cloud(seed=4)
-        mod = PointCloudModule(SPEC, rng=np.random.default_rng(5))
-        orig = mod(coords, feats, strategy="original")
-        delayed = mod(coords, feats, strategy="delayed")
+        cloud, net = make_cloud(seed=4), module_net(seed=5)
+        orig = run(net, cloud, "original")
+        delayed = run(net, cloud, "delayed")
         err = relative_error(delayed.features.data, orig.features.data)
         assert err > 0.0        # the ReLU breaks exactness...
         assert err < 1.5        # ...but the result stays in the same regime
@@ -152,83 +160,78 @@ class TestStrategies:
     def test_delayed_exact_for_linear_mlp(self):
         # Without nonlinearity the distribution is precise (Equ. 3).
         spec = ModuleSpec("lin", 32, 16, 4, (3, 8))
-        coords, feats = make_cloud(32, seed=6)
-        mod = PointCloudModule(spec, rng=np.random.default_rng(0))
+        cloud, net = make_cloud(32, seed=6), module_net(spec)
         # Strip the ReLU so the MLP is a pure affine map; the bias adds a
         # constant to every row so it cancels in aggregation subtraction
         # but NOT in max-reduction... use no-bias for exactness.
-        from repro.neural.layers import Linear
-
-        mod.mlp.net.layers = [Linear(3, 8, bias=False, rng=np.random.default_rng(2))]
-        orig = mod(coords, feats, strategy="original")
-        delayed = mod(coords, feats, strategy="delayed")
+        net.encoder[0].mlp.net.layers = [
+            Linear(3, 8, bias=False, rng=np.random.default_rng(2))]
+        orig = run(net, cloud, "original")
+        delayed = run(net, cloud, "delayed")
         np.testing.assert_allclose(delayed.features.data, orig.features.data,
                                    atol=1e-9)
 
     def test_delayed_produces_pft(self):
-        coords, feats = make_cloud()
-        mod = PointCloudModule(SPEC)
-        out = mod(coords, feats, strategy="delayed")
+        out = run(module_net(), make_cloud(), "delayed")
         assert out.pft is not None
         assert out.pft.shape == (64, 24)
 
     def test_feature_space_search(self):
+        # The region reads the 8-wide rows of a module before it.
         spec = ModuleSpec("edge", 32, 32, 4, (8, 16), search_space="features")
-        rng = np.random.default_rng(8)
-        coords = rng.normal(size=(32, 3))
-        feats = Tensor(rng.normal(size=(32, 8)))
-        mod = PointCloudModule(spec)
-        out = mod(coords, feats, strategy="delayed")
+        out = run(module_net(spec), make_cloud(32, seed=8), "delayed")
         assert out.features.shape == (32, 16)
         # With n_out == n_in, every point is its own centroid.
         np.testing.assert_array_equal(out.centroids, np.arange(32))
 
     def test_bad_strategy_rejected(self):
-        coords, feats = make_cloud()
         with pytest.raises(ValueError):
-            PointCloudModule(SPEC)(coords, feats, strategy="eager")
+            module_net().forward(make_cloud(), strategy="eager")
 
     def test_feature_shape_mismatch_rejected(self):
-        coords, _ = make_cloud()
-        with pytest.raises(ValueError):
-            PointCloudModule(SPEC)(coords, Tensor(np.zeros((64, 5))))
+        # The region's input rows are the lifted coords: a cloud whose
+        # rows are not 3-D is refused at the door, single or stacked.
+        net, cloud = module_net(), np.zeros((64, 5))
+        with pytest.raises(ValueError, match=r"expects \(64, 3\) coords"):
+            net.forward(cloud)
+        with pytest.raises(ValueError, match=r"expects \(batch, 64, 3\)"):
+            net.forward_batch(cloud[None])
 
     @pytest.mark.parametrize("n", [16, 63, 65, 200])
     def test_point_count_other_than_the_spec_rejected(self, n):
-        # A module runs at its spec's scale, as networks do.
-        coords, feats = make_cloud(n)
+        # A module runs at its spec's scale, as its network does.
         with pytest.raises(ValueError,
-                           match=r"^m1 expects \(64, 3\) coords, got"):
-            PointCloudModule(SPEC)(coords, feats)
+                           match=r"^custom expects \(64, 3\) coords, got"):
+            module_net().forward(make_cloud(n))
 
-    def test_limited_requires_a_leading_linear(self):
-        # The hoisted product is the first Linear's weight multiply: an
-        # MLP that does not start with one has nothing to hoist.
-        from repro.neural.layers import ReLU
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_an_mlp_without_a_leading_linear_is_not_run(self, strategy):
+        # A layer before the first Linear belongs to no graph node, so
+        # neither the interpreter nor a kernel program may drop it
+        # silently: running or compiling the region raises.
+        from repro.backend import compile_kernel_program
 
-        coords, feats = make_cloud()
-        mod = PointCloudModule(SPEC)
-        mod(coords, feats, strategy="limited")  # memoizes the graph
-        mod.mlp.net.layers = [ReLU(), *mod.mlp.net.layers]
+        net = module_net()
+        cloud = make_cloud()
+        run(net, cloud, strategy)  # memoizes the graph
+        mlp = net.encoder[0].mlp
+        mlp.net.layers = [ReLU(), *mlp.net.layers]
         with pytest.raises(TypeError, match="leading Linear"):
-            mod(coords, feats, strategy="limited")
+            run(net, cloud, strategy)
         with pytest.raises(TypeError, match="leading Linear"):
-            mod.trace("limited")
-        mod(coords, feats, strategy="original")  # other strategies still run
+            compile_kernel_program(net, strategy=strategy)
 
     def test_gradients_flow_through_delayed(self):
-        coords, feats = make_cloud()
-        mod = PointCloudModule(SPEC)
-        out = mod(coords, feats, strategy="delayed")
+        net = module_net()
+        out = run(net, make_cloud(), "delayed")
         (out.features * out.features).sum().backward()
-        assert all(p.grad is not None for p in mod.parameters())
+        assert all(p.grad is not None for p in net.encoder[0].parameters())
 
     def test_gradients_flow_through_original(self):
-        coords, feats = make_cloud()
-        mod = PointCloudModule(SPEC)
-        out = mod(coords, feats, strategy="original")
+        net = module_net()
+        out = run(net, make_cloud(), "original")
         (out.features * out.features).sum().backward()
-        assert all(p.grad is not None for p in mod.parameters())
+        assert all(p.grad is not None for p in net.encoder[0].parameters())
 
 
 class TestStrategyGradients:
@@ -282,14 +285,13 @@ class TestStrategyGradients:
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_module_gradients_match_finite_differences(self, strategy):
-        coords, _ = make_cloud(16, seed=12)
-        mod = PointCloudModule(self.SMALL, rng=np.random.default_rng(13))
+        cloud, net = make_cloud(16, seed=12), module_net(self.SMALL, seed=13)
 
         def loss():
-            out = mod(coords, Tensor(coords.copy()), strategy=strategy)
+            out = run(net, cloud, strategy)
             return (out.features * out.features).sum()
 
-        self.assert_matches(self.analytic_and_numeric(mod, loss))
+        self.assert_matches(self.analytic_and_numeric(net.encoder[0], loss))
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_network_gradients_match_finite_differences(self, strategy):
@@ -299,27 +301,26 @@ class TestStrategyGradients:
                  ModuleSpec("fd2", n_in=8, n_out=4, k=3, mlp_dims=(4, 6))]
         net = GenericPointCloudNetwork(specs, head_dims=(6, 3),
                                        rng=np.random.default_rng(14))
-        coords, _ = make_cloud(16, seed=15)
+        cloud = make_cloud(16, seed=15)
 
         def loss():
-            logits = net.forward(coords, strategy=strategy)
+            logits = net.forward(cloud, strategy=strategy)
             return (logits * logits).sum()
 
         self.assert_matches(self.analytic_and_numeric(net, loss))
 
-    def gradients(self, mod, coords, strategy):
-        mod.zero_grad()
-        out = mod(coords, Tensor(coords.copy()), strategy=strategy)
+    def gradients(self, net, cloud, strategy):
+        net.zero_grad()
+        out = run(net, cloud, strategy)
         (out.features * out.features).sum().backward()
-        return [p.grad.copy() for p in mod.parameters()]
+        return [p.grad.copy() for p in net.encoder[0].parameters()]
 
     def test_limited_gradients_equal_original(self):
         # Hoisting only the linear MVM is precise (§VII-C) — forward to
         # 1e-9 (test_limited_exactly_matches_original), so backward too.
-        coords, _ = make_cloud(16, seed=16)
-        mod = PointCloudModule(self.SMALL, rng=np.random.default_rng(17))
-        for a, b in zip(self.gradients(mod, coords, "original"),
-                        self.gradients(mod, coords, "limited")):
+        cloud, net = make_cloud(16, seed=16), module_net(self.SMALL, seed=17)
+        for a, b in zip(self.gradients(net, cloud, "original"),
+                        self.gradients(net, cloud, "limited")):
             np.testing.assert_allclose(b, a, rtol=1e-9, atol=1e-9)
 
     def test_delayed_gradients_equal_original_for_linear_mlp(self):
@@ -327,15 +328,12 @@ class TestStrategyGradients:
         # cancel under the max) delayed == original exactly (Equ. 3,
         # test_delayed_exact_for_linear_mlp); the gradients must agree
         # to the same 1e-9.
-        from repro.neural.layers import Linear
-
         spec = ModuleSpec("lin", 16, 8, 4, (3, 5))
-        coords, _ = make_cloud(16, seed=18)
-        mod = PointCloudModule(spec, rng=np.random.default_rng(19))
-        mod.mlp.net.layers = [Linear(3, 5, bias=False,
-                                     rng=np.random.default_rng(20))]
-        original = self.gradients(mod, coords, "original")
-        delayed = self.gradients(mod, coords, "delayed")
+        cloud, net = make_cloud(16, seed=18), module_net(spec, seed=19)
+        net.encoder[0].mlp.net.layers = [
+            Linear(3, 5, bias=False, rng=np.random.default_rng(20))]
+        original = self.gradients(net, cloud, "original")
+        delayed = self.gradients(net, cloud, "delayed")
         assert original and np.abs(original[0]).max() > 0
         for a, b in zip(original, delayed):
             np.testing.assert_allclose(b, a, atol=1e-9)
@@ -343,7 +341,7 @@ class TestStrategyGradients:
 
 class TestTraceEmission:
     def _trace(self, strategy):
-        return PointCloudModule(SPEC).trace(strategy)
+        return module_trace(SPEC, strategy)
 
     def test_original_op_sequence(self):
         t = self._trace("original")
@@ -399,14 +397,14 @@ class TestTraceEmission:
         assert delayed.rows == 32  # subtraction after reduction
 
     def test_trace_is_lowered_from_the_forward_graph(self):
-        # One trace door per object, the one networks use: the
-        # module's memoized graph, the one forward runs, lowered.
-        mod = PointCloudModule(SPEC)
-        t = mod.trace("delayed")
-        assert (t.network, t.strategy) == ("m1", "delayed")
+        # One trace door, the network's: its memoized graph, the one
+        # forward runs, lowered.
+        net = module_net()
+        t = net.trace("delayed")
+        assert (t.network, t.strategy) == ("custom", "delayed")
         assert len(t.by_phase("N")) == 1
-        assert mod.trace().strategy == "original"
-        graph = mod.network_graph("delayed").graph
+        assert net.trace().strategy == "original"
+        graph = net.network_graph("delayed").graph
         assert len(t.by_type(MatMulOp)) == len(graph.find("matmul"))
 
 

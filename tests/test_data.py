@@ -17,7 +17,6 @@ from repro.data import (
     normalize_cloud,
     overall_accuracy,
     random_rotation,
-    synthetic_lidar_scene,
 )
 
 
@@ -86,12 +85,6 @@ class TestModelNet:
         with pytest.raises(ValueError):
             SyntheticModelNet(num_classes=1000)
 
-    def test_shuffled_train(self):
-        ds = SyntheticModelNet(num_classes=4, n_points=16)
-        clouds, labels = ds.shuffled_train()
-        assert clouds.shape == ds.train_clouds.shape
-        assert sorted(labels) == sorted(ds.train_labels)
-
 
 class TestShapeNet:
     def test_labels_within_global_space(self):
@@ -149,21 +142,6 @@ class TestFrustum:
         ds = SyntheticFrustum(n_samples=2, n_points=64)
         clouds, _, boxes = ds.normalized()
         np.testing.assert_allclose(clouds.mean(axis=1), 0.0, atol=1e-9)
-
-
-class TestLidarScene:
-    def test_point_count(self):
-        pts, labels = synthetic_lidar_scene(n_points=5000, n_objects=4)
-        assert pts.shape == (5000, 3)
-        assert labels.shape == (5000,)
-
-    def test_object_ids(self):
-        _, labels = synthetic_lidar_scene(n_points=4000, n_objects=5)
-        assert set(np.unique(labels)) == set(range(6))
-
-    def test_ground_dominates(self):
-        _, labels = synthetic_lidar_scene(n_points=10000, n_objects=3)
-        assert (labels == 0).mean() > 0.5
 
 
 class TestMetrics:

@@ -7,11 +7,13 @@ import pytest
 
 from conftest import (
     assert_values_match_attrs,
+    one_module_net,
     reference_module_emission,
     reference_module_forward,
+    run_module,
     toy,
 )
-from repro.core import ModuleSpec, PointCloudModule
+from repro.core import ModuleSpec
 from repro.engine import BatchRunner, NeighborIndexCache
 from repro.graph import (
     Graph,
@@ -40,15 +42,22 @@ def sa1_spec():
 
 
 def region_graph(spec, strategy="original"):
-    """The one-module graph of ``spec`` under ``strategy``; ``original``
-    is the region as emitted (DCE only drops its unread out-coords)."""
-    return PointCloudModule(spec).network_graph(strategy).graph
+    """The graph of ``spec``'s one-module network under ``strategy``:
+    the lifted input, the region, a global max and a one-layer head;
+    ``original`` holds the region as emitted (DCE only drops its unread
+    out-coords)."""
+    return one_module_net(spec).network_graph(strategy).graph
+
+
+def region_matmuls(graph):
+    """The ``matmul`` nodes of the graph's module regions (not its head)."""
+    return [n for n in graph.find("matmul") if "module" in n.attrs]
 
 
 class TestIR:
     def test_validate_rejects_forward_reference(self):
         g = Graph("bad")
-        g.add("input", attrs={"rows": 64, "dim": 3})
+        g.add("coords", attrs={"rows": 64, "dim": 3})
         b = g.add("matmul", inputs=(99,), attrs={})
         g.outputs = (b.id,)
         with pytest.raises(ValueError):
@@ -68,12 +77,13 @@ class TestIR:
     def test_region_is_emitted_in_original_order(self):
         g = region_graph(SPEC)
         kinds = [n.kind for n in g]
-        assert kinds == ["coords", "input", "sample", "search", "aggregate",
-                         "matmul", "matmul", "reduce_max"]
+        assert kinds == ["coords", "lift", "sample", "search", "aggregate",
+                         "matmul", "matmul", "reduce_max", "global_max",
+                         "matmul"]
         assert not any(n.parallelizable for n in g)
         agg = g.only("aggregate")
         assert agg.attrs["reduce"] is False and agg.phase == "A"
-        assert agg.inputs == (g.only("input").id, g.only("search").id,
+        assert agg.inputs == (g.only("lift").id, g.only("search").id,
                               g.only("sample").id)
         assert (agg.attrs["n_centroids"], agg.attrs["k"]) == (32, 8)
         assert (agg.attrs["table_rows"], agg.attrs["dim"]) == (64, 3)
@@ -108,22 +118,23 @@ class TestPasses:
     def test_delay_hoists_matmuls_before_search(self):
         g = delay_aggregation(region_graph(SPEC))
         kinds = [n.kind for n in g]
-        assert kinds == ["coords", "input", "sample", "matmul", "matmul",
-                         "search", "aggregate"]
-        matmuls = g.find("matmul")
+        assert kinds == ["coords", "lift", "sample", "matmul", "matmul",
+                         "search", "aggregate", "global_max", "matmul"]
+        matmuls = region_matmuls(g)
         assert all(m.parallelizable for m in matmuls)
         assert all(m.attrs["rows"] == 64 for m in matmuls)
         assert g.only("search").parallelizable
-        # The module's reduce_max is absorbed: the aggregate reduces.
+        # The module's reduce_max is absorbed: the aggregate reduces,
+        # and what read the region's output reads the aggregate.
         agg = g.only("aggregate")
         assert agg.attrs["reduce"] is True and agg.phase == "A"
         assert agg.inputs[0] == matmuls[-1].id
         assert agg.attrs["dim"] == 24
-        assert g.outputs == (agg.id,)
+        assert g.only("global_max").inputs == (agg.id,)
 
     def test_limit_hoists_only_first_layer(self):
         g = limit_delay(region_graph(SPEC))
-        matmuls = g.find("matmul")
+        matmuls = region_matmuls(g)
         assert matmuls[0].attrs.get("weight_only") is True
         assert matmuls[0].attrs["rows"] == 64 and matmuls[0].parallelizable
         assert matmuls[1].attrs["rows"] == 32 * 8
@@ -156,7 +167,7 @@ class TestPasses:
 
     def test_dce_drops_unreachable_node(self):
         g = region_graph(SPEC).copy()
-        dead = g.add("matmul", inputs=(g.only("input").id,),
+        dead = g.add("matmul", inputs=(g.only("lift").id,),
                      attrs={"layer": 0, "rows": 64, "in_dim": 3,
                             "out_dim": 16}, phase="F")
         assert dead.id in {n.id for n in g}
@@ -169,8 +180,16 @@ class TestPasses:
             run_pipeline(region_graph(SPEC), "eager")
 
     def test_module_graph_is_memoized(self):
-        module = PointCloudModule(SPEC)
-        assert module.network_graph("delayed") is module.network_graph("delayed")
+        # The graph a run reads and a trace lowers is the memo, per
+        # strategy: running does not rebuild it.
+        net = one_module_net(SPEC)
+        graph = net.network_graph("delayed")
+        with no_grad():
+            run_module(net, np.zeros((SPEC.n_in, 3)), "delayed")
+        assert net.network_graph("delayed") is graph
+        assert net.network_graph("original") is not graph
+        assert len(net.trace("delayed").by_phase("N")) == len(
+            graph.graph.find("search"))
 
     def test_strategy_passes_idempotent_but_exclusive(self):
         # Re-applying a pass to its own output is a structural no-op;
@@ -259,18 +278,18 @@ class TestNodeOrder:
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_module_walk_runs_producers_first(self, strategy):
+        # Each PointNet++ (c) module, run as its own one-module network.
         net = build_network("PointNet++ (c)", num_classes=4, scale=0.0625)
-        cloud = np.random.default_rng(8).normal(size=(net.n_points, 3))
-        coords, feats = cloud[None], Tensor(cloud.copy())
-        with no_grad():
-            for module in net.encoder:
-                ngraph = module.network_graph(strategy)
-                executor = GraphExecutor()
-                feats = executor.run_network(ngraph, module, coords,
-                                             features=feats)
-                # ``values`` is filled in walk order.
-                assert_producers_first(ngraph.graph, list(executor.values))
-                coords = coords[:, executor.values[ngraph.regions[0].sample]]
+        for i, module in enumerate(net.encoder):
+            mnet = one_module_net(module.spec)
+            cloud = np.random.default_rng(8 + i).normal(
+                size=(mnet.n_points, 3))
+            ngraph = mnet.network_graph(strategy)
+            executor = GraphExecutor()
+            with no_grad():
+                executor.run_network(ngraph, mnet, cloud[None])
+            # ``values`` is filled in walk order.
+            assert_producers_first(ngraph.graph, list(executor.values))
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_network_walk_runs_producers_first(self, strategy):
@@ -312,26 +331,28 @@ class TestTraceLowering:
     ])
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_module_trace_matches_hand_written_emission(self, spec, strategy):
-        trace = PointCloudModule(spec).trace(strategy)
-        assert (trace.network, trace.strategy) == (spec.name, strategy)
+        trace = one_module_net(spec).trace(strategy)
+        assert trace.strategy == strategy
+        lowered = [op for op in trace if op.module == spec.name]
         reference = reference_module_emission(spec, strategy, Trace())
-        assert list(trace) == list(reference)
+        assert lowered == list(reference)
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
-            PointCloudModule(SPEC).trace("eager")
+            one_module_net(SPEC).trace("eager")
 
 
 class TestExecutors:
     @pytest.mark.parametrize("spec", [SPEC, FEATURE_SPEC])
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_matches_reference_bodies_exactly(self, spec, strategy):
-        rng = np.random.default_rng(0)
-        coords = rng.normal(size=(spec.n_in, 3))
-        feats = Tensor(rng.normal(size=(spec.n_in, spec.in_dim)))
-        mod = PointCloudModule(spec, rng=np.random.default_rng(1))
-        out = mod(coords, feats, strategy=strategy)
-        ref = reference_module_forward(mod, coords, feats, strategy)
+        # FEATURE_SPEC reads the 16-wide rows of a module before it.
+        net = one_module_net(spec, rng=np.random.default_rng(1))
+        cloud = np.random.default_rng(0).normal(size=(spec.n_in, 3))
+        with no_grad():
+            coords, feats, out = run_module(net, cloud, strategy)
+            ref = reference_module_forward(net.encoder[-1], coords, feats,
+                                           strategy)
         np.testing.assert_array_equal(out.features.data, ref.features.data)
         np.testing.assert_array_equal(out.indices, ref.indices)
         np.testing.assert_array_equal(out.centroids, ref.centroids)
@@ -345,46 +366,52 @@ class TestExecutors:
     def test_batched_executor_matches_eager(self, strategy):
         rng = np.random.default_rng(2)
         clouds = rng.normal(size=(3, SPEC.n_in, 3))
-        mod = PointCloudModule(SPEC, rng=np.random.default_rng(3))
-        ngraph = mod.network_graph(strategy)
+        net = one_module_net(SPEC, rng=np.random.default_rng(3))
+        ngraph = net.network_graph(strategy)
+        region = ngraph.regions[0]
         tall = GraphExecutor()
-        batched = tall.run_network(ngraph, mod, clouds,
-                                   features=Tensor(clouds.reshape(-1, 3).copy()))
-        stacked = batched.data.reshape(3, SPEC.n_out, SPEC.out_dim)
-        for b in range(3):
-            one = GraphExecutor()
-            single = one.run_network(ngraph, mod, clouds[b][None],
-                                     features=Tensor(clouds[b].copy()))
-            np.testing.assert_array_equal(stacked[b], single.data)
-            # The NIT's flat rows: cloud b's are its own, lifted by b * n_in.
-            search = ngraph.regions[0].search
-            np.testing.assert_array_equal(
-                tall.values[search][b * SPEC.n_out:(b + 1) * SPEC.n_out],
-                one.values[search] + b * SPEC.n_in)
+        with no_grad():
+            tall.run_network(ngraph, net, clouds)
+            stacked = tall.values[region.output].data.reshape(
+                3, SPEC.n_out, SPEC.out_dim)
+            for b in range(3):
+                one = GraphExecutor()
+                one.run_network(ngraph, net, clouds[b][None])
+                np.testing.assert_array_equal(stacked[b],
+                                              one.values[region.output].data)
+                # The NIT's flat rows: cloud b's are its own, lifted by
+                # b * n_in.
+                np.testing.assert_array_equal(
+                    tall.values[region.search][
+                        b * SPEC.n_out:(b + 1) * SPEC.n_out],
+                    one.values[region.search] + b * SPEC.n_in)
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_forward_is_the_stack_path(self, strategy):
-        rng = np.random.default_rng(8)
-        coords = rng.normal(size=(SPEC.n_in, 3))
-        mod = PointCloudModule(SPEC, rng=np.random.default_rng(9))
-        one = mod(coords, Tensor(coords.copy()), strategy=strategy)
-        executor = GraphExecutor()
-        stack = executor.run_network(mod.network_graph(strategy), mod,
-                                     coords[None],
-                                     features=Tensor(coords.copy()))
-        ngraph = mod.network_graph(strategy)
-        region, values = ngraph.regions[0], executor.values
-        np.testing.assert_array_equal(one.features.data, stack.data)
-        np.testing.assert_array_equal(one.indices, values[region.search])
-        np.testing.assert_array_equal(one.centroids, values[region.sample])
-        np.testing.assert_array_equal(one.coords, coords[one.centroids])
+        # The region values ``run_module`` reads off a stack of one are
+        # the ones ``forward`` computes its logits from: the head over
+        # the global max of the region's output rows.
+        cloud = np.random.default_rng(8).normal(size=(SPEC.n_in, 3))
+        net = one_module_net(SPEC, rng=np.random.default_rng(9))
+        with no_grad():
+            coords, feats, run = run_module(net, cloud, strategy)
+            logits = net.forward(cloud, strategy=strategy)
+            pooled = Tensor(run.features.data.max(axis=0, keepdims=True))
+            np.testing.assert_array_equal(logits.data, net.head(pooled).data)
+        np.testing.assert_array_equal(coords, cloud)
+        np.testing.assert_array_equal(run.coords, cloud[run.centroids])
         if strategy == "original":
-            assert one.pft is None
+            assert run.pft is None
         else:
             # The product the aggregate gathers: the whole MLP once
             # delayed, its first Linear's weight product when limited.
-            table = ngraph.graph.only("aggregate").inputs[0]
-            np.testing.assert_array_equal(one.pft, values[table].data)
+            assert run.pft.shape[0] == SPEC.n_in
+            with no_grad():
+                mlp = net.encoder[0].mlp
+                expected = (mlp(feats).data if strategy == "delayed"
+                            else feats.data @ mlp.net.layers[0].weight.data)
+            np.testing.assert_allclose(run.pft, expected, rtol=1e-12,
+                                       atol=1e-12)
 
     def test_executor_census(self):
         # One arity, one executor: the graph interpreter.  Kernel
@@ -404,38 +431,38 @@ class TestExecutors:
 
     def test_values_hold_every_node_of_a_run(self):
         rng = np.random.default_rng(4)
-        coords = rng.normal(size=(SPEC.n_in, 3))
-        mod = PointCloudModule(SPEC)
+        cloud = rng.normal(size=(SPEC.n_in, 3))
+        net = one_module_net(SPEC)
         executor = GraphExecutor()
-        ngraph = mod.network_graph("delayed")
-        out = executor.run_network(ngraph, mod, coords[None],
-                                   features=Tensor(coords.copy()))
+        ngraph = net.network_graph("delayed")
+        with no_grad():
+            out = executor.run_network(ngraph, net, cloud[None])
         assert list(executor.values) == [n.id for n in ngraph.graph]
         assert [n.kind for n in ngraph.graph] == [
-            "coords", "input", "sample", "matmul", "matmul", "search",
-            "aggregate"]
+            "coords", "lift", "sample", "matmul", "matmul", "search",
+            "aggregate", "global_max", "matmul"]
         assert executor.values[ngraph.outputs[0].node] is out
 
 
 class TestTraceExecutionConsistency:
     """The lowered Trace op shapes must match the ops actually executed:
-    every value a module run alone computes has the shape its node's
-    attrs — what the lowering reads — declare."""
+    every value each module computes, run as a one-module network over
+    one cloud, has the shape its node's attrs — what the lowering
+    reads — declare."""
 
     @pytest.mark.parametrize("name", ["PointNet++ (c)", "DGCNN (c)"])
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_lowered_trace_matches_executed_ops(self, name, strategy):
         net = build_network(name, scale=0.0625, rng=np.random.default_rng(0))
-        rng = np.random.default_rng(5)
-        coords = rng.normal(size=(net.n_points, 3))
-        feats = Tensor(coords.copy())
-        for module in net.encoder:
-            ngraph = module.network_graph(strategy)
+        for i, module in enumerate(net.encoder):
+            mnet = one_module_net(module.spec)
+            cloud = np.random.default_rng(5 + i).normal(
+                size=(mnet.n_points, 3))
+            ngraph = mnet.network_graph(strategy)
             executor = GraphExecutor()
-            feats = executor.run_network(ngraph, module, coords[None],
-                                         features=feats)
+            with no_grad():
+                executor.run_network(ngraph, mnet, cloud[None])
             assert_values_match_attrs(ngraph, executor.values, batch=1)
-            coords = coords[executor.values[ngraph.regions[0].sample]]
 
 
 class TestBatchedNetworkCoverage:

@@ -328,7 +328,7 @@ class TestSoC:
 
     def test_speedup_helpers(self):
         r = self.results["PointNet++ (c)"]
-        assert r["mesorasi_hw"].speedup_over(r["baseline"]) > 1.0
+        assert r["baseline"].latency / r["mesorasi_hw"].latency > 1.0
         assert r["mesorasi_hw"].energy_reduction_over(r["baseline"]) > 0.0
 
     def test_smaller_systolic_array_higher_speedup(self):

@@ -8,6 +8,7 @@ from repro.neural import (
     BatchNorm,
     Dropout,
     Linear,
+    ReLU,
     Sequential,
     SharedMLP,
     Tensor,
@@ -16,6 +17,7 @@ from repro.neural import (
     log_softmax,
     mse_loss,
 )
+from repro.neural.layers import segment_layers
 
 
 class TestLinear:
@@ -104,15 +106,6 @@ class TestSharedMLP:
         out = mlp(x).data
         np.testing.assert_allclose(out[0], out[1])
 
-    def test_mac_count(self):
-        mlp = SharedMLP([3, 64, 64, 128])
-        per_row = 3 * 64 + 64 * 64 + 64 * 128
-        assert mlp.mac_count(10) == 10 * per_row
-
-    def test_layer_output_bytes(self):
-        mlp = SharedMLP([3, 64, 128])
-        assert mlp.layer_output_bytes(100) == [100 * 64 * 4, 100 * 128 * 4]
-
     def test_needs_two_dims(self):
         with pytest.raises(ValueError):
             SharedMLP([3])
@@ -132,10 +125,36 @@ class TestSharedMLP:
         # 2 Linear * (weight+bias) + 2 BatchNorm * (gamma+beta) = 8
         assert len(mlp.parameters()) == 8
 
-    def test_linear_layers_helper(self):
-        mlp = SharedMLP([3, 8, 4])
-        layers = mlp.linear_layers()
-        assert [l.in_dim for l in layers] == [3, 8]
+    def test_dropout_follows_every_activation(self):
+        # A head: no activation after the last Linear, so no Dropout.
+        mlp = SharedMLP([8, 6, 4, 2], final_activation=False, dropout=0.5)
+        kinds = [type(layer).__name__ for layer in mlp.export_layers()]
+        assert kinds == ["Linear", "ReLU", "Dropout", "Linear", "ReLU",
+                         "Dropout", "Linear"]
+        assert all(layer.p == 0.5 for layer in mlp.export_layers()
+                   if isinstance(layer, Dropout))
+        assert not any(isinstance(layer, Dropout) for layer in
+                       SharedMLP([8, 6, 2], dropout=0.0).export_layers())
+
+
+class TestSegmentLayers:
+    def test_one_segment_per_linear_with_its_tail(self):
+        mlp = SharedMLP([3, 8, 4], batch_norm=True)
+        segments = segment_layers(mlp.export_layers())
+        assert [[type(layer).__name__ for layer in seg] for seg in segments] \
+            == [["Linear", "BatchNorm", "ReLU"], ["Linear", "BatchNorm",
+                                                   "ReLU"]]
+
+    def test_a_stack_without_a_leading_linear_is_refused(self):
+        # A layer before the first Linear is in no segment: no graph
+        # node would run it, so the split refuses rather than drop it.
+        layers = SharedMLP([3, 8]).export_layers()
+        with pytest.raises(TypeError, match="leading Linear.*ReLU"):
+            segment_layers([ReLU(), *layers])
+
+    def test_a_stack_without_a_linear_is_refused(self):
+        with pytest.raises(TypeError, match="no Linear"):
+            segment_layers([ReLU()])
 
 
 class TestLosses:

@@ -14,6 +14,7 @@ from conftest import (
     clouds_for,
     reference_module_emission,
     reference_module_forward,
+    region_pft,
     toy,
 )
 from repro.core import STRATEGIES, ModuleSpec, PointCloudModule
@@ -23,8 +24,8 @@ from repro.graph import (
     build_network_graph,
     format_graph,
 )
-from repro.networks import ALL_NETWORKS, FCHead, PointCloudNetwork, build_network
-from repro.neural import Tensor, no_grad
+from repro.networks import ALL_NETWORKS, PointCloudNetwork, build_network
+from repro.neural import SharedMLP, Tensor, no_grad
 from repro.profiling.trace import (
     ConcatOp,
     InterpolateOp,
@@ -51,13 +52,10 @@ class TestBuild:
         assert len(tagged) == expected_modules
 
     def test_kinds_lists_no_dead_kind(self):
-        # The seven networks under every strategy, plus a module run
-        # alone — the only graph with an ``input`` node — use every kind.
+        # The seven networks under every strategy use every kind.
         used = {node.kind
                 for name in ALL_NETWORKS for strategy in STRATEGIES
                 for node in toy(name).network_graph(strategy).graph}
-        module = toy("PointNet++ (c)").encoder[0]
-        used |= {node.kind for node in module.network_graph("delayed").graph}
         assert used == set(KINDS)
 
     def test_network_graph_is_memoized_per_strategy(self):
@@ -107,17 +105,21 @@ class TestExecutionEquivalence:
     def test_every_region_matches_the_reference_bodies(self, name, strategy,
                                                        height):
         # Each region's own inputs, cloud by cloud, go through the pre-IR
-        # strategy bodies; the region's output rows and sampled
-        # centroids must be theirs bit for bit.
+        # strategy bodies; the region's output rows, sampled centroids,
+        # Neighbor Index Table and Point Feature Table (the table its
+        # aggregate gathers, none under ``original``) must be theirs bit
+        # for bit.
         net = toy(name)
         ngraph = net.network_graph(strategy)
         executor = GraphExecutor()
         with no_grad():
             executor.run_network(ngraph, net, clouds_for(net, height, seed=1))
+            values = executor.values
             for region in ngraph.regions:
-                coords = executor.values[region.coords]
-                feats = executor.values[region.feats].data
-                output = executor.values[region.output].data
+                coords = values[region.coords]
+                feats = values[region.feats].data
+                output = values[region.output].data
+                pft = region_pft(ngraph, values, region)
                 n_in = coords.shape[1]
                 n_out = output.shape[0] // height
                 for b in range(height):
@@ -125,11 +127,20 @@ class TestExecutionEquivalence:
                         ngraph.refs[region.module], coords[b],
                         Tensor(feats[b * n_in:(b + 1) * n_in]), strategy,
                     )
+                    where = (region.module, b)
                     assert np.array_equal(
                         output[b * n_out:(b + 1) * n_out], ref.features.data
-                    ), (region.module, b)
-                    assert np.array_equal(executor.values[region.sample],
-                                          ref.centroids)
+                    ), where
+                    assert np.array_equal(values[region.sample],
+                                          ref.centroids), where
+                    assert np.array_equal(
+                        values[region.search][b * n_out:(b + 1) * n_out],
+                        ref.indices + b * n_in), where
+                    if ref.pft is None:
+                        assert pft is None, where
+                    else:
+                        assert np.array_equal(
+                            pft[b * n_in:(b + 1) * n_in], ref.pft), where
 
     @pytest.mark.parametrize("name", ALL_NETWORKS)
     @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -316,7 +327,7 @@ class DeadSkipNetwork(PointCloudNetwork):
         super().__init__([PointCloudModule(s, rng=rng) for s in specs])
         self.include_dead = include_dead
         self.num_classes = 4
-        self.head = FCHead([24, 4], rng=rng)
+        self.head = SharedMLP([24, 4], final_activation=False, rng=rng)
 
     def _build_graph(self, nb):
         coords, feats = nb.input()

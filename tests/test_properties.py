@@ -5,7 +5,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core import ModuleSpec, PointCloudModule, max_subtract_gap
+from conftest import one_module_net, run_module
+from repro.core import ModuleSpec, max_subtract_gap
 from repro.hw import AggregationUnit
 from repro.neighbors import KDTree, knn_brute_force, neighborhood_occupancy
 from repro.neural import Tensor, no_grad
@@ -128,13 +129,16 @@ class TestTraceProperties:
     def test_delayed_never_more_mlp_macs(self, n_in, out_div, k_cap, dims):
         n_out = max(1, n_in // out_div)
         k = min(n_in, k_cap)
-        spec = ModuleSpec("m", n_in, n_out, k, dims)
-        module = PointCloudModule(spec)
-        orig, delayed = module.trace("original"), module.trace("delayed")
+        net = one_module_net(ModuleSpec("m", n_in, n_out, k, dims))
+
+        def mlp_macs(strategy):
+            return sum(op.macs for op in net.trace(strategy)
+                       if op.module == "m" and op.phase == "F")
+
         # Delayed MACs < original exactly when n_in < n_out * k; our
         # networks always satisfy n_in <= n_out * k.
         if n_in <= n_out * k:
-            assert delayed.mlp_macs() <= orig.mlp_macs()
+            assert mlp_macs("delayed") <= mlp_macs("original")
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -145,8 +149,8 @@ class TestTraceProperties:
     def test_trace_phases_complete(self, n_in, k, strategy):
         spec = ModuleSpec("m", n_in, max(1, n_in // 2), min(k, n_in),
                           (3, 8, 16))
-        t = PointCloudModule(spec).trace(strategy)
-        phases = {op.phase for op in t}
+        t = one_module_net(spec).trace(strategy)
+        phases = {op.phase for op in t if op.module == "m"}
         assert {"N", "A", "F"} <= phases
 
 
@@ -200,22 +204,22 @@ module_sizes = st.tuples(
 )
 
 
-def run_module(sizes, strategy, dims=(3, 6, 5)):
+def run_sized(sizes, strategy, dims=(3, 6, 5)):
+    """A sized module's region run, in a one-module network."""
     n_in, out_div, k_cap, seed = sizes
     spec = ModuleSpec("m", n_in, max(1, n_in // out_div), min(n_in, k_cap),
                       dims)
-    rng = np.random.default_rng(seed)
-    coords = rng.normal(size=(n_in, 3))
-    module = PointCloudModule(spec, rng=np.random.default_rng(seed + 1))
+    cloud = np.random.default_rng(seed).normal(size=(n_in, 3))
+    net = one_module_net(spec, rng=np.random.default_rng(seed + 1))
     with no_grad():
-        return spec, module(coords, Tensor(coords.copy()), strategy=strategy)
+        return spec, run_module(net, cloud, strategy)[2]
 
 
-class TestModuleOutputProperties:
+class TestModuleRunProperties:
     @settings(max_examples=30, deadline=None)
     @given(module_sizes, st.sampled_from(["original", "delayed", "limited"]))
     def test_neighbor_table_indexes_the_cloud(self, sizes, strategy):
-        spec, out = run_module(sizes, strategy)
+        spec, out = run_sized(sizes, strategy)
         assert out.indices.shape == (spec.n_out, spec.k)
         assert out.indices.min() >= 0 and out.indices.max() < spec.n_in
         assert np.all(np.diff(out.centroids) > 0)
@@ -226,7 +230,7 @@ class TestModuleOutputProperties:
     @settings(max_examples=30, deadline=None)
     @given(module_sizes)
     def test_delayed_is_the_gathered_max_minus_the_centroid_row(self, sizes):
-        _spec, out = run_module(sizes, "delayed")
+        _spec, out = run_sized(sizes, "delayed")
         expected = out.pft[out.indices].max(axis=1) - out.pft[out.centroids]
         np.testing.assert_array_equal(out.features.data, expected)
 
@@ -234,8 +238,8 @@ class TestModuleOutputProperties:
     @given(module_sizes)
     def test_limited_matches_original(self, sizes):
         # Hoisting only the linear product is exact (§VII-C).
-        _spec, orig = run_module(sizes, "original")
-        _spec, ltd = run_module(sizes, "limited")
+        _spec, orig = run_sized(sizes, "original")
+        _spec, ltd = run_sized(sizes, "limited")
         np.testing.assert_array_equal(ltd.indices, orig.indices)
         np.testing.assert_allclose(ltd.features.data, orig.features.data,
                                    rtol=1e-9, atol=1e-9)
