@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..graph.network import NetworkGraph
 from ..neural.layers import BatchNorm, Dropout, Linear, ReLU
 
 __all__ = [
@@ -142,13 +141,14 @@ class ParameterTable:
     """Every packed segment one compiled program touches, in one table.
 
     Entries are keyed by graph location, ``(ref, layer, variant)``:
-    the graph ref of the MLP a ``matmul`` / ``epilogue`` node runs a
-    layer of (a region's module or a head,
-    :meth:`~repro.graph.network.NetworkGraph.mlp_ref`), the layer, and
-    ``variant`` — ``"full"``, ``"weight_only"`` or ``"epilogue"``,
-    mirroring the node's kind and attributes — so the kernel compiler
-    looks ops up instead of exporting them, and one table answers every
-    lookup any program compiled from the same graph will make.
+    the node's ``attrs["ref"]`` (the index in
+    :attr:`~repro.graph.network.NetworkGraph.refs` of the MLP a
+    ``matmul`` / ``epilogue`` node runs a layer of, a region's or a
+    head's), the layer, and ``variant`` — ``"full"``,
+    ``"weight_only"`` or ``"epilogue"``, mirroring the node's kind and
+    attributes — so the kernel compiler looks ops up instead of
+    exporting them, and one table answers every lookup any program
+    compiled from the same graph will make.
     """
 
     def __init__(self, dtype, entries):
@@ -169,7 +169,7 @@ class ParameterTable:
             variant = "weight_only"
         else:
             variant = "full"
-        return (NetworkGraph.mlp_ref(node), node.attrs["layer"], variant)
+        return (node.attrs["ref"], node.attrs["layer"], variant)
 
     @classmethod
     def for_graph(cls, ngraph, dtype):

@@ -60,6 +60,7 @@ import threading
 
 import numpy as np
 
+from ..core.module import strided_centroids
 from ..neighbors import knn_brute_force
 from .memplan import (
     ArenaPlan,
@@ -274,10 +275,10 @@ class KernelProgram:
     # -- module-region kernels ----------------------------------------------
 
     def _k_sample(self, node):
-        module = self.ngraph.refs[node.attrs["module"]]
         # Sampling is a deterministic function of the static input
         # scale, so the centroid ids are a compile-time constant.
-        local = np.asarray(module._sample_centroids(node.attrs["n_points"]))
+        local = strided_centroids(node.attrs["n_points"],
+                                  node.attrs["n_samples"])
         nid = node.id
 
         def kernel(env, ctx):
@@ -313,18 +314,17 @@ class KernelProgram:
         """Fold a run of consecutive matmul nodes into one chain kernel.
 
         A node joins the chain when it runs a layer of the same MLP (a
-        module region's or a head's: the same
-        :meth:`~repro.graph.network.NetworkGraph.mlp_ref`) and is the
-        sole consumer of its predecessor, so only the final value is
+        module region's or a head's: the same ``attrs["ref"]``) and is
+        the sole consumer of its predecessor, so only the final value is
         externally visible and the intermediates can live entirely in
         the chain's ping-pong buffers.
         """
-        mlp = self.ngraph.mlp_ref(node)
+        ref = node.attrs["ref"]
         chain = [node]
         nodes = graph.nodes
         for follower in nodes[position + 1:]:
             if (follower.kind == "matmul"
-                    and self.ngraph.mlp_ref(follower) == mlp
+                    and follower.attrs["ref"] == ref
                     and follower.inputs == (chain[-1].id,)
                     and len(graph.consumers(chain[-1].id)) == 1):
                 chain.append(follower)

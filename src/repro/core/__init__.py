@@ -10,4 +10,5 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "STRATEGIES": "module",
     "ModuleSpec": "module",
     "PointCloudModule": "module",
+    "strided_centroids": "module",
 })

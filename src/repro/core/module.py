@@ -36,9 +36,25 @@ __all__ = [
     "ModuleSpec",
     "PointCloudModule",
     "STRATEGIES",
+    "strided_centroids",
 ]
 
 STRATEGIES = ("original", "delayed", "limited")
+
+
+def strided_centroids(n_in, n_out):
+    """The ids of ``n_out`` evenly strided centroids among ``n_in`` points.
+
+    The paper's optimized baseline replaces farthest-point sampling
+    with random sampling (§VI); point order in our clouds is already
+    unstructured, so a deterministic stride is an equivalent draw
+    while keeping forward passes reproducible (which stabilizes
+    training and evaluation at toy scale).  A module's draw is a fixed
+    function of its ``n_in`` and ``n_out``.
+    """
+    if n_out == n_in:
+        return np.arange(n_in)
+    return np.linspace(0, n_in - 1, n_out).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -104,23 +120,11 @@ class PointCloudModule(Module):
     """A module's parameters: its :class:`ModuleSpec` and shared MLP.
 
     It runs and traces only as a region of a network graph
-    (:meth:`~repro.graph.network.NetworkGraphBuilder.module`).
+    (:meth:`~repro.graph.network.NetworkGraphBuilder.module`), which
+    samples its centroids with :func:`strided_centroids`.
     """
 
-    def __init__(self, spec, batch_norm=False, rng=None):
+    def __init__(self, spec, rng=None):
         super().__init__()
         self.spec = spec
-        self.mlp = SharedMLP(list(spec.mlp_dims), batch_norm=batch_norm, rng=rng)
-
-    def _sample_centroids(self, n_in):
-        """Evenly-strided centroid subset.
-
-        The paper's optimized baseline replaces farthest-point sampling
-        with random sampling (§VI); point order in our clouds is already
-        unstructured, so a deterministic stride is an equivalent draw
-        while keeping forward passes reproducible (which stabilizes
-        training and evaluation at toy scale).
-        """
-        if self.spec.n_out == n_in:
-            return np.arange(n_in)
-        return np.linspace(0, n_in - 1, self.spec.n_out).astype(np.int64)
+        self.mlp = SharedMLP(list(spec.mlp_dims), rng=rng)

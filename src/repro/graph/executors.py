@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.module import strided_centroids
 from ..neighbors import knn_brute_force
 from ..neural import Tensor, concat
 from ..neural.layers import Linear
@@ -103,8 +104,7 @@ class GraphExecutor:
                 return coords
             return inputs[0][:, inputs[1]]
         if kind == "sample":
-            n_in = inputs[0].shape[1]
-            return ngraph.refs[attrs["module"]]._sample_centroids(n_in)
+            return strided_centroids(attrs["n_points"], attrs["n_samples"])
         if kind == "search" and "module" in attrs:
             return self._search(attrs, *inputs)
         if kind == "matmul":

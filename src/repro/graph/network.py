@@ -8,16 +8,20 @@ ONE :class:`~repro.graph.ir.Graph`:
 
 * every module is a *region*: :meth:`NetworkGraphBuilder.module` emits
   its original-order nodes (sample → search → aggregate → matmuls →
-  reduce_max), each tagged with ``attrs["module"]`` so the strategy
-  rewrites apply region-wise.  Every value a node reads is one of its
-  input edges — the aggregate reads the feature table, the search's
-  Neighbor Index Table and the sample's centroid ids — so the rewrites,
-  the executors and the arena planner's liveness follow one dataflow;
+  reduce_max), each tagged with its region, ``attrs["module"]``, so
+  the strategy rewrites apply region-wise.  Every value a node reads
+  is one of its input edges — the aggregate reads the feature table,
+  the search's Neighbor Index Table and the sample's centroid ids — so
+  the rewrites, the executors and the arena planner's liveness follow
+  one dataflow;
 * an MLP outside a module — a head or an embedding — is a chain of
-  ``matmul`` nodes, one per Linear, exactly like a region's MLP; its
-  nodes carry ``attrs["ref"]`` (the head) in place of ``module``, so
-  no strategy rewrite touches them.  Skip concats, global pooling and
-  stage coordinates are first-class IR nodes too (``concat`` /
+  ``matmul`` nodes, one per Linear, exactly like a region's MLP, but
+  untagged, so no strategy rewrite touches it.  Every MLP layer node
+  carries ``attrs["ref"]``, the index of its
+  :class:`~repro.neural.SharedMLP` in :attr:`NetworkGraph.refs`: a
+  node runs from its input edges, its attrs and, for an MLP layer,
+  ``refs[attrs["ref"]]`` — nothing else.  Skip concats, global pooling
+  and stage coordinates are first-class IR nodes too (``concat`` /
   ``global_max`` / ``coords`` / ``lift`` / ``select``), and a
   feature-propagation step is a coordinate ``search``, an
   ``interpolate``, a ``concat`` and the FP MLP's ``matmul`` chain;
@@ -45,12 +49,18 @@ from .ir import Graph
 from .passes import run_pipeline
 
 __all__ = [
+    "INTERPOLATE_K",
     "NetworkGraph",
     "NetworkGraphBuilder",
     "NetworkOutput",
     "NetworkRegion",
     "build_network_graph",
 ]
+
+
+#: Coarse neighbors a feature-propagation step interpolates from (the
+#: ``three_interpolate`` kernel the paper's baseline optimizes).
+INTERPOLATE_K = 3
 
 
 def _search_signature(spec):
@@ -106,10 +116,9 @@ class NetworkRegion:
 class NetworkGraph:
     """A whole network lowered to one strategy-rewritten graph.
 
-    ``refs`` holds the executable objects graph nodes reference
-    (modules by ``attrs["module"]``, heads by ``attrs["ref"]``);
-    ``outputs`` the named output spec; ``regions`` the per-module
-    splice points.
+    ``refs`` holds the :class:`~repro.neural.SharedMLP` every MLP
+    layer node runs a segment of, by ``attrs["ref"]``; ``outputs`` the
+    named output spec; ``regions`` the per-module splice points.
     """
 
     network: str
@@ -127,22 +136,12 @@ class NetworkGraph:
         """Number of operator nodes in the whole-network graph."""
         return len(self.graph)
 
-    @staticmethod
-    def mlp_ref(node):
-        """The ref whose MLP a ``matmul`` / ``epilogue`` node runs a layer
-        of: its region's module, else its head."""
-        attrs = node.attrs
-        return attrs["module"] if "module" in attrs else attrs["ref"]
-
     def segment(self, node):
         """The layers a ``matmul`` / ``epilogue`` node runs: segment
-        ``attrs["layer"]`` of its MLP (:func:`segment_layers`)."""
+        ``attrs["layer"]`` of the MLP ``refs[attrs["ref"]]``
+        (:func:`segment_layers`)."""
         attrs = node.attrs
-        if "module" in attrs:
-            mlp = self.refs[attrs["module"]].mlp
-        else:
-            mlp = self.refs[attrs["ref"]]
-        return segment_layers(mlp.export_layers())[attrs["layer"]]
+        return segment_layers(self.refs[attrs["ref"]].export_layers())[attrs["layer"]]
 
 
 def _width(node):
@@ -200,11 +199,12 @@ class NetworkGraphBuilder:
         (§V-B).  Its attrs name each size once — ``n_centroids``, ``k``,
         ``table_rows`` and the feature width ``dim``.  Every node is
         tagged with its region, and a derived ``coords`` node carries
-        the stage coordinates forward.  Returns
-        ``(out_coords, out_feats)`` node ids.
+        the stage coordinates forward; each ``matmul`` carries the
+        module's MLP as its ``ref``.  Returns ``(out_coords, out_feats)``
+        node ids.
         """
         spec = module.spec
-        index = self._ref(module)
+        index = self._ref(module.mlp)
         n_in, n_out, k, dims = spec.n_in, spec.n_out, spec.k, spec.mlp_dims
         region = {"module": index, "label": spec.name}
 
@@ -226,8 +226,8 @@ class NetworkGraphBuilder:
                   n_centroids=n_out, k=k, table_rows=n_in, reduce=False,
                   dim=dims[0])
         for i, (a, b) in enumerate(zip(dims[:-1], dims[1:])):
-            out = add("matmul", (out,), "F", layer=i, rows=n_out * k,
-                      in_dim=a, out_dim=b)
+            out = add("matmul", (out,), "F", ref=index, layer=i,
+                      rows=n_out * k, in_dim=a, out_dim=b)
         out = add("reduce_max", (out,), "F", n_centroids=n_out, k=k,
                   feature_dim=dims[-1])
         out_coords = self.graph.add(
@@ -276,37 +276,40 @@ class NetworkGraphBuilder:
             ).id
         return out
 
-    def propagate(self, fp, fine_coords, fine_feats, coarse_coords,
+    def propagate(self, mlp, label, fine_coords, fine_feats, coarse_coords,
                   coarse_feats):
-        """One feature-propagation (decoder/upsampling) step.
+        """One PointNet++ feature-propagation (decoder/upsampling) step.
 
-        A coordinate-space ``search`` of each fine point's nearest
-        coarse points, with their distances; ``interpolate``, the
-        inverse-distance weighted sum of the coarse features; the skip
-        ``concat``; and the FP MLP as a :meth:`head`.  The search and the
-        concat are untraced, so the lowered trace is the
+        A coordinate-space ``search`` of each fine point's
+        :data:`INTERPOLATE_K` nearest coarse points (fewer when the
+        coarse level has fewer), with their distances; ``interpolate``,
+        the inverse-distance weighted sum of the coarse features; the
+        skip ``concat``; and the unit MLP ``mlp`` (a
+        :class:`~repro.neural.SharedMLP`) as a :meth:`head`.  The search
+        and the concat are untraced, so the lowered trace is the
         ``three_interpolate`` kernel — over the k it searches and the
-        coarse width it gathers — plus the MLP's matmuls.
+        coarse width it gathers — plus the MLP's matmuls, all under
+        ``label``.  No strategy rewrites them.
         """
+        n_fine = self.graph.node(fine_coords).attrs["rows"]
         n_coarse = self.graph.node(coarse_coords).attrs["rows"]
         coarse_width = _width(self.graph.node(coarse_feats))
-        width = fp.mlp.dims[0]
-        k = min(fp.K, n_coarse)
+        k = min(INTERPOLATE_K, n_coarse)
         search = self.graph.add(
             "search", inputs=(coarse_coords, fine_coords),
-            attrs={"n_queries": fp.n_points, "n_points": n_coarse,
-                   "k": k, "dim": 3, "label": fp.name, "traced": False},
+            attrs={"n_queries": n_fine, "n_points": n_coarse,
+                   "k": k, "dim": 3, "label": label, "traced": False},
             phase="N",
         )
         interpolated = self.graph.add(
             "interpolate", inputs=(search.id, coarse_feats),
-            attrs={"n_points": fp.n_points, "k": k,
-                   "feature_dim": coarse_width, "label": fp.name},
+            attrs={"n_points": n_fine, "k": k,
+                   "feature_dim": coarse_width, "label": label},
             phase="O",
         )
-        joined = self.concat((fine_feats, interpolated.id), rows=fp.n_points,
-                             dim=width, label=fp.name, traced=False)
-        return self.head(fp.mlp, joined, rows=fp.n_points, label=fp.name)
+        joined = self.concat((fine_feats, interpolated.id), rows=n_fine,
+                             dim=mlp.dims[0], label=label, traced=False)
+        return self.head(mlp, joined, rows=n_fine, label=label)
 
     def global_max(self, feats, k, dim, label):
         """Per-cloud global max over ``k`` flat rows of width ``dim``."""

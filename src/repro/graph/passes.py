@@ -13,12 +13,12 @@ transformed program instead of three hand-maintained copies.
 
 Each rewrite has one body, written per module region: a network graph
 (:mod:`repro.graph.network`) emits every module as an original-order
-region whose nodes carry ``attrs["module"]``.  Aggregation is one
-``aggregate`` node throughout: delaying flips it to its reducing form
-and absorbs the region's ``reduce_max``, limiting re-points it at the
-hoisted product.  Every value a node reads is one of its input edges,
-and no attr holds a second copy of an edge, so a rewrite moves edges and
-nothing else.
+region whose nodes carry the region tag ``attrs["module"]``.
+Aggregation is one ``aggregate`` node throughout: delaying flips it to
+its reducing form and absorbs the region's ``reduce_max``, limiting
+re-points it at the hoisted product.  Every value a node reads is one
+of its input edges, and no attr holds a second copy of an edge, so a
+rewrite moves edges and nothing else.
 
 Passes are ``graph -> graph`` callables; :data:`PIPELINES` names the
 pass list per strategy.
@@ -158,11 +158,10 @@ def _limit_region(nodes, alloc):
     agg = replace(agg, inputs=(first.id, *agg.inputs[1:]))
     agg = agg.with_attrs(dim=hidden)
 
-    region_attrs = {
-        key: smp.attrs[key] for key in ("module", "label") if key in smp.attrs
-    }
     epilogue = Node(alloc(), "epilogue", (agg.id,),
-                    {"layer": 0, **region_attrs}, phase="F")
+                    {"layer": 0, "ref": first.attrs["ref"],
+                     "module": smp.attrs["module"],
+                     "label": smp.attrs["label"]}, phase="F")
     rest, prev = [], epilogue
     for mm in matmuls[1:]:
         mm = replace(mm, inputs=(prev.id,))

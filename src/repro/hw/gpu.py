@@ -19,8 +19,9 @@ hinges on:
   that makes delayed aggregation expensive on the GPU.
 
 The TX2 could not co-schedule the neighbor-search and MLP kernels
-(§VII-C), so ``concurrent_kernels`` defaults to False and the
-parallelizable tags in the trace are ignored unless it is set.
+(§VII-C), so :meth:`MobileGPU.run` sums every kernel and ignores the
+trace's parallelizable tags; the N/F overlap of delayed aggregation is
+modeled per module by the SoC (``SoCConfig.overlap``).
 """
 
 from __future__ import annotations
@@ -86,8 +87,6 @@ class MobileGPU:
     gather_spill_penalty: float = 3.0
     #: Fixed per-kernel launch overhead (seconds).
     kernel_launch_s: float = 1.0e-4
-    #: Whether N and F kernels may run concurrently (False on TX2).
-    concurrent_kernels: bool = False
     #: Busy power (W) by phase, plus idle power folded into totals.
     busy_power: dict = field(
         default_factory=lambda: {"N": 6.5, "A": 5.0, "F": 9.5, "O": 4.0}
@@ -130,37 +129,16 @@ class MobileGPU:
     # -- trace execution ----------------------------------------------------
 
     def run(self, trace):
-        """Aggregate a trace into per-phase times and energy.
-
-        With ``concurrent_kernels`` enabled, parallelizable N ops hide
-        under parallelizable F ops (or vice versa) module by module —
-        the overlap Fig 8 describes.
-        """
+        """Aggregate a trace into per-phase times and energy, one kernel
+        after another."""
         phase_times = {p: 0.0 for p in PHASES}
         energy = 0.0
         dram_bytes = 0
-        overlap_n = 0.0
-        overlap_f = 0.0
         for op in trace:
             t = self.op_time(op)
             energy += self.op_energy(op, t)
             dram_bytes += op.bytes_read + op.bytes_written
-            if self.concurrent_kernels and op.parallelizable:
-                if op.phase == "N":
-                    overlap_n += t
-                elif op.phase == "F":
-                    overlap_f += t
-                else:
-                    phase_times[op.phase] += t
-            else:
-                phase_times[op.phase] += t
-        if self.concurrent_kernels and (overlap_n or overlap_f):
-            # The slower branch determines latency; attribute the hidden
-            # branch's time to zero but keep its energy.
-            phase_times["N"] += max(overlap_n, overlap_f) \
-                if overlap_n >= overlap_f else 0.0
-            phase_times["F"] += max(overlap_f, overlap_n) \
-                if overlap_f > overlap_n else 0.0
+            phase_times[op.phase] += t
         energy += self.dram.transfer_energy(dram_bytes)
         return GPUResult(phase_times, energy, dram_bytes)
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import ceil
 
-from ..profiling.trace import MatMulOp
 from .dram import LPDDR3
 from .sram import SRAM
 
@@ -92,19 +91,6 @@ class SystolicNPU:
             + self.dram.transfer_energy(dram_bytes)
         )
         return NPUResult(time, energy, cycles, dram_bytes)
-
-    def run(self, ops):
-        """Run all F-phase matmuls of a trace; returns aggregate result."""
-        total = NPUResult(0.0, 0.0, 0, 0)
-        for op in ops:
-            if not isinstance(op, MatMulOp):
-                continue
-            r = self.run_matmul(op)
-            total.time += r.time
-            total.energy += r.energy
-            total.compute_cycles += r.compute_cycles
-            total.dram_bytes += r.dram_bytes
-        return total
 
     def area_mm2(self):
         """PE array + global buffer area (the §VII-A 3.8% denominator)."""

@@ -145,7 +145,8 @@ def network_nits(network, strategy):
         executor.run_network(ngraph, network, cloud[morton_order(cloud)][None])
     # A stack of one: the search's flat NIT rows are the cloud's own.
     return {
-        ngraph.refs[region.module].spec.name: executor.values[region.search]
+        ngraph.graph.node(region.sample).attrs["label"]:
+            executor.values[region.search]
         for region in ngraph.regions
     }
 

@@ -3,7 +3,6 @@
 from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(globals(), {
-    "FeaturePropagation": "base",
     "PointCloudNetwork": "base",
     "scale_spec": "base",
     "DensePoint": "densepoint",

@@ -2,7 +2,8 @@
 
 Every network is a stack of :class:`~repro.core.module.PointCloudModule`
 encoders plus task-specific machinery (feature-propagation decoders for
-segmentation, fully-connected heads for classification/regression).
+segmentation, fully-connected heads for classification/regression), each
+held as a :class:`~repro.neural.SharedMLP`.
 
 Networks run in two modes:
 
@@ -33,7 +34,6 @@ from ..graph.network import build_network_graph
 from ..neural import Module
 
 __all__ = [
-    "FeaturePropagation",
     "PointCloudNetwork",
     "scale_spec",
 ]
@@ -60,33 +60,6 @@ def scale_spec(spec, factor):
     return ModuleSpec(
         spec.name, n_in, n_out, k, spec.mlp_dims, search_space=spec.search_space
     )
-
-
-class FeaturePropagation(Module):
-    """PointNet++ feature propagation (decoder) module.
-
-    Interpolates coarse features onto the fine point set with
-    inverse-distance weights over the (up to) 3 nearest coarse points,
-    fewer when the coarse level has fewer (the ``three_interpolate``
-    kernel the paper's baseline optimizes), then
-    concatenates skip features and applies a unit MLP.  The module only
-    holds that configuration and the MLP's weights:
-    :meth:`~repro.graph.network.NetworkGraphBuilder.propagate` builds a
-    level as IR nodes — coordinate ``search`` (N), ``interpolate`` (O),
-    skip ``concat`` and the MLP as a chain of ``matmul`` nodes (F) —
-    which every executor runs like any other node.  No strategy rewrites
-    them.
-    """
-
-    K = 3
-
-    def __init__(self, name, n_points, mlp_dims, rng=None):
-        super().__init__()
-        from ..neural import SharedMLP
-
-        self.name = name
-        self.n_points = n_points
-        self.mlp = SharedMLP(list(mlp_dims), rng=rng)
 
 
 def _only_cloud(ngraph, stacked):

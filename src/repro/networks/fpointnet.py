@@ -16,7 +16,7 @@ import numpy as np
 
 from ..core import ModuleSpec, PointCloudModule
 from ..neural import SharedMLP
-from .base import FeaturePropagation, PointCloudNetwork, scale_spec
+from .base import PointCloudNetwork, scale_spec
 
 __all__ = ["FPointNet"]
 
@@ -52,10 +52,9 @@ class FPointNet(PointCloudNetwork):
         modules = [PointCloudModule(s, rng=rng) for s in seg_specs]
         super().__init__(modules)
         self.num_classes = num_classes
-        n = [s.n_in for s in seg_specs]
-        self.fp3 = FeaturePropagation("seg_fp3", n[2], (1024 + 256, 256, 256), rng=rng)
-        self.fp2 = FeaturePropagation("seg_fp2", n[1], (256 + 128, 256, 128), rng=rng)
-        self.fp1 = FeaturePropagation("seg_fp1", n[0], (128 + 3, 128, 128), rng=rng)
+        self.fp3 = SharedMLP([1024 + 256, 256, 256], rng=rng)
+        self.fp2 = SharedMLP([256 + 128, 256, 128], rng=rng)
+        self.fp1 = SharedMLP([128 + 3, 128, 128], rng=rng)
         self.mask_head = SharedMLP([128, 64, 2],
                                    final_activation=False, rng=rng)
         self.box_encoder = [PointCloudModule(s, rng=rng) for s in box_specs]
@@ -68,9 +67,9 @@ class FPointNet(PointCloudNetwork):
         coords, feats = nb.input()
         levels = nb.encoder(self.encoder, coords, feats)
         (c0, f0), (c1, f1), (c2, f2), (c3, f3) = levels
-        up2 = nb.propagate(self.fp3, c2, f2, c3, f3)
-        up1 = nb.propagate(self.fp2, c1, f1, c2, up2)
-        up0 = nb.propagate(self.fp1, c0, f0, c1, up1)
+        up2 = nb.propagate(self.fp3, "seg_fp3", c2, f2, c3, f3)
+        up1 = nb.propagate(self.fp2, "seg_fp2", c1, f1, c2, up2)
+        up0 = nb.propagate(self.fp1, "seg_fp1", c0, f0, c1, up1)
         mask_logits = nb.head(self.mask_head, up0,
                               rows=self.n_points)  # (nclouds * n_points, 2)
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from ..core import ModuleSpec, PointCloudModule
 from ..neural import SharedMLP
-from .base import FeaturePropagation, PointCloudNetwork, scale_spec
+from .base import PointCloudNetwork, scale_spec
 
 __all__ = ["PointNet2Classification", "PointNet2Segmentation"]
 
@@ -73,11 +73,11 @@ class PointNet2Segmentation(PointCloudNetwork):
         modules = [PointCloudModule(s, rng=rng) for s in specs]
         super().__init__(modules)
         self.num_classes = num_classes
-        n = [s.n_in for s in specs]  # (2048, 512, 128) at paper scale
-        # FP3 upsamples sa3 output onto sa2 centroids, etc. (skip concat).
-        self.fp3 = FeaturePropagation("fp3", n[2], (1024 + 256, 256, 256), rng=rng)
-        self.fp2 = FeaturePropagation("fp2", n[1], (256 + 128, 256, 128), rng=rng)
-        self.fp1 = FeaturePropagation("fp1", n[0], (128 + 3, 128, 128, 128), rng=rng)
+        # Feature-propagation MLPs: FP3 upsamples sa3 output onto sa2
+        # centroids, etc. (skip concat).
+        self.fp3 = SharedMLP([1024 + 256, 256, 256], rng=rng)
+        self.fp2 = SharedMLP([256 + 128, 256, 128], rng=rng)
+        self.fp1 = SharedMLP([128 + 3, 128, 128, 128], rng=rng)
         self.head = SharedMLP([128, 128, num_classes],
                               final_activation=False, rng=rng)
 
@@ -85,8 +85,8 @@ class PointNet2Segmentation(PointCloudNetwork):
         coords, feats = nb.input()
         levels = nb.encoder(self.encoder, coords, feats)
         (c0, f0), (c1, f1), (c2, f2), (c3, f3) = levels
-        up2 = nb.propagate(self.fp3, c2, f2, c3, f3)
-        up1 = nb.propagate(self.fp2, c1, f1, c2, up2)
-        up0 = nb.propagate(self.fp1, c0, f0, c1, up1)
+        up2 = nb.propagate(self.fp3, "fp3", c2, f2, c3, f3)
+        up1 = nb.propagate(self.fp2, "fp2", c1, f1, c2, up2)
+        up0 = nb.propagate(self.fp1, "fp1", c0, f0, c1, up1)
         logits = nb.head(self.head, up0, rows=self.n_points)
         nb.output(logits, per_point=True)

@@ -90,8 +90,6 @@ class Linear(Module):
         super().__init__()
         rng = rng or np.random.default_rng(0)
         scale = np.sqrt(2.0 / in_dim)
-        self.in_dim = in_dim
-        self.out_dim = out_dim
         self.weight = Parameter(rng.normal(0.0, scale, size=(in_dim, out_dim)))
         self.bias = Parameter(np.zeros(out_dim)) if bias else None
 

@@ -58,14 +58,6 @@ class SharedMLP(Module):
                     layers.append(Dropout(dropout, rng=rng))
         self.net = Sequential(*layers)
 
-    @property
-    def in_dim(self):
-        return self.dims[0]
-
-    @property
-    def out_dim(self):
-        return self.dims[-1]
-
     def forward(self, x):
         return self.net(x)
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core import ModuleSpec
+from repro.core import ModuleSpec, PointCloudModule, strided_centroids
 from repro.graph import GraphExecutor
 from repro.neighbors import knn_brute_force
 from repro.networks import build_network
@@ -146,6 +146,14 @@ def region_pft(ngraph, values, region):
     return values[table].data
 
 
+def region_module(net, ngraph, region):
+    """The :class:`PointCloudModule` of ``net`` that ``region`` of
+    ``ngraph`` runs, found by the region's label (its spec's name)."""
+    label = ngraph.graph.node(region.sample).attrs["label"]
+    return next(m for m in net.modules()
+                if isinstance(m, PointCloudModule) and m.spec.name == label)
+
+
 def run_module(net, cloud, strategy):
     """Run ``net`` over one cloud; the last region's inputs and run.
 
@@ -173,8 +181,7 @@ def reference_module_forward(module, coords, feats, strategy):
     Returns a :class:`ModuleRun`.
     """
     spec = module.spec
-    n_in = coords.shape[0]
-    centroid_idx = module._sample_centroids(n_in)
+    centroid_idx = strided_centroids(coords.shape[0], spec.n_out)
     out_coords = coords[centroid_idx]
     space = coords if spec.search_space == "coords" else feats.data
     indices, _ = knn_brute_force(space, space[centroid_idx], spec.k)

@@ -54,9 +54,9 @@ TIMEOUT = 120.0
 #: ``SharedMLP`` and ``repro.data`` the LiDAR scene generator nothing
 #: read.
 FRONT_DOORS = [
-    ("repro", 12), ("repro.backend", 12), ("repro.core", 7),
+    ("repro", 12), ("repro.backend", 12), ("repro.core", 8),
     ("repro.data", 15), ("repro.engine", 5), ("repro.graph", 16),
-    ("repro.hw", 23), ("repro.neighbors", 8), ("repro.networks", 24),
+    ("repro.hw", 23), ("repro.neighbors", 8), ("repro.networks", 23),
     ("repro.neural", 16), ("repro.profiling", 23), ("repro.serve", 14),
 ]
 

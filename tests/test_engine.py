@@ -539,9 +539,7 @@ class TestBatchRunner:
         assert batched.outputs.shape == (3, 6)
         for b in range(3):
             single = net.forward(clouds[b], strategy=strategy)
-            np.testing.assert_allclose(
-                batched.outputs[b], single.data[0], atol=1e-6
-            )
+            np.testing.assert_array_equal(batched.outputs[b], single.data[0])
 
     @pytest.mark.parametrize("name", ["PointNet++ (s)", "DGCNN (s)"])
     def test_batched_segmentation_matches_single(self, name):
@@ -552,7 +550,7 @@ class TestBatchRunner:
         assert batched.outputs.shape == (2, net.n_points, 5)
         for b in range(2):
             single = net.forward(clouds[b])
-            np.testing.assert_allclose(batched.outputs[b], single.data, atol=1e-6)
+            np.testing.assert_array_equal(batched.outputs[b], single.data)
 
     def test_graph_executor_networks(self):
         # Networks without a hand-written batched body (pre-IR these
@@ -563,7 +561,7 @@ class TestBatchRunner:
         batched = BatchRunner(net).run(clouds)
         assert batched.outputs.shape[0] == 2
         single = net.forward(clouds[0])
-        np.testing.assert_allclose(batched.outputs[0], single.data[0], atol=1e-6)
+        np.testing.assert_array_equal(batched.outputs[0], single.data[0])
 
     def test_runner_with_cache_and_substrate(self):
         net = build_network("PointNet++ (c)", num_classes=4, scale=0.0625)

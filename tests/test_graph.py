@@ -10,6 +10,7 @@ from conftest import (
     one_module_net,
     reference_module_emission,
     reference_module_forward,
+    region_module,
     run_module,
     toy,
 )
@@ -317,7 +318,7 @@ class TestTraceLowering:
         trace = net.trace(strategy)
         assert ngraph.regions
         for region in ngraph.regions:
-            spec = ngraph.refs[region.module].spec
+            spec = region_module(net, ngraph, region).spec
             lowered = [op for op in trace if op.module == spec.name]
             reference = reference_module_emission(spec, strategy, Trace())
             assert lowered == list(reference), f"{spec.name} [{strategy}]"
@@ -477,8 +478,7 @@ class TestBatchedNetworkCoverage:
         assert batched.shape == (3, 4)
         for b in range(3):
             single = net.forward(clouds[b], strategy="delayed")
-            np.testing.assert_allclose(batched.data[b], single.data[0],
-                                       atol=1e-6)
+            np.testing.assert_array_equal(batched.data[b], single.data[0])
 
     def test_fpointnet_batched_matches_single(self):
         net = build_network("F-PointNet", num_classes=3, scale=0.0625,
@@ -489,13 +489,10 @@ class TestBatchedNetworkCoverage:
         assert batched["box"].shape[0] == 2
         for b in range(2):
             single = net.forward(clouds[b], strategy="delayed")
-            np.testing.assert_allclose(
-                batched["mask_logits"].data[b], single["mask_logits"].data,
-                atol=1e-6,
-            )
-            np.testing.assert_allclose(
-                batched["box"].data[b], single["box"].data[0], atol=1e-6
-            )
+            np.testing.assert_array_equal(batched["mask_logits"].data[b],
+                                          single["mask_logits"].data)
+            np.testing.assert_array_equal(batched["box"].data[b],
+                                          single["box"].data[0])
 
     def test_detection_through_batch_runner(self):
         net = build_network("F-PointNet", num_classes=3, scale=0.0625)

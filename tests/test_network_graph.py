@@ -3,6 +3,8 @@ executors, trace lowering, and the execution/trace equivalence
 properties — every module region held to the independent per-module
 reference."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,11 +14,14 @@ from conftest import (
     assert_values_match_attrs,
     cloud_for,
     clouds_for,
+    interpret,
     reference_module_emission,
     reference_module_forward,
+    region_module,
     region_pft,
     toy,
 )
+from repro.backend import KernelProgram, compile_kernel_program
 from repro.core import STRATEGIES, ModuleSpec, PointCloudModule
 from repro.graph import (
     KINDS,
@@ -78,7 +83,8 @@ class TestBuild:
                             f"{len(ngraph.regions)} module regions")
         assert lines[2:2 + len(graph)] == graph
         # Both encoders' regions: the segmentation and the box one.
-        names = [ngraph.refs[r.module].spec.name for r in ngraph.regions]
+        names = [ngraph.graph.node(r.sample).attrs["label"]
+                 for r in ngraph.regions]
         assert names == ["seg_sa1", "seg_sa2", "seg_sa3", "box_sa1", "box_sa2"]
 
     def test_delayed_rewrite_applies_per_region(self):
@@ -124,7 +130,7 @@ class TestExecutionEquivalence:
                 n_out = output.shape[0] // height
                 for b in range(height):
                     ref = reference_module_forward(
-                        ngraph.refs[region.module], coords[b],
+                        region_module(net, ngraph, region), coords[b],
                         Tensor(feats[b * n_in:(b + 1) * n_in]), strategy,
                     )
                     where = (region.module, b)
@@ -213,6 +219,28 @@ class TestExecutionEquivalence:
                                               single.data[0])
 
 
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("name", ALL_NETWORKS)
+    def test_a_node_reads_no_ref_but_its_mlp(self, name, strategy):
+        # A node runs from its input edges, its attrs and, for an MLP
+        # layer, refs[attrs["ref"]]: with every other ref blanked and no
+        # network object at hand, the interpreter and both programs
+        # compute the bits they compute from the full graph.
+        net = toy(name)
+        ngraph = net.network_graph(strategy)
+        blanked = replace(ngraph, refs=tuple(
+            ref if isinstance(ref, SharedMLP) else None
+            for ref in ngraph.refs))
+        clouds = clouds_for(net, 2, seed=4)
+        with no_grad():
+            out = GraphExecutor().run_network(blanked, None, clouds)
+        assert_bit_exact(interpret(net, clouds, strategy), out)
+        for dtype in ("float64", "float32"):
+            full = compile_kernel_program(net, strategy, dtype).run(clouds)
+            assert_bit_exact(full,
+                             KernelProgram(blanked, None, dtype).run(clouds))
+
+
 class TestTraceConsistency:
     """Executed op shapes equal the lowered network-trace op shapes —
     the PR 2 property, spanning heads, decoders and skip glue: every
@@ -238,26 +266,30 @@ class TestTraceMatchesLegacyEmission:
         for a, b in zip(dims[:-1], dims[1:]):
             trace.add(MatMulOp("F", "head", rows=rows, in_dim=a, out_dim=b))
 
-    def fp_ops(self, trace, fp, n_coarse, coarse_width):
+    def fp_ops(self, trace, label, mlp, n_fine, n_coarse, coarse_width):
         # The interpolation reads what it runs over: the k nearest of
-        # the n_coarse points it searches, at the coarse rows' width.
-        dims = fp.mlp.dims
-        trace.add(InterpolateOp("O", fp.name, n_points=fp.n_points,
-                                k=min(fp.K, n_coarse),
+        # the n_coarse points it searches (three_interpolate), at the
+        # coarse rows' width.
+        dims = mlp.dims
+        trace.add(InterpolateOp("O", label, n_points=n_fine,
+                                k=min(3, n_coarse),
                                 feature_dim=coarse_width))
         for a, b in zip(dims[:-1], dims[1:]):
-            trace.add(MatMulOp("F", fp.name, rows=fp.n_points,
+            trace.add(MatMulOp("F", label, rows=n_fine,
                                in_dim=a, out_dim=b))
 
-    def decoder_ops(self, trace, net):
+    def decoder_ops(self, trace, net, prefix=""):
         """fp3, fp2, fp1 over the three-module encoder: each level
-        interpolates the coarser level's rows, the last module's
-        output first and then each decoder head's."""
-        coarse_widths = (net.encoder[2].spec.out_dim, net.fp3.mlp.dims[-1],
-                         net.fp2.mlp.dims[-1])
-        for fp, module, width in zip((net.fp3, net.fp2, net.fp1),
-                                     net.encoder[::-1], coarse_widths):
-            self.fp_ops(trace, fp, module.spec.n_out, width)
+        interpolates the coarser level's rows onto its module's input
+        points, the last module's output first and then each decoder
+        MLP's."""
+        coarse_widths = (net.encoder[2].spec.out_dim, net.fp3.dims[-1],
+                         net.fp2.dims[-1])
+        for level, mlp, module, width in zip(
+                (3, 2, 1), (net.fp3, net.fp2, net.fp1), net.encoder[::-1],
+                coarse_widths):
+            self.fp_ops(trace, f"{prefix}fp{level}", mlp, module.spec.n_in,
+                        module.spec.n_out, width)
 
     def embed_tail(self, trace, net, label="embed"):
         n = net.n_points
@@ -294,7 +326,7 @@ class TestTraceMatchesLegacyEmission:
             # Execution order: decoders and the mask head run before the
             # box stage (the legacy emission listed the box modules
             # first; same op multiset, grouped per module either way).
-            self.decoder_ops(trace, net)
+            self.decoder_ops(trace, net, prefix="seg_")
             self.head_ops(trace, net.mask_head.dims, rows=n)
             for module in net.box_encoder:
                 reference_module_emission(module.spec, strategy, trace)

@@ -6,16 +6,16 @@ import pytest
 
 from conftest import cloud_for, interpret, toy
 from repro.backend import compile_kernel_program
-from repro.core import ModuleSpec, PointCloudModule
+from repro.core import ModuleSpec, PointCloudModule, strided_centroids
 from repro.networks import (
     ALL_NETWORKS,
     PROFILED_NETWORKS,
-    FeaturePropagation,
     PointCloudNetwork,
     build_network,
     scale_spec,
     table1_rows,
 )
+from repro.neural import SharedMLP
 from repro.profiling.trace import NeighborSearchOp
 
 SCALE = 0.0625  # 1/16 of paper scale keeps execution fast
@@ -190,12 +190,12 @@ class DecoderToy(PointCloudNetwork):
         rng = np.random.default_rng(0)
         spec = ModuleSpec("sa", n_in=32, n_out=8, k=4, mlp_dims=(3, 16))
         super().__init__([PointCloudModule(spec, rng=rng)])
-        self.fp = FeaturePropagation("fp", 32, (3 + 3, 16), rng=rng)
+        self.fp = SharedMLP([3 + 3, 16], rng=rng)
 
     def _build_graph(self, nb):
         coords, feats = nb.input()
         _, (coarse, _) = nb.encoder(self.encoder, coords, feats)
-        decoded = nb.propagate(self.fp, coords, feats, coarse,
+        decoded = nb.propagate(self.fp, "fp", coords, feats, coarse,
                                nb.lift(coarse))
         nb.output(nb.graph.only("interpolate").id, name="interpolated",
                   per_point=True)
@@ -221,7 +221,7 @@ class TestSegmentationDecoder:
     def test_interpolation_weights_prefer_near(self):
         net = DecoderToy()
         cloud = np.random.default_rng(1).uniform(200.0, 300.0, size=(32, 3))
-        centroids = net.encoder[0]._sample_centroids(32)
+        centroids = strided_centroids(32, 8)
         near, mid, far = centroids[:3]
         cloud[near], cloud[mid], cloud[far] = (0.01, 0, 0), (10, 0, 0), (20, 0, 0)
         fine = next(i for i in range(32) if i not in centroids)

@@ -14,7 +14,6 @@ from repro.hw import (
     network_nits,
 )
 from repro.networks import ALL_NETWORKS, build_network
-from repro.profiling.trace import MatMulOp, NeighborSearchOp, Trace
 
 
 @pytest.fixture(scope="module")
@@ -123,38 +122,6 @@ class TestNetworkNITs:
             spec, nit = module.spec, nits[module.spec.name]
             assert nit.shape == (spec.n_out, spec.k), spec.name
             assert 0 <= nit.min() and nit.max() < spec.n_in, spec.name
-
-
-class TestGPUOverlapBranches:
-    def _trace(self, n_time_heavy):
-        t = Trace()
-        # One parallelizable search and one parallelizable matmul.
-        t.add(NeighborSearchOp("N", "m", parallelizable=True,
-                               n_queries=4096 if n_time_heavy else 16,
-                               n_points=4096, k=8, dim=3))
-        t.add(MatMulOp("F", "m", parallelizable=True,
-                       rows=16 if n_time_heavy else 200000,
-                       in_dim=64, out_dim=64))
-        return t
-
-    def test_n_heavy_hides_f(self):
-        gpu = MobileGPU(concurrent_kernels=True)
-        r = gpu.run(self._trace(n_time_heavy=True))
-        assert r.phase_times["N"] > 0
-        assert r.phase_times["F"] == 0.0
-
-    def test_f_heavy_hides_n(self):
-        gpu = MobileGPU(concurrent_kernels=True)
-        r = gpu.run(self._trace(n_time_heavy=False))
-        assert r.phase_times["F"] > 0
-        assert r.phase_times["N"] == 0.0
-
-    def test_energy_counts_both_branches(self):
-        serial = MobileGPU(concurrent_kernels=False)
-        overlap = MobileGPU(concurrent_kernels=True)
-        t = self._trace(n_time_heavy=True)
-        # Overlap hides latency but not energy.
-        assert overlap.run(t).energy == pytest.approx(serial.run(t).energy)
 
 
 class TestConfigRegistry:
