@@ -168,9 +168,8 @@ class KernelProgram:
     accepts a pre-built — possibly zero-copy-attached — table).
     """
 
-    def __init__(self, ngraph, network, dtype, params=None):
+    def __init__(self, ngraph, dtype, params=None):
         self.ngraph = ngraph
-        self.network = network
         #: Parameter, activation and module-search dtype: the backend.
         self.dtype = _resolve_dtype(dtype)
         if params is None:
@@ -742,6 +741,6 @@ def compile_kernel_program(network, strategy="delayed", backend="float64",
     zero-copy from a shared file) instead of
     exporting the network's weights.
     """
-    return KernelProgram(network.network_graph(strategy), network, backend,
+    return KernelProgram(network.network_graph(strategy), backend,
                          params=params)
 

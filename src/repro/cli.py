@@ -121,7 +121,7 @@ def _build_server(args):
         if args.workers is not None:
             raise ValueError(
                 "--workers does not apply under --shards: the router "
-                "runs one dispatch worker per replica")
+                "runs one lane per replica")
 
         return ShardRouter.hosting(
             args.network or ["PointNet++ (c)"],
@@ -370,8 +370,9 @@ def build_parser():
                          help="most queued requests one dispatch takes "
                               "(it never waits for more)")
     p_serve.add_argument("--workers", type=int, default=None,
-                         help="batches in flight at once (default 1 = "
-                              "fully serial; not with --shards)")
+                         help="lanes (dispatcher threads), the batches "
+                              "in flight at once: 1 to 64, default 1 = "
+                              "fully serial; not with --shards")
     p_serve.add_argument("--serve-backend", default="float64",
                          choices=("float32", "float64"),
                          help="precision of the compiled kernel program "

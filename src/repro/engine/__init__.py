@@ -2,10 +2,10 @@
 
 The serving layer over the reproduction: stack B clouds into (B, N, 3)
 arrays and drive the full forward pass batch-at-a-time
-(:class:`BatchRunner`), skip repeated neighbor searches with a
-content-keyed single-flight LRU (:class:`NeighborIndexCache`), and drain
-serving sub-batches through a persistent thread pool
-(:class:`ParallelRunner`).
+(:class:`BatchRunner`), and skip repeated neighbor searches with a
+content-keyed single-flight LRU (:class:`NeighborIndexCache`).
+:class:`ParallelRunner` is a constructor the benchmark ledger still
+calls; nothing in the package reads it.
 """
 
 from .._lazy import lazy_exports

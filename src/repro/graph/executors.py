@@ -75,7 +75,7 @@ class GraphExecutor:
     stack at all — every other node works on flat rows.
     """
 
-    def run_network(self, ngraph, network, coords):
+    def run_network(self, ngraph, coords):
         """Execute the network graph over a ``(batch, n, 3)`` stack.
 
         Afterwards :attr:`values` maps every node id to its value, in

@@ -142,7 +142,7 @@ def network_nits(network, strategy):
     ngraph = network.network_graph(strategy)
     executor = GraphExecutor()
     with no_grad():
-        executor.run_network(ngraph, network, cloud[morton_order(cloud)][None])
+        executor.run_network(ngraph, cloud[morton_order(cloud)][None])
     # A stack of one: the search's flat NIT rows are the cloud's own.
     return {
         ngraph.graph.node(region.sample).attrs["label"]:

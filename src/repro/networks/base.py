@@ -155,8 +155,7 @@ class PointCloudNetwork(Module):
 
         ngraph = self.network_graph(strategy)
         return _only_cloud(ngraph,
-                           GraphExecutor().run_network(ngraph, self,
-                                                       coords[None]))
+                           GraphExecutor().run_network(ngraph, coords[None]))
 
     def forward_batch(self, coords, strategy="delayed"):
         """Run the network over a (batch, n_points, 3) stack of clouds.
@@ -177,6 +176,5 @@ class PointCloudNetwork(Module):
             )
         from ..graph.executors import GraphExecutor
 
-        return GraphExecutor().run_network(
-            self.network_graph(strategy), self, coords
-        )
+        return GraphExecutor().run_network(self.network_graph(strategy),
+                                           coords)

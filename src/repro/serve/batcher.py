@@ -1,20 +1,20 @@
-"""Dynamic batch formation: work-conserving gather + shape split.
+"""Dynamic batch formation: the batching policy + shape split.
 
-Continuous batching in the Orca mold (iteration-level scheduling): the
+Continuous batching in the Orca mold (iteration-level scheduling): a
 dispatcher never waits for riders.  A server takes up to ``max_batch``
-queued requests the moment something is queued *and* it has a free
-dispatch lane; batches form from whatever arrived while earlier batches
-ran.  An unloaded request is therefore dispatched at once, and a loaded
-server still fills its batches, because the queue refills while the
-lanes are busy.
+queued requests (:meth:`~repro.serve.queue.FairQueue.take`) the moment
+something is queued *and* one of its lanes is free; batches form from
+whatever arrived while earlier batches ran.  An unloaded request is
+therefore dispatched at once, and a loaded server still fills its
+batches, because the queue refills while the lanes are busy.
 
 ``max_batch`` caps how much work one kernel call amortizes — larger
 batches cut per-dispatch overhead and let a backlog drain in fewer
 calls, but make the last rider wait for the whole sub-batch to compute.
 
-:func:`gather` takes the batch; :func:`split_by_shape` turns one
-gathered batch into per-shape sub-batches, because only same-``N``
-clouds can stack into a single ``(B, N, 3)`` kernel call.
+:func:`split_by_shape` turns one taken batch into per-shape
+sub-batches, because only same-``N`` clouds can stack into a single
+``(B, N, 3)`` kernel call.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 
-__all__ = ["BatchPolicy", "gather", "split_by_shape"]
+__all__ = ["BatchPolicy", "split_by_shape"]
 
 
 @dataclass(frozen=True)
@@ -48,21 +48,8 @@ class BatchPolicy:
             raise ValueError("max_queue must be at least max_batch")
 
 
-def gather(queue, policy):
-    """Block until something is queued, then take it.
-
-    Returns up to ``policy.max_batch`` requests, drained round-robin
-    across tenants, as soon as the queue is non-empty — it never waits
-    for more riders.  Returns ``[]`` only once the queue is closed
-    *and* empty, which is the dispatcher's signal to exit.
-    """
-    if queue.wait() == 0:
-        return []  # closed and drained
-    return queue.take(policy.max_batch)
-
-
 def split_by_shape(requests):
-    """Group one gathered batch into stackable per-shape sub-batches.
+    """Group one taken batch into stackable per-shape sub-batches.
 
     Returns ``OrderedDict`` mapping ``n_points`` to the requests whose
     clouds have that many points, in first-seen order — each group

@@ -2,9 +2,9 @@
 
 The serving frontend's front door.  Producers (:meth:`Server.submit
 <repro.serve.server.Server.submit>` callers, the CLI request loop)
-push :class:`Request` objects;
-the dispatcher thread blocks on the queue until something is queued.
-Three properties the serve tests pin down live here:
+push :class:`Request` objects; a server's dispatcher threads block in
+:meth:`FairQueue.take` until something is queued.  Three properties
+the serve tests pin down live here:
 
 * **Bounded depth** — :meth:`FairQueue.push` never blocks; once
   ``max_queue`` requests are pending it raises :class:`QueueFull`
@@ -18,8 +18,8 @@ Three properties the serve tests pin down live here:
   with :class:`ServerClosed` while letting the dispatcher drain what
   was already admitted; ``close(reject=True)`` instead removes the
   pending requests atomically with the close, so a non-drain shutdown
-  can fail them deterministically (the dispatcher can never race it
-  to a ``take``).
+  can fail them deterministically (no dispatcher can race it to a
+  ``take``).
 """
 
 from __future__ import annotations
@@ -118,15 +118,22 @@ class FairQueue:
             self._nonempty.notify_all()
 
     def take(self, limit):
-        """Remove and return up to ``limit`` requests, fairly.
+        """Block until something is queued, then remove and return up
+        to ``limit`` requests, fairly.
 
         Round-robin across tenant lanes in their creation order: one
         request per tenant per cycle until ``limit`` is reached or the
         queue empties, so no tenant waits behind another tenant's whole
-        backlog.
+        backlog.  It never waits for more riders once one is queued.
+        Returns ``[]`` only once the queue is closed *and* empty — a
+        dispatcher's signal to exit.  The wait and the take are one
+        critical section: with several dispatchers, a push wakes them
+        all, and the ones that find the queue emptied by another go
+        back to waiting instead of reading ``[]``.
         """
         taken = []
-        with self._lock:
+        with self._nonempty:
+            self._nonempty.wait_for(lambda: self._depth > 0 or self._closed)
             while len(taken) < limit and self._depth > 0:
                 for tenant in list(self._lanes):
                     lane = self._lanes[tenant]
@@ -140,23 +147,14 @@ class FairQueue:
                         break
         return taken
 
-    def wait(self):
-        """Block until the queue is non-empty or closed.
-
-        Returns the pending depth (0 only when closed and drained).
-        """
-        with self._nonempty:
-            self._nonempty.wait_for(lambda: self._depth > 0 or self._closed)
-            return self._depth
-
     def close(self, reject=False):
-        """Stop admitting; wake every waiter so the dispatcher exits.
+        """Stop admitting; wake every waiter so the dispatchers exit.
 
         ``reject=True`` additionally removes everything still pending
         — atomically with the close, under the same lock — and returns
         it so the caller can fail those requests.  The atomicity is
         the non-drain shutdown contract: closing and draining in two
-        steps would let the woken dispatcher ``take`` (and serve) a
+        steps would let a woken dispatcher ``take`` (and serve) a
         request that the caller is about to reject, making
         ``close(drain=False)`` semantics depend on thread timing.
         Returns the rejected requests (always empty without

@@ -11,18 +11,15 @@ tenants.  The request lifecycle:
    bounded per-tenant :class:`~repro.serve.queue.FairQueue` (raising
    :class:`~repro.serve.queue.QueueFull` under overload — backpressure,
    never unbounded buffering).
-2. **Coalesce** — once a dispatch lane is free, the dispatcher thread
-   blocks in :func:`~repro.serve.batcher.gather` until anything is
-   queued and takes up to ``max_batch`` requests at once (it never
-   waits for riders), then splits them into per-shape sub-batches.
+2. **Coalesce** — a server's lanes are its dispatcher threads.  A
+   free lane blocks in :meth:`~repro.serve.queue.FairQueue.take` until
+   anything is queued and takes up to ``max_batch`` requests at once
+   (it never waits for riders), then splits them into per-shape
+   sub-batches.
 3. **Drain** — each sub-batch stacks into one ``(B, N, 3)`` call
-   through its :class:`~repro.engine.runner.BatchRunner` (kernel
-   backends included), executing inline with one dispatch worker or across a
-   persistent :class:`~repro.engine.parallel.ParallelRunner` thread
-   pool with more.  A server has as many lanes as dispatch workers:
-   one gathered batch holds one lane until all of its sub-batches
-   have run, so batches form from what queues while the lanes are
-   busy.
+   through its :class:`~repro.engine.runner.BatchRunner`, inline on
+   the lane that took it.  A lane runs one batch at a time, so batches
+   form from what queues while the lanes are busy.
 4. **Respond** — the batch output splits back per request
    (:meth:`~repro.engine.runner.BatchResult.per_cloud`) and each
    request's future resolves to a :class:`ServeResponse`.
@@ -36,16 +33,21 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from concurrent.futures import wait as _wait_futures
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..engine.cache import merge_cache_stats
-from .batcher import BatchPolicy, gather, split_by_shape
+from .batcher import BatchPolicy, split_by_shape
 from .queue import FairQueue, Request, ServeError, ServerClosed
 
 __all__ = ["ServeResponse", "Server"]
+
+#: Most threads one constructor starts: a server's lanes (``workers``),
+#: and a shard fleet's replicas of one lane each.  Every lane starts in
+#: the constructor, so an unbounded count would start that many threads
+#: before serving anything.
+MAX_SLOTS = 64
 
 
 @dataclass
@@ -53,7 +55,7 @@ class ServeResponse:
     """One request's result plus its latency breakdown.
 
     ``queued_ms`` is admission -> dispatch (time spent waiting for a
-    free dispatch lane); ``service_ms`` is the sub-batch's runner call;
+    free lane); ``service_ms`` is the sub-batch's runner call;
     ``latency_ms`` is admission -> response (what the client feels).
     ``request_id`` is the id the caller passed, unchanged (any value),
     or the minted ``"r<n>"`` when it passed none.
@@ -98,26 +100,19 @@ class Server:
         A :class:`~repro.serve.batcher.BatchPolicy` (default: 8-deep
         batches, 64-deep queue).
     workers:
-        Dispatch concurrency — the number of batches in flight at
-        once.  ``1`` (default) runs every sub-batch inline on the
-        dispatcher thread — the fully serial degrade, no pools
-        anywhere.  More workers drain batches through a persistent
-        thread :class:`~repro.engine.parallel.ParallelRunner` so a slow
-        batch does not block the next one.
+        Lanes — dispatcher threads, 1 (default) to :data:`MAX_SLOTS`.
+        Each lane takes up to ``max_batch`` requests, runs their shape
+        groups inline, and takes again, so at most ``workers`` batches
+        are ever in flight.
     dispatch:
-        An externally-owned
-        :class:`~repro.engine.parallel.ParallelRunner` to drain
-        sub-batches through instead of building one — how a
-        :class:`~repro.serve.shard.ShardRouter`'s replicas share one
-        pool.  The server never closes an external pool; its own
-        :meth:`close` just waits for the sub-batches *it* submitted.
-        The pool's ``max_workers`` becomes the server's ``workers``.
-        Mutually exclusive with ``workers > 1``.
+        Read by nothing.  It is accepted only because
+        ``benchmarks/ledger/layers.py`` still passes it; it goes with
+        ROADMAP item 10.
     shard:
         Replica id stamped on every :class:`ServeResponse` (default 0;
         the shard router numbers its replicas with it).
 
-    The server starts its dispatcher immediately and serves until
+    The server starts its lanes immediately and serves until
     :meth:`close`.  Use it as a context manager for the
     drain-then-shutdown path.
     """
@@ -138,31 +133,12 @@ class Server:
                     "size, so hosted networks must differ in n_points"
                 )
             self._routes[n] = runner
-        if int(workers) < 1:
-            raise ValueError("workers must be positive")
+        if not 1 <= int(workers) <= MAX_SLOTS:
+            raise ValueError(
+                f"workers must be in 1..{MAX_SLOTS}, got {workers}")
         self.workers = int(workers)
         self.shard = int(shard)
         self._queue = FairQueue(max_queue=self.policy.max_queue)
-        self._owns_dispatch = dispatch is None
-        self._dispatch = dispatch
-        if dispatch is not None:
-            if self.workers > 1:
-                raise ValueError(
-                    "pass either workers or an external dispatch pool, "
-                    "not both"
-                )
-            self.workers = dispatch.max_workers
-        elif self.workers > 1:
-            from ..engine.parallel import ParallelRunner
-
-            self._dispatch = ParallelRunner(max_workers=self.workers)
-        #: One permit per dispatch lane: the dispatcher takes one before
-        #: it gathers, and the gathered batch gives it back once it has
-        #: run, so no more than ``workers`` batches are ever in flight.
-        self._lanes = threading.Semaphore(self.workers)
-        #: Batch futures in flight on the dispatch pool.  close() waits
-        #: on these instead of closing the pool, which it may not own.
-        self._pending = set()
         self._ids = itertools.count()
         self._lock = threading.Lock()
         self._stats = {
@@ -171,11 +147,21 @@ class Server:
             "max_depth": 0,
         }
         self._closed = False
-        self._thread = threading.Thread(
-            target=self._dispatch_loop, name="repro-serve-dispatch",
-            daemon=True,
-        )
-        self._thread.start()
+        self._threads = []
+        try:
+            for lane in range(self.workers):
+                thread = threading.Thread(
+                    target=self._lane,
+                    name=f"repro-serve-dispatch-{self.shard}.{lane}",
+                    daemon=True,
+                )
+                thread.start()
+                self._threads.append(thread)
+        except BaseException:
+            self._queue.close()
+            for thread in self._threads:
+                thread.join()
+            raise
 
     @classmethod
     def hosting(cls, networks, strategy="delayed", scale=0.125,
@@ -313,34 +299,14 @@ class Server:
 
     # -- dispatch ------------------------------------------------------------
 
-    def _dispatch_loop(self):
-        while True:
-            self._lanes.acquire()
-            batch = gather(self._queue, self.policy)
-            if not batch:
-                return  # closed and drained
+    def _lane(self):
+        """One dispatcher thread: take a batch, run its shape groups in
+        order, take again; exit on ``[]`` (closed and drained)."""
+        while batch := self._queue.take(self.policy.max_batch):
             with self._lock:
                 self._stats["batches"] += 1
-            groups = list(split_by_shape(batch).values())
-            if self._dispatch is None:
-                self._run_groups(groups)
-                self._lanes.release()
-            else:
-                future = self._dispatch.submit(self._run_groups, groups)
-                with self._lock:
-                    self._pending.add(future)
-                future.add_done_callback(self._batch_done)
-
-    def _batch_done(self, future):
-        """A pooled batch has run: forget its future, free its lane."""
-        with self._lock:
-            self._pending.discard(future)
-        self._lanes.release()
-
-    def _run_groups(self, groups):
-        """One gathered batch, its shape groups in order, on one lane."""
-        for group in groups:
-            self._run_group(group)
+            for group in split_by_shape(batch).values():
+                self._run_group(group)
 
     def _run_group(self, group):
         """One same-shape sub-batch through its runner, fan results out.
@@ -391,38 +357,27 @@ class Server:
 
         ``drain=True`` (default) serves everything already admitted —
         in-flight *and* still-queued requests all resolve — before the
-        pools release.  ``drain=False`` fails queued requests with
+        runners close.  ``drain=False`` fails queued requests with
         :class:`~repro.serve.queue.ServerClosed` (in-flight sub-batches
         still complete; the runner call cannot be interrupted).  The
         queue close and the rejection happen atomically, so a non-drain
-        close never races the dispatcher into serving a request it was
-        meant to fail.
-
-        With an external ``dispatch`` pool the server waits for the
-        sub-batches it submitted but leaves the pool running — the
-        shard router owns that pool's lifetime and closes it after
-        every replica has drained.
+        close never races a lane into serving a request it was meant to
+        fail.  Every lane has exited when this returns.
         """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
         # reject=True removes still-pending requests under the queue
-        # lock in the same step that closes admission: the dispatcher
-        # wakes to an empty, closed queue and exits immediately instead
-        # of serving what we are about to fail.
+        # lock in the same step that closes admission: every lane wakes
+        # to an empty, closed queue and exits once its batch has run.
         for req in self._queue.close(reject=not drain):
             if req.future.set_running_or_notify_cancel():
                 req.future.set_exception(
                     ServerClosed("server closed before dispatch")
                 )
-        self._thread.join()
-        with self._lock:
-            pending = list(self._pending)
-        if pending:
-            _wait_futures(pending)
-        if self._dispatch is not None and self._owns_dispatch:
-            self._dispatch.close()  # blocks until submitted groups drain
+        for thread in self._threads:
+            thread.join()
         for runner in self._routes.values():
             runner.close()
 

@@ -1,9 +1,10 @@
 """Sharded serving: a fixed replica fleet and cache-affinity routing.
 
 :class:`~repro.serve.server.Server` drives a single dispatch pipeline —
-one dispatcher thread, one runner per shape, one
+its lanes (dispatcher threads), one runner per shape, one
 :class:`~repro.engine.cache.NeighborIndexCache`.  This module fronts N
-replicas of it without giving up any of its determinism guarantees:
+one-lane replicas of it without giving up any of its determinism
+guarantees:
 
 * :func:`plan_placement` numbers the replicas: ``max(slots,
   len(networks))`` of them, replica ``i`` hosting ``networks[i %
@@ -30,8 +31,8 @@ Cross-shard semantics: backpressure aggregates (a request spills past
 a full owner to the next replica of its set, in list order from the
 owner, and only raises :class:`~repro.serve.queue.QueueFull` when
 *every* replica of its shape is at capacity), shutdown drains in
-dependency order (replicas first, then the shared dispatch pool, then
-any shared parameter files a caller handed over), and
+dependency order (replicas first, then any shared parameter files a
+caller handed over), and
 :meth:`ShardRouter.stats` reports per-shard queue depth and cache hit
 rates next to the aggregate counters.
 """
@@ -48,17 +49,11 @@ from ..engine.cache import (
     content_digest,
     merge_cache_stats,
 )
-from ..engine.parallel import ParallelRunner
 from .batcher import BatchPolicy
 from .queue import QueueFull, ServeError
-from .server import Server
+from .server import MAX_SLOTS, Server
 
 __all__ = ["PlacementPlan", "Replica", "ShardRouter", "plan_placement"]
-
-#: Most replicas one fleet starts.  Each replica is a ``Server`` whose
-#: dispatcher thread starts in its constructor, so an unbounded
-#: ``--shards`` would start that many threads before serving anything.
-MAX_SLOTS = 64
 
 
 # -- placement ---------------------------------------------------------------
@@ -136,7 +131,9 @@ class ShardRouter:
     shape class, then by cache affinity (the cloud's content digest
     picks its owner), spilling past full replicas under per-shard
     backpressure before raising an aggregated
-    :class:`~repro.serve.queue.QueueFull`.
+    :class:`~repro.serve.queue.QueueFull`.  ``dispatch`` is read by
+    nothing; it is accepted only because ``benchmarks/ledger/layers.py``
+    still passes it, and it goes with ROADMAP item 10.
     """
 
     def __init__(self, servers, plan=None, cache=None, dispatch=None,
@@ -153,7 +150,6 @@ class ShardRouter:
         self.plan = plan
         self.cache = cache
         self._servers = servers
-        self._dispatch = dispatch
         #: Owner-side shared-parameter handles (e.g.
         #: :class:`~repro.backend.SharedTable`), released last on close.
         self._shared = list(shared)
@@ -172,11 +168,12 @@ class ShardRouter:
         """Plan, provision and start a sharded fleet (names or instances).
 
         One replica :class:`~repro.serve.server.Server` starts per plan
-        entry (:func:`plan_placement`: ``max(shards, len(networks))``).
-        All replicas share one persistent thread dispatch pool (none
-        when a single replica suffices — the fully serial degrade),
-        and ``cache_size`` total neighbor-index entries partitioned
-        across them (``0`` disables caching).  One
+        entry (:func:`plan_placement`: ``max(shards, len(networks))``),
+        each with one lane: a replica runs one batch at a time, in the
+        order its queue hands them out, so no two of its batches
+        interleave on its cache partition.  The replicas share
+        ``cache_size`` total neighbor-index entries partitioned across
+        them (``0`` disables caching).  One
         :class:`~repro.backend.KernelProgram` in ``backend`` per hosted
         network is compiled here, before any replica starts; every
         replica runs that program, and the fleet's first request
@@ -204,12 +201,8 @@ class ShardRouter:
         nets = {net.n_points: net for net in built}
         programs = {n: compile_kernel_program(net, strategy, backend)
                     for n, net in nets.items()}
-        dispatch = None
         servers = []
         try:
-            if len(plan.replicas) > 1:
-                dispatch = ParallelRunner(max_workers=len(plan.replicas))
-
             for replica in plan.replicas:
                 program = programs[replica.n_points]
                 replica_runner = BatchRunner(
@@ -222,17 +215,13 @@ class ShardRouter:
                     # shared program reads.
                     params=program.table,
                 )
-                servers.append(Server(
-                    replica_runner, policy=policy, dispatch=dispatch,
-                    shard=replica.shard,
-                ))
+                servers.append(Server(replica_runner, policy=policy,
+                                      shard=replica.shard))
         except BaseException:
             for server in servers:
                 server.close(drain=False)
-            if dispatch is not None:
-                dispatch.close()
             raise
-        return cls(servers, plan=plan, cache=cache, dispatch=dispatch)
+        return cls(servers, plan=plan, cache=cache)
 
     # -- admission -----------------------------------------------------------
 
@@ -354,8 +343,6 @@ class ShardRouter:
         caches = [entry["cache"] for entry in per_shard if "cache" in entry]
         if caches:
             totals["cache"] = merge_cache_stats(caches)
-        if self._dispatch is not None:
-            totals["dispatch_pending"] = self._dispatch.pending()
         return totals
 
     # -- shutdown ------------------------------------------------------------
@@ -364,11 +351,9 @@ class ShardRouter:
         """Shut the fleet down in dependency-safe order (idempotent).
 
         Replicas close first (``drain=True`` fans a draining close
-        across them, so every admitted request resolves; their closes
-        wait out the sub-batches they submitted to the shared pool),
-        *then* the shared dispatch pool — it must outlive every
-        replica's in-flight work — and the shared parameter files
-        unlink last.
+        across them, so every admitted request resolves; each close
+        joins that replica's lane), and the shared parameter files
+        unlink last, once nothing can read them.
         """
         with self._lock:
             if self._closed:
@@ -376,8 +361,6 @@ class ShardRouter:
             self._closed = True
         for server in self._servers:
             server.close(drain=drain)
-        if self._dispatch is not None:
-            self._dispatch.close()
         for handle in self._shared:
             handle.close(unlink=True)
         self._shared = []

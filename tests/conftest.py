@@ -163,7 +163,7 @@ def run_module(net, cloud, strategy):
     """
     ngraph = net.network_graph(strategy)
     executor = GraphExecutor()
-    executor.run_network(ngraph, net, np.asarray(cloud)[None])
+    executor.run_network(ngraph, np.asarray(cloud)[None])
     values, region = executor.values, ngraph.regions[-1]
     coords, centroids = values[region.coords][0], values[region.sample]
     return coords, values[region.feats], ModuleRun(

@@ -28,7 +28,7 @@ from conftest import (
 )
 from repro.backend import compile_kernel_program, export_segment
 from repro.core import STRATEGIES
-from repro.engine import BatchRunner, NeighborIndexCache, ParallelRunner
+from repro.engine import BatchRunner, NeighborIndexCache
 from repro.neighbors import neighbor_search
 from repro.networks import ALL_NETWORKS, build_network
 from repro.neural import BatchNorm, Dropout, Linear, ReLU, SharedMLP, Tensor, no_grad
@@ -590,21 +590,6 @@ class TestDtypePropagation:
         assert len(cache) == 2
         assert results[0][1].dtype == np.float64
         assert results[1][1].dtype == np.float32
-
-    def test_parallel_runner_warning_includes_backend(self, monkeypatch):
-        def broken_pool(max_workers):
-            raise RuntimeError("thread limit")
-
-        monkeypatch.setattr("repro.engine.parallel.ThreadPoolExecutor",
-                            broken_pool)
-        runner = ParallelRunner(max_workers=2)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            future = runner.submit(abs, -5)
-        assert future.done() and future.result() == 5
-        assert runner._pool is None  # a broken pool must not persist
-        assert any("thread pool unavailable" in str(w.message)
-                   for w in caught)
 
 
 class TestInferenceTensorDtype:

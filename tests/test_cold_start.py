@@ -52,12 +52,13 @@ TIMEOUT = 120.0
 #: tests read; ``repro.core`` lost ``ModuleOutput`` when a module came
 #: to run only inside a network, ``repro.networks`` lost ``FCHead`` to
 #: ``SharedMLP`` and ``repro.data`` the LiDAR scene generator nothing
-#: read.
+#: read; ``repro.serve`` lost ``gather`` when a lane's take came to
+#: block until something is queued.
 FRONT_DOORS = [
     ("repro", 12), ("repro.backend", 12), ("repro.core", 8),
     ("repro.data", 15), ("repro.engine", 5), ("repro.graph", 16),
     ("repro.hw", 23), ("repro.neighbors", 8), ("repro.networks", 23),
-    ("repro.neural", 16), ("repro.profiling", 23), ("repro.serve", 14),
+    ("repro.neural", 16), ("repro.profiling", 23), ("repro.serve", 13),
 ]
 
 
@@ -99,7 +100,7 @@ print(json.dumps({{
 """
 
 NEVER_SERVED = ("repro.hw", "repro.data", "repro.profiling.report",
-                "repro.networks.training")
+                "repro.networks.training", "repro.engine.parallel")
 
 #: The graph interpreter (training and the test oracle), analysis-only
 #: code, the other commands, and every network module but the hosted
@@ -173,7 +174,7 @@ class TestServedRequestImports:
         # outlives its parent.
         assert offenders(modules, ("multiprocessing",)) == []
         served = offenders(modules, ("repro",))
-        assert len(served) <= 33, served
+        assert len(served) <= 32, served
         # Replicas are threads: no table was published at any point
         # (``made``), let alone left behind (``files``).
         assert report["made"] == [] and report["files"] == []

@@ -288,7 +288,7 @@ class TestNodeOrder:
             ngraph = mnet.network_graph(strategy)
             executor = GraphExecutor()
             with no_grad():
-                executor.run_network(ngraph, mnet, cloud[None])
+                executor.run_network(ngraph, cloud[None])
             # ``values`` is filled in walk order.
             assert_producers_first(ngraph.graph, list(executor.values))
 
@@ -299,7 +299,7 @@ class TestNodeOrder:
         ngraph = net.network_graph(strategy)
         executor = GraphExecutor()
         with no_grad():
-            logged = executor.run_network(ngraph, net, cloud[None])
+            logged = executor.run_network(ngraph, cloud[None])
             plain = net.forward(cloud, strategy=strategy)
         assert_producers_first(ngraph.graph, list(executor.values))
         np.testing.assert_array_equal(logged.data, plain.data)
@@ -372,12 +372,12 @@ class TestExecutors:
         region = ngraph.regions[0]
         tall = GraphExecutor()
         with no_grad():
-            tall.run_network(ngraph, net, clouds)
+            tall.run_network(ngraph, clouds)
             stacked = tall.values[region.output].data.reshape(
                 3, SPEC.n_out, SPEC.out_dim)
             for b in range(3):
                 one = GraphExecutor()
-                one.run_network(ngraph, net, clouds[b][None])
+                one.run_network(ngraph, clouds[b][None])
                 np.testing.assert_array_equal(stacked[b],
                                               one.values[region.output].data)
                 # The NIT's flat rows: cloud b's are its own, lifted by
@@ -437,7 +437,7 @@ class TestExecutors:
         executor = GraphExecutor()
         ngraph = net.network_graph("delayed")
         with no_grad():
-            out = executor.run_network(ngraph, net, cloud[None])
+            out = executor.run_network(ngraph, cloud[None])
         assert list(executor.values) == [n.id for n in ngraph.graph]
         assert [n.kind for n in ngraph.graph] == [
             "coords", "lift", "sample", "matmul", "matmul", "search",
@@ -462,7 +462,7 @@ class TestTraceExecutionConsistency:
             ngraph = mnet.network_graph(strategy)
             executor = GraphExecutor()
             with no_grad():
-                executor.run_network(ngraph, mnet, cloud[None])
+                executor.run_network(ngraph, cloud[None])
             assert_values_match_attrs(ngraph, executor.values, batch=1)
 
 

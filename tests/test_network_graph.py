@@ -119,7 +119,7 @@ class TestExecutionEquivalence:
         ngraph = net.network_graph(strategy)
         executor = GraphExecutor()
         with no_grad():
-            executor.run_network(ngraph, net, clouds_for(net, height, seed=1))
+            executor.run_network(ngraph, clouds_for(net, height, seed=1))
             values = executor.values
             for region in ngraph.regions:
                 coords = values[region.coords]
@@ -195,10 +195,9 @@ class TestExecutionEquivalence:
         clouds = clouds_for(net, 2, seed=7)
         ngraph = net.network_graph(strategy)
         with no_grad():
-            stacked = GraphExecutor().run_network(ngraph, net, clouds)
+            stacked = GraphExecutor().run_network(ngraph, clouds)
             for b in range(2):
-                one = GraphExecutor().run_network(ngraph, net,
-                                                  clouds[b:b + 1])
+                one = GraphExecutor().run_network(ngraph, clouds[b:b + 1])
                 pairs = ([(stacked[k], one[k]) for k in sorted(one)]
                          if isinstance(one, dict) else [(stacked, one)])
                 for tall, single in pairs:
@@ -233,12 +232,12 @@ class TestExecutionEquivalence:
             for ref in ngraph.refs))
         clouds = clouds_for(net, 2, seed=4)
         with no_grad():
-            out = GraphExecutor().run_network(blanked, None, clouds)
+            out = GraphExecutor().run_network(blanked, clouds)
         assert_bit_exact(interpret(net, clouds, strategy), out)
         for dtype in ("float64", "float32"):
             full = compile_kernel_program(net, strategy, dtype).run(clouds)
             assert_bit_exact(full,
-                             KernelProgram(blanked, None, dtype).run(clouds))
+                             KernelProgram(blanked, dtype).run(clouds))
 
 
 class TestTraceConsistency:
@@ -254,7 +253,7 @@ class TestTraceConsistency:
         ngraph = net.network_graph(strategy)
         executor = GraphExecutor()
         with no_grad():
-            executor.run_network(ngraph, net, clouds_for(net, 2, seed=4))
+            executor.run_network(ngraph, clouds_for(net, 2, seed=4))
         assert_values_match_attrs(ngraph, executor.values, batch=2)
 
 

@@ -2,19 +2,20 @@
 
 The edge cases CI pins down: a lone queued request is taken at once,
 requests queued behind a running batch ride the next one together, a
-server never has more batches in flight than dispatch lanes, a full
+server's lanes are its dispatcher threads — never more batches in
+flight than lanes, and none left alive after close — a full
 queue rejects with backpressure instead of deadlocking, mixed-N
 arrivals split into per-shape sub-batches, each response bit-exact
 against its cloud served alone, graceful shutdown drains everything already
-admitted, a single dispatch worker degrades to fully serial
-execution with identical results, one request that makes its batch
+admitted, a single lane degrades to fully serial execution with
+identical results, one request that makes its batch
 raise fails alone, every batch height runs exactly the strategy and
 backend the server was built with, and concurrent submitters across
 tenants get responses bit-exact against each cloud served alone,
 whatever stack it rode in, with every request ID answered once.
 
 Batches form deterministically in the edge-case tests: a test parks
-the dispatcher on a gated first call, queues requests behind it, then
+every lane on a gated first call, queues requests behind it, then
 opens the gate.
 """
 
@@ -41,7 +42,7 @@ from repro.cli import (
     _serve_handle_line,
     build_parser,
 )
-from repro.engine import BatchRunner, ParallelRunner
+from repro.engine import BatchRunner
 from repro.engine.runner import BatchResult
 from repro.networks import build_network
 from repro.neural import Linear
@@ -53,9 +54,9 @@ from repro.serve import (
     ServeError,
     Server,
     ServerClosed,
-    gather,
     split_by_shape,
 )
+from repro.serve.server import MAX_SLOTS
 
 TIMEOUT = 30.0
 
@@ -126,20 +127,16 @@ class CountingRunner(StubRunner):
     """Counts runner calls in flight.  Every call waits at a barrier of
     ``parties``, so no call finishes until that many run side by side."""
 
-    def __init__(self, parties, pool=None):
+    def __init__(self, parties):
         super().__init__()
         self.barrier = threading.Barrier(parties, timeout=TIMEOUT)
-        self.pool = pool
         self.lock = threading.Lock()
         self.active = self.peak = 0
-        self.pool_pending = []  # pool tasks unresolved at each entry
 
     def run(self, stack):
         with self.lock:
             self.active += 1
             self.peak = max(self.peak, self.active)
-            if self.pool is not None:
-                self.pool_pending.append(self.pool.pending())
         try:
             self.barrier.wait()
             return super().run(stack)
@@ -149,11 +146,17 @@ class CountingRunner(StubRunner):
 
 
 def wait_until_taken(server):
-    """Block until the dispatcher has taken everything queued."""
+    """Block until a lane has taken everything queued."""
     give_up = time.time() + TIMEOUT
     while len(server._queue) > 0 and time.time() < give_up:
         time.sleep(0.002)
     assert len(server._queue) == 0
+
+
+def dispatch_threads():
+    """The live threads a server names as its lanes."""
+    return [thread for thread in threading.enumerate()
+            if thread.name.startswith("repro-serve-dispatch")]
 
 
 def park(server, clouds):
@@ -199,6 +202,94 @@ class TestFairQueue:
             q.push(Request("b", stub_cloud()))
         assert [r.id for r in q.take(4)] == ["a"]
 
+    def test_lone_queued_request_is_taken_at_once(self):
+        q = FairQueue(max_queue=64)
+        q.push(Request("lonely", stub_cloud()))
+        # Nothing else will ever arrive: take must not wait for riders.
+        batch = q.take(64)
+        assert [r.id for r in batch] == ["lonely"] and len(q) == 0
+
+    def test_take_takes_at_most_limit_then_exits_on_close(self):
+        q = FairQueue(max_queue=8)
+        for i in range(3):
+            q.push(Request(f"r{i}", stub_cloud()))
+        assert [r.id for r in q.take(2)] == ["r0", "r1"]
+        q.close()
+        assert [r.id for r in q.take(2)] == ["r2"]  # drains first
+        assert q.take(2) == []  # closed and drained: exit signal
+
+    def test_take_blocks_until_a_push_and_one_push_feeds_one_taker(self):
+        # Two takers wait on an empty queue.  One push wakes both; the
+        # one that finds it emptied must go back to waiting, not read
+        # ``[]`` (its exit signal) — only the close may end it.
+        q = FairQueue(max_queue=8)
+        taken = []
+
+        def taker():
+            taken.append([r.id for r in q.take(4)])
+
+        takers = [threading.Thread(target=taker, daemon=True)
+                  for _ in range(2)]
+        try:
+            for thread in takers:
+                thread.start()
+            time.sleep(0.05)
+            assert taken == []  # nothing queued: both still wait
+            q.push(Request("only", stub_cloud()))
+            give_up = time.time() + TIMEOUT
+            while not taken and time.time() < give_up:
+                time.sleep(0.002)
+            time.sleep(0.05)
+            assert taken == [["only"]]  # the other taker kept waiting
+        finally:
+            q.close()
+            for thread in takers:
+                thread.join(TIMEOUT)
+        assert not any(thread.is_alive() for thread in takers)
+        assert sorted(taken) == [[], ["only"]]
+
+    def test_takers_outlive_every_push_until_the_close(self):
+        # Eight takers, one push at a time, a short switch interval: a
+        # take that could read ``[]`` before the close would end its
+        # taker early.  Every request is taken once, and every taker
+        # is still waiting when the queue closes.
+        q = FairQueue(max_queue=256)
+        lock = threading.Lock()
+        taken, ended = [], []
+
+        def taker():
+            while batch := q.take(1):
+                with lock:
+                    taken.extend(r.id for r in batch)
+            with lock:
+                ended.append(q.closed)
+
+        takers = [threading.Thread(target=taker, daemon=True)
+                  for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in takers:
+                thread.start()
+            for i in range(400):
+                q.push(Request(f"r{i}", stub_cloud()))
+                if i % 4 == 0:
+                    time.sleep(0.0005)
+            give_up = time.time() + TIMEOUT
+            while len(q) and time.time() < give_up:
+                time.sleep(0.002)
+            with lock:
+                ended_while_open = list(ended)
+        finally:
+            q.close()
+            sys.setswitchinterval(interval)
+            for thread in takers:
+                thread.join(TIMEOUT)
+        assert ended_while_open == []  # no taker read ``[]`` while open
+        assert not any(thread.is_alive() for thread in takers)
+        assert sorted(taken) == sorted(f"r{i}" for i in range(400))
+        assert ended == [True] * 8
+
 
 class TestBatchPolicy:
     def test_validation(self):
@@ -206,23 +297,6 @@ class TestBatchPolicy:
             BatchPolicy(max_batch=0)
         with pytest.raises(ValueError):
             BatchPolicy(max_batch=8, max_queue=4)
-
-    def test_lone_queued_request_is_taken_at_once(self):
-        q = FairQueue(max_queue=64)
-        q.push(Request("lonely", stub_cloud()))
-        # Nothing else will ever arrive: gather must not wait for riders.
-        batch = gather(q, BatchPolicy(max_batch=64))
-        assert [r.id for r in batch] == ["lonely"] and len(q) == 0
-
-    def test_gather_takes_at_most_max_batch_then_exits_on_close(self):
-        q = FairQueue(max_queue=8)
-        for i in range(3):
-            q.push(Request(f"r{i}", stub_cloud()))
-        policy = BatchPolicy(max_batch=2, max_queue=8)
-        assert [r.id for r in gather(q, policy)] == ["r0", "r1"]
-        q.close()
-        assert [r.id for r in gather(q, policy)] == ["r2"]  # drains first
-        assert gather(q, policy) == []  # closed and drained: exit signal
 
     def test_split_by_shape_groups_in_first_seen_order(self):
         reqs = [Request("a", stub_cloud(8)), Request("b", stub_cloud(16)),
@@ -254,18 +328,16 @@ class TestServerEdgeCases:
         for i, resp in enumerate(responses):
             assert np.allclose(resp.output, stub_cloud(value=i).sum())
 
-    def test_pooled_server_never_has_more_batches_in_flight_than_workers(self):
+    def test_server_never_has_more_batches_in_flight_than_workers(self):
         runner = CountingRunner(parties=2)
         policy = BatchPolicy(max_batch=1, max_queue=64)
         with Server(runner, policy=policy, workers=2) as server:
-            runner.pool = server._dispatch
             futures = [server.submit(stub_cloud(value=i)) for i in range(8)]
             assert all(f.result(timeout=TIMEOUT) for f in futures)
-        # The barrier proves two lanes run side by side; the counts prove
-        # no third batch ever started, or even waited in the pool.
+        # The barrier proves two lanes run side by side; the peak proves
+        # no third batch ever started.
         assert runner.peak == 2
-        assert len(runner.pool_pending) == 8
-        assert max(runner.pool_pending) <= 2
+        assert len(runner.calls) == 8
 
     def test_lanes_hold_under_concurrent_submitters(self):
         # More lanes than cores, four submitting threads and a short
@@ -277,7 +349,6 @@ class TestServerEdgeCases:
         sys.setswitchinterval(1e-5)
         try:
             with Server(runner, policy=policy, workers=4) as server:
-                runner.pool = server._dispatch
                 futures = {}
 
                 def submit(tenant):
@@ -303,7 +374,7 @@ class TestServerEdgeCases:
         stats = server.stats()
         assert stats["completed"] == stats["batched_requests"] == 200
         assert sum(shape[0] for shape in runner.calls) == 200
-        assert runner.peak <= 4 and max(runner.pool_pending) <= 4
+        assert runner.peak <= 4
 
     def test_full_queue_rejects_with_backpressure_not_deadlock(self):
         gate = threading.Event()
@@ -418,7 +489,7 @@ class TestServerEdgeCases:
 
     def test_non_drain_close_fails_everything_behind_a_parked_batch(self):
         # Regression: close(drain=False) used to race the dispatcher —
-        # queue.close() woke it and it could gather() the still-queued
+        # queue.close() woke it and it could take() the still-queued
         # requests before drain_rejected ran.  The atomic
         # close-and-reject fails every queued request deterministically:
         # none may sneak into a final batch once the parked one returns.
@@ -448,10 +519,10 @@ class TestServerEdgeCases:
         policy = BatchPolicy(max_batch=4)
         serial = Server(GatedRunner(BatchRunner(small_net), gate),
                         policy=policy)
-        assert serial.workers == 1 and serial._dispatch is None
+        assert serial.workers == len(serial._threads) == 1
         pooled = Server(GatedRunner(BatchRunner(small_net), gate),
                         policy=policy, workers=4)
-        assert pooled._dispatch is not None
+        assert pooled.workers == len(pooled._threads) == 4
         for server in (serial, pooled):
             gate.clear()
             with server:
@@ -467,6 +538,43 @@ class TestServerEdgeCases:
                 == [1] * lanes + [4, 4, 4, 4, 1]
             for i, resp in enumerate(responses):
                 assert np.array_equal(resp.output, alone[i])
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_close_leaves_no_lane_alive(self, workers):
+        before = dispatch_threads()
+        server = Server(StubRunner(), policy=BatchPolicy(max_batch=2),
+                        workers=workers)
+        assert len(set(dispatch_threads()) - set(before)) == workers
+        futures = [server.submit(stub_cloud(value=i)) for i in range(6)]
+        server.close()
+        assert all(f.result(timeout=TIMEOUT) for f in futures)
+        assert set(dispatch_threads()) <= set(before)
+
+    @pytest.mark.parametrize("workers", [0, -1, MAX_SLOTS + 1])
+    def test_workers_out_of_range_start_no_thread(self, workers):
+        before = threading.active_count()
+        with pytest.raises(ValueError, match=f"1..{MAX_SLOTS}"):
+            Server(StubRunner(), workers=workers)
+        assert threading.active_count() == before
+
+    def test_a_lane_that_fails_to_start_stops_the_started_ones(
+            self, monkeypatch):
+        before = dispatch_threads()
+        start = threading.Thread.start
+        started = []
+
+        def second_start_fails(thread):
+            if thread.name.startswith("repro-serve-dispatch"):
+                started.append(thread.name)
+                if len(started) == 2:
+                    raise RuntimeError("can't start new thread")
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", second_start_fails)
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            Server(StubRunner(), workers=3)
+        assert len(started) == 2  # the third lane was never tried
+        assert set(dispatch_threads()) <= set(before)  # the first was joined
 
     def test_runner_failure_propagates_to_every_rider(self):
         runner = StubRunner(fail=True)
@@ -846,7 +954,10 @@ class TestHostileRequests:
         # --cache-size is a total across the shards.
         (["--shards", "2", "--cache-size", "1"],
          "cache size 1 is smaller than the 2 shards it is split across"),
-        # The router runs one dispatch worker per replica.
+        # Lanes start eagerly: a count past the ceiling starts none.
+        (["--workers", "65"], "workers must be in 1..64, got 65"),
+        (["--workers", "0"], "workers must be in 1..64, got 0"),
+        # The router runs one lane per replica.
         *((["--shards", "2", "--workers", workers],
            "--workers does not apply under --shards")
           for workers in ("4", "1")),
@@ -1041,33 +1152,17 @@ class TestDrainHooks:
             runner.close()  # idempotent, keeps the runner usable
         assert runner.run(np.zeros((1, small_net.n_points, 3))).batch_size == 1
 
-    def test_parallel_submit_serial_degrade_inline(self):
-        runner = ParallelRunner(max_workers=1)
-        future = runner.submit(lambda x: x * 2, 21)
-        assert future.done() and future.result() == 42
-
-    def test_parallel_submit_carries_exceptions(self):
-        runner = ParallelRunner(max_workers=1)
-
-        def boom(_):
-            raise ValueError("nope")
-
-        with pytest.raises(ValueError, match="nope"):
-            runner.submit(boom, 0).result()
-
-    def test_parallel_submit_persistent_thread_pool(self):
-        with ParallelRunner(max_workers=2) as runner:
-            futures = [runner.submit(lambda x: x + 1, i) for i in range(8)]
-            assert [f.result(TIMEOUT) for f in futures] == list(range(1, 9))
 
 
 # ------------------------------------------------ concurrent exactness
 
 
 class TestConcurrentExactness:
+    @pytest.mark.parametrize("workers", [1, 4])
     @pytest.mark.parametrize("backend", [None, "float32"])
     def test_threads_and_tenants_replay_bit_exact(self, small_net,
-                                                  small_clouds, backend):
+                                                  small_clouds, backend,
+                                                  workers):
         # Three submitter threads, two tenants, three distinct clouds:
         # whatever sub-batches form, each response equals its cloud
         # served alone, and every request ID is answered once.
@@ -1082,7 +1177,7 @@ class TestConcurrentExactness:
         futures = {}
         policy = BatchPolicy(max_batch=4, max_queue=64)
         with Server(BatchRunner(small_net, backend=backend), policy=policy,
-                    workers=2) as server:
+                    workers=workers) as server:
             def submit(thread):
                 for i in range(8):
                     rid = f"s{thread}-{i}"

@@ -29,7 +29,7 @@ import repro.serve.shard
 from repro.backend import ParameterTable
 from repro.backend.aot import _share_dir
 from repro.cli import _print_serve_stats
-from repro.engine import BatchRunner, ParallelRunner
+from repro.engine import BatchRunner
 from repro.engine.cache import (
     NeighborIndexCache,
     PartitionedIndexCache,
@@ -445,44 +445,28 @@ class TestShardRouter:
         with pytest.raises(Exception):
             router.submit(stub_cloud())
 
-    def test_external_dispatch_pool_not_closed_by_servers(self):
-        pool = ParallelRunner(max_workers=2)
-        try:
-            policy = BatchPolicy(max_batch=2)
-            servers = [
-                Server(StubRunner(), policy=policy, dispatch=pool,
-                       shard=shard)
-                for shard in range(2)
-            ]
-            assert all(s.workers == pool.max_workers for s in servers)
-            router = ShardRouter(servers, dispatch=pool)
-            resp = router.request(stub_cloud(value=4.0), timeout=TIMEOUT)
-            assert np.allclose(resp.output, stub_cloud(value=4.0).sum())
-            inner = pool._pool
-            assert inner is not None
-            # The router owns the pool's shutdown, not the replicas: a
-            # replica closing must not strand its siblings.
-            router.replica(0).close(drain=True)
-            assert pool._pool is inner  # untouched by the replica
-            router.close()
-            assert pool._pool is None  # shut down exactly once, by router
-        finally:
-            pool.close()
-
-    def test_replicas_on_a_shared_pool_never_exceed_its_size(self):
-        # Each replica has one lane per pool worker; together they may
-        # queue more batches on the pool, but never run more at once.
-        pool = ParallelRunner(max_workers=2)
+    def test_a_replica_never_has_two_batches_in_flight(self):
+        # One lane per replica: each replica runs one batch at a time,
+        # and two replicas still run side by side.
         barrier = threading.Barrier(2, timeout=TIMEOUT)
         lock = threading.Lock()
+        active, peak = [0, 0], [0, 0]
         counts = {"active": 0, "peak": 0}
 
         class CountingRunner(StubRunner):
-            """Counts calls in flight across both replicas; every call
-            waits at a 2-party barrier, so two must run side by side."""
+            """Counts calls in flight per replica and across both;
+            every call waits at a 2-party barrier, so two must run side
+            by side."""
+
+            def __init__(self, shard):
+                super().__init__()
+                self.shard = shard
 
             def run(self, stack):
                 with lock:
+                    active[self.shard] += 1
+                    peak[self.shard] = max(peak[self.shard],
+                                           active[self.shard])
                     counts["active"] += 1
                     counts["peak"] = max(counts["peak"], counts["active"])
                 try:
@@ -490,31 +474,33 @@ class TestShardRouter:
                     return super().run(stack)
                 finally:
                     with lock:
+                        active[self.shard] -= 1
                         counts["active"] -= 1
 
-        try:
-            policy = BatchPolicy(max_batch=1)
-            servers = [
-                Server(CountingRunner(), policy=policy, dispatch=pool,
-                       shard=shard)
-                for shard in range(2)
-            ]
-            with ShardRouter(servers, dispatch=pool) as router:
-                futures = [router.submit(stub_cloud(value=float(i)))
-                           for i in range(8)]
-                shards = {f.result(TIMEOUT).shard for f in futures}
-            assert shards == {0, 1}  # both replicas dispatched
-            assert counts["peak"] == 2
-        finally:
-            pool.close()
+        policy = BatchPolicy(max_batch=1)
+        servers = [Server(CountingRunner(shard), policy=policy, shard=shard)
+                   for shard in range(2)]
+        with ShardRouter(servers) as router:
+            clouds = [owned_cloud(router, shard) for shard in (0, 1)]
+            futures = [router.submit(clouds[i % 2]) for i in range(8)]
+            shards = [f.result(TIMEOUT).shard for f in futures]
+        assert shards == [0, 1] * 4  # both replicas dispatched
+        assert peak == [1, 1]
+        assert counts["peak"] == 2
 
-    def test_server_rejects_ambiguous_dispatch_config(self):
-        pool = ParallelRunner(max_workers=2)
-        try:
-            with pytest.raises(ValueError, match="not both"):
-                Server(StubRunner(), workers=4, dispatch=pool)
-        finally:
-            pool.close()
+    def test_close_leaves_no_lane_alive(self):
+        def lanes():
+            return [thread for thread in threading.enumerate()
+                    if thread.name.startswith("repro-serve-dispatch")]
+
+        before = lanes()
+        router = stub_router(n_shards=2)
+        assert len(set(lanes()) - set(before)) == 2  # one lane per replica
+        futures = [router.submit(stub_cloud(value=float(i)))
+                   for i in range(6)]
+        router.close()
+        assert all(f.result(TIMEOUT) for f in futures)
+        assert set(lanes()) <= set(before)
 
     def test_fair_queue_round_robin_survives_router_fan_out(self):
         # Satellite contract: fanning tenants out across shards keeps
@@ -563,22 +549,13 @@ class TestShardRouter:
         # non-draining close lands while submitters keep going.
         gate = threading.Event()
         threads_before = set(threading.enumerate())
-
-        class RecordingPool(ParallelRunner):
-            closes = 0
-
-            def close(self):
-                self.closes += 1
-                super().close()
-
-        pool = RecordingPool(max_workers=2)
         policy = BatchPolicy(max_batch=1, max_queue=2)
         servers = [
             Server(StubRunner(block=gate if shard == 0 else None),
-                   policy=policy, dispatch=pool, shard=shard)
+                   policy=policy, shard=shard)
             for shard in range(2)
         ]
-        router = ShardRouter(servers, dispatch=pool)
+        router = ShardRouter(servers)
         cloud = owned_cloud(router, 0)
         lock = threading.Lock()
         outcomes = {}  # request id -> its future, or its submit error
@@ -615,7 +592,7 @@ class TestShardRouter:
             assert router.stats()["routing"]["spilled"] >= 3
             closing.start()
             # The close fails what replica 0 queued, then waits for its
-            # gated in-flight batches: open the gate once it is closing.
+            # gated in-flight batch: open the gate once it is closing.
             while not router.replica(0)._closed and time.time() < deadline:
                 time.sleep(0.002)
         finally:
@@ -645,7 +622,6 @@ class TestShardRouter:
                 for k in range(3)]
         assert all(isinstance(outcomes[rid], ServerClosed) for rid in last)
         router.close()  # idempotent
-        assert pool.closes == 1 and pool._pool is None
         assert [thread for thread in threading.enumerate()
                 if thread not in threads_before] == []
 
@@ -777,6 +753,35 @@ class TestShardExactness:
         assert hit_rate(ShardRouter) > hit_rate(ShuffledRouter)
 
 
+    def test_fresh_fleets_fed_one_sequence_count_the_same(self, tiny_net):
+        # One lane per replica: a replica runs its batches in the order
+        # it took them, so its cache partition sees one sequence of
+        # lookups, and its counters are the same on every run.  The
+        # cache is small enough to evict, so the order shows.
+        rng = np.random.default_rng(21)
+        clouds = [rng.normal(size=(tiny_net.n_points, 3)) for _ in range(6)]
+        sequence = [int(i) for i in rng.integers(0, len(clouds), size=30)]
+        policy = BatchPolicy(max_batch=1, max_queue=256)
+        readings = []
+        for _ in range(5):
+            router = ShardRouter.hosting(
+                tiny_net, shards=2, backend="float32", policy=policy,
+                cache_size=12,
+            )
+            with router:
+                assert [router.replica(k).workers for k in range(2)] \
+                    == [1, 1]
+                futures = [router.submit(clouds[index], request_id=f"c{i}")
+                           for i, index in enumerate(sequence)]
+                for future in futures:
+                    future.result(TIMEOUT)
+            stats = router.stats()
+            readings.append([entry["cache"] for entry in stats["per_shard"]])
+        assert readings == [readings[0]] * 5
+        total = merge_cache_stats(readings[0])
+        assert total["hits"] > 0 and total["evictions"] > 0
+
+
 # ------------------------------------------------- partial start-up failure
 
 
@@ -791,28 +796,15 @@ class TestHostingFailure:
 
     @pytest.fixture
     def started(self, monkeypatch):
-        """Every Server / dispatch pool ``hosting`` constructs."""
-        started = SimpleNamespace(servers=[], pools=[])
+        """Every Server ``hosting`` constructs."""
+        started = SimpleNamespace(servers=[])
 
         class RecordingServer(Server):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
                 started.servers.append(self)
 
-        class RecordingPool(ParallelRunner):
-            closes = 0
-
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                started.pools.append(self)
-
-            def close(self):
-                self.closes += 1
-                super().close()
-
         monkeypatch.setattr(repro.serve.shard, "Server", RecordingServer)
-        monkeypatch.setattr(repro.serve.shard, "ParallelRunner",
-                            RecordingPool)
         return started
 
     @staticmethod
@@ -843,13 +835,12 @@ class TestHostingFailure:
             ShardRouter.hosting(nets, shards=2, backend="float32")
         assert shared_table_files() == []
         assert started.servers == []  # tables are built first
-        assert started.pools == []
 
     def test_too_many_shards_start_nothing(self, started, tiny_net):
-        # The ceiling is checked before any thread or pool starts.
+        # The ceiling is checked before any thread starts.
         with pytest.raises(ValueError, match="slots must be at most 64"):
             ShardRouter.hosting(tiny_net, shards=65, backend="float32")
-        assert started.servers == [] and started.pools == []
+        assert started.servers == []
 
     def test_failed_replica_closes_its_started_siblings(self, monkeypatch,
                                                         started, tiny_net):
@@ -858,8 +849,8 @@ class TestHostingFailure:
                                               RuntimeError("replica 1 died")))
         with pytest.raises(RuntimeError, match="replica 1 died"):
             ShardRouter.hosting(tiny_net, shards=2, backend="float32")
-        assert len(started.servers) == 1 and len(started.pools) == 1
+        assert len(started.servers) == 1
         assert started.servers[0]._closed
-        assert not started.servers[0]._thread.is_alive()
-        assert started.pools[0].closes == 1
+        assert not any(thread.is_alive()
+                       for thread in started.servers[0]._threads)
         assert shared_table_files() == []
