@@ -4,16 +4,32 @@ and without delayed-aggregation.
 The paper: original layer outputs commonly exceed 2 MB and reach 32 MB
 — far beyond on-chip buffers — while delayed-aggregation shrinks them
 to the 512 KB - 1 MB regime, small enough to buffer on chip.
+
+The model columns read the analytical trace at paper scale.  The
+measured table reads what the compiled float32 program allocates: its
+height-1 arena plan at scale 0.25, per strategy — peak live bytes,
+largest single buffer, and the phase of the kernel where the live
+bytes peak.  Those are exact counts.  ``delayed`` lowers the peak on
+every network whose ``original`` peak sits in a module region.  DGCNN
+(s) is the exception: its peak is the concat of its skip links, after
+the last module, so all three strategies read the same 4.75 MiB peak
+and 2.38 MiB largest buffer.
 """
+
+import numpy as np
 
 from conftest import print_table
 
-from repro.networks import PROFILED_NETWORKS, build_network
+from repro.backend import compile_kernel_program
+from repro.core import STRATEGIES
+from repro.networks import ALL_NETWORKS, PROFILED_NETWORKS, build_network
 from repro.profiling import MatMulOp
 from repro.profiling.cost_model import layer_size_stats_from_sizes
 
 MB = 2 ** 20
 KB = 2 ** 10
+#: The scale the measured table compiles each network at.
+MEASURED_SCALE = 0.25
 
 
 def _module_layer_sizes(name, trace):
@@ -69,3 +85,51 @@ def test_fig10_layer_sizes(benchmark, traces):
         assert delayed["max"] < orig["max"]
     # The headline cases reach the paper's multi-MB regime.
     assert max(s[0]["max"] for s in stats.values()) > 4 * MB
+
+
+def _arena_peak(program, coords):
+    """``(peak live bytes, largest buffer bytes, phase, in a module)``
+    of ``program``'s arena plan for ``coords``: the phase is that of the
+    first kernel at which the live bytes peak, and the flag says whether
+    that kernel's lead node belongs to a module region."""
+    plan = program.plan_for(coords)
+    live = [plan.live_bytes_at(pos) for pos in range(plan.n_positions + 1)]
+    pos = live.index(plan.peak_live_bytes)
+    graph = program.ngraph.graph
+    lead = graph.node(program._liveness.lead_node[pos])
+    return (plan.peak_live_bytes, max(b.nbytes for b in plan.buffers),
+            program._liveness.phase_of(graph)[pos], "module" in lead.attrs)
+
+
+def test_fig10_arena_plan():
+    peaks = {}
+    for name in ALL_NETWORKS:
+        net = build_network(name, scale=MEASURED_SCALE)
+        coords = np.random.default_rng(0).normal(size=(1, net.n_points, 3))
+        peaks[name] = {
+            strategy: _arena_peak(
+                compile_kernel_program(net, strategy, "float32"), coords)
+            for strategy in STRATEGIES
+        }
+    rows = [
+        (name, *(f"{peak / MB:.2f} / {largest / MB:.2f} "
+                 f"{phase}, {'module' if in_module else 'outside'}"
+                 for peak, largest, phase, in_module
+                 in (peaks[name][s] for s in STRATEGIES)))
+        for name in ALL_NETWORKS
+    ]
+    print_table(
+        f"Fig 10 (measured): float32 arena plan at scale {MEASURED_SCALE}, "
+        "height 1 — peak live / largest buffer MiB, peak kernel's phase",
+        ["Network", *(s.capitalize() for s in STRATEGIES)],
+        rows,
+    )
+    for name in ALL_NETWORKS:
+        original, delayed = peaks[name]["original"], peaks[name]["delayed"]
+        assert delayed[0] <= original[0], name
+        if original[3]:
+            # A peak inside a module shrinks with the module's layers.
+            assert delayed[0] < original[0], name
+    # Only DGCNN (s) peaks outside its modules (see the docstring).
+    assert [name for name in ALL_NETWORKS
+            if not peaks[name]["original"][3]] == ["DGCNN (s)"]

@@ -35,7 +35,6 @@ print(f"held-out mean BEV IoU:  {mean_iou:.3f}")
 # Inspect one prediction in detail.
 from repro.neural import no_grad
 
-net.eval()
 with no_grad():
     out = net(clouds[8, :n], strategy="delayed")
 pred_box = out["box"].data[0, :7]

@@ -44,7 +44,6 @@ for split, clouds, labels in (
 # Per-point predictions for one object, summarized per part.
 from repro.neural import no_grad
 
-net.eval()
 with no_grad():
     logits = net(dataset.test_clouds[0, :n], strategy="delayed")
 pred = logits.data.argmax(axis=1)

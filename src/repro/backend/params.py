@@ -10,16 +10,11 @@ of primitive ops
 ``("linear", W, b)`` — GEMM plus optional bias (``b`` may be ``None``),
 ``("bias", b)`` — bias add alone (the limited-variant epilogue re-adds
 the bias its hoisted product dropped),
-``("bn", mean, inv, gamma, beta)`` — inference-mode batch norm with the
-inverse std precomputed exactly as the eval forward computes it,
 ``("relu",)`` — the activation.
 
-Export is **inference-only**: a training-mode BatchNorm (whose forward
-uses batch statistics and mutates running stats) or an active Dropout
-cannot be frozen into a kernel table, so exporting one raises — call
-``net.eval()`` first.  In float64, the reference dtype, the packed
-arrays share memory with the live parameters (no copy); float32
-snapshots a cast copy at export time.
+In float64, the reference dtype, the packed arrays share memory with
+the live parameters (no copy); float32 snapshots a cast copy at export
+time.
 
 :class:`ParameterTable` is the whole-network form of that export: one
 flat table holding every segment a compiled
@@ -38,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..neural.layers import BatchNorm, Dropout, Linear, ReLU
+from ..neural.layers import Linear, ReLU
 
 __all__ = [
     "ParameterTable",
@@ -69,43 +64,15 @@ def _export_array(array, dtype):
     return np.ascontiguousarray(np.asarray(array).astype(dtype, copy=False))
 
 
-def _tail_ops(layers, dtype):
-    """Pack a segment's post-Linear tail (BatchNorm / ReLU / Dropout)."""
-    ops = []
+def _tail_ops(layers):
+    """Pack a segment's post-Linear tail: its ReLU, if any."""
     for layer in layers:
-        if isinstance(layer, ReLU):
-            ops.append(("relu",))
-        elif isinstance(layer, BatchNorm):
-            if layer.training:
-                raise ValueError(
-                    "kernel backends compile inference programs; a "
-                    "training-mode BatchNorm uses batch statistics — "
-                    "call .eval() on the network before compiling"
-                )
-            # Precompute the inverse std exactly as the eval forward
-            # does, so the float64 reference stays bit-exact.
-            inv = 1.0 / np.sqrt(layer.running_var + layer.eps)
-            ops.append((
-                "bn",
-                _export_array(layer.running_mean, dtype),
-                _export_array(inv, dtype),
-                _export_array(layer.gamma.data, dtype),
-                _export_array(layer.beta.data, dtype),
-            ))
-        elif isinstance(layer, Dropout):
-            if layer.training and layer.p > 0.0:
-                raise ValueError(
-                    "kernel backends compile inference programs; an "
-                    "active Dropout cannot be frozen — call .eval() on "
-                    "the network before compiling"
-                )
-            # Inactive dropout is the identity.
-        else:
+        if not isinstance(layer, ReLU):
             raise TypeError(
                 f"cannot export layer {type(layer).__name__} to a "
                 "kernel backend"
             )
-    return ops
+    return [("relu",)] * len(layers)
 
 
 def export_segment(layers, dtype, weight_only=False, epilogue=False):
@@ -122,14 +89,14 @@ def export_segment(layers, dtype, weight_only=False, epilogue=False):
         bias = None if linear.bias is None \
             else _export_array(linear.bias.data, dtype)
         ops = [] if bias is None else [("bias", bias)]
-        return tuple(ops + _tail_ops(tail, dtype))
+        return tuple(ops + _tail_ops(tail))
     weight = _export_array(linear.weight.data, dtype)
     bias = None if weight_only or linear.bias is None \
         else _export_array(linear.bias.data, dtype)
     head = ("linear", weight, bias)
     if weight_only:
         return (head,)
-    return tuple([head] + _tail_ops(tail, dtype))
+    return tuple([head] + _tail_ops(tail))
 
 
 #: Blob offsets round up to one cache line — every zero-copy view is

@@ -220,13 +220,8 @@ class KernelProgram:
                     x += op[2]
             elif kind == "bias":
                 x += op[1]
-            elif kind == "relu":
+            else:  # ("relu",)
                 x = np.maximum(x, 0, out=x)
-            else:  # ("bn", mean, inv, gamma, beta) — eval-mode batch norm
-                x = x - op[1]
-                x *= op[2]
-                x *= op[3]
-                x += op[4]
         return x
 
     # -- compilation ---------------------------------------------------------

@@ -37,10 +37,32 @@ from .networks.registry import NETWORK_MODULES
 
 __all__ = ["main"]
 
-#: Longest ``--port`` request line the server buffers, newline excluded:
-#: about 8x the JSON of a 2048-point cloud.  A longer line is discarded
-#: up to its newline and answered with one error line.
+#: Longest request line the server buffers, on stdin or ``--port``,
+#: newline excluded: about 8x the JSON of a 2048-point cloud.  A longer
+#: line is discarded up to its newline and answered with one error line.
 MAX_LINE_BYTES = 1 << 20
+
+
+def _request_lines(stream, emit):
+    """Yield each non-blank line of binary ``stream``, decoded and stripped.
+
+    A line is read at most ``MAX_LINE_BYTES`` at a time: a longer one is
+    discarded up to its newline and answered with one error line through
+    ``emit``.  Bytes decode with replacement, so a line that is not
+    UTF-8 (or a last line cut inside a character) fails as JSON instead
+    of ending the loop.
+    """
+    while raw := stream.readline(MAX_LINE_BYTES + 1):
+        if len(raw) > MAX_LINE_BYTES and not raw.endswith(b"\n"):
+            while raw and not raw.endswith(b"\n"):
+                raw = stream.readline(MAX_LINE_BYTES + 1)
+            emit({"id": None,
+                  "error": "request line longer than the "
+                           f"{MAX_LINE_BYTES}-byte limit"})
+            continue
+        line = raw.decode(errors="replace").strip()
+        if line:
+            yield line
 
 
 def _serve_handle_line(server, line, emit):
@@ -193,20 +215,8 @@ def _tcp_server(port, server, write_lock):
                 with write_lock:
                     self.wfile.write(data)
 
-            while raw := self.rfile.readline(MAX_LINE_BYTES + 1):
-                if len(raw) > MAX_LINE_BYTES and not raw.endswith(b"\n"):
-                    while raw and not raw.endswith(b"\n"):
-                        raw = self.rfile.readline(MAX_LINE_BYTES + 1)
-                    emit_socket({
-                        "id": None,
-                        "error": "request line longer than the "
-                                 f"{MAX_LINE_BYTES}-byte limit"})
-                    continue
-                # One bad byte must not kill the connection's
-                # handler: it becomes a JSON error response.
-                line = raw.decode(errors="replace").strip()
-                if line:
-                    _serve_handle_line(server, line, emit_socket)
+            for line in _request_lines(self.rfile, emit_socket):
+                _serve_handle_line(server, line, emit_socket)
 
     tcp = socketserver.ThreadingTCPServer(("127.0.0.1", port), Handler)
     tcp.daemon_threads = True
@@ -268,13 +278,8 @@ def _cmd_serve(args):
             print(f"serving n_points in [{sizes}] on stdin "
                   "(one JSON request per line; EOF drains and exits)",
                   file=sys.stderr)
-            # Bytes, decoded with replacement as over --port: a line
-            # that is not UTF-8 (or a last line cut inside a character)
-            # fails as JSON instead of killing the loop.
-            for raw in sys.stdin.buffer:
-                line = raw.decode(errors="replace").strip()
-                if line:
-                    _serve_handle_line(server, line, emit)
+            for line in _request_lines(sys.stdin.buffer, emit):
+                _serve_handle_line(server, line, emit)
     except KeyboardInterrupt:
         pass
     finally:

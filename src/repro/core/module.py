@@ -125,6 +125,5 @@ class PointCloudModule(Module):
     """
 
     def __init__(self, spec, rng=None):
-        super().__init__()
         self.spec = spec
         self.mlp = SharedMLP(list(spec.mlp_dims), rng=rng)

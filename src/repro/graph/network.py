@@ -263,8 +263,8 @@ class NetworkGraphBuilder:
         ``head`` is a :class:`~repro.neural.SharedMLP`; ``rows`` the
         per-cloud row count the trace reports.  Emits one ``matmul``
         node per Linear, each running its layer's segment — the Linear
-        and its BatchNorm / ReLU / Dropout tail — as a region's matmuls
-        do.  Returns the last node's id.
+        and its ReLU, if any — as a region's matmuls do.  Returns the
+        last node's id.
         """
         ref, out = self._ref(head), feats
         for i, (a, b) in enumerate(zip(head.dims[:-1], head.dims[1:])):

@@ -99,7 +99,6 @@ class PointCloudNetwork(Module):
     paper_n_points = 1024
 
     def __init__(self, modules):
-        super().__init__()
         self.encoder = list(modules)
 
     # -- the declarative builder --------------------------------------------

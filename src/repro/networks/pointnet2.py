@@ -40,15 +40,14 @@ class PointNet2Classification(PointCloudNetwork):
     year = 2017
     paper_n_points = 1024
 
-    def __init__(self, num_classes=40, scale=1.0, dropout=0.0, rng=None):
+    def __init__(self, num_classes=40, scale=1.0, rng=None):
         rng = rng or np.random.default_rng(0)
         specs = [scale_spec(s, scale) for s in _CLS_SPECS]
         modules = [PointCloudModule(s, rng=rng) for s in specs]
         super().__init__(modules)
         self.num_classes = num_classes
         self.head = SharedMLP([1024, 512, 256, num_classes],
-                              final_activation=False, dropout=dropout,
-                              rng=rng)
+                              final_activation=False, rng=rng)
 
     def _build_graph(self, nb):
         # sa3 reduces every cloud to one centroid, so the flat encoder

@@ -46,7 +46,6 @@ def _fit(net, n, loss_of, epochs, lr, seed):
     rng = np.random.default_rng(seed)
     opt = Adam(net.parameters(), lr=lr)
     result = TrainResult()
-    net.train()
     for _ in range(epochs):
         epoch_loss = 0.0
         for i in rng.permutation(n):
@@ -68,13 +67,11 @@ def train_classifier(net, clouds, labels, epochs=3, lr=1e-3, strategy="delayed",
 
 def evaluate_classifier(net, clouds, labels, strategy="delayed"):
     """Overall accuracy over a set of clouds."""
-    net.eval()
     predictions = []
     with no_grad():
         for cloud in clouds:
             logits = net(cloud, strategy=strategy)
             predictions.append(int(logits.data.argmax()))
-    net.train()
     return overall_accuracy(np.array(predictions), np.asarray(labels))
 
 
@@ -87,14 +84,12 @@ def train_segmenter(net, clouds, labels, epochs=3, lr=1e-3, strategy="delayed",
 
 def evaluate_segmenter(net, clouds, labels, num_classes, strategy="delayed"):
     """Mean IoU over a set of clouds (the ShapeNet metric)."""
-    net.eval()
     preds, targets = [], []
     with no_grad():
         for cloud, lab in zip(clouds, labels):
             logits = net(cloud, strategy=strategy)
             preds.append(logits.data.argmax(axis=1))
             targets.append(lab)
-    net.train()
     return mean_iou(np.concatenate(preds), np.concatenate(targets), num_classes)
 
 
@@ -116,7 +111,6 @@ def evaluate_detector(net, clouds, masks, boxes, strategy="delayed"):
     """(mask accuracy, mean BEV IoU) over frustum samples."""
     from ..data.kitti import bev_iou
 
-    net.eval()
     mask_hits = []
     ious = []
     box_dim = boxes.shape[1]
@@ -127,5 +121,4 @@ def evaluate_detector(net, clouds, masks, boxes, strategy="delayed"):
             mask_hits.append((pred_mask == mask).mean())
             pred_box = out["box"].data[0, :box_dim]
             ious.append(bev_iou(pred_box, box))
-    net.train()
     return float(np.mean(mask_hits)), float(np.mean(ious))

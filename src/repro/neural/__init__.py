@@ -3,13 +3,10 @@
 from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(globals(), {
-    "BatchNorm": "layers",
-    "Dropout": "layers",
     "Linear": "layers",
     "Module": "layers",
     "Parameter": "layers",
     "ReLU": "layers",
-    "Sequential": "layers",
     "accuracy": "losses",
     "cross_entropy": "losses",
     "log_softmax": "losses",

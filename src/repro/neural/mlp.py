@@ -1,66 +1,53 @@
 """Shared MLPs — the feature-computation operator ``F`` of the paper.
 
-A shared MLP applies the same per-point stack of Linear (+ optional
-BatchNorm) + ReLU layers to every row of its input.  In the original
-formulation the rows are aggregated neighbor offsets (K rows per
-centroid); with delayed-aggregation the rows are the raw input points.
-The module itself is agnostic — that choice is made by the graph a
-network runs it in (:mod:`repro.graph`).  A network's heads and
-embeddings are shared MLPs too, over per-cloud or per-point rows.
+A shared MLP applies the same per-point stack of Linear + ReLU layers
+to every row of its input.  In the original formulation the rows are
+aggregated neighbor offsets (K rows per centroid); with
+delayed-aggregation the rows are the raw input points.  The module
+itself is agnostic — that choice is made by the graph a network runs
+it in (:mod:`repro.graph`).  A network's heads and embeddings are
+shared MLPs too, over per-cloud or per-point rows.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .layers import BatchNorm, Dropout, Linear, Module, ReLU, Sequential
+from .layers import Linear, Module, ReLU
 
 __all__ = ["SharedMLP"]
 
 
 class SharedMLP(Module):
-    """Stack of ``Linear -> [BatchNorm] -> ReLU -> [Dropout]`` layers.
+    """Stack of ``Linear -> ReLU`` layers.
 
     Parameters
     ----------
     dims:
         Layer widths including the input width, e.g. ``[3, 64, 64, 128]``
         builds the first PointNet++ module's MLP from Fig 3.
-    batch_norm:
-        Insert a BatchNorm after every Linear.  Off by default because
-        batch norm perturbs the approximate distributivity that
-        delayed-aggregation relies on (§VII-B).
     final_activation:
         Apply the nonlinearity after the last layer too (the paper's
         module MLPs do; classification and regression heads do not).
-    dropout:
-        Drop probability of a ``Dropout`` after every activation; 0
-        adds none.
     """
 
-    def __init__(self, dims, batch_norm=False, final_activation=True,
-                 dropout=0.0, rng=None):
-        super().__init__()
+    def __init__(self, dims, final_activation=True, rng=None):
         if len(dims) < 2:
             raise ValueError("SharedMLP needs at least input and output widths")
         rng = rng or np.random.default_rng(0)
         self.dims = list(dims)
-        self.batch_norm = batch_norm
-        layers = []
+        self.layers = []
         last = len(dims) - 2
         for i, (a, b) in enumerate(zip(dims[:-1], dims[1:])):
-            layers.append(Linear(a, b, rng=rng))
+            self.layers.append(Linear(a, b, rng=rng))
             if i < last or final_activation:
-                if batch_norm:
-                    layers.append(BatchNorm(b))
-                layers.append(ReLU())
-                if dropout:
-                    layers.append(Dropout(dropout, rng=rng))
-        self.net = Sequential(*layers)
+                self.layers.append(ReLU())
 
     def forward(self, x):
-        return self.net(x)
+        for layer in self.layers:
+            x = layer(x)
+        return x
 
     def export_layers(self):
         """The flat layer list a kernel backend exports parameters from."""
-        return list(self.net.layers)
+        return self.layers

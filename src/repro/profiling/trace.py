@@ -55,10 +55,6 @@ class Op:
         return 0
 
     @property
-    def flops(self):
-        return 2 * self.macs
-
-    @property
     def bytes_read(self):
         return 0
 
@@ -75,12 +71,6 @@ class NeighborSearchOp(Op):
     n_points: int = 0
     k: int = 0
     dim: int = 3  # dimensionality of the search space
-
-    @property
-    def flops(self):
-        # Distance matrix (3 flops per dim per pair) + top-k selection.
-        pairs = self.n_queries * self.n_points
-        return pairs * (3 * self.dim) + pairs  # selection ~1 flop/pair
 
     @property
     def bytes_read(self):
@@ -126,10 +116,6 @@ class SubtractOp(Op):
 
     rows: int = 0
     dim: int = 0
-
-    @property
-    def flops(self):
-        return self.rows * self.dim
 
     @property
     def bytes_read(self):
@@ -179,10 +165,6 @@ class ReduceMaxOp(Op):
     feature_dim: int = 0
 
     @property
-    def flops(self):
-        return self.n_centroids * (self.k - 1) * self.feature_dim
-
-    @property
     def bytes_read(self):
         return self.n_centroids * self.k * self.feature_dim * BYTES_PER_ELEMENT
 
@@ -197,10 +179,6 @@ class SampleOp(Op):
 
     n_points: int = 0
     n_samples: int = 0
-
-    @property
-    def flops(self):
-        return self.n_points  # random sampling cost; FPS would be n*s
 
     @property
     def bytes_written(self):
@@ -236,10 +214,6 @@ class InterpolateOp(Op):
     feature_dim: int = 0
 
     @property
-    def flops(self):
-        return self.n_points * self.k * self.feature_dim * 2
-
-    @property
     def bytes_read(self):
         return self.n_points * self.k * self.feature_dim * BYTES_PER_ELEMENT
 
@@ -273,16 +247,6 @@ class Trace:
 
     def by_type(self, op_type):
         return [op for op in self.ops if isinstance(op, op_type)]
-
-    def modules(self):
-        seen = []
-        for op in self.ops:
-            if op.module not in seen:
-                seen.append(op.module)
-        return seen
-
-    def total_macs(self):
-        return sum(op.macs for op in self.ops)
 
     def mlp_macs(self):
         """MACs in feature computation only (the Fig 9 numerator)."""

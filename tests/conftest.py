@@ -148,9 +148,11 @@ def region_pft(ngraph, values, region):
 
 def region_module(net, ngraph, region):
     """The :class:`PointCloudModule` of ``net`` that ``region`` of
-    ``ngraph`` runs, found by the region's label (its spec's name)."""
+    ``ngraph`` runs, found by the region's label (its spec's name)
+    among the module lists ``net`` holds (an encoder, a box encoder)."""
     label = ngraph.graph.node(region.sample).attrs["label"]
-    return next(m for m in net.modules()
+    return next(m for value in vars(net).values() if isinstance(value, list)
+                for m in value
                 if isinstance(m, PointCloudModule) and m.spec.name == label)
 
 
@@ -202,7 +204,7 @@ def reference_module_forward(module, coords, feats, strategy):
         out = reduced - pft_tensor.gather(centroid_idx)
         return ModuleRun(out_coords, out, indices, centroid_idx,
                          pft_tensor.data)
-    layers = module.mlp.net.layers
+    layers = module.mlp.layers
     first = layers[0]
     hoisted = feats @ first.weight
     k = spec.k

@@ -31,35 +31,16 @@ from repro.core import STRATEGIES
 from repro.engine import BatchRunner, NeighborIndexCache
 from repro.neighbors import neighbor_search
 from repro.networks import ALL_NETWORKS, build_network
-from repro.neural import BatchNorm, Dropout, Linear, ReLU, SharedMLP, Tensor, no_grad
+from repro.neural import Linear, SharedMLP, Tensor, no_grad
 from repro.neural.layers import segment_layers
 
 
-BATCH_NORM_TOY = "PointNet++ (c) with BatchNorm"
-
-
-def batch_norm_toy():
-    """PointNet++ (c) with a BatchNorm after every module Linear, in
-    eval mode (no registered network uses BatchNorm)."""
-    net = toy("PointNet++ (c)")
-    for module in net.encoder:
-        module.mlp = SharedMLP(list(module.spec.mlp_dims), batch_norm=True,
-                               rng=np.random.default_rng(3))
-    return net.eval()
-
-
 def seed_parameters(net, seed):
-    """Give every Linear bias and BatchNorm statistic a nonzero value."""
+    """Give every Linear bias a nonzero value."""
     rng = np.random.default_rng(seed)
-    for module in net.modules():
-        if isinstance(module, Linear) and module.bias is not None:
-            module.bias.data[...] = rng.normal(0.0, 0.5, module.bias.shape)
-        elif isinstance(module, BatchNorm):
-            dim = module.dim
-            module.running_mean = rng.normal(0.0, 0.5, dim)
-            module.running_var = rng.uniform(0.5, 2.0, dim)
-            module.gamma.data[...] = rng.uniform(0.5, 1.5, dim)
-            module.beta.data[...] = rng.normal(0.0, 0.5, dim)
+    for param in net.parameters():
+        if param.data.ndim == 1:  # a Linear's bias
+            param.data[...] = rng.normal(0.0, 0.5, param.data.shape)
 
 
 def assert_close_with_same_top1(ref, out, rel=1e-4):
@@ -109,23 +90,11 @@ class TestParameterExport:
     def test_float64_export_shares_parameter_memory(self):
         mlp = SharedMLP([3, 8], rng=np.random.default_rng(0))
         ops = export_segment(mlp.export_layers(), np.float64)
-        assert ops[0][1] is mlp.net.layers[0].weight.data
+        assert ops[0][1] is mlp.layers[0].weight.data
 
-    def test_training_batchnorm_and_dropout_rejected(self):
-        layers = [Linear(3, 4), BatchNorm(4), ReLU()]
-        with pytest.raises(ValueError, match="eval"):
-            export_segment(layers, np.float64)
-        for layer in layers:
-            layer.training = False
-        ops = export_segment(layers, np.float64)
-        assert [op[0] for op in ops] == ["linear", "bn", "relu"]
-
-        dropped = [Linear(3, 4), ReLU(), Dropout(0.5)]
-        with pytest.raises(ValueError, match="Dropout"):
-            export_segment(dropped, np.float64)
-        dropped[2].training = False
-        assert [op[0] for op in export_segment(dropped, np.float64)] \
-            == ["linear", "relu"]
+    def test_a_layer_other_than_relu_after_a_linear_is_refused(self):
+        with pytest.raises(TypeError, match="cannot export layer Linear"):
+            export_segment([Linear(3, 4), Linear(4, 4)], np.float64)
 
 
 class TestHeads:
@@ -145,29 +114,6 @@ class TestHeads:
         for ids in heads.values():
             assert [f"matmul:{i}" in labels for i in ids] \
                 == [True] + [False] * (len(ids) - 1)
-
-    @staticmethod
-    def dropout_net():
-        """PointNet++ (c) whose classifier has a Dropout after each
-        hidden layer."""
-        net = build_network("PointNet++ (c)", scale=0.125, dropout=0.5,
-                            rng=np.random.default_rng(2))
-        assert any(isinstance(layer, Dropout)
-                   for layer in net.head.export_layers())
-        return net
-
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_dropout_head_in_eval_mode_equals_interpreter(self, strategy):
-        net = self.dropout_net().eval()
-        clouds = clouds_for(net, 2, seed=1)
-        out = compile_kernel_program(net, strategy).run(clouds)
-        assert np.array_equal(out.data, interpret(net, clouds, strategy))
-
-    def test_dropout_head_in_training_mode_is_not_compiled(self):
-        net = self.dropout_net()
-        assert net.training
-        with pytest.raises(ValueError, match="Dropout"):
-            compile_kernel_program(net, "delayed")
 
 
 @pytest.fixture(scope="module")
@@ -190,7 +136,6 @@ def trained_classifier():
     train_clouds = dataset.train_clouds[:, :n]
     train_classifier(net, train_clouds, dataset.train_labels,
                      epochs=3, lr=1e-3, strategy="delayed", seed=1)
-    net.eval()
     return net, np.concatenate([train_clouds, dataset.test_clouds[:, :n]])
 
 
@@ -232,14 +177,14 @@ class TestKernelEquivalence:
         for _, b in leaves(bref, fast):
             assert b.dtype == np.float32
 
-    @pytest.mark.parametrize("name", [*ALL_NETWORKS, BATCH_NORM_TOY])
+    @pytest.mark.parametrize("name", ALL_NETWORKS)
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_float64_bit_exact_with_nonzero_biases(self, name, strategy):
-        # Freshly built networks have all-zero biases and no BatchNorm,
-        # so a program that drops or double-adds a bias — the limited
-        # epilogue re-adds the one its hoisted product left out — or
-        # mis-folds a BatchNorm matches the interpreter on them.
-        net = batch_norm_toy() if name == BATCH_NORM_TOY else toy(name)
+        # Freshly built networks have all-zero biases, so a program that
+        # drops or double-adds a bias — the limited epilogue re-adds the
+        # one its hoisted product left out — matches the interpreter on
+        # them.
+        net = toy(name)
         seed_parameters(net, seed=7)
         clouds = clouds_for(net, 3, seed=2)
         with no_grad():

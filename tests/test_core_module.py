@@ -125,7 +125,7 @@ class TestModuleRun:
         # centroid subtraction and is re-added after aggregation.
         net = module_net(seed=12)
         _, feats, out = run_module(net, make_cloud(seed=11), "limited")
-        weight = net.encoder[0].mlp.net.layers[0].weight.data
+        weight = net.encoder[0].mlp.layers[0].weight.data
         assert out.pft.shape == (64, 16)
         np.testing.assert_allclose(out.pft, feats.data @ weight,
                                    rtol=1e-12, atol=1e-12)
@@ -164,7 +164,7 @@ class TestStrategies:
         # Strip the ReLU so the MLP is a pure affine map; the bias adds a
         # constant to every row so it cancels in aggregation subtraction
         # but NOT in max-reduction... use no-bias for exactness.
-        net.encoder[0].mlp.net.layers = [
+        net.encoder[0].mlp.layers = [
             Linear(3, 8, bias=False, rng=np.random.default_rng(2))]
         orig = run(net, cloud, "original")
         delayed = run(net, cloud, "delayed")
@@ -215,7 +215,7 @@ class TestStrategies:
         cloud = make_cloud()
         run(net, cloud, strategy)  # memoizes the graph
         mlp = net.encoder[0].mlp
-        mlp.net.layers = [ReLU(), *mlp.net.layers]
+        mlp.layers = [ReLU(), *mlp.layers]
         with pytest.raises(TypeError, match="leading Linear"):
             run(net, cloud, strategy)
         with pytest.raises(TypeError, match="leading Linear"):
@@ -330,7 +330,7 @@ class TestStrategyGradients:
         # to the same 1e-9.
         spec = ModuleSpec("lin", 16, 8, 4, (3, 5))
         cloud, net = make_cloud(16, seed=18), module_net(spec, seed=19)
-        net.encoder[0].mlp.net.layers = [
+        net.encoder[0].mlp.layers = [
             Linear(3, 5, bias=False, rng=np.random.default_rng(20))]
         original = self.gradients(net, cloud, "original")
         delayed = self.gradients(net, cloud, "delayed")
@@ -426,18 +426,6 @@ class TestDistributivity:
         rng = np.random.default_rng(3)
         gap = mlp_distributivity_gap(mlp, rng.normal(size=(16, 4)), rng.normal(size=4))
         assert gap > 0.0
-
-    def test_mlp_gap_with_batch_norm_eval_mode(self):
-        # §VII-B: batch norm perturbs distributivity.  (In *training*
-        # mode BN is invariant to constant row shifts so the gap
-        # degenerates; inference mode is what deployment uses.)
-        rng = np.random.default_rng(4)
-        neighbors = rng.normal(size=(64, 4))
-        centroid = rng.normal(size=4)
-        bn = SharedMLP([4, 16, 8], batch_norm=True, rng=np.random.default_rng(5))
-        bn(Tensor(neighbors))  # populate running statistics
-        bn.eval()
-        assert mlp_distributivity_gap(bn, neighbors, centroid) > 0.0
 
     def test_relative_error_zero_for_identical(self):
         a = np.ones((3, 3))

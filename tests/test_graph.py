@@ -410,7 +410,7 @@ class TestExecutors:
             with no_grad():
                 mlp = net.encoder[0].mlp
                 expected = (mlp(feats).data if strategy == "delayed"
-                            else feats.data @ mlp.net.layers[0].weight.data)
+                            else feats.data @ mlp.layers[0].weight.data)
             np.testing.assert_allclose(run.pft, expected, rtol=1e-12,
                                        atol=1e-12)
 

@@ -5,11 +5,8 @@ import pytest
 
 from repro.neural import (
     Adam,
-    BatchNorm,
-    Dropout,
     Linear,
     ReLU,
-    Sequential,
     SharedMLP,
     Tensor,
     accuracy,
@@ -44,52 +41,7 @@ class TestLinear:
         assert layer.bias.grad is not None
 
 
-class TestBatchNorm:
-    def test_normalizes_in_training(self):
-        bn = BatchNorm(4)
-        x = Tensor(np.random.default_rng(0).normal(3.0, 2.0, size=(256, 4)))
-        out = bn(x)
-        assert abs(out.data.mean()) < 1e-6
-        assert abs(out.data.std() - 1.0) < 1e-2
-
-    def test_eval_uses_running_stats(self):
-        bn = BatchNorm(2, momentum=0.0)  # running stats = last batch
-        x = Tensor(np.random.default_rng(1).normal(5.0, 3.0, size=(128, 2)))
-        bn(x)
-        bn.eval()
-        out = bn(x)
-        assert abs(out.data.mean()) < 0.1
-
-    def test_trainable_affine(self):
-        bn = BatchNorm(3)
-        assert len(bn.parameters()) == 2
-
-
-class TestDropout:
-    def test_identity_in_eval(self):
-        d = Dropout(0.5)
-        d.eval()
-        x = Tensor(np.ones((4, 4)))
-        np.testing.assert_allclose(d(x).data, 1.0)
-
-    def test_scales_in_train(self):
-        d = Dropout(0.5, rng=np.random.default_rng(0))
-        x = Tensor(np.ones((2000, 10)))
-        out = d(x).data
-        assert set(np.unique(out)) == {0.0, 2.0}
-        assert abs(out.mean() - 1.0) < 0.05
-
-    def test_invalid_probability(self):
-        with pytest.raises(ValueError):
-            Dropout(1.0)
-
-
 class TestModuleProtocol:
-    def test_train_eval_propagates(self):
-        net = Sequential(Linear(2, 2), Dropout(0.5))
-        net.eval()
-        assert all(not m.training for m in net.modules())
-
     def test_zero_grad(self):
         layer = Linear(2, 2)
         layer(Tensor(np.ones((1, 2)))).sum().backward()
@@ -120,30 +72,18 @@ class TestSharedMLP:
         out = mlp(Tensor(np.random.default_rng(3).normal(size=(50, 2))))
         assert out.data.min() >= 0
 
-    def test_batch_norm_layers_present(self):
-        mlp = SharedMLP([3, 8, 4], batch_norm=True)
-        # 2 Linear * (weight+bias) + 2 BatchNorm * (gamma+beta) = 8
-        assert len(mlp.parameters()) == 8
-
-    def test_dropout_follows_every_activation(self):
-        # A head: no activation after the last Linear, so no Dropout.
-        mlp = SharedMLP([8, 6, 4, 2], final_activation=False, dropout=0.5)
-        kinds = [type(layer).__name__ for layer in mlp.export_layers()]
-        assert kinds == ["Linear", "ReLU", "Dropout", "Linear", "ReLU",
-                         "Dropout", "Linear"]
-        assert all(layer.p == 0.5 for layer in mlp.export_layers()
-                   if isinstance(layer, Dropout))
-        assert not any(isinstance(layer, Dropout) for layer in
-                       SharedMLP([8, 6, 2], dropout=0.0).export_layers())
+    def test_parameters_discovered_through_the_layer_list(self):
+        mlp = SharedMLP([3, 8, 4])
+        assert len(mlp.parameters()) == 4  # 2 Linear * (weight + bias)
 
 
 class TestSegmentLayers:
     def test_one_segment_per_linear_with_its_tail(self):
-        mlp = SharedMLP([3, 8, 4], batch_norm=True)
+        # A head: no activation after the last Linear.
+        mlp = SharedMLP([3, 8, 4, 2], final_activation=False)
         segments = segment_layers(mlp.export_layers())
         assert [[type(layer).__name__ for layer in seg] for seg in segments] \
-            == [["Linear", "BatchNorm", "ReLU"], ["Linear", "BatchNorm",
-                                                   "ReLU"]]
+            == [["Linear", "ReLU"], ["Linear", "ReLU"], ["Linear"]]
 
     def test_a_stack_without_a_leading_linear_is_refused(self):
         # A layer before the first Linear is in no segment: no graph

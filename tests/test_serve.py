@@ -45,7 +45,6 @@ from repro.cli import (
 from repro.engine import BatchRunner
 from repro.engine.runner import BatchResult
 from repro.networks import build_network
-from repro.neural import Linear
 from repro.serve import (
     BatchPolicy,
     FairQueue,
@@ -783,9 +782,9 @@ class TestHostileRequests:
         # An in-range cloud through weights that overflow float64: the
         # cloud is admitted, and the output guard answers with an error.
         net = build_network("PointNet++ (c)", scale=0.0625)
-        for module in net.modules():
-            if isinstance(module, Linear):
-                module.weight.data *= 1e100
+        for param in net.parameters():
+            if param.data.ndim == 2:  # a Linear's weight
+                param.data *= 1e100
         cloud = np.random.default_rng(3).normal(size=(net.n_points, 3))
         answer, stats = self._answer_one(net, "float64", cloud)
         assert "output" not in answer
@@ -942,6 +941,30 @@ class TestHostileRequests:
         assert refused["id"] is None
         assert f"{MAX_LINE_BYTES}-byte limit" in refused["error"]
         assert served["id"] == "ok" and len(served["output"]) > 0
+
+    def test_stdin_bounds_a_request_line(self):
+        # The bound --port has holds on stdin: a well-formed request
+        # one byte past the limit is never parsed.  It is answered with
+        # one error line naming the limit, and the next line is served.
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        head, tail = b'{"id": "long", "cloud": "', b'"}'
+        long = head + b"x" * (MAX_LINE_BYTES + 1 - len(head) - len(tail)) \
+            + tail
+        assert len(long) == MAX_LINE_BYTES + 1
+        cloud = np.random.default_rng(5).normal(size=(64, 3)).tolist()
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "serve", "--scale", "0.0625"],
+            input=long + b"\n"
+            + json.dumps({"id": "ok", "cloud": cloud}).encode() + b"\n",
+            capture_output=True, timeout=TIMEOUT, env=env,
+        )
+        assert done.returncode == 0, done.stderr.decode()
+        refused, served = map(json.loads, done.stdout.splitlines())
+        assert refused == {"id": None, "error": "request line longer than "
+                           f"the {MAX_LINE_BYTES}-byte limit"}
+        assert served["id"] == "ok" and len(served["output"]) > 0
+        assert self._counted(done.stderr.decode()) == 1  # one submit
 
     @pytest.mark.parametrize("argv, reason", [
         (["--network", "PointNet (x)"], "unknown network 'PointNet (x)'"),

@@ -756,8 +756,10 @@ class TestShardExactness:
     def test_fresh_fleets_fed_one_sequence_count_the_same(self, tiny_net):
         # One lane per replica: a replica runs its batches in the order
         # it took them, so its cache partition sees one sequence of
-        # lookups, and its counters are the same on every run.  The
-        # cache is small enough to evict, so the order shows.
+        # lookups, and its counters are the same on every run.  Batches
+        # of one make batch formation repeat too (a stack's lookups go
+        # search node by search node).  The cache is small enough to
+        # evict, so the order shows.
         rng = np.random.default_rng(21)
         clouds = [rng.normal(size=(tiny_net.n_points, 3)) for _ in range(6)]
         sequence = [int(i) for i in rng.integers(0, len(clouds), size=30)]

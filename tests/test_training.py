@@ -56,13 +56,6 @@ class TestClassifierTraining:
         )
         assert 0.0 <= acc <= 1.0
 
-    def test_evaluation_restores_train_mode(self, cls_data):
-        net = build_network("PointNet++ (c)", num_classes=3, scale=SCALE)
-        n = net.n_points
-        evaluate_classifier(net, cls_data.test_clouds[:, :n],
-                            cls_data.test_labels)
-        assert net.training
-
 
 class TestSegmenterTraining:
     def test_loss_decreases(self):
