@@ -31,7 +31,7 @@ from repro.core import STRATEGIES
 from repro.engine import BatchRunner, NeighborIndexCache
 from repro.neighbors import neighbor_search
 from repro.networks import ALL_NETWORKS, build_network
-from repro.neural import Linear, SharedMLP, Tensor, no_grad
+from repro.neural import Linear, ReLU, SharedMLP, Tensor, no_grad
 from repro.neural.layers import segment_layers
 
 
@@ -95,6 +95,30 @@ class TestParameterExport:
     def test_a_layer_other_than_relu_after_a_linear_is_refused(self):
         with pytest.raises(TypeError, match="cannot export layer Linear"):
             export_segment([Linear(3, 4), Linear(4, 4)], np.float64)
+
+    @pytest.mark.parametrize("relu", [True, False],
+                             ids=["with-relu", "head-tail"])
+    @pytest.mark.parametrize("form, kinds", [
+        ({}, ["linear", "relu"]),
+        ({"weight_only": True}, ["linear"]),
+        ({"epilogue": True}, ["bias", "relu"]),
+    ], ids=["whole", "weight-only", "epilogue"])
+    def test_each_export_form_packs_its_ops(self, form, kinds, relu):
+        # A segment is a Linear and its ReLU, if any: the whole segment
+        # packs both, the limited variant's hoisted product the GEMM
+        # alone (no bias), and its epilogue the bias and the ReLU.
+        linear = Linear(3, 4, rng=np.random.default_rng(0))
+        layers = [linear, ReLU()] if relu else [linear]
+        ops = export_segment(layers, np.float32, **form)
+        assert [op[0] for op in ops] \
+            == [kind for kind in kinds if relu or kind != "relu"]
+        if ops[0][0] == "linear":
+            _, weight, bias = ops[0]
+            np.testing.assert_array_equal(weight, linear.weight.data
+                                          .astype(np.float32))
+            assert (bias is None) == ("weight_only" in form)
+        arrays = [a for op in ops for a in op[1:] if a is not None]
+        assert arrays and all(a.dtype == np.float32 for a in arrays)
 
 
 class TestHeads:

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from conftest import toy
+from repro.networks import ALL_NETWORKS
 from repro.neural import (
     Adam,
     Linear,
+    Module,
     ReLU,
     SharedMLP,
     Tensor,
@@ -95,6 +98,51 @@ class TestSegmentLayers:
     def test_a_stack_without_a_linear_is_refused(self):
         with pytest.raises(TypeError, match="no Linear"):
             segment_layers([ReLU()])
+
+    @staticmethod
+    def shared_mlps(net):
+        """Every SharedMLP ``net`` holds, at any depth of its attributes."""
+        found, stack, seen = [], [net], set()
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen:
+                continue
+            seen.add(id(obj))
+            if isinstance(obj, SharedMLP):
+                found.append(obj)
+                continue
+            values = obj if isinstance(obj, (list, tuple)) \
+                else vars(obj).values()
+            stack.extend(v for v in values
+                         if isinstance(v, (Module, list, tuple)))
+        return found
+
+    @pytest.mark.parametrize("name", ALL_NETWORKS)
+    def test_every_network_mlp_is_linear_relu_segments(self, name):
+        # An MLP layer is a Linear and its ReLU: each segment of every
+        # MLP a network holds is one of the two forms a kernel exports,
+        # only a last segment (a head's output) drops the ReLU, and the
+        # MLP's forward is that chain of GEMMs, biases and ReLUs.
+        mlps = self.shared_mlps(toy(name))
+        assert mlps
+        rng = np.random.default_rng(1)
+        for mlp in mlps:
+            segments = segment_layers(mlp.export_layers())
+            assert [[layer.weight.shape for layer in seg[:1]]
+                    for seg in segments] \
+                == [[(a, b)] for a, b in zip(mlp.dims[:-1], mlp.dims[1:])]
+            kinds = [[type(layer).__name__ for layer in seg[1:]]
+                     for seg in segments]
+            assert kinds[:-1] == [["ReLU"]] * (len(segments) - 1)
+            assert kinds[-1] in (["ReLU"], [])
+            x = rng.normal(size=(5, mlp.dims[0]))
+            expected = x
+            for seg in segments:
+                expected = expected @ seg[0].weight.data + seg[0].bias.data
+                if len(seg) == 2:
+                    expected = np.maximum(expected, 0.0)
+            np.testing.assert_allclose(mlp(Tensor(x)).data, expected,
+                                       rtol=1e-12, atol=1e-12)
 
 
 class TestLosses:

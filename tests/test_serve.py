@@ -20,6 +20,7 @@ opens the gate.
 """
 
 import contextlib
+import io
 import json
 import os
 import re
@@ -39,6 +40,7 @@ import repro
 from repro.cli import (
     MAX_LINE_BYTES,
     _build_server,
+    _request_lines,
     _serve_handle_line,
     build_parser,
 )
@@ -1025,6 +1027,70 @@ class TestHostileRequests:
             error = self._refused_serve(
                 ["--scale", "0.0625", "--port", str(port)])
         assert f"cannot listen on 127.0.0.1:{port}: " in error
+
+
+class TestRequestLines:
+    """The one bounded line reader stdin and ``--port`` both read
+    requests through."""
+
+    REFUSED = {"id": None, "error": "request line longer than the "
+               f"{MAX_LINE_BYTES}-byte limit"}
+
+    @staticmethod
+    def read(data):
+        errors = []
+        lines = list(_request_lines(io.BytesIO(data), errors.append))
+        return lines, errors
+
+    def test_a_line_at_the_limit_is_yielded_whole(self):
+        line = b"x" * MAX_LINE_BYTES
+        lines, errors = self.read(line + b"\nnext\n")
+        assert errors == []
+        assert [len(line) for line in lines] == [MAX_LINE_BYTES, 4]
+
+    @pytest.mark.parametrize("length", [
+        MAX_LINE_BYTES + 1, 2 * MAX_LINE_BYTES, 3 * MAX_LINE_BYTES + 5])
+    def test_an_over_long_line_is_one_error_and_the_next_is_read(
+            self, length):
+        # However many bounded reads the line spans, it is discarded up
+        # to its newline and answered once.
+        lines, errors = self.read(b"first\n" + b"x" * length + b"\nnext\n")
+        assert lines == ["first", "next"]
+        assert errors == [self.REFUSED]
+
+    def test_an_over_long_last_line_without_a_newline_ends_the_stream(self):
+        lines, errors = self.read(b"first\n" + b"x" * (MAX_LINE_BYTES + 1))
+        assert lines == ["first"]
+        assert errors == [self.REFUSED]
+
+    def test_a_last_line_without_a_newline_is_yielded(self):
+        assert self.read(b"first\nlast") == (["first", "last"], [])
+
+    def test_blank_lines_are_skipped_and_padding_stripped(self):
+        lines, errors = self.read(b"\n  \n\t a \r\n\r\n b\n\n")
+        assert (lines, errors) == (["a", "b"], [])
+
+    def test_bytes_that_are_not_utf8_decode_with_replacement(self):
+        # The line reaches the JSON parser (and fails there) instead
+        # of ending the loop; the line after it is still read.
+        lines, errors = self.read(b'{"id": "\xff\xfe"}\nnext\n')
+        assert lines == ['{"id": "��"}', "next"]
+        assert errors == []
+
+    def test_a_line_is_yielded_before_the_next_is_read(self):
+        # The server answers a request before the client sends the next:
+        # the reader must not read ahead of the line it yields.
+        class Recording(io.BytesIO):
+            reads = 0
+
+            def readline(self, size=-1):
+                self.reads += 1
+                return super().readline(size)
+
+        stream = Recording(b"one\ntwo\nthree\n")
+        lines = _request_lines(stream, pytest.fail)
+        assert next(lines) == "one" and stream.reads == 1
+        assert next(lines) == "two" and stream.reads == 2
 
 
 class TestResponseIds:

@@ -56,6 +56,18 @@ class TestClassifierTraining:
         )
         assert 0.0 <= acc <= 1.0
 
+    def test_evaluation_changes_no_parameter(self, cls_data):
+        # No layer has a training-only behavior to switch off, so an
+        # evaluation between training runs leaves the network as it was.
+        net = build_network("PointNet++ (c)", num_classes=3, scale=SCALE,
+                            rng=np.random.default_rng(0))
+        n = net.n_points
+        before = [p.data.copy() for p in net.parameters()]
+        evaluate_classifier(net, cls_data.test_clouds[:, :n],
+                            cls_data.test_labels)
+        assert all(np.array_equal(a, p.data) and p.grad is None
+                   for a, p in zip(before, net.parameters()))
+
 
 class TestSegmenterTraining:
     def test_loss_decreases(self):
