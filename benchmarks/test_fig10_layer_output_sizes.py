@@ -16,7 +16,6 @@ the last module, so all three strategies read the same 4.75 MiB peak
 and 2.38 MiB largest buffer.
 """
 
-import numpy as np
 
 from conftest import print_table
 
@@ -87,12 +86,12 @@ def test_fig10_layer_sizes(benchmark, traces):
     assert max(s[0]["max"] for s in stats.values()) > 4 * MB
 
 
-def _arena_peak(program, coords):
+def _arena_peak(program):
     """``(peak live bytes, largest buffer bytes, phase, in a module)``
-    of ``program``'s arena plan for ``coords``: the phase is that of the
+    of ``program``'s height-1 arena plan: the phase is that of the
     first kernel at which the live bytes peak, and the flag says whether
     that kernel's lead node belongs to a module region."""
-    plan = program.plan_for(coords)
+    plan = program.plan_for()
     live = [plan.live_bytes_at(pos) for pos in range(plan.n_positions + 1)]
     pos = live.index(plan.peak_live_bytes)
     graph = program.ngraph.graph
@@ -105,10 +104,9 @@ def test_fig10_arena_plan():
     peaks = {}
     for name in ALL_NETWORKS:
         net = build_network(name, scale=MEASURED_SCALE)
-        coords = np.random.default_rng(0).normal(size=(1, net.n_points, 3))
         peaks[name] = {
             strategy: _arena_peak(
-                compile_kernel_program(net, strategy, "float32"), coords)
+                compile_kernel_program(net, strategy, "float32"))
             for strategy in STRATEGIES
         }
     rows = [

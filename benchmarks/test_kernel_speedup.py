@@ -39,7 +39,7 @@ def test_float32_kernels_beat_the_batched_interpreter():
             return net.forward_batch(stack, strategy="delayed")
 
     fast = BatchRunner(net, strategy="delayed", backend="float32").run
-    interpret(clouds)  # warm: first compile, arena measuring run
+    interpret(clouds)  # warm: the graph build and the first compile
     fast(clouds)
     # Interleaved best-of, so clock drift hits both sides equally.
     interpreter_s = fast_s = float("inf")

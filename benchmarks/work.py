@@ -43,7 +43,7 @@ def program_work(net, strategy, dtype, trace):
         "unplanned": program.memory_stats()["unplanned"],
     }
     for height in HEIGHTS:
-        plan = program.plan_for(cloud, height=height)
+        plan = program.plan_for(height)
         cells[f"arena_bytes_h{height}"] = plan.total_bytes
         cells[f"pool_bytes_h{height}"] = plan.pool_bytes
         cells[f"peak_live_bytes_h{height}"] = plan.peak_live_bytes

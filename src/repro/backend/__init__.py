@@ -14,9 +14,9 @@ A kernel program's backend is its dtype, and two ship: ``float64``
 (bit-exact against the graph executors) and ``float32`` (the BLAS fast
 path).  The engine selects one through ``backend=`` on
 :class:`~repro.engine.BatchRunner`, and ``repro serve`` through
-``--serve-backend``.  Every program is compiled in process and measures
-its arena plan on its first run; :mod:`repro.backend.aot` holds only
-the file transport for packed parameter tables.
+``--serve-backend``.  Every program is compiled in process, its arena
+plan included (:mod:`repro.backend.memplan`); :mod:`repro.backend.aot`
+holds only the file transport for packed parameter tables.
 """
 
 from .._lazy import lazy_exports

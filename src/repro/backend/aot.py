@@ -8,8 +8,7 @@ no helper process is involved.  Its one caller is
 ``benchmarks/ledger/layers.py``, which builds its sharded server this
 way; the product shares the table object in process instead
 (:meth:`~repro.serve.shard.ShardRouter.hosting`).  Kernel programs are
-always compiled in process and measure their arena plan on their first
-run.
+always compiled in process, arena plan included.
 """
 
 from __future__ import annotations

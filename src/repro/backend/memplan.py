@@ -8,16 +8,17 @@ dominate bytes moved — which makes that the wrong shape for a serve
 host.  This module is the TVM-style static memory planner that fixes
 it:
 
-1. the runtime records every scratch request of its one *measuring
-   run* (key, size, the kernel position that wrote it) and maps each
-   buffer to the graph values that alias it (epilogues mutate their
-   input in place, and a non-reducing ``aggregate`` — the graph's one
-   aggregation node, compiled to one kernel — returns its gather buffer
-   through a reshape; alias detection by address range rather than a
-   hand-kept table keeps those honest).  Every leading dimension is
-   ``stack height × per-cloud rows``, so the records are kept **per
-   cloud** and any height is a multiplication away (:func:`at_height`):
-   a program measures once, at whatever height arrives first;
+1. at compile time each kernel compiler declares the scratch buffers
+   its kernel requests (key, per-cloud shape, the kernel position that
+   writes it), sized from its node's attrs, and the graph values each
+   buffer holds: the node it backs, plus an epilogue that runs in place
+   on it as its input's sole consumer (a non-reducing ``aggregate`` —
+   the graph's one aggregation node, compiled to one kernel — backs its
+   node with its gather buffer through a reshape).  Every leading
+   dimension is ``stack height × per-cloud rows``, so the records are
+   **per cloud** and any height is a multiplication away
+   (:func:`at_height`); a request that misses its declaration is served
+   from a fresh allocation and counted as ``unplanned``;
 2. :class:`GraphLiveness` reads each value's last reader off the
    graph's input edges — every value a kernel reads is one of its
    nodes' inputs — and maps it onto fused-kernel positions: a buffer is
@@ -33,15 +34,13 @@ it:
 
 Buffers are written whole (every kernel output goes through ``out=``),
 so recycling dead bytes is invisible to the computation: the arena run
-is bit-identical to the per-kernel-buffer run, which the CI ``mem``
-gates pin.
+is bit-identical to a run out of fresh allocations, which the CI
+``mem`` gates pin.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-
-import numpy as np
 
 __all__ = [
     "ALIGNMENT",
@@ -51,7 +50,6 @@ __all__ = [
     "GraphLiveness",
     "at_height",
     "plan_arena",
-    "record_aliases",
     "validate_plan",
 ]
 
@@ -67,12 +65,10 @@ def _align(nbytes, alignment=ALIGNMENT):
 
 @dataclass
 class BufferRecord:
-    """One scratch request observed during a measuring run, per cloud
-    (leading dimension and bytes divided by the run's stack height).
+    """One declared scratch buffer, per cloud (a stack of ``B`` clouds
+    requests ``B`` times the leading dimension and bytes).
 
-    ``array`` holds the measuring-run allocation while alias detection
-    runs (dropped before the record is kept); ``nodes`` collects the
-    graph values found to alias the buffer.
+    ``nodes`` are the graph values the buffer holds.
     """
 
     key: object
@@ -80,7 +76,6 @@ class BufferRecord:
     dtype: str
     nbytes: int
     def_pos: int
-    array: object = None
     nodes: set = field(default_factory=set)
 
 
@@ -131,7 +126,7 @@ class GraphLiveness:
         return {pos: phases[nid] for pos, nid in self.lead_node.items()}
 
     def extent(self, record):
-        """Last kernel position of one measuring-run buffer record.
+        """Last kernel position of one declared buffer record.
 
         The buffer dies after the last kernel reading any value that
         aliases it; values with no aliasing graph value (chain
@@ -250,7 +245,7 @@ def _conflicts(a, b):
 
 
 def plan_arena(records, liveness, alignment=ALIGNMENT):
-    """Pack measuring-run ``records`` into one best-fit arena.
+    """Pack declared buffer ``records`` into one best-fit arena.
 
     Buffers are placed largest-first (first-defined breaks ties, so
     the result is deterministic); each goes into the smallest existing
@@ -316,22 +311,3 @@ def validate_plan(plan, liveness=None):
                     f"[{b.def_pos},{b.last_pos}])"
                 )
     return plan
-
-
-def record_aliases(records, env_values):
-    """Map graph values onto the measuring-run buffers they alias.
-
-    ``env_values`` are ``(node_id, array)`` pairs freshly written by
-    the kernel that just ran.  Address-range overlap
-    (:func:`numpy.may_share_memory`) is the detector: it is exact for
-    views of one allocation and conservative in general, and
-    over-approximating aliasing only ever *extends* a buffer's
-    liveness — safe by construction.
-    """
-    for nid, value in env_values:
-        if not isinstance(value, np.ndarray):
-            continue
-        for record in records:
-            if record.array is not None \
-                    and np.may_share_memory(value, record.array):
-                record.nodes.add(nid)

@@ -16,15 +16,16 @@ pre-packed parameter table (:mod:`repro.backend.params`):
   ``reduce_max`` operate on raw arrays with planned output buffers — no
   ``Tensor`` wrappers, no ``_from_op`` closures, no autograd
   bookkeeping on the inference path;
-* scratch memory is **arena-planned** (:mod:`repro.backend.memplan`),
-  once per program and *per cloud*: the first run, at whatever stack
-  height arrives, measures every buffer request; the plan for any
-  height is that measurement scaled and packed by liveness into one
-  contiguous arena with best-fit reuse.  Each thread keeps one
-  grow-only arena and serves every height from views of it — peak
-  working-set bytes drop by the measured reuse instead of summing every
-  kernel's buffer (the measuring run's one-buffer-per-kernel pool is the
-  baseline of the CI ``mem`` gates);
+* scratch memory is **arena-planned** (:mod:`repro.backend.memplan`)
+  at compile time, once per program and *per cloud*: each kernel
+  compiler declares the scratch buffers its kernel requests, sized
+  from its node's attrs, and the plan for any height is those
+  declarations scaled and packed by liveness into one contiguous arena
+  with best-fit reuse.  Every run, the first included, executes out of
+  it.  Each thread keeps one grow-only arena and serves every height
+  from views of it — peak working-set bytes drop by the planned reuse
+  instead of summing every kernel's buffer (that one-buffer-per-kernel
+  sum, ``pool_bytes``, is the baseline of the CI ``mem`` gates);
 * parameters live in one
   :class:`~repro.backend.params.ParameterTable` per program, shared
   across threads;
@@ -61,6 +62,7 @@ import threading
 import numpy as np
 
 from ..core.module import strided_centroids
+from ..graph.network import feature_width
 from ..neighbors import knn_brute_force
 from .memplan import (
     ArenaPlan,
@@ -68,7 +70,6 @@ from .memplan import (
     GraphLiveness,
     at_height,
     plan_arena,
-    record_aliases,
     validate_plan,
 )
 from .params import ParameterTable, _resolve_dtype
@@ -83,42 +84,6 @@ def _knn(cache, points, queries, k, dtype=None, tag=None):
     if cache is None:
         return knn_brute_force(points, queries, k, dtype=dtype)
     return cache.knn(points, queries, k, dtype=dtype, tag=tag)
-
-
-class _MeasuringPool:
-    """A first run's pool: one fresh buffer per kernel-output key, each
-    request recorded, per cloud, for the planner.
-
-    Nothing is reused, so this is also the never-reusing baseline the
-    planned arena is checked against.  Scratch is sized by stacked rows,
-    so dividing each leading dimension by the ``height`` this run
-    happens to have gives the records every height shares.  A buffer
-    that does not divide cannot be planned per cloud: that raises rather
-    than under-provisioning some height.
-    """
-
-    def __init__(self, dtype, height):
-        self.dtype = dtype
-        self.height = height
-        self.buffers = {}
-        self.records = []
-
-    def request(self, key, shape, pos):
-        buf = self.buffers.get(key)
-        if buf is None or buf.shape != tuple(shape):
-            buf = self.buffers[key] = np.empty(shape, self.dtype)
-            rows, rest = divmod(shape[0], self.height)
-            if rest:
-                raise ValueError(
-                    f"buffer {key!r} has {shape[0]} leading rows, not a "
-                    f"multiple of the stack height {self.height}: it "
-                    "cannot be planned per cloud"
-                )
-            self.records.append(BufferRecord(
-                key=key, shape=(rows, *shape[1:]), dtype=str(buf.dtype),
-                nbytes=buf.nbytes // self.height, def_pos=pos, array=buf,
-            ))
-        return buf
 
 
 class _ArenaPool:
@@ -143,11 +108,12 @@ class _ArenaPool:
             }
         self.views = views
 
-    def request(self, key, shape, pos):
+    def request(self, key, shape):
         view = self.views.get(key)
         if view is None or view.shape != tuple(shape):
-            # Not in the plan: served correctly from a fresh allocation,
-            # and counted so a planner regression shows in memory_stats().
+            # Not what the kernel's compiler declared: served correctly
+            # from a fresh allocation, and counted so a declaration that
+            # misses its kernel's request shows in memory_stats().
             with self.program._plans_lock:
                 self.program._unplanned += 1
             return np.empty(shape, self.program.dtype)
@@ -181,24 +147,44 @@ class KernelProgram:
             )
         #: The packed parameter table every kernel reads through.
         self.table = params
+        #: Points per cloud: the input ``coords`` node's rows.
+        self.n_points = next(node.attrs["rows"] for node in ngraph.graph.nodes
+                             if node.kind == "coords" and not node.inputs)
         self._kernels = []
         self._kernel_nodes = []
+        self._records = []  # per-cloud scratch declarations, in request order
+        self._backing = {}  # node id -> the record whose buffer holds it
         self._local = threading.local()
-        #: The height-1 :class:`~repro.backend.memplan.ArenaPlan` every
-        #: height is scaled from; ``None`` until the program has run.
-        self.per_cloud_plan = None
         self._plans = {}  # stack height -> ArenaPlan
-        self._measuring_runs = 0
         self._unplanned = 0
         self._plans_lock = threading.Lock()
         self._compile()
         self._liveness = GraphLiveness(ngraph.graph, self._kernel_nodes)
+        #: The height-1 :class:`~repro.backend.memplan.ArenaPlan` every
+        #: height is scaled from, packed from the kernels' declarations.
+        self.per_cloud_plan = validate_plan(
+            plan_arena(self._records, self._liveness))
 
     # -- compile-time helpers ------------------------------------------------
 
+    def _declare(self, key, shape, backs=None):
+        """Declare one per-cloud scratch buffer of the kernel being
+        compiled, which requests it at ``shape`` times the stack height;
+        ``backs`` names the node whose value the buffer holds."""
+        shape = tuple(int(d) for d in shape)
+        record = BufferRecord(
+            key=key, shape=shape, dtype=self.dtype.name,
+            nbytes=int(np.prod(shape)) * self.dtype.itemsize,
+            def_pos=len(self._kernels),
+        )
+        if backs is not None:
+            record.nodes.add(backs)
+            self._backing[backs] = record
+        self._records.append(record)
+
     def _buffer(self, ctx, key, shape):
-        """Scratch buffer for one kernel output, from the active pool."""
-        return ctx["alloc"].request(key, shape, ctx["pos"])
+        """Scratch buffer for one kernel output, from the thread's arena."""
+        return ctx["alloc"].request(key, shape)
 
     def _apply_ops(self, ops, x, ctx, key):
         """Run one packed segment's ops; GEMMs go to preallocated buffers.
@@ -328,6 +314,11 @@ class KernelProgram:
         specs = [(link.id, self.table.segment(link)) for link in chain]
         source = chain[0].inputs[0]
         last = chain[-1].id
+        # One GEMM output per link, each its segment's op 0.
+        for link in chain:
+            self._declare((("mm", link.id), 0),
+                          (link.attrs["rows"], link.attrs["out_dim"]),
+                          backs=last if link.id == last else None)
 
         def kernel(env, ctx):
             x = env[source]
@@ -355,9 +346,16 @@ class KernelProgram:
         """
         reduce = bool(node.attrs["reduce"])
         k, dim = node.attrs["k"], node.attrs["dim"]
-        n_in = node.attrs["table_rows"]
+        n_in, n_out = node.attrs["table_rows"], node.attrs["n_centroids"]
         source, search, sample = node.inputs
         nid = node.id
+        if reduce:
+            chunk = n_out if n_out <= 8 else max(8, -(-n_out // 8))
+            self._declare(("agg-o", nid), (n_out, dim), backs=nid)
+            self._declare(("agg-gc", nid), (chunk, k, dim))
+            self._declare(("agg-rc", nid), (chunk, dim))
+        else:
+            self._declare(("agg-g", nid), (n_out, k, dim), backs=nid)
 
         def kernel(env, ctx):
             src = env[source]
@@ -368,9 +366,7 @@ class KernelProgram:
             n_rows = rows.shape[0]
             if reduce:
                 out = self._buffer(ctx, ("agg-o", nid), (n_rows, dim))
-                n_out = n_rows // ctx["batch"]
-                step = ctx["batch"] * (
-                    n_out if n_out <= 8 else max(8, -(-n_out // 8)))
+                step = ctx["batch"] * chunk
                 gbuf = self._buffer(ctx, ("agg-gc", nid), (step, k, dim))
                 rbuf = self._buffer(ctx, ("agg-rc", nid), (step, dim))
                 for start in range(0, n_rows, step):
@@ -396,6 +392,9 @@ class KernelProgram:
     def _k_reduce_max(self, node):
         source, nid = node.inputs[0], node.id
         k = node.attrs["k"]
+        self._declare(("max", nid),
+                      (node.attrs["n_centroids"], node.attrs["feature_dim"]),
+                      backs=nid)
 
         def kernel(env, ctx):
             # The post-MLP reduction of original/limited: rows*k flat
@@ -414,8 +413,12 @@ class KernelProgram:
         ops = self.table.segment(node)
         source, nid = node.inputs[0], node.id
         # The epilogue runs in place; copy first unless it is the sole
-        # consumer of its input.
+        # consumer of its input, whose buffer then holds its value too.
         shared = len(graph.consumers(source)) > 1
+        backing = None if shared else self._backing.get(source)
+        if backing is not None:
+            backing.nodes.add(nid)
+            self._backing[nid] = backing
 
         def kernel(env, ctx):
             x = env[source]
@@ -453,6 +456,8 @@ class KernelProgram:
         sources = node.inputs
         axis = node.attrs.get("axis", 1)
         nid = node.id
+        self._declare(("cat", nid), (node.attrs["rows"], node.attrs["dim"]),
+                      backs=nid)
 
         def kernel(env, ctx):
             parts = [env[i] for i in sources]
@@ -488,6 +493,10 @@ class KernelProgram:
         search, source = node.inputs
         nid = node.id
         dtype = self.dtype
+        shape = (node.attrs["n_points"], node.attrs["feature_dim"])
+        self._declare(("interp", nid), shape, backs=nid)
+        if node.attrs["k"] > 1:
+            self._declare(("interp-g", nid), shape)
 
         def kernel(env, ctx):
             rows, dist = env[search]
@@ -516,6 +525,7 @@ class KernelProgram:
 
     def _k_global_max(self, node):
         source, nid = node.inputs[0], node.id
+        self._declare(("gm", nid), (1, node.attrs["dim"]), backs=nid)
 
         def kernel(env, ctx):
             x = env[source]
@@ -531,6 +541,8 @@ class KernelProgram:
     def _k_broadcast(self, node):
         source, nid = node.inputs[0], node.id
         rows = node.attrs["rows"]
+        width = feature_width(self.ngraph.graph.node(source))
+        self._declare(("bc", nid), (rows, width), backs=nid)
 
         def kernel(env, ctx):
             idx = np.repeat(np.arange(ctx["batch"]), rows)
@@ -569,36 +581,31 @@ class KernelProgram:
                     self._liveness), self._liveness)
             return plan
 
-    def _allocator(self, height):
-        """``(pool, measuring)`` for a run over ``height`` clouds;
-        ``measuring`` is ``pool`` when this run measures, else ``None``."""
-        if self.per_cloud_plan is None:
-            measuring = _MeasuringPool(self.dtype, height)
-            return measuring, measuring
+    def _arena(self, height):
+        """The calling thread's arena, bound to ``height`` clouds' plan."""
         pool = getattr(self._local, "pool", None)
         if pool is None:
             pool = self._local.pool = _ArenaPool(self)
         pool.bind(height, self._plan_at(height))
-        return pool, None
+        return pool
 
     def run(self, coords, on_kernel=None, cache=None):
-        """Execute the program over a ``(batch, n, 3)`` stack of clouds.
+        """Execute the program over a ``(batch, n_points, 3)`` stack.
 
         Returns the network outputs as inference :class:`~repro.neural.Tensor`
         values (a dict for multi-output networks), matching the network
         executors' contract.  Output arrays are fresh copies — scratch
         buffers never escape a run.
 
-        The program's first run measures buffer lifetimes and installs
-        the per-cloud plan; every later run, at any stack height and on
-        any thread, executes out of the calling thread's arena,
-        bit-identically.  ``on_kernel(pos, label, env, ctx)``, when
+        Every run, the first included, at any stack height and on any
+        thread, executes out of the calling thread's arena under the
+        plan compiled from the graph, bit-identically.
+        ``on_kernel(pos, label, env, ctx)``, when
         given, is invoked after each kernel — the hook the aliasing tests
         use to corrupt dead arena regions mid-run.  ``env`` maps node ids
         to values, and a kernel reads only its nodes' input edges there;
         ``ctx`` holds the run's state only: ``coords``, ``batch``, the
-        scratch allocator ``alloc``, the kernel position ``pos`` and the
-        ``cache``.  ``cache``, when
+        scratch allocator ``alloc`` and the ``cache``.  ``cache``, when
         given, is the :class:`~repro.engine.cache.NeighborIndexCache`
         every neighbor search of this run consults; it belongs to the
         run, not the program, so replicas sharing one program each bring
@@ -613,35 +620,22 @@ class KernelProgram:
                 f"coords, got {coords.shape} — lift one cloud with "
                 "cloud[None]"
             )
-        alloc, measuring = self._allocator(coords.shape[0])
+        if coords.shape[1:] != (self.n_points, 3):
+            raise ValueError(
+                f"{self.ngraph.network} takes (batch, {self.n_points}, 3) "
+                f"stacks of clouds, got {coords.shape}"
+            )
         ctx = {
             "coords": coords,
             "batch": coords.shape[0],
-            "alloc": alloc,
-            "pos": 0,
+            "alloc": self._arena(coords.shape[0]),
             "cache": cache,
         }
         env = {}
-        seen = set()
         for pos, (label, kernel) in enumerate(self._kernels):
-            ctx["pos"] = pos
             kernel(env, ctx)
-            if measuring is not None:
-                # Map freshly-produced values onto the buffers backing
-                # them — in-place epilogues and reshape escapes extend
-                # buffer liveness past the defining kernel.
-                fresh = [(nid, env[nid]) for nid in env.keys() - seen]
-                record_aliases(measuring.records, fresh)
-                seen.update(env.keys())
             if on_kernel is not None:
                 on_kernel(pos, label, env, ctx)
-        if measuring is not None:
-            plan = validate_plan(plan_arena(measuring.records, self._liveness))
-            with self._plans_lock:
-                self._measuring_runs += 1
-                if self.per_cloud_plan is None:  # two threads may both measure
-                    self.per_cloud_plan = plan
-            self._plan_at(ctx["batch"])  # memory_stats() reports this height
         values = {}
         for out in self.ngraph.outputs:
             value = env[out.node].copy()
@@ -655,22 +649,16 @@ class KernelProgram:
 
     # -- planner introspection ----------------------------------------------
 
-    def plan_for(self, coords, height=None):
-        """The arena plan for ``height`` clouds (default: ``coords``' own).
-
-        Scaled from the per-cloud plan; a program that has not run yet
-        runs ``coords`` once to measure it.
-        """
-        if self.per_cloud_plan is None:
-            self.run(coords)
-        return self._plan_at(len(coords) if height is None else int(height))
+    def plan_for(self, height=1):
+        """The arena plan for ``height`` clouds, scaled from the
+        per-cloud plan."""
+        return self._plan_at(int(height))
 
     def memory_stats(self):
         """Planner statistics, sized by the tallest height planned so far.
 
-        ``measuring_runs`` is one unless two threads raced to be first;
         ``unplanned`` counts scratch requests the plan did not describe —
-        zero unless the planner is wrong.
+        zero unless a kernel's declaration misses its request.
         """
         with self._plans_lock:
             heights = tuple(sorted(self._plans))
@@ -678,23 +666,23 @@ class KernelProgram:
                 else ArenaPlan(0, (), 0, 0)
             return {
                 "heights": heights,
-                "buffers": len((self.per_cloud_plan or tallest).buffers),
+                "buffers": len(self.per_cloud_plan.buffers),
                 "arena_bytes": tallest.total_bytes,
                 "pool_bytes": tallest.pool_bytes,
                 "peak_live_bytes": tallest.peak_live_bytes,
-                "measuring_runs": self._measuring_runs,
                 "unplanned": self._unplanned,
             }
 
-    def memory_report(self, coords):
-        """Per-phase peaks before/after planning, plus the arena plan.
+    def memory_report(self, height=1):
+        """Per-phase peaks before/after planning, plus the arena plan
+        for ``height`` clouds.
 
         ``repro trace --memory`` prints this: *before* is the
         cumulative per-kernel pool (PR 5 never frees, so bytes only
         grow), *after* the planned live bytes at each kernel, both
         bucketed by the executing node's phase.
         """
-        plan = self.plan_for(coords)
+        plan = self.plan_for(height)
         phase_of = self._liveness.phase_of(self.ngraph.graph)
         allocated, phases = 0, {}
         by_def = {}

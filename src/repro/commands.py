@@ -75,9 +75,8 @@ def _trace_memory(net, strategy):
     """``repro trace --memory``: planner peaks and the arena layout."""
     from .backend import compile_kernel_program
 
-    program = compile_kernel_program(net, strategy, backend="float64")
-    cloud = np.random.default_rng(0).normal(size=(1, net.n_points, 3))
-    report = program.memory_report(cloud)
+    report = compile_kernel_program(net, strategy,
+                                    backend="float64").memory_report()
     plan = report["plan"]
     print(f"{net.name} [{strategy}] — {report['n_kernels']} kernels, "
           f"{len(plan.buffers)} scratch buffers")

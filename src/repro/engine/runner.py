@@ -97,8 +97,8 @@ class BatchRunner:
 
     ``strategy`` and ``backend`` are the caller's contract: every
     :meth:`run` executes exactly that configuration, whatever the batch
-    height.  The program compiles in process on the first run and
-    measures its arena plan then.
+    height.  The program, arena plan included, compiles in process on
+    the first run.
     """
 
     fusion = ()  # only reader: benchmarks/ledger/test_ledger.py:221

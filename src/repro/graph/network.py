@@ -55,6 +55,7 @@ __all__ = [
     "NetworkOutput",
     "NetworkRegion",
     "build_network_graph",
+    "feature_width",
 ]
 
 
@@ -144,7 +145,7 @@ class NetworkGraph:
         return segment_layers(self.refs[attrs["ref"]].export_layers())[attrs["layer"]]
 
 
-def _width(node):
+def feature_width(node):
     """The feature width of the rows ``node`` produces."""
     attrs = node.attrs
     return attrs.get("out_dim", attrs.get("feature_dim", attrs.get("dim")))
@@ -293,7 +294,7 @@ class NetworkGraphBuilder:
         """
         n_fine = self.graph.node(fine_coords).attrs["rows"]
         n_coarse = self.graph.node(coarse_coords).attrs["rows"]
-        coarse_width = _width(self.graph.node(coarse_feats))
+        coarse_width = feature_width(self.graph.node(coarse_feats))
         k = min(INTERPOLATE_K, n_coarse)
         search = self.graph.add(
             "search", inputs=(coarse_coords, fine_coords),

@@ -176,8 +176,8 @@ class ShardRouter:
         them (``0`` disables caching).  One
         :class:`~repro.backend.KernelProgram` in ``backend`` per hosted
         network is compiled here, before any replica starts; every
-        replica runs that program, and the fleet's first request
-        measures its plan.
+        replica runs that program, out of the arena plan it compiled
+        with.
         """
         from ..backend import compile_kernel_program
         from ..engine.runner import BatchRunner

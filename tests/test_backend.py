@@ -226,8 +226,8 @@ class TestKernelEquivalence:
         assert_bit_exact(interpret(net, clouds), three)
         assert one.shape == (1, 4) and three.shape == (3, 4)
         stats = program.memory_stats()
-        # One measured plan, scaled to both heights.
-        assert stats["heights"] == (1, 3) and stats["measuring_runs"] == 1
+        # One compiled plan, scaled to both heights.
+        assert stats["heights"] == (1, 3) and stats["unplanned"] == 0
 
     def test_a_runner_runs_the_program_it_is_handed(self):
         net = toy("PointNet++ (c)")
@@ -253,7 +253,7 @@ class TestKernelEquivalence:
         clouds = clouds_for(net, 8, seed=4)
         program = compile_kernel_program(net, strategy, "float64")
         with no_grad():
-            for height in (3, 8, 1):  # measured at 3, scaled up and down
+            for height in (3, 8, 1):  # first at 3, then up and down
                 stack = clouds[:height]
                 assert_bit_exact(interpret(net, stack, strategy),
                                  program.run(stack))
@@ -264,6 +264,26 @@ class TestKernelEquivalence:
         program = compile_kernel_program(net, "delayed", "float64")
         with pytest.raises(ValueError, match="stacks only"):
             program.run(cloud_for(net))
+
+    @pytest.mark.parametrize("backend", ["float64", "float32"])
+    def test_program_refuses_clouds_of_another_size(self, backend):
+        # A stack of the wrong cloud size is refused before it touches
+        # the arena, first run or not: it once ran (or raised a bare
+        # IndexError) and left later correct runs off the plan.
+        net = toy("PointNet++ (c)")
+        n = net.n_points
+        program = compile_kernel_program(net, "delayed", backend)
+        assert program.n_points == n
+        rng = np.random.default_rng(1)
+        for shape in [(1, n + 16, 3), (1, 2 * n, 3), (1, n - 16, 3),
+                      (2, n, 2)]:
+            with pytest.raises(ValueError, match=rf"\(batch, {n}, 3\)"):
+                program.run(rng.normal(size=shape))
+        assert program.memory_stats()["heights"] == ()
+        with no_grad():
+            program.run(clouds_for(net, 2, seed=6))
+        stats = program.memory_stats()
+        assert stats["heights"] == (2,) and stats["unplanned"] == 0
 
     def test_outputs_do_not_alias_scratch_buffers(self):
         net = toy("PointNet++ (c)")
@@ -304,7 +324,7 @@ class TestKernelEquivalence:
 
 
 class TestFloat32Programs:
-    """float32 is the served precision: one program per graph measures
+    """float32 is the served precision: one program per graph compiles
     its arena once and scales it to every height, each height tracks
     the float64 reference within the float32 contract, and a stack
     replays bit for bit after the arena was rescaled."""
@@ -317,7 +337,7 @@ class TestFloat32Programs:
         program = compile_kernel_program(net, strategy, "float32")
         outputs = {}
         with no_grad():
-            for height in (3, 8, 1):  # measured at 3, scaled up and down
+            for height in (3, 8, 1):  # first at 3, then up and down
                 stack = clouds[:height]
                 outputs[height] = program.run(stack)
                 reference = interpret(net, stack, strategy)
@@ -333,7 +353,7 @@ class TestFloat32Programs:
                     for one, row in leaves(alone[b], outputs[height]):
                         assert np.array_equal(one[0], row[b])
         stats = program.memory_stats()
-        assert stats["measuring_runs"] == 1 and stats["unplanned"] == 0
+        assert stats["unplanned"] == 0
 
     def test_batch_runner_matches_kernel_program(self):
         net = toy("PointNet++ (c)")

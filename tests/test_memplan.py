@@ -3,11 +3,12 @@
 Covers buffer liveness over the whole-network graph (every value dies
 at its last reader: dropping it from a run right after changes no bit),
 arena planning (best-fit offsets, validation), the per-cloud plan
-(derived == measured at every stack height, no unplanned request, one
-grow-only arena per thread), planner-on bit-exactness across all seven
-networks and three strategies for serial, batched and threaded
-execution, an adversarial test that corrupts
-dead arena regions mid-run, parameter-table export and the zero-copy
+compiled from the graph (every scratch request of every stack height is
+a planned buffer and every planned buffer is requested, one grow-only
+arena per thread), planner-on bit-exactness across all seven networks
+and three strategies for serial, batched and threaded execution, an
+adversarial test that corrupts dead arena regions mid-run on every
+network and strategy, parameter-table export and the zero-copy
 shared-file transport of float64 and float32 tables, and the engine/CLI
 integration (attached tables, ``repro trace --memory``).
 """
@@ -37,7 +38,6 @@ from repro.backend import (
     validate_plan,
 )
 from repro.backend.aot import _share_dir
-from repro.backend.runtime import _MeasuringPool
 from repro.core import STRATEGIES, ModuleSpec
 from repro.engine import BatchRunner
 from repro.networks import ALL_NETWORKS, build_network
@@ -45,11 +45,30 @@ from repro.networks.generic import GenericPointCloudNetwork
 from repro.neural import no_grad
 
 
+class RecordingPool:
+    """A scratch allocator that records each request's ``(key, shape)``
+    and serves it from ``pool`` — or, without one, from a fresh
+    allocation, never reusing a byte."""
+
+    def __init__(self, dtype, pool=None):
+        self.dtype = dtype
+        self.pool = pool
+        self.requests = set()
+
+    def request(self, key, shape):
+        self.requests.add((key, tuple(shape)))
+        if self.pool is None:
+            return np.empty(shape, self.dtype)
+        return self.pool.request(key, shape)
+
+
 def unplanned_run(net, strategy, backend, x):
-    """The reference a planned run must match bit for bit: a fresh
-    program's first run, which measures out of one never-reused buffer
-    per kernel output."""
-    return compile_kernel_program(net, strategy, backend=backend).run(x)
+    """The reference a planned run must match bit for bit: the program
+    run with every scratch request a fresh allocation instead of an
+    arena view."""
+    program = compile_kernel_program(net, strategy, backend=backend)
+    program._arena = lambda height: RecordingPool(program.dtype)
+    return program.run(x)
 
 
 def assert_same_entries(source, table):
@@ -101,7 +120,7 @@ class TestEveryValueDiesAtItsLastReader:
         last_use = program._liveness.last_use  # outputs: past every kernel
 
         def drop_dead(pos, label, env, ctx):
-            assert set(ctx) == {"coords", "batch", "alloc", "pos", "cache"}
+            assert set(ctx) == {"coords", "batch", "alloc", "cache"}
             for nid in [nid for nid in env if last_use[nid] <= pos]:
                 del env[nid]
 
@@ -113,7 +132,7 @@ class TestArenaPlanning:
     def test_plan_validates_and_packs_below_pool(self):
         net = toy("PointNet++ (c)")
         program = compile_kernel_program(net, "delayed", backend="float64")
-        plan = program.plan_for(clouds_for(net, 1))
+        plan = program.plan_for()
         validate_plan(plan)  # alignment, bounds, no live overlap
         assert plan.total_bytes < plan.pool_bytes
         assert plan.peak_live_bytes <= plan.total_bytes
@@ -124,7 +143,7 @@ class TestArenaPlanning:
     def test_live_buffers_never_alias(self):
         net = toy("DGCNN (c)")
         program = compile_kernel_program(net, "delayed", backend="float64")
-        plan = program.plan_for(clouds_for(net, 1))
+        plan = program.plan_for()
         for i, a in enumerate(plan.buffers):
             for b in plan.buffers[i + 1:]:
                 overlap_bytes = not (a.end <= b.offset or b.end <= a.offset)
@@ -139,14 +158,13 @@ class TestArenaPlanning:
             for strategy in STRATEGIES:
                 program = compile_kernel_program(net, strategy,
                                                  backend="float64")
-                plan = program.plan_for(clouds_for(net, 1))
+                plan = program.plan_for()
                 assert plan.reduction >= 0.30, (name, strategy,
                                                 plan.reduction)
 
     def test_empty_records_make_an_empty_arena(self):
         net = toy("PointNet++ (s)")
         program = compile_kernel_program(net, "delayed", backend="float64")
-        program.plan_for(clouds_for(net, 1))  # builds the liveness index
         plan = plan_arena([], program._liveness)
         assert plan.total_bytes == 0 and not plan.buffers
 
@@ -160,8 +178,8 @@ class TestPlannerBitExact:
             planned = compile_kernel_program(net, strategy,
                                              backend="float64")
             reference = unplanned_run(net, strategy, "float64", cloud)
-            # First run measures, second executes out of the arena —
-            # both must match the unplanned pool bit-for-bit.
+            # A first and a second run out of the arena both match
+            # fresh allocations bit for bit.
             assert_bit_exact(reference, planned.run(cloud))
             assert_bit_exact(reference, planned.run(cloud))
 
@@ -194,27 +212,22 @@ class TestPlannerBitExact:
         cloud = clouds_for(net, 1)
         planned = compile_kernel_program(net, "delayed", backend="float32")
         reference = unplanned_run(net, "delayed", "float32", cloud)
-        planned.run(cloud)  # measures; the run below uses the arena
+        assert_bit_exact(reference, planned.run(cloud))
         assert_bit_exact(reference, planned.run(cloud))
 
-    def test_height_change_scales_the_one_measured_plan(self):
+    def test_height_change_scales_the_one_compiled_plan(self):
         net = toy("PointNet++ (c)")
         program = compile_kernel_program(net, "delayed", backend="float64")
-        a = program.plan_for(clouds_for(net, 2))
-        b = program.plan_for(clouds_for(net, 4))
-        assert a is not b
+        assert program.memory_stats()["heights"] == ()  # nothing planned yet
+        a = program.plan_for(2)
+        b = program.plan_for(4)
+        assert a is not b and program.plan_for(4) is b  # memoised
         assert [(x.key, x.shape[0] * 2, x.shape[1:]) for x in a.buffers] \
             == [(x.key, x.shape[0], x.shape[1:]) for x in b.buffers]
         stats = program.memory_stats()
-        assert stats["heights"] == (2, 4) and stats["measuring_runs"] == 1
+        assert stats["heights"] == (2, 4)
+        assert stats["buffers"] == len(program.per_cloud_plan.buffers)
         assert stats["arena_bytes"] == b.total_bytes  # the tallest so far
-
-
-def plan_facts(plan):
-    """Everything two equal plans agree on."""
-    return (plan.total_bytes, plan.pool_bytes, plan.n_positions,
-            [(b.key, b.shape, b.dtype, b.nbytes, b.offset, b.def_pos,
-              b.last_pos, b.nodes) for b in plan.buffers])
 
 
 def chunk_edge_toy(n_out=65):
@@ -229,52 +242,40 @@ def chunk_edge_toy(n_out=65):
 class TestPerCloudPlan:
     HEIGHTS = tuple(range(1, 9))
 
+    @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("name", ALL_NETWORKS)
-    def test_derived_plan_equals_measured_plan_at_every_height(self, name):
-        # The differential gate of "measure once, multiply": whichever
-        # height a program happened to measure at, the plan it derives
-        # for height h is the plan a fresh program measures at h.
-        net = build_network(name, scale=0.25)
-        stack = np.random.default_rng(3).normal(
-            size=(8, net.n_points, 3)).astype(np.float32)
-        for strategy in STRATEGIES:
-            def fresh():
-                return compile_kernel_program(net, strategy,
-                                              backend="float32")
+    def test_compiled_plan_is_every_request_at_every_height(self, name,
+                                                            strategy):
+        # The plan is compiled from the graph, not observed: at every
+        # height the run's scratch requests are exactly the plan's
+        # buffers — a declaration its kernel never requests fails here
+        # as surely as a request nothing declared.
+        net = toy(name)
+        stack = clouds_for(net, 8)
+        program = compile_kernel_program(net, strategy, backend="float32")
+        arena, seen = program._arena, {}
 
-            measured = {h: plan_facts(fresh().plan_for(stack[:h]))
-                        for h in self.HEIGHTS}
-            for first in (1, 5):
-                program = fresh()
-                program.run(stack[:first])
-                derived = {h: plan_facts(program.plan_for(stack[:h]))
-                           for h in self.HEIGHTS}
-                assert derived == measured, (name, strategy, first)
-            # ... and every request of every height is one it planned.
-            for h in self.HEIGHTS:
-                program.run(stack[:h])
-            stats = program.memory_stats()
-            assert stats["unplanned"] == 0, (name, strategy)
-            assert stats["measuring_runs"] == 1
-            assert stats["heights"] == self.HEIGHTS
+        def recording(height):
+            seen[height] = RecordingPool(program.dtype, arena(height))
+            return seen[height]
 
-    def test_a_buffer_that_does_not_divide_raises(self):
-        pool = _MeasuringPool(np.dtype(np.float64), height=2)
-        assert pool.request(("x", 0), (6, 4), 0).shape == (6, 4)
-        [record] = pool.records  # kept per cloud
-        assert record.shape == (3, 4) and record.nbytes == 3 * 4 * 8
-        with pytest.raises(ValueError, match="multiple of the stack height"):
-            pool.request(("y", 0), (7, 4), 1)
+        program._arena = recording
+        for h in self.HEIGHTS:
+            program.run(stack[:h])
+            planned = {(b.key, b.shape) for b in program.plan_for(h).buffers}
+            assert seen[h].requests == planned, (h, seen[h].requests ^ planned)
+        stats = program.memory_stats()
+        assert stats["unplanned"] == 0
+        assert stats["heights"] == self.HEIGHTS
 
     def test_unplanned_requests_are_served_and_counted(self):
         net = toy("PointNet++ (c)")
         cloud = clouds_for(net, 1)
         program = compile_kernel_program(net, "delayed", backend="float64")
-        reference = program.run(cloud)
+        reference = unplanned_run(net, "delayed", "float64", cloud)
         # A planner regression, simulated: the plan loses one buffer.
         plan = program.per_cloud_plan
         program.per_cloud_plan = replace(plan, buffers=plan.buffers[1:])
-        program._plans.clear()
         assert_bit_exact(reference, program.run(cloud))
         assert program.memory_stats()["unplanned"] == 1
 
@@ -291,8 +292,7 @@ class TestPerCloudPlan:
         def serve(height):
             try:
                 start.wait(timeout=30)
-                # Both first runs may measure; the rest interleave two
-                # heights over one shared plan map.
+                # Two heights interleave over one shared plan map.
                 for _ in range(20):
                     assert_bit_exact(references[height],
                                      program.run(stacks[height]))
@@ -314,55 +314,68 @@ class TestPerCloudPlan:
         assert failures == []
         stats = program.memory_stats()
         assert stats["heights"] == (2, 5) and stats["unplanned"] == 0
-        assert 1 <= stats["measuring_runs"] <= 2
+
+
+def poison_dead_ranges_on_a_height_walk(net, strategy, heights):
+    """Run ``net``'s float64 program over a walk of stack ``heights``,
+    scribbling 0xAA over every byte the plan says is dead after each
+    kernel, and hold each run to fresh allocations bit for bit."""
+    clouds = clouds_for(net, max(heights))
+    program = compile_kernel_program(net, strategy, backend="float64")
+    arenas = []
+    for height in heights:
+        stack = clouds[:height]
+        plan = program.plan_for(height)
+        poisoned = {"ranges": 0}
+
+        def poison(pos, label, env, ctx):
+            arena = ctx["alloc"].arena
+            arenas.append(arena)
+            for start, end in plan.dead_ranges_at(pos):
+                arena[start:end] = 0xAA
+                poisoned["ranges"] += 1
+            arena[plan.total_bytes:] = 0xAA  # a taller height's tail
+
+        assert_bit_exact(unplanned_run(net, strategy, "float64", stack),
+                         program.run(stack, on_kernel=poison))
+        assert poisoned["ranges"] > 0
+    # One allocation per new tallest height, and never one otherwise.
+    growths = sum(h > max(heights[:i], default=0)
+                  for i, h in enumerate(heights))
+    assert len({id(arena) for arena in arenas}) == growths
+    assert program.memory_stats()["unplanned"] == 0
 
 
 class TestAdversarialAliasing:
+    # Every kernel fully overwrites its output buffer, so scribbling over
+    # every byte the plan says is dead — after each kernel — must not
+    # change a single output bit.  If liveness were wrong anywhere (a
+    # declaration missing a value its buffer holds, say), a consumer
+    # would read 0xAA garbage and these fail.  One program, one thread,
+    # a walk over stack heights: the arena only grows, so a short stack
+    # runs in the front of a tall stack's arena, a height seen before
+    # reuses its cached views, and a new tallest height drops every
+    # cached view with the arena it pointed into.
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("name", ALL_NETWORKS)
+    def test_poisoning_dead_regions_on_every_program(self, name, strategy):
+        poison_dead_ranges_on_a_height_walk(toy(name), strategy, (3, 1, 5))
+
     @pytest.mark.parametrize("heights", [(8, 3, 1, 8, 5), (1, 3, 8, 3)])
     @pytest.mark.parametrize("name", ["DGCNN (c)", "PointNet++ (s)",
                                       "65-centroid toy"])
     def test_poisoning_dead_regions_mid_run_is_bit_invisible(self, name,
                                                              heights):
-        # Every kernel fully overwrites its output buffer, so scribbling
-        # over every byte the plan says is dead — after each kernel —
-        # must not change a single output bit.  If liveness were wrong
-        # anywhere, a consumer would read 0xAA garbage and this fails.
-        # One program, one thread, a walk over stack heights: the arena
-        # only grows, so a short stack runs in the front of a tall
-        # stack's arena, a height seen before reuses its cached views,
-        # and a new tallest height drops every cached view with the
-        # arena it pointed into.
         net = chunk_edge_toy() if name.endswith("toy") else toy(name)
-        clouds = clouds_for(net, 8)
-        program = compile_kernel_program(net, "delayed", backend="float64")
         if name.endswith("toy"):
             # An aggregate's last centroid chunk is partial.
-            shapes = {b.key: b.shape for b in program.plan_for(clouds).buffers}
+            program = compile_kernel_program(net, "delayed", "float64")
+            shapes = {b.key: b.shape for b in program.plan_for(8).buffers}
             assert any(shapes["agg-o", key[1]][0] % shape[0]
                        for key, shape in shapes.items()
                        if key[0] == "agg-gc")
-        arenas = []
-        for height in heights:
-            stack = clouds[:height]
-            plan = program.plan_for(stack)
-            poisoned = {"ranges": 0}
-
-            def poison(pos, label, env, ctx):
-                arena = ctx["alloc"].arena
-                arenas.append(arena)
-                for start, end in plan.dead_ranges_at(pos):
-                    arena[start:end] = 0xAA
-                    poisoned["ranges"] += 1
-                arena[plan.total_bytes:] = 0xAA  # a taller height's tail
-
-            assert_bit_exact(unplanned_run(net, "delayed", "float64", stack),
-                             program.run(stack, on_kernel=poison))
-            assert poisoned["ranges"] > 0
-        # One allocation per new tallest height, and never one otherwise.
-        growths = sum(h > max(heights[:i], default=0)
-                      for i, h in enumerate(heights))
-        assert len({id(arena) for arena in arenas}) == growths
-        assert program.memory_stats()["unplanned"] == 0
+        poison_dead_ranges_on_a_height_walk(net, "delayed", heights)
 
     def test_poisoning_a_live_region_is_detected(self):
         # The counterpart proving the poison harness has teeth: clobber
@@ -371,7 +384,7 @@ class TestAdversarialAliasing:
         cloud = clouds_for(net, 1)
         program = compile_kernel_program(net, "delayed", backend="float64")
         reference = program.run(cloud)
-        plan = program.plan_for(cloud)
+        plan = program.plan_for()
         victim = max(plan.buffers, key=lambda b: b.last_pos - b.def_pos)
         if victim.last_pos >= len(program.kernel_labels):
             victim = max((b for b in plan.buffers
@@ -605,7 +618,7 @@ class TestMemoryReporting:
     def test_memory_report_phases(self):
         net = toy("PointNet++ (c)")
         program = compile_kernel_program(net, "delayed", backend="float64")
-        report = program.memory_report(clouds_for(net, 1))
+        report = program.memory_report()
         assert report["arena_bytes"] < report["pool_bytes"]
         for row in report["phases"].values():
             assert row["after"] <= row["before"]
@@ -617,7 +630,7 @@ class TestMemoryReporting:
         kernel replaced."""
         net = build_network("PointNet++ (c)", scale=0.125)
         program = compile_kernel_program(net, "delayed", backend="float64")
-        report = program.memory_report(clouds_for(net, 1))
+        report = program.memory_report()
         assert report["peak_live_bytes"] <= 376832
 
 

@@ -102,7 +102,7 @@ def stub_router(n_shards=2, n_points=8, block=None, max_queue=64,
 @pytest.fixture
 def spies(monkeypatch):
     """Counts of what starting a kernel-backend fleet may do only once."""
-    counts = {"exports": 0, "compiles": 0, "measuring_runs": 0, "shares": 0}
+    counts = {"exports": 0, "compiles": 0, "shares": 0}
 
     def counted(name, target):
         def spy(*args, **kwargs):
@@ -117,9 +117,6 @@ def spies(monkeypatch):
     program = repro.backend.runtime.KernelProgram
     monkeypatch.setattr(program, "_compile",
                         counted("compiles", program._compile))
-    monkeypatch.setattr(
-        repro.backend.runtime, "_MeasuringPool",
-        counted("measuring_runs", repro.backend.runtime._MeasuringPool))
     monkeypatch.setattr(repro.backend.aot, "share_table",
                         counted("shares", repro.backend.aot.share_table))
     return counts
@@ -668,16 +665,19 @@ class TestShardExactness:
                                   alone[int(rid[1:]) % len(clouds)])
 
     @pytest.mark.parametrize("name", ALL_NETWORKS)
-    def test_first_request_measures_the_plan_on_every_network(self, spies,
-                                                              name):
-        # Start-up runs no cloud to size anything: the fleet's first
-        # request measures the shared program's plan, and both replicas
-        # answer what the network answers alone.
+    def test_first_request_runs_out_of_the_compiled_plan_on_every_network(
+            self, name):
+        # Start-up runs no cloud and plans no height: the fleet's first
+        # request runs out of the shared program's compiled plan, with
+        # no request the plan missed, and both replicas answer what the
+        # network answers alone.
         net = build_network(name, scale=0.03125 if "(s)" in name else 0.0625,
                             rng=np.random.default_rng(17))
         rng = np.random.default_rng(23)
         with ShardRouter.hosting([net], shards=2, backend="float32") as router:
-            assert spies["measuring_runs"] == 0, name
+            [program] = {router.replica(shard)._routes[net.n_points]._program
+                         for shard in range(router.n_shards)}
+            assert program.memory_stats()["heights"] == (), name
             clouds = {}
             while len(clouds) < 2:  # one cloud owned by each replica
                 cloud = rng.normal(size=(net.n_points, 3))
@@ -685,7 +685,7 @@ class TestShardExactness:
                                   cloud)
             routed = {shard: router.request(cloud, timeout=TIMEOUT)
                       for shard, cloud in clouds.items()}
-        assert spies["measuring_runs"] == 1, name
+        assert program.memory_stats()["unplanned"] == 0, name
         direct = BatchRunner(net, strategy="delayed", backend="float32")
         for shard, cloud in clouds.items():
             assert routed[shard].shard == shard
@@ -714,8 +714,7 @@ class TestShardExactness:
                       for shard, cloud in clouds.items()}
         assert {shard: resp.shard for shard, resp in routed.items()} \
             == {0: 0, 1: 1}
-        assert spies == {"exports": 1, "compiles": 1, "measuring_runs": 1,
-                         "shares": 0}
+        assert spies == {"exports": 1, "compiles": 1, "shares": 0}
         with Server.hosting([net], backend="float32") as server:
             for shard, cloud in clouds.items():
                 alone = server.request(cloud, timeout=TIMEOUT)
