@@ -571,8 +571,10 @@ class KernelProgram:
 
     # -- execution -----------------------------------------------------------
 
-    def _plan_at(self, height):
-        """The per-cloud plan scaled to ``height`` clouds (memoised)."""
+    def plan_for(self, height=1):
+        """The arena plan for ``height`` clouds: the per-cloud plan
+        scaled and packed again (memoised per height)."""
+        height = int(height)
         with self._plans_lock:
             plan = self._plans.get(height)
             if plan is None:
@@ -586,7 +588,7 @@ class KernelProgram:
         pool = getattr(self._local, "pool", None)
         if pool is None:
             pool = self._local.pool = _ArenaPool(self)
-        pool.bind(height, self._plan_at(height))
+        pool.bind(height, self.plan_for(height))
         return pool
 
     def run(self, coords, on_kernel=None, cache=None):
@@ -614,16 +616,11 @@ class KernelProgram:
         from ..neural import Tensor
 
         coords = np.asarray(coords).astype(self.dtype, copy=False)
-        if coords.ndim != 3:
+        if coords.ndim != 3 or coords.shape[1:] != (self.n_points, 3):
             raise ValueError(
-                "kernel programs take stacks only: expected (batch, n, 3) "
-                f"coords, got {coords.shape} — lift one cloud with "
-                "cloud[None]"
-            )
-        if coords.shape[1:] != (self.n_points, 3):
-            raise ValueError(
-                f"{self.ngraph.network} takes (batch, {self.n_points}, 3) "
-                f"stacks of clouds, got {coords.shape}"
+                "kernel programs take stacks only: expected (batch, "
+                f"{self.n_points}, 3) coords for {self.ngraph.network}, got "
+                f"{coords.shape} — lift one cloud with cloud[None]"
             )
         ctx = {
             "coords": coords,
@@ -648,11 +645,6 @@ class KernelProgram:
         return values
 
     # -- planner introspection ----------------------------------------------
-
-    def plan_for(self, height=1):
-        """The arena plan for ``height`` clouds, scaled from the
-        per-cloud plan."""
-        return self._plan_at(int(height))
 
     def memory_stats(self):
         """Planner statistics, sized by the tallest height planned so far.

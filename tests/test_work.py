@@ -51,12 +51,3 @@ def test_committed_work_is_the_programs_work():
     )
     assert text == work.dumps(current)  # the bytes too: order, layout
 
-
-def test_moved_cells_name_entry_cell_and_both_values():
-    committed = {"net / delayed / float32": {"kernels": 17, "nodes": 25}}
-    current = {"net / delayed / float32": {"kernels": 18, "nodes": 25},
-               "new / original / float64": {"kernels": 3}}
-    assert moved_cells(committed, current) == [
-        "net / delayed / float32: kernels 17 -> 18",
-        "new / original / float64: kernels None -> 3",
-    ]
