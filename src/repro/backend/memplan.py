@@ -288,7 +288,7 @@ def plan_arena(records, liveness, alignment=ALIGNMENT):
     )
 
 
-def validate_plan(plan, liveness=None):
+def validate_plan(plan):
     """Assert the invariants tests and loads rely on; returns ``plan``.
 
     Every buffer fits the arena at an aligned offset, and no two

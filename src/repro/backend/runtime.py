@@ -580,7 +580,7 @@ class KernelProgram:
             if plan is None:
                 plan = self._plans[height] = validate_plan(plan_arena(
                     at_height(self.per_cloud_plan.buffers, height),
-                    self._liveness), self._liveness)
+                    self._liveness))
             return plan
 
     def _arena(self, height):
