@@ -616,11 +616,13 @@ class KernelProgram:
         from ..neural import Tensor
 
         coords = np.asarray(coords).astype(self.dtype, copy=False)
-        if coords.ndim != 3 or coords.shape[1:] != (self.n_points, 3):
+        if coords.ndim != 3 or coords.shape[1:] != (self.n_points, 3) \
+                or not coords.shape[0]:
             raise ValueError(
                 "kernel programs take stacks only: expected (batch, "
-                f"{self.n_points}, 3) coords for {self.ngraph.network}, got "
-                f"{coords.shape} — lift one cloud with cloud[None]"
+                f"{self.n_points}, 3) coords for {self.ngraph.network}, "
+                f"batch >= 1, got {coords.shape} — lift one cloud with "
+                "cloud[None]"
             )
         ctx = {
             "coords": coords,

@@ -267,16 +267,17 @@ class TestKernelEquivalence:
 
     @pytest.mark.parametrize("backend", ["float64", "float32"])
     def test_program_refuses_clouds_of_another_size(self, backend):
-        # A stack of the wrong cloud size is refused before it touches
-        # the arena, first run or not: it once ran (or raised a bare
-        # IndexError) and left later correct runs off the plan.
+        # A stack of the wrong cloud size, or of no cloud, is refused
+        # before it touches the arena, first run or not: a wrong size
+        # once ran (or raised a bare IndexError) and left later correct
+        # runs off the plan.
         net = toy("PointNet++ (c)")
         n = net.n_points
         program = compile_kernel_program(net, "delayed", backend)
         assert program.n_points == n
         rng = np.random.default_rng(1)
         for shape in [(1, n + 16, 3), (1, 2 * n, 3), (1, n - 16, 3),
-                      (2, n, 2)]:
+                      (2, n, 2), (0, n, 3)]:
             with pytest.raises(ValueError, match=rf"\(batch, {n}, 3\)"):
                 program.run(rng.normal(size=shape))
         assert program.memory_stats()["heights"] == ()
