@@ -16,7 +16,6 @@ the last module, so all three strategies read the same 4.75 MiB peak
 and 2.38 MiB largest buffer.
 """
 
-
 from conftest import print_table
 
 from repro.backend import compile_kernel_program
