@@ -2,22 +2,22 @@
 
 The autograd executors walk live :class:`~repro.neural.Module` objects
 on every node dispatch; the kernel runtime instead exports each
-network's weights **once per dtype** into flat ops lists in that
-dtype.  Every MLP layer — a module region's or a head's — is one graph
-``matmul`` node running one per-Linear *segment*, exported as a tuple
-of primitive ops
-
-``("linear", W, b)`` — GEMM plus optional bias (``b`` may be ``None``),
-``("bias", b)`` — bias add alone (the limited-variant epilogue re-adds
-the bias its hoisted product dropped),
-``("relu",)`` — the activation.
+network's weights **once per dtype** into records in that dtype.  Every
+MLP layer — a module region's or a head's — is one graph ``matmul``
+node running a Linear and, if its MLP says so, a ReLU, exported as one
+``(weight, bias, relu)`` record: the GEMM's weight, the bias it adds
+(``None`` for a bias-free Linear) and whether the ReLU follows.  The
+limited variant splits a layer in two: its hoisted product is the
+weight-only record ``(weight, None, False)``, and the epilogue after
+the aggregation is ``(None, bias, relu)``, re-adding the bias the
+product dropped.
 
 In float64, the reference dtype, the packed arrays share memory with
 the live parameters (no copy); float32 snapshots a cast copy at export
 time.
 
 :class:`ParameterTable` is the whole-network form of that export: one
-flat table holding every segment a compiled
+flat table holding every record a compiled
 :class:`~repro.backend.runtime.KernelProgram` will touch, keyed by the
 graph location that uses it.  A program exports one table; the server
 builds one runner per hosted network and a shard fleet hands every
@@ -32,8 +32,6 @@ buffer exposing the blob (an ``mmap`` of a published table file,
 from __future__ import annotations
 
 import numpy as np
-
-from ..neural.layers import Linear, ReLU
 
 __all__ = [
     "ParameterTable",
@@ -64,39 +62,18 @@ def _export_array(array, dtype):
     return np.ascontiguousarray(np.asarray(array).astype(dtype, copy=False))
 
 
-def _tail_ops(layers):
-    """Pack a segment's post-Linear tail: its ReLU, if any."""
-    for layer in layers:
-        if not isinstance(layer, ReLU):
-            raise TypeError(
-                f"cannot export layer {type(layer).__name__} to a "
-                "kernel backend"
-            )
-    return [("relu",)] * len(layers)
-
-
-def export_segment(layers, dtype, weight_only=False, epilogue=False):
-    """Pack one per-Linear segment into an ops tuple.
+def export_segment(linear, relu, dtype, weight_only=False, epilogue=False):
+    """Pack one MLP layer — ``linear`` and its ``relu`` flag — into a
+    ``(weight, bias, relu)`` record.
 
     ``weight_only`` exports just the GEMM (the limited variant's
     hoisted product); ``epilogue`` exports the complementary bias +
-    activation tail the epilogue node replays after aggregation.
+    ReLU the epilogue node replays after aggregation.
     """
-    linear, tail = layers[0], layers[1:]
-    if not isinstance(linear, Linear):
-        raise TypeError("segment must start with a Linear layer")
-    if epilogue:
-        bias = None if linear.bias is None \
-            else _export_array(linear.bias.data, dtype)
-        ops = [] if bias is None else [("bias", bias)]
-        return tuple(ops + _tail_ops(tail))
-    weight = _export_array(linear.weight.data, dtype)
+    weight = None if epilogue else _export_array(linear.weight.data, dtype)
     bias = None if weight_only or linear.bias is None \
         else _export_array(linear.bias.data, dtype)
-    head = ("linear", weight, bias)
-    if weight_only:
-        return (head,)
-    return tuple([head] + _tail_ops(tail))
+    return weight, bias, relu and not weight_only
 
 
 #: Blob offsets round up to one cache line — every zero-copy view is
@@ -105,7 +82,8 @@ _BLOB_ALIGNMENT = 64
 
 
 class ParameterTable:
-    """Every packed segment one compiled program touches, in one table.
+    """Every packed layer record one compiled program touches, in one
+    table.
 
     Entries are keyed by graph location, ``(ref, layer, variant)``:
     the node's ``attrs["ref"]`` (the index in
@@ -113,7 +91,7 @@ class ParameterTable:
     ``matmul`` / ``epilogue`` node runs a layer of, a region's or a
     head's), the layer, and ``variant`` — ``"full"``,
     ``"weight_only"`` or ``"epilogue"``, mirroring the node's kind and
-    attributes — so the kernel compiler looks ops up instead of
+    attributes — so the kernel compiler looks records up instead of
     exporting them, and one table answers every lookup any program
     compiled from the same graph will make.
     """
@@ -149,7 +127,7 @@ class ParameterTable:
             key = cls.key(node)
             if key not in entries:
                 entries[key] = export_segment(
-                    ngraph.segment(node), dtype,
+                    *ngraph.segment(node), dtype,
                     weight_only=key[2] == "weight_only",
                     epilogue=key[2] == "epilogue",
                 )
@@ -158,15 +136,15 @@ class ParameterTable:
     # -- lookup --------------------------------------------------------------
 
     def segment(self, node):
-        """Ops of the segment one ``matmul`` / ``epilogue`` node runs."""
+        """The ``(weight, bias, relu)`` record of the layer one
+        ``matmul`` / ``epilogue`` node runs."""
         return self.entries[self.key(node)]
 
     def _arrays(self):
         for key in sorted(self.entries, key=repr):
-            for op in self.entries[key]:
-                for part in op[1:]:
-                    if part is not None:
-                        yield part
+            for part in self.entries[key][:2]:
+                if part is not None:
+                    yield part
 
     @property
     def nbytes(self):
@@ -185,7 +163,8 @@ class ParameterTable:
 
         Arrays land in the blob at cache-line-aligned offsets, each
         recorded once (entries sharing an array share the slot), so
-        :meth:`from_buffer` can rebuild every op as a zero-copy view.
+        :meth:`from_buffer` can rebuild every record over zero-copy
+        views.
         """
         arrays, index, specs = [], {}, []
         offset = 0
@@ -207,14 +186,15 @@ class ParameterTable:
             blob[start:start + data.nbytes] = data.tobytes()
         entries = []
         for key in sorted(self.entries, key=repr):
-            ops = []
-            for op in self.entries[key]:
-                refs = [None if part is None else index[id(part)]
-                        for part in op[1:]]
-                ops.append([op[0]] + refs)
-            entries.append({"key": list(key), "ops": ops})
+            weight, bias, relu = self.entries[key]
+            entries.append({
+                "key": list(key),
+                "weight": None if weight is None else index[id(weight)],
+                "bias": None if bias is None else index[id(bias)],
+                "relu": relu,
+            })
         manifest = {
-            "format": 1,
+            "format": 2,
             "kind": "parameter-table",
             "dtype": str(self.dtype),
             "total_bytes": len(blob),
@@ -244,13 +224,9 @@ class ParameterTable:
             views.append(view.reshape(spec["shape"]))
         entries = {}
         for entry in manifest["entries"]:
-            key = tuple(entry["key"])
-            ops = []
-            for op in entry["ops"]:
-                ops.append(tuple([op[0]] + [
-                    None if ref is None else views[ref] for ref in op[1:]
-                ]))
-            entries[key] = tuple(ops)
+            weight, bias = (None if entry[part] is None else views[entry[part]]
+                            for part in ("weight", "bias"))
+            entries[tuple(entry["key"])] = (weight, bias, entry["relu"])
         table = cls(manifest["dtype"], entries)
         table._backing = backing
         return table

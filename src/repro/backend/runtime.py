@@ -77,6 +77,15 @@ from .params import ParameterTable, _resolve_dtype
 __all__ = ["KernelProgram", "compile_kernel_program"]
 
 
+def _bias_relu(x, bias, relu):
+    """Add ``bias`` (if any) and apply the ReLU (if ``relu``) in place."""
+    if bias is not None:
+        x += bias
+    if relu:
+        np.maximum(x, 0, out=x)
+    return x
+
+
 def _knn(cache, points, queries, k, dtype=None, tag=None):
     """The runtime's one neighbor search: through the run's cache when
     it has one (keyed on ``tag`` instead of the queries when given),
@@ -186,30 +195,6 @@ class KernelProgram:
         """Scratch buffer for one kernel output, from the thread's arena."""
         return ctx["alloc"].request(key, shape)
 
-    def _apply_ops(self, ops, x, ctx, key):
-        """Run one packed segment's ops; GEMMs go to preallocated buffers.
-
-        A BLAS call never mixes clouds: the flat cloud-major rows are
-        viewed as a ``(batch, rows, K)`` stack, which numpy multiplies as
-        one GEMM per cloud — the very call the cloud makes alone — so a
-        cloud's bits do not depend on what shares its stack.
-        """
-        batch = ctx["batch"]
-        for i, op in enumerate(ops):
-            kind = op[0]
-            if kind == "linear":
-                out = self._buffer(ctx, (key, i), (x.shape[0], op[1].shape[1]))
-                np.matmul(x.reshape(batch, -1, x.shape[1]), op[1],
-                          out=out.reshape(batch, -1, out.shape[1]))
-                x = out
-                if op[2] is not None:
-                    x += op[2]
-            elif kind == "bias":
-                x += op[1]
-            else:  # ("relu",)
-                x = np.maximum(x, 0, out=x)
-        return x
-
     # -- compilation ---------------------------------------------------------
 
     def _compile(self):
@@ -311,19 +296,28 @@ class KernelProgram:
             else:
                 break
         consumed.update(n.id for n in chain[1:])
-        specs = [(link.id, self.table.segment(link)) for link in chain]
+        links = [(("mm", link.id), *self.table.segment(link))
+                 for link in chain]
         source = chain[0].inputs[0]
         last = chain[-1].id
-        # One GEMM output per link, each its segment's op 0.
+        # One GEMM output per link.
         for link in chain:
-            self._declare((("mm", link.id), 0),
+            self._declare(("mm", link.id),
                           (link.attrs["rows"], link.attrs["out_dim"]),
                           backs=last if link.id == last else None)
 
         def kernel(env, ctx):
-            x = env[source]
-            for link_id, ops in specs:
-                x = self._apply_ops(ops, x, ctx, ("mm", link_id))
+            # A BLAS call never mixes clouds: the flat cloud-major rows
+            # are viewed as a ``(batch, rows, K)`` stack, which numpy
+            # multiplies as one GEMM per cloud — the very call the cloud
+            # makes alone — so a cloud's bits do not depend on what
+            # shares its stack.
+            x, batch = env[source], ctx["batch"]
+            for key, weight, bias, relu in links:
+                out = self._buffer(ctx, key, (x.shape[0], weight.shape[1]))
+                np.matmul(x.reshape(batch, -1, x.shape[1]), weight,
+                          out=out.reshape(batch, -1, out.shape[1]))
+                x = _bias_relu(out, bias, relu)
             env[last] = x
 
         return kernel
@@ -410,7 +404,7 @@ class KernelProgram:
         return kernel
 
     def _k_epilogue(self, graph, node):
-        ops = self.table.segment(node)
+        _, bias, relu = self.table.segment(node)
         source, nid = node.inputs[0], node.id
         # The epilogue runs in place; copy first unless it is the sole
         # consumer of its input, whose buffer then holds its value too.
@@ -424,7 +418,7 @@ class KernelProgram:
             x = env[source]
             if shared:
                 x = x.copy()
-            env[nid] = self._apply_ops(ops, x, ctx, ("epi", nid))
+            env[nid] = _bias_relu(x, bias, relu)
 
         return kernel
 

@@ -35,7 +35,6 @@ import numpy as np
 from ..core.module import strided_centroids
 from ..neighbors import knn_brute_force
 from ..neural import Tensor, concat
-from ..neural.layers import Linear
 
 __all__ = ["GraphExecutor", "per_cloud"]
 
@@ -47,22 +46,19 @@ def _per_cloud_matmul(x, weight, nclouds):
     return out.reshape(rows, out.shape[-1])
 
 
-def per_cloud(layers, x, nclouds):
-    """Run ``layers`` over the flat rows of ``nclouds`` stacked clouds.
+def per_cloud(linear, relu, x, nclouds):
+    """Run one MLP layer over the flat rows of ``nclouds`` stacked clouds.
 
-    A BLAS call never mixes clouds: each Linear multiplies the rows as a
-    ``(nclouds, rows, K)`` stack, which numpy runs as one GEMM per cloud —
-    the very call the cloud makes alone — so a cloud's bits do not
-    depend on what shares its stack.  Other layers are row-wise.
+    A BLAS call never mixes clouds: the Linear multiplies the rows as a
+    ``(nclouds, rows, K)`` stack, which numpy runs as one GEMM per cloud
+    — the very call the cloud makes alone — so a cloud's bits do not
+    depend on what shares its stack.  The bias and the ReLU (if
+    ``relu``) are row-wise.
     """
-    for layer in layers:
-        if isinstance(layer, Linear):
-            x = _per_cloud_matmul(x, layer.weight, nclouds)
-            if layer.bias is not None:
-                x = x + layer.bias
-        else:
-            x = layer(x)
-    return x
+    x = _per_cloud_matmul(x, linear.weight, nclouds)
+    if linear.bias is not None:
+        x = x + linear.bias
+    return x.relu() if relu else x
 
 
 class GraphExecutor:
@@ -176,22 +172,19 @@ class GraphExecutor:
 
     def _matmul(self, node, ngraph, x):
         """One MLP layer — a region's or a head's — over flat rows."""
-        segment = ngraph.segment(node)
+        linear, relu = ngraph.segment(node)
         if node.attrs.get("weight_only"):
-            return _per_cloud_matmul(x, segment[0].weight, self._nclouds)
-        return per_cloud(segment, x, self._nclouds)
+            return _per_cloud_matmul(x, linear.weight, self._nclouds)
+        return per_cloud(linear, relu, x, self._nclouds)
 
     def _epilogue(self, node, ngraph, x):
-        segment = ngraph.segment(node)
-        linear = segment[0]
+        linear, relu = ngraph.segment(node)
         # The hoisted product ran weight-only: the bias cancels in the
         # centroid subtraction, so it is re-added here — followed by the
-        # layer's activation tail — to stay exact.
+        # layer's ReLU — to stay exact.
         if linear.bias is not None:
             x = x + linear.bias
-        for layer in segment[1:]:
-            x = layer(x)
-        return x
+        return x.relu() if relu else x
 
     def _network_outputs(self, ngraph, env):
         values = {}

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from ..neural.layers import segment_layers
 from .ir import Graph
 from .passes import run_pipeline
 
@@ -118,7 +117,7 @@ class NetworkGraph:
     """A whole network lowered to one strategy-rewritten graph.
 
     ``refs`` holds the :class:`~repro.neural.SharedMLP` every MLP
-    layer node runs a segment of, by ``attrs["ref"]``; ``outputs`` the
+    layer node runs a layer of, by ``attrs["ref"]``; ``outputs`` the
     named output spec; ``regions`` the per-module splice points.
     """
 
@@ -138,11 +137,11 @@ class NetworkGraph:
         return len(self.graph)
 
     def segment(self, node):
-        """The layers a ``matmul`` / ``epilogue`` node runs: segment
-        ``attrs["layer"]`` of the MLP ``refs[attrs["ref"]]``
-        (:func:`segment_layers`)."""
-        attrs = node.attrs
-        return segment_layers(self.refs[attrs["ref"]].export_layers())[attrs["layer"]]
+        """The layer a ``matmul`` / ``epilogue`` node runs, as
+        ``(linear, relu)``: layer ``attrs["layer"]`` of the MLP
+        ``refs[attrs["ref"]]``."""
+        mlp, layer = self.refs[node.attrs["ref"]], node.attrs["layer"]
+        return mlp.layers[layer], mlp.relu[layer]
 
 
 def feature_width(node):
@@ -263,9 +262,8 @@ class NetworkGraphBuilder:
 
         ``head`` is a :class:`~repro.neural.SharedMLP`; ``rows`` the
         per-cloud row count the trace reports.  Emits one ``matmul``
-        node per Linear, each running its layer's segment — the Linear
-        and its ReLU, if any — as a region's matmuls do.  Returns the
-        last node's id.
+        node per layer — the Linear and its ReLU, if any — as a
+        region's matmuls do.  Returns the last node's id.
         """
         ref, out = self._ref(head), feats
         for i, (a, b) in enumerate(zip(head.dims[:-1], head.dims[1:])):

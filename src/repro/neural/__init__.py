@@ -6,7 +6,6 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "Linear": "layers",
     "Module": "layers",
     "Parameter": "layers",
-    "ReLU": "layers",
     "accuracy": "losses",
     "cross_entropy": "losses",
     "log_softmax": "losses",

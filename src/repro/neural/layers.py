@@ -1,8 +1,10 @@
 """Neural network layers used by point cloud networks.
 
 Every feature-computation block in the paper's networks is a *shared*
-MLP: the same Linear/ReLU stack applied to each row of a
-(rows, features) matrix, so a layer here maps (rows, in) -> (rows, out).
+MLP (:class:`~repro.neural.SharedMLP`): the same stack of layers applied
+to each row of a (rows, features) matrix.  A layer is a :class:`Linear`,
+mapping (rows, in) -> (rows, out), and the MLP's flag for whether a
+ReLU (:meth:`~repro.neural.Tensor.relu`) follows it.
 """
 
 from __future__ import annotations
@@ -14,9 +16,7 @@ from .tensor import Tensor
 __all__ = [
     "Module",
     "Linear",
-    "ReLU",
     "Parameter",
-    "segment_layers",
 ]
 
 
@@ -72,28 +72,3 @@ class Linear(Module):
         if self.bias is not None:
             out = out + self.bias
         return out
-
-
-class ReLU(Module):
-    def forward(self, x):
-        return x.relu()
-
-
-def segment_layers(layers):
-    """Split a layer list into per-Linear segments.
-
-    Segment ``i`` starts at the i-th Linear and runs up to (excluding)
-    the next one, so it carries the Linear plus its ReLU, if any.  It
-    is what a graph ``matmul`` node ``layer=i`` executes, in the graph
-    interpreter and, exported, in a kernel program.  A stack must open with a Linear: a layer before
-    the first one belongs to no segment, so no node would run it.
-    """
-    layers = list(layers)
-    starts = [i for i, layer in enumerate(layers) if isinstance(layer, Linear)]
-    if not starts:
-        raise TypeError("a layer stack with no Linear layers has no segments")
-    if starts[0]:
-        raise TypeError("a layer stack needs a leading Linear layer, got "
-                        f"{type(layers[0]).__name__} first")
-    bounds = starts + [len(layers)]
-    return [layers[a:b] for a, b in zip(starts, bounds[1:])]

@@ -204,8 +204,8 @@ def reference_module_forward(module, coords, feats, strategy):
         out = reduced - pft_tensor.gather(centroid_idx)
         return ModuleRun(out_coords, out, indices, centroid_idx,
                          pft_tensor.data)
-    layers = module.mlp.layers
-    first = layers[0]
+    mlp = module.mlp
+    first = mlp.layers[0]
     hoisted = feats @ first.weight
     k = spec.k
     rows = len(centroid_idx)
@@ -216,8 +216,11 @@ def reference_module_forward(module, coords, feats, strategy):
     if first.bias is not None:
         offsets = offsets + first.bias
     out = offsets
-    for layer in layers[1:]:
-        out = layer(out)
+    for i, (linear, relu) in enumerate(zip(mlp.layers, mlp.relu, strict=True)):
+        if i:  # layer 0's product is the hoisted one, biased above
+            out = linear(out)
+        if relu:
+            out = out.relu()
     transformed = out.reshape(rows, k, spec.out_dim)
     return ModuleRun(
         out_coords, transformed.max(axis=1), indices, centroid_idx, hoisted.data

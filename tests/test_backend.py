@@ -31,8 +31,7 @@ from repro.core import STRATEGIES
 from repro.engine import BatchRunner, NeighborIndexCache
 from repro.neighbors import neighbor_search
 from repro.networks import ALL_NETWORKS, build_network
-from repro.neural import Linear, ReLU, SharedMLP, Tensor, no_grad
-from repro.neural.layers import segment_layers
+from repro.neural import Linear, SharedMLP, Tensor, no_grad
 
 
 def seed_parameters(net, seed):
@@ -81,43 +80,41 @@ class TestBackendDtype:
 class TestParameterExport:
     def test_segment_packs_linear_bias_relu(self):
         mlp = SharedMLP([3, 8, 4], rng=np.random.default_rng(0))
-        segments = segment_layers(mlp.export_layers())
-        assert len(segments) == 2
-        (linear, relu) = export_segment(segments[0], np.float32)
-        assert linear[0] == "linear" and relu == ("relu",)
-        assert linear[1].dtype == np.float32 and linear[2].dtype == np.float32
+        assert mlp.relu == (True, True)
+        weight, bias, relu = export_segment(mlp.layers[0], mlp.relu[0],
+                                            np.float32)
+        assert relu is True
+        assert weight.dtype == np.float32 and bias.dtype == np.float32
 
     def test_float64_export_shares_parameter_memory(self):
         mlp = SharedMLP([3, 8], rng=np.random.default_rng(0))
-        ops = export_segment(mlp.export_layers(), np.float64)
-        assert ops[0][1] is mlp.layers[0].weight.data
-
-    def test_a_layer_other_than_relu_after_a_linear_is_refused(self):
-        with pytest.raises(TypeError, match="cannot export layer Linear"):
-            export_segment([Linear(3, 4), Linear(4, 4)], np.float64)
+        weight, bias, _ = export_segment(mlp.layers[0], mlp.relu[0],
+                                         np.float64)
+        assert weight is mlp.layers[0].weight.data
+        assert bias is mlp.layers[0].bias.data
 
     @pytest.mark.parametrize("relu", [True, False],
                              ids=["with-relu", "head-tail"])
-    @pytest.mark.parametrize("form, kinds", [
-        ({}, ["linear", "relu"]),
-        ({"weight_only": True}, ["linear"]),
-        ({"epilogue": True}, ["bias", "relu"]),
+    @pytest.mark.parametrize("form, parts", [
+        ({}, ("weight", "bias", "relu")),
+        ({"weight_only": True}, ("weight",)),
+        ({"epilogue": True}, ("bias", "relu")),
     ], ids=["whole", "weight-only", "epilogue"])
-    def test_each_export_form_packs_its_ops(self, form, kinds, relu):
-        # A segment is a Linear and its ReLU, if any: the whole segment
-        # packs both, the limited variant's hoisted product the GEMM
-        # alone (no bias), and its epilogue the bias and the ReLU.
+    def test_each_export_form_packs_its_record(self, form, parts, relu):
+        # A layer is a Linear and its ReLU, if any: the whole layer
+        # packs the GEMM, its bias and the ReLU, the limited variant's
+        # hoisted product the GEMM alone (no bias), and its epilogue the
+        # bias and the ReLU.
         linear = Linear(3, 4, rng=np.random.default_rng(0))
-        layers = [linear, ReLU()] if relu else [linear]
-        ops = export_segment(layers, np.float32, **form)
-        assert [op[0] for op in ops] \
-            == [kind for kind in kinds if relu or kind != "relu"]
-        if ops[0][0] == "linear":
-            _, weight, bias = ops[0]
-            np.testing.assert_array_equal(weight, linear.weight.data
-                                          .astype(np.float32))
-            assert (bias is None) == ("weight_only" in form)
-        arrays = [a for op in ops for a in op[1:] if a is not None]
+        weight, bias, relu_out = export_segment(linear, relu, np.float32,
+                                                **form)
+        assert (weight is not None) == ("weight" in parts)
+        assert (bias is not None) == ("bias" in parts)
+        assert relu_out is (relu and "relu" in parts)
+        if weight is not None:
+            np.testing.assert_array_equal(
+                weight, linear.weight.data.astype(np.float32))
+        arrays = [a for a in (weight, bias) if a is not None]
         assert arrays and all(a.dtype == np.float32 for a in arrays)
 
 

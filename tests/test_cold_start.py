@@ -41,9 +41,9 @@ TIMEOUT = 120.0
 #: generation (multi-scale module, NIT/PFT containers, trace shim,
 #: executor result type) and the analysis helpers only tests read went;
 #: ``repro.graph`` lost its aggregation-fusion pass when aggregation
-#: became one node from build on, and ``repro.backend`` lost
-#: ``segment_layers`` when the one MLP segment split moved to
-#: ``repro.neural.layers``; ``repro.neighbors`` lost its scoped-cache
+#: became one node from build on, and ``repro.backend`` lost the
+#: one MLP segment split when it moved to ``repro.neural.layers``;
+#: ``repro.neighbors`` lost its scoped-cache
 #: door when the neighbor-index cache became an argument of a program run;
 #: ``repro.backend`` lost four when a program's backend became its dtype
 #: (that class and its registry's two functions) and a runner came to
@@ -55,12 +55,13 @@ TIMEOUT = 120.0
 #: read; ``repro.serve`` lost ``gather`` when a lane's take came to
 #: block until something is queued; ``repro.neural`` lost two layer
 #: kinds and their container when an MLP layer came to be a Linear and
-#: its ReLU.
+#: its ReLU, and ``ReLU`` itself when that ReLU became a flag of the
+#: MLP beside its Linear.
 FRONT_DOORS = [
     ("repro", 12), ("repro.backend", 12), ("repro.core", 8),
     ("repro.data", 15), ("repro.engine", 5), ("repro.graph", 16),
     ("repro.hw", 23), ("repro.neighbors", 8), ("repro.networks", 23),
-    ("repro.neural", 13), ("repro.profiling", 23), ("repro.serve", 13),
+    ("repro.neural", 12), ("repro.profiling", 23), ("repro.serve", 13),
 ]
 
 

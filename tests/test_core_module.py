@@ -15,7 +15,7 @@ from repro.core import (
     relative_error,
 )
 from repro.neural import SharedMLP, Tensor, no_grad
-from repro.neural.layers import Linear, ReLU
+from repro.neural.layers import Linear
 from repro.profiling.trace import (
     GatherOp,
     MatMulOp,
@@ -164,8 +164,9 @@ class TestStrategies:
         # Strip the ReLU so the MLP is a pure affine map; the bias adds a
         # constant to every row so it cancels in aggregation subtraction
         # but NOT in max-reduction... use no-bias for exactness.
-        net.encoder[0].mlp.layers = [
-            Linear(3, 8, bias=False, rng=np.random.default_rng(2))]
+        mlp = net.encoder[0].mlp
+        mlp.layers = [Linear(3, 8, bias=False, rng=np.random.default_rng(2))]
+        mlp.relu = (False,)
         orig = run(net, cloud, "original")
         delayed = run(net, cloud, "delayed")
         np.testing.assert_allclose(delayed.features.data, orig.features.data,
@@ -203,23 +204,6 @@ class TestStrategies:
         with pytest.raises(ValueError,
                            match=r"^custom expects \(64, 3\) coords, got"):
             module_net().forward(make_cloud(n))
-
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_an_mlp_without_a_leading_linear_is_not_run(self, strategy):
-        # A layer before the first Linear belongs to no graph node, so
-        # neither the interpreter nor a kernel program may drop it
-        # silently: running or compiling the region raises.
-        from repro.backend import compile_kernel_program
-
-        net = module_net()
-        cloud = make_cloud()
-        run(net, cloud, strategy)  # memoizes the graph
-        mlp = net.encoder[0].mlp
-        mlp.layers = [ReLU(), *mlp.layers]
-        with pytest.raises(TypeError, match="leading Linear"):
-            run(net, cloud, strategy)
-        with pytest.raises(TypeError, match="leading Linear"):
-            compile_kernel_program(net, strategy=strategy)
 
     def test_gradients_flow_through_delayed(self):
         net = module_net()
@@ -330,8 +314,9 @@ class TestStrategyGradients:
         # to the same 1e-9.
         spec = ModuleSpec("lin", 16, 8, 4, (3, 5))
         cloud, net = make_cloud(16, seed=18), module_net(spec, seed=19)
-        net.encoder[0].mlp.layers = [
-            Linear(3, 5, bias=False, rng=np.random.default_rng(20))]
+        mlp = net.encoder[0].mlp
+        mlp.layers = [Linear(3, 5, bias=False, rng=np.random.default_rng(20))]
+        mlp.relu = (False,)
         original = self.gradients(net, cloud, "original")
         delayed = self.gradients(net, cloud, "delayed")
         assert original and np.abs(original[0]).max() > 0

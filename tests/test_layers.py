@@ -9,7 +9,6 @@ from repro.neural import (
     Adam,
     Linear,
     Module,
-    ReLU,
     SharedMLP,
     Tensor,
     accuracy,
@@ -17,7 +16,6 @@ from repro.neural import (
     log_softmax,
     mse_loss,
 )
-from repro.neural.layers import segment_layers
 
 
 class TestLinear:
@@ -80,24 +78,14 @@ class TestSharedMLP:
         assert len(mlp.parameters()) == 4  # 2 Linear * (weight + bias)
 
 
-class TestSegmentLayers:
-    def test_one_segment_per_linear_with_its_tail(self):
+class TestLayerForm:
+    def test_one_relu_flag_per_linear(self):
         # A head: no activation after the last Linear.
         mlp = SharedMLP([3, 8, 4, 2], final_activation=False)
-        segments = segment_layers(mlp.export_layers())
-        assert [[type(layer).__name__ for layer in seg] for seg in segments] \
-            == [["Linear", "ReLU"], ["Linear", "ReLU"], ["Linear"]]
-
-    def test_a_stack_without_a_leading_linear_is_refused(self):
-        # A layer before the first Linear is in no segment: no graph
-        # node would run it, so the split refuses rather than drop it.
-        layers = SharedMLP([3, 8]).export_layers()
-        with pytest.raises(TypeError, match="leading Linear.*ReLU"):
-            segment_layers([ReLU(), *layers])
-
-    def test_a_stack_without_a_linear_is_refused(self):
-        with pytest.raises(TypeError, match="no Linear"):
-            segment_layers([ReLU()])
+        assert [layer.weight.shape for layer in mlp.layers] \
+            == [(3, 8), (8, 4), (4, 2)]
+        assert mlp.relu == (True, True, False)
+        assert SharedMLP([3, 8, 4]).relu == (True, True)
 
     @staticmethod
     def shared_mlps(net):
@@ -118,28 +106,23 @@ class TestSegmentLayers:
         return found
 
     @pytest.mark.parametrize("name", ALL_NETWORKS)
-    def test_every_network_mlp_is_linear_relu_segments(self, name):
-        # An MLP layer is a Linear and its ReLU: each segment of every
-        # MLP a network holds is one of the two forms a kernel exports,
-        # only a last segment (a head's output) drops the ReLU, and the
-        # MLP's forward is that chain of GEMMs, biases and ReLUs.
+    def test_every_network_mlp_is_linear_relu_layers(self, name):
+        # An MLP layer is a Linear and its ReLU: only a last layer (a
+        # head's output) drops the ReLU, and the MLP's forward is that
+        # chain of GEMMs, biases and ReLUs.
         mlps = self.shared_mlps(toy(name))
         assert mlps
         rng = np.random.default_rng(1)
         for mlp in mlps:
-            segments = segment_layers(mlp.export_layers())
-            assert [[layer.weight.shape for layer in seg[:1]]
-                    for seg in segments] \
-                == [[(a, b)] for a, b in zip(mlp.dims[:-1], mlp.dims[1:])]
-            kinds = [[type(layer).__name__ for layer in seg[1:]]
-                     for seg in segments]
-            assert kinds[:-1] == [["ReLU"]] * (len(segments) - 1)
-            assert kinds[-1] in (["ReLU"], [])
+            assert [layer.weight.shape for layer in mlp.layers] \
+                == list(zip(mlp.dims[:-1], mlp.dims[1:]))
+            assert all(isinstance(layer, Linear) for layer in mlp.layers)
+            assert mlp.relu[:-1] == (True,) * (len(mlp.layers) - 1)
             x = rng.normal(size=(5, mlp.dims[0]))
             expected = x
-            for seg in segments:
-                expected = expected @ seg[0].weight.data + seg[0].bias.data
-                if len(seg) == 2:
+            for linear, relu in zip(mlp.layers, mlp.relu, strict=True):
+                expected = expected @ linear.weight.data + linear.bias.data
+                if relu:
                     expected = np.maximum(expected, 0.0)
             np.testing.assert_allclose(mlp(Tensor(x)).data, expected,
                                        rtol=1e-12, atol=1e-12)

@@ -72,17 +72,17 @@ def unplanned_run(net, strategy, backend, x):
 
 
 def assert_same_entries(source, table):
-    """``table`` holds ``source``'s entries: the same keys and op kinds,
-    and every op array ``array_equal`` in the same dtype."""
+    """``table`` holds ``source``'s entries: the same keys and ``relu``
+    flags, and every weight and bias ``array_equal`` in the same dtype."""
     assert table.entries.keys() == source.entries.keys()
-    for key, ops in source.entries.items():
-        for op, other in zip(ops, table.entries[key], strict=True):
-            assert op[0] == other[0]
-            for a, b in zip(op[1:], other[1:], strict=True):
-                assert (a is None) == (b is None)
-                if a is not None:
-                    assert b.dtype == a.dtype
-                    assert np.array_equal(a, b)
+    for key, (*arrays, relu) in source.entries.items():
+        *others, other_relu = table.entries[key]
+        assert other_relu is relu
+        for a, b in zip(arrays, others, strict=True):
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert b.dtype == a.dtype
+                assert np.array_equal(a, b)
 
 
 class TestGraphLiveness:
@@ -536,8 +536,9 @@ class TestSharedMemoryTransport:
             "from repro.backend import attach_table\n"
             "table = attach_table(pickle.loads(bytes.fromhex(sys.stdin.read())))\n"
             "entries = {key: tuple(\n"
-            "    (op[0], *(None if a is None else np.array(a) for a in op[1:]))\n"
-            "    for op in ops) for key, ops in table.entries.items()}\n"
+            "    part if part is None or isinstance(part, bool)\n"
+            "    else np.array(part) for part in record)\n"
+            "    for key, record in table.entries.items()}\n"
             "print(pickle.dumps(entries).hex())\n"
         )
         src = os.path.dirname(os.path.dirname(repro.__file__))
