@@ -214,6 +214,9 @@ class ParameterTable:
         """
         if manifest.get("kind") != "parameter-table":
             raise ValueError("manifest does not describe a parameter table")
+        if manifest.get("format") != 2:
+            raise ValueError(f"parameter-table manifest format "
+                             f"{manifest.get('format')} is not 2 (layer records)")
         views = []
         for spec in manifest["arrays"]:
             dtype = np.dtype(spec["dtype"])

@@ -141,6 +141,9 @@ class NetworkGraph:
         ``(linear, relu)``: layer ``attrs["layer"]`` of the MLP
         ``refs[attrs["ref"]]``."""
         mlp, layer = self.refs[node.attrs["ref"]], node.attrs["layer"]
+        if len(mlp.relu) != len(mlp.layers):
+            raise ValueError(f"an MLP of {len(mlp.layers)} layers has "
+                             f"{len(mlp.relu)} relu flags")
         return mlp.layers[layer], mlp.relu[layer]
 
 

@@ -205,6 +205,26 @@ class TestStrategies:
                            match=r"^custom expects \(64, 3\) coords, got"):
             module_net().forward(make_cloud(n))
 
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_relu_flags_out_of_step_with_the_layers_are_not_run(self, strategy):
+        # Assigning `layers` or `relu` alone can leave a layer without its
+        # flag or a flag without its layer: neither the interpreter nor a
+        # kernel program may run a layer with another's flag, so running
+        # or compiling the region raises.
+        from repro.backend import compile_kernel_program
+
+        net = module_net()
+        cloud = make_cloud()
+        run(net, cloud, strategy)  # memoizes the graph
+        mlp = net.encoder[0].mlp
+        flags = mlp.relu
+        for out_of_step in (flags[:-1], (*flags, True)):
+            mlp.relu = out_of_step
+            with pytest.raises(ValueError, match="layers has .* relu flags"):
+                run(net, cloud, strategy)
+            with pytest.raises(ValueError, match="layers has .* relu flags"):
+                compile_kernel_program(net, strategy=strategy)
+
     def test_gradients_flow_through_delayed(self):
         net = module_net()
         out = run(net, make_cloud(), "delayed")

@@ -87,6 +87,16 @@ class TestLayerForm:
         assert mlp.relu == (True, True, False)
         assert SharedMLP([3, 8, 4]).relu == (True, True)
 
+    @pytest.mark.parametrize("flags", [(True,), (True, True, False)],
+                             ids=["a-flag-short", "a-flag-over"])
+    def test_relu_flags_out_of_step_with_the_layers_are_refused(self, flags):
+        # Assigning `relu` alone leaves it out of step with `layers`: the
+        # forward refuses rather than drop a layer or a flag silently.
+        mlp = SharedMLP([3, 8, 4])
+        mlp.relu = flags
+        with pytest.raises(ValueError, match="zip"):
+            mlp(Tensor(np.zeros((2, 3))))
+
     @staticmethod
     def shared_mlps(net):
         """Every SharedMLP ``net`` holds, at any depth of its attributes."""

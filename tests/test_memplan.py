@@ -450,6 +450,15 @@ class TestParameterTable:
         clouds = clouds_for(net, 2, seed=9)
         assert_bit_exact(reference.run(clouds), program.run(clouds))
 
+    @pytest.mark.parametrize("fmt", [1, None], ids=["format-1", "no-format"])
+    def test_a_manifest_of_another_format_is_refused(self, fmt):
+        # Format 1 packed op tuples, not layer records: attaching a table
+        # it wrote raises a ValueError naming the format, not a KeyError.
+        ngraph = toy("PointNet++ (c)").network_graph("delayed")
+        manifest, blob = ParameterTable.for_graph(ngraph, "float32").pack()
+        with pytest.raises(ValueError, match=f"format {fmt} is not 2"):
+            ParameterTable.from_buffer({**manifest, "format": fmt}, blob)
+
     def test_packed_float32_blob_is_half_of_float64(self):
         net = toy("PointNet++ (c)")
         ngraph = net.network_graph("delayed")
